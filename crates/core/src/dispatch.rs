@@ -3,12 +3,13 @@
 //! [`Session`](crate::session::Session) owns its backend exclusively —
 //! concurrency stops at one client. Production serving means many
 //! concurrent clients over one warm engine and one weight registry.
-//! [`Dispatcher`] is that layer: it owns the backend, spawns a small
-//! crew of **stager** threads plus one **driver** thread, and hands out
-//! any number of [`DispatchSession`] clients, each with its own FIFO
-//! queue, ticket space and admission bound.
+//! [`Dispatcher`] is that layer: it holds the backend behind an engine
+//! lock, spawns a small crew of **stager** threads plus one **driver**
+//! thread, and hands out any number of [`DispatchSession`] clients,
+//! each with its own FIFO queue, ticket space and admission bound.
 //!
-//! The pipeline generalizes the single-tenant session's three stages:
+//! The queued pipeline generalizes the single-tenant session's three
+//! stages:
 //!
 //! 1. **submit** ([`DispatchSession::submit`] /
 //!    [`DispatchSession::submit_with`]) — validates the batch against
@@ -27,8 +28,9 @@
 //!    [`MAX_STAGED`] claimed-but-uncomputed batches preserves the
 //!    "pack batch N+1 while batch N computes" overlap without staging
 //!    a whole backlog into memory;
-//! 3. **compute** — the driver owns the backend and repeatedly executes
-//!    the *best* ready batch: highest [`Priority`] first
+//! 3. **compute** — the driver takes the engine lock per batch and
+//!    repeatedly executes the *best* ready batch: highest [`Priority`]
+//!    first
 //!    (decode-latency-critical beats prefill-throughput), then earliest
 //!    deadline, then admission order. An aging rule bounds priority
 //!    inversion the other way: after [`DECODE_BURST`] consecutive
@@ -41,11 +43,31 @@
 //!    spends cycles only on batches that can still make their
 //!    deadlines.
 //!
+//! A blocking caller has a fourth option, the **direct** stage:
+//! [`DispatchSession::run`] admits its batch exactly as `submit_with`
+//! does, and if that batch is then the only work in the dispatcher — no
+//! session has anything else in flight, nothing is staged, no eviction
+//! is queued — the calling thread takes the engine lock and stages and
+//! executes the batch itself, booking what the stager and driver would
+//! have booked ([`DispatchStats::direct`]). That skips the three thread
+//! hand-offs of the queued pipeline (client → stager → driver →
+//! client), which cost several times the engine time of a decode-sized
+//! batch. The choice is made from state the dispatcher already holds,
+//! per batch, under the state lock: the moment there is anybody to be
+//! ordered against, `run` queues like a submission, so priority order,
+//! aging, deadlines, per-session FIFO and admission are always those
+//! of the queued pipeline. With two or more *busy* tenants most
+//! batches therefore still pay the queued path; `submit`/`submit_with`
+//! always do (they return immediately, and the stagers overlap packing
+//! with compute).
+//!
 //! Weight **eviction races** are first-class: [`Dispatcher::evict_weights`]
 //! condemns the handle immediately (new submissions fail with
 //! [`RequestError::StaleHandle`]) and queues a control op the driver
-//! serializes with batch execution, so a stale handle racing a live
-//! session errs per batch instead of panicking the engine.
+//! applies under the engine lock, in series with every batch execution
+//! (a direct run takes that lock atomically with its condemned check),
+//! so a stale handle racing a live session errs per batch instead of
+//! panicking the engine.
 //!
 //! Every primitive comes from [`crate::sync`], so the whole protocol is
 //! explored by the `camp-loom` model checker (`tests/model/dispatch_model.rs`)
@@ -205,8 +227,13 @@ pub struct TicketId {
 pub struct DispatchStats {
     /// Batches accepted by admission control, ever.
     pub submitted: u64,
-    /// Batches executed to completion (successfully), ever.
+    /// Batches executed to completion (successfully), ever — on the
+    /// driver or on a caller's thread.
     pub executed: u64,
+    /// Of `executed`, the batches a [`DispatchSession::run`] caller
+    /// staged and executed on its own thread because nothing else was
+    /// in flight, ever. These never count as `stolen`.
+    pub direct: u64,
     /// Batches cancelled unclaimed when their session dropped, ever.
     pub cancelled: u64,
     /// Submissions rejected with [`RequestError::Saturated`], ever.
@@ -320,6 +347,7 @@ impl SessQueue {
 struct Counters {
     submitted: u64,
     executed: u64,
+    direct: u64,
     cancelled: u64,
     rejected: u64,
     stolen: u64,
@@ -445,17 +473,45 @@ impl<P> DispState<P> {
         Some(best)
     }
 
-    /// Book one batch's completion: frees its session's staging window
-    /// and in-flight permit, files the result (unless the client is
-    /// gone), reaps the slot if it was the last obligation.
+    /// Book one queued batch's completion: files the result (unless the
+    /// client is gone) and [`release`](Self::release)s its permits.
     fn complete(&mut self, slot: usize, seq: u64, result: Result<BatchOutcome, RequestError>) {
         let q = self.sessions[slot].as_mut().expect("in-flight batch keeps its slot live");
-        q.staged_live -= 1;
-        q.pending -= 1;
         if !q.closed {
             q.done.insert(seq, result);
         }
+        self.release(slot);
+    }
+
+    /// Free one claimed batch's staging window and in-flight permit and
+    /// reap the slot if that was its last obligation.
+    fn release(&mut self, slot: usize) {
+        let q = self.sessions[slot].as_mut().expect("in-flight batch keeps its slot live");
+        q.staged_live -= 1;
+        q.pending -= 1;
         self.maybe_reap(slot);
+    }
+
+    /// Book the driver-side pick of a batch of `priority` (the aging
+    /// rule's run length).
+    fn note_picked(&mut self, priority: Priority) {
+        self.decode_run = match priority {
+            Priority::Decode => self.decode_run + 1,
+            Priority::Prefill => 0,
+        };
+    }
+
+    /// True when the one batch in flight is the only work in the
+    /// system: nothing staged, no control queued, no other session (and
+    /// no earlier batch of the same session) to be ordered against.
+    fn lone_batch(&self) -> bool {
+        // exactly one session has anything in flight, and exactly one
+        // batch; stops at the second busy session it meets
+        let mut busy = self.sessions.iter().flatten().map(|q| q.pending).filter(|&p| p > 0);
+        self.ready.is_empty()
+            && self.controls.is_empty()
+            && busy.next() == Some(1)
+            && busy.next().is_none()
     }
 
     /// Free a closed session's slot once nothing is in flight for it.
@@ -482,8 +538,20 @@ fn beats<P>(a: &ReadyBatch<P>, b: &ReadyBatch<P>) -> bool {
     a.admit < b.admit
 }
 
-struct Shared<P> {
-    state: Mutex<DispState<P>>,
+/// The state lock's guard, as every holder spells it.
+type StateGuard<'a, B> = MutexGuard<'a, DispState<<B as CampBackend>::Prepared>>;
+
+struct Shared<B: CampBackend> {
+    state: Mutex<DispState<B::Prepared>>,
+    /// The engine lock: the one backend, taken per batch and per
+    /// eviction by the driver and per direct run by a client;
+    /// [`Dispatcher::into_backend`] empties the slot after the joins.
+    /// Lock order is `state` → `engine` (a direct run takes it under
+    /// the state lock, atomically with its condemned check — the most
+    /// it can wait for there is one eviction, every other holder has a
+    /// batch in flight and so rules the direct path out); the driver
+    /// never holds both.
+    engine: Mutex<Option<B>>,
     /// Wakes stagers: new submission, staging room freed, cancellation,
     /// shutdown. Always notified with `notify_all` — under
     /// [`StealPolicy::Pinned`] a `notify_one` could wake a stager that
@@ -500,21 +568,24 @@ struct Shared<P> {
     weights: WeightSnapshot,
 }
 
-impl<P> Shared<P> {
+impl<B: CampBackend> Shared<B> {
     /// Lock the state, ignoring mutex poisoning: every mutation is
     /// atomic under the lock (queues stay consistent even if a caller
     /// panicked mid-`wait`), and shutdown must still work after a panic
     /// so `Drop` can join the pipeline threads.
-    fn lock(&self) -> MutexGuard<'_, DispState<P>> {
+    fn lock(&self) -> StateGuard<'_, B> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Lock the engine slot, ignoring poisoning like [`Shared::lock`]:
+    /// whoever panicked on the backend already marked the dispatcher
+    /// dead, and `Drop` must still reach the slot.
+    fn engine(&self) -> MutexGuard<'_, Option<B>> {
+        self.engine.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Wait on `cv`, ignoring poisoning like [`Shared::lock`].
-    fn wait<'a>(
-        &self,
-        cv: &Condvar,
-        st: MutexGuard<'a, DispState<P>>,
-    ) -> MutexGuard<'a, DispState<P>> {
+    fn wait<'a>(&self, cv: &Condvar, st: StateGuard<'a, B>) -> StateGuard<'a, B> {
         cv.wait(st).unwrap_or_else(|e| e.into_inner())
     }
 
@@ -528,15 +599,16 @@ impl<P> Shared<P> {
     }
 }
 
-/// Notifies the dispatcher if a pipeline thread unwinds, so clients
-/// blocked in [`DispatchSession::wait`] fail fast instead of hanging.
-struct DeathWatch<'a, P> {
-    shared: &'a Shared<P>,
+/// Notifies the dispatcher if a pipeline thread (or a client running
+/// its own batch on the engine) unwinds, so clients blocked in
+/// [`DispatchSession::wait`] fail fast instead of hanging.
+struct DeathWatch<'a, B: CampBackend> {
+    shared: &'a Shared<B>,
     who: &'static str,
     armed: bool,
 }
 
-impl<P> Drop for DeathWatch<'_, P> {
+impl<B: CampBackend> Drop for DeathWatch<'_, B> {
     fn drop(&mut self) {
         if self.armed {
             self.shared.mark_dead(self.who);
@@ -555,7 +627,7 @@ fn next_session_id() -> u64 {
 // ---- pipeline threads ------------------------------------------------------
 
 fn stager_loop<B: CampBackend>(
-    shared: &Shared<B::Prepared>,
+    shared: &Shared<B>,
     worker: usize,
     stagers: usize,
     steal: StealPolicy,
@@ -604,7 +676,13 @@ enum DriverAction<P> {
     Exit,
 }
 
-fn driver_loop<B: CampBackend>(shared: &Shared<B::Prepared>, mut backend: B) -> B {
+/// The engine slot's backend; only [`Dispatcher::into_backend`] empties
+/// the slot, after the driver is joined and new runs are refused.
+fn held<B>(engine: &mut Option<B>) -> &mut B {
+    engine.as_mut().expect("the engine slot is emptied only after shutdown")
+}
+
+fn driver_loop<B: CampBackend>(shared: &Shared<B>) {
     let mut watch = DeathWatch { shared, who: "driver", armed: true };
     loop {
         let action = {
@@ -620,10 +698,7 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B::Prepared>, mut backend: B) -> 
                 }
                 if let Some(i) = st.pick_ready() {
                     let chosen = st.ready.remove(i);
-                    st.decode_run = match chosen.priority {
-                        Priority::Decode => st.decode_run + 1,
-                        Priority::Prefill => 0,
-                    };
+                    st.note_picked(chosen.priority);
                     if chosen.handles.iter().any(|h| st.condemned.contains(h)) {
                         // condemned while queued: fail the batch without
                         // touching the (possibly already evicted) panel
@@ -650,19 +725,24 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B::Prepared>, mut backend: B) -> 
                 st = shared.wait(&shared.ready_cv, st);
             }
         };
+        // A poisoned engine lock ends the loop like `Exit`: a direct
+        // run panicked on the backend, which may be half-updated and
+        // must not run another batch; that client's watch marks the
+        // dispatcher dead.
         match action {
-            DriverAction::Exit => {
-                watch.armed = false;
-                return backend;
-            }
+            DriverAction::Exit => break,
             DriverAction::Evict(h) => {
-                // the driver owns the backend, so this cannot race an
-                // execute; a handle evicted behind the snapshot's back
-                // is already an error, ignore it
-                let _ = backend.evict_weights(h);
+                let Ok(mut engine) = shared.engine.lock() else { break };
+                // under the engine lock this cannot race an execute; a
+                // handle evicted behind the snapshot's back is already
+                // an error, ignore it
+                let _ = held(&mut engine).evict_weights(h);
             }
             DriverAction::Run(ready) => {
-                let result = backend.execute_prepared(ready.staged);
+                let Ok(mut engine) = shared.engine.lock() else { break };
+                let result = held(&mut engine).execute_prepared(ready.staged);
+                // lock order: never the state lock under the engine's
+                drop(engine);
                 let mut st = shared.lock();
                 st.stats.executed += 1;
                 st.complete(ready.slot, ready.seq, Ok(result));
@@ -671,6 +751,7 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B::Prepared>, mut backend: B) -> 
             }
         }
     }
+    watch.armed = false;
 }
 
 // ---- the client handle -----------------------------------------------------
@@ -680,7 +761,7 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B::Prepared>, mut backend: B) -> 
 /// handle cancels its unclaimed batches and releases the slot once
 /// in-flight work completes.
 pub struct DispatchSession<B: CampBackend + Send + 'static> {
-    shared: Arc<Shared<B::Prepared>>,
+    shared: Arc<Shared<B>>,
     slot: usize,
     /// Process-unique identity stamped into this session's tickets.
     id: u64,
@@ -730,39 +811,74 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
         priority: Priority,
         deadline: Option<Instant>,
     ) -> Result<TicketId, RequestError> {
-        let mut handles = Vec::new();
-        for r in &batch {
-            r.resolve(&self.shared.weights)?;
-            if let Operand::Handle(h) = r.weights() {
-                handles.push(*h);
-            }
-        }
-        let mut st = self.shared.lock();
-        if let Some(who) = st.dead {
-            panic!("serving session is dead: {who} thread panicked");
-        }
-        if st.shutdown {
-            panic!("dispatcher is shut down");
-        }
-        if handles.iter().any(|h| st.condemned.contains(h)) {
-            return Err(RequestError::StaleHandle);
-        }
-        let q = self.shared.queue(&mut st, self.slot);
-        if q.pending >= q.depth {
-            let depth = q.depth;
-            st.stats.rejected += 1;
-            return Err(RequestError::Saturated { depth });
-        }
         let seq = self.next_seq;
+        let (mut st, pending) = self.shared.admit(self.slot, seq, batch, priority, deadline)?;
         self.next_seq += 1;
-        q.pending += 1;
-        let admit = st.admit_seq;
-        st.admit_seq += 1;
-        let q = self.shared.queue(&mut st, self.slot);
-        q.submitted.push_back(Pending { seq, batch, priority, deadline, handles, admit });
-        st.stats.submitted += 1;
-        self.shared.work_cv.notify_all();
+        self.shared.enqueue(&mut st, self.slot, pending);
         Ok(TicketId { session: self.id, seq })
+    }
+
+    /// Run one batch to completion and return its outcome: the blocking
+    /// form of [`submit_with`](Self::submit_with) followed by
+    /// [`wait`](Self::wait), with the same validation, admission bound,
+    /// errors and counters.
+    ///
+    /// When the batch is the only work in the dispatcher — no session
+    /// has a batch in flight (this one included), nothing is staged and
+    /// no eviction is queued — the calling thread stages and executes
+    /// it on the engine itself, with no thread hand-off
+    /// ([`DispatchStats::direct`]). Whenever there is anything to be
+    /// ordered against, it queues behind it exactly like a submission,
+    /// so priority order, aging, deadlines, per-session FIFO and
+    /// admission are those of the queued path. A batch whose deadline
+    /// has already passed is [`RequestError::Shed`] on either path.
+    ///
+    /// # Panics
+    /// Panics if a pipeline thread has died (or dies while this batch
+    /// is queued), or the dispatcher was shut down while this handle
+    /// was kept alive.
+    pub fn run(
+        &mut self,
+        batch: Vec<GemmRequest>,
+        priority: Priority,
+        deadline: Option<Instant>,
+    ) -> Result<BatchOutcome, RequestError> {
+        let seq = self.next_seq;
+        let (mut st, pending) = self.shared.admit(self.slot, seq, batch, priority, deadline)?;
+        if !st.lone_batch() {
+            self.next_seq += 1;
+            self.shared.enqueue(&mut st, self.slot, pending);
+            drop(st);
+            return self.wait(TicketId { session: self.id, seq });
+        }
+        // the caller is stager and driver for this batch and books what
+        // they would book, in the same order; no ticket is issued
+        let shared = &*self.shared;
+        shared.queue(&mut st, self.slot).staged_live += 1;
+        st.note_picked(priority);
+        if deadline.is_some_and(|dl| Instant::now() > dl) {
+            st.stats.shed += 1;
+            st.release(self.slot);
+            return Err(RequestError::Shed);
+        }
+        // taken under the state lock, so no eviction can reach the
+        // engine between the condemned check in `admit` and the execute
+        let engine = shared.engine();
+        drop(st);
+        let mut watch = DeathWatch { shared, who: "client", armed: true };
+        let outcome = {
+            // moved in, so that an unwind frees the engine before the
+            // watch takes the state lock
+            let mut engine = engine;
+            let staged = pending.batch.into_iter().map(|r| B::prepare(r, &shared.weights));
+            held(&mut engine).execute_prepared(staged.collect())
+        };
+        let mut st = shared.lock();
+        st.stats.executed += 1;
+        st.stats.direct += 1;
+        st.release(self.slot);
+        watch.armed = false;
+        Ok(outcome)
     }
 
     /// A ticket's queue key, after verifying it belongs to this
@@ -776,8 +892,9 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     /// Non-blocking result check: `None` while the batch is still in
     /// the pipeline. The result is handed out exactly once — a second
     /// poll of the same ticket returns `None` again. `Some(Err(_))`
-    /// reports a batch failed in flight (today: condemned by a racing
-    /// [`Dispatcher::evict_weights`]).
+    /// reports a batch failed in flight: condemned by a racing
+    /// [`Dispatcher::evict_weights`] ([`RequestError::StaleHandle`]) or
+    /// picked after its deadline had passed ([`RequestError::Shed`]).
     pub fn poll(&mut self, ticket: TicketId) -> Option<Result<BatchOutcome, RequestError>> {
         let seq = self.check_ticket(ticket);
         let mut st = self.shared.lock();
@@ -795,8 +912,8 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     }
 
     /// Block until the batch completes; `Err` reports a batch failed in
-    /// flight (today: condemned by a racing
-    /// [`Dispatcher::evict_weights`]). Each ticket can be waited on
+    /// flight ([`RequestError::StaleHandle`] or [`RequestError::Shed`],
+    /// as for [`poll`](Self::poll)). Each ticket can be waited on
     /// exactly once.
     ///
     /// # Panics
@@ -834,14 +951,60 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     }
 }
 
-impl<P> Shared<P> {
+impl<B: CampBackend> Shared<B> {
+    /// Validation and admission control shared by every submission
+    /// path: on success the batch holds an in-flight permit and its
+    /// place in the global admission order, and the state lock comes
+    /// back still held, so the caller files (or runs) the batch
+    /// atomically with its admission. Nothing is booked on any error.
+    fn admit(
+        &self,
+        slot: usize,
+        seq: u64,
+        batch: Vec<GemmRequest>,
+        priority: Priority,
+        deadline: Option<Instant>,
+    ) -> Result<(StateGuard<'_, B>, Pending), RequestError> {
+        let mut handles = Vec::new();
+        for r in &batch {
+            r.resolve(&self.weights)?;
+            if let Operand::Handle(h) = r.weights() {
+                handles.push(*h);
+            }
+        }
+        let mut st = self.lock();
+        if let Some(who) = st.dead {
+            panic!("serving session is dead: {who} thread panicked");
+        }
+        if st.shutdown {
+            panic!("dispatcher is shut down");
+        }
+        if handles.iter().any(|h| st.condemned.contains(h)) {
+            return Err(RequestError::StaleHandle);
+        }
+        let q = self.queue(&mut st, slot);
+        if q.pending >= q.depth {
+            let depth = q.depth;
+            st.stats.rejected += 1;
+            return Err(RequestError::Saturated { depth });
+        }
+        q.pending += 1;
+        let admit = st.admit_seq;
+        st.admit_seq += 1;
+        st.stats.submitted += 1;
+        Ok((st, Pending { seq, batch, priority, deadline, handles, admit }))
+    }
+
+    /// File an admitted batch in its session's queue and wake the
+    /// stagers.
+    fn enqueue(&self, st: &mut StateGuard<'_, B>, slot: usize, pending: Pending) {
+        self.queue(st, slot).submitted.push_back(pending);
+        self.work_cv.notify_all();
+    }
+
     /// A live client's queue. The slot cannot be reaped while the
     /// client exists (reaping requires `closed`, set only on drop).
-    fn queue<'a>(
-        &self,
-        st: &'a mut MutexGuard<'_, DispState<P>>,
-        slot: usize,
-    ) -> &'a mut SessQueue {
+    fn queue<'a>(&self, st: &'a mut StateGuard<'_, B>, slot: usize) -> &'a mut SessQueue {
         st.sessions[slot].as_mut().expect("live client keeps its slot")
     }
 }
@@ -872,10 +1035,10 @@ impl<B: CampBackend + Send + 'static> Drop for DispatchSession<B> {
 /// [`Dispatcher::session`], reclaim the warm backend with
 /// [`Dispatcher::into_backend`].
 pub struct Dispatcher<B: CampBackend + Send + 'static> {
-    shared: Arc<Shared<B::Prepared>>,
+    shared: Arc<Shared<B>>,
     options: DispatchOptions,
     stagers: Vec<JoinHandle<()>>,
-    driver: Option<JoinHandle<B>>,
+    driver: Option<JoinHandle<()>>,
 }
 
 impl<B: CampBackend + Send + 'static> std::fmt::Debug for Dispatcher<B> {
@@ -899,7 +1062,7 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
     pub fn with_options(backend: B, options: DispatchOptions) -> Self {
         assert!(options.stagers >= 1, "a dispatcher needs at least one stager");
         assert!(options.queue_depth >= 1, "a zero admission bound would reject everything");
-        let shared: Arc<Shared<B::Prepared>> = Arc::new(Shared {
+        let shared: Arc<Shared<B>> = Arc::new(Shared {
             state: Mutex::new(DispState {
                 sessions: Vec::new(),
                 ready: Vec::new(),
@@ -916,6 +1079,7 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
             ready_cv: Condvar::new(),
             done_cv: Condvar::new(),
             weights: backend.weight_snapshot(),
+            engine: Mutex::new(Some(backend)),
         });
 
         let stagers = (0..options.stagers)
@@ -932,7 +1096,7 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
         let driver_shared = Arc::clone(&shared);
         let driver = crate::sync::thread::Builder::new()
             .name("camp-dispatch-driver".into())
-            .spawn(move || driver_loop::<B>(&driver_shared, backend))
+            .spawn(move || driver_loop(&driver_shared))
             .expect("failed to spawn dispatch driver");
 
         Dispatcher { shared, options, stagers, driver: Some(driver) }
@@ -990,6 +1154,7 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
         DispatchStats {
             submitted: st.stats.submitted,
             executed: st.stats.executed,
+            direct: st.stats.direct,
             cancelled: st.stats.cancelled,
             rejected: st.stats.rejected,
             stolen: st.stats.stolen,
@@ -1012,32 +1177,41 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
     /// drop) and return the backend, weights and warm pools intact.
     /// Sessions kept alive across this call panic on their next
     /// submission.
+    ///
+    /// # Panics
+    /// Panics if the backend panicked mid-batch, on the driver or under
+    /// a [`DispatchSession::run`] caller.
     pub fn into_backend(mut self) -> B {
-        self.begin_shutdown();
+        self.join_pipeline().expect("dispatcher driver panicked");
+        // blocks until a direct run still on the engine has finished;
+        // no new one can start, `shutdown` is set
+        let mut engine = self.shared.engine.lock().expect("a direct run panicked on the backend");
+        engine.take().expect("the engine slot is emptied only here")
+    }
+
+    /// Signal shutdown and join the pipeline threads; the driver's
+    /// verdict is returned, a stager's panic already marked the
+    /// dispatcher dead.
+    fn join_pipeline(&mut self) -> std::thread::Result<()> {
+        {
+            let mut st = self.shared.lock();
+            st.shutdown = true;
+            self.shared.work_cv.notify_all();
+            self.shared.ready_cv.notify_all();
+        }
         for h in self.stagers.drain(..) {
             let _ = h.join();
         }
-        let driver = self.driver.take().expect("driver already joined");
-        driver.join().expect("dispatcher driver panicked")
-    }
-
-    fn begin_shutdown(&self) {
-        let mut st = self.shared.lock();
-        st.shutdown = true;
-        self.shared.work_cv.notify_all();
-        self.shared.ready_cv.notify_all();
+        self.driver.take().map_or(Ok(()), JoinHandle::join)
     }
 }
 
 impl<B: CampBackend + Send + 'static> Drop for Dispatcher<B> {
     fn drop(&mut self) {
-        self.begin_shutdown();
-        for h in self.stagers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.driver.take() {
-            let _ = h.join();
-        }
+        let _ = self.join_pipeline();
+        // the backend goes with the dispatcher, not with the last
+        // session handle that outlives it
+        drop(self.shared.engine().take());
     }
 }
 
@@ -1063,18 +1237,27 @@ mod tests {
 
     /// Mock backend whose `execute_prepared` consumes one [`Gate`]
     /// permit per batch and logs the batch's m (the tests' batch
-    /// identity) in execution order.
+    /// identity) and the executing thread in execution order. A batch
+    /// whose m is [`POISON_M`] panics once it holds its permit.
     struct GateBackend {
         gate: Gate,
         log: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
+        ran_on: std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
     }
+
+    const POISON_M: usize = 666;
 
     impl GateBackend {
         fn new(permits: usize) -> (Self, Gate, std::sync::Arc<std::sync::Mutex<Vec<usize>>>) {
             let gate: Gate =
                 std::sync::Arc::new((std::sync::Mutex::new(permits), std::sync::Condvar::new()));
             let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            (GateBackend { gate: std::sync::Arc::clone(&gate), log: log.clone() }, gate, log)
+            let backend = GateBackend {
+                gate: std::sync::Arc::clone(&gate),
+                log: log.clone(),
+                ran_on: Default::default(),
+            };
+            (backend, gate, log)
         }
     }
 
@@ -1137,7 +1320,10 @@ mod tests {
             }
             *p -= 1;
             drop(p);
-            self.log.lock().unwrap().push(batch.first().map_or(0, |r| r.m()));
+            let m = batch.first().map_or(0, |r| r.m());
+            assert_ne!(m, POISON_M, "the poisoned batch reached the backend");
+            self.log.lock().unwrap().push(m);
+            self.ran_on.lock().unwrap().push(std::thread::current().id());
             let outputs =
                 batch.iter().map(|r| Output::new(vec![0; r.m()], r.m(), 1)).collect::<Vec<_>>();
             BatchOutcome::new(outputs, ExecStats::Host(EngineStats::default()))
@@ -1530,7 +1716,7 @@ mod tests {
         let _tb = b.submit(vec![req(2)]).unwrap();
         assert!(a.wait(ta).is_ok());
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.poll(ta)));
-        let msg = *caught.unwrap_err().downcast::<String>().expect("panic message");
+        let msg = panic_message(caught);
         assert!(msg.contains("different session"), "{msg}");
     }
 
@@ -1550,6 +1736,246 @@ mod tests {
         assert_eq!(log.lock().unwrap().len(), 6);
         drop(a);
         drop(b);
+    }
+
+    #[test]
+    fn idle_run_executes_on_the_callers_thread() {
+        let (backend, _gate, log) = GateBackend::new(2);
+        let ran_on = backend.ran_on.clone();
+        let dispatcher = Dispatcher::with_options(backend, opts(2, StealPolicy::Eager));
+        let mut session = dispatcher.session();
+        let mut other = dispatcher.session();
+
+        let outcome = session.run(vec![req(5)], Priority::Decode, None).expect("idle run");
+        assert_eq!(outcome.outputs[0].m, 5);
+        // no hand-off: the stats are final the moment `run` returns
+        let stats = dispatcher.stats();
+        assert_eq!((stats.submitted, stats.executed, stats.direct), (1, 1, 1));
+        assert_eq!((stats.stolen, stats.staging_live, stats.ready_now), (0, 0, 0));
+        assert_eq!(session.in_flight(), 0);
+
+        // the queued path, for contrast, runs on the driver thread
+        let t = other.submit(vec![req(6)]).unwrap();
+        assert_eq!(other.wait(t).unwrap().outputs[0].m, 6);
+        assert_eq!(*log.lock().unwrap(), [5, 6]);
+        let ran_on = ran_on.lock().unwrap();
+        assert_eq!(ran_on[0], std::thread::current().id());
+        assert_ne!(ran_on[1], ran_on[0]);
+        assert_eq!(dispatcher.stats().direct, 1);
+    }
+
+    #[test]
+    fn run_queues_behind_a_busy_engine_and_decode_still_overtakes_prefill() {
+        let (backend, gate, log) = GateBackend::new(0);
+        let ran_on = backend.ran_on.clone();
+        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let mut prefill = dispatcher.session();
+        let mut decode = dispatcher.session();
+
+        let p1 = prefill.submit(vec![req(1)]).unwrap();
+        let p2 = prefill.submit(vec![req(2)]).unwrap();
+        // pin: batch 1 held on the (gated) engine, batch 2 staged
+        wait_for(&dispatcher, |s| s.staging_live == 2 && s.ready_now == 1);
+
+        std::thread::scope(|scope| {
+            let runner = scope.spawn(|| {
+                let outcome = decode.run(vec![req(3)], Priority::Decode, None);
+                (outcome, std::thread::current().id())
+            });
+            // the run found somebody to be ordered against: it is
+            // staged like any submission, and only then may batches go
+            wait_for(&dispatcher, |s| s.staging_live == 3 && s.ready_now == 2);
+            grant(&gate, 3);
+            let (outcome, runner_id) = runner.join().unwrap();
+            assert_eq!(outcome.expect("queued run completes").outputs[0].m, 3);
+            assert!(prefill.wait(p1).is_ok() && prefill.wait(p2).is_ok());
+            assert_eq!(*log.lock().unwrap(), [1, 3, 2], "decode overtakes the queued prefill");
+            let ran_on = ran_on.lock().unwrap();
+            assert!(ran_on.iter().all(|&id| id == ran_on[0] && id != runner_id), "driver only");
+        });
+        let stats = dispatcher.stats();
+        assert_eq!((stats.executed, stats.direct, stats.staging_live), (3, 0, 0));
+    }
+
+    #[test]
+    fn run_never_overtakes_its_own_sessions_earlier_submission() {
+        let (backend, gate, log) = GateBackend::new(0);
+        let dispatcher = Dispatcher::with_options(backend, opts(2, StealPolicy::Eager));
+        let mut session = dispatcher.session();
+        let first = session.submit(vec![req(1)]).unwrap();
+        std::thread::scope(|scope| {
+            // the gate opens only once the run has been admitted
+            scope.spawn(|| {
+                wait_for(&dispatcher, |s| s.submitted == 2);
+                grant(&gate, 2);
+            });
+            // equal priority: per-session FIFO is what orders the two
+            assert_eq!(session.run(vec![req(2)], Priority::Prefill, None).unwrap().outputs[0].m, 2);
+        });
+        assert_eq!(session.wait(first).unwrap().outputs[0].m, 1);
+        assert_eq!(*log.lock().unwrap(), [1, 2]);
+        assert_eq!(dispatcher.stats().direct, 0);
+        assert_eq!(session.in_flight(), 0);
+    }
+
+    #[test]
+    fn run_errs_and_counts_like_submit_then_wait() {
+        // Saturated: the bound counts the batch held on the gated engine
+        let (backend, gate, log) = GateBackend::new(0);
+        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let mut session = dispatcher.session_with_depth(1);
+        let blocker = session.submit(vec![req(1)]).unwrap();
+        let saturated = RequestError::Saturated { depth: 1 };
+        assert_eq!(session.run(vec![req(2)], Priority::Decode, None).unwrap_err(), saturated);
+        assert_eq!(dispatcher.stats().rejected, 1);
+        assert_eq!(session.submit(vec![req(2)]).unwrap_err(), saturated);
+        let stats = dispatcher.stats();
+        assert_eq!((stats.rejected, stats.submitted), (2, 1));
+        grant(&gate, 1);
+        assert!(session.wait(blocker).is_ok());
+
+        // Shed: a deadline already past never reaches the engine (no
+        // permit is left for it to take), on the caller's thread or the
+        // driver's
+        let past = Some(Instant::now());
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert_eq!(
+            session.run(vec![req(3)], Priority::Decode, past).unwrap_err(),
+            RequestError::Shed
+        );
+        let stats = dispatcher.stats();
+        assert_eq!((stats.shed, stats.submitted, stats.staging_live), (1, 2, 0));
+        let t = session.submit_with(vec![req(3)], Priority::Decode, past).unwrap();
+        assert_eq!(session.wait(t).unwrap_err(), RequestError::Shed);
+        let stats = wait_for(&dispatcher, |s| s.staging_live == 0);
+        assert_eq!((stats.shed, stats.submitted, stats.executed, stats.direct), (2, 3, 1, 0));
+        assert_eq!(*log.lock().unwrap(), [1]);
+        assert_eq!(session.in_flight(), 0);
+
+        // StaleHandle: a registration gone before the dispatcher's
+        // snapshot, and one condemned through the dispatcher
+        let (n, k) = (4, 16);
+        let w: Vec<i8> = (0..k * n).map(|i| (i % 15) as i8 - 7).collect();
+        let a: Vec<i8> = (0..2 * k).map(|i| (i % 11) as i8 - 5).collect();
+        let mut engine = CampEngine::with_threads(1);
+        let gone = engine.register_weights(n, k, &w, DType::I8);
+        let live = engine.register_weights(n, k, &w, DType::I8);
+        engine.evict_weights(gone).unwrap();
+        let dispatcher = Dispatcher::with_options(engine, opts(1, StealPolicy::Eager));
+        let mut session = dispatcher.session();
+        let on = |h| vec![GemmRequest::with_weights(2, a.clone(), h).unwrap()];
+        assert_eq!(
+            session.run(on(gone), Priority::Decode, None).unwrap_err(),
+            session.submit(on(gone)).unwrap_err()
+        );
+        let expect = gemm_i32_ref(2, n, k, &a, &w);
+        assert_eq!(session.run(on(live), Priority::Decode, None).unwrap().outputs[0].c, expect);
+        dispatcher.evict_weights(live).unwrap();
+        assert_eq!(
+            session.run(on(live), Priority::Decode, None).unwrap_err(),
+            RequestError::StaleHandle
+        );
+        assert_eq!(session.submit(on(live)).unwrap_err(), RequestError::StaleHandle);
+        let stats = dispatcher.stats();
+        assert_eq!((stats.submitted, stats.executed, stats.direct), (1, 1, 1));
+        assert_eq!((stats.stale_failures, stats.staging_live), (0, 0));
+        drop(session);
+        // the eviction queued behind the direct run still reached the engine
+        let mut engine = dispatcher.into_backend();
+        assert_eq!(engine.evict_weights(live).unwrap_err(), RequestError::StaleHandle);
+    }
+
+    /// `run` against `submit_with` → `wait` on one dispatcher: the same
+    /// outputs, equal to the reference, and every `run` direct.
+    fn run_matches_submit_then_wait<B: CampBackend + Send + 'static>(mut backend: B) {
+        let (n, k) = (24, 40);
+        let w: Vec<i8> = (0..k * n).map(|i| (i * 7 % 31) as i8 - 15).collect();
+        let h = backend.register_weights(n, k, &w, DType::I8);
+        let dispatcher = Dispatcher::with_options(backend, opts(2, StealPolicy::Eager));
+        let mut session = dispatcher.session();
+        for m in [1, 3, 17] {
+            let a: Vec<i8> = (0..m * k).map(|i| (i * 5 % 23) as i8 - 11).collect();
+            let batch = || {
+                vec![
+                    GemmRequest::with_weights(m, a.clone(), h).unwrap(),
+                    GemmRequest::dense(m, n, k, a.clone(), w.clone()).unwrap(),
+                ]
+            };
+            let direct = session.run(batch(), Priority::Decode, None).unwrap();
+            let ticket = session.submit_with(batch(), Priority::Decode, None).unwrap();
+            let queued = session.wait(ticket).unwrap();
+            assert_eq!(direct.outputs, queued.outputs);
+            assert_eq!(direct.outputs.len(), 2);
+            for out in &direct.outputs {
+                assert_eq!(out.c, gemm_i32_ref(m, n, k, &a, &w));
+            }
+        }
+        let stats = dispatcher.stats();
+        assert_eq!((stats.executed, stats.direct, stats.staging_live), (6, 3, 0));
+    }
+
+    #[test]
+    fn run_and_submit_then_wait_agree_on_the_host_engine_and_the_simulator() {
+        run_matches_submit_then_wait(CampEngine::with_threads(1));
+        run_matches_submit_then_wait(crate::backend::SimBackend::a64fx());
+    }
+
+    /// The message of a caught panic.
+    fn panic_message<T>(caught: std::thread::Result<T>) -> String {
+        let Err(payload) = caught else { panic!("the call must panic") };
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload.downcast::<&str>().expect("panic message").to_string(),
+        }
+    }
+
+    #[test]
+    fn a_backend_panic_under_a_direct_run_kills_the_dispatcher() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (backend, gate, log) = GateBackend::new(0);
+        let dispatcher = Dispatcher::with_options(backend, opts(2, StealPolicy::Eager));
+        let mut doomed = dispatcher.session();
+        let mut bystander = dispatcher.session();
+        std::thread::scope(|scope| {
+            // the poisoned batch goes direct and parks on the gate with
+            // the engine lock held ...
+            let runner = scope.spawn(|| {
+                let batch = vec![req(POISON_M)];
+                catch_unwind(AssertUnwindSafe(|| doomed.run(batch, Priority::Decode, None)))
+            });
+            wait_for(&dispatcher, |s| s.staging_live == 1);
+            // ... a second tenant's batch queues up behind that lock
+            let t = bystander.submit(vec![req(2)]).unwrap();
+            wait_for(&dispatcher, |s| s.staging_live == 2 && s.ready_now == 0);
+            let bystander = &mut bystander;
+            let waiter = scope.spawn(move || catch_unwind(AssertUnwindSafe(|| bystander.wait(t))));
+            grant(&gate, 1);
+            assert!(panic_message(runner.join().unwrap()).contains("poisoned batch"));
+            // fails fast instead of hanging, exactly as on a driver panic
+            let msg = panic_message(waiter.join().unwrap());
+            assert!(msg.contains("dead: client thread panicked"), "{msg}");
+        });
+        // nothing runs on the backend the panic left behind
+        assert!(log.lock().unwrap().is_empty());
+        let caught =
+            catch_unwind(AssertUnwindSafe(|| doomed.run(vec![req(1)], Priority::Decode, None)));
+        assert!(panic_message(caught).contains("dead: client thread panicked"));
+        // Drop for Dispatcher still joins (it runs under this unwind)
+        let caught = catch_unwind(AssertUnwindSafe(|| dispatcher.into_backend()));
+        assert!(panic_message(caught).contains("direct run panicked"));
+    }
+
+    #[test]
+    fn run_on_a_handle_kept_across_into_backend_panics_before_the_engine_slot() {
+        let (backend, _gate, log) = GateBackend::new(1);
+        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let mut session = dispatcher.session();
+        let _backend = dispatcher.into_backend();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session.run(vec![req(1)], Priority::Decode, None)
+        }));
+        assert!(panic_message(caught).contains("dispatcher is shut down"));
+        assert!(log.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -13,14 +13,21 @@
 use camp_core::backend::{BatchOutcome, CampBackend, Capability, ExecStats, Output};
 use camp_core::dispatch::{DispatchOptions, Dispatcher, Priority, StealPolicy};
 use camp_core::engine::EngineStats;
-use camp_core::{DType, GemmRequest, RequestError, WeightHandle, WeightMeta, WeightSnapshot};
+use camp_core::{
+    DType, GemmRequest, Operand, RequestError, WeightHandle, WeightMeta, WeightSnapshot,
+};
 use camp_gemm::weights::WeightRegistry;
 use camp_gemm::KernelInfo;
 
-/// Implements the boilerplate half of [`CampBackend`] (identity
-/// `prepare`, zero-matrix `execute_prepared`) for a mock that only
-/// customizes its weight registry.
-macro_rules! model_backend_boilerplate {
+/// The zero matrices every mock returns: one per request of `batch`.
+fn zero_outcome(batch: &[GemmRequest]) -> BatchOutcome {
+    let outputs = batch.iter().map(|r| Output::new(vec![0; r.m()], r.m(), 1)).collect::<Vec<_>>();
+    BatchOutcome::new(outputs, ExecStats::Host(EngineStats::default()))
+}
+
+/// Implements the part of [`CampBackend`] no model customizes
+/// (identity, identity `prepare`).
+macro_rules! model_backend_identity {
     () => {
         type Prepared = GemmRequest;
 
@@ -47,12 +54,41 @@ macro_rules! model_backend_boilerplate {
         fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
             req
         }
+    };
+}
+
+/// [`model_backend_identity`] plus a counting zero-matrix
+/// `execute_prepared`, for a mock that only customizes its weight
+/// registry.
+macro_rules! model_backend_boilerplate {
+    () => {
+        model_backend_identity!();
 
         fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
             self.executed += batch.len();
-            let outputs =
-                batch.iter().map(|r| Output::new(vec![0; r.m()], r.m(), 1)).collect::<Vec<_>>();
-            BatchOutcome::new(outputs, ExecStats::Host(EngineStats::default()))
+            zero_outcome(&batch)
+        }
+    };
+}
+
+/// The registry half of [`CampBackend`] (all but `evict_weights`) for a
+/// mock with a `registry: WeightRegistry` field.
+macro_rules! model_backend_registry {
+    () => {
+        fn register_weights(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle {
+            self.registry.register(n, k, b, dtype)
+        }
+
+        fn clear_weights(&mut self) {
+            self.registry.clear();
+        }
+
+        fn try_weight_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
+            self.registry.try_meta(h)
+        }
+
+        fn weight_snapshot(&self) -> WeightSnapshot {
+            self.registry.snapshot()
         }
     };
 }
@@ -95,25 +131,56 @@ struct RegistryBackend {
 
 impl CampBackend for RegistryBackend {
     model_backend_boilerplate!();
-
-    fn register_weights(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle {
-        self.registry.register(n, k, b, dtype)
-    }
+    model_backend_registry!();
 
     fn evict_weights(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
         self.registry.evict(h)
     }
+}
 
-    fn clear_weights(&mut self) {
-        self.registry.clear();
+/// The engine the direct-run models share between the driver and a
+/// [`DispatchSession::run`](camp_core::dispatch::DispatchSession::run)
+/// caller. What the engine lock must guarantee is asserted from the
+/// inside: `execute_prepared` yields to the scheduler mid-batch, so
+/// any schedule in which a second thread could enter (or an eviction
+/// could land) while a batch is on the engine is explored — and every
+/// handle a batch carries must still be registered when it runs, as
+/// the real engine's panel lookup demands.
+struct DirectBackend {
+    registry: WeightRegistry,
+    executed: usize,
+    /// A batch is on the engine right now.
+    entered: bool,
+}
+
+impl DirectBackend {
+    fn new() -> Self {
+        DirectBackend { registry: WeightRegistry::raw_mirror(), executed: 0, entered: false }
+    }
+}
+
+impl CampBackend for DirectBackend {
+    model_backend_identity!();
+
+    model_backend_registry!();
+
+    fn evict_weights(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
+        assert!(!self.entered, "eviction landed under a running batch");
+        self.registry.evict(h)
     }
 
-    fn try_weight_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        self.registry.try_meta(h)
-    }
-
-    fn weight_snapshot(&self) -> WeightSnapshot {
-        self.registry.snapshot()
+    fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
+        assert!(!self.entered, "two threads on the engine at once");
+        self.entered = true;
+        loom::thread::yield_now();
+        for r in &batch {
+            if let Operand::Handle(h) = r.weights() {
+                assert!(self.registry.try_meta(*h).is_ok(), "batch reached an evicted panel");
+            }
+        }
+        self.executed += batch.len();
+        self.entered = false;
+        zero_outcome(&batch)
     }
 }
 
@@ -269,6 +336,143 @@ fn eviction_races_err_stale_and_never_panic() {
         });
     assert!(report.iterations > 50, "expected >50 interleavings, got {report:?}");
     eprintln!("dispatch eviction race: {} interleavings", report.iterations);
+}
+
+/// A direct `run` racing a second tenant's `submit` + `wait`: whoever
+/// is admitted first, the other queues behind it (or both queue), the
+/// engine is never entered twice at once, and neither batch is lost.
+///
+/// Four threads, as in `concurrent_submitters_race_the_pipeline`:
+/// preemption bound 1 (bound 2 is 68k interleavings, over a minute).
+/// Both admission orders are within one preemption here — the main
+/// thread runs first for free, the spawned tenant first for one — so
+/// the bound does not hide either branch.
+#[test]
+fn direct_run_races_a_queued_tenant() {
+    let report =
+        loom::model::Builder { preemption_bound: 1, max_iterations: 500_000 }.check(|| {
+            let dispatcher = Dispatcher::with_options(DirectBackend::new(), one_stager());
+            let mut a = dispatcher.session();
+            let mut b = dispatcher.session();
+            let h = loom::thread::spawn(move || {
+                let tb = b.submit(vec![tiny_request()]).expect("valid submission");
+                assert_eq!(b.wait(tb).expect("batch completes").outputs.len(), 1);
+            });
+            let outcome = a.run(vec![tiny_request()], Priority::Decode, None);
+            assert_eq!(outcome.expect("batch completes").outputs.len(), 1);
+            h.join().expect("submitter thread panicked");
+            let stats = dispatcher.stats();
+            assert_eq!((stats.executed, stats.staging_live), (2, 0));
+            assert!(stats.direct <= 1);
+            drop(a);
+            let backend = dispatcher.into_backend();
+            assert_eq!(backend.executed, 2, "a tenant's batch was lost");
+        });
+    assert!(report.iterations > 50, "expected >50 interleavings, got {report:?}");
+    eprintln!("dispatch direct vs queued tenant: {} interleavings", report.iterations);
+}
+
+/// A direct `run` racing the eviction of the handle it carries: the
+/// run either computed against the still-live registration or erred
+/// `StaleHandle`, the eviction never lands under the running batch,
+/// and it still reaches the backend.
+///
+/// Preemption bound 2 for the reason given on
+/// `direct_run_races_into_backend`: at bound 1 the same seeded bug
+/// (engine lock taken after the state unlock) went unnoticed here too;
+/// at bound 2 it fails with "batch reached an evicted panel".
+#[test]
+fn direct_run_races_the_eviction_of_its_handle() {
+    let report =
+        loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
+            let mut backend = DirectBackend::new();
+            let h = backend.register_weights(1, 1, &[1i8], DType::I8);
+            let dispatcher = Dispatcher::with_options(backend, one_stager());
+            let mut session = dispatcher.session();
+            let runner = loom::thread::spawn(move || {
+                let batch =
+                    vec![GemmRequest::with_weights(1, vec![1i8], h).expect("well-formed request")];
+                match session.run(batch, Priority::Decode, None) {
+                    Ok(outcome) => assert_eq!(outcome.outputs.len(), 1),
+                    Err(e) => assert_eq!(e, RequestError::StaleHandle),
+                }
+            });
+            dispatcher.evict_weights(h).expect("first eviction wins");
+            runner.join().expect("runner thread panicked");
+            assert_eq!(dispatcher.stats().staging_live, 0);
+            let mut backend = dispatcher.into_backend();
+            assert_eq!(
+                backend.evict_weights(h).unwrap_err(),
+                RequestError::StaleHandle,
+                "the eviction must have reached the backend before it was handed back"
+            );
+        });
+    assert!(report.iterations > 50, "expected >50 interleavings, got {report:?}");
+    eprintln!("dispatch direct vs eviction: {} interleavings", report.iterations);
+}
+
+/// A direct `run` racing `into_backend` with a second session still
+/// live: the run either finishes on the engine before the backend is
+/// handed back or is refused ("dispatcher is shut down") — it never
+/// finds the slot empty, and a run that was admitted is never lost.
+///
+/// Preemption bound 2, not 1: the schedule that matters (the runner
+/// admitted, then preempted between releasing the state lock and
+/// holding the engine, while `into_backend` empties the slot) costs one
+/// preemption to let the spawned runner start and a second to
+/// interrupt it. At bound 1 a seeded bug that takes the engine lock
+/// *after* the state unlock passed this model unnoticed; at bound 2 it
+/// fails with "the engine slot is emptied only after shutdown".
+///
+/// The second session holds no batch on purpose: with one outstanding
+/// the tree is 54k interleavings (~45 s) against 9k (~5 s) for the
+/// same slot race, and draining an uncollected batch through shutdown
+/// is `shutdown_drains_uncollected_work`'s job.
+#[test]
+fn direct_run_races_into_backend() {
+    hush_shutdown_panics();
+    let report =
+        loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
+            let dispatcher = Dispatcher::with_options(DirectBackend::new(), one_stager());
+            let mut a = dispatcher.session();
+            let b = dispatcher.session();
+            let runner = loom::thread::spawn(move || {
+                let run = || a.run(vec![tiny_request()], Priority::Decode, None);
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                    Ok(outcome) => {
+                        assert_eq!(outcome.expect("batch completes").outputs.len(), 1);
+                        1
+                    }
+                    Err(payload) => {
+                        let msg = payload.downcast::<&str>().expect("refusal carries a message");
+                        assert!(msg.contains("dispatcher is shut down"), "{msg}");
+                        0
+                    }
+                }
+            });
+            let backend = dispatcher.into_backend();
+            let ran = runner.join().expect("runner thread panicked");
+            assert_eq!(backend.executed, ran, "a batch was lost or ran twice");
+            drop(b);
+        });
+    assert!(report.iterations > 50, "expected >50 interleavings, got {report:?}");
+    eprintln!("dispatch direct vs into_backend: {} interleavings", report.iterations);
+}
+
+/// Keep the refusals `direct_run_races_into_backend` provokes on
+/// purpose (one per schedule in which shutdown wins) out of the test
+/// log; every other panic still reports through the previous hook.
+fn hush_shutdown_panics() {
+    static HUSH: std::sync::Once = std::sync::Once::new();
+    HUSH.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let refusal = info.payload().downcast_ref::<&str>();
+            if !refusal.is_some_and(|msg| msg.contains("dispatcher is shut down")) {
+                previous(info);
+            }
+        }));
+    });
 }
 
 /// The bug class the dispatcher's admission protocol avoids, seeded and

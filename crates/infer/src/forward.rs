@@ -161,9 +161,7 @@ impl<'a, B: CampBackend + Send + 'static> DispatchExec<'a, B> {
 impl<B: CampBackend + Send + 'static> GemmExec for DispatchExec<'_, B> {
     fn run(&mut self, batch: Vec<InferGemm>) -> Result<Vec<Vec<i32>>, InferError> {
         let reqs = to_requests(&batch, self.handles)?;
-        let ticket =
-            self.session.submit_with(reqs, self.priority, None).map_err(InferError::Request)?;
-        let outcome = self.session.wait(ticket).map_err(InferError::Request)?;
+        let outcome = self.session.run(reqs, self.priority, None).map_err(InferError::Request)?;
         Ok(outcome.outputs.into_iter().map(|o| o.c).collect())
     }
 }

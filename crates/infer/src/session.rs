@@ -249,6 +249,12 @@ mod tests {
         for expect in &toks {
             assert_eq!(ctx.decode_with(&model, &mut exec).unwrap(), *expect);
         }
+        // one tenant is never ordered against anybody: every batch ran
+        // on this thread, none through the stager crew
+        let stats = dispatcher.stats();
+        assert!(stats.executed > 0);
+        assert_eq!((stats.direct, stats.stolen), (stats.executed, 0));
+        assert_eq!((stats.staging_live, stats.ready_now), (0, 0));
     }
 
     #[test]
@@ -277,6 +283,46 @@ mod tests {
                 assert_eq!(ctx.decode_with(&model, &mut exec).unwrap(), *expect);
             }
         }
+        // two tenants taking turns on one thread never overlap either
+        let stats = dispatcher.stats();
+        assert_eq!((stats.direct, stats.staging_live), (stats.executed, 0));
+    }
+
+    #[test]
+    fn concurrent_tenants_on_two_threads_match_the_reference() {
+        let model = Arc::new(Model::new(tiny(), 32, 9));
+        let mut engine = CampEngine::new();
+        let handles = Arc::new(model.register(&mut engine));
+        let dispatcher = engine.dispatch();
+        let prompts = [vec![4u32, 5], vec![6, 7, 8]];
+        // each batch runs direct or queued depending on whether the
+        // other tenant had one in flight at that instant; the streams
+        // must not depend on which
+        let streams: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let tenants: Vec<_> = prompts
+                .iter()
+                .map(|prompt| {
+                    let mut s =
+                        InferSession::new(&dispatcher, Arc::clone(&model), Arc::clone(&handles));
+                    scope.spawn(move || {
+                        s.prefill(prompt).unwrap();
+                        s.generate(6).unwrap()
+                    })
+                })
+                .collect();
+            tenants.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for (prompt, got) in prompts.iter().zip(&streams) {
+            let mut ctx = InferContext::for_model(&model);
+            let mut exec = RefExec::new(&model);
+            ctx.prefill_with(&model, &mut exec, prompt).unwrap();
+            for expect in got {
+                assert_eq!(ctx.decode_with(&model, &mut exec).unwrap(), *expect);
+            }
+        }
+        let stats = dispatcher.stats();
+        assert_eq!((stats.executed, stats.staging_live), (stats.submitted, 0));
+        assert!(stats.direct <= stats.executed);
     }
 
     #[test]
