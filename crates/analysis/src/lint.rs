@@ -10,7 +10,7 @@
 //! | `safety`         | every `unsafe` block/fn/impl carries a `// SAFETY:` justification |
 //! | `target-feature` | `#[target_feature]` fns are `unsafe` and reachable only through the `HostKernel` dispatch table in `host/mod.rs` |
 //! | `knobs`          | every `CAMP_*` env knob is registered in `docs/KNOBS.md` (and no registry row is stale) |
-//! | `deprecation`    | `#[deprecated]` shims carry a `remove: vX.Y` milestone and fail once the workspace version reaches it |
+//! | `deprecation`    | `#[deprecated]` shims carry a `remove: vX.Y` milestone and fail once the workspace version reaches it; a `since` the workspace has not reached is itself a finding |
 //! | `accumulator`    | integer kernels in `gemm/src/host/` use `wrapping_*` arithmetic — no bare `+`/`-`/`*` on accumulators |
 //!
 //! The passes work on a [`SourceFile`]'s *stripped* view (comments and
@@ -560,7 +560,9 @@ pub fn check_knobs(ws: &Workspace) -> Vec<Diagnostic> {
 /// `#[deprecated]` items must carry a removal milestone in their note
 /// (`remove: vX.Y`); once the workspace version reaches it, the shim
 /// has outlived its deprecation cycle and the lint fails until it is
-/// deleted.
+/// deleted. A `since` newer than the workspace version is a finding
+/// too: such a shim is stamped on a version line the workspace is not
+/// on, so its milestone could never fire.
 pub fn check_deprecation(ws: &Workspace, f: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (i, code) in f.code.iter().enumerate() {
@@ -575,6 +577,19 @@ pub fn check_deprecation(ws: &Workspace, f: &SourceFile) -> Vec<Diagnostic> {
             if raw.contains(")]") {
                 break;
             }
+        }
+        let since = attr.split("since = \"").nth(1).and_then(parse_major_minor);
+        if let Some(since) = since.filter(|&since| since > ws.version) {
+            out.push(Diagnostic {
+                file: f.rel.clone(),
+                line: i + 1,
+                pass: "deprecation",
+                message: format!(
+                    "deprecated since v{}.{} but the workspace is only v{}.{} — stamp the \
+                     version that introduced the shim, or its milestone can never fire",
+                    since.0, since.1, ws.version.0, ws.version.1
+                ),
+            });
         }
         let Some(milestone) = attr.split("remove: v").nth(1).and_then(parse_major_minor) else {
             out.push(Diagnostic {

@@ -23,21 +23,10 @@
 //! to override the engine worker count and `CAMP_BENCH_REPS` for more
 //! stable numbers.
 
+use camp_bench::{env_or, time_best};
 use camp_core::backend::{host_threads_from_env, CampBackend};
 use camp_core::{CampEngine, GemmRequest};
 use camp_models::LlmModel;
-use std::time::Instant;
-
-/// Best-of-`reps` wall time in seconds.
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
@@ -72,12 +61,12 @@ fn run_set(name: &str, reqs: &[GemmRequest], threads: usize, reps: usize) -> (f6
     }
     let batch_packed = host_packed(&batch.stats);
 
-    let t_loop = time_best(reps, || {
+    let t_loop = time_best(reps, false, || {
         for req in reqs {
             let _ = eng_loop.execute(req).expect("well-formed request");
         }
     });
-    let t_batch = time_best(reps, || {
+    let t_batch = time_best(reps, false, || {
         let _ = eng_batch.execute_batch(reqs).expect("well-formed batch");
     });
     let speedup = t_loop / t_batch;
@@ -111,7 +100,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let threads =
         if std::env::var("CAMP_THREADS").is_ok() { host_threads_from_env() } else { cores.max(16) };
-    let reps = std::env::var("CAMP_BENCH_REPS").ok().and_then(|s| s.parse().ok()).unwrap_or(5);
+    let reps = env_or("CAMP_BENCH_REPS", 5);
 
     let cfg = LlmModel::BertBase.config();
     let workload = cfg.attention_workload(0xA77E_1710);

@@ -40,31 +40,11 @@
 //! useful to bench a lower tier on a wider machine, and called out in
 //! the output when active.
 
+use camp_bench::{env_or, field, time_best};
 use camp_core::backend::CampBackend;
 use camp_core::{CampEngine, DType, GemmRequest};
 use camp_gemm::host::{force_scalar, forced_tier, HostGemmF32, HostKernel};
 use std::fmt::Write as _;
-use std::time::Instant;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
-/// Best-of-`reps` wall time in seconds for one invocation of `f`.
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f(); // warm-up: pools grown, pages faulted in
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn gops(m: usize, n: usize, k: usize, secs: f64) -> f64 {
     (2.0 * (m as f64) * (n as f64) * (k as f64)) / secs / 1e9
@@ -129,7 +109,7 @@ fn int_secs(
     let mut eng = CampEngine::with_threads_and_kernel(threads, kernel);
     let h = CampBackend::register_weights(&mut eng, n, k, &b, dtype);
     let req = GemmRequest::with_weights(m, a, h).expect("coherent");
-    time_best(reps, || {
+    time_best(reps, true, || {
         let out = eng.execute(&req).expect("registered handle");
         assert_eq!(out.output.c.len(), m * n);
     })
@@ -149,7 +129,7 @@ fn int_dense_secs(
     let b = gen_i8(k * n, 0x0BAD_F00D | 1, -128, 127);
     let mut eng = CampEngine::with_threads_and_kernel(threads, kernel);
     let req = GemmRequest::dense(m, n, k, a, b).expect("coherent");
-    time_best(reps, || {
+    time_best(reps, true, || {
         let out = eng.execute(&req).expect("dense request");
         assert_eq!(out.output.c.len(), m * n);
     })
@@ -160,7 +140,7 @@ fn f32_secs(kernel: &'static HostKernel, reps: usize, m: usize, n: usize, k: usi
     let b = gen_f32(k * n, 0x2E2E_2E2F);
     let mut ctx = HostGemmF32::with_kernel(kernel);
     let mut c = vec![0f32; m * n];
-    time_best(reps, || ctx.gemm_into(m, n, k, &a, &b, &mut c))
+    time_best(reps, true, || ctx.gemm_into(m, n, k, &a, &b, &mut c))
 }
 
 /// Packed GB/s for one packer. `pack_a` packs an `rows×k` A image,
@@ -171,17 +151,23 @@ fn pack_gbs(kernel: &'static HostKernel, reps: usize, path: &str, rows: usize, k
         "pack_a" => {
             let a = gen_i8(rows * k, 0x77AA_77AB, -128, 127);
             let mut buf = vec![0i8; rows * k];
-            (time_best(reps, || kernel.pack_a_block(&mut buf, &a, rows, k, 0, 0, k)), rows * k)
+            (
+                time_best(reps, true, || kernel.pack_a_block(&mut buf, &a, rows, k, 0, 0, k)),
+                rows * k,
+            )
         }
         "pack_b" => {
             let b = gen_i8(k * rows, 0x3355_3357, -128, 127);
             let mut buf = vec![0i8; rows * k];
-            (time_best(reps, || kernel.pack_b_block(&mut buf, &b, rows, k, 0, 0, k)), rows * k)
+            (
+                time_best(reps, true, || kernel.pack_b_block(&mut buf, &b, rows, k, 0, 0, k)),
+                rows * k,
+            )
         }
         "pack_nib" => {
             let vals = gen_i8(rows, 0x1357_9bdf, -8, 7);
             (
-                time_best(reps, || {
+                time_best(reps, true, || {
                     let packed = kernel.pack_nibbles(&vals);
                     assert_eq!(packed.len(), rows.div_ceil(2));
                 }),
@@ -195,17 +181,6 @@ fn pack_gbs(kernel: &'static HostKernel, reps: usize, path: &str, rows: usize, k
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Pull `"key": value` out of one hand-rolled JSON row line (the
-/// writer puts one row object per line, so line-wise scanning is an
-/// exact parse of our own output).
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
 }
 
 /// Compare freshly measured smoke rows against the checked-in
@@ -269,7 +244,7 @@ fn check_baseline(rows: &[Row], tol: f64, fresh_tier: &str) -> bool {
 fn main() {
     let check = std::env::args().any(|a| a == "--check-baseline");
     let smoke = check || std::env::var("CAMP_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false);
-    let reps = env_usize(
+    let reps = env_or(
         "CAMP_BENCH_REPS",
         if check {
             3
@@ -428,7 +403,7 @@ fn main() {
     }
 
     if check {
-        let tol = env_f64("CAMP_BENCH_TOLERANCE", 0.5);
+        let tol = env_or("CAMP_BENCH_TOLERANCE", 0.5);
         if !check_baseline(&rows, tol, &info.tier) {
             std::process::exit(1);
         }

@@ -17,20 +17,13 @@
 //! (relative, default 0.5). Knobs: `CAMP_THREADS`, `CAMP_LLM_SMOKE=1`
 //! shrinks the model and step counts to a CI smoke run.
 
-use camp_core::{CampEngine, DispatchOptions, Dispatcher, StealPolicy};
+use camp_bench::{env_or, field, percentile_ms};
+use camp_core::{CampEngine, DispatchOptions, Dispatcher};
 use camp_infer::{InferSession, Model};
 use camp_models::TransformerConfig;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
-fn percentile_ms(sorted: &[f64], pct: usize) -> f64 {
-    sorted[(sorted.len() - 1) * pct / 100] * 1e3
-}
 
 /// One measured point of the sweep: `mode` + `sessions` is the row key
 /// the baseline gate matches on.
@@ -79,7 +72,7 @@ fn llm_sweep(
     mode: &'static str,
 ) -> (CampEngine, Vec<LlmRow>) {
     let handles = Arc::new(model.register(&mut engine));
-    let opts = DispatchOptions { stagers: 2, queue_depth: 8, steal: StealPolicy::Eager };
+    let opts = DispatchOptions { stagers: 2, queue_depth: 8 };
     let vocab = model.vocab() as u32;
     let mut rows = Vec::new();
     for &sessions in session_counts {
@@ -119,15 +112,6 @@ fn llm_sweep(
         });
     }
     (engine, rows)
-}
-
-/// Pull `"key": value` out of one hand-rolled JSON row line.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
 }
 
 /// Compare fresh rows against the checked-in baseline: every baseline
@@ -244,7 +228,7 @@ fn main() {
     }
 
     if check {
-        let tol = env_f64("CAMP_BENCH_TOLERANCE", 0.5);
+        let tol = env_or("CAMP_BENCH_TOLERANCE", 0.5);
         if !check_baseline(&rows, tol) {
             std::process::exit(1);
         }

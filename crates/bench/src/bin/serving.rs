@@ -12,10 +12,10 @@
 //!   once per batch, each unique B packed once *per batch* (re-packed
 //!   every repetition);
 //! * **session** — weights registered once up front
-//!   (`register_weights`), request batches streamed through
-//!   `Session::submit` with several in flight: zero B-packing per
-//!   batch, and the staging thread pre-packs batch N+1's activations
-//!   while batch N computes.
+//!   (`register_weights`), request batches streamed through one
+//!   `DispatchSession::submit` with all of them in flight: zero
+//!   B-packing per batch, and the stagers pre-pack batch N+1's
+//!   activations while batch N computes.
 //!
 //! Results are checked bit-identical before timing; throughput is
 //! reported in requests (GeMMs) per second. Knobs: `CAMP_THREADS` (the
@@ -36,10 +36,11 @@
 //! baseline row by more than `CAMP_BENCH_TOLERANCE` (relative,
 //! default 0.5).
 
+use camp_bench::{env_or, field, percentile_ms, time_best};
 use camp_core::backend::CampBackend;
 use camp_core::{
     CampEngine, DType, DispatchOptions, DispatchSession, Dispatcher, GemmRequest, Priority,
-    RequestError, StealPolicy, TicketId,
+    RequestError, TicketId,
 };
 use camp_models::LlmModel;
 use std::collections::VecDeque;
@@ -47,27 +48,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
-/// Best-of-`reps` wall time in seconds.
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn req_per_sec(requests: usize, secs: f64) -> f64 {
     requests as f64 / secs
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
 }
 
 /// One measured point of the multi-tenant sweep: `mode` + `sessions`
@@ -143,10 +125,6 @@ fn tenant_loop(
     (lats, rejected)
 }
 
-fn percentile_ms(sorted: &[f64], pct: usize) -> f64 {
-    sorted[(sorted.len() - 1) * pct / 100] * 1e3
-}
-
 /// The multi-tenant dispatcher sweep for one workload `mode`: calibrate
 /// a closed-loop service time, then measure each session count under
 /// open-loop arrival at one offered batch per tenant per service time
@@ -158,7 +136,7 @@ fn dispatcher_sweep(
     session_counts: &[usize],
     mode: &'static str,
 ) -> (CampEngine, Vec<ServingRow>) {
-    let opts = DispatchOptions { stagers: 2, queue_depth: 8, steal: StealPolicy::Eager };
+    let opts = DispatchOptions { stagers: 2, queue_depth: 8 };
 
     // calibration: one closed-loop tenant, serial in-flight
     let dispatcher = Dispatcher::with_options(engine, opts);
@@ -211,17 +189,6 @@ fn dispatcher_sweep(
         });
     }
     (engine, rows)
-}
-
-/// Pull `"key": value` out of one hand-rolled JSON row line (the
-/// writer puts one row object per line, so line-wise scanning is an
-/// exact parse of our own output).
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
 }
 
 /// Compare freshly measured sweep rows against the checked-in baseline:
@@ -279,8 +246,8 @@ fn main() {
     let check = std::env::args().any(|a| a == "--check-baseline");
     let smoke = check || std::env::var("CAMP_SERVING_SMOKE").map(|v| v == "1").unwrap_or(false);
     let threads = camp_core::backend::host_threads_from_env();
-    let reps = env_usize("CAMP_BENCH_REPS", if smoke { 1 } else { 5 });
-    let batches = env_usize("CAMP_SERVING_BATCHES", if smoke { 2 } else { 8 });
+    let reps = env_or("CAMP_BENCH_REPS", if smoke { 1 } else { 5 });
+    let batches = env_or("CAMP_SERVING_BATCHES", if smoke { 2 } else { 8 });
 
     let mut cfg = LlmModel::BertBase.config();
     if smoke {
@@ -322,10 +289,12 @@ fn main() {
         assert_eq!(out, &per_call.output, "batched diverged at {}x{:?}", req.m(), req.n());
     }
     let session_out = {
-        let mut session = eng_session.serve();
+        let dispatcher = Dispatcher::with_options(eng_session, DispatchOptions::default());
+        let mut session = dispatcher.session();
         let t = session.submit(session_reqs.clone()).expect("valid requests");
-        let out = session.wait(t);
-        eng_session = session.into_backend();
+        let out = session.wait(t).expect("serving batch completes");
+        drop(session);
+        eng_session = dispatcher.into_backend();
         out
     };
     assert_eq!(
@@ -336,7 +305,7 @@ fn main() {
     assert_eq!(session_stats.packed_b_bytes, 0, "session must not pack B");
 
     // --- per-call loop: every GeMM pays setup and B packing ---
-    let t_loop = time_best(reps, || {
+    let t_loop = time_best(reps, false, || {
         for _ in 0..batches {
             for req in &dense {
                 let _ = eng_loop.execute(req).expect("well-formed request");
@@ -345,7 +314,7 @@ fn main() {
     });
 
     // --- batched: B deduped within a batch, re-packed per batch ---
-    let t_batch = time_best(reps, || {
+    let t_batch = time_best(reps, false, || {
         for _ in 0..batches {
             let _ = eng_batch.execute_batch(&dense).expect("well-formed batch");
         }
@@ -357,7 +326,9 @@ fn main() {
     // other two contenders reuse prebuilt requests in their timed loops.
     let mut t_session = f64::INFINITY;
     for _ in 0..reps {
-        let mut session = eng_session.serve();
+        let dispatcher = Dispatcher::with_options(eng_session, DispatchOptions::default());
+        // every batch is in flight at once, so the bound is `batches`
+        let mut session = dispatcher.session_with_depth(batches.max(1));
         let request_batches: Vec<_> = (0..batches).map(|_| session_reqs.clone()).collect();
         let t = Instant::now();
         let tickets: Vec<_> = request_batches
@@ -365,10 +336,11 @@ fn main() {
             .map(|b| session.submit(b).expect("valid requests"))
             .collect();
         for ticket in tickets {
-            let _ = session.wait(ticket);
+            let _ = session.wait(ticket).expect("serving batch completes");
         }
         t_session = t_session.min(t.elapsed().as_secs_f64());
-        eng_session = session.into_backend();
+        drop(session);
+        eng_session = dispatcher.into_backend();
     }
 
     println!(
@@ -427,7 +399,7 @@ fn main() {
     }
 
     if check {
-        let tol = env_f64("CAMP_BENCH_TOLERANCE", 0.5);
+        let tol = env_or("CAMP_BENCH_TOLERANCE", 0.5);
         if !check_baseline(&rows, tol) {
             std::process::exit(1);
         }

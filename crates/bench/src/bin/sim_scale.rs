@@ -12,15 +12,11 @@
 //! (relative, default 0.5). `CAMP_SIM_SMOKE=1` forces the smoke-sized
 //! sweep outside the gate.
 
-use camp_bench::SimRunner;
+use camp_bench::{env_or, field, SimRunner};
 use camp_gemm::{GemmOptions, Method};
 use camp_pipeline::CoreConfig;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
 
 /// One measured point: `mode` + `threads` is the row key the baseline
 /// gate matches on.
@@ -80,15 +76,6 @@ fn sweep(shape: (usize, usize, usize), reps: usize, mode: &'static str) -> Vec<S
         });
     }
     rows
-}
-
-/// Pull `"key": value` out of one hand-rolled JSON row line.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
 }
 
 /// Every baseline row matching a fresh row's (mode, threads) key must
@@ -173,7 +160,7 @@ fn main() {
     }
 
     if check {
-        let tol = env_f64("CAMP_BENCH_TOLERANCE", 0.5);
+        let tol = env_or("CAMP_BENCH_TOLERANCE", 0.5);
         if !check_baseline(&rows, tol) {
             std::process::exit(1);
         }

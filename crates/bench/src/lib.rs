@@ -23,9 +23,47 @@ use camp_gemm::{
 use camp_models::GemmShape;
 use camp_pipeline::CoreConfig;
 
+/// A knob from the environment; unset or unparsable values fall back to
+/// `default`. Callers pass the knob's `"CAMP_*"` literal, so the
+/// `knobs` lint sees every read at its owning bench.
+pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+}
+
+/// Best-of-`reps` wall time in seconds for one invocation of `f`, after
+/// an untimed warm-up call (pools grown, pages faulted in) if asked.
+pub fn time_best(reps: usize, warm_up: bool, mut f: impl FnMut()) -> f64 {
+    if warm_up {
+        f();
+    }
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = std::time::Instant::now();
+        f();
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// The `pct`-th percentile of ascending `sorted` seconds, in ms.
+pub fn percentile_ms(sorted: &[f64], pct: usize) -> f64 {
+    sorted[(sorted.len() - 1) * pct / 100] * 1e3
+}
+
+/// Pull `"key": value` out of one hand-rolled JSON row line (the bench
+/// writers put one row object per line, so line-wise scanning is an
+/// exact parse of our own output).
+pub fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\": ");
+    let start = line.find(&pat)? + pat.len();
+    let rest = &line[start..];
+    let end = rest.find([',', '}'])?;
+    Some(rest[..end].trim().trim_matches('"'))
+}
+
 /// MAC budget for harness runs (env `CAMP_MAC_BUDGET`, default 32 M).
 pub fn mac_budget() -> u64 {
-    std::env::var("CAMP_MAC_BUDGET").ok().and_then(|s| s.parse().ok()).unwrap_or(32_000_000)
+    env_or("CAMP_MAC_BUDGET", 32_000_000)
 }
 
 /// Simulator scheduler threads for harness runs: `--sim-threads N` (or

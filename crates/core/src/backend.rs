@@ -73,7 +73,6 @@ use camp_pipeline::{CoreConfig, SimStats};
 use crate::dispatch::Dispatcher;
 use crate::engine::{CampEngine, EngineStats, StagedRequest};
 use crate::pool::WorkerPool;
-use crate::session::Session;
 
 // ---- thread configuration (the single source of truth) --------------------
 
@@ -238,15 +237,15 @@ pub enum Capability {
 // ---- the trait ------------------------------------------------------------
 
 /// One GeMM backend: executes [`GemmRequest`]s, owns a weight registry,
-/// and can be wrapped by the serving [`Session`] (whose staging thread
-/// uses [`CampBackend::prepare`] to move work off the compute path).
+/// and can be served by a [`Dispatcher`] (whose stager threads use
+/// [`CampBackend::prepare`] to move work off the compute path).
 ///
 /// Implementations must be **bit-identical** to each other for i32-
 /// accumulating camp kernels: the same request batch produces the same
 /// bytes on every backend (property-tested in `tests/backend_parity.rs`).
 pub trait CampBackend {
     /// Staged form of a validated request, built off the compute path
-    /// by the serving session's staging thread.
+    /// by a dispatcher's stager threads.
     type Prepared: Send + 'static;
 
     /// Stable human-readable identity ("host-engine", "sim-a64fx", …).
@@ -279,8 +278,8 @@ pub trait CampBackend {
     /// Shape/dtype of a registration, or why the handle is invalid.
     fn try_weight_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError>;
 
-    /// Submit-time snapshot of the registry (what a [`Session`]
-    /// validates against).
+    /// Submit-time snapshot of the registry (what a [`Dispatcher`]
+    /// validates submissions against).
     fn weight_snapshot(&self) -> WeightSnapshot;
 
     /// Execute a batch of requests; outputs come back in input order,
@@ -296,29 +295,20 @@ pub trait CampBackend {
     }
 
     /// Stage one *validated* request off the compute path (no `self`:
-    /// this runs on the session's staging thread while the backend
+    /// this runs on a dispatcher's stager thread while the backend
     /// computes the previous batch). The host engine pre-packs operands
     /// here; substrates with nothing to stage return the request as-is.
     fn prepare(req: GemmRequest, weights: &WeightSnapshot) -> Self::Prepared;
 
-    /// Execute one staged batch on the session's driver thread.
-    /// Requests were validated at submit time, so this is infallible.
+    /// Execute one staged batch on a dispatcher's driver thread (or a
+    /// [`crate::dispatch::DispatchSession::run`] caller's). Requests
+    /// were validated at submit time, so this is infallible.
     fn execute_prepared(&mut self, batch: Vec<Self::Prepared>) -> BatchOutcome;
 
-    /// Upgrade the backend into a submit/poll serving [`Session`]
-    /// (register weights first — submissions validate against the
-    /// registrations present now).
-    fn serve(self) -> Session<Self>
-    where
-        Self: Sized + Send + 'static,
-    {
-        Session::new(self)
-    }
-
-    /// Upgrade the backend into a shared multi-tenant [`Dispatcher`]
-    /// with [`crate::dispatch::DispatchOptions::from_env`]: N sessions
-    /// over this one backend, with work-stealing staging, priorities
-    /// and per-session
+    /// Upgrade the backend into a serving [`Dispatcher`] with
+    /// [`crate::dispatch::DispatchOptions::from_env`]: any number of
+    /// submit/poll sessions ([`Dispatcher::session`]) over this one
+    /// backend, with work-stealing staging, priorities and per-session
     /// admission control. Register weights first — submissions
     /// validate against the registrations present now.
     fn dispatch(self) -> Dispatcher<Self>
@@ -385,7 +375,7 @@ impl CampBackend for CampEngine {
                     .with_dtype(r.dtype),
             })
             .collect();
-        let (cs, stats) = self.gemm_batch_impl(&problems, None);
+        let (cs, stats) = self.gemm_batch_impl(&problems);
         let outputs = cs
             .into_iter()
             .zip(&resolved)
@@ -492,7 +482,7 @@ impl SimBackend {
 
 impl CampBackend for SimBackend {
     /// Nothing to stage: simulation stages operands into machine memory
-    /// per block unit anyway, so the session pipeline passes requests
+    /// per block unit anyway, so the serving pipeline passes requests
     /// through unchanged.
     type Prepared = GemmRequest;
 

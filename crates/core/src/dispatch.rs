@@ -1,15 +1,19 @@
-//! Multi-tenant serving dispatcher: N sessions, one engine.
+//! The serving front end: N sessions, one engine.
 //!
-//! [`Session`](crate::session::Session) owns its backend exclusively —
-//! concurrency stops at one client. Production serving means many
-//! concurrent clients over one warm engine and one weight registry.
-//! [`Dispatcher`] is that layer: it holds the backend behind an engine
-//! lock, spawns a small crew of **stager** threads plus one **driver**
-//! thread, and hands out any number of [`DispatchSession`] clients,
-//! each with its own FIFO queue, ticket space and admission bound.
+//! A serving deployment does not call a blocking GeMM API: it enqueues
+//! request batches and collects results when they are ready, keeping
+//! several batches in flight so the machine never idles between them —
+//! and production serving means many such clients over one warm engine
+//! and one weight registry. [`Dispatcher`] is that layer, generic over
+//! the execution substrate (`Dispatcher<CampEngine>` serves at host
+//! speed, `Dispatcher<SimBackend>` streams batches through the
+//! cycle-accurate simulated CAMP core): it holds the backend behind an
+//! engine lock, spawns a small crew of **stager** threads plus one
+//! **driver** thread, and hands out any number of [`DispatchSession`]
+//! clients, each with its own FIFO queue, ticket space and admission
+//! bound. One client is simply the N = 1 case.
 //!
-//! The queued pipeline generalizes the single-tenant session's three
-//! stages:
+//! The queued pipeline has three stages:
 //!
 //! 1. **submit** ([`DispatchSession::submit`] /
 //!    [`DispatchSession::submit_with`]) — validates the batch against
@@ -19,19 +23,23 @@
 //!    memory growth), stamps a [`Priority`] and optional deadline, and
 //!    returns a [`TicketId`];
 //! 2. **stage** — the stager crew claims queued batches and runs
-//!    [`CampBackend::prepare`] off the compute path. Claiming is
-//!    **priority-aware and work-stealing**: under
-//!    [`StealPolicy::Eager`] any stager takes the best-priority front
-//!    batch of any session (stealing across sessions whenever its own
-//!    are idle); [`StealPolicy::Pinned`] partitions sessions across
-//!    stagers by slot for cache affinity. A per-session window of
+//!    [`CampBackend::prepare`] off the compute path (the host engine
+//!    pre-packs A and dense B into the panel layout the macro-kernel
+//!    consumes). Claiming is **priority-aware and work-stealing**: any
+//!    stager takes the best-priority front batch of any session
+//!    (claims outside a stager's home slots count as
+//!    [`DispatchStats::stolen`]). A per-session window of
 //!    [`MAX_STAGED`] claimed-but-uncomputed batches preserves the
 //!    "pack batch N+1 while batch N computes" overlap without staging
 //!    a whole backlog into memory;
 //! 3. **compute** — the driver takes the engine lock per batch and
-//!    repeatedly executes the *best* ready batch: highest [`Priority`]
-//!    first
-//!    (decode-latency-critical beats prefill-throughput), then earliest
+//!    repeatedly executes the *best* runnable batch. **A session's
+//!    batches execute in submission order; priority, deadline and
+//!    admission order decide between sessions**: only a session's
+//!    oldest claimed batch is runnable (however its stagers happen to
+//!    finish), and among those the driver takes the highest
+//!    [`Priority`] first (decode-latency-critical beats
+//!    prefill-throughput), then the earliest
 //!    deadline, then admission order. An aging rule bounds priority
 //!    inversion the other way: after [`DECODE_BURST`] consecutive
 //!    decode batches the driver runs the best waiting prefill batch, so
@@ -75,7 +83,7 @@
 //!
 //! ```
 //! use camp_core::backend::CampBackend;
-//! use camp_core::dispatch::{DispatchOptions, Dispatcher, Priority, StealPolicy};
+//! use camp_core::dispatch::{DispatchOptions, Dispatcher, Priority};
 //! use camp_core::{CampEngine, DType, GemmRequest};
 //!
 //! let (n, k) = (8, 32);
@@ -83,7 +91,7 @@
 //! let mut engine = CampEngine::with_threads(2);
 //! let weights = engine.register_weights(n, k, &w, DType::I8);
 //!
-//! let opts = DispatchOptions { stagers: 2, queue_depth: 8, steal: StealPolicy::Eager };
+//! let opts = DispatchOptions { stagers: 2, queue_depth: 8 };
 //! let dispatcher = Dispatcher::with_options(engine, opts);
 //! let mut decode = dispatcher.session();
 //! let mut prefill = dispatcher.session();
@@ -143,20 +151,6 @@ pub enum Priority {
     Decode,
 }
 
-/// How stagers pick sessions to stage from.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum StealPolicy {
-    /// Any stager claims the best pending batch of *any* session —
-    /// work-stealing across sessions; claims outside a stager's home
-    /// partition are counted in [`DispatchStats::stolen`]. The default.
-    #[default]
-    Eager,
-    /// Sessions are partitioned across stagers by slot (`slot %
-    /// stagers`); a stager only stages its own partition. No stealing,
-    /// stable operand-cache affinity.
-    Pinned,
-}
-
 /// Dispatcher construction knobs; see [`DispatchOptions::from_env`] for
 /// the environment surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,13 +162,11 @@ pub struct DispatchOptions {
     /// submissions rejected with [`RequestError::Saturated`].
     /// [`Dispatcher::session_with_depth`] overrides per session.
     pub queue_depth: usize,
-    /// Session-claiming policy of the stager crew.
-    pub steal: StealPolicy,
 }
 
 impl Default for DispatchOptions {
     fn default() -> Self {
-        DispatchOptions { stagers: 2, queue_depth: 8, steal: StealPolicy::Eager }
+        DispatchOptions { stagers: 2, queue_depth: 8 }
     }
 }
 
@@ -182,10 +174,7 @@ impl DispatchOptions {
     /// Defaults with the environment overrides applied:
     ///
     /// * `CAMP_DISPATCH_STAGERS` — stager thread count (clamped ≥ 1);
-    /// * `CAMP_QUEUE_DEPTH` — per-session admission bound (clamped ≥ 1);
-    /// * `CAMP_STEAL_POLICY` — `eager` or `pinned` (anything else
-    ///   panics loudly rather than silently serving with a policy the
-    ///   operator did not ask for).
+    /// * `CAMP_QUEUE_DEPTH` — per-session admission bound (clamped ≥ 1).
     pub fn from_env() -> Self {
         let mut opts = DispatchOptions::default();
         if let Some(n) = std::env::var("CAMP_DISPATCH_STAGERS").ok().and_then(|s| s.parse().ok()) {
@@ -194,20 +183,12 @@ impl DispatchOptions {
         if let Some(n) = std::env::var("CAMP_QUEUE_DEPTH").ok().and_then(|s| s.parse().ok()) {
             opts.queue_depth = 1usize.max(n);
         }
-        if let Ok(s) = std::env::var("CAMP_STEAL_POLICY") {
-            opts.steal = match s.to_ascii_lowercase().as_str() {
-                "eager" => StealPolicy::Eager,
-                "pinned" => StealPolicy::Pinned,
-                other => panic!("CAMP_STEAL_POLICY must be 'eager' or 'pinned', got '{other}'"),
-            };
-        }
         opts
     }
 }
 
 /// Identifier of one submitted batch; redeem it with
-/// [`DispatchSession::poll`] or [`DispatchSession::wait`] (or the
-/// single-tenant [`crate::session::Session`] equivalents). Stamped with
+/// [`DispatchSession::poll`] or [`DispatchSession::wait`]. Stamped with
 /// its session's identity, so a ticket presented to a different session
 /// panics instead of silently redeeming that session's unrelated
 /// results.
@@ -220,8 +201,9 @@ pub struct TicketId {
 /// Monotonic + live counters of one dispatcher, snapshotted by
 /// [`Dispatcher::stats`]. The regression suites assert on these: permit
 /// accounting (`staging_live` returns to 0 after a drain), steal
-/// accounting (`stolen == 0` under [`StealPolicy::Pinned`]), admission
-/// accounting (`rejected` counts every [`RequestError::Saturated`]).
+/// accounting (`stolen` counts exactly the claims that crossed homes),
+/// admission accounting (`rejected` counts every
+/// [`RequestError::Saturated`]).
 #[non_exhaustive]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DispatchStats {
@@ -238,8 +220,8 @@ pub struct DispatchStats {
     pub cancelled: u64,
     /// Submissions rejected with [`RequestError::Saturated`], ever.
     pub rejected: u64,
-    /// Batches a stager claimed outside its home partition
-    /// ([`StealPolicy::Eager`] only; pinned stagers never steal), ever.
+    /// Batches a stager claimed outside its home slots (`slot %
+    /// stagers`), ever.
     pub stolen: u64,
     /// Eviction control ops accepted by [`Dispatcher::evict_weights`],
     /// ever.
@@ -297,13 +279,14 @@ struct SessQueue {
     /// so the documented bound holds regardless of stager/driver
     /// interleaving.
     pending: usize,
-    /// Claimed-but-uncompleted batches (≤ [`MAX_STAGED`]).
-    staged_live: usize,
+    /// Claimed-but-uncompleted batches (≤ [`MAX_STAGED`]), oldest
+    /// first: only the front one may run, which is what keeps a
+    /// session's batches in submission order however its stagers finish.
+    claimed: VecDeque<u64>,
     /// Completed, not yet collected.
     done: HashMap<u64, Result<BatchOutcome, RequestError>>,
-    /// Collected-ticket compaction (identical to the single-tenant
-    /// session's): everything below the floor was redeemed, plus the
-    /// sparse set above it.
+    /// Collected-ticket compaction: everything below the floor was
+    /// redeemed, plus the sparse set above it.
     collected_floor: u64,
     collected: HashSet<u64>,
     /// The client was dropped; cancel unclaimed work, drop new results,
@@ -317,7 +300,7 @@ impl SessQueue {
             depth,
             submitted: VecDeque::new(),
             pending: 0,
-            staged_live: 0,
+            claimed: VecDeque::new(),
             done: HashMap::new(),
             collected_floor: 0,
             collected: HashSet::new(),
@@ -387,36 +370,23 @@ struct DispState<P> {
 }
 
 impl<P> DispState<P> {
-    /// True while `worker` may yet have claimable work under `shutdown`
-    /// — any visible session with a non-empty queue, *ignoring* the
+    /// True while a stager may yet have claimable work under `shutdown`
+    /// — any session with a non-empty queue, *ignoring* the
     /// [`MAX_STAGED`] window (capped work still pending means "wait for
     /// the driver to make room", not "exit and drop it").
-    fn drainable(&self, worker: usize, stagers: usize, steal: StealPolicy) -> bool {
-        self.sessions.iter().enumerate().any(|(slot, q)| {
-            q.as_ref().is_some_and(|q| {
-                !q.submitted.is_empty() && (steal == StealPolicy::Eager || slot % stagers == worker)
-            })
-        })
+    fn drainable(&self) -> bool {
+        self.sessions.iter().flatten().any(|q| !q.submitted.is_empty())
     }
 
-    /// Claim the best pending batch visible to `worker`: highest
+    /// Claim the best pending batch for `worker`: highest
     /// front-of-queue priority, then earliest admission, skipping
-    /// sessions at their [`MAX_STAGED`] window (and, under
-    /// [`StealPolicy::Pinned`], sessions outside the worker's
-    /// partition).
-    fn claim(
-        &mut self,
-        worker: usize,
-        stagers: usize,
-        steal: StealPolicy,
-    ) -> Option<(usize, Pending)> {
+    /// sessions at their [`MAX_STAGED`] window. A claim outside the
+    /// worker's home slots (`slot % stagers`) is counted as stolen.
+    fn claim(&mut self, worker: usize, stagers: usize) -> Option<(usize, Pending)> {
         let mut best: Option<(usize, Priority, u64)> = None;
         for (slot, q) in self.sessions.iter().enumerate() {
             let Some(q) = q else { continue };
-            if q.staged_live >= MAX_STAGED {
-                continue;
-            }
-            if steal == StealPolicy::Pinned && slot % stagers != worker {
+            if q.claimed.len() >= MAX_STAGED {
                 continue;
             }
             let Some(front) = q.submitted.front() else { continue };
@@ -431,43 +401,40 @@ impl<P> DispState<P> {
             }
         }
         let (slot, _, _) = best?;
-        if steal == StealPolicy::Eager && slot % stagers != worker {
+        if slot % stagers != worker {
             self.stats.stolen += 1;
         }
         let q = self.sessions[slot].as_mut().expect("claimed slot is live");
-        q.staged_live += 1;
-        Some((slot, q.submitted.pop_front().expect("claimed queue is non-empty")))
+        let pending = q.submitted.pop_front().expect("claimed queue is non-empty");
+        q.claimed.push_back(pending.seq);
+        Some((slot, pending))
     }
 
     /// Index of the batch the driver should run next, or `None` when
-    /// nothing is ready. Priority desc, deadline asc (`None` = ∞),
-    /// admission asc — except that after [`DECODE_BURST`] consecutive
-    /// decode batches the best *prefill* batch wins (bounded aging).
+    /// nothing is runnable. Only a session's oldest claimed batch is
+    /// runnable (per-session FIFO); among those, priority desc,
+    /// deadline asc (`None` = ∞), admission asc — except that after
+    /// [`DECODE_BURST`] consecutive decode batches the best *prefill*
+    /// batch wins (bounded aging).
     fn pick_ready(&self) -> Option<usize> {
-        if self.ready.is_empty() {
-            return None;
-        }
-        let mut best = 0;
-        for i in 1..self.ready.len() {
-            if beats(&self.ready[i], &self.ready[best]) {
-                best = i;
-            }
-        }
-        if self.ready[best].priority == Priority::Decode && self.decode_run >= DECODE_BURST {
-            let mut aged: Option<usize> = None;
+        let best_of = |class: Option<Priority>| {
+            let mut best: Option<usize> = None;
             for (i, r) in self.ready.iter().enumerate() {
-                if r.priority == Priority::Prefill {
-                    let better = match aged {
-                        None => true,
-                        Some(a) => beats(r, &self.ready[a]),
-                    };
-                    if better {
-                        aged = Some(i);
-                    }
+                let q = self.sessions[r.slot].as_ref().expect("ready batch keeps its slot live");
+                let runnable = q.claimed.front() == Some(&r.seq);
+                if runnable
+                    && class.is_none_or(|c| r.priority == c)
+                    && best.is_none_or(|b| beats(r, &self.ready[b]))
+                {
+                    best = Some(i);
                 }
             }
-            if let Some(a) = aged {
-                return Some(a);
+            best
+        };
+        let best = best_of(None)?;
+        if self.ready[best].priority == Priority::Decode && self.decode_run >= DECODE_BURST {
+            if let Some(aged) = best_of(Some(Priority::Prefill)) {
+                return Some(aged);
             }
         }
         Some(best)
@@ -484,10 +451,12 @@ impl<P> DispState<P> {
     }
 
     /// Free one claimed batch's staging window and in-flight permit and
-    /// reap the slot if that was its last obligation.
+    /// reap the slot if that was its last obligation. Only a session's
+    /// oldest claimed batch ever runs, is shed or fails, so the batch
+    /// released is always the front of `claimed`.
     fn release(&mut self, slot: usize) {
         let q = self.sessions[slot].as_mut().expect("in-flight batch keeps its slot live");
-        q.staged_live -= 1;
+        q.claimed.pop_front().expect("a released batch was claimed");
         q.pending -= 1;
         self.maybe_reap(slot);
     }
@@ -553,10 +522,11 @@ struct Shared<B: CampBackend> {
     /// never holds both.
     engine: Mutex<Option<B>>,
     /// Wakes stagers: new submission, staging room freed, cancellation,
-    /// shutdown. Always notified with `notify_all` — under
-    /// [`StealPolicy::Pinned`] a `notify_one` could wake a stager that
-    /// cannot see the new work while its owner sleeps (a lost wakeup;
-    /// the seeded-bug model in `tests/model/` pins this class down).
+    /// shutdown. Always notified with `notify_all`: stagers wait on
+    /// different things (work to claim, a session's window to open, a
+    /// drained shutdown), so a `notify_one` could land on one that
+    /// cannot act on it (a lost wakeup; the seeded-bug model in
+    /// `tests/model/` pins this class down).
     work_cv: Condvar,
     /// Wakes the driver: batch staged, control queued, stager crew
     /// exited, shutdown.
@@ -626,12 +596,7 @@ fn next_session_id() -> u64 {
 
 // ---- pipeline threads ------------------------------------------------------
 
-fn stager_loop<B: CampBackend>(
-    shared: &Shared<B>,
-    worker: usize,
-    stagers: usize,
-    steal: StealPolicy,
-) {
+fn stager_loop<B: CampBackend>(shared: &Shared<B>, worker: usize, stagers: usize) {
     let mut watch = DeathWatch { shared, who: "stager", armed: true };
     loop {
         let claimed = {
@@ -640,10 +605,10 @@ fn stager_loop<B: CampBackend>(
                 if st.dead.is_some() {
                     break None;
                 }
-                if let Some(claimed) = st.claim(worker, stagers, steal) {
+                if let Some(claimed) = st.claim(worker, stagers) {
                     break Some(claimed);
                 }
-                if st.shutdown && !st.drainable(worker, stagers, steal) {
+                if st.shutdown && !st.drainable() {
                     break None;
                 }
                 st = shared.wait(&shared.work_cv, st);
@@ -786,10 +751,9 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     }
 
     /// Enqueue one batch; returns immediately with the ticket that will
-    /// redeem its results. Within one session, batches of equal
-    /// priority complete in submission order; across sessions the
-    /// dispatcher schedules by priority, deadline, then admission
-    /// order.
+    /// redeem its results. A session's batches execute in submission
+    /// order; priority, deadline and admission order decide between
+    /// sessions.
     ///
     /// Every request is validated against the registration snapshot
     /// taken when the dispatcher started — stale or foreign handles and
@@ -854,7 +818,7 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
         // the caller is stager and driver for this batch and books what
         // they would book, in the same order; no ticket is issued
         let shared = &*self.shared;
-        shared.queue(&mut st, self.slot).staged_live += 1;
+        shared.queue(&mut st, self.slot).claimed.push_back(seq);
         st.note_picked(priority);
         if deadline.is_some_and(|dl| Instant::now() > dl) {
             st.stats.shed += 1;
@@ -1085,10 +1049,10 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
         let stagers = (0..options.stagers)
             .map(|worker| {
                 let shared = Arc::clone(&shared);
-                let (count, steal) = (options.stagers, options.steal);
+                let count = options.stagers;
                 crate::sync::thread::Builder::new()
                     .name(format!("camp-dispatch-stager-{worker}"))
-                    .spawn(move || stager_loop::<B>(&shared, worker, count, steal))
+                    .spawn(move || stager_loop::<B>(&shared, worker, count))
                     .expect("failed to spawn dispatch stager")
             })
             .collect();
@@ -1161,7 +1125,7 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
             evictions: st.stats.evictions,
             stale_failures: st.stats.stale_failures,
             shed: st.stats.shed,
-            staging_live: st.sessions.iter().flatten().map(|q| q.staged_live).sum(),
+            staging_live: st.sessions.iter().flatten().map(|q| q.claimed.len()).sum(),
             ready_now: st.ready.len(),
             sessions_live: st.sessions.iter().flatten().count(),
         }
@@ -1238,7 +1202,9 @@ mod tests {
     /// Mock backend whose `execute_prepared` consumes one [`Gate`]
     /// permit per batch and logs the batch's m (the tests' batch
     /// identity) and the executing thread in execution order. A batch
-    /// whose m is [`POISON_M`] panics once it holds its permit.
+    /// whose m is [`POISON_M`] panics once it holds its permit; a
+    /// request whose m is [`HELD_M`] stays in `prepare` until
+    /// [`HELD_PREPARE`] opens.
     struct GateBackend {
         gate: Gate,
         log: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
@@ -1246,6 +1212,11 @@ mod tests {
     }
 
     const POISON_M: usize = 666;
+    const HELD_M: usize = 555;
+
+    /// `prepare` has no `self`, so the hold is a static; one test uses it.
+    static HELD_PREPARE: (std::sync::Mutex<bool>, std::sync::Condvar) =
+        (std::sync::Mutex::new(false), std::sync::Condvar::new());
 
     impl GateBackend {
         fn new(permits: usize) -> (Self, Gate, std::sync::Arc<std::sync::Mutex<Vec<usize>>>) {
@@ -1309,6 +1280,10 @@ mod tests {
         }
 
         fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
+            if req.m() == HELD_M {
+                let (open, cv) = &HELD_PREPARE;
+                drop(cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
+            }
             req
         }
 
@@ -1336,8 +1311,8 @@ mod tests {
         GemmRequest::dense(m, 1, 1, vec![1i8; m], vec![1i8]).expect("well-formed request")
     }
 
-    fn opts(stagers: usize, steal: StealPolicy) -> DispatchOptions {
-        DispatchOptions { stagers, queue_depth: 8, steal }
+    fn opts(stagers: usize) -> DispatchOptions {
+        DispatchOptions { stagers, queue_depth: 8 }
     }
 
     /// Poll the dispatcher until `pred` holds (the pipeline threads are
@@ -1359,7 +1334,7 @@ mod tests {
     #[test]
     fn saturation_fires_deterministically_at_the_bound_and_recovers() {
         let (backend, gate, _log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(1));
         let mut session = dispatcher.session_with_depth(3);
 
         // the bound counts batches in flight, not queue occupancy: with
@@ -1389,36 +1364,69 @@ mod tests {
 
     #[test]
     fn decode_overtakes_queued_prefill() {
-        let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
-        let mut prefill = dispatcher.session();
-        let mut decode = dispatcher.session();
+        for stagers in [1, DispatchOptions::default().stagers] {
+            let (backend, gate, log) = GateBackend::new(0);
+            let dispatcher = Dispatcher::with_options(backend, opts(stagers));
+            let mut prefill = dispatcher.session();
+            let mut decode = dispatcher.session();
 
-        let p1 = prefill.submit(vec![req(1)]).unwrap();
-        let p2 = prefill.submit(vec![req(2)]).unwrap();
-        let d = decode.submit_with(vec![req(3)], Priority::Decode, None).unwrap();
-        // pin the pipeline: batch 1 on the (gated) engine, batches 2
-        // and 3 staged and ready
-        wait_for(&dispatcher, |s| s.staging_live == 3 && s.ready_now == 2);
+            let p1 = prefill.submit(vec![req(1)]).unwrap();
+            let p2 = prefill.submit(vec![req(2)]).unwrap();
+            let d = decode.submit_with(vec![req(3)], Priority::Decode, None).unwrap();
+            // pin the pipeline: one batch on the (gated) engine, the
+            // other two staged and ready
+            wait_for(&dispatcher, |s| s.staging_live == 3 && s.ready_now == 2);
 
-        grant(&gate, 3);
-        assert_eq!(decode.wait(d).unwrap().outputs[0].m, 3);
-        assert_eq!(prefill.wait(p1).unwrap().outputs[0].m, 1);
-        assert_eq!(prefill.wait(p2).unwrap().outputs[0].m, 2);
-        // the decode batch overtook the still-queued prefill batch;
-        // which prefill batch reached the engine before the decode one
-        // was staged is a benign race, so only the relative order is
-        // asserted
-        let log = log.lock().unwrap();
-        let pos = |m| log.iter().position(|&x| x == m).unwrap();
-        assert!(pos(3) < pos(2), "decode must beat the queued prefill batch: {log:?}");
-        assert!(pos(1) < pos(2), "per-session FIFO must hold: {log:?}");
+            grant(&gate, 3);
+            assert_eq!(decode.wait(d).unwrap().outputs[0].m, 3);
+            assert_eq!(prefill.wait(p1).unwrap().outputs[0].m, 1);
+            assert_eq!(prefill.wait(p2).unwrap().outputs[0].m, 2);
+            // the decode batch overtook the still-queued prefill batch;
+            // whether prefill batch 1 reached the engine before the
+            // decode one was staged is a benign race, so only the
+            // relative order is asserted
+            let log = log.lock().unwrap();
+            let pos = |m| log.iter().position(|&x| x == m).unwrap();
+            assert!(pos(3) < pos(2), "decode must beat the queued prefill batch: {log:?}");
+            assert!(pos(1) < pos(2), "per-session FIFO must hold: {log:?}");
+        }
+    }
+
+    #[test]
+    fn a_sessions_batches_run_in_submission_order_however_staging_finishes() {
+        for stagers in [2, 3] {
+            *HELD_PREPARE.0.lock().unwrap() = false;
+            // the engine is never the obstacle: every permit is there
+            let (backend, _gate, log) = GateBackend::new(3);
+            let dispatcher = Dispatcher::with_options(backend, opts(stagers));
+            let mut session = dispatcher.session();
+            let mut other = dispatcher.session();
+            let first = session.submit(vec![req(HELD_M)]).unwrap();
+            let second = session.submit(vec![req(2)]).unwrap();
+            // batch 2 is staged while batch 1 is still held in `prepare`
+            // on another stager (or has already run, if it can overtake)
+            wait_for(&dispatcher, |s| s.ready_now == 1 || s.executed == 1);
+            // once a later tenant's batch has run, the driver has
+            // picked with batch 2 ready and admitted earlier — and
+            // must have left it alone
+            let marker = other.submit(vec![req(7)]).unwrap();
+            assert_eq!(other.wait(marker).unwrap().outputs[0].m, 7);
+            let while_held = log.lock().unwrap().clone();
+
+            *HELD_PREPARE.0.lock().unwrap() = true;
+            HELD_PREPARE.1.notify_all();
+            assert_eq!(session.wait(second).unwrap().outputs[0].m, 2);
+            assert_eq!(session.wait(first).unwrap().outputs[0].m, HELD_M);
+            // asserted only now: a panic under the hold would hang Drop
+            assert_eq!(while_held, [7], "batch 2 overtook batch 1, stagers = {stagers}");
+            assert_eq!(*log.lock().unwrap(), [7, HELD_M, 2], "stagers = {stagers}");
+        }
     }
 
     #[test]
     fn deadlines_order_equal_priority_work() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(1));
         let mut a = dispatcher.session();
         let mut b = dispatcher.session();
 
@@ -1447,7 +1455,7 @@ mod tests {
     #[test]
     fn missed_deadlines_are_shed_not_computed() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(1));
         let mut session = dispatcher.session();
 
         // occupy the (gated) engine so the doomed batch waits in ready;
@@ -1480,26 +1488,6 @@ mod tests {
         let log = log.lock().unwrap();
         assert_eq!(&*log, &[9, 2], "the shed batch must never reach the engine: {log:?}");
         assert!(RequestError::Shed.to_string().contains("shed"));
-    }
-
-    #[test]
-    fn pinned_stagers_never_steal() {
-        let (backend, gate, _log) = GateBackend::new(0);
-        grant(&gate, 12);
-        let dispatcher = Dispatcher::with_options(backend, opts(2, StealPolicy::Pinned));
-        let mut s0 = dispatcher.session();
-        let mut s1 = dispatcher.session();
-        let t0: Vec<TicketId> = (0..6).map(|i| s0.submit(vec![req(i + 1)]).unwrap()).collect();
-        let t1: Vec<TicketId> = (0..6).map(|i| s1.submit(vec![req(i + 10)]).unwrap()).collect();
-        for t in t0 {
-            assert!(s0.wait(t).is_ok());
-        }
-        for t in t1 {
-            assert!(s1.wait(t).is_ok());
-        }
-        let stats = dispatcher.stats();
-        assert_eq!(stats.stolen, 0, "pinned stagers must never claim outside their partition");
-        assert_eq!(stats.executed, 12);
     }
 
     /// Rendezvous in `prepare`: both stagers must be staging
@@ -1570,10 +1558,10 @@ mod tests {
 
     #[test]
     fn eager_stagers_steal_across_sessions() {
-        // one session, two eager stagers, two batches: the prepare
-        // barrier forces one claim onto each stager, and only worker 0
-        // is home for slot 0 — exactly one claim is a steal
-        let dispatcher = Dispatcher::with_options(BarrierBackend, opts(2, StealPolicy::Eager));
+        // one session, two stagers, two batches: the prepare barrier
+        // forces one claim onto each stager, and only worker 0 is home
+        // for slot 0 — exactly one claim is a steal
+        let dispatcher = Dispatcher::with_options(BarrierBackend, opts(2));
         let mut session = dispatcher.session();
         let t1 = session.submit(vec![req(1)]).unwrap();
         let t2 = session.submit(vec![req(2)]).unwrap();
@@ -1587,7 +1575,7 @@ mod tests {
     #[test]
     fn aging_bounds_prefill_starvation_under_a_decode_flood() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(2, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(2));
         let mut d1 = dispatcher.session();
         let mut d2 = dispatcher.session();
         let mut p = dispatcher.session();
@@ -1630,7 +1618,7 @@ mod tests {
         let h1 = engine.register_weights(n, k, &w1, DType::I8);
         let h2 = engine.register_weights(n, k, &w2, DType::I8);
 
-        let dispatcher = Dispatcher::with_options(engine, opts(1, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(engine, opts(1));
         let mut session = dispatcher.session();
         let racing: Vec<TicketId> = (0..4)
             .map(|_| {
@@ -1681,7 +1669,7 @@ mod tests {
     #[test]
     fn dropped_sessions_cancel_unclaimed_work_and_release_their_slot() {
         let (backend, gate, _log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(1));
         let mut session = dispatcher.session_with_depth(64);
         for i in 0..5 {
             session.submit(vec![req(i + 1)]).unwrap();
@@ -1709,7 +1697,7 @@ mod tests {
     fn cross_session_tickets_fail_fast() {
         let (backend, gate, _log) = GateBackend::new(4);
         grant(&gate, 0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(1));
         let mut a = dispatcher.session();
         let mut b = dispatcher.session();
         let ta = a.submit(vec![req(1)]).unwrap();
@@ -1724,7 +1712,7 @@ mod tests {
     fn into_backend_drains_every_live_session() {
         let (backend, gate, log) = GateBackend::new(0);
         grant(&gate, 6);
-        let dispatcher = Dispatcher::with_options(backend, opts(2, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(2));
         let mut a = dispatcher.session();
         let mut b = dispatcher.session();
         for i in 0..3 {
@@ -1742,7 +1730,7 @@ mod tests {
     fn idle_run_executes_on_the_callers_thread() {
         let (backend, _gate, log) = GateBackend::new(2);
         let ran_on = backend.ran_on.clone();
-        let dispatcher = Dispatcher::with_options(backend, opts(2, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(2));
         let mut session = dispatcher.session();
         let mut other = dispatcher.session();
 
@@ -1768,7 +1756,7 @@ mod tests {
     fn run_queues_behind_a_busy_engine_and_decode_still_overtakes_prefill() {
         let (backend, gate, log) = GateBackend::new(0);
         let ran_on = backend.ran_on.clone();
-        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(1));
         let mut prefill = dispatcher.session();
         let mut decode = dispatcher.session();
 
@@ -1800,7 +1788,7 @@ mod tests {
     #[test]
     fn run_never_overtakes_its_own_sessions_earlier_submission() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(2, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(2));
         let mut session = dispatcher.session();
         let first = session.submit(vec![req(1)]).unwrap();
         std::thread::scope(|scope| {
@@ -1822,7 +1810,7 @@ mod tests {
     fn run_errs_and_counts_like_submit_then_wait() {
         // Saturated: the bound counts the batch held on the gated engine
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(1));
         let mut session = dispatcher.session_with_depth(1);
         let blocker = session.submit(vec![req(1)]).unwrap();
         let saturated = RequestError::Saturated { depth: 1 };
@@ -1861,7 +1849,7 @@ mod tests {
         let gone = engine.register_weights(n, k, &w, DType::I8);
         let live = engine.register_weights(n, k, &w, DType::I8);
         engine.evict_weights(gone).unwrap();
-        let dispatcher = Dispatcher::with_options(engine, opts(1, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(engine, opts(1));
         let mut session = dispatcher.session();
         let on = |h| vec![GemmRequest::with_weights(2, a.clone(), h).unwrap()];
         assert_eq!(
@@ -1891,7 +1879,7 @@ mod tests {
         let (n, k) = (24, 40);
         let w: Vec<i8> = (0..k * n).map(|i| (i * 7 % 31) as i8 - 15).collect();
         let h = backend.register_weights(n, k, &w, DType::I8);
-        let dispatcher = Dispatcher::with_options(backend, opts(2, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(2));
         let mut session = dispatcher.session();
         for m in [1, 3, 17] {
             let a: Vec<i8> = (0..m * k).map(|i| (i * 5 % 23) as i8 - 11).collect();
@@ -1933,7 +1921,7 @@ mod tests {
     fn a_backend_panic_under_a_direct_run_kills_the_dispatcher() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(2, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(2));
         let mut doomed = dispatcher.session();
         let mut bystander = dispatcher.session();
         std::thread::scope(|scope| {
@@ -1968,7 +1956,7 @@ mod tests {
     #[test]
     fn run_on_a_handle_kept_across_into_backend_panics_before_the_engine_slot() {
         let (backend, _gate, log) = GateBackend::new(1);
-        let dispatcher = Dispatcher::with_options(backend, opts(1, StealPolicy::Eager));
+        let dispatcher = Dispatcher::with_options(backend, opts(1));
         let mut session = dispatcher.session();
         let _backend = dispatcher.into_backend();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1983,14 +1971,11 @@ mod tests {
         // avoid cross-test env races: set, read, restore immediately
         std::env::set_var("CAMP_DISPATCH_STAGERS", "3");
         std::env::set_var("CAMP_QUEUE_DEPTH", "0");
-        std::env::set_var("CAMP_STEAL_POLICY", "PINNED");
         let opts = DispatchOptions::from_env();
         std::env::remove_var("CAMP_DISPATCH_STAGERS");
         std::env::remove_var("CAMP_QUEUE_DEPTH");
-        std::env::remove_var("CAMP_STEAL_POLICY");
         assert_eq!(opts.stagers, 3);
         assert_eq!(opts.queue_depth, 1, "zero depth clamps to 1");
-        assert_eq!(opts.steal, StealPolicy::Pinned);
         assert_eq!(DispatchOptions::default(), DispatchOptions::from_env());
     }
 }

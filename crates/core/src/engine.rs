@@ -29,10 +29,9 @@
 //! A serving workload multiplies the same quantized weights against
 //! millions of activations. [`CampEngine::register_weights`] packs a
 //! weight matrix once into the engine's [`WeightRegistry`] and returns
-//! a copyable [`WeightHandle`]; handle-operand [`GemmRequest`]s (and
-//! [`GemmProblem::with_handle`] batch items) then run with **zero
-//! B-packing** — [`EngineStats::packed_b_bytes`] stays 0 on the steady
-//! state, which the test-suite asserts.
+//! a copyable [`WeightHandle`]; handle-operand [`GemmRequest`]s then
+//! run with **zero B-packing** — [`EngineStats::packed_b_bytes`] stays
+//! 0 on the steady state, which the test-suite asserts.
 //!
 //! # Batched GeMM
 //!
@@ -54,13 +53,14 @@
 //!   over the same problems, element for element.
 //!
 //! Each request's own [`DType`] wins, so one batch can mix i4 and i8
-//! problems. For streaming
-//! many batches, [`CampEngine::serve`] upgrades the engine into a
-//! [`crate::session::Session`] with a submit/poll API that overlaps the
-//! A-packing of one batch with the compute of the previous one.
+//! problems. For streaming many batches,
+//! [`CampBackend::dispatch`](crate::backend::CampBackend::dispatch)
+//! upgrades the engine into a [`crate::dispatch::Dispatcher`] whose
+//! submit/poll sessions overlap the A-packing of one batch with the
+//! compute of the previous one.
 
 use camp_gemm::batch::{
-    packed_a_bytes, packed_a_offset, packed_b_bytes, packed_b_offset, BOperandKey,
+    packed_a_bytes, packed_a_offset, packed_b_bytes, packed_b_offset, BOperandKey, GemmProblem,
 };
 use camp_gemm::host::{HostKernel, KernelInfo, SmallB};
 use camp_gemm::loops::{
@@ -77,7 +77,6 @@ use std::sync::Arc;
 
 use crate::pool::{Job, WorkerPool};
 
-pub use camp_gemm::batch::GemmProblem;
 pub use camp_gemm::gemm_i32_ref;
 pub use camp_gemm::weights::{DType, WeightHandle, WeightMeta};
 
@@ -901,7 +900,7 @@ impl CampEngine {
     }
 
     /// Submit-time snapshot of the weight registry — what a serving
-    /// [`crate::session::Session`] validates requests against.
+    /// [`crate::dispatch::Dispatcher`] validates requests against.
     pub fn weight_snapshot(&self) -> WeightSnapshot {
         self.weights.snapshot()
     }
@@ -922,35 +921,6 @@ impl CampEngine {
     /// returns them.
     pub fn resident_weight_bytes(&self) -> u64 {
         self.weights.resident_bytes()
-    }
-
-    /// A [`GemmProblem`] over a registered weight, with shape and dtype
-    /// filled in from the registration.
-    ///
-    /// To run one registered-weight GeMM, build a request instead — no
-    /// B is packed; the panel built at registration is consumed
-    /// directly, serially or by every pool worker:
-    ///
-    /// ```
-    /// use camp_core::backend::CampBackend;
-    /// use camp_core::{CampEngine, DType, GemmRequest};
-    /// use camp_gemm::gemm_i32_ref;
-    ///
-    /// let (m, n, k) = (4, 8, 32);
-    /// let w: Vec<i8> = (0..k * n).map(|i| (i % 15) as i8 - 7).collect();
-    /// let a: Vec<i8> = (0..m * k).map(|i| (i % 13) as i8 - 6).collect();
-    ///
-    /// let mut engine = CampEngine::new();
-    /// let weights = engine.register_weights(n, k, &w, DType::I8);
-    /// let req = GemmRequest::with_weights(m, a.clone(), weights).unwrap();
-    /// let outcome = engine.execute(&req).unwrap();
-    /// assert_eq!(outcome.output.c, gemm_i32_ref(m, n, k, &a, &w));
-    /// let stats = outcome.stats.as_host().unwrap();
-    /// assert_eq!(stats.packed_b_bytes, 0); // steady state packs no B
-    /// ```
-    pub fn handle_problem<'a>(&self, m: usize, a: &'a [i8], h: WeightHandle) -> GemmProblem<'a> {
-        let meta = self.weights.meta(h);
-        GemmProblem::with_handle(m, meta.n, meta.k, a, h).with_dtype(meta.dtype)
     }
 
     /// Single registered-weight GeMM, bypassing the batch machinery:
@@ -981,14 +951,6 @@ impl CampEngine {
         );
         stats.stamp_route(m, meta.n, meta.k);
         (c, stats)
-    }
-
-    /// Upgrade the engine into a serving [`crate::session::Session`]
-    /// (submit/poll API, staged A- and B-packing overlapping compute).
-    /// Register weights first: the session validates submissions
-    /// against the registrations present at this call.
-    pub fn serve(self) -> crate::session::Session<CampEngine> {
-        crate::session::Session::new(self)
     }
 
     /// Single dense GeMM, bypassing the batch machinery: the reference
@@ -1048,22 +1010,12 @@ impl CampEngine {
         (c, total)
     }
 
+    /// Run a batch of problems, each under its own `dtype`'s kernel (a
+    /// handle problem's must be its registration's).
     pub(crate) fn gemm_batch_impl(
         &mut self,
         problems: &[GemmProblem<'_>],
-        forced: Option<DType>,
     ) -> (Vec<Vec<i32>>, EngineStats) {
-        // Effective kernel per problem: a forced dtype wins; otherwise
-        // handles run under their registration and slices under their
-        // own dtype field.
-        let dtypes: Vec<DType> = problems
-            .iter()
-            .map(|p| match (forced, p.handle) {
-                (Some(dt), _) => dt,
-                (None, Some(h)) => self.weights.meta(h).dtype,
-                (None, None) => p.dtype,
-            })
-            .collect();
         for (i, p) in problems.iter().enumerate() {
             assert_eq!(p.a.len(), p.m * p.k, "problem {i}: A must be m×k");
             match p.handle {
@@ -1076,7 +1028,7 @@ impl CampEngine {
                         "problem {i}: registered weight shape mismatch"
                     );
                     assert_eq!(
-                        meta.dtype, dtypes[i],
+                        meta.dtype, p.dtype,
                         "problem {i}: registered weight dtype mismatch"
                     );
                 }
@@ -1089,7 +1041,7 @@ impl CampEngine {
         self.shared.reset_panels();
         let mut panel_of: HashMap<(BOperandKey, usize), PanelId> = HashMap::new();
         let mut srcs: Vec<Option<PanelSrc>> = Vec::with_capacity(problems.len());
-        for (p, dt) in problems.iter().zip(&dtypes) {
+        for p in problems {
             if p.is_degenerate() {
                 srcs.push(None);
                 continue;
@@ -1097,7 +1049,7 @@ impl CampEngine {
             srcs.push(Some(match p.handle {
                 Some(h) => PanelSrc::Registered(h),
                 None => {
-                    let k_step = dt.k_step();
+                    let k_step = p.dtype.k_step();
                     let plan = host_block_plan(p.m, p.n, p.k, k_step);
                     let id = *panel_of.entry((p.b_key(), k_step)).or_insert_with(|| {
                         let id = self.shared.alloc_panel(packed_b_bytes(&plan));
@@ -1135,16 +1087,16 @@ impl CampEngine {
             .enumerate()
             .filter(|(_, p)| !p.is_degenerate())
             .map(|(i, p)| {
-                debug_check_i4(dtypes[i], "batch A", p.a);
+                debug_check_i4(p.dtype, "batch A", p.a);
                 if p.handle.is_none() {
-                    debug_check_i4(dtypes[i], "batch B", p.b);
+                    debug_check_i4(p.dtype, "batch B", p.b);
                 }
                 WorkItem {
                     slot: i,
                     m: p.m,
                     n: p.n,
                     k: p.k,
-                    k_step: dtypes[i].k_step(),
+                    k_step: p.dtype.k_step(),
                     a: p.a,
                     shared_a: None,
                     shared_b: panel(srcs[i].as_ref().expect("non-degenerate")),
@@ -1155,7 +1107,7 @@ impl CampEngine {
         (results, total)
     }
 
-    /// Compute one staged serving batch (see [`crate::session`]):
+    /// Compute one staged serving batch (see [`crate::dispatch`]):
     /// registered B panels (or stager-packed dense panels) everywhere,
     /// pre-packed A where the stager provided it, row-partitioning for
     /// oversized requests. Returns one row-major C per request plus the
@@ -1211,142 +1163,7 @@ mod tests {
     const NC: usize = HOST_BLOCKING.1;
     const KC: usize = HOST_BLOCKING.2;
 
-    // ---- single-call helpers over the test-only reference path ----
-    //
-    // These carry the shapes of the removed dtype-suffixed shims so the
-    // suite keeps pinning the batch/request surfaces against a direct
-    // single-problem run of the engine.
-
-    fn camp_gemm_i8(m: usize, n: usize, k: usize, a: &[i8], b: &[i8]) -> Vec<i32> {
-        CampEngine::new().gemm(m, n, k, a, b, DType::I8).0
-    }
-
-    fn camp_gemm_i8_with_stats(
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[i8],
-        b: &[i8],
-    ) -> (Vec<i32>, EngineStats) {
-        CampEngine::new().gemm(m, n, k, a, b, DType::I8)
-    }
-
-    fn camp_gemm_i4(m: usize, n: usize, k: usize, a: &[i8], b: &[i8]) -> Vec<i32> {
-        CampEngine::new().gemm(m, n, k, a, b, DType::I4).0
-    }
-
-    fn camp_gemm_i4_with_stats(
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[i8],
-        b: &[i8],
-    ) -> (Vec<i32>, EngineStats) {
-        CampEngine::new().gemm(m, n, k, a, b, DType::I4)
-    }
-
-    fn camp_gemm_i8_parallel(
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[i8],
-        b: &[i8],
-        threads: usize,
-    ) -> Vec<i32> {
-        CampEngine::with_threads(threads).gemm(m, n, k, a, b, DType::I8).0
-    }
-
-    fn camp_gemm_i4_parallel(
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[i8],
-        b: &[i8],
-        threads: usize,
-    ) -> Vec<i32> {
-        CampEngine::with_threads(threads).gemm(m, n, k, a, b, DType::I4).0
-    }
-
-    /// Method shapes of the removed shims, over the same internals the
-    /// request surface drives (`gemm_batch_impl`) or the test-only
-    /// single-call path.
-    trait EngineTestExt {
-        fn gemm_i8(&mut self, m: usize, n: usize, k: usize, a: &[i8], b: &[i8]) -> Vec<i32>;
-        fn gemm_i8_with_stats(
-            &mut self,
-            m: usize,
-            n: usize,
-            k: usize,
-            a: &[i8],
-            b: &[i8],
-        ) -> (Vec<i32>, EngineStats);
-        fn gemm_i4(&mut self, m: usize, n: usize, k: usize, a: &[i8], b: &[i8]) -> Vec<i32>;
-        fn gemm_with_handle(&mut self, m: usize, a: &[i8], h: WeightHandle) -> Vec<i32>;
-        fn gemm_with_handle_with_stats(
-            &mut self,
-            m: usize,
-            a: &[i8],
-            h: WeightHandle,
-        ) -> (Vec<i32>, EngineStats);
-        fn gemm_i8_batch(&mut self, problems: &[GemmProblem<'_>]) -> Vec<Vec<i32>>;
-        fn gemm_i8_batch_with_stats(
-            &mut self,
-            problems: &[GemmProblem<'_>],
-        ) -> (Vec<Vec<i32>>, EngineStats);
-        fn gemm_i4_batch(&mut self, problems: &[GemmProblem<'_>]) -> Vec<Vec<i32>>;
-        fn gemm_batch_with_stats(
-            &mut self,
-            problems: &[GemmProblem<'_>],
-        ) -> (Vec<Vec<i32>>, EngineStats);
-    }
-
-    impl EngineTestExt for CampEngine {
-        fn gemm_i8(&mut self, m: usize, n: usize, k: usize, a: &[i8], b: &[i8]) -> Vec<i32> {
-            self.gemm(m, n, k, a, b, DType::I8).0
-        }
-        fn gemm_i8_with_stats(
-            &mut self,
-            m: usize,
-            n: usize,
-            k: usize,
-            a: &[i8],
-            b: &[i8],
-        ) -> (Vec<i32>, EngineStats) {
-            self.gemm(m, n, k, a, b, DType::I8)
-        }
-        fn gemm_i4(&mut self, m: usize, n: usize, k: usize, a: &[i8], b: &[i8]) -> Vec<i32> {
-            self.gemm(m, n, k, a, b, DType::I4).0
-        }
-        fn gemm_with_handle(&mut self, m: usize, a: &[i8], h: WeightHandle) -> Vec<i32> {
-            self.handle_gemm(m, a, h).0
-        }
-        fn gemm_with_handle_with_stats(
-            &mut self,
-            m: usize,
-            a: &[i8],
-            h: WeightHandle,
-        ) -> (Vec<i32>, EngineStats) {
-            self.handle_gemm(m, a, h)
-        }
-        fn gemm_i8_batch(&mut self, problems: &[GemmProblem<'_>]) -> Vec<Vec<i32>> {
-            self.gemm_batch_impl(problems, Some(DType::I8)).0
-        }
-        fn gemm_i8_batch_with_stats(
-            &mut self,
-            problems: &[GemmProblem<'_>],
-        ) -> (Vec<Vec<i32>>, EngineStats) {
-            self.gemm_batch_impl(problems, Some(DType::I8))
-        }
-        fn gemm_i4_batch(&mut self, problems: &[GemmProblem<'_>]) -> Vec<Vec<i32>> {
-            self.gemm_batch_impl(problems, Some(DType::I4)).0
-        }
-        fn gemm_batch_with_stats(
-            &mut self,
-            problems: &[GemmProblem<'_>],
-        ) -> (Vec<Vec<i32>>, EngineStats) {
-            self.gemm_batch_impl(problems, None)
-        }
-    }
+    use DType::{I4, I8};
 
     fn fill(len: usize, seed: i32, modulus: i32, offset: i32) -> Vec<i8> {
         (0..len).map(|i| ((i as i32 * seed) % modulus + offset) as i8).collect()
@@ -1356,7 +1173,7 @@ mod tests {
     fn small_exact() {
         let a = vec![1i8, 2, 3, 4, 5, 6]; // 2x3
         let b = vec![7i8, 8, 9, 10, 11, 12]; // 3x2
-        let c = camp_gemm_i8(2, 2, 3, &a, &b);
+        let c = CampEngine::new().gemm(2, 2, 3, &a, &b, I8).0;
         assert_eq!(c, vec![58, 64, 139, 154]);
     }
 
@@ -1368,7 +1185,7 @@ mod tests {
             let a = fill(m * k, 31, 200, -100);
             let b = fill(k * n, 17, 200, -100);
             assert_eq!(
-                camp_gemm_i8(m, n, k, &a, &b),
+                CampEngine::new().gemm(m, n, k, &a, &b, I8).0,
                 gemm_i32_ref(m, n, k, &a, &b),
                 "shape {m}x{n}x{k}"
             );
@@ -1381,7 +1198,7 @@ mod tests {
             let a = fill(m * k, 7, 16, -8);
             let b = fill(k * n, 5, 16, -8);
             assert_eq!(
-                camp_gemm_i4(m, n, k, &a, &b),
+                CampEngine::new().gemm(m, n, k, &a, &b, I4).0,
                 gemm_i32_ref(m, n, k, &a, &b),
                 "shape {m}x{n}x{k}"
             );
@@ -1393,7 +1210,7 @@ mod tests {
         // 8×8×32: 4 tiles × 2 k-chunks = 8 camp issues, 16 loads
         let a = fill(8 * 32, 3, 10, -5);
         let b = fill(32 * 8, 5, 10, -5);
-        let (_, s) = camp_gemm_i8_with_stats(8, 8, 32, &a, &b);
+        let (_, s) = CampEngine::new().gemm(8, 8, 32, &a, &b, I8);
         assert_eq!(s.camp_issues, 8);
         assert_eq!(s.vector_loads, 16);
         assert_eq!(s.vector_stores, 4);
@@ -1405,8 +1222,8 @@ mod tests {
     fn i4_needs_half_the_issues() {
         let a = fill(8 * 32, 3, 16, -8);
         let b = fill(32 * 8, 5, 16, -8);
-        let (_, s8) = camp_gemm_i8_with_stats(8, 8, 32, &a, &b);
-        let (_, s4) = camp_gemm_i4_with_stats(8, 8, 32, &a, &b);
+        let (_, s8) = CampEngine::new().gemm(8, 8, 32, &a, &b, I8);
+        let (_, s4) = CampEngine::new().gemm(8, 8, 32, &a, &b, I4);
         assert_eq!(s4.camp_issues * 2, s8.camp_issues);
     }
 
@@ -1415,25 +1232,25 @@ mod tests {
         let (m, n, k) = (5, 5, 17);
         let a = fill(m * k, 11, 40, -20);
         let b = fill(k * n, 13, 40, -20);
-        assert_eq!(camp_gemm_i8(m, n, k, &a, &b), gemm_i32_ref(m, n, k, &a, &b));
+        assert_eq!(CampEngine::new().gemm(m, n, k, &a, &b, I8).0, gemm_i32_ref(m, n, k, &a, &b));
     }
 
     #[test]
     #[should_panic(expected = "A must be m×k")]
     fn wrong_a_len_panics() {
-        let _ = camp_gemm_i8(2, 2, 2, &[0; 3], &[0; 4]);
+        let _ = CampEngine::new().gemm(2, 2, 2, &[0; 3], &[0; 4], I8).0;
     }
 
     #[test]
     fn zero_dimensions_return_degenerate_results() {
         // no dimension combination may panic, serial or parallel
-        assert!(camp_gemm_i8(0, 4, 4, &[], &[0; 16]).is_empty());
-        assert!(camp_gemm_i8(4, 0, 4, &[0; 16], &[]).is_empty());
-        assert_eq!(camp_gemm_i8(4, 4, 0, &[], &[]), vec![0; 16]);
-        assert!(camp_gemm_i8(0, 0, 0, &[], &[]).is_empty());
-        assert_eq!(camp_gemm_i8_parallel(4, 4, 0, &[], &[], 8), vec![0; 16]);
-        assert_eq!(camp_gemm_i4(4, 4, 0, &[], &[]), vec![0; 16]);
-        let (_, s) = camp_gemm_i8_with_stats(0, 4, 4, &[], &[0; 16]);
+        assert!(CampEngine::new().gemm(0, 4, 4, &[], &[0; 16], I8).0.is_empty());
+        assert!(CampEngine::new().gemm(4, 0, 4, &[0; 16], &[], I8).0.is_empty());
+        assert_eq!(CampEngine::new().gemm(4, 4, 0, &[], &[], I8).0, vec![0; 16]);
+        assert!(CampEngine::new().gemm(0, 0, 0, &[], &[], I8).0.is_empty());
+        assert_eq!(CampEngine::with_threads(8).gemm(4, 4, 0, &[], &[], I8).0, vec![0; 16]);
+        assert_eq!(CampEngine::new().gemm(4, 4, 0, &[], &[], I4).0, vec![0; 16]);
+        let (_, s) = CampEngine::new().gemm(0, 4, 4, &[], &[0; 16], I8);
         assert_eq!(s, EngineStats::default());
     }
 
@@ -1441,7 +1258,7 @@ mod tests {
     fn extreme_values_wrap_like_reference() {
         let a = vec![i8::MIN; 4 * 16];
         let b = vec![i8::MIN; 16 * 4];
-        assert_eq!(camp_gemm_i8(4, 4, 16, &a, &b), gemm_i32_ref(4, 4, 16, &a, &b));
+        assert_eq!(CampEngine::new().gemm(4, 4, 16, &a, &b, I8).0, gemm_i32_ref(4, 4, 16, &a, &b));
     }
 
     #[test]
@@ -1450,7 +1267,7 @@ mod tests {
         let (m, n, k) = (2 * MC + 5, NC + 9, KC + 33);
         let a = fill(m * k, 31, 15, -8);
         let b = fill(k * n, 17, 15, -8);
-        assert_eq!(camp_gemm_i8(m, n, k, &a, &b), gemm_i32_ref(m, n, k, &a, &b));
+        assert_eq!(CampEngine::new().gemm(m, n, k, &a, &b, I8).0, gemm_i32_ref(m, n, k, &a, &b));
     }
 
     #[test]
@@ -1458,17 +1275,20 @@ mod tests {
         let (m, n, k) = (37, 29, 65);
         let a = fill(m * k, 13, 200, -100);
         let b = fill(k * n, 7, 200, -100);
-        let serial = camp_gemm_i8(m, n, k, &a, &b);
+        let serial = CampEngine::new().gemm(m, n, k, &a, &b, I8).0;
         for threads in [2, 3, 4, 16, 64] {
             assert_eq!(
-                camp_gemm_i8_parallel(m, n, k, &a, &b, threads),
+                CampEngine::with_threads(threads).gemm(m, n, k, &a, &b, I8).0,
                 serial,
                 "threads={threads}"
             );
         }
         let a4 = fill(m * k, 13, 16, -8);
         let b4 = fill(k * n, 7, 16, -8);
-        assert_eq!(camp_gemm_i4_parallel(m, n, k, &a4, &b4, 3), camp_gemm_i4(m, n, k, &a4, &b4));
+        assert_eq!(
+            CampEngine::with_threads(3).gemm(m, n, k, &a4, &b4, I4).0,
+            CampEngine::new().gemm(m, n, k, &a4, &b4, I4).0
+        );
     }
 
     #[test]
@@ -1476,7 +1296,10 @@ mod tests {
         let (m, n, k) = (6, 4, 16);
         let a = fill(m * k, 3, 10, -5);
         let b = fill(k * n, 5, 10, -5);
-        assert_eq!(camp_gemm_i8_parallel(m, n, k, &a, &b, 32), gemm_i32_ref(m, n, k, &a, &b));
+        assert_eq!(
+            CampEngine::with_threads(32).gemm(m, n, k, &a, &b, I8).0,
+            gemm_i32_ref(m, n, k, &a, &b)
+        );
     }
 
     #[test]
@@ -1488,7 +1311,7 @@ mod tests {
         let a = fill(4 * 4, 3, 10, -5);
         let b = fill(4 * 4, 5, 10, -5);
         assert_eq!(
-            CampEngine::with_threads(0).gemm_i8(4, 4, 4, &a, &b),
+            CampEngine::with_threads(0).gemm(4, 4, 4, &a, &b, I8).0,
             gemm_i32_ref(4, 4, 4, &a, &b)
         );
     }
@@ -1501,7 +1324,11 @@ mod tests {
         for &(m, n, k) in &[(37, 29, 65), (8, 8, 32), (64, 48, 160), (5, 7, 33)] {
             let a = fill(m * k, 13, 200, -100);
             let b = fill(k * n, 7, 200, -100);
-            assert_eq!(eng.gemm_i8(m, n, k, &a, &b), camp_gemm_i8(m, n, k, &a, &b), "{m}x{n}x{k}");
+            assert_eq!(
+                eng.gemm(m, n, k, &a, &b, I8).0,
+                CampEngine::new().gemm(m, n, k, &a, &b, I8).0,
+                "{m}x{n}x{k}"
+            );
         }
     }
 
@@ -1511,11 +1338,11 @@ mod tests {
         let a = fill(m * k, 9, 30, -15);
         let b = fill(k * n, 11, 30, -15);
         let mut engine = CampEngine::new();
-        let first = engine.gemm_i8(m, n, k, &a, &b);
+        let first = engine.gemm(m, n, k, &a, &b, I8).0;
         let warm = engine.pack_allocations();
         assert!(warm > 0, "first call must populate the pool");
         for _ in 0..5 {
-            let again = engine.gemm_i8(m, n, k, &a, &b);
+            let again = engine.gemm(m, n, k, &a, &b, I8).0;
             assert_eq!(again, first);
         }
         assert_eq!(engine.pack_allocations(), warm, "steady state must not allocate");
@@ -1528,7 +1355,7 @@ mod tests {
         let k = 2 * KC;
         let a = fill(4 * k, 3, 16, -8);
         let b = fill(k * 4, 5, 16, -8);
-        let (c, s) = camp_gemm_i8_with_stats(4, 4, k, &a, &b);
+        let (c, s) = CampEngine::new().gemm(4, 4, k, &a, &b, I8);
         assert_eq!(c, gemm_i32_ref(4, 4, k, &a, &b));
         assert_eq!(s.camp_issues, (k / 16) as u64);
         assert_eq!(s.vector_stores, 2);
@@ -1541,7 +1368,10 @@ mod tests {
         // divide by zero in the row partition.
         let a = fill(4 * 4, 3, 10, -5);
         let b = fill(4 * 4, 5, 10, -5);
-        assert_eq!(CampEngine::default().gemm_i8(4, 4, 4, &a, &b), gemm_i32_ref(4, 4, 4, &a, &b));
+        assert_eq!(
+            CampEngine::default().gemm(4, 4, 4, &a, &b, I8).0,
+            gemm_i32_ref(4, 4, 4, &a, &b)
+        );
     }
 
     #[test]
@@ -1550,12 +1380,12 @@ mod tests {
         let a = fill(m * k, 3, 10, -5);
         let b = fill(k * n, 5, 10, -5);
         let mut eng = CampEngine::with_threads(4);
-        let (_, s) = eng.gemm_i8_with_stats(m, n, k, &a, &b);
+        let (_, s) = eng.gemm(m, n, k, &a, &b, I8);
         assert_eq!(s.macs, (m * n * k) as u64);
         // every 4×4 tile is issued by exactly one worker, and B is
         // packed once into the shared panel — the whole stats block
         // matches the serial run, packing traffic included
-        let (_, serial) = camp_gemm_i8_with_stats(m, n, k, &a, &b);
+        let (_, serial) = CampEngine::new().gemm(m, n, k, &a, &b, I8);
         assert_eq!(s.camp_issues, serial.camp_issues);
         assert_eq!(s.vector_stores, serial.vector_stores);
         assert_eq!(s.vector_loads, serial.vector_loads);
@@ -1573,9 +1403,9 @@ mod tests {
         let (m, n, k) = (96, NC + 12, KC / 4 + 40);
         let a = fill(m * k, 7, 30, -15);
         let b = fill(k * n, 11, 30, -15);
-        let (c_serial, serial) = camp_gemm_i8_with_stats(m, n, k, &a, &b);
+        let (c_serial, serial) = CampEngine::new().gemm(m, n, k, &a, &b, I8);
         let mut eng = CampEngine::with_threads(5);
-        let (c_par, par) = eng.gemm_i8_with_stats(m, n, k, &a, &b);
+        let (c_par, par) = eng.gemm(m, n, k, &a, &b, I8);
         assert_eq!(c_par, c_serial);
         assert_eq!(par, serial);
     }
@@ -1593,8 +1423,12 @@ mod tests {
             assert!(eng.registered_weight_bytes() > 0);
             for m in [1, 6, 17] {
                 let a = fill(m * k, 3, 16, -8);
-                let (c, s) = eng.gemm_with_handle_with_stats(m, &a, h);
-                assert_eq!(c, camp_gemm_i8(m, n, k, &a, &w), "threads={threads} m={m}");
+                let (c, s) = eng.handle_gemm(m, &a, h);
+                assert_eq!(
+                    c,
+                    CampEngine::new().gemm(m, n, k, &a, &w, I8).0,
+                    "threads={threads} m={m}"
+                );
                 assert_eq!(s.packed_b_bytes, 0, "handle calls must never pack B");
                 assert!(s.packed_a_bytes > 0, "A is still packed per call");
             }
@@ -1609,7 +1443,7 @@ mod tests {
         let mut eng = CampEngine::with_threads(2);
         let h = eng.register_weights(n, k, &w, DType::I4);
         assert_eq!(eng.weight_meta(h).dtype, DType::I4);
-        assert_eq!(eng.gemm_with_handle(7, &a, h), camp_gemm_i4(7, n, k, &a, &w));
+        assert_eq!(eng.handle_gemm(7, &a, h).0, CampEngine::new().gemm(7, n, k, &a, &w, I4).0);
     }
 
     #[test]
@@ -1622,11 +1456,11 @@ mod tests {
         let a = fill(32 * k, 3, 16, -8);
         let mut eng = CampEngine::with_threads(4);
         let h = eng.register_weights(n, k, &w, DType::I8);
-        let (first, warm_stats) = eng.gemm_with_handle_with_stats(32, &a, h);
+        let (first, warm_stats) = eng.handle_gemm(32, &a, h);
         assert_eq!(warm_stats.packed_b_bytes, 0);
         let warm_allocs = eng.pack_allocations();
         for _ in 0..5 {
-            let (c, s) = eng.gemm_with_handle_with_stats(32, &a, h);
+            let (c, s) = eng.handle_gemm(32, &a, h);
             assert_eq!(c, first);
             assert_eq!(s.packed_b_bytes, 0, "steady state must not pack B");
         }
@@ -1641,10 +1475,11 @@ mod tests {
         let a2 = fill(9 * k, 7, 16, -8);
         let mut eng = CampEngine::with_threads(2);
         let h = eng.register_weights(n, k, &w, DType::I8);
-        let problems = [eng.handle_problem(6, &a1, h), eng.handle_problem(9, &a2, h)];
-        let (cs, stats) = eng.gemm_i8_batch_with_stats(&problems);
-        assert_eq!(cs[0], camp_gemm_i8(6, n, k, &a1, &w));
-        assert_eq!(cs[1], camp_gemm_i8(9, n, k, &a2, &w));
+        let problems =
+            [GemmProblem::with_handle(6, n, k, &a1, h), GemmProblem::with_handle(9, n, k, &a2, h)];
+        let (cs, stats) = eng.gemm_batch_impl(&problems);
+        assert_eq!(cs[0], CampEngine::new().gemm(6, n, k, &a1, &w, I8).0);
+        assert_eq!(cs[1], CampEngine::new().gemm(9, n, k, &a2, &w, I8).0);
         assert_eq!(stats.packed_b_bytes, 0, "registered weights must not repack in batches");
     }
 
@@ -1656,7 +1491,7 @@ mod tests {
         let mut eng = CampEngine::new();
         let h = eng.register_weights(4, 16, &w, DType::I4);
         let problems = [GemmProblem::with_handle(4, 4, 16, &a, h)];
-        let _ = eng.gemm_i8_batch(&problems); // i8 batch, i4 handle
+        let _ = eng.gemm_batch_impl(&problems); // i8 batch, i4 handle
     }
 
     #[test]
@@ -1667,7 +1502,7 @@ mod tests {
         let mut eng = CampEngine::new();
         let h = eng.register_weights(4, 16, &w, DType::I8);
         let problems = [GemmProblem::with_handle(4, 8, 16, &a, h)];
-        let _ = eng.gemm_i8_batch(&problems);
+        let _ = eng.gemm_batch_impl(&problems);
     }
 
     // ---- batched API ----
@@ -1699,16 +1534,21 @@ mod tests {
         let problems = mixed_problems(&bufs);
         for threads in [1, 2, 3, 8, 64] {
             let mut eng = CampEngine::with_threads(threads);
-            let batch = eng.gemm_i8_batch(&problems);
+            let batch = eng.gemm_batch_impl(&problems).0;
             assert_eq!(batch.len(), problems.len());
             let mut per_call = CampEngine::with_threads(threads);
             for (c, p) in batch.iter().zip(&problems) {
-                assert_eq!(c, &per_call.gemm_i8(p.m, p.n, p.k, p.a, p.b), "threads={threads}");
+                assert_eq!(c, &per_call.gemm(p.m, p.n, p.k, p.a, p.b, I8).0, "threads={threads}");
             }
             // i4 path too (operands above are 4-bit safe)
-            let batch4 = eng.gemm_i4_batch(&problems);
+            let problems4: Vec<_> = problems.iter().map(|p| p.with_dtype(I4)).collect();
+            let batch4 = eng.gemm_batch_impl(&problems4).0;
             for (c, p) in batch4.iter().zip(&problems) {
-                assert_eq!(c, &per_call.gemm_i4(p.m, p.n, p.k, p.a, p.b), "i4 threads={threads}");
+                assert_eq!(
+                    c,
+                    &per_call.gemm(p.m, p.n, p.k, p.a, p.b, I4).0,
+                    "i4 threads={threads}"
+                );
             }
         }
     }
@@ -1726,10 +1566,22 @@ mod tests {
         ];
         for threads in [1, 2, 8] {
             let mut eng = CampEngine::with_threads(threads);
-            let (cs, stats) = eng.gemm_batch_with_stats(&problems);
-            assert_eq!(cs[0], camp_gemm_i8(5, 7, 33, &a1, &b1), "threads={threads}");
-            assert_eq!(cs[1], camp_gemm_i4(6, 9, 40, &a2, &b2), "threads={threads}");
-            assert_eq!(cs[2], camp_gemm_i4(5, 7, 33, &a1, &b1), "threads={threads}");
+            let (cs, stats) = eng.gemm_batch_impl(&problems);
+            assert_eq!(
+                cs[0],
+                CampEngine::new().gemm(5, 7, 33, &a1, &b1, I8).0,
+                "threads={threads}"
+            );
+            assert_eq!(
+                cs[1],
+                CampEngine::new().gemm(6, 9, 40, &a2, &b2, I4).0,
+                "threads={threads}"
+            );
+            assert_eq!(
+                cs[2],
+                CampEngine::new().gemm(5, 7, 33, &a1, &b1, I4).0,
+                "threads={threads}"
+            );
             // both dtypes issue camp instructions; the shared operand
             // is packed per kernel (layouts differ), never per problem
             assert!(stats.camp_issues > 0);
@@ -1749,7 +1601,7 @@ mod tests {
             GemmProblem::new(4, n, k, &a, &w), // dedups with problem 0
         ];
         let mut eng = CampEngine::new();
-        let (_, stats) = eng.gemm_batch_with_stats(&problems);
+        let (_, stats) = eng.gemm_batch_impl(&problems);
         let packed_once = (n.div_ceil(4) * 4 * k.div_ceil(16) * 16) as u64;
         let packed_once_i4 = (n.div_ceil(4) * 4 * k.div_ceil(32) * 32) as u64;
         assert_eq!(stats.packed_b_bytes, packed_once + packed_once_i4);
@@ -1764,7 +1616,7 @@ mod tests {
             GemmProblem::new(4, 4, 0, &[], &[]),
         ];
         let mut eng = CampEngine::with_threads(2);
-        let (cs, stats) = eng.gemm_i8_batch_with_stats(&problems);
+        let (cs, stats) = eng.gemm_batch_impl(&problems);
         assert!(cs[0].is_empty());
         assert!(cs[1].is_empty());
         assert_eq!(cs[2], vec![0; 16], "k=0 must produce a zero-filled m×n C");
@@ -1785,7 +1637,7 @@ mod tests {
             GemmProblem::new(5, n, k, &a3, &w),
         ];
         let mut eng = CampEngine::new();
-        let (_, batch) = eng.gemm_i8_batch_with_stats(&problems);
+        let (_, batch) = eng.gemm_batch_impl(&problems);
         // packed B bytes of one problem = padded n × padded k
         let b_packed_once = (n.div_ceil(4) * 4 * k.div_ceil(16) * 16) as u64;
         assert_eq!(
@@ -1794,7 +1646,7 @@ mod tests {
         );
         let mut per_call_packed = 0;
         for p in &problems {
-            let (_, s) = camp_gemm_i8_with_stats(p.m, p.n, p.k, p.a, p.b);
+            let (_, s) = CampEngine::new().gemm(p.m, p.n, p.k, p.a, p.b, I8);
             per_call_packed += s.packed_b_bytes;
         }
         assert_eq!(per_call_packed, 3 * b_packed_once, "the per-call loop packs B per problem");
@@ -1816,14 +1668,14 @@ mod tests {
             GemmProblem::new(small.0, small.1, small.2, &asml, &bsml),
         ];
         let mut eng = CampEngine::with_threads(4);
-        let batch = eng.gemm_i8_batch(&problems);
-        assert_eq!(batch[0], camp_gemm_i8(big.0, big.1, big.2, &ab, &bb));
-        assert_eq!(batch[1], camp_gemm_i8(small.0, small.1, small.2, &asml, &bsml));
+        let batch = eng.gemm_batch_impl(&problems).0;
+        assert_eq!(batch[0], CampEngine::new().gemm(big.0, big.1, big.2, &ab, &bb, I8).0);
+        assert_eq!(batch[1], CampEngine::new().gemm(small.0, small.1, small.2, &asml, &bsml, I8).0);
     }
 
     #[test]
     fn decode_shaped_gemms_never_take_the_blocked_path() {
-        use crate::dispatch::{DispatchOptions, Dispatcher, Priority, StealPolicy};
+        use crate::dispatch::{DispatchOptions, Dispatcher, Priority};
 
         // a 1×n×k GEMV above BATCH_ROW_SPLIT_MACS: the MAC rule alone
         // would row-split it — onto one worker, since m = 1 cannot
@@ -1840,8 +1692,9 @@ mod tests {
         let h = eng.register_weights(n, k, &w, DType::I8);
 
         // the batch path
-        let problems = [eng.handle_problem(1, &a, h), GemmProblem::new(1, 16, 64, &asml, &wsml)];
-        let (cs, stats) = eng.gemm_batch_with_stats(&problems);
+        let problems =
+            [GemmProblem::with_handle(1, n, k, &a, h), GemmProblem::new(1, 16, 64, &asml, &wsml)];
+        let (cs, stats) = eng.gemm_batch_impl(&problems);
         assert_eq!(cs[0], big_ref);
         assert_eq!(cs[1], gemm_i32_ref(1, 16, 64, &asml, &wsml));
         assert_eq!(
@@ -1851,7 +1704,7 @@ mod tests {
         );
 
         // the dispatch path (the serving decode steps)
-        let opts = DispatchOptions { stagers: 1, queue_depth: 4, steal: StealPolicy::Eager };
+        let opts = DispatchOptions { stagers: 1, queue_depth: 4 };
         let dispatcher = Dispatcher::with_options(eng, opts);
         let mut session = dispatcher.session();
         let req = GemmRequest::with_weights(1, a.clone(), h).unwrap();
@@ -1873,11 +1726,11 @@ mod tests {
         let bufs = batch_buffers();
         let problems = mixed_problems(&bufs);
         let mut eng = CampEngine::with_threads(2);
-        let first = eng.gemm_i8_batch(&problems);
+        let first = eng.gemm_batch_impl(&problems).0;
         let warm = eng.pack_allocations();
         assert!(warm > 0);
         for _ in 0..3 {
-            assert_eq!(eng.gemm_i8_batch(&problems), first);
+            assert_eq!(eng.gemm_batch_impl(&problems).0, first);
         }
         assert_eq!(eng.pack_allocations(), warm, "steady-state batches must not allocate");
     }
@@ -1887,6 +1740,6 @@ mod tests {
     fn batch_rejects_malformed_problems() {
         let a = fill(4 * 4, 3, 10, -5);
         let problems = [GemmProblem::new(4, 4, 4, &a, &a), GemmProblem::new(4, 4, 4, &a, &a[..8])];
-        let _ = CampEngine::new().gemm_i8_batch(&problems);
+        let _ = CampEngine::new().gemm_batch_impl(&problems);
     }
 }

@@ -22,26 +22,24 @@
 //!   [`backend::CampBackend::execute_batch`] runs a whole batch of
 //!   [`GemmRequest`]s per call, deduplicating shared weight matrices
 //!   and parallelizing across batch items.
-//! * [`session`] — the **serving layer**: register weights once
+//! * [`dispatch`] — the **serving layer**: register weights once
 //!   ([`engine::CampEngine::register_weights`] packs B into a
-//!   persistent panel), then stream request batches through a
-//!   submit/poll [`session::Session`] that overlaps the A-packing of
-//!   one batch with the compute of the previous one. The steady state
-//!   spawns no threads and packs zero B bytes per request.
-//! * [`dispatch`] — the **multi-tenant serving layer**: one
-//!   [`dispatch::Dispatcher`] owns the warm engine and hands out any
-//!   number of per-tenant sessions — work-stealing stagers,
-//!   decode/prefill [`dispatch::Priority`] with deadlines and an aging
-//!   bound, per-session admission control
-//!   ([`RequestError::Saturated`]), and panic-free weight-eviction
-//!   races. [`session::Session`] is its single-tenant wrapper.
+//!   persistent panel), then stream request batches through the
+//!   submit/poll sessions of one [`dispatch::Dispatcher`], which owns
+//!   the warm engine and overlaps the A-packing of one batch with the
+//!   compute of the previous one (the steady state spawns no threads
+//!   and packs zero B bytes per request). Any number of tenants share
+//!   it — work-stealing stagers, per-session FIFO, decode/prefill
+//!   [`dispatch::Priority`] with deadlines and an aging bound,
+//!   per-session admission control ([`RequestError::Saturated`]), and
+//!   panic-free weight-eviction races.
 //!
 //! * [`backend`] — **one GeMM API** over interchangeable substrates:
 //!   the [`backend::CampBackend`] trait, implemented by the host-speed
 //!   [`CampEngine`] and the cycle-accurate [`backend::SimBackend`].
 //!   Describe a problem once as a [`GemmRequest`], execute it on either
 //!   substrate (bit-identically), branch on [`backend::ExecStats`] —
-//!   and serve either one through the generic [`session::Session`].
+//!   and serve either one through [`backend::CampBackend::dispatch`].
 //!
 //! # Quickstart
 //!
@@ -62,25 +60,26 @@ pub mod dispatch;
 pub mod engine;
 pub mod hybrid;
 pub mod pool;
-pub mod session;
 pub mod structure;
 pub mod sync;
 pub mod unit;
 
 pub use backend::{BatchOutcome, CampBackend, Capability, ExecStats, Outcome, Output, SimBackend};
 pub use dispatch::{
-    DispatchOptions, DispatchSession, DispatchStats, Dispatcher, Priority, StealPolicy,
+    DispatchOptions, DispatchSession, DispatchStats, Dispatcher, Priority, TicketId,
 };
-pub use engine::{
-    gemm_i32_ref, CampEngine, DType, EngineStats, GemmProblem, WeightHandle, WeightMeta,
-};
+pub use engine::{gemm_i32_ref, CampEngine, DType, EngineStats, WeightHandle, WeightMeta};
 pub use hybrid::HybridMultiplier;
 pub use pool::WorkerPool;
-#[allow(deprecated)]
-pub use session::Request;
-pub use session::{Session, TicketId};
 pub use structure::CampStructure;
 pub use unit::{CampActivity, CampUnit};
 
 pub use camp_gemm::request::{GemmRequest, GemmRequestBuilder, Operand, RequestError};
 pub use camp_gemm::weights::WeightSnapshot;
+
+/// One session on the queued pipeline of real backends, end to end
+/// (public API only; a unit module so the suite keeps its test ids).
+#[cfg(test)]
+mod session {
+    mod tests;
+}

@@ -1,13 +1,13 @@
 //! Synchronization seam for the concurrency core.
 //!
-//! [`pool`](crate::pool) and [`session`](crate::session) take every
+//! [`pool`](crate::pool) and [`dispatch`](crate::dispatch) take every
 //! mutex, condvar and thread primitive from this module instead of
 //! `std` directly. A normal build re-exports `std::sync` /
 //! `std::thread` — zero cost, identical types. Under
 //! `RUSTFLAGS="--cfg loom"` the same names resolve to the `camp-loom`
 //! exhaustive interleaving model checker, so the models in
 //! `tests/model/` explore every schedule of the *real* `WorkerPool`
-//! latch protocol and `Session` pipeline, not a re-implementation.
+//! latch protocol and `Dispatcher` pipeline, not a re-implementation.
 //!
 //! Keep the seam honest: only primitives whose interleavings the
 //! models must explore belong here. Process-global bookkeeping that is

@@ -1,8 +1,12 @@
-//! Models of the multi-tenant `Dispatcher` pipeline: N session queues,
-//! a stager crew and one driver negotiating over three condvars, driven
-//! through every bounded schedule. The backends are mocks on purpose —
-//! the models explore the dispatch protocol (admission, claiming,
-//! completion, eviction controls, shutdown), not the GeMM math.
+//! Models of the `Dispatcher` pipeline: N session queues, a stager crew
+//! and one driver negotiating over three condvars, driven through every
+//! bounded schedule — from one session's submit → stage → compute →
+//! poll ticket lifecycle up to tenants racing each other, evictions and
+//! shutdown. The backends are mocks on purpose — the models explore the
+//! dispatch protocol (admission, claiming, completion, eviction
+//! controls, shutdown), not the GeMM math: `prepare` and
+//! `execute_prepared` are pure, so any lost batch, dropped wakeup or
+//! shutdown hang is the dispatcher's fault.
 //!
 //! Model sizes are deliberately tiny (1 stager, 1–2 sessions, 1–2
 //! batches): the schedule tree already covers every claim/complete/
@@ -11,7 +15,7 @@
 //! every model must branch through **more than 50 interleavings**.
 
 use camp_core::backend::{BatchOutcome, CampBackend, Capability, ExecStats, Output};
-use camp_core::dispatch::{DispatchOptions, Dispatcher, Priority, StealPolicy};
+use camp_core::dispatch::{DispatchOptions, Dispatcher, Priority};
 use camp_core::engine::EngineStats;
 use camp_core::{
     DType, GemmRequest, Operand, RequestError, WeightHandle, WeightMeta, WeightSnapshot,
@@ -189,7 +193,69 @@ fn tiny_request() -> GemmRequest {
 }
 
 fn one_stager() -> DispatchOptions {
-    DispatchOptions { stagers: 1, queue_depth: 8, steal: StealPolicy::Eager }
+    DispatchOptions { stagers: 1, queue_depth: 8 }
+}
+
+/// One batch through the full lifecycle: submit hands the ticket out,
+/// the stager and driver pipeline it, wait redeems exactly one result,
+/// and the drops shut all three threads down — in every schedule.
+#[test]
+fn submit_wait_shutdown_lifecycle() {
+    let report =
+        loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
+            let dispatcher =
+                Dispatcher::with_options(CountingBackend { executed: 0 }, one_stager());
+            let mut session = dispatcher.session();
+            let t = session.submit(vec![tiny_request()]).expect("valid submission");
+            let outcome = session.wait(t).expect("batch completes");
+            assert_eq!(outcome.outputs.len(), 1, "one request in, one output out");
+            assert_eq!(outcome.outputs[0].m, 1);
+            drop(session);
+            drop(dispatcher); // stager + driver must join in every schedule
+        });
+    assert!(report.iterations > 50, "expected >50 interleavings, got {report:?}");
+    eprintln!("dispatch session lifecycle: {} interleavings", report.iterations);
+}
+
+/// Two tickets of one session redeemed in reverse order: execution is
+/// submission-ordered, collection is not — the done-map/condvar side
+/// of the protocol must hand each result out exactly once anyway.
+#[test]
+fn out_of_order_collection() {
+    let report =
+        loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
+            let dispatcher =
+                Dispatcher::with_options(CountingBackend { executed: 0 }, one_stager());
+            let mut session = dispatcher.session();
+            let t1 = session.submit(vec![tiny_request()]).expect("valid submission");
+            let t2 =
+                session.submit(vec![tiny_request(), tiny_request()]).expect("valid submission");
+            assert_eq!(session.wait(t2).expect("batch completes").outputs.len(), 2);
+            assert_eq!(session.wait(t1).expect("batch completes").outputs.len(), 1);
+        });
+    assert!(report.iterations > 50, "expected >50 interleavings, got {report:?}");
+    eprintln!("dispatch session out-of-order: {} interleavings", report.iterations);
+}
+
+/// `into_backend` with the session handle still alive drains the
+/// pipeline: the submitted batch computes before the backend comes
+/// back, in every schedule (contrast `shutdown_drains_uncollected_work`,
+/// where the dropped session may cancel it first).
+#[test]
+fn into_backend_drains_in_every_schedule() {
+    let report =
+        loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
+            let dispatcher =
+                Dispatcher::with_options(CountingBackend { executed: 0 }, one_stager());
+            let mut session = dispatcher.session();
+            let _t = session.submit(vec![tiny_request()]).expect("valid submission");
+            // drain without collecting: the uncollected result is dropped
+            let backend = dispatcher.into_backend();
+            assert_eq!(backend.executed, 1, "the submitted batch was lost");
+            drop(session);
+        });
+    assert!(report.iterations > 50, "expected >50 interleavings, got {report:?}");
+    eprintln!("dispatch into_backend drain: {} interleavings", report.iterations);
 }
 
 /// Two tenants, mixed priorities, out-of-order redemption: both tickets

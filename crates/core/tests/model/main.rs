@@ -10,8 +10,7 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p camp-core --test model
 //! ```
 //!
-//! Each model drives the *real* `WorkerPool` / `Session` / `Dispatcher`
-//! code — the
+//! Each model drives the *real* `WorkerPool` / `Dispatcher` code — the
 //! same latch, queues and condvars production uses — through every
 //! thread interleaving up to a bounded preemption depth, so the
 //! happens-before arguments written as `// SAFETY:` comments (the
@@ -24,4 +23,3 @@ mod dispatch_model;
 mod pool_latch;
 mod pool_panic;
 mod seeded_bug;
-mod session_lifecycle;

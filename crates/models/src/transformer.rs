@@ -22,7 +22,6 @@ use std::sync::Arc;
 use crate::cnn::GemmShape;
 use camp_core::backend::CampBackend;
 use camp_core::{DType, GemmRequest, Operand, WeightHandle};
-use camp_gemm::batch::GemmProblem;
 use camp_gemm::reference::SplitMix64;
 
 /// Architecture hyper-parameters of one transformer model.
@@ -114,9 +113,9 @@ impl TransformerConfig {
 
 /// Owned operand storage for one transformer's attention GeMM batch
 /// (see [`TransformerConfig::attention_workload`]). The storage is the
-/// *unique* tensor set; [`AttentionWorkload::problems`] expands it into
-/// the full per-layer, per-head problem list, with shared operands
-/// borrowing the same buffers.
+/// *unique* tensor set; [`AttentionWorkload::gemm_requests`] expands it
+/// into the full per-layer, per-head request list, with shared operands
+/// sharing one buffer each.
 #[derive(Debug, Clone)]
 pub struct AttentionWorkload {
     cfg: TransformerConfig,
@@ -140,26 +139,6 @@ impl AttentionWorkload {
         &self.cfg
     }
 
-    /// The ready-to-run batch: every attention GeMM of every layer, in
-    /// execution order — per layer the Q/K/V/output projections, then
-    /// (score, context) per head. Problems borrow the workload's
-    /// storage, so projections across layers share one weight buffer
-    /// each and per-head operands repeat across layers.
-    pub fn problems(&self) -> Vec<GemmProblem<'_>> {
-        let (s, d, dh) = (self.cfg.seq_len, self.cfg.hidden, self.cfg.hidden / self.cfg.heads);
-        let mut out = Vec::with_capacity(self.len());
-        for _layer in 0..self.cfg.layers {
-            for w in &self.weights {
-                out.push(GemmProblem::new(s, d, d, &self.x, w));
-            }
-            for h in 0..self.cfg.heads {
-                out.push(GemmProblem::new(s, s, dh, &self.q[h], &self.kt[h]));
-                out.push(GemmProblem::new(s, dh, s, &self.probs[h], &self.v[h]));
-            }
-        }
-        out
-    }
-
     /// Number of GeMMs in the batch: layers × (4 + 2·heads).
     pub fn len(&self) -> usize {
         self.cfg.layers * (4 + 2 * self.cfg.heads)
@@ -172,7 +151,11 @@ impl AttentionWorkload {
 
     /// Total multiply-accumulate operations across the batch.
     pub fn total_macs(&self) -> u64 {
-        self.problems().iter().map(GemmProblem::macs).sum()
+        let c = &self.cfg;
+        let (s, d, dh) = (c.seq_len as u64, c.hidden as u64, (c.hidden / c.heads) as u64);
+        // per layer: four s×d×d projections, then per head the s×s×dₕ
+        // score and s×dₕ×s context products
+        c.layers as u64 * (4 * s * d * d + c.heads as u64 * 2 * s * s * dh)
     }
 
     /// Register every unique B operand of this workload with a
@@ -181,8 +164,7 @@ impl AttentionWorkload {
     /// model** instead of once per call. Works on any
     /// [`CampBackend`] (the host engine pre-packs; the simulated
     /// backend keeps a raw mirror). The returned handle set drives
-    /// [`AttentionWorkload::gemm_requests_with_handles`] and the
-    /// legacy [`AttentionWorkload::problems_with_handles`].
+    /// [`AttentionWorkload::gemm_requests_with_handles`].
     pub fn register<B: CampBackend>(&self, backend: &mut B, dtype: DType) -> AttentionHandles {
         let (s, d, dh) = (self.cfg.seq_len, self.cfg.hidden, self.cfg.hidden / self.cfg.heads);
         AttentionHandles {
@@ -198,36 +180,14 @@ impl AttentionWorkload {
         }
     }
 
-    /// The same batch as [`AttentionWorkload::problems`], with every B
-    /// operand referenced through its registered handle: the engine
-    /// packs **zero** B bytes running it (`EngineStats::packed_b_bytes
-    /// == 0`), per call, forever.
-    pub fn problems_with_handles(&self, h: &AttentionHandles) -> Vec<GemmProblem<'_>> {
-        let (s, d, dh) = (self.cfg.seq_len, self.cfg.hidden, self.cfg.hidden / self.cfg.heads);
-        let mut out = Vec::with_capacity(self.len());
-        for _layer in 0..self.cfg.layers {
-            for w in &h.weights {
-                out.push(GemmProblem::with_handle(s, d, d, &self.x, *w).with_dtype(h.dtype));
-            }
-            for head in 0..self.cfg.heads {
-                out.push(
-                    GemmProblem::with_handle(s, s, dh, &self.q[head], h.kt[head])
-                        .with_dtype(h.dtype),
-                );
-                out.push(
-                    GemmProblem::with_handle(s, dh, s, &self.probs[head], h.v[head])
-                        .with_dtype(h.dtype),
-                );
-            }
-        }
-        out
-    }
-
-    /// The full inventory as typed [`GemmRequest`]s over **dense**
-    /// operands, ready for any backend's `execute_batch`: unique
-    /// tensors are converted to shared buffers once, so requests across
-    /// layers/heads keep the operand identity the batch B-dedup keys on
-    /// (exactly like [`AttentionWorkload::problems`]).
+    /// The ready-to-run batch as typed [`GemmRequest`]s over **dense**
+    /// operands, for any backend's `execute_batch`: every attention
+    /// GeMM of every layer, in execution order — per layer the
+    /// Q/K/V/output projections, then (score, context) per head. Unique
+    /// tensors are converted to shared buffers once, so projections
+    /// across layers share one weight buffer each and per-head operands
+    /// repeat across layers — the operand identity the batch B-dedup
+    /// keys on.
     pub fn gemm_requests(&self, dtype: DType) -> Vec<GemmRequest> {
         let (s, d, dh) = (self.cfg.seq_len, self.cfg.hidden, self.cfg.hidden / self.cfg.heads);
         let arc = |t: &Vec<i8>| -> Arc<[i8]> { Arc::from(&t[..]) };
@@ -282,28 +242,6 @@ impl AttentionWorkload {
             for head in 0..self.cfg.heads {
                 out.push(with(s, Arc::clone(&q[head]), h.kt[head]));
                 out.push(with(s, Arc::clone(&probs[head]), h.v[head]));
-            }
-        }
-        out
-    }
-
-    /// The same inventory as owned legacy serving requests.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use gemm_requests_with_handles and submit the GemmRequests; remove: v0.3"
-    )]
-    #[allow(deprecated)]
-    pub fn requests(&self, h: &AttentionHandles) -> Vec<camp_core::session::Request> {
-        use camp_core::session::Request;
-        let s = self.cfg.seq_len;
-        let mut out = Vec::with_capacity(self.len());
-        for _layer in 0..self.cfg.layers {
-            for w in &h.weights {
-                out.push(Request { m: s, a: self.x.clone(), weights: *w });
-            }
-            for head in 0..self.cfg.heads {
-                out.push(Request { m: s, a: self.q[head].clone(), weights: h.kt[head] });
-                out.push(Request { m: s, a: self.probs[head].clone(), weights: h.v[head] });
             }
         }
         out
@@ -407,30 +345,41 @@ mod tests {
         TransformerConfig { hidden: 8, ff_dim: 32, heads: 2, layers: 3, seq_len: 4 }
     }
 
+    /// (m, n, k) of a dense request.
+    fn shape(r: &GemmRequest) -> (usize, usize, usize) {
+        (r.m(), r.n().expect("dense n"), r.k().expect("dense k"))
+    }
+
+    /// The shared B buffer of a dense request.
+    fn dense_b(r: &GemmRequest) -> &Arc<[i8]> {
+        let Operand::Dense(b) = r.weights() else { panic!("dense operand expected") };
+        b
+    }
+
     #[test]
     fn attention_workload_inventory_matches_fig14_structure() {
         let cfg = tiny_config();
         let w = cfg.attention_workload(7);
-        let problems = w.problems();
-        assert_eq!(problems.len(), w.len());
+        let requests = w.gemm_requests(DType::I8);
+        assert_eq!(requests.len(), w.len());
         assert_eq!(w.len(), cfg.layers * (4 + 2 * cfg.heads));
         let per_layer = 4 + 2 * cfg.heads;
         for layer in 0..cfg.layers {
             let base = layer * per_layer;
             // four (s×d)·(d×d) projections ...
-            for p in &problems[base..base + 4] {
-                assert_eq!((p.m, p.n, p.k), (cfg.seq_len, cfg.hidden, cfg.hidden));
+            for r in &requests[base..base + 4] {
+                assert_eq!(shape(r), (cfg.seq_len, cfg.hidden, cfg.hidden));
             }
             // ... then per head the score and context products
             let dh = cfg.hidden / cfg.heads;
             for h in 0..cfg.heads {
-                let score = &problems[base + 4 + 2 * h];
-                let context = &problems[base + 4 + 2 * h + 1];
-                assert_eq!((score.m, score.n, score.k), (cfg.seq_len, cfg.seq_len, dh));
-                assert_eq!((context.m, context.n, context.k), (cfg.seq_len, dh, cfg.seq_len));
+                let (sm, sn, sk) = shape(&requests[base + 4 + 2 * h]);
+                let (cm, cn, ck) = shape(&requests[base + 4 + 2 * h + 1]);
+                assert_eq!((sm, sn, sk), (cfg.seq_len, cfg.seq_len, dh));
+                assert_eq!((cm, cn, ck), (cfg.seq_len, dh, cfg.seq_len));
                 let shapes = cfg.attention_score_gemms();
-                assert_eq!(GemmShape::new(score.m, score.n, score.k), shapes[0]);
-                assert_eq!(GemmShape::new(context.m, context.n, context.k), shapes[1]);
+                assert_eq!(GemmShape::new(sm, sn, sk), shapes[0]);
+                assert_eq!(GemmShape::new(cm, cn, ck), shapes[1]);
             }
         }
     }
@@ -439,23 +388,26 @@ mod tests {
     fn attention_workload_shares_weights_across_layers() {
         let cfg = tiny_config();
         let w = cfg.attention_workload(7);
-        let problems = w.problems();
+        let requests = w.gemm_requests(DType::I8);
         let per_layer = 4 + 2 * cfg.heads;
-        // every layer's Q projection must reuse the same packed-B
-        // identity (same buffer), and so for each head's operands
+        // every layer's Q projection must reuse the same B buffer (the
+        // identity the batch dedup keys on), and so for each head's
+        // operands
         for layer in 1..cfg.layers {
             for slot in 0..per_layer {
-                assert_eq!(
-                    problems[slot].b_key(),
-                    problems[layer * per_layer + slot].b_key(),
+                assert!(
+                    Arc::ptr_eq(
+                        dense_b(&requests[slot]),
+                        dense_b(&requests[layer * per_layer + slot])
+                    ),
                     "layer {layer} slot {slot} must share B with layer 0"
                 );
             }
         }
         // ... while the four projection weights are distinct operands
-        assert_ne!(problems[0].b_key(), problems[1].b_key());
-        assert_ne!(problems[1].b_key(), problems[2].b_key());
-        assert_ne!(problems[2].b_key(), problems[3].b_key());
+        for slot in 0..3 {
+            assert!(!Arc::ptr_eq(dense_b(&requests[slot]), dense_b(&requests[slot + 1])));
+        }
     }
 
     #[test]
@@ -466,38 +418,16 @@ mod tests {
         let handles = w.register(&mut eng, DType::I8);
         // one registration per unique operand: 4 weights + 2 per head
         assert_eq!(eng.registered_weights(), 4 + 2 * cfg.heads);
-        let by_handle = w.problems_with_handles(&handles);
-        let by_slice = w.problems();
-        assert_eq!(by_handle.len(), by_slice.len());
-        for (h, s) in by_handle.iter().zip(&by_slice) {
-            assert_eq!((h.m, h.n, h.k), (s.m, s.n, s.k));
-            assert_eq!(h.a, s.a, "activations must alias the same storage");
-            assert!(h.handle.is_some());
-            let meta = eng.weight_meta(h.handle.unwrap());
-            assert_eq!((meta.n, meta.k), (h.n, h.k), "registration shape must match");
-        }
-        // typed requests carry the same inventory (handle and dense)
-        let reqs = w.gemm_requests_with_handles(&handles);
-        assert_eq!(reqs.len(), by_slice.len());
-        for (r, s) in reqs.iter().zip(&by_slice) {
-            assert_eq!(r.m(), s.m);
-            assert_eq!(r.activation(), s.a);
-        }
+        let by_handle = w.gemm_requests_with_handles(&handles);
         let dense = w.gemm_requests(DType::I8);
-        assert_eq!(dense.len(), by_slice.len());
-        for (r, s) in dense.iter().zip(&by_slice) {
-            assert_eq!(r.activation(), s.a);
-            assert_eq!((r.n(), r.k()), (Some(s.n), Some(s.k)));
+        assert_eq!(by_handle.len(), dense.len());
+        for (h, d) in by_handle.iter().zip(&dense) {
+            assert_eq!(h.m(), d.m());
+            assert_eq!(h.activation(), d.activation(), "both forms carry the same activation");
+            let Operand::Handle(handle) = h.weights() else { panic!("handle operand expected") };
+            let meta = eng.weight_meta(*handle);
+            assert_eq!((Some(meta.n), Some(meta.k)), (d.n(), d.k()), "registration shape");
         }
-        // dense requests preserve the cross-layer operand sharing the
-        // batch dedup keys on (same Arc across layers)
-        let per_layer = 4 + 2 * cfg.heads;
-        let (camp_core::Operand::Dense(b0), camp_core::Operand::Dense(b1)) =
-            (dense[0].weights(), dense[per_layer].weights())
-        else {
-            panic!("dense operands expected");
-        };
-        assert_eq!(b0.as_ptr(), b1.as_ptr(), "layers must share one weight buffer");
     }
 
     #[test]
@@ -506,16 +436,20 @@ mod tests {
         let w1 = cfg.attention_workload(42);
         let w2 = cfg.attention_workload(42);
         let w3 = cfg.attention_workload(43);
-        let (p1, p2, p3) = (w1.problems(), w2.problems(), w3.problems());
-        assert_eq!(p1[0].a, p2[0].a, "same seed must reproduce the workload");
-        assert_ne!(p1[0].a, p3[0].a, "different seeds must differ");
-        for p in &p1 {
-            assert!(p.a.iter().all(|&v| (-8..=7).contains(&v)), "4-bit range");
-            assert!(p.b.iter().all(|&v| (-8..=7).contains(&v)), "4-bit range");
-            assert_eq!(p.a.len(), p.m * p.k);
-            assert_eq!(p.b.len(), p.k * p.n);
+        let (r1, r2, r3) =
+            (w1.gemm_requests(DType::I8), w2.gemm_requests(DType::I8), w3.gemm_requests(DType::I8));
+        assert_eq!(r1[0].activation(), r2[0].activation(), "same seed must reproduce the workload");
+        assert_ne!(r1[0].activation(), r3[0].activation(), "different seeds must differ");
+        let mut macs = 0;
+        for r in &r1 {
+            let (m, n, k) = shape(r);
+            assert!(r.activation().iter().all(|&v| (-8..=7).contains(&v)), "4-bit range");
+            assert!(dense_b(r).iter().all(|&v| (-8..=7).contains(&v)), "4-bit range");
+            assert_eq!(r.activation().len(), m * k);
+            assert_eq!(dense_b(r).len(), k * n);
+            macs += (m * n * k) as u64;
         }
-        assert_eq!(w1.total_macs(), p1.iter().map(|p| p.macs()).sum::<u64>());
+        assert_eq!(w1.total_macs(), macs);
         assert!(!w1.is_empty());
     }
 }

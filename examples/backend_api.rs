@@ -1,7 +1,7 @@
 //! One GeMM API, two substrates: build a request batch once, execute it
 //! on the host-speed engine *and* on the cycle-accurate simulated CAMP
 //! core, and verify the outputs are bit-identical — then stream the
-//! same requests through a serving session on each backend.
+//! same requests through a dispatcher session on the simulator.
 //!
 //! ```sh
 //! cargo run --release --example backend_api
@@ -106,10 +106,11 @@ fn main() {
     assert_eq!(via_handle.output, sim_handle.output);
     println!("registered-weight requests agree across substrates");
 
-    // --- and the serving session is generic over the backend ---
-    let mut session = sim.serve(); // submit/poll over the *simulator*
+    // --- and the serving dispatcher is generic over the backend ---
+    let dispatcher = sim.dispatch(); // submit/poll over the *simulator*
+    let mut session = dispatcher.session();
     let ticket = session.submit(vec![sim_req]).expect("valid request");
-    let outcome = session.wait(ticket);
+    let outcome = session.wait(ticket).expect("batch completes");
     assert_eq!(outcome.outputs[0], via_handle.output);
     println!(
         "simulated serving session returned the same bytes ({} cycles simulated)",

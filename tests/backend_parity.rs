@@ -5,7 +5,7 @@
 //! weight handles — must execute on the host [`CampEngine`] and on
 //! the cycle-accurate [`SimBackend`] with **bit-identical** outputs,
 //! both equal to the plain i32 reference. Plus: out-of-order ticket
-//! redemption on a `Session<SimBackend>` (simulated serving), and the
+//! redemption on a `Dispatcher<SimBackend>` session (simulated serving), and the
 //! stats-frame agreement the figure harnesses rely on.
 
 use std::sync::Arc;
@@ -89,7 +89,8 @@ proptest! {
         let activations: Vec<Vec<i8>> = (0..3)
             .map(|i| gen_i4(m * k, seed.rotate_left(3 + 2 * i) | 1))
             .collect();
-        let mut session = sim.serve();
+        let dispatcher = sim.dispatch();
+        let mut session = dispatcher.session();
         let tickets: Vec<_> = activations
             .iter()
             .map(|a| {
@@ -99,11 +100,12 @@ proptest! {
             .collect();
         // redeem newest-first: out-of-order collection on the simulator
         for (a, t) in activations.iter().zip(&tickets).rev() {
-            let outcome = session.wait(*t);
+            let outcome = session.wait(*t).expect("batch completes");
             prop_assert_eq!(&outcome.outputs[0].c, &gemm_i32_ref(m, n, k, a, &w));
             prop_assert!(outcome.stats.as_sim().expect("sim serving").cycles > 0);
         }
-        let sim = session.into_backend();
+        drop(session);
+        let sim = dispatcher.into_backend();
         prop_assert_eq!(sim.threads(), 1);
     }
 }

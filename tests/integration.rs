@@ -3,7 +3,7 @@
 //! exercised through the unified `CampBackend` request surface.
 
 use camp::core::backend::CampBackend;
-use camp::core::{gemm_i32_ref, CampEngine, DType, GemmRequest};
+use camp::core::{gemm_i32_ref, CampEngine, DType, GemmRequest, Operand};
 use camp::energy::{AreaModel, EnergyModel, TechNode};
 use camp::gemm::{simulate_gemm, GemmOptions, Method};
 use camp::models::conv::{im2col, weights_to_b, Conv2d, Tensor3};
@@ -22,11 +22,18 @@ fn host_gemm(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], dtype: DType) -> 
         .n(n)
         .k(k)
         .activation(a.to_vec())
-        .weights(camp::core::Operand::from_dense(b.to_vec()))
+        .weights(Operand::from_dense(b.to_vec()))
         .dtype(dtype)
         .build()
         .expect("well-formed request");
     CampEngine::new().execute(&req).expect("host execution").output.c
+}
+
+/// The golden result of one dense request.
+fn reference(req: &GemmRequest) -> Vec<i32> {
+    let Operand::Dense(b) = req.weights() else { panic!("dense request expected") };
+    let (n, k) = (req.n().expect("dense n"), req.k().expect("dense k"));
+    gemm_i32_ref(req.m(), n, k, req.activation(), b)
 }
 
 #[test]
@@ -106,15 +113,14 @@ fn attention_batch_cross_validates_for_all_llms() {
         cfg.layers = 1;
         cfg.seq_len = 8;
         let workload = cfg.attention_workload(0xFEED + i as u64);
-        let slices = workload.problems();
         let requests = workload.gemm_requests(DType::I8);
         assert_eq!(requests.len(), 4 + 2 * cfg.heads, "{}", model.name());
         let mut eng = CampEngine::with_threads(3);
         let batch = eng.execute_batch(&requests).expect("well-formed batch");
         let mut per_call = CampEngine::new();
-        for ((out, req), p) in batch.outputs.iter().zip(&requests).zip(&slices) {
-            let shape = format!("{} {}x{}x{}", model.name(), p.m, p.n, p.k);
-            assert_eq!(out.c, gemm_i32_ref(p.m, p.n, p.k, p.a, p.b), "{shape} vs reference");
+        for (out, req) in batch.outputs.iter().zip(&requests) {
+            let shape = format!("{} {}x{:?}x{:?}", model.name(), req.m(), req.n(), req.k());
+            assert_eq!(out.c, reference(req), "{shape} vs reference");
             let solo = per_call.execute(req).expect("well-formed request");
             assert_eq!(out, &solo.output, "{shape} vs per-request");
         }
@@ -129,11 +135,10 @@ fn attention_batch_runs_under_the_i4_kernel() {
     cfg.layers = 1;
     cfg.seq_len = 8;
     let workload = cfg.attention_workload(0xBEEF);
-    let slices = workload.problems();
     let requests = workload.gemm_requests(DType::I4);
     let batch = CampEngine::with_threads(2).execute_batch(&requests).expect("well-formed batch");
-    for (out, p) in batch.outputs.iter().zip(&slices) {
-        assert_eq!(out.c, gemm_i32_ref(p.m, p.n, p.k, p.a, p.b), "{}x{}x{}", p.m, p.n, p.k);
+    for (i, (out, req)) in batch.outputs.iter().zip(&requests).enumerate() {
+        assert_eq!(out.c, reference(req), "request {i}");
     }
 }
 
@@ -150,13 +155,13 @@ fn registered_attention_weights_skip_all_b_packing() {
     let mut eng = CampEngine::with_threads(3);
     let handles = workload.register(&mut eng, DType::I8);
     let by_handle = workload.gemm_requests_with_handles(&handles);
-    let slices = workload.problems();
+    let dense = workload.gemm_requests(DType::I8);
 
     let first = eng.execute_batch(&by_handle).expect("well-formed batch");
     let s1 = first.stats.as_host().expect("host stats");
     assert_eq!(s1.packed_b_bytes, 0, "registered weights must never pack B");
-    for (out, p) in first.outputs.iter().zip(&slices) {
-        assert_eq!(out.c, gemm_i32_ref(p.m, p.n, p.k, p.a, p.b), "{}x{}x{}", p.m, p.n, p.k);
+    for (i, (out, req)) in first.outputs.iter().zip(&dense).enumerate() {
+        assert_eq!(out.c, reference(req), "request {i}");
     }
     let warm_allocs = eng.pack_allocations();
     for _ in 0..3 {
@@ -176,26 +181,26 @@ fn serving_session_streams_attention_batches_bit_identically() {
     cfg.layers = 1;
     cfg.seq_len = 8;
     let workload = cfg.attention_workload(0xD15C0);
-    let slices = workload.problems();
+    let dense = workload.gemm_requests(DType::I8);
     let mut eng = CampEngine::with_threads(2);
     let handles = workload.register(&mut eng, DType::I8);
     let requests = workload.gemm_requests_with_handles(&handles);
-    let mut session = eng.serve();
+    let dispatcher = eng.dispatch();
+    let mut session = dispatcher.session();
     let tickets: Vec<_> =
         (0..3).map(|_| session.submit(requests.clone()).expect("validated")).collect();
     for ticket in tickets {
-        let outcome = session.wait(ticket);
+        let outcome = session.wait(ticket).expect("batch completes");
         let stats = outcome.stats.as_host().expect("host session");
         assert_eq!(stats.packed_b_bytes, 0, "sessions never pack B for handles");
-        for (out, p) in outcome.outputs.iter().zip(&slices) {
-            assert_eq!(out.c, gemm_i32_ref(p.m, p.n, p.k, p.a, p.b), "{}x{}x{}", p.m, p.n, p.k);
+        for (i, (out, req)) in outcome.outputs.iter().zip(&dense).enumerate() {
+            assert_eq!(out.c, reference(req), "request {i}");
         }
     }
     // the engine comes back warm and usable
-    let mut eng = session.into_backend();
-    let p = &slices[0];
-    let req = GemmRequest::dense(p.m, p.n, p.k, p.a.to_vec(), p.b.to_vec()).unwrap();
-    assert_eq!(eng.execute(&req).unwrap().output.c, gemm_i32_ref(p.m, p.n, p.k, p.a, p.b));
+    drop(session);
+    let mut eng = dispatcher.into_backend();
+    assert_eq!(eng.execute(&dense[0]).unwrap().output.c, reference(&dense[0]));
 }
 
 #[test]
@@ -211,7 +216,6 @@ fn mixed_dtype_attention_batch_cross_validates() {
     let handles = workload.register(&mut eng, DType::I4);
     let by_handle = workload.gemm_requests_with_handles(&handles);
     let dense = workload.gemm_requests(DType::I8);
-    let slices = workload.problems();
     let mixed: Vec<GemmRequest> = by_handle
         .iter()
         .zip(&dense)
@@ -219,8 +223,8 @@ fn mixed_dtype_attention_batch_cross_validates() {
         .map(|(i, (h, d))| if i % 2 == 0 { h.clone() } else { d.clone() })
         .collect();
     let batch = eng.execute_batch(&mixed).expect("well-formed batch");
-    for (out, p) in batch.outputs.iter().zip(&slices) {
-        assert_eq!(out.c, gemm_i32_ref(p.m, p.n, p.k, p.a, p.b), "{}x{}x{}", p.m, p.n, p.k);
+    for (i, (out, req)) in batch.outputs.iter().zip(&dense).enumerate() {
+        assert_eq!(out.c, reference(req), "request {i}");
     }
 }
 
@@ -233,10 +237,11 @@ fn session_requests_flow_through_the_facade() {
     let a: Vec<i8> = (0..m * k).map(|i| (i % 13) as i8 - 6).collect();
     let mut eng = CampEngine::with_threads(2);
     let h = eng.register_weights(n, k, &w, DType::I8);
-    let mut session = eng.serve();
+    let dispatcher = eng.dispatch();
+    let mut session = dispatcher.session();
     let req = GemmRequest::with_weights(m, a.clone(), h).unwrap();
     let t = session.submit(vec![req]).unwrap();
-    assert_eq!(session.wait(t).outputs[0].c, gemm_i32_ref(m, n, k, &a, &w));
+    assert_eq!(session.wait(t).unwrap().outputs[0].c, gemm_i32_ref(m, n, k, &a, &w));
 }
 
 #[test]

@@ -194,14 +194,15 @@ proptest! {
         prop_assert_eq!(stats.packed_b_bytes, i4_pack);
 
         // session: two batches in flight, collected out of order
-        let mut session = eng.serve();
+        let dispatcher = eng.dispatch();
+        let mut session = dispatcher.session();
         let t1 = session.submit(vec![
             handle_req(m1, &a1, h1),
             handle_req(m2, &a3, h1), // shared handle
         ]).unwrap();
         let t2 = session.submit(vec![handle_req(m2, &a2, h2)]).unwrap();
-        let out2 = session.wait(t2);
-        let out1 = session.wait(t1);
+        let out2 = session.wait(t2).expect("batch completes");
+        let out1 = session.wait(t1).expect("batch completes");
         prop_assert_eq!(&out1.outputs[0], &batch.outputs[0]);
         prop_assert_eq!(&out1.outputs[1], &batch.outputs[2]);
         prop_assert_eq!(&out2.outputs[0], &batch.outputs[1]);
