@@ -17,8 +17,10 @@
 //!   blocked tile path;
 //! * **skinny** shapes (m ≤ 8 / n ≤ 8) — the Pire-style fast paths;
 //!   `small_n` runs against a registered (panel) B, `small_n_dense`
-//!   runs the one-shot dense request that routes to the no-pack
-//!   skinny-n kernel;
+//!   runs the one-shot dense request, which the engine packs into a
+//!   panel like any other dense B: that row times pack + panel kernel,
+//!   not `HostKernel::small_n_dense` (no engine path reaches the
+//!   no-pack kernels; see `docs/HOST_KERNELS.md`);
 //! * **pack_a / pack_b / pack_nib** — the SIMD packers, reported as
 //!   packed GB/s in the GOPS columns (same speedup semantics);
 //! * **f32** through [`HostGemmF32`] — the FMA-chain subsystem.
@@ -40,7 +42,7 @@
 //! useful to bench a lower tier on a wider machine, and called out in
 //! the output when active.
 
-use camp_bench::{env_or, field, time_best};
+use camp_bench::{check_baseline, env_or, field, time_best};
 use camp_core::backend::CampBackend;
 use camp_core::{CampEngine, DType, GemmRequest};
 use camp_gemm::host::{force_scalar, forced_tier, HostGemmF32, HostKernel};
@@ -65,15 +67,6 @@ struct Row {
 impl Row {
     fn speedup(&self) -> f64 {
         self.simd_gops / self.scalar_gops
-    }
-
-    fn key_matches(&self, dtype: &str, path: &str, m: usize, n: usize, k: usize, t: usize) -> bool {
-        self.dtype == dtype
-            && self.path == path
-            && self.m == m
-            && self.n == n
-            && self.k == k
-            && self.threads == t
     }
 }
 
@@ -116,7 +109,8 @@ fn int_secs(
 }
 
 /// Time one i8 shape as a one-shot dense request (no registered B):
-/// skinny-n shapes route to the dense no-pack kernel here.
+/// the engine packs B into a panel on every call, so a skinny-n shape
+/// times that pack plus the panel kernel `small_n` times alone.
 fn int_dense_secs(
     kernel: &'static HostKernel,
     threads: usize,
@@ -183,64 +177,6 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Compare freshly measured smoke rows against the checked-in
-/// baseline: every baseline row that matches a fresh row's key must
-/// keep `speedup >= baseline_speedup * (1 - tol)`.
-fn check_baseline(rows: &[Row], tol: f64, fresh_tier: &str) -> bool {
-    let path = "BENCH_host_gemm.json";
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-baseline: cannot read {path}: {e}");
-            return false;
-        }
-    };
-    if let Some(tier) = text.lines().find_map(|l| field(l, "tier")) {
-        if tier != fresh_tier {
-            println!("note: baseline tier \"{tier}\" != this run's \"{fresh_tier}\"");
-        }
-    }
-    let mut matched = 0usize;
-    let mut ok = true;
-    for line in text.lines() {
-        let (Some(dtype), Some(path), Some(speedup)) =
-            (field(line, "dtype"), field(line, "path"), field(line, "speedup"))
-        else {
-            continue;
-        };
-        let parse = |key| field(line, key).and_then(|v| v.parse::<usize>().ok());
-        let (Some(m), Some(n), Some(k), Some(t)) =
-            (parse("m"), parse("n"), parse("k"), parse("threads"))
-        else {
-            continue;
-        };
-        let Ok(base) = speedup.parse::<f64>() else { continue };
-        let Some(r) = rows.iter().find(|r| r.key_matches(dtype, path, m, n, k, t)) else {
-            continue;
-        };
-        matched += 1;
-        let floor = base * (1.0 - tol);
-        let fresh = r.speedup();
-        let verdict = if fresh >= floor { "ok  " } else { "FAIL" };
-        println!(
-            "{verdict} {dtype:<4} {path:<12} {m:>5}x{n:<5}x{k:<5} t={t}: \
-             speedup {fresh:.2}x vs baseline {base:.2}x (floor {floor:.2}x)"
-        );
-        if fresh < floor {
-            ok = false;
-        }
-    }
-    if matched == 0 {
-        eprintln!("check-baseline: no baseline rows matched the smoke set (schema drift?)");
-        return false;
-    }
-    println!(
-        "check-baseline: {matched} rows compared, tolerance {tol} — {}",
-        if ok { "PASS" } else { "FAIL" }
-    );
-    ok
-}
-
 fn main() {
     let check = std::env::args().any(|a| a == "--check-baseline");
     let smoke = check || std::env::var("CAMP_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false);
@@ -281,7 +217,7 @@ fn main() {
     println!("==============================================================");
 
     // (dtype, path, m, n, k): the blocked tile path at paper-ish sizes,
-    // both skinny fast paths (panel and dense B), and the f32
+    // both skinny fast paths (registered and one-shot dense B), and the f32
     // subsystem. Full runs keep every smoke shape so a full-run
     // baseline can gate smoke runs.
     let smoke_int: &[(&str, DType, &str, usize, usize, usize)] = &[
@@ -404,7 +340,23 @@ fn main() {
 
     if check {
         let tol = env_or("CAMP_BENCH_TOLERANCE", 0.5);
-        if !check_baseline(&rows, tol, &info.tier) {
+        const BASELINE: &str = "BENCH_host_gemm.json";
+        let baseline = std::fs::read_to_string(BASELINE).unwrap_or_default();
+        if let Some(tier) = baseline.lines().find_map(|l| field(l, "tier")) {
+            if tier != info.tier {
+                println!("note: baseline tier \"{tier}\" != this run's \"{}\"", info.tier);
+            }
+        }
+        let fresh: Vec<_> = rows
+            .iter()
+            .map(|r| {
+                let mut key = vec![r.dtype.to_string(), r.path.to_string()];
+                key.extend([r.m, r.n, r.k, r.threads].map(|v| v.to_string()));
+                (key, r.speedup())
+            })
+            .collect();
+        let keys = ["dtype", "path", "m", "n", "k", "threads"];
+        if !check_baseline(BASELINE, tol, &keys, "speedup", &fresh) {
             std::process::exit(1);
         }
         return;

@@ -14,10 +14,10 @@
 //! `(mode, sessions)` key); `llm_serve --check-baseline` re-runs the
 //! smoke-sized sweep and exits 1 if tokens/s falls below the
 //! checked-in baseline row by more than `CAMP_BENCH_TOLERANCE`
-//! (relative, default 0.5). Knobs: `CAMP_THREADS`, `CAMP_LLM_SMOKE=1`
+//! (relative, default 0.5). Knobs: `CAMP_THREADS`, `CAMP_BENCH_SMOKE=1`
 //! shrinks the model and step counts to a CI smoke run.
 
-use camp_bench::{env_or, field, percentile_ms};
+use camp_bench::{check_baseline, env_or, percentile_ms};
 use camp_core::{CampEngine, DispatchOptions, Dispatcher};
 use camp_infer::{InferSession, Model};
 use camp_models::TransformerConfig;
@@ -114,57 +114,6 @@ fn llm_sweep(
     (engine, rows)
 }
 
-/// Compare fresh rows against the checked-in baseline: every baseline
-/// row matching a fresh row's (mode, sessions) key must keep
-/// `tok_per_sec >= baseline * (1 - tol)`. Latency percentiles are
-/// reported but not gated — shared CI runners make absolute tail
-/// latency too noisy to fail a build on.
-fn check_baseline(rows: &[LlmRow], tol: f64) -> bool {
-    let path = "BENCH_llm.json";
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-baseline: cannot read {path}: {e}");
-            return false;
-        }
-    };
-    let mut matched = 0usize;
-    let mut ok = true;
-    for line in text.lines() {
-        let (Some(mode), Some(sessions), Some(base)) =
-            (field(line, "mode"), field(line, "sessions"), field(line, "tok_per_sec"))
-        else {
-            continue;
-        };
-        let (Ok(sessions), Ok(base)) = (sessions.parse::<usize>(), base.parse::<f64>()) else {
-            continue;
-        };
-        let Some(r) = rows.iter().find(|r| r.mode == mode && r.sessions == sessions) else {
-            continue;
-        };
-        matched += 1;
-        let floor = base * (1.0 - tol);
-        let verdict = if r.tok_per_sec >= floor { "ok  " } else { "FAIL" };
-        println!(
-            "{verdict} {mode:<6} sessions={sessions}: {:.1} tok/s vs baseline {base:.1} \
-             (floor {floor:.1})",
-            r.tok_per_sec
-        );
-        if r.tok_per_sec < floor {
-            ok = false;
-        }
-    }
-    if matched == 0 {
-        eprintln!("check-baseline: no baseline rows matched the sweep (schema drift?)");
-        return false;
-    }
-    println!(
-        "check-baseline: {matched} rows compared, tolerance {tol} — {}",
-        if ok { "PASS" } else { "FAIL" }
-    );
-    ok
-}
-
 /// The serving model: big enough that decode GEMVs are real work,
 /// small enough that a full sweep stays in CI budget.
 fn full_config() -> TransformerConfig {
@@ -177,7 +126,7 @@ fn smoke_config() -> TransformerConfig {
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check-baseline");
-    let smoke = check || std::env::var("CAMP_LLM_SMOKE").map(|v| v == "1").unwrap_or(false);
+    let smoke = check || std::env::var("CAMP_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false);
     let threads = camp_core::backend::host_threads_from_env();
     const VOCAB: usize = 64;
     const SEED: u64 = 0x11FE_2ACE;
@@ -229,7 +178,11 @@ fn main() {
 
     if check {
         let tol = env_or("CAMP_BENCH_TOLERANCE", 0.5);
-        if !check_baseline(&rows, tol) {
+        let fresh: Vec<_> = rows
+            .iter()
+            .map(|r| (vec![r.mode.to_string(), r.sessions.to_string()], r.tok_per_sec))
+            .collect();
+        if !check_baseline("BENCH_llm.json", tol, &["mode", "sessions"], "tok_per_sec", &fresh) {
             std::process::exit(1);
         }
         return;

@@ -20,7 +20,7 @@
 //! Results are checked bit-identical before timing; throughput is
 //! reported in requests (GeMMs) per second. Knobs: `CAMP_THREADS` (the
 //! unified thread story — see `camp_core::backend`), `CAMP_BENCH_REPS`,
-//! `CAMP_SERVING_BATCHES`, and `CAMP_SERVING_SMOKE=1` shrinks
+//! `CAMP_SERVING_BATCHES`, and `CAMP_BENCH_SMOKE=1` shrinks
 //! everything to a one-iteration CI smoke run.
 //!
 //! After the shootout, the **multi-tenant dispatcher sweep** measures
@@ -36,7 +36,7 @@
 //! baseline row by more than `CAMP_BENCH_TOLERANCE` (relative,
 //! default 0.5).
 
-use camp_bench::{env_or, field, percentile_ms, time_best};
+use camp_bench::{check_baseline, env_or, percentile_ms, time_best};
 use camp_core::backend::CampBackend;
 use camp_core::{
     CampEngine, DType, DispatchOptions, DispatchSession, Dispatcher, GemmRequest, Priority,
@@ -191,60 +191,9 @@ fn dispatcher_sweep(
     (engine, rows)
 }
 
-/// Compare freshly measured sweep rows against the checked-in baseline:
-/// every baseline row matching a fresh row's (mode, sessions) key must
-/// keep `req_per_sec >= baseline * (1 - tol)`. Latency percentiles are
-/// reported but not gated — shared CI runners make absolute tail
-/// latency too noisy to fail a build on.
-fn check_baseline(rows: &[ServingRow], tol: f64) -> bool {
-    let path = "BENCH_serving.json";
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-baseline: cannot read {path}: {e}");
-            return false;
-        }
-    };
-    let mut matched = 0usize;
-    let mut ok = true;
-    for line in text.lines() {
-        let (Some(mode), Some(sessions), Some(base)) =
-            (field(line, "mode"), field(line, "sessions"), field(line, "req_per_sec"))
-        else {
-            continue;
-        };
-        let (Ok(sessions), Ok(base)) = (sessions.parse::<usize>(), base.parse::<f64>()) else {
-            continue;
-        };
-        let Some(r) = rows.iter().find(|r| r.mode == mode && r.sessions == sessions) else {
-            continue;
-        };
-        matched += 1;
-        let floor = base * (1.0 - tol);
-        let verdict = if r.req_per_sec >= floor { "ok  " } else { "FAIL" };
-        println!(
-            "{verdict} {mode:<6} sessions={sessions}: {:.0} req/s vs baseline {base:.0} \
-             (floor {floor:.0})",
-            r.req_per_sec
-        );
-        if r.req_per_sec < floor {
-            ok = false;
-        }
-    }
-    if matched == 0 {
-        eprintln!("check-baseline: no baseline rows matched the sweep (schema drift?)");
-        return false;
-    }
-    println!(
-        "check-baseline: {matched} rows compared, tolerance {tol} — {}",
-        if ok { "PASS" } else { "FAIL" }
-    );
-    ok
-}
-
 fn main() {
     let check = std::env::args().any(|a| a == "--check-baseline");
-    let smoke = check || std::env::var("CAMP_SERVING_SMOKE").map(|v| v == "1").unwrap_or(false);
+    let smoke = check || std::env::var("CAMP_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false);
     let threads = camp_core::backend::host_threads_from_env();
     let reps = env_or("CAMP_BENCH_REPS", if smoke { 1 } else { 5 });
     let batches = env_or("CAMP_SERVING_BATCHES", if smoke { 2 } else { 8 });
@@ -400,7 +349,12 @@ fn main() {
 
     if check {
         let tol = env_or("CAMP_BENCH_TOLERANCE", 0.5);
-        if !check_baseline(&rows, tol) {
+        let fresh: Vec<_> = rows
+            .iter()
+            .map(|r| (vec![r.mode.to_string(), r.sessions.to_string()], r.req_per_sec))
+            .collect();
+        if !check_baseline("BENCH_serving.json", tol, &["mode", "sessions"], "req_per_sec", &fresh)
+        {
             std::process::exit(1);
         }
         return;

@@ -9,10 +9,10 @@
 //! `(mode, threads)` key); `sim_scale --check-baseline` re-runs the
 //! smoke-sized sweep and exits 1 if simulated-GeMMs/s falls below the
 //! checked-in baseline row by more than `CAMP_BENCH_TOLERANCE`
-//! (relative, default 0.5). `CAMP_SIM_SMOKE=1` forces the smoke-sized
+//! (relative, default 0.5). `CAMP_BENCH_SMOKE=1` forces the smoke-sized
 //! sweep outside the gate.
 
-use camp_bench::{env_or, field, SimRunner};
+use camp_bench::{check_baseline, env_or, SimRunner};
 use camp_gemm::{GemmOptions, Method};
 use camp_pipeline::CoreConfig;
 use std::fmt::Write as _;
@@ -78,57 +78,9 @@ fn sweep(shape: (usize, usize, usize), reps: usize, mode: &'static str) -> Vec<S
     rows
 }
 
-/// Every baseline row matching a fresh row's (mode, threads) key must
-/// keep `sims_per_sec >= baseline * (1 - tol)`.
-fn check_baseline(rows: &[SimRow], tol: f64) -> bool {
-    let path = "BENCH_sim.json";
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-baseline: cannot read {path}: {e}");
-            return false;
-        }
-    };
-    let mut matched = 0usize;
-    let mut ok = true;
-    for line in text.lines() {
-        let (Some(mode), Some(threads), Some(base)) =
-            (field(line, "mode"), field(line, "threads"), field(line, "sims_per_sec"))
-        else {
-            continue;
-        };
-        let (Ok(threads), Ok(base)) = (threads.parse::<usize>(), base.parse::<f64>()) else {
-            continue;
-        };
-        let Some(r) = rows.iter().find(|r| r.mode == mode && r.threads == threads) else {
-            continue;
-        };
-        matched += 1;
-        let floor = base * (1.0 - tol);
-        let verdict = if r.sims_per_sec >= floor { "ok  " } else { "FAIL" };
-        println!(
-            "{verdict} {mode:<6} threads={threads}: {:.2} sims/s vs baseline {base:.2} \
-             (floor {floor:.2})",
-            r.sims_per_sec
-        );
-        if r.sims_per_sec < floor {
-            ok = false;
-        }
-    }
-    if matched == 0 {
-        eprintln!("check-baseline: no baseline rows matched the sweep (schema drift?)");
-        return false;
-    }
-    println!(
-        "check-baseline: {matched} rows compared, tolerance {tol} — {}",
-        if ok { "PASS" } else { "FAIL" }
-    );
-    ok
-}
-
 fn main() {
     let check = std::env::args().any(|a| a == "--check-baseline");
-    let smoke = check || std::env::var("CAMP_SIM_SMOKE").map(|v| v == "1").unwrap_or(false);
+    let smoke = check || std::env::var("CAMP_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false);
 
     let (shape, reps) = if smoke { ((64, 64, 128), 2) } else { ((96, 96, 256), 4) };
     println!("==============================================================");
@@ -161,7 +113,11 @@ fn main() {
 
     if check {
         let tol = env_or("CAMP_BENCH_TOLERANCE", 0.5);
-        if !check_baseline(&rows, tol) {
+        let fresh: Vec<_> = rows
+            .iter()
+            .map(|r| (vec![r.mode.to_string(), r.threads.to_string()], r.sims_per_sec))
+            .collect();
+        if !check_baseline("BENCH_sim.json", tol, &["mode", "threads"], "sims_per_sec", &fresh) {
             std::process::exit(1);
         }
         return;

@@ -61,6 +61,62 @@ pub fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..end].trim().trim_matches('"'))
 }
 
+/// The regression gate of every `--check-baseline` run: each row of
+/// the checked-in baseline at `path` (one JSON object per line) whose
+/// `keys` fields equal a fresh row's must not beat that row's `metric`
+/// (higher is better) by more than the relative tolerance `tol`.
+/// `fresh_rows` pairs each fresh row's key values, as the JSON writer
+/// prints them, with its metric. Prints one `ok`/`FAIL` line per
+/// compared row; a baseline that is unreadable or shares no row with
+/// the fresh set fails.
+pub fn check_baseline(
+    path: &str,
+    tol: f64,
+    keys: &[&str],
+    metric: &str,
+    fresh_rows: &[(Vec<String>, f64)],
+) -> bool {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("check-baseline: cannot read {path}: {e}");
+            return false;
+        }
+    };
+    let mut matched = 0usize;
+    let mut ok = true;
+    for line in text.lines() {
+        let Some(key) = keys.iter().map(|k| field(line, k)).collect::<Option<Vec<_>>>() else {
+            continue;
+        };
+        let Some(base) = field(line, metric).and_then(|v| v.parse::<f64>().ok()) else {
+            continue;
+        };
+        let Some((_, fresh)) = fresh_rows.iter().find(|(k, _)| k.iter().eq(key.iter())) else {
+            continue;
+        };
+        matched += 1;
+        let floor = base * (1.0 - tol);
+        let pass = *fresh >= floor;
+        let verdict = if pass { "ok  " } else { "FAIL" };
+        let row: Vec<String> = keys.iter().zip(&key).map(|(k, v)| format!("{k}={v}")).collect();
+        println!(
+            "{verdict} {}: {metric} {fresh:.2} vs baseline {base:.2} (floor {floor:.2})",
+            row.join(" ")
+        );
+        ok &= pass;
+    }
+    if matched == 0 {
+        eprintln!("check-baseline: no baseline rows matched the fresh set (schema drift?)");
+        return false;
+    }
+    println!(
+        "check-baseline: {matched} rows compared, tolerance {tol} — {}",
+        if ok { "PASS" } else { "FAIL" }
+    );
+    ok
+}
+
 /// MAC budget for harness runs (env `CAMP_MAC_BUDGET`, default 32 M).
 pub fn mac_budget() -> u64 {
     env_or("CAMP_MAC_BUDGET", 32_000_000)

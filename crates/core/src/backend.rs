@@ -67,7 +67,7 @@ use camp_gemm::driver::{simulate_gemm_batch_on, GemmOptions, SerialScheduler, Si
 use camp_gemm::host::{int_blocking, CpuFeatures, KernelInfo};
 use camp_gemm::request::{GemmRequest, Operand, RequestError, ResolvedRequest};
 use camp_gemm::weights::{DType, WeightHandle, WeightMeta, WeightRegistry, WeightSnapshot};
-use camp_gemm::{CMatrix, GemmProblem};
+use camp_gemm::CMatrix;
 use camp_pipeline::{CoreConfig, SimStats};
 
 use crate::dispatch::Dispatcher;
@@ -237,8 +237,18 @@ pub enum Capability {
 // ---- the trait ------------------------------------------------------------
 
 /// One GeMM backend: executes [`GemmRequest`]s, owns a weight registry,
-/// and can be served by a [`Dispatcher`] (whose stager threads use
-/// [`CampBackend::prepare`] to move work off the compute path).
+/// and can be served by a [`Dispatcher`].
+///
+/// A backend implements execution as two methods, and every entry point
+/// — [`CampBackend::execute`], [`CampBackend::execute_batch`], a
+/// dispatcher's direct `run` and its queued `submit` → `wait` — goes
+/// through them: [`CampBackend::prepare`] does the per-request work that
+/// needs no backend (so a stager thread can run it), and
+/// [`CampBackend::execute_prepared`] sees the whole batch and owns the
+/// backend's buffers, so everything that spans requests — packing a
+/// dense B once for every request that shares it — happens there. The
+/// same batch therefore reports the same statistics whichever way it
+/// came in.
 ///
 /// Implementations must be **bit-identical** to each other for i32-
 /// accumulating camp kernels: the same request batch produces the same
@@ -284,8 +294,17 @@ pub trait CampBackend {
 
     /// Execute a batch of requests; outputs come back in input order,
     /// with dense B operands deduplicated by buffer identity and
-    /// handle operands resolved against this backend's registry.
-    fn execute_batch(&mut self, reqs: &[GemmRequest]) -> Result<BatchOutcome, RequestError>;
+    /// handle operands resolved against this backend's registry. Every
+    /// request is validated before any runs, so a malformed or stale one
+    /// fails the batch with a typed error and no work done.
+    fn execute_batch(&mut self, reqs: &[GemmRequest]) -> Result<BatchOutcome, RequestError> {
+        let snapshot = self.weight_snapshot();
+        for req in reqs {
+            req.resolve(&snapshot)?;
+        }
+        let staged = reqs.iter().map(|req| Self::prepare(req.clone(), &snapshot)).collect();
+        Ok(self.execute_prepared(staged))
+    }
 
     /// Execute one request.
     fn execute(&mut self, req: &GemmRequest) -> Result<Outcome, RequestError> {
@@ -294,15 +313,21 @@ pub trait CampBackend {
         Ok(Outcome { output, stats: batch.stats })
     }
 
-    /// Stage one *validated* request off the compute path (no `self`:
-    /// this runs on a dispatcher's stager thread while the backend
-    /// computes the previous batch). The host engine pre-packs operands
-    /// here; substrates with nothing to stage return the request as-is.
+    /// Prepare one *validated* request (no `self`: on the queued
+    /// pipeline this runs on a dispatcher's stager thread while the
+    /// backend computes the previous batch). The host engine pre-packs
+    /// the activation of blocked requests here; substrates with nothing
+    /// to stage return the request as-is.
     fn prepare(req: GemmRequest, weights: &WeightSnapshot) -> Self::Prepared;
 
-    /// Execute one staged batch on a dispatcher's driver thread (or a
-    /// [`crate::dispatch::DispatchSession::run`] caller's). Requests
-    /// were validated at submit time, so this is infallible.
+    /// Execute one prepared batch, on whichever thread holds the backend
+    /// (a dispatcher's driver, a
+    /// [`crate::dispatch::DispatchSession::run`] caller, or
+    /// [`CampBackend::execute_batch`]'s). Requests were validated before
+    /// they were prepared, so this is infallible. Dense B operands are
+    /// deduplicated here, by buffer identity — which means that on the
+    /// queued pipeline a dense B is packed on the compute path, not by
+    /// a stager; served weights are registered handles and pack nothing.
     fn execute_prepared(&mut self, batch: Vec<Self::Prepared>) -> BatchOutcome;
 
     /// Upgrade the backend into a serving [`Dispatcher`] with
@@ -358,30 +383,6 @@ impl CampBackend for CampEngine {
 
     fn weight_snapshot(&self) -> WeightSnapshot {
         CampEngine::weight_snapshot(self)
-    }
-
-    fn execute_batch(&mut self, reqs: &[GemmRequest]) -> Result<BatchOutcome, RequestError> {
-        let snap = self.weight_snapshot();
-        let resolved: Vec<ResolvedRequest> =
-            reqs.iter().map(|r| r.resolve(&snap)).collect::<Result<_, _>>()?;
-        let problems: Vec<GemmProblem<'_>> = reqs
-            .iter()
-            .zip(&resolved)
-            .map(|(req, r)| match req.weights() {
-                Operand::Dense(b) => {
-                    GemmProblem::new(r.m, r.n, r.k, req.activation(), b).with_dtype(r.dtype)
-                }
-                Operand::Handle(h) => GemmProblem::with_handle(r.m, r.n, r.k, req.activation(), *h)
-                    .with_dtype(r.dtype),
-            })
-            .collect();
-        let (cs, stats) = self.gemm_batch_impl(&problems);
-        let outputs = cs
-            .into_iter()
-            .zip(&resolved)
-            .map(|(c, r)| Output { c, m: r.m, n: r.n, clamped: false })
-            .collect();
-        Ok(BatchOutcome { outputs, stats: ExecStats::Host(stats) })
     }
 
     fn prepare(req: GemmRequest, weights: &WeightSnapshot) -> StagedRequest {
@@ -537,19 +538,26 @@ impl CampBackend for SimBackend {
         self.weights.snapshot()
     }
 
-    fn execute_batch(&mut self, reqs: &[GemmRequest]) -> Result<BatchOutcome, RequestError> {
+    fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
+        req
+    }
+
+    fn execute_prepared(&mut self, reqs: Vec<GemmRequest>) -> BatchOutcome {
+        // the simulated driver's borrowed input form
+        use camp_gemm::GemmProblem;
+        const VALIDATED: &str = "requests are validated before they are prepared";
         let snap = self.weights.snapshot();
         let resolved: Vec<ResolvedRequest> =
-            reqs.iter().map(|r| r.resolve(&snap)).collect::<Result<_, _>>()?;
+            reqs.iter().map(|r| r.resolve(&snap).expect(VALIDATED)).collect();
         // raw B bytes per handle request (kept alive across the batch so
         // problems can borrow them; Arc clones, no copies)
         let raws: Vec<Option<Arc<[i8]>>> = reqs
             .iter()
             .map(|req| match req.weights() {
-                Operand::Handle(h) => self.weights.raw(*h).map(Some),
-                Operand::Dense(_) => Ok(None),
+                Operand::Handle(h) => Some(self.weights.raw(*h).expect(VALIDATED)),
+                Operand::Dense(_) => None,
             })
-            .collect::<Result<_, _>>()?;
+            .collect();
 
         // simulate only the non-degenerate requests; degenerate ones get
         // the host engine's rule (empty, or all-zero when only k is 0)
@@ -599,15 +607,7 @@ impl CampBackend for SimBackend {
                 Output { c, m: r.m, n: r.n, clamped: false }
             };
         }
-        Ok(BatchOutcome { outputs, stats: ExecStats::Sim(stats) })
-    }
-
-    fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
-        req
-    }
-
-    fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
-        self.execute_batch(&batch).expect("session requests are validated at submit")
+        BatchOutcome { outputs, stats: ExecStats::Sim(stats) }
     }
 }
 

@@ -1275,10 +1275,6 @@ mod tests {
             WeightSnapshot::empty()
         }
 
-        fn execute_batch(&mut self, _reqs: &[GemmRequest]) -> Result<BatchOutcome, RequestError> {
-            unimplemented!("dispatchers drive execute_prepared")
-        }
-
         fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
             if req.m() == HELD_M {
                 let (open, cv) = &HELD_PREPARE;
@@ -1538,10 +1534,6 @@ mod tests {
 
         fn weight_snapshot(&self) -> WeightSnapshot {
             WeightSnapshot::empty()
-        }
-
-        fn execute_batch(&mut self, _reqs: &[GemmRequest]) -> Result<BatchOutcome, RequestError> {
-            unimplemented!("dispatchers drive execute_prepared")
         }
 
         fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
@@ -1873,33 +1865,60 @@ mod tests {
         assert_eq!(engine.evict_weights(live).unwrap_err(), RequestError::StaleHandle);
     }
 
-    /// `run` against `submit_with` → `wait` on one dispatcher: the same
-    /// outputs, equal to the reference, and every `run` direct.
+    /// One batch through the three entry points — `execute_batch` on the
+    /// bare backend, a direct `run`, a queued `submit_with` → `wait`:
+    /// the same outputs, equal to the reference, and the same stats.
     fn run_matches_submit_then_wait<B: CampBackend + Send + 'static>(mut backend: B) {
+        // 4-bit-safe values, so one generator serves the i4 request too
+        let gen = |len: usize, mul: usize| -> Vec<i8> {
+            (0..len).map(|i| (i * mul % 15) as i8 - 7).collect()
+        };
         let (n, k) = (24, 40);
-        let w: Vec<i8> = (0..k * n).map(|i| (i * 7 % 31) as i8 - 15).collect();
+        let w = gen(k * n, 7);
         let h = backend.register_weights(n, k, &w, DType::I8);
+        let h4 = backend.register_weights(n, k, &w, DType::I4);
+        // below the row-split threshold, four column strips wide
+        let (wide_n, wide_k) = (1024, 256);
+        let wide = gen(wide_k * wide_n, 11);
+        let hw = backend.register_weights(wide_n, wide_k, &wide, DType::I8);
+        let shared: std::sync::Arc<[i8]> = w.clone().into();
+
+        let mut batch = Vec::new();
+        let mut want = Vec::new();
+        // a decode GEMV and a skinny request on a handle, an i4 request
+        for (m, h) in [(1, h), (3, h), (5, h4)] {
+            let a = gen(m * k, 5);
+            want.push(gemm_i32_ref(m, n, k, &a, &w));
+            batch.push(GemmRequest::with_weights(m, a, h).unwrap());
+        }
+        // two blocked dense requests sharing one B
+        for m in [17, 12] {
+            let a = gen(m * k, 3);
+            want.push(gemm_i32_ref(m, n, k, &a, &w));
+            batch.push(GemmRequest::dense(m, n, k, a, shared.clone()).unwrap());
+        }
+        let a = gen(16 * wide_k, 13);
+        want.push(gemm_i32_ref(16, wide_n, wide_k, &a, &wide));
+        batch.push(GemmRequest::with_weights(16, a, hw).unwrap());
+        want.push(vec![0; 3 * 4]);
+        batch.push(GemmRequest::dense(3, 4, 0, vec![], vec![]).unwrap());
+
+        let bare = backend.execute_batch(&batch).unwrap();
         let dispatcher = Dispatcher::with_options(backend, opts(2));
         let mut session = dispatcher.session();
-        for m in [1, 3, 17] {
-            let a: Vec<i8> = (0..m * k).map(|i| (i * 5 % 23) as i8 - 11).collect();
-            let batch = || {
-                vec![
-                    GemmRequest::with_weights(m, a.clone(), h).unwrap(),
-                    GemmRequest::dense(m, n, k, a.clone(), w.clone()).unwrap(),
-                ]
-            };
-            let direct = session.run(batch(), Priority::Decode, None).unwrap();
-            let ticket = session.submit_with(batch(), Priority::Decode, None).unwrap();
-            let queued = session.wait(ticket).unwrap();
-            assert_eq!(direct.outputs, queued.outputs);
-            assert_eq!(direct.outputs.len(), 2);
-            for out in &direct.outputs {
-                assert_eq!(out.c, gemm_i32_ref(m, n, k, &a, &w));
-            }
+        let direct = session.run(batch.clone(), Priority::Decode, None).unwrap();
+        let ticket = session.submit_with(batch, Priority::Decode, None).unwrap();
+        let queued = session.wait(ticket).unwrap();
+        for (got, want) in bare.outputs.iter().zip(&want) {
+            assert_eq!(&got.c, want);
+        }
+        assert_eq!(bare.outputs.len(), want.len());
+        for (leg, outcome) in [("direct run", &direct), ("queued batch", &queued)] {
+            assert!(outcome.outputs == bare.outputs, "a {leg} must match the bare backend");
+            assert_eq!(outcome.stats, bare.stats, "a {leg} must report the bare backend's stats");
         }
         let stats = dispatcher.stats();
-        assert_eq!((stats.executed, stats.direct, stats.staging_live), (6, 3, 0));
+        assert_eq!((stats.executed, stats.direct, stats.staging_live), (2, 1, 0));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! ([`camp_gemm::loops`]) with the simulated §5.3 driver and packs into
 //! a reusable [`PackPool`] instead of allocating per panel, so the hot
 //! loop is allocation-free after warm-up ([`CampEngine::pack_allocations`]
-//! exposes the growth counter). An opt-in parallel path
+//! exposes the growth counter) apart from the result matrices and the
+//! staged A of blocked requests. An opt-in parallel path
 //! ([`CampEngine::with_threads`] or the `*_parallel` helpers) splits the
 //! row dimension across a **persistent worker pool**
 //! ([`crate::pool::WorkerPool`]) — the Goto split of the macro loop.
@@ -39,29 +40,42 @@
 //! per-head (s×dₕ)·(dₕ×s) score and (s×s)·(s×dₕ) context products,
 //! 12–20 heads per layer (§5.2, Fig. 14) — shapes where per-call setup
 //! and operand re-packing swamp compute.
-//! [`CampBackend::execute_batch`](crate::backend::CampBackend::execute_batch)
-//! takes a slice of requests and amortizes all of it:
+//! A batch of requests amortizes all of it, and there is one way to run
+//! one: [`CampBackend::prepare`](crate::backend::CampBackend::prepare)
+//! each request, then
+//! [`CampBackend::execute_prepared`](crate::backend::CampBackend::execute_prepared)
+//! the batch. `execute_batch`, a dispatcher session's direct `run` and
+//! its queued `submit` → `wait` are that pair called from different
+//! threads, so results *and* [`EngineStats`] are the same whichever way
+//! a batch came in:
 //!
-//! * **B deduplication** — problems sharing one weight matrix (the QKV
-//!   projections across heads and layers) pack B once into a pool-owned
-//!   panel reused across the whole batch, and problems carrying a
-//!   [`WeightHandle`] skip packing entirely;
+//! * **B deduplication** (`execute_prepared`, which sees the whole batch
+//!   and owns the arena) — requests sharing one dense B buffer under
+//!   one (n, k, k-step) pack it once into a pool-owned panel reused
+//!   across the batch, and requests carrying a [`WeightHandle`] skip
+//!   packing entirely;
+//! * **A pre-packing** (`prepare`, per request, needs no engine) — a
+//!   request that will run whole on the blocked path gets its A packed
+//!   once up front into a staging buffer allocated per request; skinny
+//!   requests read the raw activation, row-split requests are packed
+//!   by the workers that own the rows;
 //! * **cross-item parallelism** — small problems are distributed across
 //!   the persistent workers whole; problems above a MAC-count threshold
 //!   fall back to the row-partition split;
-//! * **bit-identity** — batch results equal looping the per-call API
-//!   over the same problems, element for element.
+//! * **bit-identity** — batch results equal the scalar reference,
+//!   element for element.
 //!
 //! Each request's own [`DType`] wins, so one batch can mix i4 and i8
 //! problems. For streaming many batches,
 //! [`CampBackend::dispatch`](crate::backend::CampBackend::dispatch)
 //! upgrades the engine into a [`crate::dispatch::Dispatcher`] whose
-//! submit/poll sessions overlap the A-packing of one batch with the
-//! compute of the previous one.
+//! queued sessions run `prepare` on stager threads, overlapping the
+//! A-packing of one batch with the compute of the previous one. A
+//! dense B is then packed by whichever thread holds the engine, not by
+//! a stager: served weights are registered handles, and the dense B
+//! of served traffic is attention K/V, a few KiB per head.
 
-use camp_gemm::batch::{
-    packed_a_bytes, packed_a_offset, packed_b_bytes, packed_b_offset, BOperandKey, GemmProblem,
-};
+use camp_gemm::batch::{packed_a_bytes, packed_a_offset, packed_b_bytes, packed_b_offset};
 use camp_gemm::host::{HostKernel, KernelInfo, SmallB};
 use camp_gemm::loops::{
     for_each_b_block, for_each_row_strip, run_blocked, small_path, BlockPlan, BlockSink, SmallPath,
@@ -99,15 +113,18 @@ pub struct EngineStats {
     pub vector_loads: u64,
     /// 64-byte vector stores (result tiles, once per tile per k block).
     pub vector_stores: u64,
-    /// Bytes moved packing A panels (activations — paid per call; the
-    /// serving session moves this work off the compute path by
-    /// pre-packing the next batch while the current one runs).
+    /// Bytes moved packing A panels (activations — paid per request).
+    /// A request below the row-split threshold packs its A exactly
+    /// once, `mp·kp` bytes, in `prepare`; a skinny request packs none
+    /// on the host and reports the canonical tile stream's figure; a
+    /// row-split request is packed block by block by the workers, once
+    /// per column strip. Identical across entry points.
     pub packed_a_bytes: u64,
-    /// Bytes moved packing B panels, deduplicated: the parallel path
-    /// packs B once into a shared read-only panel (not once per
-    /// worker), the batched API packs each unique B operand once per
-    /// call, and calls against a registered [`WeightHandle`] pack
-    /// **nothing** — this stays 0 on the serving steady state.
+    /// Bytes moved packing B panels, deduplicated: each *distinct*
+    /// dense B of a batch (same buffer, same (n, k, k-step)) is packed
+    /// once, whichever entry point ran the batch, and requests against
+    /// a registered [`WeightHandle`] pack **nothing** — this stays 0 on
+    /// the serving steady state.
     pub packed_b_bytes: u64,
     /// Multiply-accumulate operations represented.
     pub macs: u64,
@@ -213,8 +230,8 @@ fn tile_path_stats(
 /// the pool's buffers and runs the camp issue loop as the macro-kernel.
 /// With `shared_b` set, B arrives fully pre-packed (see
 /// [`camp_gemm::weights::prepack_b`]) and the per-block B pack becomes
-/// a no-op; `shared_a` does the same for a pre-packed A (the serving
-/// session stages it off the compute path).
+/// a no-op; `shared_a` does the same for an A packed whole by
+/// [`StagedRequest::stage`].
 struct HostBackend<'a> {
     a: &'a [i8],
     b: &'a [i8],
@@ -247,8 +264,8 @@ impl BlockSink for HostBackend<'_> {
 
     fn pack_a(&mut self, ic: usize, mcb: usize, pc: usize, kcb: usize) {
         if self.shared_a.is_some() {
-            // A was staged up front (serving session); traffic is
-            // accounted by the stager.
+            // A was packed whole in `prepare`; `run_staged` accounts
+            // the traffic.
             return;
         }
         let buf = self.pool.a_buffer(mcb * kcb);
@@ -362,10 +379,10 @@ fn gemm_range(
         // Skinny problems skip the Goto nest: raw A rows feed the
         // tier's small kernels directly (no A packing, no padded
         // register tile). Bit-identity with the blocked path is
-        // structural — exact products, wrapping i32 accumulation —
-        // and a staged A is simply ignored (the raw activation is
-        // always present). Stats report the canonical camp stream for
-        // the problem (see [`tile_path_stats`]).
+        // structural — exact products, wrapping i32 accumulation.
+        // Stats report the canonical camp stream for the problem (see
+        // [`tile_path_stats`]); `shared_a` is never set here
+        // ([`StagedRequest::stage`] packs no A for a skinny shape).
         match path {
             SmallPath::SmallM => {
                 let bsrc = match shared_b {
@@ -483,12 +500,9 @@ fn gemm_partitioned(
     total
 }
 
-/// One non-degenerate work unit of a batch or serving dispatch: its
-/// effective kernel, an always-pre-packed B panel, and optionally a
-/// pre-packed A (serving session). [`run_work_items`] is the single
-/// dispatch path both the batched API and the serving driver go
-/// through, so the row-split rule and stats accounting cannot diverge
-/// between them.
+/// One non-degenerate work unit of a batch: its effective kernel, an
+/// always-pre-packed B panel, and a pre-packed A where
+/// [`StagedRequest::stage`] made one.
 struct WorkItem<'a> {
     slot: usize,
     m: usize,
@@ -628,16 +642,16 @@ pub(crate) enum StagedB {
     /// Registered weight: the pre-packed panel is consumed directly,
     /// zero B-packing on the compute path.
     Handle(WeightHandle),
-    /// Dense weights, fully pre-packed by the staging thread (off the
-    /// compute path, like staged A).
-    Packed(Vec<i8>),
+    /// Dense weights, carried raw: [`CampEngine::run_staged`] sees the
+    /// whole batch and owns the arena, so it packs each distinct
+    /// operand once for all of its sharers.
+    Dense(Arc<[i8]>),
 }
 
-/// One staged request of a serving batch: the activation and B operand
-/// (both optionally pre-packed by the session's staging thread).
-/// `packed_a_bytes`/`packed_b_bytes` are the staging traffic, folded
-/// into the ticket's stats when the staged batch runs. This is the
-/// host engine's `CampBackend::Prepared` form.
+/// One prepared request of a batch — the host engine's
+/// `CampBackend::Prepared` form: the resolved shape, both operands, and
+/// a fully pre-packed A for requests that will take the blocked
+/// cross-item path (the only path that reads one).
 #[derive(Debug)]
 pub struct StagedRequest {
     pub(crate) m: usize,
@@ -646,84 +660,46 @@ pub struct StagedRequest {
     pub(crate) dtype: DType,
     pub(crate) a: Arc<[i8]>,
     pub(crate) packed_a: Option<Vec<i8>>,
-    pub(crate) packed_a_bytes: u64,
-    pub(crate) packed_b_bytes: u64,
     pub(crate) b: StagedB,
 }
 
 impl StagedRequest {
-    /// Stage one *validated* request off the compute path: resolve its
-    /// shape, pre-pack dense B into the shared-panel layout, and
-    /// pre-pack A for requests below the row-split threshold (row-split
-    /// requests are packed by the workers that own the rows). Runs on
-    /// the session's staging thread, overlapping the previous batch's
-    /// compute.
+    /// Prepare one *validated* request (no engine needed, so a
+    /// dispatcher's stager runs this while the engine computes the
+    /// previous batch): resolve its shape and pre-pack A when the
+    /// request will run whole on the blocked path — below the row-split
+    /// threshold (row-split requests are packed by the workers that own
+    /// the rows) and not skinny (the small-m/small-n kernels read the
+    /// raw activation).
     pub(crate) fn stage(req: GemmRequest, weights: &WeightSnapshot) -> StagedRequest {
         let r = req.resolve(weights).expect("session requests are validated at submit");
         let b = match req.weights() {
             Operand::Handle(h) => StagedB::Handle(*h),
-            Operand::Dense(b) => {
-                if r.is_degenerate() {
-                    StagedB::Packed(Vec::new())
-                } else {
-                    // B-panel layout depends only on (n, k, k_step), so
-                    // this one panel serves the cross-item path and
-                    // every row-split worker alike
-                    let plan = host_block_plan(r.m, r.n, r.k, r.dtype.k_step());
-                    let mut buf = vec![0i8; packed_b_bytes(&plan)];
-                    prepack_b(&mut buf, b, r.n, r.k, &plan);
-                    StagedB::Packed(buf)
-                }
-            }
+            Operand::Dense(b) => StagedB::Dense(Arc::clone(b)),
         };
-        let packed_b = match &b {
-            StagedB::Packed(buf) => buf.len() as u64,
-            StagedB::Handle(_) => 0,
-        };
-        let mut staged = StagedRequest {
-            m: r.m,
-            n: r.n,
-            k: r.k,
-            dtype: r.dtype,
-            a: req.activation_arc(),
-            packed_a: None,
-            packed_a_bytes: 0,
-            packed_b_bytes: packed_b,
-            b,
-        };
-        if !staged.is_degenerate() && staged.macs() < BATCH_ROW_SPLIT_MACS {
-            let plan = host_block_plan(staged.m, staged.n, staged.k, staged.dtype.k_step());
+        let a = req.activation_arc();
+        let blocked_whole =
+            !r.is_degenerate() && r.macs() < BATCH_ROW_SPLIT_MACS && small_path(r.m, r.n).is_none();
+        let packed_a = blocked_whole.then(|| {
+            let plan = host_block_plan(r.m, r.n, r.k, r.dtype.k_step());
             let mut buf = vec![0i8; packed_a_bytes(&plan)];
-            prepack_a(&mut buf, &staged.a, staged.m, staged.k, &plan);
-            staged.packed_a_bytes = buf.len() as u64;
-            staged.packed_a = Some(buf);
-        }
-        staged
+            prepack_a(&mut buf, &a, r.m, r.k, &plan);
+            buf
+        });
+        StagedRequest { m: r.m, n: r.n, k: r.k, dtype: r.dtype, a, packed_a, b }
     }
 
     pub(crate) fn is_degenerate(&self) -> bool {
         self.m == 0 || self.n == 0 || self.k == 0
     }
-
-    pub(crate) fn macs(&self) -> u64 {
-        self.m as u64 * self.n as u64 * self.k as u64
-    }
-}
-
-/// Which packed panel a batch problem's B operand lives in.
-enum PanelSrc {
-    /// Packed this call into the engine's shared arena (slice operand).
-    Transient(PanelId),
-    /// Pre-packed at registration time — zero packing this call.
-    Registered(WeightHandle),
 }
 
 /// Reusable host-speed GeMM engine: a persistent worker pool spawned
 /// once at construction, one pack-pool arena per worker, a shared arena
 /// for per-call pre-packed B panels, and a [`WeightRegistry`] of
 /// pre-packed weights for serving workloads. The packing hot loop
-/// allocates nothing once the pools are warm (each call still allocates
-/// its m×n result vector).
+/// allocates nothing once the pools are warm (each request still
+/// allocates its m×n result vector, and a blocked one its staged A).
 #[derive(Debug)]
 pub struct CampEngine {
     threads: usize,
@@ -734,8 +710,8 @@ pub struct CampEngine {
     /// engine goes through this table.
     host: &'static HostKernel,
     pools: Vec<PackPool>,
-    /// Arena for B panels shared read-only across workers: the parallel
-    /// path's single packed B, and the batch path's deduplicated B set.
+    /// Arena for the batch's deduplicated dense B panels, shared
+    /// read-only across workers.
     shared: PackPool,
     /// Pre-packed weights (serving steady state packs no B at all).
     weights: WeightRegistry,
@@ -1010,130 +986,52 @@ impl CampEngine {
         (c, total)
     }
 
-    /// Run a batch of problems, each under its own `dtype`'s kernel (a
-    /// handle problem's must be its registration's).
-    pub(crate) fn gemm_batch_impl(
-        &mut self,
-        problems: &[GemmProblem<'_>],
-    ) -> (Vec<Vec<i32>>, EngineStats) {
-        for (i, p) in problems.iter().enumerate() {
-            assert_eq!(p.a.len(), p.m * p.k, "problem {i}: A must be m×k");
-            match p.handle {
-                None => assert_eq!(p.b.len(), p.k * p.n, "problem {i}: B must be k×n"),
-                Some(h) => {
-                    let meta = self.weights.meta(h);
-                    assert_eq!(
-                        (meta.n, meta.k),
-                        (p.n, p.k),
-                        "problem {i}: registered weight shape mismatch"
-                    );
-                    assert_eq!(
-                        meta.dtype, p.dtype,
-                        "problem {i}: registered weight dtype mismatch"
-                    );
-                }
-            }
-        }
+    /// Compute one prepared batch — the engine's only batch path,
+    /// whichever entry point built it: each *distinct* dense B (buffer
+    /// identity plus (n, k, k-step), which fix the packed layout) is
+    /// packed once into the shared arena for all of its sharers,
+    /// registered B panels are consumed as they are, A comes pre-packed
+    /// where [`StagedRequest::stage`] provided it, and oversized
+    /// requests are row-partitioned. Returns one row-major C per
+    /// request plus the batch's merged stats.
+    pub(crate) fn run_staged(&mut self, reqs: &[StagedRequest]) -> (Vec<Vec<i32>>, EngineStats) {
         let mut total = EngineStats::default();
-
-        // --- B panels: handles as-registered (zero packing), slice
-        // operands packed exactly once per unique (operand, k-step) ---
         self.shared.reset_panels();
-        let mut panel_of: HashMap<(BOperandKey, usize), PanelId> = HashMap::new();
-        let mut srcs: Vec<Option<PanelSrc>> = Vec::with_capacity(problems.len());
-        for p in problems {
-            if p.is_degenerate() {
-                srcs.push(None);
-                continue;
-            }
-            srcs.push(Some(match p.handle {
-                Some(h) => PanelSrc::Registered(h),
-                None => {
-                    let k_step = p.dtype.k_step();
-                    let plan = host_block_plan(p.m, p.n, p.k, k_step);
-                    let id = *panel_of.entry((p.b_key(), k_step)).or_insert_with(|| {
+        let mut panel_of: HashMap<(*const i8, usize, usize, usize), PanelId> = HashMap::new();
+        let panels: Vec<Option<PanelId>> = reqs
+            .iter()
+            .map(|r| match &r.b {
+                StagedB::Dense(b) if !r.is_degenerate() => {
+                    let k_step = r.dtype.k_step();
+                    Some(*panel_of.entry((b.as_ptr(), r.n, r.k, k_step)).or_insert_with(|| {
+                        debug_check_i4(r.dtype, "B", b);
+                        let plan = host_block_plan(r.m, r.n, r.k, k_step);
                         let id = self.shared.alloc_panel(packed_b_bytes(&plan));
-                        prepack_b(self.shared.panel_mut(id), p.b, p.n, p.k, &plan);
+                        prepack_b(self.shared.panel_mut(id), b, r.n, r.k, &plan);
                         total.packed_b_bytes += packed_b_bytes(&plan) as u64;
                         id
-                    });
-                    PanelSrc::Transient(id)
+                    }))
                 }
-            }));
-        }
+                _ => None,
+            })
+            .collect();
 
         // Degenerate results exist up front (all-zero when only k is 0,
         // empty otherwise); real results are filled below.
-        let mut results: Vec<Vec<i32>> = problems
-            .iter()
-            .map(|p| if p.is_degenerate() { vec![0i32; p.m * p.n] } else { Vec::new() })
-            .collect();
-
-        let shared = &self.shared;
-        let weights = &self.weights;
-        let wp = self.workers.as_deref();
-        let threads = self.threads;
-        let hk = self.host;
-        let pools = &mut self.pools;
-        let panel = |src: &PanelSrc| -> &[i8] {
-            match src {
-                PanelSrc::Transient(id) => shared.panel(*id),
-                PanelSrc::Registered(h) => weights.panel(*h),
-            }
-        };
-
-        let items: Vec<WorkItem<'_>> = problems
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_degenerate())
-            .map(|(i, p)| {
-                debug_check_i4(p.dtype, "batch A", p.a);
-                if p.handle.is_none() {
-                    debug_check_i4(p.dtype, "batch B", p.b);
-                }
-                WorkItem {
-                    slot: i,
-                    m: p.m,
-                    n: p.n,
-                    k: p.k,
-                    k_step: p.dtype.k_step(),
-                    a: p.a,
-                    shared_a: None,
-                    shared_b: panel(srcs[i].as_ref().expect("non-degenerate")),
-                }
-            })
-            .collect();
-        total.merge(&run_work_items(items, &mut results, pools, wp, threads, hk));
-        (results, total)
-    }
-
-    /// Compute one staged serving batch (see [`crate::dispatch`]):
-    /// registered B panels (or stager-packed dense panels) everywhere,
-    /// pre-packed A where the stager provided it, row-partitioning for
-    /// oversized requests. Returns one row-major C per request plus the
-    /// batch's merged stats (staging traffic included).
-    pub(crate) fn run_staged(&mut self, reqs: &[StagedRequest]) -> (Vec<Vec<i32>>, EngineStats) {
-        let mut total = EngineStats::default();
-        for r in reqs {
-            total.packed_a_bytes += r.packed_a_bytes;
-            total.packed_b_bytes += r.packed_b_bytes;
-        }
         let mut results: Vec<Vec<i32>> = reqs
             .iter()
             .map(|r| if r.is_degenerate() { vec![0i32; r.m * r.n] } else { Vec::new() })
             .collect();
+        let shared = &self.shared;
         let weights = &self.weights;
-        let wp = self.workers.as_deref();
-        let threads = self.threads;
-        let hk = self.host;
-        let pools = &mut self.pools;
 
         let items: Vec<WorkItem<'_>> = reqs
             .iter()
             .enumerate()
             .filter(|(_, r)| !r.is_degenerate())
             .map(|(i, r)| {
-                debug_check_i4(r.dtype, "staged activation", &r.a);
+                debug_check_i4(r.dtype, "A", &r.a);
+                total.packed_a_bytes += r.packed_a.as_ref().map_or(0, |p| p.len() as u64);
                 WorkItem {
                     slot: i,
                     m: r.m,
@@ -1144,12 +1042,19 @@ impl CampEngine {
                     shared_a: r.packed_a.as_deref(),
                     shared_b: match &r.b {
                         StagedB::Handle(h) => weights.panel(*h),
-                        StagedB::Packed(buf) => buf,
+                        StagedB::Dense(_) => shared.panel(panels[i].expect("packed above")),
                     },
                 }
             })
             .collect();
-        total.merge(&run_work_items(items, &mut results, pools, wp, threads, hk));
+        total.merge(&run_work_items(
+            items,
+            &mut results,
+            &mut self.pools,
+            self.workers.as_deref(),
+            self.threads,
+            self.host,
+        ));
         (results, total)
     }
 }
@@ -1163,10 +1068,45 @@ mod tests {
     const NC: usize = HOST_BLOCKING.1;
     const KC: usize = HOST_BLOCKING.2;
 
+    use crate::backend::CampBackend;
     use DType::{I4, I8};
 
     fn fill(len: usize, seed: i32, modulus: i32, offset: i32) -> Vec<i8> {
         (0..len).map(|i| ((i as i32 * seed) % modulus + offset) as i8).collect()
+    }
+
+    /// A dense request under `dtype`'s kernel; pass `Arc` clones to
+    /// share an operand between requests.
+    fn dense(
+        (m, n, k): (usize, usize, usize),
+        a: impl Into<Arc<[i8]>>,
+        b: impl Into<Arc<[i8]>>,
+        dtype: DType,
+    ) -> GemmRequest {
+        GemmRequest::builder()
+            .m(m)
+            .n(n)
+            .k(k)
+            .activation(a)
+            .weights(Operand::from_dense(b))
+            .dtype(dtype)
+            .build()
+            .unwrap()
+    }
+
+    /// `CampBackend::execute_batch`, unwrapped to per-request C matrices
+    /// and the host stats.
+    fn run_batch(eng: &mut CampEngine, reqs: &[GemmRequest]) -> (Vec<Vec<i32>>, EngineStats) {
+        let out = eng.execute_batch(reqs).expect("well-formed batch");
+        let stats = *out.stats.as_host().expect("host engine ran");
+        (out.outputs.into_iter().map(|o| o.c).collect(), stats)
+    }
+
+    /// The per-call oracle over a [`dense`] request's own operands.
+    fn per_call(eng: &mut CampEngine, req: &GemmRequest) -> (Vec<i32>, EngineStats) {
+        let Operand::Dense(b) = req.weights() else { panic!("dense request expected") };
+        let (m, n, k) = (req.m(), req.n().unwrap(), req.k().unwrap());
+        eng.gemm(m, n, k, req.activation(), b, req.dtype().unwrap())
     }
 
     #[test]
@@ -1475,98 +1415,60 @@ mod tests {
         let a2 = fill(9 * k, 7, 16, -8);
         let mut eng = CampEngine::with_threads(2);
         let h = eng.register_weights(n, k, &w, DType::I8);
-        let problems =
-            [GemmProblem::with_handle(6, n, k, &a1, h), GemmProblem::with_handle(9, n, k, &a2, h)];
-        let (cs, stats) = eng.gemm_batch_impl(&problems);
+        let reqs = [
+            GemmRequest::with_weights(6, a1.clone(), h).unwrap(),
+            GemmRequest::with_weights(9, a2.clone(), h).unwrap(),
+        ];
+        let (cs, stats) = run_batch(&mut eng, &reqs);
         assert_eq!(cs[0], CampEngine::new().gemm(6, n, k, &a1, &w, I8).0);
         assert_eq!(cs[1], CampEngine::new().gemm(9, n, k, &a2, &w, I8).0);
         assert_eq!(stats.packed_b_bytes, 0, "registered weights must not repack in batches");
     }
 
-    #[test]
-    #[should_panic(expected = "registered weight dtype mismatch")]
-    fn forced_kernel_rejects_mismatched_handles() {
-        let w = fill(16 * 4, 5, 16, -8);
-        let a = fill(4 * 16, 3, 16, -8);
-        let mut eng = CampEngine::new();
-        let h = eng.register_weights(4, 16, &w, DType::I4);
-        let problems = [GemmProblem::with_handle(4, 4, 16, &a, h)];
-        let _ = eng.gemm_batch_impl(&problems); // i8 batch, i4 handle
-    }
-
-    #[test]
-    #[should_panic(expected = "registered weight shape mismatch")]
-    fn handle_problems_must_match_registered_shape() {
-        let w = fill(16 * 4, 5, 16, -8);
-        let a = fill(4 * 16, 3, 16, -8);
-        let mut eng = CampEngine::new();
-        let h = eng.register_weights(4, 16, &w, DType::I8);
-        let problems = [GemmProblem::with_handle(4, 8, 16, &a, h)];
-        let _ = eng.gemm_batch_impl(&problems);
-    }
-
     // ---- batched API ----
 
-    fn mixed_problems(bufs: &[(Vec<i8>, Vec<i8>)]) -> Vec<GemmProblem<'_>> {
-        // ragged shapes, one shared-B pair, one zero-dim problem
-        let (a0, b0) = &bufs[0];
-        let (a1, b1) = &bufs[1];
-        let (a2, _) = &bufs[2];
+    /// Ragged shapes, one shared-B pair, one zero-dim request.
+    fn mixed_requests(dtype: DType) -> Vec<GemmRequest> {
+        let b0: Arc<[i8]> = fill(33 * 7, 5, 16, -8).into();
         vec![
-            GemmProblem::new(5, 7, 33, a0, b0),
-            GemmProblem::new(12, 9, 16, a1, b1),
-            GemmProblem::new(8, 7, 33, a2, b0), // shares B with problem 0
-            GemmProblem::new(4, 4, 0, &[], &[]), // degenerate
-        ]
-    }
-
-    fn batch_buffers() -> Vec<(Vec<i8>, Vec<i8>)> {
-        vec![
-            (fill(5 * 33, 3, 16, -8), fill(33 * 7, 5, 16, -8)),
-            (fill(12 * 16, 7, 16, -8), fill(16 * 9, 11, 16, -8)),
-            (fill(8 * 33, 13, 16, -8), Vec::new()),
+            dense((5, 7, 33), fill(5 * 33, 3, 16, -8), Arc::clone(&b0), dtype),
+            dense((12, 9, 16), fill(12 * 16, 7, 16, -8), fill(16 * 9, 11, 16, -8), dtype),
+            dense((8, 7, 33), fill(8 * 33, 13, 16, -8), b0, dtype), // shares B with request 0
+            dense((4, 4, 0), vec![], vec![], dtype),                // degenerate
         ]
     }
 
     #[test]
     fn batch_is_bit_identical_to_per_call_loop() {
-        let bufs = batch_buffers();
-        let problems = mixed_problems(&bufs);
         for threads in [1, 2, 3, 8, 64] {
             let mut eng = CampEngine::with_threads(threads);
-            let batch = eng.gemm_batch_impl(&problems).0;
-            assert_eq!(batch.len(), problems.len());
-            let mut per_call = CampEngine::with_threads(threads);
-            for (c, p) in batch.iter().zip(&problems) {
-                assert_eq!(c, &per_call.gemm(p.m, p.n, p.k, p.a, p.b, I8).0, "threads={threads}");
-            }
-            // i4 path too (operands above are 4-bit safe)
-            let problems4: Vec<_> = problems.iter().map(|p| p.with_dtype(I4)).collect();
-            let batch4 = eng.gemm_batch_impl(&problems4).0;
-            for (c, p) in batch4.iter().zip(&problems) {
-                assert_eq!(
-                    c,
-                    &per_call.gemm(p.m, p.n, p.k, p.a, p.b, I4).0,
-                    "i4 threads={threads}"
-                );
+            let mut oracle = CampEngine::with_threads(threads);
+            // i4 path too (the operands are 4-bit safe)
+            for dtype in [I8, I4] {
+                let reqs = mixed_requests(dtype);
+                let batch = run_batch(&mut eng, &reqs).0;
+                assert_eq!(batch.len(), reqs.len());
+                for (c, r) in batch.iter().zip(&reqs) {
+                    assert_eq!(c, &per_call(&mut oracle, r).0, "{dtype:?} threads={threads}");
+                }
             }
         }
     }
 
     #[test]
     fn mixed_dtype_batch_runs_each_problem_under_its_own_kernel() {
-        let a1 = fill(5 * 33, 3, 16, -8);
-        let b1 = fill(33 * 7, 5, 16, -8);
+        let a1: Arc<[i8]> = fill(5 * 33, 3, 16, -8).into();
+        let b1: Arc<[i8]> = fill(33 * 7, 5, 16, -8).into();
         let a2 = fill(6 * 40, 7, 16, -8);
         let b2 = fill(40 * 9, 11, 16, -8);
-        let problems = [
-            GemmProblem::new(5, 7, 33, &a1, &b1), // defaults to i8
-            GemmProblem::new(6, 9, 40, &a2, &b2).with_dtype(DType::I4),
-            GemmProblem::new(5, 7, 33, &a1, &b1).with_dtype(DType::I4), // same B, other kernel
+        let reqs = [
+            dense((5, 7, 33), Arc::clone(&a1), Arc::clone(&b1), I8),
+            dense((6, 9, 40), a2.clone(), b2.clone(), I4),
+            dense((5, 7, 33), Arc::clone(&a1), Arc::clone(&b1), I4), // same B, other kernel
         ];
         for threads in [1, 2, 8] {
             let mut eng = CampEngine::with_threads(threads);
-            let (cs, stats) = eng.gemm_batch_impl(&problems);
+            let (cs, stats) = run_batch(&mut eng, &reqs);
             assert_eq!(
                 cs[0],
                 CampEngine::new().gemm(5, 7, 33, &a1, &b1, I8).0,
@@ -1593,15 +1495,15 @@ mod tests {
         // the same operand under i8 and i4 needs two packed layouts
         // (different padded depths) but each exactly once
         let (n, k) = (8, 48);
-        let w = fill(k * n, 5, 16, -8);
-        let a = fill(4 * k, 3, 16, -8);
-        let problems = [
-            GemmProblem::new(4, n, k, &a, &w),
-            GemmProblem::new(4, n, k, &a, &w).with_dtype(DType::I4),
-            GemmProblem::new(4, n, k, &a, &w), // dedups with problem 0
+        let w: Arc<[i8]> = fill(k * n, 5, 16, -8).into();
+        let a: Arc<[i8]> = fill(4 * k, 3, 16, -8).into();
+        let reqs = [
+            dense((4, n, k), Arc::clone(&a), Arc::clone(&w), I8),
+            dense((4, n, k), Arc::clone(&a), Arc::clone(&w), I4),
+            dense((4, n, k), Arc::clone(&a), Arc::clone(&w), I8), // dedups with request 0
         ];
         let mut eng = CampEngine::new();
-        let (_, stats) = eng.gemm_batch_impl(&problems);
+        let (_, stats) = run_batch(&mut eng, &reqs);
         let packed_once = (n.div_ceil(4) * 4 * k.div_ceil(16) * 16) as u64;
         let packed_once_i4 = (n.div_ceil(4) * 4 * k.div_ceil(32) * 32) as u64;
         assert_eq!(stats.packed_b_bytes, packed_once + packed_once_i4);
@@ -1610,13 +1512,13 @@ mod tests {
     #[test]
     fn batch_zero_dim_problems_are_degenerate_not_fatal() {
         let b = fill(4 * 4, 3, 10, -5);
-        let problems = [
-            GemmProblem::new(0, 4, 4, &[], &b),
-            GemmProblem::new(4, 0, 4, &b, &[]),
-            GemmProblem::new(4, 4, 0, &[], &[]),
+        let reqs = [
+            dense((0, 4, 4), vec![], b.clone(), I8),
+            dense((4, 0, 4), b.clone(), vec![], I8),
+            dense((4, 4, 0), vec![], vec![], I8),
         ];
         let mut eng = CampEngine::with_threads(2);
-        let (cs, stats) = eng.gemm_batch_impl(&problems);
+        let (cs, stats) = run_batch(&mut eng, &reqs);
         assert!(cs[0].is_empty());
         assert!(cs[1].is_empty());
         assert_eq!(cs[2], vec![0; 16], "k=0 must produce a zero-filled m×n C");
@@ -1627,17 +1529,13 @@ mod tests {
     fn batch_dedups_shared_b_packing() {
         // three problems over one weight matrix: B must be packed once
         let (n, k) = (20, 33);
-        let w = fill(k * n, 5, 16, -8);
-        let a1 = fill(6 * k, 3, 16, -8);
-        let a2 = fill(9 * k, 7, 16, -8);
-        let a3 = fill(5 * k, 11, 16, -8);
-        let problems = [
-            GemmProblem::new(6, n, k, &a1, &w),
-            GemmProblem::new(9, n, k, &a2, &w),
-            GemmProblem::new(5, n, k, &a3, &w),
-        ];
+        let w: Arc<[i8]> = fill(k * n, 5, 16, -8).into();
+        let on = |m: usize, seed, w: &Arc<[i8]>| {
+            dense((m, n, k), fill(m * k, seed, 16, -8), Arc::clone(w), I8)
+        };
+        let reqs = [on(6, 3, &w), on(9, 7, &w), on(5, 11, &w)];
         let mut eng = CampEngine::new();
-        let (_, batch) = eng.gemm_batch_impl(&problems);
+        let (_, batch) = run_batch(&mut eng, &reqs);
         // packed B bytes of one problem = padded n × padded k
         let b_packed_once = (n.div_ceil(4) * 4 * k.div_ceil(16) * 16) as u64;
         assert_eq!(
@@ -1645,11 +1543,20 @@ mod tests {
             "three problems over one weight matrix must pack B exactly once"
         );
         let mut per_call_packed = 0;
-        for p in &problems {
-            let (_, s) = CampEngine::new().gemm(p.m, p.n, p.k, p.a, p.b, I8);
-            per_call_packed += s.packed_b_bytes;
+        for r in &reqs {
+            per_call_packed += per_call(&mut CampEngine::new(), r).1.packed_b_bytes;
         }
         assert_eq!(per_call_packed, 3 * b_packed_once, "the per-call loop packs B per problem");
+
+        // sharing is buffer identity plus the packed shape: an
+        // equal-valued but distinct buffer, and the same buffer under a
+        // transposed (n, k), are each packed separately — while m never
+        // matters (the three requests above differ in it)
+        let twin: Arc<[i8]> = w.to_vec().into();
+        let transposed = dense((6, k, n), fill(6 * n, 3, 16, -8), Arc::clone(&w), I8);
+        let (_, s) = run_batch(&mut eng, &[on(6, 3, &w), on(6, 3, &twin), transposed]);
+        let transposed_once = (k.div_ceil(4) * 4 * n.div_ceil(16) * 16) as u64;
+        assert_eq!(s.packed_b_bytes, 2 * b_packed_once + transposed_once);
     }
 
     #[test]
@@ -1663,12 +1570,10 @@ mod tests {
         let bb = fill(big.2 * big.1, 5, 16, -8);
         let asml = fill(small.0 * small.2, 7, 16, -8);
         let bsml = fill(small.2 * small.1, 11, 16, -8);
-        let problems = [
-            GemmProblem::new(big.0, big.1, big.2, &ab, &bb),
-            GemmProblem::new(small.0, small.1, small.2, &asml, &bsml),
-        ];
+        let reqs =
+            [dense(big, ab.clone(), bb.clone(), I8), dense(small, asml.clone(), bsml.clone(), I8)];
         let mut eng = CampEngine::with_threads(4);
-        let batch = eng.gemm_batch_impl(&problems).0;
+        let batch = run_batch(&mut eng, &reqs).0;
         assert_eq!(batch[0], CampEngine::new().gemm(big.0, big.1, big.2, &ab, &bb, I8).0);
         assert_eq!(batch[1], CampEngine::new().gemm(small.0, small.1, small.2, &asml, &bsml, I8).0);
     }
@@ -1692,9 +1597,11 @@ mod tests {
         let h = eng.register_weights(n, k, &w, DType::I8);
 
         // the batch path
-        let problems =
-            [GemmProblem::with_handle(1, n, k, &a, h), GemmProblem::new(1, 16, 64, &asml, &wsml)];
-        let (cs, stats) = eng.gemm_batch_impl(&problems);
+        let reqs = [
+            GemmRequest::with_weights(1, a.clone(), h).unwrap(),
+            dense((1, 16, 64), asml.clone(), wsml.clone(), I8),
+        ];
+        let (cs, stats) = run_batch(&mut eng, &reqs);
         assert_eq!(cs[0], big_ref);
         assert_eq!(cs[1], gemm_i32_ref(1, 16, 64, &asml, &wsml));
         assert_eq!(
@@ -1703,11 +1610,17 @@ mod tests {
             "every decode-shaped item must classify onto the small-m path"
         );
 
+        // the skinny kernels read the raw activation, so the prepared
+        // form of a decode request carries no packed A
+        let req = GemmRequest::with_weights(1, a.clone(), h).unwrap();
+        let staged = CampEngine::prepare(req.clone(), &eng.weight_snapshot());
+        assert!(staged.packed_a.is_none(), "nothing reads a staged A on the small-m path");
+        let bare = eng.execute(&req).unwrap().stats;
+
         // the dispatch path (the serving decode steps)
         let opts = DispatchOptions { stagers: 1, queue_depth: 4 };
         let dispatcher = Dispatcher::with_options(eng, opts);
         let mut session = dispatcher.session();
-        let req = GemmRequest::with_weights(1, a.clone(), h).unwrap();
         let t = session.submit_with(vec![req], Priority::Decode, None).unwrap();
         let out = session.wait(t).unwrap();
         assert_eq!(out.outputs[0].c, big_ref);
@@ -1717,29 +1630,21 @@ mod tests {
             (1, 0),
             "a served decode step must never take the blocked path"
         );
+        assert_eq!(out.stats, bare, "a queued decode step reports the bare engine's stats");
         drop(session);
         let _ = dispatcher.into_backend();
     }
 
     #[test]
     fn batch_hot_loop_is_allocation_free_after_warm_up() {
-        let bufs = batch_buffers();
-        let problems = mixed_problems(&bufs);
+        let reqs = mixed_requests(I8);
         let mut eng = CampEngine::with_threads(2);
-        let first = eng.gemm_batch_impl(&problems).0;
+        let first = run_batch(&mut eng, &reqs).0;
         let warm = eng.pack_allocations();
         assert!(warm > 0);
         for _ in 0..3 {
-            assert_eq!(eng.gemm_batch_impl(&problems).0, first);
+            assert_eq!(run_batch(&mut eng, &reqs).0, first);
         }
         assert_eq!(eng.pack_allocations(), warm, "steady-state batches must not allocate");
-    }
-
-    #[test]
-    #[should_panic(expected = "problem 1: B must be k×n")]
-    fn batch_rejects_malformed_problems() {
-        let a = fill(4 * 4, 3, 10, -5);
-        let problems = [GemmProblem::new(4, 4, 4, &a, &a), GemmProblem::new(4, 4, 4, &a, &a[..8])];
-        let _ = CampEngine::new().gemm_batch_impl(&problems);
     }
 }

@@ -51,10 +51,6 @@ macro_rules! model_backend_identity {
             unimplemented!("not part of the modeled pipeline")
         }
 
-        fn execute_batch(&mut self, _reqs: &[GemmRequest]) -> Result<BatchOutcome, RequestError> {
-            unimplemented!("dispatchers drive execute_prepared")
-        }
-
         fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
             req
         }

@@ -1,25 +1,22 @@
-//! Batched-GeMM building blocks shared by the host engine and its
-//! consumers.
+//! Batched-GeMM building blocks.
 //!
 //! Transformer attention runs *many small* GeMMs per step — per-head
 //! (s×dₕ)·(dₕ×s) score and (s×s)·(s×dₕ) context products, 12–20 heads
 //! per layer (§5.2, Fig. 14) — shapes where per-call setup and operand
-//! re-packing swamp compute. A batch call amortizes both: problems are
-//! described by [`GemmProblem`] descriptors, problems sharing one
-//! weight matrix reuse a single packed copy of it, and the engine moves
-//! parallelism across batch items instead of inside each tiny GeMM.
+//! re-packing swamp compute. A batch call amortizes both: problems
+//! sharing one weight matrix reuse a single packed copy of it, and
+//! parallelism moves across batch items instead of inside each tiny
+//! GeMM.
 //!
-//! This module owns the substrate-independent pieces: the problem
-//! descriptor, the operand-identity key used for B deduplication, and
-//! the layout of a *fully pre-packed* B operand (every (jc, pc) block
-//! of the blocked loops, concatenated in visit order) that lets one
-//! packed panel serve any number of batch items and workers.
-//!
-//! The same descriptors drive both execution substrates: the host
-//! engine (`CampBackend::execute_batch` in `camp-core`) and the
-//! simulated driver ([`crate::driver::simulate_gemm_batch`]), which
-//! applies the
-//! identical B-dedup rule to the *simulated* packing work:
+//! This module owns two pieces. The layout of a *fully pre-packed*
+//! operand (every block of the blocked loops, concatenated in visit
+//! order) lets one packed panel serve any number of batch items and
+//! workers; the host engine and the weight registry index panels
+//! through it. [`GemmProblem`] is the simulated driver's borrowed input:
+//! requests reach both substrates as `camp_gemm::request::GemmRequest`s,
+//! and `SimBackend` lowers them to these descriptors for
+//! [`crate::driver::simulate_gemm_batch`], which deduplicates the
+//! *simulated* packing work of problems that share a B buffer:
 //!
 //! ```
 //! use camp_gemm::{simulate_gemm_batch, GemmOptions, GemmProblem};
@@ -31,7 +28,6 @@
 //!     GemmProblem::new(4, 4, 8, &a, &w),
 //!     GemmProblem::new(4, 4, 8, &a, &w), // same weights: B packed once
 //! ];
-//! assert_eq!(problems[0].b_key(), problems[1].b_key());
 //! let batch = simulate_gemm_batch(CoreConfig::a64fx(), &problems, &GemmOptions::default());
 //! assert!(batch.results.iter().all(|r| r.correct));
 //! // the dedup consumer simulated fewer instructions: no B-pack program
@@ -39,18 +35,12 @@
 //! ```
 
 use crate::loops::BlockPlan;
-use crate::weights::{DType, WeightHandle};
+use crate::weights::DType;
 
-/// One GeMM of a batch: row-major C (m×n) = A (m×k) · B (k×n), borrowing
-/// its operands. Values must fit the kernel the batch runs under (i8 for
-/// `camp.s8`, [-8, 7] for `camp.s4`).
-///
-/// B is either a borrowed slice (packed — and deduplicated — by the
-/// engine per batch call) or a [`WeightHandle`] into the engine's
-/// registry ([`GemmProblem::with_handle`]), in which case the batch
-/// performs **zero** B-packing for this problem. `dtype` selects the
-/// kernel the problem runs under (`CampBackend::execute_batch` maps
-/// each request's dtype the same way).
+/// One GeMM of a simulated batch: row-major C (m×n) = A (m×k) · B (k×n),
+/// borrowing its operands. Values must fit the kernel the problem runs
+/// under (i8 for `camp.s8`, [-8, 7] for `camp.s4`), which `dtype`
+/// selects.
 #[derive(Debug, Clone, Copy)]
 pub struct GemmProblem<'a> {
     /// Rows of A / C.
@@ -61,28 +51,17 @@ pub struct GemmProblem<'a> {
     pub k: usize,
     /// Row-major m×k left operand.
     pub a: &'a [i8],
-    /// Row-major k×n right operand; empty (and ignored) when `handle`
-    /// is set.
+    /// Row-major k×n right operand.
     pub b: &'a [i8],
-    /// Pre-registered B operand; `None` means pack `b` at call time.
-    pub handle: Option<WeightHandle>,
     /// Kernel this problem runs under in mixed-dtype batches.
     pub dtype: DType,
 }
 
 impl<'a> GemmProblem<'a> {
-    /// Describe one problem with a borrowed B operand (i8 kernel by
-    /// default; see [`GemmProblem::with_dtype`]).
+    /// Describe one problem (i8 kernel by default; see
+    /// [`GemmProblem::with_dtype`]).
     pub fn new(m: usize, n: usize, k: usize, a: &'a [i8], b: &'a [i8]) -> Self {
-        GemmProblem { m, n, k, a, b, handle: None, dtype: DType::I8 }
-    }
-
-    /// Describe a problem whose B operand was pre-registered with the
-    /// engine. `n`/`k` must match the registration (checked at call
-    /// time), and the problem's dtype is set to the handle's at call
-    /// time in dtype-respecting entry points.
-    pub fn with_handle(m: usize, n: usize, k: usize, a: &'a [i8], handle: WeightHandle) -> Self {
-        GemmProblem { m, n, k, a, b: &[], handle: Some(handle), dtype: DType::I8 }
+        GemmProblem { m, n, k, a, b, dtype: DType::I8 }
     }
 
     /// Select the kernel this problem runs under in mixed-dtype batch
@@ -102,24 +81,6 @@ impl<'a> GemmProblem<'a> {
     pub fn is_degenerate(&self) -> bool {
         self.m == 0 || self.n == 0 || self.k == 0
     }
-
-    /// Identity of the packed form of this problem's B operand. Two
-    /// problems whose keys match can share one packed B panel: same
-    /// buffer and same (n, k) means the same values in the same packed
-    /// layout (the layout depends only on n, k and the blocking, never
-    /// on m).
-    pub fn b_key(&self) -> BOperandKey {
-        BOperandKey { addr: self.b.as_ptr() as usize, len: self.b.len(), n: self.n, k: self.k }
-    }
-}
-
-/// Hashable identity of a packed B operand (see [`GemmProblem::b_key`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BOperandKey {
-    addr: usize,
-    len: usize,
-    n: usize,
-    k: usize,
 }
 
 /// Total bytes of a fully pre-packed B: every (jc, pc) block of the
@@ -165,43 +126,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn b_keys_identify_shared_operands() {
-        let b1 = vec![1i8; 12];
-        let b2 = vec![1i8; 12];
-        let a = vec![0i8; 8];
-        let p1 = GemmProblem::new(2, 3, 4, &a, &b1);
-        let p2 = GemmProblem::new(7, 3, 4, &a, &b1); // different m, same B
-        let p3 = GemmProblem::new(2, 3, 4, &a, &b2); // equal values, different buffer
-        let p4 = GemmProblem::new(2, 4, 3, &a, &b1); // same buffer, different shape
-        assert_eq!(p1.b_key(), p2.b_key(), "m must not affect B identity");
-        assert_ne!(p1.b_key(), p3.b_key(), "distinct buffers are distinct operands");
-        assert_ne!(p1.b_key(), p4.b_key(), "shape is part of the packed identity");
-    }
-
-    #[test]
     fn degenerate_problems_are_flagged() {
         let empty: [i8; 0] = [];
         assert!(GemmProblem::new(0, 3, 4, &empty, &[0; 12]).is_degenerate());
         assert!(GemmProblem::new(2, 3, 0, &empty, &empty).is_degenerate());
         assert!(!GemmProblem::new(1, 1, 1, &[1], &[1]).is_degenerate());
-    }
-
-    #[test]
-    fn handle_problems_carry_dtype_and_empty_b() {
-        let a = vec![0i8; 8];
-        let h = {
-            let mut reg = crate::weights::WeightRegistry::new();
-            reg.register(3, 4, &[0i8; 12], crate::weights::DType::I4)
-        };
-        let p = GemmProblem::with_handle(2, 3, 4, &a, h).with_dtype(crate::weights::DType::I4);
-        assert_eq!(p.handle, Some(h));
-        assert!(p.b.is_empty());
-        assert_eq!(p.dtype, crate::weights::DType::I4);
-        assert!(!p.is_degenerate());
-        // plain problems default to the i8 kernel with no handle
-        let q = GemmProblem::new(2, 3, 4, &a, &[0i8; 12]);
-        assert_eq!(q.handle, None);
-        assert_eq!(q.dtype, crate::weights::DType::I8);
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //!
 //! [`simulate_gemm_batch`] extends the same machinery across many
 //! [`GemmProblem`] descriptors (each batch item is one more parallel
-//! lane) with B-operand deduplication mirrored from [`crate::batch`]:
-//! problems sharing one weight matrix simulate its packing once, and
-//! the packed image is re-staged for the other problems' units.
+//! lane) with B-operand deduplication: problems sharing one weight
+//! matrix simulate its packing once, and the packed image is re-staged
+//! for the other problems' units.
 
 use crate::batch::GemmProblem;
 use crate::dispatch::{AccKind, ElemKind, KernelGeometry, PackBCtx, RUN_BUDGET};
@@ -755,11 +755,6 @@ fn rng_ctx(
 /// problem's own operands (not RNG), the camp kernel its dtype selects,
 /// clamped to the MAC budget like any simulated problem.
 fn problem_ctx(core: CoreConfig, p: &GemmProblem<'_>, opts: &GemmOptions) -> ProblemCtx {
-    assert!(
-        p.handle.is_none(),
-        "simulate_gemm_batch needs borrowed B operands; WeightHandle problems \
-         are a host-engine feature"
-    );
     let method = Method::for_dtype(p.dtype);
     if p.is_degenerate() {
         return degenerate_ctx(method);
@@ -992,9 +987,8 @@ pub fn simulate_gemm_on(
     result
 }
 
-/// Simulate a batch of GeMMs described by the same [`GemmProblem`]
-/// descriptors the host engine consumes, on the serial scheduler — see
-/// [`simulate_gemm_batch_on`].
+/// Simulate a batch of GeMMs described by [`GemmProblem`] descriptors
+/// on the serial scheduler — see [`simulate_gemm_batch_on`].
 pub fn simulate_gemm_batch(
     core: CoreConfig,
     problems: &[GemmProblem<'_>],
@@ -1005,10 +999,10 @@ pub fn simulate_gemm_batch(
 
 /// Simulate a batch of GeMMs over their **own** operands (not the
 /// seeded RNG workload): each problem runs under the camp kernel its
-/// [`DType`] selects (mirroring `CampBackend::execute_batch`), every
+/// [`DType`] selects (as the host engine does for a request's), every
 /// problem — and every (jc, pc) block within it — is an independent
-/// unit on `sched`, and problems sharing one B operand
-/// ([`GemmProblem::b_key`] identity, post-clamp) simulate its packing
+/// unit on `sched`, and problems sharing one B operand (same buffer,
+/// same post-clamp packed shape and dtype) simulate its packing
 /// **once**: the packed image is re-staged for the other problems'
 /// units, which therefore pay no B-pack instructions — the simulated
 /// mirror of the host batch's B deduplication.
@@ -1019,8 +1013,7 @@ pub fn simulate_gemm_batch(
 /// values in [-8, 7], like the host engine's i4 kernel.
 ///
 /// # Panics
-/// Panics if a problem carries a [`crate::weights::WeightHandle`]
-/// (simulation needs the raw B bytes) or mis-sized operands.
+/// Panics on mis-sized operands.
 pub fn simulate_gemm_batch_on(
     core: CoreConfig,
     problems: &[GemmProblem<'_>],
@@ -1029,8 +1022,8 @@ pub fn simulate_gemm_batch_on(
 ) -> SimBatchResult {
     let mut ctxs: Vec<ProblemCtx> = problems.iter().map(|p| problem_ctx(core, p, opts)).collect();
 
-    // B dedup, mirroring crate::batch: same buffer + same packed shape
-    // (post-clamp n/k and dtype) ⇒ same packed image
+    // B dedup: same buffer + same packed shape (post-clamp n/k and
+    // dtype) ⇒ same packed image
     let mut owner_of: HashMap<(usize, usize, usize, usize, DType), usize> = HashMap::new();
     for i in 0..ctxs.len() {
         if ctxs[i].degenerate {
@@ -1382,15 +1375,5 @@ mod tests {
         assert!(batch.results[0].c.is_empty());
         assert_eq!(batch.results[0].stats.cycles, 0);
         assert!(batch.results[1].correct);
-    }
-
-    #[test]
-    #[should_panic(expected = "borrowed B operands")]
-    fn batch_rejects_handle_problems() {
-        let mut reg = crate::weights::WeightRegistry::new();
-        let h = reg.register(4, 16, &fill(64, 3), DType::I8);
-        let a = fill(2 * 16, 5);
-        let p = GemmProblem::with_handle(2, 4, 16, &a, h);
-        let _ = simulate_gemm_batch(CoreConfig::a64fx(), &[p], &GemmOptions::default());
     }
 }

@@ -10,14 +10,15 @@
 //! exhaustive interleaving proofs live in the `--cfg loom` model suite.
 //! This file drives the *real* `CampEngine` from real OS threads.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use camp::core::backend::CampBackend;
+use camp::core::backend::{BatchOutcome, CampBackend, Capability};
 use camp::core::dispatch::MAX_STAGED;
 use camp::core::{
     gemm_i32_ref, CampEngine, DType, DispatchOptions, Dispatcher, GemmRequest, Priority,
-    RequestError,
+    RequestError, WeightHandle, WeightMeta, WeightSnapshot,
 };
+use camp::gemm::KernelInfo;
 use proptest::prelude::*;
 
 fn gen(len: usize, s: u32) -> Vec<i8> {
@@ -123,6 +124,53 @@ proptest! {
     }
 }
 
+/// The engine, logging the first request's `m` of every batch in
+/// execution order: a batch's *position* among the others, which no
+/// counter read after the fact can give.
+struct OrderLog {
+    engine: CampEngine,
+    log: Arc<Mutex<Vec<usize>>>,
+}
+
+impl CampBackend for OrderLog {
+    type Prepared = (usize, <CampEngine as CampBackend>::Prepared);
+
+    fn name(&self) -> &'static str {
+        self.engine.name()
+    }
+    fn threads(&self) -> usize {
+        self.engine.threads()
+    }
+    fn supports(&self, cap: Capability) -> bool {
+        self.engine.supports(cap)
+    }
+    fn kernel_info(&self) -> KernelInfo {
+        self.engine.kernel_info()
+    }
+    fn register_weights(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle {
+        self.engine.register_weights(n, k, b, dtype)
+    }
+    fn evict_weights(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
+        self.engine.evict_weights(h)
+    }
+    fn clear_weights(&mut self) {
+        self.engine.clear_weights()
+    }
+    fn try_weight_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
+        self.engine.try_weight_meta(h)
+    }
+    fn weight_snapshot(&self) -> WeightSnapshot {
+        self.engine.weight_snapshot()
+    }
+    fn prepare(req: GemmRequest, weights: &WeightSnapshot) -> Self::Prepared {
+        (req.m(), CampEngine::prepare(req, weights))
+    }
+    fn execute_prepared(&mut self, batch: Vec<Self::Prepared>) -> BatchOutcome {
+        self.log.lock().unwrap().push(batch[0].0);
+        self.engine.execute_prepared(batch.into_iter().map(|(_, staged)| staged).collect())
+    }
+}
+
 /// A prefill flood from several tenants cannot starve a decode batch
 /// past the documented window: at the moment the decode batch is
 /// submitted, only work already claimed past the queues (at most
@@ -132,7 +180,8 @@ proptest! {
 fn a_prefill_flood_cannot_starve_decode_beyond_the_staging_window() {
     let (n, k) = (32, 256);
     let b = gen(k * n, 0x5eed | 1);
-    let mut engine = CampEngine::with_threads(1);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut engine = OrderLog { engine: CampEngine::with_threads(1), log: Arc::clone(&log) };
     let h = engine.register_weights(n, k, &b, DType::I8);
 
     let flood_sessions = 3;
@@ -156,7 +205,6 @@ fn a_prefill_flood_cannot_starve_decode_beyond_the_staging_window() {
     }
 
     let mut decode = dispatcher.session();
-    let executed_before = dispatcher.stats().executed;
     let a = gen(2 * k, 0x0dec | 1);
     let t = decode
         .submit_with(
@@ -165,11 +213,19 @@ fn a_prefill_flood_cannot_starve_decode_beyond_the_staging_window() {
             None,
         )
         .expect("decode batch admits");
+    // everything logged up to here ran before the decode batch was
+    // admitted or raced its admission; what follows, up to the decode
+    // batch's own entry (the only m = 2), overtook it
+    let submitted_at = log.lock().unwrap().len();
     let out = decode.wait(t).expect("decode batch completes");
     assert_eq!(out.outputs[0].c, gemm_i32_ref(2, n, k, &a, &b));
 
-    let overtaken_by = dispatcher.stats().executed - executed_before - 1;
-    let bound = (MAX_STAGED * flood_sessions + stagers) as u64;
+    let overtaken_by = {
+        let log = log.lock().unwrap();
+        let ran_at = log.iter().position(|&m| m == 2).expect("the decode batch ran");
+        log[submitted_at.min(ran_at)..ran_at].iter().filter(|&&m| m >= 4).count()
+    };
+    let bound = MAX_STAGED * flood_sessions + stagers;
     assert!(
         overtaken_by <= bound,
         "decode waited behind {overtaken_by} prefill batches; the staging window bounds it at {bound}"
