@@ -15,12 +15,12 @@
 //! * **i8 → i32** (and **i4**) through the engine's request API with
 //!   registered weights — the serving steady state, B pre-packed,
 //!   blocked tile path;
-//! * **skinny** shapes (m ≤ 8 / n ≤ 8) — the Pire-style fast paths;
-//!   `small_n` runs against a registered (panel) B, `small_n_dense`
-//!   runs the one-shot dense request, which the engine packs into a
-//!   panel like any other dense B: that row times pack + panel kernel,
-//!   not `HostKernel::small_n_dense` (no engine path reaches the
-//!   no-pack kernels; see `docs/HOST_KERNELS.md`);
+//! * **skinny** shapes (m ≤ 8 / n ≤ 8) — the Pire-style fast paths,
+//!   against a registered (panel) B. A dense skinny-m request runs the
+//!   no-pack `small_m_dense` row sweep instead (attention's per-head
+//!   GEMVs; `benchmark/`'s `engine_direct` workload is what times it),
+//!   a dense skinny-n request is packed like any blocked dense B (see
+//!   `docs/HOST_KERNELS.md`);
 //! * **pack_a / pack_b / pack_nib** — the SIMD packers, reported as
 //!   packed GB/s in the GOPS columns (same speedup semantics);
 //! * **f32** through [`HostGemmF32`] — the FMA-chain subsystem.
@@ -104,27 +104,6 @@ fn int_secs(
     let req = GemmRequest::with_weights(m, a, h).expect("coherent");
     time_best(reps, true, || {
         let out = eng.execute(&req).expect("registered handle");
-        assert_eq!(out.output.c.len(), m * n);
-    })
-}
-
-/// Time one i8 shape as a one-shot dense request (no registered B):
-/// the engine packs B into a panel on every call, so a skinny-n shape
-/// times that pack plus the panel kernel `small_n` times alone.
-fn int_dense_secs(
-    kernel: &'static HostKernel,
-    threads: usize,
-    reps: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-) -> f64 {
-    let a = gen_i8(m * k, 0x1234_5679, -128, 127);
-    let b = gen_i8(k * n, 0x0BAD_F00D | 1, -128, 127);
-    let mut eng = CampEngine::with_threads_and_kernel(threads, kernel);
-    let req = GemmRequest::dense(m, n, k, a, b).expect("coherent");
-    time_best(reps, true, || {
-        let out = eng.execute(&req).expect("dense request");
         assert_eq!(out.output.c.len(), m * n);
     })
 }
@@ -217,9 +196,8 @@ fn main() {
     println!("==============================================================");
 
     // (dtype, path, m, n, k): the blocked tile path at paper-ish sizes,
-    // both skinny fast paths (registered and one-shot dense B), and the f32
-    // subsystem. Full runs keep every smoke shape so a full-run
-    // baseline can gate smoke runs.
+    // both skinny fast paths, and the f32 subsystem. Full runs keep
+    // every smoke shape so a full-run baseline can gate smoke runs.
     let smoke_int: &[(&str, DType, &str, usize, usize, usize)] = &[
         ("i8", DType::I8, "blocked", 32, 32, 64),
         ("i4", DType::I4, "blocked", 32, 32, 64),
@@ -234,8 +212,6 @@ fn main() {
         ("i8", DType::I8, "small_m", 8, 4096, 1024),
         ("i8", DType::I8, "small_n", 2048, 4, 2048),
     ];
-    let smoke_dense: &[(usize, usize, usize)] = &[(64, 2, 64)];
-    let full_dense: &[(usize, usize, usize)] = &[(2048, 4, 2048)];
     // (path, rows, k) — see `pack_gbs` for the shape semantics.
     let smoke_pack: &[(&str, usize, usize)] =
         &[("pack_a", 128, 128), ("pack_b", 128, 128), ("pack_nib", 1 << 14, 0)];
@@ -250,11 +226,6 @@ fn main() {
         smoke_int.to_vec()
     } else {
         smoke_int.iter().chain(full_int).copied().collect()
-    };
-    let dense_shapes: Vec<_> = if smoke {
-        smoke_dense.to_vec()
-    } else {
-        smoke_dense.iter().chain(full_dense).copied().collect()
     };
     let pack_shapes: Vec<_> = if smoke {
         smoke_pack.to_vec()
@@ -281,18 +252,6 @@ fn main() {
                 simd_gops: gops(m, n, k, int_secs(simd, threads, reps, m, n, k, dtype)),
             });
         }
-    }
-    for &(m, n, k) in &dense_shapes {
-        rows.push(Row {
-            dtype: "i8",
-            path: "small_n_dense",
-            m,
-            n,
-            k,
-            threads: 1,
-            scalar_gops: gops(m, n, k, int_dense_secs(scalar, 1, reps, m, n, k)),
-            simd_gops: gops(m, n, k, int_dense_secs(simd, 1, reps, m, n, k)),
-        });
     }
     for &(path, r, k) in &pack_shapes {
         rows.push(Row {

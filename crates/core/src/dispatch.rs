@@ -1867,7 +1867,8 @@ mod tests {
 
     /// One batch through the three entry points — `execute_batch` on the
     /// bare backend, a direct `run`, a queued `submit_with` → `wait`:
-    /// the same outputs, equal to the reference, and the same stats.
+    /// the same outputs, equal to the reference, and the same stats
+    /// (on the host engine: no B bytes packed for the dense m = 1 leg).
     fn run_matches_submit_then_wait<B: CampBackend + Send + 'static>(mut backend: B) {
         // 4-bit-safe values, so one generator serves the i4 request too
         let gen = |len: usize, mul: usize| -> Vec<i8> {
@@ -1897,6 +1898,11 @@ mod tests {
             want.push(gemm_i32_ref(m, n, k, &a, &w));
             batch.push(GemmRequest::dense(m, n, k, a, shared.clone()).unwrap());
         }
+        // a decode GEMV over a dense B of its own (an attention head's
+        // Kᵀ): the host engine reads it in place on every entry point
+        let (a, kt) = (gen(k, 9), gen(k * n, 9));
+        want.push(gemm_i32_ref(1, n, k, &a, &kt));
+        batch.push(GemmRequest::dense(1, n, k, a, kt).unwrap());
         let a = gen(16 * wide_k, 13);
         want.push(gemm_i32_ref(16, wide_n, wide_k, &a, &wide));
         batch.push(GemmRequest::with_weights(16, a, hw).unwrap());
@@ -1913,6 +1919,10 @@ mod tests {
             assert_eq!(&got.c, want);
         }
         assert_eq!(bare.outputs.len(), want.len());
+        if let Some(host) = bare.stats.as_host() {
+            let shared_once = (n.div_ceil(4) * 4 * k.div_ceil(16) * 16) as u64;
+            assert_eq!(host.packed_b_bytes, shared_once, "only the blocked pair's B is packed");
+        }
         for (leg, outcome) in [("direct run", &direct), ("queued batch", &queued)] {
             assert!(outcome.outputs == bare.outputs, "a {leg} must match the bare backend");
             assert_eq!(outcome.stats, bare.stats, "a {leg} must report the bare backend's stats");

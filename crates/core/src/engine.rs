@@ -50,10 +50,13 @@
 //! a batch came in:
 //!
 //! * **B deduplication** (`execute_prepared`, which sees the whole batch
-//!   and owns the arena) — requests sharing one dense B buffer under
-//!   one (n, k, k-step) pack it once into a pool-owned panel reused
-//!   across the batch, and requests carrying a [`WeightHandle`] skip
-//!   packing entirely;
+//!   and owns the arena) — blocked requests sharing one dense B buffer
+//!   under one (n, k, k-step) pack it once into a pool-owned panel
+//!   reused across the batch (skinny-n requests included); a skinny-m
+//!   request (m ≤ 8, below the row-split threshold) reads its dense B
+//!   **in place** — a single-use operand such as an attention head's
+//!   Kᵀ or V is never copied into a panel just to be read once — and
+//!   requests carrying a [`WeightHandle`] skip packing entirely;
 //! * **A pre-packing** (`prepare`, per request, needs no engine) — a
 //!   request that will run whole on the blocked path gets its A packed
 //!   once up front into a staging buffer allocated per request; skinny
@@ -71,9 +74,10 @@
 //! upgrades the engine into a [`crate::dispatch::Dispatcher`] whose
 //! queued sessions run `prepare` on stager threads, overlapping the
 //! A-packing of one batch with the compute of the previous one. A
-//! dense B is then packed by whichever thread holds the engine, not by
-//! a stager: served weights are registered handles, and the dense B
-//! of served traffic is attention K/V, a few KiB per head.
+//! blocked request's dense B is then packed by whichever thread holds
+//! the engine, not by a stager: served weights are registered handles,
+//! and the dense B of served traffic is attention K/V, a few KiB per
+//! head, which decode steps read in place.
 
 use camp_gemm::batch::{packed_a_bytes, packed_a_offset, packed_b_bytes, packed_b_offset};
 use camp_gemm::host::{HostKernel, KernelInfo, SmallB};
@@ -86,7 +90,7 @@ use camp_gemm::weights::{
     WeightSnapshot,
 };
 use camp_gemm::workspace::{PackPool, PanelId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::pool::{Job, WorkerPool};
@@ -120,11 +124,14 @@ pub struct EngineStats {
     /// row-split request is packed block by block by the workers, once
     /// per column strip. Identical across entry points.
     pub packed_a_bytes: u64,
-    /// Bytes moved packing B panels, deduplicated: each *distinct*
-    /// dense B of a batch (same buffer, same (n, k, k-step)) is packed
-    /// once, whichever entry point ran the batch, and requests against
-    /// a registered [`WeightHandle`] pack **nothing** — this stays 0 on
-    /// the serving steady state.
+    /// Bytes the engine actually moved packing B panels, deduplicated:
+    /// each *distinct* dense B that a blocked, skinny-n or row-split
+    /// request of the batch reads (same buffer, same (n, k, k-step)) is
+    /// packed once, whichever entry point ran the batch. A skinny-m
+    /// request reads its dense B in place and adds 0 (`camp_issues` /
+    /// `vector_*` still report the canonical stream), and requests
+    /// against a registered [`WeightHandle`] pack **nothing** — this
+    /// stays 0 on the serving steady state.
     pub packed_b_bytes: u64,
     /// Multiply-accumulate operations represented.
     pub macs: u64,
@@ -174,13 +181,18 @@ impl EngineStats {
     }
 }
 
+/// Whether [`debug_check_i4`] looks at operands of `dtype` at all.
+fn checks_i4(dtype: DType) -> bool {
+    cfg!(debug_assertions) && dtype == DType::I4
+}
+
 /// Debug-build guard for the `camp.s4` kernel's operand contract:
 /// values must fit 4 bits. The host tiers run i4 through the same
 /// widening i8 arithmetic (the math is identical on 4-bit-safe
 /// operands), so the range check lives at the engine entry points
 /// instead of inside the micro-kernel.
 fn debug_check_i4(dtype: DType, what: &str, vals: &[i8]) {
-    if cfg!(debug_assertions) && dtype == DType::I4 {
+    if checks_i4(dtype) {
         if let Some(v) = vals.iter().find(|v| !(-8..8).contains(*v)) {
             panic!("i4 {what} operand {v} out of range");
         }
@@ -381,8 +393,10 @@ fn gemm_range(
         // register tile). Bit-identity with the blocked path is
         // structural — exact products, wrapping i32 accumulation.
         // Stats report the canonical camp stream for the problem (see
-        // [`tile_path_stats`]); `shared_a` is never set here
-        // ([`StagedRequest::stage`] packs no A for a skinny shape).
+        // [`tile_path_stats`]) but no B pack: a panel was accounted by
+        // whoever packed it, a raw B (small-m only) is read in place.
+        // `shared_a` is never set here ([`StagedRequest::stage`] packs
+        // no A for a skinny shape).
         match path {
             SmallPath::SmallM => {
                 let bsrc = match shared_b {
@@ -391,20 +405,12 @@ fn gemm_range(
                 };
                 hk.run_small_m(m, n, k, &plan, a, bsrc, c);
             }
-            SmallPath::SmallN => match shared_b {
-                Some(panel) => hk.run_small_n(m, n, k, &plan, a, panel, c),
-                None => {
-                    // No resident panel to reuse, so packing a skinny B
-                    // is pure overhead: feed the raw row-major B to the
-                    // dense skinny-n kernel. The stats below still
-                    // account the canonical pack traffic the blocked
-                    // path would have incurred (they describe the
-                    // problem, not the host schedule).
-                    hk.small_n_dense(m, n, k, a, b, c);
-                }
-            },
+            SmallPath::SmallN => {
+                let panel = shared_b.expect("a skinny-n item always arrives with its B packed");
+                hk.run_small_n(m, n, k, &plan, a, panel, c);
+            }
         }
-        return tile_path_stats(m, n, k, k_step, &plan, shared_b.is_some(), shared_a.is_some());
+        return tile_path_stats(m, n, k, k_step, &plan, true, shared_a.is_some());
     }
     let mut backend = HostBackend {
         a,
@@ -500,9 +506,31 @@ fn gemm_partitioned(
     total
 }
 
-/// One non-degenerate work unit of a batch: its effective kernel, an
-/// always-pre-packed B panel, and a pre-packed A where
-/// [`StagedRequest::stage`] made one.
+/// Whether a non-degenerate batch item is row-partitioned across all
+/// workers instead of running whole on one: at or above
+/// [`BATCH_ROW_SPLIT_MACS`], unless m ≤ 4 — [`row_partition`] chunks in
+/// multiples of the 4-row register tile, so even a huge GEMV-shaped
+/// (m = 1) decode item gains nothing from the partitioned path and runs
+/// whole on the skinny small-m kernel, parallel across batch items.
+fn row_splits(m: usize, n: usize, k: usize) -> bool {
+    m as u64 * n as u64 * k as u64 >= BATCH_ROW_SPLIT_MACS && m > 4
+}
+
+/// Whether the engine reads a request's dense B in place instead of
+/// packing it: the item takes the skinny small-m path (whose row sweep
+/// streams the raw row-major operand once) and runs whole on one
+/// worker. Skinny-n items keep packing — their B is at most 8 columns
+/// wide and every one of the m > 8 rows re-reads it, and the
+/// pack-then-panel-walk measured faster than a no-pack kernel there.
+/// A pure function of the shape, so the route — and with it the stats —
+/// is the same on every entry point, tier and thread count.
+fn reads_dense_b_in_place(m: usize, n: usize, k: usize) -> bool {
+    small_path(m, n) == Some(SmallPath::SmallM) && !row_splits(m, n, k)
+}
+
+/// One non-degenerate work unit of a batch: its effective kernel, its B
+/// as a pre-packed panel or (skinny-m, dense) as the raw operand, and a
+/// pre-packed A where [`StagedRequest::stage`] made one.
 struct WorkItem<'a> {
     slot: usize,
     m: usize,
@@ -514,7 +542,10 @@ struct WorkItem<'a> {
     /// row-split path partitions rows, whose per-worker plans index A
     /// differently).
     shared_a: Option<&'a [i8]>,
-    shared_b: &'a [i8],
+    /// Raw row-major B, read only where `shared_b` is `None`
+    /// ([`reads_dense_b_in_place`]); empty otherwise.
+    b: &'a [i8],
+    shared_b: Option<&'a [i8]>,
 }
 
 impl WorkItem<'_> {
@@ -539,13 +570,7 @@ fn run_work_items(
     let mut small = Vec::with_capacity(items.len());
     for it in items {
         total.stamp_route(it.m, it.n, it.k);
-        // m ≤ 4 problems cannot row-split ([`row_partition`] chunks in
-        // multiples of the 4-row register tile), so even a huge
-        // GEMV-shaped (m = 1) decode item gains nothing from the
-        // partitioned path — send it to the cross-item path where it
-        // runs on the skinny small-m kernel and parallelizes across
-        // batch items instead.
-        if it.macs() < BATCH_ROW_SPLIT_MACS || it.m <= 4 {
+        if !row_splits(it.m, it.n, it.k) {
             small.push(it);
             continue;
         }
@@ -555,14 +580,14 @@ fn run_work_items(
             it.n,
             it.k,
             it.a,
-            &[],
+            it.b,
             &mut c,
             pools,
             wp,
             threads,
             it.k_step,
             hk,
-            Some(it.shared_b),
+            it.shared_b,
         ));
         results[it.slot] = c;
     }
@@ -614,12 +639,12 @@ fn run_small_items(
                         it.n,
                         it.k,
                         it.a,
-                        &[],
+                        it.b,
                         &mut c,
                         pool,
                         it.k_step,
                         hk,
-                        Some(it.shared_b),
+                        it.shared_b,
                         it.shared_a,
                     );
                     cell.push((it.slot, c, s));
@@ -644,7 +669,8 @@ pub(crate) enum StagedB {
     Handle(WeightHandle),
     /// Dense weights, carried raw: [`CampEngine::run_staged`] sees the
     /// whole batch and owns the arena, so it packs each distinct
-    /// operand once for all of its sharers.
+    /// operand once for all of its sharers that read a panel;
+    /// skinny-m requests read it as it is.
     Dense(Arc<[i8]>),
 }
 
@@ -679,7 +705,7 @@ impl StagedRequest {
         };
         let a = req.activation_arc();
         let blocked_whole =
-            !r.is_degenerate() && r.macs() < BATCH_ROW_SPLIT_MACS && small_path(r.m, r.n).is_none();
+            !r.is_degenerate() && !row_splits(r.m, r.n, r.k) && small_path(r.m, r.n).is_none();
         let packed_a = blocked_whole.then(|| {
             let plan = host_block_plan(r.m, r.n, r.k, r.dtype.k_step());
             let mut buf = vec![0i8; packed_a_bytes(&plan)];
@@ -954,10 +980,11 @@ impl CampEngine {
 
         let mut total = EngineStats::default();
         let (_, workers) = row_partition(m, self.threads);
-        let panel_id = if workers > 1 {
+        let panel_id = if workers > 1 || small_path(m, n) == Some(SmallPath::SmallN) {
             // Pack B once into a shared read-only panel instead of once
-            // per worker — the packing traffic below is everything the
-            // whole call moves for B.
+            // per worker (the skinny-n walk only reads panels) — the
+            // packing traffic below is everything the whole call moves
+            // for B.
             let plan = host_block_plan(m, n, k, k_step);
             self.shared.reset_panels();
             let id = self.shared.alloc_panel(packed_b_bytes(&plan));
@@ -987,24 +1014,33 @@ impl CampEngine {
     }
 
     /// Compute one prepared batch — the engine's only batch path,
-    /// whichever entry point built it: each *distinct* dense B (buffer
-    /// identity plus (n, k, k-step), which fix the packed layout) is
-    /// packed once into the shared arena for all of its sharers,
-    /// registered B panels are consumed as they are, A comes pre-packed
-    /// where [`StagedRequest::stage`] provided it, and oversized
-    /// requests are row-partitioned. Returns one row-major C per
-    /// request plus the batch's merged stats.
+    /// whichever entry point built it: a skinny-m request reads its dense
+    /// B in place ([`reads_dense_b_in_place`]); each *distinct* dense B
+    /// of the others (buffer identity plus (n, k, k-step), which fix
+    /// the packed layout) is packed once into the shared arena for all
+    /// of its sharers, registered B panels are consumed as they are, A
+    /// comes pre-packed where [`StagedRequest::stage`] provided it, and
+    /// oversized requests are row-partitioned. Returns one row-major C
+    /// per request plus the batch's merged stats.
     pub(crate) fn run_staged(&mut self, reqs: &[StagedRequest]) -> (Vec<Vec<i32>>, EngineStats) {
         let mut total = EngineStats::default();
         self.shared.reset_panels();
         let mut panel_of: HashMap<(*const i8, usize, usize, usize), PanelId> = HashMap::new();
+        // Debug builds range-check each distinct i4 operand once,
+        // whichever route its readers take.
+        let mut checked_i4: HashSet<*const i8> = HashSet::new();
         let panels: Vec<Option<PanelId>> = reqs
             .iter()
             .map(|r| match &r.b {
                 StagedB::Dense(b) if !r.is_degenerate() => {
+                    if checks_i4(r.dtype) && checked_i4.insert(b.as_ptr()) {
+                        debug_check_i4(r.dtype, "B", b);
+                    }
+                    if reads_dense_b_in_place(r.m, r.n, r.k) {
+                        return None;
+                    }
                     let k_step = r.dtype.k_step();
                     Some(*panel_of.entry((b.as_ptr(), r.n, r.k, k_step)).or_insert_with(|| {
-                        debug_check_i4(r.dtype, "B", b);
                         let plan = host_block_plan(r.m, r.n, r.k, k_step);
                         let id = self.shared.alloc_panel(packed_b_bytes(&plan));
                         prepack_b(self.shared.panel_mut(id), b, r.n, r.k, &plan);
@@ -1032,6 +1068,11 @@ impl CampEngine {
             .map(|(i, r)| {
                 debug_check_i4(r.dtype, "A", &r.a);
                 total.packed_a_bytes += r.packed_a.as_ref().map_or(0, |p| p.len() as u64);
+                let (b, shared_b): (&[i8], _) = match (&r.b, panels[i]) {
+                    (StagedB::Handle(h), _) => (&[], Some(weights.panel(*h))),
+                    (StagedB::Dense(_), Some(id)) => (&[], Some(shared.panel(id))),
+                    (StagedB::Dense(b), None) => (b, None),
+                };
                 WorkItem {
                     slot: i,
                     m: r.m,
@@ -1040,10 +1081,8 @@ impl CampEngine {
                     k_step: r.dtype.k_step(),
                     a: &r.a,
                     shared_a: r.packed_a.as_deref(),
-                    shared_b: match &r.b {
-                        StagedB::Handle(h) => weights.panel(*h),
-                        StagedB::Dense(_) => shared.panel(panels[i].expect("packed above")),
-                    },
+                    b,
+                    shared_b,
                 }
             })
             .collect();
@@ -1493,14 +1532,15 @@ mod tests {
     #[test]
     fn mixed_dtype_batch_packs_shared_b_once_per_kernel() {
         // the same operand under i8 and i4 needs two packed layouts
-        // (different padded depths) but each exactly once
-        let (n, k) = (8, 48);
+        // (different padded depths) but each exactly once — on blocked
+        // shapes: a skinny-m request would read the operand raw
+        let (m, n, k) = (9, 12, 48);
         let w: Arc<[i8]> = fill(k * n, 5, 16, -8).into();
-        let a: Arc<[i8]> = fill(4 * k, 3, 16, -8).into();
+        let a: Arc<[i8]> = fill(m * k, 3, 16, -8).into();
         let reqs = [
-            dense((4, n, k), Arc::clone(&a), Arc::clone(&w), I8),
-            dense((4, n, k), Arc::clone(&a), Arc::clone(&w), I4),
-            dense((4, n, k), Arc::clone(&a), Arc::clone(&w), I8), // dedups with request 0
+            dense((m, n, k), Arc::clone(&a), Arc::clone(&w), I8),
+            dense((m, n, k), Arc::clone(&a), Arc::clone(&w), I4),
+            dense((m, n, k), Arc::clone(&a), Arc::clone(&w), I8), // dedups with request 0
         ];
         let mut eng = CampEngine::new();
         let (_, stats) = run_batch(&mut eng, &reqs);
@@ -1527,13 +1567,14 @@ mod tests {
 
     #[test]
     fn batch_dedups_shared_b_packing() {
-        // three problems over one weight matrix: B must be packed once
+        // three blocked problems over one weight matrix: B must be
+        // packed once
         let (n, k) = (20, 33);
         let w: Arc<[i8]> = fill(k * n, 5, 16, -8).into();
         let on = |m: usize, seed, w: &Arc<[i8]>| {
             dense((m, n, k), fill(m * k, seed, 16, -8), Arc::clone(w), I8)
         };
-        let reqs = [on(6, 3, &w), on(9, 7, &w), on(5, 11, &w)];
+        let reqs = [on(10, 3, &w), on(9, 7, &w), on(12, 11, &w)];
         let mut eng = CampEngine::new();
         let (_, batch) = run_batch(&mut eng, &reqs);
         // packed B bytes of one problem = padded n × padded k
@@ -1553,10 +1594,23 @@ mod tests {
         // transposed (n, k), are each packed separately — while m never
         // matters (the three requests above differ in it)
         let twin: Arc<[i8]> = w.to_vec().into();
-        let transposed = dense((6, k, n), fill(6 * n, 3, 16, -8), Arc::clone(&w), I8);
-        let (_, s) = run_batch(&mut eng, &[on(6, 3, &w), on(6, 3, &twin), transposed]);
+        let transposed = dense((10, k, n), fill(10 * n, 3, 16, -8), Arc::clone(&w), I8);
+        let (_, s) = run_batch(&mut eng, &[on(10, 3, &w), on(10, 3, &twin), transposed]);
         let transposed_once = (k.div_ceil(4) * 4 * n.div_ceil(16) * 16) as u64;
         assert_eq!(s.packed_b_bytes, 2 * b_packed_once + transposed_once);
+
+        // a skinny request reads the operand in place: sharing it with a
+        // blocked request packs it exactly once, for the blocked one,
+        // and skinny requests alone pack nothing
+        let mixed = [on(6, 3, &w), on(9, 7, &w)];
+        let (cs, s) = run_batch(&mut eng, &mixed);
+        assert_eq!(s.packed_b_bytes, b_packed_once);
+        assert_eq!((s.small_m_routed, s.blocked_routed), (1, 1));
+        for (c, r) in cs.iter().zip(&mixed) {
+            assert_eq!(c, &gemm_i32_ref(r.m(), n, k, r.activation(), &w));
+        }
+        let (_, s) = run_batch(&mut eng, &[on(6, 3, &w), on(5, 11, &w)]);
+        assert_eq!(s.packed_b_bytes, 0);
     }
 
     #[test]
@@ -1595,6 +1649,7 @@ mod tests {
 
         let mut eng = CampEngine::with_threads(4);
         let h = eng.register_weights(n, k, &w, DType::I8);
+        let cold = eng.pack_allocations();
 
         // the batch path
         let reqs = [
@@ -1609,6 +1664,16 @@ mod tests {
             (2, 0, 0),
             "every decode-shaped item must classify onto the small-m path"
         );
+
+        // dense decode-shaped requests (attention's per-head GEMVs) read
+        // B in place: nothing is packed, so no arena ever grows for them
+        assert_eq!(stats.packed_b_bytes, 0);
+        for _ in 0..3 {
+            let (cs, s) = run_batch(&mut eng, &reqs[1..]);
+            assert_eq!(cs[0], gemm_i32_ref(1, 16, 64, &asml, &wsml));
+            assert_eq!((s.small_m_routed, s.packed_b_bytes), (1, 0));
+        }
+        assert_eq!(eng.pack_allocations(), cold, "a dense m = 1 request must not touch an arena");
 
         // the skinny kernels read the raw activation, so the prepared
         // form of a decode request carries no packed A

@@ -103,8 +103,9 @@ fn i4_weights_serve_under_the_i4_kernel() {
 
 #[test]
 fn dense_requests_serve_with_b_staged_off_the_compute_path() {
-    // dense operands are pre-packed by the stager, bit-identically
-    let (m, n, k) = (6, 10, 33);
+    // a blocked request's dense B is packed once, by the engine
+    // (a skinny one would read it in place and account nothing)
+    let (m, n, k) = (12, 10, 33);
     let w = fill(k * n, 5);
     let a = fill(m * k, 3);
     let req = GemmRequest::dense(m, n, k, a.clone(), w.clone()).unwrap();

@@ -189,10 +189,32 @@ pub fn tile_i8_wide(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
     unsafe { tile_i8_wide_impl(pa, pb, acc) }
 }
 
+/// Sliding i32 lane mask of `small_m_dense`'s column tail: the 8 lanes
+/// read at offset `r` keep exactly the last `r` of them.
+const TAIL_LANES: [i32; 16] = [0, 0, 0, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, -1, -1];
+
+// SAFETY: requires AVX2, and `j + 8 <= n`: the 8-byte B loads at
+// `l*n + j` stay inside the k×n operand for every `l < k`, and the
+// caller's 8-lane C access at `i*n + j` inside its row.
+#[target_feature(enable = "avx2")]
+unsafe fn small_m_sweep8(arow: &[i8], b: &[i8], n: usize, j: usize) -> __m256i {
+    let mut acc = _mm256_setzero_si256();
+    for (l, &av) in arow.iter().enumerate() {
+        let a16 = _mm_set1_epi16(av as i16);
+        let b16 = _mm_cvtepi8_epi16(_mm_loadl_epi64(b.as_ptr().add(l * n + j) as *const __m128i));
+        // i8×i8 products fit i16 exactly (|p| ≤ 16384)
+        acc = _mm256_add_epi32(acc, _mm256_cvtepi16_epi32(_mm_mullo_epi16(a16, b16)));
+    }
+    acc
+}
+
 // SAFETY: requires AVX2. Every pointer offset is guarded by the loop
 // bounds: C rows via `j + 16 <= n`, B rows via the same guard (for
 // `l < k`, `l*n + j + 16 <= k*n` follows from `j + 16 <= n`); the
-// scalar remainder uses safe indexing.
+// 8-column steps run at `j + 8 <= n` and at `n - 8` under `n >= 8`
+// ([`small_m_sweep8`]'s contract), the lane-mask load reads 8 of
+// [`TAIL_LANES`]' 16 entries at an offset `<= 7`, and the `n < 8`
+// remainder uses safe indexing.
 #[target_feature(enable = "avx2")]
 unsafe fn small_m_dense_impl(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
     for i in 0..m {
@@ -218,6 +240,23 @@ unsafe fn small_m_dense_impl(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c
             _mm256_storeu_si256(cptr as *mut __m256i, acc0);
             _mm256_storeu_si256(cptr.add(8) as *mut __m256i, acc1);
             j += 16;
+        }
+        // the column tail: one 8-wide step while it fits, then the last
+        // 8 columns of the row once more with the lanes already summed
+        // (`< j`) masked to zero, so no column of a row at least one
+        // vector wide runs scalar
+        if j + 8 <= n {
+            let cptr = c.as_mut_ptr().add(i * n + j) as *mut __m256i;
+            let sum = small_m_sweep8(arow, b, n, j);
+            _mm256_storeu_si256(cptr, _mm256_add_epi32(_mm256_loadu_si256(cptr), sum));
+            j += 8;
+        }
+        if j < n && n >= 8 {
+            let cptr = c.as_mut_ptr().add(i * n + n - 8) as *mut __m256i;
+            let live = _mm256_loadu_si256(TAIL_LANES.as_ptr().add(n - j) as *const __m256i);
+            let sum = _mm256_and_si256(small_m_sweep8(arow, b, n, n - 8), live);
+            _mm256_storeu_si256(cptr, _mm256_add_epi32(_mm256_loadu_si256(cptr), sum));
+            j = n;
         }
         for j in j..n {
             let mut acc = c[i * n + j];
@@ -379,70 +418,6 @@ pub fn f32_small_m(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [
     // SAFETY: AVX2+FMA gate dispatch to this tier (debug-asserted
     // above); slice shapes are the m×k / k×n / m×n engine contract.
     unsafe { f32_small_m_impl(m, n, k, a, b, c) }
-}
-
-// SAFETY: requires AVX2 and n ≤ 8. The 8-byte B loads at rows `l` and
-// `l+1` are guarded by `(l + 1) * n + 8 <= b.len()`; everything past
-// that guard uses safe indexing. C stores go through a bounded stack
-// array fold, never a vector store.
-#[target_feature(enable = "avx2")]
-unsafe fn small_n_dense_impl(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
-    let blen = b.len();
-    // one k-pair step shared by every row group: interleave B rows l
-    // and l+1 ((b[l][j], b[l+1][j]) pairs), widen, vpmaddwd against the
-    // broadcast (a[l], a[l+1]) pair — 8 columns per instruction with
-    // the ≤8-wide C row held in one register across the whole k loop
-    let mut i = 0;
-    while i < m {
-        let rows = 4.min(m - i);
-        let mut vacc = [_mm256_setzero_si256(); 4];
-        let mut l = 0;
-        while l + 2 <= k && (l + 1) * n + 8 <= blen {
-            let b0 = _mm_loadl_epi64(b.as_ptr().add(l * n) as *const __m128i);
-            let b1 = _mm_loadl_epi64(b.as_ptr().add((l + 1) * n) as *const __m128i);
-            let b16 = _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(b0, b1));
-            for (r, v) in vacc.iter_mut().enumerate().take(rows) {
-                let arow = a.as_ptr().add((i + r) * k);
-                let a0 = *arow.add(l) as i16;
-                let a1 = *arow.add(l + 1) as i16;
-                let apair = _mm256_set1_epi32(((a1 as i32) << 16) | (a0 as u16 as i32));
-                *v = _mm256_add_epi32(*v, _mm256_madd_epi16(b16, apair));
-            }
-            l += 2;
-        }
-        let lv = l;
-        for r in 0..rows {
-            let mut out = [0i32; 8];
-            _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, vacc[r]);
-            let crow = &mut c[(i + r) * n..(i + r + 1) * n];
-            for (cv, &v) in crow.iter_mut().zip(&out) {
-                *cv = cv.wrapping_add(v);
-            }
-            // scalar tail: the last k-values where an 8-byte row load
-            // would run past the end of B
-            let arow = &a[(i + r) * k..(i + r + 1) * k];
-            for (l, &av) in arow.iter().enumerate().skip(lv) {
-                let av = av as i32;
-                for (cv, &bv) in crow.iter_mut().zip(&b[l * n..(l + 1) * n]) {
-                    *cv = cv.wrapping_add(av.wrapping_mul(bv as i32));
-                }
-            }
-        }
-        i += rows;
-    }
-}
-
-/// Skinny-n kernel over raw row-major operands (n ≤ 8, m large); see
-/// [`super::scalar::small_n_dense`]. Bit-identical: exact products,
-/// wrapping accumulation.
-pub fn small_n_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
-    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 kernel dispatched without avx2");
-    debug_assert!(n <= 8, "skinny-n kernel requires n <= 8");
-    // SAFETY: AVX2 detection gates dispatch (debug-asserted above);
-    // slice shapes are the m×k / k×n / m×n engine contract and n ≤ 8 is
-    // the skinny-path routing precondition — the impl's bounds
-    // reasoning needs exactly those.
-    unsafe { small_n_dense_impl(m, n, k, a, b, c) }
 }
 
 // ---- SIMD pack routines ---------------------------------------------------
@@ -644,23 +619,6 @@ mod tests {
             scalar::tile_i8_wide(&pa, &pb, &mut want);
             tile_i8_wide(&pa, &pb, &mut got);
             assert_eq!(got, want, "kcb={kcb}");
-        }
-    }
-
-    #[test]
-    fn small_n_dense_is_bit_identical_to_scalar() {
-        if !have_avx2() {
-            return;
-        }
-        let mut r = SplitMix64::new(21);
-        for (m, n, k) in [(1, 1, 1), (5, 4, 3), (16, 8, 64), (33, 7, 19), (9, 8, 2), (64, 1, 40)] {
-            let a = r.i8_vec(m * k, -128, 127);
-            let b = r.i8_vec(k * n, -128, 127);
-            let mut want = vec![-3i32; m * n];
-            let mut got = want.clone();
-            scalar::small_n_dense(m, n, k, &a, &b, &mut want);
-            small_n_dense(m, n, k, &a, &b, &mut got);
-            assert_eq!(got, want, "{m}x{n}x{k}");
         }
     }
 

@@ -234,24 +234,33 @@ pub fn tile_i8_wide(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
     unsafe { tile_i8_wide_impl(pa, pb, acc) }
 }
 
-// SAFETY: requires AVX512F+AVX512BW. C-row pointer offsets are guarded
-// by `j + 32 <= n` (covering the two 16-lane i32 loads/stores) and the
-// 32-byte B loads by the same guard (for `l < k`, `l*n + j + 32 <= k*n`
-// follows); the scalar remainder uses safe indexing.
-#[target_feature(enable = "avx512f,avx512bw,avx2")]
+// SAFETY: requires AVX512F+AVX512BW+AVX512VL. Every load and store is
+// masked to the `cols` live columns of its step, and masked-off lanes
+// are not accessed: byte lanes `< cols` of the B row at `l*n + j` are
+// in bounds for `l < k` because `j + cols <= n`, and so are i32 lanes
+// `< cols` of the C row at `i*n + j`. The upper-half C pointer is
+// formed with `wrapping_add` because it can lie past the allocation
+// when `cols <= 16` (its mask is then empty).
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx2")]
 unsafe fn small_m_dense_impl(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         let mut j = 0;
-        // 32 output columns per step, i32 accumulators held across the
-        // whole k loop (B rows stream through cache once per A row)
-        while j + 32 <= n {
-            let cptr = c.as_mut_ptr().add(i * n + j);
-            let mut acc0 = _mm512_loadu_epi32(cptr);
-            let mut acc1 = _mm512_loadu_epi32(cptr.add(16));
+        // up to 32 output columns per step, i32 accumulators held
+        // across the whole k loop (B rows stream through cache once per
+        // A row); the last step of a row is the same code under a
+        // narrower mask, so no column ever runs scalar
+        while j < n {
+            let cols = (n - j).min(32);
+            let mask: __mmask32 = u32::MAX >> (32 - cols);
+            let (mlo, mhi) = (mask as __mmask16, (mask >> 16) as __mmask16);
+            let clo = c.as_mut_ptr().add(i * n + j);
+            let chi = clo.wrapping_add(16);
+            let mut acc0 = _mm512_maskz_loadu_epi32(mlo, clo);
+            let mut acc1 = _mm512_maskz_loadu_epi32(mhi, chi);
             for (l, &av) in arow.iter().enumerate() {
                 let a16 = _mm512_set1_epi16(av as i16);
-                let b8 = _mm256_loadu_si256(b.as_ptr().add(l * n + j) as *const __m256i);
+                let b8 = _mm256_maskz_loadu_epi8(mask, b.as_ptr().add(l * n + j));
                 let b16 = _mm512_cvtepi8_epi16(b8);
                 // i8×i8 products fit i16 exactly (|p| ≤ 16384)
                 let p16 = _mm512_mullo_epi16(a16, b16);
@@ -260,16 +269,9 @@ unsafe fn small_m_dense_impl(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c
                 acc0 = _mm512_add_epi32(acc0, lo);
                 acc1 = _mm512_add_epi32(acc1, hi);
             }
-            _mm512_storeu_epi32(cptr, acc0);
-            _mm512_storeu_epi32(cptr.add(16), acc1);
-            j += 32;
-        }
-        for j in j..n {
-            let mut sum = c[i * n + j];
-            for (l, &av) in arow.iter().enumerate() {
-                sum = sum.wrapping_add((av as i32).wrapping_mul(b[l * n + j] as i32));
-            }
-            c[i * n + j] = sum;
+            _mm512_mask_storeu_epi32(clo, mlo, acc0);
+            _mm512_mask_storeu_epi32(chi, mhi, acc1);
+            j += cols;
         }
     }
 }

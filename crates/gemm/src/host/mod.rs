@@ -223,9 +223,6 @@ pub struct HostKernel {
     /// Skinny-m kernel over *raw* row-major operands (no packing at
     /// all): `(m, n, k, a, b, c)`, accumulating into `c`.
     pub(crate) small_m_dense: fn(usize, usize, usize, &[i8], &[i8], &mut [i32]),
-    /// Skinny-n kernel over raw row-major operands (`n ≤ 8`): holds the
-    /// whole ≤8-wide C row in registers across k, no packed-panel walk.
-    pub(crate) small_n_dense: fn(usize, usize, usize, &[i8], &[i8], &mut [i32]),
     /// Panel matrix-vector primitive of the skinny paths:
     /// `acc[j] += Σ_l a_row[l]·panel[l*4+j]` (wrapping) over one
     /// 4-column packed B panel, `a_row.len()` k-values deep.
@@ -263,7 +260,6 @@ static SCALAR: HostKernel = HostKernel {
     tile_i8_wide: scalar::tile_i8_wide,
     int_nr: 4,
     small_m_dense: scalar::small_m_dense,
-    small_n_dense: scalar::small_n_dense,
     panel_mav: scalar::panel_mav,
     f32_tile: scalar::f32_tile,
     f32_small_m: scalar::f32_small_m,
@@ -281,7 +277,6 @@ static AVX2: HostKernel = HostKernel {
     tile_i8_wide: avx2::tile_i8_wide,
     int_nr: 8,
     small_m_dense: avx2::small_m_dense,
-    small_n_dense: avx2::small_n_dense,
     panel_mav: avx2::panel_mav,
     f32_tile: avx2::f32_tile,
     f32_small_m: avx2::f32_small_m,
@@ -292,11 +287,10 @@ static AVX2: HostKernel = HostKernel {
     pack_nibbles: avx2::pack_nibbles,
 };
 
-// The AVX-512 tier reuses the AVX2 packers and skinny-n kernel: packing
-// and the ≤8-wide dense path are bandwidth-bound, with nothing for the
-// extra vector width to amortize, and the AVX-512 feature gate implies
-// AVX2. Only the register-tile kernels (where width buys arithmetic
-// throughput) are zmm-specific.
+// The AVX-512 tier reuses the AVX2 packers: packing is bandwidth-bound,
+// with nothing for the extra vector width to amortize, and the AVX-512
+// feature gate implies AVX2. Only the kernels where width buys
+// arithmetic throughput are zmm-specific.
 #[cfg(target_arch = "x86_64")]
 static AVX512: HostKernel = HostKernel {
     tier: HostTier::Avx512,
@@ -304,7 +298,6 @@ static AVX512: HostKernel = HostKernel {
     tile_i8_wide: avx512::tile_i8_wide,
     int_nr: 16,
     small_m_dense: avx512::small_m_dense,
-    small_n_dense: avx2::small_n_dense,
     panel_mav: avx512::panel_mav,
     f32_tile: avx512::f32_tile,
     f32_small_m: avx512::f32_small_m,
@@ -322,7 +315,6 @@ static NEON: HostKernel = HostKernel {
     tile_i8_wide: scalar::tile_i8_wide,
     int_nr: 4,
     small_m_dense: neon::small_m_dense,
-    small_n_dense: scalar::small_n_dense,
     panel_mav: neon::panel_mav,
     f32_tile: neon::f32_tile,
     f32_small_m: neon::f32_small_m,
@@ -507,14 +499,6 @@ impl HostKernel {
         debug_assert_eq!(pb.len(), (self.int_nr / 4) * pa.len(), "pb must hold int_nr/4 panels");
         debug_assert_eq!(pa.len() % 32, 0, "panel depth must be a multiple of 8 k-values");
         (self.tile_i8_wide)(pa, pb, acc)
-    }
-
-    /// Skinny-n dense kernel over raw row-major operands (`n ≤ 8`, no
-    /// packing on either side): the resident-B serving path where pack
-    /// traffic would dominate an n-thin GeMM.
-    pub fn small_n_dense(&self, m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
-        debug_assert!(n <= crate::loops::SMALL_N_MAX, "dense skinny-n kernel requires n <= 8");
-        (self.small_n_dense)(m, n, k, a, b, c)
     }
 
     /// Pack a block of row-major B into 4-column panels through this

@@ -79,28 +79,54 @@ pub fn tile_i8(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]; 4]) {
     unsafe { tile_i8_impl(pa, pb, acc) }
 }
 
-// SAFETY: requires NEON. Every pointer offset is guarded by the loop
-// bounds: C rows via `j + 8 <= n`, B rows via the same guard (for
-// `l < k`, `l*n + j + 8 <= k*n` follows from `j + 8 <= n`); the scalar
+/// Sliding i32 lane mask of `small_m_dense`'s column tail: the 8 lanes
+/// read at offset `r` keep exactly the last `r` of them.
+const TAIL_LANES: [i32; 16] = [0, 0, 0, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, -1, -1];
+
+// SAFETY: requires NEON, and `j + 8 <= n`: the 8-byte B loads at
+// `l*n + j` stay inside the k×n operand for every `l < k`.
+#[target_feature(enable = "neon")]
+unsafe fn small_m_sweep8(arow: &[i8], b: &[i8], n: usize, j: usize) -> (int32x4_t, int32x4_t) {
+    let mut lo = vdupq_n_s32(0);
+    let mut hi = vdupq_n_s32(0);
+    for (l, &av) in arow.iter().enumerate() {
+        let b16 = vmovl_s8(vld1_s8(b.as_ptr().add(l * n + j)));
+        lo = vmlal_n_s16(lo, vget_low_s16(b16), av as i16);
+        hi = vmlal_n_s16(hi, vget_high_s16(b16), av as i16);
+    }
+    (lo, hi)
+}
+
+// SAFETY: requires NEON. The 8-column steps run at `j + 8 <= n` and at
+// `n - 8` under `n >= 8` ([`small_m_sweep8`]'s contract), which also
+// keeps their 8-lane C accesses inside row `i`; the lane-mask loads
+// read 8 of [`TAIL_LANES`]' 16 entries at an offset `<= 7`; the `n < 8`
 // remainder uses safe indexing.
 #[target_feature(enable = "neon")]
 unsafe fn small_m_dense_impl(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         let mut j = 0;
-        // 8 output columns per step, accumulators held across k
+        // 8 output columns per step, sums held in registers across k
         while j + 8 <= n {
             let cptr = c.as_mut_ptr().add(i * n + j);
-            let mut acc_lo = vld1q_s32(cptr);
-            let mut acc_hi = vld1q_s32(cptr.add(4));
-            for (l, &av) in arow.iter().enumerate() {
-                let b16 = vmovl_s8(vld1_s8(b.as_ptr().add(l * n + j)));
-                acc_lo = vmlal_n_s16(acc_lo, vget_low_s16(b16), av as i16);
-                acc_hi = vmlal_n_s16(acc_hi, vget_high_s16(b16), av as i16);
-            }
-            vst1q_s32(cptr, acc_lo);
-            vst1q_s32(cptr.add(4), acc_hi);
+            let (lo, hi) = small_m_sweep8(arow, b, n, j);
+            vst1q_s32(cptr, vaddq_s32(vld1q_s32(cptr), lo));
+            vst1q_s32(cptr.add(4), vaddq_s32(vld1q_s32(cptr.add(4)), hi));
             j += 8;
+        }
+        // the column tail: the last 8 columns of the row once more with
+        // the lanes already summed (`< j`) masked to zero, so no column
+        // of a row at least one vector wide runs scalar
+        if j < n && n >= 8 {
+            let cptr = c.as_mut_ptr().add(i * n + n - 8);
+            let live = TAIL_LANES.as_ptr().add(n - j);
+            let (lo, hi) = small_m_sweep8(arow, b, n, n - 8);
+            let lo = vandq_s32(lo, vld1q_s32(live));
+            let hi = vandq_s32(hi, vld1q_s32(live.add(4)));
+            vst1q_s32(cptr, vaddq_s32(vld1q_s32(cptr), lo));
+            vst1q_s32(cptr.add(4), vaddq_s32(vld1q_s32(cptr.add(4)), hi));
+            j = n;
         }
         for j in j..n {
             let mut acc = c[i * n + j];
@@ -250,7 +276,7 @@ mod tests {
     #[test]
     fn small_m_dense_is_bit_identical_to_scalar() {
         let mut r = SplitMix64::new(21);
-        for (m, n, k) in [(1, 1, 1), (2, 8, 5), (3, 33, 7), (8, 100, 13)] {
+        for (m, n, k) in [(1, 1, 1), (2, 8, 5), (3, 33, 7), (8, 100, 13), (2, 15, 9)] {
             let a = r.i8_vec(m * k, -128, 127);
             let b = r.i8_vec(k * n, -128, 127);
             let mut want = vec![7i32; m * n];

@@ -54,15 +54,6 @@ pub fn small_m_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [
     }
 }
 
-/// Skinny-n kernel over raw row-major operands (n ≤ 8, m large): the
-/// same row-sweep arithmetic as [`small_m_dense`] — every product exact,
-/// every accumulation wrapping — so the two dense skinny paths are one
-/// reference loop. SIMD tiers replace this with a kernel that holds the
-/// whole ≤8-column C row in registers across k.
-pub fn small_n_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
-    small_m_dense(m, n, k, a, b, c)
-}
-
 /// Panel matrix-vector primitive: one raw A row against one 4-column
 /// packed B panel, `acc[j] += Σ_l a_row[l]·panel[l*4+j]` (wrapping).
 /// The skinny paths build whole GeMMs out of this.

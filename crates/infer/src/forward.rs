@@ -27,7 +27,7 @@ use camp_core::dispatch::{DispatchSession, Priority};
 use camp_core::GemmRequest;
 use camp_gemm::reference::gemm_i32_ref;
 
-use crate::kv::KvCache;
+use crate::kv::{arc_filled, head_block, KvCache};
 use crate::model::{Model, ModelHandles, WeightId};
 use crate::session::InferError;
 
@@ -223,17 +223,6 @@ fn residual_add(x: &mut [i8], delta: &[i8]) {
     }
 }
 
-/// Extract the per-head column block `[head·dₕ, (head+1)·dₕ)` of a
-/// row-major m×d matrix.
-fn head_block(x: &[i8], m: usize, d: usize, head: usize, dh: usize) -> Vec<i8> {
-    let off = head * dh;
-    let mut out = vec![0i8; m * dh];
-    for i in 0..m {
-        out[i * dh..(i + 1) * dh].copy_from_slice(&x[i * d + off..][..dh]);
-    }
-    out
-}
-
 /// One forward pass over `tokens` occupying absolute positions
 /// `start..start + tokens.len()`: embeds, runs every layer's GeMMs
 /// through `exec` (appending this step's K/V rows to `kv`), and
@@ -269,7 +258,7 @@ pub(crate) fn forward(
 
     for l in 0..cfg.layers {
         let ids = model.layer(l);
-        let xa: Arc<[i8]> = x.clone().into();
+        let xa: Arc<[i8]> = x.as_slice().into();
         let proj = exec.run(vec![
             InferGemm { m, n: d, k: d, a: xa.clone(), b: BOperand::Weight(ids.wq) },
             InferGemm { m, n: d, k: d, a: xa.clone(), b: BOperand::Weight(ids.wk) },
@@ -291,7 +280,7 @@ pub(crate) fn forward(
                     m,
                     n: t_total,
                     k: dh,
-                    a: head_block(&q_act, m, d, h, dh).into(),
+                    a: head_block(&q_act, d, h, dh),
                     b: BOperand::Dense(kv.k_head_t(l, h, dh)),
                 })
                 .collect(),
@@ -301,32 +290,32 @@ pub(crate) fn forward(
         // no row-max subtraction — row-local, so prefill row i and the
         // decode step at position start+i compute identical probs
         let score_mult = model.score_mult();
-        let probs: Vec<Vec<i8>> = scores
+        let probs: Vec<Arc<[i8]>> = scores
             .iter()
             .map(|acc| {
-                let mut p = vec![0i8; m * t_total];
-                for i in 0..m {
-                    let pos = start + i;
-                    for j in 0..t_total {
-                        if base + j <= pos {
-                            p[i * t_total + j] = requant(acc[i * t_total + j], score_mult);
+                arc_filled(m * t_total, |p| {
+                    for i in 0..m {
+                        let pos = start + i;
+                        for j in 0..t_total {
+                            if base + j <= pos {
+                                p[i * t_total + j] = requant(acc[i * t_total + j], score_mult);
+                            }
                         }
                     }
-                }
-                p
+                })
             })
             .collect();
 
         // per-head context: (m × t) · (t × dₕ)
         let ctxs = exec.run(
             probs
-                .iter()
+                .into_iter()
                 .enumerate()
-                .map(|(h, p)| InferGemm {
+                .map(|(h, a)| InferGemm {
                     m,
                     n: dh,
                     k: t_total,
-                    a: p.clone().into(),
+                    a,
                     b: BOperand::Dense(kv.v_head(l, h, dh)),
                 })
                 .collect(),
@@ -355,7 +344,7 @@ pub(crate) fn forward(
             m,
             n: ff,
             k: d,
-            a: x.clone().into(),
+            a: x.as_slice().into(),
             b: BOperand::Weight(ids.wup),
         }])?;
         let mut u = requant_channels(&up[0], m, ff, &model.weight(ids.wup).mults);
@@ -374,7 +363,7 @@ pub(crate) fn forward(
 
     // unembed only the final position: the one GEMV that turns the
     // hidden state into logits
-    let last: Arc<[i8]> = x[(m - 1) * d..].to_vec().into();
+    let last: Arc<[i8]> = x[(m - 1) * d..].into();
     let logits = exec.run(vec![InferGemm {
         m: 1,
         n: model.vocab(),

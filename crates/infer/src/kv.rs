@@ -1,13 +1,25 @@
 //! Per-session K/V cache: per-layer tensors with append-on-decode and
-//! a capacity/eviction policy.
+//! a capacity/eviction policy, laid out the way attention reads them.
 //!
-//! Each layer stores its K and V activations row-major `t × hidden`
-//! (one row per served position). A prefill appends `s` rows, a decode
-//! step appends one; the attention GeMMs consume per-head views —
-//! the crate-internal `k_head_t` accessor materializes the transposed
-//! dₕ×t score operand, `v_head` the t×dₕ context operand — as dense
-//! B-side operands, since (unlike the static weights) they grow every
-//! step.
+//! A prefill appends `s` positions, a decode step appends one; the
+//! attention GeMMs consume per-head views as dense B-side operands,
+//! since (unlike the static weights) they grow every step. Each view is
+//! rebuilt every step, so each side is stored in the order its view
+//! wants:
+//!
+//! * **K** is *channel-major* in fixed blocks of 64 positions
+//!   (`hidden × 64` bytes per block, appended as positions arrive).
+//!   Appending a position is `hidden` byte stores, and a head's
+//!   transposed dₕ×t score operand — the crate-internal `k_head_t` —
+//!   is dₕ rows of contiguous runs, one per block.
+//! * **V** is row-major `t × hidden`; `v_head`'s t×dₕ context operand
+//!   is t runs of dₕ bytes.
+//!
+//! Both accessors copy those runs straight into the one `Arc<[i8]>`
+//! allocation the request carries (`arc_filled`), and the engine reads
+//! a skinny request's dense B in place — a decode step moves each K/V
+//! byte once on its way to the kernel. Memory is proportional to the
+//! positions held, never to the configured capacity.
 
 use std::sync::Arc;
 
@@ -32,11 +44,38 @@ pub enum KvPolicy {
 /// (rows per layer). Unset or unparsable means the model's `seq_len`.
 pub const KV_CAPACITY_ENV: &str = "CAMP_KV_CAPACITY";
 
+/// Positions per K block: one channel's run inside a block is this many
+/// contiguous bytes (a cache line).
+const KV_BLOCK: usize = 64;
+
+/// One zero-filled `Arc<[i8]>` allocation of `len` bytes, written in
+/// place by `fill` — building a `Vec` first and converting it copies
+/// every byte a second time.
+pub(crate) fn arc_filled(len: usize, fill: impl FnOnce(&mut [i8])) -> Arc<[i8]> {
+    let mut out: Arc<[i8]> = std::iter::repeat_n(0i8, len).collect();
+    fill(Arc::get_mut(&mut out).expect("a fresh allocation has one owner"));
+    out
+}
+
+/// The per-head column block `[head·dₕ, (head+1)·dₕ)` of a row-major
+/// matrix of width `d`, as one operand allocation.
+pub(crate) fn head_block(x: &[i8], d: usize, head: usize, dh: usize) -> Arc<[i8]> {
+    arc_filled(x.len() / d * dh, |out| {
+        for (dst, row) in out.chunks_exact_mut(dh).zip(x.chunks_exact(d)) {
+            dst.copy_from_slice(&row[head * dh..][..dh]);
+        }
+    })
+}
+
 /// Per-layer K/V storage for one inference session.
 #[derive(Debug, Clone)]
 pub struct KvCache {
-    /// Flattened per-layer K then V, each row-major `len × hidden`.
+    /// Per-layer K, channel-major in blocks of [`KV_BLOCK`] positions:
+    /// position `j` of channel `c` is byte
+    /// `(j / KV_BLOCK)·hidden·KV_BLOCK + c·KV_BLOCK + j % KV_BLOCK`.
+    /// Bytes past the layer's length in the last block are unspecified.
     k: Vec<Vec<i8>>,
+    /// Per-layer V, row-major `len × hidden`.
     v: Vec<Vec<i8>>,
     hidden: usize,
     capacity: usize,
@@ -47,7 +86,8 @@ pub struct KvCache {
 
 impl KvCache {
     /// An empty cache for `layers` layers of width `hidden`, holding at
-    /// most `capacity` rows per layer.
+    /// most `capacity` rows per layer. Nothing is allocated until rows
+    /// arrive, whatever the capacity.
     ///
     /// # Panics
     /// Panics when `capacity` or `hidden` is zero.
@@ -79,7 +119,7 @@ impl KvCache {
 
     /// Rows currently cached per layer.
     pub fn len(&self) -> usize {
-        self.k.first().map_or(0, |l| l.len() / self.hidden)
+        self.v.first().map_or(0, |l| l.len() / self.hidden)
     }
 
     /// Whether nothing has been cached yet.
@@ -106,10 +146,7 @@ impl KvCache {
     /// Drop everything but keep the configuration; positions restart
     /// at zero.
     pub fn clear(&mut self) {
-        for l in &mut self.k {
-            l.clear();
-        }
-        for l in &mut self.v {
+        for l in self.k.iter_mut().chain(self.v.iter_mut()) {
             l.clear();
         }
         self.base = 0;
@@ -123,17 +160,17 @@ impl KvCache {
         if rows > self.capacity {
             return Err(InferError::KvFull { capacity: self.capacity });
         }
-        let need = self.len() + rows;
-        if need <= self.capacity {
+        let held = self.len();
+        if rows <= self.capacity - held {
             return Ok(());
         }
-        let evict = need - self.capacity;
+        let evict = held - (self.capacity - rows);
         match self.policy {
             KvPolicy::Reject => Err(InferError::KvFull { capacity: self.capacity }),
             KvPolicy::Window => {
-                let cut = evict * self.hidden;
-                for l in self.k.iter_mut().chain(self.v.iter_mut()) {
-                    l.drain(..cut);
+                for (k, v) in self.k.iter_mut().zip(&mut self.v) {
+                    relay_k(k, self.hidden, held, evict);
+                    v.drain(..evict * self.hidden);
                 }
                 self.base += evict;
                 Ok(())
@@ -146,7 +183,15 @@ impl KvCache {
     pub(crate) fn push(&mut self, layer: usize, k_row: &[i8], v_row: &[i8]) {
         debug_assert_eq!(k_row.len(), self.hidden);
         debug_assert_eq!(v_row.len(), self.hidden);
-        self.k[layer].extend_from_slice(k_row);
+        let t = self.layer_len(layer);
+        let k = &mut self.k[layer];
+        if t.is_multiple_of(KV_BLOCK) {
+            k.resize(k.len() + self.hidden * KV_BLOCK, 0);
+        }
+        let block = &mut k[(t / KV_BLOCK) * self.hidden * KV_BLOCK..];
+        for (run, &kv) in block.chunks_exact_mut(KV_BLOCK).zip(k_row) {
+            run[t % KV_BLOCK] = kv;
+        }
         self.v[layer].extend_from_slice(v_row);
     }
 
@@ -154,36 +199,56 @@ impl KvCache {
     /// [`KvCache::len`] only mid-forward, while later layers have not
     /// been pushed yet.
     pub(crate) fn layer_len(&self, layer: usize) -> usize {
-        self.k[layer].len() / self.hidden
+        self.v[layer].len() / self.hidden
     }
 
     /// The transposed per-head key operand Kᵀ (dₕ × t) for the
     /// attention score GeMM, as a dense B-side operand.
     pub(crate) fn k_head_t(&self, layer: usize, head: usize, dh: usize) -> Arc<[i8]> {
         let t = self.layer_len(layer);
-        let src = &self.k[layer];
-        let off = head * dh;
-        let mut out = vec![0i8; dh * t];
-        for r in 0..dh {
-            for j in 0..t {
-                out[r * t + j] = src[j * self.hidden + off + r];
+        let blocks = self.k[layer].chunks_exact(self.hidden * KV_BLOCK);
+        arc_filled(dh * t, |out| {
+            for (b, block) in blocks.enumerate() {
+                let run = KV_BLOCK.min(t - b * KV_BLOCK);
+                let channels = block[head * dh * KV_BLOCK..].chunks_exact(KV_BLOCK);
+                for (row, src) in out.chunks_exact_mut(t).zip(channels) {
+                    row[b * KV_BLOCK..][..run].copy_from_slice(&src[..run]);
+                }
             }
-        }
-        out.into()
+        })
     }
 
     /// The per-head value operand V (t × dₕ) for the attention context
     /// GeMM, as a dense B-side operand.
     pub(crate) fn v_head(&self, layer: usize, head: usize, dh: usize) -> Arc<[i8]> {
-        let t = self.layer_len(layer);
-        let src = &self.v[layer];
-        let off = head * dh;
-        let mut out = vec![0i8; t * dh];
-        for j in 0..t {
-            out[j * dh..(j + 1) * dh].copy_from_slice(&src[j * self.hidden + off..][..dh]);
-        }
-        out.into()
+        head_block(&self.v[layer], self.hidden, head, dh)
     }
+}
+
+/// Drop the oldest `evict` of a K layer's `held` positions and re-lay
+/// the survivors from position 0, in place. New block `nb` of a channel
+/// is old positions `nb·KV_BLOCK + evict ..`, which straddle at most two
+/// old blocks, neither of them before `nb` — so walking blocks upwards
+/// only ever reads bytes that have not been overwritten yet.
+fn relay_k(k: &mut Vec<i8>, hidden: usize, held: usize, evict: usize) {
+    let block = hidden * KV_BLOCK;
+    let keep = held - evict;
+    for nb in 0..keep.div_ceil(KV_BLOCK) {
+        let old = nb * KV_BLOCK + evict;
+        let (ob, op) = (old / KV_BLOCK, old % KV_BLOCK);
+        let first = (KV_BLOCK - op).min(held - old);
+        let second = (KV_BLOCK - first).min(held - old - first);
+        for c in 0..hidden {
+            let dst = nb * block + c * KV_BLOCK;
+            let src = ob * block + c * KV_BLOCK + op;
+            k.copy_within(src..src + first, dst);
+            if second > 0 {
+                let src = (ob + 1) * block + c * KV_BLOCK;
+                k.copy_within(src..src + second, dst + first);
+            }
+        }
+    }
+    k.truncate(keep.div_ceil(KV_BLOCK) * block);
 }
 
 #[cfg(test)]
@@ -233,6 +298,95 @@ mod tests {
         assert_eq!(&kt[..], &[2, 3, 2, 3]);
         // a step wider than the whole window is refused even here
         assert!(kv.ensure_room(3).is_err());
+    }
+
+    /// Deterministic K and V rows for absolute position `pos`.
+    fn rows(pos: usize, hidden: usize) -> (Vec<i8>, Vec<i8>) {
+        let byte = |c: usize, salt: usize| ((pos * 31 + c * 7 + salt) % 251) as i8;
+        ((0..hidden).map(|c| byte(c, 0)).collect(), (0..hidden).map(|c| byte(c, 13)).collect())
+    }
+
+    /// A one-layer cache fed absolute positions `from..to`.
+    fn fed(hidden: usize, capacity: usize, policy: KvPolicy, from: usize, to: usize) -> KvCache {
+        let mut kv = KvCache::new(1, hidden, capacity, policy);
+        for pos in from..to {
+            kv.ensure_room(1).unwrap();
+            let (k, v) = rows(pos, hidden);
+            kv.push(0, &k, &v);
+        }
+        kv
+    }
+
+    /// Every head's Kᵀ then V view of layer 0.
+    fn views(kv: &KvCache, heads: usize, dh: usize) -> Vec<Arc<[i8]>> {
+        (0..heads).flat_map(|h| [kv.k_head_t(0, h, dh), kv.v_head(0, h, dh)]).collect()
+    }
+
+    #[test]
+    fn views_match_the_row_major_definition_across_block_seams() {
+        let (hidden, heads, dh) = (12, 3, 4);
+        for t in [1, 63, 64, 65, 129] {
+            let kv = fed(hidden, 256, KvPolicy::Reject, 0, t);
+            assert_eq!(kv.len(), t);
+            for h in 0..heads {
+                let (kt, v) = (kv.k_head_t(0, h, dh), kv.v_head(0, h, dh));
+                assert_eq!((kt.len(), v.len()), (dh * t, t * dh));
+                for j in 0..t {
+                    let (k_row, v_row) = rows(j, hidden);
+                    for r in 0..dh {
+                        assert_eq!(kt[r * t + j], k_row[h * dh + r], "Kt t={t} h={h} r={r} j={j}");
+                        assert_eq!(v[j * dh + r], v_row[h * dh + r], "V t={t} h={h} r={r} j={j}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_eviction_equals_a_fresh_cache_of_the_survivors() {
+        // capacities that make the eviction land mid-block, on a block
+        // seam, and more than one block deep; a prefill-sized step too
+        let (hidden, heads, dh) = (8, 2, 4);
+        for (capacity, fed_to, step) in [(70, 70, 1), (70, 70, 5), (64, 64, 64), (130, 130, 67)] {
+            let mut kv = fed(hidden, capacity, KvPolicy::Window, 0, fed_to);
+            kv.ensure_room(step).unwrap();
+            for pos in fed_to..fed_to + step {
+                let (k, v) = rows(pos, hidden);
+                kv.push(0, &k, &v);
+            }
+            let end = fed_to + step;
+            assert_eq!((kv.len(), kv.base()), (capacity, end - capacity));
+            let fresh = fed(hidden, capacity, KvPolicy::Reject, end - capacity, end);
+            assert_eq!(views(&kv, heads, dh), views(&fresh, heads, dh), "capacity {capacity}");
+            // and the window keeps sliding one position at a time
+            kv.ensure_room(1).unwrap();
+            let (k, v) = rows(end, hidden);
+            kv.push(0, &k, &v);
+            let fresh = fed(hidden, capacity, KvPolicy::Reject, end + 1 - capacity, end + 1);
+            assert_eq!(views(&kv, heads, dh), views(&fresh, heads, dh), "capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn reject_at_capacity_leaves_the_views_byte_identical() {
+        let (hidden, heads, dh) = (8, 2, 4);
+        let mut kv = fed(hidden, 65, KvPolicy::Reject, 0, 65);
+        let before = views(&kv, heads, dh);
+        assert!(matches!(kv.ensure_room(1), Err(InferError::KvFull { capacity: 65 })));
+        assert!(matches!(kv.ensure_room(66), Err(InferError::KvFull { capacity: 65 })));
+        assert_eq!((kv.len(), kv.base()), (65, 0));
+        assert_eq!(views(&kv, heads, dh), before);
+    }
+
+    #[test]
+    fn an_unbounded_capacity_allocates_nothing_up_front() {
+        // CAMP_KV_CAPACITY is not validated: memory follows rows held
+        let mut kv = KvCache::new(4, 256, usize::MAX, KvPolicy::Window);
+        assert!(kv.k.iter().chain(&kv.v).all(|l| l.capacity() == 0));
+        kv.ensure_room(1).unwrap();
+        kv.push(0, &[1; 256], &[2; 256]);
+        assert_eq!(kv.k[0].len(), 256 * KV_BLOCK, "one block per 64 positions held");
+        assert_eq!(kv.v[0].len(), 256);
     }
 
     #[test]

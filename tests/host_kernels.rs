@@ -4,8 +4,8 @@
 //! ([`HostKernel::available`] — scalar always, plus AVX2, AVX-512
 //! and/or NEON when the CPU has them) must produce byte-for-byte the
 //! same results as the scalar reference on every path — blocked tiles
-//! (4-wide and widened), skinny-m and skinny-n fast paths (panel and
-//! dense B), both integer dtypes, the packers, and the f32 subsystem.
+//! (4-wide and widened), skinny-m (panel and dense B) and skinny-n fast
+//! paths, both integer dtypes, the packers, and the f32 subsystem.
 //! Integer identity is structural (exact products, wrapping i32
 //! accumulation); f32 identity holds because every tier realizes the
 //! same per-element fused-multiply-add chain over ascending k.
@@ -16,7 +16,8 @@
 
 use camp::core::backend::CampBackend;
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
-use camp::gemm::host::{HostGemmF32, HostKernel, HostTier};
+use camp::gemm::host::{HostGemmF32, HostKernel, HostTier, SmallB};
+use camp::gemm::weights::host_block_plan;
 use camp::gemm::{gemm_f32_fma_ref, gemm_i32_ref};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -151,21 +152,31 @@ proptest! {
         }
     }
 
-    /// The dense skinny-n kernel agrees with the scalar reference on
-    /// raw row-major operands for every n at or below the threshold.
+    /// The dense skinny-m row sweep (what a decode step's attention
+    /// GEMVs run on: the engine reads a skinny request's dense B in
+    /// place) agrees with the scalar kernel at every column-tail width
+    /// a vector step can leave — n = 1..=80 crosses the 8-, 16- and
+    /// 32-lane steps of every tier more than once — over odd depths,
+    /// accumulating into a non-zero C.
     #[test]
-    fn small_n_dense_matches_scalar_on_every_tier(
-        m in 1usize..80, n in 1usize..9, k in 0usize..100, seed in any::<u32>())
+    fn small_m_dense_matches_scalar_at_every_tail_width(
+        m in 1usize..9, half_k in 0usize..40, seed in any::<u32>())
     {
+        let k = 2 * half_k + 1;
         let a = gen_i8(m * k, seed | 1, -128, 127);
-        let b = gen_i8(k * n, seed.rotate_left(7) | 1, -128, 127);
-        let mut want = vec![0i32; m * n];
-        HostKernel::scalar().small_n_dense(m, n, k, &a, &b, &mut want);
-        for hk in HostKernel::available() {
-            let mut got = vec![0i32; m * n];
-            hk.small_n_dense(m, n, k, &a, &b, &mut got);
-            prop_assert_eq!(&got, &want,
-                "tier {} dense skinny-n diverges at {}x{}x{}", hk.tier().name(), m, n, k);
+        for n in 1..=80 {
+            let b = gen_i8(k * n, seed.rotate_left(7) | 1, -128, 127);
+            let plan = host_block_plan(m, n, k, 16);
+            let mut want = vec![-3i32; m * n];
+            HostKernel::scalar().run_small_m(m, n, k, &plan, &a, SmallB::Dense(&b), &mut want);
+            prop_assert_eq!(want.iter().map(|v| v + 3).collect::<Vec<_>>(),
+                gemm_i32_ref(m, n, k, &a, &b));
+            for hk in HostKernel::available() {
+                let mut got = vec![-3i32; m * n];
+                hk.run_small_m(m, n, k, &plan, &a, SmallB::Dense(&b), &mut got);
+                prop_assert_eq!(&got, &want,
+                    "tier {} dense skinny-m diverges at {}x{}x{}", hk.tier().name(), m, n, k);
+            }
         }
     }
 
