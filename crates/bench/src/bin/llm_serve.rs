@@ -9,6 +9,11 @@
 //! scales the tenant count while the engine stays fixed, so it walks
 //! the continuous-batching story of the dispatcher: decode throughput
 //! (tokens/s) and the p50/p99 inter-token tail as sessions pile on.
+//! Each row also reports `queued_share`, the share of executed batches
+//! that took the queued path (submitter → driver) rather than running
+//! direct on their caller: a sweep whose tenants happened to serialise
+//! onto the direct path reads 2–3× the tokens/s of one that queued, and
+//! that column is how to tell them apart.
 //!
 //! Results land in `BENCH_llm.json` (schema-versioned, one row per
 //! `(mode, sessions)` key); `llm_serve --check-baseline` re-runs the
@@ -37,6 +42,7 @@ struct LlmRow {
     p99_ms: f64,
     prefill_ms: f64,
     shed: u64,
+    queued_share: f64,
 }
 
 /// One tenant: prefill, then `steps` decode tokens, returning the
@@ -72,7 +78,7 @@ fn llm_sweep(
     mode: &'static str,
 ) -> (CampEngine, Vec<LlmRow>) {
     let handles = Arc::new(model.register(&mut engine));
-    let opts = DispatchOptions { stagers: 2, queue_depth: 8 };
+    let opts = DispatchOptions { queue_depth: 8 };
     let vocab = model.vocab() as u32;
     let mut rows = Vec::new();
     for &sessions in session_counts {
@@ -109,6 +115,7 @@ fn llm_sweep(
             p99_ms: percentile_ms(&lats, 99),
             prefill_ms: prefill / sessions as f64 * 1e3,
             shed: stats.shed,
+            queued_share: (stats.executed - stats.direct) as f64 / stats.executed as f64,
         });
     }
     (engine, rows)
@@ -171,8 +178,15 @@ fn main() {
     for r in &rows {
         println!(
             "{:<6} sessions={}: {:>8.1} tok/s  inter-token p50 {:>7.2} ms  p99 {:>7.2} ms  \
-             prefill {:>7.2} ms  shed {}",
-            r.mode, r.sessions, r.tok_per_sec, r.p50_ms, r.p99_ms, r.prefill_ms, r.shed
+             prefill {:>7.2} ms  shed {}  queued {:.2}",
+            r.mode,
+            r.sessions,
+            r.tok_per_sec,
+            r.p50_ms,
+            r.p99_ms,
+            r.prefill_ms,
+            r.shed,
+            r.queued_share
         );
     }
 
@@ -202,7 +216,7 @@ fn main() {
             j,
             "    {{\"mode\": \"{}\", \"sessions\": {}, \"prompt_len\": {}, \"steps\": {}, \
              \"tok_per_sec\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"prefill_ms\": {:.3}, \"shed\": {}}}",
+             \"prefill_ms\": {:.3}, \"shed\": {}, \"queued_share\": {:.3}}}",
             r.mode,
             r.sessions,
             r.prompt_len,
@@ -211,7 +225,8 @@ fn main() {
             r.p50_ms,
             r.p99_ms,
             r.prefill_ms,
-            r.shed
+            r.shed,
+            r.queued_share
         );
         j.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }

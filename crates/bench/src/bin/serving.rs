@@ -14,7 +14,7 @@
 //! * **session** — weights registered once up front
 //!   (`register_weights`), request batches streamed through one
 //!   `DispatchSession::submit` with all of them in flight: zero
-//!   B-packing per batch, and the stagers pre-pack batch N+1's
+//!   B-packing per batch, and the submitter pre-packs batch N+1's
 //!   activations while batch N computes.
 //!
 //! Results are checked bit-identical before timing; throughput is
@@ -63,7 +63,6 @@ struct ServingRow {
     p50_ms: f64,
     p99_ms: f64,
     rejected: u64,
-    stolen: u64,
 }
 
 /// One tenant under open-loop arrival: submit a batch every `interval`
@@ -136,7 +135,7 @@ fn dispatcher_sweep(
     session_counts: &[usize],
     mode: &'static str,
 ) -> (CampEngine, Vec<ServingRow>) {
-    let opts = DispatchOptions { stagers: 2, queue_depth: 8 };
+    let opts = DispatchOptions { queue_depth: 8 };
 
     // calibration: one closed-loop tenant, serial in-flight
     let dispatcher = Dispatcher::with_options(engine, opts);
@@ -185,7 +184,6 @@ fn dispatcher_sweep(
             p50_ms: percentile_ms(&lats, 50),
             p99_ms: percentile_ms(&lats, 99),
             rejected,
-            stolen: stats.stolen,
         });
     }
     (engine, rows)
@@ -319,7 +317,7 @@ fn main() {
 
     // ---- multi-tenant dispatcher sweep (open-loop arrival) ----
     println!();
-    println!("multi-tenant dispatcher sweep: open-loop arrival, 2 stagers, queue depth 8");
+    println!("multi-tenant dispatcher sweep: open-loop arrival, queue depth 8");
     let counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     let mode = if smoke { "smoke" } else { "full" };
     let (_engine, mut rows) = dispatcher_sweep(eng_session, &session_reqs, batches, counts, mode);
@@ -341,9 +339,8 @@ fn main() {
 
     for r in &rows {
         println!(
-            "{:<6} sessions={}: {:>10.0} req/s  p50 {:>8.2} ms  p99 {:>8.2} ms  \
-             rejected {}  stolen {}",
-            r.mode, r.sessions, r.req_per_sec, r.p50_ms, r.p99_ms, r.rejected, r.stolen
+            "{:<6} sessions={}: {:>10.0} req/s  p50 {:>8.2} ms  p99 {:>8.2} ms  rejected {}",
+            r.mode, r.sessions, r.req_per_sec, r.p50_ms, r.p99_ms, r.rejected
         );
     }
 
@@ -367,7 +364,6 @@ fn main() {
     let _ = writeln!(j, "  \"schema\": 1,");
     let _ = writeln!(j, "  \"smoke\": {smoke},");
     let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(j, "  \"stagers\": 2,");
     let _ = writeln!(j, "  \"queue_depth\": 8,");
     let _ = writeln!(j, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -375,7 +371,7 @@ fn main() {
             j,
             "    {{\"mode\": \"{}\", \"sessions\": {}, \"gemms_per_batch\": {}, \
              \"batches_per_tenant\": {}, \"req_per_sec\": {:.1}, \"p50_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"rejected\": {}, \"stolen\": {}}}",
+             \"p99_ms\": {:.3}, \"rejected\": {}}}",
             r.mode,
             r.sessions,
             r.gemms_per_batch,
@@ -383,8 +379,7 @@ fn main() {
             r.req_per_sec,
             r.p50_ms,
             r.p99_ms,
-            r.rejected,
-            r.stolen
+            r.rejected
         );
         j.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }

@@ -243,7 +243,8 @@ pub enum Capability {
 /// — [`CampBackend::execute`], [`CampBackend::execute_batch`], a
 /// dispatcher's direct `run` and its queued `submit` → `wait` — goes
 /// through them: [`CampBackend::prepare`] does the per-request work that
-/// needs no backend (so a stager thread can run it), and
+/// needs no backend (so the submitting thread can run it while the
+/// backend is busy), and
 /// [`CampBackend::execute_prepared`] sees the whole batch and owns the
 /// backend's buffers, so everything that spans requests — packing a
 /// dense B once for every request that shares it — happens there. The
@@ -255,7 +256,8 @@ pub enum Capability {
 /// bytes on every backend (property-tested in `tests/backend_parity.rs`).
 pub trait CampBackend {
     /// Staged form of a validated request, built off the compute path
-    /// by a dispatcher's stager threads.
+    /// by the thread that submits it; a dispatcher session holds up to
+    /// its admission bound of staged batches.
     type Prepared: Send + 'static;
 
     /// Stable human-readable identity ("host-engine", "sim-a64fx", …).
@@ -313,11 +315,12 @@ pub trait CampBackend {
         Ok(Outcome { output, stats: batch.stats })
     }
 
-    /// Prepare one *validated* request (no `self`: on the queued
-    /// pipeline this runs on a dispatcher's stager thread while the
-    /// backend computes the previous batch). The host engine pre-packs
-    /// the activation of blocked requests here; substrates with nothing
-    /// to stage return the request as-is.
+    /// Prepare one *validated* request (no `self`: a dispatcher runs
+    /// this on the submitting thread, under no lock, while the backend
+    /// computes the previous batch; a panic here unwinds that caller
+    /// only). The host engine pre-packs the activation of blocked
+    /// requests here; substrates with nothing to stage return the
+    /// request as-is.
     fn prepare(req: GemmRequest, weights: &WeightSnapshot) -> Self::Prepared;
 
     /// Execute one prepared batch, on whichever thread holds the backend
@@ -327,13 +330,14 @@ pub trait CampBackend {
     /// they were prepared, so this is infallible. Dense B operands are
     /// deduplicated here, by buffer identity — which means that on the
     /// queued pipeline a dense B is packed on the compute path, not by
-    /// a stager; served weights are registered handles and pack nothing.
+    /// the submitter; served weights are registered handles and pack
+    /// nothing.
     fn execute_prepared(&mut self, batch: Vec<Self::Prepared>) -> BatchOutcome;
 
     /// Upgrade the backend into a serving [`Dispatcher`] with
     /// [`crate::dispatch::DispatchOptions::from_env`]: any number of
     /// submit/poll sessions ([`Dispatcher::session`]) over this one
-    /// backend, with work-stealing staging, priorities and per-session
+    /// backend, with submitter-side staging, priorities and per-session
     /// admission control. Register weights first — submissions
     /// validate against the registrations present now.
     fn dispatch(self) -> Dispatcher<Self>

@@ -8,66 +8,64 @@
 //! the execution substrate (`Dispatcher<CampEngine>` serves at host
 //! speed, `Dispatcher<SimBackend>` streams batches through the
 //! cycle-accurate simulated CAMP core): it holds the backend behind an
-//! engine lock, spawns a small crew of **stager** threads plus one
-//! **driver** thread, and hands out any number of [`DispatchSession`]
-//! clients, each with its own FIFO queue, ticket space and admission
-//! bound. One client is simply the N = 1 case.
+//! engine lock, spawns one **driver** thread, and hands out any number
+//! of [`DispatchSession`] clients, each with its own FIFO queue, ticket
+//! space and admission bound. One client is simply the N = 1 case.
 //!
-//! The queued pipeline has three stages:
+//! A queued batch crosses two threads — the caller prepares, the engine
+//! holder executes — in two stages:
 //!
 //! 1. **submit** ([`DispatchSession::submit`] /
-//!    [`DispatchSession::submit_with`]) — validates the batch against
-//!    the registration snapshot, applies **admission control** (a
-//!    session with [`DispatchOptions::queue_depth`] batches already in
-//!    flight gets [`RequestError::Saturated`] back instead of unbounded
-//!    memory growth), stamps a [`Priority`] and optional deadline, and
-//!    returns a [`TicketId`];
-//! 2. **stage** — the stager crew claims queued batches and runs
-//!    [`CampBackend::prepare`] off the compute path (the host engine
-//!    pre-packs A and dense B into the panel layout the macro-kernel
-//!    consumes). Claiming is **priority-aware and work-stealing**: any
-//!    stager takes the best-priority front batch of any session
-//!    (claims outside a stager's home slots count as
-//!    [`DispatchStats::stolen`]). A per-session window of
-//!    [`MAX_STAGED`] claimed-but-uncomputed batches preserves the
-//!    "pack batch N+1 while batch N computes" overlap without staging
-//!    a whole backlog into memory;
-//! 3. **compute** — the driver takes the engine lock per batch and
+//!    [`DispatchSession::submit_with`]) = validate + stage + admit, all
+//!    on the calling thread. The batch is validated against the
+//!    registration snapshot and checked against **admission control**
+//!    (a session with [`DispatchOptions::queue_depth`] batches already
+//!    in flight gets [`RequestError::Saturated`] back instead of
+//!    unbounded memory growth, before anything is packed for it); then
+//!    the caller runs [`CampBackend::prepare`] on every request,
+//!    outside every lock (the host engine pre-packs the A of blocked
+//!    requests into the panel layout the macro-kernel consumes; a
+//!    decode-sized request and the simulator stage nothing), so one
+//!    tenant's packing overlaps the engine's compute and every other
+//!    tenant's submissions; finally the *staged* batch is stamped with
+//!    a [`Priority`] and optional deadline, booked and filed in the
+//!    session's queue under one lock acquisition, and the caller gets
+//!    its [`TicketId`]. What a session can hold staged is therefore
+//!    bounded by its admission bound, and a staged blocked request
+//!    holds its raw A plus an equally sized packed A;
+//! 2. **compute** — the driver takes the engine lock per batch and
 //!    repeatedly executes the *best* runnable batch. **A session's
 //!    batches execute in submission order; priority, deadline and
-//!    admission order decide between sessions**: only a session's
-//!    oldest claimed batch is runnable (however its stagers happen to
-//!    finish), and among those the driver takes the highest
-//!    [`Priority`] first (decode-latency-critical beats
-//!    prefill-throughput), then the earliest
-//!    deadline, then admission order. An aging rule bounds priority
-//!    inversion the other way: after [`DECODE_BURST`] consecutive
-//!    decode batches the driver runs the best waiting prefill batch, so
-//!    a decode flood cannot starve prefill indefinitely (and a prefill
-//!    flood never delays decode by more than the one batch already on
-//!    the engine). A picked batch whose deadline has **already passed**
-//!    is shed — completed as [`RequestError::Shed`] without touching
-//!    the engine (counted in [`DispatchStats::shed`]) — so an overload
-//!    spends cycles only on batches that can still make their
-//!    deadlines.
+//!    admission order decide between sessions**: only the front of a
+//!    session's queue is runnable, and among those fronts the driver
+//!    takes the highest [`Priority`] first (decode-latency-critical
+//!    beats prefill-throughput), then the earliest deadline, then
+//!    admission order. An aging rule bounds priority inversion the
+//!    other way: after [`DECODE_BURST`] consecutive decode batches the
+//!    driver runs the best waiting prefill batch, so a decode flood
+//!    cannot starve prefill indefinitely (and a prefill flood never
+//!    delays decode by more than the one batch already picked). A
+//!    picked batch whose deadline has **already passed** is shed —
+//!    completed as [`RequestError::Shed`] without touching the engine
+//!    (counted in [`DispatchStats::shed`]) — so an overload spends
+//!    cycles only on batches that can still make their deadlines.
 //!
-//! A blocking caller has a fourth option, the **direct** stage:
-//! [`DispatchSession::run`] admits its batch exactly as `submit_with`
-//! does, and if that batch is then the only work in the dispatcher — no
-//! session has anything else in flight, nothing is staged, no eviction
-//! is queued — the calling thread takes the engine lock and stages and
-//! executes the batch itself, booking what the stager and driver would
-//! have booked ([`DispatchStats::direct`]). That skips the three thread
-//! hand-offs of the queued pipeline (client → stager → driver →
-//! client), which cost several times the engine time of a decode-sized
-//! batch. The choice is made from state the dispatcher already holds,
-//! per batch, under the state lock: the moment there is anybody to be
-//! ordered against, `run` queues like a submission, so priority order,
-//! aging, deadlines, per-session FIFO and admission are always those
-//! of the queued pipeline. With two or more *busy* tenants most
-//! batches therefore still pay the queued path; `submit`/`submit_with`
-//! always do (they return immediately, and the stagers overlap packing
-//! with compute).
+//! A blocking caller has a shorter way through, the **direct** path:
+//! [`DispatchSession::run`] stages and admits its batch exactly as
+//! `submit_with` does, and if that batch is then the only work in the
+//! dispatcher — no session has anything else in flight, no eviction
+//! is queued — the calling thread takes the engine lock and executes
+//! the batch itself, booking what the driver would have booked
+//! ([`DispatchStats::direct`]). That skips the two thread hand-offs of
+//! the queued pipeline (client → driver → client), which cost several
+//! times the engine time of a decode-sized batch. The choice is made
+//! from state the dispatcher already holds, per batch, under the state
+//! lock: the moment there is anybody to be ordered against, `run`
+//! queues like a submission, so priority order, aging, deadlines,
+//! per-session FIFO and admission are always those of the queued
+//! pipeline. With two or more *busy* tenants most batches therefore
+//! still pay the queued path; `submit`/`submit_with` always do (they
+//! return as soon as the batch is filed).
 //!
 //! Weight **eviction races** are first-class: [`Dispatcher::evict_weights`]
 //! condemns the handle immediately (new submissions fail with
@@ -91,7 +89,7 @@
 //! let mut engine = CampEngine::with_threads(2);
 //! let weights = engine.register_weights(n, k, &w, DType::I8);
 //!
-//! let opts = DispatchOptions { stagers: 2, queue_depth: 8 };
+//! let opts = DispatchOptions { queue_depth: 8 };
 //! let dispatcher = Dispatcher::with_options(engine, opts);
 //! let mut decode = dispatcher.session();
 //! let mut prefill = dispatcher.session();
@@ -124,13 +122,6 @@ use camp_gemm::weights::{WeightHandle, WeightMeta, WeightSnapshot};
 
 use crate::backend::{BatchOutcome, CampBackend};
 
-/// Batches one session may have claimed-but-uncomputed (being prepared,
-/// ready, or on the engine) at a time: one computing, one staging — the
-/// documented "pack batch N+1 while batch N computes" window. Beyond
-/// this the stagers move to other sessions (or park) instead of staging
-/// a whole backlog into memory.
-pub const MAX_STAGED: usize = 2;
-
 /// Aging bound: after this many *consecutive* decode batches the driver
 /// runs the best waiting prefill batch, so a decode flood cannot starve
 /// prefill work indefinitely. (The reverse inversion — prefill starving
@@ -138,8 +129,8 @@ pub const MAX_STAGED: usize = 2;
 pub const DECODE_BURST: u32 = 8;
 
 /// Scheduling class of a submitted batch. Decode-latency-critical work
-/// outranks prefill-throughput work at every scheduling point (claim
-/// order and execute order); `Ord` encodes that (`Decode > Prefill`).
+/// outranks prefill-throughput work whenever the driver picks; `Ord`
+/// encodes that (`Decode > Prefill`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Throughput-oriented work (prompt prefill, bulk scoring). The
@@ -155,31 +146,27 @@ pub enum Priority {
 /// the environment surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchOptions {
-    /// Stager threads preparing operands off the compute path (≥ 1).
-    pub stagers: usize,
     /// Default per-session admission bound: a session with this many
     /// batches in flight (submitted, not yet completed) has further
-    /// submissions rejected with [`RequestError::Saturated`].
+    /// submissions rejected with [`RequestError::Saturated`]. It is
+    /// also the bound on what the session holds staged: every queued
+    /// batch carries its prepared operands.
     /// [`Dispatcher::session_with_depth`] overrides per session.
     pub queue_depth: usize,
 }
 
 impl Default for DispatchOptions {
     fn default() -> Self {
-        DispatchOptions { stagers: 2, queue_depth: 8 }
+        DispatchOptions { queue_depth: 8 }
     }
 }
 
 impl DispatchOptions {
-    /// Defaults with the environment overrides applied:
+    /// Defaults with the environment override applied:
     ///
-    /// * `CAMP_DISPATCH_STAGERS` — stager thread count (clamped ≥ 1);
     /// * `CAMP_QUEUE_DEPTH` — per-session admission bound (clamped ≥ 1).
     pub fn from_env() -> Self {
         let mut opts = DispatchOptions::default();
-        if let Some(n) = std::env::var("CAMP_DISPATCH_STAGERS").ok().and_then(|s| s.parse().ok()) {
-            opts.stagers = 1usize.max(n);
-        }
         if let Some(n) = std::env::var("CAMP_QUEUE_DEPTH").ok().and_then(|s| s.parse().ok()) {
             opts.queue_depth = 1usize.max(n);
         }
@@ -200,10 +187,8 @@ pub struct TicketId {
 
 /// Monotonic + live counters of one dispatcher, snapshotted by
 /// [`Dispatcher::stats`]. The regression suites assert on these: permit
-/// accounting (`staging_live` returns to 0 after a drain), steal
-/// accounting (`stolen` counts exactly the claims that crossed homes),
-/// admission accounting (`rejected` counts every
-/// [`RequestError::Saturated`]).
+/// accounting (`staging_live` returns to 0 after a drain), admission
+/// accounting (`rejected` counts every [`RequestError::Saturated`]).
 #[non_exhaustive]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DispatchStats {
@@ -213,15 +198,16 @@ pub struct DispatchStats {
     /// driver or on a caller's thread.
     pub executed: u64,
     /// Of `executed`, the batches a [`DispatchSession::run`] caller
-    /// staged and executed on its own thread because nothing else was
-    /// in flight, ever. These never count as `stolen`.
+    /// executed on its own thread because nothing else was in flight,
+    /// ever.
     pub direct: u64,
-    /// Batches cancelled unclaimed when their session dropped, ever.
+    /// Batches cancelled still queued when their session dropped, ever.
     pub cancelled: u64,
     /// Submissions rejected with [`RequestError::Saturated`], ever.
     pub rejected: u64,
-    /// Batches a stager claimed outside its home slots (`slot %
-    /// stagers`), ever.
+    /// Always 0: nothing claims work across sessions any more. Kept
+    /// only until the benchmark retires the `dispatch.stolen_share` row
+    /// that reads it (see ROADMAP.md).
     pub stolen: u64,
     /// Eviction control ops accepted by [`Dispatcher::evict_weights`],
     /// ever.
@@ -234,10 +220,10 @@ pub struct DispatchStats {
     /// driver picked them — completed as [`RequestError::Shed`] without
     /// touching the engine, ever.
     pub shed: u64,
-    /// Batches currently claimed-but-uncompleted across all sessions
-    /// (being prepared, ready, or on the engine). 0 when drained.
+    /// Batches picked by the driver or a direct caller and not yet
+    /// completed (on the engine, or about to be). 0 when drained.
     pub staging_live: usize,
-    /// Batches staged and ready for the driver right now.
+    /// Batches queued and not yet picked right now, all of them staged.
     pub ready_now: usize,
     /// Sessions currently open (or closed with work still in flight).
     pub sessions_live: usize,
@@ -245,10 +231,11 @@ pub struct DispatchStats {
 
 // ---- shared state ----------------------------------------------------------
 
-/// One queued batch: validated, not yet claimed by a stager.
-struct Pending {
+/// One queued batch: admitted and staged, waiting for (or on) the
+/// engine.
+struct Pending<P> {
     seq: u64,
-    batch: Vec<GemmRequest>,
+    staged: Vec<P>,
     priority: Priority,
     deadline: Option<Instant>,
     /// Weight handles the batch references (for the condemned check).
@@ -257,50 +244,36 @@ struct Pending {
     admit: u64,
 }
 
-/// One staged batch: prepared, waiting for (or on) the engine.
-struct ReadyBatch<P> {
-    slot: usize,
-    seq: u64,
-    staged: Vec<P>,
-    priority: Priority,
-    deadline: Option<Instant>,
-    handles: Vec<WeightHandle>,
-    admit: u64,
-}
-
 /// Per-session queue + ticket state.
-struct SessQueue {
+struct SessQueue<P> {
     /// Admission bound: max batches in flight before `Saturated`.
     depth: usize,
-    /// Submitted, not yet claimed by a stager.
-    submitted: VecDeque<Pending>,
-    /// Batches in flight: submitted and not yet completed/cancelled.
-    /// This — not the queue length — is what admission control bounds,
-    /// so the documented bound holds regardless of stager/driver
-    /// interleaving.
+    /// Filed and not yet picked, in submission order: only the front
+    /// one may run, and the one driver runs it to completion before it
+    /// picks again — which is what keeps a session's batches in
+    /// submission order.
+    queued: VecDeque<Pending<P>>,
+    /// Batches in flight: admitted and not yet completed/cancelled —
+    /// the queued ones plus the one picked, if any. This is what
+    /// admission control bounds.
     pending: usize,
-    /// Claimed-but-uncompleted batches (≤ [`MAX_STAGED`]), oldest
-    /// first: only the front one may run, which is what keeps a
-    /// session's batches in submission order however its stagers finish.
-    claimed: VecDeque<u64>,
     /// Completed, not yet collected.
     done: HashMap<u64, Result<BatchOutcome, RequestError>>,
     /// Collected-ticket compaction: everything below the floor was
     /// redeemed, plus the sparse set above it.
     collected_floor: u64,
     collected: HashSet<u64>,
-    /// The client was dropped; cancel unclaimed work, drop new results,
+    /// The client was dropped; cancel queued work, drop new results,
     /// reap the slot once in-flight work completes.
     closed: bool,
 }
 
-impl SessQueue {
+impl<P> SessQueue<P> {
     fn with_depth(depth: usize) -> Self {
         SessQueue {
             depth,
-            submitted: VecDeque::new(),
+            queued: VecDeque::new(),
             pending: 0,
-            claimed: VecDeque::new(),
             done: HashMap::new(),
             collected_floor: 0,
             collected: HashSet::new(),
@@ -333,111 +306,64 @@ struct Counters {
     direct: u64,
     cancelled: u64,
     rejected: u64,
-    stolen: u64,
     evictions: u64,
     stale_failures: u64,
     shed: u64,
 }
 
-/// Dispatcher state shared by clients, stagers and the driver.
+/// Dispatcher state shared by clients and the driver.
 ///
-/// Scheduling scans (`claim`, `pick_ready`) walk `Vec`s in slot/index
-/// order on purpose: `HashMap`/`HashSet` iteration order must never
-/// drive a scheduling decision or the loom models would explore
-/// schedules production never runs (keyed lookups are fine).
+/// The scheduling scan (`pick`) walks a `Vec` in slot order on purpose:
+/// `HashMap`/`HashSet` iteration order must never drive a scheduling
+/// decision or the loom models would explore schedules production
+/// never runs (keyed lookups are fine).
 struct DispState<P> {
     /// Session slots; `None` slots are reaped and reusable.
-    sessions: Vec<Option<SessQueue>>,
-    /// Staged batches awaiting the driver.
-    ready: Vec<ReadyBatch<P>>,
+    sessions: Vec<Option<SessQueue<P>>>,
     /// Eviction control ops awaiting the driver (serialized with batch
-    /// execution — the driver owns the backend).
+    /// execution under the engine lock).
     controls: VecDeque<WeightHandle>,
     /// Handles condemned by [`Dispatcher::evict_weights`]: submissions
-    /// and ready batches carrying one fail with `StaleHandle` instead
+    /// and queued batches carrying one fail with `StaleHandle` instead
     /// of reaching an engine that may already have dropped the panel.
     condemned: HashSet<WeightHandle>,
     /// Global admission counter (cross-session FIFO tie-breaker).
     admit_seq: u64,
     /// Consecutive decode batches the driver has run (the aging rule).
     decode_run: u32,
-    live_stagers: usize,
     shutdown: bool,
-    /// Set when a pipeline thread died; clients panic instead of
-    /// hanging.
+    /// Set when the driver, or a client on the engine, died; clients
+    /// panic instead of hanging.
     dead: Option<&'static str>,
     stats: Counters,
 }
 
 impl<P> DispState<P> {
-    /// True while a stager may yet have claimable work under `shutdown`
-    /// — any session with a non-empty queue, *ignoring* the
-    /// [`MAX_STAGED`] window (capped work still pending means "wait for
-    /// the driver to make room", not "exit and drop it").
-    fn drainable(&self) -> bool {
-        self.sessions.iter().flatten().any(|q| !q.submitted.is_empty())
-    }
-
-    /// Claim the best pending batch for `worker`: highest
-    /// front-of-queue priority, then earliest admission, skipping
-    /// sessions at their [`MAX_STAGED`] window. A claim outside the
-    /// worker's home slots (`slot % stagers`) is counted as stolen.
-    fn claim(&mut self, worker: usize, stagers: usize) -> Option<(usize, Pending)> {
-        let mut best: Option<(usize, Priority, u64)> = None;
-        for (slot, q) in self.sessions.iter().enumerate() {
-            let Some(q) = q else { continue };
-            if q.claimed.len() >= MAX_STAGED {
-                continue;
-            }
-            let Some(front) = q.submitted.front() else { continue };
-            let better = match best {
-                None => true,
-                Some((_, bp, ba)) => {
-                    front.priority > bp || (front.priority == bp && front.admit < ba)
-                }
-            };
-            if better {
-                best = Some((slot, front.priority, front.admit));
-            }
-        }
-        let (slot, _, _) = best?;
-        if slot % stagers != worker {
-            self.stats.stolen += 1;
-        }
-        let q = self.sessions[slot].as_mut().expect("claimed slot is live");
-        let pending = q.submitted.pop_front().expect("claimed queue is non-empty");
-        q.claimed.push_back(pending.seq);
-        Some((slot, pending))
-    }
-
-    /// Index of the batch the driver should run next, or `None` when
-    /// nothing is runnable. Only a session's oldest claimed batch is
-    /// runnable (per-session FIFO); among those, priority desc,
-    /// deadline asc (`None` = ∞), admission asc — except that after
-    /// [`DECODE_BURST`] consecutive decode batches the best *prefill*
-    /// batch wins (bounded aging).
-    fn pick_ready(&self) -> Option<usize> {
+    /// Take the batch the driver should run next out of its session's
+    /// queue, or `None` when nothing is queued. Only the front of a
+    /// session's queue is runnable (per-session FIFO); among those,
+    /// priority desc, deadline asc (`None` = ∞), admission asc — except
+    /// that after [`DECODE_BURST`] consecutive decode batches the best
+    /// *prefill* batch wins (bounded aging).
+    fn pick(&mut self) -> Option<(usize, Pending<P>)> {
         let best_of = |class: Option<Priority>| {
-            let mut best: Option<usize> = None;
-            for (i, r) in self.ready.iter().enumerate() {
-                let q = self.sessions[r.slot].as_ref().expect("ready batch keeps its slot live");
-                let runnable = q.claimed.front() == Some(&r.seq);
-                if runnable
-                    && class.is_none_or(|c| r.priority == c)
-                    && best.is_none_or(|b| beats(r, &self.ready[b]))
-                {
-                    best = Some(i);
-                }
-            }
-            best
+            self.sessions
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, q)| Some((slot, q.as_ref()?.queued.front()?)))
+                .filter(|(_, front)| class.is_none_or(|c| front.priority == c))
+                .reduce(|best, next| if beats(next.1, best.1) { next } else { best })
         };
-        let best = best_of(None)?;
-        if self.ready[best].priority == Priority::Decode && self.decode_run >= DECODE_BURST {
-            if let Some(aged) = best_of(Some(Priority::Prefill)) {
-                return Some(aged);
+        let (mut slot, best) = best_of(None)?;
+        if best.priority == Priority::Decode && self.decode_run >= DECODE_BURST {
+            if let Some((aged, _)) = best_of(Some(Priority::Prefill)) {
+                slot = aged;
             }
         }
-        Some(best)
+        let q = self.sessions[slot].as_mut().expect("picked slot is live");
+        let chosen = q.queued.pop_front().expect("picked queue is non-empty");
+        self.note_picked(chosen.priority);
+        Some((slot, chosen))
     }
 
     /// Book one queued batch's completion: files the result (unless the
@@ -450,19 +376,16 @@ impl<P> DispState<P> {
         self.release(slot);
     }
 
-    /// Free one claimed batch's staging window and in-flight permit and
-    /// reap the slot if that was its last obligation. Only a session's
-    /// oldest claimed batch ever runs, is shed or fails, so the batch
-    /// released is always the front of `claimed`.
+    /// Free one picked batch's in-flight permit and reap the slot if
+    /// that was its last obligation.
     fn release(&mut self, slot: usize) {
         let q = self.sessions[slot].as_mut().expect("in-flight batch keeps its slot live");
-        q.claimed.pop_front().expect("a released batch was claimed");
         q.pending -= 1;
         self.maybe_reap(slot);
     }
 
-    /// Book the driver-side pick of a batch of `priority` (the aging
-    /// rule's run length).
+    /// Book the pick of a batch of `priority`, by the driver or a
+    /// direct caller (the aging rule's run length).
     fn note_picked(&mut self, priority: Priority) {
         self.decode_run = match priority {
             Priority::Decode => self.decode_run + 1,
@@ -471,16 +394,13 @@ impl<P> DispState<P> {
     }
 
     /// True when the one batch in flight is the only work in the
-    /// system: nothing staged, no control queued, no other session (and
-    /// no earlier batch of the same session) to be ordered against.
+    /// system: no control queued, no other session (and no earlier
+    /// batch of the same session) to be ordered against.
     fn lone_batch(&self) -> bool {
         // exactly one session has anything in flight, and exactly one
         // batch; stops at the second busy session it meets
         let mut busy = self.sessions.iter().flatten().map(|q| q.pending).filter(|&p| p > 0);
-        self.ready.is_empty()
-            && self.controls.is_empty()
-            && busy.next() == Some(1)
-            && busy.next().is_none()
+        self.controls.is_empty() && busy.next() == Some(1) && busy.next().is_none()
     }
 
     /// Free a closed session's slot once nothing is in flight for it.
@@ -494,7 +414,7 @@ impl<P> DispState<P> {
 }
 
 /// Execute-order comparison: does `a` beat `b`?
-fn beats<P>(a: &ReadyBatch<P>, b: &ReadyBatch<P>) -> bool {
+fn beats<P>(a: &Pending<P>, b: &Pending<P>) -> bool {
     if a.priority != b.priority {
         return a.priority > b.priority;
     }
@@ -521,20 +441,15 @@ struct Shared<B: CampBackend> {
     /// batch in flight and so rules the direct path out); the driver
     /// never holds both.
     engine: Mutex<Option<B>>,
-    /// Wakes stagers: new submission, staging room freed, cancellation,
-    /// shutdown. Always notified with `notify_all`: stagers wait on
-    /// different things (work to claim, a session's window to open, a
-    /// drained shutdown), so a `notify_one` could land on one that
-    /// cannot act on it (a lost wakeup; the seeded-bug model in
-    /// `tests/model/` pins this class down).
-    work_cv: Condvar,
-    /// Wakes the driver: batch staged, control queued, stager crew
-    /// exited, shutdown.
-    ready_cv: Condvar,
-    /// Wakes waiting clients: batch completed, pipeline death.
+    /// Wakes the driver, its only waiter: batch filed, control queued,
+    /// shutdown, death.
+    driver_cv: Condvar,
+    /// Wakes waiting clients: batch completed, death. Always
+    /// `notify_all`: every session's `wait` parks here, each for its
+    /// own ticket.
     done_cv: Condvar,
-    /// Registration snapshot every submission validates against and
-    /// every stager prepares against.
+    /// Registration snapshot every submission validates and prepares
+    /// against.
     weights: WeightSnapshot,
 }
 
@@ -542,7 +457,7 @@ impl<B: CampBackend> Shared<B> {
     /// Lock the state, ignoring mutex poisoning: every mutation is
     /// atomic under the lock (queues stay consistent even if a caller
     /// panicked mid-`wait`), and shutdown must still work after a panic
-    /// so `Drop` can join the pipeline threads.
+    /// so `Drop` can join the driver.
     fn lock(&self) -> StateGuard<'_, B> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -559,18 +474,17 @@ impl<B: CampBackend> Shared<B> {
         cv.wait(st).unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Mark the pipeline dead and wake everyone.
+    /// Mark the dispatcher dead and wake everyone.
     fn mark_dead(&self, who: &'static str) {
         let mut st = self.lock();
         st.dead = Some(who);
-        self.work_cv.notify_all();
-        self.ready_cv.notify_all();
+        self.driver_cv.notify_one();
         self.done_cv.notify_all();
     }
 }
 
-/// Notifies the dispatcher if a pipeline thread (or a client running
-/// its own batch on the engine) unwinds, so clients blocked in
+/// Notifies the dispatcher if the driver (or a client running its own
+/// batch on the engine) unwinds, so clients blocked in
 /// [`DispatchSession::wait`] fail fast instead of hanging.
 struct DeathWatch<'a, B: CampBackend> {
     shared: &'a Shared<B>,
@@ -594,50 +508,11 @@ fn next_session_id() -> u64 {
     NEXT_SESSION_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-// ---- pipeline threads ------------------------------------------------------
-
-fn stager_loop<B: CampBackend>(shared: &Shared<B>, worker: usize, stagers: usize) {
-    let mut watch = DeathWatch { shared, who: "stager", armed: true };
-    loop {
-        let claimed = {
-            let mut st = shared.lock();
-            loop {
-                if st.dead.is_some() {
-                    break None;
-                }
-                if let Some(claimed) = st.claim(worker, stagers) {
-                    break Some(claimed);
-                }
-                if st.shutdown && !st.drainable() {
-                    break None;
-                }
-                st = shared.wait(&shared.work_cv, st);
-            }
-        };
-        let Some((slot, pending)) = claimed else {
-            let mut st = shared.lock();
-            st.live_stagers -= 1;
-            if st.live_stagers == 0 {
-                // the driver's exit predicate depends on this count
-                shared.ready_cv.notify_all();
-            }
-            watch.armed = false;
-            return;
-        };
-        // the pipeline overlap: this staging runs while the driver
-        // computes other batches on the engine
-        let Pending { seq, batch, priority, deadline, handles, admit } = pending;
-        let staged: Vec<B::Prepared> =
-            batch.into_iter().map(|r| B::prepare(r, &shared.weights)).collect();
-        let mut st = shared.lock();
-        st.ready.push(ReadyBatch { slot, seq, staged, priority, deadline, handles, admit });
-        shared.ready_cv.notify_all();
-    }
-}
+// ---- the driver thread ---------------------------------------------------
 
 enum DriverAction<P> {
     Evict(WeightHandle),
-    Run(ReadyBatch<P>),
+    Run(usize, Pending<P>),
     Exit,
 }
 
@@ -661,15 +536,12 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B>) {
                 if let Some(h) = st.controls.pop_front() {
                     break DriverAction::Evict(h);
                 }
-                if let Some(i) = st.pick_ready() {
-                    let chosen = st.ready.remove(i);
-                    st.note_picked(chosen.priority);
+                if let Some((slot, chosen)) = st.pick() {
                     if chosen.handles.iter().any(|h| st.condemned.contains(h)) {
                         // condemned while queued: fail the batch without
                         // touching the (possibly already evicted) panel
                         st.stats.stale_failures += 1;
-                        st.complete(chosen.slot, chosen.seq, Err(RequestError::StaleHandle));
-                        shared.work_cv.notify_all();
+                        st.complete(slot, chosen.seq, Err(RequestError::StaleHandle));
                         shared.done_cv.notify_all();
                         continue;
                     }
@@ -677,17 +549,18 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B>) {
                         // deadline already missed: computing it would
                         // only delay batches that can still make theirs
                         st.stats.shed += 1;
-                        st.complete(chosen.slot, chosen.seq, Err(RequestError::Shed));
-                        shared.work_cv.notify_all();
+                        st.complete(slot, chosen.seq, Err(RequestError::Shed));
                         shared.done_cv.notify_all();
                         continue;
                     }
-                    break DriverAction::Run(chosen);
+                    break DriverAction::Run(slot, chosen);
                 }
-                if st.shutdown && st.live_stagers == 0 && st.controls.is_empty() {
+                // nothing is filed once `shutdown` is set, so an empty
+                // scan under it is final
+                if st.shutdown {
                     break DriverAction::Exit;
                 }
-                st = shared.wait(&shared.ready_cv, st);
+                st = shared.wait(&shared.driver_cv, st);
             }
         };
         // A poisoned engine lock ends the loop like `Exit`: a direct
@@ -703,15 +576,14 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B>) {
                 // an error, ignore it
                 let _ = held(&mut engine).evict_weights(h);
             }
-            DriverAction::Run(ready) => {
+            DriverAction::Run(slot, chosen) => {
                 let Ok(mut engine) = shared.engine.lock() else { break };
-                let result = held(&mut engine).execute_prepared(ready.staged);
+                let result = held(&mut engine).execute_prepared(chosen.staged);
                 // lock order: never the state lock under the engine's
                 drop(engine);
                 let mut st = shared.lock();
                 st.stats.executed += 1;
-                st.complete(ready.slot, ready.seq, Ok(result));
-                shared.work_cv.notify_all();
+                st.complete(slot, chosen.seq, Ok(result));
                 shared.done_cv.notify_all();
             }
         }
@@ -723,8 +595,8 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B>) {
 
 /// One tenant's handle onto a shared [`Dispatcher`]: its own FIFO
 /// queue, ticket space, admission bound and result map. Dropping the
-/// handle cancels its unclaimed batches and releases the slot once
-/// in-flight work completes.
+/// handle cancels its still-queued batches and releases the slot once
+/// the batch on the engine, if any, completes.
 pub struct DispatchSession<B: CampBackend + Send + 'static> {
     shared: Arc<Shared<B>>,
     slot: usize,
@@ -750,10 +622,10 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
         self.submit_with(batch, Priority::Prefill, None)
     }
 
-    /// Enqueue one batch; returns immediately with the ticket that will
-    /// redeem its results. A session's batches execute in submission
-    /// order; priority, deadline and admission order decide between
-    /// sessions.
+    /// Stage and enqueue one batch; returns with the ticket that will
+    /// redeem its results as soon as the batch is filed. A session's
+    /// batches execute in submission order; priority, deadline and
+    /// admission order decide between sessions.
     ///
     /// Every request is validated against the registration snapshot
     /// taken when the dispatcher started — stale or foreign handles and
@@ -762,13 +634,20 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     /// [`RequestError::StaleHandle`]. A session already at its
     /// admission bound rejects with [`RequestError::Saturated`]
     /// (deterministically: the bound counts batches in flight, not
-    /// queue occupancy, so it does not depend on how far the pipeline
-    /// happens to have drained the queue). Nothing is enqueued on any
-    /// error.
+    /// queue occupancy, so it does not depend on how far the driver
+    /// happens to have drained the queue). Nothing is staged or
+    /// enqueued on any error.
+    ///
+    /// [`CampBackend::prepare`] runs **on the calling thread**, with no
+    /// dispatcher lock held: nothing for a request of m ≤ 8 or on the
+    /// simulator, the packed A of a blocked request on the host engine.
+    /// A panic in it unwinds this call before anything is booked; the
+    /// dispatcher and every other session are untouched.
     ///
     /// # Panics
-    /// Panics if a pipeline thread has already died, or the dispatcher
-    /// was shut down while this handle was kept alive.
+    /// Panics if the driver (or a client on the engine) has already
+    /// died, or the dispatcher was shut down while this handle was kept
+    /// alive.
     pub fn submit_with(
         &mut self,
         batch: Vec<GemmRequest>,
@@ -788,9 +667,9 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     /// errors and counters.
     ///
     /// When the batch is the only work in the dispatcher — no session
-    /// has a batch in flight (this one included), nothing is staged and
-    /// no eviction is queued — the calling thread stages and executes
-    /// it on the engine itself, with no thread hand-off
+    /// has a batch in flight (this one included) and no eviction is
+    /// queued — the calling thread, which staged it, also executes it
+    /// on the engine, with no thread hand-off
     /// ([`DispatchStats::direct`]). Whenever there is anything to be
     /// ordered against, it queues behind it exactly like a submission,
     /// so priority order, aging, deadlines, per-session FIFO and
@@ -798,9 +677,9 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     /// has already passed is [`RequestError::Shed`] on either path.
     ///
     /// # Panics
-    /// Panics if a pipeline thread has died (or dies while this batch
-    /// is queued), or the dispatcher was shut down while this handle
-    /// was kept alive.
+    /// Panics if the driver (or a client on the engine) has died, or
+    /// dies while this batch is queued, or the dispatcher was shut down
+    /// while this handle was kept alive.
     pub fn run(
         &mut self,
         batch: Vec<GemmRequest>,
@@ -815,10 +694,9 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
             drop(st);
             return self.wait(TicketId { session: self.id, seq });
         }
-        // the caller is stager and driver for this batch and books what
-        // they would book, in the same order; no ticket is issued
+        // the caller is the driver for this batch and books what it
+        // would book, in the same order; no ticket is issued
         let shared = &*self.shared;
-        shared.queue(&mut st, self.slot).claimed.push_back(seq);
         st.note_picked(priority);
         if deadline.is_some_and(|dl| Instant::now() > dl) {
             st.stats.shed += 1;
@@ -834,8 +712,7 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
             // moved in, so that an unwind frees the engine before the
             // watch takes the state lock
             let mut engine = engine;
-            let staged = pending.batch.into_iter().map(|r| B::prepare(r, &shared.weights));
-            held(&mut engine).execute_prepared(staged.collect())
+            held(&mut engine).execute_prepared(pending.staged)
         };
         let mut st = shared.lock();
         st.stats.executed += 1;
@@ -862,8 +739,8 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     pub fn poll(&mut self, ticket: TicketId) -> Option<Result<BatchOutcome, RequestError>> {
         let seq = self.check_ticket(ticket);
         let mut st = self.shared.lock();
-        // completed results stay retrievable even after a pipeline
-        // thread died — only a still-pending ticket has to fail
+        // completed results stay retrievable even after the dispatcher
+        // died — only a still-pending ticket has to fail
         let q = self.shared.queue(&mut st, self.slot);
         if let Some(result) = q.done.remove(&seq) {
             q.mark_collected(seq);
@@ -881,7 +758,7 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     /// exactly once.
     ///
     /// # Panics
-    /// Panics if a pipeline thread died, or the ticket's result was
+    /// Panics if the dispatcher died, or the ticket's result was
     /// already collected.
     pub fn wait(&mut self, ticket: TicketId) -> Result<BatchOutcome, RequestError> {
         let seq = self.check_ticket(ticket);
@@ -901,7 +778,7 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     }
 
     /// Batches submitted whose results have not been collected yet
-    /// (queued, staging, computing, or done-but-unredeemed).
+    /// (queued, computing, or done-but-unredeemed).
     pub fn in_flight(&self) -> usize {
         let mut st = self.shared.lock();
         let collected = self.shared.queue(&mut st, self.slot).collected_count();
@@ -916,11 +793,12 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
 }
 
 impl<B: CampBackend> Shared<B> {
-    /// Validation and admission control shared by every submission
-    /// path: on success the batch holds an in-flight permit and its
-    /// place in the global admission order, and the state lock comes
-    /// back still held, so the caller files (or runs) the batch
-    /// atomically with its admission. Nothing is booked on any error.
+    /// Validation, staging and admission control shared by every
+    /// submission path: on success the staged batch holds an in-flight
+    /// permit and its place in the global admission order, and the
+    /// state lock comes back still held, so the caller files (or runs)
+    /// the batch atomically with its admission. Nothing is booked on
+    /// any error, nor if `prepare` panics.
     fn admit(
         &self,
         slot: usize,
@@ -928,7 +806,7 @@ impl<B: CampBackend> Shared<B> {
         batch: Vec<GemmRequest>,
         priority: Priority,
         deadline: Option<Instant>,
-    ) -> Result<(StateGuard<'_, B>, Pending), RequestError> {
+    ) -> Result<(StateGuard<'_, B>, Pending<B::Prepared>), RequestError> {
         let mut handles = Vec::new();
         for r in &batch {
             r.resolve(&self.weights)?;
@@ -936,7 +814,31 @@ impl<B: CampBackend> Shared<B> {
                 handles.push(*h);
             }
         }
+        // refused before anything is packed for it ...
+        self.refuse(&mut self.lock(), slot, &handles)?;
+        // ... staged on the caller's own time, outside every lock ...
+        let staged = batch.into_iter().map(|r| B::prepare(r, &self.weights)).collect();
+        // ... and checked again under the lock the permit is booked
+        // (and the batch filed) under: a shutdown, death or eviction
+        // may have landed meanwhile. The bound cannot have: only this
+        // session's own thread raises its `pending`.
         let mut st = self.lock();
+        self.refuse(&mut st, slot, &handles)?;
+        self.queue(&mut st, slot).pending += 1;
+        let admit = st.admit_seq;
+        st.admit_seq += 1;
+        st.stats.submitted += 1;
+        Ok((st, Pending { seq, staged, priority, deadline, handles, admit }))
+    }
+
+    /// Everything that turns a valid batch away, in the order callers
+    /// see it.
+    fn refuse(
+        &self,
+        st: &mut StateGuard<'_, B>,
+        slot: usize,
+        handles: &[WeightHandle],
+    ) -> Result<(), RequestError> {
         if let Some(who) = st.dead {
             panic!("serving session is dead: {who} thread panicked");
         }
@@ -946,29 +848,29 @@ impl<B: CampBackend> Shared<B> {
         if handles.iter().any(|h| st.condemned.contains(h)) {
             return Err(RequestError::StaleHandle);
         }
-        let q = self.queue(&mut st, slot);
+        let q = self.queue(st, slot);
         if q.pending >= q.depth {
             let depth = q.depth;
             st.stats.rejected += 1;
             return Err(RequestError::Saturated { depth });
         }
-        q.pending += 1;
-        let admit = st.admit_seq;
-        st.admit_seq += 1;
-        st.stats.submitted += 1;
-        Ok((st, Pending { seq, batch, priority, deadline, handles, admit }))
+        Ok(())
     }
 
     /// File an admitted batch in its session's queue and wake the
-    /// stagers.
-    fn enqueue(&self, st: &mut StateGuard<'_, B>, slot: usize, pending: Pending) {
-        self.queue(st, slot).submitted.push_back(pending);
-        self.work_cv.notify_all();
+    /// driver.
+    fn enqueue(&self, st: &mut StateGuard<'_, B>, slot: usize, pending: Pending<B::Prepared>) {
+        self.queue(st, slot).queued.push_back(pending);
+        self.driver_cv.notify_one();
     }
 
     /// A live client's queue. The slot cannot be reaped while the
     /// client exists (reaping requires `closed`, set only on drop).
-    fn queue<'a>(&self, st: &'a mut StateGuard<'_, B>, slot: usize) -> &'a mut SessQueue {
+    fn queue<'a>(
+        &self,
+        st: &'a mut StateGuard<'_, B>,
+        slot: usize,
+    ) -> &'a mut SessQueue<B::Prepared> {
         st.sessions[slot].as_mut().expect("live client keeps its slot")
     }
 }
@@ -978,17 +880,15 @@ impl<B: CampBackend + Send + 'static> Drop for DispatchSession<B> {
         let mut st = self.shared.lock();
         if let Some(q) = st.sessions[self.slot].as_mut() {
             q.closed = true;
-            // cancel what no stager claimed yet; in-flight batches run
-            // to completion (their results are dropped)
-            let cancelled = q.submitted.len();
+            // cancel what the driver has not picked yet; a batch on the
+            // engine runs to completion (its result is dropped)
+            let cancelled = q.queued.len();
             q.pending -= cancelled;
-            q.submitted.clear();
+            q.queued.clear();
             q.done.clear();
             st.stats.cancelled += cancelled as u64;
             st.maybe_reap(self.slot);
         }
-        // cancellation can change every stager's drainable() answer
-        self.shared.work_cv.notify_all();
     }
 }
 
@@ -1001,7 +901,6 @@ impl<B: CampBackend + Send + 'static> Drop for DispatchSession<B> {
 pub struct Dispatcher<B: CampBackend + Send + 'static> {
     shared: Arc<Shared<B>>,
     options: DispatchOptions,
-    stagers: Vec<JoinHandle<()>>,
     driver: Option<JoinHandle<()>>,
 }
 
@@ -1024,38 +923,23 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
 
     /// Start dispatching on `backend` with explicit options.
     pub fn with_options(backend: B, options: DispatchOptions) -> Self {
-        assert!(options.stagers >= 1, "a dispatcher needs at least one stager");
         assert!(options.queue_depth >= 1, "a zero admission bound would reject everything");
         let shared: Arc<Shared<B>> = Arc::new(Shared {
             state: Mutex::new(DispState {
                 sessions: Vec::new(),
-                ready: Vec::new(),
                 controls: VecDeque::new(),
                 condemned: HashSet::new(),
                 admit_seq: 0,
                 decode_run: 0,
-                live_stagers: options.stagers,
                 shutdown: false,
                 dead: None,
                 stats: Counters::default(),
             }),
-            work_cv: Condvar::new(),
-            ready_cv: Condvar::new(),
+            driver_cv: Condvar::new(),
             done_cv: Condvar::new(),
             weights: backend.weight_snapshot(),
             engine: Mutex::new(Some(backend)),
         });
-
-        let stagers = (0..options.stagers)
-            .map(|worker| {
-                let shared = Arc::clone(&shared);
-                let count = options.stagers;
-                crate::sync::thread::Builder::new()
-                    .name(format!("camp-dispatch-stager-{worker}"))
-                    .spawn(move || stager_loop::<B>(&shared, worker, count))
-                    .expect("failed to spawn dispatch stager")
-            })
-            .collect();
 
         let driver_shared = Arc::clone(&shared);
         let driver = crate::sync::thread::Builder::new()
@@ -1063,7 +947,7 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
             .spawn(move || driver_loop(&driver_shared))
             .expect("failed to spawn dispatch driver");
 
-        Dispatcher { shared, options, stagers, driver: Some(driver) }
+        Dispatcher { shared, options, driver: Some(driver) }
     }
 
     /// Open a session at the dispatcher's default admission bound
@@ -1108,7 +992,7 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
         }
         st.controls.push_back(h);
         st.stats.evictions += 1;
-        self.shared.ready_cv.notify_all();
+        self.shared.driver_cv.notify_one();
         Ok(meta)
     }
 
@@ -1121,12 +1005,12 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
             direct: st.stats.direct,
             cancelled: st.stats.cancelled,
             rejected: st.stats.rejected,
-            stolen: st.stats.stolen,
+            stolen: 0,
             evictions: st.stats.evictions,
             stale_failures: st.stats.stale_failures,
             shed: st.stats.shed,
-            staging_live: st.sessions.iter().flatten().map(|q| q.claimed.len()).sum(),
-            ready_now: st.ready.len(),
+            staging_live: st.sessions.iter().flatten().map(|q| q.pending - q.queued.len()).sum(),
+            ready_now: st.sessions.iter().flatten().map(|q| q.queued.len()).sum(),
             sessions_live: st.sessions.iter().flatten().count(),
         }
     }
@@ -1146,25 +1030,19 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
     /// Panics if the backend panicked mid-batch, on the driver or under
     /// a [`DispatchSession::run`] caller.
     pub fn into_backend(mut self) -> B {
-        self.join_pipeline().expect("dispatcher driver panicked");
+        self.join_driver().expect("dispatcher driver panicked");
         // blocks until a direct run still on the engine has finished;
         // no new one can start, `shutdown` is set
         let mut engine = self.shared.engine.lock().expect("a direct run panicked on the backend");
         engine.take().expect("the engine slot is emptied only here")
     }
 
-    /// Signal shutdown and join the pipeline threads; the driver's
-    /// verdict is returned, a stager's panic already marked the
-    /// dispatcher dead.
-    fn join_pipeline(&mut self) -> std::thread::Result<()> {
+    /// Signal shutdown and join the driver, returning its verdict.
+    fn join_driver(&mut self) -> std::thread::Result<()> {
         {
             let mut st = self.shared.lock();
             st.shutdown = true;
-            self.shared.work_cv.notify_all();
-            self.shared.ready_cv.notify_all();
-        }
-        for h in self.stagers.drain(..) {
-            let _ = h.join();
+            self.shared.driver_cv.notify_one();
         }
         self.driver.take().map_or(Ok(()), JoinHandle::join)
     }
@@ -1172,7 +1050,7 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
 
 impl<B: CampBackend + Send + 'static> Drop for Dispatcher<B> {
     fn drop(&mut self) {
-        let _ = self.join_pipeline();
+        let _ = self.join_driver();
         // the backend goes with the dispatcher, not with the last
         // session handle that outlives it
         drop(self.shared.engine().take());
@@ -1186,7 +1064,8 @@ mod tests {
     use crate::engine::{CampEngine, DType, EngineStats};
     use camp_gemm::gemm_i32_ref;
     use camp_gemm::KernelInfo;
-    use std::sync::OnceLock;
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Shared permit counter gating the mock driver: executions block
     /// until a permit is granted, so tests pin the pipeline in a known
@@ -1203,20 +1082,35 @@ mod tests {
     /// permit per batch and logs the batch's m (the tests' batch
     /// identity) and the executing thread in execution order. A batch
     /// whose m is [`POISON_M`] panics once it holds its permit; a
-    /// request whose m is [`HELD_M`] stays in `prepare` until
+    /// request whose m is [`PREPARE_POISON_M`] panics in `prepare`, and
+    /// one whose m is [`HELD_M`] stays in `prepare` until
     /// [`HELD_PREPARE`] opens.
     struct GateBackend {
         gate: Gate,
         log: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
-        ran_on: std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+        ran_on: std::sync::Arc<std::sync::Mutex<Vec<std::thread::Thread>>>,
     }
 
     const POISON_M: usize = 666;
+    const PREPARE_POISON_M: usize = 777;
     const HELD_M: usize = 555;
 
-    /// `prepare` has no `self`, so the hold is a static; one test uses it.
-    static HELD_PREPARE: (std::sync::Mutex<bool>, std::sync::Condvar) =
-        (std::sync::Mutex::new(false), std::sync::Condvar::new());
+    /// `prepare` has no `self`, so the hold is a static; one test uses
+    /// it. `(entered, open)`: a request is inside the held `prepare`,
+    /// and it may leave.
+    static HELD_PREPARE: (std::sync::Mutex<(bool, bool)>, std::sync::Condvar) =
+        (std::sync::Mutex::new((false, false)), std::sync::Condvar::new());
+
+    thread_local! {
+        /// Requests `GateBackend::prepare` staged on this thread: tests
+        /// run in parallel, so a per-thread count is both isolated and
+        /// the proof of *where* staging ran.
+        static PREPARED_HERE: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn prepared_here() -> usize {
+        PREPARED_HERE.with(Cell::get)
+    }
 
     impl GateBackend {
         fn new(permits: usize) -> (Self, Gate, std::sync::Arc<std::sync::Mutex<Vec<usize>>>) {
@@ -1276,10 +1170,15 @@ mod tests {
         }
 
         fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
+            assert_ne!(req.m(), PREPARE_POISON_M, "poisoned prepare");
             if req.m() == HELD_M {
-                let (open, cv) = &HELD_PREPARE;
-                drop(cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
+                let (hold, cv) = &HELD_PREPARE;
+                let mut hold = hold.lock().unwrap();
+                hold.0 = true;
+                cv.notify_all();
+                drop(cv.wait_while(hold, |(_, open)| !*open).unwrap());
             }
+            PREPARED_HERE.with(|n| n.set(n.get() + 1));
             req
         }
 
@@ -1294,7 +1193,7 @@ mod tests {
             let m = batch.first().map_or(0, |r| r.m());
             assert_ne!(m, POISON_M, "the poisoned batch reached the backend");
             self.log.lock().unwrap().push(m);
-            self.ran_on.lock().unwrap().push(std::thread::current().id());
+            self.ran_on.lock().unwrap().push(std::thread::current());
             let outputs =
                 batch.iter().map(|r| Output::new(vec![0; r.m()], r.m(), 1)).collect::<Vec<_>>();
             BatchOutcome::new(outputs, ExecStats::Host(EngineStats::default()))
@@ -1307,12 +1206,15 @@ mod tests {
         GemmRequest::dense(m, 1, 1, vec![1i8; m], vec![1i8]).expect("well-formed request")
     }
 
-    fn opts(stagers: usize) -> DispatchOptions {
-        DispatchOptions { stagers, queue_depth: 8 }
+    /// A dispatcher at the default options. Never `Dispatcher::new`:
+    /// that reads the environment `env_options_apply_and_validate`
+    /// writes.
+    fn dispatch<B: CampBackend + Send + 'static>(backend: B) -> Dispatcher<B> {
+        Dispatcher::with_options(backend, DispatchOptions::default())
     }
 
-    /// Poll the dispatcher until `pred` holds (the pipeline threads are
-    /// asynchronous; 5 s cap, far beyond any real staging latency).
+    /// Poll the dispatcher until `pred` holds (the driver is
+    /// asynchronous; 5 s cap, far beyond any real hand-off latency).
     fn wait_for<B: CampBackend + Send + 'static>(
         d: &Dispatcher<B>,
         pred: impl Fn(&DispatchStats) -> bool,
@@ -1330,14 +1232,21 @@ mod tests {
     #[test]
     fn saturation_fires_deterministically_at_the_bound_and_recovers() {
         let (backend, gate, _log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1));
+        let dispatcher = dispatch(backend);
         let mut session = dispatcher.session_with_depth(3);
+        let staged_before = prepared_here();
 
         // the bound counts batches in flight, not queue occupancy: with
         // the driver gated shut, exactly `depth` submissions are
-        // admitted no matter how the stager interleaves
+        // admitted no matter how the driver interleaves
         let tickets: Vec<TicketId> =
             (0..3).map(|i| session.submit(vec![req(i + 1)]).expect("below the bound")).collect();
+        // each was filed under the lock acquisition that booked its
+        // permit: every admitted batch is queued or picked the moment
+        // `submit` returns, no waiting for anybody
+        let stats = dispatcher.stats();
+        assert_eq!((stats.submitted, stats.staging_live + stats.ready_now), (3, 3));
+        assert_eq!(prepared_here() - staged_before, 3, "the submitter stages");
         let err = session.submit(vec![req(99)]).unwrap_err();
         assert_eq!(err, RequestError::Saturated { depth: 3 });
         assert!(err.to_string().contains("bounded depth 3"), "{err}");
@@ -1345,6 +1254,7 @@ mod tests {
         assert_eq!(session.in_flight(), 3);
         let stats = dispatcher.stats();
         assert_eq!((stats.submitted, stats.rejected), (3, 1));
+        assert_eq!(prepared_here() - staged_before, 3, "a rejected batch must not be staged");
 
         // drain: the session recovers without leaking staging permits
         grant(&gate, 3);
@@ -1360,83 +1270,117 @@ mod tests {
 
     #[test]
     fn decode_overtakes_queued_prefill() {
-        for stagers in [1, DispatchOptions::default().stagers] {
-            let (backend, gate, log) = GateBackend::new(0);
-            let dispatcher = Dispatcher::with_options(backend, opts(stagers));
-            let mut prefill = dispatcher.session();
-            let mut decode = dispatcher.session();
+        let (backend, gate, log) = GateBackend::new(0);
+        let dispatcher = dispatch(backend);
+        let mut prefill = dispatcher.session();
+        let mut decode = dispatcher.session();
 
-            let p1 = prefill.submit(vec![req(1)]).unwrap();
-            let p2 = prefill.submit(vec![req(2)]).unwrap();
-            let d = decode.submit_with(vec![req(3)], Priority::Decode, None).unwrap();
-            // pin the pipeline: one batch on the (gated) engine, the
-            // other two staged and ready
-            wait_for(&dispatcher, |s| s.staging_live == 3 && s.ready_now == 2);
+        let p1 = prefill.submit(vec![req(1)]).unwrap();
+        let p2 = prefill.submit(vec![req(2)]).unwrap();
+        let d = decode.submit_with(vec![req(3)], Priority::Decode, None).unwrap();
+        // pin the pipeline: one batch on the (gated) engine, the
+        // other two queued
+        wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 2);
 
-            grant(&gate, 3);
-            assert_eq!(decode.wait(d).unwrap().outputs[0].m, 3);
-            assert_eq!(prefill.wait(p1).unwrap().outputs[0].m, 1);
-            assert_eq!(prefill.wait(p2).unwrap().outputs[0].m, 2);
-            // the decode batch overtook the still-queued prefill batch;
-            // whether prefill batch 1 reached the engine before the
-            // decode one was staged is a benign race, so only the
-            // relative order is asserted
-            let log = log.lock().unwrap();
-            let pos = |m| log.iter().position(|&x| x == m).unwrap();
-            assert!(pos(3) < pos(2), "decode must beat the queued prefill batch: {log:?}");
-            assert!(pos(1) < pos(2), "per-session FIFO must hold: {log:?}");
-        }
+        grant(&gate, 3);
+        assert_eq!(decode.wait(d).unwrap().outputs[0].m, 3);
+        assert_eq!(prefill.wait(p1).unwrap().outputs[0].m, 1);
+        assert_eq!(prefill.wait(p2).unwrap().outputs[0].m, 2);
+        // the decode batch overtook the still-queued prefill batch;
+        // whether prefill batch 1 reached the engine before the
+        // decode one was filed is a benign race, so only the
+        // relative order is asserted
+        let log = log.lock().unwrap();
+        let pos = |m| log.iter().position(|&x| x == m).unwrap();
+        assert!(pos(3) < pos(2), "decode must beat the queued prefill batch: {log:?}");
+        assert!(pos(1) < pos(2), "per-session FIFO must hold: {log:?}");
     }
 
     #[test]
-    fn a_sessions_batches_run_in_submission_order_however_staging_finishes() {
-        for stagers in [2, 3] {
-            *HELD_PREPARE.0.lock().unwrap() = false;
-            // the engine is never the obstacle: every permit is there
-            let (backend, _gate, log) = GateBackend::new(3);
-            let dispatcher = Dispatcher::with_options(backend, opts(stagers));
-            let mut session = dispatcher.session();
-            let mut other = dispatcher.session();
-            let first = session.submit(vec![req(HELD_M)]).unwrap();
-            let second = session.submit(vec![req(2)]).unwrap();
-            // batch 2 is staged while batch 1 is still held in `prepare`
-            // on another stager (or has already run, if it can overtake)
-            wait_for(&dispatcher, |s| s.ready_now == 1 || s.executed == 1);
-            // once a later tenant's batch has run, the driver has
-            // picked with batch 2 ready and admitted earlier — and
-            // must have left it alone
-            let marker = other.submit(vec![req(7)]).unwrap();
-            assert_eq!(other.wait(marker).unwrap().outputs[0].m, 7);
-            let while_held = log.lock().unwrap().clone();
+    fn staging_holds_no_lock_and_a_sessions_batches_still_run_in_submission_order() {
+        *HELD_PREPARE.0.lock().unwrap() = (false, false);
+        // one permit: the engine is no obstacle to the other tenant
+        let (backend, gate, log) = GateBackend::new(1);
+        let dispatcher = dispatch(backend);
+        let mut session = dispatcher.session();
+        let mut other = dispatcher.session();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let submitter = scope.spawn(|| {
+                let tickets = [HELD_M, 2, 3].map(|m| session.submit(vec![req(m)]).unwrap());
+                (session, tickets)
+            });
+            let (hold, cv) = &HELD_PREPARE;
+            drop(cv.wait_while(hold.lock().unwrap(), |(entered, _)| !*entered).unwrap());
+            // `session` now sits inside `prepare`: were that under the
+            // state or the engine lock, this tenant (or `stats`) would
+            // hang behind it
+            let dispatcher = &dispatcher;
+            scope.spawn(move || {
+                let marker = other.submit(vec![req(7)]).unwrap();
+                let m = other.wait(marker).unwrap().outputs[0].m;
+                let _ = tx.send((m, dispatcher.stats()));
+            });
+            let while_held = rx.recv_timeout(std::time::Duration::from_secs(5));
 
-            *HELD_PREPARE.0.lock().unwrap() = true;
-            HELD_PREPARE.1.notify_all();
-            assert_eq!(session.wait(second).unwrap().outputs[0].m, 2);
-            assert_eq!(session.wait(first).unwrap().outputs[0].m, HELD_M);
-            // asserted only now: a panic under the hold would hang Drop
-            assert_eq!(while_held, [7], "batch 2 overtook batch 1, stagers = {stagers}");
-            assert_eq!(*log.lock().unwrap(), [7, HELD_M, 2], "stagers = {stagers}");
+            hold.lock().unwrap().1 = true;
+            cv.notify_all();
+            let (mut session, tickets) = submitter.join().unwrap();
+            // all three are filed; only now may the engine take them
+            grant(&gate, 3);
+            for t in tickets {
+                assert!(session.wait(t).is_ok());
+            }
+            // asserted only now: a panic under the hold would hang the scope
+            let (m, stats) = while_held.expect("another tenant was served during a held prepare");
+            assert_eq!((m, stats.submitted, stats.executed), (7, 1, 1), "nothing booked yet");
+        });
+        assert_eq!(*log.lock().unwrap(), [7, HELD_M, 2, 3]);
+    }
+
+    #[test]
+    fn a_prepare_panic_unwinds_its_caller_and_nobody_else() {
+        let (backend, gate, _log) = GateBackend::new(0);
+        let dispatcher = dispatch(backend);
+        let mut doomed = dispatcher.session_with_depth(2);
+        let mut bystander = dispatcher.session();
+        let before = dispatcher.stats();
+        let batch = vec![req(1), req(PREPARE_POISON_M)];
+        let caught = catch_unwind(AssertUnwindSafe(|| doomed.submit(batch)));
+        assert!(panic_message(caught).contains("poisoned prepare"));
+        // nothing was booked ...
+        assert_eq!(dispatcher.stats(), before);
+        assert_eq!(doomed.in_flight(), 0);
+        // ... no permit leaked: the session still admits `depth` batches ...
+        let tickets = [1, 2].map(|m| doomed.submit(vec![req(m)]).expect("below the bound"));
+        assert_eq!(doomed.submit(vec![req(3)]).unwrap_err(), RequestError::Saturated { depth: 2 });
+        // ... and the dispatcher serves everybody, then shuts down cleanly
+        grant(&gate, 3);
+        let t = bystander.submit(vec![req(9)]).unwrap();
+        assert_eq!(bystander.wait(t).unwrap().outputs[0].m, 9);
+        for t in tickets {
+            assert!(doomed.wait(t).is_ok());
         }
+        drop((doomed, bystander));
+        let _ = dispatcher.into_backend();
     }
 
     #[test]
     fn deadlines_order_equal_priority_work() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1));
+        let dispatcher = dispatch(backend);
         let mut a = dispatcher.session();
         let mut b = dispatcher.session();
 
-        let now = Instant::now();
+        // a deadline that orders but cannot pass: were it missed on a
+        // loaded box, the batch would be shed instead of ordered
+        let deadline = Some(Instant::now() + std::time::Duration::from_secs(3600));
         let gate_batch = a.submit(vec![req(9)]).unwrap(); // occupies the engine
         let relaxed = a.submit_with(vec![req(1)], Priority::Prefill, None).unwrap();
-        let urgent = b
-            .submit_with(
-                vec![req(2)],
-                Priority::Prefill,
-                Some(now + std::time::Duration::from_millis(1)),
-            )
-            .unwrap();
-        wait_for(&dispatcher, |s| s.staging_live == 3 && s.ready_now == 2);
+        let urgent = b.submit_with(vec![req(2)], Priority::Prefill, deadline).unwrap();
+        // pin: one batch on the (gated) engine — the gate batch, or the
+        // deadline one if the driver woke late — and two queued
+        wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 2);
 
         grant(&gate, 3);
         assert!(a.wait(gate_batch).is_ok());
@@ -1451,12 +1395,11 @@ mod tests {
     #[test]
     fn missed_deadlines_are_shed_not_computed() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1));
+        let dispatcher = dispatch(backend);
         let mut session = dispatcher.session();
 
-        // occupy the (gated) engine so the doomed batch waits in ready;
-        // Decode priority guarantees the blocker wins the first pick no
-        // matter how staging interleaves
+        // occupy the (gated) engine so the doomed batch waits queued;
+        // it is this session's first batch, so it is picked first
         let blocker = session.submit_with(vec![req(9)], Priority::Decode, None).unwrap();
         let doomed =
             session.submit_with(vec![req(1)], Priority::Prefill, Some(Instant::now())).unwrap();
@@ -1467,9 +1410,8 @@ mod tests {
                 Some(Instant::now() + std::time::Duration::from_secs(3600)),
             )
             .unwrap();
-        // pin: blocker on the engine, doomed staged behind it (the
-        // third batch waits out the MAX_STAGED window in the queue)
-        wait_for(&dispatcher, |s| s.staging_live == 2 && s.ready_now == 1);
+        // pin: blocker on the engine, the other two queued behind it
+        wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 2);
         // let the already-expired deadline pass unambiguously
         std::thread::sleep(std::time::Duration::from_millis(5));
 
@@ -1486,88 +1428,10 @@ mod tests {
         assert!(RequestError::Shed.to_string().contains("shed"));
     }
 
-    /// Rendezvous in `prepare`: both stagers must be staging
-    /// *simultaneously* before either proceeds, which forces each of
-    /// the two claims onto a different stager.
-    struct BarrierBackend;
-
-    static STEAL_BARRIER: OnceLock<std::sync::Barrier> = OnceLock::new();
-
-    impl CampBackend for BarrierBackend {
-        type Prepared = GemmRequest;
-
-        fn name(&self) -> &'static str {
-            "test-barrier"
-        }
-
-        fn threads(&self) -> usize {
-            1
-        }
-
-        fn supports(&self, _cap: Capability) -> bool {
-            false
-        }
-
-        fn kernel_info(&self) -> KernelInfo {
-            unimplemented!("not part of the dispatch protocol")
-        }
-
-        fn register_weights(
-            &mut self,
-            _n: usize,
-            _k: usize,
-            _b: &[i8],
-            _dtype: DType,
-        ) -> WeightHandle {
-            unimplemented!("barrier tests submit dense requests only")
-        }
-
-        fn evict_weights(&mut self, _h: WeightHandle) -> Result<WeightMeta, RequestError> {
-            unimplemented!("barrier tests submit dense requests only")
-        }
-
-        fn clear_weights(&mut self) {}
-
-        fn try_weight_meta(&self, _h: WeightHandle) -> Result<WeightMeta, RequestError> {
-            unimplemented!("barrier tests submit dense requests only")
-        }
-
-        fn weight_snapshot(&self) -> WeightSnapshot {
-            WeightSnapshot::empty()
-        }
-
-        fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
-            STEAL_BARRIER.get_or_init(|| std::sync::Barrier::new(2)).wait();
-            req
-        }
-
-        fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
-            let outputs =
-                batch.iter().map(|r| Output::new(vec![0; r.m()], r.m(), 1)).collect::<Vec<_>>();
-            BatchOutcome::new(outputs, ExecStats::Host(EngineStats::default()))
-        }
-    }
-
-    #[test]
-    fn eager_stagers_steal_across_sessions() {
-        // one session, two stagers, two batches: the prepare barrier
-        // forces one claim onto each stager, and only worker 0 is home
-        // for slot 0 — exactly one claim is a steal
-        let dispatcher = Dispatcher::with_options(BarrierBackend, opts(2));
-        let mut session = dispatcher.session();
-        let t1 = session.submit(vec![req(1)]).unwrap();
-        let t2 = session.submit(vec![req(2)]).unwrap();
-        assert!(session.wait(t1).is_ok());
-        assert!(session.wait(t2).is_ok());
-        assert_eq!(dispatcher.stats().stolen, 1, "exactly one of the two claims crossed homes");
-        drop(session);
-        let _ = dispatcher.into_backend();
-    }
-
     #[test]
     fn aging_bounds_prefill_starvation_under_a_decode_flood() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(2));
+        let dispatcher = dispatch(backend);
         let mut d1 = dispatcher.session();
         let mut d2 = dispatcher.session();
         let mut p = dispatcher.session();
@@ -1579,9 +1443,9 @@ mod tests {
             decode_tickets
                 .push((1, d2.submit_with(vec![req(200 + i)], Priority::Decode, None).unwrap()));
         }
-        // pin: one decode on the gated engine, both decode sessions at
-        // their staging window — the first executed batch is decode
-        wait_for(&dispatcher, |s| s.staging_live == 4 && s.ready_now == 3);
+        // pin: one decode on the gated engine, eleven queued behind it
+        // — the first executed batch is decode
+        wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 11);
         let pt = p.submit(vec![req(7)]).unwrap();
 
         grant(&gate, 13);
@@ -1610,7 +1474,7 @@ mod tests {
         let h1 = engine.register_weights(n, k, &w1, DType::I8);
         let h2 = engine.register_weights(n, k, &w2, DType::I8);
 
-        let dispatcher = Dispatcher::with_options(engine, opts(1));
+        let dispatcher = dispatch(engine);
         let mut session = dispatcher.session();
         let racing: Vec<TicketId> = (0..4)
             .map(|_| {
@@ -1661,22 +1525,23 @@ mod tests {
     #[test]
     fn dropped_sessions_cancel_unclaimed_work_and_release_their_slot() {
         let (backend, gate, _log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1));
+        let dispatcher = dispatch(backend);
         let mut session = dispatcher.session_with_depth(64);
         for i in 0..5 {
             session.submit(vec![req(i + 1)]).unwrap();
         }
-        // the staging window claims exactly 2; 3 stay queued
-        wait_for(&dispatcher, |s| s.staging_live == 2);
+        // the driver holds one on the gated engine; 4 stay queued
+        wait_for(&dispatcher, |s| s.staging_live == 1);
         drop(session);
-        let stats = wait_for(&dispatcher, |s| s.cancelled == 3);
+        let stats = dispatcher.stats();
+        assert_eq!(stats.cancelled, 4);
         assert_eq!(stats.sessions_live, 1, "in-flight work pins the slot");
 
-        // in-flight batches run to completion; the slot is reaped after
-        grant(&gate, 2);
+        // the picked batch runs to completion; the slot is reaped after
+        grant(&gate, 1);
         let stats = wait_for(&dispatcher, |s| s.sessions_live == 0);
-        assert_eq!(stats.executed, 2);
-        assert_eq!(stats.staging_live, 0, "no staging permits leak past a reap");
+        assert_eq!(stats.executed, 1);
+        assert_eq!(stats.staging_live, 0, "no permits leak past a reap");
 
         // the freed slot is reused by the next session
         let mut again = dispatcher.session();
@@ -1689,13 +1554,13 @@ mod tests {
     fn cross_session_tickets_fail_fast() {
         let (backend, gate, _log) = GateBackend::new(4);
         grant(&gate, 0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1));
+        let dispatcher = dispatch(backend);
         let mut a = dispatcher.session();
         let mut b = dispatcher.session();
         let ta = a.submit(vec![req(1)]).unwrap();
         let _tb = b.submit(vec![req(2)]).unwrap();
         assert!(a.wait(ta).is_ok());
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.poll(ta)));
+        let caught = catch_unwind(AssertUnwindSafe(|| b.poll(ta)));
         let msg = panic_message(caught);
         assert!(msg.contains("different session"), "{msg}");
     }
@@ -1704,7 +1569,7 @@ mod tests {
     fn into_backend_drains_every_live_session() {
         let (backend, gate, log) = GateBackend::new(0);
         grant(&gate, 6);
-        let dispatcher = Dispatcher::with_options(backend, opts(2));
+        let dispatcher = dispatch(backend);
         let mut a = dispatcher.session();
         let mut b = dispatcher.session();
         for i in 0..3 {
@@ -1722,7 +1587,7 @@ mod tests {
     fn idle_run_executes_on_the_callers_thread() {
         let (backend, _gate, log) = GateBackend::new(2);
         let ran_on = backend.ran_on.clone();
-        let dispatcher = Dispatcher::with_options(backend, opts(2));
+        let dispatcher = dispatch(backend);
         let mut session = dispatcher.session();
         let mut other = dispatcher.session();
 
@@ -1739,8 +1604,8 @@ mod tests {
         assert_eq!(other.wait(t).unwrap().outputs[0].m, 6);
         assert_eq!(*log.lock().unwrap(), [5, 6]);
         let ran_on = ran_on.lock().unwrap();
-        assert_eq!(ran_on[0], std::thread::current().id());
-        assert_ne!(ran_on[1], ran_on[0]);
+        assert_eq!(ran_on[0].id(), std::thread::current().id());
+        assert_ne!(ran_on[1].id(), ran_on[0].id());
         assert_eq!(dispatcher.stats().direct, 1);
     }
 
@@ -1748,30 +1613,37 @@ mod tests {
     fn run_queues_behind_a_busy_engine_and_decode_still_overtakes_prefill() {
         let (backend, gate, log) = GateBackend::new(0);
         let ran_on = backend.ran_on.clone();
-        let dispatcher = Dispatcher::with_options(backend, opts(1));
+        let dispatcher = dispatch(backend);
         let mut prefill = dispatcher.session();
         let mut decode = dispatcher.session();
 
+        let staged_before = prepared_here();
         let p1 = prefill.submit(vec![req(1)]).unwrap();
         let p2 = prefill.submit(vec![req(2)]).unwrap();
-        // pin: batch 1 held on the (gated) engine, batch 2 staged
-        wait_for(&dispatcher, |s| s.staging_live == 2 && s.ready_now == 1);
+        // pin: batch 1 held on the (gated) engine, batch 2 queued
+        wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 1);
+        assert_eq!(prepared_here() - staged_before, 2, "a submission is staged by its submitter");
 
         std::thread::scope(|scope| {
             let runner = scope.spawn(|| {
                 let outcome = decode.run(vec![req(3)], Priority::Decode, None);
-                (outcome, std::thread::current().id())
+                (outcome, prepared_here())
             });
             // the run found somebody to be ordered against: it is
-            // staged like any submission, and only then may batches go
-            wait_for(&dispatcher, |s| s.staging_live == 3 && s.ready_now == 2);
+            // queued like any submission, and only then may batches go
+            wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 2);
             grant(&gate, 3);
-            let (outcome, runner_id) = runner.join().unwrap();
+            let (outcome, runner_prepared) = runner.join().unwrap();
             assert_eq!(outcome.expect("queued run completes").outputs[0].m, 3);
+            assert_eq!(runner_prepared, 1, "a queued run is staged by its caller too");
             assert!(prefill.wait(p1).is_ok() && prefill.wait(p2).is_ok());
             assert_eq!(*log.lock().unwrap(), [1, 3, 2], "decode overtakes the queued prefill");
             let ran_on = ran_on.lock().unwrap();
-            assert!(ran_on.iter().all(|&id| id == ran_on[0] && id != runner_id), "driver only");
+            assert!(
+                ran_on.iter().all(|t| t.name() == Some("camp-dispatch-driver")),
+                "every queued batch runs on the one driver: {ran_on:?}"
+            );
+            assert!(ran_on.iter().all(|t| t.id() == ran_on[0].id()), "{ran_on:?}");
         });
         let stats = dispatcher.stats();
         assert_eq!((stats.executed, stats.direct, stats.staging_live), (3, 0, 0));
@@ -1780,7 +1652,7 @@ mod tests {
     #[test]
     fn run_never_overtakes_its_own_sessions_earlier_submission() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(2));
+        let dispatcher = dispatch(backend);
         let mut session = dispatcher.session();
         let first = session.submit(vec![req(1)]).unwrap();
         std::thread::scope(|scope| {
@@ -1802,7 +1674,7 @@ mod tests {
     fn run_errs_and_counts_like_submit_then_wait() {
         // Saturated: the bound counts the batch held on the gated engine
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(1));
+        let dispatcher = dispatch(backend);
         let mut session = dispatcher.session_with_depth(1);
         let blocker = session.submit(vec![req(1)]).unwrap();
         let saturated = RequestError::Saturated { depth: 1 };
@@ -1841,7 +1713,7 @@ mod tests {
         let gone = engine.register_weights(n, k, &w, DType::I8);
         let live = engine.register_weights(n, k, &w, DType::I8);
         engine.evict_weights(gone).unwrap();
-        let dispatcher = Dispatcher::with_options(engine, opts(1));
+        let dispatcher = dispatch(engine);
         let mut session = dispatcher.session();
         let on = |h| vec![GemmRequest::with_weights(2, a.clone(), h).unwrap()];
         assert_eq!(
@@ -1910,7 +1782,7 @@ mod tests {
         batch.push(GemmRequest::dense(3, 4, 0, vec![], vec![]).unwrap());
 
         let bare = backend.execute_batch(&batch).unwrap();
-        let dispatcher = Dispatcher::with_options(backend, opts(2));
+        let dispatcher = dispatch(backend);
         let mut session = dispatcher.session();
         let direct = session.run(batch.clone(), Priority::Decode, None).unwrap();
         let ticket = session.submit_with(batch, Priority::Decode, None).unwrap();
@@ -1948,9 +1820,8 @@ mod tests {
 
     #[test]
     fn a_backend_panic_under_a_direct_run_kills_the_dispatcher() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::with_options(backend, opts(2));
+        let dispatcher = dispatch(backend);
         let mut doomed = dispatcher.session();
         let mut bystander = dispatcher.session();
         std::thread::scope(|scope| {
@@ -1985,12 +1856,11 @@ mod tests {
     #[test]
     fn run_on_a_handle_kept_across_into_backend_panics_before_the_engine_slot() {
         let (backend, _gate, log) = GateBackend::new(1);
-        let dispatcher = Dispatcher::with_options(backend, opts(1));
+        let dispatcher = dispatch(backend);
         let mut session = dispatcher.session();
         let _backend = dispatcher.into_backend();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            session.run(vec![req(1)], Priority::Decode, None)
-        }));
+        let caught =
+            catch_unwind(AssertUnwindSafe(|| session.run(vec![req(1)], Priority::Decode, None)));
         assert!(panic_message(caught).contains("dispatcher is shut down"));
         assert!(log.lock().unwrap().is_empty());
     }
@@ -1998,12 +1868,9 @@ mod tests {
     #[test]
     fn env_options_apply_and_validate() {
         // avoid cross-test env races: set, read, restore immediately
-        std::env::set_var("CAMP_DISPATCH_STAGERS", "3");
         std::env::set_var("CAMP_QUEUE_DEPTH", "0");
         let opts = DispatchOptions::from_env();
-        std::env::remove_var("CAMP_DISPATCH_STAGERS");
         std::env::remove_var("CAMP_QUEUE_DEPTH");
-        assert_eq!(opts.stagers, 3);
         assert_eq!(opts.queue_depth, 1, "zero depth clamps to 1");
         assert_eq!(DispatchOptions::default(), DispatchOptions::from_env());
     }

@@ -72,12 +72,12 @@
 //! problems. For streaming many batches,
 //! [`CampBackend::dispatch`](crate::backend::CampBackend::dispatch)
 //! upgrades the engine into a [`crate::dispatch::Dispatcher`] whose
-//! queued sessions run `prepare` on stager threads, overlapping the
+//! sessions run `prepare` on the submitting thread, overlapping the
 //! A-packing of one batch with the compute of the previous one. A
 //! blocked request's dense B is then packed by whichever thread holds
-//! the engine, not by a stager: served weights are registered handles,
-//! and the dense B of served traffic is attention K/V, a few KiB per
-//! head, which decode steps read in place.
+//! the engine, not by the submitter: served weights are registered
+//! handles, and the dense B of served traffic is attention K/V, a few
+//! KiB per head, which decode steps read in place.
 
 use camp_gemm::batch::{packed_a_bytes, packed_a_offset, packed_b_bytes, packed_b_offset};
 use camp_gemm::host::{HostKernel, KernelInfo, SmallB};
@@ -691,8 +691,10 @@ pub struct StagedRequest {
 
 impl StagedRequest {
     /// Prepare one *validated* request (no engine needed, so a
-    /// dispatcher's stager runs this while the engine computes the
-    /// previous batch): resolve its shape and pre-pack A when the
+    /// dispatcher session's caller runs this on its own thread while
+    /// the engine computes somebody's previous batch; a staged blocked
+    /// request then holds its raw A plus an equally sized packed A
+    /// until it has run): resolve its shape and pre-pack A when the
     /// request will run whole on the blocked path — below the row-split
     /// threshold (row-split requests are packed by the workers that own
     /// the rows) and not skinny (the small-m/small-n kernels read the
@@ -1683,8 +1685,7 @@ mod tests {
         let bare = eng.execute(&req).unwrap().stats;
 
         // the dispatch path (the serving decode steps)
-        let opts = DispatchOptions { stagers: 1, queue_depth: 4 };
-        let dispatcher = Dispatcher::with_options(eng, opts);
+        let dispatcher = Dispatcher::with_options(eng, DispatchOptions { queue_depth: 4 });
         let mut session = dispatcher.session();
         let t = session.submit_with(vec![req], Priority::Decode, None).unwrap();
         let out = session.wait(t).unwrap();

@@ -29,7 +29,7 @@
 //!   the warm engine and overlaps the A-packing of one batch with the
 //!   compute of the previous one (the steady state spawns no threads
 //!   and packs zero B bytes per request). Any number of tenants share
-//!   it — work-stealing stagers, per-session FIFO, decode/prefill
+//!   it — submitter-side staging, per-session FIFO, decode/prefill
 //!   [`dispatch::Priority`] with deadlines and an aging bound,
 //!   per-session admission control ([`RequestError::Saturated`]), and
 //!   panic-free weight-eviction races.

@@ -1,5 +1,5 @@
 //! One session driving real backends through the *queued* pipeline
-//! (submit → stager → driver → wait) at default options, through the
+//! (submit → driver → wait) at default options, through the
 //! public API only. The `dispatch` unit tests pin scheduling order on a
 //! gated mock; these pin what comes out of a real `CampEngine` /
 //! `SimBackend` at the other end.
@@ -219,8 +219,8 @@ fn session_steady_state_packs_no_b_and_pools_stop_growing() {
 
 #[test]
 fn deep_submission_backlogs_complete_in_order() {
-    // many more batches than MAX_STAGED: backpressure parks the stagers
-    // without deadlock and every batch still completes
+    // a backlog deeper than the default admission bound: every batch
+    // sits staged in the session's queue and still completes, in order
     let (eng, h, w, n, k) = serving_setup(2);
     let dispatcher = Dispatcher::with_options(eng, DispatchOptions::default());
     let mut session = dispatcher.session_with_depth(12);

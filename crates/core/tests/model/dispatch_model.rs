@@ -1,18 +1,25 @@
-//! Models of the `Dispatcher` pipeline: N session queues, a stager crew
-//! and one driver negotiating over three condvars, driven through every
-//! bounded schedule — from one session's submit → stage → compute →
-//! poll ticket lifecycle up to tenants racing each other, evictions and
+//! Models of the `Dispatcher` pipeline: N session queues, their
+//! submitting threads and one driver negotiating over two condvars
+//! (one wakes the driver, one wakes waiting clients), driven through
+//! every bounded schedule — from one session's submit → compute → poll
+//! ticket lifecycle up to tenants racing each other, evictions and
 //! shutdown. The backends are mocks on purpose — the models explore the
-//! dispatch protocol (admission, claiming, completion, eviction
+//! dispatch protocol (admission, filing, picking, completion, eviction
 //! controls, shutdown), not the GeMM math: `prepare` and
 //! `execute_prepared` are pure, so any lost batch, dropped wakeup or
 //! shutdown hang is the dispatcher's fault.
 //!
-//! Model sizes are deliberately tiny (1 stager, 1–2 sessions, 1–2
-//! batches): the schedule tree already covers every claim/complete/
-//! shutdown reordering at that size, and each extra thread multiplies
-//! the tree. The acceptance bar here is stricter than the pool models:
-//! every model must branch through **more than 50 interleavings**.
+//! Admission and filing are one critical section (a submitter stages
+//! under no lock, then re-checks, books its permit and files the batch
+//! under a single acquisition), so there is no admitted-but-unfiled
+//! window for shutdown to race; the models that race a submission
+//! against `into_backend` and eviction cover the re-check.
+//!
+//! Model sizes are deliberately tiny (1–2 sessions, 1–2 batches): the
+//! schedule tree already covers every file/pick/complete/shutdown
+//! reordering at that size, and each extra thread multiplies the tree.
+//! The acceptance bar here is stricter than the pool models: every
+//! model must branch through **more than 50 interleavings**.
 
 use camp_core::backend::{BatchOutcome, CampBackend, Capability, ExecStats, Output};
 use camp_core::dispatch::{DispatchOptions, Dispatcher, Priority};
@@ -188,26 +195,24 @@ fn tiny_request() -> GemmRequest {
     GemmRequest::dense(1, 1, 1, vec![1i8], vec![1i8]).expect("well-formed request")
 }
 
-fn one_stager() -> DispatchOptions {
-    DispatchOptions { stagers: 1, queue_depth: 8 }
-}
-
 /// One batch through the full lifecycle: submit hands the ticket out,
-/// the stager and driver pipeline it, wait redeems exactly one result,
-/// and the drops shut all three threads down — in every schedule.
+/// the driver computes it, wait redeems exactly one result, and the
+/// drops shut the driver down — in every schedule.
 #[test]
 fn submit_wait_shutdown_lifecycle() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher =
-                Dispatcher::with_options(CountingBackend { executed: 0 }, one_stager());
+            let dispatcher = Dispatcher::with_options(
+                CountingBackend { executed: 0 },
+                DispatchOptions::default(),
+            );
             let mut session = dispatcher.session();
             let t = session.submit(vec![tiny_request()]).expect("valid submission");
             let outcome = session.wait(t).expect("batch completes");
             assert_eq!(outcome.outputs.len(), 1, "one request in, one output out");
             assert_eq!(outcome.outputs[0].m, 1);
             drop(session);
-            drop(dispatcher); // stager + driver must join in every schedule
+            drop(dispatcher); // the driver must join in every schedule
         });
     assert!(report.iterations > 50, "expected >50 interleavings, got {report:?}");
     eprintln!("dispatch session lifecycle: {} interleavings", report.iterations);
@@ -220,8 +225,10 @@ fn submit_wait_shutdown_lifecycle() {
 fn out_of_order_collection() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher =
-                Dispatcher::with_options(CountingBackend { executed: 0 }, one_stager());
+            let dispatcher = Dispatcher::with_options(
+                CountingBackend { executed: 0 },
+                DispatchOptions::default(),
+            );
             let mut session = dispatcher.session();
             let t1 = session.submit(vec![tiny_request()]).expect("valid submission");
             let t2 =
@@ -241,8 +248,10 @@ fn out_of_order_collection() {
 fn into_backend_drains_in_every_schedule() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher =
-                Dispatcher::with_options(CountingBackend { executed: 0 }, one_stager());
+            let dispatcher = Dispatcher::with_options(
+                CountingBackend { executed: 0 },
+                DispatchOptions::default(),
+            );
             let mut session = dispatcher.session();
             let _t = session.submit(vec![tiny_request()]).expect("valid submission");
             // drain without collecting: the uncollected result is dropped
@@ -260,8 +269,10 @@ fn into_backend_drains_in_every_schedule() {
 fn two_tenants_complete_in_every_schedule() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher =
-                Dispatcher::with_options(CountingBackend { executed: 0 }, one_stager());
+            let dispatcher = Dispatcher::with_options(
+                CountingBackend { executed: 0 },
+                DispatchOptions::default(),
+            );
             let mut a = dispatcher.session();
             let mut b = dispatcher.session();
             let ta = a.submit(vec![tiny_request()]).expect("valid submission");
@@ -282,15 +293,15 @@ fn two_tenants_complete_in_every_schedule() {
 /// are `Send`, and a tenant submitting from its own thread neither
 /// corrupts another tenant's queue nor loses its wakeup.
 ///
-/// Four threads (stager, driver, two submitters): preemption bound 1
-/// keeps the schedule tree inside the iteration budget — bound 2
-/// exceeds 500k interleavings at this size.
+/// Three threads (driver, two submitters).
 #[test]
 fn concurrent_submitters_race_the_pipeline() {
     let report =
-        loom::model::Builder { preemption_bound: 1, max_iterations: 500_000 }.check(|| {
-            let dispatcher =
-                Dispatcher::with_options(CountingBackend { executed: 0 }, one_stager());
+        loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
+            let dispatcher = Dispatcher::with_options(
+                CountingBackend { executed: 0 },
+                DispatchOptions::default(),
+            );
             let mut a = dispatcher.session();
             let mut b = dispatcher.session();
             let h = loom::thread::spawn(move || {
@@ -315,8 +326,10 @@ fn concurrent_submitters_race_the_pipeline() {
 fn saturation_recovers_in_every_schedule() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher =
-                Dispatcher::with_options(CountingBackend { executed: 0 }, one_stager());
+            let dispatcher = Dispatcher::with_options(
+                CountingBackend { executed: 0 },
+                DispatchOptions::default(),
+            );
             let mut session = dispatcher.session_with_depth(1);
             let t1 = session.submit(vec![tiny_request()]).expect("first admission");
             // the second submission races the pipeline: if the first
@@ -339,16 +352,18 @@ fn saturation_recovers_in_every_schedule() {
 
 /// `into_backend` drains: an uncollected batch still executes before
 /// the backend comes back, in every schedule — including the one where
-/// shutdown is signalled before the stager ever claimed it.
+/// shutdown is signalled before the driver ever picked it.
 #[test]
 fn shutdown_drains_uncollected_work() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher =
-                Dispatcher::with_options(CountingBackend { executed: 0 }, one_stager());
+            let dispatcher = Dispatcher::with_options(
+                CountingBackend { executed: 0 },
+                DispatchOptions::default(),
+            );
             let mut session = dispatcher.session();
             let _t = session.submit(vec![tiny_request()]).expect("valid submission");
-            drop(session); // closes the queue; the claimed batch must still run
+            drop(session); // closes the queue; a picked batch must still run
             let backend = dispatcher.into_backend();
             assert!(backend.executed <= 1, "a batch executed twice");
         });
@@ -366,7 +381,7 @@ fn eviction_races_err_stale_and_never_panic() {
             let mut backend =
                 RegistryBackend { registry: WeightRegistry::raw_mirror(), executed: 0 };
             let h = backend.register_weights(1, 1, &[1i8], DType::I8);
-            let dispatcher = Dispatcher::with_options(backend, one_stager());
+            let dispatcher = Dispatcher::with_options(backend, DispatchOptions::default());
             let mut session = dispatcher.session();
             let submitted = match session.submit(vec![
                 GemmRequest::with_weights(1, vec![1i8], h).expect("well-formed request")
@@ -379,7 +394,7 @@ fn eviction_races_err_stale_and_never_panic() {
                     None
                 }
             };
-            // race the control op against staging and execution
+            // race the control op against picking and execution
             let meta = dispatcher.evict_weights(h).expect("first eviction wins");
             assert_eq!((meta.n, meta.k), (1, 1));
             if let Some(t) = submitted {
@@ -404,16 +419,13 @@ fn eviction_races_err_stale_and_never_panic() {
 /// is admitted first, the other queues behind it (or both queue), the
 /// engine is never entered twice at once, and neither batch is lost.
 ///
-/// Four threads, as in `concurrent_submitters_race_the_pipeline`:
-/// preemption bound 1 (bound 2 is 68k interleavings, over a minute).
-/// Both admission orders are within one preemption here — the main
-/// thread runs first for free, the spawned tenant first for one — so
-/// the bound does not hide either branch.
+/// Three threads, as in `concurrent_submitters_race_the_pipeline`.
 #[test]
 fn direct_run_races_a_queued_tenant() {
     let report =
-        loom::model::Builder { preemption_bound: 1, max_iterations: 500_000 }.check(|| {
-            let dispatcher = Dispatcher::with_options(DirectBackend::new(), one_stager());
+        loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
+            let dispatcher =
+                Dispatcher::with_options(DirectBackend::new(), DispatchOptions::default());
             let mut a = dispatcher.session();
             let mut b = dispatcher.session();
             let h = loom::thread::spawn(move || {
@@ -449,7 +461,7 @@ fn direct_run_races_the_eviction_of_its_handle() {
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
             let mut backend = DirectBackend::new();
             let h = backend.register_weights(1, 1, &[1i8], DType::I8);
-            let dispatcher = Dispatcher::with_options(backend, one_stager());
+            let dispatcher = Dispatcher::with_options(backend, DispatchOptions::default());
             let mut session = dispatcher.session();
             let runner = loom::thread::spawn(move || {
                 let batch =
@@ -495,7 +507,8 @@ fn direct_run_races_into_backend() {
     hush_shutdown_panics();
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher = Dispatcher::with_options(DirectBackend::new(), one_stager());
+            let dispatcher =
+                Dispatcher::with_options(DirectBackend::new(), DispatchOptions::default());
             let mut a = dispatcher.session();
             let b = dispatcher.session();
             let runner = loom::thread::spawn(move || {

@@ -70,8 +70,8 @@ pub fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
 //
 // The scalar packers are the layout reference: SIMD tiers must produce
 // byte-identical images (proptested in `tests/host_kernels.rs`), since
-// a panel packed by any component — engine, weight registry, session
-// stager — is consumed by whichever tier dispatch selected.
+// a panel packed by any component — engine, weight registry, a
+// submitting session — is consumed by whichever tier dispatch selected.
 
 /// Pack a block of row-major B starting at column `jc`, depth `pc` into
 /// 4-column panels (row-major within the panel), zero-padded past the

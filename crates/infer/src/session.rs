@@ -250,7 +250,7 @@ mod tests {
             assert_eq!(ctx.decode_with(&model, &mut exec).unwrap(), *expect);
         }
         // one tenant is never ordered against anybody: every batch ran
-        // on this thread, none through the stager crew
+        // on this thread, none on the driver
         let stats = dispatcher.stats();
         assert!(stats.executed > 0);
         assert_eq!((stats.direct, stats.stolen), (stats.executed, 0));
