@@ -844,7 +844,7 @@ mod tests {
     fn tier_modules_are_dispatch_table_only() {
         let bad = file("crates/gemm/src/lib.rs", "pub use host::avx2::tile;\n");
         assert_eq!(check_target_feature(&bad).len(), 1);
-        let table = file("crates/gemm/src/host/mod.rs", "f32_tile: avx2::f32_tile,\n");
+        let table = file("crates/gemm/src/host/mod.rs", "tile_i8: avx2::tile_i8,\n");
         assert!(check_target_feature(&table).is_empty());
         let comment = file("crates/gemm/src/lib.rs", "// avx2::tile is dispatched\n");
         assert!(check_target_feature(&comment).is_empty(), "comments are stripped");

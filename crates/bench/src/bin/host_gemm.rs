@@ -22,8 +22,7 @@
 //!   a dense skinny-n request is packed like any blocked dense B (see
 //!   `docs/HOST_KERNELS.md`);
 //! * **pack_a / pack_b / pack_nib** — the SIMD packers, reported as
-//!   packed GB/s in the GOPS columns (same speedup semantics);
-//! * **f32** through [`HostGemmF32`] — the FMA-chain subsystem.
+//!   packed GB/s in the GOPS columns (same speedup semantics).
 //!
 //! A full run always includes the smoke shapes, so a checked-in
 //! baseline produced by a full run can gate a CI smoke run:
@@ -45,7 +44,7 @@
 use camp_bench::{check_baseline, env_or, field, time_best};
 use camp_core::backend::CampBackend;
 use camp_core::{CampEngine, DType, GemmRequest};
-use camp_gemm::host::{force_scalar, forced_tier, HostGemmF32, HostKernel};
+use camp_gemm::host::{force_scalar, forced_tier, HostKernel};
 use std::fmt::Write as _;
 
 fn gops(m: usize, n: usize, k: usize, secs: f64) -> f64 {
@@ -79,12 +78,6 @@ fn gen_i8(len: usize, s: u32, lo: i32, hi: i32) -> Vec<i8> {
         .collect()
 }
 
-fn gen_f32(len: usize, s: u32) -> Vec<f32> {
-    (0..len)
-        .map(|i| ((i as u32).wrapping_mul(s).wrapping_add(s) % 2001) as f32 / 1000.0 - 1.0)
-        .collect()
-}
-
 /// Time one integer shape on one engine (steady state: weights
 /// registered up front, so B-packing is off the timed path).
 fn int_secs(
@@ -106,14 +99,6 @@ fn int_secs(
         let out = eng.execute(&req).expect("registered handle");
         assert_eq!(out.output.c.len(), m * n);
     })
-}
-
-fn f32_secs(kernel: &'static HostKernel, reps: usize, m: usize, n: usize, k: usize) -> f64 {
-    let a = gen_f32(m * k, 0x5151_5151);
-    let b = gen_f32(k * n, 0x2E2E_2E2F);
-    let mut ctx = HostGemmF32::with_kernel(kernel);
-    let mut c = vec![0f32; m * n];
-    time_best(reps, true, || ctx.gemm_into(m, n, k, &a, &b, &mut c))
 }
 
 /// Packed GB/s for one packer. `pack_a` packs an `rows×k` A image,
@@ -195,9 +180,9 @@ fn main() {
     );
     println!("==============================================================");
 
-    // (dtype, path, m, n, k): the blocked tile path at paper-ish sizes,
-    // both skinny fast paths, and the f32 subsystem. Full runs keep
-    // every smoke shape so a full-run baseline can gate smoke runs.
+    // (dtype, path, m, n, k): the blocked tile path at paper-ish sizes
+    // and both skinny fast paths. Full runs keep every smoke shape so a
+    // full-run baseline can gate smoke runs.
     let smoke_int: &[(&str, DType, &str, usize, usize, usize)] = &[
         ("i8", DType::I8, "blocked", 32, 32, 64),
         ("i4", DType::I4, "blocked", 32, 32, 64),
@@ -217,10 +202,6 @@ fn main() {
         &[("pack_a", 128, 128), ("pack_b", 128, 128), ("pack_nib", 1 << 14, 0)];
     let full_pack: &[(&str, usize, usize)] =
         &[("pack_a", 1024, 2048), ("pack_b", 1024, 2048), ("pack_nib", 1 << 22, 0)];
-    let smoke_f32: &[(&str, usize, usize, usize)] =
-        &[("blocked", 32, 32, 64), ("small_m", 2, 64, 64)];
-    let full_f32: &[(&str, usize, usize, usize)] =
-        &[("blocked", 256, 256, 256), ("blocked", 384, 384, 384), ("small_m", 2, 2048, 2048)];
 
     let int_shapes: Vec<_> = if smoke {
         smoke_int.to_vec()
@@ -231,11 +212,6 @@ fn main() {
         smoke_pack.to_vec()
     } else {
         smoke_pack.iter().chain(full_pack).copied().collect()
-    };
-    let f32_shapes: Vec<_> = if smoke {
-        smoke_f32.to_vec()
-    } else {
-        smoke_f32.iter().chain(full_f32).copied().collect()
     };
 
     let mut rows: Vec<Row> = Vec::new();
@@ -263,18 +239,6 @@ fn main() {
             threads: 1,
             scalar_gops: pack_gbs(scalar, reps, path, r, k),
             simd_gops: pack_gbs(simd, reps, path, r, k),
-        });
-    }
-    for &(path, m, n, k) in &f32_shapes {
-        rows.push(Row {
-            dtype: "f32",
-            path,
-            m,
-            n,
-            k,
-            threads: 1,
-            scalar_gops: gops(m, n, k, f32_secs(scalar, reps, m, n, k)),
-            simd_gops: gops(m, n, k, f32_secs(simd, reps, m, n, k)),
         });
     }
 
@@ -334,16 +298,10 @@ fn main() {
     let _ = writeln!(j, "    \"features\": \"{}\",", json_escape(&info.features.summary()));
     let _ = writeln!(j, "    \"int_tile_i8\": [{}, {}],", info.int_tile_i8.0, info.int_tile_i8.1);
     let _ = writeln!(j, "    \"int_tile_i4\": [{}, {}],", info.int_tile_i4.0, info.int_tile_i4.1);
-    let _ = writeln!(j, "    \"f32_tile\": [{}, {}],", info.f32_tile.0, info.f32_tile.1);
     let _ = writeln!(
         j,
-        "    \"int_blocking\": [{}, {}, {}],",
+        "    \"int_blocking\": [{}, {}, {}]",
         info.int_blocking.0, info.int_blocking.1, info.int_blocking.2
-    );
-    let _ = writeln!(
-        j,
-        "    \"f32_blocking\": [{}, {}, {}]",
-        info.f32_blocking.0, info.f32_blocking.1, info.f32_blocking.2
     );
     let _ = writeln!(j, "  }},");
     let _ = writeln!(j, "  \"thread_counts\": {thread_counts:?},");

@@ -1,9 +1,10 @@
 //! # camp-bench — figure/table reproduction harnesses
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index). Each harness prints the series the paper reports, with a
-//! `paper≈` annotation giving the published value where one exists, so
-//! EXPERIMENTS.md can record shape agreement.
+//! One binary per table/figure of the paper (docs/SIMULATOR.md,
+//! "Figure/table binaries → paper sections", is the index). Each harness
+//! prints the series the paper reports, with a `paper≈` annotation
+//! giving the published value where one exists, so shape agreement can
+//! be read off the output.
 //!
 //! Shared conventions:
 //!

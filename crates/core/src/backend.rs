@@ -212,28 +212,6 @@ impl BatchOutcome {
     }
 }
 
-// ---- capability probes ----------------------------------------------------
-
-/// What a backend can promise, for callers that adapt instead of
-/// hard-coding a substrate.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Capability {
-    /// Wall-clock performance is meaningful (run it for answers, not
-    /// measurements).
-    HostSpeed,
-    /// [`ExecStats::Sim`] cycle/stall/cache accounting is available.
-    CycleAccurateStats,
-    /// Registered weights execute with zero B re-packing on the steady
-    /// state (the host registry pre-packs; the simulator re-simulates
-    /// one pack per unique weight per batch).
-    ZeroRepackWeights,
-    /// Problems above a MAC budget are clamped structure-preservingly
-    /// (a measurement feature: outputs then describe the clamped
-    /// problem).
-    MacClamping,
-}
-
 // ---- the trait ------------------------------------------------------------
 
 /// One GeMM backend: executes [`GemmRequest`]s, owns a weight registry,
@@ -260,19 +238,17 @@ pub trait CampBackend {
     /// its admission bound of staged batches.
     type Prepared: Send + 'static;
 
-    /// Stable human-readable identity ("host-engine", "sim-a64fx", …).
+    /// Stable human-readable identity ("host-engine",
+    /// "cycle-accurate-sim", …).
     fn name(&self) -> &'static str;
 
     /// Resolved worker/scheduler thread count.
     fn threads(&self) -> usize;
 
-    /// Capability probe; see [`Capability`].
-    fn supports(&self, cap: Capability) -> bool;
-
     /// Which micro-kernel tier this backend computes with: the host
     /// engine reports its dispatched [`camp_gemm::host::HostKernel`]
-    /// (scalar / AVX2 / NEON plus the probed [`CpuFeatures`] and active
-    /// blocking); the simulator reports its synthetic camp tier (the
+    /// (scalar / AVX2 / AVX-512 / NEON plus the probed [`CpuFeatures`]
+    /// and active blocking); the simulator reports its synthetic camp tier (the
     /// simulated VVA kernel is the same regardless of host silicon).
     fn kernel_info(&self) -> KernelInfo;
 
@@ -359,10 +335,6 @@ impl CampBackend for CampEngine {
 
     fn threads(&self) -> usize {
         CampEngine::threads(self)
-    }
-
-    fn supports(&self, cap: Capability) -> bool {
-        matches!(cap, Capability::HostSpeed | Capability::ZeroRepackWeights)
     }
 
     fn kernel_info(&self) -> KernelInfo {
@@ -499,14 +471,6 @@ impl CampBackend for SimBackend {
         self.threads
     }
 
-    fn supports(&self, cap: Capability) -> bool {
-        match cap {
-            Capability::CycleAccurateStats => true,
-            Capability::MacClamping => self.mac_budget != u64::MAX,
-            Capability::HostSpeed | Capability::ZeroRepackWeights => false,
-        }
-    }
-
     fn kernel_info(&self) -> KernelInfo {
         // The simulated camp kernel is the same VVA program on any host;
         // the probe is reported for context, not dispatch.
@@ -516,9 +480,7 @@ impl CampBackend for SimBackend {
             features: CpuFeatures::detect(),
             int_tile_i8: (4, 4),
             int_tile_i4: (4, 4),
-            f32_tile: (0, 0),
             int_blocking: int_blocking(),
-            f32_blocking: (0, 0, 0),
         }
     }
 
@@ -740,25 +702,11 @@ mod tests {
         let (m, n, k) = (64, 64, 64);
         let req = GemmRequest::dense(m, n, k, fill(m * k, 3), fill(k * n, 5)).unwrap();
         let mut sim = SimBackend::a64fx().with_mac_budget(10_000);
-        assert!(sim.supports(Capability::MacClamping));
         let out = sim.execute(&req).unwrap();
         assert!(out.output.clamped, "a 262 k-MAC problem must clamp under a 10 k budget");
         assert!((out.output.m * out.output.n) <= m * n);
-        let unclamped = SimBackend::a64fx();
-        assert!(!unclamped.supports(Capability::MacClamping));
-    }
-
-    #[test]
-    fn capability_probes_separate_the_substrates() {
-        let host = CampEngine::new();
-        let sim = SimBackend::a64fx().with_threads(2);
-        assert!(host.supports(Capability::HostSpeed));
-        assert!(host.supports(Capability::ZeroRepackWeights));
-        assert!(!host.supports(Capability::CycleAccurateStats));
-        assert!(sim.supports(Capability::CycleAccurateStats));
-        assert!(!sim.supports(Capability::HostSpeed));
-        assert_eq!(CampBackend::threads(&sim), 2);
-        assert_ne!(CampBackend::name(&host), sim.name());
+        let unclamped = SimBackend::a64fx().execute(&req).unwrap();
+        assert!(!unclamped.output.clamped, "no budget, no clamp");
     }
 
     #[test]
@@ -773,7 +721,9 @@ mod tests {
         // the Display form is what serving logs print
         assert!(info.to_string().contains(&info.tier));
 
-        let sim = SimBackend::a64fx();
+        let sim = SimBackend::a64fx().with_threads(2);
+        assert_eq!(CampBackend::threads(&sim), 2);
+        assert_ne!(CampBackend::name(&host), sim.name());
         let sinfo = sim.kernel_info();
         assert_eq!(sinfo.tier, "sim-camp");
         assert!(!sinfo.simd);

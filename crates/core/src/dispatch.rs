@@ -1060,7 +1060,7 @@ impl<B: CampBackend + Send + 'static> Drop for Dispatcher<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Capability, ExecStats, Output};
+    use crate::backend::{ExecStats, Output};
     use crate::engine::{CampEngine, DType, EngineStats};
     use camp_gemm::gemm_i32_ref;
     use camp_gemm::KernelInfo;
@@ -1135,10 +1135,6 @@ mod tests {
 
         fn threads(&self) -> usize {
             1
-        }
-
-        fn supports(&self, _cap: Capability) -> bool {
-            false
         }
 
         fn kernel_info(&self) -> KernelInfo {

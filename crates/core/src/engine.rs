@@ -9,21 +9,43 @@
 //! listing. Results are bit-identical to a plain i32 GeMM (wrapping
 //! accumulation), which the test-suite and property tests verify.
 //!
+//! # One nest, two image builders
+//!
 //! The engine shares `camp-gemm`'s blocked-loop skeleton
-//! ([`camp_gemm::loops`]) with the simulated §5.3 driver and packs into
-//! a reusable [`PackPool`] instead of allocating per panel, so the hot
-//! loop is allocation-free after warm-up ([`CampEngine::pack_allocations`]
+//! ([`camp_gemm::loops`]: the [`BlockPlan`], [`small_path`] and the
+//! block iterators) with the simulated §5.3 driver. Its loop nest never
+//! packs: a blocked work unit is [`for_each_b_block`] ×
+//! [`for_each_row_strip`] over **two whole packed images**, and every
+//! operand movement happens before the first tile-kernel call.
+//!
+//! * **B's image** is a registered weight panel
+//!   ([`CampEngine::register_weights`]) or a panel the batch packed once
+//!   per distinct dense operand into the engine's shared arena.
+//! * **A's image** has two builders, selected by one observable input,
+//!   the request's MAC count against `BATCH_ROW_SPLIT_MACS` (8 Mi):
+//!   below it
+//!   [`CampBackend::prepare`](crate::backend::CampBackend::prepare)
+//!   packs the whole activation on the *submitting* thread (which is
+//!   what lets a dispatcher session overlap the A-packing of one batch
+//!   with the compute of the previous one); at or above it the request
+//!   is split into row ranges, and each range is packed once into the
+//!   reused [`PackPool`] arena of the worker that computes it. Both lay
+//!   the image out with [`prepack_a`], so the nest cannot tell them
+//!   apart. (Packing every request in `prepare` was measured and
+//!   rejected: a fresh 48–196 KB heap buffer per large request tips the
+//!   allocator into a map–fault–unmap cycle; see docs/ARCHITECTURE.md.)
+//!
+//! A batch is a list of **units** — rows `r0..r1` of one request — run
+//! by one function: a plain loop on the calling thread when there is
+//! one worker or one unit, longest-processing-time-first over the
+//! **persistent worker pool** ([`crate::pool::WorkerPool`], spawned
+//! once per engine by [`CampEngine::with_threads`]) otherwise. Row
+//! ranges are multiples of the 4-row register tile, so every 4×4 tile
+//! is computed by exactly one unit with identical arithmetic and the
+//! result is bit-identical for any worker count. The arenas make the
+//! steady state allocation-free ([`CampEngine::pack_allocations`]
 //! exposes the growth counter) apart from the result matrices and the
-//! staged A of blocked requests. An opt-in parallel path
-//! ([`CampEngine::with_threads`] or the `*_parallel` helpers) splits the
-//! row dimension across a **persistent worker pool**
-//! ([`crate::pool::WorkerPool`]) — the Goto split of the macro loop.
-//! Workers are spawned once per engine and parked between calls, so a
-//! serving workload pays thread-spawn cost once, not per request. B is
-//! packed exactly once per call into a shared read-only panel that every
-//! worker consumes, and results are bit-identical to the serial path
-//! because every 4×4 tile is computed by exactly one worker with
-//! identical arithmetic.
+//! staged A of requests below the threshold.
 //!
 //! # Pre-packed weights
 //!
@@ -50,45 +72,37 @@
 //! a batch came in:
 //!
 //! * **B deduplication** (`execute_prepared`, which sees the whole batch
-//!   and owns the arena) — blocked requests sharing one dense B buffer
-//!   under one (n, k, k-step) pack it once into a pool-owned panel
-//!   reused across the batch (skinny-n requests included); a skinny-m
-//!   request (m ≤ 8, below the row-split threshold) reads its dense B
-//!   **in place** — a single-use operand such as an attention head's
-//!   Kᵀ or V is never copied into a panel just to be read once — and
-//!   requests carrying a [`WeightHandle`] skip packing entirely;
-//! * **A pre-packing** (`prepare`, per request, needs no engine) — a
-//!   request that will run whole on the blocked path gets its A packed
-//!   once up front into a staging buffer allocated per request; skinny
-//!   requests read the raw activation, row-split requests are packed
-//!   by the workers that own the rows;
+//!   and owns the arena) — requests sharing one dense B buffer under
+//!   one (n, k, k-step) pack it once into a pool-owned panel reused
+//!   across the batch (skinny-n requests included); a skinny-m request
+//!   (m ≤ 8) reads its dense B **in place** — a single-use operand such
+//!   as an attention head's Kᵀ or V is never copied into a panel just
+//!   to be read once — and requests carrying a [`WeightHandle`] skip
+//!   packing entirely;
+//! * **skinny routes** — a request's route is a property of its overall
+//!   shape ([`small_path`]), never of a row range: skinny requests read
+//!   the raw activation through the tier's small kernels and build no A
+//!   image at all;
 //! * **cross-item parallelism** — small problems are distributed across
-//!   the persistent workers whole; problems above a MAC-count threshold
-//!   fall back to the row-partition split;
+//!   the persistent workers whole, in the same pass as the row ranges
+//!   of the large ones;
 //! * **bit-identity** — batch results equal the scalar reference,
 //!   element for element.
 //!
 //! Each request's own [`DType`] wins, so one batch can mix i4 and i8
 //! problems. For streaming many batches,
 //! [`CampBackend::dispatch`](crate::backend::CampBackend::dispatch)
-//! upgrades the engine into a [`crate::dispatch::Dispatcher`] whose
-//! sessions run `prepare` on the submitting thread, overlapping the
-//! A-packing of one batch with the compute of the previous one. A
-//! blocked request's dense B is then packed by whichever thread holds
-//! the engine, not by the submitter: served weights are registered
-//! handles, and the dense B of served traffic is attention K/V, a few
-//! KiB per head, which decode steps read in place.
+//! upgrades the engine into a [`crate::dispatch::Dispatcher`]. A
+//! request's dense B is packed by whichever thread holds the engine,
+//! not by the submitter: served weights are registered handles, and the
+//! dense B of served traffic is attention K/V, a few KiB per head,
+//! which decode steps read in place.
 
 use camp_gemm::batch::{packed_a_bytes, packed_a_offset, packed_b_bytes, packed_b_offset};
 use camp_gemm::host::{HostKernel, KernelInfo, SmallB};
-use camp_gemm::loops::{
-    for_each_b_block, for_each_row_strip, run_blocked, small_path, BlockPlan, BlockSink, SmallPath,
-};
+use camp_gemm::loops::{for_each_b_block, for_each_row_strip, small_path, BlockPlan, SmallPath};
 use camp_gemm::request::{GemmRequest, Operand, RequestError};
-use camp_gemm::weights::{
-    host_block_plan, pack_a_block, pack_b_block, prepack_a, prepack_b, WeightRegistry,
-    WeightSnapshot,
-};
+use camp_gemm::weights::{host_block_plan, prepack_a, prepack_b, WeightRegistry, WeightSnapshot};
 use camp_gemm::workspace::{PackPool, PanelId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -98,9 +112,10 @@ use crate::pool::{Job, WorkerPool};
 pub use camp_gemm::gemm_i32_ref;
 pub use camp_gemm::weights::{DType, WeightHandle, WeightMeta};
 
-/// MAC count above which a batch item is row-partitioned across all
-/// workers instead of sharing one worker with other items. Below it,
-/// the per-item fan-out costs more than it buys (the attention
+/// MAC count at or above which a request is split into row ranges, one
+/// per worker, each packing its own rows into its worker's arena —
+/// and below which it runs whole, on the A image `prepare` built. Below
+/// it, the per-item fan-out costs more than it buys (the attention
 /// score/context products are ~1 M MACs); above it, a single problem
 /// has enough rows to keep every worker busy on its own.
 pub(crate) const BATCH_ROW_SPLIT_MACS: u64 = 8 * 1024 * 1024;
@@ -117,18 +132,18 @@ pub struct EngineStats {
     pub vector_loads: u64,
     /// 64-byte vector stores (result tiles, once per tile per k block).
     pub vector_stores: u64,
-    /// Bytes moved packing A panels (activations — paid per request).
-    /// A request below the row-split threshold packs its A exactly
-    /// once, `mp·kp` bytes, in `prepare`; a skinny request packs none
-    /// on the host and reports the canonical tile stream's figure; a
-    /// row-split request is packed block by block by the workers, once
-    /// per column strip. Identical across entry points.
+    /// Bytes of A's packed image (activations — paid per request): one
+    /// rule, `mp·kp` per non-degenerate request, on every route, thread
+    /// count and entry point. A blocked request's image is built exactly
+    /// once — by `prepare` below the row-split threshold, range by range
+    /// by the workers at or above it; a skinny request packs none on the
+    /// host and reports the canonical tile stream's figure.
     pub packed_a_bytes: u64,
     /// Bytes the engine actually moved packing B panels, deduplicated:
-    /// each *distinct* dense B that a blocked, skinny-n or row-split
-    /// request of the batch reads (same buffer, same (n, k, k-step)) is
-    /// packed once, whichever entry point ran the batch. A skinny-m
-    /// request reads its dense B in place and adds 0 (`camp_issues` /
+    /// each *distinct* dense B that a blocked or skinny-n request of
+    /// the batch reads (same buffer, same (n, k, k-step)) is packed
+    /// once, whichever entry point ran the batch. A skinny-m request
+    /// reads its dense B in place and adds 0 (`camp_issues` /
     /// `vector_*` still report the canonical stream), and requests
     /// against a registered [`WeightHandle`] pack **nothing** — this
     /// stays 0 on the serving steady state.
@@ -164,21 +179,6 @@ impl EngineStats {
         self.small_n_routed += other.small_n_routed;
         self.blocked_routed += other.blocked_routed;
     }
-
-    /// Count one request's route classification from its overall shape
-    /// (degenerate requests run no kernel and count nowhere). Stamped
-    /// once per request at the entry points — never per row chunk — so
-    /// the counters stay schedule-invariant.
-    fn stamp_route(&mut self, m: usize, n: usize, k: usize) {
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        match small_path(m, n) {
-            Some(SmallPath::SmallM) => self.small_m_routed += 1,
-            Some(SmallPath::SmallN) => self.small_n_routed += 1,
-            None => self.blocked_routed += 1,
-        }
-    }
 }
 
 /// Whether [`debug_check_i4`] looks at operands of `dtype` at all.
@@ -199,466 +199,263 @@ fn debug_check_i4(dtype: DType, what: &str, vals: &[i8]) {
     }
 }
 
-/// The [`EngineStats`] of running a problem through the blocked tile
-/// path, computed arithmetically from the plan. This *is* the tile
-/// path's accounting — same block traversal, same per-tile issue,
-/// load and store counts — kept as one closed form so the skinny fast
-/// paths ([`camp_gemm::host`]'s `run_small_m`/`run_small_n`) report
-/// the canonical camp instruction stream for their problem even though
-/// they execute a cheaper host schedule. Stats stay a property of the
-/// *problem* (shape, dtype, operand placement), not of which host
-/// schedule computed it, so counters remain comparable across paths
-/// and stable under dispatch changes. A unit test pins this helper to
-/// the instrumented blocked path.
-fn tile_path_stats(
-    m: usize,
-    n: usize,
-    k: usize,
-    k_step: usize,
-    plan: &BlockPlan,
-    shared_b: bool,
-    shared_a: bool,
-) -> EngineStats {
-    let mut s = EngineStats { macs: (m * n * k) as u64, ..EngineStats::default() };
-    for_each_b_block(plan, |_jc, ncb, pc, kcb| {
-        if !shared_b {
-            s.packed_b_bytes += (ncb * kcb) as u64;
-        }
-        for_each_row_strip(plan, |_ic, mcb| {
-            if !shared_a {
-                s.packed_a_bytes += (mcb * kcb) as u64;
-            }
-            let tiles = ((mcb / 4) * (ncb / 4)) as u64;
-            let steps = (kcb / k_step) as u64;
-            s.camp_issues += tiles * steps;
-            s.vector_loads += tiles * (2 * steps + u64::from(pc > 0));
-            s.vector_stores += tiles;
-        });
-    });
+/// The [`EngineStats`] of one non-degenerate request: its route, and
+/// the camp instruction stream of running it through the blocked tile
+/// path, computed arithmetically from the plan — every 4×4 tile issues
+/// once per k-step and loads two operands per issue; each k block
+/// stores the tile once and, after the first, reads it back first; A's
+/// image is `mp·kp` bytes. This *is* the engine's accounting on every
+/// route: stats are a property of the *problem* (shape, dtype), not of
+/// which host schedule computed it or how its rows were split, so the
+/// counters stay comparable across paths, thread counts and entry
+/// points by construction. B is not a property of the request — a
+/// panel's bytes are accounted once, by whoever packed it.
+fn request_stats(m: usize, n: usize, k: usize, k_step: usize) -> EngineStats {
+    let plan = host_block_plan(m, n, k, k_step);
+    let tiles = ((plan.mp / 4) * (plan.np / 4)) as u64;
+    let k_blocks = plan.kp.div_ceil(plan.kc) as u64;
+    let camp_issues = tiles * (plan.kp / k_step) as u64;
+    let mut s = EngineStats {
+        camp_issues,
+        vector_loads: 2 * camp_issues + tiles * (k_blocks - 1),
+        vector_stores: tiles * k_blocks,
+        packed_a_bytes: packed_a_bytes(&plan) as u64,
+        macs: (m * n * k) as u64,
+        ..EngineStats::default()
+    };
+    match small_path(m, n) {
+        Some(SmallPath::SmallM) => s.small_m_routed = 1,
+        Some(SmallPath::SmallN) => s.small_n_routed = 1,
+        None => s.blocked_routed = 1,
+    }
     s
 }
 
-/// Host backend of the shared blocked-loop skeleton: packs blocks into
-/// the pool's buffers and runs the camp issue loop as the macro-kernel.
-/// With `shared_b` set, B arrives fully pre-packed (see
-/// [`camp_gemm::weights::prepack_b`]) and the per-block B pack becomes
-/// a no-op; `shared_a` does the same for an A packed whole by
-/// [`StagedRequest::stage`].
-struct HostBackend<'a> {
-    a: &'a [i8],
-    b: &'a [i8],
-    c: &'a mut [i32],
-    m: usize,
-    n: usize,
-    k: usize,
-    /// Padded depth of the plan (for shared-panel block offsets).
-    kp: usize,
-    k_step: usize,
-    hk: &'static HostKernel,
-    pool: &'a mut PackPool,
-    shared_b: Option<&'a [i8]>,
-    shared_a: Option<&'a [i8]>,
-    stats: EngineStats,
+/// A whole packed A image as one work unit reads it: every (ic, pc)
+/// block of the image's rows exactly once, laid out by [`prepack_a`]
+/// under `plan` — by `prepare` for a whole request, or by the unit for
+/// its own row range — and `row0`, the image row the unit's rows start
+/// at (a multiple of 4).
+#[derive(Clone, Copy)]
+struct AImage<'a> {
+    bytes: &'a [i8],
+    plan: BlockPlan,
+    row0: usize,
 }
 
-impl BlockSink for HostBackend<'_> {
-    fn pack_b(&mut self, jc: usize, ncb: usize, pc: usize, kcb: usize) {
-        if self.shared_b.is_some() {
-            // B was packed once for all workers/batch items (or at
-            // weight-registration time); the pack traffic is accounted
-            // exactly once by whoever packed it.
-            return;
-        }
-        let buf = self.pool.b_buffer(ncb * kcb);
-        pack_b_block(buf, self.b, self.n, self.k, jc, pc, kcb);
-        self.stats.packed_b_bytes += (ncb * kcb) as u64;
+impl AImage<'_> {
+    /// The packed 4-row panels (`4·kcb` bytes each, in row order) of
+    /// the unit's row strip `ic..ic + mcb`, depth block `(pc, kcb)`.
+    /// The unit's strips need not coincide with the strips the image
+    /// was packed in: a strip is at most as tall as the image's, so it
+    /// is one contiguous run of panels, or two around one strip boundary
+    /// (the second run is empty otherwise).
+    fn strip(&self, ic: usize, mcb: usize, pc: usize, kcb: usize) -> (&[i8], &[i8]) {
+        let BlockPlan { mp, kp, mc, .. } = self.plan;
+        let run = |row: usize, rows: usize| {
+            let strip = row - row % mc;
+            let off = packed_a_offset(kp, strip, mc.min(mp - strip), pc) + (row - strip) * kcb;
+            &self.bytes[off..off + rows * kcb]
+        };
+        let row = self.row0 + ic;
+        let head = mcb.min(mc - row % mc);
+        (run(row, head), if head < mcb { run(row + head, mcb - head) } else { &[] })
     }
+}
 
-    fn pack_a(&mut self, ic: usize, mcb: usize, pc: usize, kcb: usize) {
-        if self.shared_a.is_some() {
-            // A was packed whole in `prepare`; `run_staged` accounts
-            // the traffic.
-            return;
-        }
-        let buf = self.pool.a_buffer(mcb * kcb);
-        pack_a_block(buf, self.a, self.m, self.k, ic, pc, kcb);
-        self.stats.packed_a_bytes += (mcb * kcb) as u64;
-    }
-
-    fn macro_kernel(
-        &mut self,
-        ic: usize,
-        mcb: usize,
-        jc: usize,
-        ncb: usize,
-        pc: usize,
-        kcb: usize,
-    ) {
+/// The blocked nest of one work unit: `c` (`rows`×`n`, row-major)
+/// accumulates the unit's rows of `a`'s image times `b`'s whole packed
+/// image. Nothing is packed in here.
+fn blocked_nest(
+    n: usize,
+    plan: &BlockPlan,
+    a: AImage<'_>,
+    b: &[i8],
+    c: &mut [i32],
+    hk: &'static HostKernel,
+) {
+    let rows = c.len() / n;
+    // B panels are walked in groups sized to the tier's widened
+    // register tile (`int_nr/4` adjacent 4-col panels per wide call); a
+    // trailing group narrower than the tile falls back to the 4x4
+    // kernel panel by panel.
+    let nwp = hk.int_nr() / 4;
+    for_each_b_block(plan, |jc, ncb, pc, kcb| {
+        let off = packed_b_offset(plan.kp, jc, ncb, pc);
+        let bblock = &b[off..off + ncb * kcb];
         let panel = kcb * 4;
-        let (own_a, own_b) = self.pool.buffers();
-        let abuf = match self.shared_a {
-            Some(packed) => {
-                let off = packed_a_offset(self.kp, ic, mcb, pc);
-                &packed[off..off + mcb * kcb]
-            }
-            None => own_a,
-        };
-        let bbuf = match self.shared_b {
-            Some(packed) => {
-                let off = packed_b_offset(self.kp, jc, ncb, pc);
-                &packed[off..off + ncb * kcb]
-            }
-            None => own_b,
-        };
-        // Walk the B panels in groups sized to the tier's widened
-        // register tile (`int_nr/4` adjacent 4-col panels per wide
-        // call); a trailing group narrower than the tile falls back to
-        // the 4x4 kernel panel-by-panel. The stats are per 4x4
-        // subtile either way, so the counters are routing-invariant:
-        // one issue per k-step per subtile, two operand loads each.
-        let nwp = self.hk.int_nr() / 4;
         let qpanels = ncb / 4;
-        let steps = (kcb / self.k_step) as u64;
-        let mut q = 0;
-        while q < qpanels {
-            let group = if q + nwp <= qpanels { nwp } else { 1 };
-            let pb = &bbuf[q * panel..(q + group) * panel];
-            for p in 0..mcb / 4 {
-                let pa = &abuf[p * panel..(p + 1) * panel];
-                let mut acc = [[0i32; 4]; 16];
-                let acc = &mut acc[..group * 4];
-                if group > 1 {
-                    // One wide call covers `group` subtiles (the
-                    // dispatched tier holds all of them in registers
-                    // across the k loop).
-                    self.hk.tile_i8_wide(pa, pb, acc);
-                } else {
-                    let sub: &mut [[i32; 4]; 4] = (&mut acc[..4]).try_into().unwrap();
-                    self.hk.tile_i8(pa, pb, sub);
-                }
-                self.stats.camp_issues += group as u64 * steps;
-                self.stats.vector_loads += group as u64 * 2 * steps;
-                // k blocks after the first read C back before storing
-                // (read-modify-write); the first visit stores into a
-                // zeroed C, so the stream has no load there.
-                if pc > 0 {
-                    self.stats.vector_loads += group as u64;
-                }
-                self.stats.vector_stores += group as u64;
-                // accumulate each subtile into C (read-modify-write
-                // across k blocks), clipping the zero-padded edge
-                for (sq, sub) in acc.chunks_exact(4).enumerate() {
-                    for (rx, row) in sub.iter().enumerate() {
-                        let i = ic + p * 4 + rx;
-                        if i >= self.m {
-                            break;
-                        }
-                        for (cx, &v) in row.iter().enumerate() {
-                            let j = jc + (q + sq) * 4 + cx;
-                            if j < self.n {
-                                let idx = i * self.n + j;
-                                self.c[idx] = self.c[idx].wrapping_add(v);
+        for_each_row_strip(plan, |ic, mcb| {
+            let (head, tail) = a.strip(ic, mcb, pc, kcb);
+            let head_panels = head.len() / panel;
+            let mut q = 0;
+            while q < qpanels {
+                let group = if q + nwp <= qpanels { nwp } else { 1 };
+                let pb = &bblock[q * panel..(q + group) * panel];
+                for p in 0..mcb / 4 {
+                    let pa = match p.checked_sub(head_panels) {
+                        None => &head[p * panel..(p + 1) * panel],
+                        Some(t) => &tail[t * panel..(t + 1) * panel],
+                    };
+                    let mut acc = [[0i32; 4]; 16];
+                    let acc = &mut acc[..group * 4];
+                    if group > 1 {
+                        // One wide call covers `group` subtiles (the
+                        // dispatched tier holds all of them in
+                        // registers across the k loop).
+                        hk.tile_i8_wide(pa, pb, acc);
+                    } else {
+                        let sub: &mut [[i32; 4]; 4] = (&mut acc[..4]).try_into().unwrap();
+                        hk.tile_i8(pa, pb, sub);
+                    }
+                    // accumulate each subtile into C (read-modify-write
+                    // across k blocks), clipping the zero-padded edge
+                    for (sq, sub) in acc.chunks_exact(4).enumerate() {
+                        for (rx, row) in sub.iter().enumerate() {
+                            let i = ic + p * 4 + rx;
+                            if i >= rows {
+                                break;
+                            }
+                            for (cx, &v) in row.iter().enumerate() {
+                                let j = jc + (q + sq) * 4 + cx;
+                                if j < n {
+                                    let idx = i * n + j;
+                                    c[idx] = c[idx].wrapping_add(v);
+                                }
                             }
                         }
                     }
                 }
+                q += group;
             }
-            q += group;
-        }
-    }
+        });
+    });
 }
 
-/// Run one worker's row range: the skinny fast paths for GEMV-shaped
-/// problems ([`small_path`]), the blocked loops otherwise. With
-/// `shared_b` / `shared_a`, the operand is consumed from the caller's
-/// pre-packed panel instead of being packed per block.
-#[allow(clippy::too_many_arguments)]
-fn gemm_range(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i8],
-    b: &[i8],
-    c: &mut [i32],
-    pool: &mut PackPool,
-    k_step: usize,
-    hk: &'static HostKernel,
-    shared_b: Option<&[i8]>,
-    shared_a: Option<&[i8]>,
-) -> EngineStats {
-    let plan = host_block_plan(m, n, k, k_step);
-    if let Some(path) = small_path(m, n) {
-        // Skinny problems skip the Goto nest: raw A rows feed the
-        // tier's small kernels directly (no A packing, no padded
-        // register tile). Bit-identity with the blocked path is
-        // structural — exact products, wrapping i32 accumulation.
-        // Stats report the canonical camp stream for the problem (see
-        // [`tile_path_stats`]) but no B pack: a panel was accounted by
-        // whoever packed it, a raw B (small-m only) is read in place.
-        // `shared_a` is never set here ([`StagedRequest::stage`] packs
-        // no A for a skinny shape).
-        match path {
-            SmallPath::SmallM => {
-                let bsrc = match shared_b {
-                    Some(panel) => SmallB::Panel(panel),
-                    None => SmallB::Dense(b),
-                };
-                hk.run_small_m(m, n, k, &plan, a, bsrc, c);
-            }
-            SmallPath::SmallN => {
-                let panel = shared_b.expect("a skinny-n item always arrives with its B packed");
-                hk.run_small_n(m, n, k, &plan, a, panel, c);
-            }
-        }
-        return tile_path_stats(m, n, k, k_step, &plan, true, shared_a.is_some());
-    }
-    let mut backend = HostBackend {
-        a,
-        b,
-        c,
-        m,
-        n,
-        k,
-        kp: plan.kp,
-        k_step,
-        hk,
-        pool,
-        shared_b,
-        shared_a,
-        stats: EngineStats { macs: (m * n * k) as u64, ..EngineStats::default() },
-    };
-    run_blocked(&plan, &mut backend);
-    backend.stats
+/// Row-range height of an m-row problem split across up to `threads`
+/// workers: a multiple of the 4-row register tile, so every unit owns
+/// whole tiles.
+fn row_partition(m: usize, threads: usize) -> usize {
+    m.div_ceil(threads).div_ceil(4) * 4
 }
 
-/// Worker row-chunk height (a multiple of the 4-row register tile, so
-/// every worker owns whole tiles) and the resulting worker count for an
-/// m-row problem across up to `threads` workers. The single source of
-/// truth for the row split: `gemm` uses the worker count to decide
-/// whether to pre-pack a shared B panel, and [`gemm_partitioned`] uses
-/// the same numbers to chunk the work.
-fn row_partition(m: usize, threads: usize) -> (usize, usize) {
-    let rows_per = m.div_ceil(threads).div_ceil(4) * 4;
-    (rows_per, m.div_ceil(rows_per))
-}
-
-/// Execute jobs on the persistent pool, or inline when the engine is
-/// serial (no pool exists).
-fn run_jobs(wp: Option<&WorkerPool>, jobs: Vec<Job<'_>>) {
-    match wp {
-        Some(wp) => wp.run(jobs),
-        None => {
-            for job in jobs {
-                job();
-            }
-        }
-    }
-}
-
-/// Row partition of the macro loop across up to `threads` workers on
-/// the persistent pool: chunks are multiples of the 4-row tile so every
-/// worker owns whole register tiles, which (with wrapping i32
-/// accumulation) makes the result bit-identical to the serial path for
-/// any worker count.
-#[allow(clippy::too_many_arguments)]
-fn gemm_partitioned(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[i8],
-    b: &[i8],
-    c: &mut [i32],
-    pools: &mut Vec<PackPool>,
-    wp: Option<&WorkerPool>,
-    threads: usize,
-    k_step: usize,
-    hk: &'static HostKernel,
-    shared_b: Option<&[i8]>,
-) -> EngineStats {
-    let (rows_per, workers) = row_partition(m, threads);
-    while pools.len() < workers {
-        pools.push(PackPool::new());
-    }
-    let mut total = EngineStats::default();
-    if workers == 1 {
-        total.merge(&gemm_range(m, n, k, a, b, c, &mut pools[0], k_step, hk, shared_b, None));
-        return total;
-    }
-    let mut slots: Vec<Option<EngineStats>> = vec![None; workers];
-    let jobs: Vec<Job<'_>> = c
-        .chunks_mut(rows_per * n)
-        .zip(a.chunks(rows_per * k))
-        .zip(pools.iter_mut())
-        .zip(slots.iter_mut())
-        .map(|(((c_chunk, a_chunk), pool), slot)| -> Job<'_> {
-            Box::new(move || {
-                let m_local = c_chunk.len() / n;
-                *slot = Some(gemm_range(
-                    m_local, n, k, a_chunk, b, c_chunk, pool, k_step, hk, shared_b, None,
-                ));
-            })
-        })
-        .collect();
-    run_jobs(wp, jobs);
-    for s in slots.iter().flatten() {
-        total.merge(s);
-    }
-    total
-}
-
-/// Whether a non-degenerate batch item is row-partitioned across all
-/// workers instead of running whole on one: at or above
-/// [`BATCH_ROW_SPLIT_MACS`], unless m ≤ 4 — [`row_partition`] chunks in
+/// Whether a non-degenerate request is split into [`row_partition`]
+/// ranges instead of running whole: at or above
+/// [`BATCH_ROW_SPLIT_MACS`], unless it is skinny-m — ranges are
 /// multiples of the 4-row register tile, so even a huge GEMV-shaped
-/// (m = 1) decode item gains nothing from the partitioned path and runs
-/// whole on the skinny small-m kernel, parallel across batch items.
+/// decode item gains nothing from splitting and runs whole on the small-m
+/// kernel, parallel across batch items. A pure function of the shape,
+/// and the one input that selects which builder makes a blocked
+/// request's A image: [`StagedRequest::stage`] below it, the unit's
+/// worker at or above it.
 fn row_splits(m: usize, n: usize, k: usize) -> bool {
-    m as u64 * n as u64 * k as u64 >= BATCH_ROW_SPLIT_MACS && m > 4
+    m as u64 * n as u64 * k as u64 >= BATCH_ROW_SPLIT_MACS
+        && small_path(m, n) != Some(SmallPath::SmallM)
 }
 
-/// Whether the engine reads a request's dense B in place instead of
-/// packing it: the item takes the skinny small-m path (whose row sweep
-/// streams the raw row-major operand once) and runs whole on one
-/// worker. Skinny-n items keep packing — their B is at most 8 columns
-/// wide and every one of the m > 8 rows re-reads it, and the
-/// pack-then-panel-walk measured faster than a no-pack kernel there.
-/// A pure function of the shape, so the route — and with it the stats —
-/// is the same on every entry point, tier and thread count.
-fn reads_dense_b_in_place(m: usize, n: usize, k: usize) -> bool {
-    small_path(m, n) == Some(SmallPath::SmallM) && !row_splits(m, n, k)
-}
-
-/// One non-degenerate work unit of a batch: its effective kernel, its B
-/// as a pre-packed panel or (skinny-m, dense) as the raw operand, and a
-/// pre-packed A where [`StagedRequest::stage`] made one.
-struct WorkItem<'a> {
-    slot: usize,
+/// One non-degenerate request of a batch as its work units read it: the
+/// overall shape (which fixes the route), the raw activation, the whole
+/// A image where [`StagedRequest::stage`] built one, and B as a whole
+/// packed image or (skinny-m, dense) as the raw operand.
+#[derive(Clone, Copy)]
+struct Item<'a> {
     m: usize,
     n: usize,
     k: usize,
     k_step: usize,
     a: &'a [i8],
-    /// Fully pre-packed A; consumed only on the cross-item path (the
-    /// row-split path partitions rows, whose per-worker plans index A
-    /// differently).
-    shared_a: Option<&'a [i8]>,
-    /// Raw row-major B, read only where `shared_b` is `None`
-    /// ([`reads_dense_b_in_place`]); empty otherwise.
-    b: &'a [i8],
-    shared_b: Option<&'a [i8]>,
+    a_image: Option<&'a [i8]>,
+    b: SmallB<'a>,
 }
 
-impl WorkItem<'_> {
+/// The batch's unit of scheduling: rows `r0..r0 + c.len() / n` of one
+/// item, writing straight into that item's pre-allocated result.
+struct Unit<'a> {
+    item: Item<'a>,
+    r0: usize,
+    c: &'a mut [i32],
+}
+
+impl Unit<'_> {
     fn macs(&self) -> u64 {
-        self.m as u64 * self.n as u64 * self.k as u64
+        (self.c.len() * self.item.k) as u64
     }
 }
 
-/// Shared dispatch of a batch of work items: problems above
-/// [`BATCH_ROW_SPLIT_MACS`] are row-partitioned across all workers,
-/// the rest are distributed whole across the persistent workers.
-/// Each result lands in `results[item.slot]`.
-fn run_work_items(
-    items: Vec<WorkItem<'_>>,
-    results: &mut [Vec<i32>],
-    pools: &mut Vec<PackPool>,
-    wp: Option<&WorkerPool>,
-    threads: usize,
-    hk: &'static HostKernel,
-) -> EngineStats {
-    let mut total = EngineStats::default();
-    let mut small = Vec::with_capacity(items.len());
-    for it in items {
-        total.stamp_route(it.m, it.n, it.k);
-        if !row_splits(it.m, it.n, it.k) {
-            small.push(it);
-            continue;
+/// Run one unit on the route its *item's* shape selects: the skinny
+/// fast paths for GEMV-shaped items ([`small_path`]) — raw A rows feed
+/// the tier's small kernels directly, no A image, no padded register
+/// tile — and the blocked nest otherwise, over the item's whole A image
+/// or, when `prepare` built none, over this unit's rows packed once into
+/// `pool`'s arena before the nest starts. Bit-identity across routes
+/// and row ranges is structural — exact products, wrapping i32
+/// accumulation.
+fn run_unit(unit: Unit<'_>, pool: &mut PackPool, hk: &'static HostKernel) {
+    let Unit { item: it, r0, c } = unit;
+    let rows = c.len() / it.n;
+    let a_rows = &it.a[r0 * it.k..(r0 + rows) * it.k];
+    let plan = host_block_plan(rows, it.n, it.k, it.k_step);
+    match (small_path(it.m, it.n), it.b) {
+        (Some(SmallPath::SmallM), b) => hk.run_small_m(rows, it.n, it.k, &plan, a_rows, b, c),
+        (Some(SmallPath::SmallN), SmallB::Panel(b)) => {
+            hk.run_small_n(rows, it.n, it.k, &plan, a_rows, b, c)
         }
-        let mut c = vec![0i32; it.m * it.n];
-        total.merge(&gemm_partitioned(
-            it.m,
-            it.n,
-            it.k,
-            it.a,
-            it.b,
-            &mut c,
-            pools,
-            wp,
-            threads,
-            it.k_step,
-            hk,
-            it.shared_b,
-        ));
-        results[it.slot] = c;
+        (None, SmallB::Panel(b)) => {
+            let image = match it.a_image {
+                Some(bytes) => {
+                    AImage { bytes, plan: host_block_plan(it.m, it.n, it.k, it.k_step), row0: r0 }
+                }
+                None => {
+                    let buf = pool.a_buffer(packed_a_bytes(&plan));
+                    prepack_a(buf, a_rows, rows, it.k, &plan);
+                    AImage { bytes: buf, plan, row0: 0 }
+                }
+            };
+            blocked_nest(it.n, &plan, image, b, c, hk);
+        }
+        (_, SmallB::Dense(_)) => unreachable!("only a skinny-m item reads its dense B in place"),
     }
-    total.merge(&run_small_items(small, results, pools, wp, threads, hk));
-    total
 }
 
-/// Distribute small items across the persistent workers
-/// (longest-processing-time greedy — biggest problems first onto the
-/// least-loaded worker) and write each result into `results[item.slot]`.
-fn run_small_items(
-    items: Vec<WorkItem<'_>>,
-    results: &mut [Vec<i32>],
+/// Run a batch's units. One worker or one unit: a plain loop on the
+/// calling thread. Otherwise longest-processing-time greedy — biggest
+/// units first onto the least-loaded worker — over the persistent pool,
+/// one job and one arena per worker.
+fn run_units(
+    mut units: Vec<Unit<'_>>,
     pools: &mut Vec<PackPool>,
     wp: Option<&WorkerPool>,
-    threads: usize,
     hk: &'static HostKernel,
-) -> EngineStats {
-    let mut total = EngineStats::default();
-    if items.is_empty() {
-        return total;
+) {
+    let workers = wp.map_or(1, WorkerPool::workers).min(units.len()).max(1);
+    if pools.len() < workers {
+        pools.resize_with(workers, PackPool::new);
     }
-    let workers = threads.min(items.len()).max(1);
-    while pools.len() < workers {
-        pools.push(PackPool::new());
+    let Some(wp) = wp.filter(|_| workers > 1) else {
+        for unit in units {
+            run_unit(unit, &mut pools[0], hk);
+        }
+        return;
+    };
+    units.sort_by_key(|u| std::cmp::Reverse(u.macs()));
+    let mut bins: Vec<(u64, Vec<Unit<'_>>)> = (0..workers).map(|_| (0, Vec::new())).collect();
+    for unit in units {
+        let bin = bins.iter_mut().min_by_key(|bin| bin.0).expect("workers > 0");
+        bin.0 += unit.macs();
+        bin.1.push(unit);
     }
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(items[i].macs()));
-    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    let mut load = vec![0u64; workers];
-    for i in order {
-        let w = (0..workers).min_by_key(|&w| load[w]).expect("workers > 0");
-        assignment[w].push(i);
-        load[w] += items[i].macs();
-    }
-    let items = &items;
-    let mut cells: Vec<Vec<(usize, Vec<i32>, EngineStats)>> = vec![Vec::new(); workers];
-    let jobs: Vec<Job<'_>> = assignment
-        .iter()
+    let jobs: Vec<Job<'_>> = bins
+        .into_iter()
         .zip(pools.iter_mut())
-        .zip(cells.iter_mut())
-        .map(|((list, pool), cell)| -> Job<'_> {
+        .map(|((_, bin), pool)| -> Job<'_> {
             Box::new(move || {
-                for &i in list {
-                    let it = &items[i];
-                    let mut c = vec![0i32; it.m * it.n];
-                    let s = gemm_range(
-                        it.m,
-                        it.n,
-                        it.k,
-                        it.a,
-                        it.b,
-                        &mut c,
-                        pool,
-                        it.k_step,
-                        hk,
-                        it.shared_b,
-                        it.shared_a,
-                    );
-                    cell.push((it.slot, c, s));
+                for unit in bin {
+                    run_unit(unit, pool, hk);
                 }
             })
         })
         .collect();
-    // a single worker runs its one job inline, same code path
-    run_jobs(if workers > 1 { wp } else { None }, jobs);
-    for (slot, c, s) in cells.into_iter().flatten() {
-        results[slot] = c;
-        total.merge(&s);
-    }
-    total
+    wp.run(jobs);
 }
 
 /// The B side of a staged request.
@@ -676,8 +473,9 @@ pub(crate) enum StagedB {
 
 /// One prepared request of a batch — the host engine's
 /// `CampBackend::Prepared` form: the resolved shape, both operands, and
-/// a fully pre-packed A for requests that will take the blocked
-/// cross-item path (the only path that reads one).
+/// A's whole packed image for a blocked request below the row-split
+/// threshold (at or above it the image is built range by range, in the
+/// arena of the worker that computes the range).
 #[derive(Debug)]
 pub struct StagedRequest {
     pub(crate) m: usize,
@@ -694,11 +492,12 @@ impl StagedRequest {
     /// dispatcher session's caller runs this on its own thread while
     /// the engine computes somebody's previous batch; a staged blocked
     /// request then holds its raw A plus an equally sized packed A
-    /// until it has run): resolve its shape and pre-pack A when the
-    /// request will run whole on the blocked path — below the row-split
-    /// threshold (row-split requests are packed by the workers that own
-    /// the rows) and not skinny (the small-m/small-n kernels read the
-    /// raw activation).
+    /// until it has run): resolve its shape and build A's image when
+    /// the request will run whole on the blocked path — below the
+    /// row-split threshold ([`row_splits`]; a fresh heap buffer per
+    /// *large* request is what the arena-side builder exists to avoid)
+    /// and not skinny (the small-m/small-n kernels read the raw
+    /// activation).
     pub(crate) fn stage(req: GemmRequest, weights: &WeightSnapshot) -> StagedRequest {
         let r = req.resolve(weights).expect("session requests are validated at submit");
         let b = match req.weights() {
@@ -723,11 +522,12 @@ impl StagedRequest {
 }
 
 /// Reusable host-speed GeMM engine: a persistent worker pool spawned
-/// once at construction, one pack-pool arena per worker, a shared arena
-/// for per-call pre-packed B panels, and a [`WeightRegistry`] of
-/// pre-packed weights for serving workloads. The packing hot loop
-/// allocates nothing once the pools are warm (each request still
-/// allocates its m×n result vector, and a blocked one its staged A).
+/// once at construction, one A-image arena per worker, a shared arena
+/// for the batch's packed B panels, and a [`WeightRegistry`] of
+/// pre-packed weights for serving workloads. The compute path allocates
+/// nothing once the pools are warm (each request still allocates its
+/// m×n result vector, and a blocked one below the row-split threshold
+/// its staged A).
 #[derive(Debug)]
 pub struct CampEngine {
     threads: usize,
@@ -762,8 +562,8 @@ impl CampEngine {
         CampEngine::with_threads(1)
     }
 
-    /// Engine running up to `threads` workers over row partitions of
-    /// the Goto macro loop; `0` means one worker per available core
+    /// Engine running up to `threads` workers over the row ranges and
+    /// whole items of a batch; `0` means one worker per available core
     /// (the shared [`crate::backend::resolve_threads`] clamp: the
     /// resolved count is never below 1, since a zero worker count would
     /// divide by zero in the row partition). The worker threads are
@@ -819,8 +619,7 @@ impl CampEngine {
         self.host.info()
     }
 
-    /// The dispatched host-kernel table itself (the f32 subsystem
-    /// [`camp_gemm::host::HostGemmF32`] takes it directly).
+    /// The dispatched host-kernel table itself.
     pub fn host_kernel(&self) -> &'static HostKernel {
         self.host
     }
@@ -841,9 +640,9 @@ impl CampEngine {
         self.workers.clone()
     }
 
-    /// Total pack-buffer growths across the per-worker and shared
-    /// arenas. Flat across same-shape calls ⇒ the hot loop is
-    /// allocation-free. Weight registration (a one-time cost) is
+    /// Total pack-buffer growths across the per-worker A-image arenas
+    /// and the shared B-panel arena. Flat across same-shape calls ⇒ the
+    /// compute path is allocation-free. Weight registration (a one-time cost) is
     /// accounted separately by [`CampEngine::registered_weight_bytes`].
     pub fn pack_allocations(&self) -> u64 {
         self.pools.iter().map(PackPool::allocations).sum::<u64>() + self.shared.allocations()
@@ -927,103 +726,17 @@ impl CampEngine {
         self.weights.resident_bytes()
     }
 
-    /// Single registered-weight GeMM, bypassing the batch machinery:
-    /// the reference path the test suite pins the request/batch
-    /// surfaces against (stats included — `packed_b_bytes` must be 0).
-    #[cfg(test)]
-    fn handle_gemm(&mut self, m: usize, a: &[i8], h: WeightHandle) -> (Vec<i32>, EngineStats) {
-        let meta = self.weights.meta(h);
-        assert_eq!(a.len(), m * meta.k, "A must be m×k");
-        let mut c = vec![0i32; m * meta.n];
-        if m == 0 || meta.n == 0 || meta.k == 0 {
-            return (c, EngineStats::default());
-        }
-        debug_check_i4(meta.dtype, "activation", a);
-        let mut stats = gemm_partitioned(
-            m,
-            meta.n,
-            meta.k,
-            a,
-            &[],
-            &mut c,
-            &mut self.pools,
-            self.workers.as_deref(),
-            self.threads,
-            meta.dtype.k_step(),
-            self.host,
-            Some(self.weights.panel(h)),
-        );
-        stats.stamp_route(m, meta.n, meta.k);
-        (c, stats)
-    }
-
-    /// Single dense GeMM, bypassing the batch machinery: the reference
-    /// path the test suite pins the request/batch surfaces against
-    /// (bit-identical results, comparable stats).
-    #[cfg(test)]
-    fn gemm(
-        &mut self,
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[i8],
-        b: &[i8],
-        dtype: DType,
-    ) -> (Vec<i32>, EngineStats) {
-        assert_eq!(a.len(), m * k, "A must be m×k");
-        assert_eq!(b.len(), k * n, "B must be k×n");
-        let mut c = vec![0i32; m * n];
-        if m == 0 || n == 0 || k == 0 {
-            return (c, EngineStats::default());
-        }
-        debug_check_i4(dtype, "A", a);
-        debug_check_i4(dtype, "B", b);
-        let k_step = dtype.k_step();
-
-        let mut total = EngineStats::default();
-        let (_, workers) = row_partition(m, self.threads);
-        let panel_id = if workers > 1 || small_path(m, n) == Some(SmallPath::SmallN) {
-            // Pack B once into a shared read-only panel instead of once
-            // per worker (the skinny-n walk only reads panels) — the
-            // packing traffic below is everything the whole call moves
-            // for B.
-            let plan = host_block_plan(m, n, k, k_step);
-            self.shared.reset_panels();
-            let id = self.shared.alloc_panel(packed_b_bytes(&plan));
-            prepack_b(self.shared.panel_mut(id), b, n, k, &plan);
-            total.packed_b_bytes += packed_b_bytes(&plan) as u64;
-            Some(id)
-        } else {
-            None
-        };
-        let shared_b = panel_id.map(|id| self.shared.panel(id));
-        total.merge(&gemm_partitioned(
-            m,
-            n,
-            k,
-            a,
-            b,
-            &mut c,
-            &mut self.pools,
-            self.workers.as_deref(),
-            self.threads,
-            k_step,
-            self.host,
-            shared_b,
-        ));
-        total.stamp_route(m, n, k);
-        (c, total)
-    }
-
     /// Compute one prepared batch — the engine's only batch path,
-    /// whichever entry point built it: a skinny-m request reads its dense
-    /// B in place ([`reads_dense_b_in_place`]); each *distinct* dense B
-    /// of the others (buffer identity plus (n, k, k-step), which fix
-    /// the packed layout) is packed once into the shared arena for all
-    /// of its sharers, registered B panels are consumed as they are, A
-    /// comes pre-packed where [`StagedRequest::stage`] provided it, and
-    /// oversized requests are row-partitioned. Returns one row-major C
-    /// per request plus the batch's merged stats.
+    /// whichever entry point built it. B first, because it spans
+    /// requests: a skinny-m request reads its dense B in place; each
+    /// *distinct* dense B of the others (buffer identity plus
+    /// (n, k, k-step), which fix the packed layout) is packed once into
+    /// the shared arena for all of its sharers; registered panels are
+    /// consumed as they are. Then every non-degenerate request becomes
+    /// work units — itself, or its [`row_partition`] ranges when it
+    /// [`row_splits`] — over its pre-allocated result, and
+    /// [`run_units`] runs them. Returns one row-major C per request
+    /// plus the batch's merged stats.
     pub(crate) fn run_staged(&mut self, reqs: &[StagedRequest]) -> (Vec<Vec<i32>>, EngineStats) {
         let mut total = EngineStats::default();
         self.shared.reset_panels();
@@ -1038,7 +751,12 @@ impl CampEngine {
                     if checks_i4(r.dtype) && checked_i4.insert(b.as_ptr()) {
                         debug_check_i4(r.dtype, "B", b);
                     }
-                    if reads_dense_b_in_place(r.m, r.n, r.k) {
+                    // The small-m row sweep streams the raw row-major
+                    // operand once; skinny-n items keep packing — their
+                    // B is at most 8 columns wide, every one of the
+                    // m > 8 rows re-reads it, and pack-then-panel-walk
+                    // measured faster than a no-pack kernel there.
+                    if small_path(r.m, r.n) == Some(SmallPath::SmallM) {
                         return None;
                     }
                     let k_step = r.dtype.k_step();
@@ -1054,48 +772,34 @@ impl CampEngine {
             })
             .collect();
 
-        // Degenerate results exist up front (all-zero when only k is 0,
-        // empty otherwise); real results are filled below.
-        let mut results: Vec<Vec<i32>> = reqs
-            .iter()
-            .map(|r| if r.is_degenerate() { vec![0i32; r.m * r.n] } else { Vec::new() })
-            .collect();
-        let shared = &self.shared;
-        let weights = &self.weights;
-
-        let items: Vec<WorkItem<'_>> = reqs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.is_degenerate())
-            .map(|(i, r)| {
-                debug_check_i4(r.dtype, "A", &r.a);
-                total.packed_a_bytes += r.packed_a.as_ref().map_or(0, |p| p.len() as u64);
-                let (b, shared_b): (&[i8], _) = match (&r.b, panels[i]) {
-                    (StagedB::Handle(h), _) => (&[], Some(weights.panel(*h))),
-                    (StagedB::Dense(_), Some(id)) => (&[], Some(shared.panel(id))),
-                    (StagedB::Dense(b), None) => (b, None),
-                };
-                WorkItem {
-                    slot: i,
-                    m: r.m,
-                    n: r.n,
-                    k: r.k,
-                    k_step: r.dtype.k_step(),
-                    a: &r.a,
-                    shared_a: r.packed_a.as_deref(),
-                    b,
-                    shared_b,
-                }
-            })
-            .collect();
-        total.merge(&run_work_items(
-            items,
-            &mut results,
-            &mut self.pools,
-            self.workers.as_deref(),
-            self.threads,
-            self.host,
-        ));
+        // Every result exists up front, zeroed: units accumulate into
+        // theirs, degenerate ones are already final (all-zero when only
+        // k is 0, empty otherwise).
+        let mut results: Vec<Vec<i32>> = reqs.iter().map(|r| vec![0i32; r.m * r.n]).collect();
+        let mut units: Vec<Unit<'_>> = Vec::with_capacity(reqs.len());
+        for ((r, c), panel) in reqs.iter().zip(&mut results).zip(&panels) {
+            if r.is_degenerate() {
+                continue;
+            }
+            debug_check_i4(r.dtype, "A", &r.a);
+            let k_step = r.dtype.k_step();
+            total.merge(&request_stats(r.m, r.n, r.k, k_step));
+            let b = match (&r.b, panel) {
+                (StagedB::Handle(h), _) => SmallB::Panel(self.weights.panel(*h)),
+                (StagedB::Dense(_), Some(id)) => SmallB::Panel(self.shared.panel(*id)),
+                (StagedB::Dense(b), None) => SmallB::Dense(b),
+            };
+            let item =
+                Item { m: r.m, n: r.n, k: r.k, k_step, a: &r.a, a_image: r.packed_a.as_deref(), b };
+            let rows_per =
+                if row_splits(r.m, r.n, r.k) { row_partition(r.m, self.threads) } else { r.m };
+            units.extend(c.chunks_mut(rows_per * r.n).enumerate().map(|(i, c)| Unit {
+                item,
+                r0: i * rows_per,
+                c,
+            }));
+        }
+        run_units(units, &mut self.pools, self.workers.as_deref(), self.host);
         (results, total)
     }
 }
@@ -1143,18 +847,38 @@ mod tests {
         (out.outputs.into_iter().map(|o| o.c).collect(), stats)
     }
 
-    /// The per-call oracle over a [`dense`] request's own operands.
-    fn per_call(eng: &mut CampEngine, req: &GemmRequest) -> (Vec<i32>, EngineStats) {
-        let Operand::Dense(b) = req.weights() else { panic!("dense request expected") };
-        let (m, n, k) = (req.m(), req.n().unwrap(), req.k().unwrap());
-        eng.gemm(m, n, k, req.activation(), b, req.dtype().unwrap())
+    /// `CampBackend::execute`, unwrapped the same way.
+    fn run_one(eng: &mut CampEngine, req: &GemmRequest) -> (Vec<i32>, EngineStats) {
+        let out = eng.execute(req).expect("well-formed request");
+        (out.output.c, *out.stats.as_host().expect("host engine ran"))
+    }
+
+    /// One dense GeMM through `execute`.
+    fn gemm(
+        eng: &mut CampEngine,
+        shape: (usize, usize, usize),
+        a: &[i8],
+        b: &[i8],
+        dtype: DType,
+    ) -> (Vec<i32>, EngineStats) {
+        run_one(eng, &dense(shape, a.to_vec(), b.to_vec(), dtype))
+    }
+
+    /// One registered-weight GeMM through `execute`.
+    fn handle_gemm(
+        eng: &mut CampEngine,
+        m: usize,
+        a: &[i8],
+        h: WeightHandle,
+    ) -> (Vec<i32>, EngineStats) {
+        run_one(eng, &GemmRequest::with_weights(m, a.to_vec(), h).unwrap())
     }
 
     #[test]
     fn small_exact() {
         let a = vec![1i8, 2, 3, 4, 5, 6]; // 2x3
         let b = vec![7i8, 8, 9, 10, 11, 12]; // 3x2
-        let c = CampEngine::new().gemm(2, 2, 3, &a, &b, I8).0;
+        let c = gemm(&mut CampEngine::new(), (2, 2, 3), &a, &b, I8).0;
         assert_eq!(c, vec![58, 64, 139, 154]);
     }
 
@@ -1166,7 +890,7 @@ mod tests {
             let a = fill(m * k, 31, 200, -100);
             let b = fill(k * n, 17, 200, -100);
             assert_eq!(
-                CampEngine::new().gemm(m, n, k, &a, &b, I8).0,
+                gemm(&mut CampEngine::new(), (m, n, k), &a, &b, I8).0,
                 gemm_i32_ref(m, n, k, &a, &b),
                 "shape {m}x{n}x{k}"
             );
@@ -1179,7 +903,7 @@ mod tests {
             let a = fill(m * k, 7, 16, -8);
             let b = fill(k * n, 5, 16, -8);
             assert_eq!(
-                CampEngine::new().gemm(m, n, k, &a, &b, I4).0,
+                gemm(&mut CampEngine::new(), (m, n, k), &a, &b, I4).0,
                 gemm_i32_ref(m, n, k, &a, &b),
                 "shape {m}x{n}x{k}"
             );
@@ -1191,7 +915,7 @@ mod tests {
         // 8×8×32: 4 tiles × 2 k-chunks = 8 camp issues, 16 loads
         let a = fill(8 * 32, 3, 10, -5);
         let b = fill(32 * 8, 5, 10, -5);
-        let (_, s) = CampEngine::new().gemm(8, 8, 32, &a, &b, I8);
+        let (_, s) = gemm(&mut CampEngine::new(), (8, 8, 32), &a, &b, I8);
         assert_eq!(s.camp_issues, 8);
         assert_eq!(s.vector_loads, 16);
         assert_eq!(s.vector_stores, 4);
@@ -1203,8 +927,8 @@ mod tests {
     fn i4_needs_half_the_issues() {
         let a = fill(8 * 32, 3, 16, -8);
         let b = fill(32 * 8, 5, 16, -8);
-        let (_, s8) = CampEngine::new().gemm(8, 8, 32, &a, &b, I8);
-        let (_, s4) = CampEngine::new().gemm(8, 8, 32, &a, &b, I4);
+        let (_, s8) = gemm(&mut CampEngine::new(), (8, 8, 32), &a, &b, I8);
+        let (_, s4) = gemm(&mut CampEngine::new(), (8, 8, 32), &a, &b, I4);
         assert_eq!(s4.camp_issues * 2, s8.camp_issues);
     }
 
@@ -1213,25 +937,23 @@ mod tests {
         let (m, n, k) = (5, 5, 17);
         let a = fill(m * k, 11, 40, -20);
         let b = fill(k * n, 13, 40, -20);
-        assert_eq!(CampEngine::new().gemm(m, n, k, &a, &b, I8).0, gemm_i32_ref(m, n, k, &a, &b));
-    }
-
-    #[test]
-    #[should_panic(expected = "A must be m×k")]
-    fn wrong_a_len_panics() {
-        let _ = CampEngine::new().gemm(2, 2, 2, &[0; 3], &[0; 4], I8).0;
+        assert_eq!(
+            gemm(&mut CampEngine::new(), (m, n, k), &a, &b, I8).0,
+            gemm_i32_ref(m, n, k, &a, &b)
+        );
     }
 
     #[test]
     fn zero_dimensions_return_degenerate_results() {
         // no dimension combination may panic, serial or parallel
-        assert!(CampEngine::new().gemm(0, 4, 4, &[], &[0; 16], I8).0.is_empty());
-        assert!(CampEngine::new().gemm(4, 0, 4, &[0; 16], &[], I8).0.is_empty());
-        assert_eq!(CampEngine::new().gemm(4, 4, 0, &[], &[], I8).0, vec![0; 16]);
-        assert!(CampEngine::new().gemm(0, 0, 0, &[], &[], I8).0.is_empty());
-        assert_eq!(CampEngine::with_threads(8).gemm(4, 4, 0, &[], &[], I8).0, vec![0; 16]);
-        assert_eq!(CampEngine::new().gemm(4, 4, 0, &[], &[], I4).0, vec![0; 16]);
-        let (_, s) = CampEngine::new().gemm(0, 4, 4, &[], &[0; 16], I8);
+        let mut eng = CampEngine::new();
+        assert!(gemm(&mut eng, (0, 4, 4), &[], &[0; 16], I8).0.is_empty());
+        assert!(gemm(&mut eng, (4, 0, 4), &[0; 16], &[], I8).0.is_empty());
+        assert_eq!(gemm(&mut eng, (4, 4, 0), &[], &[], I8).0, vec![0; 16]);
+        assert!(gemm(&mut eng, (0, 0, 0), &[], &[], I8).0.is_empty());
+        assert_eq!(gemm(&mut CampEngine::with_threads(8), (4, 4, 0), &[], &[], I8).0, vec![0; 16]);
+        assert_eq!(gemm(&mut eng, (4, 4, 0), &[], &[], I4).0, vec![0; 16]);
+        let (_, s) = gemm(&mut eng, (0, 4, 4), &[], &[0; 16], I8);
         assert_eq!(s, EngineStats::default());
     }
 
@@ -1239,7 +961,10 @@ mod tests {
     fn extreme_values_wrap_like_reference() {
         let a = vec![i8::MIN; 4 * 16];
         let b = vec![i8::MIN; 16 * 4];
-        assert_eq!(CampEngine::new().gemm(4, 4, 16, &a, &b, I8).0, gemm_i32_ref(4, 4, 16, &a, &b));
+        assert_eq!(
+            gemm(&mut CampEngine::new(), (4, 4, 16), &a, &b, I8).0,
+            gemm_i32_ref(4, 4, 16, &a, &b)
+        );
     }
 
     #[test]
@@ -1248,7 +973,10 @@ mod tests {
         let (m, n, k) = (2 * MC + 5, NC + 9, KC + 33);
         let a = fill(m * k, 31, 15, -8);
         let b = fill(k * n, 17, 15, -8);
-        assert_eq!(CampEngine::new().gemm(m, n, k, &a, &b, I8).0, gemm_i32_ref(m, n, k, &a, &b));
+        assert_eq!(
+            gemm(&mut CampEngine::new(), (m, n, k), &a, &b, I8).0,
+            gemm_i32_ref(m, n, k, &a, &b)
+        );
     }
 
     #[test]
@@ -1256,10 +984,11 @@ mod tests {
         let (m, n, k) = (37, 29, 65);
         let a = fill(m * k, 13, 200, -100);
         let b = fill(k * n, 7, 200, -100);
-        let serial = CampEngine::new().gemm(m, n, k, &a, &b, I8).0;
+        let serial = gemm(&mut CampEngine::new(), (m, n, k), &a, &b, I8).0;
+        assert_eq!(serial, gemm_i32_ref(m, n, k, &a, &b));
         for threads in [2, 3, 4, 16, 64] {
             assert_eq!(
-                CampEngine::with_threads(threads).gemm(m, n, k, &a, &b, I8).0,
+                gemm(&mut CampEngine::with_threads(threads), (m, n, k), &a, &b, I8).0,
                 serial,
                 "threads={threads}"
             );
@@ -1267,8 +996,8 @@ mod tests {
         let a4 = fill(m * k, 13, 16, -8);
         let b4 = fill(k * n, 7, 16, -8);
         assert_eq!(
-            CampEngine::with_threads(3).gemm(m, n, k, &a4, &b4, I4).0,
-            CampEngine::new().gemm(m, n, k, &a4, &b4, I4).0
+            gemm(&mut CampEngine::with_threads(3), (m, n, k), &a4, &b4, I4).0,
+            gemm(&mut CampEngine::new(), (m, n, k), &a4, &b4, I4).0
         );
     }
 
@@ -1278,7 +1007,7 @@ mod tests {
         let a = fill(m * k, 3, 10, -5);
         let b = fill(k * n, 5, 10, -5);
         assert_eq!(
-            CampEngine::with_threads(32).gemm(m, n, k, &a, &b, I8).0,
+            gemm(&mut CampEngine::with_threads(32), (m, n, k), &a, &b, I8).0,
             gemm_i32_ref(m, n, k, &a, &b)
         );
     }
@@ -1292,7 +1021,7 @@ mod tests {
         let a = fill(4 * 4, 3, 10, -5);
         let b = fill(4 * 4, 5, 10, -5);
         assert_eq!(
-            CampEngine::with_threads(0).gemm(4, 4, 4, &a, &b, I8).0,
+            gemm(&mut CampEngine::with_threads(0), (4, 4, 4), &a, &b, I8).0,
             gemm_i32_ref(4, 4, 4, &a, &b)
         );
     }
@@ -1306,8 +1035,8 @@ mod tests {
             let a = fill(m * k, 13, 200, -100);
             let b = fill(k * n, 7, 200, -100);
             assert_eq!(
-                eng.gemm(m, n, k, &a, &b, I8).0,
-                CampEngine::new().gemm(m, n, k, &a, &b, I8).0,
+                gemm(&mut eng, (m, n, k), &a, &b, I8).0,
+                gemm_i32_ref(m, n, k, &a, &b),
                 "{m}x{n}x{k}"
             );
         }
@@ -1319,11 +1048,11 @@ mod tests {
         let a = fill(m * k, 9, 30, -15);
         let b = fill(k * n, 11, 30, -15);
         let mut engine = CampEngine::new();
-        let first = engine.gemm(m, n, k, &a, &b, I8).0;
+        let first = gemm(&mut engine, (m, n, k), &a, &b, I8).0;
         let warm = engine.pack_allocations();
         assert!(warm > 0, "first call must populate the pool");
         for _ in 0..5 {
-            let again = engine.gemm(m, n, k, &a, &b, I8).0;
+            let again = gemm(&mut engine, (m, n, k), &a, &b, I8).0;
             assert_eq!(again, first);
         }
         assert_eq!(engine.pack_allocations(), warm, "steady state must not allocate");
@@ -1336,7 +1065,7 @@ mod tests {
         let k = 2 * KC;
         let a = fill(4 * k, 3, 16, -8);
         let b = fill(k * 4, 5, 16, -8);
-        let (c, s) = CampEngine::new().gemm(4, 4, k, &a, &b, I8);
+        let (c, s) = gemm(&mut CampEngine::new(), (4, 4, k), &a, &b, I8);
         assert_eq!(c, gemm_i32_ref(4, 4, k, &a, &b));
         assert_eq!(s.camp_issues, (k / 16) as u64);
         assert_eq!(s.vector_stores, 2);
@@ -1350,7 +1079,7 @@ mod tests {
         let a = fill(4 * 4, 3, 10, -5);
         let b = fill(4 * 4, 5, 10, -5);
         assert_eq!(
-            CampEngine::default().gemm(4, 4, 4, &a, &b, I8).0,
+            gemm(&mut CampEngine::default(), (4, 4, 4), &a, &b, I8).0,
             gemm_i32_ref(4, 4, 4, &a, &b)
         );
     }
@@ -1361,12 +1090,12 @@ mod tests {
         let a = fill(m * k, 3, 10, -5);
         let b = fill(k * n, 5, 10, -5);
         let mut eng = CampEngine::with_threads(4);
-        let (_, s) = eng.gemm(m, n, k, &a, &b, I8);
+        let (_, s) = gemm(&mut eng, (m, n, k), &a, &b, I8);
         assert_eq!(s.macs, (m * n * k) as u64);
         // every 4×4 tile is issued by exactly one worker, and B is
         // packed once into the shared panel — the whole stats block
         // matches the serial run, packing traffic included
-        let (_, serial) = CampEngine::new().gemm(m, n, k, &a, &b, I8);
+        let (_, serial) = gemm(&mut CampEngine::new(), (m, n, k), &a, &b, I8);
         assert_eq!(s.camp_issues, serial.camp_issues);
         assert_eq!(s.vector_stores, serial.vector_stores);
         assert_eq!(s.vector_loads, serial.vector_loads);
@@ -1384,11 +1113,166 @@ mod tests {
         let (m, n, k) = (96, NC + 12, KC / 4 + 40);
         let a = fill(m * k, 7, 30, -15);
         let b = fill(k * n, 11, 30, -15);
-        let (c_serial, serial) = CampEngine::new().gemm(m, n, k, &a, &b, I8);
+        let (c_serial, serial) = gemm(&mut CampEngine::new(), (m, n, k), &a, &b, I8);
         let mut eng = CampEngine::with_threads(5);
-        let (c_par, par) = eng.gemm(m, n, k, &a, &b, I8);
+        let (c_par, par) = gemm(&mut eng, (m, n, k), &a, &b, I8);
         assert_eq!(c_par, c_serial);
         assert_eq!(par, serial);
+    }
+
+    // ---- one nest, two image builders ----
+
+    /// Units over `c` for the row ranges `bounds[i]..bounds[i + 1]` of
+    /// `item`.
+    fn units_over<'a>(item: Item<'a>, bounds: &[usize], c: &'a mut [i32]) -> Vec<Unit<'a>> {
+        let mut rest = c;
+        bounds
+            .windows(2)
+            .map(|w| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut((w[1] - w[0]) * item.n);
+                rest = tail;
+                Unit { item, r0: w[0], c: head }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn any_row_partition_computes_the_reference_on_either_a_image() {
+        // (m, 4-aligned range bounds): a ragged tail, a range crossing
+        // the mc-row strip boundary of the whole image, uneven ranges
+        let mut cases: Vec<(usize, Vec<usize>)> = vec![
+            (37, vec![0, 37]),
+            (37, vec![0, 4, 24, 37]),
+            (192, vec![0, 96, 192]),
+            (192, vec![0, 100, 192]),
+            (2 * MC + 5, vec![0, MC - 4, MC + 8, 2 * MC + 5]),
+        ];
+        // the engine's own partition, up to more workers than 4-row
+        // tiles (every range one tile)
+        for threads in [2, 3, 5, 64] {
+            let rows_per = row_partition(37, threads);
+            cases.push((37, (0..37).step_by(rows_per).chain([37]).collect()));
+        }
+        let (n, k) = (20, 70);
+        let wp = WorkerPool::new(3);
+        for hk in HostKernel::available() {
+            for dtype in [I8, I4] {
+                let k_step = dtype.k_step();
+                let w = fill(k * n, 5, 16, -8);
+                // B as a registered panel and as a batch panel
+                let mut registry = WeightRegistry::new();
+                let h = registry.register(n, k, &w, dtype);
+                let mut shared = PackPool::new();
+                let plan = host_block_plan(1, n, k, k_step);
+                let id = shared.alloc_panel(packed_b_bytes(&plan));
+                prepack_b(shared.panel_mut(id), &w, n, k, &plan);
+                for (m, bounds) in &cases {
+                    let m = *m;
+                    let a = fill(m * k, 3, 16, -8);
+                    let want = gemm_i32_ref(m, n, k, &a, &w);
+                    // the image `prepare` builds, and none (each unit
+                    // packs its range into its worker's arena)
+                    let plan = host_block_plan(m, n, k, k_step);
+                    let mut whole = vec![0i8; packed_a_bytes(&plan)];
+                    prepack_a(&mut whole, &a, m, k, &plan);
+                    for a_image in [Some(&whole[..]), None] {
+                        for b in [registry.panel(h), shared.panel(id)] {
+                            let item =
+                                Item { m, n, k, k_step, a: &a, a_image, b: SmallB::Panel(b) };
+                            for pool in [None, Some(&wp)] {
+                                let mut c = vec![0i32; m * n];
+                                let mut arenas = Vec::new();
+                                run_units(units_over(item, bounds, &mut c), &mut arenas, pool, hk);
+                                assert_eq!(
+                                    c,
+                                    want,
+                                    "{} {dtype:?} m={m} ranges {bounds:?} prepare-built={} pooled={}",
+                                    hk.tier().name(),
+                                    a_image.is_some(),
+                                    pool.is_some()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stats_follow_one_rule_at_every_thread_count() {
+        // above the row-split threshold (ragged), exactly on it, and
+        // just under it (the `prepare`-built image)
+        for (m, n, k) in [(160, 160, 500), (32, 1024, 256), (32, 1024, 255)] {
+            let macs = (m * n * k) as u64;
+            let a = fill(m * k, 3, 16, -8);
+            let w = fill(k * n, 5, 16, -8);
+            let want = gemm_i32_ref(m, n, k, &a, &w);
+            let plan = host_block_plan(m, n, k, 16);
+            let mut serial = None;
+            for threads in [1, 2, 3, 5, 64] {
+                let mut eng = CampEngine::with_threads(threads);
+                let h = eng.register_weights(n, k, &w, I8);
+                let req = GemmRequest::with_weights(m, a.clone(), h).unwrap();
+                // the threshold alone selects which builder makes A's image
+                let staged = CampEngine::prepare(req.clone(), &eng.weight_snapshot());
+                assert_eq!(staged.packed_a.is_some(), macs < BATCH_ROW_SPLIT_MACS, "{m}x{n}x{k}");
+                let (c, s) = run_one(&mut eng, &req);
+                assert_eq!(c, want, "{m}x{n}x{k} threads={threads}");
+                assert_eq!(s.packed_a_bytes, (plan.mp * plan.kp) as u64, "A's image is mp·kp");
+                assert_eq!(s.packed_b_bytes, 0, "a handle packs no B");
+                assert_eq!((s.macs, s.blocked_routed), (macs, 1));
+                assert_eq!(*serial.get_or_insert(s), s, "{m}x{n}x{k} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_split_requests_reuse_their_workers_arena() {
+        // doc_prefill's QKV / out-proj GeMM: 12.6 M MACs, row-split, A's
+        // image built in the worker arenas
+        let (m, n, k) = (192, 256, 256);
+        let w = fill(k * n, 5, 16, -8);
+        let a = fill(m * k, 3, 16, -8);
+        for threads in [1, 2] {
+            let mut eng = CampEngine::with_threads(threads);
+            let h = eng.register_weights(n, k, &w, I8);
+            let req = GemmRequest::with_weights(m, a.clone(), h).unwrap();
+            let first = run_one(&mut eng, &req).0;
+            assert_eq!(first, gemm_i32_ref(m, n, k, &a, &w));
+            let warm = eng.pack_allocations();
+            for _ in 0..10 {
+                assert_eq!(run_one(&mut eng, &req).0, first);
+            }
+            // a smaller (ragged) image after the larger one: the arena's
+            // high-water tail holds the big request's panels and must
+            // not be read
+            let (sm, sn, sk) = (37, 1024, 250);
+            assert!((sm * sn * sk) as u64 >= BATCH_ROW_SPLIT_MACS);
+            let sw = fill(sk * sn, 7, 16, -8);
+            let sa = fill(sm * sk, 11, 16, -8);
+            let sh = eng.register_weights(sn, sk, &sw, I8);
+            let small = GemmRequest::with_weights(sm, sa.clone(), sh).unwrap();
+            assert_eq!(run_one(&mut eng, &small).0, gemm_i32_ref(sm, sn, sk, &sa, &sw));
+            assert_eq!(eng.pack_allocations(), warm, "threads={threads}: arenas must not regrow");
+        }
+    }
+
+    #[test]
+    fn a_single_unit_batch_runs_on_the_calling_thread() {
+        // pool threads run nothing but pool jobs, so an unchanged
+        // `jobs_run` means the unit ran right here
+        let mut eng = CampEngine::with_threads(4);
+        let pool = eng.worker_pool().expect("a 4-thread engine has a pool");
+        let blocked = dense((12, 9, 16), fill(12 * 16, 7, 16, -8), fill(16 * 9, 11, 16, -8), I8);
+        let gemv = dense((1, 16, 64), fill(64, 7, 16, -8), fill(64 * 16, 11, 16, -8), I8);
+        for req in [&blocked, &gemv] {
+            assert_eq!(run_one(&mut eng, req).0, reference(req));
+            assert_eq!((pool.jobs_run(), pool.queued_jobs()), (0, 0), "one unit enqueues nothing");
+        }
+        // the probe is live: two units do go to the pool, one job each
+        let _ = run_batch(&mut eng, &[blocked, gemv]);
+        assert_eq!((pool.jobs_run(), pool.queued_jobs()), (2, 0));
     }
 
     // ---- pre-packed weight registry ----
@@ -1404,12 +1288,9 @@ mod tests {
             assert!(eng.registered_weight_bytes() > 0);
             for m in [1, 6, 17] {
                 let a = fill(m * k, 3, 16, -8);
-                let (c, s) = eng.handle_gemm(m, &a, h);
-                assert_eq!(
-                    c,
-                    CampEngine::new().gemm(m, n, k, &a, &w, I8).0,
-                    "threads={threads} m={m}"
-                );
+                let (c, s) = handle_gemm(&mut eng, m, &a, h);
+                assert_eq!(c, gemm_i32_ref(m, n, k, &a, &w), "threads={threads} m={m}");
+                assert_eq!(c, gemm(&mut eng, (m, n, k), &a, &w, I8).0, "threads={threads} m={m}");
                 assert_eq!(s.packed_b_bytes, 0, "handle calls must never pack B");
                 assert!(s.packed_a_bytes > 0, "A is still packed per call");
             }
@@ -1424,7 +1305,9 @@ mod tests {
         let mut eng = CampEngine::with_threads(2);
         let h = eng.register_weights(n, k, &w, DType::I4);
         assert_eq!(eng.weight_meta(h).dtype, DType::I4);
-        assert_eq!(eng.handle_gemm(7, &a, h).0, CampEngine::new().gemm(7, n, k, &a, &w, I4).0);
+        let (c, s) = handle_gemm(&mut eng, 7, &a, h);
+        assert_eq!(c, gemm_i32_ref(7, n, k, &a, &w));
+        assert_eq!(s, gemm(&mut eng, (7, n, k), &a, &w, I4).1, "the handle carries the i4 k-step");
     }
 
     #[test]
@@ -1437,11 +1320,11 @@ mod tests {
         let a = fill(32 * k, 3, 16, -8);
         let mut eng = CampEngine::with_threads(4);
         let h = eng.register_weights(n, k, &w, DType::I8);
-        let (first, warm_stats) = eng.handle_gemm(32, &a, h);
+        let (first, warm_stats) = handle_gemm(&mut eng, 32, &a, h);
         assert_eq!(warm_stats.packed_b_bytes, 0);
         let warm_allocs = eng.pack_allocations();
         for _ in 0..5 {
-            let (c, s) = eng.handle_gemm(32, &a, h);
+            let (c, s) = handle_gemm(&mut eng, 32, &a, h);
             assert_eq!(c, first);
             assert_eq!(s.packed_b_bytes, 0, "steady state must not pack B");
         }
@@ -1461,8 +1344,8 @@ mod tests {
             GemmRequest::with_weights(9, a2.clone(), h).unwrap(),
         ];
         let (cs, stats) = run_batch(&mut eng, &reqs);
-        assert_eq!(cs[0], CampEngine::new().gemm(6, n, k, &a1, &w, I8).0);
-        assert_eq!(cs[1], CampEngine::new().gemm(9, n, k, &a2, &w, I8).0);
+        assert_eq!(cs[0], gemm_i32_ref(6, n, k, &a1, &w));
+        assert_eq!(cs[1], gemm_i32_ref(9, n, k, &a2, &w));
         assert_eq!(stats.packed_b_bytes, 0, "registered weights must not repack in batches");
     }
 
@@ -1479,6 +1362,12 @@ mod tests {
         ]
     }
 
+    /// The reference product of a [`dense`] request's own operands.
+    fn reference(req: &GemmRequest) -> Vec<i32> {
+        let Operand::Dense(b) = req.weights() else { panic!("dense request expected") };
+        gemm_i32_ref(req.m(), req.n().unwrap(), req.k().unwrap(), req.activation(), b)
+    }
+
     #[test]
     fn batch_is_bit_identical_to_per_call_loop() {
         for threads in [1, 2, 3, 8, 64] {
@@ -1490,7 +1379,8 @@ mod tests {
                 let batch = run_batch(&mut eng, &reqs).0;
                 assert_eq!(batch.len(), reqs.len());
                 for (c, r) in batch.iter().zip(&reqs) {
-                    assert_eq!(c, &per_call(&mut oracle, r).0, "{dtype:?} threads={threads}");
+                    assert_eq!(c, &run_one(&mut oracle, r).0, "{dtype:?} threads={threads}");
+                    assert_eq!(c, &reference(r), "{dtype:?} threads={threads}");
                 }
             }
         }
@@ -1510,21 +1400,9 @@ mod tests {
         for threads in [1, 2, 8] {
             let mut eng = CampEngine::with_threads(threads);
             let (cs, stats) = run_batch(&mut eng, &reqs);
-            assert_eq!(
-                cs[0],
-                CampEngine::new().gemm(5, 7, 33, &a1, &b1, I8).0,
-                "threads={threads}"
-            );
-            assert_eq!(
-                cs[1],
-                CampEngine::new().gemm(6, 9, 40, &a2, &b2, I4).0,
-                "threads={threads}"
-            );
-            assert_eq!(
-                cs[2],
-                CampEngine::new().gemm(5, 7, 33, &a1, &b1, I4).0,
-                "threads={threads}"
-            );
+            for (c, r) in cs.iter().zip(&reqs) {
+                assert_eq!(c, &reference(r), "threads={threads}");
+            }
             // both dtypes issue camp instructions; the shared operand
             // is packed per kernel (layouts differ), never per problem
             assert!(stats.camp_issues > 0);
@@ -1585,11 +1463,6 @@ mod tests {
             batch.packed_b_bytes, b_packed_once,
             "three problems over one weight matrix must pack B exactly once"
         );
-        let mut per_call_packed = 0;
-        for r in &reqs {
-            per_call_packed += per_call(&mut CampEngine::new(), r).1.packed_b_bytes;
-        }
-        assert_eq!(per_call_packed, 3 * b_packed_once, "the per-call loop packs B per problem");
 
         // sharing is buffer identity plus the packed shape: an
         // equal-valued but distinct buffer, and the same buffer under a
@@ -1609,7 +1482,7 @@ mod tests {
         assert_eq!(s.packed_b_bytes, b_packed_once);
         assert_eq!((s.small_m_routed, s.blocked_routed), (1, 1));
         for (c, r) in cs.iter().zip(&mixed) {
-            assert_eq!(c, &gemm_i32_ref(r.m(), n, k, r.activation(), &w));
+            assert_eq!(c, &reference(r));
         }
         let (_, s) = run_batch(&mut eng, &[on(6, 3, &w), on(5, 11, &w)]);
         assert_eq!(s.packed_b_bytes, 0);
@@ -1617,21 +1490,24 @@ mod tests {
 
     #[test]
     fn batch_row_splits_large_problems_identically() {
-        // straddle BATCH_ROW_SPLIT_MACS: one problem above (row-split
-        // path), one below (cross-item path); both must match per-call
+        // straddle BATCH_ROW_SPLIT_MACS: one problem above (split into
+        // row ranges), one below (one whole unit); both run in one pass
         let big = (160, 160, 512); // 13.1 M MACs
         assert!((big.0 * big.1 * big.2) as u64 >= BATCH_ROW_SPLIT_MACS);
         let small = (16, 16, 64);
-        let ab = fill(big.0 * big.2, 3, 16, -8);
-        let bb = fill(big.2 * big.1, 5, 16, -8);
-        let asml = fill(small.0 * small.2, 7, 16, -8);
-        let bsml = fill(small.2 * small.1, 11, 16, -8);
-        let reqs =
-            [dense(big, ab.clone(), bb.clone(), I8), dense(small, asml.clone(), bsml.clone(), I8)];
+        let reqs = [
+            dense(big, fill(big.0 * big.2, 3, 16, -8), fill(big.2 * big.1, 5, 16, -8), I8),
+            dense(
+                small,
+                fill(small.0 * small.2, 7, 16, -8),
+                fill(small.2 * small.1, 11, 16, -8),
+                I8,
+            ),
+        ];
         let mut eng = CampEngine::with_threads(4);
         let batch = run_batch(&mut eng, &reqs).0;
-        assert_eq!(batch[0], CampEngine::new().gemm(big.0, big.1, big.2, &ab, &bb, I8).0);
-        assert_eq!(batch[1], CampEngine::new().gemm(small.0, small.1, small.2, &asml, &bsml, I8).0);
+        assert_eq!(batch[0], reference(&reqs[0]));
+        assert_eq!(batch[1], reference(&reqs[1]));
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //!   blocked matrix multiplication whose micro-kernel is the `camp`
 //!   instruction's semantics. This is the library a downstream user calls
 //!   to run quantized GeMM the way the paper's modified ulmBLAS does. It
-//!   shares `camp-gemm`'s blocked-loop skeleton and pack-buffer pool, and
-//!   [`engine::CampEngine`] optionally runs the macro loop across a
-//!   **persistent worker pool** ([`pool`]) with bit-identical results.
+//!   shares `camp-gemm`'s blocked-loop skeleton and pack-buffer pool:
+//!   one loop nest over two whole packed images (B's a registered or
+//!   batch panel; A's built by `prepare` below a MAC threshold, by the
+//!   computing worker in its reused arena above it), never packing
+//!   inside the loops. [`engine::CampEngine`] optionally runs a batch's
+//!   work units across a **persistent worker pool** ([`pool`]) with
+//!   bit-identical results.
 //!   For attention-style workloads of many small GeMMs,
 //!   [`backend::CampBackend::execute_batch`] runs a whole batch of
 //!   [`GemmRequest`]s per call, deduplicating shared weight matrices
@@ -64,7 +68,7 @@ pub mod structure;
 pub mod sync;
 pub mod unit;
 
-pub use backend::{BatchOutcome, CampBackend, Capability, ExecStats, Outcome, Output, SimBackend};
+pub use backend::{BatchOutcome, CampBackend, ExecStats, Outcome, Output, SimBackend};
 pub use dispatch::{
     DispatchOptions, DispatchSession, DispatchStats, Dispatcher, Priority, TicketId,
 };

@@ -21,7 +21,7 @@
 //! The acceptance bar here is stricter than the pool models: every
 //! model must branch through **more than 50 interleavings**.
 
-use camp_core::backend::{BatchOutcome, CampBackend, Capability, ExecStats, Output};
+use camp_core::backend::{BatchOutcome, CampBackend, ExecStats, Output};
 use camp_core::dispatch::{DispatchOptions, Dispatcher, Priority};
 use camp_core::engine::EngineStats;
 use camp_core::{
@@ -48,10 +48,6 @@ macro_rules! model_backend_identity {
 
         fn threads(&self) -> usize {
             1
-        }
-
-        fn supports(&self, _cap: Capability) -> bool {
-            false
         }
 
         fn kernel_info(&self) -> KernelInfo {

@@ -105,9 +105,10 @@ pub fn packed_b_offset(kp: usize, jc: usize, ncb: usize, pc: usize) -> usize {
 /// Total bytes of a fully pre-packed A: every *unique* (ic, pc) block
 /// (see [`crate::loops::for_each_a_block`]) exactly once. Each row
 /// strip of height `mcb` spans the whole padded depth, so the total is
-/// `mp·kp`. Unlike B — which the blocked loops also pack once per
-/// block — the loops re-pack A once per *column strip*, so a pre-packed
-/// A additionally elides the repeats for wide problems.
+/// `mp·kp` — what the host engine packs per blocked request, whichever
+/// of its two builders makes the image. (The simulated driver, which
+/// packs inside its loops, re-packs each A block once per *column
+/// strip*.)
 pub fn packed_a_bytes(plan: &BlockPlan) -> usize {
     plan.mp * plan.kp
 }
@@ -148,7 +149,7 @@ mod tests {
 
     #[test]
     fn packed_b_layout_offsets_tile_the_panel() {
-        // blocks in run_blocked's own visit order (via the shared
+        // blocks in the blocked nest's visit order (the shared
         // for_each_b_block iterator) must be contiguous and cover
         // packed_b_bytes exactly
         let plan = BlockPlan::new(12, 20, 96, 4, 4, 32, (8, 8, 32));

@@ -40,7 +40,7 @@
 
 use crate::batch::GemmProblem;
 use crate::dispatch::{AccKind, ElemKind, KernelGeometry, PackBCtx, RUN_BUDGET};
-use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan, BlockSink};
+use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
 use crate::reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};
 use crate::weights::DType;
 use crate::workspace::Workspace;
@@ -410,9 +410,7 @@ impl SimBackend {
             );
         }
     }
-}
 
-impl BlockSink for SimBackend {
     fn pack_b(&mut self, jc: usize, ncb: usize, pc: usize, kcb: usize) {
         let ctx = PackBCtx {
             b_base: self.bufs.b_base,

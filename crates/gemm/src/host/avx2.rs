@@ -4,9 +4,7 @@
 //! accumulate through `vpmaddwd` (exact: every i8×i8 product fits i16
 //! headroom, every pairwise sum fits i32) into wrapping `vpaddd`
 //! accumulators — so the tier is bit-identical to the scalar reference
-//! by construction. f32 kernels use `vfmadd` with one accumulator
-//! register per output chunk, realizing the same per-element fma chain
-//! (`l` ascending) as [`super::scalar`], hence the same bits.
+//! by construction.
 //!
 //! Every `_impl` below is an `unsafe fn` with
 //! `#[target_feature(enable = ...)]` and **no inner unsafe blocks**;
@@ -339,87 +337,6 @@ pub fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
     unsafe { panel_mav_impl(acc, a_row, panel) }
 }
 
-// SAFETY: requires AVX2+FMA, `pa.len() >= kcb*4`, `pb.len() >= kcb*16`
-// and `acc.len() >= 64` — every load/store offset below is bounded by
-// those three lengths (the wrapper debug-asserts them).
-#[target_feature(enable = "avx2,fma")]
-unsafe fn f32_tile_impl(pa: &[f32], pb: &[f32], kcb: usize, acc: &mut [f32]) {
-    // 4×16 register tile: two 8-wide accumulators per row, held in
-    // registers across the whole depth block
-    let mut lo = [_mm256_setzero_ps(); 4];
-    let mut hi = [_mm256_setzero_ps(); 4];
-    for i in 0..4 {
-        lo[i] = _mm256_loadu_ps(acc.as_ptr().add(i * 16));
-        hi[i] = _mm256_loadu_ps(acc.as_ptr().add(i * 16 + 8));
-    }
-    for l in 0..kcb {
-        let b_lo = _mm256_loadu_ps(pb.as_ptr().add(l * 16));
-        let b_hi = _mm256_loadu_ps(pb.as_ptr().add(l * 16 + 8));
-        for i in 0..4 {
-            let a = _mm256_set1_ps(pa[l * 4 + i]);
-            lo[i] = _mm256_fmadd_ps(a, b_lo, lo[i]);
-            hi[i] = _mm256_fmadd_ps(a, b_hi, hi[i]);
-        }
-    }
-    for i in 0..4 {
-        _mm256_storeu_ps(acc.as_mut_ptr().add(i * 16), lo[i]);
-        _mm256_storeu_ps(acc.as_mut_ptr().add(i * 16 + 8), hi[i]);
-    }
-}
-
-/// 4×16 f32 fma register tile; same per-element fma chain as scalar.
-pub fn f32_tile(pa: &[f32], pb: &[f32], kcb: usize, acc: &mut [f32]) {
-    debug_assert!(pa.len() >= kcb * 4 && pb.len() >= kcb * 16 && acc.len() >= 64);
-    debug_assert!(
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
-        "avx2+fma kernel dispatched without avx2+fma"
-    );
-    // SAFETY: AVX2+FMA are runtime-detected before dispatch (asserted
-    // above), and the length preconditions are debug-asserted; release
-    // callers are the dispatch table, which packs to exactly these
-    // shapes.
-    unsafe { f32_tile_impl(pa, pb, kcb, acc) }
-}
-
-// SAFETY: requires AVX2+FMA. Pointer offsets are bounded the same way
-// as [`small_m_dense_impl`]: `j + 8 <= n` covers both the C-row store
-// and the B-row loads; the remainder path is safe indexing.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn f32_small_m_impl(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let mut j = 0;
-        while j + 8 <= n {
-            let cptr = c.as_mut_ptr().add(i * n + j);
-            let mut acc = _mm256_loadu_ps(cptr);
-            for (l, &av) in arow.iter().enumerate() {
-                let bv = _mm256_loadu_ps(b.as_ptr().add(l * n + j));
-                acc = _mm256_fmadd_ps(_mm256_set1_ps(av), bv, acc);
-            }
-            _mm256_storeu_ps(cptr, acc);
-            j += 8;
-        }
-        for j in j..n {
-            let mut acc = c[i * n + j];
-            for (l, &av) in arow.iter().enumerate() {
-                acc = av.mul_add(b[l * n + j], acc);
-            }
-            c[i * n + j] = acc;
-        }
-    }
-}
-
-/// See [`super::scalar::f32_small_m`]; bit-identical (fma chain).
-pub fn f32_small_m(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert!(
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
-        "avx2+fma kernel dispatched without avx2+fma"
-    );
-    // SAFETY: AVX2+FMA gate dispatch to this tier (debug-asserted
-    // above); slice shapes are the m×k / k×n / m×n engine contract.
-    unsafe { f32_small_m_impl(m, n, k, a, b, c) }
-}
-
 // ---- SIMD pack routines ---------------------------------------------------
 
 // SAFETY: requires AVX2 (SSE unpack/loads). The 16-byte row loads are
@@ -584,10 +501,6 @@ mod tests {
         is_x86_feature_detected!("avx2")
     }
 
-    fn have_fma() -> bool {
-        have_avx2() && is_x86_feature_detected!("fma")
-    }
-
     #[test]
     fn tile_is_bit_identical_to_scalar() {
         if !have_avx2() {
@@ -693,48 +606,6 @@ mod tests {
             scalar::panel_mav(&mut want, &a_row, &panel);
             panel_mav(&mut got, &a_row, &panel);
             assert_eq!(got, want, "kreal={kreal}");
-        }
-    }
-
-    #[test]
-    fn f32_tile_matches_scalar_chain_bitwise() {
-        if !have_fma() {
-            return;
-        }
-        // the AVX2 tile is 4×16 = four scalar 4×4 tiles side by side;
-        // check each element continues the same fma chain
-        let mut r = SplitMix64::new(13);
-        let kcb = 37;
-        let pa: Vec<f32> = (0..kcb * 4).map(|_| r.next_i8(-50, 50) as f32 * 0.125).collect();
-        let pb: Vec<f32> = (0..kcb * 16).map(|_| r.next_i8(-50, 50) as f32 * 0.125).collect();
-        let mut got = [0.5f32; 64];
-        let want = got;
-        f32_tile(&pa, &pb, kcb, &mut got);
-        for (i, row) in want.chunks(16).enumerate() {
-            for (j, &seed) in row.iter().enumerate() {
-                let mut acc = seed;
-                for l in 0..kcb {
-                    acc = pa[l * 4 + i].mul_add(pb[l * 16 + j], acc);
-                }
-                assert_eq!(got[i * 16 + j].to_bits(), acc.to_bits(), "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_small_m_is_bit_identical_to_scalar() {
-        if !have_fma() {
-            return;
-        }
-        let mut r = SplitMix64::new(14);
-        for (m, n, k) in [(1, 9, 3), (2, 8, 16), (4, 31, 11)] {
-            let a: Vec<f32> = (0..m * k).map(|_| r.next_i8(-64, 64) as f32 * 0.25).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| r.next_i8(-64, 64) as f32 * 0.25).collect();
-            let mut want = vec![0.25f32; m * n];
-            let mut got = want.clone();
-            scalar::f32_small_m(m, n, k, &a, &b, &mut want);
-            f32_small_m(m, n, k, &a, &b, &mut got);
-            assert!(got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()), "{m}x{n}x{k}");
         }
     }
 }

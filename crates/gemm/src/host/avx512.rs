@@ -4,10 +4,9 @@
 //! widening through per-lane `vpshufb` pair interleaves, `vpmaddwd`
 //! pairwise dots (exact in i16/i32 headroom), wrapping `vpaddd`
 //! accumulation — at twice the vector width: 16 k-values per integer
-//! step, 16 f32 lanes per fma, and a 4×16 widened integer register
-//! tile that amortizes every A-side shuffle over four B panels. The
-//! 32-register zmm file is what makes the 8×32 f32 tile and the
-//! 16-accumulator integer tile hold entirely in registers.
+//! step and a 4×16 widened integer register tile that amortizes every
+//! A-side shuffle over four B panels. The 32-register zmm file is what
+//! makes the 16-accumulator integer tile hold entirely in registers.
 //!
 //! Depth remainders that do not fill a 64-byte chunk take the scalar
 //! reference path — bit-identical by definition, and never hit by the
@@ -341,81 +340,6 @@ pub fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
     unsafe { panel_mav_impl(acc, a_row, panel) }
 }
 
-// SAFETY: requires AVX512F, `pa.len() >= kcb*8`, `pb.len() >= kcb*32`
-// and `acc.len() >= 256` — every load/store offset below is bounded by
-// those three lengths (the wrapper debug-asserts them).
-#[target_feature(enable = "avx512f")]
-unsafe fn f32_tile_impl(pa: &[f32], pb: &[f32], kcb: usize, acc: &mut [f32]) {
-    // 8×32 register tile: two 16-wide accumulators per row — 16 of the
-    // 32 zmm registers carry C across the whole depth block
-    let mut lo = [_mm512_setzero_ps(); 8];
-    let mut hi = [_mm512_setzero_ps(); 8];
-    for i in 0..8 {
-        lo[i] = _mm512_loadu_ps(acc.as_ptr().add(i * 32));
-        hi[i] = _mm512_loadu_ps(acc.as_ptr().add(i * 32 + 16));
-    }
-    for l in 0..kcb {
-        let b_lo = _mm512_loadu_ps(pb.as_ptr().add(l * 32));
-        let b_hi = _mm512_loadu_ps(pb.as_ptr().add(l * 32 + 16));
-        for i in 0..8 {
-            let a = _mm512_set1_ps(pa[l * 8 + i]);
-            lo[i] = _mm512_fmadd_ps(a, b_lo, lo[i]);
-            hi[i] = _mm512_fmadd_ps(a, b_hi, hi[i]);
-        }
-    }
-    for i in 0..8 {
-        _mm512_storeu_ps(acc.as_mut_ptr().add(i * 32), lo[i]);
-        _mm512_storeu_ps(acc.as_mut_ptr().add(i * 32 + 16), hi[i]);
-    }
-}
-
-/// 8×32 f32 fma register tile; same per-element fma chain as scalar.
-pub fn f32_tile(pa: &[f32], pb: &[f32], kcb: usize, acc: &mut [f32]) {
-    debug_assert!(pa.len() >= kcb * 8 && pb.len() >= kcb * 32 && acc.len() >= 256);
-    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
-    // SAFETY: AVX-512 is runtime-detected before dispatch (asserted
-    // above), and the length preconditions are debug-asserted; release
-    // callers are the dispatch table, which packs to exactly these
-    // shapes (f32_mr=8, f32_nr=32).
-    unsafe { f32_tile_impl(pa, pb, kcb, acc) }
-}
-
-// SAFETY: requires AVX512F. Pointer offsets are bounded the same way as
-// [`small_m_dense_impl`]: `j + 16 <= n` covers both the C-row
-// load/store and the B-row loads; the remainder path is safe indexing.
-#[target_feature(enable = "avx512f")]
-unsafe fn f32_small_m_impl(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let mut j = 0;
-        while j + 16 <= n {
-            let cptr = c.as_mut_ptr().add(i * n + j);
-            let mut vacc = _mm512_loadu_ps(cptr);
-            for (l, &av) in arow.iter().enumerate() {
-                let bv = _mm512_loadu_ps(b.as_ptr().add(l * n + j));
-                vacc = _mm512_fmadd_ps(_mm512_set1_ps(av), bv, vacc);
-            }
-            _mm512_storeu_ps(cptr, vacc);
-            j += 16;
-        }
-        for j in j..n {
-            let mut sum = c[i * n + j];
-            for (l, &av) in arow.iter().enumerate() {
-                sum = av.mul_add(b[l * n + j], sum);
-            }
-            c[i * n + j] = sum;
-        }
-    }
-}
-
-/// See [`super::scalar::f32_small_m`]; bit-identical (fma chain).
-pub fn f32_small_m(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
-    // SAFETY: AVX-512 gates dispatch to this tier (debug-asserted
-    // above); slice shapes are the m×k / k×n / m×n engine contract.
-    unsafe { f32_small_m_impl(m, n, k, a, b, c) }
-}
-
 /// Runtime gate shared by the wrappers' debug assertions: the features
 /// every kernel in this module may rely on.
 fn have_avx512() -> bool {
@@ -497,48 +421,6 @@ mod tests {
             scalar::panel_mav(&mut want, &a_row, &panel);
             panel_mav(&mut got, &a_row, &panel);
             assert_eq!(got, want, "kreal={kreal}");
-        }
-    }
-
-    #[test]
-    fn f32_tile_matches_scalar_chain_bitwise() {
-        if !have_avx512() {
-            return;
-        }
-        // the AVX-512 tile is 8×32; check each element continues the
-        // same fma chain as the scalar contract
-        let mut r = SplitMix64::new(34);
-        let kcb = 37;
-        let pa: Vec<f32> = (0..kcb * 8).map(|_| r.next_i8(-50, 50) as f32 * 0.125).collect();
-        let pb: Vec<f32> = (0..kcb * 32).map(|_| r.next_i8(-50, 50) as f32 * 0.125).collect();
-        let mut got = [0.5f32; 256];
-        let want = got;
-        f32_tile(&pa, &pb, kcb, &mut got);
-        for (i, row) in want.chunks(32).enumerate() {
-            for (j, &seed) in row.iter().enumerate() {
-                let mut chain = seed;
-                for l in 0..kcb {
-                    chain = pa[l * 8 + i].mul_add(pb[l * 32 + j], chain);
-                }
-                assert_eq!(got[i * 32 + j].to_bits(), chain.to_bits(), "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_small_m_is_bit_identical_to_scalar() {
-        if !have_avx512() {
-            return;
-        }
-        let mut r = SplitMix64::new(35);
-        for (m, n, k) in [(1, 9, 3), (2, 16, 16), (4, 47, 11)] {
-            let a: Vec<f32> = (0..m * k).map(|_| r.next_i8(-64, 64) as f32 * 0.25).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| r.next_i8(-64, 64) as f32 * 0.25).collect();
-            let mut want = vec![0.25f32; m * n];
-            let mut got = want.clone();
-            scalar::f32_small_m(m, n, k, &a, &b, &mut want);
-            f32_small_m(m, n, k, &a, &b, &mut got);
-            assert!(got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()), "{m}x{n}x{k}");
         }
     }
 }

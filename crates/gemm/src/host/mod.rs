@@ -9,7 +9,7 @@
 //! pire/BLIS pattern: per-architecture micro-kernel + pack modules
 //! behind a single runtime-dispatched seam.
 //!
-//! Three kernel families live behind the table:
+//! Two kernel families live behind the table:
 //!
 //! * **`tile_i8`** — the widening i8→i32 dot-product micro-kernel. It
 //!   consumes one packed 4-row A panel and 4-column B panel across the
@@ -23,20 +23,11 @@
 //!   [`crate::loops::small_path`]) that bypass the full Goto nest for
 //!   GEMV-shaped serving GeMMs: decode steps (m ≤ 8) and narrow
 //!   projections (n ≤ 8) skip A-packing and the padded register tile.
-//! * **`f32` FMA kernels** — a self-contained float subsystem
-//!   ([`HostGemmF32`] / [`gemm_f32`]) with per-tier register-block
-//!   geometry (MR×NR). Float addition is *not* associative, so bit
-//!   identity is pinned down differently: every tier computes each
-//!   output element as one fused-multiply-add chain over `l` ascending
-//!   (`acc = fma(a, b, acc)`). The scalar tier uses [`f32::mul_add`]
-//!   (correctly rounded), AVX2 uses `vfmadd`, NEON uses `vfma` — the
-//!   same chain in the same order, hence the same bits, which the
-//!   parity proptests assert.
 //!
 //! Cache blocking (`mc`/`nc`/`kc`) is env-tunable via `CAMP_MC`,
-//! `CAMP_NC` and `CAMP_KC` (validated; see [`int_blocking`] /
-//! [`f32_blocking`]); `CAMP_FORCE_TIER={scalar,avx2,avx512,neon}` pins
-//! dispatch to a specific tier (panicking if the CPU cannot run it),
+//! `CAMP_NC` and `CAMP_KC` (validated; see [`int_blocking`]);
+//! `CAMP_FORCE_TIER={scalar,avx2,avx512,neon}` pins dispatch to a
+//! specific tier (panicking if the CPU cannot run it),
 //! and the older `CAMP_FORCE_SCALAR=1` remains as the scalar shorthand
 //! (the CI job that keeps the fallback honest). The integer path keeps
 //! one packed-panel layout across tiers — the 4-wide camp panel layout
@@ -64,7 +55,7 @@ pub mod neon;
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
+use crate::loops::BlockPlan;
 use crate::weights::HOST_BLOCKING;
 
 pub use small::SmallB;
@@ -80,10 +71,10 @@ pub use small::SmallB;
 pub struct CpuFeatures {
     /// AVX2 256-bit integer/float SIMD (x86_64).
     pub avx2: bool,
-    /// FMA3 fused multiply-add (x86_64; required for the AVX2 tier's
-    /// f32 kernels).
+    /// FMA3 fused multiply-add (x86_64; part of the AVX2 tier's
+    /// feature gate).
     pub fma: bool,
-    /// AVX-512 foundation (512-bit f32/i32 lanes; x86_64).
+    /// AVX-512 foundation (512-bit i32 lanes; x86_64).
     pub avx512f: bool,
     /// AVX-512 byte/word instructions (zmm `vpshufb`/`vpmaddwd`;
     /// required, with `avx512f` and `avx512vl`, for the AVX-512 tier).
@@ -162,14 +153,13 @@ pub enum HostTier {
     /// Portable scalar Rust — always available, the bit-identity
     /// reference every SIMD tier is property-tested against.
     Scalar,
-    /// x86_64 AVX2 (+FMA for f32): `vpshufb`/`vpmaddwd` widening i8
-    /// tile (4×8 widened), 4×16 `vfmadd` f32 tile.
+    /// x86_64 AVX2 (+FMA): `vpshufb`/`vpmaddwd` widening i8 tile
+    /// (4×8 widened).
     Avx2,
     /// x86_64 AVX-512 (F+BW+VL): zmm `vpshufb`/`vpmaddwd` widening i8
-    /// tile (4×16 widened), 8×32 `vfmadd` f32 tile.
+    /// tile (4×16 widened).
     Avx512,
-    /// aarch64 NEON: `smlal`-lane widening i8 tile, 4×8 `vfma` f32
-    /// tile.
+    /// aarch64 NEON: `smlal`-lane widening i8 tile.
     Neon,
 }
 
@@ -200,9 +190,7 @@ impl HostTier {
 ///
 /// Integer kernels operate on the shared 4×4 camp panel layout
 /// ([`crate::weights::pack_a_block`] / [`crate::weights::pack_b_block`]),
-/// so pre-packed weights and staged panels are tier-portable. The f32
-/// kernels have per-tier register-block geometry (`f32_tile_shape`)
-/// over their own packed layout, private to [`HostGemmF32`].
+/// so pre-packed weights and staged panels are tier-portable.
 pub struct HostKernel {
     tier: HostTier,
     /// Whole-depth 4×4 widening integer tile kernel: `pa`/`pb` are one
@@ -227,15 +215,6 @@ pub struct HostKernel {
     /// `acc[j] += Σ_l a_row[l]·panel[l*4+j]` (wrapping) over one
     /// 4-column packed B panel, `a_row.len()` k-values deep.
     pub(crate) panel_mav: fn(&mut [i32; 4], &[i8], &[i8]),
-    /// f32 register tile: `(pa, pb, kcb, acc)` with `acc` an
-    /// `mr×nr` row-major scratch; each element is continued as a
-    /// single fma chain over `l` ascending.
-    pub(crate) f32_tile: fn(&[f32], &[f32], usize, &mut [f32]),
-    /// Skinny-m f32 kernel over raw operands, same fma-chain contract.
-    pub(crate) f32_small_m: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]),
-    /// (MR, NR) of `f32_tile`.
-    pub(crate) f32_mr: usize,
-    pub(crate) f32_nr: usize,
     /// Tier-accelerated [`scalar::pack_a_block`]: byte-identical packed
     /// image (the scalar packer is the layout reference).
     pub(crate) pack_a: fn(&mut [i8], &[i8], usize, usize, usize, usize, usize),
@@ -249,7 +228,7 @@ impl fmt::Debug for HostKernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HostKernel")
             .field("tier", &self.tier)
-            .field("f32_tile", &(self.f32_mr, self.f32_nr))
+            .field("int_nr", &self.int_nr)
             .finish()
     }
 }
@@ -261,10 +240,6 @@ static SCALAR: HostKernel = HostKernel {
     int_nr: 4,
     small_m_dense: scalar::small_m_dense,
     panel_mav: scalar::panel_mav,
-    f32_tile: scalar::f32_tile,
-    f32_small_m: scalar::f32_small_m,
-    f32_mr: 4,
-    f32_nr: 4,
     pack_a: scalar::pack_a_block,
     pack_b: scalar::pack_b_block,
     pack_nibbles: scalar::pack_nibbles,
@@ -278,10 +253,6 @@ static AVX2: HostKernel = HostKernel {
     int_nr: 8,
     small_m_dense: avx2::small_m_dense,
     panel_mav: avx2::panel_mav,
-    f32_tile: avx2::f32_tile,
-    f32_small_m: avx2::f32_small_m,
-    f32_mr: 4,
-    f32_nr: 16,
     pack_a: avx2::pack_a_block,
     pack_b: avx2::pack_b_block,
     pack_nibbles: avx2::pack_nibbles,
@@ -299,10 +270,6 @@ static AVX512: HostKernel = HostKernel {
     int_nr: 16,
     small_m_dense: avx512::small_m_dense,
     panel_mav: avx512::panel_mav,
-    f32_tile: avx512::f32_tile,
-    f32_small_m: avx512::f32_small_m,
-    f32_mr: 8,
-    f32_nr: 32,
     pack_a: avx2::pack_a_block,
     pack_b: avx2::pack_b_block,
     pack_nibbles: avx2::pack_nibbles,
@@ -316,10 +283,6 @@ static NEON: HostKernel = HostKernel {
     int_nr: 4,
     small_m_dense: neon::small_m_dense,
     panel_mav: neon::panel_mav,
-    f32_tile: neon::f32_tile,
-    f32_small_m: neon::f32_small_m,
-    f32_mr: 4,
-    f32_nr: 8,
     pack_a: scalar::pack_a_block,
     pack_b: scalar::pack_b_block,
     pack_nibbles: scalar::pack_nibbles,
@@ -458,15 +421,8 @@ impl HostKernel {
             features: CpuFeatures::detect(),
             int_tile_i8: self.int_tile_shape(),
             int_tile_i4: self.int_tile_shape(),
-            f32_tile: (self.f32_mr, self.f32_nr),
             int_blocking: int_blocking(),
-            f32_blocking: f32_blocking(self.tier),
         }
-    }
-
-    /// (MR, NR) of this tier's f32 register tile.
-    pub fn f32_tile_shape(&self) -> (usize, usize) {
-        (self.f32_mr, self.f32_nr)
     }
 
     /// (MR, NR) of this tier's widened integer register tile — MR is
@@ -581,8 +537,8 @@ impl HostKernel {
 /// serving logs and `BENCH_*.json` rows can record their substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelInfo {
-    /// Tier name (`"scalar"`, `"avx2"`, `"neon"`, or a backend-synth
-    /// name like `"sim-cycle-accurate"`).
+    /// Tier name (`"scalar"`, `"avx2"`, `"avx512"`, `"neon"`, or the
+    /// simulated backend's `"sim-camp"`).
     pub tier: String,
     /// True when the tier uses SIMD.
     pub simd: bool,
@@ -596,19 +552,15 @@ pub struct KernelInfo {
     /// separately because the dtypes may diverge (e.g. a future VNNI
     /// nibble kernel) and bench consumers key on dtype.
     pub int_tile_i4: (usize, usize),
-    /// f32 register tile (per tier).
-    pub f32_tile: (usize, usize),
     /// Active integer-path (mc, nc, kc).
     pub int_blocking: (usize, usize, usize),
-    /// Active f32-path (mc, nc, kc).
-    pub f32_blocking: (usize, usize, usize),
 }
 
 impl fmt::Display for KernelInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} kernel (features: {}; i8 tile {}x{} i4 tile {}x{} blocking {}/{}/{}; f32 tile {}x{} blocking {}/{}/{})",
+            "{} kernel (features: {}; i8 tile {}x{} i4 tile {}x{} blocking {}/{}/{})",
             self.tier,
             self.features.summary(),
             self.int_tile_i8.0,
@@ -618,11 +570,6 @@ impl fmt::Display for KernelInfo {
             self.int_blocking.0,
             self.int_blocking.1,
             self.int_blocking.2,
-            self.f32_tile.0,
-            self.f32_tile.1,
-            self.f32_blocking.0,
-            self.f32_blocking.1,
-            self.f32_blocking.2,
         )
     }
 }
@@ -680,246 +627,10 @@ pub fn int_blocking() -> (usize, usize, usize) {
     apply_overrides(blocking_overrides(), HOST_BLOCKING)
 }
 
-/// f32-path cache blocking for a tier: the env overrides over per-tier
-/// defaults sized for the tier's register tile. The f32 packed layout
-/// is private to [`HostGemmF32`], so tiers are free to differ here.
-pub fn f32_blocking(tier: HostTier) -> (usize, usize, usize) {
-    let default = match tier {
-        HostTier::Scalar => (64, 256, 256),
-        HostTier::Avx2 => (96, 1024, 256),
-        HostTier::Avx512 => (128, 1024, 256),
-        HostTier::Neon => (96, 512, 256),
-    };
-    apply_overrides(blocking_overrides(), default)
-}
-
-// ---- f32 subsystem --------------------------------------------------------
-
-/// m at or below which the f32 path skips the blocked nest entirely
-/// (raw-operand fma kernel, no packing).
-pub const SMALL_M_F32: usize = 4;
-
-/// Upper bound of `mr*nr` across tiers (the macro loop's stack
-/// scratch); the AVX-512 tier's 8×32 tile is the current maximum.
-const MAX_F32_TILE: usize = 256;
-
-/// Debug-build scratch-audit sentinel: a quiet-NaN bit pattern with an
-/// improbable payload. Reused scratch (the context's `pa`/`pb` pack
-/// buffers, the `MAX_F32_TILE` tile accumulator) is poured full of
-/// this before each refill; the asserts downstream then prove the
-/// packers overwrite every element of their exactly-sized block (no
-/// stale panel from a previous, larger shape survives into a read) and
-/// the unsafe tile kernels never touch scratch outside their `mr×nr`
-/// window. Release builds compile all of it out.
-const SCRATCH_SENTINEL: u32 = 0xFFC0_1DEA;
-
-/// Fill with the sentinel (debug builds only — no-op in release).
-#[inline]
-fn poison_scratch(buf: &mut [f32]) {
-    if cfg!(debug_assertions) {
-        buf.fill(f32::from_bits(SCRATCH_SENTINEL));
-    }
-}
-
-/// True when no sentinel survives, i.e. the packer wrote every element
-/// of the exactly-sized block it was handed.
-#[inline]
-fn scratch_fully_written(buf: &[f32]) -> bool {
-    buf.iter().all(|v| v.to_bits() != SCRATCH_SENTINEL)
-}
-
-/// True when every element still holds the sentinel — the tile kernel
-/// stayed inside its window.
-#[inline]
-fn scratch_untouched(buf: &[f32]) -> bool {
-    buf.iter().all(|v| v.to_bits() == SCRATCH_SENTINEL)
-}
-
-fn pack_a_f32(
-    buf: &mut [f32],
-    a: &[f32],
-    m: usize,
-    k: usize,
-    ic: usize,
-    pc: usize,
-    kcb: usize,
-    mr: usize,
-) {
-    let panel = kcb * mr;
-    for (p, pbuf) in buf.chunks_exact_mut(panel).enumerate() {
-        let i0 = ic + p * mr;
-        for l in 0..kcb {
-            let lg = pc + l;
-            for (rx, out) in pbuf[l * mr..l * mr + mr].iter_mut().enumerate() {
-                let i = i0 + rx;
-                *out = if lg < k && i < m { a[i * k + lg] } else { 0.0 };
-            }
-        }
-    }
-}
-
-fn pack_b_f32(
-    buf: &mut [f32],
-    b: &[f32],
-    n: usize,
-    k: usize,
-    jc: usize,
-    pc: usize,
-    kcb: usize,
-    nr: usize,
-) {
-    let panel = kcb * nr;
-    for (q, pbuf) in buf.chunks_exact_mut(panel).enumerate() {
-        let j0 = jc + q * nr;
-        for l in 0..kcb {
-            let lg = pc + l;
-            for (cx, out) in pbuf[l * nr..l * nr + nr].iter_mut().enumerate() {
-                let j = j0 + cx;
-                *out = if lg < k && j < n { b[lg * n + j] } else { 0.0 };
-            }
-        }
-    }
-}
-
-/// Reusable f32 GeMM context over a dispatched [`HostKernel`]: owns the
-/// pack scratch so steady-state calls are allocation-free once warm.
-///
-/// Semantics: `C[i][j]` is one fused-multiply-add chain
-/// `acc = fma(A[i][l], B[l][j], acc)` over `l` ascending from `+0.0` —
-/// exactly [`crate::reference::gemm_f32_fma_ref`], and **bit-identical
-/// across tiers** (the parity proptests pin this). Zero-padding is
-/// exact: `fma(0, b, acc) == acc` for every finite `acc` the chain can
-/// produce.
-#[derive(Debug)]
-pub struct HostGemmF32 {
-    kernel: &'static HostKernel,
-    pa: Vec<f32>,
-    pb: Vec<f32>,
-}
-
-impl Default for HostGemmF32 {
-    fn default() -> Self {
-        HostGemmF32::new()
-    }
-}
-
-impl HostGemmF32 {
-    /// Context over the detected best tier.
-    pub fn new() -> Self {
-        HostGemmF32::with_kernel(HostKernel::detect())
-    }
-
-    /// Context pinned to a specific kernel (parity tests, benches).
-    pub fn with_kernel(kernel: &'static HostKernel) -> Self {
-        HostGemmF32 { kernel, pa: Vec::new(), pb: Vec::new() }
-    }
-
-    /// The dispatched kernel.
-    pub fn kernel(&self) -> &'static HostKernel {
-        self.kernel
-    }
-
-    /// Row-major m×n C = A·B (A m×k, B k×n row-major).
-    ///
-    /// # Panics
-    /// Panics if slice lengths do not match the dimensions.
-    pub fn gemm(&mut self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-        let mut c = vec![0f32; m * n];
-        self.gemm_into(m, n, k, a, b, &mut c);
-        c
-    }
-
-    /// [`HostGemmF32::gemm`] into a caller-owned buffer (overwritten).
-    pub fn gemm_into(&mut self, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        assert_eq!(a.len(), m * k, "A must be m×k");
-        assert_eq!(b.len(), k * n, "B must be k×n");
-        assert_eq!(c.len(), m * n, "C must be m×n");
-        c.fill(0.0);
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        if m <= SMALL_M_F32 {
-            (self.kernel.f32_small_m)(m, n, k, a, b, c);
-            return;
-        }
-        let (mr, nr) = (self.kernel.f32_mr, self.kernel.f32_nr);
-        let plan = BlockPlan::new(m, n, k, mr, nr, 1, f32_blocking(self.kernel.tier));
-        if self.pb.len() < plan.nc * plan.kc {
-            self.pb.resize(plan.nc * plan.kc, 0.0);
-        }
-        if self.pa.len() < plan.mc * plan.kc {
-            self.pa.resize(plan.mc * plan.kc, 0.0);
-        }
-        let HostGemmF32 { kernel, pa, pb } = self;
-        let mut acc = [0f32; MAX_F32_TILE];
-        poison_scratch(&mut acc);
-        for_each_b_block(&plan, |jc, ncb, pc, kcb| {
-            poison_scratch(&mut pb[..ncb * kcb]);
-            pack_b_f32(&mut pb[..ncb * kcb], b, n, k, jc, pc, kcb, nr);
-            debug_assert!(
-                scratch_fully_written(&pb[..ncb * kcb]),
-                "pack_b_f32 left stale scratch inside its exactly-sized {ncb}x{kcb} block"
-            );
-            for_each_row_strip(&plan, |ic, mcb| {
-                poison_scratch(&mut pa[..mcb * kcb]);
-                pack_a_f32(&mut pa[..mcb * kcb], a, m, k, ic, pc, kcb, mr);
-                debug_assert!(
-                    scratch_fully_written(&pa[..mcb * kcb]),
-                    "pack_a_f32 left stale scratch inside its exactly-sized {mcb}x{kcb} block"
-                );
-                for q in 0..ncb / nr {
-                    let pbp = &pb[q * kcb * nr..(q + 1) * kcb * nr];
-                    for p in 0..mcb / mr {
-                        let pap = &pa[p * kcb * mr..(p + 1) * kcb * mr];
-                        // Continue each element's fma chain from the
-                        // value previous k blocks left in C (first
-                        // block: the +0.0 the chain starts from), so
-                        // blocked and skinny paths fold identically.
-                        let i0 = ic + p * mr;
-                        let j0 = jc + q * nr;
-                        for r in 0..mr {
-                            for s in 0..nr {
-                                let (i, j) = (i0 + r, j0 + s);
-                                acc[r * nr + s] = if i < m && j < n { c[i * n + j] } else { 0.0 };
-                            }
-                        }
-                        (kernel.f32_tile)(pap, pbp, kcb, &mut acc[..mr * nr]);
-                        debug_assert!(
-                            scratch_untouched(&acc[mr * nr..]),
-                            "f32 tile kernel wrote outside its {mr}x{nr} scratch window"
-                        );
-                        for r in 0..mr {
-                            let i = i0 + r;
-                            if i >= m {
-                                break;
-                            }
-                            for s in 0..nr {
-                                let j = j0 + s;
-                                if j < n {
-                                    c[i * n + j] = acc[r * nr + s];
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        });
-    }
-}
-
-/// One-shot f32 GeMM on the detected best tier; see [`HostGemmF32`].
-pub fn gemm_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-    HostGemmF32::new().gemm(m, n, k, a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{gemm_f32_fma_ref, gemm_i32_ref, SplitMix64};
-
-    fn f32_vec(r: &mut SplitMix64, len: usize) -> Vec<f32> {
-        (0..len).map(|_| (r.next_i8(-64, 64) as f32) * 0.25).collect()
-    }
+    use crate::reference::{gemm_i32_ref, SplitMix64};
 
     #[test]
     fn detect_returns_a_usable_tier() {
@@ -996,81 +707,6 @@ mod tests {
         }
         // overrides apply over any default
         assert_eq!(apply_overrides((Some(8), None, Some(32)), (1, 2, 3)), (8, 2, 32));
-    }
-
-    #[test]
-    fn f32_blocking_is_per_tier_but_env_shared() {
-        assert_ne!(f32_blocking(HostTier::Scalar), f32_blocking(HostTier::Avx2));
-        // the int path is one layout for all tiers
-        let info_a = HostKernel::scalar().info();
-        assert_eq!(info_a.int_blocking, int_blocking());
-    }
-
-    #[test]
-    fn f32_gemm_matches_the_fma_reference_bitwise() {
-        let mut r = SplitMix64::new(11);
-        let mut ctx = HostGemmF32::new();
-        for (m, n, k) in [(1, 1, 1), (3, 5, 7), (4, 16, 9), (13, 21, 40), (32, 48, 65)] {
-            let a = f32_vec(&mut r, m * k);
-            let b = f32_vec(&mut r, k * n);
-            let c = ctx.gemm(m, n, k, &a, &b);
-            let want = gemm_f32_fma_ref(m, n, k, &a, &b);
-            assert!(
-                c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{m}x{n}x{k} diverged from the fma reference"
-            );
-        }
-    }
-
-    #[test]
-    fn f32_zero_dims_are_degenerate() {
-        let mut ctx = HostGemmF32::new();
-        assert!(ctx.gemm(0, 4, 4, &[], &f32_vec(&mut SplitMix64::new(1), 16)).is_empty());
-        let c = ctx.gemm(2, 2, 0, &[], &[]);
-        assert_eq!(c, vec![0.0; 4]);
-    }
-
-    #[test]
-    fn f32_context_is_allocation_free_when_warm() {
-        // same shape twice: the second call must not regrow scratch
-        let mut r = SplitMix64::new(5);
-        let (m, n, k) = (24, 40, 33);
-        let a = f32_vec(&mut r, m * k);
-        let b = f32_vec(&mut r, k * n);
-        let mut ctx = HostGemmF32::new();
-        let first = ctx.gemm(m, n, k, &a, &b);
-        let (cap_a, cap_b) = (ctx.pa.capacity(), ctx.pb.capacity());
-        let second = ctx.gemm(m, n, k, &a, &b);
-        assert_eq!(first, second);
-        assert_eq!((ctx.pa.capacity(), ctx.pb.capacity()), (cap_a, cap_b));
-    }
-
-    #[test]
-    fn warm_scratch_never_leaks_into_a_smaller_problem() {
-        // A big blocked shape grows `pa`/`pb` to their high-water mark
-        // and fills them with nonzero panels. Every later, smaller
-        // problem on the warm context — one blocked, one skinny-m —
-        // must be bit-identical to a fresh context (and the fma
-        // reference): the packers own exactly-sized sub-slices, so no
-        // stale panel tail from the big shape can reach a read. The
-        // debug-build sentinel audit in `gemm_into` checks the same
-        // property per block; this pins it end-to-end in any build.
-        for hk in HostKernel::available() {
-            let mut r = SplitMix64::new(0x5C4A_7C11);
-            let mut warm = HostGemmF32::with_kernel(hk);
-            let (bm, bn, bk) = (96, 80, 70);
-            let big_a = f32_vec(&mut r, bm * bk);
-            let big_b = f32_vec(&mut r, bk * bn);
-            warm.gemm(bm, bn, bk, &big_a, &big_b);
-            for (m, n, k) in [(12, 9, 5), (2, 17, 7)] {
-                let a = f32_vec(&mut r, m * k);
-                let b = f32_vec(&mut r, k * n);
-                let from_warm = warm.gemm(m, n, k, &a, &b);
-                let from_fresh = HostGemmF32::with_kernel(hk).gemm(m, n, k, &a, &b);
-                assert_eq!(from_warm, from_fresh, "{m}x{n}x{k} on {}", hk.tier().name());
-                assert_eq!(from_warm, gemm_f32_fma_ref(m, n, k, &a, &b));
-            }
-        }
     }
 
     #[test]

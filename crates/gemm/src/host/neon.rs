@@ -4,9 +4,7 @@
 //! accumulate through the widening multiply-accumulates `smlal`
 //! (`vmlal_lane_s16` / `vmlal_n_s16`) — every product is exact and
 //! every add wraps in i32, so the tier is bit-identical to the scalar
-//! reference by construction. f32 kernels use `vfma` with the same
-//! per-element fma chain (`l` ascending) as [`super::scalar`], hence
-//! bit-identical f32 results too.
+//! reference by construction.
 //!
 //! Same structure as [`super::avx2`]: `_impl` functions are
 //! `unsafe fn` with `#[target_feature(enable = "neon")]` and no inner
@@ -180,79 +178,6 @@ pub fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
     unsafe { panel_mav_impl(acc, a_row, panel) }
 }
 
-// SAFETY: requires NEON, `pa.len() >= kcb*4`, `pb.len() >= kcb*8` and
-// `acc.len() >= 32` — every load/store offset below is bounded by
-// those three lengths (the wrapper debug-asserts them).
-#[target_feature(enable = "neon")]
-unsafe fn f32_tile_impl(pa: &[f32], pb: &[f32], kcb: usize, acc: &mut [f32]) {
-    // 4×8 register tile: two 4-wide accumulators per row
-    let mut lo = [vdupq_n_f32(0.0); 4];
-    let mut hi = [vdupq_n_f32(0.0); 4];
-    for i in 0..4 {
-        lo[i] = vld1q_f32(acc.as_ptr().add(i * 8));
-        hi[i] = vld1q_f32(acc.as_ptr().add(i * 8 + 4));
-    }
-    for l in 0..kcb {
-        let b_lo = vld1q_f32(pb.as_ptr().add(l * 8));
-        let b_hi = vld1q_f32(pb.as_ptr().add(l * 8 + 4));
-        for i in 0..4 {
-            let a = pa[l * 4 + i];
-            lo[i] = vfmaq_n_f32(lo[i], b_lo, a);
-            hi[i] = vfmaq_n_f32(hi[i], b_hi, a);
-        }
-    }
-    for i in 0..4 {
-        vst1q_f32(acc.as_mut_ptr().add(i * 8), lo[i]);
-        vst1q_f32(acc.as_mut_ptr().add(i * 8 + 4), hi[i]);
-    }
-}
-
-/// 4×8 f32 fma register tile; same per-element fma chain as scalar.
-pub fn f32_tile(pa: &[f32], pb: &[f32], kcb: usize, acc: &mut [f32]) {
-    debug_assert!(pa.len() >= kcb * 4 && pb.len() >= kcb * 8 && acc.len() >= 32);
-    debug_assert!(is_aarch64_feature_detected!("neon"), "neon kernel dispatched without neon");
-    // SAFETY: NEON is runtime-detected before dispatch (asserted
-    // above), and the length preconditions are debug-asserted; release
-    // callers are the dispatch table, which packs to exactly these
-    // shapes.
-    unsafe { f32_tile_impl(pa, pb, kcb, acc) }
-}
-
-// SAFETY: requires NEON. Pointer offsets are bounded the same way as
-// [`small_m_dense_impl`]: `j + 4 <= n` covers both the C-row store and
-// the B-row loads; the remainder path is safe indexing.
-#[target_feature(enable = "neon")]
-unsafe fn f32_small_m_impl(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let mut j = 0;
-        while j + 4 <= n {
-            let cptr = c.as_mut_ptr().add(i * n + j);
-            let mut acc = vld1q_f32(cptr);
-            for (l, &av) in arow.iter().enumerate() {
-                acc = vfmaq_n_f32(acc, vld1q_f32(b.as_ptr().add(l * n + j)), av);
-            }
-            vst1q_f32(cptr, acc);
-            j += 4;
-        }
-        for j in j..n {
-            let mut acc = c[i * n + j];
-            for (l, &av) in arow.iter().enumerate() {
-                acc = av.mul_add(b[l * n + j], acc);
-            }
-            c[i * n + j] = acc;
-        }
-    }
-}
-
-/// See [`super::scalar::f32_small_m`]; bit-identical (fma chain).
-pub fn f32_small_m(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    debug_assert!(is_aarch64_feature_detected!("neon"), "neon kernel dispatched without neon");
-    // SAFETY: NEON gates dispatch to this tier (debug-asserted above);
-    // slice shapes are the m×k / k×n / m×n engine contract.
-    unsafe { f32_small_m_impl(m, n, k, a, b, c) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::scalar;
@@ -298,40 +223,6 @@ mod tests {
             scalar::panel_mav(&mut want, &a_row, &panel);
             panel_mav(&mut got, &a_row, &panel);
             assert_eq!(got, want, "kreal={kreal}");
-        }
-    }
-
-    #[test]
-    fn f32_tile_matches_scalar_chain_bitwise() {
-        let mut r = SplitMix64::new(23);
-        let kcb = 37;
-        let pa: Vec<f32> = (0..kcb * 4).map(|_| r.next_i8(-50, 50) as f32 * 0.125).collect();
-        let pb: Vec<f32> = (0..kcb * 8).map(|_| r.next_i8(-50, 50) as f32 * 0.125).collect();
-        let mut got = [0.5f32; 32];
-        let want = got;
-        f32_tile(&pa, &pb, kcb, &mut got);
-        for (i, row) in want.chunks(8).enumerate() {
-            for (j, &seed) in row.iter().enumerate() {
-                let mut acc = seed;
-                for l in 0..kcb {
-                    acc = pa[l * 4 + i].mul_add(pb[l * 8 + j], acc);
-                }
-                assert_eq!(got[i * 8 + j].to_bits(), acc.to_bits(), "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_small_m_is_bit_identical_to_scalar() {
-        let mut r = SplitMix64::new(24);
-        for (m, n, k) in [(1, 9, 3), (2, 8, 16), (4, 31, 11)] {
-            let a: Vec<f32> = (0..m * k).map(|_| r.next_i8(-64, 64) as f32 * 0.25).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| r.next_i8(-64, 64) as f32 * 0.25).collect();
-            let mut want = vec![0.25f32; m * n];
-            let mut got = want.clone();
-            scalar::f32_small_m(m, n, k, &a, &b, &mut want);
-            f32_small_m(m, n, k, &a, &b, &mut got);
-            assert!(got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()), "{m}x{n}x{k}");
         }
     }
 }

@@ -3,8 +3,7 @@
 //!
 //! The integer kernels carry the exact arithmetic of the `camp`
 //! instruction (wrapping i32 accumulation of exact i8×i8 products)
-//! over the shared 4×4 packed-panel layout; the f32 kernels realize
-//! the per-element fma chain contract with [`f32::mul_add`].
+//! over the shared 4×4 packed-panel layout.
 
 /// Whole-depth 4×4 widening integer tile: for each of the `kcb`
 /// k-values in the packed panels, `acc[i][j] += pa[l*4+i]·pb[l*4+j]`
@@ -138,42 +137,10 @@ pub fn pack_nibbles(vals: &[i8]) -> Vec<i8> {
     out
 }
 
-/// f32 4×4 register tile over packed panels (`pa` mr-interleaved, `pb`
-/// nr-interleaved, depth `kcb`): continues each `acc` element's fma
-/// chain with `mul_add` over `l` ascending.
-pub fn f32_tile(pa: &[f32], pb: &[f32], kcb: usize, acc: &mut [f32]) {
-    debug_assert!(pa.len() >= kcb * 4 && pb.len() >= kcb * 4 && acc.len() >= 16);
-    for l in 0..kcb {
-        let av = &pa[l * 4..l * 4 + 4];
-        let bv = &pb[l * 4..l * 4 + 4];
-        for i in 0..4 {
-            let a = av[i];
-            for j in 0..4 {
-                acc[i * 4 + j] = a.mul_add(bv[j], acc[i * 4 + j]);
-            }
-        }
-    }
-}
-
-/// Skinny-m f32 kernel over raw operands; same per-element fma chain
-/// (`l` ascending) as the blocked path, so results are bit-identical.
-pub fn f32_small_m(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (l, &av) in arow.iter().enumerate() {
-            let brow = &b[l * n..(l + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv = av.mul_add(bv, *cv);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{gemm_f32_fma_ref, gemm_i32_ref, SplitMix64};
+    use crate::reference::{gemm_i32_ref, SplitMix64};
 
     #[test]
     fn tile_matches_reference_4x4() {
@@ -232,17 +199,5 @@ mod tests {
         panel_mav(&mut acc, &a_row, &bcols);
         let want = gemm_i32_ref(1, 4, k, &a_row, &bcols);
         assert_eq!(acc.to_vec(), want);
-    }
-
-    #[test]
-    fn f32_small_m_matches_fma_reference_bitwise() {
-        let mut r = SplitMix64::new(5);
-        let (m, n, k) = (3, 29, 17);
-        let a: Vec<f32> = (0..m * k).map(|_| r.next_i8(-64, 64) as f32 * 0.5).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| r.next_i8(-64, 64) as f32 * 0.5).collect();
-        let mut c = vec![0f32; m * n];
-        f32_small_m(m, n, k, &a, &b, &mut c);
-        let want = gemm_f32_fma_ref(m, n, k, &a, &b);
-        assert!(c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }

@@ -18,7 +18,7 @@
 //! | `Mmla` | Arm FEAT_I8MM `smmla` kernel | i8 | 8×8, k-step 8 |
 //!
 //! The five-loop cache blocking runs on the host (3 outer loops, the
-//! shared [`loops`] skeleton) and dispatches simulated packing programs
+//! shared [`loops`] iterators) and dispatches simulated packing programs
 //! and macro-kernels (inner 2 loops plus micro-kernel — >99.9 % of
 //! dynamic instructions) against a single persistent machine + cache
 //! state, mirroring how the original code runs under gem5.
@@ -27,12 +27,17 @@
 //! descriptor — geometry, element/accumulator types, packing programs,
 //! macro-kernel builder, default blocking — so [`driver`] is a single
 //! generic skeleton and a new kernel plugs in without touching it (see
-//! the README's "kernel dispatch layer" section). The same skeleton and
-//! the [`workspace::PackPool`] buffer arena also back `camp-core`'s
-//! host-speed engine, whose native micro-kernels live in [`host`]: a
-//! [`HostKernel`] tier (scalar / AVX2 / NEON) selected once from a
-//! [`CpuFeatures`] runtime probe — the host-silicon mirror of the
-//! simulator's [`dispatch::MicroKernel`] seam.
+//! the README's "kernel dispatch layer" section). The same skeleton —
+//! [`loops::BlockPlan`], [`loops::small_path`], the block iterators and
+//! the packed-image offset formulas of [`batch`] — and the
+//! [`workspace::PackPool`] arenas also back `camp-core`'s host-speed
+//! engine, which walks that nest over two whole packed images (it packs
+//! nothing inside the loops; the simulated driver packs per block,
+//! because that traffic is what it measures). The engine's native
+//! micro-kernels live in [`host`]: a [`HostKernel`] tier (scalar / AVX2 /
+//! AVX-512 / NEON) selected once from a [`CpuFeatures`] runtime probe —
+//! the host-silicon mirror of the simulator's [`dispatch::MicroKernel`]
+//! seam.
 //!
 //! For the Fig. 1 cache-miss-rate experiment the [`trace`] module
 //! generates naive and blocked GeMM address streams analytically and
@@ -68,10 +73,8 @@ pub use driver::{
     simulate_gemm, simulate_gemm_batch, simulate_gemm_batch_on, simulate_gemm_on, CMatrix,
     GemmOptions, GemmResult, Method, SerialScheduler, SimBatchResult, SimJob, SimScheduler,
 };
-pub use host::{gemm_f32, CpuFeatures, HostGemmF32, HostKernel, HostTier, KernelInfo};
-pub use reference::{
-    gemm_f32_fma_ref, gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64,
-};
+pub use host::{CpuFeatures, HostKernel, HostTier, KernelInfo};
+pub use reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};
 pub use request::{GemmRequest, GemmRequestBuilder, Operand, RequestError, ResolvedRequest};
 pub use weights::{DType, WeightHandle, WeightMeta, WeightRegistry, WeightSnapshot};
 pub use workspace::{PackPool, PanelId, PersistentId};

@@ -4,11 +4,17 @@
 //! Both GeMM halves of this workspace — the simulated §5.3 driver
 //! ([`crate::driver`]) and the host-speed CAMP engine in `camp-core` —
 //! run the same GotoBLAS five-loop structure (Fig. 3): loop over column
-//! blocks (`nc`), over depth blocks (`kc`, packing B), over row blocks
-//! (`mc`, packing A), then hand the packed panels to a macro-kernel.
-//! This module owns that structure once, as pure host-side control flow
-//! with no dependency on either execution substrate. A backend plugs in
-//! by implementing [`BlockSink`]; [`run_blocked`] drives it.
+//! blocks (`nc`), over depth blocks (`kc`), over row blocks (`mc`), then
+//! hand packed panels to a macro-kernel. This module owns what the two
+//! share, as pure host-side control flow with no dependency on either
+//! execution substrate: the [`BlockPlan`], the skinny-route chooser
+//! [`small_path`] and the three block iterators. The canonical nest is
+//! [`for_each_b_block`] × [`for_each_row_strip`]; where the operands are
+//! packed is each substrate's business — the simulated driver packs a
+//! block per visit (that traffic is what it measures), the host engine
+//! walks two whole packed images laid out by
+//! [`crate::batch::packed_a_offset`] / [`crate::batch::packed_b_offset`]
+//! and packs nothing inside the nest.
 
 /// Round `x` up to the next multiple of `to`.
 pub fn round_up(x: usize, to: usize) -> usize {
@@ -40,10 +46,11 @@ impl BlockPlan {
     /// clamped to the padded problem and re-aligned to the tile.
     ///
     /// A zero dimension yields a degenerate plan whose padded space is
-    /// empty; [`run_blocked`] then visits nothing, so the m×n result of
-    /// a k=0 problem stays all-zero and empty results stay empty. This
-    /// matches the host engine, which returns an empty (or zero-filled)
-    /// C for zero-dimension problems instead of panicking.
+    /// empty; the [`for_each_b_block`] × [`for_each_row_strip`] nest
+    /// then visits nothing, so the m×n result of a k=0 problem stays
+    /// all-zero and empty results stay empty. This matches the host
+    /// engine, which returns an empty (or zero-filled) C for
+    /// zero-dimension problems instead of panicking.
     ///
     /// # Panics
     /// Panics if a tile parameter is zero.
@@ -107,25 +114,12 @@ pub fn small_path(m: usize, n: usize) -> Option<SmallPath> {
     }
 }
 
-/// Backend hooks invoked by [`run_blocked`] at each stage of the
-/// five-loop nest. Coordinates are in (padded) element space; every
-/// block is tile-aligned by construction of [`BlockPlan`].
-pub trait BlockSink {
-    /// Pack the `kcb`×`ncb` block of B starting at `(pc, jc)`.
-    fn pack_b(&mut self, jc: usize, ncb: usize, pc: usize, kcb: usize);
-    /// Pack the `mcb`×`kcb` block of A starting at `(ic, pc)`.
-    fn pack_a(&mut self, ic: usize, mcb: usize, pc: usize, kcb: usize);
-    /// Run the macro-kernel over the packed blocks, updating the
-    /// `mcb`×`ncb` block of C at `(ic, jc)`.
-    fn macro_kernel(&mut self, ic: usize, mcb: usize, jc: usize, ncb: usize, pc: usize, kcb: usize);
-}
-
-/// Visit every `(jc, ncb, pc, kcb)` B block of the plan in the order
-/// [`run_blocked`] packs them (jc outer, pc inner). This is the single
+/// Visit every `(jc, ncb, pc, kcb)` B block of the plan, jc outer, pc
+/// inner — the outer two loops of the blocked nest. This is the single
 /// source of truth for the B traversal: anything that lays out B per
-/// block — the per-block packing inside `run_blocked`, or a fully
-/// pre-packed shared panel indexed by `crate::batch::packed_b_offset` —
-/// must iterate identically, so both go through here.
+/// block — the simulated driver's per-block packing, or a whole packed
+/// image indexed by `crate::batch::packed_b_offset` — must iterate
+/// identically, so both go through here.
 pub fn for_each_b_block(plan: &BlockPlan, mut f: impl FnMut(usize, usize, usize, usize)) {
     let mut jc = 0;
     while jc < plan.np {
@@ -141,12 +135,12 @@ pub fn for_each_b_block(plan: &BlockPlan, mut f: impl FnMut(usize, usize, usize,
 }
 
 /// Visit every *unique* `(ic, mcb, pc, kcb)` A block of the plan, row
-/// strips outer, depth blocks inner. [`run_blocked`] re-packs each A
-/// block once per column strip; a fully pre-packed A (see
-/// `camp_gemm::weights::prepack_a`, laid out by
-/// [`crate::batch::packed_a_offset`]) holds each block exactly once and
-/// serves every column strip, which is what lets a serving session pack
-/// a batch's A operands while the previous batch computes.
+/// strips outer, depth blocks inner — the order a whole packed A image
+/// (see `camp_gemm::weights::prepack_a`, laid out by
+/// [`crate::batch::packed_a_offset`]) holds them in. The image holds
+/// each block exactly once and serves every column strip, which is what
+/// lets a serving session pack a batch's A operands while the previous
+/// batch computes.
 pub fn for_each_a_block(plan: &BlockPlan, mut f: impl FnMut(usize, usize, usize, usize)) {
     let mut ic = 0;
     while ic < plan.mp {
@@ -162,10 +156,10 @@ pub fn for_each_a_block(plan: &BlockPlan, mut f: impl FnMut(usize, usize, usize,
 }
 
 /// Visit every `(ic, mcb)` row strip of the plan, in ascending-`ic`
-/// order — the macro loop [`run_blocked`] runs inside each (jc, pc)
-/// block. The parallel simulated driver replays exactly this traversal
-/// per independent block unit, so serial and parallel runs visit
-/// identical row strips in identical order (the bit-identity contract).
+/// order — the macro loop that runs inside each (jc, pc) block. The
+/// parallel simulated driver replays exactly this traversal per
+/// independent block unit, so serial and parallel runs visit identical
+/// row strips in identical order (the bit-identity contract).
 pub fn for_each_row_strip(plan: &BlockPlan, mut f: impl FnMut(usize, usize)) {
     let mut ic = 0;
     while ic < plan.mp {
@@ -173,23 +167,6 @@ pub fn for_each_row_strip(plan: &BlockPlan, mut f: impl FnMut(usize, usize)) {
         f(ic, mcb);
         ic += mcb;
     }
-}
-
-/// Drive the GotoBLAS loops 3–5 over `sink` (Fig. 3): B is packed once
-/// per (jc, pc) block and reused for every row block; A is packed once
-/// per (ic, pc) block. A degenerate (zero-dimension) plan visits no
-/// blocks at all — not even `pack_b` — so sinks never see empty blocks.
-pub fn run_blocked(plan: &BlockPlan, sink: &mut dyn BlockSink) {
-    if plan.mp == 0 || plan.np == 0 || plan.kp == 0 {
-        return;
-    }
-    for_each_b_block(plan, |jc, ncb, pc, kcb| {
-        sink.pack_b(jc, ncb, pc, kcb);
-        for_each_row_strip(plan, |ic, mcb| {
-            sink.pack_a(ic, mcb, pc, kcb);
-            sink.macro_kernel(ic, mcb, jc, ncb, pc, kcb);
-        });
-    });
 }
 
 #[cfg(test)]
@@ -209,46 +186,33 @@ mod tests {
         assert_eq!((p.mc, p.nc, p.kc), (64, 128, 96));
     }
 
-    #[derive(Default)]
-    struct Recorder {
-        packs_b: Vec<(usize, usize, usize, usize)>,
-        packs_a: Vec<(usize, usize, usize, usize)>,
-        macros: Vec<(usize, usize, usize, usize, usize, usize)>,
-    }
-
-    impl BlockSink for Recorder {
-        fn pack_b(&mut self, jc: usize, ncb: usize, pc: usize, kcb: usize) {
-            self.packs_b.push((jc, ncb, pc, kcb));
-        }
-        fn pack_a(&mut self, ic: usize, mcb: usize, pc: usize, kcb: usize) {
-            self.packs_a.push((ic, mcb, pc, kcb));
-        }
-        fn macro_kernel(
-            &mut self,
-            ic: usize,
-            mcb: usize,
-            jc: usize,
-            ncb: usize,
-            pc: usize,
-            kcb: usize,
-        ) {
-            self.macros.push((ic, mcb, jc, ncb, pc, kcb));
-        }
+    /// Every `(ic, mcb, jc, ncb, pc, kcb)` macro-kernel block of the
+    /// canonical nest, in visit order.
+    fn nest_blocks(plan: &BlockPlan) -> Vec<(usize, usize, usize, usize, usize, usize)> {
+        let mut blocks = Vec::new();
+        for_each_b_block(plan, |jc, ncb, pc, kcb| {
+            for_each_row_strip(plan, |ic, mcb| blocks.push((ic, mcb, jc, ncb, pc, kcb)));
+        });
+        blocks
     }
 
     #[test]
     fn loop_nest_covers_problem_without_overlap() {
         let plan = BlockPlan::new(12, 20, 96, 4, 4, 32, (8, 8, 32));
-        let mut r = Recorder::default();
-        run_blocked(&plan, &mut r);
-        // B packed once per (jc, pc) pair
-        assert_eq!(r.packs_b.len(), (20usize.div_ceil(8)) * (96usize.div_ceil(32)));
-        // A packed once per (ic, pc) pair per column block
-        assert_eq!(r.packs_a.len(), r.packs_b.len() * 12usize.div_ceil(8));
-        assert_eq!(r.macros.len(), r.packs_a.len());
+        let mut b_blocks = 0usize;
+        for_each_b_block(&plan, |_, _, _, _| b_blocks += 1);
+        // one B block per (jc, pc) pair
+        assert_eq!(b_blocks, (20usize.div_ceil(8)) * (96usize.div_ceil(32)));
+        // one macro-kernel block per row strip per B block
+        let blocks = nest_blocks(&plan);
+        assert_eq!(blocks.len(), b_blocks * 12usize.div_ceil(8));
         // blocks tile the full padded space exactly
-        let covered: usize = r.macros.iter().map(|&(_, mcb, _, ncb, _, kcb)| mcb * ncb * kcb).sum();
+        let covered: usize = blocks.iter().map(|&(_, mcb, _, ncb, _, kcb)| mcb * ncb * kcb).sum();
         assert_eq!(covered, plan.mp * plan.np * plan.kp);
+        let mut dedup = blocks.clone();
+        dedup.sort_unstable();
+        dedup.dedup();
+        assert_eq!(dedup.len(), blocks.len(), "no block is visited twice");
     }
 
     #[test]
@@ -266,11 +230,9 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), blocks.len(), "A blocks must be unique");
-        // run_blocked packs the same (ic, pc) set, repeated per column strip
-        let mut r = Recorder::default();
-        run_blocked(&plan, &mut r);
+        // the nest reads the same (ic, pc) set, once per column strip
         let strips = 20usize.div_ceil(8);
-        assert_eq!(r.packs_a.len(), blocks.len() * strips);
+        assert_eq!(nest_blocks(&plan).len(), blocks.len() * strips);
     }
 
     #[test]
@@ -303,14 +265,10 @@ mod tests {
     #[test]
     fn zero_dims_yield_empty_traversal() {
         // zero-dimension problems must not panic anywhere: the plan is
-        // degenerate and the loop nest visits no blocks
+        // degenerate and the loop nest visits no macro-kernel block
         for (m, n, k) in [(0, 4, 4), (4, 0, 4), (4, 4, 0), (0, 0, 0)] {
             let plan = BlockPlan::new(m, n, k, 4, 4, 1, (4, 4, 4));
-            let mut r = Recorder::default();
-            run_blocked(&plan, &mut r);
-            assert!(r.packs_b.is_empty(), "{m}x{n}x{k} packed B");
-            assert!(r.packs_a.is_empty(), "{m}x{n}x{k} packed A");
-            assert!(r.macros.is_empty(), "{m}x{n}x{k} ran a macro-kernel");
+            assert!(nest_blocks(&plan).is_empty(), "{m}x{n}x{k} ran a macro-kernel");
         }
     }
 }

@@ -87,28 +87,6 @@ pub fn gemm_f32_ref(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f
     c
 }
 
-/// f32 reference GeMM with fused-multiply-add semantics: each output
-/// element is one correctly-rounded fma chain
-/// `acc = fma(A[i][l], B[l][j], acc)` over `l` ascending from `+0.0`.
-/// This is the *bit-exact* golden model for every `camp_gemm::host`
-/// f32 tier — scalar `mul_add`, AVX2 `vfmadd` and NEON `vfma` all
-/// realize exactly this chain, so their outputs match it bitwise.
-pub fn gemm_f32_fma_ref(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), k * n);
-    let mut c = vec![0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0f32;
-            for l in 0..k {
-                acc = a[i * k + l].mul_add(b[l * n + j], acc);
-            }
-            c[i * n + j] = acc;
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,17 +125,6 @@ mod tests {
         let b = vec![5.0f32, 6.0, 7.0, 8.0];
         let c = gemm_f32_ref(2, 2, 2, &a, &b);
         assert_eq!(c, vec![19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn fma_ref_agrees_with_plain_ref_on_exact_inputs() {
-        // small-integer-valued inputs: both references are exact, so
-        // they must agree; larger random inputs only agree to rounding
-        let mut r = SplitMix64::new(9);
-        let (m, n, k) = (3, 5, 7);
-        let a: Vec<f32> = (0..m * k).map(|_| r.next_i8(-8, 8) as f32).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| r.next_i8(-8, 8) as f32).collect();
-        assert_eq!(gemm_f32_fma_ref(m, n, k, &a, &b), gemm_f32_ref(m, n, k, &a, &b));
     }
 
     #[test]

@@ -485,10 +485,8 @@ pub fn pack_a_block(
 }
 
 /// Pack every (jc, pc) block of B in the blocked loops' visit order
-/// (shared with `run_blocked` via [`for_each_b_block`]) into `dst`
-/// (sized by [`packed_b_bytes`]). Each block's bytes are bit-identical
-/// to what per-block packing produces, so a macro-kernel reading at
-/// [`packed_b_offset`] computes exactly the serial result.
+/// ([`for_each_b_block`]) into `dst` (sized by [`packed_b_bytes`]); a
+/// macro-kernel reads block (jc, pc) at [`packed_b_offset`].
 pub fn prepack_b(dst: &mut [i8], b: &[i8], n: usize, k: usize, plan: &BlockPlan) {
     for_each_b_block(plan, |jc, ncb, pc, kcb| {
         let off = packed_b_offset(plan.kp, jc, ncb, pc);
@@ -497,10 +495,11 @@ pub fn prepack_b(dst: &mut [i8], b: &[i8], n: usize, k: usize, plan: &BlockPlan)
 }
 
 /// Pack every (ic, pc) block of A once into `dst` (sized by
-/// [`crate::batch::packed_a_bytes`]), in [`for_each_a_block`] order. A macro-kernel
-/// reading at [`packed_a_offset`] sees exactly the bytes per-block
-/// packing would have produced — the serving session uses this to
-/// overlap the A-packing of one batch with the compute of another.
+/// [`crate::batch::packed_a_bytes`]), in [`for_each_a_block`] order; a
+/// macro-kernel reads block (ic, pc) at [`packed_a_offset`]. Both of
+/// the host engine's A-image builders are this function: `prepare` on
+/// the submitting thread (overlapping the A-packing of one batch with
+/// the compute of another) and a row-split work unit over its own rows.
 pub fn prepack_a(dst: &mut [i8], a: &[i8], m: usize, k: usize, plan: &BlockPlan) {
     for_each_a_block(plan, |ic, mcb, pc, kcb| {
         let off = packed_a_offset(plan.kp, ic, mcb, pc);

@@ -1,7 +1,7 @@
 //! Buffer management for both GeMM halves: a bump allocator laying out
 //! matrices in *simulated* machine memory ([`Workspace`]), and a
 //! reusable *host-side* pack-buffer pool ([`PackPool`]) for the
-//! host-speed engine's packed A/B panels.
+//! host-speed engine's packed A images and B panels.
 //!
 //! The pool's contract is that the steady state allocates nothing:
 //! buffers grow to their high-water mark once and are recycled from
@@ -12,11 +12,9 @@
 //!
 //! let mut pool = PackPool::new();
 //! pool.a_buffer(1024).fill(1);
-//! pool.b_buffer(4096).fill(2);
 //! let warm = pool.allocations();
 //! for _ in 0..100 {
-//!     pool.a_buffer(1024); // same-size requests reuse the buffers
-//!     pool.b_buffer(4096);
+//!     pool.a_buffer(1024); // same-size requests reuse the buffer
 //! }
 //! assert_eq!(pool.allocations(), warm, "steady state is allocation-free");
 //! ```
@@ -57,29 +55,23 @@ impl Default for Workspace {
 
 /// Reusable host-side pack buffers for one GeMM worker.
 ///
-/// The blocked host engine packs each A/B block into panel buffers
-/// before the macro-kernel consumes them. Allocating those per panel
-/// (as the engine originally did with `vec![0; …]`) puts an allocator
-/// round-trip in the hottest loop; a `PackPool` instead grows its two
-/// buffers to the high-water mark once and hands out slices from then
-/// on. [`PackPool::allocations`] counts actual growths so tests can
-/// assert the steady state allocates nothing.
+/// A row-split work unit of the host engine packs its row range into
+/// one whole A image before its loop nest runs. Allocating that per
+/// request puts an allocator round-trip (and, at these sizes, an
+/// mmap/munmap cycle) on the compute path; a `PackPool` instead grows
+/// its A-image arena to the high-water mark once and hands out slices
+/// from then on. [`PackPool::allocations`] counts actual growths so
+/// tests can assert the steady state allocates nothing.
 ///
 /// One pool serves one worker: the parallel engine path gives each
-/// thread its own arena. Alongside the two per-block A/B buffers, a
-/// pool also owns an arena of long-lived *panels* ([`PackPool::alloc_panel`])
-/// for callers that must keep several packed B operands alive at once —
+/// thread its own arena. Alongside the A-image arena, a pool also owns
+/// an arena of long-lived *panels* ([`PackPool::alloc_panel`]) for
+/// callers that must keep several packed B operands alive at once —
 /// the batched engine deduplicates shared weight matrices by packing
 /// each unique B into one panel and pointing every batch item at it.
 #[derive(Debug, Default)]
 pub struct PackPool {
     a: Vec<i8>,
-    b: Vec<i8>,
-    /// Bytes of `a`/`b` actually packed by the most recent
-    /// `a_buffer`/`b_buffer` call — `buffers()` hands out exactly these,
-    /// never the stale high-water-mark tail.
-    a_packed: usize,
-    b_packed: usize,
     /// Panel storage (high-water length, never truncated) and the
     /// logical size of each live panel's current allocation.
     panels: Vec<Vec<i8>>,
@@ -112,36 +104,17 @@ impl PackPool {
         PackPool::default()
     }
 
-    /// Borrow the A pack buffer with room for `bytes` bytes, growing it
-    /// if needed. Contents are unspecified: packers must write every
-    /// byte they later read (zero-padding included).
+    /// Borrow the A-image arena, exactly `bytes` long, growing the
+    /// storage if needed. Contents are unspecified: packers must write
+    /// every byte they later read (zero-padding included). The storage
+    /// is a high-water mark; the returned slice never exposes the tail
+    /// a larger, earlier image left behind.
     pub fn a_buffer(&mut self, bytes: usize) -> &mut [i8] {
         if self.a.len() < bytes {
             self.a.resize(bytes, 0);
             self.allocations += 1;
         }
-        self.a_packed = bytes;
         &mut self.a[..bytes]
-    }
-
-    /// Borrow the B pack buffer with room for `bytes` bytes; see
-    /// [`PackPool::a_buffer`].
-    pub fn b_buffer(&mut self, bytes: usize) -> &mut [i8] {
-        if self.b.len() < bytes {
-            self.b.resize(bytes, 0);
-            self.allocations += 1;
-        }
-        self.b_packed = bytes;
-        &mut self.b[..bytes]
-    }
-
-    /// Both packed buffers, read-only (for the macro-kernel), sized to
-    /// exactly what the most recent `a_buffer`/`b_buffer` calls packed.
-    /// The underlying storage is a high-water mark, so without the size
-    /// tracking a smaller block packed after a larger one would expose a
-    /// stale tail of the previous block's panels.
-    pub fn buffers(&self) -> (&[i8], &[i8]) {
-        (&self.a[..self.a_packed], &self.b[..self.b_packed])
     }
 
     /// Invalidate all panel handles and recycle their storage. Call at
@@ -155,8 +128,8 @@ impl PackPool {
     /// its handle. Contents are unspecified (packers must write every
     /// byte they later read), so the steady state neither allocates nor
     /// zero-fills: storage stays at its high-water length and only the
-    /// logical size is recorded. Unlike the per-block A/B buffers, any
-    /// number of panels can be live at once.
+    /// logical size is recorded. Unlike the A-image arena, any number
+    /// of panels can be live at once.
     pub fn alloc_panel(&mut self, bytes: usize) -> PanelId {
         if self.live_panels == self.panels.len() {
             self.panels.push(Vec::new());
@@ -264,35 +237,28 @@ mod tests {
     fn pack_pool_reuses_buffers() {
         let mut p = PackPool::new();
         let _ = p.a_buffer(1024);
-        let _ = p.b_buffer(4096);
-        assert_eq!(p.allocations(), 2);
+        assert_eq!(p.allocations(), 1);
         // same or smaller requests are served without allocating
         for _ in 0..10 {
             let _ = p.a_buffer(1024);
-            let _ = p.b_buffer(512);
+            let _ = p.a_buffer(512);
         }
-        assert_eq!(p.allocations(), 2);
+        assert_eq!(p.allocations(), 1);
         // a larger request grows once
-        let _ = p.a_buffer(2048);
-        assert_eq!(p.allocations(), 3);
-        let (a, b) = p.buffers();
-        assert_eq!((a.len(), b.len()), (2048, 512));
+        assert_eq!(p.a_buffer(2048).len(), 2048);
+        assert_eq!(p.allocations(), 2);
     }
 
     #[test]
     fn buffers_are_sized_to_the_packed_block_not_the_high_water_mark() {
         let mut p = PackPool::new();
         p.a_buffer(1024).fill(7);
-        p.b_buffer(1024).fill(9);
-        // a smaller block packed after a larger one must not expose the
-        // stale tail of the previous block
-        p.a_buffer(64).fill(1);
-        p.b_buffer(96).fill(2);
-        let (a, b) = p.buffers();
+        // a smaller image packed after a larger one must not expose the
+        // stale tail of the previous one
+        let a = p.a_buffer(64);
         assert_eq!(a.len(), 64);
-        assert_eq!(b.len(), 96);
-        assert!(a.iter().all(|&v| v == 1));
-        assert!(b.iter().all(|&v| v == 2));
+        a.fill(1);
+        assert!(p.a_buffer(64).iter().all(|&v| v == 1));
     }
 
     #[test]

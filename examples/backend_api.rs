@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use camp::core::backend::{CampBackend, Capability, ExecStats, SimBackend};
+use camp::core::backend::{CampBackend, ExecStats, SimBackend};
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
 use camp::pipeline::CoreConfig;
 
@@ -51,13 +51,7 @@ fn build_requests(m: usize, n: usize, k: usize) -> Vec<GemmRequest> {
 }
 
 fn describe<B: CampBackend>(backend: &B) {
-    println!(
-        "  {}: threads={}, host-speed={}, cycle-accurate={}",
-        backend.name(),
-        backend.threads(),
-        backend.supports(Capability::HostSpeed),
-        backend.supports(Capability::CycleAccurateStats),
-    );
+    println!("  {}: threads={}, {}", backend.name(), backend.threads(), backend.kernel_info());
 }
 
 fn main() {

@@ -12,7 +12,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use camp::core::backend::{BatchOutcome, CampBackend, Capability};
+use camp::core::backend::{BatchOutcome, CampBackend};
 use camp::core::{
     gemm_i32_ref, CampEngine, DType, DispatchOptions, Dispatcher, GemmRequest, Priority,
     RequestError, WeightHandle, WeightMeta, WeightSnapshot,
@@ -137,9 +137,6 @@ impl CampBackend for OrderLog {
     }
     fn threads(&self) -> usize {
         self.engine.threads()
-    }
-    fn supports(&self, cap: Capability) -> bool {
-        self.engine.supports(cap)
     }
     fn kernel_info(&self) -> KernelInfo {
         self.engine.kernel_info()
