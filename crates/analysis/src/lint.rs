@@ -877,8 +877,8 @@ mod tests {
     #[test]
     fn knob_names_are_extracted_exactly() {
         assert_eq!(
-            knob_names("CAMP_MC and CAMP_FORCE_SCALAR!"),
-            vec!["CAMP_MC", "CAMP_FORCE_SCALAR"]
+            knob_names("CAMP_THREADS and CAMP_FORCE_TIER!"),
+            vec!["CAMP_THREADS", "CAMP_FORCE_TIER"]
         );
         assert!(knob_names("CAMP_ alone").is_empty());
     }

@@ -20,10 +20,9 @@
 //! pack-traffic dedup factor; the wall-clock speedup additionally needs
 //! real cores (cross-item parallelism is the batch's other win). Set
 //! `CAMP_THREADS` (the unified thread story — see `camp_core::backend`)
-//! to override the engine worker count and `CAMP_BENCH_REPS` for more
-//! stable numbers.
+//! to override the engine worker count.
 
-use camp_bench::{env_or, time_best};
+use camp_bench::time_best;
 use camp_core::backend::{host_threads_from_env, CampBackend};
 use camp_core::{CampEngine, GemmRequest};
 use camp_models::LlmModel;
@@ -100,7 +99,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let threads =
         if std::env::var("CAMP_THREADS").is_ok() { host_threads_from_env() } else { cores.max(16) };
-    let reps = env_or("CAMP_BENCH_REPS", 5);
+    let reps = 5;
 
     let cfg = LlmModel::BertBase.config();
     let workload = cfg.attention_workload(0xA77E_1710);
@@ -114,7 +113,7 @@ fn main() {
     println!("attention_batch: batched vs per-call GemmRequests (BERT base, s=128)");
     println!(
         "engine threads={threads} (CAMP_THREADS) on {cores} core(s), \
-         same config both sides, best of {reps} (CAMP_BENCH_REPS)"
+         same config both sides, best of {reps}"
     );
     println!("==============================================================");
     let (speedup, dedup) =

@@ -21,30 +21,29 @@
 //!   GEMVs; `benchmark/`'s `engine_direct` workload is what times it),
 //!   a dense skinny-n request is packed like any blocked dense B (see
 //!   `docs/HOST_KERNELS.md`);
-//! * **pack_a / pack_b / pack_nib** — the SIMD packers, reported as
-//!   packed GB/s in the GOPS columns (same speedup semantics).
+//! * **pack_a / pack_b** — the SIMD packers, reported as packed GB/s
+//!   in the GOPS columns (same speedup semantics).
 //!
 //! A full run always includes the smoke shapes, so a checked-in
 //! baseline produced by a full run can gate a CI smoke run:
 //! `host_gemm --check-baseline` re-measures the smoke set and fails
 //! (exit 1) if any per-shape speedup falls below the baseline's by
-//! more than `CAMP_BENCH_TOLERANCE` (relative, default 0.5). Speedups
+//! more than the gate's fixed relative tolerance (0.5). Speedups
 //! — not absolute GOPS — are compared, so the gate tolerates slower
 //! runners; it still assumes the runner reaches the baseline's SIMD
 //! tier (the check prints both tiers when they differ).
 //!
 //! Knobs: `CAMP_BENCH_SMOKE=1` shrinks shapes/reps to a CI smoke run,
-//! `CAMP_BENCH_REPS` overrides best-of repetitions, `CAMP_THREADS`
-//! widens the engine's worker pool (the thread sweep always includes 1
-//! and the machine's core count). `CAMP_FORCE_SCALAR=1` /
-//! `CAMP_FORCE_TIER=<tier>` pin the dispatched column to one tier —
+//! `CAMP_THREADS` widens the engine's worker pool (the thread sweep
+//! always includes 1 and the machine's core count).
+//! `CAMP_FORCE_TIER=<tier>` pins the dispatched column to one tier —
 //! useful to bench a lower tier on a wider machine, and called out in
 //! the output when active.
 
-use camp_bench::{check_baseline, env_or, field, time_best};
+use camp_bench::{check_baseline, field, time_best};
 use camp_core::backend::CampBackend;
 use camp_core::{CampEngine, DType, GemmRequest};
-use camp_gemm::host::{force_scalar, forced_tier, HostKernel};
+use camp_gemm::host::{forced_tier, HostKernel};
 use std::fmt::Write as _;
 
 fn gops(m: usize, n: usize, k: usize, secs: f64) -> f64 {
@@ -102,8 +101,8 @@ fn int_secs(
 }
 
 /// Packed GB/s for one packer. `pack_a` packs an `rows×k` A image,
-/// `pack_b` a `k×rows` B image, `pack_nib` squeezes `rows` i4 values;
-/// the metric is bytes of packed output per second.
+/// `pack_b` a `k×rows` B image; the metric is bytes of packed output
+/// per second.
 fn pack_gbs(kernel: &'static HostKernel, reps: usize, path: &str, rows: usize, k: usize) -> f64 {
     let (secs, bytes) = match path {
         "pack_a" => {
@@ -122,16 +121,6 @@ fn pack_gbs(kernel: &'static HostKernel, reps: usize, path: &str, rows: usize, k
                 rows * k,
             )
         }
-        "pack_nib" => {
-            let vals = gen_i8(rows, 0x1357_9bdf, -8, 7);
-            (
-                time_best(reps, true, || {
-                    let packed = kernel.pack_nibbles(&vals);
-                    assert_eq!(packed.len(), rows.div_ceil(2));
-                }),
-                rows / 2,
-            )
-        }
         other => panic!("unknown pack path {other}"),
     };
     bytes as f64 / secs / 1e9
@@ -144,16 +133,13 @@ fn json_escape(s: &str) -> String {
 fn main() {
     let check = std::env::args().any(|a| a == "--check-baseline");
     let smoke = check || std::env::var("CAMP_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false);
-    let reps = env_or(
-        "CAMP_BENCH_REPS",
-        if check {
-            3
-        } else if smoke {
-            1
-        } else {
-            5
-        },
-    );
+    let reps = if check {
+        3
+    } else if smoke {
+        1
+    } else {
+        5
+    };
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     // The gate compares keyed rows, so it sticks to the thread count
     // every machine has; measurement runs sweep the core count too.
@@ -169,9 +155,7 @@ fn main() {
     println!("==============================================================");
     println!("host_gemm: scalar vs dispatched SIMD micro-kernels");
     println!("dispatched: {info}");
-    if force_scalar() {
-        println!("NOTE: CAMP_FORCE_SCALAR is set — both columns run the scalar tier");
-    } else if let Some(tier) = forced_tier() {
+    if let Some(tier) = forced_tier() {
         println!("NOTE: CAMP_FORCE_TIER pins the dispatched column to {}", tier.name());
     }
     println!(
@@ -198,10 +182,8 @@ fn main() {
         ("i8", DType::I8, "small_n", 2048, 4, 2048),
     ];
     // (path, rows, k) — see `pack_gbs` for the shape semantics.
-    let smoke_pack: &[(&str, usize, usize)] =
-        &[("pack_a", 128, 128), ("pack_b", 128, 128), ("pack_nib", 1 << 14, 0)];
-    let full_pack: &[(&str, usize, usize)] =
-        &[("pack_a", 1024, 2048), ("pack_b", 1024, 2048), ("pack_nib", 1 << 22, 0)];
+    let smoke_pack: &[(&str, usize, usize)] = &[("pack_a", 128, 128), ("pack_b", 128, 128)];
+    let full_pack: &[(&str, usize, usize)] = &[("pack_a", 1024, 2048), ("pack_b", 1024, 2048)];
 
     let int_shapes: Vec<_> = if smoke {
         smoke_int.to_vec()
@@ -262,7 +244,6 @@ fn main() {
     }
 
     if check {
-        let tol = env_or("CAMP_BENCH_TOLERANCE", 0.5);
         const BASELINE: &str = "BENCH_host_gemm.json";
         let baseline = std::fs::read_to_string(BASELINE).unwrap_or_default();
         if let Some(tier) = baseline.lines().find_map(|l| field(l, "tier")) {
@@ -279,7 +260,7 @@ fn main() {
             })
             .collect();
         let keys = ["dtype", "path", "m", "n", "k", "threads"];
-        if !check_baseline(BASELINE, tol, &keys, "speedup", &fresh) {
+        if !check_baseline(BASELINE, &keys, "speedup", &fresh) {
             std::process::exit(1);
         }
         return;

@@ -18,11 +18,11 @@
 //! Results land in `BENCH_llm.json` (schema-versioned, one row per
 //! `(mode, sessions)` key); `llm_serve --check-baseline` re-runs the
 //! smoke-sized sweep and exits 1 if tokens/s falls below the
-//! checked-in baseline row by more than `CAMP_BENCH_TOLERANCE`
-//! (relative, default 0.5). Knobs: `CAMP_THREADS`, `CAMP_BENCH_SMOKE=1`
+//! checked-in baseline row by more than the gate's fixed relative
+//! tolerance (0.5). Knobs: `CAMP_THREADS`, `CAMP_BENCH_SMOKE=1`
 //! shrinks the model and step counts to a CI smoke run.
 
-use camp_bench::{check_baseline, env_or, percentile_ms};
+use camp_bench::{check_baseline, percentile_ms};
 use camp_core::{CampEngine, DispatchOptions, Dispatcher};
 use camp_infer::{InferSession, Model};
 use camp_models::TransformerConfig;
@@ -191,12 +191,11 @@ fn main() {
     }
 
     if check {
-        let tol = env_or("CAMP_BENCH_TOLERANCE", 0.5);
         let fresh: Vec<_> = rows
             .iter()
             .map(|r| (vec![r.mode.to_string(), r.sessions.to_string()], r.tok_per_sec))
             .collect();
-        if !check_baseline("BENCH_llm.json", tol, &["mode", "sessions"], "tok_per_sec", &fresh) {
+        if !check_baseline("BENCH_llm.json", &["mode", "sessions"], "tok_per_sec", &fresh) {
             std::process::exit(1);
         }
         return;

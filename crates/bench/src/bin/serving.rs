@@ -19,9 +19,9 @@
 //!
 //! Results are checked bit-identical before timing; throughput is
 //! reported in requests (GeMMs) per second. Knobs: `CAMP_THREADS` (the
-//! unified thread story — see `camp_core::backend`), `CAMP_BENCH_REPS`,
-//! `CAMP_SERVING_BATCHES`, and `CAMP_BENCH_SMOKE=1` shrinks
-//! everything to a one-iteration CI smoke run.
+//! unified thread story — see `camp_core::backend`), and
+//! `CAMP_BENCH_SMOKE=1` shrinks everything to a one-iteration CI smoke
+//! run (1 rep of 2 batches instead of 5 of 8).
 //!
 //! After the shootout, the **multi-tenant dispatcher sweep** measures
 //! the `camp_core::dispatch::Dispatcher` under open-loop arrival: N
@@ -33,10 +33,9 @@
 //! `BENCH_serving.json` (p50/p99 batch latency + achieved req/s per
 //! session count); `serving --check-baseline` re-runs the smoke-sized
 //! sweep and exits 1 if achieved throughput falls below the checked-in
-//! baseline row by more than `CAMP_BENCH_TOLERANCE` (relative,
-//! default 0.5).
+//! baseline row by more than the gate's fixed relative tolerance (0.5).
 
-use camp_bench::{check_baseline, env_or, percentile_ms, time_best};
+use camp_bench::{check_baseline, percentile_ms, time_best};
 use camp_core::backend::CampBackend;
 use camp_core::{
     CampEngine, DType, DispatchOptions, DispatchSession, Dispatcher, GemmRequest, Priority,
@@ -193,8 +192,7 @@ fn main() {
     let check = std::env::args().any(|a| a == "--check-baseline");
     let smoke = check || std::env::var("CAMP_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false);
     let threads = camp_core::backend::host_threads_from_env();
-    let reps = env_or("CAMP_BENCH_REPS", if smoke { 1 } else { 5 });
-    let batches = env_or("CAMP_SERVING_BATCHES", if smoke { 2 } else { 8 });
+    let (reps, batches) = if smoke { (1, 2) } else { (5, 8) };
 
     let mut cfg = LlmModel::BertBase.config();
     if smoke {
@@ -345,13 +343,11 @@ fn main() {
     }
 
     if check {
-        let tol = env_or("CAMP_BENCH_TOLERANCE", 0.5);
         let fresh: Vec<_> = rows
             .iter()
             .map(|r| (vec![r.mode.to_string(), r.sessions.to_string()], r.req_per_sec))
             .collect();
-        if !check_baseline("BENCH_serving.json", tol, &["mode", "sessions"], "req_per_sec", &fresh)
-        {
+        if !check_baseline("BENCH_serving.json", &["mode", "sessions"], "req_per_sec", &fresh) {
             std::process::exit(1);
         }
         return;

@@ -8,11 +8,11 @@
 //! Results land in `BENCH_sim.json` (schema-versioned, one row per
 //! `(mode, threads)` key); `sim_scale --check-baseline` re-runs the
 //! smoke-sized sweep and exits 1 if simulated-GeMMs/s falls below the
-//! checked-in baseline row by more than `CAMP_BENCH_TOLERANCE`
-//! (relative, default 0.5). `CAMP_BENCH_SMOKE=1` forces the smoke-sized
-//! sweep outside the gate.
+//! checked-in baseline row by more than the gate's fixed relative
+//! tolerance (0.5). `CAMP_BENCH_SMOKE=1` forces the smoke-sized sweep
+//! outside the gate.
 
-use camp_bench::{check_baseline, env_or, SimRunner};
+use camp_bench::{check_baseline, SimRunner};
 use camp_gemm::{GemmOptions, Method};
 use camp_pipeline::CoreConfig;
 use std::fmt::Write as _;
@@ -112,12 +112,11 @@ fn main() {
     }
 
     if check {
-        let tol = env_or("CAMP_BENCH_TOLERANCE", 0.5);
         let fresh: Vec<_> = rows
             .iter()
             .map(|r| (vec![r.mode.to_string(), r.threads.to_string()], r.sims_per_sec))
             .collect();
-        if !check_baseline("BENCH_sim.json", tol, &["mode", "threads"], "sims_per_sec", &fresh) {
+        if !check_baseline("BENCH_sim.json", &["mode", "threads"], "sims_per_sec", &fresh) {
             std::process::exit(1);
         }
         return;

@@ -48,25 +48,26 @@
 //!
 //! This is the one place the thread story lives:
 //!
-//! * **`CAMP_THREADS`** — host-engine worker count
-//!   ([`host_threads_from_env`]; unset or `0` means one worker per
-//!   available core). Workers are spawned once per engine.
-//! * **`CAMP_SIM_THREADS`** — simulated-driver scheduler width
-//!   ([`sim_threads_from_env`]; unset means `1` = serial, `0` means all
-//!   cores). Results are **bit-identical at any value** — the flag buys
-//!   wall-clock, never changes an answer.
+//! * **Host engine** — `CAMP_THREADS` ([`host_threads_from_env`]; unset
+//!   or `0` means one worker per available core), a deployment setting
+//!   because cores differ per box. Workers are spawned once per engine.
+//! * **Simulated driver** — [`SimBackend::with_threads`]; serial unless
+//!   the caller asks (bench binaries take `--sim-threads N`). Results
+//!   are **bit-identical at any width** — it buys wall-clock, never
+//!   changes an answer — so no environment variable selects it.
 //!
 //! Both backends clamp through [`resolve_threads`]: `0` resolves to
 //! the available parallelism and the result is never below 1 (a zero
-//! worker count would divide the row partition by zero). Bench binaries
-//! accept `--sim-threads N` on top, which overrides the environment.
+//! worker count would divide the row partition by zero).
 
 use std::sync::Arc;
 
 use camp_gemm::driver::{simulate_gemm_batch_on, GemmOptions, SerialScheduler, SimScheduler};
-use camp_gemm::host::{int_blocking, CpuFeatures, KernelInfo};
+use camp_gemm::host::{CpuFeatures, KernelInfo};
 use camp_gemm::request::{GemmRequest, Operand, RequestError, ResolvedRequest};
-use camp_gemm::weights::{DType, WeightHandle, WeightMeta, WeightRegistry, WeightSnapshot};
+use camp_gemm::weights::{
+    DType, WeightHandle, WeightMeta, WeightRegistry, WeightSnapshot, HOST_BLOCKING,
+};
 use camp_gemm::CMatrix;
 use camp_pipeline::{CoreConfig, SimStats};
 
@@ -91,17 +92,6 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// resolved through [`resolve_threads`] (unset or `0` = all cores).
 pub fn host_threads_from_env() -> usize {
     resolve_threads(std::env::var("CAMP_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(0))
-}
-
-/// Simulated-driver scheduler width from the environment:
-/// `CAMP_SIM_THREADS`, resolved through [`resolve_threads`] except that
-/// *unset* means 1 (serial — simulation results are bit-identical at
-/// any width, so parallelism is strictly opt-in).
-pub fn sim_threads_from_env() -> usize {
-    match std::env::var("CAMP_SIM_THREADS").ok().and_then(|s| s.parse().ok()) {
-        Some(n) => resolve_threads(n),
-        None => 1,
-    }
 }
 
 // ---- outcomes -------------------------------------------------------------
@@ -311,7 +301,7 @@ pub trait CampBackend {
     fn execute_prepared(&mut self, batch: Vec<Self::Prepared>) -> BatchOutcome;
 
     /// Upgrade the backend into a serving [`Dispatcher`] with
-    /// [`crate::dispatch::DispatchOptions::from_env`]: any number of
+    /// [`crate::dispatch::DispatchOptions::default`]: any number of
     /// submit/poll sessions ([`Dispatcher::session`]) over this one
     /// backend, with submitter-side staging, priorities and per-session
     /// admission control. Register weights first — submissions
@@ -480,7 +470,7 @@ impl CampBackend for SimBackend {
             features: CpuFeatures::detect(),
             int_tile_i8: (4, 4),
             int_tile_i4: (4, 4),
-            int_blocking: int_blocking(),
+            int_blocking: HOST_BLOCKING,
         }
     }
 

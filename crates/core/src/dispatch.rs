@@ -142,8 +142,8 @@ pub enum Priority {
     Decode,
 }
 
-/// Dispatcher construction knobs; see [`DispatchOptions::from_env`] for
-/// the environment surface.
+/// Dispatcher construction options. Nothing here is read from the
+/// environment: a caller that wants another bound passes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchOptions {
     /// Default per-session admission bound: a session with this many
@@ -158,19 +158,6 @@ pub struct DispatchOptions {
 impl Default for DispatchOptions {
     fn default() -> Self {
         DispatchOptions { queue_depth: 8 }
-    }
-}
-
-impl DispatchOptions {
-    /// Defaults with the environment override applied:
-    ///
-    /// * `CAMP_QUEUE_DEPTH` — per-session admission bound (clamped ≥ 1).
-    pub fn from_env() -> Self {
-        let mut opts = DispatchOptions::default();
-        if let Some(n) = std::env::var("CAMP_QUEUE_DEPTH").ok().and_then(|s| s.parse().ok()) {
-            opts.queue_depth = 1usize.max(n);
-        }
-        opts
     }
 }
 
@@ -914,11 +901,11 @@ impl<B: CampBackend + Send + 'static> std::fmt::Debug for Dispatcher<B> {
 }
 
 impl<B: CampBackend + Send + 'static> Dispatcher<B> {
-    /// Start dispatching on `backend` with [`DispatchOptions::from_env`].
+    /// Start dispatching on `backend` with [`DispatchOptions::default`].
     /// Weights must already be registered: submissions are validated
     /// against this moment's registry.
     pub fn new(backend: B) -> Self {
-        Dispatcher::with_options(backend, DispatchOptions::from_env())
+        Dispatcher::with_options(backend, DispatchOptions::default())
     }
 
     /// Start dispatching on `backend` with explicit options.
@@ -1862,12 +1849,8 @@ mod tests {
     }
 
     #[test]
-    fn env_options_apply_and_validate() {
-        // avoid cross-test env races: set, read, restore immediately
-        std::env::set_var("CAMP_QUEUE_DEPTH", "0");
-        let opts = DispatchOptions::from_env();
-        std::env::remove_var("CAMP_QUEUE_DEPTH");
-        assert_eq!(opts.queue_depth, 1, "zero depth clamps to 1");
-        assert_eq!(DispatchOptions::default(), DispatchOptions::from_env());
+    fn new_runs_with_the_default_options() {
+        let (backend, _gate, _log) = GateBackend::new(0);
+        assert_eq!(Dispatcher::new(backend).options(), DispatchOptions::default());
     }
 }

@@ -534,7 +534,7 @@ pub struct CampEngine {
     /// Host micro-kernel tier, dispatched once at construction from
     /// the [`camp_gemm::host::CpuFeatures`] probe (or pinned by
     /// [`CampEngine::with_threads_and_kernel`] /
-    /// `CAMP_FORCE_SCALAR=1`). Every integer kernel call in this
+    /// `CAMP_FORCE_TIER`). Every integer kernel call in this
     /// engine goes through this table.
     host: &'static HostKernel,
     pools: Vec<PackPool>,
@@ -577,7 +577,7 @@ impl CampEngine {
     /// tier instead of the detected best one. This is how the parity
     /// test-suite runs every available tier against the scalar
     /// reference *within one process*; production code should let
-    /// [`HostKernel::detect`] choose (it honors `CAMP_FORCE_SCALAR`).
+    /// [`HostKernel::detect`] choose (it honors `CAMP_FORCE_TIER`).
     pub fn with_threads_and_kernel(threads: usize, kernel: &'static HostKernel) -> Self {
         let threads = crate::backend::resolve_threads(threads);
         let workers = (threads > 1).then(|| std::sync::Arc::new(WorkerPool::new(threads)));
@@ -663,22 +663,13 @@ impl CampEngine {
     /// let mut engine = CampEngine::new();
     /// let weights = engine.register_weights(n, k, &w, DType::I8);
     /// assert_eq!(engine.registered_weights(), 1);
-    /// assert_eq!(engine.weight_meta(weights).k, k);
+    /// assert_eq!(engine.try_weight_meta(weights).unwrap().k, k);
     /// ```
     ///
     /// # Panics
     /// Panics if `b.len() != k * n`.
     pub fn register_weights(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle {
         self.weights.register(n, k, b, dtype)
-    }
-
-    /// Shape/dtype of a registered weight.
-    ///
-    /// # Panics
-    /// Panics on a foreign, unknown or evicted handle; use
-    /// [`CampEngine::try_weight_meta`] for a `Result`.
-    pub fn weight_meta(&self, h: WeightHandle) -> WeightMeta {
-        self.weights.meta(h)
     }
 
     /// Shape/dtype of a registered weight, or why the handle is invalid
@@ -1304,7 +1295,7 @@ mod tests {
         let a = fill(7 * k, 3, 16, -8);
         let mut eng = CampEngine::with_threads(2);
         let h = eng.register_weights(n, k, &w, DType::I4);
-        assert_eq!(eng.weight_meta(h).dtype, DType::I4);
+        assert_eq!(eng.try_weight_meta(h).unwrap().dtype, DType::I4);
         let (c, s) = handle_gemm(&mut eng, 7, &a, h);
         assert_eq!(c, gemm_i32_ref(7, n, k, &a, &w));
         assert_eq!(s, gemm(&mut eng, (7, n, k), &a, &w, I4).1, "the handle carries the i4 k-step");

@@ -14,7 +14,7 @@
 //! The host-speed engine has the same seam one layer down: a
 //! [`HostKernel`] is the native-silicon analogue of a [`MicroKernel`]
 //! descriptor — a table of micro-kernel function pointers per tier
-//! (scalar / AVX2 / NEON), selected once at engine construction from a
+//! (scalar / AVX2 / AVX-512 / NEON), selected once at engine construction from a
 //! [`CpuFeatures`] runtime probe instead of a `Method` flag. Both
 //! descriptors feed the same blocked-loop skeleton in
 //! [`crate::loops`]; see `docs/HOST_KERNELS.md` for the dispatch

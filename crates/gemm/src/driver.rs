@@ -40,6 +40,7 @@
 
 use crate::batch::GemmProblem;
 use crate::dispatch::{AccKind, ElemKind, KernelGeometry, PackBCtx, RUN_BUDGET};
+use crate::host::scalar::pack_nibbles;
 use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
 use crate::reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};
 use crate::weights::DType;
@@ -286,16 +287,6 @@ fn layout(geo: &KernelGeometry, plan: &BlockPlan) -> Buffers {
     Buffers { a_base, b_base, c_base, apack, bpack, scratch, total }
 }
 
-/// Pack 4-bit values two per byte, low nibble first (the layout the
-/// `camp.s4` load path expects). An odd trailing element occupies the
-/// low nibble of a final byte whose high nibble is zero. Dispatches
-/// through the detected [`crate::host::HostKernel`]'s vectorized
-/// packer; byte-identical to [`crate::host::scalar::pack_nibbles`] on
-/// every tier.
-pub(crate) fn pack_nibbles(vals: &[i8]) -> Vec<i8> {
-    crate::host::HostKernel::detect().pack_nibbles(vals)
-}
-
 /// Stage only the A elements a (pc, kcb) unit reads — k-columns
 /// `[pc, pc + kcb)` of every row — at the addresses they would occupy
 /// in a fully staged operand, so programs see identical pointers.
@@ -378,7 +369,7 @@ fn stage_range(
 /// runs macro-kernels as simulated programs against one persistent
 /// machine + cache state (one per block unit in the parallel
 /// decomposition).
-struct SimBackend {
+struct BlockSim {
     sim: Simulator,
     geo: KernelGeometry,
     bufs: Buffers,
@@ -390,7 +381,7 @@ struct SimBackend {
     pack_b: crate::dispatch::BPacker,
 }
 
-impl SimBackend {
+impl BlockSim {
     /// Source bytes covering `cols` k-columns of A.
     fn a_col_bytes(&self, cols: usize) -> u64 {
         self.geo.elem.row_bytes(cols) as u64
@@ -597,7 +588,7 @@ fn simulate_unit(
     if prepacked_b.is_none() {
         stage_b_unit(&mut sim, &geo, &bufs, b_host, plan, spec);
     }
-    let mut backend = SimBackend {
+    let mut backend = BlockSim {
         sim,
         geo,
         lda: geo.elem.row_bytes(plan.kp) as u64,

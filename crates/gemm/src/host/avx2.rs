@@ -447,50 +447,6 @@ pub fn pack_b_block(
     }
 }
 
-// SAFETY: requires AVX2. Each iteration loads two whole 32-byte chunks
-// (guarded by `t * 64 + 64 <= vals.len()`) and stores one 32-byte chunk
-// at `t * 32` (fits because `out.len() = ceil(vals.len()/2)`).
-#[target_feature(enable = "avx2")]
-unsafe fn pack_nibbles_impl(vals: &[i8], out: &mut [i8]) {
-    let lo_mask = _mm256_set1_epi16(0x000f);
-    let hi_mask = _mm256_set1_epi16(0x00f0);
-    let full = vals.len() / 64;
-    for t in 0..full {
-        let mut halves = [_mm256_setzero_si256(); 2];
-        for (h, half) in halves.iter_mut().enumerate() {
-            let v = _mm256_loadu_si256(vals.as_ptr().add(t * 64 + h * 32) as *const __m256i);
-            // per 16-bit lane x = lo_byte | hi_byte<<8, the packed
-            // nibble byte is (x & 0xf) | ((x >> 4) & 0xf0)
-            *half = _mm256_or_si256(
-                _mm256_and_si256(v, lo_mask),
-                _mm256_and_si256(_mm256_srli_epi16::<4>(v), hi_mask),
-            );
-        }
-        // pack the 16-bit lanes to bytes; vpackuswb interleaves 128-bit
-        // lanes, so permute the 64-bit quarters back to sequential
-        let packed = _mm256_packus_epi16(halves[0], halves[1]);
-        let seq = _mm256_permute4x64_epi64::<0b11_01_10_00>(packed);
-        _mm256_storeu_si256(out.as_mut_ptr().add(t * 32) as *mut __m256i, seq);
-    }
-    // scalar tail, including the odd trailing low nibble
-    for (pair, o) in vals[full * 64..].chunks(2).zip(out[full * 32..].iter_mut()) {
-        let lo = pair[0] as u8 & 0x0f;
-        let hi = pair.get(1).map_or(0, |&v| (v as u8) << 4);
-        *o = (lo | hi) as i8;
-    }
-}
-
-/// SIMD [`super::scalar::pack_nibbles`]: byte-identical nibble image,
-/// 64 input bytes per step.
-pub fn pack_nibbles(vals: &[i8]) -> Vec<i8> {
-    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 packer dispatched without avx2");
-    let mut out = vec![0i8; vals.len().div_ceil(2)];
-    // SAFETY: AVX2 detection gates dispatch (debug-asserted above) and
-    // `out` is sized to exactly ceil(len/2), the impl's store bound.
-    unsafe { pack_nibbles_impl(vals, &mut out) };
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::scalar;
@@ -560,18 +516,6 @@ mod tests {
             scalar::pack_a_block(&mut want, &a, rows, cols, rc, pc, kcb);
             pack_a_block(&mut got, &a, rows, cols, rc, pc, kcb);
             assert_eq!(got, want, "pack_a {rows}x{cols} ic={rc} pc={pc} kcb={kcb}");
-        }
-    }
-
-    #[test]
-    fn pack_nibbles_is_byte_identical_to_scalar() {
-        if !have_avx2() {
-            return;
-        }
-        let mut r = SplitMix64::new(23);
-        for len in [0, 1, 2, 63, 64, 65, 127, 128, 129, 1000] {
-            let vals = r.i8_vec(len, -8, 7);
-            assert_eq!(pack_nibbles(&vals), scalar::pack_nibbles(&vals), "len={len}");
         }
     }
 

@@ -24,12 +24,14 @@
 //!   GEMV-shaped serving GeMMs: decode steps (m ≤ 8) and narrow
 //!   projections (n ≤ 8) skip A-packing and the padded register tile.
 //!
-//! Cache blocking (`mc`/`nc`/`kc`) is env-tunable via `CAMP_MC`,
-//! `CAMP_NC` and `CAMP_KC` (validated; see [`int_blocking`]);
+//! Cache blocking (`mc`/`nc`/`kc`) is the constant
+//! [`HOST_BLOCKING`], one set for every tier: the packed-panel layout
+//! depends on it and is shared with the weight registry, so it must
+//! not vary with the dispatched tier (or with the operator's shell).
 //! `CAMP_FORCE_TIER={scalar,avx2,avx512,neon}` pins dispatch to a
-//! specific tier (panicking if the CPU cannot run it),
-//! and the older `CAMP_FORCE_SCALAR=1` remains as the scalar shorthand
-//! (the CI job that keeps the fallback honest). The integer path keeps
+//! specific tier, panicking on an unknown name or a tier the CPU
+//! cannot run — the one environment value in the workspace that fails
+//! loudly (`docs/KNOBS.md`). The integer path keeps
 //! one packed-panel layout across tiers — the 4-wide camp panel layout
 //! shared with the weight registry and the serving session — so a
 //! panel packed by any component is consumable by every tier. Tiers
@@ -220,8 +222,6 @@ pub struct HostKernel {
     pub(crate) pack_a: fn(&mut [i8], &[i8], usize, usize, usize, usize, usize),
     /// Tier-accelerated [`scalar::pack_b_block`]; byte-identical.
     pub(crate) pack_b: fn(&mut [i8], &[i8], usize, usize, usize, usize, usize),
-    /// Tier-accelerated [`scalar::pack_nibbles`]; byte-identical.
-    pub(crate) pack_nibbles: fn(&[i8]) -> Vec<i8>,
 }
 
 impl fmt::Debug for HostKernel {
@@ -242,7 +242,6 @@ static SCALAR: HostKernel = HostKernel {
     panel_mav: scalar::panel_mav,
     pack_a: scalar::pack_a_block,
     pack_b: scalar::pack_b_block,
-    pack_nibbles: scalar::pack_nibbles,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -255,7 +254,6 @@ static AVX2: HostKernel = HostKernel {
     panel_mav: avx2::panel_mav,
     pack_a: avx2::pack_a_block,
     pack_b: avx2::pack_b_block,
-    pack_nibbles: avx2::pack_nibbles,
 };
 
 // The AVX-512 tier reuses the AVX2 packers: packing is bandwidth-bound,
@@ -272,7 +270,6 @@ static AVX512: HostKernel = HostKernel {
     panel_mav: avx512::panel_mav,
     pack_a: avx2::pack_a_block,
     pack_b: avx2::pack_b_block,
-    pack_nibbles: avx2::pack_nibbles,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -285,18 +282,7 @@ static NEON: HostKernel = HostKernel {
     panel_mav: neon::panel_mav,
     pack_a: scalar::pack_a_block,
     pack_b: scalar::pack_b_block,
-    pack_nibbles: scalar::pack_nibbles,
 };
-
-/// True when `CAMP_FORCE_SCALAR` pins dispatch to the portable tier
-/// (any non-empty value other than `0`). Read once per process.
-pub fn force_scalar() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| match std::env::var("CAMP_FORCE_SCALAR") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    })
-}
 
 /// Parse a `CAMP_FORCE_TIER` value. Pure so validation is unit-testable
 /// without process-global env mutation; empty/unset means "no pin".
@@ -314,35 +300,25 @@ pub(crate) fn parse_forced_tier(raw: Option<String>) -> Result<Option<HostTier>,
     }
 }
 
-/// The tier `CAMP_FORCE_TIER` pins dispatch to, if any — the superset
-/// of [`force_scalar`] (which remains as the scalar shorthand). Read
-/// and validated once per process.
+/// The tier `CAMP_FORCE_TIER` pins dispatch to, if any. Read and
+/// validated once per process.
 ///
 /// # Panics
-/// Panics (once, at first use) on an unrecognized tier name, or when
-/// `CAMP_FORCE_SCALAR` and `CAMP_FORCE_TIER` contradict each other —
-/// loud beats a silently ignored pin.
+/// Panics (once, at first use) on an unrecognized tier name — a pin
+/// that was silently ignored would invalidate what it was set to
+/// measure.
 pub fn forced_tier() -> Option<HostTier> {
     static FORCED: OnceLock<Option<HostTier>> = OnceLock::new();
     *FORCED.get_or_init(|| {
-        let tier = parse_forced_tier(std::env::var("CAMP_FORCE_TIER").ok())
-            .unwrap_or_else(|e| panic!("invalid tier override: {e}"));
-        match (force_scalar(), tier) {
-            (false, t) => t,
-            (true, None | Some(HostTier::Scalar)) => Some(HostTier::Scalar),
-            (true, Some(other)) => panic!(
-                "CAMP_FORCE_SCALAR conflicts with CAMP_FORCE_TIER={}: unset one of them",
-                other.name()
-            ),
-        }
+        parse_forced_tier(std::env::var("CAMP_FORCE_TIER").ok())
+            .unwrap_or_else(|e| panic!("invalid tier override: {e}"))
     })
 }
 
 impl HostKernel {
-    /// The best tier for the running CPU, honoring `CAMP_FORCE_TIER`
-    /// and `CAMP_FORCE_SCALAR`. Probed once per process; the result is
-    /// a `'static` table the engine stores and dispatches through
-    /// directly.
+    /// The best tier for the running CPU, honoring `CAMP_FORCE_TIER`.
+    /// Probed once per process; the result is a `'static` table the
+    /// engine stores and dispatches through directly.
     ///
     /// # Panics
     /// Panics when a forced tier is not runnable on this CPU/build — a
@@ -421,7 +397,7 @@ impl HostKernel {
             features: CpuFeatures::detect(),
             int_tile_i8: self.int_tile_shape(),
             int_tile_i4: self.int_tile_shape(),
-            int_blocking: int_blocking(),
+            int_blocking: HOST_BLOCKING,
         }
     }
 
@@ -490,12 +466,6 @@ impl HostKernel {
         (self.pack_a)(buf, a, m, k, ic, pc, kcb)
     }
 
-    /// Pack 4-bit values two per byte through this tier's vectorized
-    /// packer; byte-identical to [`scalar::pack_nibbles`].
-    pub fn pack_nibbles(&self, vals: &[i8]) -> Vec<i8> {
-        (self.pack_nibbles)(vals)
-    }
-
     /// Skinny-m integer path (`m ≤` [`crate::loops::SMALL_M_MAX`]):
     /// consume raw A directly, B either raw row-major or as a fully
     /// pre-packed shared panel. Accumulates into `c` with wrapping
@@ -552,7 +522,7 @@ pub struct KernelInfo {
     /// separately because the dtypes may diverge (e.g. a future VNNI
     /// nibble kernel) and bench consumers key on dtype.
     pub int_tile_i4: (usize, usize),
-    /// Active integer-path (mc, nc, kc).
+    /// Integer-path (mc, nc, kc): [`HOST_BLOCKING`] on the host.
     pub int_blocking: (usize, usize, usize),
 }
 
@@ -572,59 +542,6 @@ impl fmt::Display for KernelInfo {
             self.int_blocking.2,
         )
     }
-}
-
-// ---- env-tunable cache blocking -------------------------------------------
-
-/// Parse the `CAMP_MC`/`CAMP_NC`/`CAMP_KC` overrides from an
-/// environment accessor. Pure so the validation is unit-testable
-/// without process-global env mutation; values must be positive
-/// integers (they are re-aligned to the register tile and k-step by
-/// [`BlockPlan::new`], so any positive value is layout-safe).
-pub(crate) fn parse_blocking_overrides(
-    get: impl Fn(&str) -> Option<String>,
-) -> Result<(Option<usize>, Option<usize>, Option<usize>), String> {
-    let one = |name: &str| -> Result<Option<usize>, String> {
-        match get(name) {
-            None => Ok(None),
-            Some(raw) => match raw.trim().parse::<usize>() {
-                Ok(v) if v >= 1 => Ok(Some(v)),
-                _ => Err(format!(
-                    "{name} must be a positive integer (cache-block size in elements), got {raw:?}"
-                )),
-            },
-        }
-    };
-    Ok((one("CAMP_MC")?, one("CAMP_NC")?, one("CAMP_KC")?))
-}
-
-/// The process-wide blocking overrides, read and validated once.
-///
-/// # Panics
-/// Panics (once, at first use) on a malformed override — loud beats a
-/// silently ignored tuning knob.
-fn blocking_overrides() -> (Option<usize>, Option<usize>, Option<usize>) {
-    static CACHE: OnceLock<(Option<usize>, Option<usize>, Option<usize>)> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        parse_blocking_overrides(|name| std::env::var(name).ok())
-            .unwrap_or_else(|e| panic!("invalid cache-blocking override: {e}"))
-    })
-}
-
-fn apply_overrides(
-    (mc, nc, kc): (Option<usize>, Option<usize>, Option<usize>),
-    default: (usize, usize, usize),
-) -> (usize, usize, usize) {
-    (mc.unwrap_or(default.0), nc.unwrap_or(default.1), kc.unwrap_or(default.2))
-}
-
-/// Integer-path cache blocking: `CAMP_MC`/`CAMP_NC`/`CAMP_KC` over the
-/// [`HOST_BLOCKING`] defaults. One set for **all** tiers — the integer
-/// packed-panel layout is shared with the weight registry and the
-/// serving session, and the layout depends on the blocking, so it must
-/// not vary with the dispatched tier.
-pub fn int_blocking() -> (usize, usize, usize) {
-    apply_overrides(blocking_overrides(), HOST_BLOCKING)
 }
 
 #[cfg(test)]
@@ -649,7 +566,7 @@ mod tests {
         assert!(!info.simd);
         assert_eq!(info.int_tile_i8, (4, 4));
         assert_eq!(info.int_tile_i4, (4, 4));
-        assert_eq!(info.int_blocking, int_blocking());
+        assert_eq!(info.int_blocking, HOST_BLOCKING);
         let text = info.to_string();
         assert!(text.contains("scalar"), "{text}");
         assert!(text.contains("blocking"), "{text}");
@@ -686,27 +603,6 @@ mod tests {
         assert!(HostTier::Avx2.is_simd());
         assert!(HostTier::Avx512.is_simd());
         assert!(!HostTier::Scalar.is_simd());
-    }
-
-    #[test]
-    fn blocking_override_parser_validates() {
-        let none = parse_blocking_overrides(|_| None).unwrap();
-        assert_eq!(none, (None, None, None));
-        let all = parse_blocking_overrides(|name| match name {
-            "CAMP_MC" => Some("64".into()),
-            "CAMP_NC" => Some(" 128 ".into()),
-            "CAMP_KC" => Some("512".into()),
-            _ => None,
-        })
-        .unwrap();
-        assert_eq!(all, (Some(64), Some(128), Some(512)));
-        for bad in ["0", "-3", "huge", "", "12.5"] {
-            let err = parse_blocking_overrides(|name| (name == "CAMP_KC").then(|| bad.to_string()))
-                .unwrap_err();
-            assert!(err.contains("CAMP_KC"), "{err}");
-        }
-        // overrides apply over any default
-        assert_eq!(apply_overrides((Some(8), None, Some(32)), (1, 2, 3)), (8, 2, 32));
     }
 
     #[test]

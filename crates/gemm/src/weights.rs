@@ -6,9 +6,8 @@
 //! is pure overhead: the packed image of a k×n operand depends only on
 //! (n, k), the kernel's k-step and the blocking — never on the
 //! activation — so it can be built exactly once and consumed forever.
-//! [`WeightRegistry::register`] packs a weight matrix into a
-//! pool-owned persistent panel ([`crate::workspace::PackPool`]'s
-//! persistent arena) and returns a copyable [`WeightHandle`]; every
+//! [`WeightRegistry::register`] packs a weight matrix into a panel the
+//! registration owns and returns a copyable [`WeightHandle`]; every
 //! later GeMM against that handle runs with **zero B-packing**.
 //!
 //! This module is also the single source of truth for the host engine's
@@ -47,14 +46,11 @@ use std::sync::Arc;
 use crate::batch::{packed_a_offset, packed_b_bytes, packed_b_offset};
 use crate::loops::{for_each_a_block, for_each_b_block, BlockPlan};
 use crate::request::RequestError;
-use crate::workspace::{PackPool, PersistentId};
 
-/// Default host-engine cache blocking: (mc, nc, kc), multiples of the
-/// 4×4 register tile and both camp k-steps. The *active* blocking is
-/// [`crate::host::int_blocking`], which applies the validated
-/// `CAMP_MC`/`CAMP_NC`/`CAMP_KC` environment overrides over these
-/// defaults; every host-side packer goes through [`host_block_plan`],
-/// so pre-packed panels and per-block packing always agree on layout.
+/// The host engine's cache blocking: (mc, nc, kc), multiples of the
+/// 4×4 register tile and both camp k-steps. A constant, not a setting:
+/// every host-side packer goes through [`host_block_plan`], so
+/// pre-packed panels and per-block packing always agree on layout.
 pub const HOST_BLOCKING: (usize, usize, usize) = (128, 256, 2048);
 
 /// The [`BlockPlan`] every host-side GeMM over a 4×4 camp tile uses.
@@ -62,7 +58,7 @@ pub const HOST_BLOCKING: (usize, usize, usize) = (128, 256, 2048);
 /// (never `m` or the dispatched [`crate::host::HostKernel`] tier), so
 /// a plan built here for any `m` indexes the same packed B image.
 pub fn host_block_plan(m: usize, n: usize, k: usize, k_step: usize) -> BlockPlan {
-    BlockPlan::new(m, n, k, 4, 4, k_step, crate::host::int_blocking())
+    BlockPlan::new(m, n, k, 4, 4, k_step, HOST_BLOCKING)
 }
 
 /// Element type a problem runs under — selects the camp kernel
@@ -99,8 +95,8 @@ impl DType {
 /// [`WeightRegistry::clear`]). Handles are stamped with their
 /// registry's identity *and* their slot's generation: using one against
 /// a different engine's registry, or after its registration was
-/// evicted, fails loudly (the legacy lookups panic; the request API
-/// returns [`RequestError::StaleHandle`]) instead of silently
+/// evicted, fails with a typed [`RequestError`]
+/// ([`RequestError::StaleHandle`] after eviction) instead of silently
 /// multiplying the wrong weights when shapes happen to coincide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WeightHandle {
@@ -189,16 +185,31 @@ impl WeightMeta {
     }
 }
 
-/// One live registration.
+/// One live registration: its shape and the bytes it owns, freed when
+/// the entry is dropped.
 #[derive(Debug)]
 struct Entry {
     meta: WeightMeta,
-    panel: PersistentId,
-    /// Raw row-major k×n bytes; kept only in raw-mirror mode (the
-    /// simulated backend stages these into machine memory).
-    raw: Option<Arc<[i8]>>,
-    /// Resident bytes of this registration (packed panel or raw copy).
-    bytes: u64,
+    bytes: Stored,
+}
+
+/// What a registration keeps, by registry mode.
+#[derive(Debug)]
+enum Stored {
+    /// The host-packed panel, exactly [`packed_b_bytes`] long.
+    Packed(Box<[i8]>),
+    /// Raw row-major k×n bytes (raw-mirror mode: the simulated backend
+    /// stages these into machine memory).
+    Raw(Arc<[i8]>),
+}
+
+impl Entry {
+    fn resident(&self) -> u64 {
+        match &self.bytes {
+            Stored::Packed(p) => p.len() as u64,
+            Stored::Raw(r) => r.len() as u64,
+        }
+    }
 }
 
 /// One registry slot: its current generation plus the live entry, if
@@ -211,7 +222,7 @@ struct Slot {
 }
 
 /// Registry of pre-packed B operands: each registration packs the
-/// weight once into a persistent pool panel; lookups are index reads.
+/// weight once into a panel the registration owns; lookups are index reads.
 /// Long-lived serving engines can drop stale layers with
 /// [`WeightRegistry::evict`] / [`WeightRegistry::clear`] — evicted
 /// storage is freed and the slot is recycled under a new generation, so
@@ -225,7 +236,6 @@ struct Slot {
 #[derive(Debug)]
 pub struct WeightRegistry {
     id: u64,
-    pool: PackPool,
     slots: Vec<Slot>,
     /// Evicted slot indices awaiting re-use.
     free: Vec<usize>,
@@ -261,7 +271,6 @@ impl WeightRegistry {
         static NEXT_REGISTRY_ID: AtomicU64 = AtomicU64::new(0);
         WeightRegistry {
             id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
-            pool: PackPool::new(),
             slots: Vec::new(),
             free: Vec::new(),
             packed_bytes: 0,
@@ -286,20 +295,18 @@ impl WeightRegistry {
     /// Panics if `b.len() != k * n`.
     pub fn register(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle {
         assert_eq!(b.len(), k * n, "weights must be k×n");
-        let (panel, raw, bytes) = if self.raw_mode {
-            let raw: Arc<[i8]> = Arc::from(b);
-            let bytes = raw.len() as u64;
-            (self.pool.alloc_persistent(0), Some(raw), bytes)
+        let bytes = if self.raw_mode {
+            Stored::Raw(Arc::from(b))
         } else {
             let plan = host_block_plan(4, n, k, dtype.k_step());
-            let bytes = if n == 0 || k == 0 { 0 } else { packed_b_bytes(&plan) };
-            let id = self.pool.alloc_persistent(bytes);
-            prepack_b(self.pool.persistent_mut(id), b, n, k, &plan);
-            self.packed_bytes += bytes as u64;
-            (id, None, bytes as u64)
+            let len = if n == 0 || k == 0 { 0 } else { packed_b_bytes(&plan) };
+            let mut panel = vec![0i8; len].into_boxed_slice();
+            prepack_b(&mut panel, b, n, k, &plan);
+            self.packed_bytes += len as u64;
+            Stored::Packed(panel)
         };
-        self.resident_bytes += bytes;
-        let entry = Entry { meta: WeightMeta { n, k, dtype }, panel, raw, bytes };
+        let entry = Entry { meta: WeightMeta { n, k, dtype }, bytes };
+        self.resident_bytes += entry.resident();
         let index = match self.free.pop() {
             Some(index) => {
                 // re-use the evicted slot under a fresh generation, so
@@ -330,26 +337,6 @@ impl WeightRegistry {
         slot.entry.as_ref().ok_or(RequestError::StaleHandle)
     }
 
-    fn entry(&self, h: WeightHandle) -> &Entry {
-        match self.try_entry(h) {
-            Ok(e) => e,
-            Err(RequestError::ForeignHandle) => {
-                panic!("WeightHandle from a different registry")
-            }
-            Err(RequestError::StaleHandle) => panic!("stale WeightHandle (evicted registration)"),
-            Err(_) => panic!("unknown WeightHandle"),
-        }
-    }
-
-    /// Shape/dtype of a registered weight.
-    ///
-    /// # Panics
-    /// Panics on a foreign, unknown or evicted handle (the legacy
-    /// surface; use [`WeightRegistry::try_meta`] for a `Result`).
-    pub fn meta(&self, h: WeightHandle) -> WeightMeta {
-        self.entry(h).meta
-    }
-
     /// Shape/dtype of a registered weight, or why the handle is
     /// invalid ([`RequestError::StaleHandle`] after eviction).
     pub fn try_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
@@ -363,18 +350,21 @@ impl WeightRegistry {
     /// Panics on a foreign, unknown or evicted handle, and in
     /// raw-mirror mode (no packed panels exist there).
     pub fn panel(&self, h: WeightHandle) -> &[i8] {
-        assert!(!self.raw_mode, "raw-mirror registries hold no packed panels");
-        self.pool.persistent(self.entry(h).panel)
+        match &self.try_entry(h).unwrap_or_else(|e| panic!("{e}")).bytes {
+            Stored::Packed(panel) => panel,
+            Stored::Raw(_) => panic!("raw-mirror registries hold no packed panels"),
+        }
     }
 
     /// The raw row-major k×n bytes of a registration (raw-mirror mode
     /// only; host registries keep only the packed form).
     pub fn raw(&self, h: WeightHandle) -> Result<Arc<[i8]>, RequestError> {
-        let entry = self.try_entry(h)?;
-        entry
-            .raw
-            .clone()
-            .ok_or(RequestError::Unsupported("registry does not retain raw weight bytes"))
+        match &self.try_entry(h)?.bytes {
+            Stored::Raw(raw) => Ok(raw.clone()),
+            Stored::Packed(_) => {
+                Err(RequestError::Unsupported("registry does not retain raw weight bytes"))
+            }
+        }
     }
 
     /// Drop one registration: its storage is freed, later uses of the
@@ -385,8 +375,7 @@ impl WeightRegistry {
         self.try_entry(h)?;
         let slot = &mut self.slots[h.index];
         let entry = slot.entry.take().expect("validated live entry");
-        self.pool.free_persistent(entry.panel);
-        self.resident_bytes -= entry.bytes;
+        self.resident_bytes -= entry.resident();
         self.free.push(h.index);
         Ok(entry.meta)
     }
@@ -396,8 +385,7 @@ impl WeightRegistry {
     pub fn clear(&mut self) {
         for (index, slot) in self.slots.iter_mut().enumerate() {
             if let Some(entry) = slot.entry.take() {
-                self.pool.free_persistent(entry.panel);
-                self.resident_bytes -= entry.bytes;
+                self.resident_bytes -= entry.resident();
                 self.free.push(index);
             }
         }
@@ -531,7 +519,7 @@ mod tests {
         let h = reg.register(n, k, &b, DType::I8);
         assert_eq!(reg.len(), 1);
         assert!(!reg.is_empty());
-        let meta = reg.meta(h);
+        let meta = reg.try_meta(h).unwrap();
         assert_eq!((meta.n, meta.k, meta.dtype), (n, k, DType::I8));
         assert_eq!(meta.macs(5), 5 * n as u64 * k as u64);
         // panel bytes equal a standalone prepack of the same operand
@@ -568,7 +556,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "WeightHandle from a different registry")]
+    #[should_panic(expected = "issued by a different registry")]
     fn foreign_handles_are_rejected_even_when_shapes_coincide() {
         // the dangerous case: the other registry has an entry with the
         // same index and shape — without the identity stamp this would
@@ -577,7 +565,8 @@ mod tests {
         let h = reg.register(4, 4, &fill(16, 3), DType::I8);
         let mut other = WeightRegistry::new();
         let _ = other.register(4, 4, &fill(16, 7), DType::I8);
-        let _ = other.meta(h);
+        assert_eq!(other.try_meta(h).unwrap_err(), RequestError::ForeignHandle);
+        let _ = other.panel(h);
     }
 
     #[test]
@@ -633,15 +622,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stale WeightHandle")]
-    fn legacy_lookups_panic_on_stale_handles() {
-        let mut reg = WeightRegistry::new();
-        let h = reg.register(4, 16, &fill(64, 3), DType::I8);
-        reg.evict(h).unwrap();
-        let _ = reg.meta(h);
-    }
-
-    #[test]
     fn raw_mirror_registries_keep_the_bytes_not_panels() {
         let (n, k) = (6, 24);
         let b = fill(k * n, 5);
@@ -665,7 +645,7 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.live(), 1);
         assert_eq!(snap.meta(h1).unwrap_err(), RequestError::StaleHandle);
-        assert_eq!(snap.meta(h2).unwrap(), reg.meta(h2));
+        assert_eq!(snap.meta(h2), reg.try_meta(h2));
         let foreign = WeightRegistry::new().snapshot();
         assert_eq!(foreign.meta(h2).unwrap_err(), RequestError::ForeignHandle);
         assert!(WeightSnapshot::empty().meta(h2).is_err());
@@ -686,6 +666,14 @@ mod tests {
             let off = packed_a_offset(plan.kp, ic, mcb, pc);
             assert_eq!(&packed[off..off + mcb * kcb], &fresh[..], "block ({ic}, {pc})");
         });
+    }
+
+    #[test]
+    fn the_host_plan_is_a_pure_function_of_its_arguments() {
+        for (m, n, k, s) in [(1, 8, 40, 16), (13, 300, 2100, 16), (129, 4, 20, 32), (0, 0, 0, 16)] {
+            let want = BlockPlan::new(m, n, k, 4, 4, s, HOST_BLOCKING);
+            assert_eq!(host_block_plan(m, n, k, s), want, "{m}x{n}x{k}/{s}");
+        }
     }
 
     #[test]

@@ -77,14 +77,6 @@ pub struct PackPool {
     panels: Vec<Vec<i8>>,
     panel_lens: Vec<usize>,
     live_panels: usize,
-    /// Persistent panels ([`PackPool::alloc_persistent`]): never
-    /// recycled by [`PackPool::reset_panels`], exactly sized. The weight
-    /// registry keeps pre-packed B operands here until eviction.
-    persistent: Vec<Vec<i8>>,
-    /// Freed persistent slots awaiting re-use, so an evict/re-register
-    /// churn loop on a long-lived registry does not grow the slot table
-    /// without bound.
-    persistent_free: Vec<usize>,
     allocations: u64,
 }
 
@@ -92,11 +84,6 @@ pub struct PackPool {
 /// Valid until the next [`PackPool::reset_panels`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PanelId(usize);
-
-/// Handle to one *persistent* pool-owned panel (see
-/// [`PackPool::alloc_persistent`]). Never invalidated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PersistentId(usize);
 
 impl PackPool {
     /// Empty pool; buffers grow on first use.
@@ -161,48 +148,6 @@ impl PackPool {
     pub fn panel(&self, id: PanelId) -> &[i8] {
         assert!(id.0 < self.live_panels, "stale PanelId");
         &self.panels[id.0][..self.panel_lens[id.0]]
-    }
-
-    /// Allocate a panel that survives [`PackPool::reset_panels`] —
-    /// storage for operands with registration lifetime (pre-packed
-    /// weights), not per-call scratch. Zero-filled, exactly sized; each
-    /// call allocates fresh storage (registration is a one-time cost,
-    /// so the growth counter is bumped for honesty, not reuse), but a
-    /// slot freed by [`PackPool::free_persistent`] is recycled instead
-    /// of growing the slot table.
-    pub fn alloc_persistent(&mut self, bytes: usize) -> PersistentId {
-        self.allocations += 1;
-        match self.persistent_free.pop() {
-            Some(slot) => {
-                self.persistent[slot] = vec![0; bytes];
-                PersistentId(slot)
-            }
-            None => {
-                self.persistent.push(vec![0; bytes]);
-                PersistentId(self.persistent.len() - 1)
-            }
-        }
-    }
-
-    /// Mutable access to a persistent panel (for packing at
-    /// registration time).
-    pub fn persistent_mut(&mut self, id: PersistentId) -> &mut [i8] {
-        &mut self.persistent[id.0]
-    }
-
-    /// Free a persistent panel's storage (weight eviction): the bytes
-    /// are returned to the allocator immediately and the slot is
-    /// recycled by the next [`PackPool::alloc_persistent`]. The caller
-    /// must drop the id — the weight registry does, since eviction
-    /// removes the only entry holding it.
-    pub fn free_persistent(&mut self, id: PersistentId) {
-        self.persistent[id.0] = Vec::new();
-        self.persistent_free.push(id.0);
-    }
-
-    /// Read-only access to a persistent panel (for the macro-kernel).
-    pub fn persistent(&self, id: PersistentId) -> &[i8] {
-        &self.persistent[id.0]
     }
 
     /// Number of buffer growths since construction. Flat across calls
@@ -279,38 +224,6 @@ mod tests {
         assert_eq!(p.panel(one2).len(), 16);
         assert_eq!(p.panel(two2).len(), 32);
         assert_eq!(p.allocations(), grown, "panel reuse must not allocate");
-    }
-
-    #[test]
-    fn freed_persistent_slots_are_recycled() {
-        // the evict/re-register churn of a long-lived registry must not
-        // grow the slot table without bound
-        let mut p = PackPool::new();
-        let first = p.alloc_persistent(32);
-        p.persistent_mut(first).fill(1);
-        p.free_persistent(first);
-        let second = p.alloc_persistent(16);
-        assert_eq!(first, second, "freed slot must be recycled");
-        assert_eq!(p.persistent(second).len(), 16);
-        assert!(p.persistent(second).iter().all(|&v| v == 0), "recycled slots are zeroed");
-        // a third allocation (no free slots left) grows the table
-        let third = p.alloc_persistent(8);
-        assert_ne!(second, third);
-    }
-
-    #[test]
-    fn persistent_panels_survive_resets() {
-        let mut p = PackPool::new();
-        let keep = p.alloc_persistent(24);
-        p.persistent_mut(keep).fill(5);
-        // transient churn must not disturb persistent storage
-        for round in 0..3 {
-            p.reset_panels();
-            let t = p.alloc_panel(64);
-            p.panel_mut(t).fill(round as i8);
-        }
-        assert_eq!(p.persistent(keep).len(), 24);
-        assert!(p.persistent(keep).iter().all(|&v| v == 5));
     }
 
     #[test]

@@ -40,10 +40,6 @@ pub enum KvPolicy {
     Window,
 }
 
-/// Environment knob overriding the default per-session KV capacity
-/// (rows per layer). Unset or unparsable means the model's `seq_len`.
-pub const KV_CAPACITY_ENV: &str = "CAMP_KV_CAPACITY";
-
 /// Positions per K block: one channel's run inside a block is this many
 /// contiguous bytes (a cache line).
 const KV_BLOCK: usize = 64;
@@ -101,19 +97,6 @@ impl KvCache {
             capacity,
             policy,
             base: 0,
-        }
-    }
-
-    /// Capacity honoring the `CAMP_KV_CAPACITY` environment knob, with
-    /// `default` (typically the model's `seq_len`) when unset or
-    /// unparsable. Zero is treated as unset.
-    pub fn capacity_from_env(default: usize) -> usize {
-        match std::env::var(KV_CAPACITY_ENV) {
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => default,
-            },
-            Err(_) => default,
         }
     }
 
@@ -380,21 +363,12 @@ mod tests {
 
     #[test]
     fn an_unbounded_capacity_allocates_nothing_up_front() {
-        // CAMP_KV_CAPACITY is not validated: memory follows rows held
+        // a capacity is a bound, not a reservation: memory follows rows held
         let mut kv = KvCache::new(4, 256, usize::MAX, KvPolicy::Window);
         assert!(kv.k.iter().chain(&kv.v).all(|l| l.capacity() == 0));
         kv.ensure_room(1).unwrap();
         kv.push(0, &[1; 256], &[2; 256]);
         assert_eq!(kv.k[0].len(), 256 * KV_BLOCK, "one block per 64 positions held");
         assert_eq!(kv.v[0].len(), 256);
-    }
-
-    #[test]
-    fn capacity_env_defaults_when_unset() {
-        // no env mutation (tests run in parallel): only meaningful
-        // when the knob is not set in the surrounding environment
-        if std::env::var(KV_CAPACITY_ENV).is_err() {
-            assert_eq!(KvCache::capacity_from_env(128), 128);
-        }
     }
 }

@@ -98,13 +98,12 @@ impl InferContext {
         InferContext { kv, pos: 0, last: None }
     }
 
-    /// Fresh state with the model's default cache: capacity from the
-    /// `CAMP_KV_CAPACITY` knob (falling back to `seq_len`), policy
-    /// [`KvPolicy::Reject`].
+    /// Fresh state with the model's default cache: capacity `seq_len`,
+    /// policy [`KvPolicy::Reject`]. A caller that wants another bound
+    /// builds the [`KvCache`] and calls [`InferContext::new`].
     pub fn for_model(model: &Model) -> Self {
         let cfg = model.config();
-        let cap = KvCache::capacity_from_env(cfg.seq_len);
-        InferContext::new(KvCache::new(cfg.layers, cfg.hidden, cap, KvPolicy::Reject))
+        InferContext::new(KvCache::new(cfg.layers, cfg.hidden, cfg.seq_len, KvPolicy::Reject))
     }
 
     /// Next absolute position to be served.
@@ -243,6 +242,7 @@ mod tests {
         assert_eq!(s.context().position(), 7);
         // the dispatcher path must agree with the pure reference
         let mut ctx = InferContext::for_model(&model);
+        assert_eq!(ctx.kv().capacity(), model.config().seq_len, "and nothing else sets it");
         let mut exec = RefExec::new(&model);
         let t = ctx.prefill_with(&model, &mut exec, &[1, 2, 3]).unwrap();
         assert_eq!(t, ticket);

@@ -425,7 +425,7 @@ mod tests {
             assert_eq!(h.m(), d.m());
             assert_eq!(h.activation(), d.activation(), "both forms carry the same activation");
             let Operand::Handle(handle) = h.weights() else { panic!("handle operand expected") };
-            let meta = eng.weight_meta(*handle);
+            let meta = eng.try_weight_meta(*handle).unwrap();
             assert_eq!((Some(meta.n), Some(meta.k)), (d.n(), d.k()), "registration shape");
         }
     }

@@ -9,8 +9,8 @@
 //! structural: exact products, wrapping i32 accumulation.
 //!
 //! These tests run whatever tiers the build machine supports, so the CI
-//! scalar-fallback job (`CAMP_FORCE_SCALAR=1`) and the regular job
-//! together cover dispatch both ways.
+//! `forced-tier` matrix (`CAMP_FORCE_TIER=scalar|avx2|avx512`) and the
+//! regular job together cover dispatch every way.
 
 use camp::core::backend::CampBackend;
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
@@ -199,20 +199,6 @@ proptest! {
             hk.pack_a_block(&mut got, &a, m, k, ic, pc, kcb);
             prop_assert_eq!(&got, &want_a, "tier {} pack_a {}x{} ic={} pc={} kcb={}",
                 hk.tier().name(), m, k, ic, pc, kcb);
-        }
-    }
-
-    /// The vectorized nibble packer matches the scalar reference for
-    /// every length, including odd tails.
-    #[test]
-    fn pack_nibbles_is_byte_identical_across_tiers(
-        len in 0usize..600, seed in any::<u32>())
-    {
-        let vals = gen_i8(len, seed | 1, -8, 7);
-        let want = camp::gemm::host::scalar::pack_nibbles(&vals);
-        for hk in HostKernel::available() {
-            prop_assert_eq!(&hk.pack_nibbles(&vals), &want,
-                "tier {} nibble pack diverges at len {}", hk.tier().name(), len);
         }
     }
 }
