@@ -52,12 +52,7 @@ fn main() -> ExitCode {
         println!("{d}");
     }
     if diags.is_empty() {
-        eprintln!(
-            "camp-lint: clean ({} files, v{}.{})",
-            ws.files.len(),
-            ws.version.0,
-            ws.version.1
-        );
+        eprintln!("camp-lint: clean ({} files)", ws.files.len());
         ExitCode::SUCCESS
     } else {
         eprintln!("camp-lint: {} finding(s) across {} files", diags.len(), ws.files.len());

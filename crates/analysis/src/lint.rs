@@ -2,7 +2,7 @@
 //! the workspace's Rust sources (no crates.io dependencies — the build
 //! environment is offline, and these rules don't need type inference).
 //!
-//! Five passes guard the invariants the unsafe/SIMD/serving core was
+//! Four passes guard the invariants the unsafe/SIMD/serving core was
 //! reviewed against, so they stay machine-checked as the tree grows:
 //!
 //! | pass             | rule                                                             |
@@ -10,7 +10,6 @@
 //! | `safety`         | every `unsafe` block/fn/impl carries a `// SAFETY:` justification |
 //! | `target-feature` | `#[target_feature]` fns are `unsafe` and reachable only through the `HostKernel` dispatch table in `host/mod.rs` |
 //! | `knobs`          | every `CAMP_*` env knob is registered in `docs/KNOBS.md` (and no registry row is stale) |
-//! | `deprecation`    | `#[deprecated]` shims carry a `remove: vX.Y` milestone and fail once the workspace version reaches it; a `since` the workspace has not reached is itself a finding |
 //! | `accumulator`    | integer kernels in `gemm/src/host/` use `wrapping_*` arithmetic — no bare `+`/`-`/`*` on accumulators |
 //!
 //! The passes work on a [`SourceFile`]'s *stripped* view (comments and
@@ -239,15 +238,13 @@ fn strip(text: &str) -> (Vec<String>, Vec<(usize, String)>) {
 // ---- workspace model ------------------------------------------------------
 
 /// The linted tree: every `.rs` file under `root` (excluding build
-/// output, VCS internals and the lint's own known-bad fixtures), the
-/// knob registry, and the workspace version for deprecation expiry.
+/// output, VCS internals and the lint's own known-bad fixtures) and the
+/// knob registry.
 pub struct Workspace {
     pub root: PathBuf,
     pub files: Vec<SourceFile>,
     /// `docs/KNOBS.md` lines, if the registry exists.
     pub knobs_md: Option<Vec<String>>,
-    /// `(major, minor)` from the root `Cargo.toml`.
-    pub version: (u64, u64),
 }
 
 /// Directory names never descended into. `lint_fixtures` holds
@@ -287,8 +284,7 @@ impl Workspace {
         let knobs_md = std::fs::read_to_string(root.join("docs/KNOBS.md"))
             .ok()
             .map(|t| t.lines().map(str::to_owned).collect());
-        let version = parse_version(&std::fs::read_to_string(root.join("Cargo.toml"))?);
-        Ok(Workspace { root: root.to_path_buf(), files, knobs_md, version })
+        Ok(Workspace { root: root.to_path_buf(), files, knobs_md })
     }
 }
 
@@ -299,31 +295,6 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy())
         .collect::<Vec<_>>()
         .join("/")
-}
-
-/// First `version = "x.y.z"` in a manifest (the workspace version).
-fn parse_version(manifest: &str) -> (u64, u64) {
-    for line in manifest.lines() {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix("version") {
-            let rest = rest.trim_start();
-            if let Some(v) = rest.strip_prefix('=') {
-                if let Some((ver, _)) = v.trim().trim_start_matches('"').split_once('"') {
-                    return parse_major_minor(ver).unwrap_or((0, 0));
-                }
-                let ver = v.trim().trim_matches('"');
-                return parse_major_minor(ver).unwrap_or((0, 0));
-            }
-        }
-    }
-    (0, 0)
-}
-
-fn parse_major_minor(s: &str) -> Option<(u64, u64)> {
-    let mut it = s.split('.');
-    let major = it.next()?.trim().parse().ok()?;
-    let minor = it.next()?.trim().trim_end_matches(|c: char| !c.is_ascii_digit()).parse().ok()?;
-    Some((major, minor))
 }
 
 // ---- pass: safety ---------------------------------------------------------
@@ -555,69 +526,6 @@ pub fn check_knobs(ws: &Workspace) -> Vec<Diagnostic> {
     out
 }
 
-// ---- pass: deprecation ----------------------------------------------------
-
-/// `#[deprecated]` items must carry a removal milestone in their note
-/// (`remove: vX.Y`); once the workspace version reaches it, the shim
-/// has outlived its deprecation cycle and the lint fails until it is
-/// deleted. A `since` newer than the workspace version is a finding
-/// too: such a shim is stamped on a version line the workspace is not
-/// on, so its milestone could never fire.
-pub fn check_deprecation(ws: &Workspace, f: &SourceFile) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (i, code) in f.code.iter().enumerate() {
-        if !code.contains("#[deprecated") {
-            continue;
-        }
-        // gather the attribute's raw text (note strings live there)
-        let mut attr = String::new();
-        for raw in f.raw.iter().skip(i).take(8) {
-            attr.push_str(raw);
-            attr.push('\n');
-            if raw.contains(")]") {
-                break;
-            }
-        }
-        let since = attr.split("since = \"").nth(1).and_then(parse_major_minor);
-        if let Some(since) = since.filter(|&since| since > ws.version) {
-            out.push(Diagnostic {
-                file: f.rel.clone(),
-                line: i + 1,
-                pass: "deprecation",
-                message: format!(
-                    "deprecated since v{}.{} but the workspace is only v{}.{} — stamp the \
-                     version that introduced the shim, or its milestone can never fire",
-                    since.0, since.1, ws.version.0, ws.version.1
-                ),
-            });
-        }
-        let Some(milestone) = attr.split("remove: v").nth(1).and_then(parse_major_minor) else {
-            out.push(Diagnostic {
-                file: f.rel.clone(),
-                line: i + 1,
-                pass: "deprecation",
-                message: "#[deprecated] without a removal milestone — add `remove: vX.Y` to \
-                          the note so the shim cannot outlive its deprecation cycle"
-                    .into(),
-            });
-            continue;
-        };
-        if ws.version >= milestone {
-            out.push(Diagnostic {
-                file: f.rel.clone(),
-                line: i + 1,
-                pass: "deprecation",
-                message: format!(
-                    "deprecation expired: workspace is v{}.{} and this shim was scheduled for \
-                     removal at v{}.{} — delete it",
-                    ws.version.0, ws.version.1, milestone.0, milestone.1
-                ),
-            });
-        }
-    }
-    out
-}
-
 // ---- pass: accumulator ----------------------------------------------------
 
 /// Blank the contents of `[…]` index expressions so `a[i * k + l]`
@@ -783,7 +691,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     for f in &ws.files {
         out.extend(check_safety(f));
         out.extend(check_target_feature(f));
-        out.extend(check_deprecation(ws, f));
         out.extend(check_accumulator(f));
     }
     out.extend(check_knobs(ws));
@@ -881,11 +788,5 @@ mod tests {
             vec!["CAMP_THREADS", "CAMP_FORCE_TIER"]
         );
         assert!(knob_names("CAMP_ alone").is_empty());
-    }
-
-    #[test]
-    fn version_parsing_handles_workspace_manifests() {
-        assert_eq!(parse_version("[workspace.package]\nversion = \"0.1.0\"\n"), (0, 1));
-        assert_eq!(parse_major_minor("0.3"), Some((0, 3)));
     }
 }

@@ -65,23 +65,6 @@ fn avx512_routing_fixture_flags_the_direct_call_but_not_the_dispatch_table() {
 }
 
 #[test]
-fn expired_shim_fixture_flags_expiry_and_missing_milestone() {
-    let diags = lint_fixture("expired_shim");
-    assert_eq!(
-        keys(&diags),
-        vec![
-            ("src/lib.rs", 4, "deprecation"),
-            ("src/lib.rs", 7, "deprecation"),
-            ("src/lib.rs", 13, "deprecation"),
-        ],
-        "got: {diags:#?}"
-    );
-    assert!(diags[0].message.contains("expired"), "line 4 is the expired shim: {}", diags[0]);
-    assert!(diags[1].message.contains("milestone"), "line 7 lacks a milestone: {}", diags[1]);
-    assert!(diags[2].message.contains("since v0.4"), "line 13 is not reached yet: {}", diags[2]);
-}
-
-#[test]
 fn bare_accumulator_fixture_flags_only_the_integer_bare_add() {
     let diags = lint_fixture("bare_accumulator");
     assert_eq!(

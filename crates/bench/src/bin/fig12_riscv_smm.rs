@@ -27,11 +27,9 @@ fn main() {
             base.stats.cycles as f64 / c4.stats.cycles as f64,
             base.stats.insts as f64 / c8.stats.insts as f64,
             base.stats.insts as f64 / c4.stats.insts as f64,
-            c8.serial_gops,
-            c4.serial_gops,
+            c8.gops,
+            c4.gops,
         );
     }
     println!("\npaper §6.2: CAMP reaches 16 GOPS (8-bit) and 28 GOPS (4-bit) on SMM.");
-    println!("(all columns are the single-core view — GemmResult::into_single_core;");
-    println!(" the parallel lane model is documented in docs/SIMULATOR.md)");
 }

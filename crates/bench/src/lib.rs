@@ -4,7 +4,9 @@
 //! "Figure/table binaries → paper sections", is the index). Each harness
 //! prints the series the paper reports, with a `paper≈` annotation
 //! giving the published value where one exists, so shape agreement can
-//! be read off the output.
+//! be read off the output. Two more bins, `host_gemm` and `llm_serve`,
+//! print host-side tables; nothing is gated on any of them and none
+//! writes a file (`benchmark/` is the instrument that gates performance).
 //!
 //! Shared conventions:
 //!
@@ -17,102 +19,9 @@
 //!   core (Fig. 12), exactly as in the paper.
 
 use camp_core::WorkerPool;
-use camp_gemm::{
-    simulate_gemm_batch_on, simulate_gemm_on, GemmOptions, GemmProblem, GemmResult, Method,
-    SerialScheduler, SimBatchResult, SimScheduler,
-};
+use camp_gemm::{simulate_gemm_on, GemmOptions, GemmResult, Method, SerialScheduler, SimScheduler};
 use camp_models::GemmShape;
 use camp_pipeline::CoreConfig;
-
-/// Best-of-`reps` wall time in seconds for one invocation of `f`, after
-/// an untimed warm-up call (pools grown, pages faulted in) if asked.
-pub fn time_best(reps: usize, warm_up: bool, mut f: impl FnMut()) -> f64 {
-    if warm_up {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// The `pct`-th percentile of ascending `sorted` seconds, in ms.
-pub fn percentile_ms(sorted: &[f64], pct: usize) -> f64 {
-    sorted[(sorted.len() - 1) * pct / 100] * 1e3
-}
-
-/// Pull `"key": value` out of one hand-rolled JSON row line (the bench
-/// writers put one row object per line, so line-wise scanning is an
-/// exact parse of our own output).
-pub fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// Relative slack of the [`check_baseline`] gate: it compares ratios
-/// measured on different machines, and it is the one value CI ever ran.
-const TOLERANCE: f64 = 0.5;
-
-/// The regression gate of every `--check-baseline` run: each row of
-/// the checked-in baseline at `path` (one JSON object per line) whose
-/// `keys` fields equal a fresh row's must not beat that row's `metric`
-/// (higher is better) by more than the relative `TOLERANCE` (0.5).
-/// `fresh_rows` pairs each fresh row's key values, as the JSON writer
-/// prints them, with its metric. Prints one `ok`/`FAIL` line per
-/// compared row; a baseline that is unreadable or shares no row with
-/// the fresh set fails.
-pub fn check_baseline(
-    path: &str,
-    keys: &[&str],
-    metric: &str,
-    fresh_rows: &[(Vec<String>, f64)],
-) -> bool {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-baseline: cannot read {path}: {e}");
-            return false;
-        }
-    };
-    let mut matched = 0usize;
-    let mut ok = true;
-    for line in text.lines() {
-        let Some(key) = keys.iter().map(|k| field(line, k)).collect::<Option<Vec<_>>>() else {
-            continue;
-        };
-        let Some(base) = field(line, metric).and_then(|v| v.parse::<f64>().ok()) else {
-            continue;
-        };
-        let Some((_, fresh)) = fresh_rows.iter().find(|(k, _)| k.iter().eq(key.iter())) else {
-            continue;
-        };
-        matched += 1;
-        let floor = base * (1.0 - TOLERANCE);
-        let pass = *fresh >= floor;
-        let verdict = if pass { "ok  " } else { "FAIL" };
-        let row: Vec<String> = keys.iter().zip(&key).map(|(k, v)| format!("{k}={v}")).collect();
-        println!(
-            "{verdict} {}: {metric} {fresh:.2} vs baseline {base:.2} (floor {floor:.2})",
-            row.join(" ")
-        );
-        ok &= pass;
-    }
-    if matched == 0 {
-        eprintln!("check-baseline: no baseline rows matched the fresh set (schema drift?)");
-        return false;
-    }
-    println!(
-        "check-baseline: {matched} rows compared, tolerance {TOLERANCE} — {}",
-        if ok { "PASS" } else { "FAIL" }
-    );
-    ok
-}
 
 /// MAC budget for harness runs: env `CAMP_MAC_BUDGET`, default 32 M
 /// when unset or unparsable.
@@ -150,7 +59,7 @@ pub struct SimRunner {
 }
 
 impl SimRunner {
-    /// A runner honoring [`sim_threads`] (CLI flag / env / default 1).
+    /// A runner honoring [`sim_threads`] (the CLI flag, else 1).
     pub fn from_cli() -> Self {
         SimRunner::with_threads(sim_threads())
     }
@@ -175,13 +84,7 @@ impl SimRunner {
         }
     }
 
-    /// Simulate one blocked GeMM on this runner's scheduler. The
-    /// result is reframed to the single-core view
-    /// ([`GemmResult::into_single_core`]): harness binaries quote the
-    /// paper's single-core cycle counts, GOPS, busy and stall *rates*,
-    /// so their `stats.cycles` must be the serialized sum, not the
-    /// max-across-lanes parallel model (which stays available through
-    /// the `camp_gemm` API directly).
+    /// Simulate one blocked GeMM on this runner's scheduler.
     pub fn simulate(
         &self,
         core: CoreConfig,
@@ -191,17 +94,7 @@ impl SimRunner {
         k: usize,
         opts: &GemmOptions,
     ) -> GemmResult {
-        simulate_gemm_on(core, method, m, n, k, opts, self.scheduler()).into_single_core()
-    }
-
-    /// Simulate a batch of [`GemmProblem`]s on this runner's scheduler.
-    pub fn simulate_batch(
-        &self,
-        core: CoreConfig,
-        problems: &[GemmProblem<'_>],
-        opts: &GemmOptions,
-    ) -> SimBatchResult {
-        simulate_gemm_batch_on(core, problems, opts, self.scheduler())
+        simulate_gemm_on(core, method, m, n, k, opts, self.scheduler())
     }
 
     /// [`SimRunner::simulate`] with harness options on `shape`.
@@ -226,11 +119,6 @@ pub fn fig13_methods() -> [Method; 6] {
         Method::HandvInt32,
         Method::OpenblasF32,
     ]
-}
-
-/// Format a speedup column.
-pub fn fmt_x(v: f64) -> String {
-    format!("{v:5.2}x")
 }
 
 /// Print a standard header block for a harness.

@@ -538,15 +538,8 @@ impl CampBackend for SimBackend {
             .iter()
             .map(|r| Output { c: vec![0i32; r.m * r.n], m: r.m, n: r.n, clamped: false })
             .collect();
-        let mut stats = SimStats::default();
         for (&slot, result) in slots.iter().zip(&batch.results) {
             let r = &resolved[slot];
-            // the single-core frame: every block of every request
-            // serialized on one core (the paper's view; lane-parallel
-            // stats stay available through camp_gemm::driver directly)
-            let mut single = result.stats;
-            single.cycles = result.serial_cycles;
-            stats.merge(&single);
             let CMatrix::I32(padded) = &result.c else {
                 unreachable!("camp kernels accumulate i32");
             };
@@ -563,7 +556,7 @@ impl CampBackend for SimBackend {
                 Output { c, m: r.m, n: r.n, clamped: false }
             };
         }
-        BatchOutcome { outputs, stats: ExecStats::Sim(stats) }
+        BatchOutcome { outputs, stats: ExecStats::Sim(batch.stats) }
     }
 }
 

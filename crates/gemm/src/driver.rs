@@ -25,18 +25,16 @@
 //! `simulate_gemm` with one scheduler thread is **bit-identical**
 //! (stats and output) to any other thread count. Partial C blocks merge
 //! on the host in a fixed order (depth-ascending per column strip, the
-//! order the serial read-modify-write would apply them), and stats
-//! merge deterministically: depth blocks of one column strip chain
-//! **sequentially** ([`SimStats::merge`] — they are serialized by the C
-//! dependency), independent column strips — the *lanes* — merge **in
-//! parallel** ([`SimStats::merge_parallel`]: cycles max, work summed).
-//! See `docs/SIMULATOR.md` for the full contract.
+//! order the serial read-modify-write would apply them), and every
+//! unit's stats fold into the result with [`SimStats::merge`]: the
+//! reported `cycles` are what **one core** running all units back to
+//! back takes — the paper's frame of reference. See `docs/SIMULATOR.md`
+//! for the full contract.
 //!
 //! [`simulate_gemm_batch`] extends the same machinery across many
-//! [`GemmProblem`] descriptors (each batch item is one more parallel
-//! lane) with B-operand deduplication: problems sharing one weight
-//! matrix simulate its packing once, and the packed image is re-staged
-//! for the other problems' units.
+//! [`GemmProblem`] descriptors with B-operand deduplication: problems
+//! sharing one weight matrix simulate its packing once, and the packed
+//! image is re-staged for the other problems' units.
 
 use crate::batch::GemmProblem;
 use crate::dispatch::{AccKind, ElemKind, KernelGeometry, PackBCtx, RUN_BUDGET};
@@ -182,9 +180,9 @@ impl CMatrix {
 /// Result of one simulated GeMM.
 #[derive(Debug, Clone)]
 pub struct GemmResult {
-    /// Merged pipeline/cache statistics: `cycles` is the
-    /// max-across-lanes parallel model, every other field is the summed
-    /// work of all blocks (see [`SimStats::merge_parallel`]).
+    /// Pipeline/cache statistics summed over every block unit
+    /// ([`SimStats::merge`]): `cycles` is one core running all blocks
+    /// back to back.
     pub stats: SimStats,
     /// The computed C matrix (padded `m × n`, row-major).
     pub c: CMatrix,
@@ -199,36 +197,9 @@ pub struct GemmResult {
     pub k: usize,
     /// True if the requested problem was clamped to fit the MAC budget.
     pub clamped: bool,
-    /// Independent column-strip lanes the stats model merged across
-    /// (1 for problems that fit one nc strip).
-    pub lanes: usize,
-    /// Cycles of a fully serialized run: the sum over every lane, i.e.
-    /// what one core executing all blocks back to back would take. The
-    /// single-core number the paper's absolute figures use.
-    pub serial_cycles: u64,
-    /// Effective GOPS of the parallel model at the core's clock
-    /// (2 ops per MAC, `stats.cycles` wall-clock).
+    /// Effective GOPS at the core's clock (2 ops per MAC over
+    /// `stats.cycles`) — comparable to the paper's single-core numbers.
     pub gops: f64,
-    /// Effective GOPS of one core running every block serially
-    /// (`serial_cycles` wall-clock) — comparable to the paper's
-    /// single-core numbers.
-    pub serial_gops: f64,
-}
-
-impl GemmResult {
-    /// Reframe the result to the **single-core** view: `stats.cycles`
-    /// becomes [`GemmResult::serial_cycles`] (every block back to back
-    /// on one core) and `gops` becomes
-    /// [`GemmResult::serial_gops`]. Every other stats field is a
-    /// schedule-independent work count and is unchanged, as are the
-    /// output bits. The figure harnesses report this view — the paper
-    /// measures single cores — while the default fields model the
-    /// parallel lane cluster (see `docs/SIMULATOR.md`).
-    pub fn into_single_core(mut self) -> GemmResult {
-        self.stats.cycles = self.serial_cycles;
-        self.gops = self.serial_gops;
-        self
-    }
 }
 
 /// Result of one [`simulate_gemm_batch`] call.
@@ -238,8 +209,8 @@ pub struct SimBatchResult {
     /// bit-identical to what a standalone [`simulate_gemm`]-style run
     /// of that problem produces (B-dedup changes only pack accounting).
     pub results: Vec<GemmResult>,
-    /// Batch-merged statistics: every batch item is one more parallel
-    /// lane (`cycles` max across items, work summed).
+    /// The results' statistics summed ([`SimStats::merge`]): one core
+    /// running the batch's problems back to back.
     pub stats: SimStats,
 }
 
@@ -480,11 +451,9 @@ impl BlockSim {
 // ---- the block-unit decomposition -----------------------------------------
 
 /// One independent work unit of the decomposition: a (jc, pc) block of
-/// the blocked loops, tagged with the column-strip lane it belongs to.
+/// the blocked loops.
 #[derive(Debug, Clone, Copy)]
 struct UnitSpec {
-    /// Column-strip index (the parallel lane of the stats model).
-    lane: usize,
     jc: usize,
     ncb: usize,
     pc: usize,
@@ -502,20 +471,11 @@ struct UnitOut {
 }
 
 /// Enumerate the plan's (jc, pc) units in the blocked loops' visit
-/// order (jc outer, pc inner), tagging each with its lane. Units of one
-/// lane appear depth-ascending — the order their partial C and stats
-/// are chained in the merge.
+/// order (jc outer, pc inner). Units of one column strip appear
+/// depth-ascending — the order their partial C is folded in the merge.
 fn unit_specs(plan: &BlockPlan) -> Vec<UnitSpec> {
     let mut specs = Vec::new();
-    let mut lane = 0usize;
-    let mut last_jc = None;
-    for_each_b_block(plan, |jc, ncb, pc, kcb| {
-        if last_jc.is_some() && last_jc != Some(jc) {
-            lane += 1;
-        }
-        last_jc = Some(jc);
-        specs.push(UnitSpec { lane, jc, ncb, pc, kcb });
-    });
+    for_each_b_block(plan, |jc, ncb, pc, kcb| specs.push(UnitSpec { jc, ncb, pc, kcb }));
     specs
 }
 
@@ -640,7 +600,6 @@ struct ProblemCtx {
     /// host reference verifies against it).
     b_host: Vec<i8>,
     specs: Vec<UnitSpec>,
-    lanes: usize,
     clamped: bool,
     /// `Some(i)`: reuse problem `i`'s simulated pack-B images.
     owner: Option<usize>,
@@ -677,7 +636,6 @@ fn degenerate_ctx(method: Method) -> ProblemCtx {
         a_host: Vec::new(),
         b_host: Vec::new(),
         specs: Vec::new(),
-        lanes: 0,
         clamped: false,
         owner: None,
         share_b: false,
@@ -692,15 +650,12 @@ fn ctx_from_plan(
     b_host: Vec<i8>,
     clamped: bool,
 ) -> ProblemCtx {
-    let specs = unit_specs(&plan);
-    let lanes = specs.last().map_or(0, |s| s.lane + 1);
     ProblemCtx {
         method,
+        specs: unit_specs(&plan),
         plan,
         a_host,
         b_host,
-        specs,
-        lanes,
         clamped,
         owner: None,
         share_b: false,
@@ -856,8 +811,7 @@ fn run_ctxs(core: CoreConfig, ctxs: &[ProblemCtx], sched: &dyn SimScheduler) -> 
 }
 
 /// Merge a problem's unit outputs into its [`GemmResult`]: partial C
-/// blocks fold depth-ascending per column strip, lane stats chain
-/// sequentially within a strip and merge in parallel across strips.
+/// blocks fold depth-ascending per column strip, stats add up.
 fn finish_problem(core: CoreConfig, ctx: &ProblemCtx, outs: Vec<UnitOut>) -> GemmResult {
     let geo = ctx.method.dispatcher().geometry();
     if ctx.degenerate {
@@ -869,31 +823,16 @@ fn finish_problem(core: CoreConfig, ctx: &ProblemCtx, outs: Vec<UnitOut>) -> Gem
             n: 0,
             k: 0,
             clamped: false,
-            lanes: 0,
-            serial_cycles: 0,
             gops: 0.0,
-            serial_gops: 0.0,
         };
     }
     let plan = &ctx.plan;
-    let mut lane_stats = vec![SimStats::default(); ctx.lanes];
+    let mut stats = SimStats::default();
     let mut c = CMatrix::zeros(geo.acc, plan.mp * plan.np);
     for (spec, out) in ctx.specs.iter().zip(&outs) {
-        // depth blocks of one strip are serialized by the C dependency
-        lane_stats[spec.lane].merge(&out.stats);
+        stats.merge(&out.stats);
         c.accumulate(&out.c, plan.np, spec.jc, spec.ncb);
     }
-    let mut stats = SimStats::default();
-    for ls in &lane_stats {
-        stats.merge_parallel(ls);
-    }
-    let serial_cycles: u64 = lane_stats.iter().map(|s| s.cycles).sum();
-    let gops = stats.gops(core.freq_ghz);
-    let serial_gops = if serial_cycles == 0 {
-        0.0
-    } else {
-        2.0 * stats.macs as f64 / serial_cycles as f64 * core.freq_ghz
-    };
     GemmResult {
         stats,
         correct: true, // verification is layered on by the caller
@@ -902,10 +841,7 @@ fn finish_problem(core: CoreConfig, ctx: &ProblemCtx, outs: Vec<UnitOut>) -> Gem
         n: plan.np,
         k: plan.kp,
         clamped: ctx.clamped,
-        lanes: ctx.lanes,
-        serial_cycles,
-        gops,
-        serial_gops,
+        gops: stats.gops(core.freq_ghz),
     }
 }
 
@@ -997,9 +933,9 @@ pub fn simulate_gemm_batch(
 /// mirror of the host batch's B deduplication.
 ///
 /// Per-problem results are bit-identical to running each problem alone
-/// (dedup changes only pack accounting); the batch [`SimStats`] treats
-/// each problem as one more parallel lane. i4 problems need operand
-/// values in [-8, 7], like the host engine's i4 kernel.
+/// (dedup changes only pack accounting); the batch [`SimStats`] are
+/// their sum. i4 problems need operand values in [-8, 7], like the host
+/// engine's i4 kernel.
 ///
 /// # Panics
 /// Panics on mis-sized operands.
@@ -1042,8 +978,7 @@ pub fn simulate_gemm_batch_on(
     }
     let mut stats = SimStats::default();
     for r in &results {
-        // each batch item is one more parallel lane
-        stats.merge_parallel(&r.stats);
+        stats.merge(&r.stats);
     }
     SimBatchResult { results, stats }
 }
@@ -1188,7 +1123,6 @@ mod tests {
                 assert_eq!((r.m, r.n, r.k), (0, 0, 0));
                 assert!(!r.clamped);
                 assert!(r.c.is_empty());
-                assert_eq!(r.lanes, 0);
             }
         }
     }
@@ -1249,17 +1183,17 @@ mod tests {
         }
     }
 
-    /// Blocking that splits a modest problem into several lanes and
-    /// several depth blocks for every kernel geometry.
+    /// Blocking that splits a modest problem into several column
+    /// strips and several depth blocks for every kernel geometry.
     fn multi_unit_opts() -> GemmOptions {
         GemmOptions { blocking: Some((16, 32, 128)), ..GemmOptions::default() }
     }
 
     #[test]
     fn scheduler_choice_is_bit_invisible() {
-        // every method, on a shape that decomposes into multiple lanes
-        // and depth blocks: serial vs reverse-threaded must agree on
-        // every stats field and every output bit
+        // every method, on a shape that decomposes into multiple column
+        // strips and depth blocks: serial vs reverse-threaded must agree
+        // on every stats field and every output bit
         for method in Method::all() {
             let opts = multi_unit_opts();
             let serial =
@@ -1274,21 +1208,11 @@ mod tests {
                 &ReverseThreadScheduler,
             );
             assert!(serial.correct, "{}", method.name());
-            assert!(serial.lanes > 1, "{} should split into lanes", method.name());
+            let plan = block_plan_for(CoreConfig::a64fx(), method, 20, 70, 260, &opts);
+            assert!(unit_specs(&plan).len() > 1, "{} should split into units", method.name());
             assert_eq!(serial.stats, parallel.stats, "{} stats diverged", method.name());
             assert_eq!(serial.c, parallel.c, "{} output bits diverged", method.name());
-            assert_eq!(serial.serial_cycles, parallel.serial_cycles);
         }
-    }
-
-    #[test]
-    fn lane_model_cycles_are_bounded_by_the_serial_sum() {
-        let opts = multi_unit_opts();
-        let r = simulate_gemm(CoreConfig::a64fx(), Method::Camp8, 20, 70, 260, &opts);
-        assert!(r.lanes > 1);
-        assert!(r.stats.cycles < r.serial_cycles, "max lane must beat the serial sum");
-        assert!(r.stats.cycles * r.lanes as u64 >= r.serial_cycles, "max × lanes bounds the sum");
-        assert!(r.gops > r.serial_gops, "parallel model must report higher throughput");
     }
 
     fn fill(len: usize, seed: i32) -> Vec<i8> {
@@ -1319,9 +1243,9 @@ mod tests {
             assert_eq!(solo.results[0].c, batch.results[i].c);
             assert_eq!(solo.results[0].stats, batch.results[i].stats);
         }
-        // batch stats: cycles = max across items, work sums
+        // batch stats: everything sums, cycles included
         let (r1, r2) = (&batch.results[0], &batch.results[1]);
-        assert_eq!(batch.stats.cycles, r1.stats.cycles.max(r2.stats.cycles));
+        assert_eq!(batch.stats.cycles, r1.stats.cycles + r2.stats.cycles);
         assert_eq!(batch.stats.insts, r1.stats.insts + r2.stats.insts);
     }
 

@@ -166,7 +166,7 @@ pub enum HostTier {
 }
 
 impl HostTier {
-    /// Stable lowercase name (used in logs, benches, `BENCH_*.json`,
+    /// Stable lowercase name (used in logs, `benchmark/` results files
     /// and the `CAMP_FORCE_TIER` knob).
     pub fn name(self) -> &'static str {
         match self {
@@ -504,7 +504,8 @@ impl HostKernel {
 /// What kernel produced a number: selected tier, probed CPU features,
 /// register-tile geometry and active cache blocking. Exposed through
 /// `CampEngine::kernel_info()` (and `CampBackend::kernel_info`) so
-/// serving logs and `BENCH_*.json` rows can record their substrate.
+/// serving logs and `benchmark/` results files can record their
+/// substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelInfo {
     /// Tier name (`"scalar"`, `"avx2"`, `"avx512"`, `"neon"`, or the

@@ -20,8 +20,9 @@
 //! The five-loop cache blocking runs on the host (3 outer loops, the
 //! shared [`loops`] iterators) and dispatches simulated packing programs
 //! and macro-kernels (inner 2 loops plus micro-kernel — >99.9 % of
-//! dynamic instructions) against a single persistent machine + cache
-//! state, mirroring how the original code runs under gem5.
+//! dynamic instructions) on one [`camp_pipeline::Simulator`] per
+//! (jc, pc) block unit — own machine memory, own cold caches — so units
+//! are independent and their statistics simply add up.
 //!
 //! Everything kernel-specific is described by a [`dispatch::MicroKernel`]
 //! descriptor — geometry, element/accumulator types, packing programs,

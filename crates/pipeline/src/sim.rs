@@ -77,10 +77,9 @@ enum StallCause {
 /// foundation of the parallel blocked driver: each independent
 /// (jc, pc) block unit instantiates its own simulator (own memory, own
 /// cold caches), runs deterministically on whatever thread a scheduler
-/// picks, and its [`SimStats`] are merged afterwards —
-/// [`SimStats::merge`] chains sequential phases, whereas
-/// [`SimStats::merge_parallel`] folds independent lanes (cycles max,
-/// work summed). See `docs/SIMULATOR.md` for the merge contract.
+/// picks, and its [`SimStats`] are folded afterwards with
+/// [`SimStats::merge`] (everything adds: one core running the units
+/// back to back). See `docs/SIMULATOR.md` for the merge contract.
 pub struct Simulator {
     cfg: CoreConfig,
     machine: Machine,

@@ -7,26 +7,12 @@ use camp_isa::inst::InstClass;
 /// Aggregated statistics of a simulated run (or several runs — the
 /// blocked-GeMM driver accumulates across program invocations).
 ///
-/// Two merge operators compose stats blocks (see `docs/SIMULATOR.md`
-/// for the full contract):
-///
-/// * [`SimStats::merge`] — **sequential** composition: everything adds,
-///   including `cycles`. Used when one machine runs two program phases
-///   back to back (packing then macro-kernels), and within one parallel
-///   *lane* of the blocked driver (the depth blocks of a column strip
-///   are serialized by the C read-modify-write dependency).
-/// * [`SimStats::merge_parallel`] — **parallel** composition: `cycles`
-///   is the max across lanes (independent column strips, or independent
-///   batch items, finish together at the slowest lane), every other
-///   field — instruction counts, stalls, FU busy cycles, cache
-///   accesses/misses, memory traffic — is *work* and still adds, so
-///   energy models that charge per event are unaffected by how the work
-///   was scheduled.
-///
-/// Both operators are associative, and commutative on the summed
-/// fields (`merge_parallel` is commutative outright), so a parallel
-/// driver may merge per-block stats in any grouping and report the same
-/// totals as a serial run over the same blocks.
+/// [`SimStats::merge`] composes stats blocks **sequentially**: every
+/// field adds, `cycles` included — one core running the blocks back to
+/// back, the paper's frame of reference. It is associative and
+/// commutative, so the blocked driver may collect its per-unit stats in
+/// any grouping and report the same totals at any scheduler thread
+/// count (see `docs/SIMULATOR.md`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Total cycles (max completion time across all instructions).
@@ -147,26 +133,10 @@ impl SimStats {
     /// Fold another stats block into this one **sequentially**: every
     /// field adds, cycles included — used when the driver runs packing
     /// programs and macro-kernels back to back on one machine, and to
-    /// chain the depth blocks of one parallel lane (serialized by the C
-    /// read-modify-write dependency).
+    /// fold the block units of a GeMM (and the GeMMs of a batch) into
+    /// the single-core total.
     pub fn merge(&mut self, other: &SimStats) {
         self.cycles += other.cycles;
-        self.work_merge(other);
-    }
-
-    /// Fold another stats block into this one as a **parallel lane**:
-    /// `cycles` becomes the max across lanes (independent lanes finish
-    /// together at the slowest one), every other field still adds — the
-    /// work performed does not change with the schedule. Associative and
-    /// commutative, so lanes may be merged in any grouping.
-    pub fn merge_parallel(&mut self, other: &SimStats) {
-        self.cycles = self.cycles.max(other.cycles);
-        self.work_merge(other);
-    }
-
-    /// The shared work-summing half of both merge operators: everything
-    /// except `cycles`.
-    fn work_merge(&mut self, other: &SimStats) {
         self.insts += other.insts;
         for i in 0..self.class_counts.len() {
             self.class_counts[i] += other.class_counts[i];
@@ -260,18 +230,6 @@ mod tests {
         assert_eq!(a.stall_read, 3);
     }
 
-    #[test]
-    fn merge_parallel_maxes_cycles_and_sums_work() {
-        let mut a = SimStats { cycles: 10, insts: 5, mem_reads: 2, ..SimStats::default() };
-        let b =
-            SimStats { cycles: 20, insts: 7, stall_read: 3, mem_reads: 4, ..SimStats::default() };
-        a.merge_parallel(&b);
-        assert_eq!(a.cycles, 20, "parallel lanes finish at the slowest");
-        assert_eq!(a.insts, 12, "work still sums");
-        assert_eq!(a.stall_read, 3);
-        assert_eq!(a.mem_reads, 6);
-    }
-
     /// A stats block with every field non-trivially populated, varied by
     /// `seed` so merge-law tests cannot pass by symmetry.
     fn dense(seed: u64) -> SimStats {
@@ -311,55 +269,25 @@ mod tests {
     #[test]
     fn both_merges_are_associative() {
         let (a, b, c) = (dense(1), dense(5), dense(9));
-        for op in [SimStats::merge, SimStats::merge_parallel] {
-            let mut left = a;
-            op(&mut left, &b);
-            op(&mut left, &c);
-            let mut bc = b;
-            op(&mut bc, &c);
-            let mut right = a;
-            op(&mut right, &bc);
-            assert_eq!(left, right, "(a·b)·c must equal a·(b·c)");
-        }
+        let mut left = a;
+        left.merge(&b);
+        left.merge(&c);
+        let mut bc = b;
+        bc.merge(&c);
+        let mut right = a;
+        right.merge(&bc);
+        assert_eq!(left, right, "(a·b)·c must equal a·(b·c)");
     }
 
     #[test]
     fn both_merges_are_commutative() {
-        // merge is commutative outright (cycles add); merge_parallel is
-        // commutative because max commutes — so a parallel driver may
-        // collect lane results in completion order.
+        // so a parallel driver may collect unit results in completion
+        // order
         let (a, b) = (dense(2), dense(7));
-        for op in [SimStats::merge, SimStats::merge_parallel] {
-            let mut ab = a;
-            op(&mut ab, &b);
-            let mut ba = b;
-            op(&mut ba, &a);
-            assert_eq!(ab, ba, "a·b must equal b·a");
-        }
-    }
-
-    #[test]
-    fn lane_grouping_does_not_change_the_parallel_total() {
-        // four lanes merged as ((1·2)·(3·4)) and (((1·2)·3)·4) — the
-        // grouping a work-stealing scheduler might produce vs a serial
-        // fold — must agree field for field
-        let lanes = [dense(1), dense(2), dense(3), dense(4)];
-        let mut pairwise = {
-            let mut left = lanes[0];
-            left.merge_parallel(&lanes[1]);
-            let mut right = lanes[2];
-            right.merge_parallel(&lanes[3]);
-            left.merge_parallel(&right);
-            left
-        };
-        let mut folded = lanes[0];
-        for l in &lanes[1..] {
-            folded.merge_parallel(l);
-        }
-        assert_eq!(pairwise, folded);
-        // and the max-cycles model is what it claims
-        pairwise.cycles = 0;
-        folded.cycles = 0;
-        assert_eq!(pairwise, folded);
+        let mut ab = a;
+        ab.merge(&b);
+        let mut ba = b;
+        ba.merge(&a);
+        assert_eq!(ab, ba, "a·b must equal b·a");
     }
 }

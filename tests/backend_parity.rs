@@ -119,8 +119,7 @@ fn request_path_stats_match_the_classic_driver_path() {
     use camp::gemm::{simulate_gemm, GemmOptions, Method};
     let (m, n, k) = (16, 16, 64);
     let classic =
-        simulate_gemm(CoreConfig::a64fx(), Method::Camp8, m, n, k, &GemmOptions::default())
-            .into_single_core();
+        simulate_gemm(CoreConfig::a64fx(), Method::Camp8, m, n, k, &GemmOptions::default());
     assert!(classic.correct);
 
     let req = GemmRequest::dense(m, n, k, gen_i4(m * k, 3), gen_i4(k * n, 5)).unwrap();

@@ -6,20 +6,47 @@
 //!
 //! This is the acceptance contract of the parallel decomposition (see
 //! `docs/SIMULATOR.md`): the unit grid and the merge order — not the
-//! scheduler — define the result.
+//! scheduler — define the result. The simulator being deterministic,
+//! the result itself is pinned too: exact counts, not a tolerance.
 
 use camp::core::WorkerPool;
 use camp::gemm::{
     simulate_gemm_batch, simulate_gemm_batch_on, simulate_gemm_on, DType, GemmOptions, GemmProblem,
     Method, SerialScheduler,
 };
-use camp::pipeline::{CoreConfig, SimStats};
+use camp::pipeline::CoreConfig;
 
-/// Blocking that splits modest problems into several column-strip
-/// lanes and several depth blocks for every kernel geometry.
+/// Blocking that splits modest problems into several column strips and
+/// several depth blocks for every kernel geometry.
 fn multi_unit_opts() -> GemmOptions {
     GemmOptions { blocking: Some((16, 32, 128)), ..GemmOptions::default() }
 }
+
+/// `[cycles, insts, macs, stall_fu, stall_read, stall_write, l1d demand
+/// misses]` of 20×70×260 under [`multi_unit_opts`], one row per
+/// [`Method::all`] entry. A row moves only when the model of the core,
+/// the caches or that method's kernel changes — say so in the PR.
+type Pinned = [[u64; 7]; 7];
+
+const PINNED_A64FX: Pinned = [
+    [27627, 57708, 553608, 141728, 76083, 56415, 355], // CAMP-8bit
+    [26646, 54333, 553608, 201023, 75920, 56463, 250], // CAMP-4bit
+    [37115, 88738, 416180, 919196, 203399, 36, 428],   // handv-int32
+    [16172, 34452, 665672, 365810, 79808, 0, 192],     // handv-int8
+    [67101, 112833, 499308, 632053, 144226, 2001123, 711], // gemmlowp
+    [34212, 87078, 599112, 1360255, 110111, 47031, 591], // OpenBLAS
+    [50091, 88713, 456408, 208716, 196954, 1374900, 768], // MMLA
+];
+
+const PINNED_EDGE_RISCV: Pinned = [
+    [258426, 57708, 553608, 6390, 211008, 990, 2697], // CAMP-8bit
+    [176571, 54333, 553608, 8550, 129888, 270, 1557], // CAMP-4bit
+    [457269, 88738, 416180, 9405, 391264, 2640, 5602], // handv-int32
+    [156058, 34452, 665672, 2250, 132640, 440, 1562], // handv-int8
+    [318837, 112833, 499308, 86535, 169710, 660, 2133], // gemmlowp
+    [525891, 87078, 599112, 62837, 415980, 3888, 6842], // OpenBLAS
+    [277209, 88713, 456408, 28809, 197088, 0, 2280],  // MMLA
+];
 
 #[test]
 fn one_sim_thread_is_bit_identical_to_many_across_all_methods() {
@@ -27,19 +54,27 @@ fn one_sim_thread_is_bit_identical_to_many_across_all_methods() {
     // ragged on purpose: no dimension is a multiple of any kernel's
     // mr/nr/k-step, so padding and edge blocks are all exercised
     let (m, n, k) = (20, 70, 260);
-    for method in Method::all() {
-        let opts = multi_unit_opts();
-        let serial =
-            simulate_gemm_on(CoreConfig::a64fx(), method, m, n, k, &opts, &SerialScheduler);
-        assert!(serial.correct, "{} wrong serially", method.name());
-        assert!(serial.lanes > 1, "{} must decompose into lanes", method.name());
-        let parallel = simulate_gemm_on(CoreConfig::a64fx(), method, m, n, k, &opts, &pool);
-        assert!(parallel.correct, "{} wrong on the pool", method.name());
-        assert_eq!(serial.c, parallel.c, "{} output bits diverged", method.name());
-        assert_eq!(serial.stats, parallel.stats, "{} stats diverged", method.name());
-        assert_eq!(serial.serial_cycles, parallel.serial_cycles, "{}", method.name());
-        assert_eq!(serial.lanes, parallel.lanes, "{}", method.name());
-        assert_eq!(serial.gops, parallel.gops, "{}", method.name());
+    for (core, pinned) in
+        [(CoreConfig::a64fx(), PINNED_A64FX), (CoreConfig::edge_riscv(), PINNED_EDGE_RISCV)]
+    {
+        for (method, pin) in Method::all().into_iter().zip(pinned) {
+            let opts = multi_unit_opts();
+            let serial = simulate_gemm_on(core, method, m, n, k, &opts, &SerialScheduler);
+            assert!(serial.correct, "{} wrong serially", method.name());
+            let parallel = simulate_gemm_on(core, method, m, n, k, &opts, &pool);
+            assert!(parallel.correct, "{} wrong on the pool", method.name());
+            assert_eq!(serial.c, parallel.c, "{} output bits diverged", method.name());
+            assert_eq!(serial.stats, parallel.stats, "{} stats diverged", method.name());
+            assert_eq!(serial.gops, parallel.gops, "{}", method.name());
+            let s = &serial.stats;
+            assert_eq!(
+                [s.cycles, s.insts, s.macs, s.stall_fu, s.stall_read, s.stall_write, s.l1d.misses],
+                pin,
+                "{} on {}: pinned counts moved",
+                method.name(),
+                core.name
+            );
+        }
     }
 }
 
@@ -99,8 +134,8 @@ fn batch_on_the_pool_matches_the_serial_batch_and_solo_runs() {
     assert!(serial.results[0].stats.camp_issues_i8 > 0);
     assert_eq!(serial.results[0].stats.camp_issues_i4, 0);
     assert!(serial.results[3].stats.camp_issues_i4 > 0);
-    // batch merge law: cycles = max across items, work sums
-    let expect_cycles = serial.results.iter().map(|r| r.stats.cycles).max().unwrap();
+    // batch merge law: cycles = sum across items, like all work
+    let expect_cycles: u64 = serial.results.iter().map(|r| r.stats.cycles).sum();
     let expect_insts: u64 = serial.results.iter().map(|r| r.stats.insts).sum();
     assert_eq!(serial.stats.cycles, expect_cycles);
     assert_eq!(serial.stats.insts, expect_insts);
@@ -126,20 +161,4 @@ fn engine_pool_is_sharable_with_the_simulated_driver() {
     let b = fill(8 * 4, 5);
     let req = camp::core::GemmRequest::dense(4, 4, 8, a.clone(), b.clone()).unwrap();
     assert_eq!(engine.execute(&req).unwrap().output.c, camp::gemm::gemm_i32_ref(4, 4, 8, &a, &b));
-}
-
-#[test]
-fn merged_stats_follow_the_lane_model() {
-    let opts = multi_unit_opts();
-    let r =
-        simulate_gemm_on(CoreConfig::a64fx(), Method::Camp8, 20, 70, 260, &opts, &SerialScheduler);
-    assert!(r.lanes > 1);
-    // max-across-lanes wall-clock sits strictly between one lane's
-    // share and the full serial sum
-    assert!(r.stats.cycles < r.serial_cycles);
-    assert!(r.stats.cycles * r.lanes as u64 >= r.serial_cycles);
-    // and the defaults of SimStats merge to zero harmlessly
-    let mut z = SimStats::default();
-    z.merge_parallel(&r.stats);
-    assert_eq!(z, r.stats);
 }
