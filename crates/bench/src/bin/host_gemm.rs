@@ -23,7 +23,13 @@
 //!   a dense skinny-n request is packed like any blocked dense B (see
 //!   `docs/HOST_KERNELS.md`);
 //! * **pack_a / pack_b** — the SIMD packers, reported as packed GB/s
-//!   in the GOPS columns (same speedup semantics).
+//!   in the GOPS columns (same speedup semantics);
+//! * **skinny-m roofline** — `run_small_m` over a packed panel image at
+//!   the served decode shapes, m = 1..8, *resident* (one image, walked
+//!   again and again) and *streamed* (rotating through 4 MB of distinct
+//!   images, more than L2), in Gop/s and weight GB/s, beside the two
+//!   roofs each point sits under: `tile_i8_wide` on L1-resident panels
+//!   (compute) and a read-only pass over 1 MB and 4 MB (bandwidth).
 //!
 //! It takes no arguments. `CAMP_THREADS` widens the engine's worker
 //! pool (the thread sweep always includes 1 and the machine's core
@@ -33,7 +39,9 @@
 
 use camp_core::backend::CampBackend;
 use camp_core::{CampEngine, DType, GemmRequest};
-use camp_gemm::host::{forced_tier, HostKernel};
+use camp_gemm::batch::packed_b_bytes;
+use camp_gemm::host::{forced_tier, HostKernel, SmallB};
+use camp_gemm::weights::host_block_plan;
 
 /// Timed repetitions per cell; the best one is reported.
 const REPS: usize = 5;
@@ -106,6 +114,105 @@ fn pack_gbs(kernel: &'static HostKernel, path: &str, rows: usize, k: usize) -> f
     bytes as f64 / secs / 1e9
 }
 
+/// Weight bytes a streamed skinny-m point rotates through, and the
+/// larger stream-probe working set: more than L2 on every box this has
+/// run on, so each walk misses to the next level.
+const STREAM_BYTES: usize = 4 << 20;
+
+/// Seconds per `run_small_m` call over `images` distinct packed panel
+/// images visited round-robin (1 = cache-resident once warm), each
+/// timed repetition walking about 32 MB of weights.
+fn small_m_secs(hk: &HostKernel, m: usize, n: usize, k: usize, images: usize) -> f64 {
+    let plan = host_block_plan(m, n, k, 16);
+    let image_bytes = packed_b_bytes(&plan);
+    let a = gen_i8(m * k, 0x1234_5679, -128, 127);
+    // any bytes of the right length are a packed image (the timed walk
+    // does not care which matrix they came from), so none is packed
+    let panels: Vec<Vec<i8>> = (0..images)
+        .map(|s| gen_i8(image_bytes, 0x0BAD_F00D | 1 | (s as u32) << 8, -128, 127))
+        .collect();
+    let mut c = vec![0i32; m * n];
+    let sweeps = ((32 << 20) / (images * image_bytes)).max(1);
+    let secs = time_best(|| {
+        for _ in 0..sweeps {
+            for image in &panels {
+                hk.run_small_m(
+                    m,
+                    n,
+                    k,
+                    &plan,
+                    std::hint::black_box(&a),
+                    SmallB::Panel(image),
+                    &mut c,
+                );
+            }
+        }
+    });
+    std::hint::black_box(&c);
+    secs / (sweeps * images) as f64
+}
+
+/// GB/s of a read-only pass (wrapping u64 sum) over `bytes`: the
+/// bandwidth roof of the cache level that working set lives in.
+fn stream_gbs(bytes: usize) -> f64 {
+    let buf: Vec<u64> = (0..bytes as u64 / 8).collect();
+    let sweeps = ((64 << 20) / bytes).max(1);
+    let secs = time_best(|| {
+        for _ in 0..sweeps {
+            let sum = std::hint::black_box(&buf).iter().fold(0u64, |s, &v| s.wrapping_add(v));
+            std::hint::black_box(sum);
+        }
+    });
+    (sweeps * bytes) as f64 / secs / 1e9
+}
+
+/// Gop/s of the widened register tile over L1-resident panels (k = 256):
+/// the compute roof no panel walk can exceed.
+fn tile_roof_gops(hk: &HostKernel) -> f64 {
+    let (kcb, nr) = (256, hk.int_nr());
+    let pa = gen_i8(kcb * 4, 0x1234_5679, -128, 127);
+    let pb = gen_i8(kcb * nr, 0x0BAD_F00D | 1, -128, 127);
+    let mut acc = vec![[0i32; 4]; nr];
+    let calls = 4096;
+    let secs = time_best(|| {
+        for _ in 0..calls {
+            hk.tile_i8_wide(std::hint::black_box(&pa), &pb, &mut acc);
+        }
+    });
+    std::hint::black_box(&acc);
+    gops(4, nr, kcb, secs / calls as f64)
+}
+
+/// The skinny-m roofline of the dispatched tier (see the module doc).
+fn print_small_m_roofline(hk: &HostKernel) {
+    println!("--------------------------------------------------------------");
+    println!("skinny-m roofline ({}): run_small_m over a packed panel image", hk.tier().name());
+    println!(
+        "roofs: tile_i8_wide {:.1} Gop/s; read-only stream {:.1} GB/s at 1 MB, {:.1} GB/s at 4 MB",
+        tile_roof_gops(hk),
+        stream_gbs(1 << 20),
+        stream_gbs(STREAM_BYTES)
+    );
+    println!(
+        "{:>5} {:>5} {:>2}  {:>14} {:>13}  {:>14} {:>13}",
+        "n", "k", "m", "resident Gop/s", "resident GB/s", "streamed Gop/s", "streamed GB/s"
+    );
+    for (n, k) in [(256, 256), (1024, 256), (256, 1024)] {
+        for m in [1, 2, 4, 8] {
+            let resident = small_m_secs(hk, m, n, k, 1);
+            let streamed = small_m_secs(hk, m, n, k, STREAM_BYTES.div_ceil(n * k));
+            let gbs = |secs: f64| (n * k) as f64 / secs / 1e9;
+            println!(
+                "{n:>5} {k:>5} {m:>2}  {:>14.1} {:>13.1}  {:>14.1} {:>13.1}",
+                gops(m, n, k, resident),
+                gbs(resident),
+                gops(m, n, k, streamed),
+                gbs(streamed)
+            );
+        }
+    }
+}
+
 fn print_row(r: (&str, &str, usize, usize, usize, usize), scalar: f64, simd: f64) {
     let (dtype, path, m, n, k, threads) = r;
     println!(
@@ -170,4 +277,5 @@ fn main() {
             pack_gbs(simd, path, r, k),
         );
     }
+    print_small_m_roofline(simd);
 }

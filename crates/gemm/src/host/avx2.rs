@@ -337,6 +337,107 @@ pub fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
     unsafe { panel_mav_impl(acc, a_row, panel) }
 }
 
+// SAFETY: requires AVX2; `acc` holds `R*2` tiles, `a` holds `R` rows of
+// `kreal` k-values at stride `lda`, and `panels` is two panels of at
+// least `kreal*4` bytes each (all asserted by the wrapper). Every
+// 8-byte A load and 32-byte panel load sits below `iters*8 <= kreal`
+// k-values of its row / panel; the 32-byte accumulator accesses cover
+// the two tiles of row `i`. The prefetch address runs up to one group
+// past `panels` and may leave the image: it is formed with
+// `wrapping_add` and only ever handed to `prefetcht0`, which does not
+// fault.
+#[target_feature(enable = "avx2")]
+unsafe fn panel_group_impl<const R: usize>(
+    acc: &mut [[i32; 4]],
+    a: &[i8],
+    lda: usize,
+    kreal: usize,
+    panels: &[i8],
+) -> usize {
+    let stride = panels.len() / 2;
+    let bshuf = _mm256_loadu_si256(B_PAIR_SHUF.as_ptr() as *const __m256i);
+    let apairshuf = _mm256_loadu_si256(A_PAIR_SHUF.as_ptr() as *const __m256i);
+    // R×2 vertical accumulators: lanes 0..3 of vacc[i][q] hold row i ×
+    // panel q's j0..3 over one k subset, lanes 4..7 over the rest
+    let mut vacc = [[_mm256_setzero_si256(); 2]; R];
+    // where the walk's next group starts: one line of it is requested
+    // per pair of B loads below, so the stream runs a group ahead
+    let next = panels.as_ptr().wrapping_add(panels.len());
+    let iters = kreal / 8;
+    for t in 0..iters {
+        // A side once per 8 k-values, shared by both panels
+        let mut a_lo = [_mm256_setzero_si256(); R];
+        let mut a_hi = [_mm256_setzero_si256(); R];
+        for i in 0..R {
+            let a8 = _mm_loadl_epi64(a.as_ptr().add(i * lda + t * 8) as *const __m128i);
+            let asel = _mm256_shuffle_epi8(_mm256_broadcastsi128_si256(a8), apairshuf);
+            a_lo[i] = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(asel));
+            a_hi[i] = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(asel));
+        }
+        _mm_prefetch::<_MM_HINT_T0>(next.wrapping_add(t * 64));
+        for q in 0..2 {
+            // B side once per panel vector, shared by all R rows
+            let bp = _mm256_loadu_si256(panels.as_ptr().add(q * stride + t * 32) as *const __m256i);
+            let bs = _mm256_shuffle_epi8(bp, bshuf);
+            let b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(bs));
+            let b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(bs));
+            for i in 0..R {
+                let prod = _mm256_add_epi32(
+                    _mm256_madd_epi16(a_lo[i], b_lo),
+                    _mm256_madd_epi16(a_hi[i], b_hi),
+                );
+                vacc[i][q] = _mm256_add_epi32(vacc[i][q], prod);
+            }
+        }
+    }
+    for (i, v) in vacc.iter().enumerate() {
+        // fold each accumulator's halves, panel q's sums to half q
+        let sums = _mm256_add_epi32(
+            _mm256_permute2x128_si256::<0x20>(v[0], v[1]),
+            _mm256_permute2x128_si256::<0x31>(v[0], v[1]),
+        );
+        let dst = acc.as_mut_ptr().add(i * 2) as *mut __m256i;
+        _mm256_storeu_si256(dst, _mm256_add_epi32(_mm256_loadu_si256(dst), sums));
+    }
+    iters * 8
+}
+
+/// AVX2 grouped skinny primitive (the `panel_group` table entry of
+/// [`super::HostKernel`]): group width 2 panels = 8 columns. A full
+/// group runs [`panel_group_impl`] over whole 8-k steps; a partial
+/// group and the k tail run [`panel_mav`] per (row, panel).
+pub(super) fn panel_group(
+    acc: &mut [[i32; 4]],
+    a: &[i8],
+    lda: usize,
+    kreal: usize,
+    panels: &[i8],
+    npanels: usize,
+) {
+    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 kernel dispatched without avx2");
+    let mut done = 0;
+    if npanels == 2 {
+        let rows = acc.len() / 2;
+        assert!((1..=4).contains(&rows) && acc.len() == rows * 2, "1..=4 rows of two tiles");
+        assert!(a.len() >= (rows - 1) * lda + kreal, "A must hold every row's k-values");
+        assert!(panels.len() / 2 >= kreal * 4, "two panels at least kreal deep");
+        // SAFETY: AVX2 detection gates dispatch (debug-asserted above);
+        // the three asserts are exactly the shape contract the impl's
+        // bounds reasoning states, and `R` equals `rows`.
+        done = unsafe {
+            match rows {
+                1 => panel_group_impl::<1>(acc, a, lda, kreal, panels),
+                2 => panel_group_impl::<2>(acc, a, lda, kreal, panels),
+                3 => panel_group_impl::<3>(acc, a, lda, kreal, panels),
+                _ => panel_group_impl::<4>(acc, a, lda, kreal, panels),
+            }
+        };
+    }
+    if done < kreal {
+        super::scalar::panel_group_with(panel_mav, done, acc, a, lda, kreal, panels, npanels);
+    }
+}
+
 // ---- SIMD pack routines ---------------------------------------------------
 
 // SAFETY: requires AVX2 (SSE unpack/loads). The 16-byte row loads are
@@ -533,6 +634,32 @@ mod tests {
             scalar::small_m_dense(m, n, k, &a, &b, &mut want);
             small_m_dense(m, n, k, &a, &b, &mut got);
             assert_eq!(got, want, "{m}x{n}x{k}");
+        }
+    }
+
+    #[test]
+    fn panel_group_is_bit_identical_to_scalar() {
+        if !have_avx2() {
+            return;
+        }
+        // full groups (the register-blocked kernel, every row count),
+        // partial groups and every k-tail length, into non-zero sums,
+        // with A rows strided wider than they are deep
+        let mut r = SplitMix64::new(13);
+        for rows in 1..=4 {
+            for npanels in 1..=2 {
+                for kreal in [0usize, 1, 7, 8, 9, 40, 64] {
+                    let (lda, stride) = (kreal + 3, kreal.next_multiple_of(16).max(16) * 4);
+                    let a = r.i8_vec(rows * lda, -128, 127);
+                    let panels = r.i8_vec(npanels * stride, -128, 127);
+                    let mut want = vec![[9i32, -8, 7, -6]; rows * npanels];
+                    let mut got = want.clone();
+                    let mav = scalar::panel_mav;
+                    scalar::panel_group_with(mav, 0, &mut want, &a, lda, kreal, &panels, npanels);
+                    panel_group(&mut got, &a, lda, kreal, &panels, npanels);
+                    assert_eq!(got, want, "rows={rows} npanels={npanels} kreal={kreal}");
+                }
+            }
         }
     }
 

@@ -340,6 +340,117 @@ pub fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
     unsafe { panel_mav_impl(acc, a_row, panel) }
 }
 
+// SAFETY: requires AVX512F+AVX512BW+AVX2; `acc` holds `R*4` tiles, `a`
+// holds `R` rows of `kreal` k-values at stride `lda`, and `panels` is
+// four panels of at least `kreal*4` bytes each (all asserted by the
+// wrapper). Every 16-byte A load and 64-byte panel load sits below
+// `iters*16 <= kreal` k-values of its row / panel; the 64-byte
+// accumulator accesses cover the four tiles of row `i`. The prefetch
+// address runs up to one group past `panels` and may leave the image:
+// it is formed with `wrapping_add` and only ever handed to `prefetcht0`,
+// which does not fault.
+#[target_feature(enable = "avx512f,avx512bw,avx2")]
+unsafe fn panel_group_impl<const R: usize>(
+    acc: &mut [[i32; 4]],
+    a: &[i8],
+    lda: usize,
+    kreal: usize,
+    panels: &[i8],
+) -> usize {
+    let stride = panels.len() / 4;
+    let bshuf = _mm512_loadu_epi8(B_PAIR_SHUF.as_ptr());
+    let apanelshuf = _mm512_loadu_epi8(A_PANEL_SHUF.as_ptr());
+    // R×4 vertical accumulators: each 128-bit quarter of vacc[i][q]
+    // holds row i × panel q's j0..3 over a disjoint k subset
+    let mut vacc = [[_mm512_setzero_si512(); 4]; R];
+    // where the walk's next group starts: one line of it is requested
+    // per B load below, so the L3 stream runs a whole group ahead
+    let next = panels.as_ptr().wrapping_add(panels.len());
+    let iters = kreal / 16;
+    for t in 0..iters {
+        // A side once per 16 k-values, shared by all four panels
+        let mut a_lo = [_mm512_setzero_si512(); R];
+        let mut a_hi = [_mm512_setzero_si512(); R];
+        for i in 0..R {
+            let a16 = _mm_loadu_si128(a.as_ptr().add(i * lda + t * 16) as *const __m128i);
+            let asel = _mm512_shuffle_epi8(_mm512_broadcast_i32x4(a16), apanelshuf);
+            a_lo[i] = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(asel));
+            a_hi[i] = _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64::<1>(asel));
+        }
+        for q in 0..4 {
+            _mm_prefetch::<_MM_HINT_T0>(next.wrapping_add((t * 4 + q) * 64));
+            // B side once per panel vector, shared by all R rows
+            let bp = _mm512_loadu_epi8(panels.as_ptr().add(q * stride + t * 64));
+            let bs = _mm512_shuffle_epi8(bp, bshuf);
+            let b_lo = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(bs));
+            let b_hi = _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64::<1>(bs));
+            for i in 0..R {
+                let prod = _mm512_add_epi32(
+                    _mm512_madd_epi16(a_lo[i], b_lo),
+                    _mm512_madd_epi16(a_hi[i], b_hi),
+                );
+                vacc[i][q] = _mm512_add_epi32(vacc[i][q], prod);
+            }
+        }
+    }
+    for (i, v) in vacc.iter().enumerate() {
+        // fold the four quarters of each panel's accumulator and land
+        // panel q's sums in quarter q: a 4×4 transpose of 128-bit
+        // blocks with the adds folded in, one 16-lane result per row
+        let s01 = _mm512_add_epi32(
+            _mm512_shuffle_i32x4::<0x44>(v[0], v[1]),
+            _mm512_shuffle_i32x4::<0xEE>(v[0], v[1]),
+        );
+        let s23 = _mm512_add_epi32(
+            _mm512_shuffle_i32x4::<0x44>(v[2], v[3]),
+            _mm512_shuffle_i32x4::<0xEE>(v[2], v[3]),
+        );
+        let sums = _mm512_add_epi32(
+            _mm512_shuffle_i32x4::<0x88>(s01, s23),
+            _mm512_shuffle_i32x4::<0xDD>(s01, s23),
+        );
+        let dst = acc.as_mut_ptr().add(i * 4) as *mut i32;
+        _mm512_storeu_epi32(dst, _mm512_add_epi32(_mm512_loadu_epi32(dst), sums));
+    }
+    iters * 16
+}
+
+/// AVX-512 grouped skinny primitive (the `panel_group` table entry of
+/// [`super::HostKernel`]): group width 4 panels = 16 columns. A full
+/// group runs [`panel_group_impl`] over whole 16-k steps; a partial
+/// group and the k tail run [`panel_mav`] per (row, panel).
+pub(super) fn panel_group(
+    acc: &mut [[i32; 4]],
+    a: &[i8],
+    lda: usize,
+    kreal: usize,
+    panels: &[i8],
+    npanels: usize,
+) {
+    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
+    let mut done = 0;
+    if npanels == 4 {
+        let rows = acc.len() / 4;
+        assert!((1..=4).contains(&rows) && acc.len() == rows * 4, "1..=4 rows of four tiles");
+        assert!(a.len() >= (rows - 1) * lda + kreal, "A must hold every row's k-values");
+        assert!(panels.len() / 4 >= kreal * 4, "four panels at least kreal deep");
+        // SAFETY: AVX-512 detection gates dispatch (debug-asserted
+        // above); the three asserts are exactly the shape contract the
+        // impl's bounds reasoning states, and `R` equals `rows`.
+        done = unsafe {
+            match rows {
+                1 => panel_group_impl::<1>(acc, a, lda, kreal, panels),
+                2 => panel_group_impl::<2>(acc, a, lda, kreal, panels),
+                3 => panel_group_impl::<3>(acc, a, lda, kreal, panels),
+                _ => panel_group_impl::<4>(acc, a, lda, kreal, panels),
+            }
+        };
+    }
+    if done < kreal {
+        super::scalar::panel_group_with(panel_mav, done, acc, a, lda, kreal, panels, npanels);
+    }
+}
+
 /// Runtime gate shared by the wrappers' debug assertions: the features
 /// every kernel in this module may rely on.
 fn have_avx512() -> bool {
@@ -404,6 +515,32 @@ mod tests {
             scalar::small_m_dense(m, n, k, &a, &b, &mut want);
             small_m_dense(m, n, k, &a, &b, &mut got);
             assert_eq!(got, want, "{m}x{n}x{k}");
+        }
+    }
+
+    #[test]
+    fn panel_group_is_bit_identical_to_scalar() {
+        if !have_avx512() {
+            return;
+        }
+        // full groups (the register-blocked kernel, every row count),
+        // partial groups and every k-tail length, into non-zero sums,
+        // with A rows strided wider than they are deep
+        let mut r = SplitMix64::new(34);
+        for rows in 1..=4 {
+            for npanels in 1..=4 {
+                for kreal in [0usize, 1, 15, 16, 17, 40, 64] {
+                    let (lda, stride) = (kreal + 3, kreal.next_multiple_of(16).max(16) * 4);
+                    let a = r.i8_vec(rows * lda, -128, 127);
+                    let panels = r.i8_vec(npanels * stride, -128, 127);
+                    let mut want = vec![[9i32, -8, 7, -6]; rows * npanels];
+                    let mut got = want.clone();
+                    let mav = scalar::panel_mav;
+                    scalar::panel_group_with(mav, 0, &mut want, &a, lda, kreal, &panels, npanels);
+                    panel_group(&mut got, &a, lda, kreal, &panels, npanels);
+                    assert_eq!(got, want, "rows={rows} npanels={npanels} kreal={kreal}");
+                }
+            }
         }
     }
 

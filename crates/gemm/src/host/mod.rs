@@ -36,7 +36,8 @@
 //! shared with the weight registry and the serving session — so a
 //! panel packed by any component is consumable by every tier. Tiers
 //! differ only in how many adjacent panels one register-tile call
-//! consumes (`int_nr/4`, see [`HostKernel::tile_i8_wide`]) and in how
+//! consumes (`int_nr/4`, see [`HostKernel::tile_i8_wide`]; the skinny
+//! paths' grouped panel primitive takes the same group) and in how
 //! the pack routines themselves are vectorized ([`HostKernel::pack_a_block`]
 //! etc. — byte-identical images, SIMD-built).
 
@@ -213,10 +214,23 @@ pub struct HostKernel {
     /// Skinny-m kernel over *raw* row-major operands (no packing at
     /// all): `(m, n, k, a, b, c)`, accumulating into `c`.
     pub(crate) small_m_dense: fn(usize, usize, usize, &[i8], &[i8], &mut [i32]),
-    /// Panel matrix-vector primitive of the skinny paths:
-    /// `acc[j] += Σ_l a_row[l]·panel[l*4+j]` (wrapping) over one
-    /// 4-column packed B panel, `a_row.len()` k-values deep.
-    pub(crate) panel_mav: fn(&mut [i32; 4], &[i8], &[i8]),
+    /// Grouped panel primitive of the skinny paths, the one kernel the
+    /// panel walk calls: `(acc, a, lda, kreal, panels, npanels)`.
+    /// `rows = acc.len() / npanels` (1..=4) raw A rows, row `i` at
+    /// `a[i*lda..i*lda + kreal]`, against `npanels` *adjacent* packed B
+    /// panels concatenated in `panels` (`stride = panels.len() /
+    /// npanels` bytes each: 4 columns × the block's padded depth, at
+    /// least `kreal`):
+    /// `acc[i*npanels + q][j] += Σ_{l<kreal} a[i*lda + l]·panels[q*stride + l*4 + j]`
+    /// (wrapping). When `npanels` is the tier's full group (`int_nr/4`)
+    /// a SIMD tier prepares each 16 A bytes once for the whole group,
+    /// loads each B vector once for all rows, keeps `rows × npanels`
+    /// vertical accumulators and prefetches, one line per B load, the
+    /// `panels.len()` bytes that *follow* `panels` — the walk's next
+    /// group, or nothing anyone reads: a prefetch is a hint, the
+    /// address is never dereferenced. Any other `npanels` and the
+    /// `kreal % 16` tail run the tier's one-panel code.
+    pub(crate) panel_group: fn(&mut [[i32; 4]], &[i8], usize, usize, &[i8], usize),
     /// Tier-accelerated [`scalar::pack_a_block`]: byte-identical packed
     /// image (the scalar packer is the layout reference).
     pub(crate) pack_a: fn(&mut [i8], &[i8], usize, usize, usize, usize, usize),
@@ -239,7 +253,9 @@ static SCALAR: HostKernel = HostKernel {
     tile_i8_wide: scalar::tile_i8_wide,
     int_nr: 4,
     small_m_dense: scalar::small_m_dense,
-    panel_mav: scalar::panel_mav,
+    panel_group: |acc, a, lda, kreal, panels, npanels| {
+        scalar::panel_group_with(scalar::panel_mav, 0, acc, a, lda, kreal, panels, npanels)
+    },
     pack_a: scalar::pack_a_block,
     pack_b: scalar::pack_b_block,
 };
@@ -251,7 +267,7 @@ static AVX2: HostKernel = HostKernel {
     tile_i8_wide: avx2::tile_i8_wide,
     int_nr: 8,
     small_m_dense: avx2::small_m_dense,
-    panel_mav: avx2::panel_mav,
+    panel_group: avx2::panel_group,
     pack_a: avx2::pack_a_block,
     pack_b: avx2::pack_b_block,
 };
@@ -267,7 +283,7 @@ static AVX512: HostKernel = HostKernel {
     tile_i8_wide: avx512::tile_i8_wide,
     int_nr: 16,
     small_m_dense: avx512::small_m_dense,
-    panel_mav: avx512::panel_mav,
+    panel_group: avx512::panel_group,
     pack_a: avx2::pack_a_block,
     pack_b: avx2::pack_b_block,
 };
@@ -279,7 +295,9 @@ static NEON: HostKernel = HostKernel {
     tile_i8_wide: scalar::tile_i8_wide,
     int_nr: 4,
     small_m_dense: neon::small_m_dense,
-    panel_mav: neon::panel_mav,
+    panel_group: |acc, a, lda, kreal, panels, npanels| {
+        scalar::panel_group_with(neon::panel_mav, 0, acc, a, lda, kreal, panels, npanels)
+    },
     pack_a: scalar::pack_a_block,
     pack_b: scalar::pack_b_block,
 };

@@ -55,12 +55,38 @@ pub fn small_m_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [
 
 /// Panel matrix-vector primitive: one raw A row against one 4-column
 /// packed B panel, `acc[j] += Σ_l a_row[l]·panel[l*4+j]` (wrapping).
-/// The skinny paths build whole GeMMs out of this.
+/// The one-panel code every tier's grouped primitive falls back to.
 pub fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
     for (&av, bv) in a_row.iter().zip(panel.chunks_exact(4)) {
         let a = av as i32;
         for j in 0..4 {
             acc[j] = acc[j].wrapping_add(a.wrapping_mul(bv[j] as i32));
+        }
+    }
+}
+
+/// The grouped skinny primitive (see `HostKernel`'s `panel_group`
+/// entry for the argument contract) built from a one-panel `mav`, over
+/// k-values `l0..kreal` of every (row, panel) pair. With `l0 = 0` this
+/// is the whole primitive of a tier that has no register-blocked group
+/// kernel (scalar, NEON); the SIMD tiers route their tails here —
+/// fewer panels than a full group, and the `kreal % 16` k-values past
+/// their vector loop.
+pub(super) fn panel_group_with(
+    mav: fn(&mut [i32; 4], &[i8], &[i8]),
+    l0: usize,
+    acc: &mut [[i32; 4]],
+    a: &[i8],
+    lda: usize,
+    kreal: usize,
+    panels: &[i8],
+    npanels: usize,
+) {
+    let stride = panels.len() / npanels;
+    for (i, row_acc) in acc.chunks_exact_mut(npanels).enumerate() {
+        let a_row = &a[i * lda + l0..i * lda + kreal];
+        for (sums, panel) in row_acc.iter_mut().zip(panels.chunks_exact(stride)) {
+            mav(sums, a_row, &panel[l0 * 4..]);
         }
     }
 }

@@ -6,9 +6,16 @@
 //! overhead: A-packing traffic and a padded 4×4 register tile for at
 //! most a couple of live rows. These paths consume raw A directly
 //! (no A packing at all) and reduce the kernel to either a dense
-//! row-sweep ([`super::HostKernel`]'s `small_m_dense`) or the
-//! 4-column panel matrix-vector primitive (`panel_mav`) over a packed
-//! B image.
+//! row-sweep ([`super::HostKernel`]'s `small_m_dense`) or one walk
+//! over a packed B image built from the tier's grouped panel
+//! primitive (`panel_group`: up to 4 raw A rows × `int_nr/4` adjacent
+//! 4-column panels per call).
+//!
+//! The walk reads the image front to back, and a decode token's
+//! images (3.1 MB) do not fit L2, so what bounds a served GEMV is how
+//! well the walk hides L3 latency, not arithmetic: the SIMD primitives
+//! prefetch the *next* group while they multiply the current one
+//! (`docs/HOST_KERNELS.md`, "The grouped panel walk").
 //!
 //! Bit-identity with the blocked tile path is structural: every
 //! product is exact and every accumulation wraps in i32, so summation
@@ -69,8 +76,11 @@ pub(super) fn run_small_n(
 
 /// Shared engine of both skinny paths: walk the canonical B-block
 /// traversal ([`for_each_b_block`] — the same order `prepack_b` laid
-/// the image out in), and for every 4-column panel run each raw A row
-/// through the tier's `panel_mav`, folding the 4 wrapping sums into C.
+/// the image out in, so the walk reads the image front to back), and
+/// hand the tier's grouped primitive up to 4 raw A rows × `int_nr/4`
+/// adjacent panels at a time, folding its wrapping sums into C. The
+/// last group of a block (or of the matrix) may hold fewer panels and
+/// the last pass fewer rows; the primitive takes both.
 fn run_panel(
     hk: &HostKernel,
     m: usize,
@@ -81,35 +91,38 @@ fn run_panel(
     bpanel: &[i8],
     c: &mut [i32],
 ) {
-    // One 4-lane tile scratch reused for the entire walk. `panel_mav`
-    // *accumulates* into it, so the fold below must re-zero it after
-    // every use — the debug assert pins that discipline (a stale lane
-    // would silently corrupt the next row's sums).
-    let mut acc = [0i32; 4];
+    let group = hk.int_nr / 4;
+    // One rows × panels tile scratch reused for the entire walk. The
+    // primitive *accumulates* into it, so the fold below must re-zero
+    // what it used — the debug assert pins that discipline (a stale
+    // lane would silently corrupt the next pass's sums).
+    let mut acc = [[0i32; 4]; 16];
     for_each_b_block(plan, |jc, ncb, pc, kcb| {
         let off = packed_b_offset(plan.kp, jc, ncb, pc);
         // pc < k always: kp < k + k_step and every block is at least
-        // one k-step deep, so the raw A row slice is never empty
+        // one k-step deep, so the raw A rows are never empty
         let kreal = kcb.min(k - pc);
-        for q in 0..ncb / 4 {
+        // panels past this count are column padding (jc < n: np < n + 4)
+        let live = ncb.min(n - jc).div_ceil(4);
+        for q in (0..live).step_by(group) {
+            let np = group.min(live - q);
+            let panels = &bpanel[off + q * kcb * 4..off + (q + np) * kcb * 4];
             let j0 = jc + q * 4;
-            if j0 >= n {
-                break; // rest of this block is column padding
-            }
-            let width = 4.min(n - j0);
-            let panel = &bpanel[off + q * kcb * 4..off + (q + 1) * kcb * 4];
-            for i in 0..m {
-                let a_row = &a[i * k + pc..i * k + pc + kreal];
+            let width = (np * 4).min(n - j0);
+            for i in (0..m).step_by(4) {
+                let tile = &mut acc[..4.min(m - i) * np];
                 debug_assert!(
-                    acc == [0i32; 4],
+                    tile.iter().all(|t| *t == [0i32; 4]),
                     "skinny-path tile scratch must be zeroed between reuses"
                 );
-                (hk.panel_mav)(&mut acc, a_row, panel);
-                let crow = &mut c[i * n + j0..i * n + j0 + width];
-                for (cv, &v) in crow.iter_mut().zip(&acc) {
-                    *cv = cv.wrapping_add(v);
+                (hk.panel_group)(tile, &a[i * k + pc..], k, kreal, panels, np);
+                for (r, sums) in tile.chunks_exact_mut(np).enumerate() {
+                    let crow = &mut c[(i + r) * n + j0..(i + r) * n + j0 + width];
+                    for (cv, &v) in crow.iter_mut().zip(sums.as_flattened()) {
+                        *cv = cv.wrapping_add(v);
+                    }
+                    sums.fill([0i32; 4]);
                 }
-                acc = [0i32; 4];
             }
         }
     });
@@ -179,16 +192,18 @@ mod tests {
 
     #[test]
     fn reused_tile_scratch_is_zeroed_between_panel_walks() {
-        // `run_panel` reuses one 4-lane tile scratch across every
-        // (block, panel, row) visit of the walk; a single stale lane
-        // would shift every later sum by a deterministic garbage
-        // term. Deep-k shapes that span several k-blocks and dozens
-        // of panels, on every available tier, pin the re-zero
+        // `run_panel` reuses one rows × panels tile scratch across
+        // every (block, group, row pass) visit of the walk, at
+        // whatever size each visit needs; a single stale lane would
+        // shift a later sum by a deterministic garbage term. Shapes
+        // whose visits change size mid-walk — a partial last group, a
+        // row tail after full 4-row passes, a second column block and
+        // a second k-block — on every available tier pin the re-zero
         // discipline end to end (debug builds also assert it before
-        // each `panel_mav` call).
+        // each `panel_group` call).
         let mut r = SplitMix64::new(44);
         for hk in HostKernel::available() {
-            for (m, n, k) in [(3, 37, 300), (70, 6, 250)] {
+            for (m, n, k) in [(3, 37, 300), (70, 6, 250), (7, 270, 2060)] {
                 let a = r.i8_vec(m * k, -128, 127);
                 let b = r.i8_vec(k * n, -128, 127);
                 let want = gemm_i32_ref(m, n, k, &a, &b);

@@ -196,10 +196,21 @@ impl<E: GemmExec> GemmExec for CheckedExec<'_, E> {
     }
 }
 
+/// Round to nearest, ties away from zero, saturating to ±127 (NaN → 0):
+/// `y.round().clamp(-127.0, 127.0) as i8` on every `f32` bit pattern,
+/// without the libm `roundf` call — clamp first, then add the largest
+/// `f32` below one half towards the sign and truncate — so the sweeps
+/// below vectorize.
+#[inline]
+fn round_sat_i8(y: f32) -> i8 {
+    let y = y.clamp(-127.0, 127.0);
+    (y + 0.499_999_97f32.copysign(y)) as i32 as i8
+}
+
 /// Requantize one i32 accumulator back to i8.
 #[inline]
 fn requant(acc: i32, mult: f32) -> i8 {
-    (acc as f32 * mult).round().clamp(-127.0, 127.0) as i8
+    round_sat_i8(acc as f32 * mult)
 }
 
 /// Per-output-channel requantization of a row-major m×n accumulator.
@@ -400,6 +411,31 @@ mod tests {
     fn argmax_ties_to_lowest_index() {
         assert_eq!(argmax(&[1, 5, 5, 2]), 1);
         assert_eq!(argmax(&[-3]), 0);
+    }
+
+    #[test]
+    fn round_sat_i8_is_round_then_clamp_on_every_kind_of_f32() {
+        let old = |y: f32| y.round().clamp(-127.0, 127.0) as i8;
+        let check = |y: f32| assert_eq!(round_sat_i8(y), old(y), "{y:e} ({:#010x})", y.to_bits());
+        // a prime stride visits every exponent and both signs, NaN
+        // payloads and subnormals included (all 2^32 patterns were
+        // checked once, exhaustively, when the function was written)
+        for bits in (0..=u32::MAX).step_by(1021) {
+            check(f32::from_bits(bits));
+        }
+        // every rounding boundary the clamp leaves reachable, and the
+        // first ones beyond it, two ulps to either side
+        for k in -130..=130 {
+            for half in [-0.5f32, 0.5] {
+                let tie = (k as f32 + half).to_bits();
+                for bits in tie - 2..=tie + 2 {
+                    check(f32::from_bits(bits));
+                }
+            }
+        }
+        for y in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0] {
+            check(y);
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use camp::core::backend::CampBackend;
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
 use camp::gemm::gemm_i32_ref;
 use camp::gemm::host::{HostKernel, HostTier, SmallB};
-use camp::gemm::weights::host_block_plan;
+use camp::gemm::weights::{host_block_plan, prepack_b};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -199,6 +199,56 @@ proptest! {
             hk.pack_a_block(&mut got, &a, m, k, ic, pc, kcb);
             prop_assert_eq!(&got, &want_a, "tier {} pack_a {}x{} ic={} pc={} kcb={}",
                 hk.tier().name(), m, k, ic, pc, kcb);
+        }
+    }
+}
+
+/// The grouped panel walk on every available tier (scalar — the
+/// generic one-panel adapter — always among them) against the
+/// reference, accumulating into non-zero C, over a grid that crosses
+/// every edge of the walk: row counts 1..=8 (row tails after a 4-row
+/// pass), widths that leave 1..=3 panels short of a group or a ragged
+/// last panel, a second column block (n > 256), k tails below and past
+/// one vector step, and a second k-block (k > 2048).
+#[test]
+fn grouped_panel_walk_matches_reference_at_every_edge() {
+    // (row counts, widths): skinny-m through `run_small_m`, skinny-n
+    // through `run_small_n`
+    let skinny_m = ((1..=8).collect::<Vec<_>>(), vec![1, 4, 12, 16, 20, 36, 100, 260, 300]);
+    let skinny_n = (vec![9, 33, 70], (1..=8).collect::<Vec<_>>());
+    for (ms, ns) in [skinny_m, skinny_n] {
+        let m_max = *ms.last().expect("non-empty");
+        for &n in &ns {
+            for k in [1, 15, 16, 40, 250, 256, 1024, 2049, 2100] {
+                // rows are row-major, so the first m rows of the
+                // tallest problem *are* the m-row problem
+                let a = gen_i8(m_max * k, (n * 31 + k) as u32 | 1, -128, 127);
+                let b = gen_i8(k * n, (n * 17 + k) as u32 | 1, -128, 127);
+                let want: Vec<i32> =
+                    gemm_i32_ref(m_max, n, k, &a, &b).iter().map(|v| v.wrapping_sub(77)).collect();
+                let plan = host_block_plan(m_max, n, k, 16);
+                let mut image = vec![0i8; plan.np * plan.kp];
+                prepack_b(&mut image, &b, n, k, &plan);
+                for &m in &ms {
+                    for hk in HostKernel::available() {
+                        let mut c = vec![-77i32; m * n];
+                        if m <= 8 {
+                            hk.run_small_m(
+                                m,
+                                n,
+                                k,
+                                &plan,
+                                &a[..m * k],
+                                SmallB::Panel(&image),
+                                &mut c,
+                            );
+                        } else {
+                            hk.run_small_n(m, n, k, &plan, &a[..m * k], &image, &mut c);
+                        }
+                        assert_eq!(c, want[..m * n], "tier {} at {m}x{n}x{k}", hk.tier().name());
+                    }
+                }
+            }
         }
     }
 }
