@@ -24,11 +24,17 @@
 //!   `docs/HOST_KERNELS.md`);
 //! * **pack_a / pack_b** — the SIMD packers, reported as packed GB/s
 //!   in the GOPS columns (same speedup semantics);
+//! * **blocked path per tier** — every tier the CPU can run
+//!   (`HostKernel::available()`, so the widening and the VNNI AVX-512
+//!   tiles sit side by side on one box): the wide register tile on
+//!   L1-resident panels (the compute roof of the blocked nest), then the
+//!   engine at 512³ and at the prefill shape 192×1024×256, 1 thread —
+//!   what each tier's tile offers and what the nest leaves on the table;
 //! * **skinny-m roofline** — `run_small_m` over a packed panel image at
 //!   the served decode shapes, m = 1..8, *resident* (one image, walked
 //!   again and again) and *streamed* (rotating through 4 MB of distinct
 //!   images, more than L2), in Gop/s and weight GB/s, beside the two
-//!   roofs each point sits under: `tile_i8_wide` on L1-resident panels
+//!   roofs each point sits under: the wide tile on L1-resident panels
 //!   (compute) and a read-only pass over 1 MB and 4 MB (bandwidth).
 //!
 //! It takes no arguments. `CAMP_THREADS` widens the engine's worker
@@ -166,21 +172,43 @@ fn stream_gbs(bytes: usize) -> f64 {
     (sweeps * bytes) as f64 / secs / 1e9
 }
 
-/// Gop/s of the widened register tile over L1-resident panels (k = 256):
-/// the compute roof no panel walk can exceed.
+/// Gop/s of the widened register tile over L1-resident panels (k = 256),
+/// accumulated into four rows of C as the blocked nest calls it: the
+/// compute roof no nest and no panel walk can exceed.
 fn tile_roof_gops(hk: &HostKernel) -> f64 {
     let (kcb, nr) = (256, hk.int_nr());
     let pa = gen_i8(kcb * 4, 0x1234_5679, -128, 127);
     let pb = gen_i8(kcb * nr, 0x0BAD_F00D | 1, -128, 127);
-    let mut acc = vec![[0i32; 4]; nr];
+    let mut c = vec![0i32; 4 * nr];
     let calls = 4096;
     let secs = time_best(|| {
         for _ in 0..calls {
-            hk.tile_i8_wide(std::hint::black_box(&pa), &pb, &mut acc);
+            hk.tile_i8_into(std::hint::black_box(&pa), &pb, &mut c, nr);
         }
     });
-    std::hint::black_box(&acc);
+    std::hint::black_box(&c);
     gops(4, nr, kcb, secs / calls as f64)
+}
+
+/// The blocked path of every runnable tier (see the module doc).
+fn print_blocked_per_tier() {
+    println!("--------------------------------------------------------------");
+    println!("blocked path per tier (i8, 1 thread, Gop/s): wide-tile roof, engine below it");
+    println!(
+        "{:<11} {:>5} {:>10} {:>12} {:>13}",
+        "tier", "tile", "tile roof", "512x512x512", "192x1024x256"
+    );
+    for hk in HostKernel::available() {
+        let engine = |m, n, k| gops(m, n, k, int_secs(hk, 1, m, n, k, DType::I8));
+        println!(
+            "{:<11} {:>5} {:>10.1} {:>12.1} {:>13.1}",
+            hk.tier().name(),
+            format!("4x{}", hk.int_nr()),
+            tile_roof_gops(hk),
+            engine(512, 512, 512),
+            engine(192, 1024, 256)
+        );
+    }
 }
 
 /// The skinny-m roofline of the dispatched tier (see the module doc).
@@ -188,7 +216,7 @@ fn print_small_m_roofline(hk: &HostKernel) {
     println!("--------------------------------------------------------------");
     println!("skinny-m roofline ({}): run_small_m over a packed panel image", hk.tier().name());
     println!(
-        "roofs: tile_i8_wide {:.1} Gop/s; read-only stream {:.1} GB/s at 1 MB, {:.1} GB/s at 4 MB",
+        "roofs: wide tile {:.1} Gop/s; read-only stream {:.1} GB/s at 1 MB, {:.1} GB/s at 4 MB",
         tile_roof_gops(hk),
         stream_gbs(1 << 20),
         stream_gbs(STREAM_BYTES)
@@ -277,5 +305,6 @@ fn main() {
             pack_gbs(simd, path, r, k),
         );
     }
+    print_blocked_per_tier();
     print_small_m_roofline(simd);
 }

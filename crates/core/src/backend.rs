@@ -696,7 +696,7 @@ mod tests {
     fn kernel_info_identifies_each_substrate() {
         let host = CampEngine::new();
         let info = CampBackend::kernel_info(&host);
-        assert!(["scalar", "avx2", "avx512", "neon"].contains(&info.tier.as_str()));
+        assert!(["scalar", "avx2", "avx512", "avx512vnni", "neon"].contains(&info.tier.as_str()));
         assert_eq!(info.int_tile_i8.0, 4);
         assert_eq!(info.int_tile_i8.1 % 4, 0);
         assert_eq!(info.int_tile_i4, info.int_tile_i8);

@@ -291,38 +291,38 @@ fn blocked_nest(
             let mut q = 0;
             while q < qpanels {
                 let group = if q + nwp <= qpanels { nwp } else { 1 };
+                let width = group * 4;
                 let pb = &bblock[q * panel..(q + group) * panel];
                 for p in 0..mcb / 4 {
                     let pa = match p.checked_sub(head_panels) {
                         None => &head[p * panel..(p + 1) * panel],
                         Some(t) => &tail[t * panel..(t + 1) * panel],
                     };
-                    let mut acc = [[0i32; 4]; 16];
-                    let acc = &mut acc[..group * 4];
-                    if group > 1 {
-                        // One wide call covers `group` subtiles (the
-                        // dispatched tier holds all of them in
-                        // registers across the k loop).
-                        hk.tile_i8_wide(pa, pb, acc);
-                    } else {
-                        let sub: &mut [[i32; 4]; 4] = (&mut acc[..4]).try_into().unwrap();
-                        hk.tile_i8(pa, pb, sub);
+                    // the part of the tile that is C, not zero padding
+                    // past the bottom or right edge
+                    let (i0, j0) = (ic + p * 4, jc + q * 4);
+                    let (live_rows, live_cols) = ((rows - i0).min(4), (n - j0).min(width));
+                    if group > 1 && live_rows == 4 && live_cols == width {
+                        // interior wide tile: the dispatched tier holds
+                        // all `group` subtiles in registers across the k
+                        // loop and adds them into C (read-modify-write
+                        // across k blocks) as four whole rows
+                        hk.tile_i8_into(pa, pb, &mut c[i0 * n + j0..], n);
+                        continue;
                     }
-                    // accumulate each subtile into C (read-modify-write
-                    // across k blocks), clipping the zero-padded edge
-                    for (sq, sub) in acc.chunks_exact(4).enumerate() {
-                        for (rx, row) in sub.iter().enumerate() {
-                            let i = ic + p * 4 + rx;
-                            if i >= rows {
-                                break;
-                            }
-                            for (cx, &v) in row.iter().enumerate() {
-                                let j = jc + (q + sq) * 4 + cx;
-                                if j < n {
-                                    let idx = i * n + j;
-                                    c[idx] = c[idx].wrapping_add(v);
-                                }
-                            }
+                    // an edge tile or the 4x4 kernel: through a
+                    // row-major staging tile, clipped to its live part
+                    let mut tile = [[0i32; 4]; 16];
+                    if group > 1 {
+                        hk.tile_i8_into(pa, pb, tile[..width].as_flattened_mut(), width);
+                    } else {
+                        hk.tile_i8(pa, pb, (&mut tile[..4]).try_into().expect("four rows"));
+                    }
+                    let tile = tile.as_flattened();
+                    for rx in 0..live_rows {
+                        let crow = &mut c[(i0 + rx) * n + j0..][..live_cols];
+                        for (cv, &v) in crow.iter_mut().zip(&tile[rx * width..]) {
+                            *cv = cv.wrapping_add(v);
                         }
                     }
                 }
@@ -612,7 +612,7 @@ impl CampEngine {
     /// ```
     /// let engine = camp_core::CampEngine::new();
     /// let info = engine.kernel_info();
-    /// assert!(["scalar", "avx2", "avx512", "neon"].contains(&info.tier.as_str()));
+    /// assert!(["scalar", "avx2", "avx512", "avx512vnni", "neon"].contains(&info.tier.as_str()));
     /// println!("{info}"); // e.g. "avx2 kernel (features: avx2 fma; ...)"
     /// ```
     pub fn kernel_info(&self) -> KernelInfo {
@@ -1186,6 +1186,28 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_serves_interior_and_edge_tiles_of_the_nest() {
+        // full-range operands on every tier the CPU has, so each wide
+        // tile's two ways back into C are both served: whole 16-wide
+        // rows (interior), and the clipped staging tile — bottom edge
+        // (m = 13, 130), right edge and the narrow trailing panel group
+        // (n = 37, 100), a group that is all of the second column block
+        // (n = 272 > NC) — summed over a second depth block (k > KC)
+        let mut r = camp_gemm::SplitMix64::new(23);
+        for (m, n, k) in [(13, 37, 72), (192, 100, 64), (192, 192, 64), (130, NC + 16, KC + 52)] {
+            let a = r.i8_vec(m * k, -128, 127);
+            let b = r.i8_vec(k * n, -128, 127);
+            let want = gemm_i32_ref(m, n, k, &a, &b);
+            for hk in HostKernel::available() {
+                let mut eng = CampEngine::with_threads_and_kernel(1, hk);
+                let (c, stats) = gemm(&mut eng, (m, n, k), &a, &b, I8);
+                assert_eq!(c, want, "{} at {m}x{n}x{k}", hk.tier().name());
+                assert_eq!(stats.blocked_routed, 1);
             }
         }
     }

@@ -8,6 +8,15 @@
 //! A-side shuffle over four B panels. The 32-register zmm file is what
 //! makes the 16-accumulator integer tile hold entirely in registers.
 //!
+//! The wide tile hands its result back *in C*: its 16 accumulators fold
+//! into four 16-lane rows that are added straight to four rows of the
+//! caller's row-major matrix ([`tile_i8_into`]), so an interior tile of
+//! the blocked nest never round-trips through a staging tile.
+//! [`tile_i8_into_vnni`] is the one kernel of the `avx512vnni` tier that
+//! differs: the same tile with the widening folded into the multiplier's
+//! own issue (`vpdpbusd`, the commodity `camp.s8`) — no i8→i16
+//! conversions, no `vpaddd` — over the same packed panels.
+//!
 //! Depth remainders that do not fill a 64-byte chunk take the scalar
 //! reference path — bit-identical by definition, and never hit by the
 //! engine's k-step-aligned panels.
@@ -93,6 +102,40 @@ const fn a_panel_shuf() -> [i8; 64] {
 
 const A_PANEL_SHUF: [i8; 64] = a_panel_shuf();
 
+/// Per-lane 4×4 byte transpose of a packed chunk (`p[l*4+r]`, 16
+/// k-values × 4 rows or columns): dword `r` of lane g becomes row/column
+/// `r`'s four consecutive k-values `4g..4g+4` — the operand shape of
+/// `vpdpbusd`.
+const QUAD_TRANSPOSE: [i8; 64] =
+    repeat_lane([0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15]);
+
+// SAFETY: requires AVX512F only; register-to-register, no memory access.
+/// Fold the four 128-bit quarters of each of four accumulators and land
+/// `v[s]`'s sums in quarter `s`: a 4×4 transpose of 128-bit blocks with
+/// the adds folded in (6 shuffles + 3 adds for 16 horizontal sums).
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn fold_quarters(v: [__m512i; 4]) -> __m512i {
+    let s01 = _mm512_add_epi32(
+        _mm512_shuffle_i32x4::<0x44>(v[0], v[1]),
+        _mm512_shuffle_i32x4::<0xEE>(v[0], v[1]),
+    );
+    let s23 = _mm512_add_epi32(
+        _mm512_shuffle_i32x4::<0x44>(v[2], v[3]),
+        _mm512_shuffle_i32x4::<0xEE>(v[2], v[3]),
+    );
+    _mm512_add_epi32(_mm512_shuffle_i32x4::<0x88>(s01, s23), _mm512_shuffle_i32x4::<0xDD>(s01, s23))
+}
+
+// SAFETY: requires AVX512F; the caller guarantees 16 readable and
+// writable `i32`s at `dst`.
+/// `dst[0..16] += sums` (wrapping).
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn add_into_row(dst: *mut i32, sums: __m512i) {
+    _mm512_storeu_epi32(dst, _mm512_add_epi32(_mm512_loadu_epi32(dst), sums));
+}
+
 // SAFETY: requires AVX512F+AVX512BW (zmm shuffles/widening/madd) and
 // AVX2 (ymm fold adds). `iters` derives from `pa.len()` and the packing
 // contract gives `pb` the same chunk count; the sub-64-byte remainder
@@ -154,11 +197,18 @@ pub fn tile_i8(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]; 4]) {
     unsafe { tile_i8_impl(pa, pb, acc) }
 }
 
-// SAFETY: requires AVX512F+AVX512BW+AVX2. Loads stay in bounds because
-// `iters` derives from `pa.len()` and the wrapper asserts `pb` holds
-// exactly four panels of that depth; the remainder path is safe code.
-#[target_feature(enable = "avx512f,avx512bw,avx2")]
-unsafe fn tile_i8_wide_impl(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
+// SAFETY: requires AVX512F+AVX512BW+AVX512VL+AVX2. Loads stay in bounds
+// because the chunk count derives from `pa.len()` and `pb` holds exactly
+// four panels of that depth; each 64-byte C access is one of the four
+// rows `c[i*ldc..i*ldc + 16]` ([`assert_wide_shape`], run by the
+// wrapper, checks both); the remainder path is safe code.
+//
+// AVX512VL is enabled for the register allocator, not for an
+// instruction: without it LLVM keeps every value that is ever viewed as
+// a ymm (the fold's `vinserti64x4` sources, the `vpmovsxbw` inputs) in
+// zmm0–15, and the 16 accumulators then spill inside the depth loop.
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx2")]
+unsafe fn tile_i8_into_impl(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
     let panel = pa.len();
     let bshuf = _mm512_loadu_epi8(B_PAIR_SHUF.as_ptr());
     let ashuf = [
@@ -171,8 +221,7 @@ unsafe fn tile_i8_wide_impl(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
     // zmm accumulators live across the depth loop — every A shuffle and
     // widening is amortized over 4× the columns of [`tile_i8`]
     let mut vacc = [[_mm512_setzero_si512(); 4]; 4];
-    let iters = panel / 64;
-    for t in 0..iters {
+    for t in 0..panel / 64 {
         let ap = _mm512_loadu_epi8(pa.as_ptr().add(t * 64));
         let mut blo = [_mm512_setzero_si512(); 4];
         let mut bhi = [_mm512_setzero_si512(); 4];
@@ -195,42 +244,118 @@ unsafe fn tile_i8_wide_impl(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
             }
         }
     }
-    for (i, rowacc) in vacc.iter().enumerate() {
-        for (q, &v) in rowacc.iter().enumerate() {
-            let half =
-                _mm256_add_epi32(_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64::<1>(v));
-            let folded =
-                _mm_add_epi32(_mm256_castsi256_si128(half), _mm256_extracti128_si256::<1>(half));
-            let mut out = [0i32; 4];
-            _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, folded);
-            for (c, o) in acc[q * 4 + i].iter_mut().zip(out) {
-                *c = c.wrapping_add(o);
-            }
-        }
+    // each quarter of vacc[i][q] holds panel q's j0..3 over a disjoint
+    // k subset: panel q's sums land in quarter q, one C row per A row
+    for (i, &v) in vacc.iter().enumerate() {
+        add_into_row(c.as_mut_ptr().add(i * ldc), fold_quarters(v));
     }
-    if !panel.is_multiple_of(64) {
-        let tail = iters * 64;
-        for q in 0..4 {
-            let sub: &mut [[i32; 4]; 4] =
-                (&mut acc[q * 4..q * 4 + 4]).try_into().expect("chunks of 4 rows");
-            super::scalar::tile_i8(&pa[tail..], &pb[q * panel + tail..(q + 1) * panel], sub);
+    wide_tail(pa, pb, c, ldc);
+}
+
+/// Widened 4×16 integer tile (the `tile_i8_into` table entry of
+/// [`super::HostKernel`]): one packed A panel against four adjacent B
+/// panels per call, accumulated into four rows of `c`; bit-identical to
+/// [`super::scalar::tile_i8_wide`] (wrapping adds commute).
+pub fn tile_i8_into(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
+    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
+    assert_wide_shape(pa, pb, c, ldc);
+    // SAFETY: AVX-512 detection gates dispatch (debug-asserted above);
+    // the shape asserts just above are the impl's bounds preconditions.
+    unsafe { tile_i8_into_impl(pa, pb, c, ldc) }
+}
+
+/// The shape contract both 4×16 tiles' raw loads and stores rest on:
+/// four B panels of A's depth, and four 16-wide rows inside `c`.
+fn assert_wide_shape(pa: &[i8], pb: &[i8], c: &[i32], ldc: usize) {
+    assert_eq!(pb.len(), 4 * pa.len(), "pb must hold four panels of pa's depth");
+    assert!(c.len() >= 3 * ldc + 16, "c must hold four 16-wide rows at stride ldc");
+    debug_assert_eq!(pa.len() % 32, 0, "panel depth must be a multiple of 8 k-values");
+}
+
+/// The 8-k remainder (32 packed bytes) past a wide tile's 64-byte loop:
+/// never produced by the engine's k-step-aligned panels, but the
+/// dispatch contract allows it — the scalar reference, panel by panel.
+fn wide_tail(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
+    let panel = pa.len();
+    let tail = panel - panel % 64;
+    if tail < panel {
+        let one_panel = super::scalar::tile_i8_wide;
+        for (q, bp) in pb.chunks_exact(panel).enumerate() {
+            let c = &mut c[q * 4..];
+            super::scalar::tile_into_with(one_panel, 4, &pa[tail..], &bp[tail..], c, ldc);
         }
     }
 }
 
-/// Widened 4×16 integer tile (see [`super::scalar::tile_i8_wide`]): one
-/// packed A panel against four adjacent B panels per call;
-/// bit-identical to four [`tile_i8`] calls (wrapping adds commute).
-pub fn tile_i8_wide(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
-    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
-    debug_assert_eq!(acc.len(), 16, "avx512 wide tile is 4x16 (four panels)");
-    debug_assert_eq!(pb.len(), 4 * pa.len(), "pb must hold four panels of pa's depth");
-    debug_assert_eq!(pa.len() % 32, 0, "panel depth must be a multiple of 8 k-values");
-    // SAFETY: AVX-512 detection gates dispatch (debug-asserted above);
-    // the panel-shape preconditions the impl's bounds reasoning needs
-    // are debug-asserted here and guaranteed by the engine's grouping
-    // loop, which only forms whole four-panel groups.
-    unsafe { tile_i8_wide_impl(pa, pb, acc) }
+// SAFETY: requires AVX512F+AVX512BW+AVX512VL+AVX512VNNI; the bounds
+// reasoning (and the reason for AVX512VL) is [`tile_i8_into_impl`]'s:
+// same loads, same four C rows, same asserts in the wrapper.
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
+unsafe fn tile_i8_into_vnni_impl(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
+    let panel = pa.len();
+    let transpose = _mm512_loadu_epi8(QUAD_TRANSPOSE.as_ptr());
+    let bias = _mm512_set1_epi8(-128);
+    // the same 16 accumulators as the widening tile: dword j of lane g
+    // of vacc[i][q] sums row i × panel q's column j over the k-values
+    // 4g..4g+4 of every chunk — against b + 128
+    let mut vacc = [[_mm512_setzero_si512(); 4]; 4];
+    // dword r of lane g: 128·Σ a[r][k] over the same k subset
+    let mut asum = _mm512_setzero_si512();
+    for t in 0..panel / 64 {
+        let at = _mm512_shuffle_epi8(_mm512_loadu_epi8(pa.as_ptr().add(t * 64)), transpose);
+        asum = _mm512_dpbusd_epi32(asum, bias, at);
+        // `vpdpbusd` multiplies unsigned by signed bytes: B goes in as
+        // b ^ 0x80 = b + 128 ∈ 0..=255. Each u8×i8 product fits i16
+        // exactly and the four-product dword sum wraps, never saturates
+        // (`vpdpbusds` would)
+        let mut bu = [_mm512_setzero_si512(); 4];
+        for q in 0..4 {
+            let bp = _mm512_loadu_epi8(pb.as_ptr().add(q * panel + t * 64));
+            bu[q] = _mm512_xor_si512(_mm512_shuffle_epi8(bp, transpose), bias);
+        }
+        // row i's quad, broadcast within every lane (`vpshufd`)
+        let arow = [
+            _mm512_shuffle_epi32::<0x00>(at),
+            _mm512_shuffle_epi32::<0x55>(at),
+            _mm512_shuffle_epi32::<0xAA>(at),
+            _mm512_shuffle_epi32::<0xFF>(at),
+        ];
+        for i in 0..4 {
+            for q in 0..4 {
+                vacc[i][q] = _mm512_dpbusd_epi32(vacc[i][q], bu[q], arow[i]);
+            }
+        }
+    }
+    // Σ a·(b+128) − 128·Σ a = Σ a·b in wrapping i32, so the bias leaves
+    // once per row, at the fold. Swap-and-add the quarters of `asum`
+    // twice and every lane holds the four rows' totals; `vpshufd` then
+    // spreads row i's.
+    let pairs = _mm512_add_epi32(asum, _mm512_shuffle_i32x4::<0x4E>(asum, asum));
+    let totals = _mm512_add_epi32(pairs, _mm512_shuffle_i32x4::<0xB1>(pairs, pairs));
+    let row_bias = [
+        _mm512_shuffle_epi32::<0x00>(totals),
+        _mm512_shuffle_epi32::<0x55>(totals),
+        _mm512_shuffle_epi32::<0xAA>(totals),
+        _mm512_shuffle_epi32::<0xFF>(totals),
+    ];
+    for i in 0..4 {
+        let sums = _mm512_sub_epi32(fold_quarters(vacc[i]), row_bias[i]);
+        add_into_row(c.as_mut_ptr().add(i * ldc), sums);
+    }
+    wide_tail(pa, pb, c, ldc);
+}
+
+/// The `avx512vnni` tier's 4×16 tile: [`tile_i8_into`]'s contract and
+/// packed operands, one `vpdpbusd` per 64 MACs instead of two widenings,
+/// two `vpmaddwd` and two `vpaddd`. Bit-identical in wrapping i32 (see
+/// `docs/HOST_KERNELS.md`, "The blocked tile").
+pub fn tile_i8_into_vnni(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
+    debug_assert!(have_avx512vnni(), "avx512vnni kernel dispatched without avx512_vnni");
+    assert_wide_shape(pa, pb, c, ldc);
+    // SAFETY: AVX512-VNNI detection (on top of the AVX-512 gate) is what
+    // selects this tier's table (debug-asserted above); the shape
+    // asserts are the impl's bounds preconditions.
+    unsafe { tile_i8_into_vnni_impl(pa, pb, c, ldc) }
 }
 
 // SAFETY: requires AVX512F+AVX512BW+AVX512VL. Every load and store is
@@ -393,24 +518,9 @@ unsafe fn panel_group_impl<const R: usize>(
             }
         }
     }
-    for (i, v) in vacc.iter().enumerate() {
-        // fold the four quarters of each panel's accumulator and land
-        // panel q's sums in quarter q: a 4×4 transpose of 128-bit
-        // blocks with the adds folded in, one 16-lane result per row
-        let s01 = _mm512_add_epi32(
-            _mm512_shuffle_i32x4::<0x44>(v[0], v[1]),
-            _mm512_shuffle_i32x4::<0xEE>(v[0], v[1]),
-        );
-        let s23 = _mm512_add_epi32(
-            _mm512_shuffle_i32x4::<0x44>(v[2], v[3]),
-            _mm512_shuffle_i32x4::<0xEE>(v[2], v[3]),
-        );
-        let sums = _mm512_add_epi32(
-            _mm512_shuffle_i32x4::<0x88>(s01, s23),
-            _mm512_shuffle_i32x4::<0xDD>(s01, s23),
-        );
-        let dst = acc.as_mut_ptr().add(i * 4) as *mut i32;
-        _mm512_storeu_epi32(dst, _mm512_add_epi32(_mm512_loadu_epi32(dst), sums));
+    for (i, &v) in vacc.iter().enumerate() {
+        // panel q's sums land in quarter q: one 16-lane result per row
+        add_into_row(acc.as_mut_ptr().add(i * 4) as *mut i32, fold_quarters(v));
     }
     iters * 16
 }
@@ -461,6 +571,11 @@ fn have_avx512() -> bool {
         && is_x86_feature_detected!("fma")
 }
 
+/// [`have_avx512`] plus the one feature [`tile_i8_into_vnni`] adds.
+fn have_avx512vnni() -> bool {
+    have_avx512() && is_x86_feature_detected!("avx512vnni")
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::scalar;
@@ -486,18 +601,40 @@ mod tests {
 
     #[test]
     fn wide_tile_is_bit_identical_to_scalar() {
-        if !have_avx512() {
-            return;
-        }
+        // both 4×16 tiles against the scalar reference: operands pinned
+        // at every sign corner and full-range random, at depths that
+        // leave the 32-byte tail past the 64-byte loop (8, 24, 72) and
+        // at the deepest block `HOST_BLOCKING` allows, into C rows
+        // strided wider than the tile and pre-filled next to both ends
+        // of i32 (the fold's adds must wrap, and must leave the
+        // columns between rows alone). The last depth drives the
+        // corners' in-register sums past i32 — what `vpdpbusds` would
+        // clamp and `vpdpbusd` wraps, as the reference does.
+        type Tile = fn(&[i8], &[i8], &mut [i32], usize);
+        let tiles: [(&str, Tile, bool); 2] = [
+            ("widening", tile_i8_into, have_avx512()),
+            ("vnni", tile_i8_into_vnni, have_avx512vnni()),
+        ];
         let mut r = SplitMix64::new(31);
-        for kcb in [8, 16, 24, 48, 160] {
-            let pa = r.i8_vec(kcb * 4, -128, 127);
-            let pb = r.i8_vec(kcb * 16, -128, 127);
-            let mut want = [[3i32, -1, 4, -1]; 16];
-            let mut got = want;
-            scalar::tile_i8_wide(&pa, &pb, &mut want);
-            tile_i8_wide(&pa, &pb, &mut got);
-            assert_eq!(got, want, "kcb={kcb}");
+        let ldc = 19;
+        let init: Vec<i32> =
+            (0..3 * ldc + 16).map(|x| [i32::MAX - 3, i32::MIN + 3, 5, -7][x % 4]).collect();
+        for kcb in [8, 16, 24, 72, 2048, 272_000] {
+            let corners = [(-128, -128), (-128, 127), (127, -128), (127, 127)];
+            let mut cases: Vec<(Vec<i8>, Vec<i8>)> =
+                corners.iter().map(|&(a, b)| (vec![a; kcb * 4], vec![b; kcb * 16])).collect();
+            cases.push((r.i8_vec(kcb * 4, -128, 127), r.i8_vec(kcb * 16, -128, 127)));
+            for (case, (pa, pb)) in cases.iter().enumerate() {
+                let mut want = init.clone();
+                scalar::tile_into_with(scalar::tile_i8_wide, 16, pa, pb, &mut want, ldc);
+                for (name, tile, runnable) in tiles {
+                    if runnable {
+                        let mut got = init.clone();
+                        tile(pa, pb, &mut got, ldc);
+                        assert_eq!(got, want, "{name} tile, kcb={kcb}, case {case}");
+                    }
+                }
+            }
         }
     }
 

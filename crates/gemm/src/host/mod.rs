@@ -4,8 +4,9 @@
 //! kernels — programs in the virtual vector ISA, timed by the pipeline
 //! model. This module is the host-silicon analogue: a [`HostKernel`]
 //! is a table of native micro-kernels (portable scalar, AVX2, AVX-512,
-//! NEON) selected **once** from a [`CpuFeatures`] runtime probe and then
-//! dispatched through plain function pointers on the hot path. The
+//! AVX-512 VNNI, NEON) selected **once** from a [`CpuFeatures`] runtime
+//! probe and then dispatched through plain function pointers on the hot
+//! path. The
 //! pire/BLIS pattern: per-architecture micro-kernel + pack modules
 //! behind a single runtime-dispatched seam.
 //!
@@ -28,7 +29,7 @@
 //! [`HOST_BLOCKING`], one set for every tier: the packed-panel layout
 //! depends on it and is shared with the weight registry, so it must
 //! not vary with the dispatched tier (or with the operator's shell).
-//! `CAMP_FORCE_TIER={scalar,avx2,avx512,neon}` pins dispatch to a
+//! `CAMP_FORCE_TIER={scalar,avx2,avx512,avx512vnni,neon}` pins dispatch to a
 //! specific tier, panicking on an unknown name or a tier the CPU
 //! cannot run — the one environment value in the workspace that fails
 //! loudly (`docs/KNOBS.md`). The integer path keeps
@@ -36,7 +37,7 @@
 //! shared with the weight registry and the serving session — so a
 //! panel packed by any component is consumable by every tier. Tiers
 //! differ only in how many adjacent panels one register-tile call
-//! consumes (`int_nr/4`, see [`HostKernel::tile_i8_wide`]; the skinny
+//! consumes (`int_nr/4`, see [`HostKernel::tile_i8_into`]; the skinny
 //! paths' grouped panel primitive takes the same group) and in how
 //! the pack routines themselves are vectorized ([`HostKernel::pack_a_block`]
 //! etc. — byte-identical images, SIMD-built).
@@ -84,6 +85,10 @@ pub struct CpuFeatures {
     pub avx512bw: bool,
     /// AVX-512 vector-length extensions (EVEX at 128/256-bit widths).
     pub avx512vl: bool,
+    /// AVX-512 VNNI (`vpdpbusd`: four u8×i8 products accumulated into
+    /// an i32 lane in one issue — what separates the `avx512vnni` tier
+    /// from `avx512`).
+    pub avx512vnni: bool,
     /// NEON/ASIMD (aarch64, architecturally mandatory).
     pub neon: bool,
 }
@@ -99,6 +104,7 @@ impl CpuFeatures {
                 avx512f: is_x86_feature_detected!("avx512f"),
                 avx512bw: is_x86_feature_detected!("avx512bw"),
                 avx512vl: is_x86_feature_detected!("avx512vl"),
+                avx512vnni: is_x86_feature_detected!("avx512vnni"),
                 neon: false,
             }
         }
@@ -119,6 +125,12 @@ impl CpuFeatures {
         self.avx512f && self.avx512bw && self.avx512vl && self.avx2 && self.fma
     }
 
+    /// True when this feature set admits the AVX-512 VNNI tier: the
+    /// AVX-512 tier's gate plus `vpdpbusd`.
+    pub fn has_avx512vnni_tier(&self) -> bool {
+        self.has_avx512_tier() && self.avx512vnni
+    }
+
     /// Space-separated list of detected features, or `"portable"`.
     pub fn summary(&self) -> String {
         let mut out = Vec::new();
@@ -136,6 +148,9 @@ impl CpuFeatures {
         }
         if self.avx512vl {
             out.push("avx512vl");
+        }
+        if self.avx512vnni {
+            out.push("avx512vnni");
         }
         if self.neon {
             out.push("neon");
@@ -162,6 +177,10 @@ pub enum HostTier {
     /// x86_64 AVX-512 (F+BW+VL): zmm `vpshufb`/`vpmaddwd` widening i8
     /// tile (4×16 widened).
     Avx512,
+    /// x86_64 AVX-512 with VNNI: the [`HostTier::Avx512`] table with a
+    /// `vpdpbusd` 4×16 tile — multiply, widen and accumulate in one
+    /// issue, the commodity analogue of `camp.s8`.
+    Avx512Vnni,
     /// aarch64 NEON: `smlal`-lane widening i8 tile.
     Neon,
 }
@@ -174,6 +193,7 @@ impl HostTier {
             HostTier::Scalar => "scalar",
             HostTier::Avx2 => "avx2",
             HostTier::Avx512 => "avx512",
+            HostTier::Avx512Vnni => "avx512vnni",
             HostTier::Neon => "neon",
         }
     }
@@ -201,15 +221,20 @@ pub struct HostKernel {
     /// `kcb` a multiple of 8); accumulates into `acc` with wrapping
     /// i32 adds.
     pub(crate) tile_i8: fn(&[i8], &[i8], &mut [[i32; 4]; 4]),
-    /// Widened register tile: one packed A panel against `int_nr/4`
-    /// *adjacent* packed B panels per call (`pb` is their contiguous
-    /// concatenation, `acc[q*4+i][j]` the tile for panel `q`). Same
-    /// panel layout, same wrapping arithmetic — just more columns held
-    /// in registers per A-side load/widen.
-    pub(crate) tile_i8_wide: fn(&[i8], &[i8], &mut [[i32; 4]]),
+    /// Widened register tile, accumulated where it belongs:
+    /// `(pa, pb, c, ldc)` — one packed A panel against `int_nr/4`
+    /// *adjacent* packed B panels (`pb` is their contiguous
+    /// concatenation), `c[i*ldc + q*4 + j] += Σ_l pa[l*4+i]·pb_q[l*4+j]`
+    /// (wrapping) for the four rows `i` and panel `q`'s columns `j`;
+    /// `c` holds at least `3*ldc + int_nr` elements. Same panel layout,
+    /// same wrapping arithmetic as [`HostKernel::tile_i8`] — more
+    /// columns held in registers per A-side load, and a result that
+    /// lands in the caller's row-major matrix as whole-row vector adds
+    /// instead of in a staging tile.
+    pub(crate) tile_i8_into: fn(&[i8], &[i8], &mut [i32], usize),
     /// Columns of the widened integer register tile (4 on tiers with no
-    /// widening headroom, 8 on AVX2, 16 on AVX-512). Always a multiple
-    /// of 4: the packed-panel layout itself never changes.
+    /// widening headroom, 8 on AVX2, 16 on both AVX-512 tiers). Always a
+    /// multiple of 4: the packed-panel layout itself never changes.
     pub(crate) int_nr: usize,
     /// Skinny-m kernel over *raw* row-major operands (no packing at
     /// all): `(m, n, k, a, b, c)`, accumulating into `c`.
@@ -250,7 +275,7 @@ impl fmt::Debug for HostKernel {
 static SCALAR: HostKernel = HostKernel {
     tier: HostTier::Scalar,
     tile_i8: scalar::tile_i8,
-    tile_i8_wide: scalar::tile_i8_wide,
+    tile_i8_into: scalar::tile_i8_into,
     int_nr: 4,
     small_m_dense: scalar::small_m_dense,
     panel_group: |acc, a, lda, kreal, panels, npanels| {
@@ -264,7 +289,7 @@ static SCALAR: HostKernel = HostKernel {
 static AVX2: HostKernel = HostKernel {
     tier: HostTier::Avx2,
     tile_i8: avx2::tile_i8,
-    tile_i8_wide: avx2::tile_i8_wide,
+    tile_i8_into: |pa, pb, c, ldc| scalar::tile_into_with(avx2::tile_i8_wide, 8, pa, pb, c, ldc),
     int_nr: 8,
     small_m_dense: avx2::small_m_dense,
     panel_group: avx2::panel_group,
@@ -280,7 +305,7 @@ static AVX2: HostKernel = HostKernel {
 static AVX512: HostKernel = HostKernel {
     tier: HostTier::Avx512,
     tile_i8: avx512::tile_i8,
-    tile_i8_wide: avx512::tile_i8_wide,
+    tile_i8_into: avx512::tile_i8_into,
     int_nr: 16,
     small_m_dense: avx512::small_m_dense,
     panel_group: avx512::panel_group,
@@ -288,11 +313,19 @@ static AVX512: HostKernel = HostKernel {
     pack_b: avx2::pack_b_block,
 };
 
+// The VNNI tier is the AVX-512 table with one entry swapped: the tile
+// that serves every blocked GeMM. The 4×4 tile only sees trailing panel
+// groups, and the skinny kernels sit on a bandwidth roof `vpdpbusd`
+// does not move.
+#[cfg(target_arch = "x86_64")]
+static AVX512VNNI: HostKernel =
+    HostKernel { tier: HostTier::Avx512Vnni, tile_i8_into: avx512::tile_i8_into_vnni, ..AVX512 };
+
 #[cfg(target_arch = "aarch64")]
 static NEON: HostKernel = HostKernel {
     tier: HostTier::Neon,
     tile_i8: neon::tile_i8,
-    tile_i8_wide: scalar::tile_i8_wide,
+    tile_i8_into: scalar::tile_i8_into,
     int_nr: 4,
     small_m_dense: neon::small_m_dense,
     panel_group: |acc, a, lda, kreal, panels, npanels| {
@@ -311,10 +344,11 @@ pub(crate) fn parse_forced_tier(raw: Option<String>) -> Result<Option<HostTier>,
         "scalar" => Ok(Some(HostTier::Scalar)),
         "avx2" => Ok(Some(HostTier::Avx2)),
         "avx512" => Ok(Some(HostTier::Avx512)),
+        "avx512vnni" => Ok(Some(HostTier::Avx512Vnni)),
         "neon" => Ok(Some(HostTier::Neon)),
-        other => {
-            Err(format!("CAMP_FORCE_TIER must be one of scalar|avx2|avx512|neon, got {other:?}"))
-        }
+        other => Err(format!(
+            "CAMP_FORCE_TIER must be one of scalar|avx2|avx512|avx512vnni|neon, got {other:?}"
+        )),
     }
 }
 
@@ -356,6 +390,9 @@ impl HostKernel {
     pub fn best_for(features: CpuFeatures) -> &'static HostKernel {
         #[cfg(target_arch = "x86_64")]
         {
+            if features.has_avx512vnni_tier() {
+                return &AVX512VNNI;
+            }
             if features.has_avx512_tier() {
                 return &AVX512;
             }
@@ -388,6 +425,8 @@ impl HostKernel {
             HostTier::Avx2 if f.avx2 && f.fma => Some(&AVX2),
             #[cfg(target_arch = "x86_64")]
             HostTier::Avx512 if f.has_avx512_tier() => Some(&AVX512),
+            #[cfg(target_arch = "x86_64")]
+            HostTier::Avx512Vnni if f.has_avx512vnni_tier() => Some(&AVX512VNNI),
             #[cfg(target_arch = "aarch64")]
             HostTier::Neon if f.neon => Some(&NEON),
             _ => None,
@@ -396,7 +435,8 @@ impl HostKernel {
 
     /// Every tier the running CPU can execute (scalar first).
     pub fn available() -> Vec<&'static HostKernel> {
-        [HostTier::Scalar, HostTier::Avx2, HostTier::Avx512, HostTier::Neon]
+        use HostTier::*;
+        [Scalar, Avx2, Avx512, Avx512Vnni, Neon]
             .into_iter()
             .filter_map(HostKernel::for_tier)
             .collect()
@@ -427,7 +467,7 @@ impl HostKernel {
     }
 
     /// Columns of the widened integer register tile (`int_nr/4`
-    /// adjacent packed panels per [`HostKernel::tile_i8_wide`] call).
+    /// adjacent packed panels per [`HostKernel::tile_i8_into`] call).
     pub fn int_nr(&self) -> usize {
         self.int_nr
     }
@@ -441,14 +481,36 @@ impl HostKernel {
     }
 
     /// Run the widened integer tile: one packed A panel against the
-    /// `int_nr/4` adjacent B panels concatenated in `pb`, accumulating
-    /// into `acc[q*4+i]` for panel `q`. Bit-identical to `int_nr/4`
-    /// [`HostKernel::tile_i8`] calls (wrapping adds commute).
-    pub fn tile_i8_wide(&self, pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
-        debug_assert_eq!(acc.len(), self.int_nr, "acc must cover the full widened tile");
+    /// `int_nr/4` adjacent B panels concatenated in `pb`, accumulated
+    /// into four rows of a row-major matrix —
+    /// `c[i*ldc + q*4 + j]` for row `i`, panel `q`, column `j`, with
+    /// `ldc >= int_nr` and `c.len() >= 3*ldc + int_nr`. Bit-identical to
+    /// `int_nr/4` [`HostKernel::tile_i8`] calls (wrapping adds commute).
+    pub fn tile_i8_into(&self, pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
         debug_assert_eq!(pb.len(), (self.int_nr / 4) * pa.len(), "pb must hold int_nr/4 panels");
         debug_assert_eq!(pa.len() % 32, 0, "panel depth must be a multiple of 8 k-values");
-        (self.tile_i8_wide)(pa, pb, acc)
+        debug_assert!(ldc >= self.int_nr, "rows of the tile must not overlap");
+        (self.tile_i8_into)(pa, pb, c, ldc)
+    }
+
+    /// [`HostKernel::tile_i8_into`] with the result as `int_nr/4`
+    /// separate 4×4 tiles, `acc[q*4+i][j]` for panel `q`: the widened
+    /// tile computed into a row-major staging tile and added to `acc`.
+    /// The blocked nest does not come through here; the kernel probes
+    /// and parity tests that want the tile by itself do.
+    pub fn tile_i8_wide(&self, pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
+        let nr = self.int_nr;
+        assert_eq!(acc.len(), nr, "acc must cover the full widened tile");
+        // four rows of the widest tier's 16 columns
+        let mut rows = [0i32; 4 * 16];
+        self.tile_i8_into(pa, pb, &mut rows[..4 * nr], nr);
+        for (q, sub) in acc.chunks_exact_mut(4).enumerate() {
+            for (i, out) in sub.iter_mut().enumerate() {
+                for (o, &v) in out.iter_mut().zip(&rows[i * nr + q * 4..][..4]) {
+                    *o = o.wrapping_add(v);
+                }
+            }
+        }
     }
 
     /// Pack a block of row-major B into 4-column panels through this
@@ -526,8 +588,8 @@ impl HostKernel {
 /// substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelInfo {
-    /// Tier name (`"scalar"`, `"avx2"`, `"avx512"`, `"neon"`, or the
-    /// simulated backend's `"sim-camp"`).
+    /// Tier name (`"scalar"`, `"avx2"`, `"avx512"`, `"avx512vnni"`,
+    /// `"neon"`, or the simulated backend's `"sim-camp"`).
     pub tier: String,
     /// True when the tier uses SIMD.
     pub simd: bool,
@@ -606,10 +668,15 @@ mod tests {
         assert_eq!(parse_forced_tier(Some(" scalar ".into())).unwrap(), Some(HostTier::Scalar));
         assert_eq!(parse_forced_tier(Some("avx2".into())).unwrap(), Some(HostTier::Avx2));
         assert_eq!(parse_forced_tier(Some("avx512".into())).unwrap(), Some(HostTier::Avx512));
+        assert_eq!(
+            parse_forced_tier(Some("avx512vnni".into())).unwrap(),
+            Some(HostTier::Avx512Vnni)
+        );
         assert_eq!(parse_forced_tier(Some("neon".into())).unwrap(), Some(HostTier::Neon));
-        for bad in ["AVX2", "sse", "1", "scalar,avx2"] {
+        for bad in ["AVX2", "sse", "1", "scalar,avx2", "avx512_vnni", "vnni"] {
             let err = parse_forced_tier(Some(bad.to_string())).unwrap_err();
             assert!(err.contains("CAMP_FORCE_TIER"), "{err}");
+            assert!(err.contains("scalar|avx2|avx512|avx512vnni|neon"), "{err}");
         }
     }
 
@@ -618,9 +685,11 @@ mod tests {
         assert_eq!(HostTier::Scalar.name(), "scalar");
         assert_eq!(HostTier::Avx2.name(), "avx2");
         assert_eq!(HostTier::Avx512.name(), "avx512");
+        assert_eq!(HostTier::Avx512Vnni.name(), "avx512vnni");
         assert_eq!(HostTier::Neon.name(), "neon");
         assert!(HostTier::Avx2.is_simd());
         assert!(HostTier::Avx512.is_simd());
+        assert!(HostTier::Avx512Vnni.is_simd());
         assert!(!HostTier::Scalar.is_simd());
     }
 

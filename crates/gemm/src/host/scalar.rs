@@ -36,6 +36,37 @@ pub fn tile_i8_wide(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
     }
 }
 
+/// The `tile_i8_into` table entry (see `HostKernel`) of a tier whose
+/// wide tile `wide` (`nr` columns) returns [`tile_i8_wide`]'s staging
+/// layout: computed into a zeroed staging tile, then added to the four
+/// rows `c[i*ldc..i*ldc + nr]` as `nr` contiguous wrapping adds each.
+pub(super) fn tile_into_with(
+    wide: fn(&[i8], &[i8], &mut [[i32; 4]]),
+    nr: usize,
+    pa: &[i8],
+    pb: &[i8],
+    c: &mut [i32],
+    ldc: usize,
+) {
+    let mut acc = [[0i32; 4]; 16];
+    let acc = &mut acc[..nr];
+    wide(pa, pb, acc);
+    for rx in 0..4 {
+        let crow = &mut c[rx * ldc..][..nr];
+        for (dst, sub) in crow.chunks_exact_mut(4).zip(acc.chunks_exact(4)) {
+            for (cv, &v) in dst.iter_mut().zip(&sub[rx]) {
+                *cv = cv.wrapping_add(v);
+            }
+        }
+    }
+}
+
+/// The `tile_i8_into` table entry of the tiers with no widened tile
+/// (scalar, NEON): one 4-column panel, through [`tile_into_with`].
+pub(super) fn tile_i8_into(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
+    tile_into_with(tile_i8_wide, 4, pa, pb, c, ldc)
+}
+
 /// Skinny-m kernel over raw row-major operands: accumulate
 /// `c[i*n+j] += Σ_l a[i*k+l]·b[l*n+j]` (wrapping) with no packing at
 /// all — for decode-shaped GeMMs the pack traffic would dominate.

@@ -127,21 +127,9 @@ proptest! {
         kc8 in 1usize..12, seed in any::<u32>())
     {
         let kcb = kc8 * 8;
-        for hk in HostKernel::available() {
-            let nw = hk.int_nr() / 4;
-            let pa = gen_i8(kcb * 4, seed | 1, -128, 127);
-            let pb = gen_i8(kcb * 4 * nw, seed.rotate_left(13) | 1, -128, 127);
-            let mut wide = vec![[0i32; 4]; nw * 4];
-            hk.tile_i8_wide(&pa, &pb, &mut wide);
-            let mut narrow = vec![[0i32; 4]; nw * 4];
-            for q in 0..nw {
-                let sub: &mut [[i32; 4]; 4] =
-                    (&mut narrow[q * 4..(q + 1) * 4]).try_into().unwrap();
-                hk.tile_i8(&pa, &pb[q * kcb * 4..(q + 1) * kcb * 4], sub);
-            }
-            prop_assert_eq!(&wide, &narrow,
-                "tier {} wide tile diverges at kcb={}", hk.tier().name(), kcb);
-        }
+        let pa = gen_i8(kcb * 4, seed | 1, -128, 127);
+        let pb = gen_i8(kcb * 16, seed.rotate_left(13) | 1, -128, 127);
+        check_wide_tile_on_every_tier(&pa, &pb, [0; 4]);
     }
 
     /// The dense skinny-m row sweep (what a decode step's attention
@@ -200,6 +188,67 @@ proptest! {
             prop_assert_eq!(&got, &want_a, "tier {} pack_a {}x{} ic={} pc={} kcb={}",
                 hk.tier().name(), m, k, ic, pc, kcb);
         }
+    }
+}
+
+/// One wide-tile case on every available tier: `pa` is a packed A panel,
+/// `pb` four packed B panels of its depth (a tier with a narrower tile
+/// reads the first `int_nr/4`), `init` the values the result buffers
+/// start from, cycled. The tile as separate 4×4 tiles
+/// ([`HostKernel::tile_i8_wide`]) must equal `int_nr/4` narrow tile
+/// calls and the scalar reference; the tile as the blocked nest takes it
+/// ([`HostKernel::tile_i8_into`], four rows of a wider row-major C) must
+/// hold the same sums and leave the columns between rows alone.
+fn check_wide_tile_on_every_tier(pa: &[i8], pb: &[i8], init: [i32; 4]) {
+    let panel = pa.len();
+    for hk in HostKernel::available() {
+        let (nr, name) = (hk.int_nr(), hk.tier().name());
+        let pb = &pb[..nr / 4 * panel];
+        let mut want = vec![init; nr];
+        camp::gemm::host::scalar::tile_i8_wide(pa, pb, &mut want);
+        let mut wide = vec![init; nr];
+        hk.tile_i8_wide(pa, pb, &mut wide);
+        assert_eq!(wide, want, "tier {name} wide tile diverges at kcb={}", panel / 4);
+        let mut narrow = vec![init; nr];
+        for (sub, pbq) in narrow.chunks_exact_mut(4).zip(pb.chunks_exact(panel)) {
+            hk.tile_i8(pa, pbq, sub.try_into().unwrap());
+        }
+        assert_eq!(narrow, want, "tier {name} narrow tiles diverge at kcb={}", panel / 4);
+        let ldc = nr + 3;
+        let mut c: Vec<i32> = (0..3 * ldc + nr).map(|x| init[x % 4]).collect();
+        let untouched = c.clone();
+        hk.tile_i8_into(pa, pb, &mut c, ldc);
+        for (x, (&got, &was)) in c.iter().zip(&untouched).enumerate() {
+            let (i, j) = (x / ldc, x % ldc);
+            let sum = if j < nr { want[j / 4 * 4 + i][j % 4].wrapping_sub(init[j % 4]) } else { 0 };
+            assert_eq!(
+                got,
+                was.wrapping_add(sum),
+                "tier {name} row {i} col {j}, kcb={}",
+                panel / 4
+            );
+        }
+    }
+}
+
+/// What a wrong sign-bias correction, a saturating accumulate or a
+/// mishandled depth tail in a wide tile would get wrong: operands
+/// pinned at each sign corner, and full-range random ones, at depths
+/// that leave the 32-byte tail past a 64-byte loop (8, 24, 72) and at
+/// the deepest block `HOST_BLOCKING` allows, accumulated into results
+/// that start next to both ends of i32. At the last depth the corners'
+/// sums pass i32 *inside* the kernel (127·127·272 000 > 2³¹), where a
+/// saturating dot product (`vpdpbusds`) clamps and the reference wraps.
+#[test]
+fn wide_tile_is_exact_at_the_operand_extremes_on_every_tier() {
+    let init = [i32::MAX - 3, i32::MIN + 3, 5, -7];
+    for kcb in [8, 16, 24, 72, 2048, 272_000] {
+        for (a, b) in [(-128, -128), (-128, 127), (127, -128), (127, 127)] {
+            check_wide_tile_on_every_tier(&vec![a; kcb * 4], &vec![b; kcb * 16], init);
+        }
+        let pa = gen_i8(kcb * 4, 0x5eed | 1, -128, 127);
+        let pb = gen_i8(kcb * 16, 0xfeed | 1, -128, 127);
+        check_wide_tile_on_every_tier(&pa, &pb, init);
     }
 }
 
