@@ -197,14 +197,27 @@ impl<E: GemmExec> GemmExec for CheckedExec<'_, E> {
 }
 
 /// Round to nearest, ties away from zero, saturating to ±127 (NaN → 0):
-/// `y.round().clamp(-127.0, 127.0) as i8` on every `f32` bit pattern,
-/// without the libm `roundf` call — clamp first, then add the largest
-/// `f32` below one half towards the sign and truncate — so the sweeps
-/// below vectorize.
+/// `y.round().clamp(-127.0, 127.0) as i8` on every `f32` bit pattern
+/// (the `#[ignore]`d test below walks all 2³² of them).
+///
+/// Three steps make the float→int conversion *provably in range*, which
+/// is what lets every sweep below vectorize: squash NaN to zero, clamp
+/// to ±127, add the largest `f32` below one half towards the sign — the
+/// sum is finite and within ±127.5, so truncating it can neither
+/// overflow nor meet a NaN. A plain `as i32` has to handle both (it
+/// saturates), and LLVM lowers that saturating cast one lane at a time
+/// on every x86 tier: it, not the libm `roundf` PR 22 removed, was what
+/// kept the glue at 1.3–1.8 ns per element.
 #[inline]
 fn round_sat_i8(y: f32) -> i8 {
+    let y = if y.is_nan() { 0.0 } else { y };
     let y = y.clamp(-127.0, 127.0);
-    (y + 0.499_999_97f32.copysign(y)) as i32 as i8
+    let y = y + 0.499_999_97f32.copysign(y);
+    // SAFETY: `y` is not NaN (squashed above; the clamp and the add of
+    // a finite constant cannot make one) and lies within ±127.5 (the
+    // clamp, plus less than one half), so its truncation fits an `i32`
+    // — the two requirements of `to_int_unchecked`.
+    unsafe { y.to_int_unchecked::<i32>() as i8 }
 }
 
 /// Requantize one i32 accumulator back to i8.
@@ -213,25 +226,66 @@ fn requant(acc: i32, mult: f32) -> i8 {
     round_sat_i8(acc as f32 * mult)
 }
 
-/// Per-output-channel requantization of a row-major m×n accumulator.
-fn requant_channels(acc: &[i32], m: usize, n: usize, mults: &[f32]) -> Vec<i8> {
-    debug_assert_eq!(acc.len(), m * n);
-    debug_assert_eq!(mults.len(), n);
-    let mut out = vec![0i8; m * n];
-    for i in 0..m {
-        for c in 0..n {
-            out[i * n + c] = requant(acc[i * n + c], mults[c]);
-        }
-    }
-    out
+/// The multiplier of a requantization sweep.
+#[derive(Debug, Clone, Copy)]
+enum Scale<'a> {
+    /// One multiplier per output channel: `acc` is whole rows of
+    /// `mults.len()` columns.
+    PerChannel(&'a [f32]),
+    /// One multiplier for every element.
+    Scalar(f32),
 }
 
-/// Saturating i8 residual add, in place.
-fn residual_add(x: &mut [i8], delta: &[i8]) {
-    debug_assert_eq!(x.len(), delta.len());
-    for (a, &b) in x.iter_mut().zip(delta) {
-        *a = a.saturating_add(b);
+/// One pass over an accumulator: `put(slot, q)` for every element's
+/// requantized value `q` and the slot of `dst` in the same place.
+/// Shapes are checked once per call — a short `zip` must not silently
+/// leave part of `dst` as it was.
+#[inline]
+fn sweep(acc: &[i32], scale: Scale<'_>, dst: &mut [i8], put: impl Fn(&mut i8, i8)) {
+    assert_eq!(acc.len(), dst.len(), "requant: accumulator and destination differ in shape");
+    match scale {
+        Scale::PerChannel(mults) => {
+            let n = mults.len();
+            assert!(n > 0 && acc.len().is_multiple_of(n), "requant: ragged rows");
+            for (acc, dst) in acc.chunks_exact(n).zip(dst.chunks_exact_mut(n)) {
+                for ((d, &a), &mult) in dst.iter_mut().zip(acc).zip(mults) {
+                    put(d, requant(a, mult));
+                }
+            }
+        }
+        Scale::Scalar(mult) => {
+            for (d, &a) in dst.iter_mut().zip(acc) {
+                put(d, requant(a, mult));
+            }
+        }
     }
+}
+
+/// Requantize the accumulator `acc` into `dst`, element for element,
+/// never below `floor` (`0` folds a ReLU into the sweep; `i8::MIN` is
+/// no floor, a requantized value is at least −127).
+fn requant_rows_into(acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8]) {
+    sweep(acc, scale, dst, |d, q| *d = q.max(floor));
+}
+
+/// The residual connection: requantize `acc` per output channel and
+/// add it, saturating, onto the hidden state `x` in place.
+fn requant_rows_add_sat(acc: &[i32], mults: &[f32], x: &mut [i8]) {
+    sweep(acc, Scale::PerChannel(mults), x, |x, q| *x = x.saturating_add(q));
+}
+
+/// Run one batch; the executor must answer every GeMM of it (the
+/// sweeps zip over the results, and a short zip would leave zeros).
+fn run_batch(exec: &mut dyn GemmExec, batch: Vec<InferGemm>) -> Result<Vec<Vec<i32>>, InferError> {
+    let sent = batch.len();
+    let out = exec.run(batch)?;
+    assert_eq!(out.len(), sent, "executor answered a different number of GeMMs than it was sent");
+    Ok(out)
+}
+
+/// Run a batch of one GeMM and return its accumulator.
+fn run_one(exec: &mut dyn GemmExec, gemm: InferGemm) -> Result<Vec<i32>, InferError> {
+    Ok(run_batch(exec, vec![gemm])?.pop().expect("run_batch checked there is one result"))
 }
 
 /// One forward pass over `tokens` occupying absolute positions
@@ -242,6 +296,10 @@ fn residual_add(x: &mut [i8], delta: &[i8]) {
 /// Prefill and decode are the *same* function — a decode step is a
 /// one-token call — which is what makes the decode-equals-recompute
 /// parity structural rather than aspirational.
+///
+/// A step that fails leaves `kv` as long as it found it: the rows the
+/// layers before the failing call had appended are truncated away, so
+/// the caller may resubmit the same step.
 pub(crate) fn forward(
     model: &Model,
     exec: &mut dyn GemmExec,
@@ -257,41 +315,70 @@ pub(crate) fn forward(
             return Err(InferError::TokenOutOfRange { token: t, vocab: model.vocab() });
         }
     }
-    let cfg = model.config();
-    let (d, heads, dh) = (cfg.hidden, cfg.heads, model.head_dim());
-    let m = tokens.len();
-    kv.ensure_room(m)?;
+    kv.ensure_room(tokens.len())?;
+    let held = kv.len();
+    let served = run_layers(model, exec, kv, start, tokens);
+    if served.is_err() {
+        for l in 0..model.config().layers {
+            kv.truncate_rows(l, held);
+        }
+    }
+    served
+}
 
-    let mut x: Vec<i8> = Vec::with_capacity(m * d);
+/// The body of [`forward`] once the step is validated and `kv` has
+/// room: every `?` in here is an executor failure `forward` cleans up
+/// after.
+fn run_layers(
+    model: &Model,
+    exec: &mut dyn GemmExec,
+    kv: &mut KvCache,
+    start: usize,
+    tokens: &[u32],
+) -> Result<u32, InferError> {
+    let cfg = model.config();
+    let (d, ff, heads, dh) = (cfg.hidden, cfg.ff_dim, cfg.heads, model.head_dim());
+    let m = tokens.len();
+    let md = m * d;
+
+    let mut x: Vec<i8> = Vec::with_capacity(md);
     for (i, &t) in tokens.iter().enumerate() {
         x.extend_from_slice(&model.embed_row(t, start + i));
     }
+    // Q, K and V activations of the current layer, one m×d block each
+    let mut qkv = vec![0i8; 3 * md];
 
     for l in 0..cfg.layers {
         let ids = model.layer(l);
         let xa: Arc<[i8]> = x.as_slice().into();
-        let proj = exec.run(vec![
-            InferGemm { m, n: d, k: d, a: xa.clone(), b: BOperand::Weight(ids.wq) },
-            InferGemm { m, n: d, k: d, a: xa.clone(), b: BOperand::Weight(ids.wk) },
-            InferGemm { m, n: d, k: d, a: xa, b: BOperand::Weight(ids.wv) },
-        ])?;
-        let q_act = requant_channels(&proj[0], m, d, &model.weight(ids.wq).mults);
-        let k_act = requant_channels(&proj[1], m, d, &model.weight(ids.wk).mults);
-        let v_act = requant_channels(&proj[2], m, d, &model.weight(ids.wv).mults);
-        for i in 0..m {
-            kv.push(l, &k_act[i * d..(i + 1) * d], &v_act[i * d..(i + 1) * d]);
+        let qkv_ids = [ids.wq, ids.wk, ids.wv];
+        let proj = run_batch(
+            exec,
+            qkv_ids
+                .iter()
+                .map(|&id| InferGemm { m, n: d, k: d, a: xa.clone(), b: BOperand::Weight(id) })
+                .collect(),
+        )?;
+        for ((acc, id), dst) in proj.into_iter().zip(qkv_ids).zip(qkv.chunks_exact_mut(md)) {
+            requant_rows_into(&acc, Scale::PerChannel(&model.weight(id).mults), i8::MIN, dst);
+        }
+        let (q_act, kv_act) = qkv.split_at(md);
+        let (k_act, v_act) = kv_act.split_at(md);
+        for (k_row, v_row) in k_act.chunks_exact(d).zip(v_act.chunks_exact(d)) {
+            kv.push(l, k_row, v_row);
         }
         let t_total = kv.layer_len(l);
         let base = kv.base();
 
         // per-head attention scores: (m × dₕ) · (dₕ × t)
-        let scores = exec.run(
+        let scores = run_batch(
+            exec,
             (0..heads)
                 .map(|h| InferGemm {
                     m,
                     n: t_total,
                     k: dh,
-                    a: head_block(&q_act, d, h, dh),
+                    a: head_block(q_act, d, h, dh),
                     b: BOperand::Dense(kv.k_head_t(l, h, dh)),
                 })
                 .collect(),
@@ -299,28 +386,25 @@ pub(crate) fn forward(
 
         // the "softmax" stand-in: causal mask + static-scale requant,
         // no row-max subtraction — row-local, so prefill row i and the
-        // decode step at position start+i compute identical probs
-        let score_mult = model.score_mult();
-        let probs: Vec<Arc<[i8]>> = scores
-            .iter()
-            .map(|acc| {
-                arc_filled(m * t_total, |p| {
-                    for i in 0..m {
-                        let pos = start + i;
-                        for j in 0..t_total {
-                            if base + j <= pos {
-                                p[i * t_total + j] = requant(acc[i * t_total + j], score_mult);
-                            }
-                        }
-                    }
-                })
+        // decode step at position start+i compute identical probs. Row
+        // i sees cached rows up to its own position: a prefix of the
+        // row, the masked rest keeps the zero `arc_filled` gave it.
+        let score_mult = Scale::Scalar(model.score_mult());
+        let probs = scores.into_iter().map(|acc| {
+            assert_eq!(acc.len(), m * t_total, "scores: accumulator is not m x t");
+            arc_filled(m * t_total, |p| {
+                let rows = acc.chunks_exact(t_total).zip(p.chunks_exact_mut(t_total));
+                for (i, (acc, p)) in rows.enumerate() {
+                    let live = (start + i + 1 - base).min(t_total);
+                    requant_rows_into(&acc[..live], score_mult, i8::MIN, &mut p[..live]);
+                }
             })
-            .collect();
+        });
 
         // per-head context: (m × t) · (t × dₕ)
-        let ctxs = exec.run(
+        let ctxs = run_batch(
+            exec,
             probs
-                .into_iter()
                 .enumerate()
                 .map(|(h, a)| InferGemm {
                     m,
@@ -331,58 +415,43 @@ pub(crate) fn forward(
                 })
                 .collect(),
         )?;
-        let mut ctx = vec![0i8; m * d];
-        for (h, acc) in ctxs.iter().enumerate() {
-            for i in 0..m {
-                let mult = model.ctx_mult(start + i);
-                for c in 0..dh {
-                    ctx[i * d + h * dh + c] = requant(acc[i * dh + c], mult);
+        // each head's m×dₕ block lands in its columns of the m×d
+        // operand the out-projection reads, normalized per row
+        let ctx = arc_filled(md, |ctx| {
+            for (h, acc) in ctxs.into_iter().enumerate() {
+                assert_eq!(acc.len(), m * dh, "context: accumulator is not m x dh");
+                for (i, (acc, row)) in acc.chunks_exact(dh).zip(ctx.chunks_exact_mut(d)).enumerate()
+                {
+                    let mult = Scale::Scalar(model.ctx_mult(start + i));
+                    requant_rows_into(acc, mult, i8::MIN, &mut row[h * dh..][..dh]);
                 }
             }
-        }
+        });
 
-        let out = exec.run(vec![InferGemm {
-            m,
-            n: d,
-            k: d,
-            a: ctx.into(),
-            b: BOperand::Weight(ids.wo),
-        }])?;
-        residual_add(&mut x, &requant_channels(&out[0], m, d, &model.weight(ids.wo).mults));
+        let out = InferGemm { m, n: d, k: d, a: ctx, b: BOperand::Weight(ids.wo) };
+        requant_rows_add_sat(&run_one(exec, out)?, &model.weight(ids.wo).mults, &mut x);
 
-        let ff = cfg.ff_dim;
-        let up = exec.run(vec![InferGemm {
-            m,
-            n: ff,
-            k: d,
-            a: x.as_slice().into(),
-            b: BOperand::Weight(ids.wup),
-        }])?;
-        let mut u = requant_channels(&up[0], m, ff, &model.weight(ids.wup).mults);
-        for v in &mut u {
-            *v = (*v).max(0); // ReLU
-        }
-        let down = exec.run(vec![InferGemm {
-            m,
-            n: d,
-            k: ff,
-            a: u.into(),
-            b: BOperand::Weight(ids.wdown),
-        }])?;
-        residual_add(&mut x, &requant_channels(&down[0], m, d, &model.weight(ids.wdown).mults));
+        let up = InferGemm { m, n: ff, k: d, a: x.as_slice().into(), b: BOperand::Weight(ids.wup) };
+        let u = {
+            let acc = run_one(exec, up)?;
+            // ReLU is the sweep's floor
+            let mults = Scale::PerChannel(&model.weight(ids.wup).mults);
+            arc_filled(m * ff, |u| requant_rows_into(&acc, mults, 0, u))
+        };
+        let down = InferGemm { m, n: d, k: ff, a: u, b: BOperand::Weight(ids.wdown) };
+        requant_rows_add_sat(&run_one(exec, down)?, &model.weight(ids.wdown).mults, &mut x);
     }
 
     // unembed only the final position: the one GEMV that turns the
     // hidden state into logits
-    let last: Arc<[i8]> = x[(m - 1) * d..].into();
-    let logits = exec.run(vec![InferGemm {
+    let logits = InferGemm {
         m: 1,
         n: model.vocab(),
         k: d,
-        a: last,
+        a: x[md - d..].into(),
         b: BOperand::Weight(model.unembed_id()),
-    }])?;
-    Ok(argmax(&logits[0]))
+    };
+    Ok(argmax(&run_one(exec, logits)?))
 }
 
 /// Token selection: argmax over the logits, ties to the lowest index.
@@ -401,6 +470,7 @@ mod tests {
     use super::*;
     use crate::kv::KvPolicy;
     use camp_core::CampEngine;
+    use camp_gemm::reference::SplitMix64;
     use camp_models::TransformerConfig;
 
     fn tiny() -> TransformerConfig {
@@ -413,15 +483,24 @@ mod tests {
         assert_eq!(argmax(&[-3]), 0);
     }
 
+    /// What `round_sat_i8` replaced, and the per-element oracle of the
+    /// sweeps: libm rounding, clamp, saturating cast.
+    fn round_then_clamp(y: f32) -> i8 {
+        y.round().clamp(-127.0, 127.0) as i8
+    }
+
+    #[track_caller]
+    fn check_round(y: f32) {
+        assert_eq!(round_sat_i8(y), round_then_clamp(y), "{y:e} ({:#010x})", y.to_bits());
+    }
+
     #[test]
     fn round_sat_i8_is_round_then_clamp_on_every_kind_of_f32() {
-        let old = |y: f32| y.round().clamp(-127.0, 127.0) as i8;
-        let check = |y: f32| assert_eq!(round_sat_i8(y), old(y), "{y:e} ({:#010x})", y.to_bits());
         // a prime stride visits every exponent and both signs, NaN
-        // payloads and subnormals included (all 2^32 patterns were
-        // checked once, exhaustively, when the function was written)
+        // payloads and subnormals included (the ignored test below
+        // visits all 2^32 patterns)
         for bits in (0..=u32::MAX).step_by(1021) {
-            check(f32::from_bits(bits));
+            check_round(f32::from_bits(bits));
         }
         // every rounding boundary the clamp leaves reachable, and the
         // first ones beyond it, two ulps to either side
@@ -429,13 +508,114 @@ mod tests {
             for half in [-0.5f32, 0.5] {
                 let tie = (k as f32 + half).to_bits();
                 for bits in tie - 2..=tie + 2 {
-                    check(f32::from_bits(bits));
+                    check_round(f32::from_bits(bits));
                 }
             }
         }
         for y in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0] {
-            check(y);
+            check_round(y);
         }
+    }
+
+    /// The soundness argument of the one `unsafe` in this crate, run
+    /// rather than read: `cargo test --release -p camp-infer -- --ignored`
+    /// (about twenty seconds; CI runs it).
+    #[test]
+    #[ignore = "walks all 2^32 f32 bit patterns: run in release"]
+    fn round_sat_i8_equals_round_then_clamp_on_all_f32() {
+        for bits in 0..=u32::MAX {
+            check_round(f32::from_bits(bits));
+        }
+    }
+
+    const ACC_EDGES: [i32; 7] = [i32::MIN, i32::MAX, 0, 1, -1, 127, -128];
+    const MULT_EDGES: [f32; 11] = [
+        0.0,
+        -0.0,
+        -0.37,
+        1.0,
+        1e-40, // subnormal
+        -1e-40,
+        f32::MIN_POSITIVE,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        5.9e-8, // i32::MAX lands near the clamp
+    ];
+    const X_EDGES: [i8; 5] = [127, -127, -128, 0, 1];
+
+    /// An edge value half of the time, `random` of fresh bits otherwise.
+    fn edge_or<T: Copy>(rng: &mut SplitMix64, edges: &[T], random: impl FnOnce(u64) -> T) -> T {
+        let r = rng.next_u64();
+        if r.is_multiple_of(2) {
+            edges[(r >> 1) as usize % edges.len()]
+        } else {
+            random(r >> 8)
+        }
+    }
+
+    /// An m×n accumulator, n multipliers and an m×n hidden state; the
+    /// random halves are sized so that `acc · mult` mostly lands inside
+    /// ±127, where the rounding matters.
+    fn sweep_case(rng: &mut SplitMix64, m: usize, n: usize) -> (Vec<i32>, Vec<f32>, Vec<i8>) {
+        let mults =
+            (0..n).map(|_| edge_or(rng, &MULT_EDGES, |r| (r % 2001) as f32 * 1e-4 - 0.1)).collect();
+        let acc =
+            (0..m * n).map(|_| edge_or(rng, &ACC_EDGES, |r| (r % 8001) as i32 - 4000)).collect();
+        let x = (0..m * n).map(|_| edge_or(rng, &X_EDGES, |r| r as i8)).collect();
+        (acc, mults, x)
+    }
+
+    /// Both helpers on one case, against requant per element, then
+    /// ReLU as a second pass, then the saturating add as a third.
+    fn check_sweeps(n: usize, acc: &[i32], mults: &[f32], x: &[i8]) {
+        let m = acc.len() / n;
+        let old = |i: usize, mult: f32| round_then_clamp(acc[i] as f32 * mult);
+        for floor in [i8::MIN, 0] {
+            let mut got = vec![99i8; m * n];
+            requant_rows_into(acc, Scale::PerChannel(mults), floor, &mut got);
+            let want: Vec<i8> = (0..m * n).map(|i| old(i, mults[i % n]).max(floor)).collect();
+            assert_eq!(got, want, "per-channel {m}x{n} floor {floor}");
+
+            let mult = mults[m % n];
+            requant_rows_into(acc, Scale::Scalar(mult), floor, &mut got);
+            let want: Vec<i8> = (0..m * n).map(|i| old(i, mult).max(floor)).collect();
+            assert_eq!(got, want, "scalar {m}x{n} mult {mult:e} floor {floor}");
+        }
+        let mut got = x.to_vec();
+        requant_rows_add_sat(acc, mults, &mut got);
+        let want: Vec<i8> = (0..m * n).map(|i| x[i].saturating_add(old(i, mults[i % n]))).collect();
+        assert_eq!(got, want, "residual {m}x{n}");
+    }
+
+    #[test]
+    fn the_sweeps_equal_the_composition_of_the_passes_they_replaced() {
+        let mut rng = SplitMix64::new(24);
+        for m in 1..=9 {
+            for n in [1, 3, 15, 16, 17, 64, 100, 1024] {
+                let (acc, mults, x) = sweep_case(&mut rng, m, n);
+                check_sweeps(n, &acc, &mults, &x);
+            }
+        }
+        // every accumulator edge against every multiplier edge, `0 · inf`
+        // (the one way a NaN reaches the conversion) among them
+        let n = MULT_EDGES.len();
+        let acc: Vec<i32> = ACC_EDGES.iter().flat_map(|&a| [a; MULT_EDGES.len()]).collect();
+        assert!((acc[2 * n + 7] as f32 * MULT_EDGES[7]).is_nan());
+        let (_, _, x) = sweep_case(&mut rng, ACC_EDGES.len(), n);
+        check_sweeps(n, &acc, &MULT_EDGES, &x);
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in shape")]
+    fn a_short_destination_is_a_panic_not_a_row_of_zeros() {
+        requant_rows_into(&[1, 2, 3, 4], Scale::Scalar(1.0), i8::MIN, &mut [0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged rows")]
+    fn a_ragged_accumulator_is_a_panic_not_a_dropped_tail() {
+        requant_rows_add_sat(&[1, 2, 3, 4, 5], &[1.0, 1.0], &mut [0; 5]);
     }
 
     #[test]

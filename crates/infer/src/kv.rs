@@ -36,7 +36,10 @@ pub enum KvPolicy {
     /// room. Positions keep counting up; the causal mask simply sees a
     /// truncated history. This breaks the decode-equals-recompute
     /// bit-parity guarantee once eviction kicks in — by construction,
-    /// the recompute would see rows the window dropped.
+    /// the recompute would see rows the window dropped. A step that
+    /// fails after evicting gets its own rows taken back, not the
+    /// evicted ones: the retry sees the window it would have seen had
+    /// it succeeded.
     Window,
 }
 
@@ -176,6 +179,16 @@ impl KvCache {
             run[t % KV_BLOCK] = kv;
         }
         self.v[layer].extend_from_slice(v_row);
+    }
+
+    /// Forget every row of `layer` past its first `len`: how a failed
+    /// step takes back the rows it had appended. V is cut exactly; K
+    /// drops its whole trailing blocks and keeps the partial one, whose
+    /// bytes past `len` the next [`KvCache::push`] overwrites.
+    pub(crate) fn truncate_rows(&mut self, layer: usize, len: usize) {
+        debug_assert!(len <= self.layer_len(layer));
+        self.k[layer].truncate(len.div_ceil(KV_BLOCK) * self.hidden * KV_BLOCK);
+        self.v[layer].truncate(len * self.hidden);
     }
 
     /// Rows currently cached in one specific layer — differs from

@@ -219,7 +219,7 @@ impl<B: CampBackend + Send + 'static> InferSession<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward::RefExec;
+    use crate::forward::{InferGemm, RefExec};
     use camp_core::backend::CampBackend;
     use camp_core::CampEngine;
     use camp_models::TransformerConfig;
@@ -352,5 +352,69 @@ mod tests {
         }
         assert_eq!(ctx.kv().len(), 4);
         assert_eq!(ctx.kv().base(), 5);
+    }
+
+    /// `RefExec`, except that call number `fail_at` (counted from 1
+    /// over the executor's life) is refused once with `Shed`.
+    struct FailOnce<'m> {
+        inner: RefExec<'m>,
+        calls: usize,
+        fail_at: usize,
+    }
+
+    impl GemmExec for FailOnce<'_> {
+        fn run(&mut self, batch: Vec<InferGemm>) -> Result<Vec<Vec<i32>>, InferError> {
+            self.calls += 1;
+            if self.calls == self.fail_at {
+                return Err(InferError::Request(RequestError::Shed));
+            }
+            self.inner.run(batch)
+        }
+    }
+
+    #[test]
+    fn a_step_refused_at_any_call_can_be_resubmitted() {
+        // `Shed` and `Saturated` mean "back off and resubmit": whichever
+        // of a step's calls is refused, the retried step must continue
+        // the uninterrupted stream from a cache that is exactly as long
+        // as the position says
+        let cfg = TransformerConfig { hidden: 8, ff_dim: 16, heads: 2, layers: 4, seq_len: 32 };
+        let model = Model::new(cfg, 32, 3);
+        let prompt = [5, 9, 2, 30, 17, 1, 8, 11, 4, 23, 6, 19, 3];
+        let calls_per_step = 6 * cfg.layers + 1;
+        assert_eq!(calls_per_step, 25);
+
+        let mut exec = RefExec::new(&model);
+        let mut ctx = InferContext::for_model(&model);
+        let mut expect = vec![ctx.prefill_with(&model, &mut exec, &prompt).unwrap().first];
+        for _ in 0..3 {
+            expect.push(ctx.decode_with(&model, &mut exec).unwrap());
+        }
+
+        // refuse call k of the prefill, or (past 25) call k − 25 of the
+        // first decode step
+        for fail_at in 1..=2 * calls_per_step {
+            let mut exec = FailOnce { inner: RefExec::new(&model), calls: 0, fail_at };
+            let mut ctx = InferContext::for_model(&model);
+            let (mut got, mut refused) = (Vec::new(), 0);
+            while got.len() < expect.len() {
+                let before = (ctx.position(), ctx.last_token());
+                let step = match got.len() {
+                    0 => ctx.prefill_with(&model, &mut exec, &prompt).map(|t| t.first),
+                    _ => ctx.decode_with(&model, &mut exec),
+                };
+                match step {
+                    Ok(tok) => got.push(tok),
+                    Err(e) => {
+                        assert_eq!(e, InferError::Request(RequestError::Shed));
+                        refused += 1;
+                        assert_eq!((ctx.position(), ctx.last_token()), before, "call {fail_at}");
+                    }
+                }
+                assert_eq!(ctx.kv().len(), ctx.position(), "call {fail_at}: cache vs position");
+            }
+            assert_eq!(refused, 1, "call {fail_at} exists");
+            assert_eq!(got, expect, "call {fail_at} refused once, then resubmitted");
+        }
     }
 }

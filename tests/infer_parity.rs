@@ -130,3 +130,24 @@ fn interleaved_dispatcher_sessions_match_the_reference() {
         assert_eq!(st, &expect, "session with prompt {p:?} diverged under interleaving");
     }
 }
+
+/// Every case above compares executors that share `forward()`'s glue
+/// (and the benchmark's golden streams come from `RefExec` through it
+/// too), so a rounding change in the glue moves both sides together.
+/// These streams are literals recorded before PR 24 rewrote the glue:
+/// a change that moves one changed what the model computes.
+#[test]
+fn the_glue_serves_the_recorded_streams() {
+    let cfg = TransformerConfig { hidden: 32, ff_dim: 64, heads: 4, layers: 3, seq_len: 64 };
+    let model = Model::new(cfg, 64, 9);
+    let got = stream(&model, &mut RefExec::new(&model), &[7, 21, 42, 3], 10, 64);
+    assert_eq!(got, [11, 20, 19, 4, 56, 19, 20, 11, 46, 35, 33]);
+
+    // the benchmark's host model; a 40-token prompt gives the causal
+    // row prefixes every vector-tail width
+    let cfg = TransformerConfig { hidden: 256, ff_dim: 1024, heads: 4, layers: 4, seq_len: 256 };
+    let model = Model::new(cfg, 256, 7);
+    let prompt: Vec<u32> = (0..40u32).map(|i| (i * 37 + 11) % 256).collect();
+    let got = stream(&model, &mut RefExec::new(&model), &prompt, 10, 256);
+    assert_eq!(got, [153, 200, 255, 198, 48, 230, 72, 72, 37, 238, 86]);
+}
