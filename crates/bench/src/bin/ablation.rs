@@ -8,15 +8,14 @@
 //! 4. packing strategy: vectorized pack vs scalar-only pack (the PULP-NN
 //!    style data-marshalling overhead the paper criticizes).
 
-use camp_bench::{harness_options, header, SimRunner};
+use camp_bench::{harness_options, header};
 use camp_core::CampStructure;
 use camp_energy::{AreaModel, TechNode};
-use camp_gemm::{GemmOptions, Method};
+use camp_gemm::{simulate_gemm, GemmOptions, Method};
 use camp_pipeline::CoreConfig;
 
 fn main() {
     header("Ablations", "design-choice sensitivity studies");
-    let sim = SimRunner::from_cli();
 
     println!("-- lane count vs area (GF 22FDX) --");
     println!("{:>6} {:>12} {:>10}", "lanes", "area mm²", "util i8");
@@ -33,7 +32,7 @@ fn main() {
     for kc in [256usize, 512, 1024, 2048, 4096] {
         let opts =
             GemmOptions { blocking: Some((128, 512, kc)), verify: false, ..harness_options() };
-        let r = sim.simulate(CoreConfig::a64fx(), Method::Camp8, 196, 512, 2304, &opts);
+        let r = simulate_gemm(CoreConfig::a64fx(), Method::Camp8, 196, 512, 2304, &opts);
         results.push((kc, r.stats.cycles));
     }
     let best = results.iter().map(|&(_, c)| c).min().unwrap_or(1);
@@ -46,7 +45,7 @@ fn main() {
     for mc in [32usize, 64, 128, 256] {
         let opts =
             GemmOptions { blocking: Some((mc, 512, 2048)), verify: false, ..harness_options() };
-        let r = sim.simulate(CoreConfig::a64fx(), Method::Camp8, 196, 512, 2304, &opts);
+        let r = simulate_gemm(CoreConfig::a64fx(), Method::Camp8, 196, 512, 2304, &opts);
         println!("{mc:>6} {:>12}", r.stats.cycles);
     }
 
@@ -54,8 +53,8 @@ fn main() {
     println!("{:>10} {:>12} {:>12}", "core", "camp8 cyc", "camp4 cyc");
     for core in [CoreConfig::a64fx(), CoreConfig::edge_riscv()] {
         let opts = harness_options();
-        let c8 = sim.simulate(core, Method::Camp8, 256, 256, 1024, &opts);
-        let c4 = sim.simulate(core, Method::Camp4, 256, 256, 1024, &opts);
+        let c8 = simulate_gemm(core, Method::Camp8, 256, 256, 1024, &opts);
+        let c4 = simulate_gemm(core, Method::Camp4, 256, 256, 1024, &opts);
         println!("{:>10} {:>12} {:>12}", core.name, c8.stats.cycles, c4.stats.cycles);
     }
 }

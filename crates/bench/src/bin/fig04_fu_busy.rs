@@ -3,14 +3,13 @@
 //! operation count — the "inadequate number of functional units"
 //! motivation (§2.3).
 
-use camp_bench::{header, SimRunner};
+use camp_bench::{header, run};
 use camp_gemm::Method;
 use camp_models::cnn;
 use camp_pipeline::{CoreConfig, FuKind};
 
 fn main() {
     header("Fig. 4", "Baseline vector-FU busy rate vs #operations (A64FX core)");
-    let sim = SimRunner::from_cli();
     let mut layers = cnn::all_cnn_layers();
     layers.sort_by_key(|(_, _, s)| s.ops());
 
@@ -19,8 +18,8 @@ fn main() {
         "GOPs", "ulmBLAS busy", "gemmlowp busy"
     );
     for (_, _, shape) in layers {
-        let ulm = sim.run(CoreConfig::a64fx(), Method::HandvInt8, shape);
-        let lowp = sim.run(CoreConfig::a64fx(), Method::Gemmlowp, shape);
+        let ulm = run(CoreConfig::a64fx(), Method::HandvInt8, shape);
+        let lowp = run(CoreConfig::a64fx(), Method::Gemmlowp, shape);
         // vector arithmetic pipes (2 per core): MUL class carries the MACs
         let b1 = ulm.stats.fu_busy_rate(FuKind::VMul, 2) + ulm.stats.fu_busy_rate(FuKind::VAlu, 2);
         let b2 =

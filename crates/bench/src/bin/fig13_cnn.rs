@@ -2,14 +2,13 @@
 //! instruction count (lower is better) for the CNN benchmarks, with
 //! OpenBLAS-SGEMM on the A64FX-like core as the baseline.
 
-use camp_bench::{fig13_methods, header, SimRunner};
+use camp_bench::{fig13_methods, header, run};
 use camp_gemm::Method;
 use camp_models::{cnn, Benchmark};
 use camp_pipeline::CoreConfig;
 
 fn main() {
     header("Fig. 13", "CNN per-layer speedup + instruction-count ratio (vs OpenBLAS)");
-    let sim = SimRunner::from_cli();
     let methods = fig13_methods();
     print!("{:10} {:>5}", "bench", "layer");
     for m in methods {
@@ -22,10 +21,10 @@ fn main() {
         let layers = cnn::layers(bench);
         let mut sums = vec![(0.0f64, 0.0f64); methods.len()];
         for (li, &shape) in layers.iter().enumerate() {
-            let base = sim.run(CoreConfig::a64fx(), Method::OpenblasF32, shape);
+            let base = run(CoreConfig::a64fx(), Method::OpenblasF32, shape);
             print!("{:10} {:>5}", bench.name(), li + 1);
             for (mi, &m) in methods.iter().enumerate() {
-                let r = sim.run(CoreConfig::a64fx(), m, shape);
+                let r = run(CoreConfig::a64fx(), m, shape);
                 let spd = base.stats.cycles as f64 / r.stats.cycles as f64;
                 let ic = r.stats.insts as f64 / base.stats.insts as f64;
                 sums[mi].0 += spd;

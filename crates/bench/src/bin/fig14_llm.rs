@@ -8,10 +8,10 @@
 //! host engine serves — with the harness MAC budget as the backend's
 //! clamp. The four non-camp baselines have no dtype on the request
 //! surface (they are method-level ISA baselines), so they run through
-//! the classic `SimRunner` path; both paths report the single-core
+//! the classic `camp_bench::run` path; both paths report the single-core
 //! stats frame, so ratios are apples-to-apples.
 
-use camp_bench::{fig13_methods, header, mac_budget, sim_threads, SimRunner};
+use camp_bench::{fig13_methods, header, mac_budget, run};
 use camp_core::backend::{CampBackend, SimBackend};
 use camp_core::{DType, GemmRequest};
 use camp_gemm::reference::SplitMix64;
@@ -21,12 +21,7 @@ use camp_pipeline::{CoreConfig, SimStats};
 
 /// Simulate one layer shape under `method`, routing the camp kernels
 /// through the request/backend surface.
-fn run_method(
-    sim: &SimRunner,
-    backend: &mut SimBackend,
-    method: Method,
-    shape: GemmShape,
-) -> SimStats {
+fn run_method(backend: &mut SimBackend, method: Method, shape: GemmShape) -> SimStats {
     let dtype = match method {
         Method::Camp8 => Some(DType::I8),
         Method::Camp4 => Some(DType::I4),
@@ -49,16 +44,13 @@ fn run_method(
             let outcome = backend.execute(&req).expect("simulated execution");
             *outcome.stats.as_sim().expect("sim backend reports sim stats")
         }
-        None => sim.run(CoreConfig::a64fx(), method, shape).stats,
+        None => run(CoreConfig::a64fx(), method, shape).stats,
     }
 }
 
 fn main() {
     header("Fig. 14", "LLM FF/SA speedup + instruction-count ratio (vs OpenBLAS)");
-    let sim = SimRunner::from_cli();
-    let mut backend = SimBackend::new(CoreConfig::a64fx())
-        .with_threads(sim_threads())
-        .with_mac_budget(mac_budget());
+    let mut backend = SimBackend::new(CoreConfig::a64fx()).with_mac_budget(mac_budget());
     let methods = fig13_methods();
     print!("{:12} {:>5}", "model", "layer");
     for m in methods {
@@ -70,10 +62,10 @@ fn main() {
     for model in LlmModel::all() {
         let cfg = model.config();
         for (tag, shape) in [("FF", cfg.ff_shape()), ("SA", cfg.sa_shape())] {
-            let base = sim.run(CoreConfig::a64fx(), Method::OpenblasF32, shape);
+            let base = run(CoreConfig::a64fx(), Method::OpenblasF32, shape);
             print!("{:12} {:>5}", model.name(), tag);
             for &m in &methods {
-                let stats = run_method(&sim, &mut backend, m, shape);
+                let stats = run_method(&mut backend, m, shape);
                 print!(
                     " {:>6.2}/{:<5.2}",
                     base.stats.cycles as f64 / stats.cycles as f64,

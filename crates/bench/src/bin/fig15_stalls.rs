@@ -2,14 +2,13 @@
 //! by cause (Functional Unit / Read / Write) across the CNN-layer GeMMs,
 //! sorted by operation count.
 
-use camp_bench::{header, SimRunner};
+use camp_bench::{header, run};
 use camp_gemm::Method;
 use camp_models::cnn;
 use camp_pipeline::{CoreConfig, FuKind};
 
 fn main() {
     header("Fig. 15", "CAMP FU busy rate + stall breakdown (A64FX core)");
-    let sim = SimRunner::from_cli();
     let mut layers = cnn::all_cnn_layers();
     layers.sort_by_key(|(_, _, s)| s.ops());
 
@@ -20,7 +19,7 @@ fn main() {
     let mut busy_sum = 0.0;
     let mut n = 0;
     for (_, _, shape) in layers {
-        let r = sim.run(CoreConfig::a64fx(), Method::Camp8, shape);
+        let r = run(CoreConfig::a64fx(), Method::Camp8, shape);
         let busy = r.stats.fu_busy_rate(FuKind::Camp, 1);
         let (f, rd, w) = r.stats.stall_proportions();
         busy_sum += busy;

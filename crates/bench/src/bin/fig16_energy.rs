@@ -1,7 +1,7 @@
 //! Fig. 16: normalized energy of 8-bit and 4-bit CAMP across the
 //! benchmarks, relative to the A64FX baseline (OpenBLAS) at 100 %.
 
-use camp_bench::{header, SimRunner};
+use camp_bench::{header, run};
 use camp_energy::EnergyModel;
 use camp_gemm::Method;
 use camp_models::{cnn, Benchmark, LlmModel};
@@ -16,7 +16,6 @@ fn geo_shape(b: Benchmark) -> camp_models::GemmShape {
 
 fn main() {
     header("Fig. 16", "Normalized energy of CAMP vs the A64FX baseline (=100%)");
-    let sim = SimRunner::from_cli();
     let model = EnergyModel::a64fx_7nm();
     println!(
         "{:12} {:>12} {:>12}   paper: 10-30% (over 80% reduction)",
@@ -33,10 +32,10 @@ fn main() {
     }
 
     for (name, shape) in cases {
-        let base = sim.run(CoreConfig::a64fx(), Method::OpenblasF32, shape);
+        let base = run(CoreConfig::a64fx(), Method::OpenblasF32, shape);
         let e_base = model.evaluate(&base.stats).total_pj;
-        let c8 = model.evaluate(&sim.run(CoreConfig::a64fx(), Method::Camp8, shape).stats).total_pj;
-        let c4 = model.evaluate(&sim.run(CoreConfig::a64fx(), Method::Camp4, shape).stats).total_pj;
+        let c8 = model.evaluate(&run(CoreConfig::a64fx(), Method::Camp8, shape).stats).total_pj;
+        let c4 = model.evaluate(&run(CoreConfig::a64fx(), Method::Camp4, shape).stats).total_pj;
         println!("{:12} {:>11.1}% {:>11.1}%", name, 100.0 * c8 / e_base, 100.0 * c4 / e_base);
     }
 }

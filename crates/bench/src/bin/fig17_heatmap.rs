@@ -2,7 +2,7 @@
 //! implementation needs relative to handv-int8 and gemmlowp, split into
 //! reads (R), writes (W) and arithmetic (Alu). Lower is better.
 
-use camp_bench::{header, SimRunner};
+use camp_bench::{header, run};
 use camp_gemm::Method;
 use camp_models::{cnn, Benchmark, GemmShape, LlmModel};
 use camp_pipeline::CoreConfig;
@@ -23,7 +23,6 @@ fn median_shape(b: Benchmark) -> GemmShape {
 
 fn main() {
     header("Fig. 17", "CAMP vector instructions as % of handv-int8 / gemmlowp");
-    let sim = SimRunner::from_cli();
     println!(
         "{:14} {:>8} {:>8} {:>9} {:>8} {:>8} {:>9}   paper: 10-47%",
         "benchmark", "R-hnd8", "W-hnd8", "Alu-hnd8", "R-lowp", "W-lowp", "Alu-lowp"
@@ -42,9 +41,9 @@ fn main() {
     }
 
     for (name, shape) in cases {
-        let camp = sim.run(CoreConfig::a64fx(), Method::Camp8, shape);
-        let hnd8 = sim.run(CoreConfig::a64fx(), Method::HandvInt8, shape);
-        let lowp = sim.run(CoreConfig::a64fx(), Method::Gemmlowp, shape);
+        let camp = run(CoreConfig::a64fx(), Method::Camp8, shape);
+        let hnd8 = run(CoreConfig::a64fx(), Method::HandvInt8, shape);
+        let lowp = run(CoreConfig::a64fx(), Method::Gemmlowp, shape);
         println!(
             "{:14} {:>7.1}% {:>7.1}% {:>8.1}% {:>7.1}% {:>7.1}% {:>8.1}%",
             name,

@@ -4,14 +4,13 @@
 //! The ARM/Intel commercial rows are cited from the paper (we cannot run
 //! SME/AVX silicon); the CAMP rows are measured on our simulators.
 
-use camp_bench::{harness_options, header, SimRunner};
-use camp_gemm::Method;
+use camp_bench::{harness_options, header};
+use camp_gemm::{simulate_gemm, Method};
 use camp_pipeline::CoreConfig;
 
 fn main() {
     header("Table 1", "Int8/Int4 speedup over FP32, SMM 512");
     let opts = harness_options();
-    let sim = SimRunner::from_cli();
     let (m, n, k) = (512, 512, 512);
 
     // cited rows
@@ -22,9 +21,9 @@ fn main() {
 
     // measured: ARM-SVE/CAMP vs its own FP32 baseline
     let a64 = CoreConfig::a64fx();
-    let fp32 = sim.simulate(a64, Method::OpenblasF32, m, n, k, &opts);
-    let i8 = sim.simulate(a64, Method::Camp8, m, n, k, &opts);
-    let i4 = sim.simulate(a64, Method::Camp4, m, n, k, &opts);
+    let fp32 = simulate_gemm(a64, Method::OpenblasF32, m, n, k, &opts);
+    let i8 = simulate_gemm(a64, Method::Camp8, m, n, k, &opts);
+    let i4 = simulate_gemm(a64, Method::Camp4, m, n, k, &opts);
     println!(
         "{:24} {:>8} {:>7.1}x {:>7.1}x   measured (paper: 7.4x / 12.4x)",
         "ARMv8+SVE/CAMP",
@@ -38,9 +37,9 @@ fn main() {
     // 32-bit path, which BLIS-int32 (= handv-int32 on the edge core)
     // represents.
     let edge = CoreConfig::edge_riscv();
-    let base = sim.simulate(edge, Method::HandvInt32, m, n, k, &opts);
-    let e8 = sim.simulate(edge, Method::Camp8, m, n, k, &opts);
-    let e4 = sim.simulate(edge, Method::Camp4, m, n, k, &opts);
+    let base = simulate_gemm(edge, Method::HandvInt32, m, n, k, &opts);
+    let e8 = simulate_gemm(edge, Method::Camp8, m, n, k, &opts);
+    let e4 = simulate_gemm(edge, Method::Camp4, m, n, k, &opts);
     println!(
         "{:24} {:>8} {:>7.1}x {:>7.1}x   measured (paper: 14.1x / 25.1x)",
         "RISC-V/CAMP",

@@ -3,9 +3,9 @@
 //! 64×3×3×32). Competitor rows are cited from the paper; the "This work"
 //! row is measured on the edge-SoC simulator + energy/area models.
 
-use camp_bench::{harness_options, header, SimRunner};
+use camp_bench::{harness_options, header};
 use camp_energy::{AreaModel, EnergyModel, TechNode};
-use camp_gemm::Method;
+use camp_gemm::{simulate_gemm, Method};
 use camp_models::Conv2d;
 use camp_pipeline::CoreConfig;
 
@@ -31,14 +31,13 @@ fn main() {
 
     // This work: measured.
     let opts = harness_options();
-    let sim = SimRunner::from_cli();
     let edge = CoreConfig::edge_riscv();
     let e = EnergyModel::edge_22nm();
     let area = AreaModel::paper().report(TechNode::gf22());
     let mut perf = Vec::new();
     let mut eff = Vec::new();
     for method in [Method::Camp8, Method::Camp4] {
-        let r = sim.simulate(edge, method, shape.m, shape.n, shape.k, &opts);
+        let r = simulate_gemm(edge, method, shape.m, shape.n, shape.k, &opts);
         let rep = e.evaluate(&r.stats);
         perf.push(rep.gops);
         eff.push(rep.gops_per_watt / 1000.0);

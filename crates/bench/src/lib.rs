@@ -18,8 +18,7 @@
 //!   A64FX-like core (Figs. 13/14/18, Table 1) or BLIS-int32 on the edge
 //!   core (Fig. 12), exactly as in the paper.
 
-use camp_core::WorkerPool;
-use camp_gemm::{simulate_gemm_on, GemmOptions, GemmResult, Method, SerialScheduler, SimScheduler};
+use camp_gemm::{simulate_gemm, GemmOptions, GemmResult, Method};
 use camp_models::GemmShape;
 use camp_pipeline::CoreConfig;
 
@@ -29,62 +28,25 @@ pub fn mac_budget() -> u64 {
     std::env::var("CAMP_MAC_BUDGET").ok().and_then(|s| s.parse().ok()).unwrap_or(32_000_000)
 }
 
-/// Simulator scheduler threads for harness runs: `--sim-threads N` (or
-/// `--sim-threads=N`) on the command line (`0` = all cores), else 1 =
-/// serial. Results are bit-identical at any value; only wall-clock
-/// changes.
-pub fn sim_threads() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--sim-threads" {
-            if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                return camp_core::backend::resolve_threads(v);
-            }
-        } else if let Some(v) = a.strip_prefix("--sim-threads=").and_then(|v| v.parse().ok()) {
-            return camp_core::backend::resolve_threads(v);
-        }
-    }
-    1
+/// Simulate `method` on `core` at `shape` under [`harness_options`].
+pub fn run(core: CoreConfig, method: Method, shape: GemmShape) -> GemmResult {
+    simulate_gemm(core, method, shape.m, shape.n, shape.k, &harness_options())
 }
 
-/// The harness-side simulated-GeMM runner: owns the worker pool the
-/// driver's independent (jc, pc) block units (and batch items) are
-/// scheduled on. `--sim-threads 1` (the default) runs serially with no
-/// pool; any thread count produces bit-identical results (the driver's
-/// decomposition, not the scheduler, defines them), so the flag only
-/// buys wall-clock on paper-fidelity sweeps.
-pub struct SimRunner {
-    threads: usize,
-    pool: Option<WorkerPool>,
-}
+/// A shim kept only for `benchmark/src/sim.rs`, which calls
+/// `SimRunner::with_threads(1).simulate(..)`: it is [`simulate_gemm`]
+/// and nothing else (the simulated driver runs its block units in
+/// order). The ▣ benchmark PR deletes it, the way
+/// `DispatchStats::stolen` is kept for the same file today.
+pub struct SimRunner;
 
 impl SimRunner {
-    /// A runner honoring [`sim_threads`] (the CLI flag, else 1).
-    pub fn from_cli() -> Self {
-        SimRunner::with_threads(sim_threads())
+    /// The shim; `_threads` is ignored.
+    pub fn with_threads(_threads: usize) -> Self {
+        SimRunner
     }
 
-    /// A runner with an explicit thread count (0 and 1 both mean
-    /// serial).
-    pub fn with_threads(threads: usize) -> Self {
-        let threads = threads.max(1);
-        SimRunner { threads, pool: (threads > 1).then(|| WorkerPool::new(threads)) }
-    }
-
-    /// Scheduler threads (1 = serial, no pool spawned).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The scheduler simulated work runs on.
-    pub fn scheduler(&self) -> &dyn SimScheduler {
-        match &self.pool {
-            Some(pool) => pool,
-            None => &SerialScheduler,
-        }
-    }
-
-    /// Simulate one blocked GeMM on this runner's scheduler.
+    /// [`simulate_gemm`].
     pub fn simulate(
         &self,
         core: CoreConfig,
@@ -94,12 +56,7 @@ impl SimRunner {
         k: usize,
         opts: &GemmOptions,
     ) -> GemmResult {
-        simulate_gemm_on(core, method, m, n, k, opts, self.scheduler())
-    }
-
-    /// [`SimRunner::simulate`] with harness options on `shape`.
-    pub fn run(&self, core: CoreConfig, method: Method, shape: GemmShape) -> GemmResult {
-        self.simulate(core, method, shape.m, shape.n, shape.k, &harness_options())
+        simulate_gemm(core, method, m, n, k, opts)
     }
 }
 
@@ -126,6 +83,5 @@ pub fn header(id: &str, what: &str) {
     println!("==============================================================");
     println!("{id}: {what}");
     println!("mac_budget={} (set CAMP_MAC_BUDGET to change)", mac_budget());
-    println!("sim_threads={} (pass --sim-threads N; results are identical)", sim_threads());
     println!("==============================================================");
 }

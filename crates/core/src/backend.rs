@@ -46,38 +46,31 @@
 //!
 //! # Thread configuration
 //!
-//! This is the one place the thread story lives:
-//!
-//! * **Host engine** — `CAMP_THREADS` ([`host_threads_from_env`]; unset
-//!   or `0` means one worker per available core), a deployment setting
-//!   because cores differ per box. Workers are spawned once per engine.
-//! * **Simulated driver** — [`SimBackend::with_threads`]; serial unless
-//!   the caller asks (bench binaries take `--sim-threads N`). Results
-//!   are **bit-identical at any width** — it buys wall-clock, never
-//!   changes an answer — so no environment variable selects it.
-//!
-//! Both backends clamp through [`resolve_threads`]: `0` resolves to
-//! the available parallelism and the result is never below 1 (a zero
-//! worker count would divide the row partition by zero).
+//! Only the host engine has threads: `CAMP_THREADS`
+//! ([`host_threads_from_env`]; unset or `0` means one worker per
+//! available core), a deployment setting because cores differ per box.
+//! Workers are spawned once per engine, and the count clamps through
+//! [`resolve_threads`]: `0` resolves to the available parallelism and
+//! the result is never below 1 (a zero worker count would divide the
+//! row partition by zero). The simulated driver runs its block units in
+//! order on the calling thread: it reports one core's cycles, so a
+//! thread count could never change an answer.
 
 use std::sync::Arc;
 
-use camp_gemm::driver::{simulate_gemm_batch_on, GemmOptions, SerialScheduler, SimScheduler};
+use camp_gemm::driver::{default_blocking, simulate_gemm_batch, GemmOptions, Method};
 use camp_gemm::host::{CpuFeatures, KernelInfo};
 use camp_gemm::request::{GemmRequest, Operand, RequestError, ResolvedRequest};
-use camp_gemm::weights::{
-    DType, WeightHandle, WeightMeta, WeightRegistry, WeightSnapshot, HOST_BLOCKING,
-};
+use camp_gemm::weights::{DType, WeightHandle, WeightMeta, WeightRegistry, WeightSnapshot};
 use camp_gemm::CMatrix;
 use camp_pipeline::{CoreConfig, SimStats};
 
 use crate::dispatch::Dispatcher;
 use crate::engine::{CampEngine, EngineStats, StagedRequest};
-use crate::pool::WorkerPool;
 
 // ---- thread configuration (the single source of truth) --------------------
 
-/// Clamp a requested worker count the way every backend does: `0` means
+/// Clamp a requested worker count the way the host engine does: `0` means
 /// one worker per available core, and the result is never below 1.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
@@ -232,13 +225,11 @@ pub trait CampBackend {
     /// "cycle-accurate-sim", …).
     fn name(&self) -> &'static str;
 
-    /// Resolved worker/scheduler thread count.
-    fn threads(&self) -> usize;
-
     /// Which micro-kernel tier this backend computes with: the host
     /// engine reports its dispatched [`camp_gemm::host::HostKernel`]
-    /// (scalar / AVX2 / AVX-512 / NEON plus the probed [`CpuFeatures`]
-    /// and active blocking); the simulator reports its synthetic camp tier (the
+    /// (scalar / avx2 / avx512 / avx512vnni / neon plus the probed
+    /// [`CpuFeatures`] and active blocking); the simulator reports its
+    /// synthetic camp tier and the blocking of its simulated core (the
     /// simulated VVA kernel is the same regardless of host silicon).
     fn kernel_info(&self) -> KernelInfo;
 
@@ -323,10 +314,6 @@ impl CampBackend for CampEngine {
         "host-engine"
     }
 
-    fn threads(&self) -> usize {
-        CampEngine::threads(self)
-    }
-
     fn kernel_info(&self) -> KernelInfo {
         CampEngine::kernel_info(self)
     }
@@ -369,11 +356,10 @@ impl CampBackend for CampEngine {
 // ---- the simulated backend ------------------------------------------------
 
 /// The cycle-accurate substrate behind the unified API: requests run on
-/// the parallel simulated driver (`camp_gemm::driver`), one independent
-/// (jc, pc) block unit per `Simulator`, scheduled across
-/// [`SimBackend::with_threads`] workers with **bit-identical** results
-/// at any width. The dtype selects the camp kernel (`camp.s8` /
-/// `camp.s4`), exactly like the host engine.
+/// the simulated driver (`camp_gemm::driver`), one (jc, pc) block unit
+/// per `Simulator`, in order on the calling thread. The dtype selects
+/// the camp kernel (`camp.s8` / `camp.s4`), exactly like the host
+/// engine.
 ///
 /// Weights registered here live in a *simulated* registry: a raw
 /// mirror of the bytes with the same handle semantics (identity,
@@ -392,38 +378,19 @@ impl CampBackend for CampEngine {
 pub struct SimBackend {
     core: CoreConfig,
     mac_budget: u64,
-    threads: usize,
-    pool: Option<WorkerPool>,
     weights: WeightRegistry,
 }
 
 impl SimBackend {
-    /// Serial simulated backend for `core` (no clamping, no verify
-    /// overhead — correctness is the parity test suite's job).
+    /// Simulated backend for `core` (no clamping, no verify overhead —
+    /// correctness is the parity test suite's job).
     pub fn new(core: CoreConfig) -> Self {
-        SimBackend {
-            core,
-            mac_budget: u64::MAX,
-            threads: 1,
-            pool: None,
-            weights: WeightRegistry::raw_mirror(),
-        }
+        SimBackend { core, mac_budget: u64::MAX, weights: WeightRegistry::raw_mirror() }
     }
 
     /// Convenience: the paper's A64FX-like core.
     pub fn a64fx() -> Self {
         SimBackend::new(CoreConfig::a64fx())
-    }
-
-    /// Schedule block units across `threads` workers
-    /// ([`resolve_threads`] clamping: 0 = all cores). Results are
-    /// bit-identical at any width.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        let threads = resolve_threads(threads);
-        self.threads = threads;
-        self.pool = (threads > 1).then(|| WorkerPool::new(threads));
-        self
     }
 
     /// Clamp problems above `mac_budget` MACs structure-preservingly
@@ -438,13 +405,6 @@ impl SimBackend {
     pub fn core(&self) -> CoreConfig {
         self.core
     }
-
-    fn scheduler(&self) -> &dyn SimScheduler {
-        match &self.pool {
-            Some(pool) => pool,
-            None => &SerialScheduler,
-        }
-    }
 }
 
 impl CampBackend for SimBackend {
@@ -457,20 +417,17 @@ impl CampBackend for SimBackend {
         "cycle-accurate-sim"
     }
 
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
     fn kernel_info(&self) -> KernelInfo {
         // The simulated camp kernel is the same VVA program on any host;
-        // the probe is reported for context, not dispatch.
+        // the probe is reported for context, not dispatch. camp.s8 and
+        // camp.s4 block alike on each core.
         KernelInfo {
             tier: "sim-camp".to_string(),
             simd: false,
             features: CpuFeatures::detect(),
             int_tile_i8: (4, 4),
             int_tile_i4: (4, 4),
-            int_blocking: HOST_BLOCKING,
+            int_blocking: default_blocking(self.core, Method::Camp8),
         }
     }
 
@@ -532,7 +489,7 @@ impl CampBackend for SimBackend {
         }
 
         let opts = GemmOptions { mac_budget: self.mac_budget, verify: false, ..Default::default() };
-        let batch = simulate_gemm_batch_on(self.core, &problems, &opts, self.scheduler());
+        let batch = simulate_gemm_batch(self.core, &problems, &opts);
 
         let mut outputs: Vec<Output> = resolved
             .iter()
@@ -704,23 +661,16 @@ mod tests {
         // the Display form is what serving logs print
         assert!(info.to_string().contains(&info.tier));
 
-        let sim = SimBackend::a64fx().with_threads(2);
-        assert_eq!(CampBackend::threads(&sim), 2);
+        let sim = SimBackend::a64fx();
         assert_ne!(CampBackend::name(&host), sim.name());
         let sinfo = sim.kernel_info();
         assert_eq!(sinfo.tier, "sim-camp");
         assert!(!sinfo.simd);
         assert_eq!(sinfo.int_tile_i8, (4, 4));
         assert_eq!(sinfo.int_tile_i4, (4, 4));
-    }
-
-    #[test]
-    fn sim_pool_width_is_bit_invisible() {
-        let (m, n, k) = (9, 11, 70);
-        let req = GemmRequest::dense(m, n, k, fill(m * k, 3), fill(k * n, 5)).unwrap();
-        let serial = SimBackend::a64fx().execute(&req).unwrap();
-        let pooled = SimBackend::a64fx().with_threads(4).execute(&req).unwrap();
-        assert_eq!(serial.output, pooled.output);
-        assert_eq!(serial.stats, pooled.stats);
+        // the blocking the simulated camp kernels run, per core
+        assert_eq!(sinfo.int_blocking, (128, 512, 4096));
+        let edge = SimBackend::new(CoreConfig::edge_riscv()).kernel_info();
+        assert_eq!(edge.int_blocking, (64, 128, 2048));
     }
 }

@@ -1120,10 +1120,6 @@ mod tests {
             "test-gate"
         }
 
-        fn threads(&self) -> usize {
-            1
-        }
-
         fn kernel_info(&self) -> KernelInfo {
             unimplemented!("not part of the dispatch protocol")
         }

@@ -624,18 +624,11 @@ impl CampEngine {
         self.host
     }
 
-    /// A sharable handle to the engine's persistent worker pool, or
-    /// `None` for a serial engine. The pool implements
-    /// [`camp_gemm::SimScheduler`], so the *simulated* driver
-    /// (`simulate_gemm_on` / `simulate_gemm_batch_on`) can schedule its
-    /// independent (jc, pc) block units on the same threads that serve
-    /// the host-speed path — one thread budget for both halves, which
-    /// is how the figure harnesses run `--sim-threads N` sweeps.
-    ///
-    /// The pool's [`WorkerPool::queued_jobs`] / [`WorkerPool::jobs_run`]
-    /// counters let serving tests assert that draining a
-    /// [`crate::dispatch::Dispatcher`] leaves no jobs queued — the
-    /// "no leaked pool permits" invariant.
+    /// A handle to the engine's persistent worker pool, or `None` for a
+    /// serial engine: its [`WorkerPool::queued_jobs`] /
+    /// [`WorkerPool::jobs_run`] counters let serving tests assert that
+    /// draining a [`crate::dispatch::Dispatcher`] leaves no jobs queued
+    /// — the "no leaked pool permits" invariant.
     pub fn worker_pool(&self) -> Option<std::sync::Arc<WorkerPool>> {
         self.workers.clone()
     }

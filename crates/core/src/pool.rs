@@ -13,13 +13,6 @@
 //! Panics inside a job do not kill the pool: the worker catches the
 //! unwind, the batch completes, and `run` re-raises a panic on the
 //! submitting thread — so a poisoned request cannot wedge the engine.
-//!
-//! The pool is also the execution substrate of the *simulated* driver:
-//! it implements [`camp_gemm::SimScheduler`], so `simulate_gemm_on` /
-//! `simulate_gemm_batch_on` can schedule their independent (jc, pc)
-//! block units on the same threads (see the impl below for an
-//! example), and [`crate::CampEngine::worker_pool`] shares an engine's
-//! pool for exactly that purpose — one thread budget for both halves.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -87,6 +80,19 @@ impl Latch {
 
 /// Fixed set of persistent worker threads executing borrowed jobs; see
 /// the [module docs](self).
+///
+/// ```
+/// use camp_core::pool::Job;
+/// use camp_core::WorkerPool;
+///
+/// let pool = WorkerPool::new(2);
+/// let mut rows = vec![0u32; 4];
+/// // the jobs borrow `rows` mutably: `run` returns only once all ran
+/// let jobs: Vec<Job<'_>> =
+///     rows.iter_mut().zip(1..).map(|(r, v)| -> Job<'_> { Box::new(move || *r = v) }).collect();
+/// pool.run(jobs);
+/// assert_eq!(rows, [1, 2, 3, 4]);
+/// ```
 pub struct WorkerPool {
     shared: Arc<SharedQueue>,
     handles: Vec<JoinHandle<()>>,
@@ -173,30 +179,6 @@ impl WorkerPool {
         }
         let panics = latch.wait();
         assert!(panics == 0, "{panics} engine worker job(s) panicked");
-    }
-}
-
-/// The pool doubles as the scheduler of `camp-gemm`'s parallel
-/// simulated driver: [`camp_gemm::SimScheduler::run_jobs`] is exactly
-/// [`WorkerPool::run`] (same borrowed-job type, same
-/// finished-before-return guarantee), so one pool can serve host-speed
-/// GeMMs and simulated (jc, pc) block units interchangeably — share an
-/// engine's pool via [`crate::CampEngine::worker_pool`], or build a
-/// standalone one:
-///
-/// ```
-/// use camp_core::WorkerPool;
-/// use camp_gemm::{simulate_gemm_on, GemmOptions, Method, SimScheduler};
-/// use camp_pipeline::CoreConfig;
-///
-/// let pool = WorkerPool::new(2);
-/// let opts = GemmOptions::default();
-/// let r = simulate_gemm_on(CoreConfig::a64fx(), Method::Camp8, 16, 16, 32, &opts, &pool);
-/// assert!(r.correct);
-/// ```
-impl camp_gemm::SimScheduler for WorkerPool {
-    fn run_jobs<'env>(&self, jobs: Vec<camp_gemm::SimJob<'env>>) {
-        self.run(jobs);
     }
 }
 

@@ -46,10 +46,6 @@ macro_rules! model_backend_identity {
             "model-dispatch"
         }
 
-        fn threads(&self) -> usize {
-            1
-        }
-
         fn kernel_info(&self) -> KernelInfo {
             unimplemented!("not part of the modeled pipeline")
         }

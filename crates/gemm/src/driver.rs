@@ -8,28 +8,22 @@
 //! kernel-specific. It contains no per-method tables: adding a kernel
 //! touches only [`crate::dispatch`].
 //!
-//! # Parallel decomposition
+//! # Block-unit decomposition
 //!
 //! A simulated GeMM is decomposed into one *unit* per (jc, pc) block of
 //! the blocked loops. Each unit runs on its **own** [`Simulator`]
-//! instance (own machine memory, own cache state): it packs its B
-//! block, then walks every row strip (pack A + macro-kernel) of that
-//! block, and finally hands back its [`SimStats`] and its partial-C
-//! contribution. Units are scheduled through a [`SimScheduler`] — the
-//! serial default runs them in order on the calling thread; `camp-core`
-//! implements the trait for its persistent `WorkerPool`, which runs the
-//! same units concurrently.
+//! instance (own machine memory, cold caches): it packs its B block,
+//! then walks every row strip (pack A + macro-kernel) of that block,
+//! and finally hands back its [`SimStats`] and its partial-C
+//! contribution. Units run in order on the calling thread.
 //!
-//! Because every unit is deterministic and owns all of its state, the
-//! decomposition — not the thread count — defines the result:
-//! `simulate_gemm` with one scheduler thread is **bit-identical**
-//! (stats and output) to any other thread count. Partial C blocks merge
-//! on the host in a fixed order (depth-ascending per column strip, the
-//! order the serial read-modify-write would apply them), and every
-//! unit's stats fold into the result with [`SimStats::merge`]: the
-//! reported `cycles` are what **one core** running all units back to
-//! back takes — the paper's frame of reference. See `docs/SIMULATOR.md`
-//! for the full contract.
+//! The decomposition defines the result. Partial C blocks merge on the
+//! host in a fixed order (depth-ascending per column strip, the order
+//! the serial read-modify-write would apply them), and every unit's
+//! stats fold into the result with [`SimStats::merge`]: the reported
+//! `cycles` are what **one core** running all units back to back takes
+//! — the paper's frame of reference. See `docs/SIMULATOR.md` for the
+//! full contract.
 //!
 //! [`simulate_gemm_batch`] extends the same machinery across many
 //! [`GemmProblem`] descriptors with B-operand deduplication: problems
@@ -68,39 +62,6 @@ pub struct GemmOptions {
 impl Default for GemmOptions {
     fn default() -> Self {
         GemmOptions { seed: 0xC0FF_EE00, mac_budget: 48_000_000, blocking: None, verify: true }
-    }
-}
-
-// ---- scheduling -----------------------------------------------------------
-
-/// One borrowed block-unit job: the driver owns everything it captures
-/// for `'env`, and the scheduler guarantees it has finished before
-/// [`SimScheduler::run_jobs`] returns.
-pub type SimJob<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// Where the driver's independent block units execute.
-///
-/// The contract is the `std::thread::scope` guarantee: every job has
-/// finished (not merely been queued) when `run_jobs` returns, so jobs
-/// may borrow from the caller's stack. `camp-core` implements this for
-/// its persistent `WorkerPool` (the same pool the host engine computes
-/// on), which is how the benches run paper sweeps with `--sim-threads N`.
-pub trait SimScheduler: Sync {
-    /// Execute every job to completion, in any order or interleaving.
-    fn run_jobs<'env>(&self, jobs: Vec<SimJob<'env>>);
-}
-
-/// The default scheduler: runs units one after another on the calling
-/// thread. Results are bit-identical to any parallel scheduler because
-/// units are deterministic and merged in a fixed order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialScheduler;
-
-impl SimScheduler for SerialScheduler {
-    fn run_jobs<'env>(&self, jobs: Vec<SimJob<'env>>) {
-        for job in jobs {
-            job();
-        }
     }
 }
 
@@ -338,8 +299,7 @@ fn stage_range(
 
 /// The simulation backend of the shared loop skeleton: packs blocks and
 /// runs macro-kernels as simulated programs against one persistent
-/// machine + cache state (one per block unit in the parallel
-/// decomposition).
+/// machine + cache state (one per block unit).
 struct BlockSim {
     sim: Simulator,
     geo: KernelGeometry,
@@ -528,7 +488,7 @@ fn extract_c(
 /// Simulate one (jc, pc) block unit on a fresh [`Simulator`]: stage the
 /// operands, pack B (or pre-stage `prepacked_b`, the dedup path), then
 /// pack A and run the macro-kernel for every row strip. Deterministic
-/// and self-contained — the parallel driver's unit of scheduling.
+/// and self-contained: the driver's unit of work.
 #[allow(clippy::too_many_arguments)]
 fn simulate_unit(
     core: CoreConfig,
@@ -609,6 +569,17 @@ struct ProblemCtx {
     degenerate: bool,
 }
 
+/// The (mc, nc, kc) `method` blocks with on `core` when
+/// [`GemmOptions::blocking`] is `None`: mc/nc by core kind, kc from the
+/// kernel's [`crate::dispatch::MicroKernel::default_kc`].
+pub fn default_blocking(core: CoreConfig, method: Method) -> (usize, usize, usize) {
+    let kc = method.dispatcher().default_kc(core.kind);
+    match core.kind {
+        CoreKind::InOrder => (64, 128, kc),
+        CoreKind::OutOfOrder => (128, 512, kc),
+    }
+}
+
 fn block_plan_for(
     core: CoreConfig,
     method: Method,
@@ -617,15 +588,8 @@ fn block_plan_for(
     k: usize,
     opts: &GemmOptions,
 ) -> BlockPlan {
-    let kernel = method.dispatcher();
-    let geo = kernel.geometry();
-    let blocking = opts.blocking.unwrap_or_else(|| {
-        let kc = kernel.default_kc(core.kind);
-        match core.kind {
-            CoreKind::InOrder => (64, 128, kc),
-            CoreKind::OutOfOrder => (128, 512, kc),
-        }
-    });
+    let geo = method.dispatcher().geometry();
+    let blocking = opts.blocking.unwrap_or_else(|| default_blocking(core, method));
     BlockPlan::new(m, n, k, geo.mr, geo.nr, geo.k_unit, blocking)
 }
 
@@ -725,89 +689,32 @@ fn problem_ctx(core: CoreConfig, p: &GemmProblem<'_>, opts: &GemmOptions) -> Pro
     ctx_from_plan(method, plan, a_host, b_host, clamped)
 }
 
-/// Run every unit of every problem on `sched`: one wave for problems
-/// that simulate their own B packing (snapshotting blocks other
-/// problems share), then one wave for the dedup consumers. Within a
-/// wave, all units of all problems are scheduled together, so batch
-/// items parallelize even when each is a single unit.
-///
-/// The wave boundary is a global barrier: a dedup consumer waits for
-/// *every* wave-1 unit, not just its owner's — a deliberate
-/// simplicity/wall-clock tradeoff (the `SimScheduler` contract has no
-/// completion dependencies). A dependency-aware scheduler that
-/// releases consumers per owner is on the roadmap; results would be
-/// identical either way.
-fn run_ctxs(core: CoreConfig, ctxs: &[ProblemCtx], sched: &dyn SimScheduler) -> Vec<Vec<UnitOut>> {
-    let mut outs: Vec<Vec<Option<UnitOut>>> =
-        ctxs.iter().map(|c| (0..c.specs.len()).map(|_| None).collect()).collect();
-
-    // wave 1: B owners (everything, in the non-batch case)
-    {
-        let mut jobs: Vec<SimJob<'_>> = Vec::new();
-        for (ctx, row) in ctxs.iter().zip(outs.iter_mut()) {
-            if ctx.owner.is_some() {
-                continue;
-            }
-            for (spec, slot) in ctx.specs.iter().zip(row.iter_mut()) {
-                let spec = *spec;
-                jobs.push(Box::new(move || {
-                    *slot = Some(simulate_unit(
-                        core,
-                        ctx.method,
-                        &ctx.plan,
-                        &ctx.a_host,
-                        &ctx.b_host,
-                        spec,
-                        None,
-                        ctx.share_b,
-                    ));
-                }));
-            }
+/// Run every unit of every problem, in order. A dedup consumer
+/// re-stages its owner's snapshotted pack-B image instead of packing;
+/// the owner is the first problem with its key, so it has always run
+/// by then.
+fn run_ctxs(core: CoreConfig, ctxs: &[ProblemCtx]) -> Vec<Vec<UnitOut>> {
+    let mut outs: Vec<Vec<UnitOut>> = Vec::with_capacity(ctxs.len());
+    for ctx in ctxs {
+        let mut row = Vec::with_capacity(ctx.specs.len());
+        for (u, &spec) in ctx.specs.iter().enumerate() {
+            let prepacked = ctx.owner.map(|owner| {
+                outs[owner][u].packed_b.as_deref().expect("owner snapshotted every block")
+            });
+            row.push(simulate_unit(
+                core,
+                ctx.method,
+                &ctx.plan,
+                &ctx.a_host,
+                &ctx.b_host,
+                spec,
+                prepacked,
+                ctx.share_b,
+            ));
         }
-        sched.run_jobs(jobs);
+        outs.push(row);
     }
-
-    // collect the snapshots dedup consumers re-stage
-    let mut snapshots: HashMap<usize, Vec<Option<Vec<u8>>>> = HashMap::new();
-    for (i, (ctx, row)) in ctxs.iter().zip(outs.iter_mut()).enumerate() {
-        if ctx.share_b {
-            let snaps = row
-                .iter_mut()
-                .map(|o| o.as_mut().expect("owner unit ran").packed_b.take())
-                .collect();
-            snapshots.insert(i, snaps);
-        }
-    }
-
-    // wave 2: dedup consumers, pack-B replaced by the owner's image
-    {
-        let mut jobs: Vec<SimJob<'_>> = Vec::new();
-        for (ctx, row) in ctxs.iter().zip(outs.iter_mut()) {
-            let Some(owner) = ctx.owner else { continue };
-            let snaps = &snapshots[&owner];
-            for ((u, spec), slot) in ctx.specs.iter().enumerate().zip(row.iter_mut()) {
-                let spec = *spec;
-                let pre = snaps[u].as_deref().expect("owner snapshotted every block");
-                jobs.push(Box::new(move || {
-                    *slot = Some(simulate_unit(
-                        core,
-                        ctx.method,
-                        &ctx.plan,
-                        &ctx.a_host,
-                        &ctx.b_host,
-                        spec,
-                        Some(pre),
-                        false,
-                    ));
-                }));
-            }
-        }
-        sched.run_jobs(jobs);
-    }
-
-    outs.into_iter()
-        .map(|row| row.into_iter().map(|o| o.expect("every unit job ran")).collect())
-        .collect()
+    outs
 }
 
 /// Merge a problem's unit outputs into its [`GemmResult`]: partial C
@@ -864,27 +771,13 @@ fn verify_host(ctx: &ProblemCtx, result: &mut GemmResult) {
 
 // ---- public entry points --------------------------------------------------
 
-/// Simulate one blocked GeMM of `method` on `core` for an m×n×k problem
-/// on the serial scheduler — see [`simulate_gemm_on`].
-pub fn simulate_gemm(
-    core: CoreConfig,
-    method: Method,
-    m: usize,
-    n: usize,
-    k: usize,
-    opts: &GemmOptions,
-) -> GemmResult {
-    simulate_gemm_on(core, method, m, n, k, opts, &SerialScheduler)
-}
-
 /// Simulate one blocked GeMM of `method` on `core` for an m×n×k
-/// problem, scheduling its independent (jc, pc) block units on `sched`.
+/// problem, one (jc, pc) block unit after another.
 ///
 /// Returns merged statistics, the computed [`CMatrix`] and a
-/// correctness verdict against the host reference. The result — output
-/// bits and every stats field — is **independent of the scheduler**:
-/// units are deterministic, self-contained simulations merged in a
-/// fixed order (property-tested across all seven methods). Problems
+/// correctness verdict against the host reference. Units are
+/// deterministic, self-contained simulations merged in a fixed order,
+/// so the block decomposition alone defines the result. Problems
 /// larger than `opts.mac_budget` MACs are clamped (identically for
 /// every method). Zero-dimension problems are degenerate, not an error:
 /// they return an all-zero [`GemmResult`] (no simulated work),
@@ -893,18 +786,17 @@ pub fn simulate_gemm(
 /// # Panics
 /// Panics if the simulated machine faults (a bug in the kernels — every
 /// kernel is covered by tests).
-pub fn simulate_gemm_on(
+pub fn simulate_gemm(
     core: CoreConfig,
     method: Method,
     m: usize,
     n: usize,
     k: usize,
     opts: &GemmOptions,
-    sched: &dyn SimScheduler,
 ) -> GemmResult {
     let ctx = rng_ctx(core, method, m, n, k, opts);
     let ctxs = [ctx];
-    let outs = run_ctxs(core, &ctxs, sched).pop().expect("one problem in, one out");
+    let outs = run_ctxs(core, &ctxs).pop().expect("one problem in, one out");
     let mut result = finish_problem(core, &ctxs[0], outs);
     if opts.verify && !ctxs[0].degenerate {
         verify_host(&ctxs[0], &mut result);
@@ -912,21 +804,11 @@ pub fn simulate_gemm_on(
     result
 }
 
-/// Simulate a batch of GeMMs described by [`GemmProblem`] descriptors
-/// on the serial scheduler — see [`simulate_gemm_batch_on`].
-pub fn simulate_gemm_batch(
-    core: CoreConfig,
-    problems: &[GemmProblem<'_>],
-    opts: &GemmOptions,
-) -> SimBatchResult {
-    simulate_gemm_batch_on(core, problems, opts, &SerialScheduler)
-}
-
 /// Simulate a batch of GeMMs over their **own** operands (not the
 /// seeded RNG workload): each problem runs under the camp kernel its
 /// [`DType`] selects (as the host engine does for a request's), every
-/// problem — and every (jc, pc) block within it — is an independent
-/// unit on `sched`, and problems sharing one B operand (same buffer,
+/// problem is decomposed into (jc, pc) block units like
+/// [`simulate_gemm`], and problems sharing one B operand (same buffer,
 /// same post-clamp packed shape and dtype) simulate its packing
 /// **once**: the packed image is re-staged for the other problems'
 /// units, which therefore pay no B-pack instructions — the simulated
@@ -939,11 +821,10 @@ pub fn simulate_gemm_batch(
 ///
 /// # Panics
 /// Panics on mis-sized operands.
-pub fn simulate_gemm_batch_on(
+pub fn simulate_gemm_batch(
     core: CoreConfig,
     problems: &[GemmProblem<'_>],
     opts: &GemmOptions,
-    sched: &dyn SimScheduler,
 ) -> SimBatchResult {
     let mut ctxs: Vec<ProblemCtx> = problems.iter().map(|p| problem_ctx(core, p, opts)).collect();
 
@@ -967,7 +848,7 @@ pub fn simulate_gemm_batch_on(
         }
     }
 
-    let outs = run_ctxs(core, &ctxs, sched);
+    let outs = run_ctxs(core, &ctxs);
     let mut results = Vec::with_capacity(ctxs.len());
     for (ctx, out) in ctxs.iter().zip(outs) {
         let mut r = finish_problem(core, ctx, out);
@@ -1165,54 +1046,6 @@ mod tests {
         assert!(r.correct);
         let r = simulate_gemm(CoreConfig::a64fx(), Method::HandvInt32, 32, 32, 96, &opts);
         assert!(r.correct);
-    }
-
-    /// A deliberately adversarial scheduler: runs the borrowed jobs in
-    /// reverse order, each on its own spawned thread. If any unit
-    /// depended on shared state or submission order, results would
-    /// diverge from [`SerialScheduler`].
-    struct ReverseThreadScheduler;
-
-    impl SimScheduler for ReverseThreadScheduler {
-        fn run_jobs<'env>(&self, jobs: Vec<SimJob<'env>>) {
-            std::thread::scope(|s| {
-                for job in jobs.into_iter().rev() {
-                    s.spawn(job);
-                }
-            });
-        }
-    }
-
-    /// Blocking that splits a modest problem into several column
-    /// strips and several depth blocks for every kernel geometry.
-    fn multi_unit_opts() -> GemmOptions {
-        GemmOptions { blocking: Some((16, 32, 128)), ..GemmOptions::default() }
-    }
-
-    #[test]
-    fn scheduler_choice_is_bit_invisible() {
-        // every method, on a shape that decomposes into multiple column
-        // strips and depth blocks: serial vs reverse-threaded must agree
-        // on every stats field and every output bit
-        for method in Method::all() {
-            let opts = multi_unit_opts();
-            let serial =
-                simulate_gemm_on(CoreConfig::a64fx(), method, 20, 70, 260, &opts, &SerialScheduler);
-            let parallel = simulate_gemm_on(
-                CoreConfig::a64fx(),
-                method,
-                20,
-                70,
-                260,
-                &opts,
-                &ReverseThreadScheduler,
-            );
-            assert!(serial.correct, "{}", method.name());
-            let plan = block_plan_for(CoreConfig::a64fx(), method, 20, 70, 260, &opts);
-            assert!(unit_specs(&plan).len() > 1, "{} should split into units", method.name());
-            assert_eq!(serial.stats, parallel.stats, "{} stats diverged", method.name());
-            assert_eq!(serial.c, parallel.c, "{} output bits diverged", method.name());
-        }
     }
 
     fn fill(len: usize, seed: i32) -> Vec<i8> {

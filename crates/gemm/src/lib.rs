@@ -71,8 +71,7 @@ pub mod workspace;
 pub use batch::GemmProblem;
 pub use dispatch::{AccKind, ElemKind, KernelGeometry, MicroKernel};
 pub use driver::{
-    simulate_gemm, simulate_gemm_batch, simulate_gemm_batch_on, simulate_gemm_on, CMatrix,
-    GemmOptions, GemmResult, Method, SerialScheduler, SimBatchResult, SimJob, SimScheduler,
+    simulate_gemm, simulate_gemm_batch, CMatrix, GemmOptions, GemmResult, Method, SimBatchResult,
 };
 pub use host::{CpuFeatures, HostKernel, HostTier, KernelInfo};
 pub use reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};

@@ -74,10 +74,9 @@ enum StallCause {
 /// (cycle spans add up).
 ///
 /// A `Simulator` owns all of its state and shares nothing, which is the
-/// foundation of the parallel blocked driver: each independent
-/// (jc, pc) block unit instantiates its own simulator (own memory, own
-/// cold caches), runs deterministically on whatever thread a scheduler
-/// picks, and its [`SimStats`] are folded afterwards with
+/// foundation of the blocked driver: each (jc, pc) block unit
+/// instantiates its own simulator (own memory, own cold caches), runs
+/// deterministically, and its [`SimStats`] are folded afterwards with
 /// [`SimStats::merge`] (everything adds: one core running the units
 /// back to back). See `docs/SIMULATOR.md` for the merge contract.
 pub struct Simulator {

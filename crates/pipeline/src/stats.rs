@@ -10,9 +10,8 @@ use camp_isa::inst::InstClass;
 /// [`SimStats::merge`] composes stats blocks **sequentially**: every
 /// field adds, `cycles` included — one core running the blocks back to
 /// back, the paper's frame of reference. It is associative and
-/// commutative, so the blocked driver may collect its per-unit stats in
-/// any grouping and report the same totals at any scheduler thread
-/// count (see `docs/SIMULATOR.md`).
+/// commutative, so the totals do not depend on how the blocked driver
+/// groups its per-unit stats (see `docs/SIMULATOR.md`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Total cycles (max completion time across all instructions).
@@ -281,8 +280,7 @@ mod tests {
 
     #[test]
     fn both_merges_are_commutative() {
-        // so a parallel driver may collect unit results in completion
-        // order
+        // so the totals do not depend on the order units are folded in
         let (a, b) = (dense(2), dense(7));
         let mut ab = a;
         ab.merge(&b);

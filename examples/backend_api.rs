@@ -51,7 +51,7 @@ fn build_requests(m: usize, n: usize, k: usize) -> Vec<GemmRequest> {
 }
 
 fn describe<B: CampBackend>(backend: &B) {
-    println!("  {}: threads={}, {}", backend.name(), backend.threads(), backend.kernel_info());
+    println!("  {}: {}", backend.name(), backend.kernel_info());
 }
 
 fn main() {
@@ -59,7 +59,7 @@ fn main() {
     let requests = build_requests(m, n, k);
 
     let mut host = CampEngine::with_threads(2);
-    let mut sim = SimBackend::new(CoreConfig::a64fx()).with_threads(2);
+    let mut sim = SimBackend::new(CoreConfig::a64fx());
     println!("one request batch ({} GeMMs), two backends:", requests.len());
     describe(&host);
     describe(&sim);

@@ -50,7 +50,7 @@ proptest! {
         let wreg = gen_i4(k1 * n1, seed.rotate_left(21) | 1);
 
         let mut host = CampEngine::with_threads(threads);
-        let mut sim = SimBackend::new(CoreConfig::a64fx()).with_threads(threads);
+        let mut sim = SimBackend::new(CoreConfig::a64fx());
         // one registered weight per backend (the handle operand of the
         // acceptance criterion)
         let hh = CampBackend::register_weights(&mut host, n1, k1, &wreg, DType::I8);
@@ -106,7 +106,7 @@ proptest! {
         }
         drop(session);
         let sim = dispatcher.into_backend();
-        prop_assert_eq!(sim.threads(), 1);
+        prop_assert_eq!(sim.name(), "cycle-accurate-sim");
     }
 }
 

@@ -298,19 +298,19 @@ proptest! {
 
 proptest! {
     // simulation is costlier per case than the host engine, so this
-    // block runs fewer cases; the deterministic all-methods sweep lives
-    // in tests/sim_parallel.rs
+    // block runs fewer cases; the pinned all-methods counts live in
+    // tests/sim_pinned.rs
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn simulated_driver_is_bit_identical_across_schedulers(
+    fn simulated_driver_is_correct_on_random_ragged_shapes(
         m in 1usize..17, n in 1usize..17, k in 1usize..150,
-        threads in 2usize..7, mi in 0usize..7, seed in any::<u32>())
+        mi in 0usize..7, seed in any::<u32>())
     {
-        // random ragged shape, random §5.3 method, random pool width:
-        // the serial scheduler and the worker pool must agree on every
-        // output bit and every merged stats field
-        use camp::gemm::{simulate_gemm_on, GemmOptions, Method, SerialScheduler};
+        // random ragged shape, random §5.3 method, blocking that splits
+        // it into several (jc, pc) units: the merged C must match the
+        // host reference
+        use camp::gemm::{simulate_gemm, GemmOptions, Method};
         use camp::pipeline::CoreConfig;
         let method = Method::all()[mi];
         let opts = GemmOptions {
@@ -318,12 +318,7 @@ proptest! {
             blocking: Some((8, 16, 128)),
             ..GemmOptions::default()
         };
-        let serial =
-            simulate_gemm_on(CoreConfig::a64fx(), method, m, n, k, &opts, &SerialScheduler);
-        let pool = camp::core::WorkerPool::new(threads);
-        let parallel = simulate_gemm_on(CoreConfig::a64fx(), method, m, n, k, &opts, &pool);
-        prop_assert!(serial.correct, "{} wrong at {}x{}x{}", method.name(), m, n, k);
-        prop_assert_eq!(&serial.c, &parallel.c);
-        prop_assert_eq!(serial.stats, parallel.stats);
+        let r = simulate_gemm(CoreConfig::a64fx(), method, m, n, k, &opts);
+        prop_assert!(r.correct, "{} wrong at {}x{}x{}", method.name(), m, n, k);
     }
 }

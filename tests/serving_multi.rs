@@ -135,9 +135,6 @@ impl CampBackend for OrderLog {
     fn name(&self) -> &'static str {
         self.engine.name()
     }
-    fn threads(&self) -> usize {
-        self.engine.threads()
-    }
     fn kernel_info(&self) -> KernelInfo {
         self.engine.kernel_info()
     }

@@ -1,0 +1,149 @@
+//! Cross-crate tests of the simulated driver: exact counts, not a
+//! tolerance. The simulator is deterministic and its (jc, pc) block
+//! units run in order, each on its own cold `Simulator`, merged in a
+//! fixed order — so the decomposition defines every count pinned here,
+//! for every §5.3 dispatch method on both cores, on ragged shapes, and
+//! for a batch whose B-pack dedup re-stages one problem's packed image
+//! for another (see `docs/SIMULATOR.md`).
+
+use camp::gemm::{simulate_gemm, simulate_gemm_batch, DType, GemmOptions, GemmProblem, Method};
+use camp::pipeline::{CoreConfig, SimStats};
+
+/// Blocking that splits modest problems into several column strips and
+/// several depth blocks for every kernel geometry.
+fn multi_unit_opts() -> GemmOptions {
+    GemmOptions { blocking: Some((16, 32, 128)), ..GemmOptions::default() }
+}
+
+/// `[cycles, insts, macs, stall_fu, stall_read, stall_write, l1d demand
+/// misses]`: the columns every pinned table holds.
+fn counts(s: &SimStats) -> [u64; 7] {
+    [s.cycles, s.insts, s.macs, s.stall_fu, s.stall_read, s.stall_write, s.l1d.misses]
+}
+
+/// [`counts`] of 20×70×260 under [`multi_unit_opts`], one row per
+/// [`Method::all`] entry. A row moves only when the model of the core,
+/// the caches or that method's kernel changes — say so in the PR.
+type Pinned = [[u64; 7]; 7];
+
+const PINNED_A64FX: Pinned = [
+    [27627, 57708, 553608, 141728, 76083, 56415, 355], // CAMP-8bit
+    [26646, 54333, 553608, 201023, 75920, 56463, 250], // CAMP-4bit
+    [37115, 88738, 416180, 919196, 203399, 36, 428],   // handv-int32
+    [16172, 34452, 665672, 365810, 79808, 0, 192],     // handv-int8
+    [67101, 112833, 499308, 632053, 144226, 2001123, 711], // gemmlowp
+    [34212, 87078, 599112, 1360255, 110111, 47031, 591], // OpenBLAS
+    [50091, 88713, 456408, 208716, 196954, 1374900, 768], // MMLA
+];
+
+const PINNED_EDGE_RISCV: Pinned = [
+    [258426, 57708, 553608, 6390, 211008, 990, 2697], // CAMP-8bit
+    [176571, 54333, 553608, 8550, 129888, 270, 1557], // CAMP-4bit
+    [457269, 88738, 416180, 9405, 391264, 2640, 5602], // handv-int32
+    [156058, 34452, 665672, 2250, 132640, 440, 1562], // handv-int8
+    [318837, 112833, 499308, 86535, 169710, 660, 2133], // gemmlowp
+    [525891, 87078, 599112, 62837, 415980, 3888, 6842], // OpenBLAS
+    [277209, 88713, 456408, 28809, 197088, 0, 2280],  // MMLA
+];
+
+#[test]
+fn every_method_on_both_cores_matches_its_pinned_counts() {
+    // ragged on purpose: no dimension is a multiple of any kernel's
+    // mr/nr/k-step, so padding and edge blocks are all exercised
+    let (m, n, k) = (20, 70, 260);
+    for (core, pinned) in
+        [(CoreConfig::a64fx(), PINNED_A64FX), (CoreConfig::edge_riscv(), PINNED_EDGE_RISCV)]
+    {
+        for (method, pin) in Method::all().into_iter().zip(pinned) {
+            let r = simulate_gemm(core, method, m, n, k, &multi_unit_opts());
+            assert!(r.correct, "{} wrong", method.name());
+            assert_eq!(
+                counts(&r.stats),
+                pin,
+                "{} on {}: pinned counts moved",
+                method.name(),
+                core.name
+            );
+        }
+    }
+}
+
+#[test]
+fn a_second_ragged_shape_is_correct_for_both_reference_extremes() {
+    // integer camp and the f32 baseline, whose C merge uses
+    // floating-point accumulation
+    for method in [Method::Camp8, Method::OpenblasF32] {
+        let r = simulate_gemm(CoreConfig::a64fx(), method, 13, 37, 141, &multi_unit_opts());
+        assert!(r.correct, "{}", method.name());
+    }
+}
+
+fn fill(len: usize, seed: i32) -> Vec<i8> {
+    (0..len).map(|i| ((i as i32 * seed) % 16 - 8) as i8).collect()
+}
+
+/// [`counts`] of the [`check_dedup_batch`] batch total, then of each of its
+/// four problems, under `GemmOptions::default()` at n×k = 12×48 (one
+/// unit per problem) and under [`multi_unit_opts`] at 70×260 (several
+/// units, so the consumer re-stages a different image per unit).
+/// Recorded before the driver's two scheduling waves became one
+/// in-order pass.
+const PINNED_DEDUP_ONE_UNIT: [[u64; 7]; 5] = [
+    [4267, 7266, 49212, 32501, 7038, 16770, 36],
+    [1109, 2196, 12303, 7663, 1771, 5590, 9],
+    [1109, 2196, 12303, 7663, 1771, 5590, 9],
+    [944, 756, 12303, 5781, 1831, 0, 12], // the dedup consumer: no B pack
+    [1105, 2118, 12303, 11394, 1665, 5590, 6],
+];
+
+const PINNED_DEDUP_MULTI_UNIT: [[u64; 7]; 5] = [
+    [65986, 127494, 885816, 402841, 180597, 169293, 858],
+    [18002, 38691, 221454, 90375, 45706, 56415, 208],
+    [18002, 38691, 221454, 90375, 45706, 56415, 208],
+    [11970, 12771, 221454, 88350, 41271, 0, 267], // the dedup consumer
+    [18012, 37341, 221454, 133741, 47914, 56463, 175],
+];
+
+/// Attention-style inventory of 6-row problems against n×k weights:
+/// three sharing one weight matrix, #2 the dedup consumer of #0, and
+/// #3 an i4 problem on the same buffer (its own layout, so no dedup).
+fn check_dedup_batch(n: usize, k: usize, opts: &GemmOptions, pinned: &[[u64; 7]; 5]) {
+    let w_shared = fill(k * n, 5);
+    let w_other = fill(k * n, 9);
+    let acts: Vec<Vec<i8>> = (0..4).map(|i| fill(6 * k, 3 + 2 * i)).collect();
+    let problems = [
+        GemmProblem::new(6, n, k, &acts[0], &w_shared),
+        GemmProblem::new(6, n, k, &acts[1], &w_other),
+        GemmProblem::new(6, n, k, &acts[2], &w_shared),
+        GemmProblem::new(6, n, k, &acts[3], &w_shared).with_dtype(DType::I4),
+    ];
+    let batch = simulate_gemm_batch(CoreConfig::a64fx(), &problems, opts);
+    assert_eq!(batch.results.len(), problems.len());
+    assert_eq!(counts(&batch.stats), pinned[0], "batch total moved");
+    for (i, r) in batch.results.iter().enumerate() {
+        assert!(r.correct, "problem {i} wrong");
+        assert_eq!(counts(&r.stats), pinned[i + 1], "problem {i} moved");
+    }
+    // every problem's output matches a solo run of the same descriptor
+    // (the dedup consumer pays less pack work but computes the same C)
+    for (i, p) in problems.iter().enumerate() {
+        let solo = simulate_gemm_batch(CoreConfig::a64fx(), &[*p], opts);
+        assert_eq!(solo.results[0].c, batch.results[i].c, "problem {i} vs solo");
+    }
+    // the i4/i8 problems really ran under different kernels
+    assert!(batch.results[0].stats.camp_issues_i8 > 0);
+    assert_eq!(batch.results[0].stats.camp_issues_i4, 0);
+    assert!(batch.results[3].stats.camp_issues_i4 > 0);
+    // batch merge law: every field is the sum across items
+    let mut sum = SimStats::default();
+    for r in &batch.results {
+        sum.merge(&r.stats);
+    }
+    assert_eq!(batch.stats, sum);
+}
+
+#[test]
+fn the_dedup_batch_matches_its_pinned_counts_and_solo_runs() {
+    check_dedup_batch(12, 48, &GemmOptions::default(), &PINNED_DEDUP_ONE_UNIT);
+    check_dedup_batch(70, 260, &multi_unit_opts(), &PINNED_DEDUP_MULTI_UNIT);
+}
