@@ -15,6 +15,8 @@
 
 use std::arch::x86_64::*;
 
+use super::Scale;
+
 /// Per-128-lane `vpshufb` mask turning a packed B chunk of 8 k-values
 /// (`b[l*4+j]`, 32 bytes) into (l, l+1) pair-interleaved bytes, ready
 /// for i16 widening and `vpmaddwd`: lane 0 becomes pairs (l0,l1) then
@@ -436,6 +438,40 @@ pub(super) fn panel_group(
     if done < kreal {
         super::scalar::panel_group_with(panel_mav, done, acc, a, lda, kreal, panels, npanels);
     }
+}
+
+// ---- requantization sweeps ------------------------------------------------
+//
+// No intrinsics: the scalar body of `super::requant`, inlined into a
+// function compiled with AVX2 enabled, vectorizes 8 lanes wide instead
+// of baseline SSE2's 4.
+
+// SAFETY: requires AVX2; the body is the safe scalar sweep.
+#[target_feature(enable = "avx2")]
+unsafe fn requant_into_impl(acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8]) {
+    super::requant::requant_into(acc, scale, floor, dst)
+}
+
+/// The `requant_into` table entry: the scalar body at AVX2 width.
+pub(super) fn requant_into(acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8]) {
+    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 kernel dispatched without avx2");
+    // SAFETY: AVX2 detection gates dispatch (debug-asserted above), the
+    // impl's one precondition.
+    unsafe { requant_into_impl(acc, scale, floor, dst) }
+}
+
+// SAFETY: requires AVX2; the body is the safe scalar sweep.
+#[target_feature(enable = "avx2")]
+unsafe fn requant_add_sat_impl(acc: &[i32], mults: &[f32], x: &mut [i8]) {
+    super::requant::requant_add_sat(acc, mults, x)
+}
+
+/// The `requant_add_sat` table entry: the scalar body at AVX2 width.
+pub(super) fn requant_add_sat(acc: &[i32], mults: &[f32], x: &mut [i8]) {
+    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 kernel dispatched without avx2");
+    // SAFETY: AVX2 detection gates dispatch (debug-asserted above), the
+    // impl's one precondition.
+    unsafe { requant_add_sat_impl(acc, mults, x) }
 }
 
 // ---- SIMD pack routines ---------------------------------------------------

@@ -30,6 +30,8 @@
 
 use std::arch::x86_64::*;
 
+use super::Scale;
+
 /// Replicate one 16-byte `vpshufb` lane pattern to all four 128-bit
 /// lanes (zmm `vpshufb` shuffles within each lane independently).
 const fn repeat_lane(lane: [i8; 16]) -> [i8; 64] {
@@ -559,6 +561,42 @@ pub(super) fn panel_group(
     if done < kreal {
         super::scalar::panel_group_with(panel_mav, done, acc, a, lda, kreal, panels, npanels);
     }
+}
+
+// ---- requantization sweeps ------------------------------------------------
+//
+// No intrinsics, as on AVX2: the scalar body of `super::requant`
+// compiled with AVX-512 enabled vectorizes 16 lanes wide, and BW gives
+// the byte-lane max and saturating add.
+
+// SAFETY: requires AVX512F+AVX512BW+AVX512VL; the body is the safe
+// scalar sweep.
+#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+unsafe fn requant_into_impl(acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8]) {
+    super::requant::requant_into(acc, scale, floor, dst)
+}
+
+/// The `requant_into` table entry: the scalar body at AVX-512 width.
+pub(super) fn requant_into(acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8]) {
+    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
+    // SAFETY: AVX-512 detection gates dispatch (debug-asserted above),
+    // the impl's one precondition.
+    unsafe { requant_into_impl(acc, scale, floor, dst) }
+}
+
+// SAFETY: requires AVX512F+AVX512BW+AVX512VL; the body is the safe
+// scalar sweep.
+#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+unsafe fn requant_add_sat_impl(acc: &[i32], mults: &[f32], x: &mut [i8]) {
+    super::requant::requant_add_sat(acc, mults, x)
+}
+
+/// The `requant_add_sat` table entry: the scalar body at AVX-512 width.
+pub(super) fn requant_add_sat(acc: &[i32], mults: &[f32], x: &mut [i8]) {
+    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
+    // SAFETY: AVX-512 detection gates dispatch (debug-asserted above),
+    // the impl's one precondition.
+    unsafe { requant_add_sat_impl(acc, mults, x) }
 }
 
 /// Runtime gate shared by the wrappers' debug assertions: the features

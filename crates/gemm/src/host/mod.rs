@@ -10,7 +10,7 @@
 //! pire/BLIS pattern: per-architecture micro-kernel + pack modules
 //! behind a single runtime-dispatched seam.
 //!
-//! Two kernel families live behind the table:
+//! Three kernel families live behind the table:
 //!
 //! * **`tile_i8`** — the widening i8→i32 dot-product micro-kernel. It
 //!   consumes one packed 4-row A panel and 4-column B panel across the
@@ -24,6 +24,10 @@
 //!   [`crate::loops::small_path`]) that bypass the full Goto nest for
 //!   GEMV-shaped serving GeMMs: decode steps (m ≤ 8) and narrow
 //!   projections (n ≤ 8) skip A-packing and the padded register tile.
+//! * **`requant_into` / `requant_add_sat`** — the inference glue's
+//!   i32→i8 sweeps between GeMMs ([`Scale`]): one scalar body that the
+//!   SIMD tiers recompile at their own vector width, bit-identical on
+//!   every tier.
 //!
 //! Cache blocking (`mc`/`nc`/`kc`) is the constant
 //! [`HOST_BLOCKING`], one set for every tier: the packed-panel layout
@@ -46,6 +50,7 @@
 // context, and the kernel table's value is precisely its bare fn types.
 #![allow(clippy::too_many_arguments, clippy::type_complexity)]
 
+mod requant;
 pub mod scalar;
 pub mod small;
 
@@ -62,6 +67,7 @@ use std::sync::OnceLock;
 use crate::loops::BlockPlan;
 use crate::weights::HOST_BLOCKING;
 
+pub use requant::Scale;
 pub use small::SmallB;
 
 // ---- runtime feature probe ------------------------------------------------
@@ -261,6 +267,14 @@ pub struct HostKernel {
     pub(crate) pack_a: fn(&mut [i8], &[i8], usize, usize, usize, usize, usize),
     /// Tier-accelerated [`scalar::pack_b_block`]; byte-identical.
     pub(crate) pack_b: fn(&mut [i8], &[i8], usize, usize, usize, usize, usize),
+    /// Requantization into a destination, with a floor: `(acc, scale,
+    /// floor, dst)` — see [`HostKernel::requant_into`]. Every tier runs
+    /// the one scalar body of the `requant` module, the SIMD tiers
+    /// recompiled at their vector width.
+    pub(crate) requant_into: fn(&[i32], Scale<'_>, i8, &mut [i8]),
+    /// Saturating residual add: `(acc, mults, x)` — see
+    /// [`HostKernel::requant_add_sat`]; the same one body.
+    pub(crate) requant_add_sat: fn(&[i32], &[f32], &mut [i8]),
 }
 
 impl fmt::Debug for HostKernel {
@@ -283,6 +297,8 @@ static SCALAR: HostKernel = HostKernel {
     },
     pack_a: scalar::pack_a_block,
     pack_b: scalar::pack_b_block,
+    requant_into: requant::requant_into,
+    requant_add_sat: requant::requant_add_sat,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -295,6 +311,8 @@ static AVX2: HostKernel = HostKernel {
     panel_group: avx2::panel_group,
     pack_a: avx2::pack_a_block,
     pack_b: avx2::pack_b_block,
+    requant_into: avx2::requant_into,
+    requant_add_sat: avx2::requant_add_sat,
 };
 
 // The AVX-512 tier reuses the AVX2 packers: packing is bandwidth-bound,
@@ -311,6 +329,8 @@ static AVX512: HostKernel = HostKernel {
     panel_group: avx512::panel_group,
     pack_a: avx2::pack_a_block,
     pack_b: avx2::pack_b_block,
+    requant_into: avx512::requant_into,
+    requant_add_sat: avx512::requant_add_sat,
 };
 
 // The VNNI tier is the AVX-512 table with one entry swapped: the tile
@@ -333,6 +353,8 @@ static NEON: HostKernel = HostKernel {
     },
     pack_a: scalar::pack_a_block,
     pack_b: scalar::pack_b_block,
+    requant_into: requant::requant_into,
+    requant_add_sat: requant::requant_add_sat,
 };
 
 /// Parse a `CAMP_FORCE_TIER` value. Pure so validation is unit-testable
@@ -576,6 +598,30 @@ impl HostKernel {
         c: &mut [i32],
     ) {
         small::run_small_n(self, m, n, k, plan, a, bpanel, c)
+    }
+
+    /// Requantize the i32 accumulator `acc` back to i8 into `dst`,
+    /// never below `floor` (`0` folds a ReLU into the sweep; `i8::MIN`
+    /// is no floor — a requantized value is at least −127). Each element
+    /// is `acc · mult` rounded to nearest, ties away from zero, clamped
+    /// to ±127, NaN → 0, with `mult` per channel, for every element or
+    /// per row as `scale` says. Bit-identical on every tier.
+    ///
+    /// # Panics
+    /// When `acc` and `dst` do not have the shape `scale` describes.
+    pub fn requant_into(&self, acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8]) {
+        (self.requant_into)(acc, scale, floor, dst)
+    }
+
+    /// The residual connection: requantize `acc` per output channel (as
+    /// [`HostKernel::requant_into`] does) and add it, saturating, onto
+    /// the hidden state `x` in place. Bit-identical on every tier.
+    ///
+    /// # Panics
+    /// When `acc` and `x` differ in length or are not whole rows of
+    /// `mults.len()` columns.
+    pub fn requant_add_sat(&self, acc: &[i32], mults: &[f32], x: &mut [i8]) {
+        (self.requant_add_sat)(acc, mults, x)
     }
 }
 

@@ -18,13 +18,16 @@
 //! Everything outside the GeMMs — requantization, causal masking,
 //! saturating residual adds, ReLU, argmax — is plain deterministic
 //! host code, so two executors that agree on GeMM outputs agree on
-//! every token, bit for bit.
+//! every token, bit for bit. The requantization sweeps are
+//! [`HostKernel`] entries, run at the host's vector width and
+//! bit-identical on every tier.
 
 use std::sync::Arc;
 
 use camp_core::backend::CampBackend;
 use camp_core::dispatch::{DispatchSession, Priority};
 use camp_core::GemmRequest;
+use camp_gemm::host::{HostKernel, Scale};
 use camp_gemm::reference::gemm_i32_ref;
 
 use crate::kv::{arc_filled, head_block, KvCache};
@@ -196,83 +199,10 @@ impl<E: GemmExec> GemmExec for CheckedExec<'_, E> {
     }
 }
 
-/// Round to nearest, ties away from zero, saturating to ±127 (NaN → 0):
-/// `y.round().clamp(-127.0, 127.0) as i8` on every `f32` bit pattern
-/// (the `#[ignore]`d test below walks all 2³² of them).
-///
-/// Three steps make the float→int conversion *provably in range*, which
-/// is what lets every sweep below vectorize: squash NaN to zero, clamp
-/// to ±127, add the largest `f32` below one half towards the sign — the
-/// sum is finite and within ±127.5, so truncating it can neither
-/// overflow nor meet a NaN. A plain `as i32` has to handle both (it
-/// saturates), and LLVM lowers that saturating cast one lane at a time
-/// on every x86 tier: it, not the libm `roundf` PR 22 removed, was what
-/// kept the glue at 1.3–1.8 ns per element.
-#[inline]
-fn round_sat_i8(y: f32) -> i8 {
-    let y = if y.is_nan() { 0.0 } else { y };
-    let y = y.clamp(-127.0, 127.0);
-    let y = y + 0.499_999_97f32.copysign(y);
-    // SAFETY: `y` is not NaN (squashed above; the clamp and the add of
-    // a finite constant cannot make one) and lies within ±127.5 (the
-    // clamp, plus less than one half), so its truncation fits an `i32`
-    // — the two requirements of `to_int_unchecked`.
-    unsafe { y.to_int_unchecked::<i32>() as i8 }
-}
-
-/// Requantize one i32 accumulator back to i8.
-#[inline]
-fn requant(acc: i32, mult: f32) -> i8 {
-    round_sat_i8(acc as f32 * mult)
-}
-
-/// The multiplier of a requantization sweep.
-#[derive(Debug, Clone, Copy)]
-enum Scale<'a> {
-    /// One multiplier per output channel: `acc` is whole rows of
-    /// `mults.len()` columns.
-    PerChannel(&'a [f32]),
-    /// One multiplier for every element.
-    Scalar(f32),
-}
-
-/// One pass over an accumulator: `put(slot, q)` for every element's
-/// requantized value `q` and the slot of `dst` in the same place.
-/// Shapes are checked once per call — a short `zip` must not silently
-/// leave part of `dst` as it was.
-#[inline]
-fn sweep(acc: &[i32], scale: Scale<'_>, dst: &mut [i8], put: impl Fn(&mut i8, i8)) {
-    assert_eq!(acc.len(), dst.len(), "requant: accumulator and destination differ in shape");
-    match scale {
-        Scale::PerChannel(mults) => {
-            let n = mults.len();
-            assert!(n > 0 && acc.len().is_multiple_of(n), "requant: ragged rows");
-            for (acc, dst) in acc.chunks_exact(n).zip(dst.chunks_exact_mut(n)) {
-                for ((d, &a), &mult) in dst.iter_mut().zip(acc).zip(mults) {
-                    put(d, requant(a, mult));
-                }
-            }
-        }
-        Scale::Scalar(mult) => {
-            for (d, &a) in dst.iter_mut().zip(acc) {
-                put(d, requant(a, mult));
-            }
-        }
-    }
-}
-
-/// Requantize the accumulator `acc` into `dst`, element for element,
-/// never below `floor` (`0` folds a ReLU into the sweep; `i8::MIN` is
-/// no floor, a requantized value is at least −127).
-fn requant_rows_into(acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8]) {
-    sweep(acc, scale, dst, |d, q| *d = q.max(floor));
-}
-
-/// The residual connection: requantize `acc` per output channel and
-/// add it, saturating, onto the hidden state `x` in place.
-fn requant_rows_add_sat(acc: &[i32], mults: &[f32], x: &mut [i8]) {
-    sweep(acc, Scale::PerChannel(mults), x, |x, q| *x = x.saturating_add(q));
-}
+/// Rows of the context requant whose per-row multipliers one sweep
+/// takes: a stack block, so the multipliers of a step cost no
+/// allocation, and every step the benchmark model serves is one block.
+const CTX_ROWS: usize = 256;
 
 /// Run one batch; the executor must answer every GeMM of it (the
 /// sweeps zip over the results, and a short zip would leave zeros).
@@ -341,9 +271,12 @@ fn run_layers(
     let m = tokens.len();
     let md = m * d;
 
-    let mut x: Vec<i8> = Vec::with_capacity(md);
-    for (i, &t) in tokens.iter().enumerate() {
-        x.extend_from_slice(&model.embed_row(t, start + i));
+    // the glue's sweeps run at the host's vector width
+    let kern = HostKernel::detect();
+
+    let mut x = vec![0i8; md];
+    for (i, (&t, row)) in tokens.iter().zip(x.chunks_exact_mut(d)).enumerate() {
+        model.embed_into(t, start + i, row);
     }
     // Q, K and V activations of the current layer, one m×d block each
     let mut qkv = vec![0i8; 3 * md];
@@ -360,13 +293,11 @@ fn run_layers(
                 .collect(),
         )?;
         for ((acc, id), dst) in proj.into_iter().zip(qkv_ids).zip(qkv.chunks_exact_mut(md)) {
-            requant_rows_into(&acc, Scale::PerChannel(&model.weight(id).mults), i8::MIN, dst);
+            kern.requant_into(&acc, Scale::PerChannel(&model.weight(id).mults), i8::MIN, dst);
         }
         let (q_act, kv_act) = qkv.split_at(md);
         let (k_act, v_act) = kv_act.split_at(md);
-        for (k_row, v_row) in k_act.chunks_exact(d).zip(v_act.chunks_exact(d)) {
-            kv.push(l, k_row, v_row);
-        }
+        kv.push(l, k_act, v_act);
         let t_total = kv.layer_len(l);
         let base = kv.base();
 
@@ -396,7 +327,7 @@ fn run_layers(
                 let rows = acc.chunks_exact(t_total).zip(p.chunks_exact_mut(t_total));
                 for (i, (acc, p)) in rows.enumerate() {
                     let live = (start + i + 1 - base).min(t_total);
-                    requant_rows_into(&acc[..live], score_mult, i8::MIN, &mut p[..live]);
+                    kern.requant_into(&acc[..live], score_mult, i8::MIN, &mut p[..live]);
                 }
             })
         });
@@ -416,30 +347,39 @@ fn run_layers(
                 .collect(),
         )?;
         // each head's m×dₕ block lands in its columns of the m×d
-        // operand the out-projection reads, normalized per row
-        let ctx = arc_filled(md, |ctx| {
-            for (h, acc) in ctxs.into_iter().enumerate() {
-                assert_eq!(acc.len(), m * dh, "context: accumulator is not m x dh");
-                for (i, (acc, row)) in acc.chunks_exact(dh).zip(ctx.chunks_exact_mut(d)).enumerate()
-                {
-                    let mult = Scale::Scalar(model.ctx_mult(start + i));
-                    requant_rows_into(acc, mult, i8::MIN, &mut row[h * dh..][..dh]);
+        // operand the out-projection reads, normalized per row: one
+        // sweep per head for every `CTX_ROWS` rows, whose multipliers
+        // sit on the stack; the contexts are freed as soon as it is done
+        for acc in &ctxs {
+            assert_eq!(acc.len(), m * dh, "context: accumulator is not m x dh");
+        }
+        let ctx = arc_filled(md, move |ctx| {
+            let mut mults = [0f32; CTX_ROWS];
+            for (b, ctx) in ctx.chunks_mut(CTX_ROWS * d).enumerate() {
+                let (r0, rows) = (b * CTX_ROWS, ctx.len() / d);
+                for (i, mult) in mults[..rows].iter_mut().enumerate() {
+                    *mult = model.ctx_mult(start + r0 + i);
+                }
+                let scale = Scale::PerRow { mults: &mults[..rows], stride: d };
+                for (h, acc) in ctxs.iter().enumerate() {
+                    let acc = &acc[r0 * dh..][..rows * dh];
+                    kern.requant_into(acc, scale, i8::MIN, &mut ctx[h * dh..]);
                 }
             }
         });
 
         let out = InferGemm { m, n: d, k: d, a: ctx, b: BOperand::Weight(ids.wo) };
-        requant_rows_add_sat(&run_one(exec, out)?, &model.weight(ids.wo).mults, &mut x);
+        kern.requant_add_sat(&run_one(exec, out)?, &model.weight(ids.wo).mults, &mut x);
 
         let up = InferGemm { m, n: ff, k: d, a: x.as_slice().into(), b: BOperand::Weight(ids.wup) };
         let u = {
             let acc = run_one(exec, up)?;
             // ReLU is the sweep's floor
             let mults = Scale::PerChannel(&model.weight(ids.wup).mults);
-            arc_filled(m * ff, |u| requant_rows_into(&acc, mults, 0, u))
+            arc_filled(m * ff, |u| kern.requant_into(&acc, mults, 0, u))
         };
         let down = InferGemm { m, n: d, k: ff, a: u, b: BOperand::Weight(ids.wdown) };
-        requant_rows_add_sat(&run_one(exec, down)?, &model.weight(ids.wdown).mults, &mut x);
+        kern.requant_add_sat(&run_one(exec, down)?, &model.weight(ids.wdown).mults, &mut x);
     }
 
     // unembed only the final position: the one GEMV that turns the
@@ -470,7 +410,6 @@ mod tests {
     use super::*;
     use crate::kv::KvPolicy;
     use camp_core::CampEngine;
-    use camp_gemm::reference::SplitMix64;
     use camp_models::TransformerConfig;
 
     fn tiny() -> TransformerConfig {
@@ -481,141 +420,6 @@ mod tests {
     fn argmax_ties_to_lowest_index() {
         assert_eq!(argmax(&[1, 5, 5, 2]), 1);
         assert_eq!(argmax(&[-3]), 0);
-    }
-
-    /// What `round_sat_i8` replaced, and the per-element oracle of the
-    /// sweeps: libm rounding, clamp, saturating cast.
-    fn round_then_clamp(y: f32) -> i8 {
-        y.round().clamp(-127.0, 127.0) as i8
-    }
-
-    #[track_caller]
-    fn check_round(y: f32) {
-        assert_eq!(round_sat_i8(y), round_then_clamp(y), "{y:e} ({:#010x})", y.to_bits());
-    }
-
-    #[test]
-    fn round_sat_i8_is_round_then_clamp_on_every_kind_of_f32() {
-        // a prime stride visits every exponent and both signs, NaN
-        // payloads and subnormals included (the ignored test below
-        // visits all 2^32 patterns)
-        for bits in (0..=u32::MAX).step_by(1021) {
-            check_round(f32::from_bits(bits));
-        }
-        // every rounding boundary the clamp leaves reachable, and the
-        // first ones beyond it, two ulps to either side
-        for k in -130..=130 {
-            for half in [-0.5f32, 0.5] {
-                let tie = (k as f32 + half).to_bits();
-                for bits in tie - 2..=tie + 2 {
-                    check_round(f32::from_bits(bits));
-                }
-            }
-        }
-        for y in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0] {
-            check_round(y);
-        }
-    }
-
-    /// The soundness argument of the one `unsafe` in this crate, run
-    /// rather than read: `cargo test --release -p camp-infer -- --ignored`
-    /// (about twenty seconds; CI runs it).
-    #[test]
-    #[ignore = "walks all 2^32 f32 bit patterns: run in release"]
-    fn round_sat_i8_equals_round_then_clamp_on_all_f32() {
-        for bits in 0..=u32::MAX {
-            check_round(f32::from_bits(bits));
-        }
-    }
-
-    const ACC_EDGES: [i32; 7] = [i32::MIN, i32::MAX, 0, 1, -1, 127, -128];
-    const MULT_EDGES: [f32; 11] = [
-        0.0,
-        -0.0,
-        -0.37,
-        1.0,
-        1e-40, // subnormal
-        -1e-40,
-        f32::MIN_POSITIVE,
-        f32::INFINITY,
-        f32::NEG_INFINITY,
-        f32::NAN,
-        5.9e-8, // i32::MAX lands near the clamp
-    ];
-    const X_EDGES: [i8; 5] = [127, -127, -128, 0, 1];
-
-    /// An edge value half of the time, `random` of fresh bits otherwise.
-    fn edge_or<T: Copy>(rng: &mut SplitMix64, edges: &[T], random: impl FnOnce(u64) -> T) -> T {
-        let r = rng.next_u64();
-        if r.is_multiple_of(2) {
-            edges[(r >> 1) as usize % edges.len()]
-        } else {
-            random(r >> 8)
-        }
-    }
-
-    /// An m×n accumulator, n multipliers and an m×n hidden state; the
-    /// random halves are sized so that `acc · mult` mostly lands inside
-    /// ±127, where the rounding matters.
-    fn sweep_case(rng: &mut SplitMix64, m: usize, n: usize) -> (Vec<i32>, Vec<f32>, Vec<i8>) {
-        let mults =
-            (0..n).map(|_| edge_or(rng, &MULT_EDGES, |r| (r % 2001) as f32 * 1e-4 - 0.1)).collect();
-        let acc =
-            (0..m * n).map(|_| edge_or(rng, &ACC_EDGES, |r| (r % 8001) as i32 - 4000)).collect();
-        let x = (0..m * n).map(|_| edge_or(rng, &X_EDGES, |r| r as i8)).collect();
-        (acc, mults, x)
-    }
-
-    /// Both helpers on one case, against requant per element, then
-    /// ReLU as a second pass, then the saturating add as a third.
-    fn check_sweeps(n: usize, acc: &[i32], mults: &[f32], x: &[i8]) {
-        let m = acc.len() / n;
-        let old = |i: usize, mult: f32| round_then_clamp(acc[i] as f32 * mult);
-        for floor in [i8::MIN, 0] {
-            let mut got = vec![99i8; m * n];
-            requant_rows_into(acc, Scale::PerChannel(mults), floor, &mut got);
-            let want: Vec<i8> = (0..m * n).map(|i| old(i, mults[i % n]).max(floor)).collect();
-            assert_eq!(got, want, "per-channel {m}x{n} floor {floor}");
-
-            let mult = mults[m % n];
-            requant_rows_into(acc, Scale::Scalar(mult), floor, &mut got);
-            let want: Vec<i8> = (0..m * n).map(|i| old(i, mult).max(floor)).collect();
-            assert_eq!(got, want, "scalar {m}x{n} mult {mult:e} floor {floor}");
-        }
-        let mut got = x.to_vec();
-        requant_rows_add_sat(acc, mults, &mut got);
-        let want: Vec<i8> = (0..m * n).map(|i| x[i].saturating_add(old(i, mults[i % n]))).collect();
-        assert_eq!(got, want, "residual {m}x{n}");
-    }
-
-    #[test]
-    fn the_sweeps_equal_the_composition_of_the_passes_they_replaced() {
-        let mut rng = SplitMix64::new(24);
-        for m in 1..=9 {
-            for n in [1, 3, 15, 16, 17, 64, 100, 1024] {
-                let (acc, mults, x) = sweep_case(&mut rng, m, n);
-                check_sweeps(n, &acc, &mults, &x);
-            }
-        }
-        // every accumulator edge against every multiplier edge, `0 · inf`
-        // (the one way a NaN reaches the conversion) among them
-        let n = MULT_EDGES.len();
-        let acc: Vec<i32> = ACC_EDGES.iter().flat_map(|&a| [a; MULT_EDGES.len()]).collect();
-        assert!((acc[2 * n + 7] as f32 * MULT_EDGES[7]).is_nan());
-        let (_, _, x) = sweep_case(&mut rng, ACC_EDGES.len(), n);
-        check_sweeps(n, &acc, &MULT_EDGES, &x);
-    }
-
-    #[test]
-    #[should_panic(expected = "differ in shape")]
-    fn a_short_destination_is_a_panic_not_a_row_of_zeros() {
-        requant_rows_into(&[1, 2, 3, 4], Scale::Scalar(1.0), i8::MIN, &mut [0; 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged rows")]
-    fn a_ragged_accumulator_is_a_panic_not_a_dropped_tail() {
-        requant_rows_add_sat(&[1, 2, 3, 4, 5], &[1.0, 1.0], &mut [0; 5]);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! * **K** is *channel-major* in fixed blocks of 64 positions
 //!   (`hidden × 64` bytes per block, appended as positions arrive).
-//!   Appending a position is `hidden` byte stores, and a head's
-//!   transposed dₕ×t score operand — the crate-internal `k_head_t` —
-//!   is dₕ rows of contiguous runs, one per block.
+//!   A step's positions are appended together, each channel's run of
+//!   a block written in one pass, and a head's transposed dₕ×t score
+//!   operand — the crate-internal `k_head_t` — is dₕ rows of
+//!   contiguous runs, one per block.
 //! * **V** is row-major `t × hidden`; `v_head`'s t×dₕ context operand
 //!   is t runs of dₕ bytes.
 //!
@@ -164,21 +165,43 @@ impl KvCache {
         }
     }
 
-    /// Append one position's K and V rows to `layer`. Callers must
-    /// have reserved space with [`KvCache::ensure_room`] first.
-    pub(crate) fn push(&mut self, layer: usize, k_row: &[i8], v_row: &[i8]) {
-        debug_assert_eq!(k_row.len(), self.hidden);
-        debug_assert_eq!(v_row.len(), self.hidden);
-        let t = self.layer_len(layer);
+    /// Append positions to `layer`: `k_rows` and `v_rows` are the same
+    /// number of row-major `hidden`-wide rows, one per position. Callers
+    /// must have reserved space with [`KvCache::ensure_room`] first.
+    ///
+    /// K is filled one block at a time: each channel's run of the
+    /// block's new positions (up to 64) is written in one pass, not one
+    /// byte per position. Blocks are allocated one at a time as the
+    /// positions reach them, and V grows row by row, so a multi-row
+    /// append asks the heap for exactly what as many one-row appends
+    /// would.
+    pub(crate) fn push(&mut self, layer: usize, k_rows: &[i8], v_rows: &[i8]) {
+        let hidden = self.hidden;
+        assert!(
+            k_rows.len() == v_rows.len() && k_rows.len().is_multiple_of(hidden),
+            "K and V must be the same whole rows"
+        );
+        let (t0, rows) = (self.layer_len(layer), k_rows.len() / hidden);
         let k = &mut self.k[layer];
-        if t.is_multiple_of(KV_BLOCK) {
-            k.resize(k.len() + self.hidden * KV_BLOCK, 0);
+        let mut done = 0;
+        while done < rows {
+            let t = t0 + done;
+            if t.is_multiple_of(KV_BLOCK) {
+                k.resize(k.len() + hidden * KV_BLOCK, 0);
+            }
+            let (off, run) = (t % KV_BLOCK, (KV_BLOCK - t % KV_BLOCK).min(rows - done));
+            let block = &mut k[(t / KV_BLOCK) * hidden * KV_BLOCK..][..hidden * KV_BLOCK];
+            let src = &k_rows[done * hidden..][..run * hidden];
+            for (c, dst) in block.chunks_exact_mut(KV_BLOCK).enumerate() {
+                for (d, row) in dst[off..off + run].iter_mut().zip(src.chunks_exact(hidden)) {
+                    *d = row[c];
+                }
+            }
+            done += run;
         }
-        let block = &mut k[(t / KV_BLOCK) * self.hidden * KV_BLOCK..];
-        for (run, &kv) in block.chunks_exact_mut(KV_BLOCK).zip(k_row) {
-            run[t % KV_BLOCK] = kv;
+        for v_row in v_rows.chunks_exact(hidden) {
+            self.v[layer].extend_from_slice(v_row);
         }
-        self.v[layer].extend_from_slice(v_row);
     }
 
     /// Forget every row of `layer` past its first `len`: how a failed
@@ -313,6 +336,17 @@ mod tests {
         kv
     }
 
+    /// The K and V rows of absolute positions `from..to`, stacked.
+    fn block(from: usize, to: usize, hidden: usize) -> (Vec<i8>, Vec<i8>) {
+        let (mut ks, mut vs) = (Vec::new(), Vec::new());
+        for pos in from..to {
+            let (k, v) = rows(pos, hidden);
+            ks.extend(k);
+            vs.extend(v);
+        }
+        (ks, vs)
+    }
+
     /// Every head's Kᵀ then V view of layer 0.
     fn views(kv: &KvCache, heads: usize, dh: usize) -> Vec<Arc<[i8]>> {
         (0..heads).flat_map(|h| [kv.k_head_t(0, h, dh), kv.v_head(0, h, dh)]).collect()
@@ -322,16 +356,33 @@ mod tests {
     fn views_match_the_row_major_definition_across_block_seams() {
         let (hidden, heads, dh) = (12, 3, 4);
         for t in [1, 63, 64, 65, 129] {
-            let kv = fed(hidden, 256, KvPolicy::Reject, 0, t);
-            assert_eq!(kv.len(), t);
-            for h in 0..heads {
-                let (kt, v) = (kv.k_head_t(0, h, dh), kv.v_head(0, h, dh));
-                assert_eq!((kt.len(), v.len()), (dh * t, t * dh));
-                for j in 0..t {
-                    let (k_row, v_row) = rows(j, hidden);
-                    for r in 0..dh {
-                        assert_eq!(kt[r * t + j], k_row[h * dh + r], "Kt t={t} h={h} r={r} j={j}");
-                        assert_eq!(v[j * dh + r], v_row[h * dh + r], "V t={t} h={h} r={r} j={j}");
+            // fed one position at a time, and as a decode step then a
+            // prefill-sized step that starts mid-block
+            let mut stepped = KvCache::new(1, hidden, 256, KvPolicy::Reject);
+            for (from, to) in [(0, 1), (1, t)] {
+                stepped.ensure_room(to - from).unwrap();
+                let (k, v) = block(from, to, hidden);
+                stepped.push(0, &k, &v);
+            }
+            for kv in [fed(hidden, 256, KvPolicy::Reject, 0, t), stepped] {
+                assert_eq!(kv.len(), t);
+                for h in 0..heads {
+                    let (kt, v) = (kv.k_head_t(0, h, dh), kv.v_head(0, h, dh));
+                    assert_eq!((kt.len(), v.len()), (dh * t, t * dh));
+                    for j in 0..t {
+                        let (k_row, v_row) = rows(j, hidden);
+                        for r in 0..dh {
+                            assert_eq!(
+                                kt[r * t + j],
+                                k_row[h * dh + r],
+                                "Kt t={t} h={h} r={r} j={j}"
+                            );
+                            assert_eq!(
+                                v[j * dh + r],
+                                v_row[h * dh + r],
+                                "V t={t} h={h} r={r} j={j}"
+                            );
+                        }
                     }
                 }
             }
@@ -346,10 +397,8 @@ mod tests {
         for (capacity, fed_to, step) in [(70, 70, 1), (70, 70, 5), (64, 64, 64), (130, 130, 67)] {
             let mut kv = fed(hidden, capacity, KvPolicy::Window, 0, fed_to);
             kv.ensure_room(step).unwrap();
-            for pos in fed_to..fed_to + step {
-                let (k, v) = rows(pos, hidden);
-                kv.push(0, &k, &v);
-            }
+            let (k, v) = block(fed_to, fed_to + step, hidden);
+            kv.push(0, &k, &v);
             let end = fed_to + step;
             assert_eq!((kv.len(), kv.base()), (capacity, end - capacity));
             let fresh = fed(hidden, capacity, KvPolicy::Reject, end - capacity, end);

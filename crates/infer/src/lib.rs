@@ -62,6 +62,8 @@
 //! assert_eq!(tokens.len(), 5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod forward;
 pub mod kv;
 pub mod model;

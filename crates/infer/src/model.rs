@@ -173,16 +173,20 @@ impl Model {
         (ACT_RMS / (((pos + 1) as f64).sqrt() * ACT_RMS * ACT_RMS)) as f32
     }
 
-    /// The embedding row for `token` at absolute position `pos`:
-    /// token row plus positional row, saturating i8. Positions beyond
-    /// `seq_len` wrap around the positional table (only reachable with
-    /// the sliding-window KV policy).
-    pub(crate) fn embed_row(&self, token: u32, pos: usize) -> Vec<i8> {
+    /// Write the embedding row for `token` at absolute position `pos`
+    /// into `row` (`hidden` bytes): token row plus positional row,
+    /// saturating i8. Positions beyond `seq_len` wrap around the
+    /// positional table (only reachable with the sliding-window KV
+    /// policy).
+    pub(crate) fn embed_into(&self, token: u32, pos: usize, row: &mut [i8]) {
         let d = self.cfg.hidden;
+        assert_eq!(row.len(), d, "an embedding row is hidden bytes wide");
         let tok = &self.embed[token as usize * d..(token as usize + 1) * d];
         let p = pos % self.cfg.seq_len;
         let pe = &self.pos[p * d..(p + 1) * d];
-        tok.iter().zip(pe).map(|(&t, &e)| t.saturating_add(e)).collect()
+        for ((out, &t), &e) in row.iter_mut().zip(tok).zip(pe) {
+            *out = t.saturating_add(e);
+        }
     }
 
     /// Register every weight matrix with `backend`, in [`WeightId`]

@@ -8,6 +8,11 @@
 //! paths, both integer dtypes, and the packers. The identity is
 //! structural: exact products, wrapping i32 accumulation.
 //!
+//! The same holds for the glue between GeMMs: the two requantization
+//! sweeps (`requant_into`, `requant_add_sat`) run one scalar body that
+//! each SIMD tier recompiles at its own width, and must give the same
+//! bytes on every tier.
+//!
 //! These tests run whatever tiers the build machine supports, so the CI
 //! `forced-tier` matrix (`CAMP_FORCE_TIER=scalar|avx2|avx512`) and the
 //! regular job together cover dispatch every way.
@@ -15,8 +20,9 @@
 use camp::core::backend::CampBackend;
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
 use camp::gemm::gemm_i32_ref;
-use camp::gemm::host::{HostKernel, HostTier, SmallB};
+use camp::gemm::host::{HostKernel, HostTier, Scale, SmallB};
 use camp::gemm::weights::{host_block_plan, prepack_b};
+use camp::gemm::SplitMix64;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -320,5 +326,147 @@ fn engine_reports_its_dispatched_tier() {
     for hk in HostKernel::available() {
         let pinned = CampEngine::with_threads_and_kernel(2, hk);
         assert_eq!(CampBackend::kernel_info(&pinned).tier, hk.tier().name());
+    }
+}
+
+const ACC_EDGES: [i32; 7] = [i32::MIN, i32::MAX, 0, 1, -1, 127, -128];
+const MULT_EDGES: [f32; 11] = [
+    0.0,
+    -0.0,
+    -0.37,
+    1.0,
+    1e-40, // subnormal
+    -1e-40,
+    f32::MIN_POSITIVE,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::NAN,
+    5.9e-8, // i32::MAX lands near the clamp
+];
+
+/// What a requantized element must be: `acc · mult` rounded half away
+/// from zero and clamped to ±127 (NaN → 0, by the saturating cast).
+fn requant_oracle(acc: i32, mult: f32) -> i8 {
+    (acc as f32 * mult).round().clamp(-127.0, 127.0) as i8
+}
+
+/// An edge value every fourth draw, otherwise values whose products
+/// mostly land inside ±127, where the rounding matters.
+fn requant_operands(rng: &mut SplitMix64, len: usize, n: usize) -> (Vec<i32>, Vec<f32>) {
+    let acc = (0..len)
+        .map(|_| match rng.next_u64() {
+            r if r % 4 == 0 => ACC_EDGES[(r >> 2) as usize % ACC_EDGES.len()],
+            r => ((r >> 8) % 4001) as i32 - 2000,
+        })
+        .collect();
+    let mults = (0..n)
+        .map(|_| match rng.next_u64() {
+            r if r % 4 == 0 => MULT_EDGES[(r >> 2) as usize % MULT_EDGES.len()],
+            r => ((r >> 8) % 2001) as f32 * 1e-4 - 0.1,
+        })
+        .collect();
+    (acc, mults)
+}
+
+/// Run `requant_into` on one tier into a destination pre-filled with 99:
+/// rows of `n` for the per-channel and scalar scales, and for a per-row
+/// scale its rows at their stride, one byte into the buffer.
+fn requant_on(hk: &HostKernel, acc: &[i32], scale: Scale<'_>, floor: i8, n: usize) -> Vec<i8> {
+    let mut dst = vec![99i8; acc.len() + 1];
+    match scale {
+        Scale::PerRow { stride, .. } => {
+            let rows = acc.len() / n;
+            dst.resize(rows * stride + 1, 99);
+            hk.requant_into(acc, scale, floor, &mut dst[1..][..(rows - 1) * stride + n]);
+        }
+        _ => hk.requant_into(acc, scale, floor, &mut dst[1..]),
+    }
+    dst
+}
+
+/// Both requant entries of every available tier against the scalar
+/// body, and the scalar body against [`requant_oracle`], on `acc` as
+/// rows of `n`: per-channel `mults`, a scalar multiplier and per-row
+/// multipliers (into rows strided wider than `n`), each with no floor
+/// and with the ReLU floor, then the saturating residual add onto `x`.
+fn check_requant_on_every_tier(acc: &[i32], mults: &[f32], mult: f32, x: &[i8]) {
+    let n = mults.len();
+    let rows = acc.len() / n;
+    let row_mults: Vec<f32> = (0..rows).map(|i| mults[i * 5 % n]).collect();
+    let stride = n + 3;
+    let want_at = |p: usize, floor: i8, scale: &Scale<'_>| -> i8 {
+        let Some(p) = p.checked_sub(1) else { return 99 };
+        let (i, mult) = match *scale {
+            Scale::PerChannel(mults) => (p, mults[p % n]),
+            Scale::Scalar(mult) => (p, mult),
+            Scale::PerRow { mults, stride } => match (p / stride, p % stride) {
+                (r, j) if j < n => (r * n + j, mults[r]),
+                _ => return 99,
+            },
+        };
+        requant_oracle(acc[i], mult).max(floor)
+    };
+    for floor in [i8::MIN, 0] {
+        let scales = [
+            Scale::PerChannel(mults),
+            Scale::Scalar(mult),
+            Scale::PerRow { mults: &row_mults, stride },
+        ];
+        for scale in scales {
+            let body = requant_on(HostKernel::scalar(), acc, scale, floor, n);
+            let want: Vec<i8> = (0..body.len()).map(|p| want_at(p, floor, &scale)).collect();
+            assert_eq!(body, want, "scalar body, {rows}x{n} {scale:?} floor {floor}");
+            for hk in HostKernel::available() {
+                let got = requant_on(hk, acc, scale, floor, n);
+                assert_eq!(
+                    got,
+                    body,
+                    "tier {} {rows}x{n} {scale:?} floor {floor}",
+                    hk.tier().name()
+                );
+            }
+        }
+    }
+    let mut body = x.to_vec();
+    HostKernel::scalar().requant_add_sat(acc, mults, &mut body);
+    let want: Vec<i8> = x
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| x.saturating_add(requant_oracle(acc[i], mults[i % n])))
+        .collect();
+    assert_eq!(body, want, "scalar body, residual {rows}x{n}");
+    for hk in HostKernel::available() {
+        let mut got = x.to_vec();
+        hk.requant_add_sat(acc, mults, &mut got);
+        assert_eq!(got, body, "tier {} residual {rows}x{n}", hk.tier().name());
+    }
+}
+
+/// Every row length 1..=70 crosses every vector tail of every tier (4,
+/// 8, 16 lanes, and LLVM's unrolled multiples of them); the widths the
+/// served model uses and their neighbours, 1 to 1024, come on top.
+#[test]
+fn requant_sweeps_match_the_scalar_body_on_every_tier_at_every_tail() {
+    let mut rng = SplitMix64::new(26);
+    let widths = (1..=70).map(|n| (3, n)).chain([1, 15, 16, 17, 64, 1024].map(|n| (5, n)));
+    for (rows, n) in widths {
+        let (acc, mults) = requant_operands(&mut rng, rows * n, n);
+        let x = gen_i8(rows * n, rng.next_u64() as u32 | 1, -128, 127);
+        check_requant_on_every_tier(&acc, &mults, mults[rows % n], &x);
+    }
+}
+
+/// Every accumulator edge against every multiplier edge, as per-channel
+/// multipliers, as the scalar multiplier and as per-row multipliers —
+/// `0 · inf`, the one way a NaN reaches the conversion, among them —
+/// onto a hidden state at both saturation ends.
+#[test]
+fn requant_sweeps_are_exact_at_the_operand_extremes_on_every_tier() {
+    let n = MULT_EDGES.len();
+    let acc: Vec<i32> = ACC_EDGES.iter().flat_map(|&a| [a; MULT_EDGES.len()]).collect();
+    assert!((acc[2 * n + 7] as f32 * MULT_EDGES[7]).is_nan(), "0 · inf is covered");
+    let x: Vec<i8> = (0..acc.len()).map(|i| [127, -128, -127, 0, 1][i % 5]).collect();
+    for mult in MULT_EDGES {
+        check_requant_on_every_tier(&acc, &MULT_EDGES, mult, &x);
     }
 }
