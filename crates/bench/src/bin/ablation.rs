@@ -1,4 +1,6 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the paper's design choices (the index of
+//! harnesses is `docs/SIMULATOR.md`, "Figure/table binaries → paper
+//! sections"):
 //!
 //! 1. hybrid-multiplier block width → area (the paper's "bit-width of
 //!    the building block can be adjusted" knob, §3);

@@ -1,6 +1,7 @@
 //! Fig. 7: model accuracy vs weight/input bit-width.
 //!
-//! Substitution experiment (see DESIGN.md §1.12): a pure-Rust MLP on a
+//! Substitution experiment (see `docs/SIMULATOR.md`, "Idealizations and
+//! substitutions"): a pure-Rust MLP on a
 //! synthetic classification task, post-training-quantized at every
 //! (weight, input) bit-width pair. The paper's claim being reproduced:
 //! accuracy is roughly flat down to 4 bits and collapses below, which

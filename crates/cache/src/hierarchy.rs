@@ -19,8 +19,9 @@ pub struct AccessOutcome {
 ///
 /// Prefetches are modeled as *timely*: a prefetched line that has arrived
 /// before its demand access produces an L1 hit. This idealization is noted
-/// in DESIGN.md; it matches how the paper's gem5 configuration largely
-/// hides streaming misses behind its stride prefetchers.
+/// in `docs/SIMULATOR.md` ("Idealizations and substitutions"); it matches
+/// how the paper's gem5 configuration largely hides streaming misses
+/// behind its stride prefetchers.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     cfg: HierarchyConfig,

@@ -58,11 +58,12 @@
 
 use std::sync::Arc;
 
-use camp_gemm::driver::{default_blocking, simulate_gemm_batch, GemmOptions, Method};
+use camp_gemm::driver::{default_blocking, simulate_gemm_batch, GemmOptions};
 use camp_gemm::host::{CpuFeatures, KernelInfo};
 use camp_gemm::request::{GemmRequest, Operand, RequestError, ResolvedRequest};
 use camp_gemm::weights::{DType, WeightHandle, WeightMeta, WeightRegistry, WeightSnapshot};
 use camp_gemm::CMatrix;
+use camp_gemm::Method;
 use camp_pipeline::{CoreConfig, SimStats};
 
 use crate::dispatch::Dispatcher;
@@ -420,13 +421,12 @@ impl CampBackend for SimBackend {
     fn kernel_info(&self) -> KernelInfo {
         // The simulated camp kernel is the same VVA program on any host;
         // the probe is reported for context, not dispatch. camp.s8 and
-        // camp.s4 block alike on each core.
+        // camp.s4 share the 4×4 tile and block alike on each core.
         KernelInfo {
             tier: "sim-camp".to_string(),
             simd: false,
             features: CpuFeatures::detect(),
-            int_tile_i8: (4, 4),
-            int_tile_i4: (4, 4),
+            int_tile: (4, 4),
             int_blocking: default_blocking(self.core, Method::Camp8),
         }
     }
@@ -654,9 +654,8 @@ mod tests {
         let host = CampEngine::new();
         let info = CampBackend::kernel_info(&host);
         assert!(["scalar", "avx2", "avx512", "avx512vnni", "neon"].contains(&info.tier.as_str()));
-        assert_eq!(info.int_tile_i8.0, 4);
-        assert_eq!(info.int_tile_i8.1 % 4, 0);
-        assert_eq!(info.int_tile_i4, info.int_tile_i8);
+        assert_eq!(info.int_tile.0, 4);
+        assert_eq!(info.int_tile.1 % 4, 0);
         assert!(info.int_blocking.0 > 0);
         // the Display form is what serving logs print
         assert!(info.to_string().contains(&info.tier));
@@ -666,8 +665,7 @@ mod tests {
         let sinfo = sim.kernel_info();
         assert_eq!(sinfo.tier, "sim-camp");
         assert!(!sinfo.simd);
-        assert_eq!(sinfo.int_tile_i8, (4, 4));
-        assert_eq!(sinfo.int_tile_i4, (4, 4));
+        assert_eq!(sinfo.int_tile, (4, 4));
         // the blocking the simulated camp kernels run, per core
         assert_eq!(sinfo.int_blocking, (128, 512, 4096));
         let edge = SimBackend::new(CoreConfig::edge_riscv()).kernel_info();

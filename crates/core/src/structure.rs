@@ -1,7 +1,8 @@
 //! Structural description of the CAMP hardware block (Fig. 8/10).
 //!
 //! These counts drive the analytic area model in `camp-energy` and the
-//! utilization numbers quoted in DESIGN.md.
+//! utilization numbers `ablation` prints (`docs/SIMULATOR.md`,
+//! "Idealizations and substitutions").
 
 use crate::hybrid::BLOCK_BITS;
 

@@ -1,12 +1,13 @@
 //! Host-side blocked-GeMM driver: a single generic skeleton over the
-//! kernel-dispatch layer, decomposed into independent block units.
+//! §5.3 methods, decomposed into independent block units.
 //!
 //! The driver owns what is common to every method — dimension clamping
 //! and padding, memory layout, operand staging, the GotoBLAS loop nest
 //! (via [`crate::loops`]), macro-kernel invocation and verification —
-//! and consumes a [`crate::dispatch::MicroKernel`] descriptor for everything
-//! kernel-specific. It contains no per-method tables: adding a kernel
-//! touches only [`crate::dispatch`].
+//! and asks [`Method`] for everything kernel-specific: its
+//! [`Method::geometry`], [`Method::default_kc`] and the
+//! [`Method::programs`] it assembles once per problem. It contains no
+//! per-method tables: adding a kernel touches only [`crate::method`].
 //!
 //! # Block-unit decomposition
 //!
@@ -31,18 +32,15 @@
 //! image is re-staged for the other problems' units.
 
 use crate::batch::GemmProblem;
-use crate::dispatch::{AccKind, ElemKind, KernelGeometry, PackBCtx, RUN_BUDGET};
 use crate::host::scalar::pack_nibbles;
 use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
+use crate::method::{AccKind, ElemKind, KernelGeometry, Method, PackBCtx, Programs, RUN_BUDGET};
 use crate::reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};
 use crate::weights::DType;
 use crate::workspace::Workspace;
-use camp_isa::inst::Program;
 use camp_isa::reg::S;
 use camp_pipeline::{CoreConfig, CoreKind, SimStats, Simulator};
 use std::collections::HashMap;
-
-pub use crate::dispatch::Method;
 
 /// Options for [`simulate_gemm`].
 #[derive(Debug, Clone, Copy)]
@@ -299,20 +297,19 @@ fn stage_range(
 
 /// The simulation backend of the shared loop skeleton: packs blocks and
 /// runs macro-kernels as simulated programs against one persistent
-/// machine + cache state (one per block unit).
-struct BlockSim {
+/// machine + cache state (one per block unit), borrowing the programs
+/// its problem assembled.
+struct BlockSim<'p> {
     sim: Simulator,
     geo: KernelGeometry,
     bufs: Buffers,
     lda: u64,
     ldb: u64,
     ldc: u64,
-    macro_prog: Program,
-    pack_a: crate::dispatch::PackAPlan,
-    pack_b: crate::dispatch::BPacker,
+    programs: &'p Programs,
 }
 
-impl BlockSim {
+impl BlockSim<'_> {
     /// Source bytes covering `cols` k-columns of A.
     fn a_col_bytes(&self, cols: usize) -> u64 {
         self.geo.elem.row_bytes(cols) as u64
@@ -343,25 +340,24 @@ impl BlockSim {
             pc,
             kcb,
         };
-        (self.pack_b)(&mut self.sim, &ctx);
+        self.programs.pack_b.run(&mut self.sim, &ctx, &self.geo);
     }
 
     fn pack_a(&mut self, ic: usize, mcb: usize, pc: usize, kcb: usize) {
+        let plan = &self.programs.pack_a;
         let per_kcol = self.geo.a_panel_bytes_per_kcol();
         for p in 0..mcb / self.geo.mr {
             let dst = self.bufs.apack + (p * self.geo.a_panel_bytes(kcb)) as u64;
             // vectorized bulk pass over whole chunks, as optimized BLAS
             // packs do ...
             let mut done_cols = 0usize;
-            let cols_per_chunk = self.pack_a.vector.as_ref().map(|&(_, c)| c);
-            if let Some(cols_per_chunk) = cols_per_chunk {
+            if let Some((vec_prog, cols_per_chunk)) = &plan.vector {
                 let chunks = kcb / cols_per_chunk;
                 if chunks > 0 {
                     self.set_a_row_ptrs(ic, p, pc, 0);
                     let mm = self.sim.machine_mut();
                     mm.set_x(S(11), dst);
                     mm.set_x(S(12), chunks as u64);
-                    let (vec_prog, _) = self.pack_a.vector.as_ref().expect("vector plan present");
                     self.sim.run(vec_prog, RUN_BUDGET).expect("pack A (vector)");
                     done_cols = chunks * cols_per_chunk;
                 }
@@ -373,8 +369,8 @@ impl BlockSim {
                 self.set_a_row_ptrs(ic, p, pc, col_off);
                 let mm = self.sim.machine_mut();
                 mm.set_x(S(11), dst + (done_cols * per_kcol) as u64);
-                mm.set_x(S(12), (tail / self.pack_a.scalar_cols_per_iter) as u64);
-                self.sim.run(&self.pack_a.scalar, RUN_BUDGET).expect("pack A (tail)");
+                mm.set_x(S(12), (tail / plan.scalar_cols_per_iter) as u64);
+                self.sim.run(&plan.scalar, RUN_BUDGET).expect("pack A (tail)");
             }
         }
     }
@@ -404,7 +400,7 @@ impl BlockSim {
         mm.set_x(S(8), geo.b_panel_bytes(kcb) as u64);
         mm.set_x(S(9), geo.a_panel_bytes(kcb) as u64);
         mm.set_x(S(30), self.bufs.scratch);
-        self.sim.run(&self.macro_prog, RUN_BUDGET).expect("macro kernel");
+        self.sim.run(&self.programs.macro_kernel, RUN_BUDGET).expect("macro kernel");
     }
 }
 
@@ -485,28 +481,23 @@ fn extract_c(
     out
 }
 
-/// Simulate one (jc, pc) block unit on a fresh [`Simulator`]: stage the
-/// operands, pack B (or pre-stage `prepacked_b`, the dedup path), then
-/// pack A and run the macro-kernel for every row strip. Deterministic
-/// and self-contained: the driver's unit of work.
-#[allow(clippy::too_many_arguments)]
+/// Simulate one (jc, pc) block unit of `ctx` on a fresh [`Simulator`]:
+/// stage the operands, pack B (or pre-stage `prepacked_b`, the dedup
+/// path), then pack A and run the macro-kernel for every row strip.
+/// Deterministic and self-contained: the driver's unit of work.
 fn simulate_unit(
     core: CoreConfig,
-    method: Method,
-    plan: &BlockPlan,
-    a_host: &[i8],
-    b_host: &[i8],
+    ctx: &ProblemCtx,
     spec: UnitSpec,
     prepacked_b: Option<&[u8]>,
-    snapshot_b: bool,
 ) -> UnitOut {
-    let kernel = method.dispatcher();
-    let geo = kernel.geometry();
+    let plan = &ctx.plan;
+    let geo = ctx.method.geometry();
     let bufs = layout(&geo, plan);
     let mut sim = Simulator::new(core, bufs.total as usize);
-    stage_a_unit(&mut sim, &geo, &bufs, a_host, plan, spec);
+    stage_a_unit(&mut sim, &geo, &bufs, &ctx.a_host, plan, spec);
     if prepacked_b.is_none() {
-        stage_b_unit(&mut sim, &geo, &bufs, b_host, plan, spec);
+        stage_b_unit(&mut sim, &geo, &bufs, &ctx.b_host, plan, spec);
     }
     let mut backend = BlockSim {
         sim,
@@ -514,9 +505,7 @@ fn simulate_unit(
         lda: geo.elem.row_bytes(plan.kp) as u64,
         ldb: geo.elem.row_bytes(plan.np) as u64,
         ldc: (plan.np * geo.acc.c_elem_bytes()) as u64,
-        macro_prog: kernel.macro_program(),
-        pack_a: kernel.pack_a_plan(),
-        pack_b: kernel.pack_b_packer(),
+        programs: &ctx.programs,
         bufs,
     };
     let block_bytes = bpack_block_bytes(&geo, spec.ncb, spec.kcb);
@@ -534,7 +523,7 @@ fn simulate_unit(
         backend.macro_kernel(ic, mcb, spec.jc, spec.ncb, spec.pc, spec.kcb);
     });
     let packed_b =
-        snapshot_b.then(|| backend.sim.machine().mem(backend.bufs.bpack, block_bytes).to_vec());
+        ctx.share_b.then(|| backend.sim.machine().mem(backend.bufs.bpack, block_bytes).to_vec());
     let c = extract_c(
         &backend.sim,
         geo.acc,
@@ -549,10 +538,12 @@ fn simulate_unit(
 
 // ---- problems -------------------------------------------------------------
 
-/// One fully planned problem: padded operands, block plan and unit
-/// list, plus its role in batch B-deduplication.
+/// One fully planned problem: padded operands, block plan, unit list
+/// and the method's programs (assembled once, borrowed by every unit),
+/// plus its role in batch B-deduplication.
 struct ProblemCtx {
     method: Method,
+    programs: Programs,
     plan: BlockPlan,
     /// Padded `mp × kp` A, row-major.
     a_host: Vec<i8>,
@@ -570,10 +561,10 @@ struct ProblemCtx {
 }
 
 /// The (mc, nc, kc) `method` blocks with on `core` when
-/// [`GemmOptions::blocking`] is `None`: mc/nc by core kind, kc from the
-/// kernel's [`crate::dispatch::MicroKernel::default_kc`].
+/// [`GemmOptions::blocking`] is `None`: mc/nc by core kind, kc from
+/// [`Method::default_kc`].
 pub fn default_blocking(core: CoreConfig, method: Method) -> (usize, usize, usize) {
-    let kc = method.dispatcher().default_kc(core.kind);
+    let kc = method.default_kc(core.kind);
     match core.kind {
         CoreKind::InOrder => (64, 128, kc),
         CoreKind::OutOfOrder => (128, 512, kc),
@@ -588,7 +579,7 @@ fn block_plan_for(
     k: usize,
     opts: &GemmOptions,
 ) -> BlockPlan {
-    let geo = method.dispatcher().geometry();
+    let geo = method.geometry();
     let blocking = opts.blocking.unwrap_or_else(|| default_blocking(core, method));
     BlockPlan::new(m, n, k, geo.mr, geo.nr, geo.k_unit, blocking)
 }
@@ -596,6 +587,7 @@ fn block_plan_for(
 fn degenerate_ctx(method: Method) -> ProblemCtx {
     ProblemCtx {
         method,
+        programs: method.programs(),
         plan: BlockPlan::new(0, 0, 0, 1, 1, 1, (1, 1, 1)),
         a_host: Vec::new(),
         b_host: Vec::new(),
@@ -616,6 +608,7 @@ fn ctx_from_plan(
 ) -> ProblemCtx {
     ProblemCtx {
         method,
+        programs: method.programs(),
         specs: unit_specs(&plan),
         plan,
         a_host,
@@ -701,16 +694,7 @@ fn run_ctxs(core: CoreConfig, ctxs: &[ProblemCtx]) -> Vec<Vec<UnitOut>> {
             let prepacked = ctx.owner.map(|owner| {
                 outs[owner][u].packed_b.as_deref().expect("owner snapshotted every block")
             });
-            row.push(simulate_unit(
-                core,
-                ctx.method,
-                &ctx.plan,
-                &ctx.a_host,
-                &ctx.b_host,
-                spec,
-                prepacked,
-                ctx.share_b,
-            ));
+            row.push(simulate_unit(core, ctx, spec, prepacked));
         }
         outs.push(row);
     }
@@ -720,7 +704,7 @@ fn run_ctxs(core: CoreConfig, ctxs: &[ProblemCtx]) -> Vec<Vec<UnitOut>> {
 /// Merge a problem's unit outputs into its [`GemmResult`]: partial C
 /// blocks fold depth-ascending per column strip, stats add up.
 fn finish_problem(core: CoreConfig, ctx: &ProblemCtx, outs: Vec<UnitOut>) -> GemmResult {
-    let geo = ctx.method.dispatcher().geometry();
+    let geo = ctx.method.geometry();
     if ctx.degenerate {
         return GemmResult {
             stats: SimStats::default(),
@@ -753,7 +737,7 @@ fn finish_problem(core: CoreConfig, ctx: &ProblemCtx, outs: Vec<UnitOut>) -> Gem
 }
 
 fn verify_host(ctx: &ProblemCtx, result: &mut GemmResult) {
-    let geo = ctx.method.dispatcher().geometry();
+    let geo = ctx.method.geometry();
     let (mp, np, kp) = (ctx.plan.mp, ctx.plan.np, ctx.plan.kp);
     result.correct = match (&result.c, geo.acc) {
         (CMatrix::I8(c), AccKind::I8Wrapping) => {
@@ -935,7 +919,7 @@ mod tests {
                 let r =
                     simulate_gemm(CoreConfig::a64fx(), method, m, n, k, &GemmOptions::default());
                 assert!(r.correct, "{} wrong at ragged {m}x{n}x{k}", method.name());
-                let geo = method.dispatcher().geometry();
+                let geo = method.geometry();
                 assert_eq!(r.m % geo.mr, 0);
                 assert_eq!(r.n % geo.nr, 0);
                 assert_eq!(r.k % geo.k_unit, 0);

@@ -1,12 +1,11 @@
 //! Host-speed micro-kernel tier with runtime CPU-feature dispatch.
 //!
-//! The [`crate::dispatch::MicroKernel`] descriptors select *simulated*
-//! kernels — programs in the virtual vector ISA, timed by the pipeline
-//! model. This module is the host-silicon analogue: a [`HostKernel`]
-//! is a table of native micro-kernels (portable scalar, AVX2, AVX-512,
-//! AVX-512 VNNI, NEON) selected **once** from a [`CpuFeatures`] runtime
-//! probe and then dispatched through plain function pointers on the hot
-//! path. The
+//! A [`crate::method::Method`] names a *simulated* kernel — programs in
+//! the virtual vector ISA, timed by the pipeline model. This module is
+//! what the host engine runs instead: a [`HostKernel`] is a table of
+//! native micro-kernels (portable scalar, AVX2, AVX-512, AVX-512 VNNI,
+//! NEON) selected **once** from a [`CpuFeatures`] runtime probe and then
+//! dispatched through plain function pointers on the hot path. The
 //! pire/BLIS pattern: per-architecture micro-kernel + pack modules
 //! behind a single runtime-dispatched seam.
 //!
@@ -475,17 +474,9 @@ impl HostKernel {
             tier: self.tier.name().to_string(),
             simd: self.tier.is_simd(),
             features: CpuFeatures::detect(),
-            int_tile_i8: self.int_tile_shape(),
-            int_tile_i4: self.int_tile_shape(),
+            int_tile: (4, self.int_nr),
             int_blocking: HOST_BLOCKING,
         }
-    }
-
-    /// (MR, NR) of this tier's widened integer register tile — MR is
-    /// always 4 (the packed-panel layout), NR is `int_nr`. i8 and i4
-    /// share it: i4 operands are widened to i8 panels before the tile.
-    pub fn int_tile_shape(&self) -> (usize, usize) {
-        (4, self.int_nr)
     }
 
     /// Columns of the widened integer register tile (`int_nr/4`
@@ -641,14 +632,10 @@ pub struct KernelInfo {
     pub simd: bool,
     /// The probed CPU features.
     pub features: CpuFeatures,
-    /// i8 widened integer register tile (MR always 4 — the packed-panel
-    /// layout — NR the tier's widened column count).
-    pub int_tile_i8: (usize, usize),
-    /// i4 integer register tile. i4 operands are unpacked to i8 panels,
-    /// so this currently mirrors `int_tile_i8`; it is reported
-    /// separately because the dtypes may diverge (e.g. a future VNNI
-    /// nibble kernel) and bench consumers key on dtype.
-    pub int_tile_i4: (usize, usize),
+    /// Widened integer register tile (MR always 4 — the packed-panel
+    /// layout — NR the tier's widened column count). i8 and i4 share
+    /// it: i4 operands are widened to i8 panels before the tile.
+    pub int_tile: (usize, usize),
     /// Integer-path (mc, nc, kc): [`HOST_BLOCKING`] on the host.
     pub int_blocking: (usize, usize, usize),
 }
@@ -657,13 +644,11 @@ impl fmt::Display for KernelInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} kernel (features: {}; i8 tile {}x{} i4 tile {}x{} blocking {}/{}/{})",
+            "{} kernel (features: {}; int tile {}x{} blocking {}/{}/{})",
             self.tier,
             self.features.summary(),
-            self.int_tile_i8.0,
-            self.int_tile_i8.1,
-            self.int_tile_i4.0,
-            self.int_tile_i4.1,
+            self.int_tile.0,
+            self.int_tile.1,
             self.int_blocking.0,
             self.int_blocking.1,
             self.int_blocking.2,
@@ -691,19 +676,17 @@ mod tests {
         let info = HostKernel::scalar().info();
         assert_eq!(info.tier, "scalar");
         assert!(!info.simd);
-        assert_eq!(info.int_tile_i8, (4, 4));
-        assert_eq!(info.int_tile_i4, (4, 4));
+        assert_eq!(info.int_tile, (4, 4));
         assert_eq!(info.int_blocking, HOST_BLOCKING);
         let text = info.to_string();
         assert!(text.contains("scalar"), "{text}");
+        assert!(text.contains("int tile 4x4"), "{text}");
         assert!(text.contains("blocking"), "{text}");
         // widened tiles are per tier, but MR and the panel layout never
         // change: every tier's tile is 4×(multiple of 4)
         for hk in HostKernel::available() {
-            let (mr, nr) = hk.int_tile_shape();
-            assert_eq!(mr, 4, "{:?}", hk.tier());
-            assert_eq!(nr % 4, 0, "{:?}", hk.tier());
-            assert_eq!(hk.info().int_tile_i8, (mr, nr));
+            assert_eq!(hk.info().int_tile, (4, hk.int_nr()), "{:?}", hk.tier());
+            assert_eq!(hk.int_nr() % 4, 0, "{:?}", hk.tier());
         }
     }
 

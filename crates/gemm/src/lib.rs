@@ -24,11 +24,12 @@
 //! (jc, pc) block unit — own machine memory, own cold caches — so units
 //! are independent and their statistics simply add up.
 //!
-//! Everything kernel-specific is described by a [`dispatch::MicroKernel`]
-//! descriptor — geometry, element/accumulator types, packing programs,
-//! macro-kernel builder, default blocking — so [`driver`] is a single
-//! generic skeleton and a new kernel plugs in without touching it (see
-//! the README's "kernel dispatch layer" section). The same skeleton —
+//! Everything kernel-specific is a `match` on [`Method`] in [`method`] —
+//! geometry, element/accumulator types, default kc, and the packing and
+//! macro-kernel programs it assembles once per problem — so [`driver`]
+//! is a single generic skeleton and a new kernel plugs in without
+//! touching it (see the README's "The simulated kernel table" section).
+//! The same skeleton —
 //! [`loops::BlockPlan`], [`loops::small_path`], the block iterators and
 //! the packed-image offset formulas of [`batch`] — and the
 //! [`workspace::PackPool`] arenas also back `camp-core`'s host-speed
@@ -36,9 +37,8 @@
 //! nothing inside the loops; the simulated driver packs per block,
 //! because that traffic is what it measures). The engine's native
 //! micro-kernels live in [`host`]: a [`HostKernel`] tier (scalar / AVX2 /
-//! AVX-512 / NEON) selected once from a [`CpuFeatures`] runtime probe —
-//! the host-silicon mirror of the simulator's [`dispatch::MicroKernel`]
-//! seam.
+//! AVX-512 / AVX-512 VNNI / NEON) selected once from a [`CpuFeatures`]
+//! runtime probe.
 //!
 //! For the Fig. 1 cache-miss-rate experiment the [`trace`] module
 //! generates naive and blocked GeMM address streams analytically and
@@ -56,11 +56,11 @@
 //! ```
 
 pub mod batch;
-pub mod dispatch;
 pub mod driver;
 pub mod host;
 pub mod kernels;
 pub mod loops;
+pub mod method;
 pub mod pack;
 pub mod reference;
 pub mod request;
@@ -69,11 +69,11 @@ pub mod weights;
 pub mod workspace;
 
 pub use batch::GemmProblem;
-pub use dispatch::{AccKind, ElemKind, KernelGeometry, MicroKernel};
 pub use driver::{
-    simulate_gemm, simulate_gemm_batch, CMatrix, GemmOptions, GemmResult, Method, SimBatchResult,
+    simulate_gemm, simulate_gemm_batch, CMatrix, GemmOptions, GemmResult, SimBatchResult,
 };
 pub use host::{CpuFeatures, HostKernel, HostTier, KernelInfo};
+pub use method::{AccKind, ElemKind, KernelGeometry, Method};
 pub use reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};
 pub use request::{GemmRequest, GemmRequestBuilder, Operand, RequestError, ResolvedRequest};
 pub use weights::{DType, WeightHandle, WeightMeta, WeightRegistry, WeightSnapshot};

@@ -36,7 +36,8 @@ impl SplitMix64 {
 
 /// Reference i32 GeMM over i8 inputs: `C[i][j] = Σ A[i][l]·B[l][j]`
 /// (row-major, wrapping accumulation). This is the golden model every
-/// kernel dispatcher and the host-speed engine are validated against.
+/// simulated integer method and the host-speed engine are validated
+/// against.
 pub fn gemm_i32_ref(m: usize, n: usize, k: usize, a: &[i8], b: &[i8]) -> Vec<i32> {
     assert_eq!(a.len(), m * k, "A must be m×k");
     assert_eq!(b.len(), k * n, "B must be k×n");

@@ -320,9 +320,7 @@ fn engine_reports_its_dispatched_tier() {
     let eng = CampEngine::new();
     let info = eng.kernel_info();
     assert_eq!(info.tier, HostKernel::detect().tier().name());
-    assert_eq!(info.int_tile_i8.0, 4);
-    assert_eq!(info.int_tile_i8.1 % 4, 0);
-    assert_eq!(info.int_tile_i4, info.int_tile_i8);
+    assert_eq!(info.int_tile, (4, HostKernel::detect().int_nr()));
     for hk in HostKernel::available() {
         let pinned = CampEngine::with_threads_and_kernel(2, hk);
         assert_eq!(CampBackend::kernel_info(&pinned).tier, hk.tier().name());

@@ -2,11 +2,13 @@
 //! tolerance. The simulator is deterministic and its (jc, pc) block
 //! units run in order, each on its own cold `Simulator`, merged in a
 //! fixed order — so the decomposition defines every count pinned here,
-//! for every §5.3 dispatch method on both cores, on ragged shapes, and
-//! for a batch whose B-pack dedup re-stages one problem's packed image
-//! for another (see `docs/SIMULATOR.md`).
+//! for every §5.3 method on both cores, on ragged shapes, for a batch
+//! whose B-pack dedup re-stages one problem's packed image for another
+//! (see `docs/SIMULATOR.md`), and for the CAMP-vs-OpenBLAS speed-up the
+//! paper headlines.
 
 use camp::gemm::{simulate_gemm, simulate_gemm_batch, DType, GemmOptions, GemmProblem, Method};
+use camp::models::LlmModel;
 use camp::pipeline::{CoreConfig, SimStats};
 
 /// Blocking that splits modest problems into several column strips and
@@ -146,4 +148,23 @@ fn check_dedup_batch(n: usize, k: usize, opts: &GemmOptions, pinned: &[[u64; 7];
 fn the_dedup_batch_matches_its_pinned_counts_and_solo_runs() {
     check_dedup_batch(12, 48, &GemmOptions::default(), &PINNED_DEDUP_ONE_UNIT);
     check_dedup_batch(70, 260, &multi_unit_opts(), &PINNED_DEDUP_MULTI_UNIT);
+}
+
+/// Cycles of the OpenBLAS-f32-like baseline, `Camp8` and `Camp4` on
+/// BERT-base's feed-forward GeMM, clamped to 8 M MACs on the A64FX-like
+/// core under the default seed: exactly the inputs of `benchmark/`'s
+/// `sim.camp8_speedup_x` / `sim.camp4_speedup_x`, the paper's headline
+/// ratio as this model reproduces it.
+const PINNED_SPEEDUP_CYCLES: [u64; 3] = [173414, 82817, 73376];
+
+#[test]
+fn the_headline_speedups_match_their_pinned_cycles() {
+    let shape = LlmModel::BertBase.config().ff_shape();
+    let opts = GemmOptions { mac_budget: 8_000_000, verify: false, ..GemmOptions::default() };
+    let cycles = [Method::OpenblasF32, Method::Camp8, Method::Camp4].map(|method| {
+        simulate_gemm(CoreConfig::a64fx(), method, shape.m, shape.n, shape.k, &opts).stats.cycles
+    });
+    assert_eq!(cycles, PINNED_SPEEDUP_CYCLES, "[OpenBLAS, CAMP-8bit, CAMP-4bit] cycles moved");
+    let speedup = |i: usize| format!("{:.2}", cycles[0] as f64 / cycles[i] as f64);
+    assert_eq!([speedup(1), speedup(2)], ["2.09", "2.36"], "CAMP-8bit / CAMP-4bit speed-up");
 }
