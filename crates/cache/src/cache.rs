@@ -23,6 +23,11 @@ pub struct LineOutcome {
     pub evicted: Option<Evicted>,
 }
 
+/// The tag of an invalid way. A tag is an address shifted right by at
+/// least one bit ([`Cache::new`] refuses one-byte lines), so no address
+/// produces it.
+const INVALID: u64 = u64::MAX;
+
 /// One cache level with true-LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -32,7 +37,6 @@ pub struct Cache {
     set_mask: u64,
     // way-major arrays, indexed set * assoc + way
     tags: Vec<u64>,
-    valid: Vec<bool>,
     dirty: Vec<bool>,
     pref: Vec<bool>,
     stamp: Vec<u64>,
@@ -44,8 +48,10 @@ impl Cache {
     /// Build a cache from its configuration.
     ///
     /// # Panics
-    /// Panics on inconsistent geometry (see [`CacheConfig::sets`]).
+    /// Panics on inconsistent geometry (see [`CacheConfig::sets`]) and
+    /// on lines shorter than two bytes.
     pub fn new(cfg: CacheConfig) -> Self {
+        assert!(cfg.line_bytes >= 2, "line size {} is under two bytes", cfg.line_bytes);
         let sets = cfg.sets();
         let n = sets * cfg.assoc;
         Cache {
@@ -53,8 +59,7 @@ impl Cache {
             sets,
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: sets as u64 - 1,
-            tags: vec![0; n],
-            valid: vec![false; n],
+            tags: vec![INVALID; n],
             dirty: vec![false; n],
             pref: vec![false; n],
             stamp: vec![0; n],
@@ -78,6 +83,16 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// Return to the state of `Cache::new` with this configuration:
+    /// every way invalid, LRU clock and statistics at zero. An invalid
+    /// way's dirty, prefetch and LRU fields are never read before the
+    /// fill that installs a line writes them, so only the tags are reset.
+    pub fn clear(&mut self) {
+        self.tags.fill(INVALID);
+        self.tick = 0;
+        self.stats = CacheStats::default();
+    }
+
     /// Line size in bytes.
     pub fn line_bytes(&self) -> usize {
         self.cfg.line_bytes
@@ -97,7 +112,7 @@ impl Cache {
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         let base = set * self.cfg.assoc;
-        (0..self.cfg.assoc).any(|w| self.valid[base + w] && self.tags[base + w] == tag)
+        self.tags[base..base + self.cfg.assoc].contains(&tag)
     }
 
     /// Perform a demand or prefetch access to the line containing `addr`.
@@ -112,7 +127,7 @@ impl Cache {
         // hit?
         for w in 0..self.cfg.assoc {
             let i = base + w;
-            if self.valid[i] && self.tags[i] == tag {
+            if self.tags[i] == tag {
                 self.stamp[i] = self.tick;
                 let was_prefetched = self.pref[i];
                 if is_store {
@@ -135,7 +150,7 @@ impl Cache {
         let mut best = u64::MAX;
         for w in 0..self.cfg.assoc {
             let i = base + w;
-            if !self.valid[i] {
+            if self.tags[i] == INVALID {
                 victim = i;
                 break;
             }
@@ -145,7 +160,7 @@ impl Cache {
             }
         }
 
-        let evicted = if self.valid[victim] {
+        let evicted = if self.tags[victim] != INVALID {
             let old_line =
                 (self.tags[victim] << self.sets.trailing_zeros() | set as u64) << self.line_shift;
             self.stats.evictions += 1;
@@ -158,7 +173,6 @@ impl Cache {
         };
 
         self.tags[victim] = tag;
-        self.valid[victim] = true;
         self.dirty[victim] = is_store;
         self.pref[victim] = is_prefetch;
         self.stamp[victim] = self.tick;
@@ -181,7 +195,7 @@ impl Cache {
         let base = set * self.cfg.assoc;
         for w in 0..self.cfg.assoc {
             let i = base + w;
-            if self.valid[i] && self.tags[i] == tag {
+            if self.tags[i] == tag {
                 self.dirty[i] = true;
                 self.stamp[i] = self.tick;
                 return None;
@@ -283,6 +297,31 @@ mod tests {
         c.reset_stats();
         assert_eq!(c.stats().accesses, 0);
         assert!(c.access(0x0, false, false).hit);
+    }
+
+    #[test]
+    fn a_cleared_cache_behaves_like_a_new_one() {
+        // fill every way with a mix of clean, dirty and prefetched lines
+        let mut used = tiny();
+        for (i, addr) in (0..0x400u64).step_by(0x10).enumerate() {
+            used.access(addr, i % 3 == 0, i % 5 == 0);
+        }
+        used.clear();
+        assert_eq!(*used.stats(), CacheStats::default());
+        let fresh = tiny();
+        for addr in (0..0x400u64).step_by(0x10) {
+            assert_eq!(used.probe(addr), fresh.probe(addr), "probe {addr:#x}");
+        }
+        // the same stream from here on: same outcomes (hits, victims,
+        // dirtiness, prefetch credit), same stats
+        let mut fresh = fresh;
+        let stream = [0x000, 0x040, 0x000, 0x080, 0x0c0, 0x100, 0x040, 0x010, 0x050, 0x090];
+        for (i, &addr) in stream.iter().enumerate() {
+            let (st, pf) = (i % 2 == 1, i % 4 == 3);
+            assert_eq!(used.access(addr, st, pf), fresh.access(addr, st, pf), "access {i}");
+        }
+        assert_eq!(used.write_back(0x200), fresh.write_back(0x200));
+        assert_eq!(used.stats(), fresh.stats());
     }
 
     #[test]

@@ -80,6 +80,18 @@ impl Hierarchy {
         self.mem_writes = 0;
     }
 
+    /// Return to the state of `Hierarchy::new` with this configuration:
+    /// cold caches, untrained prefetchers, zero statistics and memory
+    /// traffic.
+    pub fn clear(&mut self) {
+        self.l1d.clear();
+        self.l2.clear();
+        self.l1_prefetcher.clear();
+        self.l2_prefetcher.clear();
+        self.mem_reads = 0;
+        self.mem_writes = 0;
+    }
+
     /// Bring one line (identified by any byte address within it) into L1,
     /// going through L2 / memory as needed. Returns (l1_hit, l2_hit).
     fn access_line(&mut self, addr: u64, is_store: bool, is_prefetch: bool) -> (bool, bool) {

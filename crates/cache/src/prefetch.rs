@@ -40,6 +40,11 @@ impl StridePrefetcher {
         }
     }
 
+    /// Forget every trained stream (the state of a new prefetcher).
+    pub fn clear(&mut self) {
+        self.table.fill(Entry::default());
+    }
+
     /// Train on a demand access; returns the number of prefetch addresses
     /// written into `out`.
     pub fn train(&mut self, pc: u64, addr: u64, out: &mut [u64; MAX_DEGREE]) -> usize {
@@ -129,6 +134,18 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(p.train(9, 512, &mut out), 0);
         }
+    }
+
+    #[test]
+    fn clear_forgets_trained_strides() {
+        let mut p = StridePrefetcher::new(16, 2);
+        let mut out = [0u64; MAX_DEGREE];
+        p.train(7, 100, &mut out);
+        p.train(7, 164, &mut out);
+        p.clear();
+        assert_eq!(p.train(7, 228, &mut out), 0, "a cleared entry must relearn");
+        assert_eq!(p.train(7, 292, &mut out), 0);
+        assert_eq!(p.train(7, 356, &mut out), 2);
     }
 
     #[test]

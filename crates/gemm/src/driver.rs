@@ -12,11 +12,13 @@
 //! # Block-unit decomposition
 //!
 //! A simulated GeMM is decomposed into one *unit* per (jc, pc) block of
-//! the blocked loops. Each unit runs on its **own** [`Simulator`]
-//! instance (own machine memory, cold caches): it packs its B block,
-//! then walks every row strip (pack A + macro-kernel) of that block,
-//! and finally hands back its [`SimStats`] and its partial-C
-//! contribution. Units run in order on the calling thread.
+//! the blocked loops. Each unit starts from the **freshly built**
+//! [`Simulator`] state (zeroed machine memory, cold caches; one
+//! simulator per driver call, [`Simulator::reset`] between units): it
+//! packs its B block, then walks every row strip (pack A +
+//! macro-kernel) of that block, and finally hands back its [`SimStats`]
+//! and its partial-C contribution. Units run in order on the calling
+//! thread.
 //!
 //! The decomposition defines the result. Partial C blocks merge on the
 //! host in a fixed order (depth-ascending per column strip, the order
@@ -297,10 +299,10 @@ fn stage_range(
 
 /// The simulation backend of the shared loop skeleton: packs blocks and
 /// runs macro-kernels as simulated programs against one persistent
-/// machine + cache state (one per block unit), borrowing the programs
-/// its problem assembled.
-struct BlockSim<'p> {
-    sim: Simulator,
+/// machine + cache state (reset for each block unit), borrowing the
+/// programs its problem assembled.
+struct BlockSim<'s, 'p> {
+    sim: &'s mut Simulator,
     geo: KernelGeometry,
     bufs: Buffers,
     lda: u64,
@@ -309,7 +311,7 @@ struct BlockSim<'p> {
     programs: &'p Programs,
 }
 
-impl BlockSim<'_> {
+impl BlockSim<'_, '_> {
     /// Source bytes covering `cols` k-columns of A.
     fn a_col_bytes(&self, cols: usize) -> u64 {
         self.geo.elem.row_bytes(cols) as u64
@@ -340,7 +342,7 @@ impl BlockSim<'_> {
             pc,
             kcb,
         };
-        self.programs.pack_b.run(&mut self.sim, &ctx, &self.geo);
+        self.programs.pack_b.run(self.sim, &ctx, &self.geo);
     }
 
     fn pack_a(&mut self, ic: usize, mcb: usize, pc: usize, kcb: usize) {
@@ -481,12 +483,15 @@ fn extract_c(
     out
 }
 
-/// Simulate one (jc, pc) block unit of `ctx` on a fresh [`Simulator`]:
-/// stage the operands, pack B (or pre-stage `prepacked_b`, the dedup
-/// path), then pack A and run the macro-kernel for every row strip.
-/// Deterministic and self-contained: the driver's unit of work.
+/// Simulate one (jc, pc) block unit of `ctx` on `sim`, first
+/// [`reset`](Simulator::reset) to the freshly built state (zeroed
+/// memory sized for the problem, cold caches, zero stats): stage the
+/// operands, pack B (or pre-stage `prepacked_b`, the dedup path), then
+/// pack A and run the macro-kernel for every row strip. Deterministic
+/// and self-contained — nothing of an earlier unit survives the reset:
+/// the driver's unit of work.
 fn simulate_unit(
-    core: CoreConfig,
+    sim: &mut Simulator,
     ctx: &ProblemCtx,
     spec: UnitSpec,
     prepacked_b: Option<&[u8]>,
@@ -494,10 +499,10 @@ fn simulate_unit(
     let plan = &ctx.plan;
     let geo = ctx.method.geometry();
     let bufs = layout(&geo, plan);
-    let mut sim = Simulator::new(core, bufs.total as usize);
-    stage_a_unit(&mut sim, &geo, &bufs, &ctx.a_host, plan, spec);
+    sim.reset(bufs.total as usize);
+    stage_a_unit(sim, &geo, &bufs, &ctx.a_host, plan, spec);
     if prepacked_b.is_none() {
-        stage_b_unit(&mut sim, &geo, &bufs, &ctx.b_host, plan, spec);
+        stage_b_unit(sim, &geo, &bufs, &ctx.b_host, plan, spec);
     }
     let mut backend = BlockSim {
         sim,
@@ -525,7 +530,7 @@ fn simulate_unit(
     let packed_b =
         ctx.share_b.then(|| backend.sim.machine().mem(backend.bufs.bpack, block_bytes).to_vec());
     let c = extract_c(
-        &backend.sim,
+        backend.sim,
         geo.acc,
         backend.bufs.c_base,
         backend.ldc,
@@ -682,11 +687,12 @@ fn problem_ctx(core: CoreConfig, p: &GemmProblem<'_>, opts: &GemmOptions) -> Pro
     ctx_from_plan(method, plan, a_host, b_host, clamped)
 }
 
-/// Run every unit of every problem, in order. A dedup consumer
-/// re-stages its owner's snapshotted pack-B image instead of packing;
-/// the owner is the first problem with its key, so it has always run
-/// by then.
+/// Run every unit of every problem, in order, on one [`Simulator`]. A
+/// dedup consumer re-stages its owner's snapshotted pack-B image
+/// instead of packing; the owner is the first problem with its key, so
+/// it has always run by then.
 fn run_ctxs(core: CoreConfig, ctxs: &[ProblemCtx]) -> Vec<Vec<UnitOut>> {
+    let mut sim = Simulator::new(core, 0);
     let mut outs: Vec<Vec<UnitOut>> = Vec::with_capacity(ctxs.len());
     for ctx in ctxs {
         let mut row = Vec::with_capacity(ctx.specs.len());
@@ -694,7 +700,7 @@ fn run_ctxs(core: CoreConfig, ctxs: &[ProblemCtx]) -> Vec<Vec<UnitOut>> {
             let prepacked = ctx.owner.map(|owner| {
                 outs[owner][u].packed_b.as_deref().expect("owner snapshotted every block")
             });
-            row.push(simulate_unit(core, ctx, spec, prepacked));
+            row.push(simulate_unit(&mut sim, ctx, spec, prepacked));
         }
         outs.push(row);
     }

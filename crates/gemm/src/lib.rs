@@ -20,9 +20,10 @@
 //! The five-loop cache blocking runs on the host (3 outer loops, the
 //! shared [`loops`] iterators) and dispatches simulated packing programs
 //! and macro-kernels (inner 2 loops plus micro-kernel — >99.9 % of
-//! dynamic instructions) on one [`camp_pipeline::Simulator`] per
-//! (jc, pc) block unit — own machine memory, own cold caches — so units
-//! are independent and their statistics simply add up.
+//! dynamic instructions) on a [`camp_pipeline::Simulator`]. Every (jc, pc)
+//! block unit starts from the freshly built simulator state — zeroed
+//! machine memory, cold caches; the driver resets one simulator between
+//! units — so units are independent and their statistics simply add up.
 //!
 //! Everything kernel-specific is a `match` on [`Method`] in [`method`] —
 //! geometry, element/accumulator types, default kc, and the packing and

@@ -96,6 +96,17 @@ impl Machine {
         self.pc = 0;
     }
 
+    /// Return to the state of `Machine::new(mem_bytes)` — zero
+    /// registers, PC 0, `mem_bytes` of zeroed memory — keeping the
+    /// memory allocation when it is large enough.
+    pub fn reset(&mut self, mem_bytes: usize) {
+        self.x = [0; 32];
+        self.v = [[0; VLEN_BYTES]; 32];
+        self.pc = 0;
+        self.mem.clear();
+        self.mem.resize(mem_bytes, 0);
+    }
+
     /// Current program counter (instruction index).
     pub fn pc(&self) -> u32 {
         self.pc
@@ -140,6 +151,22 @@ impl Machine {
             return Err(ExecError::OutOfBounds { addr, size });
         }
         Ok(a)
+    }
+
+    /// The `N` bytes at `addr`: a fixed-width copy, no runtime-length
+    /// `memcpy`.
+    #[inline]
+    fn load<const N: usize>(&self, addr: u64) -> Result<[u8; N], ExecError> {
+        let a = self.check(addr, N as u32)?;
+        Ok(self.mem[a..a + N].try_into().expect("a checked N-byte range"))
+    }
+
+    /// Write `bytes` at `addr` (fixed width, like [`Machine::load`]).
+    #[inline]
+    fn store<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) -> Result<(), ExecError> {
+        let a = self.check(addr, N as u32)?;
+        self.mem[a..a + N].copy_from_slice(&bytes);
+        Ok(())
     }
 
     /// Borrow a memory range.
@@ -197,6 +224,11 @@ impl Machine {
     ///
     /// # Errors
     /// [`ExecError::OutOfBounds`] on a bad memory access.
+    ///
+    /// # Panics
+    /// Panics on a scalar load/store whose `width` is not 1, 2, 4 or 8
+    /// (the assembler and the decoder never produce one).
+    #[inline]
     pub fn step(&mut self, prog: &Program) -> Result<Option<StepOut>, ExecError> {
         let insts = prog.insts();
         let idx = self.pc;
@@ -254,41 +286,37 @@ impl Machine {
             }
             Inst::LoadS { rd, base, offset, width } => {
                 let addr = self.x(base).wrapping_add(offset as u64);
-                let a = self.check(addr, width as u32)?;
-                let mut buf = [0u8; 8];
-                buf[..width as usize].copy_from_slice(&self.mem[a..a + width as usize]);
-                let raw = u64::from_le_bytes(buf);
-                let bits = width as u32 * 8;
-                let val = if bits == 64 {
-                    raw
-                } else {
-                    // sign-extend
-                    let shift = 64 - bits;
-                    (((raw << shift) as i64) >> shift) as u64
+                // signed-to-u64 casts sign-extend
+                let val = match width {
+                    1 => i8::from_le_bytes(self.load(addr)?) as u64,
+                    2 => i16::from_le_bytes(self.load(addr)?) as u64,
+                    4 => i32::from_le_bytes(self.load(addr)?) as u64,
+                    8 => u64::from_le_bytes(self.load(addr)?),
+                    w => panic!("scalar load width {w} is not 1, 2, 4 or 8"),
                 };
                 self.set_x(rd, val);
                 mem = Some(MemAccess { addr, size: width as u32, is_store: false });
             }
             Inst::StoreS { rs, base, offset, width } => {
                 let addr = self.x(base).wrapping_add(offset as u64);
-                let a = self.check(addr, width as u32)?;
-                let bytes = self.x(rs).to_le_bytes();
-                self.mem[a..a + width as usize].copy_from_slice(&bytes[..width as usize]);
+                let v = self.x(rs);
+                match width {
+                    1 => self.store(addr, (v as u8).to_le_bytes())?,
+                    2 => self.store(addr, (v as u16).to_le_bytes())?,
+                    4 => self.store(addr, (v as u32).to_le_bytes())?,
+                    8 => self.store(addr, v.to_le_bytes())?,
+                    w => panic!("scalar store width {w} is not 1, 2, 4 or 8"),
+                }
                 mem = Some(MemAccess { addr, size: width as u32, is_store: true });
             }
             Inst::VLoad { vd, base, offset } => {
                 let addr = self.x(base).wrapping_add(offset as u64);
-                let a = self.check(addr, VLEN_BYTES as u32)?;
-                let mut buf = [0u8; VLEN_BYTES];
-                buf.copy_from_slice(&self.mem[a..a + VLEN_BYTES]);
-                self.set_v(vd, buf);
+                self.v[vd.index()] = self.load(addr)?;
                 mem = Some(MemAccess { addr, size: VLEN_BYTES as u32, is_store: false });
             }
             Inst::VStore { vs, base, offset } => {
                 let addr = self.x(base).wrapping_add(offset as u64);
-                let a = self.check(addr, VLEN_BYTES as u32)?;
-                let src = self.v[vs.index()];
-                self.mem[a..a + VLEN_BYTES].copy_from_slice(&src);
+                self.store(addr, self.v[vs.index()])?;
                 mem = Some(MemAccess { addr, size: VLEN_BYTES as u32, is_store: true });
             }
             Inst::VLoadRep { ty, vd, base, offset } => {

@@ -64,7 +64,8 @@ impl FuKind {
 /// Description of one FU pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuDesc {
-    /// Number of identical units.
+    /// Number of identical units (at most 8; `Simulator::new` panics
+    /// above).
     pub count: u32,
     /// Result latency in cycles.
     pub latency: u32,
@@ -103,9 +104,9 @@ pub struct CoreConfig {
     pub vmul: FuDesc,
     /// CAMP unit pool.
     pub camp: FuDesc,
-    /// Load ports.
+    /// Load ports (at most 8, like a [`FuDesc::count`]).
     pub load_ports: u32,
-    /// Store ports.
+    /// Store ports (at most 8).
     pub store_ports: u32,
     /// Beats per 512-bit vector memory access (1 = full-width bus,
     /// 4 = 128-bit edge path).

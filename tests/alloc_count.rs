@@ -1,19 +1,25 @@
-//! Allocation as a counted row: what one served token asks of the heap.
+//! Allocation as a counted row: what one served token asks of the heap,
+//! and what one simulated program run asks of it.
 //!
 //! A counting `#[global_allocator]` (this binary only) measures heap
 //! calls and bytes per steady-state decode token and per 192-token
 //! prefill of the benchmark-sized model on `BackendExec` over
 //! `CampEngine::with_threads(1)` — one thread, so every allocation of
 //! the step is made by the measuring thread and the counts repeat
-//! exactly. The numbers are pinned as literals: a change that adds an
-//! allocation to the served path edits this file and says so.
+//! exactly — and per warm `Simulator::run` of a CAMP B-pack loop, which
+//! must make none (the simulator keeps its decoded program and timing
+//! queues between runs). The numbers are pinned as literals: a change
+//! that adds an allocation to either path edits this file and says so.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use camp::core::CampEngine;
 use camp::infer::{BackendExec, InferContext, Model};
+use camp::isa::asm::Assembler;
+use camp::isa::reg::S;
 use camp::models::TransformerConfig;
+use camp::pipeline::{CoreConfig, Simulator};
 
 /// Heap traffic of the measuring thread since [`measure`] began.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,8 +129,8 @@ const DECODE_TOKENS: usize = 16;
 const PARENT_ALLOCS_PER_DECODE_TOKEN: usize = 372;
 const PARENT_PREFILL_PEAK_BYTES: isize = 3_680_344;
 
-// One test, so no sibling test thread shares the engine or the clock;
-// the counters are per thread regardless.
+// The counters are per thread, so the two tests cannot see each other's
+// allocations.
 #[test]
 fn heap_calls_per_decode_token_and_per_prefill_are_pinned() {
     let model = Model::new(CFG, VOCAB, 7);
@@ -168,4 +174,44 @@ fn heap_calls_per_decode_token_and_per_prefill_are_pinned() {
     assert_eq!(prefill, Tally { allocs: 442, bytes: 15_112_760, live: 729_088, peak: 1_957_920 });
     assert!(per_token < PARENT_ALLOCS_PER_DECODE_TOKEN);
     assert!(prefill.peak < PARENT_PREFILL_PEAK_BYTES);
+}
+
+#[test]
+fn a_warm_simulator_run_makes_no_heap_calls() {
+    // the CAMP B-pack inner loop: four k-rows of 4 bytes per iteration
+    // through four source row pointers, scalar loads and stores only
+    let mut a = Assembler::new("camp_pack_b");
+    a.label("top");
+    for r in 0..4u8 {
+        a.load_s(S(28), S(20 + r), 0, 4);
+        a.store_s(S(28), S(11), r as i64 * 4, 4);
+    }
+    for r in 0..4u8 {
+        a.add(S(20 + r), S(20 + r), S(14));
+    }
+    a.addi(S(11), S(11), 16);
+    a.addi(S(12), S(12), -1);
+    a.bne(S(12), S(0), "top");
+    let prog = a.finish();
+
+    let (ldb, rows) = (256u64, 64u64);
+    let mut sim = Simulator::new(CoreConfig::a64fx(), 1 << 16);
+    let run = |sim: &mut Simulator| {
+        let mm = sim.machine_mut();
+        for r in 0..4u8 {
+            mm.set_x(S(20 + r), r as u64 * ldb);
+        }
+        mm.set_x(S(11), rows * ldb);
+        mm.set_x(S(12), rows / 4);
+        mm.set_x(S(14), 4 * ldb);
+        sim.run(&prog, 1 << 20).expect("pack loop");
+    };
+    run(&mut sim);
+    let warm = measure(|| {
+        for _ in 0..100 {
+            run(&mut sim);
+        }
+    });
+    assert_eq!(warm, ZERO, "a warm Simulator::run allocates");
+    assert_eq!(sim.stats().insts, 101 * (rows / 4) * 15);
 }

@@ -1,6 +1,6 @@
 //! Cross-crate tests of the simulated driver: exact counts, not a
 //! tolerance. The simulator is deterministic and its (jc, pc) block
-//! units run in order, each on its own cold `Simulator`, merged in a
+//! units run in order, each from a freshly reset `Simulator`, merged in a
 //! fixed order — so the decomposition defines every count pinned here,
 //! for every §5.3 method on both cores, on ragged shapes, for a batch
 //! whose B-pack dedup re-stages one problem's packed image for another
