@@ -58,7 +58,7 @@
 
 use std::sync::Arc;
 
-use camp_gemm::driver::{default_blocking, simulate_gemm_batch, GemmOptions};
+use camp_gemm::driver::{default_blocking, GemmOptions, SimSession};
 use camp_gemm::host::{CpuFeatures, KernelInfo};
 use camp_gemm::request::{GemmRequest, Operand, RequestError, ResolvedRequest};
 use camp_gemm::weights::{DType, WeightHandle, WeightMeta, WeightRegistry, WeightSnapshot};
@@ -357,10 +357,11 @@ impl CampBackend for CampEngine {
 // ---- the simulated backend ------------------------------------------------
 
 /// The cycle-accurate substrate behind the unified API: requests run on
-/// the simulated driver (`camp_gemm::driver`), one (jc, pc) block unit
-/// per `Simulator`, in order on the calling thread. The dtype selects
-/// the camp kernel (`camp.s8` / `camp.s4`), exactly like the host
-/// engine.
+/// the simulated driver (`camp_gemm::driver`) through one
+/// [`SimSession`], built at the first batch: one simulator, reset for
+/// every (jc, pc) block unit, which run in order on the calling thread.
+/// The dtype selects the camp kernel (`camp.s8` / `camp.s4`), exactly
+/// like the host engine.
 ///
 /// Weights registered here live in a *simulated* registry: a raw
 /// mirror of the bytes with the same handle semantics (identity,
@@ -368,7 +369,9 @@ impl CampBackend for CampEngine {
 /// [`GemmRequest`] — handle operands included — executes on both
 /// substrates. Within a batch, every problem sharing one weight
 /// simulates its packing once (the packed image is re-staged for the
-/// sharers).
+/// sharers). Across batches, the session times a registered weight's B
+/// pack once per layout and unit and replays it afterwards, with every
+/// count unchanged; eviction drops the weight's checkpoints.
 ///
 /// By default problems are simulated at full size. For harness-style
 /// measurements, [`SimBackend::with_mac_budget`] enables the paper's
@@ -380,13 +383,20 @@ pub struct SimBackend {
     core: CoreConfig,
     mac_budget: u64,
     weights: WeightRegistry,
+    /// Built at the first batch, so construction allocates no simulator.
+    session: Option<SimSession>,
 }
 
 impl SimBackend {
     /// Simulated backend for `core` (no clamping, no verify overhead —
     /// correctness is the parity test suite's job).
     pub fn new(core: CoreConfig) -> Self {
-        SimBackend { core, mac_budget: u64::MAX, weights: WeightRegistry::raw_mirror() }
+        SimBackend {
+            core,
+            mac_budget: u64::MAX,
+            weights: WeightRegistry::raw_mirror(),
+            session: None,
+        }
     }
 
     /// Convenience: the paper's A64FX-like core.
@@ -436,11 +446,18 @@ impl CampBackend for SimBackend {
     }
 
     fn evict_weights(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        self.weights.evict(h)
+        let meta = self.weights.evict(h)?;
+        if let Some(session) = &mut self.session {
+            session.evict_weight(h);
+        }
+        Ok(meta)
     }
 
     fn clear_weights(&mut self) {
-        self.weights.clear()
+        self.weights.clear();
+        if let Some(session) = &mut self.session {
+            session.clear_weights();
+        }
     }
 
     fn try_weight_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
@@ -480,16 +497,24 @@ impl CampBackend for SimBackend {
             if r.is_degenerate() {
                 continue;
             }
-            let b: &[i8] = match req.weights() {
-                Operand::Dense(b) => b,
-                Operand::Handle(_) => raws[i].as_deref().expect("raw bytes resolved above"),
-            };
-            problems.push(GemmProblem::new(r.m, r.n, r.k, req.activation(), b).with_dtype(r.dtype));
+            let problem = |b| GemmProblem::new(r.m, r.n, r.k, req.activation(), b);
+            problems.push(
+                match req.weights() {
+                    Operand::Dense(b) => problem(b),
+                    Operand::Handle(h) => {
+                        problem(raws[i].as_deref().expect("raw bytes resolved above"))
+                            .with_weight(*h)
+                    }
+                }
+                .with_dtype(r.dtype),
+            );
             slots.push(i);
         }
 
         let opts = GemmOptions { mac_budget: self.mac_budget, verify: false, ..Default::default() };
-        let batch = simulate_gemm_batch(self.core, &problems, &opts);
+        let core = self.core;
+        let session = self.session.get_or_insert_with(|| SimSession::new(core));
+        let batch = session.simulate_gemm_batch(&problems, &opts);
 
         let mut outputs: Vec<Output> = resolved
             .iter()
@@ -635,6 +660,84 @@ mod tests {
         let ExecStats::Sim(batch_stats) = &both.stats else { panic!() };
         let ExecStats::Sim(solo_stats) = &alone.stats else { panic!() };
         assert!(batch_stats.insts < 2 * solo_stats.insts, "B-pack must be deduplicated");
+    }
+
+    fn memoized_packs(sim: &SimBackend) -> usize {
+        sim.session.as_ref().map_or(0, SimSession::memoized_packs)
+    }
+
+    #[test]
+    fn a_warm_simulator_answers_exactly_like_cold_ones() {
+        // n spans two column strips of the A64FX blocking (two units per
+        // problem); m = 1 and m = 9 are two layouts of one weight, and in
+        // one batch the m = 9 request is the dedup consumer of the m = 1
+        // owner (when the clamp leaves them one packed shape)
+        let (n, k) = (520, 40);
+        let w = fill(k * n, 5);
+        let calls = |h| {
+            let one = GemmRequest::with_weights(1, fill(k, 3), h).unwrap();
+            let nine = GemmRequest::with_weights(9, fill(9 * k, 7), h).unwrap();
+            [vec![one.clone()], vec![nine.clone()], vec![one, nine]]
+        };
+        for dtype in [DType::I8, DType::I4] {
+            for budget in [u64::MAX, 20_000] {
+                let backend = || {
+                    let mut sim = SimBackend::a64fx().with_mac_budget(budget);
+                    let h = sim.register_weights(n, k, &w, dtype);
+                    (sim, h)
+                };
+                // every call on a backend of its own: every pack timed
+                let cold: Vec<BatchOutcome> = (0..3)
+                    .map(|i| {
+                        let (mut sim, h) = backend();
+                        sim.execute_batch(&calls(h)[i]).unwrap()
+                    })
+                    .collect();
+                // every call twice on one backend: the second pass replays
+                // every pack
+                let (mut warm, h) = backend();
+                for pass in 0..2 {
+                    for (i, call) in calls(h).iter().enumerate() {
+                        let got = warm.execute_batch(call).unwrap();
+                        assert_eq!(
+                            got, cold[i],
+                            "{dtype:?}, budget {budget}: pass {pass}, call {i}"
+                        );
+                    }
+                }
+                // two layouts of two units each, or of one once the clamp
+                // has cut n to a single column strip
+                let units = if budget == u64::MAX { 2 } else { 1 };
+                assert_eq!(memoized_packs(&warm), 2 * units, "{dtype:?}, budget {budget}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_evicted_weight_leaves_no_checkpoint_to_hit() {
+        let (m, n, k) = (2, 16, 64);
+        let a = fill(m * k, 3);
+        let (w_old, w_new) = (fill(k * n, 5), fill(k * n, 9));
+        let mut sim = SimBackend::a64fx();
+        let old = sim.register_weights(n, k, &w_old, DType::I8);
+        sim.execute(&GemmRequest::with_weights(m, a.clone(), old).unwrap()).unwrap();
+        assert_eq!(memoized_packs(&sim), 1);
+        sim.evict_weights(old).unwrap();
+        assert_eq!(memoized_packs(&sim), 0, "eviction drops the weight's checkpoints");
+
+        // new bytes in the recycled slot, same shape: same layout, so
+        // only the handle's generation tells the two apart
+        let new = sim.register_weights(n, k, &w_new, DType::I8);
+        assert_eq!(new.index(), old.index(), "the slot is recycled");
+        let got = sim.execute(&GemmRequest::with_weights(m, a.clone(), new).unwrap()).unwrap();
+        let mut cold = SimBackend::a64fx();
+        let h = cold.register_weights(n, k, &w_new, DType::I8);
+        let want = cold.execute(&GemmRequest::with_weights(m, a.clone(), h).unwrap()).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(got.output.c, gemm_i32_ref(m, n, k, &a, &w_new));
+
+        sim.clear_weights();
+        assert_eq!(memoized_packs(&sim), 0, "clearing the registry clears the memo");
     }
 
     #[test]

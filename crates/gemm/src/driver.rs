@@ -14,11 +14,23 @@
 //! A simulated GeMM is decomposed into one *unit* per (jc, pc) block of
 //! the blocked loops. Each unit starts from the **freshly built**
 //! [`Simulator`] state (zeroed machine memory, cold caches; one
-//! simulator per driver call, [`Simulator::reset`] between units): it
+//! simulator per [`SimSession`], [`Simulator::reset`] between units): it
 //! packs its B block, then walks every row strip (pack A +
 //! macro-kernel) of that block, and finally hands back its [`SimStats`]
 //! and its partial-C contribution. Units run in order on the calling
 //! thread.
+//!
+//! # The pack memo
+//!
+//! B packing is the first work of a unit, so the simulator state after
+//! it is a function of the method, the [`BlockPlan`] (every simulated
+//! address), the unit and the B bytes. A [`SimSession`] therefore times
+//! the B pack of a *registered* weight ([`GemmProblem::with_weight`])
+//! once per (weight, layout, unit) and keeps a [`SimCheckpoint`] of the
+//! state after it; a later unit with the same key packs on the
+//! functional machine alone (the packed bytes) and restores the
+//! checkpoint (the timing state), so every count comes out exactly as a
+//! timed pack would make it. Dense B operands are never memoized.
 //!
 //! The decomposition defines the result. Partial C blocks merge on the
 //! host in a fixed order (depth-ascending per column strip, the order
@@ -38,10 +50,10 @@ use crate::host::scalar::pack_nibbles;
 use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
 use crate::method::{AccKind, ElemKind, KernelGeometry, Method, PackBCtx, Programs, RUN_BUDGET};
 use crate::reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};
-use crate::weights::DType;
+use crate::weights::{DType, WeightHandle};
 use crate::workspace::Workspace;
 use camp_isa::reg::S;
-use camp_pipeline::{CoreConfig, CoreKind, SimStats, Simulator};
+use camp_pipeline::{CheckpointArena, CoreConfig, CoreKind, SimCheckpoint, SimStats, Simulator};
 use std::collections::HashMap;
 
 /// Options for [`simulate_gemm`].
@@ -332,17 +344,19 @@ impl BlockSim<'_, '_> {
         }
     }
 
-    fn pack_b(&mut self, jc: usize, ncb: usize, pc: usize, kcb: usize) {
+    /// Pack the unit's B block, timed or on the functional machine alone
+    /// (see [`crate::method::PackB::run`]).
+    fn pack_b(&mut self, spec: UnitSpec, timed: bool) {
         let ctx = PackBCtx {
             b_base: self.bufs.b_base,
             bpack: self.bufs.bpack,
             ldb: self.ldb,
-            jc,
-            ncb,
-            pc,
-            kcb,
+            jc: spec.jc,
+            ncb: spec.ncb,
+            pc: spec.pc,
+            kcb: spec.kcb,
         };
-        self.programs.pack_b.run(self.sim, &ctx, &self.geo);
+        self.programs.pack_b.run(self.sim, &ctx, &self.geo, timed);
     }
 
     fn pack_a(&mut self, ic: usize, mcb: usize, pc: usize, kcb: usize) {
@@ -410,7 +424,7 @@ impl BlockSim<'_, '_> {
 
 /// One independent work unit of the decomposition: a (jc, pc) block of
 /// the blocked loops.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct UnitSpec {
     jc: usize,
     ncb: usize,
@@ -489,9 +503,12 @@ fn extract_c(
 /// operands, pack B (or pre-stage `prepacked_b`, the dedup path), then
 /// pack A and run the macro-kernel for every row strip. Deterministic
 /// and self-contained — nothing of an earlier unit survives the reset:
-/// the driver's unit of work.
+/// the driver's unit of work. A registered weight's pack is replayed
+/// from `memo` when it holds the unit's checkpoint, and timed into it
+/// when not.
 fn simulate_unit(
     sim: &mut Simulator,
+    memo: &mut PackMemo,
     ctx: &ProblemCtx,
     spec: UnitSpec,
     prepacked_b: Option<&[u8]>,
@@ -521,7 +538,20 @@ fn simulate_unit(
             debug_assert_eq!(img.len(), block_bytes, "pre-packed B image size mismatch");
             backend.sim.machine_mut().write_bytes(backend.bufs.bpack, img);
         }
-        None => backend.pack_b(spec.jc, spec.ncb, spec.pc, spec.kcb),
+        None => match ctx.weight.and_then(|w| memo.get(w, spec)) {
+            // replay: the packed bytes from the functional machine, the
+            // timing state from the checkpoint
+            Some(cp) => {
+                backend.pack_b(spec, false);
+                backend.sim.restore(&memo.arena, cp);
+            }
+            None => {
+                backend.pack_b(spec, true);
+                if let Some(w) = ctx.weight {
+                    memo.insert(w, spec, backend.sim);
+                }
+            }
+        },
     }
     for_each_row_strip(plan, |ic, mcb| {
         backend.pack_a(ic, mcb, spec.pc, spec.kcb);
@@ -562,6 +592,8 @@ struct ProblemCtx {
     /// Another problem reuses this problem's pack-B images: snapshot
     /// them.
     share_b: bool,
+    /// B is a registered weight: its packs go through the memo.
+    weight: Option<WeightLayout>,
     degenerate: bool,
 }
 
@@ -600,6 +632,7 @@ fn degenerate_ctx(method: Method) -> ProblemCtx {
         clamped: false,
         owner: None,
         share_b: false,
+        weight: None,
         degenerate: true,
     }
 }
@@ -621,6 +654,7 @@ fn ctx_from_plan(
         clamped,
         owner: None,
         share_b: false,
+        weight: None,
         degenerate: false,
     }
 }
@@ -684,27 +718,192 @@ fn problem_ctx(core: CoreConfig, p: &GemmProblem<'_>, opts: &GemmOptions) -> Pro
     for l in 0..k2 {
         b_host[l * np..l * np + n2].copy_from_slice(&p.b[l * p.n..l * p.n + n2]);
     }
-    ctx_from_plan(method, plan, a_host, b_host, clamped)
+    let weight = p.weight.map(|handle| WeightLayout { handle, method, plan, n: n2, k: k2 });
+    ProblemCtx { weight, ..ctx_from_plan(method, plan, a_host, b_host, clamped) }
 }
 
-/// Run every unit of every problem, in order, on one [`Simulator`]. A
-/// dedup consumer re-stages its owner's snapshotted pack-B image
-/// instead of packing; the owner is the first problem with its key, so
-/// it has always run by then.
-fn run_ctxs(core: CoreConfig, ctxs: &[ProblemCtx]) -> Vec<Vec<UnitOut>> {
-    let mut sim = Simulator::new(core, 0);
-    let mut outs: Vec<Vec<UnitOut>> = Vec::with_capacity(ctxs.len());
-    for ctx in ctxs {
-        let mut row = Vec::with_capacity(ctx.specs.len());
-        for (u, &spec) in ctx.specs.iter().enumerate() {
-            let prepacked = ctx.owner.map(|owner| {
-                outs[owner][u].packed_b.as_deref().expect("owner snapshotted every block")
-            });
-            row.push(simulate_unit(&mut sim, ctx, spec, prepacked));
-        }
-        outs.push(row);
+// ---- the pack memo ----------------------------------------------------------
+
+/// A registered weight as one problem packs it: the handle, plus the
+/// layout — the kernel, the plan (every simulated address) and the
+/// post-clamp `n × k` of B (which of its bytes a unit stages). With the
+/// unit, the pack memo's key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WeightLayout {
+    handle: WeightHandle,
+    method: Method,
+    plan: BlockPlan,
+    n: usize,
+    k: usize,
+}
+
+/// Layouts the memo keeps per (weight, unit); a new one beyond these
+/// replaces the oldest.
+const MEMO_LAYOUTS: usize = 4;
+
+/// The state after a registered weight's timed B pack, per (weight,
+/// layout, unit).
+#[derive(Debug, Default)]
+struct PackMemo {
+    arena: CheckpointArena,
+    /// Per (weight, unit), its checkpoints by layout, oldest first.
+    entries: HashMap<(WeightHandle, UnitSpec), Vec<(WeightLayout, SimCheckpoint)>>,
+    /// Arena words of dropped checkpoints, reclaimed once they outnumber
+    /// the live ones.
+    dead: usize,
+}
+
+impl PackMemo {
+    fn get(&self, w: WeightLayout, spec: UnitSpec) -> Option<&SimCheckpoint> {
+        let layouts = self.entries.get(&(w.handle, spec))?;
+        layouts.iter().find(|(l, _)| *l == w).map(|(_, cp)| cp)
     }
-    outs
+
+    /// Checkpoint `sim`, fresh from the timed pack of `w`'s `spec` unit.
+    fn insert(&mut self, w: WeightLayout, spec: UnitSpec, sim: &Simulator) {
+        let cp = sim.checkpoint(&mut self.arena);
+        let layouts = self.entries.entry((w.handle, spec)).or_default();
+        if layouts.len() == MEMO_LAYOUTS {
+            self.dead += layouts.remove(0).1.words();
+        }
+        // most weights see one or two layouts: no room for four each
+        layouts.reserve_exact(1);
+        layouts.push((w, cp));
+        self.reclaim();
+    }
+
+    fn evict(&mut self, h: WeightHandle) {
+        let dead = &mut self.dead;
+        self.entries.retain(|&(handle, _), layouts| {
+            if handle == h {
+                *dead += layouts.iter().map(|(_, cp)| cp.words()).sum::<usize>();
+            }
+            handle != h
+        });
+        self.reclaim();
+    }
+
+    fn reclaim(&mut self) {
+        if 2 * self.dead > self.arena.len() {
+            self.arena.compact(self.entries.values_mut().flatten().map(|(_, cp)| cp));
+            self.dead = 0;
+        }
+    }
+}
+
+/// One [`Simulator`] and the pack memo of registered weights, kept from
+/// call to call: what a long-lived simulated backend holds, so that
+/// every batch reuses one simulator (reset between block units) and
+/// every registered weight's B pack is timed once per layout and unit,
+/// then replayed (see the module docs). [`simulate_gemm`] and
+/// [`simulate_gemm_batch`] are a new session and one call.
+///
+/// The memo keys on [`WeightHandle`]s, never on bytes: a handle carries
+/// its registry, slot and generation, so a recycled slot cannot alias.
+/// A weight evicted from its registry must be evicted here too
+/// ([`SimSession::evict_weight`]) to free its checkpoints. At most four
+/// layouts per (weight, unit) are kept, the oldest dropped first.
+pub struct SimSession {
+    sim: Simulator,
+    memo: PackMemo,
+}
+
+impl std::fmt::Debug for SimSession {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SimSession")
+            .field("core", &self.sim.config().name)
+            .field("memoized_packs", &self.memoized_packs())
+            .finish_non_exhaustive()
+    }
+}
+
+impl SimSession {
+    /// A session simulating `core`, its memo empty.
+    pub fn new(core: CoreConfig) -> Self {
+        SimSession { sim: Simulator::new(core, 0), memo: PackMemo::default() }
+    }
+
+    /// [`simulate_gemm_batch`] on this session: the packs of problems
+    /// marked [`GemmProblem::with_weight`] go through the memo.
+    pub fn simulate_gemm_batch(
+        &mut self,
+        problems: &[GemmProblem<'_>],
+        opts: &GemmOptions,
+    ) -> SimBatchResult {
+        let core = *self.sim.config();
+        let mut ctxs: Vec<ProblemCtx> =
+            problems.iter().map(|p| problem_ctx(core, p, opts)).collect();
+
+        // B dedup: same buffer + same packed shape (post-clamp n/k and
+        // dtype) ⇒ same packed image
+        let mut owner_of: HashMap<(usize, usize, usize, usize, DType), usize> = HashMap::new();
+        for i in 0..ctxs.len() {
+            if ctxs[i].degenerate {
+                continue;
+            }
+            let p = &problems[i];
+            let key = (p.b.as_ptr() as usize, p.b.len(), ctxs[i].plan.np, ctxs[i].plan.kp, p.dtype);
+            match owner_of.get(&key) {
+                Some(&owner) => {
+                    ctxs[i].owner = Some(owner);
+                    ctxs[owner].share_b = true;
+                }
+                None => {
+                    owner_of.insert(key, i);
+                }
+            }
+        }
+
+        let outs = self.run(&ctxs);
+        let mut results = Vec::with_capacity(ctxs.len());
+        for (ctx, out) in ctxs.iter().zip(outs) {
+            let mut r = finish_problem(core, ctx, out);
+            if opts.verify && !ctx.degenerate {
+                verify_host(ctx, &mut r);
+            }
+            results.push(r);
+        }
+        let mut stats = SimStats::default();
+        for r in &results {
+            stats.merge(&r.stats);
+        }
+        SimBatchResult { results, stats }
+    }
+
+    /// Drop `h`'s checkpoints: call it when `h` leaves its registry.
+    pub fn evict_weight(&mut self, h: WeightHandle) {
+        self.memo.evict(h);
+    }
+
+    /// Drop every checkpoint.
+    pub fn clear_weights(&mut self) {
+        self.memo = PackMemo::default();
+    }
+
+    /// Checkpoints held: one per (weight, layout, unit) timed so far
+    /// and not dropped.
+    pub fn memoized_packs(&self) -> usize {
+        self.memo.entries.values().map(Vec::len).sum()
+    }
+
+    /// Run every unit of every problem, in order. A dedup consumer
+    /// re-stages its owner's snapshotted pack-B image instead of
+    /// packing; the owner is the first problem with its key, so it has
+    /// always run by then.
+    fn run(&mut self, ctxs: &[ProblemCtx]) -> Vec<Vec<UnitOut>> {
+        let mut outs: Vec<Vec<UnitOut>> = Vec::with_capacity(ctxs.len());
+        for ctx in ctxs {
+            let mut row = Vec::with_capacity(ctx.specs.len());
+            for (u, &spec) in ctx.specs.iter().enumerate() {
+                let prepacked = ctx.owner.map(|owner| {
+                    outs[owner][u].packed_b.as_deref().expect("owner snapshotted every block")
+                });
+                row.push(simulate_unit(&mut self.sim, &mut self.memo, ctx, spec, prepacked));
+            }
+            outs.push(row);
+        }
+        outs
+    }
 }
 
 /// Merge a problem's unit outputs into its [`GemmResult`]: partial C
@@ -785,11 +984,10 @@ pub fn simulate_gemm(
     opts: &GemmOptions,
 ) -> GemmResult {
     let ctx = rng_ctx(core, method, m, n, k, opts);
-    let ctxs = [ctx];
-    let outs = run_ctxs(core, &ctxs).pop().expect("one problem in, one out");
-    let mut result = finish_problem(core, &ctxs[0], outs);
-    if opts.verify && !ctxs[0].degenerate {
-        verify_host(&ctxs[0], &mut result);
+    let outs = SimSession::new(core).run(std::slice::from_ref(&ctx)).pop();
+    let mut result = finish_problem(core, &ctx, outs.expect("one problem in, one out"));
+    if opts.verify && !ctx.degenerate {
+        verify_host(&ctx, &mut result);
     }
     result
 }
@@ -807,7 +1005,8 @@ pub fn simulate_gemm(
 /// Per-problem results are bit-identical to running each problem alone
 /// (dedup changes only pack accounting); the batch [`SimStats`] are
 /// their sum. i4 problems need operand values in [-8, 7], like the host
-/// engine's i4 kernel.
+/// engine's i4 kernel. A [`SimSession`] runs the same batch and keeps
+/// its simulator and pack memo for the next one.
 ///
 /// # Panics
 /// Panics on mis-sized operands.
@@ -816,42 +1015,7 @@ pub fn simulate_gemm_batch(
     problems: &[GemmProblem<'_>],
     opts: &GemmOptions,
 ) -> SimBatchResult {
-    let mut ctxs: Vec<ProblemCtx> = problems.iter().map(|p| problem_ctx(core, p, opts)).collect();
-
-    // B dedup: same buffer + same packed shape (post-clamp n/k and
-    // dtype) ⇒ same packed image
-    let mut owner_of: HashMap<(usize, usize, usize, usize, DType), usize> = HashMap::new();
-    for i in 0..ctxs.len() {
-        if ctxs[i].degenerate {
-            continue;
-        }
-        let p = &problems[i];
-        let key = (p.b.as_ptr() as usize, p.b.len(), ctxs[i].plan.np, ctxs[i].plan.kp, p.dtype);
-        match owner_of.get(&key) {
-            Some(&owner) => {
-                ctxs[i].owner = Some(owner);
-                ctxs[owner].share_b = true;
-            }
-            None => {
-                owner_of.insert(key, i);
-            }
-        }
-    }
-
-    let outs = run_ctxs(core, &ctxs);
-    let mut results = Vec::with_capacity(ctxs.len());
-    for (ctx, out) in ctxs.iter().zip(outs) {
-        let mut r = finish_problem(core, ctx, out);
-        if opts.verify && !ctx.degenerate {
-            verify_host(ctx, &mut r);
-        }
-        results.push(r);
-    }
-    let mut stats = SimStats::default();
-    for r in &results {
-        stats.merge(&r.stats);
-    }
-    SimBatchResult { results, stats }
+    SimSession::new(core).simulate_gemm_batch(problems, opts)
 }
 
 #[cfg(test)]
@@ -1111,5 +1275,36 @@ mod tests {
         assert!(batch.results[0].c.is_empty());
         assert_eq!(batch.results[0].stats.cycles, 0);
         assert!(batch.results[1].correct);
+    }
+
+    #[test]
+    fn the_memo_keeps_the_newest_layouts_and_replays_them_exactly() {
+        // sixteen m values, sixteen plans of one weight, one unit each
+        let (n, k) = (8, 64);
+        let b = fill(k * n, 5);
+        let h = crate::weights::WeightRegistry::raw_mirror().register(n, k, &b, DType::I8);
+        let a = fill(64 * k, 3);
+        let problem = |m: usize| GemmProblem::new(m, n, k, &a[..m * k], &b).with_weight(h);
+        let ms: Vec<usize> = (1..=16).map(|i| 4 * i).collect();
+        let (core, opts) = (CoreConfig::a64fx(), GemmOptions::default());
+        let mut session = SimSession::new(core);
+        for &m in &ms {
+            session.simulate_gemm_batch(&[problem(m)], &opts);
+        }
+        assert_eq!(session.memoized_packs(), MEMO_LAYOUTS, "only the newest layouts stay");
+        let memo = &session.memo;
+        let live: usize = memo.entries.values().flatten().map(|(_, cp)| cp.words()).sum();
+        assert_eq!(memo.arena.len() - memo.dead, live);
+        assert!(2 * memo.dead <= memo.arena.len(), "dropped words are reclaimed");
+
+        // the kept layouts replay, the dropped ones are timed again, and
+        // both answer like a fresh session (after the compactions)
+        for &m in ms[..2].iter().chain(&ms[12..]) {
+            let warm = session.simulate_gemm_batch(&[problem(m)], &opts);
+            let cold = simulate_gemm_batch(core, &[problem(m)], &opts);
+            assert!(warm.results[0].correct, "m = {m}");
+            assert_eq!(warm.results[0].c, cold.results[0].c, "m = {m}");
+            assert_eq!(warm.stats, cold.stats, "m = {m}");
+        }
     }
 }

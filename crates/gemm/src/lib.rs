@@ -24,6 +24,8 @@
 //! block unit starts from the freshly built simulator state — zeroed
 //! machine memory, cold caches; the driver resets one simulator between
 //! units — so units are independent and their statistics simply add up.
+//! A [`SimSession`] keeps that simulator across calls, with a memo that
+//! replays the B pack of a registered weight instead of re-timing it.
 //!
 //! Everything kernel-specific is a `match` on [`Method`] in [`method`] —
 //! geometry, element/accumulator types, default kc, and the packing and
@@ -72,6 +74,7 @@ pub mod workspace;
 pub use batch::GemmProblem;
 pub use driver::{
     simulate_gemm, simulate_gemm_batch, CMatrix, GemmOptions, GemmResult, SimBatchResult,
+    SimSession,
 };
 pub use host::{CpuFeatures, HostKernel, HostTier, KernelInfo};
 pub use method::{AccKind, ElemKind, KernelGeometry, Method};

@@ -23,7 +23,7 @@ pub fn round_up(x: usize, to: usize) -> usize {
 
 /// Padded problem dimensions plus the cache-blocking factors, all
 /// normalized so every block boundary is tile-aligned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockPlan {
     /// m padded to a multiple of `mr`.
     pub mp: usize,

@@ -175,8 +175,19 @@ pub enum PackB {
 
 impl PackB {
     /// Pack the (jc, pc) block `ctx` describes into `ctx.bpack`, one
-    /// `geo.b_panel_bytes(kcb)` panel per `geo.nr` columns.
-    pub fn run(&self, sim: &mut Simulator, ctx: &PackBCtx, geo: &KernelGeometry) {
+    /// `geo.b_panel_bytes(kcb)` panel per `geo.nr` columns: through the
+    /// timing model when `timed`, otherwise on the functional machine
+    /// alone — the same registers and packed bytes, but no cycles, cache
+    /// traffic or statistics.
+    pub fn run(&self, sim: &mut Simulator, ctx: &PackBCtx, geo: &KernelGeometry, timed: bool) {
+        let exec = |sim: &mut Simulator, prog: &Program| {
+            if timed {
+                sim.run(prog, RUN_BUDGET)
+            } else {
+                sim.machine_mut().run(prog, RUN_BUDGET).map(drop)
+            }
+            .expect("pack B")
+        };
         let panel_bytes = geo.b_panel_bytes(ctx.kcb) as u64;
         let panels = ctx.ncb / geo.nr;
         // address of k-row `pc + r` at the first column of panel `p`
@@ -193,7 +204,7 @@ impl PackB {
                     mm.set_x(S(11), ctx.bpack + p as u64 * panel_bytes);
                     mm.set_x(S(12), ctx.kcb as u64);
                     mm.set_x(S(13), ctx.ldb);
-                    sim.run(prog, RUN_BUDGET).expect("pack B");
+                    exec(sim, prog);
                 }
             }
             PackB::GatherRows { prog, rows } => {
@@ -205,7 +216,7 @@ impl PackB {
                     mm.set_x(S(11), ctx.bpack + p as u64 * panel_bytes);
                     mm.set_x(S(12), (ctx.kcb / rows) as u64);
                     mm.set_x(S(14), *rows as u64 * ctx.ldb);
-                    sim.run(prog, RUN_BUDGET).expect("pack B");
+                    exec(sim, prog);
                 }
             }
             PackB::PairInterleave { vector, tail } => {
@@ -220,10 +231,10 @@ impl PackB {
                     mm.set_x(S(14), 2 * ctx.ldb);
                     if p + 1 < panels {
                         mm.set_x(S(15), dst + panel_bytes);
-                        sim.run(vector, RUN_BUDGET).expect("pack B (vector)");
+                        exec(sim, vector);
                         p += 2;
                     } else {
-                        sim.run(tail, RUN_BUDGET).expect("pack B");
+                        exec(sim, tail);
                         p += 1;
                     }
                 }

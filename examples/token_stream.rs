@@ -4,7 +4,9 @@
 //! the host engine, wraps the engine in a dispatcher, and streams
 //! tokens from two concurrent `InferSession` tenants — then replays
 //! one stream on the cycle-accurate simulator and on the pure
-//! `gemm_i32_ref` executor to show all three agree bit for bit.
+//! `gemm_i32_ref` executor to show all three agree bit for bit. The
+//! simulator serves the stream twice: the warm request must report
+//! exactly the cold one's simulated statistics.
 //!
 //! ```sh
 //! cargo run --release --example token_stream
@@ -13,10 +15,13 @@
 use std::sync::Arc;
 
 use camp::core::backend::{CampBackend, SimBackend};
-use camp::core::CampEngine;
-use camp::infer::{BackendExec, CheckedExec, InferContext, InferSession, Model, RefExec};
+use camp::core::{CampEngine, GemmRequest};
+use camp::infer::{
+    BOperand, CheckedExec, GemmExec, InferContext, InferError, InferGemm, InferSession, Model,
+    ModelHandles, RefExec,
+};
 use camp::models::TransformerConfig;
-use camp::pipeline::CoreConfig;
+use camp::pipeline::{CoreConfig, SimStats};
 
 fn main() {
     let cfg = TransformerConfig { hidden: 32, ff_dim: 64, heads: 4, layers: 3, seq_len: 64 };
@@ -73,16 +78,61 @@ fn main() {
     }
     assert_eq!(stream_a, ref_stream, "dispatcher path must match gemm_i32_ref");
 
-    // ... and on the cycle-accurate simulator, cross-checking every
-    // layer's GeMM output against the reference as it happens
+    // ... and on the cycle-accurate simulator, twice on one backend: the
+    // second request replays the B packs of the weights the first one
+    // timed, and must count every cycle and instruction the same
     let mut sim = SimBackend::new(CoreConfig::a64fx());
     let sim_handles = model.register(&mut sim);
-    let mut ctx = InferContext::for_model(&model);
-    let mut checked = CheckedExec::new(&model, BackendExec::new(&mut sim, &sim_handles));
-    let mut sim_stream = vec![ctx.prefill_with(&model, &mut checked, &prompt_a).unwrap().first];
-    for _ in 0..8 {
-        sim_stream.push(ctx.decode_with(&model, &mut checked).unwrap());
-    }
+    let (sim_stream, cold) = serve_on_sim(&mut sim, &model, &sim_handles, &prompt_a, 8);
+    let (warm_stream, warm) = serve_on_sim(&mut sim, &model, &sim_handles, &prompt_a, 8);
     assert_eq!(stream_a, sim_stream, "simulator must serve the same tokens");
+    assert_eq!(warm_stream, sim_stream);
+    assert_eq!(warm, cold, "a warm simulated request must count exactly like the cold one");
     println!("parity: host == simulator == gemm_i32_ref, bit for bit");
+    println!("simulator: {} cycles per request, cold and warm alike", cold.cycles);
+}
+
+/// Serve `prompt` and `steps` decode steps on `sim`, cross-checking every
+/// layer's GeMM output against the reference as it happens: the stream
+/// and the simulated statistics of the whole request.
+fn serve_on_sim(
+    sim: &mut SimBackend,
+    model: &Model,
+    handles: &ModelHandles,
+    prompt: &[u32],
+    steps: usize,
+) -> (Vec<u32>, SimStats) {
+    let mut stats = SimStats::default();
+    let mut exec = CheckedExec::new(model, Tallied { sim, handles, stats: &mut stats });
+    let mut ctx = InferContext::for_model(model);
+    let mut stream = vec![ctx.prefill_with(model, &mut exec, prompt).unwrap().first];
+    for _ in 0..steps {
+        stream.push(ctx.decode_with(model, &mut exec).unwrap());
+    }
+    (stream, stats)
+}
+
+/// `BackendExec` on the simulator, summing every batch's `SimStats`.
+struct Tallied<'a> {
+    sim: &'a mut SimBackend,
+    handles: &'a ModelHandles,
+    stats: &'a mut SimStats,
+}
+
+impl GemmExec for Tallied<'_> {
+    fn run(&mut self, batch: Vec<InferGemm>) -> Result<Vec<Vec<i32>>, InferError> {
+        let reqs = batch
+            .iter()
+            .map(|g| match &g.b {
+                BOperand::Weight(id) => {
+                    GemmRequest::with_weights(g.m, g.a.clone(), self.handles.get(*id))
+                }
+                BOperand::Dense(b) => GemmRequest::dense(g.m, g.n, g.k, g.a.clone(), b.clone()),
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(InferError::Request)?;
+        let outcome = self.sim.execute_batch(&reqs).map_err(InferError::Request)?;
+        self.stats.merge(outcome.stats.as_sim().expect("the simulator reports SimStats"));
+        Ok(outcome.outputs.into_iter().map(|o| o.c).collect())
+    }
 }

@@ -1,20 +1,24 @@
 //! Allocation as a counted row: what one served token asks of the heap,
-//! and what one simulated program run asks of it.
+//! on the host engine and on the simulator, and what one simulated
+//! program run asks of it.
 //!
 //! A counting `#[global_allocator]` (this binary only) measures heap
 //! calls and bytes per steady-state decode token and per 192-token
 //! prefill of the benchmark-sized model on `BackendExec` over
 //! `CampEngine::with_threads(1)` — one thread, so every allocation of
 //! the step is made by the measuring thread and the counts repeat
-//! exactly — and per warm `Simulator::run` of a CAMP B-pack loop, which
-//! must make none (the simulator keeps its decoded program and timing
-//! queues between runs). The numbers are pinned as literals: a change
-//! that adds an allocation to either path edits this file and says so.
+//! exactly —, heap calls per warm decode step of the `sim_token` model
+//! on `SimBackend` (1933 when every batch built its own simulator, 1621
+//! since the backend keeps one), and per warm `Simulator::run` of a
+//! CAMP B-pack loop, which must make none (the simulator keeps its
+//! decoded program and timing queues between runs). The numbers are
+//! pinned as literals: a change that adds an allocation to any of these
+//! paths edits this file and says so.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use camp::core::CampEngine;
+use camp::core::{CampEngine, SimBackend};
 use camp::infer::{BackendExec, InferContext, Model};
 use camp::isa::asm::Assembler;
 use camp::isa::reg::S;
@@ -113,8 +117,8 @@ const CFG: TransformerConfig =
     TransformerConfig { hidden: 256, ff_dim: 1024, heads: 4, layers: 4, seq_len: 256 };
 const VOCAB: usize = 256;
 
-fn prompt(len: usize) -> Vec<u32> {
-    (0..len as u32).map(|i| (i * 37 + 11) % VOCAB as u32).collect()
+fn prompt(len: usize, vocab: usize) -> Vec<u32> {
+    (0..len as u32).map(|i| (i * 37 + 11) % vocab as u32).collect()
 }
 
 /// Decode tokens in the measured window: positions 36..52 of a
@@ -139,7 +143,7 @@ fn heap_calls_per_decode_token_and_per_prefill_are_pinned() {
     let mut exec = BackendExec::new(&mut engine, &handles);
 
     let mut ctx = InferContext::for_model(&model);
-    ctx.prefill_with(&model, &mut exec, &prompt(32)).expect("prefill");
+    ctx.prefill_with(&model, &mut exec, &prompt(32, VOCAB)).expect("prefill");
     for _ in 0..4 {
         ctx.decode_with(&model, &mut exec).expect("warm-up decode");
     }
@@ -152,7 +156,7 @@ fn heap_calls_per_decode_token_and_per_prefill_are_pinned() {
     // the engine's arenas are warm from the first prompt; the KV cache
     // of the fresh context grows inside the window, as it does for
     // every served request
-    let doc = prompt(192);
+    let doc = prompt(192, VOCAB);
     let mut ctx = InferContext::for_model(&model);
     let prefill = measure(|| {
         ctx.prefill_with(&model, &mut exec, &doc).expect("prefill");
@@ -174,6 +178,42 @@ fn heap_calls_per_decode_token_and_per_prefill_are_pinned() {
     assert_eq!(prefill, Tally { allocs: 442, bytes: 15_112_760, live: 729_088, peak: 1_957_920 });
     assert!(per_token < PARENT_ALLOCS_PER_DECODE_TOKEN);
     assert!(prefill.peak < PARENT_PREFILL_PEAK_BYTES);
+}
+
+/// `benchmark/`'s `sim_token` model (`benchmark/src/workload.rs`).
+const SIM_CFG: TransformerConfig =
+    TransformerConfig { hidden: 128, ff_dim: 256, heads: 4, layers: 2, seq_len: 64 };
+const SIM_VOCAB: usize = 64;
+
+/// Heap calls of one warm decode step of [`SIM_CFG`] on `SimBackend`:
+/// now, and at the commit before the backend kept one simulator, which
+/// built one (caches, prefetchers, machine, queues) for each of the
+/// step's 13 batches.
+const SIM_ALLOCS_PER_DECODE_STEP: usize = 1621;
+const PARENT_SIM_ALLOCS_PER_DECODE_STEP: usize = 1933;
+
+#[test]
+fn a_warm_simulated_decode_step_is_pinned() {
+    let model = Model::new(SIM_CFG, SIM_VOCAB, 7);
+    let mut sim = SimBackend::a64fx();
+    let handles = model.register(&mut sim);
+    let mut exec = BackendExec::new(&mut sim, &handles);
+    let mut ctx = InferContext::for_model(&model);
+    ctx.prefill_with(&model, &mut exec, &prompt(8, SIM_VOCAB)).expect("prefill");
+    // the first decode step timed the m = 1 packs; these replay them
+    for _ in 0..3 {
+        ctx.decode_with(&model, &mut exec).expect("warm-up decode");
+    }
+    let mut step = || {
+        measure(|| {
+            ctx.decode_with(&model, &mut exec).expect("decode");
+        })
+    };
+    // the attention operands grow by a row per step, so the bytes move
+    // from step to step; the calls do not, and nothing stays live
+    let calls = [step(), step()].map(|t| (t.allocs, t.live));
+    assert_eq!(calls, [(SIM_ALLOCS_PER_DECODE_STEP, 0); 2]);
+    const { assert!(SIM_ALLOCS_PER_DECODE_STEP < PARENT_SIM_ALLOCS_PER_DECODE_STEP) };
 }
 
 #[test]

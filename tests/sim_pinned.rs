@@ -4,11 +4,16 @@
 //! fixed order — so the decomposition defines every count pinned here,
 //! for every §5.3 method on both cores, on ragged shapes, for a batch
 //! whose B-pack dedup re-stages one problem's packed image for another
-//! (see `docs/SIMULATOR.md`), and for the CAMP-vs-OpenBLAS speed-up the
-//! paper headlines.
+//! (see `docs/SIMULATOR.md`), for the CAMP-vs-OpenBLAS speed-up the
+//! paper headlines, and for one request served on `SimBackend`, whose
+//! replayed B packs (the pack memo) must count exactly like timed ones.
 
+use camp::core::{CampBackend, GemmRequest, SimBackend};
 use camp::gemm::{simulate_gemm, simulate_gemm_batch, DType, GemmOptions, GemmProblem, Method};
-use camp::models::LlmModel;
+use camp::infer::{
+    BOperand, GemmExec, InferContext, InferError, InferGemm, Model, ModelHandles, RefExec,
+};
+use camp::models::{LlmModel, TransformerConfig};
 use camp::pipeline::{CoreConfig, SimStats};
 
 /// Blocking that splits modest problems into several column strips and
@@ -167,4 +172,90 @@ fn the_headline_speedups_match_their_pinned_cycles() {
     assert_eq!(cycles, PINNED_SPEEDUP_CYCLES, "[OpenBLAS, CAMP-8bit, CAMP-4bit] cycles moved");
     let speedup = |i: usize| format!("{:.2}", cycles[0] as f64 / cycles[i] as f64);
     assert_eq!([speedup(1), speedup(2)], ["2.09", "2.36"], "CAMP-8bit / CAMP-4bit speed-up");
+}
+
+/// `benchmark/`'s `sim_token` model and request shape: prompt 32, then
+/// 15 decode steps.
+const SIM_MODEL: TransformerConfig =
+    TransformerConfig { hidden: 128, ff_dim: 256, heads: 4, layers: 2, seq_len: 64 };
+const SIM_VOCAB: usize = 64;
+const DECODE_STEPS: usize = 15;
+
+/// Runs inference batches on a [`SimBackend`], summing their stats.
+struct Tally<'a> {
+    backend: &'a mut SimBackend,
+    handles: &'a ModelHandles,
+    stats: SimStats,
+}
+
+impl GemmExec for Tally<'_> {
+    fn run(&mut self, batch: Vec<InferGemm>) -> Result<Vec<Vec<i32>>, InferError> {
+        let reqs = batch
+            .iter()
+            .map(|g| match &g.b {
+                BOperand::Weight(id) => {
+                    GemmRequest::with_weights(g.m, g.a.clone(), self.handles.get(*id))
+                }
+                BOperand::Dense(b) => GemmRequest::dense(g.m, g.n, g.k, g.a.clone(), b.clone()),
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(InferError::Request)?;
+        let outcome = self.backend.execute_batch(&reqs).map_err(InferError::Request)?;
+        self.stats.merge(outcome.stats.as_sim().expect("the simulator reports SimStats"));
+        Ok(outcome.outputs.into_iter().map(|o| o.c).collect())
+    }
+}
+
+/// `[cycles, insts, macs, stall_fu, stall_read, stall_write, l1d
+/// accesses, l2 accesses]` of a served phase.
+fn served_counts(s: &SimStats) -> [u64; 8] {
+    [
+        s.cycles,
+        s.insts,
+        s.macs,
+        s.stall_fu,
+        s.stall_read,
+        s.stall_write,
+        s.l1d.accesses,
+        s.l2.accesses,
+    ]
+}
+
+/// [`served_counts`] of the prefill, then of the 15 decode steps, of
+/// the request [`a_served_request_matches_its_pinned_counts`] serves.
+/// Recorded at the commit before `SimBackend` kept one simulator and a
+/// pack memo, which built a fresh simulator per batch and timed every
+/// B pack.
+const PINNED_SERVED: [[u64; 8]; 2] = [
+    [297310, 842683, 10528368, 1204857, 662692, 504933, 480544, 1446],
+    [1889076, 5946129, 20769648, 5509069, 2754986, 7762307, 3211488, 6324],
+];
+
+#[test]
+fn a_served_request_matches_its_pinned_counts() {
+    let model = Model::new(SIM_MODEL, SIM_VOCAB, 7);
+    let mut backend = SimBackend::a64fx();
+    let handles = model.register(&mut backend);
+    let prompt: Vec<u32> = (0..32).map(|i| (i * 37 + 11) % SIM_VOCAB as u32).collect();
+
+    let mut ctx = InferContext::for_model(&model);
+    let mut exec = Tally { backend: &mut backend, handles: &handles, stats: SimStats::default() };
+    let mut tokens = vec![ctx.prefill_with(&model, &mut exec, &prompt).expect("prefill").first];
+    let prefill = std::mem::take(&mut exec.stats);
+    for _ in 0..DECODE_STEPS {
+        tokens.push(ctx.decode_with(&model, &mut exec).expect("decode"));
+    }
+    assert_eq!(
+        [served_counts(&prefill), served_counts(&exec.stats)],
+        PINNED_SERVED,
+        "[prefill, decode] counts moved"
+    );
+
+    let mut ctx = InferContext::for_model(&model);
+    let mut reference = RefExec::new(&model);
+    let mut want = vec![ctx.prefill_with(&model, &mut reference, &prompt).unwrap().first];
+    for _ in 0..DECODE_STEPS {
+        want.push(ctx.decode_with(&model, &mut reference).unwrap());
+    }
+    assert_eq!(tokens, want, "the simulator serves gemm_i32_ref's stream");
 }
