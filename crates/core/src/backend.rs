@@ -39,10 +39,9 @@
 //! Weight registration works on both substrates: a [`WeightHandle`]
 //! from [`CampBackend::register_weights`] resolves against the backend
 //! that issued it — the host pre-packs the panel (zero B-packing on
-//! later calls), the simulator keeps a raw mirror (batches simulate the
-//! pack once per unique weight and share the packed image). Evicted
-//! handles surface as [`RequestError::StaleHandle`] instead of
-//! panicking.
+//! later calls), the simulator keeps a raw mirror and counts every
+//! request's B pack, as the paper's kernels run it. Evicted handles
+//! surface as [`RequestError::StaleHandle`] instead of panicking.
 //!
 //! # Thread configuration
 //!
@@ -60,10 +59,9 @@ use std::sync::Arc;
 
 use camp_gemm::driver::{default_blocking, GemmOptions, SimSession};
 use camp_gemm::host::{CpuFeatures, KernelInfo};
-use camp_gemm::request::{GemmRequest, Operand, RequestError, ResolvedRequest};
+use camp_gemm::request::{GemmRequest, Operand, RequestError};
 use camp_gemm::weights::{DType, WeightHandle, WeightMeta, WeightRegistry, WeightSnapshot};
-use camp_gemm::CMatrix;
-use camp_gemm::Method;
+use camp_gemm::{CMatrix, GemmProblem, Method};
 use camp_pipeline::{CoreConfig, SimStats};
 
 use crate::dispatch::Dispatcher;
@@ -253,8 +251,8 @@ pub trait CampBackend {
     fn weight_snapshot(&self) -> WeightSnapshot;
 
     /// Execute a batch of requests; outputs come back in input order,
-    /// with dense B operands deduplicated by buffer identity and
-    /// handle operands resolved against this backend's registry. Every
+    /// with handle operands resolved against this backend's registry
+    /// (the host engine also packs each dense B buffer once). Every
     /// request is validated before any runs, so a malformed or stale one
     /// fails the batch with a typed error and no work done.
     fn execute_batch(&mut self, reqs: &[GemmRequest]) -> Result<BatchOutcome, RequestError> {
@@ -285,11 +283,11 @@ pub trait CampBackend {
     /// (a dispatcher's driver, a
     /// [`crate::dispatch::DispatchSession::run`] caller, or
     /// [`CampBackend::execute_batch`]'s). Requests were validated before
-    /// they were prepared, so this is infallible. Dense B operands are
-    /// deduplicated here, by buffer identity — which means that on the
-    /// queued pipeline a dense B is packed on the compute path, not by
-    /// the submitter; served weights are registered handles and pack
-    /// nothing.
+    /// they were prepared, so this is infallible. The host engine
+    /// deduplicates dense B operands here, by buffer identity — which
+    /// means that on the queued pipeline a dense B is packed on the
+    /// compute path, not by the submitter; served weights are registered
+    /// handles and pack nothing.
     fn execute_prepared(&mut self, batch: Vec<Self::Prepared>) -> BatchOutcome;
 
     /// Upgrade the backend into a serving [`Dispatcher`] with
@@ -356,22 +354,23 @@ impl CampBackend for CampEngine {
 
 // ---- the simulated backend ------------------------------------------------
 
-/// The cycle-accurate substrate behind the unified API: requests run on
-/// the simulated driver (`camp_gemm::driver`) through one
-/// [`SimSession`], built at the first batch: one simulator, reset for
-/// every (jc, pc) block unit, which run in order on the calling thread.
-/// The dtype selects the camp kernel (`camp.s8` / `camp.s4`), exactly
-/// like the host engine.
+/// The cycle-accurate substrate behind the unified API: each request of
+/// a batch runs on the simulated driver (`camp_gemm::driver`) as one
+/// [`SimSession::simulate`] call, in order on the calling thread, and
+/// the batch's stats are their [`SimStats::merge`]. The session is
+/// built at the first batch: one simulator, reset for every (jc, pc)
+/// block unit. The dtype selects the camp kernel (`camp.s8` /
+/// `camp.s4`), exactly like the host engine.
 ///
 /// Weights registered here live in a *simulated* registry: a raw
 /// mirror of the bytes with the same handle semantics (identity,
 /// generations, eviction) as the host registry, so the same
 /// [`GemmRequest`] — handle operands included — executes on both
-/// substrates. Within a batch, every problem sharing one weight
-/// simulates its packing once (the packed image is re-staged for the
-/// sharers). Across batches, the session times a registered weight's B
-/// pack once per layout and unit and replays it afterwards, with every
-/// count unchanged; eviction drops the weight's checkpoints.
+/// substrates. Every request packs its own B, so it counts exactly what
+/// it counts alone, whatever else its batch holds. The session times a
+/// registered weight's B pack once per layout and unit and replays it
+/// afterwards, with every count unchanged; eviction drops the weight's
+/// checkpoints.
 ///
 /// By default problems are simulated at full size. For harness-style
 /// measurements, [`SimBackend::with_mac_budget`] enables the paper's
@@ -473,72 +472,53 @@ impl CampBackend for SimBackend {
     }
 
     fn execute_prepared(&mut self, reqs: Vec<GemmRequest>) -> BatchOutcome {
-        // the simulated driver's borrowed input form
-        use camp_gemm::GemmProblem;
         const VALIDATED: &str = "requests are validated before they are prepared";
         let snap = self.weights.snapshot();
-        let resolved: Vec<ResolvedRequest> =
-            reqs.iter().map(|r| r.resolve(&snap).expect(VALIDATED)).collect();
-        // raw B bytes per handle request (kept alive across the batch so
-        // problems can borrow them; Arc clones, no copies)
-        let raws: Vec<Option<Arc<[i8]>>> = reqs
-            .iter()
-            .map(|req| match req.weights() {
-                Operand::Handle(h) => Some(self.weights.raw(*h).expect(VALIDATED)),
-                Operand::Dense(_) => None,
-            })
-            .collect();
-
-        // simulate only the non-degenerate requests; degenerate ones get
-        // the host engine's rule (empty, or all-zero when only k is 0)
-        let mut problems: Vec<GemmProblem<'_>> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
-        for (i, (req, r)) in reqs.iter().zip(&resolved).enumerate() {
-            if r.is_degenerate() {
-                continue;
-            }
-            let problem = |b| GemmProblem::new(r.m, r.n, r.k, req.activation(), b);
-            problems.push(
-                match req.weights() {
-                    Operand::Dense(b) => problem(b),
-                    Operand::Handle(h) => {
-                        problem(raws[i].as_deref().expect("raw bytes resolved above"))
-                            .with_weight(*h)
-                    }
-                }
-                .with_dtype(r.dtype),
-            );
-            slots.push(i);
-        }
-
         let opts = GemmOptions { mac_budget: self.mac_budget, verify: false, ..Default::default() };
         let core = self.core;
         let session = self.session.get_or_insert_with(|| SimSession::new(core));
-        let batch = session.simulate_gemm_batch(&problems, &opts);
-
-        let mut outputs: Vec<Output> = resolved
+        let mut stats = SimStats::default();
+        let outputs = reqs
             .iter()
-            .map(|r| Output { c: vec![0i32; r.m * r.n], m: r.m, n: r.n, clamped: false })
-            .collect();
-        for (&slot, result) in slots.iter().zip(&batch.results) {
-            let r = &resolved[slot];
-            let CMatrix::I32(padded) = &result.c else {
-                unreachable!("camp kernels accumulate i32");
-            };
-            outputs[slot] = if result.clamped {
-                // the clamped (padded) measurement problem, flagged
-                Output { c: padded.clone(), m: result.m, n: result.n, clamped: true }
-            } else {
-                // unpad the requested m×n region (np = result.n)
+            .map(|req| {
+                let r = req.resolve(&snap).expect(VALIDATED);
+                // degenerate requests get the host engine's rule (empty,
+                // or all-zero when only k is 0) and simulate nothing
+                if r.is_degenerate() {
+                    return Output { c: vec![0i32; r.m * r.n], m: r.m, n: r.n, clamped: false };
+                }
+                let problem = |b| GemmProblem::new(r.m, r.n, r.k, req.activation(), b);
+                let raw: Arc<[i8]>;
+                let problem = match req.weights() {
+                    Operand::Dense(b) => problem(b),
+                    Operand::Handle(h) => {
+                        raw = self.weights.raw(*h).expect(VALIDATED);
+                        problem(&raw).with_weight(*h)
+                    }
+                };
+                let result = session.simulate(&problem.with_dtype(r.dtype), &opts);
+                stats.merge(&result.stats);
+                let CMatrix::I32(padded) = result.c else {
+                    unreachable!("camp kernels accumulate i32");
+                };
+                if result.clamped {
+                    // the clamped (padded) measurement problem, flagged
+                    return Output { c: padded, m: result.m, n: result.n, clamped: true };
+                }
+                // unpad the requested m×n region (np = result.n) into an
+                // exactly sized buffer, so `padded` is freed here for the
+                // next request to reuse (unpadding in place and handing
+                // `padded` out measured ~4% fewer `sim_token` tokens/s on
+                // a 2-vCPU Xeon VM)
                 let mut c = vec![0i32; r.m * r.n];
                 for i in 0..r.m {
                     c[i * r.n..(i + 1) * r.n]
                         .copy_from_slice(&padded[i * result.n..i * result.n + r.n]);
                 }
                 Output { c, m: r.m, n: r.n, clamped: false }
-            };
-        }
-        BatchOutcome { outputs, stats: ExecStats::Sim(batch.stats) }
+            })
+            .collect();
+        BatchOutcome { outputs, stats: ExecStats::Sim(stats) }
     }
 }
 
@@ -642,24 +622,37 @@ mod tests {
     }
 
     #[test]
-    fn sim_batches_dedup_shared_weights() {
-        let (n, k) = (8, 32);
+    fn a_simulated_batch_counts_as_its_requests_run_alone() {
+        // two requests on one B: a shared dense Arc, then one registered
+        // weight at the same m twice (the second replays the first's
+        // pack from the memo). Each request counts its own B pack, so
+        // the batch counts what the two count on fresh backends.
+        fn check(requests: impl Fn(&mut SimBackend) -> Vec<GemmRequest>) {
+            let mut sim = SimBackend::a64fx();
+            let reqs = requests(&mut sim);
+            let batch = sim.execute_batch(&reqs).unwrap();
+            let mut alone = SimStats::default();
+            for (i, out) in batch.outputs.iter().enumerate() {
+                let mut fresh = SimBackend::a64fx();
+                let req = requests(&mut fresh).swap_remove(i);
+                let solo = fresh.execute(&req).unwrap();
+                assert_eq!(*out, solo.output);
+                alone.merge(solo.stats.as_sim().unwrap());
+            }
+            assert_eq!(batch.stats, ExecStats::Sim(alone));
+        }
+        let (m, n, k) = (4, 8, 32);
         let w: Arc<[i8]> = fill(k * n, 5).into();
-        let a1 = fill(4 * k, 3);
-        let a2 = fill(4 * k, 9);
-        let shared = [
-            GemmRequest::dense(4, n, k, a1.clone(), Arc::clone(&w)).unwrap(),
-            GemmRequest::dense(4, n, k, a2, Arc::clone(&w)).unwrap(),
-        ];
-        let mut sim = SimBackend::a64fx();
-        let both = sim.execute_batch(&shared).unwrap();
-        let alone = sim.execute_batch(&shared[..1]).unwrap();
-        assert_eq!(both.outputs[0].c, alone.outputs[0].c);
-        // sharing one Arc means one simulated B-pack: the batch costs
-        // less than two standalone runs
-        let ExecStats::Sim(batch_stats) = &both.stats else { panic!() };
-        let ExecStats::Sim(solo_stats) = &alone.stats else { panic!() };
-        assert!(batch_stats.insts < 2 * solo_stats.insts, "B-pack must be deduplicated");
+        let acts = [fill(m * k, 3), fill(m * k, 9)];
+        check(|_| {
+            acts.iter()
+                .map(|a| GemmRequest::dense(m, n, k, a.clone(), Arc::clone(&w)).unwrap())
+                .collect()
+        });
+        check(|sim| {
+            let h = sim.register_weights(n, k, &w, DType::I8);
+            acts.iter().map(|a| GemmRequest::with_weights(m, a.clone(), h).unwrap()).collect()
+        });
     }
 
     fn memoized_packs(sim: &SimBackend) -> usize {
@@ -669,9 +662,8 @@ mod tests {
     #[test]
     fn a_warm_simulator_answers_exactly_like_cold_ones() {
         // n spans two column strips of the A64FX blocking (two units per
-        // problem); m = 1 and m = 9 are two layouts of one weight, and in
-        // one batch the m = 9 request is the dedup consumer of the m = 1
-        // owner (when the clamp leaves them one packed shape)
+        // problem); m = 1 and m = 9 are two layouts of one weight, and
+        // the third call batches both, each packing B for itself
         let (n, k) = (520, 40);
         let w = fill(k * n, 5);
         let calls = |h| {

@@ -56,11 +56,6 @@ impl HybridMultiplier {
         &self.activity
     }
 
-    /// Reset activity counters.
-    pub fn reset_activity(&mut self) {
-        self.activity = HybridActivity::default();
-    }
-
     /// Number of 4-bit blocks needed for one `bits × bits` multiply.
     ///
     /// Halving the operand width quarters the block count — the scaling
@@ -161,14 +156,6 @@ impl HybridMultiplier {
         self.mul_signed(8, a as i64, b as i64) as i16
     }
 
-    /// 4-bit signed multiply (one building block used directly).
-    ///
-    /// # Panics
-    /// Debug-panics if operands are outside [-8, 7].
-    pub fn mul_i4(&mut self, a: i8, b: i8) -> i16 {
-        self.mul_signed(4, a as i64, b as i64) as i16
-    }
-
     /// 16-bit signed multiply (sixteen blocks; exercised by the tiling
     /// generality tests — the paper notes the block width is a design
     /// parameter).
@@ -198,10 +185,11 @@ mod tests {
 
     #[test]
     fn exhaustive_i4() {
+        // the 4-bit building block every wider multiply recurses into
         let mut h = HybridMultiplier::new();
-        for a in -8i8..8 {
-            for b in -8i8..8 {
-                assert_eq!(h.mul_i4(a, b), (a as i16) * (b as i16));
+        for a in -8..8 {
+            for b in -8..8 {
+                assert_eq!(h.mul_signed(4, a, b), a * b);
             }
         }
     }
@@ -237,13 +225,12 @@ mod tests {
     #[test]
     fn activity_counts_blocks() {
         let mut h = HybridMultiplier::new();
+        assert_eq!(h.activity(), &HybridActivity::default());
         h.mul_i8(3, -5);
         assert_eq!(h.activity().block_mults, 4);
         assert_eq!(h.activity().recombine_adds, 3);
-        h.mul_i4(1, 1);
-        assert_eq!(h.activity().block_mults, 5);
-        h.reset_activity();
-        assert_eq!(h.activity(), &HybridActivity::default());
+        h.mul_i8(1, 1);
+        assert_eq!(h.activity(), &HybridActivity { block_mults: 8, recombine_adds: 6 });
     }
 
     #[test]

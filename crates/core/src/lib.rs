@@ -1,16 +1,18 @@
 //! # camp-core — the CAMP architecture (paper's primary contribution)
 //!
-//! Three layers, mirroring §3–§4 of the paper:
+//! The layers, mirroring §3–§4 of the paper:
 //!
 //! * [`hybrid`] — the **hybrid multiplier**: a divide-and-conquer
 //!   composition of 4-bit building blocks (Fig. 5, Eq. 1–2). One 8-bit
 //!   multiply uses four 4-bit blocks; reconfigured, the same blocks
 //!   perform four independent 4-bit multiplies. The model is bit-accurate
 //!   and counts block activations for the area/energy model.
-//! * [`mod@unit`] — the **CAMP functional unit** (Fig. 8/10): 8 lanes × 32
-//!   8-bit hybrid multipliers, 16 intra-lane adders, 16 inter-lane
-//!   accumulators and the auxiliary register. Computes the outer
-//!   (Cartesian) product of a 4×k and a k×4 register block.
+//! * [`structure`] — the static shape of the **CAMP functional unit**
+//!   (Fig. 8/10: 8 lanes × 32 8-bit hybrid multipliers, intra- and
+//!   inter-lane adders) that the area model prices. What the unit
+//!   computes, the outer (Cartesian) product of a 4×k and a k×4
+//!   register block, is the `camp` instruction's semantics:
+//!   `camp_isa::machine::camp_outer_product`.
 //! * [`engine`] — a host-speed **CAMP GeMM engine**: GotoBLAS-style
 //!   blocked matrix multiplication whose micro-kernel is the `camp`
 //!   instruction's semantics. This is the library a downstream user calls
@@ -66,7 +68,6 @@ pub mod hybrid;
 pub mod pool;
 pub mod structure;
 pub mod sync;
-pub mod unit;
 
 pub use backend::{BatchOutcome, CampBackend, ExecStats, Outcome, Output, SimBackend};
 pub use dispatch::{
@@ -76,7 +77,6 @@ pub use engine::{gemm_i32_ref, CampEngine, DType, EngineStats, WeightHandle, Wei
 pub use hybrid::HybridMultiplier;
 pub use pool::WorkerPool;
 pub use structure::CampStructure;
-pub use unit::{CampActivity, CampUnit};
 
 pub use camp_gemm::request::{GemmRequest, GemmRequestBuilder, Operand, RequestError};
 pub use camp_gemm::weights::WeightSnapshot;

@@ -3,10 +3,10 @@
 //! Transformer attention runs *many small* GeMMs per step — per-head
 //! (s×dₕ)·(dₕ×s) score and (s×s)·(s×dₕ) context products, 12–20 heads
 //! per layer (§5.2, Fig. 14) — shapes where per-call setup and operand
-//! re-packing swamp compute. A batch call amortizes both: problems
-//! sharing one weight matrix reuse a single packed copy of it, and
-//! parallelism moves across batch items instead of inside each tiny
-//! GeMM.
+//! re-packing swamp compute. On the host engine a batch call amortizes
+//! both: problems sharing one weight matrix reuse a single packed copy
+//! of it, and parallelism moves across batch items instead of inside
+//! each tiny GeMM.
 //!
 //! This module owns two pieces. The layout of a *fully pre-packed*
 //! operand (every block of the blocked loops, concatenated in visit
@@ -14,24 +14,24 @@
 //! workers; the host engine and the weight registry index panels
 //! through it. [`GemmProblem`] is the simulated driver's borrowed input:
 //! requests reach both substrates as `camp_gemm::request::GemmRequest`s,
-//! and `SimBackend` lowers them to these descriptors for
-//! [`crate::driver::simulate_gemm_batch`], which deduplicates the
-//! *simulated* packing work of problems that share a B buffer:
+//! and `SimBackend` lowers each one to a descriptor for
+//! [`crate::driver::SimSession::simulate`]. The simulator times every
+//! GeMM on its own, B pack included, as the paper does: a problem
+//! counts the same whatever else its batch holds.
 //!
 //! ```
-//! use camp_gemm::{simulate_gemm_batch, GemmOptions, GemmProblem};
+//! use camp_gemm::{GemmOptions, GemmProblem, SimSession};
 //! use camp_pipeline::CoreConfig;
 //!
 //! let a: Vec<i8> = (0..4 * 8).map(|i| (i % 13) as i8 - 6).collect();
 //! let w: Vec<i8> = (0..8 * 4).map(|i| (i % 15) as i8 - 7).collect();
-//! let problems = [
-//!     GemmProblem::new(4, 4, 8, &a, &w),
-//!     GemmProblem::new(4, 4, 8, &a, &w), // same weights: B packed once
-//! ];
-//! let batch = simulate_gemm_batch(CoreConfig::a64fx(), &problems, &GemmOptions::default());
-//! assert!(batch.results.iter().all(|r| r.correct));
-//! // the dedup consumer simulated fewer instructions: no B-pack program
-//! assert!(batch.results[1].stats.insts < batch.results[0].stats.insts);
+//! let problem = GemmProblem::new(4, 4, 8, &a, &w);
+//! let opts = GemmOptions::default();
+//! let mut session = SimSession::new(CoreConfig::a64fx());
+//! let first = session.simulate(&problem, &opts);
+//! let again = session.simulate(&problem, &opts); // same weights: packs B again
+//! assert!(first.correct);
+//! assert_eq!(again.stats, first.stats);
 //! ```
 
 use crate::loops::BlockPlan;

@@ -16,9 +16,9 @@
 //! [`Simulator`] state (zeroed machine memory, cold caches; one
 //! simulator per [`SimSession`], [`Simulator::reset`] between units): it
 //! packs its B block, then walks every row strip (pack A +
-//! macro-kernel) of that block, and finally hands back its [`SimStats`]
-//! and its partial-C contribution. Units run in order on the calling
-//! thread.
+//! macro-kernel) of that block, and finally folds its [`SimStats`] and
+//! its partial-C contribution into the GeMM's result. Units run in order
+//! on the calling thread.
 //!
 //! # The pack memo
 //!
@@ -40,10 +40,11 @@
 //! — the paper's frame of reference. See `docs/SIMULATOR.md` for the
 //! full contract.
 //!
-//! [`simulate_gemm_batch`] extends the same machinery across many
-//! [`GemmProblem`] descriptors with B-operand deduplication: problems
-//! sharing one weight matrix simulate its packing once, and the packed
-//! image is re-staged for the other problems' units.
+//! [`SimSession::simulate`] runs the same machinery over one
+//! [`GemmProblem`]'s own operands. A batch is that call once per
+//! problem with the stats merged, and every problem packs its own B (as
+//! the paper's kernels do on every call): no problem's counts depend on
+//! what else is in its batch.
 
 use crate::batch::GemmProblem;
 use crate::host::scalar::pack_nibbles;
@@ -115,37 +116,38 @@ impl CMatrix {
         }
     }
 
-    /// Accumulate a unit's partial contribution (`mp × ncb`, columns
-    /// `[jc, jc + ncb)`) into this full `mp × np` matrix. Integer
+    /// Add a finished unit's partial C — columns `[jc, jc + ncb)` of
+    /// every row, read out of simulated memory at `c_base` with row
+    /// stride `ldc` — into this full `mp × np` matrix. Integer
     /// accumulation wraps (matching the kernels); f32 partials are
-    /// applied in the caller's order — depth-ascending, the order the
-    /// serial read-modify-write applies them.
-    fn accumulate(&mut self, part: &CMatrix, np: usize, jc: usize, ncb: usize) {
-        match (self, part) {
-            (CMatrix::I8(dst), CMatrix::I8(src)) => {
-                for (i, row) in src.chunks_exact(ncb).enumerate() {
-                    for (j, &v) in row.iter().enumerate() {
-                        let d = &mut dst[i * np + jc + j];
-                        *d = d.wrapping_add(v);
+    /// applied in the order units finish — depth-ascending per column
+    /// strip, the order the serial read-modify-write applies them.
+    fn accumulate(&mut self, sim: &Simulator, c_base: u64, ldc: u64, np: usize, spec: UnitSpec) {
+        let machine = sim.machine();
+        let cols = spec.jc..spec.jc + spec.ncb;
+        let at = |i: usize, j: usize, elem: usize| c_base + i as u64 * ldc + (j * elem) as u64;
+        match self {
+            CMatrix::I8(c) => {
+                for (i, row) in c.chunks_exact_mut(np).enumerate() {
+                    for j in cols.clone() {
+                        row[j] = row[j].wrapping_add(machine.read_i8(at(i, j, 1)));
                     }
                 }
             }
-            (CMatrix::I32(dst), CMatrix::I32(src)) => {
-                for (i, row) in src.chunks_exact(ncb).enumerate() {
-                    for (j, &v) in row.iter().enumerate() {
-                        let d = &mut dst[i * np + jc + j];
-                        *d = d.wrapping_add(v);
+            CMatrix::I32(c) => {
+                for (i, row) in c.chunks_exact_mut(np).enumerate() {
+                    for j in cols.clone() {
+                        row[j] = row[j].wrapping_add(machine.read_i32(at(i, j, 4)));
                     }
                 }
             }
-            (CMatrix::F32(dst), CMatrix::F32(src)) => {
-                for (i, row) in src.chunks_exact(ncb).enumerate() {
-                    for (j, &v) in row.iter().enumerate() {
-                        dst[i * np + jc + j] += v;
+            CMatrix::F32(c) => {
+                for (i, row) in c.chunks_exact_mut(np).enumerate() {
+                    for j in cols.clone() {
+                        row[j] += machine.read_f32(at(i, j, 4));
                     }
                 }
             }
-            _ => unreachable!("accumulator kinds of one GeMM cannot differ"),
         }
     }
 }
@@ -173,18 +175,6 @@ pub struct GemmResult {
     /// Effective GOPS at the core's clock (2 ops per MAC over
     /// `stats.cycles`) — comparable to the paper's single-core numbers.
     pub gops: f64,
-}
-
-/// Result of one [`simulate_gemm_batch`] call.
-#[derive(Debug, Clone)]
-pub struct SimBatchResult {
-    /// One [`GemmResult`] per input problem, in input order. Each is
-    /// bit-identical to what a standalone [`simulate_gemm`]-style run
-    /// of that problem produces (B-dedup changes only pack accounting).
-    pub results: Vec<GemmResult>,
-    /// The results' statistics summed ([`SimStats::merge`]): one core
-    /// running the batch's problems back to back.
-    pub stats: SimStats,
 }
 
 fn clamp_dims(
@@ -252,9 +242,7 @@ fn stage_a_unit(
 }
 
 /// Stage only the B rows a (pc, kcb) unit reads — k-rows
-/// `[pc, pc + kcb)`, a contiguous row-major span. Skipped entirely for
-/// batch units that consume a pre-packed B image ([`simulate_unit`]
-/// stages that directly into the pack buffer).
+/// `[pc, pc + kcb)`, a contiguous row-major span.
 fn stage_b_unit(
     sim: &mut Simulator,
     geo: &KernelGeometry,
@@ -432,95 +420,28 @@ struct UnitSpec {
     kcb: usize,
 }
 
-/// What one unit hands back to the merge.
-struct UnitOut {
-    stats: SimStats,
-    /// `mp × ncb` partial contribution to columns `[jc, jc + ncb)`.
-    c: CMatrix,
-    /// Raw packed-B image of this block, snapshotted when another batch
-    /// problem shares the operand and will consume it pre-packed.
-    packed_b: Option<Vec<u8>>,
-}
-
-/// Enumerate the plan's (jc, pc) units in the blocked loops' visit
-/// order (jc outer, pc inner). Units of one column strip appear
-/// depth-ascending — the order their partial C is folded in the merge.
-fn unit_specs(plan: &BlockPlan) -> Vec<UnitSpec> {
-    let mut specs = Vec::new();
-    for_each_b_block(plan, |jc, ncb, pc, kcb| specs.push(UnitSpec { jc, ncb, pc, kcb }));
-    specs
-}
-
-/// Packed-B bytes of one (ncb × kcb) block: `ncb / nr` panels of
-/// `b_panel_bytes(kcb)` each.
-fn bpack_block_bytes(geo: &KernelGeometry, ncb: usize, kcb: usize) -> usize {
-    ncb / geo.nr * geo.b_panel_bytes(kcb)
-}
-
-/// Read the unit's C columns `[jc, jc + ncb)` out of simulated memory.
-fn extract_c(
-    sim: &Simulator,
-    acc: AccKind,
-    c_base: u64,
-    ldc: u64,
-    mp: usize,
-    jc: usize,
-    ncb: usize,
-) -> CMatrix {
-    let machine = sim.machine();
-    let mut out = CMatrix::zeros(acc, mp * ncb);
-    match &mut out {
-        CMatrix::I8(v) => {
-            for i in 0..mp {
-                for j in 0..ncb {
-                    v[i * ncb + j] = machine.read_i8(c_base + i as u64 * ldc + (jc + j) as u64);
-                }
-            }
-        }
-        CMatrix::I32(v) => {
-            for i in 0..mp {
-                for j in 0..ncb {
-                    v[i * ncb + j] =
-                        machine.read_i32(c_base + i as u64 * ldc + ((jc + j) * 4) as u64);
-                }
-            }
-        }
-        CMatrix::F32(v) => {
-            for i in 0..mp {
-                for j in 0..ncb {
-                    v[i * ncb + j] =
-                        machine.read_f32(c_base + i as u64 * ldc + ((jc + j) * 4) as u64);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Simulate one (jc, pc) block unit of `ctx` on `sim`, first
 /// [`reset`](Simulator::reset) to the freshly built state (zeroed
 /// memory sized for the problem, cold caches, zero stats): stage the
-/// operands, pack B (or pre-stage `prepacked_b`, the dedup path), then
-/// pack A and run the macro-kernel for every row strip. Deterministic
-/// and self-contained — nothing of an earlier unit survives the reset:
-/// the driver's unit of work. A registered weight's pack is replayed
-/// from `memo` when it holds the unit's checkpoint, and timed into it
-/// when not.
+/// operands, pack B, then pack A and run the macro-kernel for every row
+/// strip. Deterministic and self-contained — nothing of an earlier unit
+/// survives the reset: the driver's unit of work. A registered weight's
+/// pack is replayed from `memo` when it holds the unit's checkpoint,
+/// and timed into it when not. Adds the unit's partial C into `c` and
+/// returns its stats.
 fn simulate_unit(
     sim: &mut Simulator,
     memo: &mut PackMemo,
     ctx: &ProblemCtx,
     spec: UnitSpec,
-    prepacked_b: Option<&[u8]>,
-) -> UnitOut {
+    c: &mut CMatrix,
+) -> SimStats {
     let plan = &ctx.plan;
     let geo = ctx.method.geometry();
     let bufs = layout(&geo, plan);
     sim.reset(bufs.total as usize);
     stage_a_unit(sim, &geo, &bufs, &ctx.a_host, plan, spec);
-    if prepacked_b.is_none() {
-        stage_b_unit(sim, &geo, &bufs, &ctx.b_host, plan, spec);
-    }
+    stage_b_unit(sim, &geo, &bufs, &ctx.b_host, plan, spec);
     let mut backend = BlockSim {
         sim,
         geo,
@@ -530,71 +451,43 @@ fn simulate_unit(
         programs: &ctx.programs,
         bufs,
     };
-    let block_bytes = bpack_block_bytes(&geo, spec.ncb, spec.kcb);
-    match prepacked_b {
-        // dedup path: the packed image another unit produced is staged
-        // directly; this unit pays no B-pack instructions
-        Some(img) => {
-            debug_assert_eq!(img.len(), block_bytes, "pre-packed B image size mismatch");
-            backend.sim.machine_mut().write_bytes(backend.bufs.bpack, img);
+    match ctx.weight.and_then(|w| memo.get(w, spec)) {
+        // replay: the packed bytes from the functional machine, the
+        // timing state from the checkpoint
+        Some(cp) => {
+            backend.pack_b(spec, false);
+            backend.sim.restore(&memo.arena, cp);
         }
-        None => match ctx.weight.and_then(|w| memo.get(w, spec)) {
-            // replay: the packed bytes from the functional machine, the
-            // timing state from the checkpoint
-            Some(cp) => {
-                backend.pack_b(spec, false);
-                backend.sim.restore(&memo.arena, cp);
+        None => {
+            backend.pack_b(spec, true);
+            if let Some(w) = ctx.weight {
+                memo.insert(w, spec, backend.sim);
             }
-            None => {
-                backend.pack_b(spec, true);
-                if let Some(w) = ctx.weight {
-                    memo.insert(w, spec, backend.sim);
-                }
-            }
-        },
+        }
     }
     for_each_row_strip(plan, |ic, mcb| {
         backend.pack_a(ic, mcb, spec.pc, spec.kcb);
         backend.macro_kernel(ic, mcb, spec.jc, spec.ncb, spec.pc, spec.kcb);
     });
-    let packed_b =
-        ctx.share_b.then(|| backend.sim.machine().mem(backend.bufs.bpack, block_bytes).to_vec());
-    let c = extract_c(
-        backend.sim,
-        geo.acc,
-        backend.bufs.c_base,
-        backend.ldc,
-        plan.mp,
-        spec.jc,
-        spec.ncb,
-    );
-    UnitOut { stats: *backend.sim.stats(), c, packed_b }
+    c.accumulate(backend.sim, backend.bufs.c_base, backend.ldc, plan.np, spec);
+    *backend.sim.stats()
 }
 
 // ---- problems -------------------------------------------------------------
 
-/// One fully planned problem: padded operands, block plan, unit list
-/// and the method's programs (assembled once, borrowed by every unit),
-/// plus its role in batch B-deduplication.
+/// One fully planned problem: padded operands, block plan and the
+/// method's programs (assembled once, borrowed by every unit).
 struct ProblemCtx {
     method: Method,
     programs: Programs,
     plan: BlockPlan,
     /// Padded `mp × kp` A, row-major.
     a_host: Vec<i8>,
-    /// Padded `kp × np` B, row-major (kept even on the dedup path: the
-    /// host reference verifies against it).
+    /// Padded `kp × np` B, row-major.
     b_host: Vec<i8>,
-    specs: Vec<UnitSpec>,
     clamped: bool,
-    /// `Some(i)`: reuse problem `i`'s simulated pack-B images.
-    owner: Option<usize>,
-    /// Another problem reuses this problem's pack-B images: snapshot
-    /// them.
-    share_b: bool,
     /// B is a registered weight: its packs go through the memo.
     weight: Option<WeightLayout>,
-    degenerate: bool,
 }
 
 /// The (mc, nc, kc) `method` blocks with on `core` when
@@ -621,20 +514,11 @@ fn block_plan_for(
     BlockPlan::new(m, n, k, geo.mr, geo.nr, geo.k_unit, blocking)
 }
 
+/// A zero-dimension problem: an empty plan, so no unit runs and the
+/// result is empty.
 fn degenerate_ctx(method: Method) -> ProblemCtx {
-    ProblemCtx {
-        method,
-        programs: method.programs(),
-        plan: BlockPlan::new(0, 0, 0, 1, 1, 1, (1, 1, 1)),
-        a_host: Vec::new(),
-        b_host: Vec::new(),
-        specs: Vec::new(),
-        clamped: false,
-        owner: None,
-        share_b: false,
-        weight: None,
-        degenerate: true,
-    }
+    let plan = BlockPlan::new(0, 0, 0, 1, 1, 1, (1, 1, 1));
+    ctx_from_plan(method, plan, Vec::new(), Vec::new(), false)
 }
 
 fn ctx_from_plan(
@@ -644,19 +528,7 @@ fn ctx_from_plan(
     b_host: Vec<i8>,
     clamped: bool,
 ) -> ProblemCtx {
-    ProblemCtx {
-        method,
-        programs: method.programs(),
-        specs: unit_specs(&plan),
-        plan,
-        a_host,
-        b_host,
-        clamped,
-        owner: None,
-        share_b: false,
-        weight: None,
-        degenerate: false,
-    }
+    ProblemCtx { method, programs: method.programs(), plan, a_host, b_host, clamped, weight: None }
 }
 
 /// Plan a seeded-random problem (the figure harness workload): same RNG
@@ -691,7 +563,7 @@ fn rng_ctx(
     ctx_from_plan(method, plan, a_host, b_host, clamped)
 }
 
-/// Plan one batch problem from its [`GemmProblem`] descriptor: the
+/// Plan one problem from its [`GemmProblem`] descriptor: the
 /// problem's own operands (not RNG), the camp kernel its dtype selects,
 /// clamped to the MAC budget like any simulated problem.
 fn problem_ctx(core: CoreConfig, p: &GemmProblem<'_>, opts: &GemmOptions) -> ProblemCtx {
@@ -793,10 +665,10 @@ impl PackMemo {
 
 /// One [`Simulator`] and the pack memo of registered weights, kept from
 /// call to call: what a long-lived simulated backend holds, so that
-/// every batch reuses one simulator (reset between block units) and
+/// every GeMM reuses one simulator (reset between block units) and
 /// every registered weight's B pack is timed once per layout and unit,
-/// then replayed (see the module docs). [`simulate_gemm`] and
-/// [`simulate_gemm_batch`] are a new session and one call.
+/// then replayed (see the module docs). [`simulate_gemm`] is a new
+/// session and one call.
 ///
 /// The memo keys on [`WeightHandle`]s, never on bytes: a handle carries
 /// its registry, slot and generation, so a recycled slot cannot alias.
@@ -823,51 +695,22 @@ impl SimSession {
         SimSession { sim: Simulator::new(core, 0), memo: PackMemo::default() }
     }
 
-    /// [`simulate_gemm_batch`] on this session: the packs of problems
-    /// marked [`GemmProblem::with_weight`] go through the memo.
-    pub fn simulate_gemm_batch(
-        &mut self,
-        problems: &[GemmProblem<'_>],
-        opts: &GemmOptions,
-    ) -> SimBatchResult {
-        let core = *self.sim.config();
-        let mut ctxs: Vec<ProblemCtx> =
-            problems.iter().map(|p| problem_ctx(core, p, opts)).collect();
-
-        // B dedup: same buffer + same packed shape (post-clamp n/k and
-        // dtype) ⇒ same packed image
-        let mut owner_of: HashMap<(usize, usize, usize, usize, DType), usize> = HashMap::new();
-        for i in 0..ctxs.len() {
-            if ctxs[i].degenerate {
-                continue;
-            }
-            let p = &problems[i];
-            let key = (p.b.as_ptr() as usize, p.b.len(), ctxs[i].plan.np, ctxs[i].plan.kp, p.dtype);
-            match owner_of.get(&key) {
-                Some(&owner) => {
-                    ctxs[i].owner = Some(owner);
-                    ctxs[owner].share_b = true;
-                }
-                None => {
-                    owner_of.insert(key, i);
-                }
-            }
-        }
-
-        let outs = self.run(&ctxs);
-        let mut results = Vec::with_capacity(ctxs.len());
-        for (ctx, out) in ctxs.iter().zip(outs) {
-            let mut r = finish_problem(core, ctx, out);
-            if opts.verify && !ctx.degenerate {
-                verify_host(ctx, &mut r);
-            }
-            results.push(r);
-        }
-        let mut stats = SimStats::default();
-        for r in &results {
-            stats.merge(&r.stats);
-        }
-        SimBatchResult { results, stats }
+    /// Simulate one GeMM over its **own** operands (not the seeded RNG
+    /// workload of [`simulate_gemm`]) under the camp kernel its
+    /// [`DType`] selects, as the host engine does for a request's. The
+    /// problem packs its own B: a problem marked
+    /// [`GemmProblem::with_weight`] replays the memo's checkpoint of that
+    /// pack, with every count unchanged. The result is therefore the
+    /// same on any session, whatever ran on it before; a batch is one
+    /// call per problem, its stats their [`SimStats::merge`]. i4
+    /// problems need operand values in [-8, 7], like the host engine's
+    /// i4 kernel.
+    ///
+    /// # Panics
+    /// Panics on mis-sized operands.
+    pub fn simulate(&mut self, problem: &GemmProblem<'_>, opts: &GemmOptions) -> GemmResult {
+        let ctx = problem_ctx(*self.sim.config(), problem, opts);
+        self.run(&ctx, opts)
     }
 
     /// Drop `h`'s checkpoints: call it when `h` leaves its registry.
@@ -886,76 +729,45 @@ impl SimSession {
         self.memo.entries.values().map(Vec::len).sum()
     }
 
-    /// Run every unit of every problem, in order. A dedup consumer
-    /// re-stages its owner's snapshotted pack-B image instead of
-    /// packing; the owner is the first problem with its key, so it has
-    /// always run by then.
-    fn run(&mut self, ctxs: &[ProblemCtx]) -> Vec<Vec<UnitOut>> {
-        let mut outs: Vec<Vec<UnitOut>> = Vec::with_capacity(ctxs.len());
-        for ctx in ctxs {
-            let mut row = Vec::with_capacity(ctx.specs.len());
-            for (u, &spec) in ctx.specs.iter().enumerate() {
-                let prepacked = ctx.owner.map(|owner| {
-                    outs[owner][u].packed_b.as_deref().expect("owner snapshotted every block")
-                });
-                row.push(simulate_unit(&mut self.sim, &mut self.memo, ctx, spec, prepacked));
-            }
-            outs.push(row);
+    /// Run `ctx`'s (jc, pc) units in the blocked loops' visit order (jc
+    /// outer, pc inner), folding each unit's stats and partial C into
+    /// the result as it finishes — so a column strip's partial C folds
+    /// depth-ascending. Verifies the result against the host reference
+    /// when `opts.verify` is set.
+    fn run(&mut self, ctx: &ProblemCtx, opts: &GemmOptions) -> GemmResult {
+        let plan = &ctx.plan;
+        let mut stats = SimStats::default();
+        let mut c = CMatrix::zeros(ctx.method.geometry().acc, plan.mp * plan.np);
+        for_each_b_block(plan, |jc, ncb, pc, kcb| {
+            let spec = UnitSpec { jc, ncb, pc, kcb };
+            stats.merge(&simulate_unit(&mut self.sim, &mut self.memo, ctx, spec, &mut c));
+        });
+        GemmResult {
+            stats,
+            correct: !opts.verify || verify_host(ctx, &c),
+            c,
+            m: plan.mp,
+            n: plan.np,
+            k: plan.kp,
+            clamped: ctx.clamped,
+            gops: stats.gops(self.sim.config().freq_ghz),
         }
-        outs
     }
 }
 
-/// Merge a problem's unit outputs into its [`GemmResult`]: partial C
-/// blocks fold depth-ascending per column strip, stats add up.
-fn finish_problem(core: CoreConfig, ctx: &ProblemCtx, outs: Vec<UnitOut>) -> GemmResult {
-    let geo = ctx.method.geometry();
-    if ctx.degenerate {
-        return GemmResult {
-            stats: SimStats::default(),
-            c: CMatrix::zeros(geo.acc, 0),
-            correct: true,
-            m: 0,
-            n: 0,
-            k: 0,
-            clamped: false,
-            gops: 0.0,
-        };
-    }
-    let plan = &ctx.plan;
-    let mut stats = SimStats::default();
-    let mut c = CMatrix::zeros(geo.acc, plan.mp * plan.np);
-    for (spec, out) in ctx.specs.iter().zip(&outs) {
-        stats.merge(&out.stats);
-        c.accumulate(&out.c, plan.np, spec.jc, spec.ncb);
-    }
-    GemmResult {
-        stats,
-        correct: true, // verification is layered on by the caller
-        c,
-        m: plan.mp,
-        n: plan.np,
-        k: plan.kp,
-        clamped: ctx.clamped,
-        gops: stats.gops(core.freq_ghz),
-    }
-}
-
-fn verify_host(ctx: &ProblemCtx, result: &mut GemmResult) {
-    let geo = ctx.method.geometry();
+/// True when `c` is what the host reference computes from `ctx`'s
+/// padded operands.
+fn verify_host(ctx: &ProblemCtx, c: &CMatrix) -> bool {
     let (mp, np, kp) = (ctx.plan.mp, ctx.plan.np, ctx.plan.kp);
-    result.correct = match (&result.c, geo.acc) {
-        (CMatrix::I8(c), AccKind::I8Wrapping) => {
-            *c == gemm_i8_wrapping_ref(mp, np, kp, &ctx.a_host, &ctx.b_host)
-        }
-        (CMatrix::I32(c), AccKind::I32) => *c == gemm_i32_ref(mp, np, kp, &ctx.a_host, &ctx.b_host),
-        (CMatrix::F32(c), AccKind::F32) => {
+    match c {
+        CMatrix::I8(c) => *c == gemm_i8_wrapping_ref(mp, np, kp, &ctx.a_host, &ctx.b_host),
+        CMatrix::I32(c) => *c == gemm_i32_ref(mp, np, kp, &ctx.a_host, &ctx.b_host),
+        CMatrix::F32(c) => {
             let af: Vec<f32> = ctx.a_host.iter().map(|&v| v as f32).collect();
             let bf: Vec<f32> = ctx.b_host.iter().map(|&v| v as f32).collect();
             *c == gemm_f32_ref(mp, np, kp, &af, &bf)
         }
-        _ => false,
-    };
+    }
 }
 
 // ---- public entry points --------------------------------------------------
@@ -983,39 +795,7 @@ pub fn simulate_gemm(
     k: usize,
     opts: &GemmOptions,
 ) -> GemmResult {
-    let ctx = rng_ctx(core, method, m, n, k, opts);
-    let outs = SimSession::new(core).run(std::slice::from_ref(&ctx)).pop();
-    let mut result = finish_problem(core, &ctx, outs.expect("one problem in, one out"));
-    if opts.verify && !ctx.degenerate {
-        verify_host(&ctx, &mut result);
-    }
-    result
-}
-
-/// Simulate a batch of GeMMs over their **own** operands (not the
-/// seeded RNG workload): each problem runs under the camp kernel its
-/// [`DType`] selects (as the host engine does for a request's), every
-/// problem is decomposed into (jc, pc) block units like
-/// [`simulate_gemm`], and problems sharing one B operand (same buffer,
-/// same post-clamp packed shape and dtype) simulate its packing
-/// **once**: the packed image is re-staged for the other problems'
-/// units, which therefore pay no B-pack instructions — the simulated
-/// mirror of the host batch's B deduplication.
-///
-/// Per-problem results are bit-identical to running each problem alone
-/// (dedup changes only pack accounting); the batch [`SimStats`] are
-/// their sum. i4 problems need operand values in [-8, 7], like the host
-/// engine's i4 kernel. A [`SimSession`] runs the same batch and keeps
-/// its simulator and pack memo for the next one.
-///
-/// # Panics
-/// Panics on mis-sized operands.
-pub fn simulate_gemm_batch(
-    core: CoreConfig,
-    problems: &[GemmProblem<'_>],
-    opts: &GemmOptions,
-) -> SimBatchResult {
-    SimSession::new(core).simulate_gemm_batch(problems, opts)
+    SimSession::new(core).run(&rng_ctx(core, method, m, n, k, opts), opts)
 }
 
 #[cfg(test)]
@@ -1208,73 +988,42 @@ mod tests {
 
     #[test]
     fn batch_matches_standalone_per_problem() {
+        // one session runs a mixed-dtype batch in which two problems
+        // share one B buffer: each problem answers exactly like a fresh
+        // session's solo run of it, its own B pack included
         let (m1, n1, k1) = (9, 11, 40);
         let (m2, n2, k2) = (5, 7, 19);
         let a1 = fill(m1 * k1, 3);
         let b1 = fill(k1 * n1, 5);
         let a2 = fill(m2 * k2, 7);
         let b2 = fill(k2 * n2, 11);
+        let a3 = fill(m1 * k1, 9);
         let problems = [
             GemmProblem::new(m1, n1, k1, &a1, &b1),
             GemmProblem::new(m2, n2, k2, &a2, &b2).with_dtype(DType::I4),
+            GemmProblem::new(m1, n1, k1, &a3, &b1),
         ];
-        let opts = GemmOptions::default();
-        let batch = simulate_gemm_batch(CoreConfig::a64fx(), &problems, &opts);
-        assert_eq!(batch.results.len(), 2);
-        for (r, p) in batch.results.iter().zip(&problems) {
+        let (core, opts) = (CoreConfig::a64fx(), GemmOptions::default());
+        let mut session = SimSession::new(core);
+        for p in &problems {
+            let r = session.simulate(p, &opts);
             assert!(r.correct, "batch problem {}x{}x{} wrong", p.m, p.n, p.k);
+            let solo = SimSession::new(core).simulate(p, &opts);
+            assert_eq!(solo.c, r.c);
+            assert_eq!(solo.stats, r.stats);
         }
-        // a one-problem batch of the same descriptor is bit-identical
-        for (i, p) in problems.iter().enumerate() {
-            let solo = simulate_gemm_batch(CoreConfig::a64fx(), &[*p], &opts);
-            assert_eq!(solo.results[0].c, batch.results[i].c);
-            assert_eq!(solo.results[0].stats, batch.results[i].stats);
-        }
-        // batch stats: everything sums, cycles included
-        let (r1, r2) = (&batch.results[0], &batch.results[1]);
-        assert_eq!(batch.stats.cycles, r1.stats.cycles + r2.stats.cycles);
-        assert_eq!(batch.stats.insts, r1.stats.insts + r2.stats.insts);
-    }
-
-    #[test]
-    fn batch_dedup_skips_pack_b_with_identical_results() {
-        let (n, k) = (12, 48);
-        let b = fill(k * n, 5);
-        let a1 = fill(8 * k, 3);
-        let a2 = fill(8 * k, 9);
-        let opts = GemmOptions::default();
-        let shared = [
-            GemmProblem::new(8, n, k, &a1, &b),
-            GemmProblem::new(8, n, k, &a2, &b), // same B buffer: dedup
-        ];
-        let batch = simulate_gemm_batch(CoreConfig::a64fx(), &shared, &opts);
-        assert!(batch.results.iter().all(|r| r.correct));
-        // the dedup consumer must compute the same C it would alone...
-        let alone = simulate_gemm_batch(CoreConfig::a64fx(), &shared[1..], &opts);
-        assert_eq!(batch.results[1].c, alone.results[0].c);
-        // ...while simulating strictly fewer instructions (no B pack)
-        assert!(
-            batch.results[1].stats.insts < alone.results[0].stats.insts,
-            "dedup consumer must skip the B-pack program ({} vs {})",
-            batch.results[1].stats.insts,
-            alone.results[0].stats.insts
-        );
-        // the owner simulates the pack exactly as it would alone
-        assert_eq!(batch.results[0].stats.insts, {
-            let solo = simulate_gemm_batch(CoreConfig::a64fx(), &shared[..1], &opts);
-            solo.results[0].stats.insts
-        });
     }
 
     #[test]
     fn batch_accepts_degenerate_problems() {
         let a = fill(8, 3);
         let b = fill(8, 5);
-        let problems = [GemmProblem::new(0, 4, 2, &[], &b), GemmProblem::new(2, 4, 2, &a[..4], &b)];
-        let batch = simulate_gemm_batch(CoreConfig::a64fx(), &problems, &GemmOptions::default());
-        assert!(batch.results[0].c.is_empty());
-        assert_eq!(batch.results[0].stats.cycles, 0);
-        assert!(batch.results[1].correct);
+        let opts = GemmOptions::default();
+        let mut session = SimSession::new(CoreConfig::a64fx());
+        let empty = session.simulate(&GemmProblem::new(0, 4, 2, &[], &b), &opts);
+        assert!(empty.c.is_empty());
+        assert_eq!(empty.stats.cycles, 0);
+        assert!(session.simulate(&GemmProblem::new(2, 4, 2, &a[..4], &b), &opts).correct);
     }
 
     #[test]
@@ -1289,7 +1038,7 @@ mod tests {
         let (core, opts) = (CoreConfig::a64fx(), GemmOptions::default());
         let mut session = SimSession::new(core);
         for &m in &ms {
-            session.simulate_gemm_batch(&[problem(m)], &opts);
+            session.simulate(&problem(m), &opts);
         }
         assert_eq!(session.memoized_packs(), MEMO_LAYOUTS, "only the newest layouts stay");
         let memo = &session.memo;
@@ -1300,10 +1049,10 @@ mod tests {
         // the kept layouts replay, the dropped ones are timed again, and
         // both answer like a fresh session (after the compactions)
         for &m in ms[..2].iter().chain(&ms[12..]) {
-            let warm = session.simulate_gemm_batch(&[problem(m)], &opts);
-            let cold = simulate_gemm_batch(core, &[problem(m)], &opts);
-            assert!(warm.results[0].correct, "m = {m}");
-            assert_eq!(warm.results[0].c, cold.results[0].c, "m = {m}");
+            let warm = session.simulate(&problem(m), &opts);
+            let cold = SimSession::new(core).simulate(&problem(m), &opts);
+            assert!(warm.correct, "m = {m}");
+            assert_eq!(warm.c, cold.c, "m = {m}");
             assert_eq!(warm.stats, cold.stats, "m = {m}");
         }
     }

@@ -72,10 +72,7 @@ pub mod weights;
 pub mod workspace;
 
 pub use batch::GemmProblem;
-pub use driver::{
-    simulate_gemm, simulate_gemm_batch, CMatrix, GemmOptions, GemmResult, SimBatchResult,
-    SimSession,
-};
+pub use driver::{simulate_gemm, CMatrix, GemmOptions, GemmResult, SimSession};
 pub use host::{CpuFeatures, HostKernel, HostTier, KernelInfo};
 pub use method::{AccKind, ElemKind, KernelGeometry, Method};
 pub use reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};

@@ -552,8 +552,10 @@ fn apply_int(op: VOp, x: i64, y: i64, acc: i64) -> i64 {
 /// `a` is the 4×`k` column-major block (k = 16 for i8, 32 for i4); `b` is
 /// the `k`×4 row-major block. Returns the 4×4 i32 product (not yet
 /// accumulated). This is the architectural semantics of the hardware in
-/// Fig. 8 of the paper; `camp-core` models the same computation at the
-/// lane/multiplier level and is tested for equivalence against this.
+/// Fig. 8 of the paper and the workspace's one model of it: the
+/// machine's `camp` executes it, and `tests/proptests.rs`
+/// (`camp_outer_product_matches_gemm_i32_ref`) checks it against the
+/// reference GeMM in both modes.
 pub fn camp_outer_product(
     mode: CampMode,
     a: &[u8; VLEN_BYTES],

@@ -11,14 +11,15 @@ use std::sync::Arc;
 
 use camp::core::backend::{CampBackend, ExecStats, SimBackend};
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
-use camp::pipeline::CoreConfig;
+use camp::pipeline::{CoreConfig, SimStats};
 
 fn tensor(len: usize, seed: i32) -> Vec<i8> {
     (0..len).map(|i| ((i as i32 * seed) % 16 - 8) as i8).collect()
 }
 
 /// A small attention-flavored batch: two activations against one shared
-/// weight matrix (dedup fodder), plus an i4 problem.
+/// weight matrix (the host packs it once; the simulator counts each
+/// GeMM, B pack included, as the paper times it), plus an i4 problem.
 fn build_requests(m: usize, n: usize, k: usize) -> Vec<GemmRequest> {
     let shared: Arc<[i8]> = tensor(k * n, 5).into();
     vec![
@@ -35,7 +36,7 @@ fn build_requests(m: usize, n: usize, k: usize) -> Vec<GemmRequest> {
             .n(n)
             .k(k)
             .activation(tensor(m * k, 7))
-            .weights(Operand::Dense(shared)) // same buffer: B packs once
+            .weights(Operand::Dense(shared)) // same buffer: the host packs B once
             .build()
             .expect("well-formed"),
         GemmRequest::builder()
@@ -87,6 +88,15 @@ fn main() {
             other => println!("  {who}: {} MACs on an unknown substrate", other.macs()),
         }
     }
+
+    // --- a simulated batch counts what its requests count alone ---
+    let mut alone = SimStats::default();
+    for req in &requests {
+        let solo = SimBackend::new(CoreConfig::a64fx()).execute(req).expect("simulated execution");
+        alone.merge(solo.stats.as_sim().expect("sim stats"));
+    }
+    assert_eq!(slow.stats, ExecStats::Sim(alone), "a batch must count as its requests alone");
+    println!("simulated batch stats equal the merge of each request run alone");
 
     // --- registered weights work on both substrates too ---
     let w = tensor(k * n, 13);

@@ -8,8 +8,8 @@
 //!   into a plain `#[test]` that samples the strategies for
 //!   `config.cases` deterministic cases;
 //! * [`prop_assert!`] / [`prop_assert_eq!`];
-//! * strategies: integer and float ranges, `any::<T>()`,
-//!   `prop::array::uniform32`, and `prop::collection::vec`.
+//! * strategies: integer and float ranges, `any::<T>()` and
+//!   `prop::collection::vec`.
 //!
 //! Sampling is deterministic: the RNG is seeded from the test name, so
 //! failures reproduce exactly. Unlike real proptest there is no
@@ -102,26 +102,6 @@ pub fn any<T: strategy::Arbitrary>() -> strategy::Any<T> {
     strategy::Any::default()
 }
 
-pub mod array {
-    use crate::strategy::Strategy;
-    use crate::test_runner::TestRng;
-
-    /// Strategy for `[T; 32]` sampling each element from `S`.
-    pub struct Uniform32<S>(S);
-
-    /// 32-element array strategy, like `proptest::array::uniform32`.
-    pub fn uniform32<S: Strategy>(element: S) -> Uniform32<S> {
-        Uniform32(element)
-    }
-
-    impl<S: Strategy> Strategy for Uniform32<S> {
-        type Value = [S::Value; 32];
-        fn sample(&self, rng: &mut TestRng) -> Self::Value {
-            std::array::from_fn(|_| self.0.sample(rng))
-        }
-    }
-}
-
 pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
@@ -148,7 +128,6 @@ pub mod collection {
 
 /// Namespace mirror of `proptest::prelude::prop`.
 pub mod prop {
-    pub use crate::array;
     pub use crate::collection;
 }
 

@@ -9,11 +9,14 @@
 //! the step is made by the measuring thread and the counts repeat
 //! exactly —, heap calls per warm decode step of the `sim_token` model
 //! on `SimBackend` (1933 when every batch built its own simulator, 1621
-//! since the backend keeps one), and per warm `Simulator::run` of a
-//! CAMP B-pack loop, which must make none (the simulator keeps its
-//! decoded program and timing queues between runs). The numbers are
-//! pinned as literals: a change that adds an allocation to any of these
-//! paths edits this file and says so.
+//! once the backend kept one, 1397 since each request is one
+//! `SimSession::simulate` call that folds every block unit's partial C
+//! straight into its result: no per-unit C buffer, no per-batch side
+//! vectors, no zero-filled placeholder output per request), and per
+//! warm `Simulator::run` of a CAMP B-pack loop, which must make none
+//! (the simulator keeps its decoded program and timing queues between
+//! runs). The numbers are pinned as literals: a change that adds an
+//! allocation to any of these paths edits this file and says so.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -189,7 +192,7 @@ const SIM_VOCAB: usize = 64;
 /// now, and at the commit before the backend kept one simulator, which
 /// built one (caches, prefetchers, machine, queues) for each of the
 /// step's 13 batches.
-const SIM_ALLOCS_PER_DECODE_STEP: usize = 1621;
+const SIM_ALLOCS_PER_DECODE_STEP: usize = 1397;
 const PARENT_SIM_ALLOCS_PER_DECODE_STEP: usize = 1933;
 
 #[test]

@@ -5,7 +5,6 @@ use camp::cache::{Cache, CacheConfig};
 use camp::core::backend::CampBackend;
 use camp::core::gemm_i32_ref;
 use camp::core::hybrid::HybridMultiplier;
-use camp::core::unit::{CampUnit, Mode};
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
 use camp::gemm::loops::{small_path, SmallPath};
 use camp::isa::encode::{decode, encode};
@@ -31,22 +30,24 @@ proptest! {
     }
 
     #[test]
-    fn camp_unit_matches_isa_semantics(a in prop::array::uniform32(any::<u8>()),
-                                       b in prop::array::uniform32(any::<u8>())) {
-        // widen the 32-byte arrays to 64-byte registers
-        let mut ra = [0u8; 64];
-        let mut rb = [0u8; 64];
-        ra[..32].copy_from_slice(&a);
-        ra[32..].copy_from_slice(&a);
-        rb[..32].copy_from_slice(&b);
-        rb[32..].copy_from_slice(&b);
-        for mode in [CampMode::I8, CampMode::I4] {
-            let isa_tile = camp_outer_product(mode, &ra, &rb);
-            let mut unit = CampUnit::new();
-            let mut acc = [[0i32; 4]; 4];
-            let umode = match mode { CampMode::I8 => Mode::I8, CampMode::I4 => Mode::I4 };
-            unit.execute(umode, &ra, &rb, &mut acc);
-            prop_assert_eq!(acc, isa_tile);
+    fn camp_outer_product_matches_gemm_i32_ref(a in prop::collection::vec(any::<u8>(), 64..65),
+                                               b in prop::collection::vec(any::<u8>(), 64..65)) {
+        // decode both registers into row-major A (4×k) and B (k×4): a
+        // register holds k groups of four elements, A's columns and B's
+        // rows, as bytes (i8) or low-nibble-first nibbles (i4)
+        let ra: [u8; 64] = a.try_into().unwrap();
+        let rb: [u8; 64] = b.try_into().unwrap();
+        for (mode, k) in [(CampMode::I8, 16), (CampMode::I4, 32)] {
+            let elem = |reg: &[u8; 64], e: usize| -> i8 {
+                match mode {
+                    CampMode::I8 => reg[e] as i8,
+                    CampMode::I4 => (((reg[e / 2] >> (4 * (e % 2))) << 4) as i8) >> 4,
+                }
+            };
+            let a_rows: Vec<i8> = (0..4 * k).map(|x| elem(&ra, (x % k) * 4 + x / k)).collect();
+            let b_rows: Vec<i8> = (0..k * 4).map(|x| elem(&rb, x)).collect();
+            let tile = camp_outer_product(mode, &ra, &rb);
+            prop_assert_eq!(tile.concat(), gemm_i32_ref(4, 4, k, &a_rows, &b_rows));
         }
     }
 

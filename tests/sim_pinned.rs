@@ -3,13 +3,13 @@
 //! units run in order, each from a freshly reset `Simulator`, merged in a
 //! fixed order — so the decomposition defines every count pinned here,
 //! for every §5.3 method on both cores, on ragged shapes, for a batch
-//! whose B-pack dedup re-stages one problem's packed image for another
-//! (see `docs/SIMULATOR.md`), for the CAMP-vs-OpenBLAS speed-up the
+//! whose problems share B buffers yet each count as if run alone (see
+//! `docs/SIMULATOR.md`), for the CAMP-vs-OpenBLAS speed-up the
 //! paper headlines, and for one request served on `SimBackend`, whose
 //! replayed B packs (the pack memo) must count exactly like timed ones.
 
 use camp::core::{CampBackend, GemmRequest, SimBackend};
-use camp::gemm::{simulate_gemm, simulate_gemm_batch, DType, GemmOptions, GemmProblem, Method};
+use camp::gemm::{simulate_gemm, DType, GemmOptions, GemmProblem, Method, SimSession};
 use camp::infer::{
     BOperand, GemmExec, InferContext, InferError, InferGemm, Model, ModelHandles, RefExec,
 };
@@ -89,32 +89,32 @@ fn fill(len: usize, seed: i32) -> Vec<i8> {
     (0..len).map(|i| ((i as i32 * seed) % 16 - 8) as i8).collect()
 }
 
-/// [`counts`] of the [`check_dedup_batch`] batch total, then of each of its
+/// [`counts`] of the [`check_batch`] batch total, then of each of its
 /// four problems, under `GemmOptions::default()` at n×k = 12×48 (one
 /// unit per problem) and under [`multi_unit_opts`] at 70×260 (several
-/// units, so the consumer re-stages a different image per unit).
-/// Recorded before the driver's two scheduling waves became one
-/// in-order pass.
-const PINNED_DEDUP_ONE_UNIT: [[u64; 7]; 5] = [
-    [4267, 7266, 49212, 32501, 7038, 16770, 36],
+/// units). Problems 0–2 differ in A (and #1 in B) but count alike.
+const PINNED_BATCH_ONE_UNIT: [[u64; 7]; 5] = [
+    [4432, 8706, 49212, 34383, 6978, 22360, 33],
     [1109, 2196, 12303, 7663, 1771, 5590, 9],
     [1109, 2196, 12303, 7663, 1771, 5590, 9],
-    [944, 756, 12303, 5781, 1831, 0, 12], // the dedup consumer: no B pack
+    [1109, 2196, 12303, 7663, 1771, 5590, 9], // packs the B #0 packed too
     [1105, 2118, 12303, 11394, 1665, 5590, 6],
 ];
 
-const PINNED_DEDUP_MULTI_UNIT: [[u64; 7]; 5] = [
-    [65986, 127494, 885816, 402841, 180597, 169293, 858],
+const PINNED_BATCH_MULTI_UNIT: [[u64; 7]; 5] = [
+    [72018, 153414, 885816, 404866, 185032, 225708, 799],
     [18002, 38691, 221454, 90375, 45706, 56415, 208],
     [18002, 38691, 221454, 90375, 45706, 56415, 208],
-    [11970, 12771, 221454, 88350, 41271, 0, 267], // the dedup consumer
+    [18002, 38691, 221454, 90375, 45706, 56415, 208],
     [18012, 37341, 221454, 133741, 47914, 56463, 175],
 ];
 
-/// Attention-style inventory of 6-row problems against n×k weights:
-/// three sharing one weight matrix, #2 the dedup consumer of #0, and
-/// #3 an i4 problem on the same buffer (its own layout, so no dedup).
-fn check_dedup_batch(n: usize, k: usize, opts: &GemmOptions, pinned: &[[u64; 7]; 5]) {
+/// Attention-style inventory of 6-row problems against n×k weights,
+/// simulated in order on one session: three sharing one weight buffer
+/// (#0, #2 and, under the i4 kernel, #3) and #1 on another. Every
+/// problem packs its own B, so each counts exactly what a fresh
+/// session's solo run of it counts, and the batch total is their merge.
+fn check_batch(n: usize, k: usize, opts: &GemmOptions, pinned: &[[u64; 7]; 5]) {
     let w_shared = fill(k * n, 5);
     let w_other = fill(k * n, 9);
     let acts: Vec<Vec<i8>> = (0..4).map(|i| fill(6 * k, 3 + 2 * i)).collect();
@@ -124,35 +124,27 @@ fn check_dedup_batch(n: usize, k: usize, opts: &GemmOptions, pinned: &[[u64; 7];
         GemmProblem::new(6, n, k, &acts[2], &w_shared),
         GemmProblem::new(6, n, k, &acts[3], &w_shared).with_dtype(DType::I4),
     ];
-    let batch = simulate_gemm_batch(CoreConfig::a64fx(), &problems, opts);
-    assert_eq!(batch.results.len(), problems.len());
-    assert_eq!(counts(&batch.stats), pinned[0], "batch total moved");
-    for (i, r) in batch.results.iter().enumerate() {
+    let core = CoreConfig::a64fx();
+    let mut session = SimSession::new(core);
+    let mut total = SimStats::default();
+    for (i, p) in problems.iter().enumerate() {
+        let r = session.simulate(p, opts);
         assert!(r.correct, "problem {i} wrong");
         assert_eq!(counts(&r.stats), pinned[i + 1], "problem {i} moved");
+        let solo = SimSession::new(core).simulate(p, opts);
+        assert_eq!((&r.c, r.stats), (&solo.c, solo.stats), "problem {i} vs solo");
+        // the i4/i8 problems really ran under different kernels
+        assert_eq!(r.stats.camp_issues_i8 > 0, p.dtype == DType::I8, "problem {i}");
+        assert_eq!(r.stats.camp_issues_i4 > 0, p.dtype == DType::I4, "problem {i}");
+        total.merge(&r.stats);
     }
-    // every problem's output matches a solo run of the same descriptor
-    // (the dedup consumer pays less pack work but computes the same C)
-    for (i, p) in problems.iter().enumerate() {
-        let solo = simulate_gemm_batch(CoreConfig::a64fx(), &[*p], opts);
-        assert_eq!(solo.results[0].c, batch.results[i].c, "problem {i} vs solo");
-    }
-    // the i4/i8 problems really ran under different kernels
-    assert!(batch.results[0].stats.camp_issues_i8 > 0);
-    assert_eq!(batch.results[0].stats.camp_issues_i4, 0);
-    assert!(batch.results[3].stats.camp_issues_i4 > 0);
-    // batch merge law: every field is the sum across items
-    let mut sum = SimStats::default();
-    for r in &batch.results {
-        sum.merge(&r.stats);
-    }
-    assert_eq!(batch.stats, sum);
+    assert_eq!(counts(&total), pinned[0], "batch total moved");
 }
 
 #[test]
-fn the_dedup_batch_matches_its_pinned_counts_and_solo_runs() {
-    check_dedup_batch(12, 48, &GemmOptions::default(), &PINNED_DEDUP_ONE_UNIT);
-    check_dedup_batch(70, 260, &multi_unit_opts(), &PINNED_DEDUP_MULTI_UNIT);
+fn a_batch_counts_as_its_problems_run_alone() {
+    check_batch(12, 48, &GemmOptions::default(), &PINNED_BATCH_ONE_UNIT);
+    check_batch(70, 260, &multi_unit_opts(), &PINNED_BATCH_MULTI_UNIT);
 }
 
 /// Cycles of the OpenBLAS-f32-like baseline, `Camp8` and `Camp4` on
