@@ -28,15 +28,6 @@ pub struct LineOutcome {
 /// produces it.
 const INVALID: u64 = u64::MAX;
 
-/// Words per way in [`Cache::save_ways`]' output.
-pub(crate) const WAY_WORDS: usize = 2;
-/// A saved way's second word: the LRU stamp below bit `WAY_SHIFT`, the
-/// way's place in its set above it, the dirty and prefetched bits on
-/// top.
-const WAY_SHIFT: u32 = 48;
-const DIRTY_BIT: u32 = 62;
-const PREF_BIT: u32 = 63;
-
 /// One cache level with true-LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -100,55 +91,6 @@ impl Cache {
         self.tags.fill(INVALID);
         self.tick = 0;
         self.stats = CacheStats::default();
-    }
-
-    /// The LRU clock: accesses and writebacks since the last
-    /// [`clear`](Cache::clear).
-    pub(crate) fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// Append every valid way to `out`, [`WAY_WORDS`] words each: its
-    /// line (tag and set), then its LRU stamp, its place in the set and
-    /// its dirty and prefetched bits. Returns the number of ways
-    /// appended.
-    ///
-    /// # Panics
-    /// Panics once the LRU clock has reached 2^48, or on more than 2^14
-    /// ways per set.
-    pub(crate) fn save_ways(&self, out: &mut Vec<u64>) -> usize {
-        let assoc = self.cfg.assoc;
-        assert!(self.tick < 1 << WAY_SHIFT, "an LRU clock of 2^48 does not fit a saved way");
-        assert!(assoc <= 1 << (DIRTY_BIT - WAY_SHIFT), "{assoc} ways do not fit a saved way");
-        let set_bits = self.sets.trailing_zeros();
-        let before = out.len();
-        for (i, &tag) in self.tags.iter().enumerate() {
-            if tag != INVALID {
-                let (set, way) = ((i / assoc) as u64, (i % assoc) as u64);
-                let flags = (self.dirty[i] as u64) << DIRTY_BIT | (self.pref[i] as u64) << PREF_BIT;
-                out.extend([tag << set_bits | set, self.stamp[i] | way << WAY_SHIFT | flags]);
-            }
-        }
-        (out.len() - before) / WAY_WORDS
-    }
-
-    /// Reinstall ways [`save_ways`](Cache::save_ways) appended, with the
-    /// LRU clock and statistics of the same moment, onto a cleared
-    /// cache.
-    pub(crate) fn load_ways(&mut self, words: &[u64], tick: u64, stats: CacheStats) {
-        debug_assert_eq!(self.tick, 0, "ways load onto a cleared cache");
-        let set_bits = self.sets.trailing_zeros();
-        for way in words.chunks_exact(WAY_WORDS) {
-            let (line, bits) = (way[0], way[1]);
-            let place = (bits >> WAY_SHIFT & ((1 << (DIRTY_BIT - WAY_SHIFT)) - 1)) as usize;
-            let i = (line & self.set_mask) as usize * self.cfg.assoc + place;
-            self.tags[i] = line >> set_bits;
-            self.stamp[i] = bits & ((1 << WAY_SHIFT) - 1);
-            self.dirty[i] = bits >> DIRTY_BIT & 1 == 1;
-            self.pref[i] = bits >> PREF_BIT & 1 == 1;
-        }
-        self.tick = tick;
-        self.stats = stats;
     }
 
     /// Line size in bytes.
@@ -380,31 +322,6 @@ mod tests {
         }
         assert_eq!(used.write_back(0x200), fresh.write_back(0x200));
         assert_eq!(used.stats(), fresh.stats());
-    }
-
-    #[test]
-    fn saved_ways_load_back_onto_a_cleared_cache() {
-        // clean, dirty and prefetched lines in every set, LRU stamps mixed
-        let mut used = tiny();
-        for (i, addr) in (0..0x400u64).step_by(0x30).enumerate() {
-            used.access(addr, i % 3 == 0, i % 5 == 0);
-        }
-        let mut words = Vec::new();
-        let ways = used.save_ways(&mut words);
-        assert_eq!((ways, words.len()), (8, 8 * WAY_WORDS), "a full cache saves every way");
-        let mut loaded = tiny();
-        loaded.access(0x40, true, false);
-        loaded.clear();
-        loaded.load_ways(&words, used.tick(), *used.stats());
-        for (i, addr) in (0..0x600u64).step_by(0x50).enumerate() {
-            let (st, pf) = (i % 2 == 1, i % 4 == 3);
-            assert_eq!(loaded.access(addr, st, pf), used.access(addr, st, pf), "access {i}");
-        }
-        assert_eq!(loaded.stats(), used.stats());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        loaded.save_ways(&mut a);
-        used.save_ways(&mut b);
-        assert_eq!(a, b);
     }
 
     #[test]

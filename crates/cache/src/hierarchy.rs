@@ -1,9 +1,8 @@
 //! Two-level hierarchy with main memory and prefetching.
 
-use crate::cache::{Cache, WAY_WORDS};
+use crate::cache::Cache;
 use crate::config::HierarchyConfig;
-use crate::prefetch::{StridePrefetcher, ENTRY_WORDS, MAX_DEGREE};
-use crate::stats::CacheStats;
+use crate::prefetch::{StridePrefetcher, MAX_DEGREE};
 
 /// Result of one hierarchy access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,20 +29,6 @@ pub struct Hierarchy {
     l2: Cache,
     l1_prefetcher: StridePrefetcher,
     l2_prefetcher: StridePrefetcher,
-    mem_reads: u64,
-    mem_writes: u64,
-}
-
-/// What [`Hierarchy::checkpoint`] keeps outside its words, by level
-/// (L1D, then L2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierarchyCheckpoint {
-    /// Valid ways saved per cache.
-    ways: [usize; 2],
-    /// Trained entries saved per prefetcher.
-    trained: [usize; 2],
-    ticks: [u64; 2],
-    stats: [CacheStats; 2],
     mem_reads: u64,
     mem_writes: u64,
 }
@@ -105,46 +90,6 @@ impl Hierarchy {
         self.l2_prefetcher.clear();
         self.mem_reads = 0;
         self.mem_writes = 0;
-    }
-
-    /// Append the sparse part of this hierarchy's state to `words` —
-    /// every valid way of both levels (its line, place in the set, LRU
-    /// stamp, dirty and prefetched bits) and every trained prefetcher
-    /// entry — and return
-    /// the rest: each level's LRU clock and statistics, the memory
-    /// traffic, and how the words divide. A hierarchy that was
-    /// [`clear`](Hierarchy::clear)ed and then [`restore`](Hierarchy::restore)d
-    /// from the two behaves exactly like this one from here on.
-    pub fn checkpoint(&self, words: &mut Vec<u64>) -> HierarchyCheckpoint {
-        let caches = [&self.l1d, &self.l2];
-        HierarchyCheckpoint {
-            ways: caches.map(|c| c.save_ways(words)),
-            trained: [&self.l1_prefetcher, &self.l2_prefetcher].map(|p| p.save(words)),
-            ticks: caches.map(Cache::tick),
-            stats: caches.map(|c| *c.stats()),
-            mem_reads: self.mem_reads,
-            mem_writes: self.mem_writes,
-        }
-    }
-
-    /// Rebuild the state [`checkpoint`](Hierarchy::checkpoint) saved as
-    /// `cp` and `words` (exactly the words that call appended). Valid
-    /// only on a hierarchy that has made no access since its last
-    /// [`clear`](Hierarchy::clear): only the saved ways and entries are
-    /// written.
-    pub fn restore(&mut self, cp: &HierarchyCheckpoint, words: &[u64]) {
-        let [w1, w2] = cp.ways.map(|n| n * WAY_WORDS);
-        let [p1, p2] = cp.trained.map(|n| n * ENTRY_WORDS);
-        assert_eq!(words.len(), w1 + w2 + p1 + p2, "checkpoint words do not match");
-        let (l1_ways, rest) = words.split_at(w1);
-        let (l2_ways, rest) = rest.split_at(w2);
-        let (l1_trained, l2_trained) = rest.split_at(p1);
-        self.l1d.load_ways(l1_ways, cp.ticks[0], cp.stats[0]);
-        self.l2.load_ways(l2_ways, cp.ticks[1], cp.stats[1]);
-        self.l1_prefetcher.load(l1_trained);
-        self.l2_prefetcher.load(l2_trained);
-        self.mem_reads = cp.mem_reads;
-        self.mem_writes = cp.mem_writes;
     }
 
     /// Bring one line (identified by any byte address within it) into L1,

@@ -37,6 +37,6 @@ mod stats;
 
 pub use cache::Cache;
 pub use config::{CacheConfig, HierarchyConfig};
-pub use hierarchy::{AccessOutcome, Hierarchy, HierarchyCheckpoint};
+pub use hierarchy::{AccessOutcome, Hierarchy};
 pub use prefetch::StridePrefetcher;
 pub use stats::CacheStats;

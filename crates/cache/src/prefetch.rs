@@ -3,9 +3,6 @@
 /// Maximum prefetch degree supported.
 pub const MAX_DEGREE: usize = 4;
 
-/// Words per entry in [`StridePrefetcher::save`]'s output.
-pub(crate) const ENTRY_WORDS: usize = 4;
-
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     pc: u64,
@@ -46,36 +43,6 @@ impl StridePrefetcher {
     /// Forget every trained stream (the state of a new prefetcher).
     pub fn clear(&mut self) {
         self.table.fill(Entry::default());
-    }
-
-    /// Append every trained entry to `out`, [`ENTRY_WORDS`] words each:
-    /// its index with its confidence, its PC, last address and stride.
-    /// Returns the number of entries appended.
-    pub(crate) fn save(&self, out: &mut Vec<u64>) -> usize {
-        let before = out.len();
-        for (i, e) in self.table.iter().enumerate().filter(|(_, e)| e.valid) {
-            out.extend([
-                i as u64 | (e.confidence as u64) << 32,
-                e.pc,
-                e.last_addr,
-                e.stride as u64,
-            ]);
-        }
-        (out.len() - before) / ENTRY_WORDS
-    }
-
-    /// Reinstall entries [`save`](StridePrefetcher::save) appended onto a
-    /// cleared prefetcher.
-    pub(crate) fn load(&mut self, words: &[u64]) {
-        for e in words.chunks_exact(ENTRY_WORDS) {
-            self.table[e[0] as u32 as usize] = Entry {
-                pc: e[1],
-                last_addr: e[2],
-                stride: e[3] as i64,
-                confidence: (e[0] >> 32) as u8,
-                valid: true,
-            };
-        }
     }
 
     /// Train on a demand access; returns the number of prefetch addresses

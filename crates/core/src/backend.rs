@@ -367,10 +367,11 @@ impl CampBackend for CampEngine {
 /// generations, eviction) as the host registry, so the same
 /// [`GemmRequest`] — handle operands included — executes on both
 /// substrates. Every request packs its own B, so it counts exactly what
-/// it counts alone, whatever else its batch holds. The session times a
-/// registered weight's B pack once per layout and unit and replays it
-/// afterwards, with every count unchanged; eviction drops the weight's
-/// checkpoints.
+/// it counts alone, whatever else its batch holds. The session times
+/// each block-unit shape once and runs repeats on the functional machine
+/// alone, their counts taken from its memo (registered weights and dense
+/// per-head operands alike); the memo keys on shapes, not handles, so
+/// eviction leaves it alone.
 ///
 /// By default problems are simulated at full size. For harness-style
 /// measurements, [`SimBackend::with_mac_budget`] enables the paper's
@@ -445,18 +446,11 @@ impl CampBackend for SimBackend {
     }
 
     fn evict_weights(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        let meta = self.weights.evict(h)?;
-        if let Some(session) = &mut self.session {
-            session.evict_weight(h);
-        }
-        Ok(meta)
+        self.weights.evict(h)
     }
 
     fn clear_weights(&mut self) {
         self.weights.clear();
-        if let Some(session) = &mut self.session {
-            session.clear_weights();
-        }
     }
 
     fn try_weight_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
@@ -487,15 +481,15 @@ impl CampBackend for SimBackend {
                 if r.is_degenerate() {
                     return Output { c: vec![0i32; r.m * r.n], m: r.m, n: r.n, clamped: false };
                 }
-                let problem = |b| GemmProblem::new(r.m, r.n, r.k, req.activation(), b);
                 let raw: Arc<[i8]>;
-                let problem = match req.weights() {
-                    Operand::Dense(b) => problem(b),
+                let b = match req.weights() {
+                    Operand::Dense(b) => b,
                     Operand::Handle(h) => {
                         raw = self.weights.raw(*h).expect(VALIDATED);
-                        problem(&raw).with_weight(*h)
+                        &raw
                     }
                 };
+                let problem = GemmProblem::new(r.m, r.n, r.k, req.activation(), b);
                 let result = session.simulate(&problem.with_dtype(r.dtype), &opts);
                 stats.merge(&result.stats);
                 let CMatrix::I32(padded) = result.c else {
@@ -624,8 +618,8 @@ mod tests {
     #[test]
     fn a_simulated_batch_counts_as_its_requests_run_alone() {
         // two requests on one B: a shared dense Arc, then one registered
-        // weight at the same m twice (the second replays the first's
-        // pack from the memo). Each request counts its own B pack, so
+        // weight at the same m twice (the second takes the first's
+        // counts from the memo). Each request counts its own B pack, so
         // the batch counts what the two count on fresh backends.
         fn check(requests: impl Fn(&mut SimBackend) -> Vec<GemmRequest>) {
             let mut sim = SimBackend::a64fx();
@@ -655,21 +649,32 @@ mod tests {
         });
     }
 
-    fn memoized_packs(sim: &SimBackend) -> usize {
-        sim.session.as_ref().map_or(0, SimSession::memoized_packs)
+    fn memoized_units(sim: &SimBackend) -> usize {
+        sim.session.as_ref().map_or(0, SimSession::memoized_units)
     }
 
     #[test]
     fn a_warm_simulator_answers_exactly_like_cold_ones() {
         // n spans two column strips of the A64FX blocking (two units per
-        // problem); m = 1 and m = 9 are two layouts of one weight, and
-        // the third call batches both, each packing B for itself
+        // problem); m = 1 and m = 9 are two plans of one weight, and the
+        // third call batches both. The last two calls are a decode
+        // step's attention: four heads of dense Kᵀ (32 × 44) and V
+        // (44 × 32) operands, each head its own bytes on one shape.
         let (n, k) = (520, 40);
         let w = fill(k * n, 5);
+        let (dh, pos) = (32, 44);
+        let heads = |kk: usize, nn: usize| -> Vec<GemmRequest> {
+            (0..4)
+                .map(|h| {
+                    let (a, b) = (fill(kk, 3 + 2 * h), fill(kk * nn, 7 + 2 * h));
+                    GemmRequest::dense(1, nn, kk, a, b).unwrap()
+                })
+                .collect()
+        };
         let calls = |h| {
             let one = GemmRequest::with_weights(1, fill(k, 3), h).unwrap();
             let nine = GemmRequest::with_weights(9, fill(9 * k, 7), h).unwrap();
-            [vec![one.clone()], vec![nine.clone()], vec![one, nine]]
+            [vec![one.clone()], vec![nine.clone()], vec![one, nine], heads(dh, pos), heads(pos, dh)]
         };
         for dtype in [DType::I8, DType::I4] {
             for budget in [u64::MAX, 20_000] {
@@ -678,16 +683,18 @@ mod tests {
                     let h = sim.register_weights(n, k, &w, dtype);
                     (sim, h)
                 };
-                // every call on a backend of its own: every pack timed
-                let cold: Vec<BatchOutcome> = (0..3)
+                // every call on a backend of its own: cold, but for the
+                // heads after a call's first, which hit its entry
+                let cold: Vec<BatchOutcome> = (0..5)
                     .map(|i| {
                         let (mut sim, h) = backend();
                         sim.execute_batch(&calls(h)[i]).unwrap()
                     })
                     .collect();
-                // every call twice on one backend: the second pass replays
-                // every pack
+                // every call twice on one backend: the second pass, and
+                // every head after the first, hits the memo
                 let (mut warm, h) = backend();
+                let mut units = 0;
                 for pass in 0..2 {
                     for (i, call) in calls(h).iter().enumerate() {
                         let got = warm.execute_batch(call).unwrap();
@@ -696,40 +703,75 @@ mod tests {
                             "{dtype:?}, budget {budget}: pass {pass}, call {i}"
                         );
                     }
+                    let now = memoized_units(&warm);
+                    assert!(pass == 0 || now == units, "{dtype:?}, budget {budget}: grew");
+                    units = now;
                 }
-                // two layouts of two units each, or of one once the clamp
-                // has cut n to a single column strip
-                let units = if budget == u64::MAX { 2 } else { 1 };
-                assert_eq!(memoized_packs(&warm), 2 * units, "{dtype:?}, budget {budget}");
+                // two weight plans of two units each (one once the clamp
+                // has cut n to a single column strip), plus one per
+                // attention shape: the i8 heads' dense B runs under
+                // camp.s8, whatever dtype the weight has
+                let weight_units = if budget == u64::MAX { 2 } else { 1 };
+                assert_eq!(units, 2 * weight_units + 2, "{dtype:?}, budget {budget}");
             }
         }
     }
 
     #[test]
-    fn an_evicted_weight_leaves_no_checkpoint_to_hit() {
+    fn two_weights_of_one_shape_share_one_memo_entry() {
         let (m, n, k) = (2, 16, 64);
         let a = fill(m * k, 3);
-        let (w_old, w_new) = (fill(k * n, 5), fill(k * n, 9));
+        let (w1, w2) = (fill(k * n, 5), fill(k * n, 9));
         let mut sim = SimBackend::a64fx();
-        let old = sim.register_weights(n, k, &w_old, DType::I8);
-        sim.execute(&GemmRequest::with_weights(m, a.clone(), old).unwrap()).unwrap();
-        assert_eq!(memoized_packs(&sim), 1);
-        sim.evict_weights(old).unwrap();
-        assert_eq!(memoized_packs(&sim), 0, "eviction drops the weight's checkpoints");
+        let h1 = sim.register_weights(n, k, &w1, DType::I8);
+        let h2 = sim.register_weights(n, k, &w2, DType::I8);
+        let first = sim.execute(&GemmRequest::with_weights(m, a.clone(), h1).unwrap()).unwrap();
+        assert_eq!(memoized_units(&sim), 1);
+        let second = sim.execute(&GemmRequest::with_weights(m, a.clone(), h2).unwrap()).unwrap();
+        assert_eq!(memoized_units(&sim), 1, "the second weight hits the first one's entry");
+        assert_eq!(first.output.c, gemm_i32_ref(m, n, k, &a, &w1));
+        assert_eq!(second.output.c, gemm_i32_ref(m, n, k, &a, &w2));
+        assert_eq!(first.stats, second.stats);
 
-        // new bytes in the recycled slot, same shape: same layout, so
-        // only the handle's generation tells the two apart
-        let new = sim.register_weights(n, k, &w_new, DType::I8);
-        assert_eq!(new.index(), old.index(), "the slot is recycled");
-        let got = sim.execute(&GemmRequest::with_weights(m, a.clone(), new).unwrap()).unwrap();
-        let mut cold = SimBackend::a64fx();
-        let h = cold.register_weights(n, k, &w_new, DType::I8);
-        let want = cold.execute(&GemmRequest::with_weights(m, a.clone(), h).unwrap()).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(got.output.c, gemm_i32_ref(m, n, k, &a, &w_new));
-
+        // eviction leaves the memo alone: it holds no handle
+        sim.evict_weights(h1).unwrap();
         sim.clear_weights();
-        assert_eq!(memoized_packs(&sim), 0, "clearing the registry clears the memo");
+        assert_eq!(memoized_units(&sim), 1);
+    }
+
+    #[test]
+    fn a_full_memo_empties_and_still_answers_exactly() {
+        // 264 shapes, one unit each: past the bound, so the memo
+        // empties once on the way
+        let shapes: Vec<(usize, usize, DType)> = [DType::I8, DType::I4]
+            .into_iter()
+            .flat_map(|d| (1..=12).flat_map(move |m| (1..=11).map(move |j| (4 * m - 3, 4 * j, d))))
+            .collect();
+        assert!(shapes.len() > SimSession::MEMO_UNITS);
+        let k = 8;
+        let request = |&(m, n, dtype): &(usize, usize, DType)| {
+            GemmRequest::builder()
+                .m(m)
+                .n(n)
+                .k(k)
+                .activation(fill(m * k, 3))
+                .weights(Operand::from_dense(fill(k * n, 5)))
+                .dtype(dtype)
+                .build()
+                .unwrap()
+        };
+        let mut sim = SimBackend::a64fx();
+        for shape in &shapes {
+            sim.execute(&request(shape)).unwrap();
+            assert!(memoized_units(&sim) <= SimSession::MEMO_UNITS, "{shape:?}");
+        }
+        assert_eq!(memoized_units(&sim), shapes.len() - SimSession::MEMO_UNITS);
+        // the first shapes were emptied out and are timed again, the last
+        // ones hit: both answer like a cold backend
+        for shape in shapes[..3].iter().chain(&shapes[shapes.len() - 3..]) {
+            let got = sim.execute(&request(shape)).unwrap();
+            assert_eq!(got, SimBackend::a64fx().execute(&request(shape)).unwrap(), "{shape:?}");
+        }
     }
 
     #[test]

@@ -29,13 +29,13 @@
 //! let opts = GemmOptions::default();
 //! let mut session = SimSession::new(CoreConfig::a64fx());
 //! let first = session.simulate(&problem, &opts);
-//! let again = session.simulate(&problem, &opts); // same weights: packs B again
+//! let again = session.simulate(&problem, &opts); // same shape: counts from the memo
 //! assert!(first.correct);
 //! assert_eq!(again.stats, first.stats);
 //! ```
 
 use crate::loops::BlockPlan;
-use crate::weights::{DType, WeightHandle};
+use crate::weights::DType;
 
 /// One GeMM of a simulated batch: row-major C (m×n) = A (m×k) · B (k×n),
 /// borrowing its operands. Values must fit the kernel the problem runs
@@ -55,33 +55,19 @@ pub struct GemmProblem<'a> {
     pub b: &'a [i8],
     /// Kernel this problem runs under in mixed-dtype batches.
     pub dtype: DType,
-    /// The registered weight `b` holds, if any (see
-    /// [`GemmProblem::with_weight`]).
-    pub weight: Option<WeightHandle>,
 }
 
 impl<'a> GemmProblem<'a> {
     /// Describe one problem (i8 kernel by default; see
     /// [`GemmProblem::with_dtype`]).
     pub fn new(m: usize, n: usize, k: usize, a: &'a [i8], b: &'a [i8]) -> Self {
-        GemmProblem { m, n, k, a, b, dtype: DType::I8, weight: None }
+        GemmProblem { m, n, k, a, b, dtype: DType::I8 }
     }
 
     /// Select the kernel this problem runs under in mixed-dtype batch
     /// calls.
     pub fn with_dtype(mut self, dtype: DType) -> Self {
         self.dtype = dtype;
-        self
-    }
-
-    /// Mark `b` as the bytes of registered weight `h`, which lets a
-    /// [`crate::driver::SimSession`] time this B's packing once per
-    /// layout and replay it afterwards. The session keys on the handle,
-    /// not the bytes: `b` must be exactly the bytes registered under
-    /// `h`, and evicting `h` from its registry must evict it from the
-    /// session too ([`crate::driver::SimSession::evict_weight`]).
-    pub fn with_weight(mut self, h: WeightHandle) -> Self {
-        self.weight = Some(h);
         self
     }
 

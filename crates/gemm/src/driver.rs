@@ -20,17 +20,18 @@
 //! its partial-C contribution into the GeMM's result. Units run in order
 //! on the calling thread.
 //!
-//! # The pack memo
+//! # The count memo
 //!
-//! B packing is the first work of a unit, so the simulator state after
-//! it is a function of the method, the [`BlockPlan`] (every simulated
-//! address), the unit and the B bytes. A [`SimSession`] therefore times
-//! the B pack of a *registered* weight ([`GemmProblem::with_weight`])
-//! once per (weight, layout, unit) and keeps a [`SimCheckpoint`] of the
-//! state after it; a later unit with the same key packs on the
-//! functional machine alone (the packed bytes) and restores the
-//! checkpoint (the timing state), so every count comes out exactly as a
-//! timed pack would make it. Dense B operands are never memoized.
+//! A unit starts from the reset simulator, staging writes memory
+//! without touching timing state, and every program branches only on
+//! loop counters and addresses memory only through the [`BlockPlan`].
+//! So a unit's [`SimStats`] are a function of the method, the plan and
+//! the unit on the session's core, whatever the operand bytes
+//! (`tests/proptests.rs` checks it for every method on both cores). A
+//! [`SimSession`] therefore times each (method, plan, unit) once and
+//! keeps its stats; a later unit with the same key runs its programs on
+//! the functional machine alone (the packed bytes and its partial C) and
+//! takes its stats from the memo.
 //!
 //! The decomposition defines the result. Partial C blocks merge on the
 //! host in a fixed order (depth-ascending per column strip, the order
@@ -49,12 +50,12 @@
 use crate::batch::GemmProblem;
 use crate::host::scalar::pack_nibbles;
 use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
-use crate::method::{AccKind, ElemKind, KernelGeometry, Method, PackBCtx, Programs, RUN_BUDGET};
+use crate::method::{run_program, AccKind, ElemKind, KernelGeometry, Method, PackBCtx, Programs};
 use crate::reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};
-use crate::weights::{DType, WeightHandle};
+use crate::weights::DType;
 use crate::workspace::Workspace;
 use camp_isa::reg::S;
-use camp_pipeline::{CheckpointArena, CoreConfig, CoreKind, SimCheckpoint, SimStats, Simulator};
+use camp_pipeline::{CoreConfig, CoreKind, SimStats, Simulator};
 use std::collections::HashMap;
 
 /// Options for [`simulate_gemm`].
@@ -300,7 +301,8 @@ fn stage_range(
 /// The simulation backend of the shared loop skeleton: packs blocks and
 /// runs macro-kernels as simulated programs against one persistent
 /// machine + cache state (reset for each block unit), borrowing the
-/// programs its problem assembled.
+/// programs its problem assembled. Every program runs through the
+/// timing model when `timed`, on the functional machine alone when not.
 struct BlockSim<'s, 'p> {
     sim: &'s mut Simulator,
     geo: KernelGeometry,
@@ -309,6 +311,7 @@ struct BlockSim<'s, 'p> {
     ldb: u64,
     ldc: u64,
     programs: &'p Programs,
+    timed: bool,
 }
 
 impl BlockSim<'_, '_> {
@@ -332,9 +335,7 @@ impl BlockSim<'_, '_> {
         }
     }
 
-    /// Pack the unit's B block, timed or on the functional machine alone
-    /// (see [`crate::method::PackB::run`]).
-    fn pack_b(&mut self, spec: UnitSpec, timed: bool) {
+    fn pack_b(&mut self, spec: UnitSpec) {
         let ctx = PackBCtx {
             b_base: self.bufs.b_base,
             bpack: self.bufs.bpack,
@@ -344,7 +345,7 @@ impl BlockSim<'_, '_> {
             pc: spec.pc,
             kcb: spec.kcb,
         };
-        self.programs.pack_b.run(self.sim, &ctx, &self.geo, timed);
+        self.programs.pack_b.run(self.sim, &ctx, &self.geo, self.timed);
     }
 
     fn pack_a(&mut self, ic: usize, mcb: usize, pc: usize, kcb: usize) {
@@ -362,7 +363,7 @@ impl BlockSim<'_, '_> {
                     let mm = self.sim.machine_mut();
                     mm.set_x(S(11), dst);
                     mm.set_x(S(12), chunks as u64);
-                    self.sim.run(vec_prog, RUN_BUDGET).expect("pack A (vector)");
+                    run_program(self.sim, vec_prog, self.timed, "pack A (vector)");
                     done_cols = chunks * cols_per_chunk;
                 }
             }
@@ -374,7 +375,7 @@ impl BlockSim<'_, '_> {
                 let mm = self.sim.machine_mut();
                 mm.set_x(S(11), dst + (done_cols * per_kcol) as u64);
                 mm.set_x(S(12), (tail / plan.scalar_cols_per_iter) as u64);
-                self.sim.run(&plan.scalar, RUN_BUDGET).expect("pack A (tail)");
+                run_program(self.sim, &plan.scalar, self.timed, "pack A (tail)");
             }
         }
     }
@@ -404,7 +405,7 @@ impl BlockSim<'_, '_> {
         mm.set_x(S(8), geo.b_panel_bytes(kcb) as u64);
         mm.set_x(S(9), geo.a_panel_bytes(kcb) as u64);
         mm.set_x(S(30), self.bufs.scratch);
-        self.sim.run(&self.programs.macro_kernel, RUN_BUDGET).expect("macro kernel");
+        run_program(self.sim, &self.programs.macro_kernel, self.timed, "macro kernel");
     }
 }
 
@@ -425,13 +426,13 @@ struct UnitSpec {
 /// memory sized for the problem, cold caches, zero stats): stage the
 /// operands, pack B, then pack A and run the macro-kernel for every row
 /// strip. Deterministic and self-contained — nothing of an earlier unit
-/// survives the reset: the driver's unit of work. A registered weight's
-/// pack is replayed from `memo` when it holds the unit's checkpoint,
-/// and timed into it when not. Adds the unit's partial C into `c` and
-/// returns its stats.
+/// survives the reset: the driver's unit of work. When `memo` holds the
+/// unit's stats, every program runs on the functional machine alone and
+/// the memo's stats are returned; otherwise the unit is timed and its
+/// stats are inserted. Adds the unit's partial C into `c`.
 fn simulate_unit(
     sim: &mut Simulator,
-    memo: &mut PackMemo,
+    memo: &mut CountMemo,
     ctx: &ProblemCtx,
     spec: UnitSpec,
     c: &mut CMatrix,
@@ -442,6 +443,8 @@ fn simulate_unit(
     sim.reset(bufs.total as usize);
     stage_a_unit(sim, &geo, &bufs, &ctx.a_host, plan, spec);
     stage_b_unit(sim, &geo, &bufs, &ctx.b_host, plan, spec);
+    let key = (ctx.method, *plan, spec);
+    let memoized = memo.get(&key).copied();
     let mut backend = BlockSim {
         sim,
         geo,
@@ -450,27 +453,22 @@ fn simulate_unit(
         ldc: (plan.np * geo.acc.c_elem_bytes()) as u64,
         programs: &ctx.programs,
         bufs,
+        timed: memoized.is_none(),
     };
-    match ctx.weight.and_then(|w| memo.get(w, spec)) {
-        // replay: the packed bytes from the functional machine, the
-        // timing state from the checkpoint
-        Some(cp) => {
-            backend.pack_b(spec, false);
-            backend.sim.restore(&memo.arena, cp);
-        }
-        None => {
-            backend.pack_b(spec, true);
-            if let Some(w) = ctx.weight {
-                memo.insert(w, spec, backend.sim);
-            }
-        }
-    }
+    backend.pack_b(spec);
     for_each_row_strip(plan, |ic, mcb| {
         backend.pack_a(ic, mcb, spec.pc, spec.kcb);
         backend.macro_kernel(ic, mcb, spec.jc, spec.ncb, spec.pc, spec.kcb);
     });
     c.accumulate(backend.sim, backend.bufs.c_base, backend.ldc, plan.np, spec);
-    *backend.sim.stats()
+    memoized.unwrap_or_else(|| {
+        let stats = *backend.sim.stats();
+        if memo.len() == SimSession::MEMO_UNITS {
+            memo.clear();
+        }
+        memo.insert(key, stats);
+        stats
+    })
 }
 
 // ---- problems -------------------------------------------------------------
@@ -486,8 +484,6 @@ struct ProblemCtx {
     /// Padded `kp × np` B, row-major.
     b_host: Vec<i8>,
     clamped: bool,
-    /// B is a registered weight: its packs go through the memo.
-    weight: Option<WeightLayout>,
 }
 
 /// The (mc, nc, kc) `method` blocks with on `core` when
@@ -528,7 +524,7 @@ fn ctx_from_plan(
     b_host: Vec<i8>,
     clamped: bool,
 ) -> ProblemCtx {
-    ProblemCtx { method, programs: method.programs(), plan, a_host, b_host, clamped, weight: None }
+    ProblemCtx { method, programs: method.programs(), plan, a_host, b_host, clamped }
 }
 
 /// Plan a seeded-random problem (the figure harness workload): same RNG
@@ -590,121 +586,60 @@ fn problem_ctx(core: CoreConfig, p: &GemmProblem<'_>, opts: &GemmOptions) -> Pro
     for l in 0..k2 {
         b_host[l * np..l * np + n2].copy_from_slice(&p.b[l * p.n..l * p.n + n2]);
     }
-    let weight = p.weight.map(|handle| WeightLayout { handle, method, plan, n: n2, k: k2 });
-    ProblemCtx { weight, ..ctx_from_plan(method, plan, a_host, b_host, clamped) }
+    ctx_from_plan(method, plan, a_host, b_host, clamped)
 }
 
-// ---- the pack memo ----------------------------------------------------------
+// ---- the count memo ---------------------------------------------------------
 
-/// A registered weight as one problem packs it: the handle, plus the
-/// layout — the kernel, the plan (every simulated address) and the
-/// post-clamp `n × k` of B (which of its bytes a unit stages). With the
-/// unit, the pack memo's key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WeightLayout {
-    handle: WeightHandle,
-    method: Method,
-    plan: BlockPlan,
-    n: usize,
-    k: usize,
-}
+/// What a unit's [`SimStats`] are a function of on one core: the
+/// method, the plan (every simulated address) and the unit.
+type UnitKey = (Method, BlockPlan, UnitSpec);
 
-/// Layouts the memo keeps per (weight, unit); a new one beyond these
-/// replaces the oldest.
-const MEMO_LAYOUTS: usize = 4;
+/// The stats of every unit a session has timed, by [`UnitKey`].
+type CountMemo = HashMap<UnitKey, SimStats>;
 
-/// The state after a registered weight's timed B pack, per (weight,
-/// layout, unit).
-#[derive(Debug, Default)]
-struct PackMemo {
-    arena: CheckpointArena,
-    /// Per (weight, unit), its checkpoints by layout, oldest first.
-    entries: HashMap<(WeightHandle, UnitSpec), Vec<(WeightLayout, SimCheckpoint)>>,
-    /// Arena words of dropped checkpoints, reclaimed once they outnumber
-    /// the live ones.
-    dead: usize,
-}
-
-impl PackMemo {
-    fn get(&self, w: WeightLayout, spec: UnitSpec) -> Option<&SimCheckpoint> {
-        let layouts = self.entries.get(&(w.handle, spec))?;
-        layouts.iter().find(|(l, _)| *l == w).map(|(_, cp)| cp)
-    }
-
-    /// Checkpoint `sim`, fresh from the timed pack of `w`'s `spec` unit.
-    fn insert(&mut self, w: WeightLayout, spec: UnitSpec, sim: &Simulator) {
-        let cp = sim.checkpoint(&mut self.arena);
-        let layouts = self.entries.entry((w.handle, spec)).or_default();
-        if layouts.len() == MEMO_LAYOUTS {
-            self.dead += layouts.remove(0).1.words();
-        }
-        // most weights see one or two layouts: no room for four each
-        layouts.reserve_exact(1);
-        layouts.push((w, cp));
-        self.reclaim();
-    }
-
-    fn evict(&mut self, h: WeightHandle) {
-        let dead = &mut self.dead;
-        self.entries.retain(|&(handle, _), layouts| {
-            if handle == h {
-                *dead += layouts.iter().map(|(_, cp)| cp.words()).sum::<usize>();
-            }
-            handle != h
-        });
-        self.reclaim();
-    }
-
-    fn reclaim(&mut self) {
-        if 2 * self.dead > self.arena.len() {
-            self.arena.compact(self.entries.values_mut().flatten().map(|(_, cp)| cp));
-            self.dead = 0;
-        }
-    }
-}
-
-/// One [`Simulator`] and the pack memo of registered weights, kept from
-/// call to call: what a long-lived simulated backend holds, so that
-/// every GeMM reuses one simulator (reset between block units) and
-/// every registered weight's B pack is timed once per layout and unit,
-/// then replayed (see the module docs). [`simulate_gemm`] is a new
-/// session and one call.
+/// One [`Simulator`] and the count memo, kept from call to call: what a
+/// long-lived simulated backend holds, so that every GeMM reuses one
+/// simulator (reset between block units) and every (method, plan, unit)
+/// is timed once, then run on the functional machine alone with its
+/// stats from the memo (see the module docs). [`simulate_gemm`] is a
+/// new session and one call.
 ///
-/// The memo keys on [`WeightHandle`]s, never on bytes: a handle carries
-/// its registry, slot and generation, so a recycled slot cannot alias.
-/// A weight evicted from its registry must be evicted here too
-/// ([`SimSession::evict_weight`]) to free its checkpoints. At most four
-/// layouts per (weight, unit) are kept, the oldest dropped first.
+/// The memo keys on shapes, never on bytes or handles, so nothing has
+/// to be evicted from it when a weight leaves its registry. It holds at
+/// most [`SimSession::MEMO_UNITS`] entries; a miss that finds it full
+/// empties it first.
 pub struct SimSession {
     sim: Simulator,
-    memo: PackMemo,
+    memo: CountMemo,
 }
 
 impl std::fmt::Debug for SimSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimSession")
             .field("core", &self.sim.config().name)
-            .field("memoized_packs", &self.memoized_packs())
+            .field("memoized_units", &self.memoized_units())
             .finish_non_exhaustive()
     }
 }
 
 impl SimSession {
+    /// Units the count memo holds at most.
+    pub const MEMO_UNITS: usize = 256;
+
     /// A session simulating `core`, its memo empty.
     pub fn new(core: CoreConfig) -> Self {
-        SimSession { sim: Simulator::new(core, 0), memo: PackMemo::default() }
+        SimSession { sim: Simulator::new(core, 0), memo: CountMemo::new() }
     }
 
     /// Simulate one GeMM over its **own** operands (not the seeded RNG
     /// workload of [`simulate_gemm`]) under the camp kernel its
     /// [`DType`] selects, as the host engine does for a request's. The
-    /// problem packs its own B: a problem marked
-    /// [`GemmProblem::with_weight`] replays the memo's checkpoint of that
-    /// pack, with every count unchanged. The result is therefore the
-    /// same on any session, whatever ran on it before; a batch is one
-    /// call per problem, its stats their [`SimStats::merge`]. i4
-    /// problems need operand values in [-8, 7], like the host engine's
-    /// i4 kernel.
+    /// problem packs its own B, and a unit the memo holds counts exactly
+    /// what timing it would. The result is therefore the same on any
+    /// session, whatever ran on it before; a batch is one call per
+    /// problem, its stats their [`SimStats::merge`]. i4 problems need
+    /// operand values in [-8, 7], like the host engine's i4 kernel.
     ///
     /// # Panics
     /// Panics on mis-sized operands.
@@ -713,20 +648,10 @@ impl SimSession {
         self.run(&ctx, opts)
     }
 
-    /// Drop `h`'s checkpoints: call it when `h` leaves its registry.
-    pub fn evict_weight(&mut self, h: WeightHandle) {
-        self.memo.evict(h);
-    }
-
-    /// Drop every checkpoint.
-    pub fn clear_weights(&mut self) {
-        self.memo = PackMemo::default();
-    }
-
-    /// Checkpoints held: one per (weight, layout, unit) timed so far
-    /// and not dropped.
-    pub fn memoized_packs(&self) -> usize {
-        self.memo.entries.values().map(Vec::len).sum()
+    /// Units whose stats the memo holds: one per (method, plan, unit)
+    /// timed since the memo was last emptied.
+    pub fn memoized_units(&self) -> usize {
+        self.memo.len()
     }
 
     /// Run `ctx`'s (jc, pc) units in the blocked loops' visit order (jc
@@ -1027,33 +952,26 @@ mod tests {
     }
 
     #[test]
-    fn the_memo_keeps_the_newest_layouts_and_replays_them_exactly() {
-        // sixteen m values, sixteen plans of one weight, one unit each
-        let (n, k) = (8, 64);
-        let b = fill(k * n, 5);
-        let h = crate::weights::WeightRegistry::raw_mirror().register(n, k, &b, DType::I8);
-        let a = fill(64 * k, 3);
-        let problem = |m: usize| GemmProblem::new(m, n, k, &a[..m * k], &b).with_weight(h);
-        let ms: Vec<usize> = (1..=16).map(|i| 4 * i).collect();
-        let (core, opts) = (CoreConfig::a64fx(), GemmOptions::default());
-        let mut session = SimSession::new(core);
-        for &m in &ms {
-            session.simulate(&problem(m), &opts);
-        }
-        assert_eq!(session.memoized_packs(), MEMO_LAYOUTS, "only the newest layouts stay");
-        let memo = &session.memo;
-        let live: usize = memo.entries.values().flatten().map(|(_, cp)| cp.words()).sum();
-        assert_eq!(memo.arena.len() - memo.dead, live);
-        assert!(2 * memo.dead <= memo.arena.len(), "dropped words are reclaimed");
-
-        // the kept layouts replay, the dropped ones are timed again, and
-        // both answer like a fresh session (after the compactions)
-        for &m in ms[..2].iter().chain(&ms[12..]) {
-            let warm = session.simulate(&problem(m), &opts);
-            let cold = SimSession::new(core).simulate(&problem(m), &opts);
-            assert!(warm.correct, "m = {m}");
-            assert_eq!(warm.c, cold.c, "m = {m}");
-            assert_eq!(warm.stats, cold.stats, "m = {m}");
+    fn a_memo_hit_computes_its_own_c_with_the_timed_counts() {
+        // two operand sets of one multi-unit shape on one session: the
+        // second hits every unit the first timed, yet computes its own C
+        // and counts what a fresh session times
+        let (m, n, k) = (13, 70, 260);
+        let opts = GemmOptions { blocking: Some((32, 64, 32)), ..GemmOptions::default() };
+        let (a1, b1) = (fill(m * k, 3), fill(k * n, 5));
+        let (a2, b2) = (fill(m * k, 7), fill(k * n, 11));
+        let core = CoreConfig::edge_riscv();
+        for dtype in [DType::I8, DType::I4] {
+            let problem = |a, b| GemmProblem::new(m, n, k, a, b).with_dtype(dtype);
+            let mut session = SimSession::new(core);
+            assert!(session.simulate(&problem(&a1, &b1), &opts).correct, "{dtype:?}");
+            let units = session.memoized_units();
+            assert!(units > 1, "{dtype:?}: {units} units");
+            let warm = session.simulate(&problem(&a2, &b2), &opts);
+            assert_eq!(session.memoized_units(), units, "{dtype:?}: every unit hits");
+            let cold = SimSession::new(core).simulate(&problem(&a2, &b2), &opts);
+            assert!(warm.correct, "{dtype:?}");
+            assert_eq!((&warm.c, warm.stats), (&cold.c, cold.stats), "{dtype:?}");
         }
     }
 }

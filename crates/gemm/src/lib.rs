@@ -24,8 +24,9 @@
 //! block unit starts from the freshly built simulator state — zeroed
 //! machine memory, cold caches; the driver resets one simulator between
 //! units — so units are independent and their statistics simply add up.
-//! A [`SimSession`] keeps that simulator across calls, with a memo that
-//! replays the B pack of a registered weight instead of re-timing it.
+//! A [`SimSession`] keeps that simulator across calls, with a memo of
+//! each unit shape's statistics: a repeated shape runs on the functional
+//! machine alone instead of being timed again.
 //!
 //! Everything kernel-specific is a `match` on [`Method`] in [`method`] —
 //! geometry, element/accumulator types, default kc, and the packing and

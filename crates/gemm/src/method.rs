@@ -20,6 +20,21 @@ use camp_pipeline::{CoreKind, Simulator};
 /// Cycle budget for any single simulated program invocation.
 pub(crate) const RUN_BUDGET: u64 = 4_000_000_000;
 
+/// Run `prog` on `sim` through the timing model when `timed`, otherwise
+/// on the functional machine alone: the same registers and memory, but
+/// no cycles, cache traffic or statistics.
+///
+/// # Panics
+/// Panics, naming `what`, if the machine faults.
+pub(crate) fn run_program(sim: &mut Simulator, prog: &Program, timed: bool, what: &str) {
+    if timed {
+        sim.run(prog, RUN_BUDGET)
+    } else {
+        sim.machine_mut().run(prog, RUN_BUDGET).map(drop)
+    }
+    .expect(what)
+}
+
 /// Storage type of the A/B operands in (simulated) main memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElemKind {
@@ -180,14 +195,7 @@ impl PackB {
     /// alone — the same registers and packed bytes, but no cycles, cache
     /// traffic or statistics.
     pub fn run(&self, sim: &mut Simulator, ctx: &PackBCtx, geo: &KernelGeometry, timed: bool) {
-        let exec = |sim: &mut Simulator, prog: &Program| {
-            if timed {
-                sim.run(prog, RUN_BUDGET)
-            } else {
-                sim.machine_mut().run(prog, RUN_BUDGET).map(drop)
-            }
-            .expect("pack B")
-        };
+        let exec = |sim: &mut Simulator, prog: &Program| run_program(sim, prog, timed, "pack B");
         let panel_bytes = geo.b_panel_bytes(ctx.kcb) as u64;
         let panels = ctx.ncb / geo.nr;
         // address of k-row `pc + r` at the first column of panel `p`

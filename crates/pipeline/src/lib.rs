@@ -47,5 +47,5 @@ mod stats;
 
 pub use config::NUM_FU_KINDS;
 pub use config::{CoreConfig, CoreKind, FuDesc, FuKind};
-pub use sim::{CheckpointArena, SimCheckpoint, Simulator};
+pub use sim::Simulator;
 pub use stats::SimStats;

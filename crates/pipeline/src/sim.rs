@@ -2,11 +2,10 @@
 
 use crate::config::{CoreConfig, CoreKind, FuKind, NUM_FU_KINDS};
 use crate::stats::{class_index, SimStats};
-use camp_cache::{Hierarchy, HierarchyCheckpoint};
+use camp_cache::Hierarchy;
 use camp_isa::inst::{CampMode, Inst, InstClass, Program, VOp};
 use camp_isa::machine::{ExecError, Machine, StepOut};
-use camp_isa::reg::{ScalarReg, VectorReg, S, V};
-use camp_isa::VLEN_BYTES;
+use camp_isa::reg::{ScalarReg, VectorReg};
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
@@ -177,70 +176,6 @@ impl Timing {
     }
 }
 
-/// A [`Simulator`]'s state apart from machine memory, taken by
-/// [`Simulator::checkpoint`]: the fixed-size part here, the sparse part
-/// (cache ways, prefetcher entries, vector registers) as words in the
-/// [`CheckpointArena`] it was taken into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimCheckpoint {
-    hier: HierarchyCheckpoint,
-    /// Leading words of this checkpoint that belong to the hierarchy;
-    /// the rest, if any, are the 32 vector registers.
-    hier_len: usize,
-    stats: SimStats,
-    x: [u64; 32],
-    /// Where the words sit in the arena.
-    start: usize,
-    len: usize,
-}
-
-impl SimCheckpoint {
-    /// Arena words this checkpoint occupies.
-    pub fn words(&self) -> usize {
-        self.len
-    }
-}
-
-/// One growable buffer holding the words of many [`SimCheckpoint`]s, so
-/// a store of checkpoints makes one allocation rather than one each
-/// (`Default` builds an empty one).
-#[derive(Debug, Default)]
-pub struct CheckpointArena {
-    words: Vec<u64>,
-}
-
-impl CheckpointArena {
-    /// Words held, the dropped checkpoints' included until
-    /// [`compact`](CheckpointArena::compact).
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// True when no words are held.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    fn slice(&self, cp: &SimCheckpoint) -> &[u64] {
-        &self.words[cp.start..cp.start + cp.len]
-    }
-
-    /// Keep only the words of `live`, the checkpoints still in use,
-    /// moved to the front of the arena; each is updated to its new
-    /// place.
-    pub fn compact<'a>(&mut self, live: impl IntoIterator<Item = &'a mut SimCheckpoint>) {
-        let mut live: Vec<&mut SimCheckpoint> = live.into_iter().collect();
-        live.sort_unstable_by_key(|cp| cp.start);
-        let mut end = 0;
-        for cp in live {
-            self.words.copy_within(cp.start..cp.start + cp.len, end);
-            cp.start = end;
-            end += cp.len;
-        }
-        self.words.truncate(end);
-    }
-}
-
 enum StallCause {
     None,
     Fu,
@@ -264,11 +199,6 @@ enum StallCause {
 /// deterministically, and its [`SimStats`] are folded afterwards with
 /// [`SimStats::merge`] (everything adds: one core running the units
 /// back to back). See `docs/SIMULATOR.md` for the merge contract.
-///
-/// [`checkpoint`](Simulator::checkpoint) and [`restore`](Simulator::restore)
-/// save and rebuild everything but machine memory, which is how the
-/// driver replays a phase it has timed before instead of timing it
-/// again.
 pub struct Simulator {
     cfg: CoreConfig,
     machine: Machine,
@@ -347,58 +277,6 @@ impl Simulator {
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
         self.hier.reset_stats();
-    }
-
-    /// Save everything but machine memory — the valid cache ways, the
-    /// trained prefetcher entries, memory traffic, statistics, the
-    /// scalar registers and, when any is non-zero, the vector registers —
-    /// into `arena`. [`restore`](Simulator::restore) of the checkpoint
-    /// onto a freshly [`reset`](Simulator::reset) simulator whose memory
-    /// holds the same bytes rebuilds a simulator that runs on exactly
-    /// like this one.
-    pub fn checkpoint(&self, arena: &mut CheckpointArena) -> SimCheckpoint {
-        let words = &mut arena.words;
-        let start = words.len();
-        let hier = self.hier.checkpoint(words);
-        let hier_len = words.len() - start;
-        let vregs = (0..32).map(|r| self.machine.v(V(r)));
-        if vregs.clone().any(|v| v.iter().any(|&b| b != 0)) {
-            for v in vregs {
-                words.extend(
-                    v.chunks_exact(8).map(|b| u64::from_le_bytes(b.try_into().expect("8"))),
-                );
-            }
-        }
-        SimCheckpoint {
-            hier,
-            hier_len,
-            stats: self.stats,
-            x: std::array::from_fn(|r| self.machine.x(S(r as u8))),
-            start,
-            len: words.len() - start,
-        }
-    }
-
-    /// Rebuild the state `cp` saved (see [`checkpoint`](Simulator::checkpoint)),
-    /// all but machine memory. Valid only on a simulator fresh from
-    /// [`reset`](Simulator::reset) (or [`new`](Simulator::new)) that has
-    /// timed nothing since: only the saved cache ways, prefetcher entries
-    /// and registers are written.
-    pub fn restore(&mut self, arena: &CheckpointArena, cp: &SimCheckpoint) {
-        debug_assert_eq!(self.stats, SimStats::default(), "restore onto a simulator that has run");
-        let (hier, vregs) = arena.slice(cp).split_at(cp.hier_len);
-        self.hier.restore(&cp.hier, hier);
-        for (r, &x) in cp.x.iter().enumerate() {
-            self.machine.set_x(S(r as u8), x);
-        }
-        for (r, words) in vregs.chunks_exact(VLEN_BYTES / 8).enumerate() {
-            let mut v = [0u8; VLEN_BYTES];
-            for (b, w) in v.chunks_exact_mut(8).zip(words) {
-                b.copy_from_slice(&w.to_le_bytes());
-            }
-            self.machine.set_v(V(r as u8), v);
-        }
-        self.stats = cp.stats;
     }
 
     fn time_step(&mut self, out: &StepOut) {
@@ -825,82 +703,6 @@ mod tests {
         let mut sim = Simulator::new(store_pressure, 1 << 15);
         sim.run(&p2, 100_000).unwrap();
         assert!(sim.stats().stall_write > 0);
-    }
-
-    #[test]
-    fn a_checkpoint_restored_after_reset_runs_on_like_the_original() {
-        // P1 walks 75 KB, more than either L1, so its first rows leave L1
-        // but stay in L2. Then P2 continues P1's stride (a dropped
-        // prefetcher table would fire late) and P3 re-reads P1's first
-        // rows (a dropped L2 image would send them to memory).
-        let p1 = strided(0, 256, 300);
-        let after = [strided(300 * 256, 256, 20), strided(0, 256, 40)];
-        let store_pressure =
-            CoreConfig { store_buffer: 2, store_drain_interval: 8, ..CoreConfig::a64fx() };
-        let mut l2_prefetch = CoreConfig::a64fx();
-        l2_prefetch.hierarchy.l1d.prefetch = false;
-        // zeroed memory leaves every vector register zero, so that
-        // checkpoint holds none of them
-        let runs = [CoreConfig::a64fx(), CoreConfig::edge_riscv(), store_pressure, l2_prefetch]
-            .map(|cfg| (cfg, 0x5a))
-            .into_iter()
-            .chain([(CoreConfig::a64fx(), 0)]);
-        let mut arena = CheckpointArena::default();
-        for (cfg, fill) in runs {
-            let mem = 1 << 17;
-            let mut straight = Simulator::new(cfg, mem);
-            straight.machine_mut().mem_mut(0, mem).fill(fill);
-            straight.run(&p1, 1_000_000).unwrap();
-            let cp = straight.checkpoint(&mut arena);
-            assert_eq!(cp.len > cp.hier_len, fill != 0, "{}: vector registers saved", cfg.name);
-
-            // a used simulator, reset, with P1's memory image and the
-            // checkpoint
-            let mut restored = Simulator::new(cfg, mem);
-            restored.run(&after[0], 1_000_000).unwrap();
-            restored.reset(mem);
-            restored.machine_mut().write_bytes(0, straight.machine().mem(0, mem));
-            restored.restore(&arena, &cp);
-            assert_eq!(restored.stats(), straight.stats(), "{}: stats restored", cfg.name);
-            for p in &after {
-                straight.run(p, 1_000_000).unwrap();
-                restored.run(p, 1_000_000).unwrap();
-                assert_eq!(
-                    restored.stats(),
-                    straight.stats(),
-                    "{}: {} after restore",
-                    cfg.name,
-                    p.name()
-                );
-            }
-            assert!(restored.machine().mem(0, mem) == straight.machine().mem(0, mem));
-            // and the whole state agrees, down to LRU stamps and prefetcher
-            // confidence, which timely prefetch can hide from the stats
-            let (mut a, mut b) = (CheckpointArena::default(), CheckpointArena::default());
-            let (ours, theirs) = (restored.checkpoint(&mut a), straight.checkpoint(&mut b));
-            assert_eq!(ours, theirs, "{}: state after restore", cfg.name);
-            assert_eq!(a.slice(&ours), b.slice(&theirs), "{}: state after restore", cfg.name);
-        }
-    }
-
-    #[test]
-    fn compaction_keeps_the_live_checkpoints_words() {
-        let mut sim = Simulator::new(CoreConfig::a64fx(), 1 << 16);
-        let mut arena = CheckpointArena::default();
-        let mut cps = Vec::new();
-        for rows in [4, 8, 12, 16] {
-            sim.reset(1 << 16);
-            sim.run(&strided(0, 256, rows), 100_000).unwrap();
-            let cp = sim.checkpoint(&mut arena);
-            cps.push((cp, arena.slice(&cp).to_vec()));
-        }
-        let used = arena.len();
-        let dropped = [cps.remove(2).0, cps.remove(0).0];
-        arena.compact(cps.iter_mut().map(|(cp, _)| cp));
-        assert_eq!(arena.len(), used - dropped.iter().map(SimCheckpoint::words).sum::<usize>());
-        for (cp, words) in &cps {
-            assert_eq!(arena.slice(cp), &words[..]);
-        }
     }
 
     #[test]

@@ -79,8 +79,9 @@ fn main() {
     assert_eq!(stream_a, ref_stream, "dispatcher path must match gemm_i32_ref");
 
     // ... and on the cycle-accurate simulator, twice on one backend: the
-    // second request replays the B packs of the weights the first one
-    // timed, and must count every cycle and instruction the same
+    // second request runs every unit shape the first one timed on the
+    // functional machine alone, its counts from the memo, and must count
+    // every cycle and instruction the same
     let mut sim = SimBackend::new(CoreConfig::a64fx());
     let sim_handles = model.register(&mut sim);
     let (sim_stream, cold) = serve_on_sim(&mut sim, &model, &sim_handles, &prompt_a, 8);

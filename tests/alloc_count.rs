@@ -203,7 +203,8 @@ fn a_warm_simulated_decode_step_is_pinned() {
     let mut exec = BackendExec::new(&mut sim, &handles);
     let mut ctx = InferContext::for_model(&model);
     ctx.prefill_with(&model, &mut exec, &prompt(8, SIM_VOCAB)).expect("prefill");
-    // the first decode step timed the m = 1 packs; these replay them
+    // the first decode step timed the m = 1 units; these take their
+    // counts from the memo
     for _ in 0..3 {
         ctx.decode_with(&model, &mut exec).expect("warm-up decode");
     }

@@ -7,11 +7,14 @@ use camp::core::gemm_i32_ref;
 use camp::core::hybrid::HybridMultiplier;
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
 use camp::gemm::loops::{small_path, SmallPath};
+use camp::gemm::{simulate_gemm, GemmOptions, GemmProblem, Method, SimSession, SplitMix64};
 use camp::isa::encode::{decode, encode};
 use camp::isa::inst::{CampMode, Inst};
 use camp::isa::machine::camp_outer_product;
+use camp::pipeline::CoreConfig;
 use camp::quant::SymmetricQuantizer;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
 
 proptest! {
@@ -311,8 +314,6 @@ proptest! {
         // random ragged shape, random §5.3 method, blocking that splits
         // it into several (jc, pc) units: the merged C must match the
         // host reference
-        use camp::gemm::{simulate_gemm, GemmOptions, Method};
-        use camp::pipeline::CoreConfig;
         let method = Method::all()[mi];
         let opts = GemmOptions {
             seed: (seed as u64) | 1,
@@ -322,4 +323,100 @@ proptest! {
         let r = simulate_gemm(CoreConfig::a64fx(), method, m, n, k, &opts);
         prop_assert!(r.correct, "{} wrong at {}x{}x{}", method.name(), m, n, k);
     }
+
+    #[test]
+    fn a_unit_counts_the_same_for_any_operands(
+        m in 1usize..21, n in 1usize..41, k in 1usize..161,
+        shape in 0usize..4, class in 0u32..3, seed in any::<u64>())
+    {
+        check_data_independence(m, n, k, shape, class, seed)?;
+    }
+}
+
+proptest! {
+    // the same property at 256 cases; release only
+    // (`cargo test --release --test proptests -- --ignored`)
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    #[ignore]
+    fn a_unit_counts_the_same_for_any_operands_at_256_cases(
+        m in 1usize..21, n in 1usize..41, k in 1usize..161,
+        shape in 0usize..4, class in 0u32..3, seed in any::<u64>())
+    {
+        check_data_independence(m, n, k, shape, class, seed)?;
+    }
+}
+
+/// `len` operand values in `lo..=hi` of one class: all zero (0), each
+/// at one end of the range (1), or mostly zero (2) — the values a
+/// data-dependent latency would key on — or uniform over the range
+/// (any other).
+fn operand_set(class: u32, len: usize, (lo, hi): (i8, i8), rng: &mut SplitMix64) -> Vec<i8> {
+    (0..len)
+        .map(|_| match class {
+            0 => 0,
+            1 => [lo, hi][(rng.next_u64() & 1) as usize],
+            2 if !rng.next_u64().is_multiple_of(8) => 0,
+            _ => rng.next_i8(lo, hi),
+        })
+        .collect()
+}
+
+/// The claim the simulated driver's count memo rests on: a block unit's
+/// `SimStats` are a function of (method, plan, unit) on a core, not of
+/// the operand bytes. On both cores, an m×n×k problem of each camp
+/// kernel over uniform operands and one over operands of `class` must
+/// count exactly alike, and each C must equal its reference — also when
+/// the second runs after the first on one session, every unit a memo
+/// hit. Each of the five baselines must count alike over the seeded
+/// operands of two seeds. `shape` picks the plan: the core's default
+/// blocking, two multi-unit blockings, or a MAC budget that clamps the
+/// problem.
+fn check_data_independence(
+    m: usize,
+    n: usize,
+    k: usize,
+    shape: usize,
+    class: u32,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let opts = match shape {
+        0 => GemmOptions::default(),
+        1 => GemmOptions { blocking: Some((32, 64, 32)), ..GemmOptions::default() },
+        2 => GemmOptions { blocking: Some((16, 32, 128)), ..GemmOptions::default() },
+        _ => GemmOptions { mac_budget: 4096, ..GemmOptions::default() },
+    };
+    let mut rng = SplitMix64::new(seed);
+    for core in [CoreConfig::a64fx(), CoreConfig::edge_riscv()] {
+        for (dtype, range) in [(DType::I8, (i8::MIN, i8::MAX)), (DType::I4, (-8, 7))] {
+            let mut set = |class| {
+                (
+                    operand_set(class, m * k, range, &mut rng),
+                    operand_set(class, k * n, range, &mut rng),
+                )
+            };
+            let ((a0, b0), (a1, b1)) = (set(u32::MAX), set(class));
+            let uniform = GemmProblem::new(m, n, k, &a0, &b0).with_dtype(dtype);
+            let other = GemmProblem::new(m, n, k, &a1, &b1).with_dtype(dtype);
+            let mut session = SimSession::new(core);
+            let first = session.simulate(&uniform, &opts);
+            let cold = SimSession::new(core).simulate(&other, &opts);
+            let warm = session.simulate(&other, &opts);
+            let what = format!("{:?} on {}", dtype, core.name);
+            prop_assert!(first.correct && cold.correct && warm.correct, "{}: wrong C", what);
+            prop_assert_eq!(first.stats, cold.stats, "{}: counts depend on the operands", what);
+            prop_assert_eq!(&warm.c, &cold.c, "{}: a memo hit computed another C", what);
+        }
+        let baselines =
+            Method::all().into_iter().filter(|x| !matches!(x, Method::Camp8 | Method::Camp4));
+        for method in baselines {
+            let run = |seed| simulate_gemm(core, method, m, n, k, &GemmOptions { seed, ..opts });
+            let (one, other) = (run(seed), run(!seed));
+            let what = format!("{} on {}", method.name(), core.name);
+            prop_assert!(one.correct && other.correct, "{}: wrong C", what);
+            prop_assert_eq!(one.stats, other.stats, "{}: counts depend on the operands", what);
+        }
+    }
+    Ok(())
 }

@@ -6,7 +6,8 @@
 //! whose problems share B buffers yet each count as if run alone (see
 //! `docs/SIMULATOR.md`), for the CAMP-vs-OpenBLAS speed-up the
 //! paper headlines, and for one request served on `SimBackend`, whose
-//! replayed B packs (the pack memo) must count exactly like timed ones.
+//! repeated unit shapes (the count memo) must count exactly like timed
+//! ones.
 
 use camp::core::{CampBackend, GemmRequest, SimBackend};
 use camp::gemm::{simulate_gemm, DType, GemmOptions, GemmProblem, Method, SimSession};
@@ -216,8 +217,7 @@ fn served_counts(s: &SimStats) -> [u64; 8] {
 /// [`served_counts`] of the prefill, then of the 15 decode steps, of
 /// the request [`a_served_request_matches_its_pinned_counts`] serves.
 /// Recorded at the commit before `SimBackend` kept one simulator and a
-/// pack memo, which built a fresh simulator per batch and timed every
-/// B pack.
+/// memo, which built a fresh simulator per batch and timed every unit.
 const PINNED_SERVED: [[u64; 8]; 2] = [
     [297310, 842683, 10528368, 1204857, 662692, 504933, 480544, 1446],
     [1889076, 5946129, 20769648, 5509069, 2754986, 7762307, 3211488, 6324],
