@@ -17,13 +17,19 @@
 //!   registered weights — the serving steady state, B pre-packed,
 //!   blocked tile path;
 //! * **skinny** shapes (m ≤ 8 / n ≤ 8) — the Pire-style fast paths,
-//!   against a registered (panel) B. A dense skinny-m request runs the
-//!   no-pack `small_m_dense` row sweep instead (attention's per-head
-//!   GEMVs; `benchmark/`'s `engine_direct` workload is what times it),
-//!   a dense skinny-n request is packed like any blocked dense B (see
-//!   `docs/HOST_KERNELS.md`);
-//! * **pack_a / pack_b** — the SIMD packers, reported as packed GB/s
-//!   in the GOPS columns (same speedup semantics);
+//!   against a registered (panel) B; a dense skinny-n request is packed
+//!   like any blocked dense B (see `docs/HOST_KERNELS.md`). The
+//!   `blocked` 192×12×256 row is all trailing panel group: three
+//!   panels, fewer than any widened tile takes, so every tile is the
+//!   4×4 `tile_i8`;
+//! * **dense_m** — the no-pack `small_m_dense` row sweep a dense
+//!   skinny-m request runs, called through `run_small_m` at the served
+//!   decode-attention GEMVs: 1×96×64 (QKᵀ at the longest chat context)
+//!   and 1×64×96 (PV);
+//! * **pack_a / pack_b** — the packers, reported as packed GB/s in the
+//!   GOPS columns (same speedup semantics), at two square-ish sizes and
+//!   at the served prefill shapes: A 192×256, and a head's Kᵀ (n 192,
+//!   k 64) and V (n 64, k 192);
 //! * **blocked path per tier** — every tier the CPU can run
 //!   (`HostKernel::available()`, so the widening and the VNNI AVX-512
 //!   tiles sit side by side on one box): the wide register tile on
@@ -101,23 +107,43 @@ fn int_secs(
 }
 
 /// Packed GB/s for one packer. `pack_a` packs an `rows×k` A image,
-/// `pack_b` a `k×rows` B image; the metric is bytes of packed output
-/// per second.
+/// `pack_b` a `k×rows` B image (`rows` = n); the metric is bytes of
+/// packed output per second. Each timed repetition packs the image
+/// again and again, about 8 MB in all.
 fn pack_gbs(kernel: &'static HostKernel, path: &str, rows: usize, k: usize) -> f64 {
-    let (secs, bytes) = match path {
-        "pack_a" => {
-            let a = gen_i8(rows * k, 0x77AA_77AB, -128, 127);
-            let mut buf = vec![0i8; rows * k];
-            (time_best(|| kernel.pack_a_block(&mut buf, &a, rows, k, 0, 0, k)), rows * k)
+    let src = gen_i8(rows * k, 0x77AA_77AB, -128, 127);
+    let mut buf = vec![0i8; rows * k];
+    let calls = ((8 << 20) / (rows * k)).max(1);
+    let secs = time_best(|| {
+        for _ in 0..calls {
+            let src = std::hint::black_box(&src);
+            match path {
+                "pack_a" => kernel.pack_a_block(&mut buf, src, rows, k, 0, 0, k),
+                "pack_b" => kernel.pack_b_block(&mut buf, src, rows, k, 0, 0, k),
+                other => panic!("unknown pack path {other}"),
+            }
         }
-        "pack_b" => {
-            let b = gen_i8(k * rows, 0x3355_3357, -128, 127);
-            let mut buf = vec![0i8; rows * k];
-            (time_best(|| kernel.pack_b_block(&mut buf, &b, rows, k, 0, 0, k)), rows * k)
+    });
+    (calls * rows * k) as f64 / secs / 1e9
+}
+
+/// Seconds per dense skinny-m call: `run_small_m` over a raw row-major
+/// B, the no-pack `small_m_dense` sweep, repeated to about 4 M MACs per
+/// timed repetition.
+fn dense_m_secs(hk: &HostKernel, m: usize, n: usize, k: usize) -> f64 {
+    let plan = host_block_plan(m, n, k, 16);
+    let a = gen_i8(m * k, 0x1234_5679, -128, 127);
+    let b = gen_i8(k * n, 0x0BAD_F00D | 1, -128, 127);
+    let mut c = vec![0i32; m * n];
+    let calls = ((4 << 20) / (m * n * k)).max(1);
+    let secs = time_best(|| {
+        for _ in 0..calls {
+            let a = std::hint::black_box(&a);
+            hk.run_small_m(m, n, k, &plan, a, SmallB::Dense(&b), &mut c);
         }
-        other => panic!("unknown pack path {other}"),
-    };
-    bytes as f64 / secs / 1e9
+    });
+    std::hint::black_box(&c);
+    secs / calls as f64
 }
 
 /// Weight bytes a streamed skinny-m point rotates through, and the
@@ -286,6 +312,7 @@ fn main() {
         ("i8", DType::I8, "small_m", 2, 2048, 2048),
         ("i8", DType::I8, "small_m", 8, 4096, 1024),
         ("i8", DType::I8, "small_n", 2048, 4, 2048),
+        ("i8", DType::I8, "blocked", 192, 12, 256),
     ] {
         for &threads in &thread_counts {
             print_row(
@@ -295,12 +322,23 @@ fn main() {
             );
         }
     }
+    for (m, n, k) in [(1, 96, 64), (1, 64, 96)] {
+        let gops = |hk| gops(m, n, k, dense_m_secs(hk, m, n, k));
+        print_row(("i8", "dense_m", m, n, k, 1), gops(scalar), gops(simd));
+    }
     // (path, rows, k) — see `pack_gbs` for the shape semantics
-    for (path, r, k) in
-        [("pack_a", 128, 128), ("pack_b", 128, 128), ("pack_a", 1024, 2048), ("pack_b", 1024, 2048)]
-    {
+    for (path, r, k) in [
+        ("pack_a", 128, 128),
+        ("pack_b", 128, 128),
+        ("pack_a", 1024, 2048),
+        ("pack_b", 1024, 2048),
+        ("pack_a", 192, 256),
+        ("pack_b", 192, 64),
+        ("pack_b", 64, 192),
+    ] {
+        let (m, n) = if path == "pack_a" { (r, 0) } else { (0, r) };
         print_row(
-            ("i8", path, r, 0, k, 1),
+            ("i8", path, m, n, k, 1),
             pack_gbs(scalar, path, r, k),
             pack_gbs(simd, path, r, k),
         );

@@ -1,10 +1,19 @@
 //! x86_64 AVX2 tier.
 //!
-//! Integer kernels widen i8→i16 with `vpshufb`-interleaved panels and
+//! Hand-written here are the kernels where vector width buys
+//! arithmetic — the 4×8 wide tile ([`tile_i8_wide`], the blocked nest's
+//! `tile_i8_into` through `scalar::tile_into_with`; the 4×4 [`tile_i8`]
+//! of the trailing panel group is its one-panel instance) and the
+//! grouped panel kernel (`panel_group`) — plus the A packer's 4×16
+//! byte transposes ([`pack_a_block`], which the AVX-512 tier shares).
+//! The kernels widen i8→i16 with `vpshufb`-interleaved panels and
 //! accumulate through `vpmaddwd` (exact: every i8×i8 product fits i16
 //! headroom, every pairwise sum fits i32) into wrapping `vpaddd`
-//! accumulators — so the tier is bit-identical to the scalar reference
-//! by construction.
+//! accumulators, so the tier is bit-identical to the reference by
+//! construction. Every other entry — `pack_b`, `small_m_dense`,
+//! `panel_mav` and the two requant sweeps — is the portable body of
+//! `scalar.rs` / `requant.rs`, recompiled here with AVX2 enabled by
+//! `recompile!` (`host/mod.rs`).
 //!
 //! Every `_impl` below is an `unsafe fn` with
 //! `#[target_feature(enable = ...)]` and **no inner unsafe blocks**;
@@ -16,6 +25,19 @@
 use std::arch::x86_64::*;
 
 use super::Scale;
+
+recompile! { "avx2", is_x86_feature_detected!("avx2");
+    fn pack_b_block(
+        buf: &mut [i8], b: &[i8], n: usize, k: usize, jc: usize, pc: usize, kcb: usize,
+    ) = super::scalar::pack_b_block;
+    fn small_m_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32])
+        = super::scalar::small_m_dense;
+    fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) = super::scalar::panel_mav;
+    fn requant_into(acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8])
+        = super::requant::requant_into;
+    fn requant_add_sat(acc: &[i32], mults: &[f32], x: &mut [i8])
+        = super::requant::requant_add_sat;
+}
 
 /// Per-128-lane `vpshufb` mask turning a packed B chunk of 8 k-values
 /// (`b[l*4+j]`, 32 bytes) into (l, l+1) pair-interleaved bytes, ready
@@ -48,14 +70,6 @@ const fn a_row_shuf(i: i8) -> [i8; 32] {
 
 const A_ROW_SHUF: [[i8; 32]; 4] = [a_row_shuf(0), a_row_shuf(1), a_row_shuf(2), a_row_shuf(3)];
 
-/// 8-byte `vpshufb` mask pairing two consecutive panel k-values per
-/// column for [`panel_mav`]; high half zeroed (indices with the sign
-/// bit set produce 0).
-const PANEL_PAIR_SHUF: [i8; 16] = [
-    0, 4, 1, 5, 2, 6, 3, 7, //
-    -128, -128, -128, -128, -128, -128, -128, -128,
-];
-
 /// `vpshufb` mask spreading 8 raw A bytes (broadcast into both 128-bit
 /// lanes) into the (l, l+1) pair layout of [`B_PAIR_SHUF`]: lane 0
 /// carries (a0,a1)×4 then (a2,a3)×4, lane 1 (a4,a5)×4 then (a6,a7)×4 —
@@ -66,66 +80,11 @@ const A_PAIR_SHUF: [i8; 32] = [
     4, 5, 4, 5, 4, 5, 4, 5, 6, 7, 6, 7, 6, 7, 6, 7,
 ];
 
-// SAFETY: requires AVX2 (the `target_feature` precondition). The
-// unaligned loads stay in bounds because `iters` is derived from
-// `pa.len()` and the packing contract gives `pb` the same whole-32-byte
-// chunk count; stores land in the stack-local `out` array.
-#[target_feature(enable = "avx2")]
-unsafe fn tile_i8_impl(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]; 4]) {
-    let bshuf = _mm256_loadu_si256(B_PAIR_SHUF.as_ptr() as *const __m256i);
-    let ashuf = [
-        _mm256_loadu_si256(A_ROW_SHUF[0].as_ptr() as *const __m256i),
-        _mm256_loadu_si256(A_ROW_SHUF[1].as_ptr() as *const __m256i),
-        _mm256_loadu_si256(A_ROW_SHUF[2].as_ptr() as *const __m256i),
-        _mm256_loadu_si256(A_ROW_SHUF[3].as_ptr() as *const __m256i),
-    ];
-    let mut vacc = [_mm256_setzero_si256(); 4];
-    // 8 k-values (32 packed bytes) per iteration; panel depth is a
-    // multiple of 8 k-values (dispatch asserts it)
-    let iters = pa.len() / 32;
-    for t in 0..iters {
-        let ap = _mm256_loadu_si256(pa.as_ptr().add(t * 32) as *const __m256i);
-        let bp = _mm256_loadu_si256(pb.as_ptr().add(t * 32) as *const __m256i);
-        let bs = _mm256_shuffle_epi8(bp, bshuf);
-        let b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(bs));
-        let b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(bs));
-        for i in 0..4 {
-            let asel = _mm256_shuffle_epi8(ap, ashuf[i]);
-            let a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(asel));
-            let a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(asel));
-            // vpmaddwd: exact pairwise i16 dot products in i32 lanes
-            let prod =
-                _mm256_add_epi32(_mm256_madd_epi16(a_lo, b_lo), _mm256_madd_epi16(a_hi, b_hi));
-            vacc[i] = _mm256_add_epi32(vacc[i], prod);
-        }
-    }
-    for (row, v) in acc.iter_mut().zip(vacc) {
-        // lane t<4 holds j_t over (l0,l1,l4,l5); lane t+4 over
-        // (l2,l3,l6,l7) — fold halves, then fold into the caller tile
-        let folded = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
-        let mut out = [0i32; 4];
-        _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, folded);
-        for (c, o) in row.iter_mut().zip(out) {
-            *c = c.wrapping_add(o);
-        }
-    }
-}
-
-/// See [`super::scalar::tile_i8`]; bit-identical, AVX2-accelerated.
-pub fn tile_i8(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]; 4]) {
-    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 kernel dispatched without avx2");
-    // SAFETY: the HostKernel dispatch table only routes here after
-    // runtime AVX2 detection (debug-asserted above), and the packer
-    // emits `pa`/`pb` as whole 32-byte chunks — tile_i8_impl's two
-    // preconditions.
-    unsafe { tile_i8_impl(pa, pb, acc) }
-}
-
 // SAFETY: requires AVX2. Loads stay in bounds because `iters` derives
-// from `pa.len()` and the wrapper asserts `pb` holds exactly two panels
+// from `pa.len()` and the wrapper asserts `pb` holds exactly `P` panels
 // of that depth; stores land in stack-local arrays.
 #[target_feature(enable = "avx2")]
-unsafe fn tile_i8_wide_impl(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
+unsafe fn tile_i8_wide_impl<const P: usize>(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
     let panel = pa.len();
     let bshuf = _mm256_loadu_si256(B_PAIR_SHUF.as_ptr() as *const __m256i);
     let ashuf = [
@@ -134,16 +93,18 @@ unsafe fn tile_i8_wide_impl(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
         _mm256_loadu_si256(A_ROW_SHUF[2].as_ptr() as *const __m256i),
         _mm256_loadu_si256(A_ROW_SHUF[3].as_ptr() as *const __m256i),
     ];
-    // 4×8 register tile: one A panel × two adjacent B panels, all 8
-    // accumulators held across the depth loop — the A-side shuffles and
-    // widenings are amortized over twice the columns of [`tile_i8`].
-    let mut vacc = [[_mm256_setzero_si256(); 2]; 4];
+    // 4×4P register tile: one A panel × `P` adjacent B panels, all 4P
+    // accumulators held across the depth loop — at P = 2 the A-side
+    // shuffles and widenings are amortized over twice the columns
+    let mut vacc = [[_mm256_setzero_si256(); P]; 4];
+    // 8 k-values (32 packed bytes) per iteration; panel depth is a
+    // multiple of 8 k-values (dispatch asserts it)
     let iters = panel / 32;
     for t in 0..iters {
         let ap = _mm256_loadu_si256(pa.as_ptr().add(t * 32) as *const __m256i);
-        let mut blo = [_mm256_setzero_si256(); 2];
-        let mut bhi = [_mm256_setzero_si256(); 2];
-        for q in 0..2 {
+        let mut blo = [_mm256_setzero_si256(); P];
+        let mut bhi = [_mm256_setzero_si256(); P];
+        for q in 0..P {
             let bp = _mm256_loadu_si256(pb.as_ptr().add(q * panel + t * 32) as *const __m256i);
             let bs = _mm256_shuffle_epi8(bp, bshuf);
             blo[q] = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(bs));
@@ -153,7 +114,8 @@ unsafe fn tile_i8_wide_impl(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
             let asel = _mm256_shuffle_epi8(ap, ashuf[i]);
             let a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(asel));
             let a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(asel));
-            for q in 0..2 {
+            for q in 0..P {
+                // vpmaddwd: exact pairwise i16 dot products in i32 lanes
                 let prod = _mm256_add_epi32(
                     _mm256_madd_epi16(a_lo, blo[q]),
                     _mm256_madd_epi16(a_hi, bhi[q]),
@@ -164,6 +126,8 @@ unsafe fn tile_i8_wide_impl(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
     }
     for (i, rowacc) in vacc.iter().enumerate() {
         for (q, &v) in rowacc.iter().enumerate() {
+            // lane t<4 holds j_t over (l0,l1,l4,l5); lane t+4 over
+            // (l2,l3,l6,l7) — fold halves, then fold into the caller tile
             let folded = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
             let mut out = [0i32; 4];
             _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, folded);
@@ -174,200 +138,61 @@ unsafe fn tile_i8_wide_impl(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
     }
 }
 
+/// The tile of `P` panels (see [`super::scalar::tile_i8_wide`]), after
+/// the shape checks its raw loads rest on.
+fn wide<const P: usize>(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
+    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 kernel dispatched without avx2");
+    assert_eq!(pb.len(), P * pa.len(), "pb must hold P panels of pa's depth");
+    debug_assert_eq!(acc.len(), 4 * P, "one 4x4 tile per panel");
+    debug_assert_eq!(pa.len() % 32, 0, "panel depth must be a multiple of 8 k-values");
+    // SAFETY: AVX2 detection gates dispatch (debug-asserted above), and
+    // `pb` holds `P` panels of `pa`'s depth (asserted): the impl's two
+    // preconditions.
+    unsafe { tile_i8_wide_impl::<P>(pa, pb, acc) }
+}
+
+/// The 4×4 tile of the trailing panel group (see
+/// [`super::scalar::tile_i8`]): the wide tile's code at one panel.
+pub fn tile_i8(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]; 4]) {
+    wide::<1>(pa, pb, acc)
+}
+
 /// Widened 4×8 integer tile (see [`super::scalar::tile_i8_wide`]): one
 /// packed A panel against two adjacent B panels per call; bit-identical
 /// to two [`tile_i8`] calls (wrapping adds commute).
 pub fn tile_i8_wide(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]]) {
-    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 kernel dispatched without avx2");
-    debug_assert_eq!(acc.len(), 8, "avx2 wide tile is 4x8 (two panels)");
-    debug_assert_eq!(pb.len(), 2 * pa.len(), "pb must hold two panels of pa's depth");
-    debug_assert_eq!(pa.len() % 32, 0, "panel depth must be a multiple of 8 k-values");
-    // SAFETY: AVX2 detection gates dispatch (debug-asserted above);
-    // the panel-shape preconditions the impl's bounds reasoning needs
-    // are debug-asserted here and guaranteed by the engine's grouping
-    // loop, which only forms whole two-panel groups.
-    unsafe { tile_i8_wide_impl(pa, pb, acc) }
+    wide::<2>(pa, pb, acc)
 }
 
-/// Sliding i32 lane mask of `small_m_dense`'s column tail: the 8 lanes
-/// read at offset `r` keep exactly the last `r` of them.
-const TAIL_LANES: [i32; 16] = [0, 0, 0, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, -1, -1];
-
-// SAFETY: requires AVX2, and `j + 8 <= n`: the 8-byte B loads at
-// `l*n + j` stay inside the k×n operand for every `l < k`, and the
-// caller's 8-lane C access at `i*n + j` inside its row.
-#[target_feature(enable = "avx2")]
-unsafe fn small_m_sweep8(arow: &[i8], b: &[i8], n: usize, j: usize) -> __m256i {
-    let mut acc = _mm256_setzero_si256();
-    for (l, &av) in arow.iter().enumerate() {
-        let a16 = _mm_set1_epi16(av as i16);
-        let b16 = _mm_cvtepi8_epi16(_mm_loadl_epi64(b.as_ptr().add(l * n + j) as *const __m128i));
-        // i8×i8 products fit i16 exactly (|p| ≤ 16384)
-        acc = _mm256_add_epi32(acc, _mm256_cvtepi16_epi32(_mm_mullo_epi16(a16, b16)));
-    }
-    acc
-}
-
-// SAFETY: requires AVX2. Every pointer offset is guarded by the loop
-// bounds: C rows via `j + 16 <= n`, B rows via the same guard (for
-// `l < k`, `l*n + j + 16 <= k*n` follows from `j + 16 <= n`); the
-// 8-column steps run at `j + 8 <= n` and at `n - 8` under `n >= 8`
-// ([`small_m_sweep8`]'s contract), the lane-mask load reads 8 of
-// [`TAIL_LANES`]' 16 entries at an offset `<= 7`, and the `n < 8`
-// remainder uses safe indexing.
-#[target_feature(enable = "avx2")]
-unsafe fn small_m_dense_impl(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let mut j = 0;
-        // 16 output columns per step, i32 accumulators held across the
-        // whole k loop (B rows stream through cache once per A row)
-        while j + 16 <= n {
-            let cptr = c.as_mut_ptr().add(i * n + j);
-            let mut acc0 = _mm256_loadu_si256(cptr as *const __m256i);
-            let mut acc1 = _mm256_loadu_si256(cptr.add(8) as *const __m256i);
-            for (l, &av) in arow.iter().enumerate() {
-                let a16 = _mm256_set1_epi16(av as i16);
-                let b8 = _mm_loadu_si128(b.as_ptr().add(l * n + j) as *const __m128i);
-                let b16 = _mm256_cvtepi8_epi16(b8);
-                // i8×i8 products fit i16 exactly (|p| ≤ 16384)
-                let p16 = _mm256_mullo_epi16(a16, b16);
-                let lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(p16));
-                let hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256::<1>(p16));
-                acc0 = _mm256_add_epi32(acc0, lo);
-                acc1 = _mm256_add_epi32(acc1, hi);
-            }
-            _mm256_storeu_si256(cptr as *mut __m256i, acc0);
-            _mm256_storeu_si256(cptr.add(8) as *mut __m256i, acc1);
-            j += 16;
-        }
-        // the column tail: one 8-wide step while it fits, then the last
-        // 8 columns of the row once more with the lanes already summed
-        // (`< j`) masked to zero, so no column of a row at least one
-        // vector wide runs scalar
-        if j + 8 <= n {
-            let cptr = c.as_mut_ptr().add(i * n + j) as *mut __m256i;
-            let sum = small_m_sweep8(arow, b, n, j);
-            _mm256_storeu_si256(cptr, _mm256_add_epi32(_mm256_loadu_si256(cptr), sum));
-            j += 8;
-        }
-        if j < n && n >= 8 {
-            let cptr = c.as_mut_ptr().add(i * n + n - 8) as *mut __m256i;
-            let live = _mm256_loadu_si256(TAIL_LANES.as_ptr().add(n - j) as *const __m256i);
-            let sum = _mm256_and_si256(small_m_sweep8(arow, b, n, n - 8), live);
-            _mm256_storeu_si256(cptr, _mm256_add_epi32(_mm256_loadu_si256(cptr), sum));
-            j = n;
-        }
-        for j in j..n {
-            let mut acc = c[i * n + j];
-            for (l, &av) in arow.iter().enumerate() {
-                acc = acc.wrapping_add((av as i32).wrapping_mul(b[l * n + j] as i32));
-            }
-            c[i * n + j] = acc;
-        }
-    }
-}
-
-/// See [`super::scalar::small_m_dense`]; bit-identical.
-pub fn small_m_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
-    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 kernel dispatched without avx2");
-    // SAFETY: AVX2 is runtime-detected before dispatch reaches this
-    // tier (debug-asserted above); slice shapes are the m×k / k×n / m×n
-    // engine contract the impl's bounds reasoning relies on.
-    unsafe { small_m_dense_impl(m, n, k, a, b, c) }
-}
-
-// SAFETY: requires AVX2, and `panel` must hold 4 columns per k-value
-// of `a_row` (the weight-panel layout): the 32-byte load at `l*4` needs
-// `l + 8 <= a_row.len()` (which also bounds the 8-byte A load), the
-// 8-byte load needs `l + 2 <=`, and each loop guard enforces its own.
-#[target_feature(enable = "avx2")]
-unsafe fn panel_mav_impl(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
-    let kreal = a_row.len();
-    let mut l = 0;
-    // main loop: 8 k-values per iteration — one 32-byte panel load and
-    // one 8-byte A load per 32 MACs, the same shuffle/widen/vpmaddwd
-    // pipeline as the blocked tile kernel (a single A "row" of it)
-    let mut vacc8 = _mm256_setzero_si256();
-    if kreal >= 8 {
-        let bshuf = _mm256_loadu_si256(B_PAIR_SHUF.as_ptr() as *const __m256i);
-        let apairshuf = _mm256_loadu_si256(A_PAIR_SHUF.as_ptr() as *const __m256i);
-        while l + 8 <= kreal {
-            let bp = _mm256_loadu_si256(panel.as_ptr().add(l * 4) as *const __m256i);
-            let bs = _mm256_shuffle_epi8(bp, bshuf);
-            let b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(bs));
-            let b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(bs));
-            let a8 = _mm_loadl_epi64(a_row.as_ptr().add(l) as *const __m128i);
-            let asel = _mm256_shuffle_epi8(_mm256_broadcastsi128_si256(a8), apairshuf);
-            let a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(asel));
-            let a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(asel));
-            let prod =
-                _mm256_add_epi32(_mm256_madd_epi16(a_lo, b_lo), _mm256_madd_epi16(a_hi, b_hi));
-            vacc8 = _mm256_add_epi32(vacc8, prod);
-            l += 8;
-        }
-    }
-    // lanes 0..3 hold j0..3 over one k subset, lanes 4..7 the rest
-    let folded = _mm_add_epi32(_mm256_castsi256_si128(vacc8), _mm256_extracti128_si256::<1>(vacc8));
-    let mut vacc = _mm_add_epi32(_mm_loadu_si128(acc.as_ptr() as *const __m128i), folded);
-    let shuf = _mm_loadu_si128(PANEL_PAIR_SHUF.as_ptr() as *const __m128i);
-    while l + 2 <= kreal {
-        // 2 k-values × 4 columns = 8 panel bytes
-        let b8 = _mm_loadl_epi64(panel.as_ptr().add(l * 4) as *const __m128i);
-        let b16 = _mm_cvtepi8_epi16(_mm_shuffle_epi8(b8, shuf));
-        let a0 = a_row[l] as i16;
-        let a1 = a_row[l + 1] as i16;
-        let apair = _mm_set1_epi32(((a1 as i32) << 16) | (a0 as u16 as i32));
-        vacc = _mm_add_epi32(vacc, _mm_madd_epi16(b16, apair));
-        l += 2;
-    }
-    _mm_storeu_si128(acc.as_mut_ptr() as *mut __m128i, vacc);
-    if l < kreal {
-        let a = a_row[l] as i32;
-        for (j, v) in acc.iter_mut().enumerate() {
-            *v = v.wrapping_add(a.wrapping_mul(panel[l * 4 + j] as i32));
-        }
-    }
-}
-
-/// See [`super::scalar::panel_mav`]; bit-identical.
-pub fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
-    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 kernel dispatched without avx2");
-    // SAFETY: AVX2 detection gates dispatch (debug-asserted above);
-    // the registered-weight panel stores 4 columns per k-value, the
-    // impl's only layout precondition.
-    unsafe { panel_mav_impl(acc, a_row, panel) }
-}
-
-// SAFETY: requires AVX2; `acc` holds `R*2` tiles, `a` holds `R` rows of
-// `kreal` k-values at stride `lda`, and `panels` is two panels of at
+// SAFETY: requires AVX2; `acc` holds `R*P` tiles, `a` holds `R` rows of
+// `kreal` k-values at stride `lda`, and `panels` is `P` panels of at
 // least `kreal*4` bytes each (all asserted by the wrapper). Every
 // 8-byte A load and 32-byte panel load sits below `iters*8 <= kreal`
-// k-values of its row / panel; the 32-byte accumulator accesses cover
-// the two tiles of row `i`. The prefetch address runs up to one group
-// past `panels` and may leave the image: it is formed with
+// k-values of its row / panel; the accumulator accesses cover the `P`
+// tiles of row `i` (16 bytes each). The prefetch address runs up to one
+// group past `panels` and may leave the image: it is formed with
 // `wrapping_add` and only ever handed to `prefetcht0`, which does not
 // fault.
 #[target_feature(enable = "avx2")]
-unsafe fn panel_group_impl<const R: usize>(
+unsafe fn panel_group_impl<const R: usize, const P: usize>(
     acc: &mut [[i32; 4]],
     a: &[i8],
     lda: usize,
     kreal: usize,
     panels: &[i8],
 ) -> usize {
-    let stride = panels.len() / 2;
+    let stride = panels.len() / P;
     let bshuf = _mm256_loadu_si256(B_PAIR_SHUF.as_ptr() as *const __m256i);
     let apairshuf = _mm256_loadu_si256(A_PAIR_SHUF.as_ptr() as *const __m256i);
-    // R×2 vertical accumulators: lanes 0..3 of vacc[i][q] hold row i ×
+    // R×P vertical accumulators: lanes 0..3 of vacc[i][q] hold row i ×
     // panel q's j0..3 over one k subset, lanes 4..7 over the rest
     let mut vacc = [[_mm256_setzero_si256(); 2]; R];
     // where the walk's next group starts: one line of it is requested
-    // per pair of B loads below, so the stream runs a group ahead
+    // per step below, so the stream runs a group ahead
     let next = panels.as_ptr().wrapping_add(panels.len());
     let iters = kreal / 8;
     for t in 0..iters {
-        // A side once per 8 k-values, shared by both panels
+        // A side once per 8 k-values, shared by every panel
         let mut a_lo = [_mm256_setzero_si256(); R];
         let mut a_hi = [_mm256_setzero_si256(); R];
         for i in 0..R {
@@ -376,8 +201,8 @@ unsafe fn panel_group_impl<const R: usize>(
             a_lo[i] = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(asel));
             a_hi[i] = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(asel));
         }
-        _mm_prefetch::<_MM_HINT_T0>(next.wrapping_add(t * 64));
-        for q in 0..2 {
+        _mm_prefetch::<_MM_HINT_T0>(next.wrapping_add(t * P * 32));
+        for q in 0..P {
             // B side once per panel vector, shared by all R rows
             let bp = _mm256_loadu_si256(panels.as_ptr().add(q * stride + t * 32) as *const __m256i);
             let bs = _mm256_shuffle_epi8(bp, bshuf);
@@ -398,16 +223,23 @@ unsafe fn panel_group_impl<const R: usize>(
             _mm256_permute2x128_si256::<0x20>(v[0], v[1]),
             _mm256_permute2x128_si256::<0x31>(v[0], v[1]),
         );
-        let dst = acc.as_mut_ptr().add(i * 2) as *mut __m256i;
-        _mm256_storeu_si256(dst, _mm256_add_epi32(_mm256_loadu_si256(dst), sums));
+        let dst = acc.as_mut_ptr().add(i * P) as *mut __m128i;
+        for q in 0..P {
+            let half = if q == 0 {
+                _mm256_castsi256_si128(sums)
+            } else {
+                _mm256_extracti128_si256::<1>(sums)
+            };
+            _mm_storeu_si128(dst.add(q), _mm_add_epi32(_mm_loadu_si128(dst.add(q)), half));
+        }
     }
     iters * 8
 }
 
 /// AVX2 grouped skinny primitive (the `panel_group` table entry of
-/// [`super::HostKernel`]): group width 2 panels = 8 columns. A full
-/// group runs [`panel_group_impl`] over whole 8-k steps; a partial
-/// group and the k tail run [`panel_mav`] per (row, panel).
+/// [`super::HostKernel`]): up to 2 panels = 8 columns. Any group, full
+/// or partial, runs [`panel_group_impl`] over whole 8-k steps; the
+/// `kreal % 8` tail runs [`panel_mav`] per (row, panel).
 pub(super) fn panel_group(
     acc: &mut [[i32; 4]],
     a: &[i8],
@@ -417,61 +249,34 @@ pub(super) fn panel_group(
     npanels: usize,
 ) {
     debug_assert!(is_x86_feature_detected!("avx2"), "avx2 kernel dispatched without avx2");
-    let mut done = 0;
-    if npanels == 2 {
-        let rows = acc.len() / 2;
-        assert!((1..=4).contains(&rows) && acc.len() == rows * 2, "1..=4 rows of two tiles");
-        assert!(a.len() >= (rows - 1) * lda + kreal, "A must hold every row's k-values");
-        assert!(panels.len() / 2 >= kreal * 4, "two panels at least kreal deep");
-        // SAFETY: AVX2 detection gates dispatch (debug-asserted above);
-        // the three asserts are exactly the shape contract the impl's
-        // bounds reasoning states, and `R` equals `rows`.
-        done = unsafe {
+    let rows = acc.len() / npanels;
+    assert!((1..=2).contains(&npanels), "1..=2 panels");
+    assert!((1..=4).contains(&rows) && acc.len() == rows * npanels, "1..=4 rows of tiles");
+    assert!(a.len() >= (rows - 1) * lda + kreal, "A must hold every row's k-values");
+    assert!(panels.len() / npanels >= kreal * 4, "every panel at least kreal deep");
+    // one instance per (rows, panels)
+    macro_rules! by_rows {
+        ($p:literal) => {
             match rows {
-                1 => panel_group_impl::<1>(acc, a, lda, kreal, panels),
-                2 => panel_group_impl::<2>(acc, a, lda, kreal, panels),
-                3 => panel_group_impl::<3>(acc, a, lda, kreal, panels),
-                _ => panel_group_impl::<4>(acc, a, lda, kreal, panels),
+                1 => panel_group_impl::<1, $p>(acc, a, lda, kreal, panels),
+                2 => panel_group_impl::<2, $p>(acc, a, lda, kreal, panels),
+                3 => panel_group_impl::<3, $p>(acc, a, lda, kreal, panels),
+                _ => panel_group_impl::<4, $p>(acc, a, lda, kreal, panels),
             }
         };
     }
+    // SAFETY: AVX2 detection gates dispatch (debug-asserted above); the
+    // asserts are exactly the shape contract the impl's bounds
+    // reasoning states, and `R`, `P` equal `rows`, `npanels`.
+    let done = unsafe {
+        match npanels {
+            1 => by_rows!(1),
+            _ => by_rows!(2),
+        }
+    };
     if done < kreal {
         super::scalar::panel_group_with(panel_mav, done, acc, a, lda, kreal, panels, npanels);
     }
-}
-
-// ---- requantization sweeps ------------------------------------------------
-//
-// No intrinsics: the scalar body of `super::requant`, inlined into a
-// function compiled with AVX2 enabled, vectorizes 8 lanes wide instead
-// of baseline SSE2's 4.
-
-// SAFETY: requires AVX2; the body is the safe scalar sweep.
-#[target_feature(enable = "avx2")]
-unsafe fn requant_into_impl(acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8]) {
-    super::requant::requant_into(acc, scale, floor, dst)
-}
-
-/// The `requant_into` table entry: the scalar body at AVX2 width.
-pub(super) fn requant_into(acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8]) {
-    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 kernel dispatched without avx2");
-    // SAFETY: AVX2 detection gates dispatch (debug-asserted above), the
-    // impl's one precondition.
-    unsafe { requant_into_impl(acc, scale, floor, dst) }
-}
-
-// SAFETY: requires AVX2; the body is the safe scalar sweep.
-#[target_feature(enable = "avx2")]
-unsafe fn requant_add_sat_impl(acc: &[i32], mults: &[f32], x: &mut [i8]) {
-    super::requant::requant_add_sat(acc, mults, x)
-}
-
-/// The `requant_add_sat` table entry: the scalar body at AVX2 width.
-pub(super) fn requant_add_sat(acc: &[i32], mults: &[f32], x: &mut [i8]) {
-    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 kernel dispatched without avx2");
-    // SAFETY: AVX2 detection gates dispatch (debug-asserted above), the
-    // impl's one precondition.
-    unsafe { requant_add_sat_impl(acc, mults, x) }
 }
 
 // ---- SIMD pack routines ---------------------------------------------------
@@ -529,8 +334,9 @@ unsafe fn pack_a_block_impl(
     }
 }
 
-/// SIMD [`super::scalar::pack_a_block`]: byte-identical packed image,
-/// built 16 k-values per step via 4×16 byte transposes.
+/// The `pack_a` entry of both x86 tiers: the packed image of
+/// [`super::scalar::pack_a_block`], built 16 k-values per step via 4×16
+/// byte transposes.
 pub fn pack_a_block(
     buf: &mut [i8],
     a: &[i8],
@@ -548,47 +354,11 @@ pub fn pack_a_block(
     unsafe { pack_a_block_impl(buf, a, m, k, ic, pc, kcb) }
 }
 
-/// SIMD [`super::scalar::pack_b_block`]: byte-identical packed image.
-/// Interior panels copy each k-value's 4 contiguous source bytes as one
-/// word (safe code — the compiler emits 32-bit copies); only the matrix
-/// edge takes the byte-wise reference path.
-pub fn pack_b_block(
-    buf: &mut [i8],
-    b: &[i8],
-    n: usize,
-    k: usize,
-    jc: usize,
-    pc: usize,
-    kcb: usize,
-) {
-    let panel = kcb * 4;
-    let kreal = kcb.min(k.saturating_sub(pc));
-    for (q, panel_buf) in buf.chunks_exact_mut(panel).enumerate() {
-        let j0 = jc + q * 4;
-        if j0 + 4 <= n {
-            let (body, tail) = panel_buf.split_at_mut(kreal * 4);
-            for (l, out) in body.chunks_exact_mut(4).enumerate() {
-                let src = (pc + l) * n + j0;
-                out.copy_from_slice(&b[src..src + 4]);
-            }
-            tail.fill(0);
-        } else {
-            for l in 0..kcb {
-                let lg = pc + l;
-                for (cx, out) in panel_buf[l * 4..l * 4 + 4].iter_mut().enumerate() {
-                    let j = j0 + cx;
-                    *out = if lg < k && j < n { b[lg * n + j] } else { 0 };
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::scalar;
     use super::*;
-    use crate::reference::SplitMix64;
+    use crate::reference::{pack_a_ref, pack_b_ref, SplitMix64};
 
     fn have_avx2() -> bool {
         is_x86_feature_detected!("avx2")
@@ -642,7 +412,7 @@ mod tests {
             let ncb = (cols - rc.min(cols)).min(8 * 4).next_multiple_of(4).max(4);
             let mut want = vec![0x55i8; ncb * kcb];
             let mut got = want.clone();
-            scalar::pack_b_block(&mut want, &b, cols, rows, rc, pc, kcb);
+            pack_b_ref(&mut want, &b, cols, rows, rc, pc, kcb);
             pack_b_block(&mut got, &b, cols, rows, rc, pc, kcb);
             assert_eq!(got, want, "pack_b {rows}x{cols} jc={rc} pc={pc} kcb={kcb}");
 
@@ -650,26 +420,9 @@ mod tests {
             let mcb = (rows - rc.min(rows)).min(8 * 4).next_multiple_of(4).max(4);
             let mut want = vec![0x55i8; mcb * kcb];
             let mut got = want.clone();
-            scalar::pack_a_block(&mut want, &a, rows, cols, rc, pc, kcb);
+            pack_a_ref(&mut want, &a, rows, cols, rc, pc, kcb);
             pack_a_block(&mut got, &a, rows, cols, rc, pc, kcb);
             assert_eq!(got, want, "pack_a {rows}x{cols} ic={rc} pc={pc} kcb={kcb}");
-        }
-    }
-
-    #[test]
-    fn small_m_dense_is_bit_identical_to_scalar() {
-        if !have_avx2() {
-            return;
-        }
-        let mut r = SplitMix64::new(11);
-        for (m, n, k) in [(1, 1, 1), (2, 16, 5), (3, 33, 7), (8, 100, 13), (4, 15, 64)] {
-            let a = r.i8_vec(m * k, -128, 127);
-            let b = r.i8_vec(k * n, -128, 127);
-            let mut want = vec![7i32; m * n];
-            let mut got = want.clone();
-            scalar::small_m_dense(m, n, k, &a, &b, &mut want);
-            small_m_dense(m, n, k, &a, &b, &mut got);
-            assert_eq!(got, want, "{m}x{n}x{k}");
         }
     }
 
@@ -696,23 +449,6 @@ mod tests {
                     assert_eq!(got, want, "rows={rows} npanels={npanels} kreal={kreal}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn panel_mav_is_bit_identical_to_scalar() {
-        if !have_avx2() {
-            return;
-        }
-        let mut r = SplitMix64::new(12);
-        for kreal in [0, 1, 2, 7, 16, 33] {
-            let a_row = r.i8_vec(kreal, -128, 127);
-            let panel = r.i8_vec(kreal.max(1) * 4, -128, 127);
-            let mut want = [5i32, -6, 7, -8];
-            let mut got = want;
-            scalar::panel_mav(&mut want, &a_row, &panel);
-            panel_mav(&mut got, &a_row, &panel);
-            assert_eq!(got, want, "kreal={kreal}");
         }
     }
 }

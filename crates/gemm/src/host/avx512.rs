@@ -1,12 +1,20 @@
 //! x86_64 AVX-512 tier (F+BW+VL).
 //!
-//! The same exact-arithmetic construction as [`super::avx2`] — i8→i16
-//! widening through per-lane `vpshufb` pair interleaves, `vpmaddwd`
-//! pairwise dots (exact in i16/i32 headroom), wrapping `vpaddd`
-//! accumulation — at twice the vector width: 16 k-values per integer
-//! step and a 4×16 widened integer register tile that amortizes every
-//! A-side shuffle over four B panels. The 32-register zmm file is what
-//! makes the 16-accumulator integer tile hold entirely in registers.
+//! Hand-written here are only the kernels where vector width buys
+//! arithmetic: the 4×16 wide tiles (the 4×4 [`tile_i8`] of the trailing
+//! panel group is the widening tile's one-panel instance) and the
+//! grouped panel kernel. They use the same exact-arithmetic
+//! construction as [`super::avx2`] — i8→i16 widening through per-lane
+//! `vpshufb` pair interleaves, `vpmaddwd` pairwise dots (exact in
+//! i16/i32 headroom), wrapping `vpaddd` accumulation — at twice the
+//! vector width: 16 k-values per integer step and a 4×16 widened
+//! integer register tile that amortizes every A-side shuffle over four
+//! B panels. The 32-register zmm file is what makes the 16-accumulator
+//! integer tile hold entirely in registers. The A packer is the AVX2
+//! tier's; every other entry — `pack_b`, `small_m_dense`, `panel_mav`
+//! and the two requant sweeps — is the portable body of `scalar.rs` /
+//! `requant.rs`, recompiled here with AVX-512 enabled by `recompile!`
+//! (`host/mod.rs`).
 //!
 //! The wide tile hands its result back *in C*: its 16 accumulators fold
 //! into four 16-lane rows that are added straight to four rows of the
@@ -31,6 +39,19 @@
 use std::arch::x86_64::*;
 
 use super::Scale;
+
+recompile! { "avx512f,avx512bw,avx512vl", have_avx512();
+    fn pack_b_block(
+        buf: &mut [i8], b: &[i8], n: usize, k: usize, jc: usize, pc: usize, kcb: usize,
+    ) = super::scalar::pack_b_block;
+    fn small_m_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32])
+        = super::scalar::small_m_dense;
+    fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) = super::scalar::panel_mav;
+    fn requant_into(acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8])
+        = super::requant::requant_into;
+    fn requant_add_sat(acc: &[i32], mults: &[f32], x: &mut [i8])
+        = super::requant::requant_add_sat;
+}
 
 /// Replicate one 16-byte `vpshufb` lane pattern to all four 128-bit
 /// lanes (zmm `vpshufb` shuffles within each lane independently).
@@ -138,79 +159,18 @@ unsafe fn add_into_row(dst: *mut i32, sums: __m512i) {
     _mm512_storeu_epi32(dst, _mm512_add_epi32(_mm512_loadu_epi32(dst), sums));
 }
 
-// SAFETY: requires AVX512F+AVX512BW (zmm shuffles/widening/madd) and
-// AVX2 (ymm fold adds). `iters` derives from `pa.len()` and the packing
-// contract gives `pb` the same chunk count; the sub-64-byte remainder
-// takes the safe scalar path; stores land in stack-local arrays.
-#[target_feature(enable = "avx512f,avx512bw,avx2")]
-unsafe fn tile_i8_impl(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]; 4]) {
-    let bshuf = _mm512_loadu_epi8(B_PAIR_SHUF.as_ptr());
-    let ashuf = [
-        _mm512_loadu_epi8(A_ROW_SHUF[0].as_ptr()),
-        _mm512_loadu_epi8(A_ROW_SHUF[1].as_ptr()),
-        _mm512_loadu_epi8(A_ROW_SHUF[2].as_ptr()),
-        _mm512_loadu_epi8(A_ROW_SHUF[3].as_ptr()),
-    ];
-    let mut vacc = [_mm512_setzero_si512(); 4];
-    // 16 k-values (64 packed bytes) per iteration
-    let iters = pa.len() / 64;
-    for t in 0..iters {
-        let ap = _mm512_loadu_epi8(pa.as_ptr().add(t * 64));
-        let bp = _mm512_loadu_epi8(pb.as_ptr().add(t * 64));
-        let bs = _mm512_shuffle_epi8(bp, bshuf);
-        let b_lo = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(bs));
-        let b_hi = _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64::<1>(bs));
-        for i in 0..4 {
-            let asel = _mm512_shuffle_epi8(ap, ashuf[i]);
-            let a_lo = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(asel));
-            let a_hi = _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64::<1>(asel));
-            // vpmaddwd: exact pairwise i16 dot products in i32 lanes
-            let prod =
-                _mm512_add_epi32(_mm512_madd_epi16(a_lo, b_lo), _mm512_madd_epi16(a_hi, b_hi));
-            vacc[i] = _mm512_add_epi32(vacc[i], prod);
-        }
-    }
-    for (row, v) in acc.iter_mut().zip(vacc) {
-        // each 128-bit quarter holds j0..3 over a disjoint k subset —
-        // fold quarters, then fold into the caller tile
-        let half = _mm256_add_epi32(_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64::<1>(v));
-        let folded =
-            _mm_add_epi32(_mm256_castsi256_si128(half), _mm256_extracti128_si256::<1>(half));
-        let mut out = [0i32; 4];
-        _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, folded);
-        for (c, o) in row.iter_mut().zip(out) {
-            *c = c.wrapping_add(o);
-        }
-    }
-    // 8-k remainder (32 packed bytes): never produced by the engine's
-    // k-step-aligned panels, but the dispatch contract allows it
-    if !pa.len().is_multiple_of(64) {
-        super::scalar::tile_i8(&pa[iters * 64..], &pb[iters * 64..], acc);
-    }
-}
-
-/// See [`super::scalar::tile_i8`]; bit-identical, AVX-512-accelerated.
-pub fn tile_i8(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]; 4]) {
-    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
-    // SAFETY: the HostKernel dispatch table only routes here after
-    // runtime AVX-512 detection (debug-asserted above), and the packer
-    // emits `pa`/`pb` as whole 32-byte chunks — any 32-byte tail past
-    // the 64-byte main loop is handled by the scalar reference inside.
-    unsafe { tile_i8_impl(pa, pb, acc) }
-}
-
 // SAFETY: requires AVX512F+AVX512BW+AVX512VL+AVX2. Loads stay in bounds
 // because the chunk count derives from `pa.len()` and `pb` holds exactly
-// four panels of that depth; each 64-byte C access is one of the four
-// rows `c[i*ldc..i*ldc + 16]` ([`assert_wide_shape`], run by the
-// wrapper, checks both); the remainder path is safe code.
+// `P` panels of that depth; each C access is one of the four rows
+// `c[i*ldc..i*ldc + 4P]` ([`assert_wide_shape`], run by the wrapper,
+// checks both); the remainder path is safe code.
 //
 // AVX512VL is enabled for the register allocator, not for an
 // instruction: without it LLVM keeps every value that is ever viewed as
 // a ymm (the fold's `vinserti64x4` sources, the `vpmovsxbw` inputs) in
 // zmm0–15, and the 16 accumulators then spill inside the depth loop.
 #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx2")]
-unsafe fn tile_i8_into_impl(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
+unsafe fn tile_i8_into_impl<const P: usize>(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
     let panel = pa.len();
     let bshuf = _mm512_loadu_epi8(B_PAIR_SHUF.as_ptr());
     let ashuf = [
@@ -219,15 +179,15 @@ unsafe fn tile_i8_into_impl(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
         _mm512_loadu_epi8(A_ROW_SHUF[2].as_ptr()),
         _mm512_loadu_epi8(A_ROW_SHUF[3].as_ptr()),
     ];
-    // 4×16 register tile: one A panel × four adjacent B panels, all 16
-    // zmm accumulators live across the depth loop — every A shuffle and
-    // widening is amortized over 4× the columns of [`tile_i8`]
+    // 4×4P register tile: one A panel × `P` adjacent B panels, all 4P
+    // zmm accumulators live across the depth loop — at P = 4 every A
+    // shuffle and widening is amortized over 4× the columns
     let mut vacc = [[_mm512_setzero_si512(); 4]; 4];
     for t in 0..panel / 64 {
         let ap = _mm512_loadu_epi8(pa.as_ptr().add(t * 64));
-        let mut blo = [_mm512_setzero_si512(); 4];
-        let mut bhi = [_mm512_setzero_si512(); 4];
-        for q in 0..4 {
+        let mut blo = [_mm512_setzero_si512(); P];
+        let mut bhi = [_mm512_setzero_si512(); P];
+        for q in 0..P {
             let bp = _mm512_loadu_epi8(pb.as_ptr().add(q * panel + t * 64));
             let bs = _mm512_shuffle_epi8(bp, bshuf);
             blo[q] = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(bs));
@@ -237,7 +197,8 @@ unsafe fn tile_i8_into_impl(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
             let asel = _mm512_shuffle_epi8(ap, ashuf[i]);
             let a_lo = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(asel));
             let a_hi = _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64::<1>(asel));
-            for q in 0..4 {
+            for q in 0..P {
+                // vpmaddwd: exact pairwise i16 dot products in i32 lanes
                 let prod = _mm512_add_epi32(
                     _mm512_madd_epi16(a_lo, blo[q]),
                     _mm512_madd_epi16(a_hi, bhi[q]),
@@ -246,12 +207,38 @@ unsafe fn tile_i8_into_impl(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
             }
         }
     }
-    // each quarter of vacc[i][q] holds panel q's j0..3 over a disjoint
-    // k subset: panel q's sums land in quarter q, one C row per A row
+    const { assert!(P == 1 || P == 4, "the 4x4 tile or the full 4x16 one") };
     for (i, &v) in vacc.iter().enumerate() {
-        add_into_row(c.as_mut_ptr().add(i * ldc), fold_quarters(v));
+        let dst = c.as_mut_ptr().add(i * ldc);
+        if P == 4 {
+            // each quarter of vacc[i][q] holds panel q's j0..3 over a
+            // disjoint k subset: panel q's sums land in quarter q, one C
+            // row per A row
+            add_into_row(dst, fold_quarters(v));
+        } else {
+            // one panel: its four quarters fold into one 4-lane row
+            let v = v[0];
+            let half =
+                _mm256_add_epi32(_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64::<1>(v));
+            let sums =
+                _mm_add_epi32(_mm256_castsi256_si128(half), _mm256_extracti128_si256::<1>(half));
+            let dst = dst as *mut __m128i;
+            _mm_storeu_si128(dst, _mm_add_epi32(_mm_loadu_si128(dst), sums));
+        }
     }
     wide_tail(pa, pb, c, ldc);
+}
+
+/// The 4×4 tile of the trailing panel group (see
+/// [`super::scalar::tile_i8`]): the wide tile's code at one panel,
+/// into the 4×4 tile as four rows of four.
+pub fn tile_i8(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]; 4]) {
+    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
+    let c = acc.as_flattened_mut();
+    assert_wide_shape(1, pa, pb, c, 4);
+    // SAFETY: AVX-512 detection gates dispatch (debug-asserted above);
+    // the shape asserts just above are the impl's bounds preconditions.
+    unsafe { tile_i8_into_impl::<1>(pa, pb, c, 4) }
 }
 
 /// Widened 4×16 integer tile (the `tile_i8_into` table entry of
@@ -260,17 +247,17 @@ unsafe fn tile_i8_into_impl(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
 /// [`super::scalar::tile_i8_wide`] (wrapping adds commute).
 pub fn tile_i8_into(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
     debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
-    assert_wide_shape(pa, pb, c, ldc);
+    assert_wide_shape(4, pa, pb, c, ldc);
     // SAFETY: AVX-512 detection gates dispatch (debug-asserted above);
     // the shape asserts just above are the impl's bounds preconditions.
-    unsafe { tile_i8_into_impl(pa, pb, c, ldc) }
+    unsafe { tile_i8_into_impl::<4>(pa, pb, c, ldc) }
 }
 
-/// The shape contract both 4×16 tiles' raw loads and stores rest on:
-/// four B panels of A's depth, and four 16-wide rows inside `c`.
-fn assert_wide_shape(pa: &[i8], pb: &[i8], c: &[i32], ldc: usize) {
-    assert_eq!(pb.len(), 4 * pa.len(), "pb must hold four panels of pa's depth");
-    assert!(c.len() >= 3 * ldc + 16, "c must hold four 16-wide rows at stride ldc");
+/// The shape contract the wide tiles' raw loads and stores rest on:
+/// `panels` B panels of A's depth, and four rows of `4·panels` inside `c`.
+fn assert_wide_shape(panels: usize, pa: &[i8], pb: &[i8], c: &[i32], ldc: usize) {
+    assert_eq!(pb.len(), panels * pa.len(), "pb must hold the panels at pa's depth");
+    assert!(c.len() >= 3 * ldc + 4 * panels, "c must hold four rows at stride ldc");
     debug_assert_eq!(pa.len() % 32, 0, "panel depth must be a multiple of 8 k-values");
 }
 
@@ -353,141 +340,34 @@ unsafe fn tile_i8_into_vnni_impl(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize
 /// `docs/HOST_KERNELS.md`, "The blocked tile").
 pub fn tile_i8_into_vnni(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
     debug_assert!(have_avx512vnni(), "avx512vnni kernel dispatched without avx512_vnni");
-    assert_wide_shape(pa, pb, c, ldc);
+    assert_wide_shape(4, pa, pb, c, ldc);
     // SAFETY: AVX512-VNNI detection (on top of the AVX-512 gate) is what
     // selects this tier's table (debug-asserted above); the shape
     // asserts are the impl's bounds preconditions.
     unsafe { tile_i8_into_vnni_impl(pa, pb, c, ldc) }
 }
 
-// SAFETY: requires AVX512F+AVX512BW+AVX512VL. Every load and store is
-// masked to the `cols` live columns of its step, and masked-off lanes
-// are not accessed: byte lanes `< cols` of the B row at `l*n + j` are
-// in bounds for `l < k` because `j + cols <= n`, and so are i32 lanes
-// `< cols` of the C row at `i*n + j`. The upper-half C pointer is
-// formed with `wrapping_add` because it can lie past the allocation
-// when `cols <= 16` (its mask is then empty).
-#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx2")]
-unsafe fn small_m_dense_impl(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let mut j = 0;
-        // up to 32 output columns per step, i32 accumulators held
-        // across the whole k loop (B rows stream through cache once per
-        // A row); the last step of a row is the same code under a
-        // narrower mask, so no column ever runs scalar
-        while j < n {
-            let cols = (n - j).min(32);
-            let mask: __mmask32 = u32::MAX >> (32 - cols);
-            let (mlo, mhi) = (mask as __mmask16, (mask >> 16) as __mmask16);
-            let clo = c.as_mut_ptr().add(i * n + j);
-            let chi = clo.wrapping_add(16);
-            let mut acc0 = _mm512_maskz_loadu_epi32(mlo, clo);
-            let mut acc1 = _mm512_maskz_loadu_epi32(mhi, chi);
-            for (l, &av) in arow.iter().enumerate() {
-                let a16 = _mm512_set1_epi16(av as i16);
-                let b8 = _mm256_maskz_loadu_epi8(mask, b.as_ptr().add(l * n + j));
-                let b16 = _mm512_cvtepi8_epi16(b8);
-                // i8×i8 products fit i16 exactly (|p| ≤ 16384)
-                let p16 = _mm512_mullo_epi16(a16, b16);
-                let lo = _mm512_cvtepi16_epi32(_mm512_castsi512_si256(p16));
-                let hi = _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64::<1>(p16));
-                acc0 = _mm512_add_epi32(acc0, lo);
-                acc1 = _mm512_add_epi32(acc1, hi);
-            }
-            _mm512_mask_storeu_epi32(clo, mlo, acc0);
-            _mm512_mask_storeu_epi32(chi, mhi, acc1);
-            j += cols;
-        }
-    }
-}
-
-/// See [`super::scalar::small_m_dense`]; bit-identical.
-pub fn small_m_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
-    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
-    // SAFETY: AVX-512 is runtime-detected before dispatch reaches this
-    // tier (debug-asserted above); slice shapes are the m×k / k×n / m×n
-    // engine contract the impl's bounds reasoning relies on.
-    unsafe { small_m_dense_impl(m, n, k, a, b, c) }
-}
-
-// SAFETY: requires AVX512F+AVX512BW+AVX2, and `panel` must hold 4
-// columns per k-value of `a_row`: the 64-byte panel load at `l*4` and
-// the 16-byte A load at `l` are both guarded by `l + 16 <= kreal`; the
-// remainder is the safe scalar reference.
-#[target_feature(enable = "avx512f,avx512bw,avx2")]
-unsafe fn panel_mav_impl(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
-    let kreal = a_row.len();
-    let mut l = 0;
-    if kreal >= 16 {
-        // 16 k-values per iteration: one 64-byte panel load and one
-        // 16-byte A load per 64 MACs — a single A "row" of the blocked
-        // tile pipeline
-        let bshuf = _mm512_loadu_epi8(B_PAIR_SHUF.as_ptr());
-        let apanelshuf = _mm512_loadu_epi8(A_PANEL_SHUF.as_ptr());
-        let mut vacc16 = _mm512_setzero_si512();
-        while l + 16 <= kreal {
-            let bp = _mm512_loadu_epi8(panel.as_ptr().add(l * 4));
-            let bs = _mm512_shuffle_epi8(bp, bshuf);
-            let b_lo = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(bs));
-            let b_hi = _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64::<1>(bs));
-            let a16 = _mm_loadu_si128(a_row.as_ptr().add(l) as *const __m128i);
-            let asel = _mm512_shuffle_epi8(_mm512_broadcast_i32x4(a16), apanelshuf);
-            let a_lo = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(asel));
-            let a_hi = _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64::<1>(asel));
-            let prod =
-                _mm512_add_epi32(_mm512_madd_epi16(a_lo, b_lo), _mm512_madd_epi16(a_hi, b_hi));
-            vacc16 = _mm512_add_epi32(vacc16, prod);
-            l += 16;
-        }
-        // each 128-bit quarter holds j0..3 over a disjoint k subset
-        let half = _mm256_add_epi32(
-            _mm512_castsi512_si256(vacc16),
-            _mm512_extracti64x4_epi64::<1>(vacc16),
-        );
-        let folded =
-            _mm_add_epi32(_mm256_castsi256_si128(half), _mm256_extracti128_si256::<1>(half));
-        let mut out = [0i32; 4];
-        _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, folded);
-        for (c, o) in acc.iter_mut().zip(out) {
-            *c = c.wrapping_add(o);
-        }
-    }
-    if l < kreal {
-        super::scalar::panel_mav(acc, &a_row[l..], &panel[l * 4..]);
-    }
-}
-
-/// See [`super::scalar::panel_mav`]; bit-identical.
-pub fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
-    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
-    // SAFETY: AVX-512 detection gates dispatch (debug-asserted above);
-    // the registered-weight panel stores 4 columns per k-value, the
-    // impl's only layout precondition.
-    unsafe { panel_mav_impl(acc, a_row, panel) }
-}
-
-// SAFETY: requires AVX512F+AVX512BW+AVX2; `acc` holds `R*4` tiles, `a`
+// SAFETY: requires AVX512F+AVX512BW+AVX2; `acc` holds `R*P` tiles, `a`
 // holds `R` rows of `kreal` k-values at stride `lda`, and `panels` is
-// four panels of at least `kreal*4` bytes each (all asserted by the
+// `P` panels of at least `kreal*4` bytes each (all asserted by the
 // wrapper). Every 16-byte A load and 64-byte panel load sits below
-// `iters*16 <= kreal` k-values of its row / panel; the 64-byte
-// accumulator accesses cover the four tiles of row `i`. The prefetch
-// address runs up to one group past `panels` and may leave the image:
-// it is formed with `wrapping_add` and only ever handed to `prefetcht0`,
-// which does not fault.
+// `iters*16 <= kreal` k-values of its row / panel; the accumulator
+// accesses are masked to the `P` tiles of row `i`. The prefetch address
+// runs up to one group past `panels` and may leave the image: it is
+// formed with `wrapping_add` and only ever handed to `prefetcht0`, which
+// does not fault.
 #[target_feature(enable = "avx512f,avx512bw,avx2")]
-unsafe fn panel_group_impl<const R: usize>(
+unsafe fn panel_group_impl<const R: usize, const P: usize>(
     acc: &mut [[i32; 4]],
     a: &[i8],
     lda: usize,
     kreal: usize,
     panels: &[i8],
 ) -> usize {
-    let stride = panels.len() / 4;
+    let stride = panels.len() / P;
     let bshuf = _mm512_loadu_epi8(B_PAIR_SHUF.as_ptr());
     let apanelshuf = _mm512_loadu_epi8(A_PANEL_SHUF.as_ptr());
-    // R×4 vertical accumulators: each 128-bit quarter of vacc[i][q]
+    // R×P vertical accumulators: each 128-bit quarter of vacc[i][q]
     // holds row i × panel q's j0..3 over a disjoint k subset
     let mut vacc = [[_mm512_setzero_si512(); 4]; R];
     // where the walk's next group starts: one line of it is requested
@@ -495,7 +375,7 @@ unsafe fn panel_group_impl<const R: usize>(
     let next = panels.as_ptr().wrapping_add(panels.len());
     let iters = kreal / 16;
     for t in 0..iters {
-        // A side once per 16 k-values, shared by all four panels
+        // A side once per 16 k-values, shared by every panel
         let mut a_lo = [_mm512_setzero_si512(); R];
         let mut a_hi = [_mm512_setzero_si512(); R];
         for i in 0..R {
@@ -504,8 +384,8 @@ unsafe fn panel_group_impl<const R: usize>(
             a_lo[i] = _mm512_cvtepi8_epi16(_mm512_castsi512_si256(asel));
             a_hi[i] = _mm512_cvtepi8_epi16(_mm512_extracti64x4_epi64::<1>(asel));
         }
-        for q in 0..4 {
-            _mm_prefetch::<_MM_HINT_T0>(next.wrapping_add((t * 4 + q) * 64));
+        for q in 0..P {
+            _mm_prefetch::<_MM_HINT_T0>(next.wrapping_add((t * P + q) * 64));
             // B side once per panel vector, shared by all R rows
             let bp = _mm512_loadu_epi8(panels.as_ptr().add(q * stride + t * 64));
             let bs = _mm512_shuffle_epi8(bp, bshuf);
@@ -520,17 +400,20 @@ unsafe fn panel_group_impl<const R: usize>(
             }
         }
     }
+    // panel q's sums land in quarter q: one 4P-lane result per row
+    let live = (u32::MAX >> (32 - 4 * P)) as __mmask16;
     for (i, &v) in vacc.iter().enumerate() {
-        // panel q's sums land in quarter q: one 16-lane result per row
-        add_into_row(acc.as_mut_ptr().add(i * 4) as *mut i32, fold_quarters(v));
+        let dst = acc.as_mut_ptr().add(i * P) as *mut i32;
+        let sums = _mm512_add_epi32(_mm512_maskz_loadu_epi32(live, dst), fold_quarters(v));
+        _mm512_mask_storeu_epi32(dst, live, sums);
     }
     iters * 16
 }
 
 /// AVX-512 grouped skinny primitive (the `panel_group` table entry of
-/// [`super::HostKernel`]): group width 4 panels = 16 columns. A full
-/// group runs [`panel_group_impl`] over whole 16-k steps; a partial
-/// group and the k tail run [`panel_mav`] per (row, panel).
+/// [`super::HostKernel`]): up to 4 panels = 16 columns. Any group, full
+/// or partial, runs [`panel_group_impl`] over whole 16-k steps; the
+/// `kreal % 16` tail runs [`panel_mav`] per (row, panel).
 pub(super) fn panel_group(
     acc: &mut [[i32; 4]],
     a: &[i8],
@@ -540,63 +423,36 @@ pub(super) fn panel_group(
     npanels: usize,
 ) {
     debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
-    let mut done = 0;
-    if npanels == 4 {
-        let rows = acc.len() / 4;
-        assert!((1..=4).contains(&rows) && acc.len() == rows * 4, "1..=4 rows of four tiles");
-        assert!(a.len() >= (rows - 1) * lda + kreal, "A must hold every row's k-values");
-        assert!(panels.len() / 4 >= kreal * 4, "four panels at least kreal deep");
-        // SAFETY: AVX-512 detection gates dispatch (debug-asserted
-        // above); the three asserts are exactly the shape contract the
-        // impl's bounds reasoning states, and `R` equals `rows`.
-        done = unsafe {
+    let rows = acc.len() / npanels;
+    assert!((1..=4).contains(&npanels), "1..=4 panels");
+    assert!((1..=4).contains(&rows) && acc.len() == rows * npanels, "1..=4 rows of tiles");
+    assert!(a.len() >= (rows - 1) * lda + kreal, "A must hold every row's k-values");
+    assert!(panels.len() / npanels >= kreal * 4, "every panel at least kreal deep");
+    // one instance per (rows, panels)
+    macro_rules! by_rows {
+        ($p:literal) => {
             match rows {
-                1 => panel_group_impl::<1>(acc, a, lda, kreal, panels),
-                2 => panel_group_impl::<2>(acc, a, lda, kreal, panels),
-                3 => panel_group_impl::<3>(acc, a, lda, kreal, panels),
-                _ => panel_group_impl::<4>(acc, a, lda, kreal, panels),
+                1 => panel_group_impl::<1, $p>(acc, a, lda, kreal, panels),
+                2 => panel_group_impl::<2, $p>(acc, a, lda, kreal, panels),
+                3 => panel_group_impl::<3, $p>(acc, a, lda, kreal, panels),
+                _ => panel_group_impl::<4, $p>(acc, a, lda, kreal, panels),
             }
         };
     }
+    // SAFETY: AVX-512 detection gates dispatch (debug-asserted above);
+    // the asserts are exactly the shape contract the impl's bounds
+    // reasoning states, and `R`, `P` equal `rows`, `npanels`.
+    let done = unsafe {
+        match npanels {
+            1 => by_rows!(1),
+            2 => by_rows!(2),
+            3 => by_rows!(3),
+            _ => by_rows!(4),
+        }
+    };
     if done < kreal {
         super::scalar::panel_group_with(panel_mav, done, acc, a, lda, kreal, panels, npanels);
     }
-}
-
-// ---- requantization sweeps ------------------------------------------------
-//
-// No intrinsics, as on AVX2: the scalar body of `super::requant`
-// compiled with AVX-512 enabled vectorizes 16 lanes wide, and BW gives
-// the byte-lane max and saturating add.
-
-// SAFETY: requires AVX512F+AVX512BW+AVX512VL; the body is the safe
-// scalar sweep.
-#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
-unsafe fn requant_into_impl(acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8]) {
-    super::requant::requant_into(acc, scale, floor, dst)
-}
-
-/// The `requant_into` table entry: the scalar body at AVX-512 width.
-pub(super) fn requant_into(acc: &[i32], scale: Scale<'_>, floor: i8, dst: &mut [i8]) {
-    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
-    // SAFETY: AVX-512 detection gates dispatch (debug-asserted above),
-    // the impl's one precondition.
-    unsafe { requant_into_impl(acc, scale, floor, dst) }
-}
-
-// SAFETY: requires AVX512F+AVX512BW+AVX512VL; the body is the safe
-// scalar sweep.
-#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
-unsafe fn requant_add_sat_impl(acc: &[i32], mults: &[f32], x: &mut [i8]) {
-    super::requant::requant_add_sat(acc, mults, x)
-}
-
-/// The `requant_add_sat` table entry: the scalar body at AVX-512 width.
-pub(super) fn requant_add_sat(acc: &[i32], mults: &[f32], x: &mut [i8]) {
-    debug_assert!(have_avx512(), "avx512 kernel dispatched without avx512f/bw");
-    // SAFETY: AVX-512 detection gates dispatch (debug-asserted above),
-    // the impl's one precondition.
-    unsafe { requant_add_sat_impl(acc, mults, x) }
 }
 
 /// Runtime gate shared by the wrappers' debug assertions: the features
@@ -677,23 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn small_m_dense_is_bit_identical_to_scalar() {
-        if !have_avx512() {
-            return;
-        }
-        let mut r = SplitMix64::new(32);
-        for (m, n, k) in [(1, 1, 1), (2, 32, 5), (3, 65, 7), (8, 100, 13), (4, 31, 64)] {
-            let a = r.i8_vec(m * k, -128, 127);
-            let b = r.i8_vec(k * n, -128, 127);
-            let mut want = vec![7i32; m * n];
-            let mut got = want.clone();
-            scalar::small_m_dense(m, n, k, &a, &b, &mut want);
-            small_m_dense(m, n, k, &a, &b, &mut got);
-            assert_eq!(got, want, "{m}x{n}x{k}");
-        }
-    }
-
-    #[test]
     fn panel_group_is_bit_identical_to_scalar() {
         if !have_avx512() {
             return;
@@ -716,23 +555,6 @@ mod tests {
                     assert_eq!(got, want, "rows={rows} npanels={npanels} kreal={kreal}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn panel_mav_is_bit_identical_to_scalar() {
-        if !have_avx512() {
-            return;
-        }
-        let mut r = SplitMix64::new(33);
-        for kreal in [0, 1, 2, 7, 15, 16, 17, 33, 64] {
-            let a_row = r.i8_vec(kreal, -128, 127);
-            let panel = r.i8_vec(kreal.max(1) * 4, -128, 127);
-            let mut want = [5i32, -6, 7, -8];
-            let mut got = want;
-            scalar::panel_mav(&mut want, &a_row, &panel);
-            panel_mav(&mut got, &a_row, &panel);
-            assert_eq!(got, want, "kreal={kreal}");
         }
     }
 }

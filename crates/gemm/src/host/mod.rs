@@ -41,13 +41,45 @@
 //! panel packed by any component is consumable by every tier. Tiers
 //! differ only in how many adjacent panels one register-tile call
 //! consumes (`int_nr/4`, see [`HostKernel::tile_i8_into`]; the skinny
-//! paths' grouped panel primitive takes the same group) and in how
-//! the pack routines themselves are vectorized ([`HostKernel::pack_a_block`]
-//! etc. — byte-identical images, SIMD-built).
+//! paths' grouped panel primitive takes the same group) and in how an
+//! entry is vectorized. Each entry is either hand-written per tier —
+//! the register tiles, the grouped panel kernel, AVX2's A packer — or
+//! one portable body in `scalar.rs` / `requant.rs` that `recompile!`
+//! compiles again at each SIMD tier's width; byte-identical images and
+//! bit-identical results either way.
 
 // GEMM entry points naturally take (m, n, k, a, b, c) plus plan/tier
 // context, and the kernel table's value is precisely its bare fn types.
 #![allow(clippy::too_many_arguments, clippy::type_complexity)]
+
+/// A SIMD tier's copies of the portable bodies (`scalar.rs`,
+/// `requant.rs`): for each `fn name(args) = body;` line, an `unsafe fn`
+/// under `#[target_feature(enable = $features)]` whose whole code is a
+/// call of the `#[inline(always)]` body — so LLVM compiles that body
+/// again, vectorized at the tier's width — and the safe table entry
+/// `name`, which calls it after a debug check of the runtime probe.
+macro_rules! recompile {
+    ($features:literal, $probe:expr;
+     $( fn $name:ident($($arg:ident: $ty:ty),* $(,)?) = $body:path; )*) => {
+        $(
+            /// A table entry: its portable body, recompiled with this
+            /// tier's features (`recompile!` in `host/mod.rs`).
+            pub(super) fn $name($($arg: $ty),*) {
+                // SAFETY: the body is safe code; the features are the one
+                // precondition of calling the copy compiled with them.
+                #[target_feature(enable = $features)]
+                unsafe fn recompiled($($arg: $ty),*) {
+                    $body($($arg),*)
+                }
+                debug_assert!($probe, concat!(stringify!($name), " dispatched without ", $features));
+                // SAFETY: the HostKernel table routes to this entry only
+                // after the runtime probe found `$features` (debug-asserted
+                // above).
+                unsafe { recompiled($($arg),*) }
+            }
+        )*
+    };
+}
 
 mod requant;
 pub mod scalar;
@@ -173,8 +205,8 @@ impl CpuFeatures {
 /// The implemented host-kernel tiers, best-first per architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostTier {
-    /// Portable scalar Rust — always available, the bit-identity
-    /// reference every SIMD tier is property-tested against.
+    /// Portable scalar Rust — always available; most of its entries are
+    /// the very bodies the SIMD tiers recompile at their width.
     Scalar,
     /// x86_64 AVX2 (+FMA): `vpshufb`/`vpmaddwd` widening i8 tile
     /// (4×8 widened).
@@ -252,19 +284,19 @@ pub struct HostKernel {
     /// npanels` bytes each: 4 columns × the block's padded depth, at
     /// least `kreal`):
     /// `acc[i*npanels + q][j] += Σ_{l<kreal} a[i*lda + l]·panels[q*stride + l*4 + j]`
-    /// (wrapping). When `npanels` is the tier's full group (`int_nr/4`)
-    /// a SIMD tier prepares each 16 A bytes once for the whole group,
-    /// loads each B vector once for all rows, keeps `rows × npanels`
-    /// vertical accumulators and prefetches, one line per B load, the
+    /// (wrapping). For any `npanels` up to its group (`int_nr/4`) a SIMD
+    /// tier prepares each 16 A bytes once for the whole group, loads
+    /// each B vector once for all rows, keeps `rows × npanels` vertical
+    /// accumulators and prefetches, one line per B load, the
     /// `panels.len()` bytes that *follow* `panels` — the walk's next
     /// group, or nothing anyone reads: a prefetch is a hint, the
-    /// address is never dereferenced. Any other `npanels` and the
-    /// `kreal % 16` tail run the tier's one-panel code.
+    /// address is never dereferenced. The `kreal % 16` tail (`% 8` on
+    /// AVX2) runs the one-panel [`scalar::panel_mav`] body.
     pub(crate) panel_group: fn(&mut [[i32; 4]], &[i8], usize, usize, &[i8], usize),
-    /// Tier-accelerated [`scalar::pack_a_block`]: byte-identical packed
-    /// image (the scalar packer is the layout reference).
+    /// A-block packer: [`crate::reference::pack_a_ref`]'s image, byte
+    /// for byte, on every tier.
     pub(crate) pack_a: fn(&mut [i8], &[i8], usize, usize, usize, usize, usize),
-    /// Tier-accelerated [`scalar::pack_b_block`]; byte-identical.
+    /// B-block packer: [`crate::reference::pack_b_ref`]'s image.
     pub(crate) pack_b: fn(&mut [i8], &[i8], usize, usize, usize, usize, usize),
     /// Requantization into a destination, with a floor: `(acc, scale,
     /// floor, dst)` — see [`HostKernel::requant_into`]. Every tier runs
@@ -300,6 +332,10 @@ static SCALAR: HostKernel = HostKernel {
     requant_add_sat: requant::requant_add_sat,
 };
 
+// Hand-written for AVX2: the 4×8 tile (the 4×4 tile is its one-panel
+// instance), the grouped panel kernel and the A packer's byte
+// transposes. Every other entry is a portable body recompiled at ymm
+// width (`recompile!`).
 #[cfg(target_arch = "x86_64")]
 static AVX2: HostKernel = HostKernel {
     tier: HostTier::Avx2,
@@ -314,10 +350,12 @@ static AVX2: HostKernel = HostKernel {
     requant_add_sat: avx2::requant_add_sat,
 };
 
-// The AVX-512 tier reuses the AVX2 packers: packing is bandwidth-bound,
-// with nothing for the extra vector width to amortize, and the AVX-512
-// feature gate implies AVX2. Only the kernels where width buys
-// arithmetic throughput are zmm-specific.
+// Only the kernels where vector width buys arithmetic are hand-written
+// for AVX-512: the 4×16 tile (the 4×4 tile is its one-panel instance)
+// and the grouped panel kernel. The A packer is AVX2's: recompiled at
+// zmm width, the portable body lost to its 16-byte transposes once the
+// block leaves L1. Every other entry is a portable body recompiled at
+// zmm width (`recompile!`).
 #[cfg(target_arch = "x86_64")]
 static AVX512: HostKernel = HostKernel {
     tier: HostTier::Avx512,
@@ -327,7 +365,7 @@ static AVX512: HostKernel = HostKernel {
     small_m_dense: avx512::small_m_dense,
     panel_group: avx512::panel_group,
     pack_a: avx2::pack_a_block,
-    pack_b: avx2::pack_b_block,
+    pack_b: avx512::pack_b_block,
     requant_into: avx512::requant_into,
     requant_add_sat: avx512::requant_add_sat,
 };
@@ -435,9 +473,9 @@ impl HostKernel {
     }
 
     /// A specific tier, if this machine can run it. This is the
-    /// programmatic seam the parity proptests use to pit every
-    /// available tier against scalar *within one process* (the env
-    /// override can't vary per test).
+    /// programmatic seam the parity proptests use to run every
+    /// available tier against the references *within one process* (the
+    /// env override can't vary per test).
     pub fn for_tier(tier: HostTier) -> Option<&'static HostKernel> {
         let f = CpuFeatures::detect();
         match tier {
@@ -527,9 +565,8 @@ impl HostKernel {
     }
 
     /// Pack a block of row-major B into 4-column panels through this
-    /// tier's vectorized packer. Byte-identical to
-    /// [`scalar::pack_b_block`] (proptested), so packed images remain
-    /// tier-portable.
+    /// tier's packer. Byte-identical to [`crate::reference::pack_b_ref`]
+    /// (proptested), so packed images remain tier-portable.
     pub fn pack_b_block(
         &self,
         buf: &mut [i8],
@@ -544,8 +581,7 @@ impl HostKernel {
     }
 
     /// Pack a block of row-major A into 4-row panels through this
-    /// tier's vectorized packer; byte-identical to
-    /// [`scalar::pack_a_block`].
+    /// tier's packer; byte-identical to [`crate::reference::pack_a_ref`].
     pub fn pack_a_block(
         &self,
         buf: &mut [i8],

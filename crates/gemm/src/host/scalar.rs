@@ -1,23 +1,46 @@
-//! Portable scalar tier: the always-available fallback and the
-//! bit-identity reference every SIMD tier is property-tested against.
+//! Portable scalar tier, and the one body of every table entry that
+//! has no hand-written tier code.
 //!
 //! The integer kernels carry the exact arithmetic of the `camp`
 //! instruction (wrapping i32 accumulation of exact i8×i8 products)
 //! over the shared 4×4 packed-panel layout.
+//!
+//! [`small_m_dense`], [`panel_mav`] and [`pack_b_block`] are table
+//! entries on every tier: the scalar table calls them as they are, and
+//! the AVX2 and AVX-512 tables call copies that `host/mod.rs`'s
+//! `recompile!` compiles under `#[target_feature]`, so LLVM vectorizes
+//! the same source at each tier's width. They are `#[inline(always)]`
+//! for that reason (a body that stops inlining into a tier's copy runs
+//! at baseline SSE2 width there), and written for the vectorizer: fixed
+//! widths, accumulators held in local arrays across the depth loop,
+//! contiguous reads. [`tile_i8`] and [`pack_a_block`] are the scalar and
+//! NEON tiers' own; the x86 tiers keep hand-written code for both
+//! (`docs/HOST_KERNELS.md`, "Hand-written and recompiled"). The oracles
+//! live elsewhere: `gemm_i32_ref` for the arithmetic and
+//! [`crate::reference::pack_a_ref`] / [`crate::reference::pack_b_ref`]
+//! for the packed layout.
+
+/// One exact i8×i8 product (|p| ≤ 16384: it cannot overflow).
+#[inline(always)]
+fn mul(a: i8, b: i8) -> i32 {
+    i32::from(a) * i32::from(b)
+}
 
 /// Whole-depth 4×4 widening integer tile: for each of the `kcb`
 /// k-values in the packed panels, `acc[i][j] += pa[l*4+i]·pb[l*4+j]`
-/// (wrapping). One call per register tile per (jc, pc, ic) block —
-/// the camp `tile` path of the host engine.
+/// (wrapping); `kcb` a multiple of 4 (the table's contract is 8). The
+/// blocked nest's trailing panel group on the scalar and NEON tiers.
 pub fn tile_i8(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]; 4]) {
+    let mut sums = [[0i32; 4]; 4];
     for (av, bv) in pa.chunks_exact(4).zip(pb.chunks_exact(4)) {
-        for i in 0..4 {
-            let a = av[i] as i32;
-            let row = &mut acc[i];
-            for j in 0..4 {
-                row[j] = row[j].wrapping_add(a.wrapping_mul(bv[j] as i32));
+        for (row, &a) in sums.iter_mut().zip(av) {
+            for (s, &b) in row.iter_mut().zip(bv) {
+                *s = s.wrapping_add(mul(a, b));
             }
         }
+    }
+    for (out, row) in acc.iter_mut().zip(sums) {
+        add_into(out, &row);
     }
 }
 
@@ -67,18 +90,58 @@ pub(super) fn tile_i8_into(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
     tile_into_with(tile_i8_wide, 4, pa, pb, c, ldc)
 }
 
+/// `W` adjacent columns of one row of a skinny-m product, starting at
+/// column `j`: `Σ_l arow[l]·b[l*n + j + x]` for `x < W`, held in `W`
+/// accumulators across the whole depth (B rows stream through once).
+#[inline(always)]
+fn dense_cols<const W: usize>(arow: &[i8], b: &[i8], n: usize, j: usize) -> [i32; W] {
+    let mut sums = [0i32; W];
+    for (l, &av) in arow.iter().enumerate() {
+        // the product of two i8s fits i16 exactly; hiding `av`'s range
+        // keeps LLVM from proving it and widening the multiply to 32-bit
+        // lanes (`vpmulld`, half the lanes per issue of `vpmullw`)
+        let av = std::hint::black_box(av as i16);
+        for (s, &bv) in sums.iter_mut().zip(&b[l * n + j..][..W]) {
+            *s = s.wrapping_add(av.wrapping_mul(bv as i16) as i32);
+        }
+    }
+    sums
+}
+
+/// `dst[x] += sums[x]` (wrapping).
+#[inline(always)]
+fn add_into(dst: &mut [i32], sums: &[i32]) {
+    for (d, &s) in dst.iter_mut().zip(sums) {
+        *d = d.wrapping_add(s);
+    }
+}
+
 /// Skinny-m kernel over raw row-major operands: accumulate
 /// `c[i*n+j] += Σ_l a[i*k+l]·b[l*n+j]` (wrapping) with no packing at
-/// all — for decode-shaped GeMMs the pack traffic would dominate.
+/// all — for decode-shaped GeMMs the pack traffic would dominate. Per
+/// row: 32 columns per step, then 8, then the row's last 8 columns once
+/// more with only the ones not yet summed added, so no column of a row
+/// at least 8 wide runs one lane at a time.
+#[inline(always)]
 pub fn small_m_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
     for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (l, &av) in arow.iter().enumerate() {
-            let av = av as i32;
-            let brow = &b[l * n..(l + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv = cv.wrapping_add(av.wrapping_mul(bv as i32));
+        let arow = &a[i * k..][..k];
+        let crow = &mut c[i * n..][..n];
+        let mut j = 0;
+        while j + 32 <= n {
+            add_into(&mut crow[j..j + 32], &dense_cols::<32>(arow, b, n, j));
+            j += 32;
+        }
+        while j + 8 <= n {
+            add_into(&mut crow[j..j + 8], &dense_cols::<8>(arow, b, n, j));
+            j += 8;
+        }
+        if j < n && n >= 8 {
+            let last = dense_cols::<8>(arow, b, n, n - 8);
+            add_into(&mut crow[j..], &last[8 - (n - j)..]);
+        } else {
+            for j in j..n {
+                add_into(&mut crow[j..j + 1], &dense_cols::<1>(arow, b, n, j));
             }
         }
     }
@@ -86,23 +149,25 @@ pub fn small_m_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [
 
 /// Panel matrix-vector primitive: one raw A row against one 4-column
 /// packed B panel, `acc[j] += Σ_l a_row[l]·panel[l*4+j]` (wrapping).
-/// The one-panel code every tier's grouped primitive falls back to.
+/// The whole skinny walk on the tiers with no group kernel (scalar,
+/// NEON), and the k tail past the vector loop of those that have one.
+#[inline(always)]
 pub fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
-    for (&av, bv) in a_row.iter().zip(panel.chunks_exact(4)) {
-        let a = av as i32;
-        for j in 0..4 {
-            acc[j] = acc[j].wrapping_add(a.wrapping_mul(bv[j] as i32));
+    let mut sums = [0i32; 4];
+    for (&a, bv) in a_row.iter().zip(panel.chunks_exact(4)) {
+        for (s, &b) in sums.iter_mut().zip(bv) {
+            *s = s.wrapping_add(mul(a, b));
         }
     }
+    add_into(acc, &sums);
 }
 
 /// The grouped skinny primitive (see `HostKernel`'s `panel_group`
 /// entry for the argument contract) built from a one-panel `mav`, over
 /// k-values `l0..kreal` of every (row, panel) pair. With `l0 = 0` this
 /// is the whole primitive of a tier that has no register-blocked group
-/// kernel (scalar, NEON); the SIMD tiers route their tails here —
-/// fewer panels than a full group, and the `kreal % 16` k-values past
-/// their vector loop.
+/// kernel (scalar, NEON); the x86 tiers route the `kreal % 16`
+/// (`% 8` on AVX2) k-values past their vector loop here.
 pub(super) fn panel_group_with(
     mav: fn(&mut [i32; 4], &[i8], &[i8]),
     l0: usize,
@@ -124,15 +189,26 @@ pub(super) fn panel_group_with(
 
 // ---- pack routines --------------------------------------------------------
 //
-// The scalar packers are the layout reference: SIMD tiers must produce
-// byte-identical images (proptested in `tests/host_kernels.rs`), since
-// a panel packed by any component — engine, weight registry, a
-// submitting session — is consumed by whichever tier dispatch selected.
+// Byte-identical to the element-wise layout references in
+// `crate::reference` (proptested in `tests/host_kernels.rs`), since a
+// panel packed by any component — engine, weight registry, a submitting
+// session — is consumed by whichever tier dispatch selected.
+
+/// Zero a panel's depth padding: a `memset` call only where there is
+/// some (a packed panel's depth is usually whole).
+#[inline(always)]
+fn zero(pad: &mut [i8]) {
+    if !pad.is_empty() {
+        pad.fill(0);
+    }
+}
 
 /// Pack a block of row-major B starting at column `jc`, depth `pc` into
 /// 4-column panels (row-major within the panel), zero-padded past the
 /// matrix edge. `buf` must hold exactly `ncb * kcb` bytes; its length
-/// determines the block width.
+/// determines the block width. Each k-value's 4 source bytes land as
+/// one word in their panel.
+#[inline(always)]
 pub fn pack_b_block(
     buf: &mut [i8],
     b: &[i8],
@@ -143,13 +219,31 @@ pub fn pack_b_block(
     kcb: usize,
 ) {
     let panel = kcb * 4;
+    let kreal = kcb.min(k.saturating_sub(pc));
+    // panels whose four columns all exist; the rest are the matrix edge
+    let whole = (buf.len() / panel).min(n.saturating_sub(jc) / 4);
+    // 16 B rows at a time: each panel gets one 64-byte run of words from
+    // rows that stay in L1 while every panel of the block takes its own
+    for l0 in (0..if whole > 0 { kreal } else { 0 }).step_by(16) {
+        let rows = 16.min(kreal - l0);
+        let slab = &b[(pc + l0) * n..][..rows * n];
+        for q in 0..whole {
+            let col = jc + q * 4;
+            let out = &mut buf[q * panel + l0 * 4..][..rows * 4];
+            for (word, row) in out.chunks_exact_mut(4).zip(slab.chunks_exact(n)) {
+                word.copy_from_slice(&row[col..col + 4]);
+            }
+        }
+    }
     for (q, panel_buf) in buf.chunks_exact_mut(panel).enumerate() {
-        let j0 = jc + q * 4;
-        for l in 0..kcb {
-            let lg = pc + l;
-            for (cx, out) in panel_buf[l * 4..l * 4 + 4].iter_mut().enumerate() {
-                let j = j0 + cx;
-                *out = if lg < k && j < n { b[lg * n + j] } else { 0 };
+        let (body, pad) = panel_buf.split_at_mut(kreal * 4);
+        zero(pad);
+        if q >= whole {
+            for (l, out) in body.chunks_exact_mut(4).enumerate() {
+                for (cx, o) in out.iter_mut().enumerate() {
+                    let j = jc + q * 4 + cx;
+                    *o = if j < n { b[(pc + l) * n + j] } else { 0 };
+                }
             }
         }
     }
@@ -158,7 +252,9 @@ pub fn pack_b_block(
 /// Pack a block of row-major A starting at row `ic`, depth `pc` into
 /// 4-row panels (column-major within the panel), zero-padded past the
 /// matrix edge. `buf` must hold exactly `mcb * kcb` bytes; its length
-/// determines the block height.
+/// determines the block height. An interior panel interleaves its four
+/// rows a k-value at a time (four contiguous reads), which LLVM turns
+/// into byte-unpack trees.
 pub fn pack_a_block(
     buf: &mut [i8],
     a: &[i8],
@@ -168,14 +264,25 @@ pub fn pack_a_block(
     pc: usize,
     kcb: usize,
 ) {
-    let panel = kcb * 4;
-    for (p, panel_buf) in buf.chunks_exact_mut(panel).enumerate() {
+    let kreal = kcb.min(k.saturating_sub(pc));
+    for (p, panel_buf) in buf.chunks_exact_mut(kcb * 4).enumerate() {
         let i0 = ic + p * 4;
-        for l in 0..kcb {
-            let lg = pc + l;
-            for (rx, out) in panel_buf[l * 4..l * 4 + 4].iter_mut().enumerate() {
-                let i = i0 + rx;
-                *out = if lg < k && i < m { a[i * k + lg] } else { 0 };
+        let (body, pad) = panel_buf.split_at_mut(kreal * 4);
+        zero(pad);
+        if i0 + 4 <= m && kreal > 0 {
+            let row = |r: usize| &a[(i0 + r) * k + pc..][..kreal];
+            let rows = row(0).iter().zip(row(1)).zip(row(2)).zip(row(3));
+            for (out, (((&x0, &x1), &x2), &x3)) in body.chunks_exact_mut(4).zip(rows) {
+                out[0] = x0;
+                out[1] = x1;
+                out[2] = x2;
+                out[3] = x3;
+            }
+        } else {
+            for (l, out) in body.chunks_exact_mut(4).enumerate() {
+                for (r, o) in out.iter_mut().enumerate() {
+                    *o = if i0 + r < m { a[(i0 + r) * k + pc + l] } else { 0 };
+                }
             }
         }
     }

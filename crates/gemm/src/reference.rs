@@ -72,6 +72,38 @@ pub fn gemm_i8_wrapping_ref(m: usize, n: usize, k: usize, a: &[i8], b: &[i8]) ->
     c
 }
 
+/// Layout reference of the packed B block: columns `jc..` at depth
+/// `pc..` into 4-column panels of `kcb` k-values (row-major within the
+/// panel), zero past the matrix edge, element by element. `buf` holds
+/// exactly `ncb * kcb` bytes. Every tier's `pack_b_block` must produce
+/// this image byte for byte.
+pub fn pack_b_ref(buf: &mut [i8], b: &[i8], n: usize, k: usize, jc: usize, pc: usize, kcb: usize) {
+    for (q, panel) in buf.chunks_exact_mut(kcb * 4).enumerate() {
+        for (l, out) in panel.chunks_exact_mut(4).enumerate() {
+            for (cx, o) in out.iter_mut().enumerate() {
+                let (lg, j) = (pc + l, jc + q * 4 + cx);
+                *o = if lg < k && j < n { b[lg * n + j] } else { 0 };
+            }
+        }
+    }
+}
+
+/// Layout reference of the packed A block: rows `ic..` at depth `pc..`
+/// into 4-row panels of `kcb` k-values (column-major within the
+/// panel), zero past the matrix edge, element by element. `buf` holds
+/// exactly `mcb * kcb` bytes. Every tier's `pack_a_block` must produce
+/// this image byte for byte.
+pub fn pack_a_ref(buf: &mut [i8], a: &[i8], m: usize, k: usize, ic: usize, pc: usize, kcb: usize) {
+    for (p, panel) in buf.chunks_exact_mut(kcb * 4).enumerate() {
+        for (l, out) in panel.chunks_exact_mut(4).enumerate() {
+            for (rx, o) in out.iter_mut().enumerate() {
+                let (lg, i) = (pc + l, ic + p * 4 + rx);
+                *o = if lg < k && i < m { a[i * k + lg] } else { 0 };
+            }
+        }
+    }
+}
+
 /// f32 reference GeMM (row-major).
 pub fn gemm_f32_ref(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
     assert_eq!(a.len(), m * k);

@@ -436,10 +436,9 @@ impl WeightRegistry {
 /// width.
 ///
 /// Dispatches through the detected [`crate::host::HostKernel`]'s
-/// vectorized packer;
-/// the image is byte-identical to [`crate::host::scalar::pack_b_block`]
-/// (the layout reference) on every tier, so panels packed here remain
-/// consumable by any tier.
+/// packer; the image is byte-identical to
+/// [`crate::reference::pack_b_ref`] (the layout reference) on every
+/// tier, so panels packed here remain consumable by any tier.
 pub fn pack_b_block(
     buf: &mut [i8],
     b: &[i8],
@@ -458,8 +457,7 @@ pub fn pack_b_block(
 /// determines the block height.
 ///
 /// Dispatches through the detected [`crate::host::HostKernel`]'s
-/// vectorized packer;
-/// byte-identical to [`crate::host::scalar::pack_a_block`].
+/// packer; byte-identical to [`crate::reference::pack_a_ref`].
 pub fn pack_a_block(
     buf: &mut [i8],
     a: &[i8],

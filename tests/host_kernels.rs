@@ -3,10 +3,18 @@
 //! The dispatch contract is **bit-identity**: every tier
 //! ([`HostKernel::available`] — scalar always, plus AVX2, AVX-512
 //! and/or NEON when the CPU has them) must produce byte-for-byte the
-//! same results as the scalar reference on every path — blocked tiles
-//! (4-wide and widened), skinny-m (panel and dense B) and skinny-n fast
-//! paths, both integer dtypes, and the packers. The identity is
-//! structural: exact products, wrapping i32 accumulation.
+//! same results on every path — blocked tiles (4-wide and widened),
+//! skinny-m (panel and dense B) and skinny-n fast paths, both integer
+//! dtypes, and the packers. The identity is structural: exact products,
+//! wrapping i32 accumulation.
+//!
+//! Most entries of the table are one portable body that each SIMD tier
+//! recompiles at its own width (`host/mod.rs`, `recompile!`), so the
+//! scalar tier runs the very code under test: the kernels are checked
+//! against `gemm_i32_ref` and the packers against the element-wise
+//! layout references `reference::{pack_a_ref, pack_b_ref}`, on every
+//! tier, scalar included. A debug build does not vectorize those
+//! bodies; CI also runs this file with `--release`, which does.
 //!
 //! The same holds for the glue between GeMMs: the two requantization
 //! sweeps (`requant_into`, `requant_add_sat`) run one scalar body that
@@ -14,13 +22,14 @@
 //! bytes on every tier.
 //!
 //! These tests run whatever tiers the build machine supports, so the CI
-//! `forced-tier` matrix (`CAMP_FORCE_TIER=scalar|avx2|avx512`) and the
-//! regular job together cover dispatch every way.
+//! `forced-tier` matrix (`CAMP_FORCE_TIER=scalar|avx2|avx512|avx512vnni`)
+//! and the regular job together cover dispatch every way.
 
 use camp::core::backend::CampBackend;
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
 use camp::gemm::gemm_i32_ref;
 use camp::gemm::host::{HostKernel, HostTier, Scale, SmallB};
+use camp::gemm::reference::{pack_a_ref, pack_b_ref};
 use camp::gemm::weights::{host_block_plan, prepack_b};
 use camp::gemm::SplitMix64;
 use proptest::prelude::*;
@@ -140,10 +149,12 @@ proptest! {
 
     /// The dense skinny-m row sweep (what a decode step's attention
     /// GEMVs run on: the engine reads a skinny request's dense B in
-    /// place) agrees with the scalar kernel at every column-tail width
-    /// a vector step can leave — n = 1..=80 crosses the 8-, 16- and
-    /// 32-lane steps of every tier more than once — over odd depths,
-    /// accumulating into a non-zero C.
+    /// place) computes the reference at every column-tail width a step
+    /// can leave — n = 1..=80 crosses the 32- and 8-column steps and
+    /// the overlapped last 8 columns more than once — over odd depths,
+    /// accumulating into a non-zero C, on every tier: the scalar tier
+    /// runs the very body the SIMD tiers recompile, so the oracle is
+    /// `gemm_i32_ref`, not another tier.
     #[test]
     fn small_m_dense_matches_scalar_at_every_tail_width(
         m in 1usize..9, half_k in 0usize..40, seed in any::<u32>())
@@ -153,10 +164,8 @@ proptest! {
         for n in 1..=80 {
             let b = gen_i8(k * n, seed.rotate_left(7) | 1, -128, 127);
             let plan = host_block_plan(m, n, k, 16);
-            let mut want = vec![-3i32; m * n];
-            HostKernel::scalar().run_small_m(m, n, k, &plan, &a, SmallB::Dense(&b), &mut want);
-            prop_assert_eq!(want.iter().map(|v| v + 3).collect::<Vec<_>>(),
-                gemm_i32_ref(m, n, k, &a, &b));
+            let want: Vec<i32> =
+                gemm_i32_ref(m, n, k, &a, &b).iter().map(|v| v.wrapping_sub(3)).collect();
             for hk in HostKernel::available() {
                 let mut got = vec![-3i32; m * n];
                 hk.run_small_m(m, n, k, &plan, &a, SmallB::Dense(&b), &mut got);
@@ -166,9 +175,11 @@ proptest! {
         }
     }
 
-    /// The vectorized packers produce byte-identical images to the
-    /// scalar reference over ragged shapes, interior and edge blocks,
-    /// and depth remainders — packed panels stay tier-portable.
+    /// Every tier's packers produce the element-wise layout reference's
+    /// image byte for byte over ragged shapes, interior and edge blocks,
+    /// and depth remainders — packed panels stay tier-portable. The
+    /// scalar tier is checked too: it runs the body the SIMD tiers
+    /// recompile.
     #[test]
     fn packers_are_byte_identical_across_tiers(
         m in 1usize..70, n in 1usize..70, k in 1usize..70,
@@ -181,9 +192,9 @@ proptest! {
         let a = gen_i8(m * k, seed | 1, -128, 127);
         let b = gen_i8(k * n, seed.rotate_left(11) | 1, -128, 127);
         let mut want_b = vec![0x55i8; ncb * kcb];
-        camp::gemm::host::scalar::pack_b_block(&mut want_b, &b, n, k, jc, pc, kcb);
+        pack_b_ref(&mut want_b, &b, n, k, jc, pc, kcb);
         let mut want_a = vec![0x55i8; mcb * kcb];
-        camp::gemm::host::scalar::pack_a_block(&mut want_a, &a, m, k, ic, pc, kcb);
+        pack_a_ref(&mut want_a, &a, m, k, ic, pc, kcb);
         for hk in HostKernel::available() {
             let mut got = vec![0x55i8; ncb * kcb];
             hk.pack_b_block(&mut got, &b, n, k, jc, pc, kcb);
