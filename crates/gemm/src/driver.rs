@@ -6,7 +6,7 @@
 //! (via [`crate::loops`]), macro-kernel invocation and verification —
 //! and asks [`Method`] for everything kernel-specific: its
 //! [`Method::geometry`], [`Method::default_kc`] and the
-//! [`Method::programs`] it assembles once per problem. It contains no
+//! [`Method::programs`] a [`SimSession`] assembles once. It contains no
 //! per-method tables: adding a kernel touches only [`crate::method`].
 //!
 //! # Block-unit decomposition
@@ -14,7 +14,8 @@
 //! A simulated GeMM is decomposed into one *unit* per (jc, pc) block of
 //! the blocked loops. Each unit starts from the **freshly built**
 //! [`Simulator`] state (zeroed machine memory, cold caches; one
-//! simulator per [`SimSession`], [`Simulator::reset`] between units): it
+//! simulator per [`SimSession`], [`Simulator::reset`] before each timed
+//! unit, the machine's reset before each memo hit, below): it
 //! packs its B block, then walks every row strip (pack A +
 //! macro-kernel) of that block, and finally folds its [`SimStats`] and
 //! its partial-C contribution into the GeMM's result. Units run in order
@@ -29,9 +30,11 @@
 //! the unit on the session's core, whatever the operand bytes
 //! (`tests/proptests.rs` checks it for every method on both cores). A
 //! [`SimSession`] therefore times each (method, plan, unit) once and
-//! keeps its stats; a later unit with the same key runs its programs on
-//! the functional machine alone (the packed bytes and its partial C) and
-//! takes its stats from the memo.
+//! keeps its stats; a later unit with the same key resets only the
+//! machine, runs its programs on it alone (the packed bytes and its
+//! partial C) and takes its stats from the memo. The caches and stats
+//! it leaves stale are read by timed units only, and a timed unit
+//! always starts from a full [`Simulator::reset`].
 //!
 //! The decomposition defines the result. Partial C blocks merge on the
 //! host in a fixed order (depth-ascending per column strip, the order
@@ -48,7 +51,7 @@
 //! what else is in its batch.
 
 use crate::batch::GemmProblem;
-use crate::host::scalar::pack_nibbles;
+use crate::host::scalar::nibble_byte;
 use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
 use crate::method::{run_program, AccKind, ElemKind, KernelGeometry, Method, PackBCtx, Programs};
 use crate::reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};
@@ -269,30 +272,34 @@ fn stage_range(
     start: usize,
     end: usize,
 ) {
+    let src = &vals[start..end];
     let mm = sim.machine_mut();
     match elem {
         ElemKind::I4Nibble => {
             // 4-bit data lives nibble-packed in main memory (two values
             // per byte, row-major), as a quantized deployment stores it.
             debug_assert_eq!(start % 2, 0, "nibble staging must start on a byte boundary");
-            let byte0 = (start / 2) as u64;
-            for (i, &byte) in pack_nibbles(&vals[start..end]).iter().enumerate() {
-                mm.write_i8(base + byte0 + i as u64, byte);
+            let dst = mm.mem_mut(base + (start / 2) as u64, src.len().div_ceil(2));
+            for (d, pair) in dst.iter_mut().zip(src.chunks(2)) {
+                *d = nibble_byte(pair);
             }
         }
         ElemKind::I8 => {
-            for (i, &v) in vals[start..end].iter().enumerate() {
-                mm.write_i8(base + (start + i) as u64, v);
+            let dst = mm.mem_mut(base + start as u64, src.len());
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = v as u8;
             }
         }
         ElemKind::F32 => {
-            for (i, &v) in vals[start..end].iter().enumerate() {
-                mm.write_f32(base + (start + i) as u64 * 4, v as f32);
+            let dst = mm.mem_mut(base + start as u64 * 4, src.len() * 4);
+            for (d, &v) in dst.chunks_exact_mut(4).zip(src) {
+                d.copy_from_slice(&(v as f32).to_le_bytes());
             }
         }
         ElemKind::I32 => {
-            for (i, &v) in vals[start..end].iter().enumerate() {
-                mm.write_i32(base + (start + i) as u64 * 4, v as i32);
+            let dst = mm.mem_mut(base + start as u64 * 4, src.len() * 4);
+            for (d, &v) in dst.chunks_exact_mut(4).zip(src) {
+                d.copy_from_slice(&(v as i32).to_le_bytes());
             }
         }
     }
@@ -421,15 +428,17 @@ struct UnitSpec {
     kcb: usize,
 }
 
-/// Simulate one (jc, pc) block unit of `ctx` on `sim`, first
-/// [`reset`](Simulator::reset) to the freshly built state (zeroed
-/// memory sized for the problem, cold caches, zero stats): stage the
+/// Simulate one (jc, pc) block unit of `ctx` on `sim`: stage the
 /// operands, pack B, then pack A and run the macro-kernel for every row
 /// strip. Deterministic and self-contained — nothing of an earlier unit
-/// survives the reset: the driver's unit of work. When `memo` holds the
-/// unit's stats, every program runs on the functional machine alone and
-/// the memo's stats are returned; otherwise the unit is timed and its
-/// stats are inserted. Adds the unit's partial C into `c`.
+/// survives the reset it starts with: the driver's unit of work. When
+/// `memo` holds the unit's stats, only the machine is reset (zeroed
+/// memory sized for the problem, zero registers), every program runs on
+/// it alone and the memo's stats are returned. Otherwise the whole
+/// simulator is [`reset`](Simulator::reset) to the freshly built state
+/// (cold caches and zero stats too), the unit is timed and its stats are
+/// inserted: the caches and stats a hit leaves stale are read by timed
+/// units only. Adds the unit's partial C into `c`.
 fn simulate_unit(
     sim: &mut Simulator,
     memo: &mut CountMemo,
@@ -440,18 +449,22 @@ fn simulate_unit(
     let plan = &ctx.plan;
     let geo = ctx.method.geometry();
     let bufs = layout(&geo, plan);
-    sim.reset(bufs.total as usize);
-    stage_a_unit(sim, &geo, &bufs, &ctx.a_host, plan, spec);
-    stage_b_unit(sim, &geo, &bufs, &ctx.b_host, plan, spec);
     let key = (ctx.method, *plan, spec);
     let memoized = memo.get(&key).copied();
+    if memoized.is_some() {
+        sim.machine_mut().reset(bufs.total as usize);
+    } else {
+        sim.reset(bufs.total as usize);
+    }
+    stage_a_unit(sim, &geo, &bufs, &ctx.a_host, plan, spec);
+    stage_b_unit(sim, &geo, &bufs, &ctx.b_host, plan, spec);
     let mut backend = BlockSim {
         sim,
         geo,
         lda: geo.elem.row_bytes(plan.kp) as u64,
         ldb: geo.elem.row_bytes(plan.np) as u64,
         ldc: (plan.np * geo.acc.c_elem_bytes()) as u64,
-        programs: &ctx.programs,
+        programs: ctx.programs,
         bufs,
         timed: memoized.is_none(),
     };
@@ -474,10 +487,11 @@ fn simulate_unit(
 // ---- problems -------------------------------------------------------------
 
 /// One fully planned problem: padded operands, block plan and the
-/// method's programs (assembled once, borrowed by every unit).
-struct ProblemCtx {
+/// method's programs (assembled once per session, borrowed by every
+/// unit).
+struct ProblemCtx<'p> {
     method: Method,
-    programs: Programs,
+    programs: &'p Programs,
     plan: BlockPlan,
     /// Padded `mp × kp` A, row-major.
     a_host: Vec<i8>,
@@ -512,33 +526,22 @@ fn block_plan_for(
 
 /// A zero-dimension problem: an empty plan, so no unit runs and the
 /// result is empty.
-fn degenerate_ctx(method: Method) -> ProblemCtx {
+fn degenerate_ctx(method: Method, programs: &Programs) -> ProblemCtx<'_> {
     let plan = BlockPlan::new(0, 0, 0, 1, 1, 1, (1, 1, 1));
-    ctx_from_plan(method, plan, Vec::new(), Vec::new(), false)
-}
-
-fn ctx_from_plan(
-    method: Method,
-    plan: BlockPlan,
-    a_host: Vec<i8>,
-    b_host: Vec<i8>,
-    clamped: bool,
-) -> ProblemCtx {
-    ProblemCtx { method, programs: method.programs(), plan, a_host, b_host, clamped }
+    ProblemCtx { method, programs, plan, a_host: Vec::new(), b_host: Vec::new(), clamped: false }
 }
 
 /// Plan a seeded-random problem (the figure harness workload): same RNG
 /// stream as every prior revision of the driver, padded into the plan.
-fn rng_ctx(
+fn rng_ctx<'p>(
     core: CoreConfig,
     method: Method,
-    m: usize,
-    n: usize,
-    k: usize,
+    programs: &'p Programs,
+    (m, n, k): (usize, usize, usize),
     opts: &GemmOptions,
-) -> ProblemCtx {
+) -> ProblemCtx<'p> {
     if m == 0 || n == 0 || k == 0 {
-        return degenerate_ctx(method);
+        return degenerate_ctx(method, programs);
     }
     let (m, n, k, clamped) = clamp_dims(m, n, k, opts.mac_budget);
     let plan = block_plan_for(core, method, m, n, k, opts);
@@ -556,16 +559,21 @@ fn rng_ctx(
             b_host[l * np + j] = rng.next_i8(-8, 7);
         }
     }
-    ctx_from_plan(method, plan, a_host, b_host, clamped)
+    ProblemCtx { method, programs, plan, a_host, b_host, clamped }
 }
 
 /// Plan one problem from its [`GemmProblem`] descriptor: the
 /// problem's own operands (not RNG), the camp kernel its dtype selects,
 /// clamped to the MAC budget like any simulated problem.
-fn problem_ctx(core: CoreConfig, p: &GemmProblem<'_>, opts: &GemmOptions) -> ProblemCtx {
+fn problem_ctx<'p>(
+    core: CoreConfig,
+    programs: &'p Programs,
+    p: &GemmProblem<'_>,
+    opts: &GemmOptions,
+) -> ProblemCtx<'p> {
     let method = Method::for_dtype(p.dtype);
     if p.is_degenerate() {
-        return degenerate_ctx(method);
+        return degenerate_ctx(method, programs);
     }
     assert_eq!(p.a.len(), p.m * p.k, "A must be m×k");
     assert_eq!(p.b.len(), p.k * p.n, "B must be k×n");
@@ -586,7 +594,7 @@ fn problem_ctx(core: CoreConfig, p: &GemmProblem<'_>, opts: &GemmOptions) -> Pro
     for l in 0..k2 {
         b_host[l * np..l * np + n2].copy_from_slice(&p.b[l * p.n..l * p.n + n2]);
     }
-    ctx_from_plan(method, plan, a_host, b_host, clamped)
+    ProblemCtx { method, programs, plan, a_host, b_host, clamped }
 }
 
 // ---- the count memo ---------------------------------------------------------
@@ -598,12 +606,13 @@ type UnitKey = (Method, BlockPlan, UnitSpec);
 /// The stats of every unit a session has timed, by [`UnitKey`].
 type CountMemo = HashMap<UnitKey, SimStats>;
 
-/// One [`Simulator`] and the count memo, kept from call to call: what a
-/// long-lived simulated backend holds, so that every GeMM reuses one
-/// simulator (reset between block units) and every (method, plan, unit)
-/// is timed once, then run on the functional machine alone with its
-/// stats from the memo (see the module docs). [`simulate_gemm`] is a
-/// new session and one call.
+/// One [`Simulator`], the count memo and each method's programs, kept
+/// from call to call: what a long-lived simulated backend holds, so
+/// that every GeMM reuses one simulator (reset between block units),
+/// every method's programs are assembled once, and every (method, plan,
+/// unit) is timed once, then run on the functional machine alone with
+/// its stats from the memo (see the module docs). [`simulate_gemm`] is
+/// a new session and one call.
 ///
 /// The memo keys on shapes, never on bytes or handles, so nothing has
 /// to be evicted from it when a weight leaves its registry. It holds at
@@ -612,6 +621,9 @@ type CountMemo = HashMap<UnitKey, SimStats>;
 pub struct SimSession {
     sim: Simulator,
     memo: CountMemo,
+    /// [`Method::programs`] by `Method as usize`, assembled by the
+    /// method's first problem on this session.
+    programs: [Option<Programs>; 7],
 }
 
 impl std::fmt::Debug for SimSession {
@@ -629,7 +641,11 @@ impl SimSession {
 
     /// A session simulating `core`, its memo empty.
     pub fn new(core: CoreConfig) -> Self {
-        SimSession { sim: Simulator::new(core, 0), memo: CountMemo::new() }
+        SimSession {
+            sim: Simulator::new(core, 0),
+            memo: CountMemo::new(),
+            programs: Default::default(),
+        }
     }
 
     /// Simulate one GeMM over its **own** operands (not the seeded RNG
@@ -644,8 +660,16 @@ impl SimSession {
     /// # Panics
     /// Panics on mis-sized operands.
     pub fn simulate(&mut self, problem: &GemmProblem<'_>, opts: &GemmOptions) -> GemmResult {
-        let ctx = problem_ctx(*self.sim.config(), problem, opts);
-        self.run(&ctx, opts)
+        let (sim, memo, programs) = self.parts(Method::for_dtype(problem.dtype));
+        let ctx = problem_ctx(*sim.config(), programs, problem, opts);
+        run_units(sim, memo, &ctx, opts)
+    }
+
+    /// The simulator, the memo and `method`'s programs (assembled on
+    /// first use), borrowed apart.
+    fn parts(&mut self, method: Method) -> (&mut Simulator, &mut CountMemo, &Programs) {
+        let programs = self.programs[method as usize].get_or_insert_with(|| method.programs());
+        (&mut self.sim, &mut self.memo, programs)
     }
 
     /// Units whose stats the memo holds: one per (method, plan, unit)
@@ -653,30 +677,35 @@ impl SimSession {
     pub fn memoized_units(&self) -> usize {
         self.memo.len()
     }
+}
 
-    /// Run `ctx`'s (jc, pc) units in the blocked loops' visit order (jc
-    /// outer, pc inner), folding each unit's stats and partial C into
-    /// the result as it finishes — so a column strip's partial C folds
-    /// depth-ascending. Verifies the result against the host reference
-    /// when `opts.verify` is set.
-    fn run(&mut self, ctx: &ProblemCtx, opts: &GemmOptions) -> GemmResult {
-        let plan = &ctx.plan;
-        let mut stats = SimStats::default();
-        let mut c = CMatrix::zeros(ctx.method.geometry().acc, plan.mp * plan.np);
-        for_each_b_block(plan, |jc, ncb, pc, kcb| {
-            let spec = UnitSpec { jc, ncb, pc, kcb };
-            stats.merge(&simulate_unit(&mut self.sim, &mut self.memo, ctx, spec, &mut c));
-        });
-        GemmResult {
-            stats,
-            correct: !opts.verify || verify_host(ctx, &c),
-            c,
-            m: plan.mp,
-            n: plan.np,
-            k: plan.kp,
-            clamped: ctx.clamped,
-            gops: stats.gops(self.sim.config().freq_ghz),
-        }
+/// Run `ctx`'s (jc, pc) units on `sim` in the blocked loops' visit order
+/// (jc outer, pc inner), folding each unit's stats and partial C into
+/// the result as it finishes — so a column strip's partial C folds
+/// depth-ascending. Verifies the result against the host reference when
+/// `opts.verify` is set.
+fn run_units(
+    sim: &mut Simulator,
+    memo: &mut CountMemo,
+    ctx: &ProblemCtx,
+    opts: &GemmOptions,
+) -> GemmResult {
+    let plan = &ctx.plan;
+    let mut stats = SimStats::default();
+    let mut c = CMatrix::zeros(ctx.method.geometry().acc, plan.mp * plan.np);
+    for_each_b_block(plan, |jc, ncb, pc, kcb| {
+        let spec = UnitSpec { jc, ncb, pc, kcb };
+        stats.merge(&simulate_unit(sim, memo, ctx, spec, &mut c));
+    });
+    GemmResult {
+        stats,
+        correct: !opts.verify || verify_host(ctx, &c),
+        c,
+        m: plan.mp,
+        n: plan.np,
+        k: plan.kp,
+        clamped: ctx.clamped,
+        gops: stats.gops(sim.config().freq_ghz),
     }
 }
 
@@ -720,12 +749,15 @@ pub fn simulate_gemm(
     k: usize,
     opts: &GemmOptions,
 ) -> GemmResult {
-    SimSession::new(core).run(&rng_ctx(core, method, m, n, k, opts), opts)
+    let mut session = SimSession::new(core);
+    let (sim, memo, programs) = session.parts(method);
+    run_units(sim, memo, &rng_ctx(core, method, programs, (m, n, k), opts), opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::scalar::pack_nibbles;
 
     fn check(core: CoreConfig, method: Method, m: usize, n: usize, k: usize) -> GemmResult {
         let r = simulate_gemm(core, method, m, n, k, &GemmOptions::default());
@@ -949,6 +981,30 @@ mod tests {
         assert!(empty.c.is_empty());
         assert_eq!(empty.stats.cycles, 0);
         assert!(session.simulate(&GemmProblem::new(2, 4, 2, &a[..4], &b), &opts).correct);
+    }
+
+    #[test]
+    fn a_miss_after_hits_counts_like_a_fresh_session() {
+        // a hit resets only the machine: the caches and stats the last
+        // timed unit left must not reach the next timed unit
+        let core = CoreConfig::a64fx();
+        let opts = GemmOptions::default();
+        let (xa, xb) = (fill(13 * 260, 3), fill(260 * 70, 5));
+        let (ya, yb) = (fill(9 * 96, 7), fill(96 * 40, 11));
+        let x = GemmProblem::new(13, 70, 260, &xa, &xb);
+        let y = GemmProblem::new(9, 40, 96, &ya, &yb);
+        let mut session = SimSession::new(core);
+        let timed = session.simulate(&x, &opts);
+        assert_eq!(session.memoized_units(), 1);
+        for _ in 0..2 {
+            assert_eq!(session.simulate(&x, &opts).stats, timed.stats);
+        }
+        assert_eq!(session.memoized_units(), 1, "the repeats of X hit");
+        let warm = session.simulate(&y, &opts);
+        assert_eq!(session.memoized_units(), 2, "Y is one timed unit");
+        let fresh = SimSession::new(core).simulate(&y, &opts);
+        assert!(warm.correct);
+        assert_eq!((&warm.c, warm.stats), (&fresh.c, fresh.stats));
     }
 
     #[test]

@@ -292,13 +292,16 @@ pub fn pack_a_block(
 /// `camp.s4` load path expects). An odd trailing element occupies the
 /// low nibble of a final byte whose high nibble is zero.
 pub fn pack_nibbles(vals: &[i8]) -> Vec<i8> {
-    let mut out = Vec::with_capacity(vals.len().div_ceil(2));
-    for pair in vals.chunks(2) {
-        let lo = pair[0] as u8 & 0x0f;
-        let hi = pair.get(1).map_or(0, |&v| (v as u8) << 4);
-        out.push((lo | hi) as i8);
-    }
-    out
+    vals.chunks(2).map(|pair| nibble_byte(pair) as i8).collect()
+}
+
+/// The byte [`pack_nibbles`] makes of one pair of values, or of a lone
+/// trailing one.
+#[inline]
+pub(crate) fn nibble_byte(pair: &[i8]) -> u8 {
+    let lo = pair[0] as u8 & 0x0f;
+    let hi = pair.get(1).map_or(0, |&v| (v as u8) << 4);
+    lo | hi
 }
 
 #[cfg(test)]

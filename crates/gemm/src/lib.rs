@@ -30,7 +30,7 @@
 //!
 //! Everything kernel-specific is a `match` on [`Method`] in [`method`] —
 //! geometry, element/accumulator types, default kc, and the packing and
-//! macro-kernel programs it assembles once per problem — so [`driver`]
+//! macro-kernel programs a session assembles once — so [`driver`]
 //! is a single generic skeleton and a new kernel plugs in without
 //! touching it (see the README's "The simulated kernel table" section).
 //! The same skeleton —

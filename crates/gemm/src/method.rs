@@ -252,7 +252,8 @@ impl PackB {
 }
 
 /// A method's simulated programs, assembled by [`Method::programs`]
-/// once per problem and shared by all of its block units.
+/// once per `SimSession` and shared by all of its problems' block
+/// units.
 pub struct Programs {
     /// The macro-kernel: GotoBLAS loops 1–2 plus the micro-kernel.
     pub macro_kernel: Program,
@@ -431,6 +432,97 @@ impl Method {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::SplitMix64;
+    use camp_isa::machine::{ExecError, Machine};
+    use camp_isa::reg::V;
+    use camp_isa::VLEN_BYTES;
+
+    /// Every program `programs` holds.
+    fn each_program(programs: &Programs) -> Vec<&Program> {
+        let mut all = vec![&programs.macro_kernel, &programs.pack_a.scalar];
+        all.extend(programs.pack_a.vector.as_ref().map(|(prog, _)| prog));
+        match &programs.pack_b {
+            PackB::RowCopy(prog) | PackB::GatherRows { prog, .. } => all.push(prog),
+            PackB::PairInterleave { vector, tail } => all.extend([vector, tail]),
+        }
+        all
+    }
+
+    /// `Machine::run`'s contract spelled out on `Machine::step` (the
+    /// loop `run` was before it had its own): start at instruction 0,
+    /// stop when the PC leaves the program, and fail with `StepLimit`
+    /// when `max_steps` retire without reaching the end.
+    fn run_by_steps(m: &mut Machine, prog: &Program, max_steps: u64) -> Result<u64, ExecError> {
+        m.rewind();
+        let mut steps = 0;
+        while steps < max_steps {
+            if m.step(prog)?.is_none() {
+                return Ok(steps);
+            }
+            steps += 1;
+        }
+        if (m.pc() as usize) < prog.len() {
+            Err(ExecError::StepLimit)
+        } else {
+            Ok(steps)
+        }
+    }
+
+    /// A machine with random memory and random registers. When `small`,
+    /// the scalar registers stay in 1..=8, so that loop counts are short
+    /// and every pointer, stride and offset lands in memory; otherwise
+    /// they take any value, and the first access faults.
+    fn random_machine(seed: u64, small: bool) -> Machine {
+        let mut rng = SplitMix64::new(seed);
+        let mut m = Machine::new(1 << 18);
+        for chunk in m.mem_mut(0, 1 << 18).chunks_exact_mut(8) {
+            chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        for r in 1..32 {
+            let x = rng.next_u64();
+            m.set_x(S(r), if small { 1 + x % 8 } else { x });
+        }
+        for r in 0..32 {
+            let mut v = [0u8; VLEN_BYTES];
+            for chunk in v.chunks_exact_mut(8) {
+                chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+            }
+            m.set_v(V(r), v);
+        }
+        m
+    }
+
+    #[test]
+    fn run_matches_a_step_loop_on_every_program() {
+        // `run` and `step` share one instruction body; this holds the
+        // functional loop around it to the timed one: same registers,
+        // memory, PC and retired count (or fault) from the same start
+        for method in Method::all() {
+            for (p, prog) in each_program(&method.programs()).into_iter().enumerate() {
+                for (seed, small) in [(0, true), (1, true), (2, true), (3, false)] {
+                    let mut by_run = random_machine(seed, small);
+                    let mut by_step = by_run.clone();
+                    let retired = by_run.run(prog, 1 << 20);
+                    let stepped = run_by_steps(&mut by_step, prog, 1 << 20);
+                    let what =
+                        format!("{} program {p} ({}), seed {seed}", method.name(), prog.name());
+                    if small {
+                        assert!(matches!(retired, Ok(n) if n > 0), "{what}: {retired:?}");
+                    } else {
+                        let fault = matches!(retired, Err(ExecError::OutOfBounds { .. }));
+                        assert!(fault, "{what}: {retired:?}");
+                    }
+                    assert_eq!(retired, stepped, "{what}: retired");
+                    assert_eq!(by_run.pc(), by_step.pc(), "{what}: pc");
+                    for r in 0..32 {
+                        assert_eq!(by_run.x(S(r)), by_step.x(S(r)), "{what}: x{r}");
+                        assert_eq!(by_run.v(V(r)), by_step.v(V(r)), "{what}: v{r}");
+                    }
+                    assert!(by_run.mem(0, 1 << 18) == by_step.mem(0, 1 << 18), "{what}: memory");
+                }
+            }
+        }
+    }
 
     #[test]
     fn geometry_matches_the_paper_table() {

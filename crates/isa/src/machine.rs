@@ -34,6 +34,15 @@ pub struct StepOut {
     pub branch_taken: bool,
 }
 
+/// What executing one instruction did besides writing registers and
+/// memory: where control goes next, the access it made and whether it
+/// took a branch.
+struct Executed {
+    next: u32,
+    mem: Option<MemAccess>,
+    branch_taken: bool,
+}
+
 /// Execution error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecError {
@@ -117,20 +126,20 @@ impl Machine {
         self.mem.len()
     }
 
-    /// Read a scalar register.
+    /// Read a scalar register. `x0` reads as zero: no write leaves
+    /// anything else in it (see [`Machine::set_x`]).
+    #[inline]
     pub fn x(&self, r: ScalarReg) -> u64 {
-        if r.0 == 0 {
-            0
-        } else {
-            self.x[r.index()]
-        }
+        self.x[r.index()]
     }
 
-    /// Write a scalar register (writes to `x0` are ignored).
+    /// Write a scalar register (writes to `x0` are ignored): the write
+    /// lands, then `x0` is zeroed again, so neither this nor a read has
+    /// to branch on the register.
+    #[inline]
     pub fn set_x(&mut self, r: ScalarReg, val: u64) {
-        if r.0 != 0 {
-            self.x[r.index()] = val;
-        }
+        self.x[r.index()] = val;
+        self.x[0] = 0;
     }
 
     /// Read a vector register.
@@ -145,28 +154,26 @@ impl Machine {
 
     // ---- memory helpers (host-side setup / inspection) ----
 
-    fn check(&self, addr: u64, size: u32) -> Result<usize, ExecError> {
-        let a = addr as usize;
-        if a.checked_add(size as usize).is_none_or(|end| end > self.mem.len()) {
-            return Err(ExecError::OutOfBounds { addr, size });
-        }
-        Ok(a)
-    }
-
     /// The `N` bytes at `addr`: a fixed-width copy, no runtime-length
-    /// `memcpy`.
-    #[inline]
+    /// `memcpy`, and one bounds check.
+    #[inline(always)]
     fn load<const N: usize>(&self, addr: u64) -> Result<[u8; N], ExecError> {
-        let a = self.check(addr, N as u32)?;
-        Ok(self.mem[a..a + N].try_into().expect("a checked N-byte range"))
+        match self.mem.get(addr as usize..).and_then(<[u8]>::first_chunk) {
+            Some(bytes) => Ok(*bytes),
+            None => Err(ExecError::OutOfBounds { addr, size: N as u32 }),
+        }
     }
 
     /// Write `bytes` at `addr` (fixed width, like [`Machine::load`]).
-    #[inline]
+    #[inline(always)]
     fn store<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) -> Result<(), ExecError> {
-        let a = self.check(addr, N as u32)?;
-        self.mem[a..a + N].copy_from_slice(&bytes);
-        Ok(())
+        match self.mem.get_mut(addr as usize..).and_then(<[u8]>::first_chunk_mut) {
+            Some(dst) => {
+                *dst = bytes;
+                Ok(())
+            }
+            None => Err(ExecError::OutOfBounds { addr, size: N as u32 }),
+        }
     }
 
     /// Borrow a memory range.
@@ -230,11 +237,21 @@ impl Machine {
     /// (the assembler and the decoder never produce one).
     #[inline]
     pub fn step(&mut self, prog: &Program) -> Result<Option<StepOut>, ExecError> {
-        let insts = prog.insts();
         let idx = self.pc;
-        let Some(&inst) = insts.get(idx as usize) else {
+        let Some(&inst) = prog.insts().get(idx as usize) else {
             return Ok(None);
         };
+        let done = self.exec(idx, inst)?;
+        self.pc = done.next;
+        Ok(Some(StepOut { index: idx, inst, mem: done.mem, branch_taken: done.branch_taken }))
+    }
+
+    /// The semantics of every instruction: execute `inst`, the program's
+    /// instruction `idx`, and say where control goes next. The one body
+    /// behind [`Machine::step`] (which reports the access and the branch
+    /// to the timing model) and [`Machine::run`] (which drops them).
+    #[inline(always)]
+    fn exec(&mut self, idx: u32, inst: Inst) -> Result<Executed, ExecError> {
         let mut mem = None;
         let mut branch_taken = false;
         let mut next = idx + 1;
@@ -322,9 +339,12 @@ impl Machine {
             Inst::VLoadRep { ty, vd, base, offset } => {
                 let addr = self.x(base).wrapping_add(offset as u64);
                 let w = ty.bytes();
-                let a = self.check(addr, w as u32)?;
                 let mut elem = [0u8; 4];
-                elem[..w].copy_from_slice(&self.mem[a..a + w]);
+                match w {
+                    1 => elem[..1].copy_from_slice(&self.load::<1>(addr)?),
+                    2 => elem[..2].copy_from_slice(&self.load::<2>(addr)?),
+                    _ => elem = self.load(addr)?,
+                }
                 let mut out = [0u8; VLEN_BYTES];
                 for c in out.chunks_exact_mut(w) {
                     c.copy_from_slice(&elem[..w]);
@@ -332,6 +352,28 @@ impl Machine {
                 self.set_v(vd, out);
                 mem = Some(MemAccess { addr, size: w as u32, is_store: false });
             }
+            Inst::VDup { .. }
+            | Inst::VZero { .. }
+            | Inst::VBin { .. }
+            | Inst::VMull { .. }
+            | Inst::VAdalp { .. }
+            | Inst::VSxtl { .. }
+            | Inst::VZip { .. }
+            | Inst::VPack4 { .. }
+            | Inst::VUnpack4 { .. }
+            | Inst::Smmla { .. }
+            | Inst::Camp { .. } => self.exec_vreg(inst),
+        }
+
+        Ok(Executed { next, mem, branch_taken })
+    }
+
+    /// The instructions that only read and write registers, apart from
+    /// the scalar ones: out of line, so that the scalar loop
+    /// [`Machine::exec`] inlines into stays small.
+    #[inline(never)]
+    fn exec_vreg(&mut self, inst: Inst) {
+        match inst {
             Inst::VDup { ty, vd, rs } => {
                 let s = self.x(rs);
                 let mut out = [0u8; VLEN_BYTES];
@@ -386,17 +428,16 @@ impl Machine {
                 self.set_v(vd, out);
             }
             Inst::VZip { vd, vs1, vs2, granule, hi } => {
-                let a = self.v[vs1.index()];
-                let b = self.v[vs2.index()];
-                let g = granule as usize;
-                let half_chunks = VLEN_BYTES / g / 2;
-                let off = if hi { half_chunks } else { 0 };
-                let mut out = [0u8; VLEN_BYTES];
-                for i in 0..half_chunks {
-                    let src = (off + i) * g;
-                    out[2 * i * g..2 * i * g + g].copy_from_slice(&a[src..src + g]);
-                    out[(2 * i + 1) * g..(2 * i + 1) * g + g].copy_from_slice(&b[src..src + g]);
-                }
+                let (a, b) = (&self.v[vs1.index()], &self.v[vs2.index()]);
+                // a constant granule per arm: fixed-size chunk copies
+                let out = match granule {
+                    1 => zip(a, b, 1, hi),
+                    2 => zip(a, b, 2, hi),
+                    4 => zip(a, b, 4, hi),
+                    8 => zip(a, b, 8, hi),
+                    16 => zip(a, b, 16, hi),
+                    g => zip(a, b, g as usize, hi),
+                };
                 self.set_v(vd, out);
             }
             Inst::VPack4 { vd, vs1, vs2 } => {
@@ -457,10 +498,8 @@ impl Machine {
                 }
                 self.set_v(vd, d);
             }
+            _ => unreachable!("{inst:?} is not a register-only vector instruction"),
         }
-
-        self.pc = next;
-        Ok(Some(StepOut { index: idx, inst, mem, branch_taken }))
     }
 
     fn exec_vbin(&mut self, op: VOp, ty: ElemType, vd: VectorReg, vs1: VectorReg, vs2: VectorReg) {
@@ -512,29 +551,51 @@ impl Machine {
         self.set_v(vd, d);
     }
 
-    /// Run `prog` from the current PC until completion or `max_steps`.
+    /// Run `prog` from its first instruction until completion or `max_steps`.
     ///
-    /// Returns the number of instructions retired.
+    /// Returns the number of instructions retired. The functional loop:
+    /// the instruction body of [`Machine::step`], with no [`StepOut`]
+    /// built. On an error the PC is left at the instruction that did not
+    /// execute.
     ///
     /// # Errors
     /// [`ExecError::StepLimit`] if the budget is exhausted;
     /// [`ExecError::OutOfBounds`] on a bad access.
     pub fn run(&mut self, prog: &Program, max_steps: u64) -> Result<u64, ExecError> {
-        self.rewind();
+        let insts = prog.insts();
+        let mut pc = 0;
         let mut steps = 0;
-        while steps < max_steps {
-            if self.step(prog)?.is_none() {
-                return Ok(steps);
+        let end = loop {
+            let Some(&inst) = insts.get(pc as usize) else {
+                break Ok(steps);
+            };
+            if steps == max_steps {
+                break Err(ExecError::StepLimit);
+            }
+            match self.exec(pc, inst) {
+                Ok(done) => pc = done.next,
+                Err(e) => break Err(e),
             }
             steps += 1;
-        }
-        // one more probe: finished exactly at the limit?
-        if self.pc as usize >= prog.len() {
-            Ok(steps)
-        } else {
-            Err(ExecError::StepLimit)
-        }
+        };
+        self.pc = pc;
+        end
     }
+}
+
+/// Interleave the `g`-byte chunks of one half of `a` and `b` (the upper
+/// half when `hi`): `vzip`'s semantics.
+#[inline(always)]
+fn zip(a: &[u8; VLEN_BYTES], b: &[u8; VLEN_BYTES], g: usize, hi: bool) -> [u8; VLEN_BYTES] {
+    let half_chunks = VLEN_BYTES / g / 2;
+    let off = if hi { half_chunks } else { 0 };
+    let mut out = [0u8; VLEN_BYTES];
+    for i in 0..half_chunks {
+        let src = (off + i) * g;
+        out[2 * i * g..2 * i * g + g].copy_from_slice(&a[src..src + g]);
+        out[(2 * i + 1) * g..(2 * i + 1) * g + g].copy_from_slice(&b[src..src + g]);
+    }
+    out
 }
 
 #[inline]
@@ -609,6 +670,40 @@ mod tests {
         let mut m = machine();
         m.set_x(S(0), 99);
         assert_eq!(m.x(S(0)), 0);
+        // every instruction form with a scalar destination, aimed at x0
+        // with a non-zero result, each followed by a copy of x0 into
+        // x10.. — on the functional loop and on the timed step alike
+        let mut a = Assembler::new("x0");
+        a.li(S(1), 0b1011);
+        a.li(S(2), 8);
+        let forms: [fn(&mut Assembler); 9] = [
+            |a| a.li(S(0), 7),
+            |a| a.addi(S(0), S(1), 1),
+            |a| a.add(S(0), S(1), S(1)),
+            |a| a.sub(S(0), S(1), S(2)),
+            |a| a.mul(S(0), S(1), S(1)),
+            |a| a.slli(S(0), S(1), 4),
+            |a| a.srli(S(0), S(1), 1),
+            |a| a.andi(S(0), S(1), 0xf),
+            |a| a.lb(S(0), S(2), 0),
+        ];
+        for (i, form) in forms.iter().enumerate() {
+            form(&mut a);
+            a.add(S(10 + i as u8), S(0), S(0));
+        }
+        let p = a.finish();
+        let mut stepped = machine();
+        for m in [&mut m, &mut stepped] {
+            m.write_i8(8, -5);
+        }
+        m.run(&p, 100).unwrap();
+        while stepped.step(&p).unwrap().is_some() {}
+        for m in [&m, &stepped] {
+            assert_eq!(m.x(S(0)), 0);
+            for i in 0..forms.len() as u8 {
+                assert_eq!(m.x(S(10 + i)), 0, "form {i} left a value in x0");
+            }
+        }
     }
 
     #[test]

@@ -12,11 +12,14 @@
 //! once the backend kept one, 1397 since each request is one
 //! `SimSession::simulate` call that folds every block unit's partial C
 //! straight into its result: no per-unit C buffer, no per-batch side
-//! vectors, no zero-filled placeholder output per request), and per
-//! warm `Simulator::run` of a CAMP B-pack loop, which must make none
-//! (the simulator keeps its decoded program and timing queues between
-//! runs). The numbers are pinned as literals: a change that adds an
-//! allocation to any of these paths edits this file and says so.
+//! vectors, no zero-filled placeholder output per request, and 237
+//! since a `SimSession` assembles each method's programs once: each of
+//! the step's 29 GeMMs used to assemble its method's four programs
+//! again, 40 heap calls a GeMM), and per warm `Simulator::run` of a
+//! CAMP B-pack loop, which must make none (the simulator keeps its
+//! decoded program and timing queues between runs). The numbers are
+//! pinned as literals: a change that adds an allocation to any of these
+//! paths edits this file and says so.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -189,10 +192,11 @@ const SIM_CFG: TransformerConfig =
 const SIM_VOCAB: usize = 64;
 
 /// Heap calls of one warm decode step of [`SIM_CFG`] on `SimBackend`:
-/// now, and at the commit before the backend kept one simulator, which
-/// built one (caches, prefetchers, machine, queues) for each of the
-/// step's 13 batches.
-const SIM_ALLOCS_PER_DECODE_STEP: usize = 1397;
+/// now (the requests' inputs and outputs, no program assembly), and at
+/// the commit before the backend kept one simulator, which built one
+/// (caches, prefetchers, machine, queues) for each of the step's 13
+/// batches.
+const SIM_ALLOCS_PER_DECODE_STEP: usize = 237;
 const PARENT_SIM_ALLOCS_PER_DECODE_STEP: usize = 1933;
 
 #[test]
