@@ -12,7 +12,10 @@
 //!   inter-lane adders) that the area model prices. What the unit
 //!   computes, the outer (Cartesian) product of a 4×k and a k×4
 //!   register block, is the `camp` instruction's semantics:
-//!   `camp_isa::machine::camp_outer_product`.
+//!   `camp_isa::machine::camp_outer_product`, the reference tile over
+//!   sign-extended elements. The simulated machine computes it through
+//!   the engine's own tile kernel (`HostKernel::tile_i8`, the same
+//!   bits).
 //! * [`engine`] — a host-speed **CAMP GeMM engine**: GotoBLAS-style
 //!   blocked matrix multiplication whose micro-kernel is the `camp`
 //!   instruction's semantics. This is the library a downstream user calls

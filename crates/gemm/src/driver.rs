@@ -52,6 +52,7 @@
 
 use crate::batch::GemmProblem;
 use crate::host::scalar::nibble_byte;
+use crate::host::HostKernel;
 use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
 use crate::method::{run_program, AccKind, ElemKind, KernelGeometry, Method, PackBCtx, Programs};
 use crate::reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};
@@ -639,13 +640,14 @@ impl SimSession {
     /// Units the count memo holds at most.
     pub const MEMO_UNITS: usize = 256;
 
-    /// A session simulating `core`, its memo empty.
+    /// A session simulating `core`, its memo empty. Its machine executes
+    /// `camp` through the host engine's tile kernel
+    /// ([`HostKernel::detect`]'s `tile_i8`, the same arithmetic at host
+    /// speed); resets keep it.
     pub fn new(core: CoreConfig) -> Self {
-        SimSession {
-            sim: Simulator::new(core, 0),
-            memo: CountMemo::new(),
-            programs: Default::default(),
-        }
+        let mut sim = Simulator::new(core, 0);
+        sim.machine_mut().set_camp_tile(HostKernel::detect().tile_i8);
+        SimSession { sim, memo: CountMemo::new(), programs: Default::default() }
     }
 
     /// Simulate one GeMM over its **own** operands (not the seeded RNG

@@ -372,8 +372,10 @@ static AVX512: HostKernel = HostKernel {
 
 // The VNNI tier is the AVX-512 table with one entry swapped: the tile
 // that serves every blocked GeMM. The 4×4 tile only sees trailing panel
-// groups, and the skinny kernels sit on a bandwidth roof `vpdpbusd`
-// does not move.
+// groups. The skinny kernels keep widening: in isolation they are below
+// their roofs and a `vpdpbusd` group kernel reads faster, but the
+// served m = 1 decode walk is bound by L3 bandwidth in situ, where it
+// buys no end-to-end time (docs/HOST_KERNELS.md, "The grouped panel walk").
 #[cfg(target_arch = "x86_64")]
 static AVX512VNNI: HostKernel =
     HostKernel { tier: HostTier::Avx512Vnni, tile_i8_into: avx512::tile_i8_into_vnni, ..AVX512 };

@@ -432,6 +432,7 @@ impl Method {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::HostKernel;
     use crate::reference::SplitMix64;
     use camp_isa::machine::{ExecError, Machine};
     use camp_isa::reg::V;
@@ -513,12 +514,90 @@ mod tests {
                         assert!(fault, "{what}: {retired:?}");
                     }
                     assert_eq!(retired, stepped, "{what}: retired");
-                    assert_eq!(by_run.pc(), by_step.pc(), "{what}: pc");
-                    for r in 0..32 {
-                        assert_eq!(by_run.x(S(r)), by_step.x(S(r)), "{what}: x{r}");
-                        assert_eq!(by_run.v(V(r)), by_step.v(V(r)), "{what}: v{r}");
+                    assert_same_state(&by_run, &by_step, &what);
+                }
+            }
+        }
+    }
+
+    fn assert_same_state(by_run: &Machine, by_step: &Machine, what: &str) {
+        assert_eq!(by_run.pc(), by_step.pc(), "{what}: pc");
+        for r in 0..32 {
+            assert_eq!(by_run.x(S(r)), by_step.x(S(r)), "{what}: x{r}");
+            assert_eq!(by_run.v(V(r)), by_step.v(V(r)), "{what}: v{r}");
+        }
+        assert!(by_run.mem(0, 1 << 18) == by_step.mem(0, 1 << 18), "{what}: memory");
+    }
+
+    /// The i32 lanes of a vector register.
+    fn lanes(v: &[u8; VLEN_BYTES]) -> Vec<i32> {
+        v.chunks_exact(4).map(|b| i32::from_le_bytes(b.try_into().unwrap())).collect()
+    }
+
+    #[test]
+    fn the_machines_camp_is_the_reference_on_every_tier() {
+        // a simulator's machine computes `camp` with the host engine's
+        // tile (`SimSession::new`): on every tier this CPU runs, one
+        // `camp` must add exactly `camp_outer_product` into vd, wrapping
+        let mut rng = SplitMix64::new(34);
+        let mut random = || -> [u8; VLEN_BYTES] { std::array::from_fn(|_| rng.next_u64() as u8) };
+        // 0x80 / 0x7f: i8 -128 / 127, nibbles (0, -8) / (-1, 7);
+        // 0x88 / 0x77: nibbles -8 / 7 in both halves
+        let extremes = [0x80u8, 0x7f, 0x88, 0x77].map(|b| [b; VLEN_BYTES]);
+        let mut pairs: Vec<_> = (0..4).map(|_| (random(), random())).collect();
+        for a in extremes {
+            pairs.extend(extremes.map(|b| (a, b)));
+        }
+        let near = |base: i32| -> [u8; VLEN_BYTES] {
+            let mut v = [0u8; VLEN_BYTES];
+            for (i, lane) in v.chunks_exact_mut(4).enumerate() {
+                lane.copy_from_slice(&base.wrapping_add(i as i32 * 7 - 50).to_le_bytes());
+            }
+            v
+        };
+        // near i32::MAX / MIN the extremes' products wrap the accumulate
+        let accs = [[0u8; VLEN_BYTES], random(), near(i32::MAX), near(i32::MIN)];
+        for hk in HostKernel::available() {
+            for mode in [CampMode::I8, CampMode::I4] {
+                let mut a = camp_isa::Assembler::new("camp");
+                a.camp(mode, V(2), V(0), V(1));
+                let prog = a.finish();
+                for (x, y) in &pairs {
+                    let tile = camp_isa::machine::camp_outer_product(mode, x, y);
+                    for d in &accs {
+                        let mut m = Machine::new(0);
+                        m.set_camp_tile(hk.tile_i8);
+                        m.set_v(V(0), *x);
+                        m.set_v(V(1), *y);
+                        m.set_v(V(2), *d);
+                        m.run(&prog, 1).unwrap();
+                        let want: Vec<i32> = lanes(d)
+                            .iter()
+                            .zip(tile.as_flattened())
+                            .map(|(d, t)| d.wrapping_add(*t))
+                            .collect();
+                        let what = format!(
+                            "{} {mode:?} a={:#04x} b={:#04x}",
+                            hk.tier().name(),
+                            x[0],
+                            y[0]
+                        );
+                        assert_eq!(lanes(&m.v(V(2))), want, "{what} d={:?}", &lanes(d)[..2]);
                     }
-                    assert!(by_run.mem(0, 1 << 18) == by_step.mem(0, 1 << 18), "{what}: memory");
+                }
+            }
+            // the camp kernels under the tier's tile: the functional loop
+            // and the timed one agree
+            for method in [Method::Camp8, Method::Camp4] {
+                for (p, prog) in each_program(&method.programs()).into_iter().enumerate() {
+                    let mut by_run = random_machine(4, true);
+                    by_run.set_camp_tile(hk.tile_i8);
+                    let mut by_step = by_run.clone();
+                    let retired = by_run.run(prog, 1 << 20);
+                    let what = format!("{} {} program {p}", hk.tier().name(), method.name());
+                    assert!(matches!(retired, Ok(n) if n > 0), "{what}: {retired:?}");
+                    assert_eq!(retired, run_by_steps(&mut by_step, prog, 1 << 20), "{what}");
+                    assert_same_state(&by_run, &by_step, &what);
                 }
             }
         }

@@ -78,9 +78,14 @@ fn sext4(n: u8) -> i8 {
 #[derive(Clone)]
 pub struct Machine {
     x: [u64; 32],
-    v: [[u8; VLEN_BYTES]; 32],
+    /// Vector registers as i8, so `camp` hands its sources to the tile
+    /// in place; every other instruction reads and writes bytes
+    /// ([`Machine::v`] / [`Machine::set_v`]).
+    v: [[i8; VLEN_BYTES]; 32],
     mem: Vec<u8>,
     pc: u32,
+    /// What `camp` computes its product with.
+    tile: CampTile,
 }
 
 impl fmt::Debug for Machine {
@@ -95,7 +100,20 @@ impl fmt::Debug for Machine {
 impl Machine {
     /// Create a machine with `mem_bytes` of zeroed memory.
     pub fn new(mem_bytes: usize) -> Self {
-        Machine { x: [0; 32], v: [[0; VLEN_BYTES]; 32], mem: vec![0; mem_bytes], pc: 0 }
+        Machine {
+            x: [0; 32],
+            v: [[0; VLEN_BYTES]; 32],
+            mem: vec![0; mem_bytes],
+            pc: 0,
+            tile: camp_tile_ref,
+        }
+    }
+
+    /// Execute `camp` through `tile` from now on (a new machine uses
+    /// [`camp_tile_ref`]); [`Machine::reset`] keeps it. `tile` must
+    /// compute exactly what [`camp_tile_ref`] does at depths 16 and 32.
+    pub fn set_camp_tile(&mut self, tile: CampTile) {
+        self.tile = tile;
     }
 
     /// Reset the program counter (registers and memory are preserved so
@@ -107,7 +125,8 @@ impl Machine {
 
     /// Return to the state of `Machine::new(mem_bytes)` — zero
     /// registers, PC 0, `mem_bytes` of zeroed memory — keeping the
-    /// memory allocation when it is large enough.
+    /// memory allocation when it is large enough, and the installed
+    /// [`CampTile`].
     pub fn reset(&mut self, mem_bytes: usize) {
         self.x = [0; 32];
         self.v = [[0; VLEN_BYTES]; 32];
@@ -142,14 +161,16 @@ impl Machine {
         self.x[0] = 0;
     }
 
-    /// Read a vector register.
-    pub fn v(&self, r: VectorReg) -> &[u8; VLEN_BYTES] {
-        &self.v[r.index()]
+    /// Read a vector register's bytes.
+    #[inline(always)]
+    pub fn v(&self, r: VectorReg) -> [u8; VLEN_BYTES] {
+        self.v[r.index()].map(|b| b as u8)
     }
 
-    /// Write a vector register.
+    /// Write a vector register's bytes.
+    #[inline(always)]
     pub fn set_v(&mut self, r: VectorReg, val: [u8; VLEN_BYTES]) {
-        self.v[r.index()] = val;
+        self.v[r.index()] = val.map(|b| b as i8);
     }
 
     // ---- memory helpers (host-side setup / inspection) ----
@@ -328,12 +349,12 @@ impl Machine {
             }
             Inst::VLoad { vd, base, offset } => {
                 let addr = self.x(base).wrapping_add(offset as u64);
-                self.v[vd.index()] = self.load(addr)?;
+                self.set_v(vd, self.load(addr)?);
                 mem = Some(MemAccess { addr, size: VLEN_BYTES as u32, is_store: false });
             }
             Inst::VStore { vs, base, offset } => {
                 let addr = self.x(base).wrapping_add(offset as u64);
-                self.store(addr, self.v[vs.index()])?;
+                self.store(addr, self.v(vs))?;
                 mem = Some(MemAccess { addr, size: VLEN_BYTES as u32, is_store: true });
             }
             Inst::VLoadRep { ty, vd, base, offset } => {
@@ -395,8 +416,8 @@ impl Machine {
             Inst::VZero { vd } => self.set_v(vd, [0u8; VLEN_BYTES]),
             Inst::VBin { op, ty, vd, vs1, vs2 } => self.exec_vbin(op, ty, vd, vs1, vs2),
             Inst::VMull { vd, vs1, vs2, hi } => {
-                let a = self.v[vs1.index()];
-                let b = self.v[vs2.index()];
+                let a = self.v(vs1);
+                let b = self.v(vs2);
                 let base = if hi { 32 } else { 0 };
                 let mut out = [0u8; VLEN_BYTES];
                 for i in 0..32 {
@@ -406,8 +427,8 @@ impl Machine {
                 self.set_v(vd, out);
             }
             Inst::VAdalp { vd, vs } => {
-                let s = self.v[vs.index()];
-                let mut d = self.v[vd.index()];
+                let s = self.v(vs);
+                let mut d = self.v(vd);
                 for i in 0..16 {
                     let lo = i16::from_le_bytes([s[i * 4], s[i * 4 + 1]]) as i32;
                     let hi = i16::from_le_bytes([s[i * 4 + 2], s[i * 4 + 3]]) as i32;
@@ -418,7 +439,7 @@ impl Machine {
                 self.set_v(vd, d);
             }
             Inst::VSxtl { vd, vs, part } => {
-                let s = self.v[vs.index()];
+                let s = self.v(vs);
                 let mut out = [0u8; VLEN_BYTES];
                 let base = part as usize * 16;
                 for i in 0..16 {
@@ -428,7 +449,7 @@ impl Machine {
                 self.set_v(vd, out);
             }
             Inst::VZip { vd, vs1, vs2, granule, hi } => {
-                let (a, b) = (&self.v[vs1.index()], &self.v[vs2.index()]);
+                let (a, b) = (&self.v(vs1), &self.v(vs2));
                 // a constant granule per arm: fixed-size chunk copies
                 let out = match granule {
                     1 => zip(a, b, 1, hi),
@@ -441,8 +462,8 @@ impl Machine {
                 self.set_v(vd, out);
             }
             Inst::VPack4 { vd, vs1, vs2 } => {
-                let a = self.v[vs1.index()];
-                let b = self.v[vs2.index()];
+                let a = self.v(vs1);
+                let b = self.v(vs2);
                 let mut out = [0u8; VLEN_BYTES];
                 for i in 0..32 {
                     out[i] = (a[2 * i] & 0x0f) | (a[2 * i + 1] << 4);
@@ -451,7 +472,7 @@ impl Machine {
                 self.set_v(vd, out);
             }
             Inst::VUnpack4 { vd, vs, hi } => {
-                let s = self.v[vs.index()];
+                let s = self.v(vs);
                 let off = if hi { 32 } else { 0 };
                 let mut out = [0u8; VLEN_BYTES];
                 for i in 0..32 {
@@ -461,9 +482,9 @@ impl Machine {
                 self.set_v(vd, out);
             }
             Inst::Smmla { vd, vs1, vs2 } => {
-                let a = self.v[vs1.index()];
-                let b = self.v[vs2.index()];
-                let mut d = self.v[vd.index()];
+                let a = self.v(vs1);
+                let b = self.v(vs2);
+                let mut d = self.v(vd);
                 for seg in 0..4 {
                     let s = seg * 16;
                     for i in 0..2 {
@@ -484,28 +505,22 @@ impl Machine {
                 self.set_v(vd, d);
             }
             Inst::Camp { mode, vd, vs1, vs2 } => {
-                let a = self.v[vs1.index()];
-                let b = self.v[vs2.index()];
-                let mut d = self.v[vd.index()];
-                let tile = camp_outer_product(mode, &a, &b);
-                for i in 0..4 {
-                    for j in 0..4 {
-                        let o = (i * 4 + j) * 4;
-                        let prev = i32::from_le_bytes(d[o..o + 4].try_into().expect("4"));
-                        let r = prev.wrapping_add(tile[i][j]);
-                        d[o..o + 4].copy_from_slice(&r.to_le_bytes());
-                    }
+                let (a, b) = (&self.v[vs1.index()], &self.v[vs2.index()]);
+                let mut acc = tile_of(&self.v(vd));
+                match mode {
+                    CampMode::I8 => (self.tile)(a, b, &mut acc),
+                    CampMode::I4 => (self.tile)(&unpack_i4(a), &unpack_i4(b), &mut acc),
                 }
-                self.set_v(vd, d);
+                self.set_v(vd, tile_bytes(&acc));
             }
             _ => unreachable!("{inst:?} is not a register-only vector instruction"),
         }
     }
 
     fn exec_vbin(&mut self, op: VOp, ty: ElemType, vd: VectorReg, vs1: VectorReg, vs2: VectorReg) {
-        let a = self.v[vs1.index()];
-        let b = self.v[vs2.index()];
-        let mut d = self.v[vd.index()];
+        let a = self.v(vs1);
+        let b = self.v(vs2);
+        let mut d = self.v(vd);
         match ty {
             ElemType::I8 => {
                 for i in 0..VLEN_BYTES {
@@ -608,13 +623,40 @@ fn apply_int(op: VOp, x: i64, y: i64, acc: i64) -> i64 {
     }
 }
 
+/// A `camp` tile function: `acc[i][j] += Σ_l a[l*4 + i]·b[l*4 + j]`
+/// (wrapping i32) over a 4-row A panel and a 4-column B panel of equal
+/// depth — the signature of the host engine's `HostKernel::tile_i8`.
+/// The machine executes `camp` through one ([`Machine::set_camp_tile`]);
+/// any tile computes the same bits, so which one runs changes nothing
+/// but host speed.
+pub type CampTile = fn(&[i8], &[i8], &mut [[i32; 4]; 4]);
+
+/// The reference [`CampTile`]: a fresh machine's, and the body of
+/// [`camp_outer_product`].
+///
+/// # Panics
+/// Panics if the panels' depths differ or are not whole.
+pub fn camp_tile_ref(a: &[i8], b: &[i8], acc: &mut [[i32; 4]; 4]) {
+    assert!(a.len() == b.len() && a.len().is_multiple_of(4), "panels of unequal depth");
+    for (av, bv) in a.chunks_exact(4).zip(b.chunks_exact(4)) {
+        for (row, &x) in acc.iter_mut().zip(av) {
+            for (s, &y) in row.iter_mut().zip(bv) {
+                *s = s.wrapping_add(i32::from(x) * i32::from(y));
+            }
+        }
+    }
+}
+
 /// Compute the CAMP outer-product tile for one register pair.
 ///
-/// `a` is the 4×`k` column-major block (k = 16 for i8, 32 for i4); `b` is
-/// the `k`×4 row-major block. Returns the 4×4 i32 product (not yet
-/// accumulated). This is the architectural semantics of the hardware in
-/// Fig. 8 of the paper and the workspace's one model of it: the
-/// machine's `camp` executes it, and `tests/proptests.rs`
+/// `a` is the 4×`k` column-major block (k = 16 for i8, 32 for i4; in i4
+/// mode element `n` is the nibble `n`, low nibble of each byte first);
+/// `b` is the `k`×4 row-major block. Returns the 4×4 i32 product (not
+/// yet accumulated). This is the architectural semantics of the
+/// hardware in Fig. 8 of the paper and the workspace's one model of it:
+/// the [`camp_tile_ref`] product of the sign-extended elements, which
+/// the machine's `camp` computes through its installed [`CampTile`] and
+/// adds into `vd` (wrapping). `tests/proptests.rs`
 /// (`camp_outer_product_matches_gemm_i32_ref`) checks it against the
 /// reference GeMM in both modes.
 pub fn camp_outer_product(
@@ -624,35 +666,51 @@ pub fn camp_outer_product(
 ) -> [[i32; 4]; 4] {
     let mut tile = [[0i32; 4]; 4];
     match mode {
-        CampMode::I8 => {
-            for l in 0..16 {
-                for i in 0..4 {
-                    let av = a[l * 4 + i] as i8 as i32;
-                    for j in 0..4 {
-                        let bv = b[l * 4 + j] as i8 as i32;
-                        tile[i][j] = tile[i][j].wrapping_add(av.wrapping_mul(bv));
-                    }
-                }
-            }
-        }
+        CampMode::I8 => camp_tile_ref(&a.map(|x| x as i8), &b.map(|x| x as i8), &mut tile),
         CampMode::I4 => {
-            let nib = |buf: &[u8; VLEN_BYTES], n: usize| -> i32 {
-                let byte = buf[n / 2];
-                let raw = if n.is_multiple_of(2) { byte & 0x0f } else { byte >> 4 };
-                sext4(raw) as i32
+            let nibbles = |buf: &[u8; VLEN_BYTES]| -> [i8; 2 * VLEN_BYTES] {
+                std::array::from_fn(|n| {
+                    let byte = buf[n / 2];
+                    sext4(if n.is_multiple_of(2) { byte & 0x0f } else { byte >> 4 })
+                })
             };
-            for l in 0..32 {
-                for i in 0..4 {
-                    let av = nib(a, l * 4 + i);
-                    for j in 0..4 {
-                        let bv = nib(b, l * 4 + j);
-                        tile[i][j] = tile[i][j].wrapping_add(av.wrapping_mul(bv));
-                    }
-                }
-            }
+            camp_tile_ref(&nibbles(a), &nibbles(b), &mut tile);
         }
     }
     tile
+}
+
+/// A `camp` accumulator register as its 4×4 tile: lane `i*4 + j` is
+/// element (i, j).
+#[inline(always)]
+fn tile_of(v: &[u8; VLEN_BYTES]) -> [[i32; 4]; 4] {
+    let mut t = [[0i32; 4]; 4];
+    for (x, b) in t.as_flattened_mut().iter_mut().zip(v.chunks_exact(4)) {
+        *x = i32::from_le_bytes(b.try_into().expect("4"));
+    }
+    t
+}
+
+/// [`tile_of`]'s inverse.
+#[inline(always)]
+fn tile_bytes(t: &[[i32; 4]; 4]) -> [u8; VLEN_BYTES] {
+    let mut v = [0u8; VLEN_BYTES];
+    for (b, x) in v.chunks_exact_mut(4).zip(t.as_flattened()) {
+        b.copy_from_slice(&x.to_le_bytes());
+    }
+    v
+}
+
+/// The 128 sign-extended nibbles of an i4 `camp` source, low nibble of
+/// each byte first: two outputs per byte, no branch.
+#[inline(always)]
+fn unpack_i4(v: &[i8; VLEN_BYTES]) -> [i8; 2 * VLEN_BYTES] {
+    let mut out = [0i8; 2 * VLEN_BYTES];
+    for (o, &b) in out.chunks_exact_mut(2).zip(v) {
+        o[0] = (b << 4) >> 4;
+        o[1] = b >> 4;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1013,6 +1071,30 @@ mod tests {
                 assert_eq!(got, tile[i][j]);
             }
         }
+    }
+
+    #[test]
+    fn reset_keeps_the_installed_camp_tile() {
+        // a tile that marks its work, so the test can see which one ran
+        fn marked(a: &[i8], b: &[i8], acc: &mut [[i32; 4]; 4]) {
+            camp_tile_ref(a, b, acc);
+            acc[3][3] = acc[3][3].wrapping_add(1000);
+        }
+        let mut asm = Assembler::new("t");
+        asm.camp(CampMode::I8, V(2), V(0), V(1));
+        asm.camp(CampMode::I4, V(3), V(0), V(1));
+        let p = asm.finish();
+        let mut m = machine();
+        m.set_camp_tile(marked);
+        m.reset(1 << 12);
+        m.set_v(V(0), [0x11; VLEN_BYTES]);
+        m.set_v(V(1), [0x22; VLEN_BYTES]);
+        m.run(&p, 10).unwrap();
+        let lane = |r, i: usize| i32::from_le_bytes(m.v(r)[i * 4..i * 4 + 4].try_into().unwrap());
+        assert_eq!(lane(V(2), 0), 16 * 0x11 * 0x22);
+        assert_eq!(lane(V(2), 15), 16 * 0x11 * 0x22 + 1000);
+        assert_eq!(lane(V(3), 0), 32 * 2);
+        assert_eq!(lane(V(3), 15), 32 * 2 + 1000);
     }
 
     #[test]

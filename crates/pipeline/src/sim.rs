@@ -244,7 +244,8 @@ impl Simulator {
     /// simulator's configuration: zeroed memory, zero registers, cold
     /// caches, untrained prefetchers and zero statistics. Keeps the
     /// allocations, which is what it is for: a driver reuses one
-    /// simulator for many independent runs.
+    /// simulator for many independent runs. Keeps the machine's `camp`
+    /// tile too ([`Machine::set_camp_tile`]): it changes no result.
     pub fn reset(&mut self, mem_bytes: usize) {
         self.machine.reset(mem_bytes);
         self.hier.clear();
@@ -703,6 +704,23 @@ mod tests {
         let mut sim = Simulator::new(store_pressure, 1 << 15);
         sim.run(&p2, 100_000).unwrap();
         assert!(sim.stats().stall_write > 0);
+    }
+
+    #[test]
+    fn reset_keeps_the_machines_camp_tile() {
+        // a tile that marks its work, so the test can see which one ran
+        fn marked(a: &[i8], b: &[i8], acc: &mut [[i32; 4]; 4]) {
+            camp_isa::machine::camp_tile_ref(a, b, acc);
+            acc[0][0] = acc[0][0].wrapping_add(1000);
+        }
+        let mut a = Assembler::new("t");
+        a.camp(CampMode::I8, V(2), V(0), V(1));
+        let p = a.finish();
+        let mut sim = Simulator::new(CoreConfig::a64fx(), 1 << 12);
+        sim.machine_mut().set_camp_tile(marked);
+        sim.reset(1 << 12);
+        sim.run(&p, 10).unwrap();
+        assert_eq!(sim.machine().v(V(2))[..4], 1000i32.to_le_bytes());
     }
 
     #[test]
