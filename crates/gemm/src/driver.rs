@@ -31,10 +31,16 @@
 //! (`tests/proptests.rs` checks it for every method on both cores). A
 //! [`SimSession`] therefore times each (method, plan, unit) once and
 //! keeps its stats; a later unit with the same key resets only the
-//! machine, runs its programs on it alone (the packed bytes and its
-//! partial C) and takes its stats from the memo. The caches and stats
-//! it leaves stale are read by timed units only, and a timed unit
-//! always starts from a full [`Simulator::reset`].
+//! machine, runs its pack programs on it alone and takes its stats from
+//! the memo. Its macro-kernel runs on the host instead: one
+//! [`HostKernel`] `tile_i8` call per (A panel, B panel) pair of the
+//! packed bytes the machine wrote, over the whole unit depth, added
+//! straight into the result (wrapping adds commute, and the unit's C
+//! block starts at zero). Only the camp kernels can hit: within one
+//! problem every unit key is distinct, and the baselines run only on a
+//! fresh session. The caches and stats a hit leaves stale are read by
+//! timed units only, and a timed unit always starts from a full
+//! [`Simulator::reset`].
 //!
 //! The decomposition defines the result. Partial C blocks merge on the
 //! host in a fixed order (depth-ascending per column strip, the order
@@ -54,7 +60,9 @@ use crate::batch::GemmProblem;
 use crate::host::scalar::nibble_byte;
 use crate::host::HostKernel;
 use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
-use crate::method::{run_program, AccKind, ElemKind, KernelGeometry, Method, PackBCtx, Programs};
+use crate::method::{
+    run_program, AccKind, ElemKind, HostMacroKernel, KernelGeometry, Method, PackBCtx, Programs,
+};
 use crate::reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};
 use crate::weights::DType;
 use crate::workspace::Workspace;
@@ -434,15 +442,17 @@ struct UnitSpec {
 /// strip. Deterministic and self-contained — nothing of an earlier unit
 /// survives the reset it starts with: the driver's unit of work. When
 /// `memo` holds the unit's stats, only the machine is reset (zeroed
-/// memory sized for the problem, zero registers), every program runs on
-/// it alone and the memo's stats are returned. Otherwise the whole
-/// simulator is [`reset`](Simulator::reset) to the freshly built state
-/// (cold caches and zero stats too), the unit is timed and its stats are
-/// inserted: the caches and stats a hit leaves stale are read by timed
-/// units only. Adds the unit's partial C into `c`.
+/// memory sized for the problem, zero registers), the packs run on it
+/// alone, `host` multiplies each strip's packed panels straight into
+/// `c`, and the memo's stats are returned. Otherwise the whole simulator
+/// is [`reset`](Simulator::reset) to the freshly built state (cold
+/// caches and zero stats too), the unit is timed, its partial C is read
+/// back into `c` and its stats are inserted: the caches and stats a hit
+/// leaves stale are read by timed units only.
 fn simulate_unit(
     sim: &mut Simulator,
     memo: &mut CountMemo,
+    host: &mut HostMacroKernel,
     ctx: &ProblemCtx,
     spec: UnitSpec,
     c: &mut CMatrix,
@@ -457,8 +467,8 @@ fn simulate_unit(
     } else {
         sim.reset(bufs.total as usize);
     }
-    stage_a_unit(sim, &geo, &bufs, &ctx.a_host, plan, spec);
-    stage_b_unit(sim, &geo, &bufs, &ctx.b_host, plan, spec);
+    stage_a_unit(sim, &geo, &bufs, ctx.a_host, plan, spec);
+    stage_b_unit(sim, &geo, &bufs, ctx.b_host, plan, spec);
     let mut backend = BlockSim {
         sim,
         geo,
@@ -470,35 +480,69 @@ fn simulate_unit(
         timed: memoized.is_none(),
     };
     backend.pack_b(spec);
+    if let Some(stats) = memoized {
+        // The macro-kernel's registers and `x30` spill are dead (the next
+        // pack A sets its own inputs, the next unit starts from a reset),
+        // and its C block starts at zero: adding the host's tiles into
+        // `c` is what the program plus the read-back would add.
+        let b_bytes = spec.ncb / geo.nr * geo.b_panel_bytes(spec.kcb);
+        host.load_b(ctx.method, backend.sim.machine().mem(backend.bufs.bpack, b_bytes));
+        let CMatrix::I32(c) = c else { unreachable!("camp kernels accumulate in i32") };
+        for_each_row_strip(plan, |ic, mcb| {
+            backend.pack_a(ic, mcb, spec.pc, spec.kcb);
+            let a_bytes = mcb / geo.mr * geo.a_panel_bytes(spec.kcb);
+            host.load_a(ctx.method, backend.sim.machine().mem(backend.bufs.apack, a_bytes));
+            host.multiply(spec.kcb, &mut c[ic * plan.np + spec.jc..], plan.np);
+        });
+        return stats;
+    }
     for_each_row_strip(plan, |ic, mcb| {
         backend.pack_a(ic, mcb, spec.pc, spec.kcb);
         backend.macro_kernel(ic, mcb, spec.jc, spec.ncb, spec.pc, spec.kcb);
     });
     c.accumulate(backend.sim, backend.bufs.c_base, backend.ldc, plan.np, spec);
-    memoized.unwrap_or_else(|| {
-        let stats = *backend.sim.stats();
-        if memo.len() == SimSession::MEMO_UNITS {
-            memo.clear();
-        }
-        memo.insert(key, stats);
-        stats
-    })
+    let stats = *backend.sim.stats();
+    if memo.len() == SimSession::MEMO_UNITS {
+        memo.clear();
+    }
+    memo.insert(key, stats);
+    stats
 }
 
 // ---- problems -------------------------------------------------------------
 
 /// One fully planned problem: padded operands, block plan and the
 /// method's programs (assembled once per session, borrowed by every
-/// unit).
+/// unit, like the operands' buffers).
 struct ProblemCtx<'p> {
     method: Method,
     programs: &'p Programs,
     plan: BlockPlan,
     /// Padded `mp × kp` A, row-major.
-    a_host: Vec<i8>,
+    a_host: &'p [i8],
     /// Padded `kp × np` B, row-major.
-    b_host: Vec<i8>,
+    b_host: &'p [i8],
     clamped: bool,
+}
+
+/// The buffers a session pads its problems' operands into, kept from
+/// GeMM to GeMM so that planning one allocates nothing once they are
+/// large enough.
+#[derive(Default)]
+struct Operands {
+    a: Vec<i8>,
+    b: Vec<i8>,
+}
+
+impl Operands {
+    /// Zeroed `mp × kp` A and `kp × np` B buffers for `plan`.
+    fn zeroed(&mut self, plan: &BlockPlan) -> (&mut [i8], &mut [i8]) {
+        for (buf, len) in [(&mut self.a, plan.mp * plan.kp), (&mut self.b, plan.kp * plan.np)] {
+            buf.clear();
+            buf.resize(len, 0);
+        }
+        (&mut self.a, &mut self.b)
+    }
 }
 
 /// The (mc, nc, kc) `method` blocks with on `core` when
@@ -529,7 +573,7 @@ fn block_plan_for(
 /// result is empty.
 fn degenerate_ctx(method: Method, programs: &Programs) -> ProblemCtx<'_> {
     let plan = BlockPlan::new(0, 0, 0, 1, 1, 1, (1, 1, 1));
-    ProblemCtx { method, programs, plan, a_host: Vec::new(), b_host: Vec::new(), clamped: false }
+    ProblemCtx { method, programs, plan, a_host: &[], b_host: &[], clamped: false }
 }
 
 /// Plan a seeded-random problem (the figure harness workload): same RNG
@@ -538,6 +582,7 @@ fn rng_ctx<'p>(
     core: CoreConfig,
     method: Method,
     programs: &'p Programs,
+    operands: &'p mut Operands,
     (m, n, k): (usize, usize, usize),
     opts: &GemmOptions,
 ) -> ProblemCtx<'p> {
@@ -546,15 +591,14 @@ fn rng_ctx<'p>(
     }
     let (m, n, k, clamped) = clamp_dims(m, n, k, opts.mac_budget);
     let plan = block_plan_for(core, method, m, n, k, opts);
-    let (mp, np, kp) = (plan.mp, plan.np, plan.kp);
+    let (np, kp) = (plan.np, plan.kp);
     let mut rng = SplitMix64::new(opts.seed);
-    let mut a_host = vec![0i8; mp * kp];
+    let (a_host, b_host) = operands.zeroed(&plan);
     for i in 0..m {
         for l in 0..k {
             a_host[i * kp + l] = rng.next_i8(-8, 7);
         }
     }
-    let mut b_host = vec![0i8; kp * np];
     for l in 0..k {
         for j in 0..n {
             b_host[l * np + j] = rng.next_i8(-8, 7);
@@ -569,6 +613,7 @@ fn rng_ctx<'p>(
 fn problem_ctx<'p>(
     core: CoreConfig,
     programs: &'p Programs,
+    operands: &'p mut Operands,
     p: &GemmProblem<'_>,
     opts: &GemmOptions,
 ) -> ProblemCtx<'p> {
@@ -586,12 +631,11 @@ fn problem_ctx<'p>(
     }
     let (m2, n2, k2, clamped) = clamp_dims(p.m, p.n, p.k, opts.mac_budget);
     let plan = block_plan_for(core, method, m2, n2, k2, opts);
-    let (mp, np, kp) = (plan.mp, plan.np, plan.kp);
-    let mut a_host = vec![0i8; mp * kp];
+    let (np, kp) = (plan.np, plan.kp);
+    let (a_host, b_host) = operands.zeroed(&plan);
     for i in 0..m2 {
         a_host[i * kp..i * kp + k2].copy_from_slice(&p.a[i * p.k..i * p.k + k2]);
     }
-    let mut b_host = vec![0i8; kp * np];
     for l in 0..k2 {
         b_host[l * np..l * np + n2].copy_from_slice(&p.b[l * p.n..l * p.n + n2]);
     }
@@ -625,6 +669,10 @@ pub struct SimSession {
     /// [`Method::programs`] by `Method as usize`, assembled by the
     /// method's first problem on this session.
     programs: [Option<Programs>; 7],
+    /// The padded operands of the problem being simulated.
+    operands: Operands,
+    /// What a hit multiplies its packed panels with.
+    host: HostMacroKernel,
 }
 
 impl std::fmt::Debug for SimSession {
@@ -643,11 +691,19 @@ impl SimSession {
     /// A session simulating `core`, its memo empty. Its machine executes
     /// `camp` through the host engine's tile kernel
     /// ([`HostKernel::detect`]'s `tile_i8`, the same arithmetic at host
-    /// speed); resets keep it.
+    /// speed; resets keep it), and a memo hit's macro-kernel runs on the
+    /// same tile.
     pub fn new(core: CoreConfig) -> Self {
+        let tile = HostKernel::detect().tile_i8;
         let mut sim = Simulator::new(core, 0);
-        sim.machine_mut().set_camp_tile(HostKernel::detect().tile_i8);
-        SimSession { sim, memo: CountMemo::new(), programs: Default::default() }
+        sim.machine_mut().set_camp_tile(tile);
+        SimSession {
+            sim,
+            memo: CountMemo::new(),
+            programs: Default::default(),
+            operands: Operands::default(),
+            host: HostMacroKernel::new(tile),
+        }
     }
 
     /// Simulate one GeMM over its **own** operands (not the seeded RNG
@@ -662,16 +718,24 @@ impl SimSession {
     /// # Panics
     /// Panics on mis-sized operands.
     pub fn simulate(&mut self, problem: &GemmProblem<'_>, opts: &GemmOptions) -> GemmResult {
-        let (sim, memo, programs) = self.parts(Method::for_dtype(problem.dtype));
-        let ctx = problem_ctx(*sim.config(), programs, problem, opts);
-        run_units(sim, memo, &ctx, opts)
+        let core = *self.sim.config();
+        self.run(Method::for_dtype(problem.dtype), opts, |programs, operands| {
+            problem_ctx(core, programs, operands, problem, opts)
+        })
     }
 
-    /// The simulator, the memo and `method`'s programs (assembled on
-    /// first use), borrowed apart.
-    fn parts(&mut self, method: Method) -> (&mut Simulator, &mut CountMemo, &Programs) {
+    /// Plan a `method` problem with `plan` — over `method`'s programs
+    /// (assembled on first use) and the session's operand buffers — and
+    /// run its units.
+    fn run(
+        &mut self,
+        method: Method,
+        opts: &GemmOptions,
+        plan: impl for<'p> FnOnce(&'p Programs, &'p mut Operands) -> ProblemCtx<'p>,
+    ) -> GemmResult {
         let programs = self.programs[method as usize].get_or_insert_with(|| method.programs());
-        (&mut self.sim, &mut self.memo, programs)
+        let ctx = plan(programs, &mut self.operands);
+        run_units(&mut self.sim, &mut self.memo, &mut self.host, &ctx, opts)
     }
 
     /// Units whose stats the memo holds: one per (method, plan, unit)
@@ -689,6 +753,7 @@ impl SimSession {
 fn run_units(
     sim: &mut Simulator,
     memo: &mut CountMemo,
+    host: &mut HostMacroKernel,
     ctx: &ProblemCtx,
     opts: &GemmOptions,
 ) -> GemmResult {
@@ -697,7 +762,7 @@ fn run_units(
     let mut c = CMatrix::zeros(ctx.method.geometry().acc, plan.mp * plan.np);
     for_each_b_block(plan, |jc, ncb, pc, kcb| {
         let spec = UnitSpec { jc, ncb, pc, kcb };
-        stats.merge(&simulate_unit(sim, memo, ctx, spec, &mut c));
+        stats.merge(&simulate_unit(sim, memo, host, ctx, spec, &mut c));
     });
     GemmResult {
         stats,
@@ -716,8 +781,8 @@ fn run_units(
 fn verify_host(ctx: &ProblemCtx, c: &CMatrix) -> bool {
     let (mp, np, kp) = (ctx.plan.mp, ctx.plan.np, ctx.plan.kp);
     match c {
-        CMatrix::I8(c) => *c == gemm_i8_wrapping_ref(mp, np, kp, &ctx.a_host, &ctx.b_host),
-        CMatrix::I32(c) => *c == gemm_i32_ref(mp, np, kp, &ctx.a_host, &ctx.b_host),
+        CMatrix::I8(c) => *c == gemm_i8_wrapping_ref(mp, np, kp, ctx.a_host, ctx.b_host),
+        CMatrix::I32(c) => *c == gemm_i32_ref(mp, np, kp, ctx.a_host, ctx.b_host),
         CMatrix::F32(c) => {
             let af: Vec<f32> = ctx.a_host.iter().map(|&v| v as f32).collect();
             let bf: Vec<f32> = ctx.b_host.iter().map(|&v| v as f32).collect();
@@ -751,9 +816,9 @@ pub fn simulate_gemm(
     k: usize,
     opts: &GemmOptions,
 ) -> GemmResult {
-    let mut session = SimSession::new(core);
-    let (sim, memo, programs) = session.parts(method);
-    run_units(sim, memo, &rng_ctx(core, method, programs, (m, n, k), opts), opts)
+    SimSession::new(core).run(method, opts, |programs, operands| {
+        rng_ctx(core, method, programs, operands, (m, n, k), opts)
+    })
 }
 
 #[cfg(test)]
@@ -1013,23 +1078,55 @@ mod tests {
     fn a_memo_hit_computes_its_own_c_with_the_timed_counts() {
         // two operand sets of one multi-unit shape on one session: the
         // second hits every unit the first timed, yet computes its own C
-        // and counts what a fresh session times
-        let (m, n, k) = (13, 70, 260);
-        let opts = GemmOptions { blocking: Some((32, 64, 32)), ..GemmOptions::default() };
-        let (a1, b1) = (fill(m * k, 3), fill(k * n, 5));
-        let (a2, b2) = (fill(m * k, 7), fill(k * n, 11));
-        let core = CoreConfig::edge_riscv();
-        for dtype in [DType::I8, DType::I4] {
-            let problem = |a, b| GemmProblem::new(m, n, k, a, b).with_dtype(dtype);
+        // (on the host macro-kernel) and counts what a fresh session
+        // times. mc = 4 walks several row strips at every m but 1; nc = 8
+        // gives three jc blocks (the last half wide), kc = 128 three pc
+        // blocks; the second set holds each dtype's range ends
+        let (n, k) = (18, 300);
+        let opts = GemmOptions { blocking: Some((4, 8, 128)), ..GemmOptions::default() };
+        let ends = |len: usize, (lo, hi): (i8, i8), seed: usize| -> Vec<i8> {
+            (0..len).map(|i| if (i * seed + i / 7).is_multiple_of(3) { lo } else { hi }).collect()
+        };
+        for core in [CoreConfig::a64fx(), CoreConfig::edge_riscv()] {
+            for (dtype, range) in [(DType::I8, (-128, 127)), (DType::I4, (-8, 7))] {
+                for m in [1, 5, 33] {
+                    let what = format!("{} {dtype:?} m={m}", core.name);
+                    let problem = |a, b| GemmProblem::new(m, n, k, a, b).with_dtype(dtype);
+                    let (a1, b1) = (fill(m * k, 3), fill(k * n, 5));
+                    let (a2, b2) = (ends(m * k, range, 1), ends(k * n, range, 2));
+                    let mut session = SimSession::new(core);
+                    assert!(session.simulate(&problem(&a1, &b1), &opts).correct, "{what}");
+                    let units = session.memoized_units();
+                    assert_eq!(units, 9, "{what}: 3 jc × 3 pc units");
+                    let warm = session.simulate(&problem(&a2, &b2), &opts);
+                    assert_eq!(session.memoized_units(), units, "{what}: every unit hits");
+                    let cold = SimSession::new(core).simulate(&problem(&a2, &b2), &opts);
+                    assert!(warm.correct && cold.correct, "{what}");
+                    assert_eq!((&warm.c, warm.stats), (&cold.c, cold.stats), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_camp_kernels_can_hit() {
+        // within one problem every unit key (jc, ncb, pc, kcb) is
+        // distinct, so a fresh session's GeMM times every unit: the five
+        // baselines, which run only that way, never reach the host
+        // macro-kernel (it panics on them)
+        let (core, (m, n, k)) = (CoreConfig::a64fx(), (20, 70, 150));
+        let opts = GemmOptions { blocking: Some((8, 32, 32)), ..GemmOptions::default() };
+        for method in Method::all() {
+            let plan = block_plan_for(core, method, m, n, k, &opts);
+            let mut units = 0;
+            for_each_b_block(&plan, |_, _, _, _| units += 1);
+            assert!(units > 1, "{}: {units} units", method.name());
             let mut session = SimSession::new(core);
-            assert!(session.simulate(&problem(&a1, &b1), &opts).correct, "{dtype:?}");
-            let units = session.memoized_units();
-            assert!(units > 1, "{dtype:?}: {units} units");
-            let warm = session.simulate(&problem(&a2, &b2), &opts);
-            assert_eq!(session.memoized_units(), units, "{dtype:?}: every unit hits");
-            let cold = SimSession::new(core).simulate(&problem(&a2, &b2), &opts);
-            assert!(warm.correct, "{dtype:?}");
-            assert_eq!((&warm.c, warm.stats), (&cold.c, cold.stats), "{dtype:?}");
+            let r = session.run(method, &opts, |programs, operands| {
+                rng_ctx(core, method, programs, operands, (m, n, k), &opts)
+            });
+            assert!(r.correct, "{}", method.name());
+            assert_eq!(session.memoized_units(), units, "{}: every unit missed", method.name());
         }
     }
 }

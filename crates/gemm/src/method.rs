@@ -14,6 +14,7 @@
 use crate::kernels;
 use crate::pack;
 use camp_isa::inst::{CampMode, Program};
+use camp_isa::machine::{sext_nibbles, CampTile};
 use camp_isa::reg::S;
 use camp_pipeline::{CoreKind, Simulator};
 
@@ -261,6 +262,77 @@ pub struct Programs {
     pub pack_a: PackAPlan,
     /// The B-block packing recipe.
     pub pack_b: PackB,
+}
+
+/// The CAMP macro-kernel computed on the host, for a count-memo hit:
+/// the machine has packed the unit's B panels and a row strip's A
+/// panels, and one [`CampTile`] call per (A panel, B panel) pair covers
+/// the whole unit depth — the sum of the program's 16- or 32-deep
+/// `camp`s, since wrapping i32 adds commute. Holds the tile and the
+/// panels read out of machine memory as i8 (i4 nibbles sign-extended by
+/// [`sext_nibbles`]), in buffers kept from unit to unit.
+pub(crate) struct HostMacroKernel {
+    tile: CampTile,
+    /// One unit's packed B panels.
+    b: Vec<i8>,
+    /// One row strip's packed A panels.
+    a: Vec<i8>,
+}
+
+impl HostMacroKernel {
+    /// A host macro-kernel multiplying with `tile`.
+    pub(crate) fn new(tile: CampTile) -> Self {
+        HostMacroKernel { tile, b: Vec::new(), a: Vec::new() }
+    }
+
+    /// Read the B panels `method`'s pack B wrote, `packed` in machine
+    /// memory.
+    ///
+    /// # Panics
+    /// Panics unless `method` is a camp kernel: only their units can
+    /// hit the count memo (every baseline runs on a fresh session).
+    pub(crate) fn load_b(&mut self, method: Method, packed: &[u8]) {
+        widen(method, packed, &mut self.b);
+    }
+
+    /// Read a row strip's A panels like [`HostMacroKernel::load_b`].
+    pub(crate) fn load_a(&mut self, method: Method, packed: &[u8]) {
+        widen(method, packed, &mut self.a);
+    }
+
+    /// Add the loaded A panels times the loaded B panels, each `kcb`
+    /// deep, into `c` (row stride `ldc`, element (0, 0) the strip's first
+    /// row at the unit's first column), wrapping: what the macro-kernel
+    /// program adds into the unit's zeroed C block.
+    pub(crate) fn multiply(&self, kcb: usize, c: &mut [i32], ldc: usize) {
+        let depth = 4 * kcb;
+        for (p, pa) in self.a.chunks_exact(depth).enumerate() {
+            for (q, pb) in self.b.chunks_exact(depth).enumerate() {
+                let mut acc = [[0; 4]; 4];
+                (self.tile)(pa, pb, &mut acc);
+                for (i, row) in acc.iter().enumerate() {
+                    let dst = &mut c[(p * 4 + i) * ldc + q * 4..][..4];
+                    for (d, &v) in dst.iter_mut().zip(row) {
+                        *d = d.wrapping_add(v);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `packed` as the i8 values a camp kernel's `camp` reads from it, into
+/// `out` (its allocation kept).
+fn widen(method: Method, packed: &[u8], out: &mut Vec<i8>) {
+    out.clear();
+    match method {
+        Method::Camp8 => out.extend(packed.iter().map(|&b| b as i8)),
+        Method::Camp4 => {
+            out.resize(2 * packed.len(), 0);
+            sext_nibbles(packed, out);
+        }
+        _ => panic!("{} has no host macro-kernel: only camp units hit", method.name()),
+    }
 }
 
 /// GeMM implementation under test (the §5.3 experiment matrix).

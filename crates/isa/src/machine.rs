@@ -70,10 +70,6 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-fn sext4(n: u8) -> i8 {
-    ((n << 4) as i8) >> 4
-}
-
 /// The architectural machine: 32 scalar regs, 32 vector regs, flat memory.
 #[derive(Clone)]
 pub struct Machine {
@@ -473,13 +469,8 @@ impl Machine {
             }
             Inst::VUnpack4 { vd, vs, hi } => {
                 let s = self.v(vs);
-                let off = if hi { 32 } else { 0 };
-                let mut out = [0u8; VLEN_BYTES];
-                for i in 0..32 {
-                    out[2 * i] = sext4(s[off + i] & 0x0f) as u8;
-                    out[2 * i + 1] = sext4(s[off + i] >> 4) as u8;
-                }
-                self.set_v(vd, out);
+                let off = if hi { VLEN_BYTES / 2 } else { 0 };
+                sext_nibbles(&s[off..off + VLEN_BYTES / 2], &mut self.v[vd.index()]);
             }
             Inst::Smmla { vd, vs1, vs2 } => {
                 let a = self.v(vs1);
@@ -509,7 +500,10 @@ impl Machine {
                 let mut acc = tile_of(&self.v(vd));
                 match mode {
                     CampMode::I8 => (self.tile)(a, b, &mut acc),
-                    CampMode::I4 => (self.tile)(&unpack_i4(a), &unpack_i4(b), &mut acc),
+                    CampMode::I4 => {
+                        let (a, b) = (a.map(|x| x as u8), b.map(|x| x as u8));
+                        (self.tile)(&unpack_i4(&a), &unpack_i4(&b), &mut acc)
+                    }
                 }
                 self.set_v(vd, tile_bytes(&acc));
             }
@@ -667,15 +661,7 @@ pub fn camp_outer_product(
     let mut tile = [[0i32; 4]; 4];
     match mode {
         CampMode::I8 => camp_tile_ref(&a.map(|x| x as i8), &b.map(|x| x as i8), &mut tile),
-        CampMode::I4 => {
-            let nibbles = |buf: &[u8; VLEN_BYTES]| -> [i8; 2 * VLEN_BYTES] {
-                std::array::from_fn(|n| {
-                    let byte = buf[n / 2];
-                    sext4(if n.is_multiple_of(2) { byte & 0x0f } else { byte >> 4 })
-                })
-            };
-            camp_tile_ref(&nibbles(a), &nibbles(b), &mut tile);
-        }
+        CampMode::I4 => camp_tile_ref(&unpack_i4(a), &unpack_i4(b), &mut tile),
     }
     tile
 }
@@ -701,15 +687,29 @@ fn tile_bytes(t: &[[i32; 4]; 4]) -> [u8; VLEN_BYTES] {
     v
 }
 
-/// The 128 sign-extended nibbles of an i4 `camp` source, low nibble of
-/// each byte first: two outputs per byte, no branch.
+/// Sign-extend nibble-packed 4-bit values, low nibble of each byte
+/// first: `out[2*i]` and `out[2*i + 1]` are the low and high nibble of
+/// `packed[i]`. Branch-free, two outputs per byte. The workspace's one
+/// definition of how i4 data unpacks: `camp`'s i4 mode, `vunpack4` and
+/// the simulated driver's host macro-kernel all call it.
+///
+/// # Panics
+/// Panics unless `out` holds exactly two values per packed byte.
 #[inline(always)]
-fn unpack_i4(v: &[i8; VLEN_BYTES]) -> [i8; 2 * VLEN_BYTES] {
-    let mut out = [0i8; 2 * VLEN_BYTES];
-    for (o, &b) in out.chunks_exact_mut(2).zip(v) {
+pub fn sext_nibbles(packed: &[u8], out: &mut [i8]) {
+    assert_eq!(out.len(), 2 * packed.len(), "two nibbles per byte");
+    for (o, &b) in out.chunks_exact_mut(2).zip(packed) {
+        let b = b as i8;
         o[0] = (b << 4) >> 4;
         o[1] = b >> 4;
     }
+}
+
+/// The 128 nibbles of an i4 `camp` source register, sign-extended.
+#[inline(always)]
+fn unpack_i4(v: &[u8; VLEN_BYTES]) -> [i8; 2 * VLEN_BYTES] {
+    let mut out = [0i8; 2 * VLEN_BYTES];
+    sext_nibbles(v, &mut out);
     out
 }
 

@@ -192,11 +192,12 @@ const SIM_CFG: TransformerConfig =
 const SIM_VOCAB: usize = 64;
 
 /// Heap calls of one warm decode step of [`SIM_CFG`] on `SimBackend`:
-/// now (the requests' inputs and outputs, no program assembly), and at
-/// the commit before the backend kept one simulator, which built one
+/// now (the requests' inputs and outputs; no program assembly and no
+/// padded operands, which the session keeps), and at the commit before
+/// the backend kept one simulator, which built one
 /// (caches, prefetchers, machine, queues) for each of the step's 13
 /// batches.
-const SIM_ALLOCS_PER_DECODE_STEP: usize = 237;
+const SIM_ALLOCS_PER_DECODE_STEP: usize = 179;
 const PARENT_SIM_ALLOCS_PER_DECODE_STEP: usize = 1933;
 
 #[test]
