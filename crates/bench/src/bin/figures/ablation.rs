@@ -1,14 +1,13 @@
 //! Ablation studies for the paper's design choices (the index of
-//! harnesses is `docs/SIMULATOR.md`, "Figure/table binaries → paper
+//! harnesses is `docs/SIMULATOR.md`, "Figure/table harnesses → paper
 //! sections"):
 //!
-//! 1. hybrid-multiplier block width → area (the paper's "bit-width of
-//!    the building block can be adjusted" knob, §3);
-//! 2. CAMP unit lane count → area and utilization;
-//! 3. cache blocking (kc) → CAMP cycles, showing why byte operands allow
-//!    deep panels;
-//! 4. packing strategy: vectorized pack vs scalar-only pack (the PULP-NN
-//!    style data-marshalling overhead the paper criticizes).
+//! 1. CAMP unit lane count → area (GF 22FDX) and 8-bit utilization;
+//! 2. cache blocking (kc) → CAMP-8bit cycles, showing why byte operands
+//!    allow deep panels;
+//! 3. row-block height (mc) → CAMP-8bit cycles at a fixed nc and kc;
+//! 4. operand width: CAMP-8bit vs CAMP-4bit cycles on one problem, on
+//!    both cores.
 
 use camp_bench::{harness_options, header};
 use camp_core::CampStructure;
@@ -16,7 +15,7 @@ use camp_energy::{AreaModel, TechNode};
 use camp_gemm::{simulate_gemm, GemmOptions, Method};
 use camp_pipeline::CoreConfig;
 
-fn main() {
+pub fn main() {
     header("Ablations", "design-choice sensitivity studies");
 
     println!("-- lane count vs area (GF 22FDX) --");

@@ -2,12 +2,14 @@
 //! GeMM — square matrices 128–1024 plus ResNet layers — on the
 //! A64FX-like hierarchy.
 
+mod trace;
+
 use camp_bench::header;
 use camp_cache::HierarchyConfig;
-use camp_gemm::trace::{blocked_trace, naive_trace, BlockedTraceParams};
 use camp_models::{cnn, Benchmark};
+use trace::{blocked_trace, naive_trace, BlockedTraceParams};
 
-fn main() {
+pub fn main() {
     header("Fig. 1", "L1D cache miss rate: naive Matmul vs ulmBLAS (blocked)");
     let cfg = HierarchyConfig::a64fx();
     let budget = 30_000_000;

@@ -8,16 +8,15 @@
 //! is disabled for this experiment so the miss rate reflects pure access
 //! locality, which is what Fig. 1 contrasts.
 
-use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
 use camp_cache::{Hierarchy, HierarchyConfig};
+use camp_gemm::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
 
-/// Outcome of a trace replay.
+/// Outcome of a trace replay (Fig. 1 prints the rate, tests the rest).
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(test), allow(dead_code))]
 pub struct TraceResult {
     /// L1D demand miss rate in [0, 1].
     pub l1_miss_rate: f64,
-    /// L2 demand miss rate in [0, 1].
-    pub l2_miss_rate: f64,
     /// Demand accesses replayed.
     pub accesses: u64,
     /// True if the replay stopped early at the access budget.
@@ -33,7 +32,6 @@ fn no_prefetch(mut cfg: HierarchyConfig) -> HierarchyConfig {
 fn result(h: &Hierarchy, truncated: bool) -> TraceResult {
     TraceResult {
         l1_miss_rate: h.l1d().stats().demand_miss_rate(),
-        l2_miss_rate: h.l2().stats().demand_miss_rate(),
         accesses: h.l1d().stats().accesses,
         truncated,
     }

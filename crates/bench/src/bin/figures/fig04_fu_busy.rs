@@ -8,16 +8,13 @@ use camp_gemm::Method;
 use camp_models::cnn;
 use camp_pipeline::{CoreConfig, FuKind};
 
-fn main() {
+pub fn main() {
     header("Fig. 4", "Baseline vector-FU busy rate vs #operations (A64FX core)");
-    let mut layers = cnn::all_cnn_layers();
-    layers.sort_by_key(|(_, _, s)| s.ops());
-
     println!(
         "{:>10} {:>14} {:>14}   paper: both >0.9 on compute-bound layers",
         "GOPs", "ulmBLAS busy", "gemmlowp busy"
     );
-    for (_, _, shape) in layers {
+    for shape in cnn::all_cnn_layers() {
         let ulm = run(CoreConfig::a64fx(), Method::HandvInt8, shape);
         let lowp = run(CoreConfig::a64fx(), Method::Gemmlowp, shape);
         // vector arithmetic pipes (2 per core): MUL class carries the MACs

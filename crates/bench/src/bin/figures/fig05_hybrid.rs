@@ -5,7 +5,7 @@
 use camp_bench::header;
 use camp_core::hybrid::HybridMultiplier;
 
-fn main() {
+pub fn main() {
     header("Fig. 5", "Hybrid multiplier: structure, scaling and self-check");
 
     // exhaustive 8×8 self-check

@@ -10,7 +10,7 @@
 use camp_bench::header;
 use camp_quant::{run_accuracy_grid, StudyConfig};
 
-fn main() {
+pub fn main() {
     header("Fig. 7", "Accuracy vs weight/input bit-width (synthetic-MLP substitution)");
     let grid = run_accuracy_grid(&StudyConfig::default());
     println!("fp32 test accuracy: {:.1}%", 100.0 * grid.fp32_accuracy);

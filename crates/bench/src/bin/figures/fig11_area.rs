@@ -5,7 +5,7 @@
 use camp_bench::header;
 use camp_energy::{AreaModel, TechNode};
 
-fn main() {
+pub fn main() {
     header("Fig. 11 / §6.1", "CAMP physical design: area and overhead");
     let model = AreaModel::paper();
     println!("gate inventory: {:.0} NAND2-equivalents", model.gates());

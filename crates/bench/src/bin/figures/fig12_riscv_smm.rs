@@ -6,7 +6,7 @@ use camp_bench::{harness_options, header};
 use camp_gemm::{simulate_gemm, Method};
 use camp_pipeline::CoreConfig;
 
-fn main() {
+pub fn main() {
     header("Fig. 12", "Edge RISC-V SMM: speedup + instruction reduction vs BLIS-int32");
     let opts = harness_options();
     let edge = CoreConfig::edge_riscv();

@@ -7,7 +7,7 @@ use camp_gemm::Method;
 use camp_models::{cnn, Benchmark};
 use camp_pipeline::CoreConfig;
 
-fn main() {
+pub fn main() {
     header("Fig. 13", "CNN per-layer speedup + instruction-count ratio (vs OpenBLAS)");
     let methods = fig13_methods();
     print!("{:10} {:>5}", "bench", "layer");

@@ -7,18 +7,15 @@ use camp_gemm::Method;
 use camp_models::cnn;
 use camp_pipeline::{CoreConfig, FuKind};
 
-fn main() {
+pub fn main() {
     header("Fig. 15", "CAMP FU busy rate + stall breakdown (A64FX core)");
-    let mut layers = cnn::all_cnn_layers();
-    layers.sort_by_key(|(_, _, s)| s.ops());
-
     println!(
         "{:>9} {:>10} {:>8} {:>8} {:>8}   paper: busy 0.07-0.22, stalls write-heavy",
         "GOPs", "CAMP busy", "FU%", "Read%", "Write%"
     );
     let mut busy_sum = 0.0;
     let mut n = 0;
-    for (_, _, shape) in layers {
+    for shape in cnn::all_cnn_layers() {
         let r = run(CoreConfig::a64fx(), Method::Camp8, shape);
         let busy = r.stats.fu_busy_rate(FuKind::Camp, 1);
         let (f, rd, w) = r.stats.stall_proportions();

@@ -1,20 +1,13 @@
 //! Fig. 16: normalized energy of 8-bit and 4-bit CAMP across the
 //! benchmarks, relative to the A64FX baseline (OpenBLAS) at 100 %.
 
-use camp_bench::{header, run};
+use camp_bench::{header, median_layer, run};
 use camp_energy::EnergyModel;
 use camp_gemm::Method;
-use camp_models::{cnn, Benchmark, LlmModel};
+use camp_models::{Benchmark, GemmShape, LlmModel};
 use camp_pipeline::CoreConfig;
 
-fn geo_shape(b: Benchmark) -> camp_models::GemmShape {
-    // representative (median-by-ops) layer of each benchmark
-    let mut ls = cnn::layers(b);
-    ls.sort_by_key(|s| s.ops());
-    ls[ls.len() / 2]
-}
-
-fn main() {
+pub fn main() {
     header("Fig. 16", "Normalized energy of CAMP vs the A64FX baseline (=100%)");
     let model = EnergyModel::a64fx_7nm();
     println!(
@@ -22,10 +15,9 @@ fn main() {
         "benchmark", "8-bit CAMP", "4-bit CAMP"
     );
 
-    let mut cases: Vec<(String, camp_models::GemmShape)> =
-        vec![("SMM".into(), camp_models::GemmShape::new(512, 512, 512))];
+    let mut cases: Vec<(String, GemmShape)> = vec![("SMM".into(), GemmShape::new(512, 512, 512))];
     for b in [Benchmark::AlexNet, Benchmark::MobileNet, Benchmark::ResNet, Benchmark::Vgg] {
-        cases.push((b.name().into(), geo_shape(b)));
+        cases.push((b.name().into(), median_layer(b)));
     }
     for m in LlmModel::all() {
         cases.push((m.name().into(), m.config().ff_shape()));

@@ -2,9 +2,9 @@
 //! implementation needs relative to handv-int8 and gemmlowp, split into
 //! reads (R), writes (W) and arithmetic (Alu). Lower is better.
 
-use camp_bench::{header, run};
+use camp_bench::{header, median_layer, run};
 use camp_gemm::Method;
-use camp_models::{cnn, Benchmark, GemmShape, LlmModel};
+use camp_models::{Benchmark, GemmShape, LlmModel};
 use camp_pipeline::CoreConfig;
 
 fn pct(a: u64, b: u64) -> f64 {
@@ -15,13 +15,7 @@ fn pct(a: u64, b: u64) -> f64 {
     }
 }
 
-fn median_shape(b: Benchmark) -> GemmShape {
-    let mut ls = cnn::layers(b);
-    ls.sort_by_key(|s| s.ops());
-    ls[ls.len() / 2]
-}
-
-fn main() {
+pub fn main() {
     header("Fig. 17", "CAMP vector instructions as % of handv-int8 / gemmlowp");
     println!(
         "{:14} {:>8} {:>8} {:>9} {:>8} {:>8} {:>9}   paper: 10-47%",
@@ -29,11 +23,11 @@ fn main() {
     );
 
     let mut cases: Vec<(String, GemmShape)> = vec![
-        ("AlexNet".into(), median_shape(Benchmark::AlexNet)),
+        ("AlexNet".into(), median_layer(Benchmark::AlexNet)),
         ("SMM".into(), GemmShape::new(512, 512, 512)),
-        ("MobileNet".into(), median_shape(Benchmark::MobileNet)),
-        ("ResNet".into(), median_shape(Benchmark::ResNet)),
-        ("VGG".into(), median_shape(Benchmark::Vgg)),
+        ("MobileNet".into(), median_layer(Benchmark::MobileNet)),
+        ("ResNet".into(), median_layer(Benchmark::ResNet)),
+        ("VGG".into(), median_layer(Benchmark::Vgg)),
     ];
     for m in LlmModel::all() {
         cases.push((format!("{} FF", m.name()), m.config().ff_shape()));

@@ -7,7 +7,7 @@ use camp_gemm::Method;
 use camp_models::GemmShape;
 use camp_pipeline::CoreConfig;
 
-fn main() {
+pub fn main() {
     header("Fig. 18", "CAMP vs MMLA vs OpenBLAS (SMM, normalized to OpenBLAS)");
     println!(
         "{:>6} {:>10} {:>10} {:>10}   paper: camp4 8.2-17.4x, camp8 4.9-8.5x, MMLA 2.2-2.7x",

@@ -8,7 +8,7 @@ use camp_bench::{harness_options, header};
 use camp_gemm::{simulate_gemm, Method};
 use camp_pipeline::CoreConfig;
 
-fn main() {
+pub fn main() {
     header("Table 1", "Int8/Int4 speedup over FP32, SMM 512");
     let opts = harness_options();
     let (m, n, k) = (512, 512, 512);

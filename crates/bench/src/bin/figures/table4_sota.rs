@@ -9,7 +9,7 @@ use camp_gemm::{simulate_gemm, Method};
 use camp_models::Conv2d;
 use camp_pipeline::CoreConfig;
 
-fn main() {
+pub fn main() {
     header("Table 4", "Edge conv benchmark vs state of the art");
     let (conv, h, w) = Conv2d::table4_benchmark();
     let shape = conv.gemm_shape(h, w);

@@ -1,7 +1,7 @@
-//! # camp-bench — figure/table reproduction harnesses
+//! # camp-bench — figure/table reproduction harness
 //!
-//! One binary per table/figure of the paper (docs/SIMULATOR.md,
-//! "Figure/table binaries → paper sections", is the index). Each harness
+//! One `figures` module per table/figure of the paper (docs/SIMULATOR.md,
+//! "Figure/table harnesses → paper sections", is the index). Each harness
 //! prints the series the paper reports, with a `paper≈` annotation
 //! giving the published value where one exists, so shape agreement can
 //! be read off the output. Two more bins, `host_gemm` and `llm_serve`,
@@ -10,16 +10,16 @@
 //!
 //! Shared conventions:
 //!
-//! * problems larger than the MAC budget are clamped
-//!   structure-preservingly (identical across methods — normalized
-//!   metrics unaffected); set `CAMP_MAC_BUDGET` (MACs) to change the
-//!   default of 32 M, e.g. `CAMP_MAC_BUDGET=200000000` for longer runs;
+//! * problems above the MAC budget (`CAMP_MAC_BUDGET`, default 32 M)
+//!   are clamped identically across methods, yet ratios move: Table 1's
+//!   SVE CAMP Int8/Int4 read 3.0×/3.4× clamped, 4.6×/5.7× unclamped
+//!   (docs/SIMULATOR.md, "MAC-budget clamping", lists the rest);
 //! * speedups are clock-cycle ratios against OpenBLAS-SGEMM-like on the
 //!   A64FX-like core (Figs. 13/14/18, Table 1) or BLIS-int32 on the edge
 //!   core (Fig. 12), exactly as in the paper.
 
 use camp_gemm::{simulate_gemm, GemmOptions, GemmResult, Method};
-use camp_models::GemmShape;
+use camp_models::{cnn, Benchmark, GemmShape};
 use camp_pipeline::CoreConfig;
 
 /// MAC budget for harness runs: env `CAMP_MAC_BUDGET`, default 32 M
@@ -76,6 +76,14 @@ pub fn fig13_methods() -> [Method; 6] {
         Method::HandvInt32,
         Method::OpenblasF32,
     ]
+}
+
+/// The median-by-ops layer of a CNN benchmark: its representative
+/// shape in Figs. 16 and 17.
+pub fn median_layer(b: Benchmark) -> GemmShape {
+    let mut layers = cnn::layers(b);
+    layers.sort_by_key(GemmShape::ops);
+    layers[layers.len() / 2]
 }
 
 /// Print a standard header block for a harness.

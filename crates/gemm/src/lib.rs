@@ -44,9 +44,8 @@
 //! AVX-512 / AVX-512 VNNI / NEON) selected once from a [`CpuFeatures`]
 //! runtime probe.
 //!
-//! For the Fig. 1 cache-miss-rate experiment the [`trace`] module
-//! generates naive and blocked GeMM address streams analytically and
-//! replays them against `camp-cache` without a pipeline.
+//! The Fig. 1 address traces in `camp-bench` walk the same [`loops`]
+//! iterators, replayed against `camp-cache` without a pipeline.
 //!
 //! # Example
 //!
@@ -68,7 +67,6 @@ pub mod method;
 pub mod pack;
 pub mod reference;
 pub mod request;
-pub mod trace;
 pub mod weights;
 pub mod workspace;
 

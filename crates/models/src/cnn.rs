@@ -136,21 +136,14 @@ pub fn layers(b: Benchmark) -> Vec<GemmShape> {
     t.iter().map(|&(m, n, k)| GemmShape::new(m, n, k)).collect()
 }
 
-/// All CNN-layer GeMMs of Table 3 (excluding the SMM suite), tagged with
-/// their benchmark — the population behind Figs. 4, 13, 15, 16 and 17.
-pub fn all_cnn_layers() -> Vec<(Benchmark, usize, GemmShape)> {
-    let mut out = Vec::new();
-    for b in [Benchmark::AlexNet, Benchmark::ResNet, Benchmark::Vgg, Benchmark::MobileNet] {
-        for (i, s) in layers(b).into_iter().enumerate() {
-            out.push((b, i + 1, s));
-        }
-    }
+/// All CNN-layer GeMMs of Table 3 (excluding the SMM suite), sorted by
+/// operation count (stable, so equal counts keep benchmark order): the
+/// x axis of Figs. 4 and 15.
+pub fn all_cnn_layers() -> Vec<GemmShape> {
+    let benchmarks = [Benchmark::AlexNet, Benchmark::ResNet, Benchmark::Vgg, Benchmark::MobileNet];
+    let mut out: Vec<GemmShape> = benchmarks.into_iter().flat_map(layers).collect();
+    out.sort_by_key(GemmShape::ops);
     out
-}
-
-/// Convenience alias used across the harnesses.
-pub fn benchmark(b: Benchmark) -> Vec<GemmShape> {
-    layers(b)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ pub mod conv;
 pub mod networks;
 pub mod transformer;
 
-pub use cnn::{benchmark, Benchmark, GemmShape};
+pub use cnn::{Benchmark, GemmShape};
 pub use conv::{im2col, Conv2d, Tensor3};
 pub use networks::ConvLayer;
 pub use transformer::{AttentionWorkload, LlmModel, TransformerConfig};
