@@ -143,18 +143,14 @@ pub struct Output {
     pub m: usize,
     /// Columns of `c`.
     pub n: usize,
-    /// True when a MAC-budgeted simulated backend clamped the problem:
-    /// `c` then holds the clamped (padded) measurement problem, not the
-    /// requested product. Always false on the host engine.
-    pub clamped: bool,
 }
 
 impl Output {
-    /// Build an (unclamped) output. The struct is `#[non_exhaustive]`,
+    /// Build an output. The struct is `#[non_exhaustive]`,
     /// so out-of-crate [`CampBackend`] implementations — adapters, the
     /// model-test mocks — construct through here.
     pub fn new(c: Vec<i32>, m: usize, n: usize) -> Self {
-        Output { c, m, n, clamped: false }
+        Output { c, m, n }
     }
 }
 
@@ -342,12 +338,7 @@ impl CampBackend for CampEngine {
     }
 
     fn execute_prepared(&mut self, batch: Vec<StagedRequest>) -> BatchOutcome {
-        let (cs, stats) = self.run_staged(&batch);
-        let outputs = cs
-            .into_iter()
-            .zip(&batch)
-            .map(|(c, r)| Output { c, m: r.m, n: r.n, clamped: false })
-            .collect();
+        let (outputs, stats) = self.run_staged(&batch);
         BatchOutcome { outputs, stats: ExecStats::Host(stats) }
     }
 }
@@ -373,43 +364,27 @@ impl CampBackend for CampEngine {
 /// per-head operands alike); the memo keys on shapes, not handles, so
 /// eviction leaves it alone.
 ///
-/// By default problems are simulated at full size. For harness-style
-/// measurements, [`SimBackend::with_mac_budget`] enables the paper's
-/// structure-preserving clamp; clamped outputs are flagged
-/// ([`Output::clamped`]) because they describe the clamped measurement
-/// problem, not the requested product.
+/// Every problem is simulated at full size: the MAC-budget clamp is a
+/// figure-harness rule ([`GemmOptions::mac_budget`] of
+/// `camp_gemm::simulate_gemm`), never applied to a served request.
 #[derive(Debug)]
 pub struct SimBackend {
     core: CoreConfig,
-    mac_budget: u64,
     weights: WeightRegistry,
     /// Built at the first batch, so construction allocates no simulator.
     session: Option<SimSession>,
 }
 
 impl SimBackend {
-    /// Simulated backend for `core` (no clamping, no verify overhead —
-    /// correctness is the parity test suite's job).
+    /// Simulated backend for `core` (no verify overhead — correctness
+    /// is the parity test suite's job).
     pub fn new(core: CoreConfig) -> Self {
-        SimBackend {
-            core,
-            mac_budget: u64::MAX,
-            weights: WeightRegistry::raw_mirror(),
-            session: None,
-        }
+        SimBackend { core, weights: WeightRegistry::raw_mirror(), session: None }
     }
 
     /// Convenience: the paper's A64FX-like core.
     pub fn a64fx() -> Self {
         SimBackend::new(CoreConfig::a64fx())
-    }
-
-    /// Clamp problems above `mac_budget` MACs structure-preservingly
-    /// (the figure harness rule); clamped outputs are flagged.
-    #[must_use]
-    pub fn with_mac_budget(mut self, mac_budget: u64) -> Self {
-        self.mac_budget = mac_budget;
-        self
     }
 
     /// The simulated core configuration.
@@ -468,7 +443,7 @@ impl CampBackend for SimBackend {
     fn execute_prepared(&mut self, reqs: Vec<GemmRequest>) -> BatchOutcome {
         const VALIDATED: &str = "requests are validated before they are prepared";
         let snap = self.weights.snapshot();
-        let opts = GemmOptions { mac_budget: self.mac_budget, verify: false, ..Default::default() };
+        let opts = GemmOptions { mac_budget: u64::MAX, verify: false, ..Default::default() };
         let core = self.core;
         let session = self.session.get_or_insert_with(|| SimSession::new(core));
         let mut stats = SimStats::default();
@@ -479,7 +454,7 @@ impl CampBackend for SimBackend {
                 // degenerate requests get the host engine's rule (empty,
                 // or all-zero when only k is 0) and simulate nothing
                 if r.is_degenerate() {
-                    return Output { c: vec![0i32; r.m * r.n], m: r.m, n: r.n, clamped: false };
+                    return Output { c: vec![0i32; r.m * r.n], m: r.m, n: r.n };
                 }
                 let raw: Arc<[i8]>;
                 let b = match req.weights() {
@@ -495,10 +470,6 @@ impl CampBackend for SimBackend {
                 let CMatrix::I32(padded) = result.c else {
                     unreachable!("camp kernels accumulate i32");
                 };
-                if result.clamped {
-                    // the clamped (padded) measurement problem, flagged
-                    return Output { c: padded, m: result.m, n: result.n, clamped: true };
-                }
                 // unpad the requested m×n region (np = result.n) into an
                 // exactly sized buffer, so `padded` is freed here for the
                 // next request to reuse (unpadding in place and handing
@@ -509,7 +480,7 @@ impl CampBackend for SimBackend {
                     c[i * r.n..(i + 1) * r.n]
                         .copy_from_slice(&padded[i * result.n..i * result.n + r.n]);
                 }
-                Output { c, m: r.m, n: r.n, clamped: false }
+                Output { c, m: r.m, n: r.n }
             })
             .collect();
         BatchOutcome { outputs, stats: ExecStats::Sim(stats) }
@@ -543,7 +514,6 @@ mod tests {
         let fast = host.execute(&req).unwrap();
         assert_eq!(fast.output.c, reference);
         assert_eq!((fast.output.m, fast.output.n), (m, n));
-        assert!(!fast.output.clamped);
         assert!(fast.stats.as_host().is_some());
         assert_eq!(fast.stats.macs(), (m * n * k) as u64);
 
@@ -677,43 +647,36 @@ mod tests {
             [vec![one.clone()], vec![nine.clone()], vec![one, nine], heads(dh, pos), heads(pos, dh)]
         };
         for dtype in [DType::I8, DType::I4] {
-            for budget in [u64::MAX, 20_000] {
-                let backend = || {
-                    let mut sim = SimBackend::a64fx().with_mac_budget(budget);
-                    let h = sim.register_weights(n, k, &w, dtype);
-                    (sim, h)
-                };
-                // every call on a backend of its own: cold, but for the
-                // heads after a call's first, which hit its entry
-                let cold: Vec<BatchOutcome> = (0..5)
-                    .map(|i| {
-                        let (mut sim, h) = backend();
-                        sim.execute_batch(&calls(h)[i]).unwrap()
-                    })
-                    .collect();
-                // every call twice on one backend: the second pass, and
-                // every head after the first, hits the memo
-                let (mut warm, h) = backend();
-                let mut units = 0;
-                for pass in 0..2 {
-                    for (i, call) in calls(h).iter().enumerate() {
-                        let got = warm.execute_batch(call).unwrap();
-                        assert_eq!(
-                            got, cold[i],
-                            "{dtype:?}, budget {budget}: pass {pass}, call {i}"
-                        );
-                    }
-                    let now = memoized_units(&warm);
-                    assert!(pass == 0 || now == units, "{dtype:?}, budget {budget}: grew");
-                    units = now;
+            let backend = || {
+                let mut sim = SimBackend::a64fx();
+                let h = sim.register_weights(n, k, &w, dtype);
+                (sim, h)
+            };
+            // every call on a backend of its own: cold, but for the
+            // heads after a call's first, which hit its entry
+            let cold: Vec<BatchOutcome> = (0..5)
+                .map(|i| {
+                    let (mut sim, h) = backend();
+                    sim.execute_batch(&calls(h)[i]).unwrap()
+                })
+                .collect();
+            // every call twice on one backend: the second pass, and
+            // every head after the first, hits the memo
+            let (mut warm, h) = backend();
+            let mut units = 0;
+            for pass in 0..2 {
+                for (i, call) in calls(h).iter().enumerate() {
+                    let got = warm.execute_batch(call).unwrap();
+                    assert_eq!(got, cold[i], "{dtype:?}: pass {pass}, call {i}");
                 }
-                // two weight plans of two units each (one once the clamp
-                // has cut n to a single column strip), plus one per
-                // attention shape: the i8 heads' dense B runs under
-                // camp.s8, whatever dtype the weight has
-                let weight_units = if budget == u64::MAX { 2 } else { 1 };
-                assert_eq!(units, 2 * weight_units + 2, "{dtype:?}, budget {budget}");
+                let now = memoized_units(&warm);
+                assert!(pass == 0 || now == units, "{dtype:?}: grew");
+                units = now;
             }
+            // two weight plans of two units each, plus one per attention
+            // shape: the i8 heads' dense B runs under camp.s8, whatever
+            // dtype the weight has
+            assert_eq!(units, 2 * 2 + 2, "{dtype:?}");
         }
     }
 
@@ -772,18 +735,6 @@ mod tests {
             let got = sim.execute(&request(shape)).unwrap();
             assert_eq!(got, SimBackend::a64fx().execute(&request(shape)).unwrap(), "{shape:?}");
         }
-    }
-
-    #[test]
-    fn mac_clamping_is_opt_in_and_flagged() {
-        let (m, n, k) = (64, 64, 64);
-        let req = GemmRequest::dense(m, n, k, fill(m * k, 3), fill(k * n, 5)).unwrap();
-        let mut sim = SimBackend::a64fx().with_mac_budget(10_000);
-        let out = sim.execute(&req).unwrap();
-        assert!(out.output.clamped, "a 262 k-MAC problem must clamp under a 10 k budget");
-        assert!((out.output.m * out.output.n) <= m * n);
-        let unclamped = SimBackend::a64fx().execute(&req).unwrap();
-        assert!(!unclamped.output.clamped, "no budget, no clamp");
     }
 
     #[test]

@@ -107,6 +107,7 @@ use camp_gemm::workspace::{PackPool, PanelId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use crate::backend::Output;
 use crate::pool::{Job, WorkerPool};
 
 pub use camp_gemm::gemm_i32_ref;
@@ -353,10 +354,43 @@ fn row_splits(m: usize, n: usize, k: usize) -> bool {
         && small_path(m, n) != Some(SmallPath::SmallM)
 }
 
+/// The route a request's units take, decided once per batch by
+/// [`CampEngine::run_staged`] from its shape ([`small_path`]) and where
+/// its B lives. `P` is a packed B panel: its bytes when the units run,
+/// a [`Panel`] while the batch's dense B are still being packed.
+#[derive(Clone, Copy)]
+enum Route<'a, P = &'a [i8]> {
+    /// Skinny-m: raw A rows against B read dense in place or as a
+    /// registered panel (a skinny-m request's dense B is never packed).
+    SmallM(SmallB<'a>),
+    /// Skinny-n: raw A rows against a panel.
+    SmallN(P),
+    /// The blocked nest over a panel and the whole A image, where
+    /// [`StagedRequest::stage`] built one.
+    Blocked { b: P, a_image: Option<&'a [i8]> },
+}
+
+/// A panel-reading route's B before the batch arena is complete.
+#[derive(Clone, Copy)]
+enum Panel<'a> {
+    /// A registered weight's panel.
+    Registered(&'a [i8]),
+    /// A dense B packed into the batch arena.
+    Shared(PanelId),
+}
+
+impl<'a, P> Route<'a, P> {
+    fn map_panel<Q>(self, f: impl FnOnce(P) -> Q) -> Route<'a, Q> {
+        match self {
+            Route::SmallM(b) => Route::SmallM(b),
+            Route::SmallN(b) => Route::SmallN(f(b)),
+            Route::Blocked { b, a_image } => Route::Blocked { b: f(b), a_image },
+        }
+    }
+}
+
 /// One non-degenerate request of a batch as its work units read it: the
-/// overall shape (which fixes the route), the raw activation, the whole
-/// A image where [`StagedRequest::stage`] built one, and B as a whole
-/// packed image or (skinny-m, dense) as the raw operand.
+/// overall shape, the raw activation and its [`Route`].
 #[derive(Clone, Copy)]
 struct Item<'a> {
     m: usize,
@@ -364,8 +398,7 @@ struct Item<'a> {
     k: usize,
     k_step: usize,
     a: &'a [i8],
-    a_image: Option<&'a [i8]>,
-    b: SmallB<'a>,
+    route: Route<'a>,
 }
 
 /// The batch's unit of scheduling: rows `r0..r0 + c.len() / n` of one
@@ -382,26 +415,23 @@ impl Unit<'_> {
     }
 }
 
-/// Run one unit on the route its *item's* shape selects: the skinny
-/// fast paths for GEMV-shaped items ([`small_path`]) — raw A rows feed
-/// the tier's small kernels directly, no A image, no padded register
-/// tile — and the blocked nest otherwise, over the item's whole A image
-/// or, when `prepare` built none, over this unit's rows packed once into
-/// `pool`'s arena before the nest starts. Bit-identity across routes
-/// and row ranges is structural — exact products, wrapping i32
-/// accumulation.
+/// Run one unit on its *item's* [`Route`]: the skinny fast paths for
+/// GEMV-shaped items — raw A rows feed the tier's small kernels
+/// directly, no A image, no padded register tile — and the blocked nest
+/// otherwise, over the item's whole A image or, when `prepare` built
+/// none, over this unit's rows packed once into `pool`'s arena before
+/// the nest starts. Bit-identity across routes and row ranges is
+/// structural — exact products, wrapping i32 accumulation.
 fn run_unit(unit: Unit<'_>, pool: &mut PackPool, hk: &'static HostKernel) {
     let Unit { item: it, r0, c } = unit;
     let rows = c.len() / it.n;
     let a_rows = &it.a[r0 * it.k..(r0 + rows) * it.k];
     let plan = host_block_plan(rows, it.n, it.k, it.k_step);
-    match (small_path(it.m, it.n), it.b) {
-        (Some(SmallPath::SmallM), b) => hk.run_small_m(rows, it.n, it.k, &plan, a_rows, b, c),
-        (Some(SmallPath::SmallN), SmallB::Panel(b)) => {
-            hk.run_small_n(rows, it.n, it.k, &plan, a_rows, b, c)
-        }
-        (None, SmallB::Panel(b)) => {
-            let image = match it.a_image {
+    match it.route {
+        Route::SmallM(b) => hk.run_small_m(rows, it.n, it.k, &plan, a_rows, b, c),
+        Route::SmallN(b) => hk.run_small_n(rows, it.n, it.k, &plan, a_rows, b, c),
+        Route::Blocked { b, a_image } => {
+            let image = match a_image {
                 Some(bytes) => {
                     AImage { bytes, plan: host_block_plan(it.m, it.n, it.k, it.k_step), row0: r0 }
                 }
@@ -413,7 +443,6 @@ fn run_unit(unit: Unit<'_>, pool: &mut PackPool, hk: &'static HostKernel) {
             };
             blocked_nest(it.n, &plan, image, b, c, hk);
         }
-        (_, SmallB::Dense(_)) => unreachable!("only a skinny-m item reads its dense B in place"),
     }
 }
 
@@ -719,65 +748,76 @@ impl CampEngine {
     /// consumed as they are. Then every non-degenerate request becomes
     /// work units — itself, or its [`row_partition`] ranges when it
     /// [`row_splits`] — over its pre-allocated result, and
-    /// [`run_units`] runs them. Returns one row-major C per request
+    /// [`run_units`] runs them. Returns one [`Output`] per request
     /// plus the batch's merged stats.
-    pub(crate) fn run_staged(&mut self, reqs: &[StagedRequest]) -> (Vec<Vec<i32>>, EngineStats) {
+    pub(crate) fn run_staged(&mut self, reqs: &[StagedRequest]) -> (Vec<Output>, EngineStats) {
         let mut total = EngineStats::default();
         self.shared.reset_panels();
         let mut panel_of: HashMap<(*const i8, usize, usize, usize), PanelId> = HashMap::new();
         // Debug builds range-check each distinct i4 operand once,
         // whichever route its readers take.
         let mut checked_i4: HashSet<*const i8> = HashSet::new();
-        let panels: Vec<Option<PanelId>> = reqs
+        let routes: Vec<Option<Route<'_, Panel<'_>>>> = reqs
             .iter()
-            .map(|r| match &r.b {
-                StagedB::Dense(b) if !r.is_degenerate() => {
+            .map(|r| {
+                if r.is_degenerate() {
+                    return None;
+                }
+                if let StagedB::Dense(b) = &r.b {
                     if checks_i4(r.dtype) && checked_i4.insert(b.as_ptr()) {
                         debug_check_i4(r.dtype, "B", b);
                     }
+                }
+                let mut panel = || match &r.b {
+                    StagedB::Handle(h) => Panel::Registered(self.weights.panel(*h)),
+                    StagedB::Dense(b) => {
+                        let k_step = r.dtype.k_step();
+                        Panel::Shared(
+                            *panel_of.entry((b.as_ptr(), r.n, r.k, k_step)).or_insert_with(|| {
+                                let plan = host_block_plan(r.m, r.n, r.k, k_step);
+                                let id = self.shared.alloc_panel(packed_b_bytes(&plan));
+                                prepack_b(self.shared.panel_mut(id), b, r.n, r.k, &plan);
+                                total.packed_b_bytes += packed_b_bytes(&plan) as u64;
+                                id
+                            }),
+                        )
+                    }
+                };
+                Some(match (small_path(r.m, r.n), &r.b) {
                     // The small-m row sweep streams the raw row-major
                     // operand once; skinny-n items keep packing — their
                     // B is at most 8 columns wide, every one of the
                     // m > 8 rows re-reads it, and pack-then-panel-walk
                     // measured faster than a no-pack kernel there.
-                    if small_path(r.m, r.n) == Some(SmallPath::SmallM) {
-                        return None;
+                    (Some(SmallPath::SmallM), StagedB::Dense(b)) => Route::SmallM(SmallB::Dense(b)),
+                    (Some(SmallPath::SmallM), StagedB::Handle(h)) => {
+                        Route::SmallM(SmallB::Panel(self.weights.panel(*h)))
                     }
-                    let k_step = r.dtype.k_step();
-                    Some(*panel_of.entry((b.as_ptr(), r.n, r.k, k_step)).or_insert_with(|| {
-                        let plan = host_block_plan(r.m, r.n, r.k, k_step);
-                        let id = self.shared.alloc_panel(packed_b_bytes(&plan));
-                        prepack_b(self.shared.panel_mut(id), b, r.n, r.k, &plan);
-                        total.packed_b_bytes += packed_b_bytes(&plan) as u64;
-                        id
-                    }))
-                }
-                _ => None,
+                    (Some(SmallPath::SmallN), _) => Route::SmallN(panel()),
+                    (None, _) => Route::Blocked { b: panel(), a_image: r.packed_a.as_deref() },
+                })
             })
             .collect();
 
         // Every result exists up front, zeroed: units accumulate into
         // theirs, degenerate ones are already final (all-zero when only
         // k is 0, empty otherwise).
-        let mut results: Vec<Vec<i32>> = reqs.iter().map(|r| vec![0i32; r.m * r.n]).collect();
+        let mut results: Vec<Output> =
+            reqs.iter().map(|r| Output::new(vec![0i32; r.m * r.n], r.m, r.n)).collect();
         let mut units: Vec<Unit<'_>> = Vec::with_capacity(reqs.len());
-        for ((r, c), panel) in reqs.iter().zip(&mut results).zip(&panels) {
-            if r.is_degenerate() {
-                continue;
-            }
+        for ((r, out), route) in reqs.iter().zip(&mut results).zip(routes) {
+            let Some(route) = route else { continue };
             debug_check_i4(r.dtype, "A", &r.a);
             let k_step = r.dtype.k_step();
             total.merge(&request_stats(r.m, r.n, r.k, k_step));
-            let b = match (&r.b, panel) {
-                (StagedB::Handle(h), _) => SmallB::Panel(self.weights.panel(*h)),
-                (StagedB::Dense(_), Some(id)) => SmallB::Panel(self.shared.panel(*id)),
-                (StagedB::Dense(b), None) => SmallB::Dense(b),
-            };
-            let item =
-                Item { m: r.m, n: r.n, k: r.k, k_step, a: &r.a, a_image: r.packed_a.as_deref(), b };
+            let route = route.map_panel(|p| match p {
+                Panel::Registered(b) => b,
+                Panel::Shared(id) => self.shared.panel(id),
+            });
+            let item = Item { m: r.m, n: r.n, k: r.k, k_step, a: &r.a, route };
             let rows_per =
                 if row_splits(r.m, r.n, r.k) { row_partition(r.m, self.threads) } else { r.m };
-            units.extend(c.chunks_mut(rows_per * r.n).enumerate().map(|(i, c)| Unit {
+            units.extend(out.c.chunks_mut(rows_per * r.n).enumerate().map(|(i, c)| Unit {
                 item,
                 r0: i * rows_per,
                 c,
@@ -1161,8 +1201,8 @@ mod tests {
                     prepack_a(&mut whole, &a, m, k, &plan);
                     for a_image in [Some(&whole[..]), None] {
                         for b in [registry.panel(h), shared.panel(id)] {
-                            let item =
-                                Item { m, n, k, k_step, a: &a, a_image, b: SmallB::Panel(b) };
+                            let route = Route::Blocked { b, a_image };
+                            let item = Item { m, n, k, k_step, a: &a, route };
                             for pool in [None, Some(&wp)] {
                                 let mut c = vec![0i32; m * n];
                                 let mut arenas = Vec::new();

@@ -6,7 +6,9 @@
 //! vector subset play in the original work: a compact assembly-level
 //! language in which every evaluated GeMM kernel is written, executed
 //! functionally by [`machine::Machine`], and timed by the models in
-//! `camp-pipeline`.
+//! `camp-pipeline`. A program is a vector of [`Inst`] values, which the
+//! machine and the timing model read directly: the ISA has no binary
+//! encoding.
 //!
 //! The ISA is deliberately small but complete enough to express all the
 //! kernels evaluated in the paper:
@@ -44,14 +46,11 @@
 //! ```
 
 pub mod asm;
-pub mod disasm;
-pub mod encode;
 pub mod inst;
 pub mod machine;
 pub mod reg;
 
 pub use asm::Assembler;
-pub use disasm::{disassemble, disassemble_program};
 pub use inst::{CampMode, ElemType, Inst, InstClass, Program, VOp};
 pub use machine::{ExecError, Machine, MemAccess, StepOut};
 pub use reg::{ScalarReg, VectorReg, S, V};

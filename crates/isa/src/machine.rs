@@ -251,7 +251,7 @@ impl Machine {
     ///
     /// # Panics
     /// Panics on a scalar load/store whose `width` is not 1, 2, 4 or 8
-    /// (the assembler and the decoder never produce one).
+    /// (the assembler never produces one).
     #[inline]
     pub fn step(&mut self, prog: &Program) -> Result<Option<StepOut>, ExecError> {
         let idx = self.pc;

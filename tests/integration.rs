@@ -6,10 +6,12 @@ use camp::core::backend::CampBackend;
 use camp::core::{gemm_i32_ref, CampEngine, DType, GemmRequest, Operand};
 use camp::energy::{AreaModel, EnergyModel, TechNode};
 use camp::gemm::{simulate_gemm, GemmOptions, Method};
+use camp::infer::{BackendExec, CheckedExec, GemmExec, InferContext, InferSession, Model, RefExec};
 use camp::models::conv::{im2col, weights_to_b, Conv2d, Tensor3};
 use camp::models::{cnn, Benchmark, LlmModel};
 use camp::pipeline::CoreConfig;
 use camp::quant::SymmetricQuantizer;
+use std::sync::Arc;
 
 fn small_opts() -> GemmOptions {
     GemmOptions { mac_budget: 3_000_000, ..GemmOptions::default() }
@@ -27,13 +29,6 @@ fn host_gemm(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], dtype: DType) -> 
         .build()
         .expect("well-formed request");
     CampEngine::new().execute(&req).expect("host execution").output.c
-}
-
-/// The golden result of one dense request.
-fn reference(req: &GemmRequest) -> Vec<i32> {
-    let Operand::Dense(b) = req.weights() else { panic!("dense request expected") };
-    let (n, k) = (req.n().expect("dense n"), req.k().expect("dense k"));
-    gemm_i32_ref(req.m(), n, k, req.activation(), b)
 }
 
 #[test]
@@ -100,132 +95,50 @@ fn llm_shape_simulates_and_wins() {
     assert!(camp.stats.cycles * 2 < base.stats.cycles, "CAMP-4bit should be >2x here");
 }
 
+/// Prefill `prompt`, then `steps` KV-cached decode steps, with `exec`.
+fn token_stream(model: &Model, exec: &mut dyn GemmExec, prompt: &[u32], steps: usize) -> Vec<u32> {
+    let mut ctx = InferContext::for_model(model);
+    let mut out = vec![ctx.prefill_with(model, exec, prompt).expect("prefill").first];
+    for _ in 0..steps {
+        out.push(ctx.decode_with(model, exec).expect("decode"));
+    }
+    out
+}
+
+/// `model` at its real hidden size and head count, one layer and
+/// ff_dim = hidden (to bound test time), serves a 12-token prompt —
+/// prefill GeMMs take the blocked route — then two decode steps on the
+/// skinny-m route (attention K/V read dense in place): on the engine,
+/// every GeMM checked against `gemm_i32_ref` as it runs, and through a
+/// dispatcher, both must stream `RefExec`'s tokens.
+fn serves_the_reference_stream(model: LlmModel) {
+    let mut cfg = model.config();
+    cfg.layers = 1;
+    cfg.ff_dim = cfg.hidden;
+    let m = Arc::new(Model::new(cfg, 64, 0xFEED));
+    let prompt: Vec<u32> = (0..12).map(|i| (7 * i + 3) % 64).collect();
+    let want = token_stream(&m, &mut RefExec::new(&m), &prompt, 2);
+
+    let mut engine = CampEngine::with_threads(3);
+    let handles = Arc::new(m.register(&mut engine));
+    let mut checked = CheckedExec::new(&m, BackendExec::new(&mut engine, &handles));
+    assert_eq!(token_stream(&m, &mut checked, &prompt, 2), want, "{} on the engine", model.name());
+
+    let dispatcher = engine.dispatch();
+    let mut session = InferSession::new(&dispatcher, Arc::clone(&m), handles);
+    let mut got = vec![session.prefill(&prompt).expect("prefill").first];
+    got.extend(session.generate(2).expect("decode"));
+    assert_eq!(got, want, "{} through the dispatcher", model.name());
+}
+
 #[test]
-fn attention_batch_cross_validates_for_all_llms() {
-    // the per-head Fig. 14 attention inventory for every paper model,
-    // built as typed requests, run as one batch and checked
-    // element-for-element against the golden reference and the
-    // per-request path; scaled to test runtime (one layer, short
-    // sequence) with the real hidden size and head count so the
-    // projection/score/context structure is intact
-    for (i, model) in LlmModel::all().into_iter().enumerate() {
-        let mut cfg = model.config();
-        cfg.layers = 1;
-        cfg.seq_len = 8;
-        let workload = cfg.attention_workload(0xFEED + i as u64);
-        let requests = workload.gemm_requests(DType::I8);
-        assert_eq!(requests.len(), 4 + 2 * cfg.heads, "{}", model.name());
-        let mut eng = CampEngine::with_threads(3);
-        let batch = eng.execute_batch(&requests).expect("well-formed batch");
-        let mut per_call = CampEngine::new();
-        for (out, req) in batch.outputs.iter().zip(&requests) {
-            let shape = format!("{} {}x{:?}x{:?}", model.name(), req.m(), req.n(), req.k());
-            assert_eq!(out.c, reference(req), "{shape} vs reference");
-            let solo = per_call.execute(req).expect("well-formed request");
-            assert_eq!(out, &solo.output, "{shape} vs per-request");
+fn every_llm_serves_the_reference_stream_on_the_engine_and_the_dispatcher() {
+    // one model per thread: the debug reference GeMMs dominate the time
+    std::thread::scope(|s| {
+        for model in LlmModel::all() {
+            s.spawn(move || serves_the_reference_stream(model));
         }
-    }
-}
-
-#[test]
-fn attention_batch_runs_under_the_i4_kernel() {
-    // workload data is 4-bit quantized, so the same batch must be exact
-    // under camp.s4 as well
-    let mut cfg = LlmModel::BertBase.config();
-    cfg.layers = 1;
-    cfg.seq_len = 8;
-    let workload = cfg.attention_workload(0xBEEF);
-    let requests = workload.gemm_requests(DType::I4);
-    let batch = CampEngine::with_threads(2).execute_batch(&requests).expect("well-formed batch");
-    for (i, (out, req)) in batch.outputs.iter().zip(&requests).enumerate() {
-        assert_eq!(out.c, reference(req), "request {i}");
-    }
-}
-
-#[test]
-fn registered_attention_weights_skip_all_b_packing() {
-    // the serving acceptance criterion: with every B operand
-    // pre-registered, batch calls move zero B-pack bytes — on the
-    // first call and forever after — while staying bit-identical to
-    // the golden reference
-    let mut cfg = LlmModel::BertBase.config();
-    cfg.layers = 1;
-    cfg.seq_len = 8;
-    let workload = cfg.attention_workload(0xCAFE);
-    let mut eng = CampEngine::with_threads(3);
-    let handles = workload.register(&mut eng, DType::I8);
-    let by_handle = workload.gemm_requests_with_handles(&handles);
-    let dense = workload.gemm_requests(DType::I8);
-
-    let first = eng.execute_batch(&by_handle).expect("well-formed batch");
-    let s1 = first.stats.as_host().expect("host stats");
-    assert_eq!(s1.packed_b_bytes, 0, "registered weights must never pack B");
-    for (i, (out, req)) in first.outputs.iter().zip(&dense).enumerate() {
-        assert_eq!(out.c, reference(req), "request {i}");
-    }
-    let warm_allocs = eng.pack_allocations();
-    for _ in 0..3 {
-        let again = eng.execute_batch(&by_handle).expect("well-formed batch");
-        assert_eq!(again.outputs, first.outputs);
-        let s = again.stats.as_host().expect("host stats");
-        assert_eq!(s.packed_b_bytes, 0, "steady state must not pack B");
-    }
-    assert_eq!(eng.pack_allocations(), warm_allocs, "steady state must not allocate");
-}
-
-#[test]
-fn serving_session_streams_attention_batches_bit_identically() {
-    // register once, stream several batches through submit/poll with
-    // all of them in flight, and compare against the golden reference
-    let mut cfg = LlmModel::BertBase.config();
-    cfg.layers = 1;
-    cfg.seq_len = 8;
-    let workload = cfg.attention_workload(0xD15C0);
-    let dense = workload.gemm_requests(DType::I8);
-    let mut eng = CampEngine::with_threads(2);
-    let handles = workload.register(&mut eng, DType::I8);
-    let requests = workload.gemm_requests_with_handles(&handles);
-    let dispatcher = eng.dispatch();
-    let mut session = dispatcher.session();
-    let tickets: Vec<_> =
-        (0..3).map(|_| session.submit(requests.clone()).expect("validated")).collect();
-    for ticket in tickets {
-        let outcome = session.wait(ticket).expect("batch completes");
-        let stats = outcome.stats.as_host().expect("host session");
-        assert_eq!(stats.packed_b_bytes, 0, "sessions never pack B for handles");
-        for (i, (out, req)) in outcome.outputs.iter().zip(&dense).enumerate() {
-            assert_eq!(out.c, reference(req), "request {i}");
-        }
-    }
-    // the engine comes back warm and usable
-    drop(session);
-    let mut eng = dispatcher.into_backend();
-    assert_eq!(eng.execute(&dense[0]).unwrap().output.c, reference(&dense[0]));
-}
-
-#[test]
-fn mixed_dtype_attention_batch_cross_validates() {
-    // one batch carrying both kernels: the i4-registered half and the
-    // i8 dense half must each match the golden reference (workload
-    // data is 4-bit, so both kernels are exact)
-    let mut cfg = LlmModel::Gpt3Small.config();
-    cfg.layers = 1;
-    cfg.seq_len = 8;
-    let workload = cfg.attention_workload(0x7A1D);
-    let mut eng = CampEngine::with_threads(2);
-    let handles = workload.register(&mut eng, DType::I4);
-    let by_handle = workload.gemm_requests_with_handles(&handles);
-    let dense = workload.gemm_requests(DType::I8);
-    let mixed: Vec<GemmRequest> = by_handle
-        .iter()
-        .zip(&dense)
-        .enumerate()
-        .map(|(i, (h, d))| if i % 2 == 0 { h.clone() } else { d.clone() })
-        .collect();
-    let batch = eng.execute_batch(&mixed).expect("well-formed batch");
-    for (i, (out, req)) in batch.outputs.iter().zip(&dense).enumerate() {
-        assert_eq!(out.c, reference(req), "request {i}");
-    }
+    });
 }
 
 #[test]

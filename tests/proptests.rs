@@ -8,8 +8,7 @@ use camp::core::hybrid::HybridMultiplier;
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
 use camp::gemm::loops::{small_path, SmallPath};
 use camp::gemm::{simulate_gemm, GemmOptions, GemmProblem, Method, SimSession, SplitMix64};
-use camp::isa::encode::{decode, encode};
-use camp::isa::inst::{CampMode, Inst};
+use camp::isa::inst::CampMode;
 use camp::isa::machine::camp_outer_product;
 use camp::pipeline::CoreConfig;
 use camp::quant::SymmetricQuantizer;
@@ -220,26 +219,6 @@ proptest! {
     }
 
     #[test]
-    fn encode_decode_roundtrip_register_forms(rd in 0u8..32, rs1 in 0u8..32, rs2 in 0u8..32) {
-        use camp::isa::reg::{ScalarReg, VectorReg};
-        let insts = [
-            Inst::Add { rd: ScalarReg(rd), rs1: ScalarReg(rs1), rs2: ScalarReg(rs2) },
-            Inst::Smmla { vd: VectorReg(rd), vs1: VectorReg(rs1), vs2: VectorReg(rs2) },
-            Inst::Camp { mode: CampMode::I4, vd: VectorReg(rd), vs1: VectorReg(rs1), vs2: VectorReg(rs2) },
-        ];
-        for i in insts {
-            prop_assert_eq!(decode(encode(&i).unwrap()).unwrap(), i);
-        }
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_immediates(imm in -8_000_000i64..8_000_000) {
-        use camp::isa::reg::ScalarReg;
-        let i = Inst::Addi { rd: ScalarReg(3), rs: ScalarReg(4), imm };
-        prop_assert_eq!(decode(encode(&i).unwrap()).unwrap(), i);
-    }
-
-    #[test]
     fn cache_accounting_invariant(addrs in prop::collection::vec(0u64..(1 << 16), 1..400)) {
         let mut c = Cache::new(CacheConfig {
             size_bytes: 1 << 10, assoc: 2, line_bytes: 64, hit_latency: 1, prefetch: false,
@@ -309,17 +288,13 @@ proptest! {
     #[test]
     fn simulated_driver_is_correct_on_random_ragged_shapes(
         m in 1usize..17, n in 1usize..17, k in 1usize..150,
-        mi in 0usize..7, seed in any::<u32>())
+        mi in 0usize..7)
     {
         // random ragged shape, random §5.3 method, blocking that splits
         // it into several (jc, pc) units: the merged C must match the
         // host reference
         let method = Method::all()[mi];
-        let opts = GemmOptions {
-            seed: (seed as u64) | 1,
-            blocking: Some((8, 16, 128)),
-            ..GemmOptions::default()
-        };
+        let opts = GemmOptions { blocking: Some((8, 16, 128)), ..GemmOptions::default() };
         let r = simulate_gemm(CoreConfig::a64fx(), method, m, n, k, &opts);
         prop_assert!(r.correct, "{} wrong at {}x{}x{}", method.name(), m, n, k);
     }
@@ -369,10 +344,11 @@ fn operand_set(class: u32, len: usize, (lo, hi): (i8, i8), rng: &mut SplitMix64)
 /// kernel over uniform operands and one over operands of `class` must
 /// count exactly alike, and each C must equal its reference — also when
 /// the second runs after the first on one session, every unit a memo
-/// hit. Each of the five baselines must count alike over the seeded
-/// operands of two seeds. `shape` picks the plan: the core's default
-/// blocking, two multi-unit blockings, or a MAC budget that clamps the
-/// problem.
+/// hit. `shape` picks the plan: the core's default blocking, two
+/// multi-unit blockings, or a MAC budget that clamps the problem. The
+/// five baselines, which read only `simulate_gemm`'s seeded operands,
+/// are held to the same claim over two seeds inside camp-gemm
+/// (`driver::tests::a_baseline_counts_the_same_for_any_seed`).
 fn check_data_independence(
     m: usize,
     n: usize,
@@ -407,15 +383,6 @@ fn check_data_independence(
             prop_assert!(first.correct && cold.correct && warm.correct, "{}: wrong C", what);
             prop_assert_eq!(first.stats, cold.stats, "{}: counts depend on the operands", what);
             prop_assert_eq!(&warm.c, &cold.c, "{}: a memo hit computed another C", what);
-        }
-        let baselines =
-            Method::all().into_iter().filter(|x| !matches!(x, Method::Camp8 | Method::Camp4));
-        for method in baselines {
-            let run = |seed| simulate_gemm(core, method, m, n, k, &GemmOptions { seed, ..opts });
-            let (one, other) = (run(seed), run(!seed));
-            let what = format!("{} on {}", method.name(), core.name);
-            prop_assert!(one.correct && other.correct, "{}: wrong C", what);
-            prop_assert_eq!(one.stats, other.stats, "{}: counts depend on the operands", what);
         }
     }
     Ok(())
