@@ -32,10 +32,14 @@
 //!   k 64) and V (n 64, k 192);
 //! * **blocked path per tier** — every tier the CPU can run
 //!   (`HostKernel::available()`, so the widening and the VNNI AVX-512
-//!   tiles sit side by side on one box): the wide register tile on
-//!   L1-resident panels (the compute roof of the blocked nest), then the
-//!   engine at 512³ and at the prefill shape 192×1024×256, 1 thread —
-//!   what each tier's tile offers and what the nest leaves on the table;
+//!   tiles and the AMX tile sit side by side on one box): the tile the
+//!   nest runs (`KernelInfo::int_tile`) and its roof — the wide
+//!   register tile on L1-resident panels, or, for a tier with its own
+//!   macro-kernel (`amx`), that nest on L1-resident operands — then the
+//!   engine at 512³ and at the prefill shape 192×1024×256 and its
+//!   16-row sibling 16×1024×256 (a blocked GeMM the 32-row AMX step
+//!   pads by half), 1 thread — what each tier's tile offers and what
+//!   the nest leaves on the table;
 //! * **skinny-m roofline** — `run_small_m` over a packed panel image at
 //!   the served decode shapes, m = 1..8, *resident* (one image, walked
 //!   again and again) and *streamed* (rotating through 4 MB of distinct
@@ -52,7 +56,7 @@
 use camp_core::backend::CampBackend;
 use camp_core::{CampEngine, DType, GemmRequest};
 use camp_gemm::batch::packed_b_bytes;
-use camp_gemm::host::{forced_tier, HostKernel, SmallB};
+use camp_gemm::host::{forced_tier, AImage, HostKernel, SmallB};
 use camp_gemm::weights::host_block_plan;
 
 /// Timed repetitions per cell; the best one is reported.
@@ -216,22 +220,54 @@ fn tile_roof_gops(hk: &HostKernel) -> f64 {
     gops(4, nr, kcb, secs / calls as f64)
 }
 
+/// Gop/s of a tier's own blocked macro-kernel ([`HostKernel::run_blocked`])
+/// on L1-resident operands, 64×32×256: two 32-row strips against one
+/// re-laid 32-column step, B's re-layout and C's write-back included —
+/// the roof of a nest that is not a loop over the wide register tile.
+fn nest_roof_gops(hk: &HostKernel) -> f64 {
+    let (m, n, k) = (64, 32, 256);
+    let plan = host_block_plan(m, n, k, DType::I8.k_step());
+    let a = gen_i8(m * k, 0x1234_5679, -128, 127);
+    let b = gen_i8(k * n, 0x0BAD_F00D | 1, -128, 127);
+    let mut image = vec![0i8; hk.packed_a_len(&plan)];
+    hk.prepack_a(&mut image, &a, m, k, &plan);
+    let mut panel = vec![0i8; packed_b_bytes(&plan)];
+    hk.prepack_b(&mut panel, &b, n, k, &plan);
+    let mut scratch = vec![0i8; hk.blocked_scratch_len(&plan)];
+    let mut c = vec![0i32; m * n];
+    let calls = 1024;
+    let secs = time_best(|| {
+        for _ in 0..calls {
+            let a = AImage { bytes: std::hint::black_box(&image), plan, row0: 0 };
+            hk.run_blocked(n, &plan, a, &panel, &mut c, &mut scratch);
+        }
+    });
+    std::hint::black_box(&c);
+    gops(m, n, k, secs / calls as f64)
+}
+
 /// The blocked path of every runnable tier (see the module doc).
 fn print_blocked_per_tier() {
     println!("--------------------------------------------------------------");
-    println!("blocked path per tier (i8, 1 thread, Gop/s): wide-tile roof, engine below it");
     println!(
-        "{:<11} {:>5} {:>10} {:>12} {:>13}",
-        "tier", "tile", "tile roof", "512x512x512", "192x1024x256"
+        "blocked path per tier (i8, 1 thread, Gop/s): the nest's tile and roof, engine below it"
+    );
+    println!(
+        "{:<11} {:>5} {:>10} {:>12} {:>13} {:>13}",
+        "tier", "tile", "tile roof", "512x512x512", "16x1024x256", "192x1024x256"
     );
     for hk in HostKernel::available() {
         let engine = |m, n, k| gops(m, n, k, int_secs(hk, 1, m, n, k, DType::I8));
+        let tile = hk.info().int_tile;
+        // the wide register tile is the roof of the panel nest only
+        let roof = if tile == (4, hk.int_nr()) { tile_roof_gops(hk) } else { nest_roof_gops(hk) };
         println!(
-            "{:<11} {:>5} {:>10.1} {:>12.1} {:>13.1}",
+            "{:<11} {:>5} {:>10.1} {:>12.1} {:>13.1} {:>13.1}",
             hk.tier().name(),
-            format!("4x{}", hk.int_nr()),
-            tile_roof_gops(hk),
+            format!("{}x{}", tile.0, tile.1),
+            roof,
             engine(512, 512, 512),
+            engine(16, 1024, 256),
             engine(192, 1024, 256)
         );
     }

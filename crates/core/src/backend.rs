@@ -741,8 +741,11 @@ mod tests {
     fn kernel_info_identifies_each_substrate() {
         let host = CampEngine::new();
         let info = CampBackend::kernel_info(&host);
-        assert!(["scalar", "avx2", "avx512", "avx512vnni", "neon"].contains(&info.tier.as_str()));
-        assert_eq!(info.int_tile.0, 4);
+        assert!(
+            ["scalar", "avx2", "avx512", "avx512vnni", "amx", "neon"].contains(&info.tier.as_str())
+        );
+        // 4×(multiple of 4) on the panel nest, 32×32 on `amx`
+        assert_eq!(info.int_tile.0 % 4, 0);
         assert_eq!(info.int_tile.1 % 4, 0);
         assert!(info.int_blocking.0 > 0);
         // the Display form is what serving logs print

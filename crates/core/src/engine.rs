@@ -12,11 +12,12 @@
 //! # One nest, two image builders
 //!
 //! The engine shares `camp-gemm`'s blocked-loop skeleton
-//! ([`camp_gemm::loops`]: the [`BlockPlan`], [`small_path`] and the
+//! ([`camp_gemm::loops`]: the `BlockPlan`, [`small_path`] and the
 //! block iterators) with the simulated §5.3 driver. Its loop nest never
-//! packs: a blocked work unit is [`for_each_b_block`] ×
-//! [`for_each_row_strip`] over **two whole packed images**, and every
-//! operand movement happens before the first tile-kernel call.
+//! packs A: a blocked work unit is one [`HostKernel::run_blocked`] call —
+//! `for_each_b_block` × row strips over **two whole packed images** —
+//! and every A movement happens before the first tile-kernel call (the
+//! `amx` tier re-lays each B block into its scratch inside the nest).
 //!
 //! * **B's image** is a registered weight panel
 //!   ([`CampEngine::register_weights`]) or a panel the batch packed once
@@ -30,8 +31,11 @@
 //!   with the compute of the previous one); at or above it the request
 //!   is split into row ranges, and each range is packed once into the
 //!   reused [`PackPool`] arena of the worker that computes it. Both lay
-//!   the image out with [`prepack_a`], so the nest cannot tell them
-//!   apart. (Packing every request in `prepare` was measured and
+//!   the image out with [`HostKernel::prepack_a`] of the engine's own
+//!   kernel — the shared 4-row panels, or the `amx` tier's own layout —
+//!   so the nest cannot tell them apart. (`prepare` has no engine: it
+//!   reads the kernel from the [`WeightSnapshot`] it stages against.)
+//!   (Packing every request in `prepare` was measured and
 //!   rejected: a fresh 48–196 KB heap buffer per large request tips the
 //!   allocator into a map–fault–unmap cycle; see docs/ARCHITECTURE.md.)
 //!
@@ -98,11 +102,11 @@
 //! dense B of served traffic is attention K/V, a few KiB per head,
 //! which decode steps read in place.
 
-use camp_gemm::batch::{packed_a_bytes, packed_a_offset, packed_b_bytes, packed_b_offset};
-use camp_gemm::host::{HostKernel, KernelInfo, SmallB};
-use camp_gemm::loops::{for_each_b_block, for_each_row_strip, small_path, BlockPlan, SmallPath};
+use camp_gemm::batch::{packed_a_bytes, packed_b_bytes};
+use camp_gemm::host::{AImage, HostKernel, HostTier, KernelInfo, SmallB};
+use camp_gemm::loops::{small_path, SmallPath};
 use camp_gemm::request::{GemmRequest, Operand, RequestError};
-use camp_gemm::weights::{host_block_plan, prepack_a, prepack_b, WeightRegistry, WeightSnapshot};
+use camp_gemm::weights::{host_block_plan, WeightRegistry, WeightSnapshot};
 use camp_gemm::workspace::{PackPool, PanelId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -133,12 +137,16 @@ pub struct EngineStats {
     pub vector_loads: u64,
     /// 64-byte vector stores (result tiles, once per tile per k block).
     pub vector_stores: u64,
-    /// Bytes of A's packed image (activations — paid per request): one
-    /// rule, `mp·kp` per non-degenerate request, on every route, thread
+    /// Bytes of A's canonical packed image (activations — paid per
+    /// request): one rule, `mp·kp` per non-degenerate request — the
+    /// shared 4-row panel layout's size — on every route, tier, thread
     /// count and entry point. A blocked request's image is built exactly
     /// once — by `prepare` below the row-split threshold, range by range
-    /// by the workers at or above it; a skinny request packs none on the
-    /// host and reports the canonical tile stream's figure.
+    /// by the workers at or above it — in the engine's tier's layout, so
+    /// on `amx` the bytes actually packed are that tier's larger image
+    /// ([`HostKernel::packed_a_len`]: rows rounded up to 32, each depth
+    /// block to 64); a skinny request packs none on the host and reports
+    /// the canonical tile stream's figure.
     pub packed_a_bytes: u64,
     /// Bytes the engine actually moved packing B panels, deduplicated:
     /// each *distinct* dense B that a blocked or skinny-n request of
@@ -205,7 +213,8 @@ fn debug_check_i4(dtype: DType, what: &str, vals: &[i8]) {
 /// path, computed arithmetically from the plan — every 4×4 tile issues
 /// once per k-step and loads two operands per issue; each k block
 /// stores the tile once and, after the first, reads it back first; A's
-/// image is `mp·kp` bytes. This *is* the engine's accounting on every
+/// canonical image is `mp·kp` bytes (the shared panel layout's, whatever
+/// layout the tier packs). This *is* the engine's accounting on every
 /// route: stats are a property of the *problem* (shape, dtype), not of
 /// which host schedule computed it or how its rows were split, so the
 /// counters stay comparable across paths, thread counts and entry
@@ -230,107 +239,6 @@ fn request_stats(m: usize, n: usize, k: usize, k_step: usize) -> EngineStats {
         None => s.blocked_routed = 1,
     }
     s
-}
-
-/// A whole packed A image as one work unit reads it: every (ic, pc)
-/// block of the image's rows exactly once, laid out by [`prepack_a`]
-/// under `plan` — by `prepare` for a whole request, or by the unit for
-/// its own row range — and `row0`, the image row the unit's rows start
-/// at (a multiple of 4).
-#[derive(Clone, Copy)]
-struct AImage<'a> {
-    bytes: &'a [i8],
-    plan: BlockPlan,
-    row0: usize,
-}
-
-impl AImage<'_> {
-    /// The packed 4-row panels (`4·kcb` bytes each, in row order) of
-    /// the unit's row strip `ic..ic + mcb`, depth block `(pc, kcb)`.
-    /// The unit's strips need not coincide with the strips the image
-    /// was packed in: a strip is at most as tall as the image's, so it
-    /// is one contiguous run of panels, or two around one strip boundary
-    /// (the second run is empty otherwise).
-    fn strip(&self, ic: usize, mcb: usize, pc: usize, kcb: usize) -> (&[i8], &[i8]) {
-        let BlockPlan { mp, kp, mc, .. } = self.plan;
-        let run = |row: usize, rows: usize| {
-            let strip = row - row % mc;
-            let off = packed_a_offset(kp, strip, mc.min(mp - strip), pc) + (row - strip) * kcb;
-            &self.bytes[off..off + rows * kcb]
-        };
-        let row = self.row0 + ic;
-        let head = mcb.min(mc - row % mc);
-        (run(row, head), if head < mcb { run(row + head, mcb - head) } else { &[] })
-    }
-}
-
-/// The blocked nest of one work unit: `c` (`rows`×`n`, row-major)
-/// accumulates the unit's rows of `a`'s image times `b`'s whole packed
-/// image. Nothing is packed in here.
-fn blocked_nest(
-    n: usize,
-    plan: &BlockPlan,
-    a: AImage<'_>,
-    b: &[i8],
-    c: &mut [i32],
-    hk: &'static HostKernel,
-) {
-    let rows = c.len() / n;
-    // B panels are walked in groups sized to the tier's widened
-    // register tile (`int_nr/4` adjacent 4-col panels per wide call); a
-    // trailing group narrower than the tile falls back to the 4x4
-    // kernel panel by panel.
-    let nwp = hk.int_nr() / 4;
-    for_each_b_block(plan, |jc, ncb, pc, kcb| {
-        let off = packed_b_offset(plan.kp, jc, ncb, pc);
-        let bblock = &b[off..off + ncb * kcb];
-        let panel = kcb * 4;
-        let qpanels = ncb / 4;
-        for_each_row_strip(plan, |ic, mcb| {
-            let (head, tail) = a.strip(ic, mcb, pc, kcb);
-            let head_panels = head.len() / panel;
-            let mut q = 0;
-            while q < qpanels {
-                let group = if q + nwp <= qpanels { nwp } else { 1 };
-                let width = group * 4;
-                let pb = &bblock[q * panel..(q + group) * panel];
-                for p in 0..mcb / 4 {
-                    let pa = match p.checked_sub(head_panels) {
-                        None => &head[p * panel..(p + 1) * panel],
-                        Some(t) => &tail[t * panel..(t + 1) * panel],
-                    };
-                    // the part of the tile that is C, not zero padding
-                    // past the bottom or right edge
-                    let (i0, j0) = (ic + p * 4, jc + q * 4);
-                    let (live_rows, live_cols) = ((rows - i0).min(4), (n - j0).min(width));
-                    if group > 1 && live_rows == 4 && live_cols == width {
-                        // interior wide tile: the dispatched tier holds
-                        // all `group` subtiles in registers across the k
-                        // loop and adds them into C (read-modify-write
-                        // across k blocks) as four whole rows
-                        hk.tile_i8_into(pa, pb, &mut c[i0 * n + j0..], n);
-                        continue;
-                    }
-                    // an edge tile or the 4x4 kernel: through a
-                    // row-major staging tile, clipped to its live part
-                    let mut tile = [[0i32; 4]; 16];
-                    if group > 1 {
-                        hk.tile_i8_into(pa, pb, tile[..width].as_flattened_mut(), width);
-                    } else {
-                        hk.tile_i8(pa, pb, (&mut tile[..4]).try_into().expect("four rows"));
-                    }
-                    let tile = tile.as_flattened();
-                    for rx in 0..live_rows {
-                        let crow = &mut c[(i0 + rx) * n + j0..][..live_cols];
-                        for (cv, &v) in crow.iter_mut().zip(&tile[rx * width..]) {
-                            *cv = cv.wrapping_add(v);
-                        }
-                    }
-                }
-                q += group;
-            }
-        });
-    });
 }
 
 /// Row-range height of an m-row problem split across up to `threads`
@@ -417,11 +325,13 @@ impl Unit<'_> {
 
 /// Run one unit on its *item's* [`Route`]: the skinny fast paths for
 /// GEMV-shaped items — raw A rows feed the tier's small kernels
-/// directly, no A image, no padded register tile — and the blocked nest
-/// otherwise, over the item's whole A image or, when `prepare` built
-/// none, over this unit's rows packed once into `pool`'s arena before
-/// the nest starts. Bit-identity across routes and row ranges is
-/// structural — exact products, wrapping i32 accumulation.
+/// directly, no A image, no padded register tile — and the tier's
+/// blocked macro-kernel ([`HostKernel::run_blocked`]) otherwise, over
+/// the item's whole A image or, when `prepare` built none, over this
+/// unit's rows packed once into `pool`'s arena before the nest starts
+/// (the arena also holds the nest's scratch, where the tier needs
+/// one). Bit-identity across routes and row ranges is structural —
+/// exact products, wrapping i32 accumulation.
 fn run_unit(unit: Unit<'_>, pool: &mut PackPool, hk: &'static HostKernel) {
     let Unit { item: it, r0, c } = unit;
     let rows = c.len() / it.n;
@@ -431,17 +341,19 @@ fn run_unit(unit: Unit<'_>, pool: &mut PackPool, hk: &'static HostKernel) {
         Route::SmallM(b) => hk.run_small_m(rows, it.n, it.k, &plan, a_rows, b, c),
         Route::SmallN(b) => hk.run_small_n(rows, it.n, it.k, &plan, a_rows, b, c),
         Route::Blocked { b, a_image } => {
-            let image = match a_image {
+            let scratch_len = hk.blocked_scratch_len(&plan);
+            let (image, scratch) = match a_image {
                 Some(bytes) => {
-                    AImage { bytes, plan: host_block_plan(it.m, it.n, it.k, it.k_step), row0: r0 }
+                    let plan = host_block_plan(it.m, it.n, it.k, it.k_step);
+                    (AImage { bytes, plan, row0: r0 }, pool.a_and_scratch(0, scratch_len).1)
                 }
                 None => {
-                    let buf = pool.a_buffer(packed_a_bytes(&plan));
-                    prepack_a(buf, a_rows, rows, it.k, &plan);
-                    AImage { bytes: buf, plan, row0: 0 }
+                    let (buf, scratch) = pool.a_and_scratch(hk.packed_a_len(&plan), scratch_len);
+                    hk.prepack_a(buf, a_rows, rows, it.k, &plan);
+                    (AImage { bytes: buf, plan, row0: 0 }, scratch)
                 }
             };
-            blocked_nest(it.n, &plan, image, b, c, hk);
+            hk.run_blocked(it.n, &plan, image, b, c, scratch);
         }
     }
 }
@@ -504,7 +416,8 @@ pub(crate) enum StagedB {
 /// `CampBackend::Prepared` form: the resolved shape, both operands, and
 /// A's whole packed image for a blocked request below the row-split
 /// threshold (at or above it the image is built range by range, in the
-/// arena of the worker that computes the range).
+/// arena of the worker that computes the range), and the tier whose
+/// layout that image is in.
 #[derive(Debug)]
 pub struct StagedRequest {
     pub(crate) m: usize,
@@ -513,6 +426,10 @@ pub struct StagedRequest {
     pub(crate) dtype: DType,
     pub(crate) a: Arc<[i8]>,
     pub(crate) packed_a: Option<Vec<i8>>,
+    /// The tier whose [`HostKernel::prepack_a`] built `packed_a` (one
+    /// byte beside `dtype`'s, where a kernel pointer would grow every
+    /// staged request by a word).
+    pub(crate) packed_for: HostTier,
     pub(crate) b: StagedB,
 }
 
@@ -536,13 +453,16 @@ impl StagedRequest {
         let a = req.activation_arc();
         let blocked_whole =
             !r.is_degenerate() && !row_splits(r.m, r.n, r.k) && small_path(r.m, r.n).is_none();
+        // in the layout of the kernel the snapshot's engine runs
+        let hk = weights.kernel();
         let packed_a = blocked_whole.then(|| {
             let plan = host_block_plan(r.m, r.n, r.k, r.dtype.k_step());
-            let mut buf = vec![0i8; packed_a_bytes(&plan)];
-            prepack_a(&mut buf, &a, r.m, r.k, &plan);
+            let mut buf = vec![0i8; hk.packed_a_len(&plan)];
+            hk.prepack_a(&mut buf, &a, r.m, r.k, &plan);
             buf
         });
-        StagedRequest { m: r.m, n: r.n, k: r.k, dtype: r.dtype, a, packed_a, b }
+        let packed_for = hk.tier();
+        StagedRequest { m: r.m, n: r.n, k: r.k, dtype: r.dtype, a, packed_a, packed_for, b }
     }
 
     pub(crate) fn is_degenerate(&self) -> bool {
@@ -615,7 +535,7 @@ impl CampEngine {
             host: kernel,
             pools: Vec::new(),
             shared: PackPool::new(),
-            weights: WeightRegistry::new(),
+            weights: WeightRegistry::for_kernel(kernel),
             workers,
         }
     }
@@ -641,7 +561,7 @@ impl CampEngine {
     /// ```
     /// let engine = camp_core::CampEngine::new();
     /// let info = engine.kernel_info();
-    /// assert!(["scalar", "avx2", "avx512", "avx512vnni", "neon"].contains(&info.tier.as_str()));
+    /// assert!(["scalar", "avx2", "avx512", "avx512vnni", "amx", "neon"].contains(&info.tier.as_str()));
     /// println!("{info}"); // e.g. "avx2 kernel (features: avx2 fma; ...)"
     /// ```
     pub fn kernel_info(&self) -> KernelInfo {
@@ -776,7 +696,8 @@ impl CampEngine {
                             *panel_of.entry((b.as_ptr(), r.n, r.k, k_step)).or_insert_with(|| {
                                 let plan = host_block_plan(r.m, r.n, r.k, k_step);
                                 let id = self.shared.alloc_panel(packed_b_bytes(&plan));
-                                prepack_b(self.shared.panel_mut(id), b, r.n, r.k, &plan);
+                                let panel = self.shared.panel_mut(id);
+                                self.host.prepack_b(panel, b, r.n, r.k, &plan);
                                 total.packed_b_bytes += packed_b_bytes(&plan) as u64;
                                 id
                             }),
@@ -794,7 +715,14 @@ impl CampEngine {
                         Route::SmallM(SmallB::Panel(self.weights.panel(*h)))
                     }
                     (Some(SmallPath::SmallN), _) => Route::SmallN(panel()),
-                    (None, _) => Route::Blocked { b: panel(), a_image: r.packed_a.as_deref() },
+                    (None, _) => {
+                        // an image staged against another kernel's
+                        // snapshot is in that kernel's layout: the unit
+                        // builds its own in the arena instead
+                        let a_image =
+                            r.packed_a.as_deref().filter(|_| r.packed_for == self.host.tier());
+                        Route::Blocked { b: panel(), a_image }
+                    }
                 })
             })
             .collect();
@@ -1184,12 +1112,12 @@ mod tests {
                 let k_step = dtype.k_step();
                 let w = fill(k * n, 5, 16, -8);
                 // B as a registered panel and as a batch panel
-                let mut registry = WeightRegistry::new();
+                let mut registry = WeightRegistry::for_kernel(hk);
                 let h = registry.register(n, k, &w, dtype);
                 let mut shared = PackPool::new();
                 let plan = host_block_plan(1, n, k, k_step);
                 let id = shared.alloc_panel(packed_b_bytes(&plan));
-                prepack_b(shared.panel_mut(id), &w, n, k, &plan);
+                hk.prepack_b(shared.panel_mut(id), &w, n, k, &plan);
                 for (m, bounds) in &cases {
                     let m = *m;
                     let a = fill(m * k, 3, 16, -8);
@@ -1197,8 +1125,8 @@ mod tests {
                     // the image `prepare` builds, and none (each unit
                     // packs its range into its worker's arena)
                     let plan = host_block_plan(m, n, k, k_step);
-                    let mut whole = vec![0i8; packed_a_bytes(&plan)];
-                    prepack_a(&mut whole, &a, m, k, &plan);
+                    let mut whole = vec![0i8; hk.packed_a_len(&plan)];
+                    hk.prepack_a(&mut whole, &a, m, k, &plan);
                     for a_image in [Some(&whole[..]), None] {
                         for b in [registry.panel(h), shared.panel(id)] {
                             let route = Route::Blocked { b, a_image };
@@ -1265,10 +1193,42 @@ mod tests {
                 assert_eq!(staged.packed_a.is_some(), macs < BATCH_ROW_SPLIT_MACS, "{m}x{n}x{k}");
                 let (c, s) = run_one(&mut eng, &req);
                 assert_eq!(c, want, "{m}x{n}x{k} threads={threads}");
-                assert_eq!(s.packed_a_bytes, (plan.mp * plan.kp) as u64, "A's image is mp·kp");
+                assert_eq!(s.packed_a_bytes, (plan.mp * plan.kp) as u64, "A's canonical image");
                 assert_eq!(s.packed_b_bytes, 0, "a handle packs no B");
                 assert_eq!((s.macs, s.blocked_routed), (macs, 1));
                 assert_eq!(*serial.get_or_insert(s), s, "{m}x{n}x{k} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_image_staged_for_another_tiers_layout_is_not_read() {
+        // `prepare` lays A out for its snapshot's kernel — another
+        // engine's, or `detect()`'s for an empty snapshot; an engine
+        // pinned to a tier with another layout builds its own instead
+        let (m, n, k) = (40, 48, 64);
+        let a = fill(m * k, 3, 256, -128);
+        let b = fill(k * n, 5, 256, -128);
+        let want = gemm_i32_ref(m, n, k, &a, &b);
+        let req = dense((m, n, k), a, b, I8);
+        let tiers = HostKernel::available();
+        let snapshots = tiers
+            .iter()
+            .map(|&hk| CampEngine::with_threads_and_kernel(1, hk).weight_snapshot())
+            .chain([WeightSnapshot::empty()]);
+        for snapshot in snapshots {
+            for &hk in &tiers {
+                let staged = CampEngine::prepare(req.clone(), &snapshot);
+                assert!(staged.packed_a.is_some(), "{m}x{n}x{k} is staged whole");
+                let mut eng = CampEngine::with_threads_and_kernel(1, hk);
+                let out = eng.execute_prepared(vec![staged]);
+                assert_eq!(
+                    out.outputs[0].c,
+                    want,
+                    "staged for {}, run on {}",
+                    snapshot.kernel().tier().name(),
+                    hk.tier().name()
+                );
             }
         }
     }

@@ -129,7 +129,7 @@ const A_PANEL_SHUF: [i8; 64] = a_panel_shuf();
 /// k-values × 4 rows or columns): dword `r` of lane g becomes row/column
 /// `r`'s four consecutive k-values `4g..4g+4` — the operand shape of
 /// `vpdpbusd`.
-const QUAD_TRANSPOSE: [i8; 64] =
+pub(super) const QUAD_TRANSPOSE: [i8; 64] =
     repeat_lane([0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15]);
 
 // SAFETY: requires AVX512F only; register-to-register, no memory access.

@@ -4,7 +4,7 @@
 //! the virtual vector ISA, timed by the pipeline model. This module is
 //! what the host engine runs instead: a [`HostKernel`] is a table of
 //! native micro-kernels (portable scalar, AVX2, AVX-512, AVX-512 VNNI,
-//! NEON) selected **once** from a [`CpuFeatures`] runtime probe and then
+//! AMX-INT8, NEON) selected **once** from a [`CpuFeatures`] runtime probe and then
 //! dispatched through plain function pointers on the hot path. The
 //! pire/BLIS pattern: per-architecture micro-kernel + pack modules
 //! behind a single runtime-dispatched seam.
@@ -23,6 +23,11 @@
 //!   [`crate::loops::small_path`]) that bypass the full Goto nest for
 //!   GEMV-shaped serving GeMMs: decode steps (m ≤ 8) and narrow
 //!   projections (n ≤ 8) skip A-packing and the padded register tile.
+//! * **the blocked macro-kernel** — [`HostKernel::run_blocked`], one
+//!   work unit's loop nest over a whole packed A image and B's panel
+//!   image. Every tier but `amx` walks the shared panels through its
+//!   register tile (`blocked.rs`); `amx` owns its A image's layout and
+//!   runs 2×2 `tdpbssd` tiles over the same B panels (`amx.rs`).
 //! * **`requant_into` / `requant_add_sat`** — the inference glue's
 //!   i32→i8 sweeps between GeMMs ([`Scale`]): one scalar body that the
 //!   SIMD tiers recompile at their own vector width, bit-identical on
@@ -32,7 +37,7 @@
 //! [`HOST_BLOCKING`], one set for every tier: the packed-panel layout
 //! depends on it and is shared with the weight registry, so it must
 //! not vary with the dispatched tier (or with the operator's shell).
-//! `CAMP_FORCE_TIER={scalar,avx2,avx512,avx512vnni,neon}` pins dispatch to a
+//! `CAMP_FORCE_TIER={scalar,avx2,avx512,avx512vnni,amx,neon}` pins dispatch to a
 //! specific tier, panicking on an unknown name or a tier the CPU
 //! cannot run — the one environment value in the workspace that fails
 //! loudly (`docs/KNOBS.md`). The integer path keeps
@@ -42,9 +47,12 @@
 //! differ only in how many adjacent panels one register-tile call
 //! consumes (`int_nr/4`, see [`HostKernel::tile_i8_into`]; the skinny
 //! paths' grouped panel primitive takes the same group) and in how an
-//! entry is vectorized. Each entry is either hand-written per tier —
-//! the register tiles, the grouped panel kernel, AVX2's A packer — or
-//! one portable body in `scalar.rs` / `requant.rs` that `recompile!`
+//! entry is vectorized — except A's image on the blocked route, which
+//! a tier with its own macro-kernel lays out its own way (so an A image
+//! is built by [`HostKernel::prepack_a`] of the kernel that reads it).
+//! Each entry is either hand-written per tier — the register tiles,
+//! the grouped panel kernel, AVX2's A packer, `amx`'s nest — or one
+//! portable body in `scalar.rs` / `requant.rs` that `recompile!`
 //! compiles again at each SIMD tier's width; byte-identical images and
 //! bit-identical results either way.
 
@@ -81,10 +89,13 @@ macro_rules! recompile {
     };
 }
 
+mod blocked;
 mod requant;
 pub mod scalar;
 pub mod small;
 
+#[cfg(target_arch = "x86_64")]
+mod amx;
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
 #[cfg(target_arch = "x86_64")]
@@ -98,14 +109,19 @@ use std::sync::OnceLock;
 use crate::loops::BlockPlan;
 use crate::weights::HOST_BLOCKING;
 
+pub use blocked::AImage;
 pub use requant::Scale;
 pub use small::SmallB;
+
+#[cfg(target_arch = "x86_64")]
+use avx512::QUAD_TRANSPOSE;
 
 // ---- runtime feature probe ------------------------------------------------
 
 /// What the host CPU can do, probed once at engine construction. The
 /// probe is cheap and honest: on x86_64 it asks the OS/CPUID via
-/// `is_x86_feature_detected!`; on aarch64 NEON is architecturally
+/// `is_x86_feature_detected!` (and, for AMX, CPUID leaf 7 plus the
+/// OS's tile-data grant); on aarch64 NEON is architecturally
 /// guaranteed; everywhere else every flag is false and the scalar tier
 /// serves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -126,6 +142,12 @@ pub struct CpuFeatures {
     /// an i32 lane in one issue — what separates the `avx512vnni` tier
     /// from `avx512`).
     pub avx512vnni: bool,
+    /// AMX-TILE and AMX-INT8 (`tdpbssd`: a 16×64-byte by 16×64-byte
+    /// i8 tile product into a 16×16 i32 tile), *and* the OS's grant of
+    /// tile data to this process (Linux `arch_prctl`, requested once per
+    /// process by the probe) — what separates the `amx` tier from
+    /// `avx512vnni`.
+    pub amx_int8: bool,
     /// NEON/ASIMD (aarch64, architecturally mandatory).
     pub neon: bool,
 }
@@ -142,6 +164,8 @@ impl CpuFeatures {
                 avx512bw: is_x86_feature_detected!("avx512bw"),
                 avx512vl: is_x86_feature_detected!("avx512vl"),
                 avx512vnni: is_x86_feature_detected!("avx512vnni"),
+                // `is_x86_feature_detected!("amx-int8")` is unstable
+                amx_int8: amx::tiles_usable(),
                 neon: false,
             }
         }
@@ -168,6 +192,13 @@ impl CpuFeatures {
         self.has_avx512_tier() && self.avx512vnni
     }
 
+    /// True when this feature set admits the AMX tier: the AVX-512 VNNI
+    /// tier's gate (its table is the `amx` table's base) plus usable
+    /// AMX-INT8 tiles.
+    pub fn has_amx_tier(&self) -> bool {
+        self.has_avx512vnni_tier() && self.amx_int8
+    }
+
     /// Space-separated list of detected features, or `"portable"`.
     pub fn summary(&self) -> String {
         let mut out = Vec::new();
@@ -188,6 +219,9 @@ impl CpuFeatures {
         }
         if self.avx512vnni {
             out.push("avx512vnni");
+        }
+        if self.amx_int8 {
+            out.push("amx_int8");
         }
         if self.neon {
             out.push("neon");
@@ -218,6 +252,10 @@ pub enum HostTier {
     /// `vpdpbusd` 4×16 tile — multiply, widen and accumulate in one
     /// issue, the commodity analogue of `camp.s8`.
     Avx512Vnni,
+    /// x86_64 AMX-INT8: the [`HostTier::Avx512Vnni`] table plus its own
+    /// blocked macro-kernel, 2×2 `tdpbssd` tiles (32×32 of C per step)
+    /// over its own A image and the shared B panels.
+    Amx,
     /// aarch64 NEON: `smlal`-lane widening i8 tile.
     Neon,
 }
@@ -231,6 +269,7 @@ impl HostTier {
             HostTier::Avx2 => "avx2",
             HostTier::Avx512 => "avx512",
             HostTier::Avx512Vnni => "avx512vnni",
+            HostTier::Amx => "amx",
             HostTier::Neon => "neon",
         }
     }
@@ -249,8 +288,10 @@ impl HostTier {
 /// per-call feature checks on the hot path.
 ///
 /// Integer kernels operate on the shared 4×4 camp panel layout
-/// ([`crate::weights::pack_a_block`] / [`crate::weights::pack_b_block`]),
-/// so pre-packed weights and staged panels are tier-portable.
+/// ([`HostKernel::pack_a_block`] / [`HostKernel::pack_b_block`]),
+/// so pre-packed weights and B panels are tier-portable. A blocked
+/// request's A image is the one exception: a tier with its own
+/// macro-kernel reads A in its own layout.
 pub struct HostKernel {
     tier: HostTier,
     /// Whole-depth 4×4 widening integer tile kernel: `pa`/`pb` are one
@@ -306,6 +347,30 @@ pub struct HostKernel {
     /// Saturating residual add: `(acc, mults, x)` — see
     /// [`HostKernel::requant_add_sat`]; the same one body.
     pub(crate) requant_add_sat: fn(&[i32], &[f32], &mut [i8]),
+    /// The tier's own blocked macro-kernel and the A image it reads;
+    /// `None` runs the shared panel nest over
+    /// [`HostKernel::tile_i8_into`] on the shared A panels.
+    pub(crate) macro_kernel: Option<MacroKernel>,
+}
+
+/// A tier's own blocked route: the A image layout its nest reads (a
+/// tier-specific image, built by the same two builders as the shared
+/// one — `prepare` or the unit's arena — through
+/// [`HostKernel::prepack_a`]) and the nest itself.
+#[derive(Clone, Copy)]
+pub(crate) struct MacroKernel {
+    /// Rows × columns of C one step of the nest computes.
+    pub(crate) tile: (usize, usize),
+    /// Bytes of the A image under a plan.
+    pub(crate) a_len: fn(&BlockPlan) -> usize,
+    /// Build the A image: `(dst, a, m, k, plan)`, `dst` exactly
+    /// `a_len(plan)` bytes.
+    pub(crate) pack_a: fn(&mut [i8], &[i8], usize, usize, &BlockPlan),
+    /// Bytes of per-worker scratch one nest under a plan uses.
+    pub(crate) scratch_len: fn(&BlockPlan) -> usize,
+    /// The nest: `(n, plan, a, b, c, scratch)`, [`HostKernel::run_blocked`]'s
+    /// contract.
+    pub(crate) run: fn(usize, &BlockPlan, AImage<'_>, &[i8], &mut [i32], &mut [i8]),
 }
 
 impl fmt::Debug for HostKernel {
@@ -330,6 +395,7 @@ static SCALAR: HostKernel = HostKernel {
     pack_b: scalar::pack_b_block,
     requant_into: requant::requant_into,
     requant_add_sat: requant::requant_add_sat,
+    macro_kernel: None,
 };
 
 // Hand-written for AVX2: the 4×8 tile (the 4×4 tile is its one-panel
@@ -348,6 +414,7 @@ static AVX2: HostKernel = HostKernel {
     pack_b: avx2::pack_b_block,
     requant_into: avx2::requant_into,
     requant_add_sat: avx2::requant_add_sat,
+    macro_kernel: None,
 };
 
 // Only the kernels where vector width buys arithmetic are hand-written
@@ -368,6 +435,7 @@ static AVX512: HostKernel = HostKernel {
     pack_b: avx512::pack_b_block,
     requant_into: avx512::requant_into,
     requant_add_sat: avx512::requant_add_sat,
+    macro_kernel: None,
 };
 
 // The VNNI tier is the AVX-512 table with one entry swapped: the tile
@@ -379,6 +447,15 @@ static AVX512: HostKernel = HostKernel {
 #[cfg(target_arch = "x86_64")]
 static AVX512VNNI: HostKernel =
     HostKernel { tier: HostTier::Avx512Vnni, tile_i8_into: avx512::tile_i8_into_vnni, ..AVX512 };
+
+// The AMX tier is the VNNI table plus its own blocked macro-kernel:
+// every blocked GeMM runs on `tdpbssd` tiles over the registry's
+// unchanged 4-wide B panels, with A in the tier's own image. Everything
+// else — decode's skinny kernels, the shared packers, requant, and the
+// `tile_i8` the simulator borrows — is the VNNI tier's code.
+#[cfg(target_arch = "x86_64")]
+static AMX: HostKernel =
+    HostKernel { tier: HostTier::Amx, macro_kernel: Some(amx::MACRO_KERNEL), ..AVX512VNNI };
 
 #[cfg(target_arch = "aarch64")]
 static NEON: HostKernel = HostKernel {
@@ -394,6 +471,7 @@ static NEON: HostKernel = HostKernel {
     pack_b: scalar::pack_b_block,
     requant_into: requant::requant_into,
     requant_add_sat: requant::requant_add_sat,
+    macro_kernel: None,
 };
 
 /// Parse a `CAMP_FORCE_TIER` value. Pure so validation is unit-testable
@@ -406,9 +484,10 @@ pub(crate) fn parse_forced_tier(raw: Option<String>) -> Result<Option<HostTier>,
         "avx2" => Ok(Some(HostTier::Avx2)),
         "avx512" => Ok(Some(HostTier::Avx512)),
         "avx512vnni" => Ok(Some(HostTier::Avx512Vnni)),
+        "amx" => Ok(Some(HostTier::Amx)),
         "neon" => Ok(Some(HostTier::Neon)),
         other => Err(format!(
-            "CAMP_FORCE_TIER must be one of scalar|avx2|avx512|avx512vnni|neon, got {other:?}"
+            "CAMP_FORCE_TIER must be one of scalar|avx2|avx512|avx512vnni|amx|neon, got {other:?}"
         )),
     }
 }
@@ -451,6 +530,9 @@ impl HostKernel {
     pub fn best_for(features: CpuFeatures) -> &'static HostKernel {
         #[cfg(target_arch = "x86_64")]
         {
+            if features.has_amx_tier() {
+                return &AMX;
+            }
             if features.has_avx512vnni_tier() {
                 return &AVX512VNNI;
             }
@@ -488,6 +570,8 @@ impl HostKernel {
             HostTier::Avx512 if f.has_avx512_tier() => Some(&AVX512),
             #[cfg(target_arch = "x86_64")]
             HostTier::Avx512Vnni if f.has_avx512vnni_tier() => Some(&AVX512VNNI),
+            #[cfg(target_arch = "x86_64")]
+            HostTier::Amx if f.has_amx_tier() => Some(&AMX),
             #[cfg(target_arch = "aarch64")]
             HostTier::Neon if f.neon => Some(&NEON),
             _ => None,
@@ -497,7 +581,7 @@ impl HostKernel {
     /// Every tier the running CPU can execute (scalar first).
     pub fn available() -> Vec<&'static HostKernel> {
         use HostTier::*;
-        [Scalar, Avx2, Avx512, Avx512Vnni, Neon]
+        [Scalar, Avx2, Avx512, Avx512Vnni, Amx, Neon]
             .into_iter()
             .filter_map(HostKernel::for_tier)
             .collect()
@@ -514,7 +598,7 @@ impl HostKernel {
             tier: self.tier.name().to_string(),
             simd: self.tier.is_simd(),
             features: CpuFeatures::detect(),
-            int_tile: (4, self.int_nr),
+            int_tile: self.macro_kernel.map_or((4, self.int_nr), |mk| mk.tile),
             int_blocking: HOST_BLOCKING,
         }
     }
@@ -563,6 +647,74 @@ impl HostKernel {
                     *o = o.wrapping_add(v);
                 }
             }
+        }
+    }
+
+    /// Bytes of the A image [`HostKernel::prepack_a`] builds under
+    /// `plan`: `mp·kp` in the shared panel layout, the tier's own size
+    /// on a tier with its own macro-kernel.
+    pub fn packed_a_len(&self, plan: &BlockPlan) -> usize {
+        self.macro_kernel.map_or(crate::batch::packed_a_bytes(plan), |mk| (mk.a_len)(plan))
+    }
+
+    /// Bytes of per-worker scratch [`HostKernel::run_blocked`] may need
+    /// for a unit under `plan`: 0 on a tier without its own
+    /// macro-kernel.
+    pub fn blocked_scratch_len(&self, plan: &BlockPlan) -> usize {
+        self.macro_kernel.map_or(0, |mk| (mk.scratch_len)(plan))
+    }
+
+    /// Build the whole A image this kernel's blocked route reads, for
+    /// the m×k row-major `a` under `plan`, into `dst`
+    /// ([`HostKernel::packed_a_len`] bytes). In the shared layout that
+    /// is every (ic, pc) block in [`crate::loops::for_each_a_block`]
+    /// order at [`crate::batch::packed_a_offset`], byte-identical to
+    /// [`crate::reference::pack_a_ref`]'s blocks; a tier with its own
+    /// macro-kernel builds that kernel's own layout. Both of the host
+    /// engine's A image builders are this function: `prepare` on the
+    /// submitting thread and a row-split work unit over its own rows.
+    pub fn prepack_a(&self, dst: &mut [i8], a: &[i8], m: usize, k: usize, plan: &BlockPlan) {
+        if let Some(mk) = self.macro_kernel {
+            return (mk.pack_a)(dst, a, m, k, plan);
+        }
+        crate::loops::for_each_a_block(plan, |ic, mcb, pc, kcb| {
+            let off = crate::batch::packed_a_offset(plan.kp, ic, mcb, pc);
+            (self.pack_a)(&mut dst[off..off + mcb * kcb], a, m, k, ic, pc, kcb);
+        });
+    }
+
+    /// Pack every (jc, pc) block of the k×n row-major `b` through this
+    /// tier's packer, in the blocked loops' visit order
+    /// ([`crate::loops::for_each_b_block`]), into `dst` (sized by
+    /// [`crate::batch::packed_b_bytes`]); a macro-kernel reads block
+    /// (jc, pc) at [`crate::batch::packed_b_offset`]. The image is the
+    /// same on every tier.
+    pub fn prepack_b(&self, dst: &mut [i8], b: &[i8], n: usize, k: usize, plan: &BlockPlan) {
+        crate::loops::for_each_b_block(plan, |jc, ncb, pc, kcb| {
+            let off = crate::batch::packed_b_offset(plan.kp, jc, ncb, pc);
+            (self.pack_b)(&mut dst[off..off + ncb * kcb], b, n, k, jc, pc, kcb);
+        });
+    }
+
+    /// The blocked macro-kernel of one work unit: `c` (`rows`×`n`,
+    /// row-major, `rows = c.len() / n`) accumulates, with wrapping adds,
+    /// the unit's rows of `a` — an image [`HostKernel::prepack_a`] of
+    /// *this* kernel built — times `b`, the whole packed B image under
+    /// `plan` (the unit's plan: `rows`, `n`, k). Nothing is packed in
+    /// here; `scratch` ([`HostKernel::blocked_scratch_len`] bytes at
+    /// least) is the tier's to overwrite.
+    pub fn run_blocked(
+        &self,
+        n: usize,
+        plan: &BlockPlan,
+        a: AImage<'_>,
+        b: &[i8],
+        c: &mut [i32],
+        scratch: &mut [i8],
+    ) {
+        match self.macro_kernel {
+            Some(mk) => (mk.run)(n, plan, a, b, c, scratch),
+            None => blocked::panel_nest(self, n, plan, a, b, c),
         }
     }
 
@@ -664,15 +816,17 @@ impl HostKernel {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelInfo {
     /// Tier name (`"scalar"`, `"avx2"`, `"avx512"`, `"avx512vnni"`,
-    /// `"neon"`, or the simulated backend's `"sim-camp"`).
+    /// `"amx"`, `"neon"`, or the simulated backend's `"sim-camp"`).
     pub tier: String,
     /// True when the tier uses SIMD.
     pub simd: bool,
     /// The probed CPU features.
     pub features: CpuFeatures,
-    /// Widened integer register tile (MR always 4 — the packed-panel
-    /// layout — NR the tier's widened column count). i8 and i4 share
-    /// it: i4 operands are widened to i8 panels before the tile.
+    /// The C tile one step of the blocked nest computes: 4 × the tier's
+    /// widened column count on the shared panel nest (MR is the
+    /// packed-panel layout's 4), the tier's own tile where it has its
+    /// own macro-kernel (32×32 on `amx`). i8 and i4 share it: i4
+    /// operands are widened to i8 before the tile.
     pub int_tile: (usize, usize),
     /// Integer-path (mc, nc, kc): [`HOST_BLOCKING`] on the host.
     pub int_blocking: (usize, usize, usize),
@@ -721,11 +875,15 @@ mod tests {
         assert!(text.contains("int tile 4x4"), "{text}");
         assert!(text.contains("blocking"), "{text}");
         // widened tiles are per tier, but MR and the panel layout never
-        // change: every tier's tile is 4×(multiple of 4)
+        // change: every panel-nest tier's tile is 4×(multiple of 4); a
+        // tier with its own macro-kernel reports that kernel's tile
         for hk in HostKernel::available() {
-            assert_eq!(hk.info().int_tile, (4, hk.int_nr()), "{:?}", hk.tier());
+            let tile = hk.macro_kernel.map_or((4, hk.int_nr()), |mk| mk.tile);
+            assert_eq!(hk.info().int_tile, tile, "{:?}", hk.tier());
             assert_eq!(hk.int_nr() % 4, 0, "{:?}", hk.tier());
         }
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(AMX.info().int_tile, (32, 32));
     }
 
     #[test]
@@ -739,11 +897,12 @@ mod tests {
             parse_forced_tier(Some("avx512vnni".into())).unwrap(),
             Some(HostTier::Avx512Vnni)
         );
+        assert_eq!(parse_forced_tier(Some("amx".into())).unwrap(), Some(HostTier::Amx));
         assert_eq!(parse_forced_tier(Some("neon".into())).unwrap(), Some(HostTier::Neon));
-        for bad in ["AVX2", "sse", "1", "scalar,avx2", "avx512_vnni", "vnni"] {
+        for bad in ["AVX2", "sse", "1", "scalar,avx2", "avx512_vnni", "vnni", "amx_int8", "AMX"] {
             let err = parse_forced_tier(Some(bad.to_string())).unwrap_err();
             assert!(err.contains("CAMP_FORCE_TIER"), "{err}");
-            assert!(err.contains("scalar|avx2|avx512|avx512vnni|neon"), "{err}");
+            assert!(err.contains("scalar|avx2|avx512|avx512vnni|amx|neon"), "{err}");
         }
     }
 
@@ -753,7 +912,9 @@ mod tests {
         assert_eq!(HostTier::Avx2.name(), "avx2");
         assert_eq!(HostTier::Avx512.name(), "avx512");
         assert_eq!(HostTier::Avx512Vnni.name(), "avx512vnni");
+        assert_eq!(HostTier::Amx.name(), "amx");
         assert_eq!(HostTier::Neon.name(), "neon");
+        assert!(HostTier::Amx.is_simd());
         assert!(HostTier::Avx2.is_simd());
         assert!(HostTier::Avx512.is_simd());
         assert!(HostTier::Avx512Vnni.is_simd());

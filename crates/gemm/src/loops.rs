@@ -136,8 +136,8 @@ pub fn for_each_b_block(plan: &BlockPlan, mut f: impl FnMut(usize, usize, usize,
 
 /// Visit every *unique* `(ic, mcb, pc, kcb)` A block of the plan, row
 /// strips outer, depth blocks inner — the order a whole packed A image
-/// (see `camp_gemm::weights::prepack_a`, laid out by
-/// [`crate::batch::packed_a_offset`]) holds them in. The image holds
+/// in the shared panel layout (see `camp_gemm::host::HostKernel::prepack_a`,
+/// laid out by [`crate::batch::packed_a_offset`]) holds them in. The image holds
 /// each block exactly once and serves every column strip, which is what
 /// lets a serving session pack a batch's A operands while the previous
 /// batch computes.

@@ -104,6 +104,39 @@ pub fn pack_a_ref(buf: &mut [i8], a: &[i8], m: usize, k: usize, ic: usize, pc: u
     }
 }
 
+/// Layout reference of the `amx` tier's whole A image under `plan`
+/// (`HostKernel::prepack_a` on that tier must produce it byte for
+/// byte), element by element: for each depth block `(pc, kcb)` in
+/// order, the rows rounded up to 32, as 32-row strips; each strip the
+/// block's k-values rounded up to 64, as 64-deep chunks; each chunk 32
+/// rows of 64 bytes. Zero past row `m`, past the block's `kcb` and past
+/// `k`. `buf` holds exactly the image.
+pub fn pack_a_amx_ref(
+    buf: &mut [i8],
+    a: &[i8],
+    m: usize,
+    k: usize,
+    plan: &crate::loops::BlockPlan,
+) {
+    let rows = crate::loops::round_up(plan.mp, 32);
+    let mut base = 0;
+    let mut pc = 0;
+    while pc < plan.kp {
+        let kcb = plan.kc.min(plan.kp - pc);
+        let kcbp = crate::loops::round_up(kcb, 64);
+        for r in 0..rows {
+            for l in 0..kcbp {
+                let at = base + (r / 32) * 32 * kcbp + (l / 64) * 32 * 64 + (r % 32) * 64 + l % 64;
+                let lg = pc + l;
+                buf[at] = if r < m && l < kcb && lg < k { a[r * k + lg] } else { 0 };
+            }
+        }
+        base += rows * kcbp;
+        pc += kcb;
+    }
+    assert_eq!(base, buf.len(), "buf must be exactly the image");
+}
+
 /// f32 reference GeMM (row-major).
 pub fn gemm_f32_ref(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
     assert_eq!(a.len(), m * k);

@@ -10,15 +10,18 @@
 //! registration owns and returns a copyable [`WeightHandle`]; every
 //! later GeMM against that handle runs with **zero B-packing**.
 //!
-//! This module is also the single source of truth for the host engine's
-//! packed layouts: [`pack_a_block`] / [`pack_b_block`] pack one cache
-//! block, [`prepack_a`] / [`prepack_b`] lay out a whole operand in the
-//! blocked loops' visit order (offsets from
-//! [`crate::batch::packed_a_offset`] / [`crate::batch::packed_b_offset`]),
-//! and [`host_block_plan`] pins the blocking factors. The engine, the
-//! registry and the serving session all pack through these functions, so
-//! a pre-packed panel is bit-identical to what per-block packing would
-//! have produced and results cannot diverge:
+//! This module is also where the host engine's shared packed layouts
+//! meet the registry: [`prepack_b`] lays out a whole B in the blocked
+//! loops' visit order (offsets from [`crate::batch::packed_b_offset`])
+//! through the tier's block packers, and [`host_block_plan`] pins the
+//! blocking factors. A registry packs with
+//! the kernel of the engine that owns it
+//! ([`WeightRegistry::for_kernel`]), and its [`WeightSnapshot`] names
+//! that kernel, so `prepare` builds a blocked request's A image in the
+//! layout of the kernel that will read it
+//! ([`crate::host::HostKernel::prepack_a`]). B's panel image is the same
+//! on every tier, so a pre-packed panel is bit-identical to what
+//! per-block packing would have produced and results cannot diverge:
 //!
 //! ```
 //! use camp_gemm::batch::packed_b_bytes;
@@ -43,8 +46,9 @@
 
 use std::sync::Arc;
 
-use crate::batch::{packed_a_offset, packed_b_bytes, packed_b_offset};
-use crate::loops::{for_each_a_block, for_each_b_block, BlockPlan};
+use crate::batch::packed_b_bytes;
+use crate::host::HostKernel;
+use crate::loops::BlockPlan;
 use crate::request::RequestError;
 
 /// The host engine's cache blocking: (mc, nc, kc), multiples of the
@@ -126,20 +130,30 @@ impl WeightHandle {
 }
 
 /// Submit-time view of a registry: registry identity plus the
-/// generation and metadata of every live slot. A serving session
-/// validates submissions against this snapshot without holding the
-/// backend, and [`crate::request::GemmRequest::resolve`] reads handle
-/// shapes out of it.
+/// generation and metadata of every live slot, and the host kernel the
+/// registry packs for. A serving session validates submissions against
+/// this snapshot without holding the backend,
+/// [`crate::request::GemmRequest::resolve`] reads handle shapes out of
+/// it, and the host engine's `prepare` builds A images for its
+/// [`WeightSnapshot::kernel`].
 #[derive(Debug, Clone)]
 pub struct WeightSnapshot {
     registry: u64,
     entries: Vec<Option<(u64, WeightMeta)>>,
+    kernel: &'static HostKernel,
 }
 
 impl WeightSnapshot {
-    /// An empty snapshot tied to no registry (every handle is foreign).
+    /// An empty snapshot tied to no registry (every handle is foreign),
+    /// for the detected kernel.
     pub fn empty() -> Self {
-        WeightSnapshot { registry: u64::MAX, entries: Vec::new() }
+        WeightSnapshot { registry: u64::MAX, entries: Vec::new(), kernel: HostKernel::detect() }
+    }
+
+    /// The host kernel of the registry's engine: the one whose blocked
+    /// route reads the A images prepared against this snapshot.
+    pub fn kernel(&self) -> &'static HostKernel {
+        self.kernel
     }
 
     /// Shape/dtype of a handle's registration at snapshot time, or why
@@ -243,6 +257,9 @@ pub struct WeightRegistry {
     resident_bytes: u64,
     /// Raw-mirror mode: keep raw bytes, skip host packing.
     raw_mode: bool,
+    /// The kernel that packs the panels (and reads the A images
+    /// prepared against this registry's snapshots).
+    kernel: &'static HostKernel,
 }
 
 impl Default for WeightRegistry {
@@ -253,9 +270,15 @@ impl Default for WeightRegistry {
 
 impl WeightRegistry {
     /// Empty host registry (packed panels) with a process-unique
-    /// identity.
+    /// identity, for the detected kernel ([`HostKernel::detect`]).
     pub fn new() -> Self {
-        WeightRegistry::with_mode(false)
+        WeightRegistry::for_kernel(HostKernel::detect())
+    }
+
+    /// Empty host registry for an engine pinned to `kernel`: its panels
+    /// are packed through `kernel`, and its snapshots name it.
+    pub fn for_kernel(kernel: &'static HostKernel) -> Self {
+        WeightRegistry::with_mode(false, kernel)
     }
 
     /// Empty **raw-mirror** registry: registrations keep the raw
@@ -263,10 +286,10 @@ impl WeightRegistry {
     /// and pack no host panels — the storage mode of the simulated
     /// backend's weight registry.
     pub fn raw_mirror() -> Self {
-        WeightRegistry::with_mode(true)
+        WeightRegistry::with_mode(true, HostKernel::scalar())
     }
 
-    fn with_mode(raw_mode: bool) -> Self {
+    fn with_mode(raw_mode: bool, kernel: &'static HostKernel) -> Self {
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT_REGISTRY_ID: AtomicU64 = AtomicU64::new(0);
         WeightRegistry {
@@ -276,6 +299,7 @@ impl WeightRegistry {
             packed_bytes: 0,
             resident_bytes: 0,
             raw_mode,
+            kernel,
         }
     }
 
@@ -301,7 +325,7 @@ impl WeightRegistry {
             let plan = host_block_plan(4, n, k, dtype.k_step());
             let len = if n == 0 || k == 0 { 0 } else { packed_b_bytes(&plan) };
             let mut panel = vec![0i8; len].into_boxed_slice();
-            prepack_b(&mut panel, b, n, k, &plan);
+            self.kernel.prepack_b(&mut panel, b, n, k, &plan);
             self.packed_bytes += len as u64;
             Stored::Packed(panel)
         };
@@ -344,7 +368,7 @@ impl WeightRegistry {
     }
 
     /// The packed panel of a registered weight, ready for any worker to
-    /// consume at [`packed_b_offset`] offsets.
+    /// consume at [`crate::batch::packed_b_offset`] offsets.
     ///
     /// # Panics
     /// Panics on a foreign, unknown or evicted handle, and in
@@ -425,78 +449,24 @@ impl WeightRegistry {
                 .iter()
                 .map(|s| s.entry.as_ref().map(|e| (s.generation, e.meta)))
                 .collect(),
+            kernel: self.kernel,
         }
     }
 }
 
-/// Pack a block of row-major B starting at column `jc`, depth `pc` into
-/// nR-column panels (row-major within the panel), zero-padded past the
-/// matrix edge — the layout one `camp` B operand expects. `buf` must
-/// hold exactly `ncb * kcb` bytes; its length determines the block
-/// width.
-///
-/// Dispatches through the detected [`crate::host::HostKernel`]'s
-/// packer; the image is byte-identical to
-/// [`crate::reference::pack_b_ref`] (the layout reference) on every
-/// tier, so panels packed here remain consumable by any tier.
-pub fn pack_b_block(
-    buf: &mut [i8],
-    b: &[i8],
-    n: usize,
-    k: usize,
-    jc: usize,
-    pc: usize,
-    kcb: usize,
-) {
-    crate::host::HostKernel::detect().pack_b_block(buf, b, n, k, jc, pc, kcb)
-}
-
-/// Pack a block of row-major A starting at row `ic`, depth `pc` into
-/// mR-row panels (column-major within the panel), zero-padded past the
-/// matrix edge. `buf` must hold exactly `mcb * kcb` bytes; its length
-/// determines the block height.
-///
-/// Dispatches through the detected [`crate::host::HostKernel`]'s
-/// packer; byte-identical to [`crate::reference::pack_a_ref`].
-pub fn pack_a_block(
-    buf: &mut [i8],
-    a: &[i8],
-    m: usize,
-    k: usize,
-    ic: usize,
-    pc: usize,
-    kcb: usize,
-) {
-    crate::host::HostKernel::detect().pack_a_block(buf, a, m, k, ic, pc, kcb)
-}
-
 /// Pack every (jc, pc) block of B in the blocked loops' visit order
-/// ([`for_each_b_block`]) into `dst` (sized by [`packed_b_bytes`]); a
-/// macro-kernel reads block (jc, pc) at [`packed_b_offset`].
+/// into `dst` (sized by [`packed_b_bytes`]) through the detected
+/// kernel: [`HostKernel::prepack_b`], whose image is the same on every
+/// tier. The engine and a registry pack through their own kernel's.
 pub fn prepack_b(dst: &mut [i8], b: &[i8], n: usize, k: usize, plan: &BlockPlan) {
-    for_each_b_block(plan, |jc, ncb, pc, kcb| {
-        let off = packed_b_offset(plan.kp, jc, ncb, pc);
-        pack_b_block(&mut dst[off..off + ncb * kcb], b, n, k, jc, pc, kcb);
-    });
-}
-
-/// Pack every (ic, pc) block of A once into `dst` (sized by
-/// [`crate::batch::packed_a_bytes`]), in [`for_each_a_block`] order; a
-/// macro-kernel reads block (ic, pc) at [`packed_a_offset`]. Both of
-/// the host engine's A-image builders are this function: `prepare` on
-/// the submitting thread (overlapping the A-packing of one batch with
-/// the compute of another) and a row-split work unit over its own rows.
-pub fn prepack_a(dst: &mut [i8], a: &[i8], m: usize, k: usize, plan: &BlockPlan) {
-    for_each_a_block(plan, |ic, mcb, pc, kcb| {
-        let off = packed_a_offset(plan.kp, ic, mcb, pc);
-        pack_a_block(&mut dst[off..off + mcb * kcb], a, m, k, ic, pc, kcb);
-    });
+    HostKernel::detect().prepack_b(dst, b, n, k, plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::packed_a_bytes;
+    use crate::batch::{packed_a_bytes, packed_a_offset};
+    use crate::loops::for_each_a_block;
 
     fn fill(len: usize, seed: i32) -> Vec<i8> {
         (0..len).map(|i| ((i as i32 * seed) % 16 - 8) as i8).collect()
@@ -655,12 +625,12 @@ mod tests {
         let a = fill(m * k, 11);
         let plan = host_block_plan(m, 8, k, 16);
         let mut packed = vec![99i8; packed_a_bytes(&plan)];
-        prepack_a(&mut packed, &a, m, k, &plan);
+        HostKernel::scalar().prepack_a(&mut packed, &a, m, k, &plan);
         // every (ic, pc) block read at its offset equals a fresh
         // per-block pack of the same coordinates
         for_each_a_block(&plan, |ic, mcb, pc, kcb| {
             let mut fresh = vec![0i8; mcb * kcb];
-            pack_a_block(&mut fresh, &a, m, k, ic, pc, kcb);
+            HostKernel::scalar().pack_a_block(&mut fresh, &a, m, k, ic, pc, kcb);
             let off = packed_a_offset(plan.kp, ic, mcb, pc);
             assert_eq!(&packed[off..off + mcb * kcb], &fresh[..], "block ({ic}, {pc})");
         });

@@ -11,10 +11,10 @@
 //! use camp_gemm::PackPool;
 //!
 //! let mut pool = PackPool::new();
-//! pool.a_buffer(1024).fill(1);
+//! pool.a_and_scratch(1024, 0).0.fill(1);
 //! let warm = pool.allocations();
 //! for _ in 0..100 {
-//!     pool.a_buffer(1024); // same-size requests reuse the buffer
+//!     pool.a_and_scratch(1024, 0); // same-size requests reuse the buffer
 //! }
 //! assert_eq!(pool.allocations(), warm, "steady state is allocation-free");
 //! ```
@@ -68,10 +68,13 @@ impl Default for Workspace {
 /// an arena of long-lived *panels* ([`PackPool::alloc_panel`]) for
 /// callers that must keep several packed B operands alive at once —
 /// the batched engine deduplicates shared weight matrices by packing
-/// each unique B into one panel and pointing every batch item at it.
+/// each unique B into one panel and pointing every batch item at it —
+/// and a kernel scratch arena ([`PackPool::a_and_scratch`]) for a tier
+/// whose macro-kernel re-lays B blocks on the fly.
 #[derive(Debug, Default)]
 pub struct PackPool {
     a: Vec<i8>,
+    scratch: Vec<i8>,
     /// Panel storage (high-water length, never truncated) and the
     /// logical size of each live panel's current allocation.
     panels: Vec<Vec<i8>>,
@@ -91,17 +94,24 @@ impl PackPool {
         PackPool::default()
     }
 
-    /// Borrow the A-image arena, exactly `bytes` long, growing the
-    /// storage if needed. Contents are unspecified: packers must write
-    /// every byte they later read (zero-padding included). The storage
-    /// is a high-water mark; the returned slice never exposes the tail
-    /// a larger, earlier image left behind.
-    pub fn a_buffer(&mut self, bytes: usize) -> &mut [i8] {
-        if self.a.len() < bytes {
-            self.a.resize(bytes, 0);
-            self.allocations += 1;
+    /// Borrow the A-image arena (exactly `a_bytes`) and the kernel
+    /// scratch arena (exactly `scratch_bytes`) at once, growing either
+    /// if needed. Contents of both are unspecified: packers must write
+    /// every byte they later read (zero-padding included). Each arena is
+    /// a high-water mark; a returned slice never exposes the tail a
+    /// larger, earlier image left behind.
+    pub fn a_and_scratch(
+        &mut self,
+        a_bytes: usize,
+        scratch_bytes: usize,
+    ) -> (&mut [i8], &mut [i8]) {
+        for (arena, bytes) in [(&mut self.a, a_bytes), (&mut self.scratch, scratch_bytes)] {
+            if arena.len() < bytes {
+                arena.resize(bytes, 0);
+                self.allocations += 1;
+            }
         }
-        &mut self.a[..bytes]
+        (&mut self.a[..a_bytes], &mut self.scratch[..scratch_bytes])
     }
 
     /// Invalidate all panel handles and recycle their storage. Call at
@@ -181,29 +191,43 @@ mod tests {
     #[test]
     fn pack_pool_reuses_buffers() {
         let mut p = PackPool::new();
-        let _ = p.a_buffer(1024);
+        let _ = p.a_and_scratch(1024, 0);
         assert_eq!(p.allocations(), 1);
         // same or smaller requests are served without allocating
         for _ in 0..10 {
-            let _ = p.a_buffer(1024);
-            let _ = p.a_buffer(512);
+            let _ = p.a_and_scratch(1024, 0);
+            let _ = p.a_and_scratch(512, 0);
         }
         assert_eq!(p.allocations(), 1);
         // a larger request grows once
-        assert_eq!(p.a_buffer(2048).len(), 2048);
+        assert_eq!(p.a_and_scratch(2048, 0).0.len(), 2048);
         assert_eq!(p.allocations(), 2);
     }
 
     #[test]
     fn buffers_are_sized_to_the_packed_block_not_the_high_water_mark() {
         let mut p = PackPool::new();
-        p.a_buffer(1024).fill(7);
+        p.a_and_scratch(1024, 0).0.fill(7);
         // a smaller image packed after a larger one must not expose the
         // stale tail of the previous one
-        let a = p.a_buffer(64);
+        let a = p.a_and_scratch(64, 0).0;
         assert_eq!(a.len(), 64);
         a.fill(1);
-        assert!(p.a_buffer(64).iter().all(|&v| v == 1));
+        assert!(p.a_and_scratch(64, 0).0.iter().all(|&v| v == 1));
+    }
+
+    #[test]
+    fn the_scratch_arena_grows_apart_from_the_a_arena() {
+        let mut p = PackPool::new();
+        let (a, s) = p.a_and_scratch(64, 128);
+        a.fill(1);
+        s.fill(2);
+        assert_eq!((a.len(), s.len()), (64, 128));
+        assert_eq!(p.allocations(), 2);
+        // no scratch, a smaller image: served from the grown arenas
+        let (a, s) = p.a_and_scratch(32, 0);
+        assert!(a.iter().all(|&v| v == 1) && s.is_empty());
+        assert_eq!(p.allocations(), 2);
     }
 
     #[test]

@@ -27,9 +27,11 @@
 
 use camp::core::backend::CampBackend;
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
+use camp::gemm::batch::packed_a_offset;
 use camp::gemm::gemm_i32_ref;
 use camp::gemm::host::{HostKernel, HostTier, Scale, SmallB};
-use camp::gemm::reference::{pack_a_ref, pack_b_ref};
+use camp::gemm::loops::for_each_a_block;
+use camp::gemm::reference::{pack_a_amx_ref, pack_a_ref, pack_b_ref};
 use camp::gemm::weights::{host_block_plan, prepack_b};
 use camp::gemm::SplitMix64;
 use proptest::prelude::*;
@@ -179,11 +181,17 @@ proptest! {
     /// image byte for byte over ragged shapes, interior and edge blocks,
     /// and depth remainders — packed panels stay tier-portable. The
     /// scalar tier is checked too: it runs the body the SIMD tiers
-    /// recompile.
+    /// recompile. So does every tier's whole A image
+    /// ([`HostKernel::prepack_a`], what `prepare` and a row-split unit
+    /// build), against its layout's own reference: the shared panel
+    /// layout's blocks ([`pack_a_ref`] at [`packed_a_offset`]) on every
+    /// tier but `amx`, [`pack_a_amx_ref`] on `amx` — both k-steps, and a
+    /// second depth block half the time.
     #[test]
     fn packers_are_byte_identical_across_tiers(
         m in 1usize..70, n in 1usize..70, k in 1usize..70,
-        kcb in 1usize..48, off8 in 0usize..8, pc in 0usize..80, seed in any::<u32>())
+        kcb in 1usize..48, off8 in 0usize..8, pc in 0usize..80, seed in any::<u32>(),
+        deep in any::<bool>(), i4 in any::<bool>())
     {
         let jc = ((off8 * 4) % n) & !3;
         let ncb = (n - jc).min(32).next_multiple_of(4).max(4);
@@ -204,6 +212,25 @@ proptest! {
             hk.pack_a_block(&mut got, &a, m, k, ic, pc, kcb);
             prop_assert_eq!(&got, &want_a, "tier {} pack_a {}x{} ic={} pc={} kcb={}",
                 hk.tier().name(), m, k, ic, pc, kcb);
+        }
+        let k = if deep { k + 2000 } else { k };
+        let k_step = if i4 { DType::I4 } else { DType::I8 }.k_step();
+        let a = gen_i8(m * k, seed.rotate_left(3) | 1, -128, 127);
+        let plan = host_block_plan(m, n, k, k_step);
+        for hk in HostKernel::available() {
+            let mut want = vec![0x55i8; hk.packed_a_len(&plan)];
+            if hk.tier() == HostTier::Amx {
+                pack_a_amx_ref(&mut want, &a, m, k, &plan);
+            } else {
+                for_each_a_block(&plan, |ic, mcb, pc, kcb| {
+                    let off = packed_a_offset(plan.kp, ic, mcb, pc);
+                    pack_a_ref(&mut want[off..off + mcb * kcb], &a, m, k, ic, pc, kcb);
+                });
+            }
+            let mut got = vec![0x55i8; want.len()];
+            hk.prepack_a(&mut got, &a, m, k, &plan);
+            prop_assert_eq!(&got, &want, "tier {} A image {}x{} k-step {}",
+                hk.tier().name(), m, k, k_step);
         }
     }
 }
@@ -256,6 +283,15 @@ fn check_wide_tile_on_every_tier(pa: &[i8], pb: &[i8], init: [i32; 4]) {
 /// that start next to both ends of i32. At the last depth the corners'
 /// sums pass i32 *inside* the kernel (127·127·272 000 > 2³¹), where a
 /// saturating dot product (`vpdpbusds`) clamps and the reference wraps.
+///
+/// Then the same corners at the same depth through the engine's blocked
+/// route on every tier (17×9 is blocked both ways; `amx` has no wide
+/// tile of its own to call above): 133 depth blocks, each
+/// added into C by the nest's write-back, carry every element through
+/// one end of i32 — up past `i32::MAX` for the positive products, down
+/// past `i32::MIN` for the negative ones — so a write-back that
+/// saturates instead of wrapping (`amx`'s staging-tile adds, the panel
+/// nest's clipped adds) fails here.
 #[test]
 fn wide_tile_is_exact_at_the_operand_extremes_on_every_tier() {
     let init = [i32::MAX - 3, i32::MIN + 3, 5, -7];
@@ -266,6 +302,121 @@ fn wide_tile_is_exact_at_the_operand_extremes_on_every_tier() {
         let pa = gen_i8(kcb * 4, 0x5eed | 1, -128, 127);
         let pb = gen_i8(kcb * 16, 0xfeed | 1, -128, 127);
         check_wide_tile_on_every_tier(&pa, &pb, init);
+    }
+    let (m, n, k) = (17, 9, 272_000);
+    for (a, b) in [(-128i8, -128i8), (-128, 127), (127, -128), (127, 127)] {
+        // every element is k equal products, summed in wrapping i32
+        let want = vec![(i32::from(a) * i32::from(b)).wrapping_mul(k as i32); m * n];
+        for hk in HostKernel::available() {
+            let mut eng = CampEngine::with_threads_and_kernel(1, hk);
+            let req = GemmRequest::dense(m, n, k, vec![a; m * k], vec![b; k * n]).unwrap();
+            let out = eng.execute(&req).unwrap();
+            assert_eq!(out.stats.as_host().unwrap().blocked_routed, 1);
+            assert_eq!(out.output.c, want, "tier {} at corner ({a}, {b})", hk.tier().name());
+        }
+    }
+}
+
+/// Every available tier's blocked route, through an engine pinned to it
+/// at 1 and 2 threads, against the reference over a grid that crosses
+/// every edge a blocked nest has: rows one short of, on and one past a
+/// 16- and 32-row tile, and a tall 192; columns that leave a partial
+/// 4-wide panel, a partial 16-column group and a partial 32-column
+/// step, and a second column block (260 > 256); depths (`ks`, split
+/// over the tests below so the harness runs them side by side) of one
+/// k-value, one short of, on and one past a 64-deep chunk, and on and
+/// one past a 2048-deep block. The largest shapes row-split at 2
+/// threads. Rows and columns of the one reference per depth are the
+/// smaller problems' results (C's row i and column j depend on A's row
+/// i and B's column j alone).
+fn check_blocked_route_over_the_edge_grid(dtype: DType, ks: &[usize]) {
+    let ms = [9, 15, 16, 17, 31, 32, 33, 192];
+    let ns = [9, 16, 20, 32, 36, 260];
+    let (m_max, n_max) = (192, 260);
+    let mut engines: Vec<(CampEngine, &'static HostKernel, usize)> = Vec::new();
+    for hk in HostKernel::available() {
+        for threads in [1, 2] {
+            engines.push((CampEngine::with_threads_and_kernel(threads, hk), hk, threads));
+        }
+    }
+    let (lo, hi) = if dtype == DType::I4 { (-8, 7) } else { (-128, 127) };
+    for &k in ks {
+        let a = gen_i8(m_max * k, (k * 31) as u32 | 1, lo, hi);
+        let b = gen_i8(k * n_max, (k * 17) as u32 | 1, lo, hi);
+        let want = gemm_i32_ref(m_max, n_max, k, &a, &b);
+        for n in ns {
+            let bn: Vec<i8> = b.chunks_exact(n_max).flat_map(|row| &row[..n]).copied().collect();
+            let bn: Arc<[i8]> = bn.into();
+            for m in ms {
+                let req = GemmRequest::builder()
+                    .m(m)
+                    .n(n)
+                    .k(k)
+                    .activation(&a[..m * k])
+                    .weights(Operand::Dense(Arc::clone(&bn)))
+                    .dtype(dtype)
+                    .build()
+                    .unwrap();
+                let expect: Vec<i32> =
+                    want.chunks_exact(n_max).take(m).flat_map(|row| &row[..n]).copied().collect();
+                for (eng, hk, threads) in &mut engines {
+                    let out = eng.execute(&req).unwrap();
+                    assert_eq!(out.stats.as_host().unwrap().blocked_routed, 1);
+                    assert_eq!(
+                        out.output.c,
+                        expect,
+                        "tier {} {dtype:?} {m}x{n}x{k} threads={threads}",
+                        hk.tier().name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_tiers_blocked_route_matches_the_reference_at_shallow_depths_i8() {
+    check_blocked_route_over_the_edge_grid(DType::I8, &[1, 19, 63, 64, 65]);
+}
+
+#[test]
+fn every_tiers_blocked_route_matches_the_reference_at_shallow_depths_i4() {
+    check_blocked_route_over_the_edge_grid(DType::I4, &[1, 19, 63, 64, 65]);
+}
+
+#[test]
+fn every_tiers_blocked_route_matches_the_reference_across_a_depth_block_i8() {
+    check_blocked_route_over_the_edge_grid(DType::I8, &[2048, 2049]);
+}
+
+#[test]
+fn every_tiers_blocked_route_matches_the_reference_across_a_depth_block_i4() {
+    check_blocked_route_over_the_edge_grid(DType::I4, &[2048, 2049]);
+}
+
+/// An engine pinned to a tier prepares its blocked requests' A images
+/// for *that* tier, whatever [`HostKernel::detect`] serves: `prepare`
+/// takes the kernel from the engine's weight snapshot. Every available
+/// tier, pinned on one engine, against the reference — below the
+/// row-split threshold (the image `prepare` builds) and above it (the
+/// unit's arena), against a registered weight and a dense B.
+#[test]
+fn a_pinned_engine_builds_its_own_tiers_a_image() {
+    for (m, n, k) in [(40, 48, 64), (192, 256, 256)] {
+        let a = gen_i8(m * k, 0x51 | 1, -128, 127);
+        let w = gen_i8(k * n, 0x77 | 1, -128, 127);
+        let want = gemm_i32_ref(m, n, k, &a, &w);
+        for hk in HostKernel::available() {
+            let mut eng = CampEngine::with_threads_and_kernel(1, hk);
+            let h = eng.register_weights(n, k, &w, DType::I8);
+            for req in [
+                GemmRequest::with_weights(m, a.clone(), h).unwrap(),
+                GemmRequest::dense(m, n, k, a.clone(), w.clone()).unwrap(),
+            ] {
+                let out = eng.execute(&req).unwrap();
+                assert_eq!(out.output.c, want, "{} pinned at {m}x{n}x{k}", hk.tier().name());
+            }
+        }
     }
 }
 
@@ -331,7 +482,7 @@ fn engine_reports_its_dispatched_tier() {
     let eng = CampEngine::new();
     let info = eng.kernel_info();
     assert_eq!(info.tier, HostKernel::detect().tier().name());
-    assert_eq!(info.int_tile, (4, HostKernel::detect().int_nr()));
+    assert_eq!(info.int_tile, HostKernel::detect().info().int_tile);
     for hk in HostKernel::available() {
         let pinned = CampEngine::with_threads_and_kernel(2, hk);
         assert_eq!(CampBackend::kernel_info(&pinned).tier, hk.tier().name());
