@@ -36,9 +36,11 @@
 //!   nest runs (`KernelInfo::int_tile`) and its roof — the wide
 //!   register tile on L1-resident panels, or, for a tier with its own
 //!   macro-kernel (`amx`), that nest on L1-resident operands — then the
-//!   engine at 512³ and at the prefill shape 192×1024×256 and its
+//!   engine at 512³, at the prefill shape 192×1024×256 and its
 //!   16-row sibling 16×1024×256 (a blocked GeMM the 32-row AMX step
-//!   pads by half), 1 thread — what each tier's tile offers and what
+//!   pads by half), and at a prefill attention-score shape 192×192×64
+//!   (one 64-deep chunk per step, so writing C back is the largest
+//!   share of a step), 1 thread — what each tier's tile offers and what
 //!   the nest leaves on the table;
 //! * **skinny-m roofline** — `run_small_m` over a packed panel image at
 //!   the served decode shapes, m = 1..8, *resident* (one image, walked
@@ -58,6 +60,7 @@ use camp_core::{CampEngine, DType, GemmRequest};
 use camp_gemm::batch::packed_b_bytes;
 use camp_gemm::host::{forced_tier, AImage, HostKernel, SmallB};
 use camp_gemm::weights::host_block_plan;
+use std::mem::MaybeUninit;
 
 /// Timed repetitions per cell; the best one is reported.
 const REPS: usize = 5;
@@ -234,7 +237,7 @@ fn nest_roof_gops(hk: &HostKernel) -> f64 {
     let mut panel = vec![0i8; packed_b_bytes(&plan)];
     hk.prepack_b(&mut panel, &b, n, k, &plan);
     let mut scratch = vec![0i8; hk.blocked_scratch_len(&plan)];
-    let mut c = vec![0i32; m * n];
+    let mut c = vec![MaybeUninit::<i32>::uninit(); m * n];
     let calls = 1024;
     let secs = time_best(|| {
         for _ in 0..calls {
@@ -253,8 +256,8 @@ fn print_blocked_per_tier() {
         "blocked path per tier (i8, 1 thread, Gop/s): the nest's tile and roof, engine below it"
     );
     println!(
-        "{:<11} {:>5} {:>10} {:>12} {:>13} {:>13}",
-        "tier", "tile", "tile roof", "512x512x512", "16x1024x256", "192x1024x256"
+        "{:<11} {:>5} {:>10} {:>12} {:>13} {:>13} {:>12}",
+        "tier", "tile", "tile roof", "512x512x512", "16x1024x256", "192x1024x256", "192x192x64"
     );
     for hk in HostKernel::available() {
         let engine = |m, n, k| gops(m, n, k, int_secs(hk, 1, m, n, k, DType::I8));
@@ -262,13 +265,14 @@ fn print_blocked_per_tier() {
         // the wide register tile is the roof of the panel nest only
         let roof = if tile == (4, hk.int_nr()) { tile_roof_gops(hk) } else { nest_roof_gops(hk) };
         println!(
-            "{:<11} {:>5} {:>10.1} {:>12.1} {:>13.1} {:>13.1}",
+            "{:<11} {:>5} {:>10.1} {:>12.1} {:>13.1} {:>13.1} {:>12.1}",
             hk.tier().name(),
             format!("{}x{}", tile.0, tile.1),
             roof,
             engine(512, 512, 512),
             engine(16, 1024, 256),
-            engine(192, 1024, 256)
+            engine(192, 1024, 256),
+            engine(192, 192, 64)
         );
     }
 }

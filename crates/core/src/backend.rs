@@ -570,6 +570,25 @@ mod tests {
     }
 
     #[test]
+    fn oversized_requests_err_instead_of_panicking() {
+        // m·k of a handle request wraps to 0 unchecked (2^60·16 = 2^64),
+        // matching its empty activation; the m×n result cannot exist
+        fn check<B: CampBackend>(mut backend: B) {
+            let (n, k) = (4, 16);
+            let w = fill(k * n, 5);
+            let h = backend.register_weights(n, k, &w, DType::I8);
+            let hostile = GemmRequest::with_weights(1 << 60, vec![], h).unwrap();
+            let fine = GemmRequest::with_weights(2, fill(2 * k, 3), h).unwrap();
+            let err = backend.execute_batch(&[fine.clone(), hostile]).unwrap_err();
+            assert_eq!(err, RequestError::Oversized("A"));
+            let out = backend.execute(&fine).unwrap();
+            assert_eq!(out.output.c, gemm_i32_ref(2, n, k, &fill(2 * k, 3), &w));
+        }
+        check(CampEngine::new());
+        check(SimBackend::a64fx());
+    }
+
+    #[test]
     fn degenerate_requests_follow_the_host_rule_on_both_substrates() {
         // k = 0 yields an all-zero m×n C; m or n = 0 yields empty
         let zero_k = GemmRequest::dense(3, 4, 0, vec![], vec![]).unwrap();

@@ -1502,6 +1502,31 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_request_errs_typed_and_the_session_serves_on() {
+        let (n, k) = (4, 16);
+        let w: Vec<i8> = (0..k * n).map(|i| (i % 15) as i8 - 7).collect();
+        let a: Vec<i8> = (0..2 * k).map(|i| (i % 11) as i8 - 5).collect();
+        let mut engine = CampEngine::with_threads(1);
+        let h = engine.register_weights(n, k, &w, DType::I8);
+        let dispatcher = dispatch(engine);
+        let mut session = dispatcher.session();
+        // 2^60 rows of the registered k = 16: m·k wraps to 0 unchecked,
+        // matching the empty activation
+        let hostile = || vec![GemmRequest::with_weights(1 << 60, vec![], h).unwrap()];
+        assert_eq!(session.submit(hostile()).unwrap_err(), RequestError::Oversized("A"));
+        let err = session.run(hostile(), Priority::Prefill, None).unwrap_err();
+        assert_eq!(err, RequestError::Oversized("A"));
+        let t = session
+            .submit(vec![GemmRequest::with_weights(2, a.clone(), h).unwrap()])
+            .expect("a valid request admits");
+        assert_eq!(session.wait(t).unwrap().outputs[0].c, gemm_i32_ref(2, n, k, &a, &w));
+        let out = session
+            .run(vec![GemmRequest::with_weights(2, a.clone(), h).unwrap()], Priority::Decode, None)
+            .expect("a valid request runs");
+        assert_eq!(out.outputs[0].c, gemm_i32_ref(2, n, k, &a, &w));
+    }
+
+    #[test]
     fn dropped_sessions_cancel_unclaimed_work_and_release_their_slot() {
         let (backend, gate, _log) = GateBackend::new(0);
         let dispatcher = dispatch(backend);

@@ -38,6 +38,13 @@
 //!   (Packing every request in `prepare` was measured and
 //!   rejected: a fresh 48–196 KB heap buffer per large request tips the
 //!   allocator into a map–fault–unmap cycle; see docs/ARCHITECTURE.md.)
+//! * **C** is allocated once per request, per batch, and written by its
+//!   units, never zero-filled up front: a blocked unit's
+//!   [`HostKernel::run_blocked`] writes every element of its rows (the
+//!   `amx` nest stores its first depth block instead of adding it, the
+//!   panel nest zero-fills its own rows first), a skinny unit zeroes its
+//!   rows and accumulates. A degenerate request's result is final as
+//!   allocated.
 //!
 //! A batch is a list of **units** — rows `r0..r1` of one request — run
 //! by one function: a plain loop on the calling thread when there is
@@ -103,12 +110,13 @@
 //! which decode steps read in place.
 
 use camp_gemm::batch::{packed_a_bytes, packed_b_bytes};
-use camp_gemm::host::{AImage, HostKernel, HostTier, KernelInfo, SmallB};
+use camp_gemm::host::{zeroed, AImage, HostKernel, HostTier, KernelInfo, SmallB};
 use camp_gemm::loops::{small_path, SmallPath};
 use camp_gemm::request::{GemmRequest, Operand, RequestError};
 use camp_gemm::weights::{host_block_plan, WeightRegistry, WeightSnapshot};
 use camp_gemm::workspace::{PackPool, PanelId};
 use std::collections::{HashMap, HashSet};
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 use crate::backend::Output;
@@ -310,11 +318,12 @@ struct Item<'a> {
 }
 
 /// The batch's unit of scheduling: rows `r0..r0 + c.len() / n` of one
-/// item, writing straight into that item's pre-allocated result.
+/// item, writing straight into that item's pre-allocated, uninitialised
+/// result; [`run_unit`] writes every element of `c`.
 struct Unit<'a> {
     item: Item<'a>,
     r0: usize,
-    c: &'a mut [i32],
+    c: &'a mut [MaybeUninit<i32>],
 }
 
 impl Unit<'_> {
@@ -330,16 +339,18 @@ impl Unit<'_> {
 /// the item's whole A image or, when `prepare` built none, over this
 /// unit's rows packed once into `pool`'s arena before the nest starts
 /// (the arena also holds the nest's scratch, where the tier needs
-/// one). Bit-identity across routes and row ranges is structural —
-/// exact products, wrapping i32 accumulation.
+/// one). Either way every element of the unit's C is written: the
+/// skinny kernels accumulate into a C zeroed here, the blocked
+/// macro-kernel writes its C whole. Bit-identity across routes and row
+/// ranges is structural — exact products, wrapping i32 accumulation.
 fn run_unit(unit: Unit<'_>, pool: &mut PackPool, hk: &'static HostKernel) {
     let Unit { item: it, r0, c } = unit;
     let rows = c.len() / it.n;
     let a_rows = &it.a[r0 * it.k..(r0 + rows) * it.k];
     let plan = host_block_plan(rows, it.n, it.k, it.k_step);
     match it.route {
-        Route::SmallM(b) => hk.run_small_m(rows, it.n, it.k, &plan, a_rows, b, c),
-        Route::SmallN(b) => hk.run_small_n(rows, it.n, it.k, &plan, a_rows, b, c),
+        Route::SmallM(b) => hk.run_small_m(rows, it.n, it.k, &plan, a_rows, b, zeroed(c)),
+        Route::SmallN(b) => hk.run_small_n(rows, it.n, it.k, &plan, a_rows, b, zeroed(c)),
         Route::Blocked { b, a_image } => {
             let scratch_len = hk.blocked_scratch_len(&plan);
             let (image, scratch) = match a_image {
@@ -727,11 +738,23 @@ impl CampEngine {
             })
             .collect();
 
-        // Every result exists up front, zeroed: units accumulate into
-        // theirs, degenerate ones are already final (all-zero when only
-        // k is 0, empty otherwise).
-        let mut results: Vec<Output> =
-            reqs.iter().map(|r| Output::new(vec![0i32; r.m * r.n], r.m, r.n)).collect();
+        // Every result exists up front. A degenerate one is final as
+        // allocated (all-zero when only k is 0, empty otherwise); any
+        // other is allocated without a fill, and its units write every
+        // element (`run_unit`): the blocked nest stores C whole instead
+        // of adding into zeros, so a result is written once, not
+        // zero-filled, read back and written again.
+        let mut results: Vec<Output> = reqs
+            .iter()
+            .map(|r| {
+                let c = if r.is_degenerate() {
+                    vec![0i32; r.m * r.n]
+                } else {
+                    Vec::with_capacity(r.m * r.n)
+                };
+                Output::new(c, r.m, r.n)
+            })
+            .collect();
         let mut units: Vec<Unit<'_>> = Vec::with_capacity(reqs.len());
         for ((r, out), route) in reqs.iter().zip(&mut results).zip(routes) {
             let Some(route) = route else { continue };
@@ -745,13 +768,25 @@ impl CampEngine {
             let item = Item { m: r.m, n: r.n, k: r.k, k_step, a: &r.a, route };
             let rows_per =
                 if row_splits(r.m, r.n, r.k) { row_partition(r.m, self.threads) } else { r.m };
-            units.extend(out.c.chunks_mut(rows_per * r.n).enumerate().map(|(i, c)| Unit {
+            let c = &mut out.c.spare_capacity_mut()[..r.m * r.n];
+            units.extend(c.chunks_mut(rows_per * r.n).enumerate().map(|(i, c)| Unit {
                 item,
                 r0: i * rows_per,
                 c,
             }));
         }
         run_units(units, &mut self.pools, self.workers.as_deref(), self.host);
+        for (r, out) in reqs.iter().zip(&mut results) {
+            if !r.is_degenerate() {
+                // SAFETY: the capacity holds `m·n` elements, and every one
+                // is initialised: the units' row ranges tile them, and
+                // each unit wrote all of its own (`run_unit`). `run_units`
+                // returns only once every unit has returned — a panicking
+                // unit unwinds out of it, past this line, leaving the
+                // result empty.
+                unsafe { out.c.set_len(r.m * r.n) };
+            }
+        }
         (results, total)
     }
 }
@@ -1076,7 +1111,11 @@ mod tests {
 
     /// Units over `c` for the row ranges `bounds[i]..bounds[i + 1]` of
     /// `item`.
-    fn units_over<'a>(item: Item<'a>, bounds: &[usize], c: &'a mut [i32]) -> Vec<Unit<'a>> {
+    fn units_over<'a>(
+        item: Item<'a>,
+        bounds: &[usize],
+        c: &'a mut [MaybeUninit<i32>],
+    ) -> Vec<Unit<'a>> {
         let mut rest = c;
         bounds
             .windows(2)
@@ -1132,9 +1171,14 @@ mod tests {
                             let route = Route::Blocked { b, a_image };
                             let item = Item { m, n, k, k_step, a: &a, route };
                             for pool in [None, Some(&wp)] {
-                                let mut c = vec![0i32; m * n];
+                                // units overwrite their C: start from garbage
+                                let mut c = vec![MaybeUninit::new(0x5A5A_5A5A); m * n];
                                 let mut arenas = Vec::new();
                                 run_units(units_over(item, bounds, &mut c), &mut arenas, pool, hk);
+                                // SAFETY: the fill above initialised every
+                                // element, and units write only values.
+                                let c: Vec<i32> =
+                                    c.iter().map(|v| unsafe { v.assume_init() }).collect();
                                 assert_eq!(
                                     c,
                                     want,

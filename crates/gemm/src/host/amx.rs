@@ -16,8 +16,10 @@
 //!   the k-values `4r..4r+4` of each of its 16 columns — one
 //!   `QUAD_TRANSPOSE` `vpshufb` per 4 panels × 4 k-values.
 //! * **C**: one step is 2×2 `tdpbssd` tiles, 32×32 of C over the whole
-//!   depth block, stored to a 32×32 staging tile and added into C with
-//!   masked vector adds ([`add_block`]).
+//!   depth block, stored to a 32×32 staging tile and written into C with
+//!   masked vector stores ([`write_block`]): copied on a column block's
+//!   first depth block, added on every later one. C's prior contents are
+//!   never read, so the engine hands the nest uninitialised memory.
 //!
 //! `tdpbssd` multiplies signed by signed bytes, so there is no bias fold
 //! (the VNNI tile's `^ 0x80`), and it accumulates in wrapping i32 — the
@@ -29,10 +31,11 @@
 
 use std::arch::asm;
 use std::arch::x86_64::*;
+use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
 use super::blocked::AImage;
-use super::{MacroKernel, QUAD_TRANSPOSE};
+use super::{zeroed, MacroKernel, QUAD_TRANSPOSE};
 use crate::batch::packed_b_offset;
 use crate::loops::{for_each_b_block, round_up, BlockPlan};
 
@@ -190,13 +193,26 @@ impl Drop for Tiles {
     }
 }
 
-/// The `amx` blocked nest of one work unit: `c` (`rows`×`n`, row-major)
-/// accumulates the unit's rows of `a`'s AMX image times `b`'s whole
-/// 4-wide panel image. Per (jc, pc) block: re-lay B into `scratch`,
-/// then every 32-column step against every 32-row strip of the image
-/// that holds unit rows, 2×2 `tdpbssd` tiles over the whole block.
-fn nest(n: usize, plan: &BlockPlan, a: AImage<'_>, b: &[i8], c: &mut [i32], scratch: &mut [i8]) {
+/// The `amx` blocked nest of one work unit: writes `c` (`rows`×`n`,
+/// row-major) with the unit's rows of `a`'s AMX image times `b`'s whole
+/// 4-wide panel image and returns it initialised. Per (jc, pc) block:
+/// re-lay B into `scratch`, then every 32-column step against every
+/// 32-row strip of the image that holds unit rows, 2×2 `tdpbssd` tiles
+/// over the whole block. A column block's first depth block stores its
+/// steps into C, so C is never read before this nest wrote it; every
+/// later depth block adds into C.
+fn nest<'c>(
+    n: usize,
+    plan: &BlockPlan,
+    a: AImage<'_>,
+    b: &[i8],
+    c: &'c mut [MaybeUninit<i32>],
+    scratch: &mut [i8],
+) -> &'c mut [i32] {
     let rows = c.len() / n;
+    // the write-once argument below needs every element of C in a
+    // whole row the plan's columns cover
+    assert!(c.len() == rows * n && plan.np >= n, "C must be whole rows of the plan's n");
     let (image, row0) = (a.plan, a.row0);
     assert_eq!((image.kp, image.kc), (plan.kp, plan.kc), "A and B must share depth blocks");
     assert_eq!(a.bytes.len(), a_len(&image), "A must be a whole amx image");
@@ -207,6 +223,10 @@ fn nest(n: usize, plan: &BlockPlan, a: AImage<'_>, b: &[i8], c: &mut [i32], scra
         plan.kc.is_multiple_of(16) && plan.kp.is_multiple_of(16),
         "depth blocks are whole 16-k steps"
     );
+    if plan.kp == 0 {
+        // no depth block stores anything: the product of k = 0 is zero
+        return zeroed(c);
+    }
     let (first, last) = (row0 / STRIP, (row0 + rows).div_ceil(STRIP));
     let _tiles = Tiles::load();
     // every step's four tile stores overwrite all of it
@@ -238,13 +258,31 @@ fn nest(n: usize, plan: &BlockPlan, a: AImage<'_>, b: &[i8], c: &mut [i32], scra
                 let hi = (s * STRIP + STRIP).min(row0 + rows);
                 let cols = (n - j0).min(COLS);
                 let dst = &mut c[(lo - row0) * n + j0..][..(hi - lo - 1) * n + cols];
+                let top = lo - s * STRIP;
                 // SAFETY: AVX-512 F as above; `dst` holds `hi - lo` rows
                 // of `cols ≤ 32` elements at stride `n`, and the staging
-                // rows `lo - s·32 .. hi - s·32` lie in the 32×32 tile.
-                unsafe { add_block(dst, n, &staging, lo - s * STRIP, hi - lo, cols) };
+                // rows `top .. top + hi - lo` lie in the 32×32 tile. The
+                // add reads only what the store of the same column
+                // block's first depth block (`pc == 0`, visited first)
+                // wrote.
+                unsafe {
+                    if pc == 0 {
+                        write_block::<false>(dst, n, &staging, top, hi - lo, cols);
+                    } else {
+                        write_block::<true>(dst, n, &staging, top, hi - lo, cols);
+                    }
+                }
             }
         }
     });
+    // SAFETY: every element of `c` was written above. `c` is `rows`
+    // whole rows (asserted) and `for_each_b_block` visits every column
+    // block `jc..jc + ncb` (together `0..np`, which holds `0..n`,
+    // asserted) with depth block `pc == 0` first (`kp > 0` here); that
+    // visit's steps cover the block's columns (clipped at `n`), its
+    // strips `first..last` cover the unit's rows `row0..row0 + rows`,
+    // and each (strip, step) stores all of its rows × columns.
+    unsafe { c.assume_init_mut() }
 }
 
 /// A 32×32 i32 C block as the four tiles store it: tmm0 at (0, 0), tmm1
@@ -343,10 +381,12 @@ unsafe fn relayout_b(block: &[i8], ncb: usize, kcb: usize, kcbp: usize, out: &mu
 
 // SAFETY: requires AVX512F. `dst` holds `rows` rows of `cols ≤ 32`
 // elements at stride `ldc` (the last row need only hold `cols`), and
-// `top + rows ≤ 32`; the masked loads and stores touch exactly those.
+// `top + rows ≤ 32`; the masked stores write exactly those elements,
+// and with `ADD` the masked loads read exactly those, which must then
+// be initialised.
 #[target_feature(enable = "avx512f")]
-unsafe fn add_block(
-    dst: &mut [i32],
+unsafe fn write_block<const ADD: bool>(
+    dst: &mut [MaybeUninit<i32>],
     ldc: usize,
     staging: &Staging,
     top: usize,
@@ -358,16 +398,16 @@ unsafe fn add_block(
     let (m0, m1) = (live(0), if cols > 16 { live(16) } else { 0 });
     for i in 0..rows {
         let src = staging.0.as_ptr().add((top + i) * COLS);
-        let row = dst.as_mut_ptr().add(i * ldc);
+        let row = dst.as_mut_ptr().add(i * ldc).cast::<i32>();
         for (half, mask) in [(0, m0), (16, m1)] {
             if mask == 0 {
                 continue;
             }
-            let sums = _mm512_add_epi32(
-                _mm512_maskz_loadu_epi32(mask, row.add(half)),
-                _mm512_loadu_epi32(src.add(half)),
-            );
-            _mm512_mask_storeu_epi32(row.add(half), mask, sums);
+            let mut v = _mm512_loadu_epi32(src.add(half));
+            if ADD {
+                v = _mm512_add_epi32(_mm512_maskz_loadu_epi32(mask, row.add(half)), v);
+            }
+            _mm512_mask_storeu_epi32(row.add(half), mask, v);
         }
     }
 }

@@ -9,10 +9,12 @@
 //! register-tile call. The `amx` tier owns its A layout and runs its own
 //! nest (`amx.rs`) over the same B image.
 
+use std::mem::MaybeUninit;
+
 use crate::batch::{packed_a_offset, packed_b_offset};
 use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
 
-use super::HostKernel;
+use super::{zeroed, HostKernel};
 
 /// A whole packed A image as one work unit reads it: every depth block
 /// of the image's rows, laid out by [`HostKernel::prepack_a`] under
@@ -50,17 +52,20 @@ impl AImage<'_> {
 }
 
 /// The shared-layout nest of one work unit: `c` (`rows`×`n`, row-major)
-/// accumulates the unit's rows of `a`'s panel image times `b`'s whole
-/// packed image, one register tile ([`HostKernel::tile_i8_into`]) at a
-/// time.
-pub(super) fn panel_nest(
+/// is zeroed, then accumulates the unit's rows of `a`'s panel image
+/// times `b`'s whole packed image, one register tile
+/// ([`HostKernel::tile_i8_into`]) at a time, and is returned
+/// initialised.
+pub(super) fn panel_nest<'c>(
     hk: &HostKernel,
     n: usize,
     plan: &BlockPlan,
     a: AImage<'_>,
     b: &[i8],
-    c: &mut [i32],
-) {
+    c: &'c mut [MaybeUninit<i32>],
+) -> &'c mut [i32] {
+    // the tiles add into C, so C starts at zero
+    let c = zeroed(c);
     let rows = c.len() / n;
     // B panels are walked in groups sized to the tier's widened
     // register tile (`int_nr/4` adjacent 4-col panels per wide call); a
@@ -117,4 +122,5 @@ pub(super) fn panel_nest(
             }
         });
     });
+    c
 }

@@ -104,6 +104,7 @@ pub mod avx512;
 pub mod neon;
 
 use std::fmt;
+use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
 use crate::loops::BlockPlan;
@@ -370,7 +371,14 @@ pub(crate) struct MacroKernel {
     pub(crate) scratch_len: fn(&BlockPlan) -> usize,
     /// The nest: `(n, plan, a, b, c, scratch)`, [`HostKernel::run_blocked`]'s
     /// contract.
-    pub(crate) run: fn(usize, &BlockPlan, AImage<'_>, &[i8], &mut [i32], &mut [i8]),
+    pub(crate) run: for<'c> fn(
+        usize,
+        &BlockPlan,
+        AImage<'_>,
+        &[i8],
+        &'c mut [MaybeUninit<i32>],
+        &mut [i8],
+    ) -> &'c mut [i32],
 }
 
 impl fmt::Debug for HostKernel {
@@ -505,6 +513,15 @@ pub fn forced_tier() -> Option<HostTier> {
         parse_forced_tier(std::env::var("CAMP_FORCE_TIER").ok())
             .unwrap_or_else(|e| panic!("invalid tier override: {e}"))
     })
+}
+
+/// `c` filled with zeros and handed back initialised: the C of a
+/// kernel that accumulates into it (the panel nest, the skinny paths),
+/// from memory that may be uninitialised.
+pub fn zeroed(c: &mut [MaybeUninit<i32>]) -> &mut [i32] {
+    c.fill(MaybeUninit::new(0));
+    // SAFETY: the fill just wrote every element of `c`.
+    unsafe { c.assume_init_mut() }
 }
 
 impl HostKernel {
@@ -696,22 +713,25 @@ impl HostKernel {
         });
     }
 
-    /// The blocked macro-kernel of one work unit: `c` (`rows`×`n`,
-    /// row-major, `rows = c.len() / n`) accumulates, with wrapping adds,
-    /// the unit's rows of `a` — an image [`HostKernel::prepack_a`] of
-    /// *this* kernel built — times `b`, the whole packed B image under
-    /// `plan` (the unit's plan: `rows`, `n`, k). Nothing is packed in
-    /// here; `scratch` ([`HostKernel::blocked_scratch_len`] bytes at
-    /// least) is the tier's to overwrite.
-    pub fn run_blocked(
+    /// The blocked macro-kernel of one work unit: writes `c` (`rows`×`n`,
+    /// row-major, `rows = c.len() / n`) with the unit's rows of `a` — an
+    /// image [`HostKernel::prepack_a`] of *this* kernel built — times
+    /// `b`, the whole packed B image under `plan` (the unit's plan:
+    /// `rows`, `n`, k), accumulated with wrapping adds, and returns `c`
+    /// initialised. Every element is written and none is read before it
+    /// is, on every tier, so `c` may be fresh uninitialised memory: the
+    /// engine allocates a blocked result without filling it. Nothing is
+    /// packed in here; `scratch` ([`HostKernel::blocked_scratch_len`]
+    /// bytes at least) is the tier's to overwrite.
+    pub fn run_blocked<'c>(
         &self,
         n: usize,
         plan: &BlockPlan,
         a: AImage<'_>,
         b: &[i8],
-        c: &mut [i32],
+        c: &'c mut [MaybeUninit<i32>],
         scratch: &mut [i8],
-    ) {
+    ) -> &'c mut [i32] {
         match self.macro_kernel {
             Some(mk) => (mk.run)(n, plan, a, b, c, scratch),
             None => blocked::panel_nest(self, n, plan, a, b, c),

@@ -69,6 +69,11 @@ pub enum RequestError {
     StaleHandle,
     /// An i4 request carries operand values outside [-8, 7].
     OperandRange(&'static str),
+    /// The dimensions name more than memory can hold: `m·k` (operand
+    /// "A") or `k·n` ("B") overflows `usize`, or the `m×n` i32 result
+    /// ("C") would exceed `isize::MAX` bytes, the most one allocation
+    /// can hold.
+    Oversized(&'static str),
     /// The backend cannot execute this request (capability gap).
     Unsupported(&'static str),
     /// Admission control: the serving session's staging queue is at its
@@ -104,6 +109,9 @@ impl std::fmt::Display for RequestError {
             }
             RequestError::OperandRange(operand) => {
                 write!(f, "i4 operand {operand} holds values outside [-8, 7]")
+            }
+            RequestError::Oversized(operand) => {
+                write!(f, "request dimensions make operand {operand} too large to allocate")
             }
             RequestError::Unsupported(what) => write!(f, "backend cannot execute request: {what}"),
             RequestError::Saturated { depth } => {
@@ -291,14 +299,32 @@ impl GemmRequest {
                 ResolvedRequest { m: self.m, n: meta.n, k: meta.k, dtype: meta.dtype }
             }
         };
-        if self.a.len() != resolved.m * resolved.k {
+        // a handle's k comes from its registration: check m·k here too
+        let a_len = elements("A", resolved.m, resolved.k)?;
+        if self.a.len() != a_len {
             return Err(RequestError::ShapeMismatch {
                 operand: "A",
-                expected: resolved.m * resolved.k,
+                expected: a_len,
                 got: self.a.len(),
             });
         }
+        check_result(resolved.m, resolved.n)?;
         Ok(resolved)
+    }
+}
+
+/// Elements of the `rows`×`cols` operand `operand`, or
+/// [`RequestError::Oversized`] when the product overflows.
+fn elements(operand: &'static str, rows: usize, cols: usize) -> Result<usize, RequestError> {
+    rows.checked_mul(cols).ok_or(RequestError::Oversized(operand))
+}
+
+/// Refuse an `m×n` result whose i32 elements exceed `isize::MAX` bytes:
+/// a backend allocates it whole before computing.
+fn check_result(m: usize, n: usize) -> Result<(), RequestError> {
+    match elements("C", m, n)?.checked_mul(std::mem::size_of::<i32>()) {
+        Some(bytes) if bytes <= isize::MAX as usize => Ok(()),
+        _ => Err(RequestError::Oversized("C")),
     }
 }
 
@@ -373,20 +399,23 @@ impl GemmRequestBuilder {
         if let Operand::Dense(b) = &weights {
             let n = self.n.ok_or(RequestError::MissingField("n"))?;
             let k = self.k.ok_or(RequestError::MissingField("k"))?;
-            if a.len() != m * k {
+            let a_len = elements("A", m, k)?;
+            if a.len() != a_len {
                 return Err(RequestError::ShapeMismatch {
                     operand: "A",
-                    expected: m * k,
+                    expected: a_len,
                     got: a.len(),
                 });
             }
-            if b.len() != k * n {
+            let b_len = elements("B", k, n)?;
+            if b.len() != b_len {
                 return Err(RequestError::ShapeMismatch {
                     operand: "B",
-                    expected: k * n,
+                    expected: b_len,
                     got: b.len(),
                 });
             }
+            check_result(m, n)?;
             if i4 && !b.iter().all(|v| (-8..8).contains(v)) {
                 return Err(RequestError::OperandRange("B"));
             }
@@ -496,6 +525,30 @@ mod tests {
             req.resolve(&snap).unwrap_err(),
             RequestError::ShapeMismatch { operand: "A", expected: 24, got: 5 }
         );
+    }
+
+    #[test]
+    fn hostile_shapes_are_refused_instead_of_wrapping() {
+        use RequestError::Oversized;
+        // m·k and k·n wrap to 0 unchecked, so empty operands would "fit"
+        let err = GemmRequest::dense(1 << 62, 1, 4, vec![], vec![1; 4]).unwrap_err();
+        assert_eq!(err, Oversized("A"));
+        let err = GemmRequest::dense(1, 1 << 62, 4, vec![1; 4], vec![]).unwrap_err();
+        assert_eq!(err, Oversized("B"));
+        // empty operands at k = 0, but no m×n result can be allocated:
+        // m·n overflows, or its i32s pass isize::MAX bytes
+        let err = GemmRequest::dense(1 << 40, 1 << 40, 0, vec![], vec![]).unwrap_err();
+        assert_eq!(err, Oversized("C"));
+        let err = GemmRequest::dense(1 << 61, 1, 0, vec![], vec![]).unwrap_err();
+        assert_eq!(err, Oversized("C"));
+        let largest = isize::MAX as usize / 4;
+        assert!(GemmRequest::dense(largest, 1, 0, vec![], vec![]).is_ok());
+        // a handle's k is the registration's: resolve checks m·k
+        let mut reg = WeightRegistry::new();
+        let h = reg.register(6, 8, &fill(48, 5), DType::I8);
+        let req = GemmRequest::with_weights(1 << 61, vec![], h).unwrap();
+        assert_eq!(req.resolve(&reg.snapshot()).unwrap_err(), Oversized("A"));
+        assert!(Oversized("C").to_string().contains("operand C"));
     }
 
     #[test]

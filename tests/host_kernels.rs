@@ -27,14 +27,15 @@
 
 use camp::core::backend::CampBackend;
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
-use camp::gemm::batch::packed_a_offset;
+use camp::gemm::batch::{packed_a_offset, packed_b_bytes};
 use camp::gemm::gemm_i32_ref;
-use camp::gemm::host::{HostKernel, HostTier, Scale, SmallB};
+use camp::gemm::host::{AImage, HostKernel, HostTier, Scale, SmallB};
 use camp::gemm::loops::for_each_a_block;
 use camp::gemm::reference::{pack_a_amx_ref, pack_a_ref, pack_b_ref};
 use camp::gemm::weights::{host_block_plan, prepack_b};
 use camp::gemm::SplitMix64;
 use proptest::prelude::*;
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 fn gen_i8(len: usize, s: u32, lo: i32, hi: i32) -> Vec<i8> {
@@ -392,6 +393,47 @@ fn every_tiers_blocked_route_matches_the_reference_across_a_depth_block_i8() {
 #[test]
 fn every_tiers_blocked_route_matches_the_reference_across_a_depth_block_i4() {
     check_blocked_route_over_the_edge_grid(DType::I4, &[2048, 2049]);
+}
+
+/// [`HostKernel::run_blocked`] writes every element of its C and reads
+/// none of what C held: on every available tier, into a C pre-filled
+/// with a poison pattern, the nest must give exactly the reference. The
+/// shapes cross what a nest writes C in: a partial 32-row strip (33
+/// rows, and a unit starting 20 rows into the image), a partial 4-wide
+/// panel and a partial 32-column step (n 18), a second column block
+/// whose one step is partial (n 260), a partial 64-deep chunk (k 65)
+/// and a second depth block (k 2049). A nest that accumulates into C,
+/// or that leaves part of C unwritten, fails.
+#[test]
+fn run_blocked_writes_all_of_c_whatever_it_held_on_every_tier() {
+    const POISON: i32 = 0x5A5A_5A5A;
+    let (m, k_step) = (33, DType::I8.k_step());
+    for (n, k) in [(18, 65), (260, 65), (18, 2049), (260, 2049)] {
+        let a = gen_i8(m * k, (k * 31) as u32 | 1, -128, 127);
+        let b = gen_i8(k * n, (k * 17) as u32 | 1, -128, 127);
+        let want = gemm_i32_ref(m, n, k, &a, &b);
+        let plan = host_block_plan(m, n, k, k_step);
+        for hk in HostKernel::available() {
+            let mut image = vec![0i8; hk.packed_a_len(&plan)];
+            hk.prepack_a(&mut image, &a, m, k, &plan);
+            let mut panel = vec![0i8; packed_b_bytes(&plan)];
+            hk.prepack_b(&mut panel, &b, n, k, &plan);
+            for row0 in [0, 20] {
+                let rows = m - row0;
+                let unit = host_block_plan(rows, n, k, k_step);
+                let mut scratch = vec![0i8; hk.blocked_scratch_len(&unit)];
+                let mut c = vec![MaybeUninit::new(POISON); rows * n];
+                let image = AImage { bytes: &image, plan, row0 };
+                let got = hk.run_blocked(n, &unit, image, &panel, &mut c, &mut scratch);
+                assert_eq!(
+                    got,
+                    &want[row0 * n..],
+                    "tier {} {m}x{n}x{k} from row {row0}",
+                    hk.tier().name()
+                );
+            }
+        }
+    }
 }
 
 /// An engine pinned to a tier prepares its blocked requests' A images
