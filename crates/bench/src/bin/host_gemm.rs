@@ -58,7 +58,7 @@
 use camp_core::backend::CampBackend;
 use camp_core::{CampEngine, DType, GemmRequest};
 use camp_gemm::batch::packed_b_bytes;
-use camp_gemm::host::{forced_tier, AImage, HostKernel, SmallB};
+use camp_gemm::host::{forced_tier, HostKernel, SmallB};
 use camp_gemm::weights::host_block_plan;
 use std::mem::MaybeUninit;
 
@@ -241,8 +241,7 @@ fn nest_roof_gops(hk: &HostKernel) -> f64 {
     let calls = 1024;
     let secs = time_best(|| {
         for _ in 0..calls {
-            let a = AImage { bytes: std::hint::black_box(&image), plan, row0: 0 };
-            hk.run_blocked(n, &plan, a, &panel, &mut c, &mut scratch);
+            hk.run_blocked(n, &plan, std::hint::black_box(&image), &panel, &mut c, &mut scratch);
         }
     });
     std::hint::black_box(&c);

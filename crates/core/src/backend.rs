@@ -222,7 +222,7 @@ pub trait CampBackend {
 
     /// Which micro-kernel tier this backend computes with: the host
     /// engine reports its dispatched [`camp_gemm::host::HostKernel`]
-    /// (scalar / avx2 / avx512 / avx512vnni / neon plus the probed
+    /// (scalar / avx2 / avx512 / avx512vnni / amx / neon plus the probed
     /// [`CpuFeatures`] and active blocking); the simulator reports its
     /// synthetic camp tier and the blocking of its simulated core (the
     /// simulated VVA kernel is the same regardless of host silicon).
@@ -270,8 +270,9 @@ pub trait CampBackend {
     /// Prepare one *validated* request (no `self`: a dispatcher runs
     /// this on the submitting thread, under no lock, while the backend
     /// computes the previous batch; a panic here unwinds that caller
-    /// only). The host engine pre-packs the activation of blocked
-    /// requests here; substrates with nothing to stage return the
+    /// only). The host engine resolves the request's shape and keeps
+    /// its operands as they are (every blocked unit packs its own rows
+    /// of A when it runs); substrates with nothing to stage return the
     /// request as-is.
     fn prepare(req: GemmRequest, weights: &WeightSnapshot) -> Self::Prepared;
 

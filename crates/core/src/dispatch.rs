@@ -23,16 +23,15 @@
 //!    in flight gets [`RequestError::Saturated`] back instead of
 //!    unbounded memory growth, before anything is packed for it); then
 //!    the caller runs [`CampBackend::prepare`] on every request,
-//!    outside every lock (the host engine pre-packs the A of blocked
-//!    requests into the panel layout the macro-kernel consumes; a
-//!    decode-sized request and the simulator stage nothing), so one
-//!    tenant's packing overlaps the engine's compute and every other
-//!    tenant's submissions; finally the *staged* batch is stamped with
-//!    a [`Priority`] and optional deadline, booked and filed in the
-//!    session's queue under one lock acquisition, and the caller gets
-//!    its [`TicketId`]. What a session can hold staged is therefore
-//!    bounded by its admission bound, and a staged blocked request
-//!    holds its raw A plus an equally sized packed A;
+//!    outside every lock (the host engine resolves each request's
+//!    shape and packs nothing: every blocked work unit packs its own
+//!    rows of A into its worker's arena at compute time; the simulator
+//!    stages nothing), so one tenant's staging overlaps the engine's
+//!    compute and every other tenant's submissions; finally the
+//!    *staged* batch is stamped with a [`Priority`] and optional
+//!    deadline, booked and filed in the session's queue under one lock
+//!    acquisition, and the caller gets its [`TicketId`]. What a session
+//!    can hold staged is therefore bounded by its admission bound;
 //! 2. **compute** — the driver takes the engine lock per batch and
 //!    repeatedly executes the *best* runnable batch. **A session's
 //!    batches execute in submission order; priority, deadline and

@@ -9,7 +9,7 @@
 //! listing. Results are bit-identical to a plain i32 GeMM (wrapping
 //! accumulation), which the test-suite and property tests verify.
 //!
-//! # One nest, two image builders
+//! # One nest, one image builder
 //!
 //! The engine shares `camp-gemm`'s blocked-loop skeleton
 //! ([`camp_gemm::loops`]: the `BlockPlan`, [`small_path`] and the
@@ -22,22 +22,18 @@
 //! * **B's image** is a registered weight panel
 //!   ([`CampEngine::register_weights`]) or a panel the batch packed once
 //!   per distinct dense operand into the engine's shared arena.
-//! * **A's image** has two builders, selected by one observable input,
-//!   the request's MAC count against `BATCH_ROW_SPLIT_MACS` (8 Mi):
-//!   below it
-//!   [`CampBackend::prepare`](crate::backend::CampBackend::prepare)
-//!   packs the whole activation on the *submitting* thread (which is
-//!   what lets a dispatcher session overlap the A-packing of one batch
-//!   with the compute of the previous one); at or above it the request
-//!   is split into row ranges, and each range is packed once into the
-//!   reused [`PackPool`] arena of the worker that computes it. Both lay
-//!   the image out with [`HostKernel::prepack_a`] of the engine's own
-//!   kernel — the shared 4-row panels, or the `amx` tier's own layout —
-//!   so the nest cannot tell them apart. (`prepare` has no engine: it
-//!   reads the kernel from the [`WeightSnapshot`] it stages against.)
-//!   (Packing every request in `prepare` was measured and
-//!   rejected: a fresh 48–196 KB heap buffer per large request tips the
-//!   allocator into a map–fault–unmap cycle; see docs/ARCHITECTURE.md.)
+//! * **A's image** has one builder: every blocked unit — a whole request,
+//!   or one row range of a request at or above `BATCH_ROW_SPLIT_MACS`
+//!   (8 Mi MACs) — packs its own rows once, with
+//!   [`HostKernel::prepack_a`] of the engine's own kernel (the shared
+//!   4-row panels, or the `amx` tier's own layout), into the reused
+//!   [`PackPool`] arena of the worker that computes it, just before its
+//!   nest runs — as GotoBLAS-style kernels pack A inside the GeMM
+//!   routine. [`CampBackend::prepare`](crate::backend::CampBackend::prepare)
+//!   packs nothing. (Packing every request in `prepare` was measured
+//!   and rejected: a fresh 48–196 KB heap buffer per large request tips
+//!   the allocator into a map–fault–unmap cycle; see
+//!   docs/ARCHITECTURE.md.)
 //! * **C** is allocated once per request, per batch, and written by its
 //!   units, never zero-filled up front: a blocked unit's
 //!   [`HostKernel::run_blocked`] writes every element of its rows (the
@@ -55,8 +51,7 @@
 //! is computed by exactly one unit with identical arithmetic and the
 //! result is bit-identical for any worker count. The arenas make the
 //! steady state allocation-free ([`CampEngine::pack_allocations`]
-//! exposes the growth counter) apart from the result matrices and the
-//! staged A of requests below the threshold.
+//! exposes the growth counter) apart from the result matrices.
 //!
 //! # Pre-packed weights
 //!
@@ -110,7 +105,7 @@
 //! which decode steps read in place.
 
 use camp_gemm::batch::{packed_a_bytes, packed_b_bytes};
-use camp_gemm::host::{zeroed, AImage, HostKernel, HostTier, KernelInfo, SmallB};
+use camp_gemm::host::{zeroed, HostKernel, KernelInfo, SmallB};
 use camp_gemm::loops::{small_path, SmallPath};
 use camp_gemm::request::{GemmRequest, Operand, RequestError};
 use camp_gemm::weights::{host_block_plan, WeightRegistry, WeightSnapshot};
@@ -126,9 +121,8 @@ pub use camp_gemm::gemm_i32_ref;
 pub use camp_gemm::weights::{DType, WeightHandle, WeightMeta};
 
 /// MAC count at or above which a request is split into row ranges, one
-/// per worker, each packing its own rows into its worker's arena —
-/// and below which it runs whole, on the A image `prepare` built. Below
-/// it, the per-item fan-out costs more than it buys (the attention
+/// per worker, and below which it runs as one unit. Below it, the
+/// per-item fan-out costs more than it buys (the attention
 /// score/context products are ~1 M MACs); above it, a single problem
 /// has enough rows to keep every worker busy on its own.
 pub(crate) const BATCH_ROW_SPLIT_MACS: u64 = 8 * 1024 * 1024;
@@ -149,12 +143,11 @@ pub struct EngineStats {
     /// request): one rule, `mp·kp` per non-degenerate request — the
     /// shared 4-row panel layout's size — on every route, tier, thread
     /// count and entry point. A blocked request's image is built exactly
-    /// once — by `prepare` below the row-split threshold, range by range
-    /// by the workers at or above it — in the engine's tier's layout, so
-    /// on `amx` the bytes actually packed are that tier's larger image
-    /// ([`HostKernel::packed_a_len`]: rows rounded up to 32, each depth
-    /// block to 64); a skinny request packs none on the host and reports
-    /// the canonical tile stream's figure.
+    /// once, unit by unit in the workers' arenas, in the engine's tier's
+    /// layout, so on `amx` the bytes actually packed are that tier's
+    /// larger image ([`HostKernel::packed_a_len`]: rows rounded up to
+    /// 32, each depth block to 64); a skinny request packs none on the
+    /// host and reports the canonical tile stream's figure.
     pub packed_a_bytes: u64,
     /// Bytes the engine actually moved packing B panels, deduplicated:
     /// each *distinct* dense B that a blocked or skinny-n request of
@@ -261,10 +254,7 @@ fn row_partition(m: usize, threads: usize) -> usize {
 /// [`BATCH_ROW_SPLIT_MACS`], unless it is skinny-m — ranges are
 /// multiples of the 4-row register tile, so even a huge GEMV-shaped
 /// decode item gains nothing from splitting and runs whole on the small-m
-/// kernel, parallel across batch items. A pure function of the shape,
-/// and the one input that selects which builder makes a blocked
-/// request's A image: [`StagedRequest::stage`] below it, the unit's
-/// worker at or above it.
+/// kernel, parallel across batch items. A pure function of the shape.
 fn row_splits(m: usize, n: usize, k: usize) -> bool {
     m as u64 * n as u64 * k as u64 >= BATCH_ROW_SPLIT_MACS
         && small_path(m, n) != Some(SmallPath::SmallM)
@@ -281,9 +271,9 @@ enum Route<'a, P = &'a [i8]> {
     SmallM(SmallB<'a>),
     /// Skinny-n: raw A rows against a panel.
     SmallN(P),
-    /// The blocked nest over a panel and the whole A image, where
-    /// [`StagedRequest::stage`] built one.
-    Blocked { b: P, a_image: Option<&'a [i8]> },
+    /// The blocked nest over a panel, each unit's rows packed into its
+    /// worker's arena.
+    Blocked(P),
 }
 
 /// A panel-reading route's B before the batch arena is complete.
@@ -300,16 +290,15 @@ impl<'a, P> Route<'a, P> {
         match self {
             Route::SmallM(b) => Route::SmallM(b),
             Route::SmallN(b) => Route::SmallN(f(b)),
-            Route::Blocked { b, a_image } => Route::Blocked { b: f(b), a_image },
+            Route::Blocked(b) => Route::Blocked(f(b)),
         }
     }
 }
 
-/// One non-degenerate request of a batch as its work units read it: the
-/// overall shape, the raw activation and its [`Route`].
+/// One non-degenerate request of a batch as its work units read it: its
+/// width and depth, the raw activation and its [`Route`].
 #[derive(Clone, Copy)]
 struct Item<'a> {
-    m: usize,
     n: usize,
     k: usize,
     k_step: usize,
@@ -336,10 +325,9 @@ impl Unit<'_> {
 /// GEMV-shaped items — raw A rows feed the tier's small kernels
 /// directly, no A image, no padded register tile — and the tier's
 /// blocked macro-kernel ([`HostKernel::run_blocked`]) otherwise, over
-/// the item's whole A image or, when `prepare` built none, over this
-/// unit's rows packed once into `pool`'s arena before the nest starts
-/// (the arena also holds the nest's scratch, where the tier needs
-/// one). Either way every element of the unit's C is written: the
+/// this unit's rows packed once into `pool`'s arena before the nest
+/// starts (the arena also holds the nest's scratch, where the tier
+/// needs one). Either way every element of the unit's C is written: the
 /// skinny kernels accumulate into a C zeroed here, the blocked
 /// macro-kernel writes its C whole. Bit-identity across routes and row
 /// ranges is structural — exact products, wrapping i32 accumulation.
@@ -351,19 +339,10 @@ fn run_unit(unit: Unit<'_>, pool: &mut PackPool, hk: &'static HostKernel) {
     match it.route {
         Route::SmallM(b) => hk.run_small_m(rows, it.n, it.k, &plan, a_rows, b, zeroed(c)),
         Route::SmallN(b) => hk.run_small_n(rows, it.n, it.k, &plan, a_rows, b, zeroed(c)),
-        Route::Blocked { b, a_image } => {
-            let scratch_len = hk.blocked_scratch_len(&plan);
-            let (image, scratch) = match a_image {
-                Some(bytes) => {
-                    let plan = host_block_plan(it.m, it.n, it.k, it.k_step);
-                    (AImage { bytes, plan, row0: r0 }, pool.a_and_scratch(0, scratch_len).1)
-                }
-                None => {
-                    let (buf, scratch) = pool.a_and_scratch(hk.packed_a_len(&plan), scratch_len);
-                    hk.prepack_a(buf, a_rows, rows, it.k, &plan);
-                    (AImage { bytes: buf, plan, row0: 0 }, scratch)
-                }
-            };
+        Route::Blocked(b) => {
+            let (image, scratch) =
+                pool.a_and_scratch(hk.packed_a_len(&plan), hk.blocked_scratch_len(&plan));
+            hk.prepack_a(image, a_rows, rows, it.k, &plan);
             hk.run_blocked(it.n, &plan, image, b, c, scratch);
         }
     }
@@ -424,11 +403,9 @@ pub(crate) enum StagedB {
 }
 
 /// One prepared request of a batch — the host engine's
-/// `CampBackend::Prepared` form: the resolved shape, both operands, and
-/// A's whole packed image for a blocked request below the row-split
-/// threshold (at or above it the image is built range by range, in the
-/// arena of the worker that computes the range), and the tier whose
-/// layout that image is in.
+/// `CampBackend::Prepared` form: the resolved shape and both operands,
+/// as they came (every blocked unit packs its own rows of A when it
+/// runs).
 #[derive(Debug)]
 pub struct StagedRequest {
     pub(crate) m: usize,
@@ -436,44 +413,20 @@ pub struct StagedRequest {
     pub(crate) k: usize,
     pub(crate) dtype: DType,
     pub(crate) a: Arc<[i8]>,
-    pub(crate) packed_a: Option<Vec<i8>>,
-    /// The tier whose [`HostKernel::prepack_a`] built `packed_a` (one
-    /// byte beside `dtype`'s, where a kernel pointer would grow every
-    /// staged request by a word).
-    pub(crate) packed_for: HostTier,
     pub(crate) b: StagedB,
 }
 
 impl StagedRequest {
     /// Prepare one *validated* request (no engine needed, so a
-    /// dispatcher session's caller runs this on its own thread while
-    /// the engine computes somebody's previous batch; a staged blocked
-    /// request then holds its raw A plus an equally sized packed A
-    /// until it has run): resolve its shape and build A's image when
-    /// the request will run whole on the blocked path — below the
-    /// row-split threshold ([`row_splits`]; a fresh heap buffer per
-    /// *large* request is what the arena-side builder exists to avoid)
-    /// and not skinny (the small-m/small-n kernels read the raw
-    /// activation).
+    /// dispatcher session's caller runs this on its own thread): resolve
+    /// its shape against `weights`. Nothing is packed or copied.
     pub(crate) fn stage(req: GemmRequest, weights: &WeightSnapshot) -> StagedRequest {
         let r = req.resolve(weights).expect("session requests are validated at submit");
         let b = match req.weights() {
             Operand::Handle(h) => StagedB::Handle(*h),
             Operand::Dense(b) => StagedB::Dense(Arc::clone(b)),
         };
-        let a = req.activation_arc();
-        let blocked_whole =
-            !r.is_degenerate() && !row_splits(r.m, r.n, r.k) && small_path(r.m, r.n).is_none();
-        // in the layout of the kernel the snapshot's engine runs
-        let hk = weights.kernel();
-        let packed_a = blocked_whole.then(|| {
-            let plan = host_block_plan(r.m, r.n, r.k, r.dtype.k_step());
-            let mut buf = vec![0i8; hk.packed_a_len(&plan)];
-            hk.prepack_a(&mut buf, &a, r.m, r.k, &plan);
-            buf
-        });
-        let packed_for = hk.tier();
-        StagedRequest { m: r.m, n: r.n, k: r.k, dtype: r.dtype, a, packed_a, packed_for, b }
+        StagedRequest { m: r.m, n: r.n, k: r.k, dtype: r.dtype, a: req.activation_arc(), b }
     }
 
     pub(crate) fn is_degenerate(&self) -> bool {
@@ -486,8 +439,7 @@ impl StagedRequest {
 /// for the batch's packed B panels, and a [`WeightRegistry`] of
 /// pre-packed weights for serving workloads. The compute path allocates
 /// nothing once the pools are warm (each request still allocates its
-/// m×n result vector, and a blocked one below the row-split threshold
-/// its staged A).
+/// m×n result vector).
 #[derive(Debug)]
 pub struct CampEngine {
     threads: usize,
@@ -546,7 +498,7 @@ impl CampEngine {
             host: kernel,
             pools: Vec::new(),
             shared: PackPool::new(),
-            weights: WeightRegistry::for_kernel(kernel),
+            weights: WeightRegistry::new(),
             workers,
         }
     }
@@ -726,14 +678,7 @@ impl CampEngine {
                         Route::SmallM(SmallB::Panel(self.weights.panel(*h)))
                     }
                     (Some(SmallPath::SmallN), _) => Route::SmallN(panel()),
-                    (None, _) => {
-                        // an image staged against another kernel's
-                        // snapshot is in that kernel's layout: the unit
-                        // builds its own in the arena instead
-                        let a_image =
-                            r.packed_a.as_deref().filter(|_| r.packed_for == self.host.tier());
-                        Route::Blocked { b: panel(), a_image }
-                    }
+                    (None, _) => Route::Blocked(panel()),
                 })
             })
             .collect();
@@ -765,7 +710,7 @@ impl CampEngine {
                 Panel::Registered(b) => b,
                 Panel::Shared(id) => self.shared.panel(id),
             });
-            let item = Item { m: r.m, n: r.n, k: r.k, k_step, a: &r.a, route };
+            let item = Item { n: r.n, k: r.k, k_step, a: &r.a, route };
             let rows_per =
                 if row_splits(r.m, r.n, r.k) { row_partition(r.m, self.threads) } else { r.m };
             let c = &mut out.c.spare_capacity_mut()[..r.m * r.n];
@@ -1107,7 +1052,7 @@ mod tests {
         assert_eq!(par, serial);
     }
 
-    // ---- one nest, two image builders ----
+    // ---- one nest, one image builder ----
 
     /// Units over `c` for the row ranges `bounds[i]..bounds[i + 1]` of
     /// `item`.
@@ -1130,7 +1075,7 @@ mod tests {
     #[test]
     fn any_row_partition_computes_the_reference_on_either_a_image() {
         // (m, 4-aligned range bounds): a ragged tail, a range crossing
-        // the mc-row strip boundary of the whole image, uneven ranges
+        // an mc-row strip boundary of the request, uneven ranges
         let mut cases: Vec<(usize, Vec<usize>)> = vec![
             (37, vec![0, 37]),
             (37, vec![0, 4, 24, 37]),
@@ -1151,7 +1096,7 @@ mod tests {
                 let k_step = dtype.k_step();
                 let w = fill(k * n, 5, 16, -8);
                 // B as a registered panel and as a batch panel
-                let mut registry = WeightRegistry::for_kernel(hk);
+                let mut registry = WeightRegistry::new();
                 let h = registry.register(n, k, &w, dtype);
                 let mut shared = PackPool::new();
                 let plan = host_block_plan(1, n, k, k_step);
@@ -1161,33 +1106,25 @@ mod tests {
                     let m = *m;
                     let a = fill(m * k, 3, 16, -8);
                     let want = gemm_i32_ref(m, n, k, &a, &w);
-                    // the image `prepare` builds, and none (each unit
-                    // packs its range into its worker's arena)
-                    let plan = host_block_plan(m, n, k, k_step);
-                    let mut whole = vec![0i8; hk.packed_a_len(&plan)];
-                    hk.prepack_a(&mut whole, &a, m, k, &plan);
-                    for a_image in [Some(&whole[..]), None] {
-                        for b in [registry.panel(h), shared.panel(id)] {
-                            let route = Route::Blocked { b, a_image };
-                            let item = Item { m, n, k, k_step, a: &a, route };
-                            for pool in [None, Some(&wp)] {
-                                // units overwrite their C: start from garbage
-                                let mut c = vec![MaybeUninit::new(0x5A5A_5A5A); m * n];
-                                let mut arenas = Vec::new();
-                                run_units(units_over(item, bounds, &mut c), &mut arenas, pool, hk);
-                                // SAFETY: the fill above initialised every
-                                // element, and units write only values.
-                                let c: Vec<i32> =
-                                    c.iter().map(|v| unsafe { v.assume_init() }).collect();
-                                assert_eq!(
-                                    c,
-                                    want,
-                                    "{} {dtype:?} m={m} ranges {bounds:?} prepare-built={} pooled={}",
-                                    hk.tier().name(),
-                                    a_image.is_some(),
-                                    pool.is_some()
-                                );
-                            }
+                    // each unit packs its range into its worker's arena
+                    for b in [registry.panel(h), shared.panel(id)] {
+                        let item = Item { n, k, k_step, a: &a, route: Route::Blocked(b) };
+                        for pool in [None, Some(&wp)] {
+                            // units overwrite their C: start from garbage
+                            let mut c = vec![MaybeUninit::new(0x5A5A_5A5A); m * n];
+                            let mut arenas = Vec::new();
+                            run_units(units_over(item, bounds, &mut c), &mut arenas, pool, hk);
+                            // SAFETY: the fill above initialised every
+                            // element, and units write only values.
+                            let c: Vec<i32> =
+                                c.iter().map(|v| unsafe { v.assume_init() }).collect();
+                            assert_eq!(
+                                c,
+                                want,
+                                "{} {dtype:?} m={m} ranges {bounds:?} pooled={}",
+                                hk.tier().name(),
+                                pool.is_some()
+                            );
                         }
                     }
                 }
@@ -1220,7 +1157,7 @@ mod tests {
     #[test]
     fn stats_follow_one_rule_at_every_thread_count() {
         // above the row-split threshold (ragged), exactly on it, and
-        // just under it (the `prepare`-built image)
+        // just under it (one unit)
         for (m, n, k) in [(160, 160, 500), (32, 1024, 256), (32, 1024, 255)] {
             let macs = (m * n * k) as u64;
             let a = fill(m * k, 3, 16, -8);
@@ -1232,9 +1169,6 @@ mod tests {
                 let mut eng = CampEngine::with_threads(threads);
                 let h = eng.register_weights(n, k, &w, I8);
                 let req = GemmRequest::with_weights(m, a.clone(), h).unwrap();
-                // the threshold alone selects which builder makes A's image
-                let staged = CampEngine::prepare(req.clone(), &eng.weight_snapshot());
-                assert_eq!(staged.packed_a.is_some(), macs < BATCH_ROW_SPLIT_MACS, "{m}x{n}x{k}");
                 let (c, s) = run_one(&mut eng, &req);
                 assert_eq!(c, want, "{m}x{n}x{k} threads={threads}");
                 assert_eq!(s.packed_a_bytes, (plan.mp * plan.kp) as u64, "A's canonical image");
@@ -1246,53 +1180,30 @@ mod tests {
     }
 
     #[test]
-    fn an_image_staged_for_another_tiers_layout_is_not_read() {
-        // `prepare` lays A out for its snapshot's kernel — another
-        // engine's, or `detect()`'s for an empty snapshot; an engine
-        // pinned to a tier with another layout builds its own instead
-        let (m, n, k) = (40, 48, 64);
-        let a = fill(m * k, 3, 256, -128);
-        let b = fill(k * n, 5, 256, -128);
-        let want = gemm_i32_ref(m, n, k, &a, &b);
-        let req = dense((m, n, k), a, b, I8);
-        let tiers = HostKernel::available();
-        let snapshots = tiers
-            .iter()
-            .map(|&hk| CampEngine::with_threads_and_kernel(1, hk).weight_snapshot())
-            .chain([WeightSnapshot::empty()]);
-        for snapshot in snapshots {
-            for &hk in &tiers {
-                let staged = CampEngine::prepare(req.clone(), &snapshot);
-                assert!(staged.packed_a.is_some(), "{m}x{n}x{k} is staged whole");
-                let mut eng = CampEngine::with_threads_and_kernel(1, hk);
-                let out = eng.execute_prepared(vec![staged]);
-                assert_eq!(
-                    out.outputs[0].c,
-                    want,
-                    "staged for {}, run on {}",
-                    snapshot.kernel().tier().name(),
-                    hk.tier().name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn row_split_requests_reuse_their_workers_arena() {
-        // doc_prefill's QKV / out-proj GeMM: 12.6 M MACs, row-split, A's
-        // image built in the worker arenas
+        // doc_prefill's QKV / out-proj GeMM (12.6 M MACs, row-split) and
+        // its attention-score GeMM (2.4 M MACs, one unit): A's image is
+        // built in the worker arenas either way
         let (m, n, k) = (192, 256, 256);
         let w = fill(k * n, 5, 16, -8);
         let a = fill(m * k, 3, 16, -8);
+        let (qm, qn, qk) = (192, 192, 64);
+        assert!(((qm * qn * qk) as u64) < BATCH_ROW_SPLIT_MACS);
+        let q = fill(qm * qk, 13, 16, -8);
+        let kt = fill(qk * qn, 17, 16, -8);
         for threads in [1, 2] {
             let mut eng = CampEngine::with_threads(threads);
             let h = eng.register_weights(n, k, &w, I8);
             let req = GemmRequest::with_weights(m, a.clone(), h).unwrap();
+            let score = dense((qm, qn, qk), q.clone(), kt.clone(), I8);
             let first = run_one(&mut eng, &req).0;
             assert_eq!(first, gemm_i32_ref(m, n, k, &a, &w));
+            let first_score = run_one(&mut eng, &score).0;
+            assert_eq!(first_score, reference(&score));
             let warm = eng.pack_allocations();
             for _ in 0..10 {
                 assert_eq!(run_one(&mut eng, &req).0, first);
+                assert_eq!(run_one(&mut eng, &score).0, first_score);
             }
             // a smaller (ragged) image after the larger one: the arena's
             // high-water tail holds the big request's panels and must
@@ -1603,11 +1514,7 @@ mod tests {
         }
         assert_eq!(eng.pack_allocations(), cold, "a dense m = 1 request must not touch an arena");
 
-        // the skinny kernels read the raw activation, so the prepared
-        // form of a decode request carries no packed A
         let req = GemmRequest::with_weights(1, a.clone(), h).unwrap();
-        let staged = CampEngine::prepare(req.clone(), &eng.weight_snapshot());
-        assert!(staged.packed_a.is_none(), "nothing reads a staged A on the small-m path");
         let bare = eng.execute(&req).unwrap().stats;
 
         // the dispatch path (the serving decode steps)

@@ -22,9 +22,8 @@
 //!   to run quantized GeMM the way the paper's modified ulmBLAS does. It
 //!   shares `camp-gemm`'s blocked-loop skeleton and pack-buffer pool:
 //!   one loop nest over two whole packed images (B's a registered or
-//!   batch panel; A's built by `prepare` below a MAC threshold, by the
-//!   computing worker in its reused arena above it), never packing
-//!   inside the loops. [`engine::CampEngine`] optionally runs a batch's
+//!   batch panel; A's built by the computing worker, unit by unit, in
+//!   its reused arena), never packing inside the loops. [`engine::CampEngine`] optionally runs a batch's
 //!   work units across a **persistent worker pool** ([`pool`]) with
 //!   bit-identical results.
 //!   For attention-style workloads of many small GeMMs,
@@ -35,9 +34,9 @@
 //!   ([`engine::CampEngine::register_weights`] packs B into a
 //!   persistent panel), then stream request batches through the
 //!   submit/poll sessions of one [`dispatch::Dispatcher`], which owns
-//!   the warm engine and overlaps the A-packing of one batch with the
-//!   compute of the previous one (the steady state spawns no threads
-//!   and packs zero B bytes per request). Any number of tenants share
+//!   the warm engine and validates and stages each batch on the
+//!   submitting thread (the steady state spawns no threads and packs
+//!   zero B bytes per request). Any number of tenants share
 //!   it — submitter-side staging, per-session FIFO, decode/prefill
 //!   [`dispatch::Priority`] with deadlines and an aging bound,
 //!   per-session admission control ([`RequestError::Saturated`]), and

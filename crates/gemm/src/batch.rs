@@ -105,8 +105,8 @@ pub fn packed_b_offset(kp: usize, jc: usize, ncb: usize, pc: usize) -> usize {
 /// Total bytes of a fully pre-packed A: every *unique* (ic, pc) block
 /// (see [`crate::loops::for_each_a_block`]) exactly once. Each row
 /// strip of height `mcb` spans the whole padded depth, so the total is
-/// `mp·kp` — what the host engine packs per blocked request, whichever
-/// of its two builders makes the image. (The simulated driver, which
+/// `mp·kp` — what the host engine packs per blocked request, over all
+/// of its work units' images. (The simulated driver, which
 /// packs inside its loops, re-packs each A block once per *column
 /// strip*.)
 pub fn packed_a_bytes(plan: &BlockPlan) -> usize {

@@ -34,7 +34,6 @@ use std::arch::x86_64::*;
 use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
-use super::blocked::AImage;
 use super::{zeroed, MacroKernel, QUAD_TRANSPOSE};
 use crate::batch::packed_b_offset;
 use crate::loops::{for_each_b_block, round_up, BlockPlan};
@@ -194,17 +193,17 @@ impl Drop for Tiles {
 }
 
 /// The `amx` blocked nest of one work unit: writes `c` (`rows`×`n`,
-/// row-major) with the unit's rows of `a`'s AMX image times `b`'s whole
-/// 4-wide panel image and returns it initialised. Per (jc, pc) block:
-/// re-lay B into `scratch`, then every 32-column step against every
-/// 32-row strip of the image that holds unit rows, 2×2 `tdpbssd` tiles
-/// over the whole block. A column block's first depth block stores its
-/// steps into C, so C is never read before this nest wrote it; every
-/// later depth block adds into C.
+/// row-major) with `a`, the unit's AMX image under `plan`, times `b`'s
+/// whole 4-wide panel image and returns it initialised. Per (jc, pc)
+/// block: re-lay B into `scratch`, then every 32-column step against
+/// every 32-row strip of the unit, 2×2 `tdpbssd` tiles over the whole
+/// block. A column block's first depth block stores its steps into C,
+/// so C is never read before this nest wrote it; every later depth
+/// block adds into C.
 fn nest<'c>(
     n: usize,
     plan: &BlockPlan,
-    a: AImage<'_>,
+    a: &[i8],
     b: &[i8],
     c: &'c mut [MaybeUninit<i32>],
     scratch: &mut [i8],
@@ -213,10 +212,8 @@ fn nest<'c>(
     // the write-once argument below needs every element of C in a
     // whole row the plan's columns cover
     assert!(c.len() == rows * n && plan.np >= n, "C must be whole rows of the plan's n");
-    let (image, row0) = (a.plan, a.row0);
-    assert_eq!((image.kp, image.kc), (plan.kp, plan.kc), "A and B must share depth blocks");
-    assert_eq!(a.bytes.len(), a_len(&image), "A must be a whole amx image");
-    assert!(row0 + rows <= image.mp, "the unit's rows must lie in the image");
+    assert!(rows <= plan.mp, "the plan must cover the unit's rows");
+    assert_eq!(a.len(), a_len(plan), "A must be the unit's whole amx image");
     assert!(b.len() >= plan.np * plan.kp, "B must be the whole panel image");
     assert!(scratch.len() >= scratch_len(plan), "scratch must hold one re-laid block");
     assert!(
@@ -227,7 +224,6 @@ fn nest<'c>(
         // no depth block stores anything: the product of k = 0 is zero
         return zeroed(c);
     }
-    let (first, last) = (row0 / STRIP, (row0 + rows).div_ceil(STRIP));
     let _tiles = Tiles::load();
     // every step's four tile stores overwrite all of it
     let mut staging = Staging([0; STRIP * COLS]);
@@ -241,11 +237,11 @@ fn nest<'c>(
         // VNNI table this tier extends; `relayout_b`'s sizes are the
         // block's and `groups` holds `2·steps` groups of `kcbp/4` rows.
         unsafe { relayout_b(bblock, ncb, kcb, kcbp, groups) };
-        let ablock = &a.bytes[block_offset(&image, pc)..][..round_up(image.mp, STRIP) * kcbp];
+        let ablock = &a[block_offset(plan, pc)..][..round_up(plan.mp, STRIP) * kcbp];
         for step in 0..steps {
             let j0 = jc + step * COLS;
             let (b0, b1) = groups[2 * step * group..][..2 * group].split_at(group);
-            for s in first..last {
+            for s in 0..rows.div_ceil(STRIP) {
                 let strip = &ablock[s * STRIP * kcbp..][..STRIP * kcbp];
                 // SAFETY: tiles are configured (`_tiles`); `strip` is 32
                 // rows of `kcbp` bytes and `b0`/`b1` are `kcbp/4` rows of
@@ -253,23 +249,20 @@ fn nest<'c>(
                 // (16 rows × 64 bytes at stride 64) stays inside them,
                 // and the staging tile holds the four 16×16 stores.
                 unsafe { tile_step(strip, b0, b1, &mut staging) };
-                // the unit's rows of this strip, and C's columns of the step
-                let lo = (s * STRIP).max(row0);
-                let hi = (s * STRIP + STRIP).min(row0 + rows);
+                // the strip's rows of C, and C's columns of the step
+                let live = (rows - s * STRIP).min(STRIP);
                 let cols = (n - j0).min(COLS);
-                let dst = &mut c[(lo - row0) * n + j0..][..(hi - lo - 1) * n + cols];
-                let top = lo - s * STRIP;
-                // SAFETY: AVX-512 F as above; `dst` holds `hi - lo` rows
-                // of `cols ≤ 32` elements at stride `n`, and the staging
-                // rows `top .. top + hi - lo` lie in the 32×32 tile. The
-                // add reads only what the store of the same column
-                // block's first depth block (`pc == 0`, visited first)
-                // wrote.
+                let dst = &mut c[s * STRIP * n + j0..][..(live - 1) * n + cols];
+                // SAFETY: AVX-512 F as above; `dst` holds `live ≤ 32`
+                // rows of `cols ≤ 32` elements at stride `n`, the staging
+                // tile's first `live` rows. The add reads only what the
+                // store of the same column block's first depth block
+                // (`pc == 0`, visited first) wrote.
                 unsafe {
                     if pc == 0 {
-                        write_block::<false>(dst, n, &staging, top, hi - lo, cols);
+                        write_block::<false>(dst, n, &staging, live, cols);
                     } else {
-                        write_block::<true>(dst, n, &staging, top, hi - lo, cols);
+                        write_block::<true>(dst, n, &staging, live, cols);
                     }
                 }
             }
@@ -280,8 +273,8 @@ fn nest<'c>(
     // block `jc..jc + ncb` (together `0..np`, which holds `0..n`,
     // asserted) with depth block `pc == 0` first (`kp > 0` here); that
     // visit's steps cover the block's columns (clipped at `n`), its
-    // strips `first..last` cover the unit's rows `row0..row0 + rows`,
-    // and each (strip, step) stores all of its rows × columns.
+    // strips `0..rows.div_ceil(32)` cover the unit's rows, and each
+    // (strip, step) stores all of its rows × columns.
     unsafe { c.assume_init_mut() }
 }
 
@@ -379,25 +372,24 @@ unsafe fn relayout_b(block: &[i8], ncb: usize, kcb: usize, kcbp: usize, out: &mu
     }
 }
 
-// SAFETY: requires AVX512F. `dst` holds `rows` rows of `cols ≤ 32`
-// elements at stride `ldc` (the last row need only hold `cols`), and
-// `top + rows ≤ 32`; the masked stores write exactly those elements,
-// and with `ADD` the masked loads read exactly those, which must then
-// be initialised.
+// SAFETY: requires AVX512F. `dst` holds `rows ≤ 32` rows of `cols ≤
+// 32` elements at stride `ldc` (the last row need only hold `cols`);
+// the masked stores write exactly those elements from the staging
+// tile's first `rows` rows, and with `ADD` the masked loads read
+// exactly those, which must then be initialised.
 #[target_feature(enable = "avx512f")]
 unsafe fn write_block<const ADD: bool>(
     dst: &mut [MaybeUninit<i32>],
     ldc: usize,
     staging: &Staging,
-    top: usize,
     rows: usize,
     cols: usize,
 ) {
-    debug_assert!(cols <= COLS && top + rows <= STRIP && dst.len() >= (rows - 1) * ldc + cols);
+    debug_assert!(cols <= COLS && rows <= STRIP && dst.len() >= (rows - 1) * ldc + cols);
     let live = |from: usize| (u32::MAX >> (32 - cols.saturating_sub(from).min(16))) as __mmask16;
     let (m0, m1) = (live(0), if cols > 16 { live(16) } else { 0 });
     for i in 0..rows {
-        let src = staging.0.as_ptr().add((top + i) * COLS);
+        let src = staging.0.as_ptr().add(i * COLS);
         let row = dst.as_mut_ptr().add(i * ldc).cast::<i32>();
         for (half, mask) in [(0, m0), (16, m1)] {
             if mask == 0 {

@@ -1,8 +1,8 @@
 //! The blocked route's macro-kernel: one work unit's loop nest over two
-//! whole packed images, A's (built before the nest by
-//! [`super::HostKernel::prepack_a`], by `prepare` or in the unit's
-//! arena) and B's (a registered weight panel or a batch panel). Nothing
-//! is packed in here.
+//! whole packed images, A's (the unit's own rows, packed before the
+//! nest by [`super::HostKernel::prepack_a`] into its worker's arena)
+//! and B's (a registered weight panel or a batch panel). Nothing is
+//! packed in here.
 //!
 //! Every tier but `amx` runs the panel nest: the 4-row A panels of the
 //! shared layout against B's 4-column panels, `int_nr/4` panels per
@@ -16,51 +16,16 @@ use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
 
 use super::{zeroed, HostKernel};
 
-/// A whole packed A image as one work unit reads it: every depth block
-/// of the image's rows, laid out by [`HostKernel::prepack_a`] under
-/// `plan` (the image's own plan — a whole request's, or the unit's when
-/// the unit packed its own rows), and `row0`, the image row the unit's
-/// rows start at (a multiple of 4).
-#[derive(Clone, Copy, Debug)]
-pub struct AImage<'a> {
-    /// The image, exactly [`HostKernel::packed_a_len`] of `plan` long.
-    pub bytes: &'a [i8],
-    /// The plan the image was packed under.
-    pub plan: BlockPlan,
-    /// The image row of the unit's first row.
-    pub row0: usize,
-}
-
-impl AImage<'_> {
-    /// The packed 4-row panels (`4·kcb` bytes each, in row order) of
-    /// the unit's row strip `ic..ic + mcb`, depth block `(pc, kcb)`, in
-    /// the shared panel layout. The unit's strips need not coincide with
-    /// the strips the image was packed in: a strip is at most as tall as
-    /// the image's, so it is one contiguous run of panels, or two around
-    /// one strip boundary (the second run is empty otherwise).
-    fn strip(&self, ic: usize, mcb: usize, pc: usize, kcb: usize) -> (&[i8], &[i8]) {
-        let BlockPlan { mp, kp, mc, .. } = self.plan;
-        let run = |row: usize, rows: usize| {
-            let strip = row - row % mc;
-            let off = packed_a_offset(kp, strip, mc.min(mp - strip), pc) + (row - strip) * kcb;
-            &self.bytes[off..off + rows * kcb]
-        };
-        let row = self.row0 + ic;
-        let head = mcb.min(mc - row % mc);
-        (run(row, head), if head < mcb { run(row + head, mcb - head) } else { &[] })
-    }
-}
-
 /// The shared-layout nest of one work unit: `c` (`rows`×`n`, row-major)
-/// is zeroed, then accumulates the unit's rows of `a`'s panel image
-/// times `b`'s whole packed image, one register tile
+/// is zeroed, then accumulates `a`, the unit's panel image under
+/// `plan`, times `b`'s whole packed image, one register tile
 /// ([`HostKernel::tile_i8_into`]) at a time, and is returned
 /// initialised.
 pub(super) fn panel_nest<'c>(
     hk: &HostKernel,
     n: usize,
     plan: &BlockPlan,
-    a: AImage<'_>,
+    a: &[i8],
     b: &[i8],
     c: &'c mut [MaybeUninit<i32>],
 ) -> &'c mut [i32] {
@@ -78,18 +43,14 @@ pub(super) fn panel_nest<'c>(
         let panel = kcb * 4;
         let qpanels = ncb / 4;
         for_each_row_strip(plan, |ic, mcb| {
-            let (head, tail) = a.strip(ic, mcb, pc, kcb);
-            let head_panels = head.len() / panel;
+            let ablock = &a[packed_a_offset(plan.kp, ic, mcb, pc)..][..mcb * kcb];
             let mut q = 0;
             while q < qpanels {
                 let group = if q + nwp <= qpanels { nwp } else { 1 };
                 let width = group * 4;
                 let pb = &bblock[q * panel..(q + group) * panel];
                 for p in 0..mcb / 4 {
-                    let pa = match p.checked_sub(head_panels) {
-                        None => &head[p * panel..(p + 1) * panel],
-                        Some(t) => &tail[t * panel..(t + 1) * panel],
-                    };
+                    let pa = &ablock[p * panel..(p + 1) * panel];
                     // the part of the tile that is C, not zero padding
                     // past the bottom or right edge
                     let (i0, j0) = (ic + p * 4, jc + q * 4);

@@ -110,7 +110,6 @@ use std::sync::OnceLock;
 use crate::loops::BlockPlan;
 use crate::weights::HOST_BLOCKING;
 
-pub use blocked::AImage;
 pub use requant::Scale;
 pub use small::SmallB;
 
@@ -355,9 +354,9 @@ pub struct HostKernel {
 }
 
 /// A tier's own blocked route: the A image layout its nest reads (a
-/// tier-specific image, built by the same two builders as the shared
-/// one — `prepare` or the unit's arena — through
-/// [`HostKernel::prepack_a`]) and the nest itself.
+/// tier-specific image, built like the shared one through
+/// [`HostKernel::prepack_a`] into the unit's arena) and the nest
+/// itself.
 #[derive(Clone, Copy)]
 pub(crate) struct MacroKernel {
     /// Rows × columns of C one step of the nest computes.
@@ -374,7 +373,7 @@ pub(crate) struct MacroKernel {
     pub(crate) run: for<'c> fn(
         usize,
         &BlockPlan,
-        AImage<'_>,
+        &[i8],
         &[i8],
         &'c mut [MaybeUninit<i32>],
         &mut [i8],
@@ -687,9 +686,9 @@ impl HostKernel {
     /// is every (ic, pc) block in [`crate::loops::for_each_a_block`]
     /// order at [`crate::batch::packed_a_offset`], byte-identical to
     /// [`crate::reference::pack_a_ref`]'s blocks; a tier with its own
-    /// macro-kernel builds that kernel's own layout. Both of the host
-    /// engine's A image builders are this function: `prepare` on the
-    /// submitting thread and a row-split work unit over its own rows.
+    /// macro-kernel builds that kernel's own layout. The host engine's
+    /// one A image builder is this function: each blocked work unit
+    /// packs its own rows into its worker's arena.
     pub fn prepack_a(&self, dst: &mut [i8], a: &[i8], m: usize, k: usize, plan: &BlockPlan) {
         if let Some(mk) = self.macro_kernel {
             return (mk.pack_a)(dst, a, m, k, plan);
@@ -714,20 +713,21 @@ impl HostKernel {
     }
 
     /// The blocked macro-kernel of one work unit: writes `c` (`rows`×`n`,
-    /// row-major, `rows = c.len() / n`) with the unit's rows of `a` — an
-    /// image [`HostKernel::prepack_a`] of *this* kernel built — times
-    /// `b`, the whole packed B image under `plan` (the unit's plan:
-    /// `rows`, `n`, k), accumulated with wrapping adds, and returns `c`
-    /// initialised. Every element is written and none is read before it
-    /// is, on every tier, so `c` may be fresh uninitialised memory: the
-    /// engine allocates a blocked result without filling it. Nothing is
-    /// packed in here; `scratch` ([`HostKernel::blocked_scratch_len`]
-    /// bytes at least) is the tier's to overwrite.
+    /// row-major, `rows = c.len() / n`) with `a` — the unit's rows as
+    /// [`HostKernel::prepack_a`] of *this* kernel packed them under
+    /// `plan` (the unit's plan: `rows`, `n`, k) — times `b`, the whole
+    /// packed B image under `plan`, accumulated with wrapping adds, and
+    /// returns `c` initialised. Every element is written and none is
+    /// read before it is, on every tier, so `c` may be fresh
+    /// uninitialised memory: the engine allocates a blocked result
+    /// without filling it. Nothing is packed in here; `scratch`
+    /// ([`HostKernel::blocked_scratch_len`] bytes at least) is the
+    /// tier's to overwrite.
     pub fn run_blocked<'c>(
         &self,
         n: usize,
         plan: &BlockPlan,
-        a: AImage<'_>,
+        a: &[i8],
         b: &[i8],
         c: &'c mut [MaybeUninit<i32>],
         scratch: &mut [i8],

@@ -138,9 +138,8 @@ pub fn for_each_b_block(plan: &BlockPlan, mut f: impl FnMut(usize, usize, usize,
 /// strips outer, depth blocks inner — the order a whole packed A image
 /// in the shared panel layout (see `camp_gemm::host::HostKernel::prepack_a`,
 /// laid out by [`crate::batch::packed_a_offset`]) holds them in. The image holds
-/// each block exactly once and serves every column strip, which is what
-/// lets a serving session pack a batch's A operands while the previous
-/// batch computes.
+/// each block exactly once and serves every column strip, so a host
+/// work unit packs its rows once, before its nest runs.
 pub fn for_each_a_block(plan: &BlockPlan, mut f: impl FnMut(usize, usize, usize, usize)) {
     let mut ic = 0;
     while ic < plan.mp {

@@ -293,11 +293,11 @@ pub fn pack_a_camp4() -> Program {
     }
     // four output bytes: (col, row-pair) = (l, 0–1), (l, 2–3),
     // (l+1, 0–1), (l+1, 2–3)
-    for (slot, (hi_col, row0)) in
+    for (slot, (hi_col, pair)) in
         [(false, 0u8), (false, 2), (true, 0), (true, 2)].into_iter().enumerate()
     {
-        let lo_src = S(24 + row0);
-        let hi_src = S(24 + row0 + 1);
+        let lo_src = S(24 + pair);
+        let hi_src = S(24 + pair + 1);
         if hi_col {
             a.srli(S(28), lo_src, 4);
             a.andi(S(28), S(28), 0x0f);

@@ -13,15 +13,13 @@
 //! This module is also where the host engine's shared packed layouts
 //! meet the registry: [`prepack_b`] lays out a whole B in the blocked
 //! loops' visit order (offsets from [`crate::batch::packed_b_offset`])
-//! through the tier's block packers, and [`host_block_plan`] pins the
-//! blocking factors. A registry packs with
-//! the kernel of the engine that owns it
-//! ([`WeightRegistry::for_kernel`]), and its [`WeightSnapshot`] names
-//! that kernel, so `prepare` builds a blocked request's A image in the
-//! layout of the kernel that will read it
-//! ([`crate::host::HostKernel::prepack_a`]). B's panel image is the same
-//! on every tier, so a pre-packed panel is bit-identical to what
-//! per-block packing would have produced and results cannot diverge:
+//! through the detected tier's block packers, and [`host_block_plan`]
+//! pins the blocking factors. A registry packs every panel through
+//! [`prepack_b`]: B's panel image is the same on every tier, so a
+//! pre-packed panel is bit-identical to what per-block packing would
+//! have produced, whichever tier reads it, and results cannot diverge
+//! (A's image is not the registry's business: each blocked work unit
+//! packs its own rows for the engine's kernel):
 //!
 //! ```
 //! use camp_gemm::batch::packed_b_bytes;
@@ -130,30 +128,20 @@ impl WeightHandle {
 }
 
 /// Submit-time view of a registry: registry identity plus the
-/// generation and metadata of every live slot, and the host kernel the
-/// registry packs for. A serving session validates submissions against
-/// this snapshot without holding the backend,
-/// [`crate::request::GemmRequest::resolve`] reads handle shapes out of
-/// it, and the host engine's `prepare` builds A images for its
-/// [`WeightSnapshot::kernel`].
+/// generation and metadata of every live slot. A serving session
+/// validates submissions against this snapshot without holding the
+/// backend, and [`crate::request::GemmRequest::resolve`] reads handle
+/// shapes out of it.
 #[derive(Debug, Clone)]
 pub struct WeightSnapshot {
     registry: u64,
     entries: Vec<Option<(u64, WeightMeta)>>,
-    kernel: &'static HostKernel,
 }
 
 impl WeightSnapshot {
-    /// An empty snapshot tied to no registry (every handle is foreign),
-    /// for the detected kernel.
+    /// An empty snapshot tied to no registry (every handle is foreign).
     pub fn empty() -> Self {
-        WeightSnapshot { registry: u64::MAX, entries: Vec::new(), kernel: HostKernel::detect() }
-    }
-
-    /// The host kernel of the registry's engine: the one whose blocked
-    /// route reads the A images prepared against this snapshot.
-    pub fn kernel(&self) -> &'static HostKernel {
-        self.kernel
+        WeightSnapshot { registry: u64::MAX, entries: Vec::new() }
     }
 
     /// Shape/dtype of a handle's registration at snapshot time, or why
@@ -257,9 +245,6 @@ pub struct WeightRegistry {
     resident_bytes: u64,
     /// Raw-mirror mode: keep raw bytes, skip host packing.
     raw_mode: bool,
-    /// The kernel that packs the panels (and reads the A images
-    /// prepared against this registry's snapshots).
-    kernel: &'static HostKernel,
 }
 
 impl Default for WeightRegistry {
@@ -270,15 +255,9 @@ impl Default for WeightRegistry {
 
 impl WeightRegistry {
     /// Empty host registry (packed panels) with a process-unique
-    /// identity, for the detected kernel ([`HostKernel::detect`]).
+    /// identity.
     pub fn new() -> Self {
-        WeightRegistry::for_kernel(HostKernel::detect())
-    }
-
-    /// Empty host registry for an engine pinned to `kernel`: its panels
-    /// are packed through `kernel`, and its snapshots name it.
-    pub fn for_kernel(kernel: &'static HostKernel) -> Self {
-        WeightRegistry::with_mode(false, kernel)
+        WeightRegistry::with_mode(false)
     }
 
     /// Empty **raw-mirror** registry: registrations keep the raw
@@ -286,10 +265,10 @@ impl WeightRegistry {
     /// and pack no host panels — the storage mode of the simulated
     /// backend's weight registry.
     pub fn raw_mirror() -> Self {
-        WeightRegistry::with_mode(true, HostKernel::scalar())
+        WeightRegistry::with_mode(true)
     }
 
-    fn with_mode(raw_mode: bool, kernel: &'static HostKernel) -> Self {
+    fn with_mode(raw_mode: bool) -> Self {
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT_REGISTRY_ID: AtomicU64 = AtomicU64::new(0);
         WeightRegistry {
@@ -299,7 +278,6 @@ impl WeightRegistry {
             packed_bytes: 0,
             resident_bytes: 0,
             raw_mode,
-            kernel,
         }
     }
 
@@ -325,7 +303,7 @@ impl WeightRegistry {
             let plan = host_block_plan(4, n, k, dtype.k_step());
             let len = if n == 0 || k == 0 { 0 } else { packed_b_bytes(&plan) };
             let mut panel = vec![0i8; len].into_boxed_slice();
-            self.kernel.prepack_b(&mut panel, b, n, k, &plan);
+            prepack_b(&mut panel, b, n, k, &plan);
             self.packed_bytes += len as u64;
             Stored::Packed(panel)
         };
@@ -449,7 +427,6 @@ impl WeightRegistry {
                 .iter()
                 .map(|s| s.entry.as_ref().map(|e| (s.generation, e.meta)))
                 .collect(),
-            kernel: self.kernel,
         }
     }
 }
@@ -457,7 +434,7 @@ impl WeightRegistry {
 /// Pack every (jc, pc) block of B in the blocked loops' visit order
 /// into `dst` (sized by [`packed_b_bytes`]) through the detected
 /// kernel: [`HostKernel::prepack_b`], whose image is the same on every
-/// tier. The engine and a registry pack through their own kernel's.
+/// tier.
 pub fn prepack_b(dst: &mut [i8], b: &[i8], n: usize, k: usize, plan: &BlockPlan) {
     HostKernel::detect().prepack_b(dst, b, n, k, plan)
 }

@@ -55,8 +55,8 @@ impl Default for Workspace {
 
 /// Reusable host-side pack buffers for one GeMM worker.
 ///
-/// A row-split work unit of the host engine packs its row range into
-/// one whole A image before its loop nest runs. Allocating that per
+/// A blocked work unit of the host engine packs its rows into one whole
+/// A image before its loop nest runs. Allocating that per
 /// request puts an allocator round-trip (and, at these sizes, an
 /// mmap/munmap cycle) on the compute path; a `PackPool` instead grows
 /// its A-image arena to the high-water mark once and hands out slices

@@ -181,14 +181,22 @@ fn heap_calls_per_decode_token_and_per_prefill_are_pinned() {
     // a multiple of three), while the engine computes into its `Output`s directly
     // instead of collecting them from a `Vec<Vec<i32>>`, one call fewer
     // per batch: 340 → 336 per decode token, 442 → 438 per prefill.
+    // Since `prepare` packs nothing, a prefill's attention score and
+    // context GeMMs (below the row-split threshold) pack A into the
+    // engine's warm arena instead of a staged `Vec` each, 4 layers × 4
+    // heads × 2 = 32 calls and 786 432 bytes fewer (438 → 406 per
+    // prefill), and the staged request lost its image fields, 3 648
+    // bytes fewer per step across its batches' staged lists (decode
+    // 3 178 112 → 3 119 744 bytes, peak 18 576 → 18 320); calls per
+    // decode token and the prefill's peak are unchanged.
     let per_token = 336;
     assert_eq!(
         decode,
-        Tally { allocs: per_token * DECODE_TOKENS, bytes: 3_178_112, live: 0, peak: 18_576 },
+        Tally { allocs: per_token * DECODE_TOKENS, bytes: 3_119_744, live: 0, peak: 18_320 },
         "a steady-state decode token costs a constant number of heap calls and keeps nothing"
     );
     // what stays live is the K/V the prompt left in its cache
-    assert_eq!(prefill, Tally { allocs: 438, bytes: 15_113_768, live: 729_088, peak: 1_957_920 });
+    assert_eq!(prefill, Tally { allocs: 406, bytes: 14_323_688, live: 729_088, peak: 1_957_920 });
     assert!(per_token < PARENT_ALLOCS_PER_DECODE_TOKEN);
     assert!(prefill.peak < PARENT_PREFILL_PEAK_BYTES);
 }

@@ -29,7 +29,7 @@ use camp::core::backend::CampBackend;
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
 use camp::gemm::batch::{packed_a_offset, packed_b_bytes};
 use camp::gemm::gemm_i32_ref;
-use camp::gemm::host::{AImage, HostKernel, HostTier, Scale, SmallB};
+use camp::gemm::host::{HostKernel, HostTier, Scale, SmallB};
 use camp::gemm::loops::for_each_a_block;
 use camp::gemm::reference::{pack_a_amx_ref, pack_a_ref, pack_b_ref};
 use camp::gemm::weights::{host_block_plan, prepack_b};
@@ -183,8 +183,8 @@ proptest! {
     /// and depth remainders — packed panels stay tier-portable. The
     /// scalar tier is checked too: it runs the body the SIMD tiers
     /// recompile. So does every tier's whole A image
-    /// ([`HostKernel::prepack_a`], what `prepare` and a row-split unit
-    /// build), against its layout's own reference: the shared panel
+    /// ([`HostKernel::prepack_a`], what every blocked work unit builds
+    /// in its arena), against its layout's own reference: the shared panel
     /// layout's blocks ([`pack_a_ref`] at [`packed_a_offset`]) on every
     /// tier but `amx`, [`pack_a_amx_ref`] on `amx` — both k-steps, and a
     /// second depth block half the time.
@@ -399,11 +399,10 @@ fn every_tiers_blocked_route_matches_the_reference_across_a_depth_block_i4() {
 /// none of what C held: on every available tier, into a C pre-filled
 /// with a poison pattern, the nest must give exactly the reference. The
 /// shapes cross what a nest writes C in: a partial 32-row strip (33
-/// rows, and a unit starting 20 rows into the image), a partial 4-wide
-/// panel and a partial 32-column step (n 18), a second column block
-/// whose one step is partial (n 260), a partial 64-deep chunk (k 65)
-/// and a second depth block (k 2049). A nest that accumulates into C,
-/// or that leaves part of C unwritten, fails.
+/// rows), a partial 4-wide panel and a partial 32-column step (n 18), a
+/// second column block whose one step is partial (n 260), a partial
+/// 64-deep chunk (k 65) and a second depth block (k 2049). A nest that
+/// accumulates into C, or that leaves part of C unwritten, fails.
 #[test]
 fn run_blocked_writes_all_of_c_whatever_it_held_on_every_tier() {
     const POISON: i32 = 0x5A5A_5A5A;
@@ -418,30 +417,20 @@ fn run_blocked_writes_all_of_c_whatever_it_held_on_every_tier() {
             hk.prepack_a(&mut image, &a, m, k, &plan);
             let mut panel = vec![0i8; packed_b_bytes(&plan)];
             hk.prepack_b(&mut panel, &b, n, k, &plan);
-            for row0 in [0, 20] {
-                let rows = m - row0;
-                let unit = host_block_plan(rows, n, k, k_step);
-                let mut scratch = vec![0i8; hk.blocked_scratch_len(&unit)];
-                let mut c = vec![MaybeUninit::new(POISON); rows * n];
-                let image = AImage { bytes: &image, plan, row0 };
-                let got = hk.run_blocked(n, &unit, image, &panel, &mut c, &mut scratch);
-                assert_eq!(
-                    got,
-                    &want[row0 * n..],
-                    "tier {} {m}x{n}x{k} from row {row0}",
-                    hk.tier().name()
-                );
-            }
+            let mut scratch = vec![0i8; hk.blocked_scratch_len(&plan)];
+            let mut c = vec![MaybeUninit::new(POISON); m * n];
+            let got = hk.run_blocked(n, &plan, &image, &panel, &mut c, &mut scratch);
+            assert_eq!(got, want, "tier {} {m}x{n}x{k}", hk.tier().name());
         }
     }
 }
 
-/// An engine pinned to a tier prepares its blocked requests' A images
-/// for *that* tier, whatever [`HostKernel::detect`] serves: `prepare`
-/// takes the kernel from the engine's weight snapshot. Every available
-/// tier, pinned on one engine, against the reference — below the
-/// row-split threshold (the image `prepare` builds) and above it (the
-/// unit's arena), against a registered weight and a dense B.
+/// An engine pinned to a tier packs its blocked requests' A images for
+/// *that* tier, whatever [`HostKernel::detect`] serves: each unit packs
+/// its own rows with the engine's kernel. Every available tier, pinned
+/// on one engine, against the reference — below the row-split threshold
+/// (one unit) and above it (row ranges), against a registered weight and
+/// a dense B.
 #[test]
 fn a_pinned_engine_builds_its_own_tiers_a_image() {
     for (m, n, k) in [(40, 48, 64), (192, 256, 256)] {
