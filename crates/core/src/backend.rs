@@ -7,7 +7,10 @@
 //! request/outcome surface over both: describe a problem once as a
 //! [`GemmRequest`], execute it on either backend, and get back an
 //! [`Outcome`] whose [`ExecStats`] says which substrate ran — callers
-//! branch on stats, never on API.
+//! branch on stats, never on API. A request has one form from submission
+//! to execution: every entry point validates a batch against the
+//! backend's registry, then hands the requests themselves to its one
+//! execution method, [`CampBackend::execute_prepared`].
 //!
 //! ```
 //! use camp_core::backend::{CampBackend, ExecStats, SimBackend};
@@ -65,7 +68,7 @@ use camp_gemm::{CMatrix, GemmProblem, Method};
 use camp_pipeline::{CoreConfig, SimStats};
 
 use crate::dispatch::Dispatcher;
-use crate::engine::{CampEngine, EngineStats, StagedRequest};
+use crate::engine::{CampEngine, EngineStats};
 
 // ---- thread configuration (the single source of truth) --------------------
 
@@ -192,30 +195,28 @@ impl BatchOutcome {
 
 // ---- the trait ------------------------------------------------------------
 
+/// Why a request handed to [`CampBackend::execute_prepared`] resolves:
+/// every entry point validates a batch against the backend's registry
+/// first.
+pub(crate) const VALIDATED: &str = "requests are validated before they run";
+
 /// One GeMM backend: executes [`GemmRequest`]s, owns a weight registry,
 /// and can be served by a [`Dispatcher`].
 ///
-/// A backend implements execution as two methods, and every entry point
-/// — [`CampBackend::execute`], [`CampBackend::execute_batch`], a
-/// dispatcher's direct `run` and its queued `submit` → `wait` — goes
-/// through them: [`CampBackend::prepare`] does the per-request work that
-/// needs no backend (so the submitting thread can run it while the
-/// backend is busy), and
-/// [`CampBackend::execute_prepared`] sees the whole batch and owns the
-/// backend's buffers, so everything that spans requests — packing a
-/// dense B once for every request that shares it — happens there. The
-/// same batch therefore reports the same statistics whichever way it
-/// came in.
+/// A backend implements execution as one method,
+/// [`CampBackend::execute_prepared`], and every entry point —
+/// [`CampBackend::execute`], [`CampBackend::execute_batch`], a
+/// dispatcher's direct `run` and its queued `submit` → `wait` — hands it
+/// the batch's requests as they were submitted, once they are validated.
+/// It sees the whole batch and owns the backend's buffers, so
+/// everything that spans requests — packing a dense B once for every
+/// request that shares it — happens there. The same batch therefore
+/// reports the same statistics whichever way it came in.
 ///
 /// Implementations must be **bit-identical** to each other for i32-
 /// accumulating camp kernels: the same request batch produces the same
 /// bytes on every backend (property-tested in `tests/backend_parity.rs`).
 pub trait CampBackend {
-    /// Staged form of a validated request, built off the compute path
-    /// by the thread that submits it; a dispatcher session holds up to
-    /// its admission bound of staged batches.
-    type Prepared: Send + 'static;
-
     /// Stable human-readable identity ("host-engine",
     /// "cycle-accurate-sim", …).
     fn name(&self) -> &'static str;
@@ -256,8 +257,7 @@ pub trait CampBackend {
         for req in reqs {
             req.resolve(&snapshot)?;
         }
-        let staged = reqs.iter().map(|req| Self::prepare(req.clone(), &snapshot)).collect();
-        Ok(self.execute_prepared(staged))
+        Ok(self.execute_prepared(reqs.to_vec()))
     }
 
     /// Execute one request.
@@ -267,32 +267,22 @@ pub trait CampBackend {
         Ok(Outcome { output, stats: batch.stats })
     }
 
-    /// Prepare one *validated* request (no `self`: a dispatcher runs
-    /// this on the submitting thread, under no lock, while the backend
-    /// computes the previous batch; a panic here unwinds that caller
-    /// only). The host engine resolves the request's shape and keeps
-    /// its operands as they are (every blocked unit packs its own rows
-    /// of A when it runs); substrates with nothing to stage return the
-    /// request as-is.
-    fn prepare(req: GemmRequest, weights: &WeightSnapshot) -> Self::Prepared;
-
-    /// Execute one prepared batch, on whichever thread holds the backend
-    /// (a dispatcher's driver, a
+    /// Execute one batch of requests already validated against
+    /// [`CampBackend::weight_snapshot`], on whichever thread holds the
+    /// backend (a dispatcher's driver, a
     /// [`crate::dispatch::DispatchSession::run`] caller, or
-    /// [`CampBackend::execute_batch`]'s). Requests were validated before
-    /// they were prepared, so this is infallible. The host engine
-    /// deduplicates dense B operands here, by buffer identity — which
-    /// means that on the queued pipeline a dense B is packed on the
-    /// compute path, not by the submitter; served weights are registered
+    /// [`CampBackend::execute_batch`]'s), so this is infallible. The
+    /// host engine deduplicates dense B operands here, by buffer
+    /// identity, on the compute path; served weights are registered
     /// handles and pack nothing.
-    fn execute_prepared(&mut self, batch: Vec<Self::Prepared>) -> BatchOutcome;
+    fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome;
 
     /// Upgrade the backend into a serving [`Dispatcher`] with
     /// [`crate::dispatch::DispatchOptions::default`]: any number of
     /// submit/poll sessions ([`Dispatcher::session`]) over this one
-    /// backend, with submitter-side staging, priorities and per-session
-    /// admission control. Register weights first — submissions
-    /// validate against the registrations present now.
+    /// backend, with priorities and per-session admission control.
+    /// Register weights first — submissions validate against the
+    /// registrations present now.
     fn dispatch(self) -> Dispatcher<Self>
     where
         Self: Sized + Send + 'static,
@@ -304,8 +294,6 @@ pub trait CampBackend {
 // ---- the host engine as a backend -----------------------------------------
 
 impl CampBackend for CampEngine {
-    type Prepared = StagedRequest;
-
     fn name(&self) -> &'static str {
         "host-engine"
     }
@@ -334,12 +322,8 @@ impl CampBackend for CampEngine {
         CampEngine::weight_snapshot(self)
     }
 
-    fn prepare(req: GemmRequest, weights: &WeightSnapshot) -> StagedRequest {
-        StagedRequest::stage(req, weights)
-    }
-
-    fn execute_prepared(&mut self, batch: Vec<StagedRequest>) -> BatchOutcome {
-        let (outputs, stats) = self.run_staged(&batch);
+    fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
+        let (outputs, stats) = self.compute_batch(&batch);
         BatchOutcome { outputs, stats: ExecStats::Host(stats) }
     }
 }
@@ -395,11 +379,6 @@ impl SimBackend {
 }
 
 impl CampBackend for SimBackend {
-    /// Nothing to stage: simulation stages operands into machine memory
-    /// per block unit anyway, so the serving pipeline passes requests
-    /// through unchanged.
-    type Prepared = GemmRequest;
-
     fn name(&self) -> &'static str {
         "cycle-accurate-sim"
     }
@@ -437,12 +416,7 @@ impl CampBackend for SimBackend {
         self.weights.snapshot()
     }
 
-    fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
-        req
-    }
-
     fn execute_prepared(&mut self, reqs: Vec<GemmRequest>) -> BatchOutcome {
-        const VALIDATED: &str = "requests are validated before they are prepared";
         let snap = self.weights.snapshot();
         let opts = GemmOptions { mac_budget: u64::MAX, verify: false, ..Default::default() };
         let core = self.core;

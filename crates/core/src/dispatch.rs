@@ -12,26 +12,22 @@
 //! of [`DispatchSession`] clients, each with its own FIFO queue, ticket
 //! space and admission bound. One client is simply the N = 1 case.
 //!
-//! A queued batch crosses two threads — the caller prepares, the engine
+//! A queued batch crosses two threads — the caller submits, the engine
 //! holder executes — in two stages:
 //!
 //! 1. **submit** ([`DispatchSession::submit`] /
-//!    [`DispatchSession::submit_with`]) = validate + stage + admit, all
-//!    on the calling thread. The batch is validated against the
-//!    registration snapshot and checked against **admission control**
-//!    (a session with [`DispatchOptions::queue_depth`] batches already
-//!    in flight gets [`RequestError::Saturated`] back instead of
-//!    unbounded memory growth, before anything is packed for it); then
-//!    the caller runs [`CampBackend::prepare`] on every request,
-//!    outside every lock (the host engine resolves each request's
-//!    shape and packs nothing: every blocked work unit packs its own
-//!    rows of A into its worker's arena at compute time; the simulator
-//!    stages nothing), so one tenant's staging overlaps the engine's
-//!    compute and every other tenant's submissions; finally the
-//!    *staged* batch is stamped with a [`Priority`] and optional
-//!    deadline, booked and filed in the session's queue under one lock
-//!    acquisition, and the caller gets its [`TicketId`]. What a session
-//!    can hold staged is therefore bounded by its admission bound;
+//!    [`DispatchSession::submit_with`]) = validate + admit, on the
+//!    calling thread. The batch is validated against the registration
+//!    snapshot under no lock; then, under one state-lock acquisition,
+//!    it is checked against **admission control** (a session with
+//!    [`DispatchOptions::queue_depth`] batches already in flight gets
+//!    [`RequestError::Saturated`] back instead of unbounded memory
+//!    growth) and against condemned handles, stamped with a
+//!    [`Priority`] and optional deadline, booked and filed in the
+//!    session's queue, and the caller gets its [`TicketId`]. A queued
+//!    batch is its requests as they were submitted: the backend
+//!    resolves their shapes and packs what it packs when it executes
+//!    them;
 //! 2. **compute** — the driver takes the engine lock per batch and
 //!    repeatedly executes the *best* runnable batch. **A session's
 //!    batches execute in submission order; priority, deadline and
@@ -50,7 +46,7 @@
 //!    cycles only on batches that can still make their deadlines.
 //!
 //! A blocking caller has a shorter way through, the **direct** path:
-//! [`DispatchSession::run`] stages and admits its batch exactly as
+//! [`DispatchSession::run`] validates and admits its batch exactly as
 //! `submit_with` does, and if that batch is then the only work in the
 //! dispatcher — no session has anything else in flight, no eviction
 //! is queued — the calling thread takes the engine lock and executes
@@ -148,8 +144,8 @@ pub struct DispatchOptions {
     /// Default per-session admission bound: a session with this many
     /// batches in flight (submitted, not yet completed) has further
     /// submissions rejected with [`RequestError::Saturated`]. It is
-    /// also the bound on what the session holds staged: every queued
-    /// batch carries its prepared operands.
+    /// also the bound on what the session holds queued: every queued
+    /// batch carries its requests' operands.
     /// [`Dispatcher::session_with_depth`] overrides per session.
     pub queue_depth: usize,
 }
@@ -207,9 +203,11 @@ pub struct DispatchStats {
     /// touching the engine, ever.
     pub shed: u64,
     /// Batches picked by the driver or a direct caller and not yet
-    /// completed (on the engine, or about to be). 0 when drained.
+    /// completed (on the engine, or about to be). 0 when drained. The
+    /// name outlived the staging step; it stays while the benchmark
+    /// reads it (see ROADMAP.md).
     pub staging_live: usize,
-    /// Batches queued and not yet picked right now, all of them staged.
+    /// Batches queued and not yet picked right now.
     pub ready_now: usize,
     /// Sessions currently open (or closed with work still in flight).
     pub sessions_live: usize,
@@ -217,11 +215,10 @@ pub struct DispatchStats {
 
 // ---- shared state ----------------------------------------------------------
 
-/// One queued batch: admitted and staged, waiting for (or on) the
-/// engine.
-struct Pending<P> {
+/// One queued batch: admitted, waiting for (or on) the engine.
+struct Pending {
     seq: u64,
-    staged: Vec<P>,
+    batch: Vec<GemmRequest>,
     priority: Priority,
     deadline: Option<Instant>,
     /// Weight handles the batch references (for the condemned check).
@@ -231,14 +228,14 @@ struct Pending<P> {
 }
 
 /// Per-session queue + ticket state.
-struct SessQueue<P> {
+struct SessQueue {
     /// Admission bound: max batches in flight before `Saturated`.
     depth: usize,
     /// Filed and not yet picked, in submission order: only the front
     /// one may run, and the one driver runs it to completion before it
     /// picks again — which is what keeps a session's batches in
     /// submission order.
-    queued: VecDeque<Pending<P>>,
+    queued: VecDeque<Pending>,
     /// Batches in flight: admitted and not yet completed/cancelled —
     /// the queued ones plus the one picked, if any. This is what
     /// admission control bounds.
@@ -254,7 +251,7 @@ struct SessQueue<P> {
     closed: bool,
 }
 
-impl<P> SessQueue<P> {
+impl SessQueue {
     fn with_depth(depth: usize) -> Self {
         SessQueue {
             depth,
@@ -303,9 +300,9 @@ struct Counters {
 /// `HashMap`/`HashSet` iteration order must never drive a scheduling
 /// decision or the loom models would explore schedules production
 /// never runs (keyed lookups are fine).
-struct DispState<P> {
+struct DispState {
     /// Session slots; `None` slots are reaped and reusable.
-    sessions: Vec<Option<SessQueue<P>>>,
+    sessions: Vec<Option<SessQueue>>,
     /// Eviction control ops awaiting the driver (serialized with batch
     /// execution under the engine lock).
     controls: VecDeque<WeightHandle>,
@@ -324,14 +321,14 @@ struct DispState<P> {
     stats: Counters,
 }
 
-impl<P> DispState<P> {
+impl DispState {
     /// Take the batch the driver should run next out of its session's
     /// queue, or `None` when nothing is queued. Only the front of a
     /// session's queue is runnable (per-session FIFO); among those,
     /// priority desc, deadline asc (`None` = ∞), admission asc — except
     /// that after [`DECODE_BURST`] consecutive decode batches the best
     /// *prefill* batch wins (bounded aging).
-    fn pick(&mut self) -> Option<(usize, Pending<P>)> {
+    fn pick(&mut self) -> Option<(usize, Pending)> {
         let best_of = |class: Option<Priority>| {
             self.sessions
                 .iter()
@@ -400,7 +397,7 @@ impl<P> DispState<P> {
 }
 
 /// Execute-order comparison: does `a` beat `b`?
-fn beats<P>(a: &Pending<P>, b: &Pending<P>) -> bool {
+fn beats(a: &Pending, b: &Pending) -> bool {
     if a.priority != b.priority {
         return a.priority > b.priority;
     }
@@ -414,10 +411,10 @@ fn beats<P>(a: &Pending<P>, b: &Pending<P>) -> bool {
 }
 
 /// The state lock's guard, as every holder spells it.
-type StateGuard<'a, B> = MutexGuard<'a, DispState<<B as CampBackend>::Prepared>>;
+type StateGuard<'a> = MutexGuard<'a, DispState>;
 
 struct Shared<B: CampBackend> {
-    state: Mutex<DispState<B::Prepared>>,
+    state: Mutex<DispState>,
     /// The engine lock: the one backend, taken per batch and per
     /// eviction by the driver and per direct run by a client;
     /// [`Dispatcher::into_backend`] empties the slot after the joins.
@@ -434,8 +431,7 @@ struct Shared<B: CampBackend> {
     /// `notify_all`: every session's `wait` parks here, each for its
     /// own ticket.
     done_cv: Condvar,
-    /// Registration snapshot every submission validates and prepares
-    /// against.
+    /// Registration snapshot every submission validates against.
     weights: WeightSnapshot,
 }
 
@@ -444,7 +440,7 @@ impl<B: CampBackend> Shared<B> {
     /// atomic under the lock (queues stay consistent even if a caller
     /// panicked mid-`wait`), and shutdown must still work after a panic
     /// so `Drop` can join the driver.
-    fn lock(&self) -> StateGuard<'_, B> {
+    fn lock(&self) -> StateGuard<'_> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -456,7 +452,7 @@ impl<B: CampBackend> Shared<B> {
     }
 
     /// Wait on `cv`, ignoring poisoning like [`Shared::lock`].
-    fn wait<'a>(&self, cv: &Condvar, st: StateGuard<'a, B>) -> StateGuard<'a, B> {
+    fn wait<'a>(&self, cv: &Condvar, st: StateGuard<'a>) -> StateGuard<'a> {
         cv.wait(st).unwrap_or_else(|e| e.into_inner())
     }
 
@@ -496,9 +492,9 @@ fn next_session_id() -> u64 {
 
 // ---- the driver thread ---------------------------------------------------
 
-enum DriverAction<P> {
+enum DriverAction {
     Evict(WeightHandle),
-    Run(usize, Pending<P>),
+    Run(usize, Pending),
     Exit,
 }
 
@@ -564,7 +560,7 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B>) {
             }
             DriverAction::Run(slot, chosen) => {
                 let Ok(mut engine) = shared.engine.lock() else { break };
-                let result = held(&mut engine).execute_prepared(chosen.staged);
+                let result = held(&mut engine).execute_prepared(chosen.batch);
                 // lock order: never the state lock under the engine's
                 drop(engine);
                 let mut st = shared.lock();
@@ -608,7 +604,7 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
         self.submit_with(batch, Priority::Prefill, None)
     }
 
-    /// Stage and enqueue one batch; returns with the ticket that will
+    /// Validate and enqueue one batch; returns with the ticket that will
     /// redeem its results as soon as the batch is filed. A session's
     /// batches execute in submission order; priority, deadline and
     /// admission order decide between sessions.
@@ -621,14 +617,9 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     /// admission bound rejects with [`RequestError::Saturated`]
     /// (deterministically: the bound counts batches in flight, not
     /// queue occupancy, so it does not depend on how far the driver
-    /// happens to have drained the queue). Nothing is staged or
-    /// enqueued on any error.
-    ///
-    /// [`CampBackend::prepare`] runs **on the calling thread**, with no
-    /// dispatcher lock held: nothing for a request of m ≤ 8 or on the
-    /// simulator, the packed A of a blocked request on the host engine.
-    /// A panic in it unwinds this call before anything is booked; the
-    /// dispatcher and every other session are untouched.
+    /// happens to have drained the queue). Nothing is enqueued on any
+    /// error. Validation runs under no lock; the refusal checks, the
+    /// booking and the filing run under one state-lock acquisition.
     ///
     /// # Panics
     /// Panics if the driver (or a client on the engine) has already
@@ -654,7 +645,7 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
     ///
     /// When the batch is the only work in the dispatcher — no session
     /// has a batch in flight (this one included) and no eviction is
-    /// queued — the calling thread, which staged it, also executes it
+    /// queued — the calling thread, which submitted it, also executes it
     /// on the engine, with no thread hand-off
     /// ([`DispatchStats::direct`]). Whenever there is anything to be
     /// ordered against, it queues behind it exactly like a submission,
@@ -698,7 +689,7 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
             // moved in, so that an unwind frees the engine before the
             // watch takes the state lock
             let mut engine = engine;
-            held(&mut engine).execute_prepared(pending.staged)
+            held(&mut engine).execute_prepared(pending.batch)
         };
         let mut st = shared.lock();
         st.stats.executed += 1;
@@ -779,12 +770,13 @@ impl<B: CampBackend + Send + 'static> DispatchSession<B> {
 }
 
 impl<B: CampBackend> Shared<B> {
-    /// Validation, staging and admission control shared by every
-    /// submission path: on success the staged batch holds an in-flight
-    /// permit and its place in the global admission order, and the
-    /// state lock comes back still held, so the caller files (or runs)
-    /// the batch atomically with its admission. Nothing is booked on
-    /// any error, nor if `prepare` panics.
+    /// Validation and admission control shared by every submission
+    /// path. The batch is validated against the registration snapshot
+    /// under no lock; then one state-lock acquisition refuses it or
+    /// books it — an in-flight permit and its place in the global
+    /// admission order — and the guard comes back still held, so the
+    /// caller files (or runs) the batch atomically with its admission.
+    /// Nothing is booked on any error.
     fn admit(
         &self,
         slot: usize,
@@ -792,7 +784,7 @@ impl<B: CampBackend> Shared<B> {
         batch: Vec<GemmRequest>,
         priority: Priority,
         deadline: Option<Instant>,
-    ) -> Result<(StateGuard<'_, B>, Pending<B::Prepared>), RequestError> {
+    ) -> Result<(StateGuard<'_>, Pending), RequestError> {
         let mut handles = Vec::new();
         for r in &batch {
             r.resolve(&self.weights)?;
@@ -800,28 +792,20 @@ impl<B: CampBackend> Shared<B> {
                 handles.push(*h);
             }
         }
-        // refused before anything is packed for it ...
-        self.refuse(&mut self.lock(), slot, &handles)?;
-        // ... staged on the caller's own time, outside every lock ...
-        let staged = batch.into_iter().map(|r| B::prepare(r, &self.weights)).collect();
-        // ... and checked again under the lock the permit is booked
-        // (and the batch filed) under: a shutdown, death or eviction
-        // may have landed meanwhile. The bound cannot have: only this
-        // session's own thread raises its `pending`.
         let mut st = self.lock();
         self.refuse(&mut st, slot, &handles)?;
         self.queue(&mut st, slot).pending += 1;
         let admit = st.admit_seq;
         st.admit_seq += 1;
         st.stats.submitted += 1;
-        Ok((st, Pending { seq, staged, priority, deadline, handles, admit }))
+        Ok((st, Pending { seq, batch, priority, deadline, handles, admit }))
     }
 
     /// Everything that turns a valid batch away, in the order callers
     /// see it.
     fn refuse(
         &self,
-        st: &mut StateGuard<'_, B>,
+        st: &mut StateGuard<'_>,
         slot: usize,
         handles: &[WeightHandle],
     ) -> Result<(), RequestError> {
@@ -845,18 +829,14 @@ impl<B: CampBackend> Shared<B> {
 
     /// File an admitted batch in its session's queue and wake the
     /// driver.
-    fn enqueue(&self, st: &mut StateGuard<'_, B>, slot: usize, pending: Pending<B::Prepared>) {
+    fn enqueue(&self, st: &mut StateGuard<'_>, slot: usize, pending: Pending) {
         self.queue(st, slot).queued.push_back(pending);
         self.driver_cv.notify_one();
     }
 
     /// A live client's queue. The slot cannot be reaped while the
     /// client exists (reaping requires `closed`, set only on drop).
-    fn queue<'a>(
-        &self,
-        st: &'a mut StateGuard<'_, B>,
-        slot: usize,
-    ) -> &'a mut SessQueue<B::Prepared> {
+    fn queue<'a>(&self, st: &'a mut StateGuard<'_>, slot: usize) -> &'a mut SessQueue {
         st.sessions[slot].as_mut().expect("live client keeps its slot")
     }
 }
@@ -1050,7 +1030,6 @@ mod tests {
     use crate::engine::{CampEngine, DType, EngineStats};
     use camp_gemm::gemm_i32_ref;
     use camp_gemm::KernelInfo;
-    use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Shared permit counter gating the mock driver: executions block
@@ -1067,10 +1046,7 @@ mod tests {
     /// Mock backend whose `execute_prepared` consumes one [`Gate`]
     /// permit per batch and logs the batch's m (the tests' batch
     /// identity) and the executing thread in execution order. A batch
-    /// whose m is [`POISON_M`] panics once it holds its permit; a
-    /// request whose m is [`PREPARE_POISON_M`] panics in `prepare`, and
-    /// one whose m is [`HELD_M`] stays in `prepare` until
-    /// [`HELD_PREPARE`] opens.
+    /// whose m is [`POISON_M`] panics once it holds its permit.
     struct GateBackend {
         gate: Gate,
         log: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
@@ -1078,26 +1054,6 @@ mod tests {
     }
 
     const POISON_M: usize = 666;
-    const PREPARE_POISON_M: usize = 777;
-    const HELD_M: usize = 555;
-
-    /// `prepare` has no `self`, so the hold is a static; one test uses
-    /// it. `(entered, open)`: a request is inside the held `prepare`,
-    /// and it may leave.
-    static HELD_PREPARE: (std::sync::Mutex<(bool, bool)>, std::sync::Condvar) =
-        (std::sync::Mutex::new((false, false)), std::sync::Condvar::new());
-
-    thread_local! {
-        /// Requests `GateBackend::prepare` staged on this thread: tests
-        /// run in parallel, so a per-thread count is both isolated and
-        /// the proof of *where* staging ran.
-        static PREPARED_HERE: Cell<usize> = const { Cell::new(0) };
-    }
-
-    fn prepared_here() -> usize {
-        PREPARED_HERE.with(Cell::get)
-    }
-
     impl GateBackend {
         fn new(permits: usize) -> (Self, Gate, std::sync::Arc<std::sync::Mutex<Vec<usize>>>) {
             let gate: Gate =
@@ -1113,8 +1069,6 @@ mod tests {
     }
 
     impl CampBackend for GateBackend {
-        type Prepared = GemmRequest;
-
         fn name(&self) -> &'static str {
             "test-gate"
         }
@@ -1147,19 +1101,6 @@ mod tests {
             WeightSnapshot::empty()
         }
 
-        fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
-            assert_ne!(req.m(), PREPARE_POISON_M, "poisoned prepare");
-            if req.m() == HELD_M {
-                let (hold, cv) = &HELD_PREPARE;
-                let mut hold = hold.lock().unwrap();
-                hold.0 = true;
-                cv.notify_all();
-                drop(cv.wait_while(hold, |(_, open)| !*open).unwrap());
-            }
-            PREPARED_HERE.with(|n| n.set(n.get() + 1));
-            req
-        }
-
         fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
             let (permits, cv) = &*self.gate;
             let mut p = permits.lock().unwrap();
@@ -1184,13 +1125,6 @@ mod tests {
         GemmRequest::dense(m, 1, 1, vec![1i8; m], vec![1i8]).expect("well-formed request")
     }
 
-    /// A dispatcher at the default options. Never `Dispatcher::new`:
-    /// that reads the environment `env_options_apply_and_validate`
-    /// writes.
-    fn dispatch<B: CampBackend + Send + 'static>(backend: B) -> Dispatcher<B> {
-        Dispatcher::with_options(backend, DispatchOptions::default())
-    }
-
     /// Poll the dispatcher until `pred` holds (the driver is
     /// asynchronous; 5 s cap, far beyond any real hand-off latency).
     fn wait_for<B: CampBackend + Send + 'static>(
@@ -1210,9 +1144,8 @@ mod tests {
     #[test]
     fn saturation_fires_deterministically_at_the_bound_and_recovers() {
         let (backend, gate, _log) = GateBackend::new(0);
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session_with_depth(3);
-        let staged_before = prepared_here();
 
         // the bound counts batches in flight, not queue occupancy: with
         // the driver gated shut, exactly `depth` submissions are
@@ -1224,7 +1157,6 @@ mod tests {
         // `submit` returns, no waiting for anybody
         let stats = dispatcher.stats();
         assert_eq!((stats.submitted, stats.staging_live + stats.ready_now), (3, 3));
-        assert_eq!(prepared_here() - staged_before, 3, "the submitter stages");
         let err = session.submit(vec![req(99)]).unwrap_err();
         assert_eq!(err, RequestError::Saturated { depth: 3 });
         assert!(err.to_string().contains("bounded depth 3"), "{err}");
@@ -1232,9 +1164,8 @@ mod tests {
         assert_eq!(session.in_flight(), 3);
         let stats = dispatcher.stats();
         assert_eq!((stats.submitted, stats.rejected), (3, 1));
-        assert_eq!(prepared_here() - staged_before, 3, "a rejected batch must not be staged");
 
-        // drain: the session recovers without leaking staging permits
+        // drain: the session recovers without leaking in-flight permits
         grant(&gate, 3);
         for t in tickets {
             assert_eq!(session.wait(t).expect("gated batches complete").outputs.len(), 1);
@@ -1249,7 +1180,7 @@ mod tests {
     #[test]
     fn decode_overtakes_queued_prefill() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut prefill = dispatcher.session();
         let mut decode = dispatcher.session();
 
@@ -1275,78 +1206,9 @@ mod tests {
     }
 
     #[test]
-    fn staging_holds_no_lock_and_a_sessions_batches_still_run_in_submission_order() {
-        *HELD_PREPARE.0.lock().unwrap() = (false, false);
-        // one permit: the engine is no obstacle to the other tenant
-        let (backend, gate, log) = GateBackend::new(1);
-        let dispatcher = dispatch(backend);
-        let mut session = dispatcher.session();
-        let mut other = dispatcher.session();
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            let submitter = scope.spawn(|| {
-                let tickets = [HELD_M, 2, 3].map(|m| session.submit(vec![req(m)]).unwrap());
-                (session, tickets)
-            });
-            let (hold, cv) = &HELD_PREPARE;
-            drop(cv.wait_while(hold.lock().unwrap(), |(entered, _)| !*entered).unwrap());
-            // `session` now sits inside `prepare`: were that under the
-            // state or the engine lock, this tenant (or `stats`) would
-            // hang behind it
-            let dispatcher = &dispatcher;
-            scope.spawn(move || {
-                let marker = other.submit(vec![req(7)]).unwrap();
-                let m = other.wait(marker).unwrap().outputs[0].m;
-                let _ = tx.send((m, dispatcher.stats()));
-            });
-            let while_held = rx.recv_timeout(std::time::Duration::from_secs(5));
-
-            hold.lock().unwrap().1 = true;
-            cv.notify_all();
-            let (mut session, tickets) = submitter.join().unwrap();
-            // all three are filed; only now may the engine take them
-            grant(&gate, 3);
-            for t in tickets {
-                assert!(session.wait(t).is_ok());
-            }
-            // asserted only now: a panic under the hold would hang the scope
-            let (m, stats) = while_held.expect("another tenant was served during a held prepare");
-            assert_eq!((m, stats.submitted, stats.executed), (7, 1, 1), "nothing booked yet");
-        });
-        assert_eq!(*log.lock().unwrap(), [7, HELD_M, 2, 3]);
-    }
-
-    #[test]
-    fn a_prepare_panic_unwinds_its_caller_and_nobody_else() {
-        let (backend, gate, _log) = GateBackend::new(0);
-        let dispatcher = dispatch(backend);
-        let mut doomed = dispatcher.session_with_depth(2);
-        let mut bystander = dispatcher.session();
-        let before = dispatcher.stats();
-        let batch = vec![req(1), req(PREPARE_POISON_M)];
-        let caught = catch_unwind(AssertUnwindSafe(|| doomed.submit(batch)));
-        assert!(panic_message(caught).contains("poisoned prepare"));
-        // nothing was booked ...
-        assert_eq!(dispatcher.stats(), before);
-        assert_eq!(doomed.in_flight(), 0);
-        // ... no permit leaked: the session still admits `depth` batches ...
-        let tickets = [1, 2].map(|m| doomed.submit(vec![req(m)]).expect("below the bound"));
-        assert_eq!(doomed.submit(vec![req(3)]).unwrap_err(), RequestError::Saturated { depth: 2 });
-        // ... and the dispatcher serves everybody, then shuts down cleanly
-        grant(&gate, 3);
-        let t = bystander.submit(vec![req(9)]).unwrap();
-        assert_eq!(bystander.wait(t).unwrap().outputs[0].m, 9);
-        for t in tickets {
-            assert!(doomed.wait(t).is_ok());
-        }
-        drop((doomed, bystander));
-        let _ = dispatcher.into_backend();
-    }
-
-    #[test]
     fn deadlines_order_equal_priority_work() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut a = dispatcher.session();
         let mut b = dispatcher.session();
 
@@ -1373,7 +1235,7 @@ mod tests {
     #[test]
     fn missed_deadlines_are_shed_not_computed() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session();
 
         // occupy the (gated) engine so the doomed batch waits queued;
@@ -1409,7 +1271,7 @@ mod tests {
     #[test]
     fn aging_bounds_prefill_starvation_under_a_decode_flood() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut d1 = dispatcher.session();
         let mut d2 = dispatcher.session();
         let mut p = dispatcher.session();
@@ -1452,7 +1314,7 @@ mod tests {
         let h1 = engine.register_weights(n, k, &w1, DType::I8);
         let h2 = engine.register_weights(n, k, &w2, DType::I8);
 
-        let dispatcher = dispatch(engine);
+        let dispatcher = Dispatcher::new(engine);
         let mut session = dispatcher.session();
         let racing: Vec<TicketId> = (0..4)
             .map(|_| {
@@ -1507,7 +1369,7 @@ mod tests {
         let a: Vec<i8> = (0..2 * k).map(|i| (i % 11) as i8 - 5).collect();
         let mut engine = CampEngine::with_threads(1);
         let h = engine.register_weights(n, k, &w, DType::I8);
-        let dispatcher = dispatch(engine);
+        let dispatcher = Dispatcher::new(engine);
         let mut session = dispatcher.session();
         // 2^60 rows of the registered k = 16: m·k wraps to 0 unchecked,
         // matching the empty activation
@@ -1528,7 +1390,7 @@ mod tests {
     #[test]
     fn dropped_sessions_cancel_unclaimed_work_and_release_their_slot() {
         let (backend, gate, _log) = GateBackend::new(0);
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session_with_depth(64);
         for i in 0..5 {
             session.submit(vec![req(i + 1)]).unwrap();
@@ -1557,7 +1419,7 @@ mod tests {
     fn cross_session_tickets_fail_fast() {
         let (backend, gate, _log) = GateBackend::new(4);
         grant(&gate, 0);
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut a = dispatcher.session();
         let mut b = dispatcher.session();
         let ta = a.submit(vec![req(1)]).unwrap();
@@ -1572,7 +1434,7 @@ mod tests {
     fn into_backend_drains_every_live_session() {
         let (backend, gate, log) = GateBackend::new(0);
         grant(&gate, 6);
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut a = dispatcher.session();
         let mut b = dispatcher.session();
         for i in 0..3 {
@@ -1590,7 +1452,7 @@ mod tests {
     fn idle_run_executes_on_the_callers_thread() {
         let (backend, _gate, log) = GateBackend::new(2);
         let ran_on = backend.ran_on.clone();
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session();
         let mut other = dispatcher.session();
 
@@ -1616,29 +1478,23 @@ mod tests {
     fn run_queues_behind_a_busy_engine_and_decode_still_overtakes_prefill() {
         let (backend, gate, log) = GateBackend::new(0);
         let ran_on = backend.ran_on.clone();
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut prefill = dispatcher.session();
         let mut decode = dispatcher.session();
 
-        let staged_before = prepared_here();
         let p1 = prefill.submit(vec![req(1)]).unwrap();
         let p2 = prefill.submit(vec![req(2)]).unwrap();
         // pin: batch 1 held on the (gated) engine, batch 2 queued
         wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 1);
-        assert_eq!(prepared_here() - staged_before, 2, "a submission is staged by its submitter");
 
         std::thread::scope(|scope| {
-            let runner = scope.spawn(|| {
-                let outcome = decode.run(vec![req(3)], Priority::Decode, None);
-                (outcome, prepared_here())
-            });
+            let runner = scope.spawn(|| decode.run(vec![req(3)], Priority::Decode, None));
             // the run found somebody to be ordered against: it is
             // queued like any submission, and only then may batches go
             wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 2);
             grant(&gate, 3);
-            let (outcome, runner_prepared) = runner.join().unwrap();
+            let outcome = runner.join().unwrap();
             assert_eq!(outcome.expect("queued run completes").outputs[0].m, 3);
-            assert_eq!(runner_prepared, 1, "a queued run is staged by its caller too");
             assert!(prefill.wait(p1).is_ok() && prefill.wait(p2).is_ok());
             assert_eq!(*log.lock().unwrap(), [1, 3, 2], "decode overtakes the queued prefill");
             let ran_on = ran_on.lock().unwrap();
@@ -1655,7 +1511,7 @@ mod tests {
     #[test]
     fn run_never_overtakes_its_own_sessions_earlier_submission() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session();
         let first = session.submit(vec![req(1)]).unwrap();
         std::thread::scope(|scope| {
@@ -1677,7 +1533,7 @@ mod tests {
     fn run_errs_and_counts_like_submit_then_wait() {
         // Saturated: the bound counts the batch held on the gated engine
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session_with_depth(1);
         let blocker = session.submit(vec![req(1)]).unwrap();
         let saturated = RequestError::Saturated { depth: 1 };
@@ -1716,7 +1572,7 @@ mod tests {
         let gone = engine.register_weights(n, k, &w, DType::I8);
         let live = engine.register_weights(n, k, &w, DType::I8);
         engine.evict_weights(gone).unwrap();
-        let dispatcher = dispatch(engine);
+        let dispatcher = Dispatcher::new(engine);
         let mut session = dispatcher.session();
         let on = |h| vec![GemmRequest::with_weights(2, a.clone(), h).unwrap()];
         assert_eq!(
@@ -1785,7 +1641,7 @@ mod tests {
         batch.push(GemmRequest::dense(3, 4, 0, vec![], vec![]).unwrap());
 
         let bare = backend.execute_batch(&batch).unwrap();
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session();
         let direct = session.run(batch.clone(), Priority::Decode, None).unwrap();
         let ticket = session.submit_with(batch, Priority::Decode, None).unwrap();
@@ -1824,7 +1680,7 @@ mod tests {
     #[test]
     fn a_backend_panic_under_a_direct_run_kills_the_dispatcher() {
         let (backend, gate, log) = GateBackend::new(0);
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut doomed = dispatcher.session();
         let mut bystander = dispatcher.session();
         std::thread::scope(|scope| {
@@ -1859,7 +1715,7 @@ mod tests {
     #[test]
     fn run_on_a_handle_kept_across_into_backend_panics_before_the_engine_slot() {
         let (backend, _gate, log) = GateBackend::new(1);
-        let dispatcher = dispatch(backend);
+        let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session();
         let _backend = dispatcher.into_backend();
         let caught =

@@ -29,10 +29,9 @@
 //!   4-row panels, or the `amx` tier's own layout), into the reused
 //!   [`PackPool`] arena of the worker that computes it, just before its
 //!   nest runs — as GotoBLAS-style kernels pack A inside the GeMM
-//!   routine. [`CampBackend::prepare`](crate::backend::CampBackend::prepare)
-//!   packs nothing. (Packing every request in `prepare` was measured
-//!   and rejected: a fresh 48–196 KB heap buffer per large request tips
-//!   the allocator into a map–fault–unmap cycle; see
+//!   routine. (Packing every request on the submitting thread was
+//!   measured and rejected: a fresh 48–196 KB heap buffer per large
+//!   request tips the allocator into a map–fault–unmap cycle; see
 //!   docs/ARCHITECTURE.md.)
 //! * **C** is allocated once per request, per batch, and written by its
 //!   units, never zero-filled up front: a blocked unit's
@@ -69,13 +68,13 @@
 //! 12–20 heads per layer (§5.2, Fig. 14) — shapes where per-call setup
 //! and operand re-packing swamp compute.
 //! A batch of requests amortizes all of it, and there is one way to run
-//! one: [`CampBackend::prepare`](crate::backend::CampBackend::prepare)
-//! each request, then
-//! [`CampBackend::execute_prepared`](crate::backend::CampBackend::execute_prepared)
-//! the batch. `execute_batch`, a dispatcher session's direct `run` and
-//! its queued `submit` → `wait` are that pair called from different
-//! threads, so results *and* [`EngineStats`] are the same whichever way
-//! a batch came in:
+//! one: [`CampBackend::execute_prepared`](crate::backend::CampBackend::execute_prepared)
+//! over the validated requests as they were submitted, each one's shape
+//! read from the request (dense B) or from its registration (a handle).
+//! `execute_batch`, a dispatcher session's direct `run` and its queued
+//! `submit` → `wait` are that call made from different threads, so
+//! results *and* [`EngineStats`] are the same whichever way a batch
+//! came in:
 //!
 //! * **B deduplication** (`execute_prepared`, which sees the whole batch
 //!   and owns the arena) — requests sharing one dense B buffer under
@@ -107,14 +106,13 @@
 use camp_gemm::batch::{packed_a_bytes, packed_b_bytes};
 use camp_gemm::host::{zeroed, HostKernel, KernelInfo, SmallB};
 use camp_gemm::loops::{small_path, SmallPath};
-use camp_gemm::request::{GemmRequest, Operand, RequestError};
+use camp_gemm::request::{GemmRequest, Operand, RequestError, ResolvedRequest};
 use camp_gemm::weights::{host_block_plan, WeightRegistry, WeightSnapshot};
 use camp_gemm::workspace::{PackPool, PanelId};
 use std::collections::{HashMap, HashSet};
 use std::mem::MaybeUninit;
-use std::sync::Arc;
 
-use crate::backend::Output;
+use crate::backend::{Output, VALIDATED};
 use crate::pool::{Job, WorkerPool};
 
 pub use camp_gemm::gemm_i32_ref;
@@ -261,7 +259,7 @@ fn row_splits(m: usize, n: usize, k: usize) -> bool {
 }
 
 /// The route a request's units take, decided once per batch by
-/// [`CampEngine::run_staged`] from its shape ([`small_path`]) and where
+/// [`CampEngine::compute_batch`] from its shape ([`small_path`]) and where
 /// its B lives. `P` is a packed B panel: its bytes when the units run,
 /// a [`Panel`] while the batch's dense B are still being packed.
 #[derive(Clone, Copy)]
@@ -387,51 +385,6 @@ fn run_units(
         })
         .collect();
     wp.run(jobs);
-}
-
-/// The B side of a staged request.
-#[derive(Debug)]
-pub(crate) enum StagedB {
-    /// Registered weight: the pre-packed panel is consumed directly,
-    /// zero B-packing on the compute path.
-    Handle(WeightHandle),
-    /// Dense weights, carried raw: [`CampEngine::run_staged`] sees the
-    /// whole batch and owns the arena, so it packs each distinct
-    /// operand once for all of its sharers that read a panel;
-    /// skinny-m requests read it as it is.
-    Dense(Arc<[i8]>),
-}
-
-/// One prepared request of a batch — the host engine's
-/// `CampBackend::Prepared` form: the resolved shape and both operands,
-/// as they came (every blocked unit packs its own rows of A when it
-/// runs).
-#[derive(Debug)]
-pub struct StagedRequest {
-    pub(crate) m: usize,
-    pub(crate) n: usize,
-    pub(crate) k: usize,
-    pub(crate) dtype: DType,
-    pub(crate) a: Arc<[i8]>,
-    pub(crate) b: StagedB,
-}
-
-impl StagedRequest {
-    /// Prepare one *validated* request (no engine needed, so a
-    /// dispatcher session's caller runs this on its own thread): resolve
-    /// its shape against `weights`. Nothing is packed or copied.
-    pub(crate) fn stage(req: GemmRequest, weights: &WeightSnapshot) -> StagedRequest {
-        let r = req.resolve(weights).expect("session requests are validated at submit");
-        let b = match req.weights() {
-            Operand::Handle(h) => StagedB::Handle(*h),
-            Operand::Dense(b) => StagedB::Dense(Arc::clone(b)),
-        };
-        StagedRequest { m: r.m, n: r.n, k: r.k, dtype: r.dtype, a: req.activation_arc(), b }
-    }
-
-    pub(crate) fn is_degenerate(&self) -> bool {
-        self.m == 0 || self.n == 0 || self.k == 0
-    }
 }
 
 /// Reusable host-speed GeMM engine: a persistent worker pool spawned
@@ -622,38 +575,58 @@ impl CampEngine {
         self.weights.resident_bytes()
     }
 
-    /// Compute one prepared batch — the engine's only batch path,
-    /// whichever entry point built it. B first, because it spans
-    /// requests: a skinny-m request reads its dense B in place; each
-    /// *distinct* dense B of the others (buffer identity plus
-    /// (n, k, k-step), which fix the packed layout) is packed once into
-    /// the shared arena for all of its sharers; registered panels are
-    /// consumed as they are. Then every non-degenerate request becomes
-    /// work units — itself, or its [`row_partition`] ranges when it
-    /// [`row_splits`] — over its pre-allocated result, and
-    /// [`run_units`] runs them. Returns one [`Output`] per request
-    /// plus the batch's merged stats.
-    pub(crate) fn run_staged(&mut self, reqs: &[StagedRequest]) -> (Vec<Output>, EngineStats) {
+    /// `benchmark/src/probe.rs` is its only reader; ROADMAP item 2 deletes it.
+    #[doc(hidden)]
+    pub fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
+        req
+    }
+
+    /// Compute one batch of validated requests — the engine's only
+    /// batch path, whichever entry point built it. A request's shape is
+    /// its own when its B is dense, and its registration's, read from
+    /// the entry that holds its panel, when B is a handle. B first,
+    /// because it spans requests: a skinny-m request reads its dense B
+    /// in place; each *distinct* dense B of the others (buffer identity
+    /// plus (n, k, k-step), which fix the packed layout) is packed once
+    /// into the shared arena for all of its sharers; registered panels
+    /// are consumed as they are. Then every non-degenerate request
+    /// becomes work units — itself, or its [`row_partition`] ranges
+    /// when it [`row_splits`] — over its pre-allocated result, and
+    /// [`run_units`] runs them. Returns one [`Output`] per request plus
+    /// the batch's merged stats.
+    pub(crate) fn compute_batch(&mut self, reqs: &[GemmRequest]) -> (Vec<Output>, EngineStats) {
         let mut total = EngineStats::default();
         self.shared.reset_panels();
         let mut panel_of: HashMap<(*const i8, usize, usize, usize), PanelId> = HashMap::new();
         // Debug builds range-check each distinct i4 operand once,
         // whichever route its readers take.
         let mut checked_i4: HashSet<*const i8> = HashSet::new();
-        let routes: Vec<Option<Route<'_, Panel<'_>>>> = reqs
+        // Each request's shape, and the route of a non-degenerate one.
+        let routes: Vec<(ResolvedRequest, Option<Route<'_, Panel<'_>>>)> = reqs
             .iter()
-            .map(|r| {
+            .map(|req| {
+                let (r, b) = match req.weights() {
+                    // resolving a dense request reads no registry
+                    Operand::Dense(b) => {
+                        (req.resolve(&WeightSnapshot::empty()).expect(VALIDATED), SmallB::Dense(b))
+                    }
+                    Operand::Handle(h) => {
+                        let (meta, panel) = self.weights.panel(*h);
+                        let (n, k, dtype) = (meta.n, meta.k, meta.dtype);
+                        (ResolvedRequest { m: req.m(), n, k, dtype }, SmallB::Panel(panel))
+                    }
+                };
                 if r.is_degenerate() {
-                    return None;
+                    return (r, None);
                 }
-                if let StagedB::Dense(b) = &r.b {
+                if let SmallB::Dense(b) = b {
                     if checks_i4(r.dtype) && checked_i4.insert(b.as_ptr()) {
                         debug_check_i4(r.dtype, "B", b);
                     }
                 }
-                let mut panel = || match &r.b {
-                    StagedB::Handle(h) => Panel::Registered(self.weights.panel(*h)),
-                    StagedB::Dense(b) => {
+                let mut panel = || match b {
+                    SmallB::Panel(p) => Panel::Registered(p),
+                    SmallB::Dense(b) => {
                         let k_step = r.dtype.k_step();
                         Panel::Shared(
                             *panel_of.entry((b.as_ptr(), r.n, r.k, k_step)).or_insert_with(|| {
@@ -667,19 +640,17 @@ impl CampEngine {
                         )
                     }
                 };
-                Some(match (small_path(r.m, r.n), &r.b) {
+                let route = match small_path(r.m, r.n) {
                     // The small-m row sweep streams the raw row-major
                     // operand once; skinny-n items keep packing — their
                     // B is at most 8 columns wide, every one of the
                     // m > 8 rows re-reads it, and pack-then-panel-walk
                     // measured faster than a no-pack kernel there.
-                    (Some(SmallPath::SmallM), StagedB::Dense(b)) => Route::SmallM(SmallB::Dense(b)),
-                    (Some(SmallPath::SmallM), StagedB::Handle(h)) => {
-                        Route::SmallM(SmallB::Panel(self.weights.panel(*h)))
-                    }
-                    (Some(SmallPath::SmallN), _) => Route::SmallN(panel()),
-                    (None, _) => Route::Blocked(panel()),
-                })
+                    Some(SmallPath::SmallM) => Route::SmallM(b),
+                    Some(SmallPath::SmallN) => Route::SmallN(panel()),
+                    None => Route::Blocked(panel()),
+                };
+                (r, Some(route))
             })
             .collect();
 
@@ -689,28 +660,27 @@ impl CampEngine {
         // element (`run_unit`): the blocked nest stores C whole instead
         // of adding into zeros, so a result is written once, not
         // zero-filled, read back and written again.
-        let mut results: Vec<Output> = reqs
+        let mut results: Vec<Output> = routes
             .iter()
-            .map(|r| {
-                let c = if r.is_degenerate() {
-                    vec![0i32; r.m * r.n]
-                } else {
-                    Vec::with_capacity(r.m * r.n)
+            .map(|(r, route)| {
+                let c = match route {
+                    None => vec![0i32; r.m * r.n],
+                    Some(_) => Vec::with_capacity(r.m * r.n),
                 };
                 Output::new(c, r.m, r.n)
             })
             .collect();
         let mut units: Vec<Unit<'_>> = Vec::with_capacity(reqs.len());
-        for ((r, out), route) in reqs.iter().zip(&mut results).zip(routes) {
+        for ((req, out), &(r, route)) in reqs.iter().zip(&mut results).zip(&routes) {
             let Some(route) = route else { continue };
-            debug_check_i4(r.dtype, "A", &r.a);
+            debug_check_i4(r.dtype, "A", req.activation());
             let k_step = r.dtype.k_step();
             total.merge(&request_stats(r.m, r.n, r.k, k_step));
             let route = route.map_panel(|p| match p {
                 Panel::Registered(b) => b,
                 Panel::Shared(id) => self.shared.panel(id),
             });
-            let item = Item { n: r.n, k: r.k, k_step, a: &r.a, route };
+            let item = Item { n: r.n, k: r.k, k_step, a: req.activation(), route };
             let rows_per =
                 if row_splits(r.m, r.n, r.k) { row_partition(r.m, self.threads) } else { r.m };
             let c = &mut out.c.spare_capacity_mut()[..r.m * r.n];
@@ -721,16 +691,14 @@ impl CampEngine {
             }));
         }
         run_units(units, &mut self.pools, self.workers.as_deref(), self.host);
-        for (r, out) in reqs.iter().zip(&mut results) {
-            if !r.is_degenerate() {
-                // SAFETY: the capacity holds `m·n` elements, and every one
-                // is initialised: the units' row ranges tile them, and
-                // each unit wrote all of its own (`run_unit`). `run_units`
-                // returns only once every unit has returned — a panicking
-                // unit unwinds out of it, past this line, leaving the
-                // result empty.
-                unsafe { out.c.set_len(r.m * r.n) };
-            }
+        for out in &mut results {
+            // SAFETY: the capacity holds `m·n` elements, and every one is
+            // initialised: a degenerate result was allocated whole, and a
+            // computed one's units tile its rows, each writing all of its
+            // own (`run_unit`). `run_units` returns only once every unit
+            // has returned — a panicking unit unwinds out of it, past
+            // this line, leaving the result empty.
+            unsafe { out.c.set_len(out.m * out.n) };
         }
         (results, total)
     }
@@ -740,6 +708,7 @@ impl CampEngine {
 mod tests {
     use super::*;
     use camp_gemm::weights::HOST_BLOCKING;
+    use std::sync::Arc;
 
     const MC: usize = HOST_BLOCKING.0;
     const NC: usize = HOST_BLOCKING.1;
@@ -1107,7 +1076,7 @@ mod tests {
                     let a = fill(m * k, 3, 16, -8);
                     let want = gemm_i32_ref(m, n, k, &a, &w);
                     // each unit packs its range into its worker's arena
-                    for b in [registry.panel(h), shared.panel(id)] {
+                    for b in [registry.panel(h).1, shared.panel(id)] {
                         let item = Item { n, k, k_step, a: &a, route: Route::Blocked(b) };
                         for pool in [None, Some(&wp)] {
                             // units overwrite their C: start from garbage

@@ -34,10 +34,10 @@
 //!   ([`engine::CampEngine::register_weights`] packs B into a
 //!   persistent panel), then stream request batches through the
 //!   submit/poll sessions of one [`dispatch::Dispatcher`], which owns
-//!   the warm engine and validates and stages each batch on the
-//!   submitting thread (the steady state spawns no threads and packs
-//!   zero B bytes per request). Any number of tenants share
-//!   it — submitter-side staging, per-session FIFO, decode/prefill
+//!   the warm engine and validates each batch on the submitting thread
+//!   (the steady state spawns no threads and packs zero B bytes per
+//!   request). Any number of tenants share
+//!   it — one-lock admission, per-session FIFO, decode/prefill
 //!   [`dispatch::Priority`] with deadlines and an aging bound,
 //!   per-session admission control ([`RequestError::Saturated`]), and
 //!   panic-free weight-eviction races.

@@ -49,7 +49,7 @@ fn submit_wait_matches_the_blocking_backend() {
         assert_eq!(outcome.outputs[1].c, gemm_i32_ref(4, n, k, &a2, &w), "threads={threads}");
         let stats = outcome.stats.as_host().expect("host session");
         assert_eq!(stats.packed_b_bytes, 0, "registered weights never pack B");
-        assert!(stats.packed_a_bytes > 0, "staging traffic is accounted");
+        assert!(stats.packed_a_bytes > 0, "A's packing traffic is accounted");
     }
 }
 
@@ -113,7 +113,7 @@ fn dense_requests_serve_with_b_staged_off_the_compute_path() {
     let t = session.submit(vec![req]).unwrap();
     let outcome = session.wait(t).unwrap();
     assert_eq!(outcome.outputs[0].c, gemm_i32_ref(m, n, k, &a, &w));
-    assert!(host_packed_b(&outcome.stats) > 0, "dense B staging is accounted");
+    assert!(host_packed_b(&outcome.stats) > 0, "dense B packing is accounted");
 }
 
 #[test]
@@ -149,8 +149,8 @@ fn into_backend_drains_and_returns_a_warm_engine() {
 
 #[test]
 fn large_requests_take_the_row_split_path() {
-    // above BATCH_ROW_SPLIT_MACS: staged without a pre-packed A,
-    // row-partitioned across the pool — still bit-identical
+    // above BATCH_ROW_SPLIT_MACS: row-partitioned across the pool,
+    // each range packing its own rows of A — still bit-identical
     let (n, k) = (160, 512);
     let m = 160; // 13.1 M MACs
     assert!((m * n * k) as u64 >= crate::engine::BATCH_ROW_SPLIT_MACS);
@@ -212,15 +212,15 @@ fn session_steady_state_packs_no_b_and_pools_stop_growing() {
         assert_eq!(host_packed_b(&outcome.stats), 0, "steady-state serving must not pack B");
     }
     // pack pools are warm: steady-state batches grow nothing (the
-    // per-request result and staged vectors are the caller-visible
-    // allocations, not pool churn)
+    // per-request result vectors are the caller-visible allocations,
+    // not pool churn)
     assert_eq!(dispatcher.into_backend().pack_allocations(), warm_allocs);
 }
 
 #[test]
 fn deep_submission_backlogs_complete_in_order() {
     // a backlog deeper than the default admission bound: every batch
-    // sits staged in the session's queue and still completes, in order
+    // sits queued in the session and still completes, in order
     let (eng, h, w, n, k) = serving_setup(2);
     let dispatcher = Dispatcher::with_options(eng, DispatchOptions::default());
     let mut session = dispatcher.session_with_depth(12);

@@ -5,15 +5,15 @@
 //! ticket lifecycle up to tenants racing each other, evictions and
 //! shutdown. The backends are mocks on purpose — the models explore the
 //! dispatch protocol (admission, filing, picking, completion, eviction
-//! controls, shutdown), not the GeMM math: `prepare` and
-//! `execute_prepared` are pure, so any lost batch, dropped wakeup or
-//! shutdown hang is the dispatcher's fault.
+//! controls, shutdown), not the GeMM math: `execute_prepared` is pure,
+//! so any lost batch, dropped wakeup or shutdown hang is the
+//! dispatcher's fault.
 //!
-//! Admission and filing are one critical section (a submitter stages
-//! under no lock, then re-checks, books its permit and files the batch
+//! Admission and filing are one critical section (a submitter validates
+//! under no lock, then refuses or books its permit and files the batch
 //! under a single acquisition), so there is no admitted-but-unfiled
 //! window for shutdown to race; the models that race a submission
-//! against `into_backend` and eviction cover the re-check.
+//! against `into_backend` and eviction cover that acquisition.
 //!
 //! Model sizes are deliberately tiny (1–2 sessions, 1–2 batches): the
 //! schedule tree already covers every file/pick/complete/shutdown
@@ -36,22 +36,16 @@ fn zero_outcome(batch: &[GemmRequest]) -> BatchOutcome {
     BatchOutcome::new(outputs, ExecStats::Host(EngineStats::default()))
 }
 
-/// Implements the part of [`CampBackend`] no model customizes
-/// (identity, identity `prepare`).
+/// Implements the part of [`CampBackend`] no model customizes (its
+/// identity).
 macro_rules! model_backend_identity {
     () => {
-        type Prepared = GemmRequest;
-
         fn name(&self) -> &'static str {
             "model-dispatch"
         }
 
         fn kernel_info(&self) -> KernelInfo {
             unimplemented!("not part of the modeled pipeline")
-        }
-
-        fn prepare(req: GemmRequest, _weights: &WeightSnapshot) -> GemmRequest {
-            req
         }
     };
 }

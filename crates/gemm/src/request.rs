@@ -76,11 +76,11 @@ pub enum RequestError {
     Oversized(&'static str),
     /// The backend cannot execute this request (capability gap).
     Unsupported(&'static str),
-    /// Admission control: the serving session's staging queue is at its
-    /// bounded depth (the carried value). Back off and resubmit; the
-    /// session recovers as staged work drains — nothing was enqueued.
+    /// Admission control: the serving session has its bounded depth
+    /// (the carried value) of batches in flight. Back off and resubmit;
+    /// the session recovers as its work drains — nothing was enqueued.
     Saturated {
-        /// The session's configured staging depth (the documented
+        /// The session's configured admission depth (the documented
         /// bound at which this error fires deterministically).
         depth: usize,
     },
@@ -115,7 +115,7 @@ impl std::fmt::Display for RequestError {
             }
             RequestError::Unsupported(what) => write!(f, "backend cannot execute request: {what}"),
             RequestError::Saturated { depth } => {
-                write!(f, "session staging queue is saturated (bounded depth {depth})")
+                write!(f, "session queue is saturated (bounded depth {depth})")
             }
             RequestError::Shed => {
                 write!(f, "batch deadline passed before execution; shed instead of computed")

@@ -35,7 +35,7 @@
 //! let plan = host_block_plan(1, n, k, DType::I8.k_step());
 //! let mut expect = vec![0i8; packed_b_bytes(&plan)];
 //! prepack_b(&mut expect, &w, n, k, &plan);
-//! assert_eq!(registry.panel(handle), &expect[..]);
+//! assert_eq!(registry.panel(handle).1, &expect[..]);
 //! ```
 //!
 //! (`CampEngine::register_weights` and handle-operand `GemmRequest`s in
@@ -345,15 +345,16 @@ impl WeightRegistry {
         Ok(self.try_entry(h)?.meta)
     }
 
-    /// The packed panel of a registered weight, ready for any worker to
-    /// consume at [`crate::batch::packed_b_offset`] offsets.
+    /// A registered weight's shape and its packed panel, ready for any
+    /// worker to consume at [`crate::batch::packed_b_offset`] offsets.
     ///
     /// # Panics
     /// Panics on a foreign, unknown or evicted handle, and in
     /// raw-mirror mode (no packed panels exist there).
-    pub fn panel(&self, h: WeightHandle) -> &[i8] {
-        match &self.try_entry(h).unwrap_or_else(|e| panic!("{e}")).bytes {
-            Stored::Packed(panel) => panel,
+    pub fn panel(&self, h: WeightHandle) -> (WeightMeta, &[i8]) {
+        let entry = self.try_entry(h).unwrap_or_else(|e| panic!("{e}"));
+        match &entry.bytes {
+            Stored::Packed(panel) => (entry.meta, panel),
             Stored::Raw(_) => panic!("raw-mirror registries hold no packed panels"),
         }
     }
@@ -471,7 +472,7 @@ mod tests {
         let plan = host_block_plan(1, n, k, 16);
         let mut expect = vec![0i8; packed_b_bytes(&plan)];
         prepack_b(&mut expect, &b, n, k, &plan);
-        assert_eq!(reg.panel(h), &expect[..]);
+        assert_eq!(reg.panel(h).1, &expect[..]);
         assert_eq!(reg.packed_bytes(), expect.len() as u64);
     }
 
@@ -484,8 +485,8 @@ mod tests {
         let mut reg = WeightRegistry::new();
         let h8 = reg.register(n, k, &b, DType::I8);
         let h4 = reg.register(n, k, &b, DType::I4);
-        assert_eq!(reg.panel(h8).len(), 4 * 32); // kp = 32 under k-step 16
-        assert_eq!(reg.panel(h4).len(), 4 * 32); // kp = 32 under k-step 32
+        assert_eq!(reg.panel(h8).1.len(), 4 * 32); // kp = 32 under k-step 16
+        assert_eq!(reg.panel(h4).1.len(), 4 * 32); // kp = 32 under k-step 32
         assert_eq!(reg.snapshot().live(), 2);
         assert_eq!(reg.snapshot().meta(h4).unwrap().dtype, DType::I4);
     }
@@ -494,9 +495,9 @@ mod tests {
     fn zero_dim_weights_register_empty_panels() {
         let mut reg = WeightRegistry::new();
         let h = reg.register(0, 8, &[], DType::I8);
-        assert!(reg.panel(h).is_empty());
+        assert!(reg.panel(h).1.is_empty());
         let h2 = reg.register(4, 0, &[], DType::I4);
-        assert!(reg.panel(h2).is_empty());
+        assert!(reg.panel(h2).1.is_empty());
         assert_eq!(reg.packed_bytes(), 0);
     }
 
@@ -533,7 +534,7 @@ mod tests {
         assert_eq!(reg.evict(h1).unwrap_err(), RequestError::StaleHandle);
         // ... while the survivor stays valid
         assert!(reg.try_meta(h2).is_ok());
-        assert!(!reg.panel(h2).is_empty());
+        assert!(!reg.panel(h2).1.is_empty());
     }
 
     #[test]

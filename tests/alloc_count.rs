@@ -7,7 +7,9 @@
 //! prefill of the benchmark-sized model on `BackendExec` over
 //! `CampEngine::with_threads(1)` — one thread, so every allocation of
 //! the step is made by the measuring thread and the counts repeat
-//! exactly —, heap calls per warm decode step of the `sim_token` model
+//! exactly — and on `DispatchExec` over an idle dispatcher of that
+//! engine (the direct path, on the measuring thread too), heap calls
+//! per warm decode step of the `sim_token` model
 //! on `SimBackend` (1933 when every batch built its own simulator, 1621
 //! once the backend kept one, 1397 since each request is one
 //! `SimSession::simulate` call that folds every block unit's partial C
@@ -24,8 +26,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use camp::core::dispatch::{Dispatcher, Priority};
 use camp::core::{CampEngine, SimBackend};
-use camp::infer::{BackendExec, InferContext, Model};
+use camp::infer::{BackendExec, DispatchExec, GemmExec, InferContext, Model};
 use camp::isa::asm::Assembler;
 use camp::isa::reg::S;
 use camp::models::TransformerConfig;
@@ -139,7 +142,33 @@ const DECODE_TOKENS: usize = 16;
 const PARENT_ALLOCS_PER_DECODE_TOKEN: usize = 372;
 const PARENT_PREFILL_PEAK_BYTES: isize = 3_680_344;
 
-// The counters are per thread, so the two tests cannot see each other's
+/// Heap traffic of [`DECODE_TOKENS`] steady-state decode tokens on
+/// `exec`, after a 32-token prompt and four warm-up tokens.
+fn decode_tally(model: &Model, exec: &mut dyn GemmExec) -> Tally {
+    let mut ctx = InferContext::for_model(model);
+    ctx.prefill_with(model, exec, &prompt(32, VOCAB)).expect("prefill");
+    for _ in 0..4 {
+        ctx.decode_with(model, exec).expect("warm-up decode");
+    }
+    measure(|| {
+        for _ in 0..DECODE_TOKENS {
+            ctx.decode_with(model, exec).expect("decode");
+        }
+    })
+}
+
+/// Heap traffic of a fresh context's 192-token prefill on `exec`. The
+/// engine's arenas are warm from an earlier prompt; the KV cache grows
+/// inside the window, as it does for every served request.
+fn prefill_tally(model: &Model, exec: &mut dyn GemmExec) -> Tally {
+    let doc = prompt(192, VOCAB);
+    let mut ctx = InferContext::for_model(model);
+    measure(|| {
+        ctx.prefill_with(model, exec, &doc).expect("prefill");
+    })
+}
+
+// The counters are per thread, so the tests cannot see each other's
 // allocations.
 #[test]
 fn heap_calls_per_decode_token_and_per_prefill_are_pinned() {
@@ -147,26 +176,8 @@ fn heap_calls_per_decode_token_and_per_prefill_are_pinned() {
     let mut engine = CampEngine::with_threads(1);
     let handles = model.register(&mut engine);
     let mut exec = BackendExec::new(&mut engine, &handles);
-
-    let mut ctx = InferContext::for_model(&model);
-    ctx.prefill_with(&model, &mut exec, &prompt(32, VOCAB)).expect("prefill");
-    for _ in 0..4 {
-        ctx.decode_with(&model, &mut exec).expect("warm-up decode");
-    }
-    let decode = measure(|| {
-        for _ in 0..DECODE_TOKENS {
-            ctx.decode_with(&model, &mut exec).expect("decode");
-        }
-    });
-
-    // the engine's arenas are warm from the first prompt; the KV cache
-    // of the fresh context grows inside the window, as it does for
-    // every served request
-    let doc = prompt(192, VOCAB);
-    let mut ctx = InferContext::for_model(&model);
-    let prefill = measure(|| {
-        ctx.prefill_with(&model, &mut exec, &doc).expect("prefill");
-    });
+    let decode = decode_tally(&model, &mut exec);
+    let prefill = prefill_tally(&model, &mut exec);
 
     // identical in debug and release and under every CAMP_FORCE_TIER:
     // the engine's allocations do not depend on the kernel tier. PR 26
@@ -188,17 +199,62 @@ fn heap_calls_per_decode_token_and_per_prefill_are_pinned() {
     // prefill), and the staged request lost its image fields, 3 648
     // bytes fewer per step across its batches' staged lists (decode
     // 3 178 112 → 3 119 744 bytes, peak 18 576 → 18 320); calls per
-    // decode token and the prefill's peak are unchanged.
+    // decode token and the prefill's peak are unchanged. The engine
+    // then took the requests themselves instead of a staged copy of
+    // each: a `GemmRequest` is 16 bytes larger than the staged request
+    // was, and the batch's route list now carries each request's
+    // resolved shape (32 bytes), 48 bytes more per request of the 57 a
+    // forward pass runs (decode 3 119 744 → 3 163 520 bytes per 16
+    // tokens, peak 18 320 → 18 512; prefill 14 323 688 → 14 326 424
+    // bytes); no call was added or removed.
     let per_token = 336;
     assert_eq!(
         decode,
-        Tally { allocs: per_token * DECODE_TOKENS, bytes: 3_119_744, live: 0, peak: 18_320 },
+        Tally { allocs: per_token * DECODE_TOKENS, bytes: 3_163_520, live: 0, peak: 18_512 },
         "a steady-state decode token costs a constant number of heap calls and keeps nothing"
     );
     // what stays live is the K/V the prompt left in its cache
-    assert_eq!(prefill, Tally { allocs: 406, bytes: 14_323_688, live: 729_088, peak: 1_957_920 });
+    assert_eq!(prefill, Tally { allocs: 406, bytes: 14_326_424, live: 729_088, peak: 1_957_920 });
     assert!(per_token < PARENT_ALLOCS_PER_DECODE_TOKEN);
     assert!(prefill.peak < PARENT_PREFILL_PEAK_BYTES);
+}
+
+/// What [`DispatchExec`] measured with this file at the commit before a
+/// dispatcher queued the submitted requests themselves (it collected a
+/// staged copy of each batch): 328 calls per decode token, 398 per
+/// prefill.
+const PARENT_DIRECT_ALLOCS_PER_DECODE_TOKEN: usize = 328;
+const PARENT_DIRECT_ALLOCS_PER_PREFILL: usize = 398;
+
+/// The same tokens on `chat_decode`'s served path: `DispatchExec` over
+/// one session of an idle dispatcher, so every batch takes the direct
+/// path and runs on this thread (validation, admission and the engine's
+/// batch, with no hand-off to the driver). Fewer calls than on
+/// `BackendExec`: a session validates against the dispatcher's snapshot
+/// and hands the engine the batch it owns, where `execute_batch` takes a
+/// registry snapshot and copies the borrowed requests per batch.
+#[test]
+fn heap_calls_on_the_dispatchers_direct_path_are_pinned() {
+    let model = Model::new(CFG, VOCAB, 7);
+    let mut engine = CampEngine::with_threads(1);
+    let handles = model.register(&mut engine);
+    let dispatcher = Dispatcher::new(engine);
+    let mut session = dispatcher.session();
+    let decode =
+        decode_tally(&model, &mut DispatchExec::new(&mut session, &handles, Priority::Decode));
+    let prefill =
+        prefill_tally(&model, &mut DispatchExec::new(&mut session, &handles, Priority::Prefill));
+    let stats = dispatcher.stats();
+    assert_eq!(stats.direct, stats.executed, "an idle dispatcher runs every batch direct");
+    let per_token = 303;
+    assert_eq!(
+        decode,
+        Tally { allocs: per_token * DECODE_TOKENS, bytes: 2_782_080, live: 0, peak: 17_328 },
+        "a steady-state decode token costs a constant number of heap calls and keeps nothing"
+    );
+    assert_eq!(prefill, Tally { allocs: 373, bytes: 14_302_584, live: 729_088, peak: 1_957_920 });
+    assert!(per_token < PARENT_DIRECT_ALLOCS_PER_DECODE_TOKEN);
+    assert!(prefill.allocs < PARENT_DIRECT_ALLOCS_PER_PREFILL);
 }
 
 /// `benchmark/`'s `sim_token` model (`benchmark/src/workload.rs`).

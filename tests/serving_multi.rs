@@ -130,8 +130,6 @@ struct OrderLog {
 }
 
 impl CampBackend for OrderLog {
-    type Prepared = (usize, <CampEngine as CampBackend>::Prepared);
-
     fn name(&self) -> &'static str {
         self.engine.name()
     }
@@ -153,12 +151,9 @@ impl CampBackend for OrderLog {
     fn weight_snapshot(&self) -> WeightSnapshot {
         self.engine.weight_snapshot()
     }
-    fn prepare(req: GemmRequest, weights: &WeightSnapshot) -> Self::Prepared {
-        (req.m(), CampEngine::prepare(req, weights))
-    }
-    fn execute_prepared(&mut self, batch: Vec<Self::Prepared>) -> BatchOutcome {
-        self.log.lock().unwrap().push(batch[0].0);
-        self.engine.execute_prepared(batch.into_iter().map(|(_, staged)| staged).collect())
+    fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
+        self.log.lock().unwrap().push(batch[0].m());
+        self.engine.execute_prepared(batch)
     }
 }
 
