@@ -105,7 +105,7 @@ fn int_secs(
     let a = gen_i8(m * k, 0x1234_5679, lo, hi);
     let b = gen_i8(k * n, 0x0BAD_F00D | 1, lo, hi);
     let mut eng = CampEngine::with_threads_and_kernel(threads, kernel);
-    let h = CampBackend::register_weights(&mut eng, n, k, &b, dtype);
+    let h = eng.weights_mut().register(n, k, &b, dtype);
     let req = GemmRequest::with_weights(m, a, h).expect("coherent");
     time_best(|| {
         let out = eng.execute(&req).expect("registered handle");

@@ -39,12 +39,16 @@
 //! assert!(stats.cycles > 0);
 //! ```
 //!
-//! Weight registration works on both substrates: a [`WeightHandle`]
-//! from [`CampBackend::register_weights`] resolves against the backend
-//! that issued it — the host pre-packs the panel (zero B-packing on
-//! later calls), the simulator keeps a raw mirror and counts every
-//! request's B pack, as the paper's kernels run it. Evicted handles
-//! surface as [`RequestError::StaleHandle`] instead of panicking.
+//! Weight registration works on both substrates: every backend owns one
+//! [`WeightRegistry`] and exposes it as itself ([`CampBackend::weights`],
+//! [`CampBackend::weights_mut`]), and a
+//! [`WeightHandle`](camp_gemm::weights::WeightHandle) from
+//! `weights_mut().register(..)` resolves against the backend that issued
+//! it — the host pre-packs the panel (zero B-packing on later calls), the
+//! simulator keeps a raw mirror and counts every request's B pack, as the
+//! paper's kernels run it. Every batch is validated against the registry
+//! in place ([`WeightRegistry::view`]); evicted handles surface as
+//! [`RequestError::StaleHandle`] instead of panicking.
 //!
 //! # Thread configuration
 //!
@@ -63,7 +67,7 @@ use std::sync::Arc;
 use camp_gemm::driver::{default_blocking, GemmOptions, SimSession};
 use camp_gemm::host::{CpuFeatures, KernelInfo};
 use camp_gemm::request::{GemmRequest, Operand, RequestError};
-use camp_gemm::weights::{DType, WeightHandle, WeightMeta, WeightRegistry, WeightSnapshot};
+use camp_gemm::weights::WeightRegistry;
 use camp_gemm::{CMatrix, GemmProblem, Method};
 use camp_pipeline::{CoreConfig, SimStats};
 
@@ -203,7 +207,9 @@ pub(crate) const VALIDATED: &str = "requests are validated before they run";
 /// One GeMM backend: executes [`GemmRequest`]s, owns a weight registry,
 /// and can be served by a [`Dispatcher`].
 ///
-/// A backend implements execution as one method,
+/// A backend implements five methods: its identity ([`CampBackend::name`],
+/// [`CampBackend::kernel_info`]), its registry ([`CampBackend::weights`],
+/// [`CampBackend::weights_mut`]) and execution, as one method,
 /// [`CampBackend::execute_prepared`], and every entry point —
 /// [`CampBackend::execute`], [`CampBackend::execute_batch`], a
 /// dispatcher's direct `run` and its queued `submit` → `wait` — hands it
@@ -229,23 +235,30 @@ pub trait CampBackend {
     /// simulated VVA kernel is the same regardless of host silicon).
     fn kernel_info(&self) -> KernelInfo;
 
-    /// Register a row-major k×n weight matrix for `dtype`'s kernel;
-    /// the handle resolves only against this backend.
-    fn register_weights(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle;
+    /// The backend's weight registry: what handle operands resolve to,
+    /// and what every batch is validated against
+    /// ([`WeightRegistry::view`]).
+    fn weights(&self) -> &WeightRegistry;
 
-    /// Drop one registration; later uses of the handle return
-    /// [`RequestError::StaleHandle`].
-    fn evict_weights(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError>;
-
-    /// Drop every registration.
-    fn clear_weights(&mut self);
-
-    /// Shape/dtype of a registration, or why the handle is invalid.
-    fn try_weight_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError>;
-
-    /// Submit-time snapshot of the registry (what a [`Dispatcher`]
-    /// validates submissions against).
-    fn weight_snapshot(&self) -> WeightSnapshot;
+    /// The registry to register into, evict from or clear. A handle
+    /// resolves only against the backend that issued it, and an evicted
+    /// one fails with [`RequestError::StaleHandle`]. The registry's mode
+    /// is the backend's (packed panels on the host, a raw mirror on the
+    /// simulator): replace it only with one of the same mode.
+    ///
+    /// ```
+    /// use camp_core::backend::CampBackend;
+    /// use camp_core::{CampEngine, DType};
+    ///
+    /// let (n, k) = (8, 32);
+    /// let w: Vec<i8> = (0..k * n).map(|i| (i % 15) as i8 - 7).collect();
+    ///
+    /// let mut engine = CampEngine::new();
+    /// let weights = engine.weights_mut().register(n, k, &w, DType::I8);
+    /// assert_eq!(engine.weights().len(), 1);
+    /// assert_eq!(engine.weights().try_meta(weights).unwrap().k, k);
+    /// ```
+    fn weights_mut(&mut self) -> &mut WeightRegistry;
 
     /// Execute a batch of requests; outputs come back in input order,
     /// with handle operands resolved against this backend's registry
@@ -253,9 +266,8 @@ pub trait CampBackend {
     /// request is validated before any runs, so a malformed or stale one
     /// fails the batch with a typed error and no work done.
     fn execute_batch(&mut self, reqs: &[GemmRequest]) -> Result<BatchOutcome, RequestError> {
-        let snapshot = self.weight_snapshot();
         for req in reqs {
-            req.resolve(&snapshot)?;
+            req.resolve(self.weights().view())?;
         }
         Ok(self.execute_prepared(reqs.to_vec()))
     }
@@ -268,7 +280,7 @@ pub trait CampBackend {
     }
 
     /// Execute one batch of requests already validated against
-    /// [`CampBackend::weight_snapshot`], on whichever thread holds the
+    /// [`CampBackend::weights`], on whichever thread holds the
     /// backend (a dispatcher's driver, a
     /// [`crate::dispatch::DispatchSession::run`] caller, or
     /// [`CampBackend::execute_batch`]'s), so this is infallible. The
@@ -302,24 +314,12 @@ impl CampBackend for CampEngine {
         CampEngine::kernel_info(self)
     }
 
-    fn register_weights(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle {
-        CampEngine::register_weights(self, n, k, b, dtype)
+    fn weights(&self) -> &WeightRegistry {
+        &self.weights
     }
 
-    fn evict_weights(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        CampEngine::evict_weights(self, h)
-    }
-
-    fn clear_weights(&mut self) {
-        CampEngine::clear_weights(self)
-    }
-
-    fn try_weight_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        CampEngine::try_weight_meta(self, h)
-    }
-
-    fn weight_snapshot(&self) -> WeightSnapshot {
-        CampEngine::weight_snapshot(self)
+    fn weights_mut(&mut self) -> &mut WeightRegistry {
+        &mut self.weights
     }
 
     fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
@@ -396,28 +396,15 @@ impl CampBackend for SimBackend {
         }
     }
 
-    fn register_weights(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle {
-        self.weights.register(n, k, b, dtype)
+    fn weights(&self) -> &WeightRegistry {
+        &self.weights
     }
 
-    fn evict_weights(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        self.weights.evict(h)
-    }
-
-    fn clear_weights(&mut self) {
-        self.weights.clear();
-    }
-
-    fn try_weight_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        self.weights.try_meta(h)
-    }
-
-    fn weight_snapshot(&self) -> WeightSnapshot {
-        self.weights.snapshot()
+    fn weights_mut(&mut self) -> &mut WeightRegistry {
+        &mut self.weights
     }
 
     fn execute_prepared(&mut self, reqs: Vec<GemmRequest>) -> BatchOutcome {
-        let snap = self.weights.snapshot();
         let opts = GemmOptions { mac_budget: u64::MAX, verify: false, ..Default::default() };
         let core = self.core;
         let session = self.session.get_or_insert_with(|| SimSession::new(core));
@@ -425,7 +412,7 @@ impl CampBackend for SimBackend {
         let outputs = reqs
             .iter()
             .map(|req| {
-                let r = req.resolve(&snap).expect(VALIDATED);
+                let r = req.resolve(self.weights.view()).expect(VALIDATED);
                 // degenerate requests get the host engine's rule (empty,
                 // or all-zero when only k is 0) and simulate nothing
                 if r.is_degenerate() {
@@ -466,6 +453,7 @@ impl CampBackend for SimBackend {
 mod tests {
     use super::*;
     use camp_gemm::gemm_i32_ref;
+    use camp_gemm::weights::DType;
 
     fn fill(len: usize, seed: i32) -> Vec<i8> {
         (0..len).map(|i| ((i as i32 * seed) % 16 - 8) as i8).collect()
@@ -508,8 +496,8 @@ mod tests {
 
         let mut host = CampEngine::new();
         let mut sim = SimBackend::a64fx();
-        let hh = CampBackend::register_weights(&mut host, n, k, &w, DType::I4);
-        let sh = sim.register_weights(n, k, &w, DType::I4);
+        let hh = host.weights_mut().register(n, k, &w, DType::I4);
+        let sh = sim.weights_mut().register(n, k, &w, DType::I4);
 
         let host_req = GemmRequest::with_weights(m, a.clone(), hh).unwrap();
         let sim_req = GemmRequest::with_weights(m, a.clone(), sh).unwrap();
@@ -518,8 +506,8 @@ mod tests {
         assert_eq!(fast.output.c, reference);
         assert_eq!(slow.output.c, reference);
         // the i4 registration drives the kernel on both sides
-        assert_eq!(host.try_weight_meta(hh).unwrap().dtype, DType::I4);
-        assert_eq!(sim.try_weight_meta(sh).unwrap().dtype, DType::I4);
+        assert_eq!(host.weights().try_meta(hh).unwrap().dtype, DType::I4);
+        assert_eq!(sim.weights().try_meta(sh).unwrap().dtype, DType::I4);
 
         // handles do not cross substrates
         let crossed = host.execute(&sim_req).unwrap_err();
@@ -530,13 +518,13 @@ mod tests {
     fn stale_handles_err_instead_of_panicking() {
         // same behavior on both substrates, via the trait
         fn check<B: CampBackend>(mut backend: B, n: usize, k: usize, w: &[i8]) {
-            let h = backend.register_weights(n, k, w, DType::I8);
-            let evicted = backend.evict_weights(h).unwrap();
+            let h = backend.weights_mut().register(n, k, w, DType::I8);
+            let evicted = backend.weights_mut().evict(h).unwrap();
             assert_eq!((evicted.n, evicted.k), (n, k));
             let req = GemmRequest::with_weights(2, vec![0i8; 2 * k], h).unwrap();
             assert_eq!(backend.execute(&req).unwrap_err(), RequestError::StaleHandle);
-            assert_eq!(backend.try_weight_meta(h).unwrap_err(), RequestError::StaleHandle);
-            assert_eq!(backend.evict_weights(h).unwrap_err(), RequestError::StaleHandle);
+            assert_eq!(backend.weights().try_meta(h).unwrap_err(), RequestError::StaleHandle);
+            assert_eq!(backend.weights_mut().evict(h).unwrap_err(), RequestError::StaleHandle);
         }
         let (n, k) = (4, 16);
         let w = fill(k * n, 5);
@@ -551,7 +539,7 @@ mod tests {
         fn check<B: CampBackend>(mut backend: B) {
             let (n, k) = (4, 16);
             let w = fill(k * n, 5);
-            let h = backend.register_weights(n, k, &w, DType::I8);
+            let h = backend.weights_mut().register(n, k, &w, DType::I8);
             let hostile = GemmRequest::with_weights(1 << 60, vec![], h).unwrap();
             let fine = GemmRequest::with_weights(2, fill(2 * k, 3), h).unwrap();
             let err = backend.execute_batch(&[fine.clone(), hostile]).unwrap_err();
@@ -608,7 +596,7 @@ mod tests {
                 .collect()
         });
         check(|sim| {
-            let h = sim.register_weights(n, k, &w, DType::I8);
+            let h = sim.weights_mut().register(n, k, &w, DType::I8);
             acts.iter().map(|a| GemmRequest::with_weights(m, a.clone(), h).unwrap()).collect()
         });
     }
@@ -643,7 +631,7 @@ mod tests {
         for dtype in [DType::I8, DType::I4] {
             let backend = || {
                 let mut sim = SimBackend::a64fx();
-                let h = sim.register_weights(n, k, &w, dtype);
+                let h = sim.weights_mut().register(n, k, &w, dtype);
                 (sim, h)
             };
             // every call on a backend of its own: cold, but for the
@@ -680,8 +668,8 @@ mod tests {
         let a = fill(m * k, 3);
         let (w1, w2) = (fill(k * n, 5), fill(k * n, 9));
         let mut sim = SimBackend::a64fx();
-        let h1 = sim.register_weights(n, k, &w1, DType::I8);
-        let h2 = sim.register_weights(n, k, &w2, DType::I8);
+        let h1 = sim.weights_mut().register(n, k, &w1, DType::I8);
+        let h2 = sim.weights_mut().register(n, k, &w2, DType::I8);
         let first = sim.execute(&GemmRequest::with_weights(m, a.clone(), h1).unwrap()).unwrap();
         assert_eq!(memoized_units(&sim), 1);
         let second = sim.execute(&GemmRequest::with_weights(m, a.clone(), h2).unwrap()).unwrap();
@@ -691,8 +679,8 @@ mod tests {
         assert_eq!(first.stats, second.stats);
 
         // eviction leaves the memo alone: it holds no handle
-        sim.evict_weights(h1).unwrap();
-        sim.clear_weights();
+        sim.weights_mut().evict(h1).unwrap();
+        sim.weights_mut().clear();
         assert_eq!(memoized_units(&sim), 1);
     }
 

@@ -82,7 +82,7 @@
 //! let (n, k) = (8, 32);
 //! let w: Vec<i8> = (0..k * n).map(|i| (i % 15) as i8 - 7).collect();
 //! let mut engine = CampEngine::with_threads(2);
-//! let weights = engine.register_weights(n, k, &w, DType::I8);
+//! let weights = engine.weights_mut().register(n, k, &w, DType::I8);
 //!
 //! let opts = DispatchOptions { queue_depth: 8 };
 //! let dispatcher = Dispatcher::with_options(engine, opts);
@@ -221,8 +221,6 @@ struct Pending {
     batch: Vec<GemmRequest>,
     priority: Priority,
     deadline: Option<Instant>,
-    /// Weight handles the batch references (for the condemned check).
-    handles: Vec<WeightHandle>,
     /// Global admission order, the FIFO tie-breaker across sessions.
     admit: u64,
 }
@@ -322,6 +320,15 @@ struct DispState {
 }
 
 impl DispState {
+    /// Whether any request of `batch` carries a handle condemned by
+    /// [`Dispatcher::evict_weights`]: the one condemned check, read at
+    /// admission and again when the driver picks a queued batch.
+    fn condemns(&self, batch: &[GemmRequest]) -> bool {
+        batch
+            .iter()
+            .any(|r| matches!(r.weights(), Operand::Handle(h) if self.condemned.contains(h)))
+    }
+
     /// Take the batch the driver should run next out of its session's
     /// queue, or `None` when nothing is queued. Only the front of a
     /// session's queue is runnable (per-session FIFO); among those,
@@ -519,7 +526,7 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B>) {
                     break DriverAction::Evict(h);
                 }
                 if let Some((slot, chosen)) = st.pick() {
-                    if chosen.handles.iter().any(|h| st.condemned.contains(h)) {
+                    if st.condemns(&chosen.batch) {
                         // condemned while queued: fail the batch without
                         // touching the (possibly already evicted) panel
                         st.stats.stale_failures += 1;
@@ -556,7 +563,7 @@ fn driver_loop<B: CampBackend>(shared: &Shared<B>) {
                 // under the engine lock this cannot race an execute; a
                 // handle evicted behind the snapshot's back is already
                 // an error, ignore it
-                let _ = held(&mut engine).evict_weights(h);
+                let _ = held(&mut engine).weights_mut().evict(h);
             }
             DriverAction::Run(slot, chosen) => {
                 let Ok(mut engine) = shared.engine.lock() else { break };
@@ -785,20 +792,16 @@ impl<B: CampBackend> Shared<B> {
         priority: Priority,
         deadline: Option<Instant>,
     ) -> Result<(StateGuard<'_>, Pending), RequestError> {
-        let mut handles = Vec::new();
         for r in &batch {
             r.resolve(&self.weights)?;
-            if let Operand::Handle(h) = r.weights() {
-                handles.push(*h);
-            }
         }
         let mut st = self.lock();
-        self.refuse(&mut st, slot, &handles)?;
+        self.refuse(&mut st, slot, &batch)?;
         self.queue(&mut st, slot).pending += 1;
         let admit = st.admit_seq;
         st.admit_seq += 1;
         st.stats.submitted += 1;
-        Ok((st, Pending { seq, batch, priority, deadline, handles, admit }))
+        Ok((st, Pending { seq, batch, priority, deadline, admit }))
     }
 
     /// Everything that turns a valid batch away, in the order callers
@@ -807,7 +810,7 @@ impl<B: CampBackend> Shared<B> {
         &self,
         st: &mut StateGuard<'_>,
         slot: usize,
-        handles: &[WeightHandle],
+        batch: &[GemmRequest],
     ) -> Result<(), RequestError> {
         if let Some(who) = st.dead {
             panic!("serving session is dead: {who} thread panicked");
@@ -815,7 +818,7 @@ impl<B: CampBackend> Shared<B> {
         if st.shutdown {
             panic!("dispatcher is shut down");
         }
-        if handles.iter().any(|h| st.condemned.contains(h)) {
+        if st.condemns(batch) {
             return Err(RequestError::StaleHandle);
         }
         let q = self.queue(st, slot);
@@ -903,7 +906,7 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
             }),
             driver_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            weights: backend.weight_snapshot(),
+            weights: backend.weights().snapshot(),
             engine: Mutex::new(Some(backend)),
         });
 
@@ -1029,6 +1032,7 @@ mod tests {
     use crate::backend::{ExecStats, Output};
     use crate::engine::{CampEngine, DType, EngineStats};
     use camp_gemm::gemm_i32_ref;
+    use camp_gemm::weights::WeightRegistry;
     use camp_gemm::KernelInfo;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -1046,8 +1050,10 @@ mod tests {
     /// Mock backend whose `execute_prepared` consumes one [`Gate`]
     /// permit per batch and logs the batch's m (the tests' batch
     /// identity) and the executing thread in execution order. A batch
-    /// whose m is [`POISON_M`] panics once it holds its permit.
+    /// whose m is [`POISON_M`] panics once it holds its permit. Its
+    /// registry is a real one, so gated batches can carry handles.
     struct GateBackend {
+        weights: WeightRegistry,
         gate: Gate,
         log: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
         ran_on: std::sync::Arc<std::sync::Mutex<Vec<std::thread::Thread>>>,
@@ -1060,6 +1066,7 @@ mod tests {
                 std::sync::Arc::new((std::sync::Mutex::new(permits), std::sync::Condvar::new()));
             let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
             let backend = GateBackend {
+                weights: WeightRegistry::new(),
                 gate: std::sync::Arc::clone(&gate),
                 log: log.clone(),
                 ran_on: Default::default(),
@@ -1077,28 +1084,12 @@ mod tests {
             unimplemented!("not part of the dispatch protocol")
         }
 
-        fn register_weights(
-            &mut self,
-            _n: usize,
-            _k: usize,
-            _b: &[i8],
-            _dtype: DType,
-        ) -> WeightHandle {
-            unimplemented!("gate tests submit dense requests only")
+        fn weights(&self) -> &WeightRegistry {
+            &self.weights
         }
 
-        fn evict_weights(&mut self, _h: WeightHandle) -> Result<WeightMeta, RequestError> {
-            unimplemented!("gate tests submit dense requests only")
-        }
-
-        fn clear_weights(&mut self) {}
-
-        fn try_weight_meta(&self, _h: WeightHandle) -> Result<WeightMeta, RequestError> {
-            unimplemented!("gate tests submit dense requests only")
-        }
-
-        fn weight_snapshot(&self) -> WeightSnapshot {
-            WeightSnapshot::empty()
+        fn weights_mut(&mut self) -> &mut WeightRegistry {
+            &mut self.weights
         }
 
         fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
@@ -1311,8 +1302,8 @@ mod tests {
         let w2: Vec<i8> = (0..k * n).map(|i| (i % 13) as i8 - 6).collect();
         let a: Vec<i8> = (0..2 * k).map(|i| (i % 11) as i8 - 5).collect();
         let mut engine = CampEngine::with_threads(1);
-        let h1 = engine.register_weights(n, k, &w1, DType::I8);
-        let h2 = engine.register_weights(n, k, &w2, DType::I8);
+        let h1 = engine.weights_mut().register(n, k, &w1, DType::I8);
+        let h2 = engine.weights_mut().register(n, k, &w2, DType::I8);
 
         let dispatcher = Dispatcher::new(engine);
         let mut session = dispatcher.session();
@@ -1358,8 +1349,8 @@ mod tests {
         drop(session);
         let mut engine = dispatcher.into_backend();
         // the driver really evicted the backend registration
-        assert_eq!(engine.evict_weights(h1).unwrap_err(), RequestError::StaleHandle);
-        assert!(engine.evict_weights(h2).is_ok());
+        assert_eq!(engine.weights_mut().evict(h1).unwrap_err(), RequestError::StaleHandle);
+        assert!(engine.weights_mut().evict(h2).is_ok());
     }
 
     #[test]
@@ -1368,7 +1359,7 @@ mod tests {
         let w: Vec<i8> = (0..k * n).map(|i| (i % 15) as i8 - 7).collect();
         let a: Vec<i8> = (0..2 * k).map(|i| (i % 11) as i8 - 5).collect();
         let mut engine = CampEngine::with_threads(1);
-        let h = engine.register_weights(n, k, &w, DType::I8);
+        let h = engine.weights_mut().register(n, k, &w, DType::I8);
         let dispatcher = Dispatcher::new(engine);
         let mut session = dispatcher.session();
         // 2^60 rows of the registered k = 16: m·k wraps to 0 unchecked,
@@ -1569,9 +1560,9 @@ mod tests {
         let w: Vec<i8> = (0..k * n).map(|i| (i % 15) as i8 - 7).collect();
         let a: Vec<i8> = (0..2 * k).map(|i| (i % 11) as i8 - 5).collect();
         let mut engine = CampEngine::with_threads(1);
-        let gone = engine.register_weights(n, k, &w, DType::I8);
-        let live = engine.register_weights(n, k, &w, DType::I8);
-        engine.evict_weights(gone).unwrap();
+        let gone = engine.weights_mut().register(n, k, &w, DType::I8);
+        let live = engine.weights_mut().register(n, k, &w, DType::I8);
+        engine.weights_mut().evict(gone).unwrap();
         let dispatcher = Dispatcher::new(engine);
         let mut session = dispatcher.session();
         let on = |h| vec![GemmRequest::with_weights(2, a.clone(), h).unwrap()];
@@ -1593,7 +1584,31 @@ mod tests {
         drop(session);
         // the eviction queued behind the direct run still reached the engine
         let mut engine = dispatcher.into_backend();
-        assert_eq!(engine.evict_weights(live).unwrap_err(), RequestError::StaleHandle);
+        assert_eq!(engine.weights_mut().evict(live).unwrap_err(), RequestError::StaleHandle);
+
+        // the condemned check reads every request of a batch: a pair
+        // whose second request carries the handle fails when condemned
+        // while queued behind a gated batch, and is refused at `submit`
+        // and `run`. The gate opens before any check, so a broken one
+        // fails the test instead of parking the driver for good.
+        let (mut backend, gate, log) = GateBackend::new(0);
+        let h = backend.weights_mut().register(1, 1, &[1], DType::I8);
+        let dispatcher = Dispatcher::new(backend);
+        let mut session = dispatcher.session();
+        let pair = || vec![req(2), GemmRequest::with_weights(2, vec![1i8; 2], h).unwrap()];
+        let blocker = session.submit(vec![req(1)]).unwrap();
+        wait_for(&dispatcher, |s| s.staging_live == 1);
+        let queued = session.submit(pair()).expect("a live handle admits");
+        dispatcher.evict_weights(h).unwrap();
+        grant(&gate, 4);
+        assert!(session.wait(blocker).is_ok());
+        assert_eq!(session.wait(queued).unwrap_err(), RequestError::StaleHandle);
+        assert_eq!(session.submit(pair()).unwrap_err(), RequestError::StaleHandle);
+        let err = session.run(pair(), Priority::Decode, None).unwrap_err();
+        assert_eq!(err, RequestError::StaleHandle);
+        assert_eq!(*log.lock().unwrap(), [1], "a condemned pair reached the backend");
+        let stats = dispatcher.stats();
+        assert_eq!((stats.submitted, stats.executed, stats.stale_failures), (2, 1, 1));
     }
 
     /// One batch through the three entry points — `execute_batch` on the
@@ -1607,12 +1622,12 @@ mod tests {
         };
         let (n, k) = (24, 40);
         let w = gen(k * n, 7);
-        let h = backend.register_weights(n, k, &w, DType::I8);
-        let h4 = backend.register_weights(n, k, &w, DType::I4);
+        let h = backend.weights_mut().register(n, k, &w, DType::I8);
+        let h4 = backend.weights_mut().register(n, k, &w, DType::I4);
         // below the row-split threshold, four column strips wide
         let (wide_n, wide_k) = (1024, 256);
         let wide = gen(wide_k * wide_n, 11);
-        let hw = backend.register_weights(wide_n, wide_k, &wide, DType::I8);
+        let hw = backend.weights_mut().register(wide_n, wide_k, &wide, DType::I8);
         let shared: std::sync::Arc<[i8]> = w.clone().into();
 
         let mut batch = Vec::new();

@@ -19,9 +19,9 @@
 //! and every A movement happens before the first tile-kernel call (the
 //! `amx` tier re-lays each B block into its scratch inside the nest).
 //!
-//! * **B's image** is a registered weight panel
-//!   ([`CampEngine::register_weights`]) or a panel the batch packed once
-//!   per distinct dense operand into the engine's shared arena.
+//! * **B's image** is a panel of the engine's [`WeightRegistry`] or a
+//!   panel the batch packed once per distinct dense operand into the
+//!   engine's shared arena.
 //! * **A's image** has one builder: every blocked unit — a whole request,
 //!   or one row range of a request at or above `BATCH_ROW_SPLIT_MACS`
 //!   (8 Mi MACs) — packs its own rows once, with
@@ -55,11 +55,13 @@
 //! # Pre-packed weights
 //!
 //! A serving workload multiplies the same quantized weights against
-//! millions of activations. [`CampEngine::register_weights`] packs a
-//! weight matrix once into the engine's [`WeightRegistry`] and returns
-//! a copyable [`WeightHandle`]; handle-operand [`GemmRequest`]s then
-//! run with **zero B-packing** — [`EngineStats::packed_b_bytes`] stays
-//! 0 on the steady state, which the test-suite asserts.
+//! millions of activations. The engine's [`WeightRegistry`] is its
+//! backend registry
+//! ([`CampBackend::weights_mut`](crate::backend::CampBackend::weights_mut)):
+//! registering a weight matrix packs it once and returns a copyable
+//! [`WeightHandle`]; handle-operand [`GemmRequest`]s then run with
+//! **zero B-packing** — [`EngineStats::packed_b_bytes`] stays 0 on the
+//! steady state, which the test-suite asserts.
 //!
 //! # Batched GeMM
 //!
@@ -70,7 +72,8 @@
 //! A batch of requests amortizes all of it, and there is one way to run
 //! one: [`CampBackend::execute_prepared`](crate::backend::CampBackend::execute_prepared)
 //! over the validated requests as they were submitted, each one's shape
-//! read from the request (dense B) or from its registration (a handle).
+//! resolved against the registry's view in place: the request's own
+//! (dense B) or its registration's (a handle).
 //! `execute_batch`, a dispatcher session's direct `run` and its queued
 //! `submit` → `wait` are that call made from different threads, so
 //! results *and* [`EngineStats`] are the same whichever way a batch
@@ -106,7 +109,7 @@
 use camp_gemm::batch::{packed_a_bytes, packed_b_bytes};
 use camp_gemm::host::{zeroed, HostKernel, KernelInfo, SmallB};
 use camp_gemm::loops::{small_path, SmallPath};
-use camp_gemm::request::{GemmRequest, Operand, RequestError, ResolvedRequest};
+use camp_gemm::request::{GemmRequest, Operand, ResolvedRequest};
 use camp_gemm::weights::{host_block_plan, WeightRegistry, WeightSnapshot};
 use camp_gemm::workspace::{PackPool, PanelId};
 use std::collections::{HashMap, HashSet};
@@ -407,7 +410,7 @@ pub struct CampEngine {
     /// read-only across workers.
     shared: PackPool,
     /// Pre-packed weights (serving steady state packs no B at all).
-    weights: WeightRegistry,
+    pub(crate) weights: WeightRegistry,
     /// Persistent workers; `None` for a serial engine. Behind an `Arc`
     /// so the pool is sharable outside the engine ([`CampEngine::worker_pool`])
     /// — the simulated driver schedules its block units on the same
@@ -500,79 +503,18 @@ impl CampEngine {
 
     /// Total pack-buffer growths across the per-worker A-image arenas
     /// and the shared B-panel arena. Flat across same-shape calls ⇒ the
-    /// compute path is allocation-free. Weight registration (a one-time cost) is
-    /// accounted separately by [`CampEngine::registered_weight_bytes`].
+    /// compute path is allocation-free. Weight registration (a one-time
+    /// cost) is accounted separately by the registry
+    /// ([`WeightRegistry::packed_bytes`]).
     pub fn pack_allocations(&self) -> u64 {
         self.pools.iter().map(PackPool::allocations).sum::<u64>() + self.shared.allocations()
     }
 
-    // ---- pre-packed weight registry ----
-
-    /// Pack the row-major k×n weight matrix `b` once for `dtype`'s
-    /// kernel and keep the panel alive for the engine's lifetime. Every
-    /// later call against the returned handle performs zero B-packing.
-    ///
-    /// ```
-    /// use camp_core::{CampEngine, DType};
-    ///
-    /// let (n, k) = (8, 32);
-    /// let w: Vec<i8> = (0..k * n).map(|i| (i % 15) as i8 - 7).collect();
-    ///
-    /// let mut engine = CampEngine::new();
-    /// let weights = engine.register_weights(n, k, &w, DType::I8);
-    /// assert_eq!(engine.registered_weights(), 1);
-    /// assert_eq!(engine.try_weight_meta(weights).unwrap().k, k);
-    /// ```
-    ///
-    /// # Panics
-    /// Panics if `b.len() != k * n`.
-    pub fn register_weights(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle {
-        self.weights.register(n, k, b, dtype)
-    }
-
-    /// Shape/dtype of a registered weight, or why the handle is invalid
-    /// ([`RequestError::StaleHandle`] after eviction).
-    pub fn try_weight_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        self.weights.try_meta(h)
-    }
-
-    /// Drop one registered weight: its packed panel is freed, and later
-    /// uses of the handle fail ([`RequestError::StaleHandle`] through
-    /// the request API) instead of multiplying stale or recycled
-    /// weights. Long-lived serving engines use this to drop stale
-    /// layers without restarting.
-    pub fn evict_weights(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        self.weights.evict(h)
-    }
-
-    /// Drop every registered weight (e.g. before loading a new model
-    /// into a long-lived engine).
-    pub fn clear_weights(&mut self) {
-        self.weights.clear()
-    }
-
-    /// Submit-time snapshot of the weight registry — what a serving
-    /// [`crate::dispatch::Dispatcher`] validates requests against.
+    /// `benchmark/src/probe.rs` is its only reader; ROADMAP item 2
+    /// deletes it with [`CampEngine::prepare`].
+    #[doc(hidden)]
     pub fn weight_snapshot(&self) -> WeightSnapshot {
         self.weights.snapshot()
-    }
-
-    /// Number of live registered weights.
-    pub fn registered_weights(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Total bytes packed at registration time (one-time; never paid on
-    /// the steady-state request path, and not decreased by eviction —
-    /// see [`CampEngine::resident_weight_bytes`]).
-    pub fn registered_weight_bytes(&self) -> u64 {
-        self.weights.packed_bytes()
-    }
-
-    /// Bytes currently resident for live registrations; eviction
-    /// returns them.
-    pub fn resident_weight_bytes(&self) -> u64 {
-        self.weights.resident_bytes()
     }
 
     /// `benchmark/src/probe.rs` is its only reader; ROADMAP item 2 deletes it.
@@ -583,8 +525,8 @@ impl CampEngine {
 
     /// Compute one batch of validated requests — the engine's only
     /// batch path, whichever entry point built it. A request's shape is
-    /// its own when its B is dense, and its registration's, read from
-    /// the entry that holds its panel, when B is a handle. B first,
+    /// resolved against the registry's view in place: its own when its
+    /// B is dense, its registration's when B is a handle. B first,
     /// because it spans requests: a skinny-m request reads its dense B
     /// in place; each *distinct* dense B of the others (buffer identity
     /// plus (n, k, k-step), which fix the packed layout) is packed once
@@ -605,16 +547,10 @@ impl CampEngine {
         let routes: Vec<(ResolvedRequest, Option<Route<'_, Panel<'_>>>)> = reqs
             .iter()
             .map(|req| {
-                let (r, b) = match req.weights() {
-                    // resolving a dense request reads no registry
-                    Operand::Dense(b) => {
-                        (req.resolve(&WeightSnapshot::empty()).expect(VALIDATED), SmallB::Dense(b))
-                    }
-                    Operand::Handle(h) => {
-                        let (meta, panel) = self.weights.panel(*h);
-                        let (n, k, dtype) = (meta.n, meta.k, meta.dtype);
-                        (ResolvedRequest { m: req.m(), n, k, dtype }, SmallB::Panel(panel))
-                    }
+                let r = req.resolve(self.weights.view()).expect(VALIDATED);
+                let b = match req.weights() {
+                    Operand::Dense(b) => SmallB::Dense(b),
+                    Operand::Handle(h) => SmallB::Panel(self.weights.panel(*h).1),
                 };
                 if r.is_degenerate() {
                     return (r, None);
@@ -1136,7 +1072,7 @@ mod tests {
             let mut serial = None;
             for threads in [1, 2, 3, 5, 64] {
                 let mut eng = CampEngine::with_threads(threads);
-                let h = eng.register_weights(n, k, &w, I8);
+                let h = eng.weights_mut().register(n, k, &w, I8);
                 let req = GemmRequest::with_weights(m, a.clone(), h).unwrap();
                 let (c, s) = run_one(&mut eng, &req);
                 assert_eq!(c, want, "{m}x{n}x{k} threads={threads}");
@@ -1162,7 +1098,7 @@ mod tests {
         let kt = fill(qk * qn, 17, 16, -8);
         for threads in [1, 2] {
             let mut eng = CampEngine::with_threads(threads);
-            let h = eng.register_weights(n, k, &w, I8);
+            let h = eng.weights_mut().register(n, k, &w, I8);
             let req = GemmRequest::with_weights(m, a.clone(), h).unwrap();
             let score = dense((qm, qn, qk), q.clone(), kt.clone(), I8);
             let first = run_one(&mut eng, &req).0;
@@ -1181,7 +1117,7 @@ mod tests {
             assert!((sm * sn * sk) as u64 >= BATCH_ROW_SPLIT_MACS);
             let sw = fill(sk * sn, 7, 16, -8);
             let sa = fill(sm * sk, 11, 16, -8);
-            let sh = eng.register_weights(sn, sk, &sw, I8);
+            let sh = eng.weights_mut().register(sn, sk, &sw, I8);
             let small = GemmRequest::with_weights(sm, sa.clone(), sh).unwrap();
             assert_eq!(run_one(&mut eng, &small).0, gemm_i32_ref(sm, sn, sk, &sa, &sw));
             assert_eq!(eng.pack_allocations(), warm, "threads={threads}: arenas must not regrow");
@@ -1213,9 +1149,9 @@ mod tests {
         let w = fill(k * n, 5, 16, -8);
         for threads in [1, 3, 8] {
             let mut eng = CampEngine::with_threads(threads);
-            let h = eng.register_weights(n, k, &w, DType::I8);
-            assert_eq!(eng.registered_weights(), 1);
-            assert!(eng.registered_weight_bytes() > 0);
+            let h = eng.weights_mut().register(n, k, &w, DType::I8);
+            assert_eq!(eng.weights().len(), 1);
+            assert!(eng.weights().packed_bytes() > 0);
             for m in [1, 6, 17] {
                 let a = fill(m * k, 3, 16, -8);
                 let (c, s) = handle_gemm(&mut eng, m, &a, h);
@@ -1233,8 +1169,8 @@ mod tests {
         let w = fill(k * n, 5, 16, -8);
         let a = fill(7 * k, 3, 16, -8);
         let mut eng = CampEngine::with_threads(2);
-        let h = eng.register_weights(n, k, &w, DType::I4);
-        assert_eq!(eng.try_weight_meta(h).unwrap().dtype, DType::I4);
+        let h = eng.weights_mut().register(n, k, &w, DType::I4);
+        assert_eq!(eng.weights().try_meta(h).unwrap().dtype, DType::I4);
         let (c, s) = handle_gemm(&mut eng, 7, &a, h);
         assert_eq!(c, gemm_i32_ref(7, n, k, &a, &w));
         assert_eq!(s, gemm(&mut eng, (7, n, k), &a, &w, I4).1, "the handle carries the i4 k-step");
@@ -1249,7 +1185,7 @@ mod tests {
         let w = fill(k * n, 7, 16, -8);
         let a = fill(32 * k, 3, 16, -8);
         let mut eng = CampEngine::with_threads(4);
-        let h = eng.register_weights(n, k, &w, DType::I8);
+        let h = eng.weights_mut().register(n, k, &w, DType::I8);
         let (first, warm_stats) = handle_gemm(&mut eng, 32, &a, h);
         assert_eq!(warm_stats.packed_b_bytes, 0);
         let warm_allocs = eng.pack_allocations();
@@ -1268,7 +1204,7 @@ mod tests {
         let a1 = fill(6 * k, 3, 16, -8);
         let a2 = fill(9 * k, 7, 16, -8);
         let mut eng = CampEngine::with_threads(2);
-        let h = eng.register_weights(n, k, &w, DType::I8);
+        let h = eng.weights_mut().register(n, k, &w, DType::I8);
         let reqs = [
             GemmRequest::with_weights(6, a1.clone(), h).unwrap(),
             GemmRequest::with_weights(9, a2.clone(), h).unwrap(),
@@ -1456,7 +1392,7 @@ mod tests {
         let big_ref = gemm_i32_ref(1, n, k, &a, &w);
 
         let mut eng = CampEngine::with_threads(4);
-        let h = eng.register_weights(n, k, &w, DType::I8);
+        let h = eng.weights_mut().register(n, k, &w, DType::I8);
         let cold = eng.pack_allocations();
 
         // the batch path

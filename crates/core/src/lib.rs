@@ -31,8 +31,8 @@
 //!   [`GemmRequest`]s per call, deduplicating shared weight matrices
 //!   and parallelizing across batch items.
 //! * [`dispatch`] — the **serving layer**: register weights once
-//!   ([`engine::CampEngine::register_weights`] packs B into a
-//!   persistent panel), then stream request batches through the
+//!   (`weights_mut().register(..)` on the backend's [`WeightRegistry`]
+//!   packs B into a persistent panel), then stream request batches through the
 //!   submit/poll sessions of one [`dispatch::Dispatcher`], which owns
 //!   the warm engine and validates each batch on the submitting thread
 //!   (the steady state spawns no threads and packs zero B bytes per
@@ -81,7 +81,7 @@ pub use pool::WorkerPool;
 pub use structure::CampStructure;
 
 pub use camp_gemm::request::{GemmRequest, GemmRequestBuilder, Operand, RequestError};
-pub use camp_gemm::weights::WeightSnapshot;
+pub use camp_gemm::weights::{WeightRegistry, WeightSnapshot};
 
 /// One session on the queued pipeline of real backends, end to end
 /// (public API only; a unit module so the suite keeps its test ids).

@@ -22,7 +22,7 @@ fn serving_setup(threads: usize) -> (CampEngine, WeightHandle, Vec<i8>, usize, u
     let (n, k) = (12, 33);
     let w = fill(k * n, 5);
     let mut eng = CampEngine::with_threads(threads);
-    let h = eng.register_weights(n, k, &w, DType::I8);
+    let h = eng.weights_mut().register(n, k, &w, DType::I8);
     (eng, h, w, n, k)
 }
 
@@ -94,7 +94,7 @@ fn i4_weights_serve_under_the_i4_kernel() {
     let (n, k) = (8, 40);
     let w = fill(k * n, 5);
     let mut eng = CampEngine::with_threads(2);
-    let h = eng.register_weights(n, k, &w, DType::I4);
+    let h = eng.weights_mut().register(n, k, &w, DType::I4);
     let a = fill(6 * k, 3);
     let (_dispatcher, mut session) = queued(eng);
     let t = session.submit(vec![handle_req(6, a.clone(), h)]).unwrap();
@@ -121,8 +121,8 @@ fn degenerate_requests_serve_zero_filled_results() {
     let (n, k) = (4, 4);
     let w = fill(k * n, 5);
     let mut eng = CampEngine::new();
-    let h = eng.register_weights(n, k, &w, DType::I8);
-    let h0 = eng.register_weights(4, 0, &[], DType::I8);
+    let h = eng.weights_mut().register(n, k, &w, DType::I8);
+    let h0 = eng.weights_mut().register(4, 0, &[], DType::I8);
     let (_dispatcher, mut session) = queued(eng);
     let t =
         session.submit(vec![handle_req(0, Vec::new(), h), handle_req(3, Vec::new(), h0)]).unwrap();
@@ -157,7 +157,7 @@ fn large_requests_take_the_row_split_path() {
     let w = fill(k * n, 5);
     let a = fill(m * k, 3);
     let mut eng = CampEngine::with_threads(4);
-    let h = eng.register_weights(n, k, &w, DType::I8);
+    let h = eng.weights_mut().register(n, k, &w, DType::I8);
     let (_dispatcher, mut session) = queued(eng);
     let t = session.submit(vec![handle_req(m, a.clone(), h)]).unwrap();
     assert_eq!(session.wait(t).unwrap().outputs[0].c, gemm_i32_ref(m, n, k, &a, &w));
@@ -177,7 +177,7 @@ fn submit_rejects_malformed_activations_without_panicking() {
 #[test]
 fn submit_rejects_stale_handles() {
     let (mut eng, h, _, _, k) = serving_setup(1);
-    eng.evict_weights(h).unwrap();
+    eng.weights_mut().evict(h).unwrap();
     let (_dispatcher, mut session) = queued(eng);
     let err = session.submit(vec![handle_req(2, fill(2 * k, 3), h)]).unwrap_err();
     assert_eq!(err, RequestError::StaleHandle);
@@ -246,7 +246,7 @@ fn a_poisoned_request_kills_the_session_loudly_not_silently() {
     let (n, k) = (4, 32);
     let w = fill(k * n, 5); // 4-bit safe
     let mut eng = CampEngine::new();
-    let h = eng.register_weights(n, k, &w, DType::I4);
+    let h = eng.weights_mut().register(n, k, &w, DType::I4);
     let (_dispatcher, mut session) = queued(eng);
     let a = vec![100i8; 2 * k]; // not 4-bit (handle requests defer the range check)
     let t = session.submit(vec![handle_req(2, a, h)]).unwrap();
@@ -259,7 +259,7 @@ fn handles_from_another_backend_are_rejected_at_submit() {
     // stamp this would silently use the wrong weights
     let (eng, _, _, n, k) = serving_setup(1);
     let mut other = CampEngine::new();
-    let foreign = other.register_weights(n, k, &fill(k * n, 9), DType::I8);
+    let foreign = other.weights_mut().register(n, k, &fill(k * n, 9), DType::I8);
     let (_dispatcher, mut session) = queued(eng);
     let err = session.submit(vec![handle_req(2, fill(2 * k, 3), foreign)]).unwrap_err();
     assert_eq!(err, RequestError::ForeignHandle);
@@ -271,7 +271,7 @@ fn simulated_sessions_serve_batches_too() {
     let w = fill(k * n, 5);
     let a = fill(4 * k, 3);
     let mut sim = SimBackend::a64fx();
-    let h = sim.register_weights(n, k, &w, DType::I8);
+    let h = sim.weights_mut().register(n, k, &w, DType::I8);
     let (dispatcher, mut session) = queued(sim);
     let t = session.submit(vec![handle_req(4, a.clone(), h)]).unwrap();
     let outcome = session.wait(t).unwrap();

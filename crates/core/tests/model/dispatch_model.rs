@@ -24,10 +24,7 @@
 use camp_core::backend::{BatchOutcome, CampBackend, ExecStats, Output};
 use camp_core::dispatch::{DispatchOptions, Dispatcher, Priority};
 use camp_core::engine::EngineStats;
-use camp_core::{
-    DType, GemmRequest, Operand, RequestError, WeightHandle, WeightMeta, WeightSnapshot,
-};
-use camp_gemm::weights::WeightRegistry;
+use camp_core::{DType, GemmRequest, Operand, RequestError, WeightRegistry};
 use camp_gemm::KernelInfo;
 
 /// The zero matrices every mock returns: one per request of `batch`.
@@ -36,8 +33,9 @@ fn zero_outcome(batch: &[GemmRequest]) -> BatchOutcome {
     BatchOutcome::new(outputs, ExecStats::Host(EngineStats::default()))
 }
 
-/// Implements the part of [`CampBackend`] no model customizes (its
-/// identity).
+/// Implements the part of [`CampBackend`] no model customizes: its
+/// identity and its `registry: WeightRegistry` field as the backend's
+/// registry.
 macro_rules! model_backend_identity {
     () => {
         fn name(&self) -> &'static str {
@@ -47,87 +45,39 @@ macro_rules! model_backend_identity {
         fn kernel_info(&self) -> KernelInfo {
             unimplemented!("not part of the modeled pipeline")
         }
-    };
-}
 
-/// [`model_backend_identity`] plus a counting zero-matrix
-/// `execute_prepared`, for a mock that only customizes its weight
-/// registry.
-macro_rules! model_backend_boilerplate {
-    () => {
-        model_backend_identity!();
-
-        fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
-            self.executed += batch.len();
-            zero_outcome(&batch)
+        fn weights(&self) -> &WeightRegistry {
+            &self.registry
         }
     };
 }
 
-/// The registry half of [`CampBackend`] (all but `evict_weights`) for a
-/// mock with a `registry: WeightRegistry` field.
-macro_rules! model_backend_registry {
-    () => {
-        fn register_weights(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle {
-            self.registry.register(n, k, b, dtype)
-        }
-
-        fn clear_weights(&mut self) {
-            self.registry.clear();
-        }
-
-        fn try_weight_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-            self.registry.try_meta(h)
-        }
-
-        fn weight_snapshot(&self) -> WeightSnapshot {
-            self.registry.snapshot()
-        }
-    };
-}
-
-/// Weightless mock: counts executed requests so drain models can assert
-/// nothing was lost, once the backend comes back out.
+/// Counting mock with a *working* registry (a raw mirror, same as
+/// `SimBackend`): counts executed requests so drain models can assert
+/// nothing was lost once the backend comes back out, and runs the
+/// eviction-control path — condemn, queue, driver-side evict — against
+/// real generation-stamped handles.
 struct CountingBackend {
-    executed: usize,
-}
-
-impl CampBackend for CountingBackend {
-    model_backend_boilerplate!();
-
-    fn register_weights(&mut self, _n: usize, _k: usize, _b: &[i8], _dtype: DType) -> WeightHandle {
-        unimplemented!("this model submits dense requests only")
-    }
-
-    fn evict_weights(&mut self, _h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        unimplemented!("this model submits dense requests only")
-    }
-
-    fn clear_weights(&mut self) {}
-
-    fn try_weight_meta(&self, _h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        unimplemented!("this model submits dense requests only")
-    }
-
-    fn weight_snapshot(&self) -> WeightSnapshot {
-        WeightSnapshot::empty()
-    }
-}
-
-/// Mock with a *working* registry (a raw mirror, same as `SimBackend`),
-/// so the eviction-control path — condemn, queue, driver-side evict —
-/// runs against real generation-stamped handles.
-struct RegistryBackend {
     registry: WeightRegistry,
     executed: usize,
 }
 
-impl CampBackend for RegistryBackend {
-    model_backend_boilerplate!();
-    model_backend_registry!();
+impl CountingBackend {
+    fn new() -> Self {
+        CountingBackend { registry: WeightRegistry::raw_mirror(), executed: 0 }
+    }
+}
 
-    fn evict_weights(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        self.registry.evict(h)
+impl CampBackend for CountingBackend {
+    model_backend_identity!();
+
+    fn weights_mut(&mut self) -> &mut WeightRegistry {
+        &mut self.registry
+    }
+
+    fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
+        self.executed += batch.len();
+        zero_outcome(&batch)
     }
 }
 
@@ -155,11 +105,10 @@ impl DirectBackend {
 impl CampBackend for DirectBackend {
     model_backend_identity!();
 
-    model_backend_registry!();
-
-    fn evict_weights(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
+    /// The driver evicts through here, under the engine lock.
+    fn weights_mut(&mut self) -> &mut WeightRegistry {
         assert!(!self.entered, "eviction landed under a running batch");
-        self.registry.evict(h)
+        &mut self.registry
     }
 
     fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
@@ -188,10 +137,8 @@ fn tiny_request() -> GemmRequest {
 fn submit_wait_shutdown_lifecycle() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher = Dispatcher::with_options(
-                CountingBackend { executed: 0 },
-                DispatchOptions::default(),
-            );
+            let dispatcher =
+                Dispatcher::with_options(CountingBackend::new(), DispatchOptions::default());
             let mut session = dispatcher.session();
             let t = session.submit(vec![tiny_request()]).expect("valid submission");
             let outcome = session.wait(t).expect("batch completes");
@@ -211,10 +158,8 @@ fn submit_wait_shutdown_lifecycle() {
 fn out_of_order_collection() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher = Dispatcher::with_options(
-                CountingBackend { executed: 0 },
-                DispatchOptions::default(),
-            );
+            let dispatcher =
+                Dispatcher::with_options(CountingBackend::new(), DispatchOptions::default());
             let mut session = dispatcher.session();
             let t1 = session.submit(vec![tiny_request()]).expect("valid submission");
             let t2 =
@@ -234,10 +179,8 @@ fn out_of_order_collection() {
 fn into_backend_drains_in_every_schedule() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher = Dispatcher::with_options(
-                CountingBackend { executed: 0 },
-                DispatchOptions::default(),
-            );
+            let dispatcher =
+                Dispatcher::with_options(CountingBackend::new(), DispatchOptions::default());
             let mut session = dispatcher.session();
             let _t = session.submit(vec![tiny_request()]).expect("valid submission");
             // drain without collecting: the uncollected result is dropped
@@ -255,10 +198,8 @@ fn into_backend_drains_in_every_schedule() {
 fn two_tenants_complete_in_every_schedule() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher = Dispatcher::with_options(
-                CountingBackend { executed: 0 },
-                DispatchOptions::default(),
-            );
+            let dispatcher =
+                Dispatcher::with_options(CountingBackend::new(), DispatchOptions::default());
             let mut a = dispatcher.session();
             let mut b = dispatcher.session();
             let ta = a.submit(vec![tiny_request()]).expect("valid submission");
@@ -284,10 +225,8 @@ fn two_tenants_complete_in_every_schedule() {
 fn concurrent_submitters_race_the_pipeline() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher = Dispatcher::with_options(
-                CountingBackend { executed: 0 },
-                DispatchOptions::default(),
-            );
+            let dispatcher =
+                Dispatcher::with_options(CountingBackend::new(), DispatchOptions::default());
             let mut a = dispatcher.session();
             let mut b = dispatcher.session();
             let h = loom::thread::spawn(move || {
@@ -312,10 +251,8 @@ fn concurrent_submitters_race_the_pipeline() {
 fn saturation_recovers_in_every_schedule() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher = Dispatcher::with_options(
-                CountingBackend { executed: 0 },
-                DispatchOptions::default(),
-            );
+            let dispatcher =
+                Dispatcher::with_options(CountingBackend::new(), DispatchOptions::default());
             let mut session = dispatcher.session_with_depth(1);
             let t1 = session.submit(vec![tiny_request()]).expect("first admission");
             // the second submission races the pipeline: if the first
@@ -343,10 +280,8 @@ fn saturation_recovers_in_every_schedule() {
 fn shutdown_drains_uncollected_work() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let dispatcher = Dispatcher::with_options(
-                CountingBackend { executed: 0 },
-                DispatchOptions::default(),
-            );
+            let dispatcher =
+                Dispatcher::with_options(CountingBackend::new(), DispatchOptions::default());
             let mut session = dispatcher.session();
             let _t = session.submit(vec![tiny_request()]).expect("valid submission");
             drop(session); // closes the queue; a picked batch must still run
@@ -364,9 +299,8 @@ fn shutdown_drains_uncollected_work() {
 fn eviction_races_err_stale_and_never_panic() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
-            let mut backend =
-                RegistryBackend { registry: WeightRegistry::raw_mirror(), executed: 0 };
-            let h = backend.register_weights(1, 1, &[1i8], DType::I8);
+            let mut backend = CountingBackend::new();
+            let h = backend.weights_mut().register(1, 1, &[1i8], DType::I8);
             let dispatcher = Dispatcher::with_options(backend, DispatchOptions::default());
             let mut session = dispatcher.session();
             let submitted = match session.submit(vec![
@@ -392,7 +326,7 @@ fn eviction_races_err_stale_and_never_panic() {
             drop(session);
             let mut backend = dispatcher.into_backend();
             assert_eq!(
-                backend.evict_weights(h).unwrap_err(),
+                backend.weights_mut().evict(h).unwrap_err(),
                 RequestError::StaleHandle,
                 "the driver must have applied the eviction before handing the backend back"
             );
@@ -446,7 +380,7 @@ fn direct_run_races_the_eviction_of_its_handle() {
     let report =
         loom::model::Builder { preemption_bound: 2, max_iterations: 500_000 }.check(|| {
             let mut backend = DirectBackend::new();
-            let h = backend.register_weights(1, 1, &[1i8], DType::I8);
+            let h = backend.weights_mut().register(1, 1, &[1i8], DType::I8);
             let dispatcher = Dispatcher::with_options(backend, DispatchOptions::default());
             let mut session = dispatcher.session();
             let runner = loom::thread::spawn(move || {
@@ -462,7 +396,7 @@ fn direct_run_races_the_eviction_of_its_handle() {
             assert_eq!(dispatcher.stats().staging_live, 0);
             let mut backend = dispatcher.into_backend();
             assert_eq!(
-                backend.evict_weights(h).unwrap_err(),
+                backend.weights_mut().evict(h).unwrap_err(),
                 RequestError::StaleHandle,
                 "the eviction must have reached the backend before it was handed back"
             );

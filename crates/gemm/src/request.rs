@@ -134,8 +134,8 @@ pub enum Operand {
     /// Row-major k×n weights, shared and immutable. Requests cloning one
     /// `Arc` keep pointer identity, so a batch packs the operand once.
     Dense(Arc<[i8]>),
-    /// Weights registered with the executing backend
-    /// (`CampBackend::register_weights`).
+    /// Weights registered with the executing backend's registry
+    /// (`CampBackend::weights_mut`).
     Handle(WeightHandle),
 }
 

@@ -38,9 +38,12 @@
 //! assert_eq!(registry.panel(handle).1, &expect[..]);
 //! ```
 //!
-//! (`CampEngine::register_weights` and handle-operand `GemmRequest`s in
-//! `camp-core` wrap this registry behind the engine API — see their
-//! doctests.)
+//! A registry keeps its slots' generations and shapes as a
+//! [`WeightSnapshot`] and lends it out ([`WeightRegistry::view`]): the one
+//! place a handle is checked, which every batch validates against in
+//! place. In `camp-core` every backend owns one registry and exposes it
+//! as itself (`CampBackend::weights` / `weights_mut`), and handle-operand
+//! `GemmRequest`s resolve against it — see their doctests.
 
 use std::sync::Arc;
 
@@ -127,45 +130,34 @@ impl WeightHandle {
     }
 }
 
-/// Submit-time view of a registry: registry identity plus the
-/// generation and metadata of every live slot. A serving session
-/// validates submissions against this snapshot without holding the
-/// backend, and [`crate::request::GemmRequest::resolve`] reads handle
-/// shapes out of it.
+/// A registry's handle-checking half: its identity plus each slot's
+/// generation and, while the slot is live, its metadata. Every
+/// [`WeightRegistry`] keeps its slots as one and lends it out
+/// ([`WeightRegistry::view`]), so a batch validates against the registry
+/// in place; a serving dispatcher keeps a clone
+/// ([`WeightRegistry::snapshot`]) to validate submissions without
+/// holding the backend. [`crate::request::GemmRequest::resolve`] reads
+/// handle shapes out of it.
 #[derive(Debug, Clone)]
 pub struct WeightSnapshot {
     registry: u64,
-    entries: Vec<Option<(u64, WeightMeta)>>,
+    entries: Vec<(u64, Option<WeightMeta>)>,
 }
 
 impl WeightSnapshot {
-    /// An empty snapshot tied to no registry (every handle is foreign).
-    pub fn empty() -> Self {
-        WeightSnapshot { registry: u64::MAX, entries: Vec::new() }
-    }
-
-    /// Shape/dtype of a handle's registration at snapshot time, or why
-    /// the handle is invalid.
+    /// Shape/dtype of a handle's registration, or why the handle is
+    /// invalid: the one handle check of a registry and its snapshots.
     pub fn meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
         if h.registry != self.registry {
             return Err(RequestError::ForeignHandle);
         }
-        match self.entries.get(h.index) {
-            None => Err(RequestError::UnknownHandle),
-            Some(None) => Err(RequestError::StaleHandle),
-            Some(Some((generation, meta))) => {
-                if *generation == h.generation {
-                    Ok(*meta)
-                } else {
-                    Err(RequestError::StaleHandle)
-                }
-            }
-        }
+        let &(generation, meta) = self.entries.get(h.index).ok_or(RequestError::UnknownHandle)?;
+        meta.filter(|_| generation == h.generation).ok_or(RequestError::StaleHandle)
     }
 
-    /// Live registrations in the snapshot.
+    /// Live registrations.
     pub fn live(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.entries.iter().filter(|(_, meta)| meta.is_some()).count()
     }
 }
 
@@ -187,15 +179,8 @@ impl WeightMeta {
     }
 }
 
-/// One live registration: its shape and the bytes it owns, freed when
-/// the entry is dropped.
-#[derive(Debug)]
-struct Entry {
-    meta: WeightMeta,
-    bytes: Stored,
-}
-
-/// What a registration keeps, by registry mode.
+/// What a live registration keeps, by registry mode; freed when the
+/// registration is evicted.
 #[derive(Debug)]
 enum Stored {
     /// The host-packed panel, exactly [`packed_b_bytes`] long.
@@ -205,22 +190,13 @@ enum Stored {
     Raw(Arc<[i8]>),
 }
 
-impl Entry {
+impl Stored {
     fn resident(&self) -> u64 {
-        match &self.bytes {
+        match self {
             Stored::Packed(p) => p.len() as u64,
             Stored::Raw(r) => r.len() as u64,
         }
     }
-}
-
-/// One registry slot: its current generation plus the live entry, if
-/// any. Evicting clears the entry; re-registering into the slot bumps
-/// the generation, which is what invalidates outstanding handles.
-#[derive(Debug)]
-struct Slot {
-    generation: u64,
-    entry: Option<Entry>,
 }
 
 /// Registry of pre-packed B operands: each registration packs the
@@ -237,8 +213,11 @@ struct Slot {
 /// into simulated machine memory) instead of a host-packed panel.
 #[derive(Debug)]
 pub struct WeightRegistry {
-    id: u64,
-    slots: Vec<Slot>,
+    /// Identity, and each slot's generation and live metadata: the one
+    /// place handles are checked ([`WeightSnapshot::meta`]).
+    view: WeightSnapshot,
+    /// Each slot's storage, `None` once evicted.
+    stored: Vec<Option<Stored>>,
     /// Evicted slot indices awaiting re-use.
     free: Vec<usize>,
     packed_bytes: u64,
@@ -271,9 +250,10 @@ impl WeightRegistry {
     fn with_mode(raw_mode: bool) -> Self {
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT_REGISTRY_ID: AtomicU64 = AtomicU64::new(0);
+        let registry = NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed);
         WeightRegistry {
-            id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
-            slots: Vec::new(),
+            view: WeightSnapshot { registry, entries: Vec::new() },
+            stored: Vec::new(),
             free: Vec::new(),
             packed_bytes: 0,
             resident_bytes: 0,
@@ -284,7 +264,7 @@ impl WeightRegistry {
     /// Process-unique identity stamped into every handle this registry
     /// issues.
     pub fn id(&self) -> u64 {
-        self.id
+        self.view.registry
     }
 
     /// Pack the row-major k×n weight matrix `b` for `dtype`'s kernel and
@@ -297,7 +277,7 @@ impl WeightRegistry {
     /// Panics if `b.len() != k * n`.
     pub fn register(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle {
         assert_eq!(b.len(), k * n, "weights must be k×n");
-        let bytes = if self.raw_mode {
+        let stored = if self.raw_mode {
             Stored::Raw(Arc::from(b))
         } else {
             let plan = host_block_plan(4, n, k, dtype.k_step());
@@ -307,42 +287,37 @@ impl WeightRegistry {
             self.packed_bytes += len as u64;
             Stored::Packed(panel)
         };
-        let entry = Entry { meta: WeightMeta { n, k, dtype }, bytes };
-        self.resident_bytes += entry.resident();
+        self.resident_bytes += stored.resident();
+        let meta = Some(WeightMeta { n, k, dtype });
         let index = match self.free.pop() {
             Some(index) => {
                 // re-use the evicted slot under a fresh generation, so
                 // handles to the old occupant read as stale
-                let slot = &mut self.slots[index];
-                slot.generation += 1;
-                slot.entry = Some(entry);
+                let entry = &mut self.view.entries[index];
+                *entry = (entry.0 + 1, meta);
+                self.stored[index] = Some(stored);
                 index
             }
             None => {
-                self.slots.push(Slot { generation: 0, entry: Some(entry) });
-                self.slots.len() - 1
+                self.view.entries.push((0, meta));
+                self.stored.push(Some(stored));
+                self.stored.len() - 1
             }
         };
-        WeightHandle { registry: self.id, index, generation: self.slots[index].generation }
+        WeightHandle { registry: self.id(), index, generation: self.view.entries[index].0 }
     }
 
-    /// Fallible lookup: the entry behind a handle, or why the handle is
-    /// invalid.
-    fn try_entry(&self, h: WeightHandle) -> Result<&Entry, RequestError> {
-        if h.registry != self.id {
-            return Err(RequestError::ForeignHandle);
-        }
-        let slot = self.slots.get(h.index).ok_or(RequestError::UnknownHandle)?;
-        if slot.generation != h.generation {
-            return Err(RequestError::StaleHandle);
-        }
-        slot.entry.as_ref().ok_or(RequestError::StaleHandle)
+    /// Fallible lookup: a registration's shape and storage, or why the
+    /// handle is invalid.
+    fn try_stored(&self, h: WeightHandle) -> Result<(WeightMeta, &Stored), RequestError> {
+        let meta = self.view.meta(h)?;
+        Ok((meta, self.stored[h.index].as_ref().expect("a live slot keeps its storage")))
     }
 
     /// Shape/dtype of a registered weight, or why the handle is
     /// invalid ([`RequestError::StaleHandle`] after eviction).
     pub fn try_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        Ok(self.try_entry(h)?.meta)
+        self.view.meta(h)
     }
 
     /// A registered weight's shape and its packed panel, ready for any
@@ -352,17 +327,16 @@ impl WeightRegistry {
     /// Panics on a foreign, unknown or evicted handle, and in
     /// raw-mirror mode (no packed panels exist there).
     pub fn panel(&self, h: WeightHandle) -> (WeightMeta, &[i8]) {
-        let entry = self.try_entry(h).unwrap_or_else(|e| panic!("{e}"));
-        match &entry.bytes {
-            Stored::Packed(panel) => (entry.meta, panel),
-            Stored::Raw(_) => panic!("raw-mirror registries hold no packed panels"),
+        match self.try_stored(h).unwrap_or_else(|e| panic!("{e}")) {
+            (meta, Stored::Packed(panel)) => (meta, panel),
+            (_, Stored::Raw(_)) => panic!("raw-mirror registries hold no packed panels"),
         }
     }
 
     /// The raw row-major k×n bytes of a registration (raw-mirror mode
     /// only; host registries keep only the packed form).
     pub fn raw(&self, h: WeightHandle) -> Result<Arc<[i8]>, RequestError> {
-        match &self.try_entry(h)?.bytes {
+        match self.try_stored(h)?.1 {
             Stored::Raw(raw) => Ok(raw.clone()),
             Stored::Packed(_) => {
                 Err(RequestError::Unsupported("registry does not retain raw weight bytes"))
@@ -375,28 +349,32 @@ impl WeightRegistry {
     /// [`WeightRegistry::register`] under a new generation.
     pub fn evict(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
         // validate first so a bad handle cannot free anything
-        self.try_entry(h)?;
-        let slot = &mut self.slots[h.index];
-        let entry = slot.entry.take().expect("validated live entry");
-        self.resident_bytes -= entry.resident();
-        self.free.push(h.index);
-        Ok(entry.meta)
+        let meta = self.view.meta(h)?;
+        self.drop_slot(h.index);
+        Ok(meta)
     }
 
     /// Evict every live registration (a serving engine dropping a whole
     /// stale model). Outstanding handles all become stale.
     pub fn clear(&mut self) {
-        for (index, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(entry) = slot.entry.take() {
-                self.resident_bytes -= entry.resident();
-                self.free.push(index);
+        for index in 0..self.stored.len() {
+            if self.stored[index].is_some() {
+                self.drop_slot(index);
             }
         }
     }
 
+    /// Free a live slot's storage and queue the slot for re-use.
+    fn drop_slot(&mut self, index: usize) {
+        let stored = self.stored[index].take().expect("a live slot keeps its storage");
+        self.view.entries[index].1 = None;
+        self.resident_bytes -= stored.resident();
+        self.free.push(index);
+    }
+
     /// Number of live registrations.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.entry.is_some()).count()
+        self.view.live()
     }
 
     /// True when nothing is registered (or everything was evicted).
@@ -418,17 +396,16 @@ impl WeightRegistry {
         self.resident_bytes
     }
 
-    /// Submit-time snapshot of every slot (identity, generations,
-    /// metadata) — what a serving session validates requests against.
+    /// The registry's slots as a [`WeightSnapshot`], borrowed: what a
+    /// batch is validated against, with no copy.
+    pub fn view(&self) -> &WeightSnapshot {
+        &self.view
+    }
+
+    /// An owned copy of [`WeightRegistry::view`], for a validator that
+    /// cannot hold the registry (a serving dispatcher).
     pub fn snapshot(&self) -> WeightSnapshot {
-        WeightSnapshot {
-            registry: self.id,
-            entries: self
-                .slots
-                .iter()
-                .map(|s| s.entry.as_ref().map(|e| (s.generation, e.meta)))
-                .collect(),
-        }
+        self.view.clone()
     }
 }
 
@@ -590,11 +567,13 @@ mod tests {
         reg.evict(h1).unwrap();
         let snap = reg.snapshot();
         assert_eq!(snap.live(), 1);
+        // the snapshot is a copy of the view the registry checks through
+        assert_eq!(reg.view().meta(h1).unwrap_err(), RequestError::StaleHandle);
+        assert_eq!(reg.view().live(), reg.len());
         assert_eq!(snap.meta(h1).unwrap_err(), RequestError::StaleHandle);
         assert_eq!(snap.meta(h2), reg.try_meta(h2));
         let foreign = WeightRegistry::new().snapshot();
         assert_eq!(foreign.meta(h2).unwrap_err(), RequestError::ForeignHandle);
-        assert!(WeightSnapshot::empty().meta(h2).is_err());
     }
 
     #[test]

@@ -38,7 +38,8 @@ pub struct ModelWeight {
     /// Reduction depth (GeMM k).
     pub k: usize,
     /// Quantized bytes, row-major k×n — exactly what
-    /// [`CampBackend::register_weights`] and `gemm_i32_ref` consume.
+    /// a backend's registry ([`CampBackend::weights_mut`]) and
+    /// `gemm_i32_ref` consume.
     pub q: Arc<[i8]>,
     /// Per-output-channel quantizer scales (len n).
     pub scales: Vec<f32>,
@@ -189,15 +190,16 @@ impl Model {
         }
     }
 
-    /// Register every weight matrix with `backend`, in [`WeightId`]
-    /// order. Call this **before** creating the backend's dispatcher —
-    /// the dispatcher validates requests against the registration
-    /// snapshot taken when it starts.
+    /// Register every weight matrix into `backend`'s registry
+    /// ([`CampBackend::weights_mut`]), in [`WeightId`] order. Call this
+    /// **before** creating the backend's dispatcher — the dispatcher
+    /// validates requests against the registration snapshot taken when
+    /// it starts.
     pub fn register<B: CampBackend>(&self, backend: &mut B) -> ModelHandles {
         let handles = self
             .weights
             .iter()
-            .map(|w| backend.register_weights(w.n, w.k, &w.q, DType::I8))
+            .map(|w| backend.weights_mut().register(w.n, w.k, &w.q, DType::I8))
             .collect();
         ModelHandles { handles }
     }

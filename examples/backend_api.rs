@@ -100,8 +100,8 @@ fn main() {
 
     // --- registered weights work on both substrates too ---
     let w = tensor(k * n, 13);
-    let hh = host.register_weights(n, k, &w, DType::I8);
-    let sh = sim.register_weights(n, k, &w, DType::I8);
+    let hh = host.weights_mut().register(n, k, &w, DType::I8);
+    let sh = sim.weights_mut().register(n, k, &w, DType::I8);
     let a = tensor(m * k, 15);
     let host_req = GemmRequest::with_weights(m, a.clone(), hh).expect("well-formed");
     let sim_req = GemmRequest::with_weights(m, a, sh).expect("well-formed");

@@ -9,19 +9,18 @@
 //! the step is made by the measuring thread and the counts repeat
 //! exactly — and on `DispatchExec` over an idle dispatcher of that
 //! engine (the direct path, on the measuring thread too), heap calls
-//! per warm decode step of the `sim_token` model
-//! on `SimBackend` (1933 when every batch built its own simulator, 1621
-//! once the backend kept one, 1397 since each request is one
-//! `SimSession::simulate` call that folds every block unit's partial C
-//! straight into its result: no per-unit C buffer, no per-batch side
-//! vectors, no zero-filled placeholder output per request, and 237
-//! since a `SimSession` assembles each method's programs once: each of
-//! the step's 29 GeMMs used to assemble its method's four programs
-//! again, 40 heap calls a GeMM), and per warm `Simulator::run` of a
-//! CAMP B-pack loop, which must make none (the simulator keeps its
-//! decoded program and timing queues between runs). The numbers are
-//! pinned as literals: a change that adds an allocation to any of these
-//! paths edits this file and says so.
+//! per warm decode step of the `sim_token` model on `SimBackend`, and
+//! per warm `Simulator::run` of a CAMP B-pack loop, which must make none
+//! (the simulator keeps its decoded program and timing queues between
+//! runs).
+//!
+//! The numbers are pinned as exact literals, identical in debug and
+//! release and under every `CAMP_FORCE_TIER` (no allocation depends on
+//! the kernel tier). A change that adds or removes a heap call on any of
+//! these paths re-pins the literals it moves and names each one, with
+//! its old and new value and why, in CHANGES.md, which holds every pin's
+//! history. The `PARENT_*` constants are the pins before the last
+//! re-pin: no pin may rise above them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -135,12 +134,11 @@ fn prompt(len: usize, vocab: usize) -> Vec<u32> {
 /// (row 33, row 65), so each token costs the same number of calls.
 const DECODE_TOKENS: usize = 16;
 
-/// What the commit before PR 24 (a fresh `Vec` per requant sweep)
-/// measured with this file: 372 calls and 207 608 bytes per decode
-/// token; 665 calls, 16 980 792 bytes and this peak per prefill. The
-/// destination-passing glue has to stay under both bars.
-const PARENT_ALLOCS_PER_DECODE_TOKEN: usize = 372;
-const PARENT_PREFILL_PEAK_BYTES: isize = 3_680_344;
+/// Whether no field of `now` rose above `parent`'s: calls, bytes and
+/// peak (`live` is pinned exactly).
+fn no_higher(now: Tally, parent: Tally) -> bool {
+    now.allocs <= parent.allocs && now.bytes <= parent.bytes && now.peak <= parent.peak
+}
 
 /// Heap traffic of [`DECODE_TOKENS`] steady-state decode tokens on
 /// `exec`, after a 32-token prompt and four warm-up tokens.
@@ -179,60 +177,30 @@ fn heap_calls_per_decode_token_and_per_prefill_are_pinned() {
     let decode = decode_tally(&model, &mut exec);
     let prefill = prefill_tally(&model, &mut exec);
 
-    // identical in debug and release and under every CAMP_FORCE_TIER:
-    // the engine's allocations do not depend on the kernel tier. PR 26
-    // took one call and `hidden` bytes off per token of a step, and
-    // nothing else: the embedding is written straight into the hidden
-    // state instead of through a fresh `Vec` per token (341 → 340 per
-    // decode token, 634 → 442 per 192-token prefill). `Output` lost its
-    // `clamped` flag and shrank from 48 to 40 bytes, so `BackendExec`'s
-    // `outputs.into_iter().map(|o| o.c).collect()` no longer reuses the
-    // buffer for the 24-byte `Vec<i32>`s as it is but shrinks it with a
-    // `realloc` (40 n bytes hold a whole number of `Vec`s only when n is
-    // a multiple of three), while the engine computes into its `Output`s directly
-    // instead of collecting them from a `Vec<Vec<i32>>`, one call fewer
-    // per batch: 340 → 336 per decode token, 442 → 438 per prefill.
-    // Since `prepare` packs nothing, a prefill's attention score and
-    // context GeMMs (below the row-split threshold) pack A into the
-    // engine's warm arena instead of a staged `Vec` each, 4 layers × 4
-    // heads × 2 = 32 calls and 786 432 bytes fewer (438 → 406 per
-    // prefill), and the staged request lost its image fields, 3 648
-    // bytes fewer per step across its batches' staged lists (decode
-    // 3 178 112 → 3 119 744 bytes, peak 18 576 → 18 320); calls per
-    // decode token and the prefill's peak are unchanged. The engine
-    // then took the requests themselves instead of a staged copy of
-    // each: a `GemmRequest` is 16 bytes larger than the staged request
-    // was, and the batch's route list now carries each request's
-    // resolved shape (32 bytes), 48 bytes more per request of the 57 a
-    // forward pass runs (decode 3 119 744 → 3 163 520 bytes per 16
-    // tokens, peak 18 320 → 18 512; prefill 14 323 688 → 14 326 424
-    // bytes); no call was added or removed.
-    let per_token = 336;
+    let per_token = 311;
+    let want = Tally { allocs: per_token * DECODE_TOKENS, bytes: 2_843_520, live: 0, peak: 17_712 };
     assert_eq!(
-        decode,
-        Tally { allocs: per_token * DECODE_TOKENS, bytes: 3_163_520, live: 0, peak: 18_512 },
+        decode, want,
         "a steady-state decode token costs a constant number of heap calls and keeps nothing"
     );
     // what stays live is the K/V the prompt left in its cache
-    assert_eq!(prefill, Tally { allocs: 406, bytes: 14_326_424, live: 729_088, peak: 1_957_920 });
-    assert!(per_token < PARENT_ALLOCS_PER_DECODE_TOKEN);
-    assert!(prefill.peak < PARENT_PREFILL_PEAK_BYTES);
+    assert_eq!(prefill, Tally { allocs: 381, bytes: 14_306_424, live: 729_088, peak: 1_957_920 });
+    assert!(no_higher(want, PARENT_DECODE) && no_higher(prefill, PARENT_PREFILL));
 }
 
-/// What [`DispatchExec`] measured with this file at the commit before a
-/// dispatcher queued the submitted requests themselves (it collected a
-/// staged copy of each batch): 328 calls per decode token, 398 per
-/// prefill.
-const PARENT_DIRECT_ALLOCS_PER_DECODE_TOKEN: usize = 328;
-const PARENT_DIRECT_ALLOCS_PER_PREFILL: usize = 398;
+/// `BackendExec`'s pins before `execute_batch` validated against the
+/// registry in place (it copied a registry snapshot per batch).
+const PARENT_DECODE: Tally =
+    Tally { allocs: 336 * DECODE_TOKENS, bytes: 3_163_520, live: 0, peak: 18_512 };
+const PARENT_PREFILL: Tally =
+    Tally { allocs: 406, bytes: 14_326_424, live: 729_088, peak: 1_957_920 };
 
 /// The same tokens on `chat_decode`'s served path: `DispatchExec` over
 /// one session of an idle dispatcher, so every batch takes the direct
 /// path and runs on this thread (validation, admission and the engine's
 /// batch, with no hand-off to the driver). Fewer calls than on
-/// `BackendExec`: a session validates against the dispatcher's snapshot
-/// and hands the engine the batch it owns, where `execute_batch` takes a
-/// registry snapshot and copies the borrowed requests per batch.
+/// `BackendExec`: a session hands the engine the batch it owns, where
+/// `execute_batch` copies the borrowed requests per batch.
 #[test]
 fn heap_calls_on_the_dispatchers_direct_path_are_pinned() {
     let model = Model::new(CFG, VOCAB, 7);
@@ -246,16 +214,23 @@ fn heap_calls_on_the_dispatchers_direct_path_are_pinned() {
         prefill_tally(&model, &mut DispatchExec::new(&mut session, &handles, Priority::Prefill));
     let stats = dispatcher.stats();
     assert_eq!(stats.direct, stats.executed, "an idle dispatcher runs every batch direct");
-    let per_token = 303;
+    let per_token = 286;
+    let want = Tally { allocs: per_token * DECODE_TOKENS, bytes: 2_755_968, live: 0, peak: 17_328 };
     assert_eq!(
-        decode,
-        Tally { allocs: per_token * DECODE_TOKENS, bytes: 2_782_080, live: 0, peak: 17_328 },
+        decode, want,
         "a steady-state decode token costs a constant number of heap calls and keeps nothing"
     );
-    assert_eq!(prefill, Tally { allocs: 373, bytes: 14_302_584, live: 729_088, peak: 1_957_920 });
-    assert!(per_token < PARENT_DIRECT_ALLOCS_PER_DECODE_TOKEN);
-    assert!(prefill.allocs < PARENT_DIRECT_ALLOCS_PER_PREFILL);
+    assert_eq!(prefill, Tally { allocs: 356, bytes: 14_300_952, live: 729_088, peak: 1_957_920 });
+    assert!(no_higher(want, PARENT_DIRECT_DECODE) && no_higher(prefill, PARENT_DIRECT_PREFILL));
 }
+
+/// `DispatchExec`'s pins before a queued batch was checked for
+/// condemned handles through its own operands (admission collected them
+/// into a `Vec` per batch).
+const PARENT_DIRECT_DECODE: Tally =
+    Tally { allocs: 303 * DECODE_TOKENS, bytes: 2_782_080, live: 0, peak: 17_328 };
+const PARENT_DIRECT_PREFILL: Tally =
+    Tally { allocs: 373, bytes: 14_302_584, live: 729_088, peak: 1_957_920 };
 
 /// `benchmark/`'s `sim_token` model (`benchmark/src/workload.rs`).
 const SIM_CFG: TransformerConfig =
@@ -263,16 +238,12 @@ const SIM_CFG: TransformerConfig =
 const SIM_VOCAB: usize = 64;
 
 /// Heap calls of one warm decode step of [`SIM_CFG`] on `SimBackend`:
-/// now (the requests' inputs and outputs; no program assembly and no
-/// padded operands, which the session keeps), and at the commit before
-/// the backend kept one simulator, which built one
-/// (caches, prefetchers, machine, queues) for each of the step's 13
-/// batches. 179 before `Output` lost its `clamped` flag: since then
-/// `BackendExec` shrinks the 40-byte `Output` buffer into its 24-byte
-/// `Vec<i32>`s with a `realloc` (in place at 48 bytes), one call per
-/// batch but for those of three requests.
-const SIM_ALLOCS_PER_DECODE_STEP: usize = 190;
-const PARENT_SIM_ALLOCS_PER_DECODE_STEP: usize = 1933;
+/// the requests' inputs and outputs (the session keeps its programs and
+/// padded operands), and the pin before batches validated against the
+/// registry in place (`execute_batch` and `execute_prepared` each copied
+/// a registry snapshot per batch).
+const SIM_ALLOCS_PER_DECODE_STEP: usize = 164;
+const PARENT_SIM_ALLOCS_PER_DECODE_STEP: usize = 190;
 
 #[test]
 fn a_warm_simulated_decode_step_is_pinned() {
@@ -296,7 +267,7 @@ fn a_warm_simulated_decode_step_is_pinned() {
     // from step to step; the calls do not, and nothing stays live
     let calls = [step(), step()].map(|t| (t.allocs, t.live));
     assert_eq!(calls, [(SIM_ALLOCS_PER_DECODE_STEP, 0); 2]);
-    const { assert!(SIM_ALLOCS_PER_DECODE_STEP < PARENT_SIM_ALLOCS_PER_DECODE_STEP) };
+    const { assert!(SIM_ALLOCS_PER_DECODE_STEP <= PARENT_SIM_ALLOCS_PER_DECODE_STEP) };
 }
 
 #[test]

@@ -53,8 +53,8 @@ proptest! {
         let mut sim = SimBackend::new(CoreConfig::a64fx());
         // one registered weight per backend (the handle operand of the
         // acceptance criterion)
-        let hh = CampBackend::register_weights(&mut host, n1, k1, &wreg, DType::I8);
-        let sh = sim.register_weights(n1, k1, &wreg, DType::I8);
+        let hh = host.weights_mut().register(n1, k1, &wreg, DType::I8);
+        let sh = sim.weights_mut().register(n1, k1, &wreg, DType::I8);
 
         // ragged batch: i8 + i4 + shared-B + possibly-degenerate + handle
         let build = |h| -> Vec<GemmRequest> { vec![
@@ -85,7 +85,7 @@ proptest! {
     {
         let w = gen_i4(k * n, seed | 1);
         let mut sim = SimBackend::new(CoreConfig::a64fx());
-        let h = sim.register_weights(n, k, &w, DType::I8);
+        let h = sim.weights_mut().register(n, k, &w, DType::I8);
         let activations: Vec<Vec<i8>> = (0..3)
             .map(|i| gen_i4(m * k, seed.rotate_left(3 + 2 * i) | 1))
             .collect();

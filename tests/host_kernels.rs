@@ -96,7 +96,7 @@ proptest! {
                 prop_assert_eq!(&got.output.c, &want,
                     "dense tier {} {}x{}x{}", hk.tier().name(), m, n, k);
                 // registered B: the same problem walks the packed panel
-                let h = CampBackend::register_weights(&mut eng, n, k, &b, DType::I8);
+                let h = eng.weights_mut().register(n, k, &b, DType::I8);
                 let req = GemmRequest::with_weights(m, a.clone(), h).unwrap();
                 let got = eng.execute(&req).unwrap();
                 prop_assert_eq!(&got.output.c, &want,
@@ -439,7 +439,7 @@ fn a_pinned_engine_builds_its_own_tiers_a_image() {
         let want = gemm_i32_ref(m, n, k, &a, &w);
         for hk in HostKernel::available() {
             let mut eng = CampEngine::with_threads_and_kernel(1, hk);
-            let h = eng.register_weights(n, k, &w, DType::I8);
+            let h = eng.weights_mut().register(n, k, &w, DType::I8);
             for req in [
                 GemmRequest::with_weights(m, a.clone(), h).unwrap(),
                 GemmRequest::dense(m, n, k, a.clone(), w.clone()).unwrap(),

@@ -149,7 +149,7 @@ fn session_requests_flow_through_the_facade() {
     let w: Vec<i8> = (0..k * n).map(|i| (i % 15) as i8 - 7).collect();
     let a: Vec<i8> = (0..m * k).map(|i| (i % 13) as i8 - 6).collect();
     let mut eng = CampEngine::with_threads(2);
-    let h = eng.register_weights(n, k, &w, DType::I8);
+    let h = eng.weights_mut().register(n, k, &w, DType::I8);
     let dispatcher = eng.dispatch();
     let mut session = dispatcher.session();
     let req = GemmRequest::with_weights(m, a.clone(), h).unwrap();

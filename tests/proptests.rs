@@ -159,8 +159,8 @@ proptest! {
         let a3 = gen(m2 * k1, seed.rotate_left(17) | 1);
 
         let mut eng = CampEngine::with_threads(threads);
-        let h1 = eng.register_weights(n1, k1, &b1, DType::I8);
-        let h2 = eng.register_weights(n2, k2, &b2, DType::I4);
+        let h1 = eng.weights_mut().register(n1, k1, &b1, DType::I8);
+        let h2 = eng.weights_mut().register(n2, k2, &b2, DType::I4);
         let handle_req = |m: usize, a: &Vec<i8>, h| GemmRequest::with_weights(m, a.clone(), h)
             .expect("coherent");
 

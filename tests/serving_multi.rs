@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use camp::core::backend::{BatchOutcome, CampBackend};
 use camp::core::{
     gemm_i32_ref, CampEngine, DType, DispatchOptions, Dispatcher, GemmRequest, Priority,
-    RequestError, WeightHandle, WeightMeta, WeightSnapshot,
+    RequestError, WeightRegistry,
 };
 use camp::gemm::KernelInfo;
 use proptest::prelude::*;
@@ -44,8 +44,8 @@ proptest! {
         let b2 = gen(k2 * n2, seed.rotate_left(5) | 1);
 
         let mut engine = CampEngine::with_threads(threads);
-        let h1 = engine.register_weights(n1, k1, &b1, DType::I8);
-        let h2 = engine.register_weights(n2, k2, &b2, DType::I4);
+        let h1 = engine.weights_mut().register(n1, k1, &b1, DType::I8);
+        let h2 = engine.weights_mut().register(n2, k2, &b2, DType::I4);
         let pool = engine.worker_pool();
 
         let opts = DispatchOptions { queue_depth: 16 };
@@ -136,20 +136,11 @@ impl CampBackend for OrderLog {
     fn kernel_info(&self) -> KernelInfo {
         self.engine.kernel_info()
     }
-    fn register_weights(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle {
-        self.engine.register_weights(n, k, b, dtype)
+    fn weights(&self) -> &WeightRegistry {
+        self.engine.weights()
     }
-    fn evict_weights(&mut self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        self.engine.evict_weights(h)
-    }
-    fn clear_weights(&mut self) {
-        self.engine.clear_weights()
-    }
-    fn try_weight_meta(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
-        self.engine.try_weight_meta(h)
-    }
-    fn weight_snapshot(&self) -> WeightSnapshot {
-        self.engine.weight_snapshot()
+    fn weights_mut(&mut self) -> &mut WeightRegistry {
+        self.engine.weights_mut()
     }
     fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
         self.log.lock().unwrap().push(batch[0].m());
@@ -167,7 +158,7 @@ fn a_prefill_flood_cannot_starve_decode_beyond_the_batch_already_picked() {
     let b = gen(k * n, 0x5eed | 1);
     let log = Arc::new(Mutex::new(Vec::new()));
     let mut engine = OrderLog { engine: CampEngine::with_threads(1), log: Arc::clone(&log) };
-    let h = engine.register_weights(n, k, &b, DType::I8);
+    let h = engine.weights_mut().register(n, k, &b, DType::I8);
 
     let flood_sessions = 3;
     let dispatcher = Dispatcher::with_options(engine, DispatchOptions { queue_depth: 64 });
@@ -230,7 +221,7 @@ fn saturation_bounds_in_flight_and_recovers_without_leaks() {
     let (n, k) = (64, 512);
     let b = gen(k * n, 0xbead | 1);
     let mut engine = CampEngine::with_threads(2);
-    let h = engine.register_weights(n, k, &b, DType::I8);
+    let h = engine.weights_mut().register(n, k, &b, DType::I8);
     let pool = engine.worker_pool().expect("threaded engine has a pool");
 
     let dispatcher = Dispatcher::with_options(engine, DispatchOptions::default());
@@ -317,8 +308,8 @@ fn eviction_racing_live_tenants_errs_stale_and_never_panics() {
     let b1 = gen(k * n, 0xdead | 1);
     let b2 = gen(k * n, 0xbeef | 1);
     let mut engine = CampEngine::with_threads(2);
-    let h1 = engine.register_weights(n, k, &b1, DType::I8);
-    let h2 = engine.register_weights(n, k, &b2, DType::I8);
+    let h1 = engine.weights_mut().register(n, k, &b1, DType::I8);
+    let h2 = engine.weights_mut().register(n, k, &b2, DType::I8);
 
     let dispatcher = Arc::new(Dispatcher::with_options(engine, DispatchOptions::default()));
     let tenants: Vec<_> = (0..4)
@@ -372,6 +363,6 @@ fn eviction_racing_live_tenants_errs_stale_and_never_panics() {
 
     // post-race: the registration is really gone from the engine
     let mut engine = Arc::into_inner(dispatcher).expect("all tenants joined").into_backend();
-    assert_eq!(engine.evict_weights(h1).unwrap_err(), RequestError::StaleHandle);
-    assert!(engine.evict_weights(h2).is_ok());
+    assert_eq!(engine.weights_mut().evict(h1).unwrap_err(), RequestError::StaleHandle);
+    assert!(engine.weights_mut().evict(h2).is_ok());
 }
