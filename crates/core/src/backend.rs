@@ -261,8 +261,8 @@ pub trait CampBackend {
     fn weights_mut(&mut self) -> &mut WeightRegistry;
 
     /// Execute a batch of requests; outputs come back in input order,
-    /// with handle operands resolved against this backend's registry
-    /// (the host engine also packs each dense B buffer once). Every
+    /// with handle operands resolved against this backend's registry.
+    /// Every
     /// request is validated before any runs, so a malformed or stale one
     /// fails the batch with a typed error and no work done.
     fn execute_batch(&mut self, reqs: &[GemmRequest]) -> Result<BatchOutcome, RequestError> {
@@ -283,10 +283,11 @@ pub trait CampBackend {
     /// [`CampBackend::weights`], on whichever thread holds the
     /// backend (a dispatcher's driver, a
     /// [`crate::dispatch::DispatchSession::run`] caller, or
-    /// [`CampBackend::execute_batch`]'s), so this is infallible. The
-    /// host engine deduplicates dense B operands here, by buffer
-    /// identity, on the compute path; served weights are registered
-    /// handles and pack nothing.
+    /// [`CampBackend::execute_batch`]'s), so this is infallible. Each
+    /// request runs as it would alone, and the batch's stats are the sum
+    /// of its requests': the host engine packs a dense B for each
+    /// request that reads it through a panel, while served weights are
+    /// registered handles and pack nothing.
     fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome;
 
     /// Upgrade the backend into a serving [`Dispatcher`] with
@@ -452,6 +453,7 @@ impl CampBackend for SimBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::Priority;
     use camp_gemm::gemm_i32_ref;
     use camp_gemm::weights::DType;
 
@@ -546,6 +548,39 @@ mod tests {
             assert_eq!(err, RequestError::Oversized("A"));
             let out = backend.execute(&fine).unwrap();
             assert_eq!(out.output.c, gemm_i32_ref(2, n, k, &fill(2 * k, 3), &w));
+        }
+        check(CampEngine::new());
+        check(SimBackend::a64fx());
+    }
+
+    #[test]
+    fn an_out_of_range_i4_activation_is_refused_on_every_entry_point() {
+        // the dtype comes from an i4 registration, so the builder cannot
+        // range-check A: `resolve` does, before any kernel runs
+        fn check<B: CampBackend + Send + 'static>(mut backend: B) {
+            let (n, k) = (4, 8);
+            let w = fill(k * n, 5);
+            let h = backend.weights_mut().register(n, k, &w, DType::I4);
+            let mut a = fill(2 * k, 3);
+            a[0] = 100;
+            let hostile = GemmRequest::with_weights(2, a, h).unwrap();
+            let fine = GemmRequest::with_weights(2, fill(2 * k, 3), h).unwrap();
+            let want = gemm_i32_ref(2, n, k, &fill(2 * k, 3), &w);
+            let refused = Err(RequestError::OperandRange("A"));
+            let err = backend.execute_batch(&[fine.clone(), hostile.clone()]).map(|_| ());
+            assert_eq!(err, refused);
+            assert_eq!(backend.execute(&fine).unwrap().output.c, want);
+            let dispatcher = backend.dispatch();
+            let mut session = dispatcher.session();
+            assert_eq!(session.submit(vec![hostile.clone()]).map(|_| ()), refused);
+            let run = session.run(vec![fine.clone(), hostile], Priority::Decode, None);
+            assert_eq!(run.map(|_| ()), refused);
+            let t = session.submit(vec![fine.clone()]).unwrap();
+            assert_eq!(session.wait(t).unwrap().outputs[0].c, want);
+            let out = session.run(vec![fine], Priority::Decode, None).unwrap();
+            assert_eq!(out.outputs[0].c, want);
+            drop(session);
+            let _ = dispatcher.into_backend();
         }
         check(CampEngine::new());
         check(SimBackend::a64fx());

@@ -1666,8 +1666,8 @@ mod tests {
         }
         assert_eq!(bare.outputs.len(), want.len());
         if let Some(host) = bare.stats.as_host() {
-            let shared_once = (n.div_ceil(4) * 4 * k.div_ceil(16) * 16) as u64;
-            assert_eq!(host.packed_b_bytes, shared_once, "only the blocked pair's B is packed");
+            let panel = (n.div_ceil(4) * 4 * k.div_ceil(16) * 16) as u64;
+            assert_eq!(host.packed_b_bytes, 2 * panel, "each of the blocked pair packs its B");
         }
         for (leg, outcome) in [("direct run", &direct), ("queued batch", &queued)] {
             assert!(outcome.outputs == bare.outputs, "a {leg} must match the bare backend");

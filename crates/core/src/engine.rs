@@ -14,14 +14,19 @@
 //! The engine shares `camp-gemm`'s blocked-loop skeleton
 //! ([`camp_gemm::loops`]: the `BlockPlan`, [`small_path`] and the
 //! block iterators) with the simulated §5.3 driver. Its loop nest never
-//! packs A: a blocked work unit is one [`HostKernel::run_blocked`] call —
+//! packs: a blocked work unit is one [`HostKernel::run_blocked`] call —
 //! `for_each_b_block` × row strips over **two whole packed images** —
-//! and every A movement happens before the first tile-kernel call (the
-//! `amx` tier re-lays each B block into its scratch inside the nest).
+//! and every operand movement happens before the first tile-kernel call
+//! (the `amx` tier re-lays each B block into its scratch inside the
+//! nest). Like the paper's modified ulmBLAS, a unit packs each operand
+//! it reads inside the call that reads it:
 //!
-//! * **B's image** is a panel of the engine's [`WeightRegistry`] or a
-//!   panel the batch packed once per distinct dense operand into the
-//!   engine's shared arena.
+//! * **B's image** is a panel of the engine's [`WeightRegistry`], or —
+//!   for a dense B — the whole panel the unit packs with
+//!   [`HostKernel::prepack_b`] into its worker's [`PackPool`] B arena
+//!   just before its nest runs. A row-split request's units each pack
+//!   it; no B is shared between requests, so a batch computes and
+//!   counts exactly what its requests do alone.
 //! * **A's image** has one builder: every blocked unit — a whole request,
 //!   or one row range of a request at or above `BATCH_ROW_SPLIT_MACS`
 //!   (8 Mi MACs) — packs its own rows once, with
@@ -79,14 +84,12 @@
 //! results *and* [`EngineStats`] are the same whichever way a batch
 //! came in:
 //!
-//! * **B deduplication** (`execute_prepared`, which sees the whole batch
-//!   and owns the arena) — requests sharing one dense B buffer under
-//!   one (n, k, k-step) pack it once into a pool-owned panel reused
-//!   across the batch (skinny-n requests included); a skinny-m request
-//!   (m ≤ 8) reads its dense B **in place** — a single-use operand such
-//!   as an attention head's Kᵀ or V is never copied into a panel just
-//!   to be read once — and requests carrying a [`WeightHandle`] skip
-//!   packing entirely;
+//! * **B where it lives** — requests carrying a [`WeightHandle`] read
+//!   its registered panel and pack nothing; a skinny-m request (m ≤ 8)
+//!   reads its dense B **in place** — a single-use operand such as an
+//!   attention head's Kᵀ or V is never copied into a panel just to be
+//!   read once — and any other dense B is packed by the unit reading
+//!   it (a weight many requests read is registered instead);
 //! * **skinny routes** — a request's route is a property of its overall
 //!   shape ([`small_path`]), never of a row range: skinny requests read
 //!   the raw activation through the tier's small kernels and build no A
@@ -101,18 +104,17 @@
 //! problems. For streaming many batches,
 //! [`CampBackend::dispatch`](crate::backend::CampBackend::dispatch)
 //! upgrades the engine into a [`crate::dispatch::Dispatcher`]. A
-//! request's dense B is packed by whichever thread holds the engine,
-//! not by the submitter: served weights are registered handles, and the
-//! dense B of served traffic is attention K/V, a few KiB per head,
-//! which decode steps read in place.
+//! request's dense B is packed by the worker computing it, not by the
+//! submitter: served weights are registered handles, and the dense B of
+//! served traffic is attention K/V, a few KiB per head, which decode
+//! steps read in place.
 
 use camp_gemm::batch::{packed_a_bytes, packed_b_bytes};
 use camp_gemm::host::{zeroed, HostKernel, KernelInfo, SmallB};
 use camp_gemm::loops::{small_path, SmallPath};
 use camp_gemm::request::{GemmRequest, Operand, ResolvedRequest};
 use camp_gemm::weights::{host_block_plan, WeightRegistry, WeightSnapshot};
-use camp_gemm::workspace::{PackPool, PanelId};
-use std::collections::{HashMap, HashSet};
+use camp_gemm::workspace::PackPool;
 use std::mem::MaybeUninit;
 
 use crate::backend::{Output, VALIDATED};
@@ -150,14 +152,15 @@ pub struct EngineStats {
     /// 32, each depth block to 64); a skinny request packs none on the
     /// host and reports the canonical tile stream's figure.
     pub packed_a_bytes: u64,
-    /// Bytes the engine actually moved packing B panels, deduplicated:
-    /// each *distinct* dense B that a blocked or skinny-n request of
-    /// the batch reads (same buffer, same (n, k, k-step)) is packed
-    /// once, whichever entry point ran the batch. A skinny-m request
-    /// reads its dense B in place and adds 0 (`camp_issues` /
-    /// `vector_*` still report the canonical stream), and requests
-    /// against a registered [`WeightHandle`] pack **nothing** — this
-    /// stays 0 on the serving steady state.
+    /// Bytes of B's packed panel: one rule, like `packed_a_bytes` —
+    /// `np·kp` per non-degenerate dense-B request off the skinny-m
+    /// route, whatever buffer other requests share, on every tier,
+    /// thread count and entry point (a row-split request's units each
+    /// pack the panel; it counts once). A skinny-m request reads its
+    /// dense B in place and adds 0 (`camp_issues` / `vector_*` still
+    /// report the canonical stream), and requests against a registered
+    /// [`WeightHandle`] pack **nothing** — this stays 0 on the serving
+    /// steady state.
     pub packed_b_bytes: u64,
     /// Multiply-accumulate operations represented.
     pub macs: u64,
@@ -192,37 +195,23 @@ impl EngineStats {
     }
 }
 
-/// Whether [`debug_check_i4`] looks at operands of `dtype` at all.
-fn checks_i4(dtype: DType) -> bool {
-    cfg!(debug_assertions) && dtype == DType::I4
-}
-
-/// Debug-build guard for the `camp.s4` kernel's operand contract:
-/// values must fit 4 bits. The host tiers run i4 through the same
-/// widening i8 arithmetic (the math is identical on 4-bit-safe
-/// operands), so the range check lives at the engine entry points
-/// instead of inside the micro-kernel.
-fn debug_check_i4(dtype: DType, what: &str, vals: &[i8]) {
-    if checks_i4(dtype) {
-        if let Some(v) = vals.iter().find(|v| !(-8..8).contains(*v)) {
-            panic!("i4 {what} operand {v} out of range");
-        }
-    }
-}
-
 /// The [`EngineStats`] of one non-degenerate request: its route, and
 /// the camp instruction stream of running it through the blocked tile
 /// path, computed arithmetically from the plan — every 4×4 tile issues
 /// once per k-step and loads two operands per issue; each k block
 /// stores the tile once and, after the first, reads it back first; A's
 /// canonical image is `mp·kp` bytes (the shared panel layout's, whatever
-/// layout the tier packs). This *is* the engine's accounting on every
-/// route: stats are a property of the *problem* (shape, dtype), not of
-/// which host schedule computed it or how its rows were split, so the
-/// counters stay comparable across paths, thread counts and entry
-/// points by construction. B is not a property of the request — a
-/// panel's bytes are accounted once, by whoever packed it.
-fn request_stats(m: usize, n: usize, k: usize, k_step: usize) -> EngineStats {
+/// layout the tier packs), and a `dense_b` off the skinny-m route packs
+/// its `np·kp`-byte panel. This *is* the engine's accounting on every
+/// route: stats are a property of the *problem* (shape, dtype, where B
+/// lives), not of which host schedule computed it or how its rows were
+/// split, so the counters stay comparable across paths, thread counts
+/// and entry points by construction, and a batch's stats are the sum of
+/// its requests'.
+fn request_stats(r: ResolvedRequest, dense_b: bool) -> EngineStats {
+    let ResolvedRequest { m, n, k, dtype } = r;
+    let k_step = dtype.k_step();
+    let route = small_path(m, n);
     let plan = host_block_plan(m, n, k, k_step);
     let tiles = ((plan.mp / 4) * (plan.np / 4)) as u64;
     let k_blocks = plan.kp.div_ceil(plan.kc) as u64;
@@ -232,15 +221,22 @@ fn request_stats(m: usize, n: usize, k: usize, k_step: usize) -> EngineStats {
         vector_loads: 2 * camp_issues + tiles * (k_blocks - 1),
         vector_stores: tiles * k_blocks,
         packed_a_bytes: packed_a_bytes(&plan) as u64,
+        packed_b_bytes: if packs_b(dense_b, route) { packed_b_bytes(&plan) as u64 } else { 0 },
         macs: (m * n * k) as u64,
         ..EngineStats::default()
     };
-    match small_path(m, n) {
+    match route {
         Some(SmallPath::SmallM) => s.small_m_routed = 1,
         Some(SmallPath::SmallN) => s.small_n_routed = 1,
         None => s.blocked_routed = 1,
     }
     s
+}
+
+/// Whether a request on `route` packs its B: a dense one does, unless
+/// the skinny-m row sweep reads it in place.
+fn packs_b(dense_b: bool, route: Option<SmallPath>) -> bool {
+    dense_b && route != Some(SmallPath::SmallM)
 }
 
 /// Row-range height of an m-row problem split across up to `threads`
@@ -261,50 +257,21 @@ fn row_splits(m: usize, n: usize, k: usize) -> bool {
         && small_path(m, n) != Some(SmallPath::SmallM)
 }
 
-/// The route a request's units take, decided once per batch by
-/// [`CampEngine::compute_batch`] from its shape ([`small_path`]) and where
-/// its B lives. `P` is a packed B panel: its bytes when the units run,
-/// a [`Panel`] while the batch's dense B are still being packed.
-#[derive(Clone, Copy)]
-enum Route<'a, P = &'a [i8]> {
-    /// Skinny-m: raw A rows against B read dense in place or as a
-    /// registered panel (a skinny-m request's dense B is never packed).
-    SmallM(SmallB<'a>),
-    /// Skinny-n: raw A rows against a panel.
-    SmallN(P),
-    /// The blocked nest over a panel, each unit's rows packed into its
-    /// worker's arena.
-    Blocked(P),
-}
-
-/// A panel-reading route's B before the batch arena is complete.
-#[derive(Clone, Copy)]
-enum Panel<'a> {
-    /// A registered weight's panel.
-    Registered(&'a [i8]),
-    /// A dense B packed into the batch arena.
-    Shared(PanelId),
-}
-
-impl<'a, P> Route<'a, P> {
-    fn map_panel<Q>(self, f: impl FnOnce(P) -> Q) -> Route<'a, Q> {
-        match self {
-            Route::SmallM(b) => Route::SmallM(b),
-            Route::SmallN(b) => Route::SmallN(f(b)),
-            Route::Blocked(b) => Route::Blocked(f(b)),
-        }
-    }
-}
-
 /// One non-degenerate request of a batch as its work units read it: its
-/// width and depth, the raw activation and its [`Route`].
+/// width and depth, the raw activation, its B and its route — the
+/// skinny path of its overall shape ([`small_path`]), never of a row
+/// range, or `None` for the blocked nest.
 #[derive(Clone, Copy)]
 struct Item<'a> {
     n: usize,
     k: usize,
     k_step: usize,
     a: &'a [i8],
-    route: Route<'a>,
+    /// The raw row-major k×n operand when `dense`, a registered panel
+    /// otherwise.
+    b: &'a [i8],
+    dense: bool,
+    route: Option<SmallPath>,
 }
 
 /// The batch's unit of scheduling: rows `r0..r0 + c.len() / n` of one
@@ -322,13 +289,18 @@ impl Unit<'_> {
     }
 }
 
-/// Run one unit on its *item's* [`Route`]: the skinny fast paths for
+/// Run one unit on its *item's* route: the skinny fast paths for
 /// GEMV-shaped items — raw A rows feed the tier's small kernels
 /// directly, no A image, no padded register tile — and the tier's
 /// blocked macro-kernel ([`HostKernel::run_blocked`]) otherwise, over
-/// this unit's rows packed once into `pool`'s arena before the nest
-/// starts (the arena also holds the nest's scratch, where the tier
-/// needs one). Either way every element of the unit's C is written: the
+/// this unit's rows packed once into `pool`'s A arena before the nest
+/// starts (the pool also holds the nest's scratch, where the tier needs
+/// one). A dense B is packed whole into `pool`'s B arena first, under
+/// the unit's own plan, except on the skinny-m route, whose row sweep
+/// streams the raw row-major operand once. (Skinny-n keeps packing: its
+/// B is at most 8 columns wide, every one of its m > 8 rows re-reads
+/// it, and pack-then-panel-walk measured faster than a no-pack kernel
+/// there.) Either way every element of the unit's C is written: the
 /// skinny kernels accumulate into a C zeroed here, the blocked
 /// macro-kernel writes its C whole. Bit-identity across routes and row
 /// ranges is structural — exact products, wrapping i32 accumulation.
@@ -337,12 +309,26 @@ fn run_unit(unit: Unit<'_>, pool: &mut PackPool, hk: &'static HostKernel) {
     let rows = c.len() / it.n;
     let a_rows = &it.a[r0 * it.k..(r0 + rows) * it.k];
     let plan = host_block_plan(rows, it.n, it.k, it.k_step);
+    let pack_b = packs_b(it.dense, it.route);
+    let blocked = it.route.is_none();
+    let (image, panel, scratch) = pool.arenas(
+        if blocked { hk.packed_a_len(&plan) } else { 0 },
+        if pack_b { packed_b_bytes(&plan) } else { 0 },
+        if blocked { hk.blocked_scratch_len(&plan) } else { 0 },
+    );
+    let b: &[i8] = if pack_b {
+        hk.prepack_b(panel, it.b, it.n, it.k, &plan);
+        panel
+    } else {
+        it.b
+    };
     match it.route {
-        Route::SmallM(b) => hk.run_small_m(rows, it.n, it.k, &plan, a_rows, b, zeroed(c)),
-        Route::SmallN(b) => hk.run_small_n(rows, it.n, it.k, &plan, a_rows, b, zeroed(c)),
-        Route::Blocked(b) => {
-            let (image, scratch) =
-                pool.a_and_scratch(hk.packed_a_len(&plan), hk.blocked_scratch_len(&plan));
+        Some(SmallPath::SmallM) => {
+            let b = if it.dense { SmallB::Dense(b) } else { SmallB::Panel(b) };
+            hk.run_small_m(rows, it.n, it.k, &plan, a_rows, b, zeroed(c));
+        }
+        Some(SmallPath::SmallN) => hk.run_small_n(rows, it.n, it.k, &plan, a_rows, b, zeroed(c)),
+        None => {
             hk.prepack_a(image, a_rows, rows, it.k, &plan);
             hk.run_blocked(it.n, &plan, image, b, c, scratch);
         }
@@ -391,9 +377,9 @@ fn run_units(
 }
 
 /// Reusable host-speed GeMM engine: a persistent worker pool spawned
-/// once at construction, one A-image arena per worker, a shared arena
-/// for the batch's packed B panels, and a [`WeightRegistry`] of
-/// pre-packed weights for serving workloads. The compute path allocates
+/// once at construction, one [`PackPool`] of pack arenas per worker,
+/// and a [`WeightRegistry`] of pre-packed weights for serving
+/// workloads. The compute path allocates
 /// nothing once the pools are warm (each request still allocates its
 /// m×n result vector).
 #[derive(Debug)]
@@ -406,9 +392,6 @@ pub struct CampEngine {
     /// engine goes through this table.
     host: &'static HostKernel,
     pools: Vec<PackPool>,
-    /// Arena for the batch's deduplicated dense B panels, shared
-    /// read-only across workers.
-    shared: PackPool,
     /// Pre-packed weights (serving steady state packs no B at all).
     pub(crate) weights: WeightRegistry,
     /// Persistent workers; `None` for a serial engine. Behind an `Arc`
@@ -453,7 +436,6 @@ impl CampEngine {
             threads,
             host: kernel,
             pools: Vec::new(),
-            shared: PackPool::new(),
             weights: WeightRegistry::new(),
             workers,
         }
@@ -501,13 +483,12 @@ impl CampEngine {
         self.workers.clone()
     }
 
-    /// Total pack-buffer growths across the per-worker A-image arenas
-    /// and the shared B-panel arena. Flat across same-shape calls ⇒ the
-    /// compute path is allocation-free. Weight registration (a one-time
+    /// Total pack-buffer growths across the per-worker arenas. Flat
+    /// across same-shape calls ⇒ the compute path is allocation-free. Weight registration (a one-time
     /// cost) is accounted separately by the registry
     /// ([`WeightRegistry::packed_bytes`]).
     pub fn pack_allocations(&self) -> u64 {
-        self.pools.iter().map(PackPool::allocations).sum::<u64>() + self.shared.allocations()
+        self.pools.iter().map(PackPool::allocations).sum()
     }
 
     /// `benchmark/src/probe.rs` is its only reader; ROADMAP item 2
@@ -526,97 +507,46 @@ impl CampEngine {
     /// Compute one batch of validated requests — the engine's only
     /// batch path, whichever entry point built it. A request's shape is
     /// resolved against the registry's view in place: its own when its
-    /// B is dense, its registration's when B is a handle. B first,
-    /// because it spans requests: a skinny-m request reads its dense B
-    /// in place; each *distinct* dense B of the others (buffer identity
-    /// plus (n, k, k-step), which fix the packed layout) is packed once
-    /// into the shared arena for all of its sharers; registered panels
-    /// are consumed as they are. Then every non-degenerate request
-    /// becomes work units — itself, or its [`row_partition`] ranges
-    /// when it [`row_splits`] — over its pre-allocated result, and
-    /// [`run_units`] runs them. Returns one [`Output`] per request plus
-    /// the batch's merged stats.
+    /// B is dense, its registration's when B is a handle. Every
+    /// non-degenerate request becomes work units — itself, or its
+    /// [`row_partition`] ranges when it [`row_splits`] — over its
+    /// pre-allocated result, each reading the request's dense B or
+    /// registered panel, and [`run_units`] runs them. Returns one
+    /// [`Output`] per request plus the sum of the requests' stats.
     pub(crate) fn compute_batch(&mut self, reqs: &[GemmRequest]) -> (Vec<Output>, EngineStats) {
         let mut total = EngineStats::default();
-        self.shared.reset_panels();
-        let mut panel_of: HashMap<(*const i8, usize, usize, usize), PanelId> = HashMap::new();
-        // Debug builds range-check each distinct i4 operand once,
-        // whichever route its readers take.
-        let mut checked_i4: HashSet<*const i8> = HashSet::new();
-        // Each request's shape, and the route of a non-degenerate one.
-        let routes: Vec<(ResolvedRequest, Option<Route<'_, Panel<'_>>>)> = reqs
-            .iter()
-            .map(|req| {
-                let r = req.resolve(self.weights.view()).expect(VALIDATED);
-                let b = match req.weights() {
-                    Operand::Dense(b) => SmallB::Dense(b),
-                    Operand::Handle(h) => SmallB::Panel(self.weights.panel(*h).1),
-                };
-                if r.is_degenerate() {
-                    return (r, None);
-                }
-                if let SmallB::Dense(b) = b {
-                    if checks_i4(r.dtype) && checked_i4.insert(b.as_ptr()) {
-                        debug_check_i4(r.dtype, "B", b);
-                    }
-                }
-                let mut panel = || match b {
-                    SmallB::Panel(p) => Panel::Registered(p),
-                    SmallB::Dense(b) => {
-                        let k_step = r.dtype.k_step();
-                        Panel::Shared(
-                            *panel_of.entry((b.as_ptr(), r.n, r.k, k_step)).or_insert_with(|| {
-                                let plan = host_block_plan(r.m, r.n, r.k, k_step);
-                                let id = self.shared.alloc_panel(packed_b_bytes(&plan));
-                                let panel = self.shared.panel_mut(id);
-                                self.host.prepack_b(panel, b, r.n, r.k, &plan);
-                                total.packed_b_bytes += packed_b_bytes(&plan) as u64;
-                                id
-                            }),
-                        )
-                    }
-                };
-                let route = match small_path(r.m, r.n) {
-                    // The small-m row sweep streams the raw row-major
-                    // operand once; skinny-n items keep packing — their
-                    // B is at most 8 columns wide, every one of the
-                    // m > 8 rows re-reads it, and pack-then-panel-walk
-                    // measured faster than a no-pack kernel there.
-                    Some(SmallPath::SmallM) => Route::SmallM(b),
-                    Some(SmallPath::SmallN) => Route::SmallN(panel()),
-                    None => Route::Blocked(panel()),
-                };
-                (r, Some(route))
-            })
-            .collect();
-
+        let resolved: Vec<ResolvedRequest> =
+            reqs.iter().map(|req| req.resolve(self.weights.view()).expect(VALIDATED)).collect();
         // Every result exists up front. A degenerate one is final as
         // allocated (all-zero when only k is 0, empty otherwise); any
         // other is allocated without a fill, and its units write every
         // element (`run_unit`): the blocked nest stores C whole instead
         // of adding into zeros, so a result is written once, not
         // zero-filled, read back and written again.
-        let mut results: Vec<Output> = routes
+        let mut results: Vec<Output> = resolved
             .iter()
-            .map(|(r, route)| {
-                let c = match route {
-                    None => vec![0i32; r.m * r.n],
-                    Some(_) => Vec::with_capacity(r.m * r.n),
+            .map(|r| {
+                let c = if r.is_degenerate() {
+                    vec![0i32; r.m * r.n]
+                } else {
+                    Vec::with_capacity(r.m * r.n)
                 };
                 Output::new(c, r.m, r.n)
             })
             .collect();
         let mut units: Vec<Unit<'_>> = Vec::with_capacity(reqs.len());
-        for ((req, out), &(r, route)) in reqs.iter().zip(&mut results).zip(&routes) {
-            let Some(route) = route else { continue };
-            debug_check_i4(r.dtype, "A", req.activation());
+        for ((req, out), &r) in reqs.iter().zip(&mut results).zip(&resolved) {
+            if r.is_degenerate() {
+                continue;
+            }
+            let (b, dense) = match req.weights() {
+                Operand::Dense(b) => (&b[..], true),
+                Operand::Handle(h) => (self.weights.panel(*h).1, false),
+            };
+            total.merge(&request_stats(r, dense));
+            let route = small_path(r.m, r.n);
             let k_step = r.dtype.k_step();
-            total.merge(&request_stats(r.m, r.n, r.k, k_step));
-            let route = route.map_panel(|p| match p {
-                Panel::Registered(b) => b,
-                Panel::Shared(id) => self.shared.panel(id),
-            });
-            let item = Item { n: r.n, k: r.k, k_step, a: req.activation(), route };
+            let item = Item { n: r.n, k: r.k, k_step, a: req.activation(), b, dense, route };
             let rows_per =
                 if row_splits(r.m, r.n, r.k) { row_partition(r.m, self.threads) } else { r.m };
             let c = &mut out.c.spare_capacity_mut()[..r.m * r.n];
@@ -929,31 +859,31 @@ mod tests {
         let mut eng = CampEngine::with_threads(4);
         let (_, s) = gemm(&mut eng, (m, n, k), &a, &b, I8);
         assert_eq!(s.macs, (m * n * k) as u64);
-        // every 4×4 tile is issued by exactly one worker, and B is
-        // packed once into the shared panel — the whole stats block
-        // matches the serial run, packing traffic included
+        // every 4×4 tile is issued by exactly one worker — the whole
+        // stats block matches the serial run, packing traffic included
         let (_, serial) = gemm(&mut CampEngine::new(), (m, n, k), &a, &b, I8);
         assert_eq!(s.camp_issues, serial.camp_issues);
         assert_eq!(s.vector_stores, serial.vector_stores);
         assert_eq!(s.vector_loads, serial.vector_loads);
-        assert_eq!(
-            s.packed_b_bytes, serial.packed_b_bytes,
-            "parallel B packing must be deduplicated"
-        );
+        assert_eq!(s.packed_b_bytes, serial.packed_b_bytes);
         assert_eq!(s, serial);
     }
 
     #[test]
-    fn parallel_packed_bytes_stay_deduplicated_across_blocked_shapes() {
-        // shapes spanning several (jc, pc) blocks so the shared panel
-        // holds more than one block
+    fn row_split_stats_count_the_request_not_its_units() {
+        // a row-split dense-B request whose panel spans several (jc, pc)
+        // blocks: each of its units packs B, and the stats still count
+        // one np·kp panel, as the serial run does
         let (m, n, k) = (96, NC + 12, KC / 4 + 40);
+        assert!(row_splits(m, n, k));
         let a = fill(m * k, 7, 30, -15);
         let b = fill(k * n, 11, 30, -15);
         let (c_serial, serial) = gemm(&mut CampEngine::new(), (m, n, k), &a, &b, I8);
         let mut eng = CampEngine::with_threads(5);
         let (c_par, par) = gemm(&mut eng, (m, n, k), &a, &b, I8);
         assert_eq!(c_par, c_serial);
+        let plan = host_block_plan(m, n, k, 16);
+        assert_eq!(par.packed_b_bytes, (plan.np * plan.kp) as u64, "one panel per request");
         assert_eq!(par, serial);
     }
 
@@ -1000,20 +930,17 @@ mod tests {
             for dtype in [I8, I4] {
                 let k_step = dtype.k_step();
                 let w = fill(k * n, 5, 16, -8);
-                // B as a registered panel and as a batch panel
+                // B as a registered panel and as dense bytes
                 let mut registry = WeightRegistry::new();
                 let h = registry.register(n, k, &w, dtype);
-                let mut shared = PackPool::new();
-                let plan = host_block_plan(1, n, k, k_step);
-                let id = shared.alloc_panel(packed_b_bytes(&plan));
-                hk.prepack_b(shared.panel_mut(id), &w, n, k, &plan);
                 for (m, bounds) in &cases {
                     let m = *m;
                     let a = fill(m * k, 3, 16, -8);
                     let want = gemm_i32_ref(m, n, k, &a, &w);
-                    // each unit packs its range into its worker's arena
-                    for b in [registry.panel(h).1, shared.panel(id)] {
-                        let item = Item { n, k, k_step, a: &a, route: Route::Blocked(b) };
+                    // each unit packs its range (and a dense B) into its
+                    // worker's arenas
+                    for (b, dense) in [(registry.panel(h).1, false), (&w[..], true)] {
+                        let item = Item { n, k, k_step, a: &a, b, dense, route: None };
                         for pool in [None, Some(&wp)] {
                             // units overwrite their C: start from garbage
                             let mut c = vec![MaybeUninit::new(0x5A5A_5A5A); m * n];
@@ -1026,7 +953,7 @@ mod tests {
                             assert_eq!(
                                 c,
                                 want,
-                                "{} {dtype:?} m={m} ranges {bounds:?} pooled={}",
+                                "{} {dtype:?} m={m} ranges {bounds:?} dense={dense} pooled={}",
                                 hk.tier().name(),
                                 pool.is_some()
                             );
@@ -1269,30 +1196,9 @@ mod tests {
             for (c, r) in cs.iter().zip(&reqs) {
                 assert_eq!(c, &reference(r), "threads={threads}");
             }
-            // both dtypes issue camp instructions; the shared operand
-            // is packed per kernel (layouts differ), never per problem
+            // both dtypes issue camp instructions
             assert!(stats.camp_issues > 0);
         }
-    }
-
-    #[test]
-    fn mixed_dtype_batch_packs_shared_b_once_per_kernel() {
-        // the same operand under i8 and i4 needs two packed layouts
-        // (different padded depths) but each exactly once — on blocked
-        // shapes: a skinny-m request would read the operand raw
-        let (m, n, k) = (9, 12, 48);
-        let w: Arc<[i8]> = fill(k * n, 5, 16, -8).into();
-        let a: Arc<[i8]> = fill(m * k, 3, 16, -8).into();
-        let reqs = [
-            dense((m, n, k), Arc::clone(&a), Arc::clone(&w), I8),
-            dense((m, n, k), Arc::clone(&a), Arc::clone(&w), I4),
-            dense((m, n, k), Arc::clone(&a), Arc::clone(&w), I8), // dedups with request 0
-        ];
-        let mut eng = CampEngine::new();
-        let (_, stats) = run_batch(&mut eng, &reqs);
-        let packed_once = (n.div_ceil(4) * 4 * k.div_ceil(16) * 16) as u64;
-        let packed_once_i4 = (n.div_ceil(4) * 4 * k.div_ceil(32) * 32) as u64;
-        assert_eq!(stats.packed_b_bytes, packed_once + packed_once_i4);
     }
 
     #[test]
@@ -1312,46 +1218,101 @@ mod tests {
     }
 
     #[test]
-    fn batch_dedups_shared_b_packing() {
-        // three blocked problems over one weight matrix: B must be
-        // packed once
+    fn a_batch_counts_as_its_requests_run_alone() {
+        // one dense B buffer shared by two blocked requests under each
+        // kernel, skinny-m and skinny-n requests on dense B, a row-split
+        // dense-B request and a handle: every request packs the dense B
+        // it reads, so the batch counts exactly what its requests count
+        // served one by one, on every tier and thread count
+        let (n, k) = (20, 33);
+        let shared: Arc<[i8]> = fill(k * n, 5, 16, -8).into();
+        let big = (132, 256, 256);
+        assert!(row_splits(big.0, big.1, big.2));
+        let w = fill(k * n, 9, 16, -8);
+        for hk in HostKernel::available() {
+            for threads in [1, 3] {
+                let mut eng = CampEngine::with_threads_and_kernel(threads, hk);
+                let h = eng.weights_mut().register(n, k, &w, I8);
+                let mut reqs = Vec::new();
+                for dtype in [I8, I4] {
+                    for (m, seed) in [(10, 3), (12, 7)] {
+                        let a = fill(m * k, seed, 16, -8);
+                        reqs.push(dense((m, n, k), a, Arc::clone(&shared), dtype));
+                    }
+                }
+                reqs.push(dense((3, n, k), fill(3 * k, 11, 16, -8), fill(k * n, 13, 16, -8), I8));
+                reqs.push(dense((24, 6, k), fill(24 * k, 13, 16, -8), fill(k * 6, 3, 16, -8), I8));
+                let (bm, bn, bk) = big;
+                let a = fill(bm * bk, 17, 16, -8);
+                reqs.push(dense(big, a, fill(bk * bn, 19, 16, -8), I8));
+                reqs.push(GemmRequest::with_weights(9, fill(9 * k, 23, 16, -8), h).unwrap());
+
+                let (cs, batch) = run_batch(&mut eng, &reqs);
+                let mut alone = EngineStats::default();
+                for (c, req) in cs.iter().zip(&reqs) {
+                    let (solo_c, solo) = run_one(&mut eng, req);
+                    assert_eq!(c, &solo_c);
+                    alone.merge(&solo);
+                }
+                let tier = hk.tier().name();
+                for (c, req) in cs.iter().zip(&reqs[..reqs.len() - 1]) {
+                    assert_eq!(c, &reference(req), "{tier} threads={threads}");
+                }
+                assert_eq!(cs[reqs.len() - 1], gemm_i32_ref(9, n, k, &fill(9 * k, 23, 16, -8), &w));
+                assert_eq!(
+                    (batch.small_m_routed, batch.small_n_routed, batch.blocked_routed),
+                    (1, 1, 6),
+                    "{tier} threads={threads}"
+                );
+                assert_eq!(batch, alone, "{tier} threads={threads}");
+            }
+        }
+    }
+
+    /// Bytes of one packed dense-B panel: np·kp.
+    fn b_panel(n: usize, k: usize, dtype: DType) -> u64 {
+        let plan = host_block_plan(1, n, k, dtype.k_step());
+        (plan.np * plan.kp) as u64
+    }
+
+    #[test]
+    fn mixed_dtype_requests_on_one_b_each_pack_their_own_panel() {
+        // one buffer under i8 and i4: every blocked request packs its own
+        // panel in its kernel's layout; skinny-m requests read it raw
         let (n, k) = (20, 33);
         let w: Arc<[i8]> = fill(k * n, 5, 16, -8).into();
-        let on = |m: usize, seed, w: &Arc<[i8]>| {
-            dense((m, n, k), fill(m * k, seed, 16, -8), Arc::clone(w), I8)
-        };
-        let reqs = [on(10, 3, &w), on(9, 7, &w), on(12, 11, &w)];
+        let on = |m: usize, dtype| dense((m, n, k), fill(m * k, 3, 16, -8), Arc::clone(&w), dtype);
         let mut eng = CampEngine::new();
-        let (_, batch) = run_batch(&mut eng, &reqs);
-        // packed B bytes of one problem = padded n × padded k
-        let b_packed_once = (n.div_ceil(4) * 4 * k.div_ceil(16) * 16) as u64;
-        assert_eq!(
-            batch.packed_b_bytes, b_packed_once,
-            "three problems over one weight matrix must pack B exactly once"
-        );
+        let reqs = [on(10, I8), on(12, I4), on(9, I8)];
+        let (cs, s) = run_batch(&mut eng, &reqs);
+        assert_eq!(s.packed_b_bytes, 2 * b_panel(n, k, I8) + b_panel(n, k, I4));
+        for (c, r) in cs.iter().zip(&reqs) {
+            assert_eq!(c, &reference(r));
+        }
+        assert_eq!(run_batch(&mut eng, &[on(6, I8), on(5, I4)]).1.packed_b_bytes, 0);
+    }
 
-        // sharing is buffer identity plus the packed shape: an
-        // equal-valued but distinct buffer, and the same buffer under a
-        // transposed (n, k), are each packed separately — while m never
-        // matters (the three requests above differ in it)
-        let twin: Arc<[i8]> = w.to_vec().into();
+    #[test]
+    fn every_dense_b_off_the_skinny_m_route_counts_its_panel() {
+        // np·kp per dense-B request, whatever buffer it shares; 0 for
+        // skinny-m requests (B read in place)
+        let (n, k) = (20, 33);
+        let w: Arc<[i8]> = fill(k * n, 5, 16, -8).into();
+        let on = |m: usize| dense((m, n, k), fill(m * k, 3, 16, -8), Arc::clone(&w), I8);
+        let mut eng = CampEngine::new();
+        let (_, s) = run_batch(&mut eng, &[on(10), on(9), on(12)]);
+        assert_eq!(s.packed_b_bytes, 3 * b_panel(n, k, I8));
+        // the same buffer under a transposed (n, k)
         let transposed = dense((10, k, n), fill(10 * n, 3, 16, -8), Arc::clone(&w), I8);
-        let (_, s) = run_batch(&mut eng, &[on(10, 3, &w), on(10, 3, &twin), transposed]);
-        let transposed_once = (k.div_ceil(4) * 4 * n.div_ceil(16) * 16) as u64;
-        assert_eq!(s.packed_b_bytes, 2 * b_packed_once + transposed_once);
-
-        // a skinny request reads the operand in place: sharing it with a
-        // blocked request packs it exactly once, for the blocked one,
-        // and skinny requests alone pack nothing
-        let mixed = [on(6, 3, &w), on(9, 7, &w)];
+        assert_eq!(run_one(&mut eng, &transposed).1.packed_b_bytes, b_panel(k, n, I8));
+        // a skinny-m request beside a blocked one on the same buffer
+        let mixed = [on(6), on(9)];
         let (cs, s) = run_batch(&mut eng, &mixed);
-        assert_eq!(s.packed_b_bytes, b_packed_once);
+        assert_eq!(s.packed_b_bytes, b_panel(n, k, I8));
         assert_eq!((s.small_m_routed, s.blocked_routed), (1, 1));
         for (c, r) in cs.iter().zip(&mixed) {
             assert_eq!(c, &reference(r));
         }
-        let (_, s) = run_batch(&mut eng, &[on(6, 3, &w), on(5, 11, &w)]);
-        assert_eq!(s.packed_b_bytes, 0);
     }
 
     #[test]

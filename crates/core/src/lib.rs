@@ -21,15 +21,16 @@
 //!   instruction's semantics. This is the library a downstream user calls
 //!   to run quantized GeMM the way the paper's modified ulmBLAS does. It
 //!   shares `camp-gemm`'s blocked-loop skeleton and pack-buffer pool:
-//!   one loop nest over two whole packed images (B's a registered or
-//!   batch panel; A's built by the computing worker, unit by unit, in
-//!   its reused arena), never packing inside the loops. [`engine::CampEngine`] optionally runs a batch's
+//!   one loop nest over two whole packed images (B's a registered
+//!   panel, or a dense B's panel and A's rows, each packed by the
+//!   computing worker, unit by unit, into its reused arenas), never
+//!   packing inside the loops. [`engine::CampEngine`] optionally runs a batch's
 //!   work units across a **persistent worker pool** ([`pool`]) with
 //!   bit-identical results.
 //!   For attention-style workloads of many small GeMMs,
 //!   [`backend::CampBackend::execute_batch`] runs a whole batch of
-//!   [`GemmRequest`]s per call, deduplicating shared weight matrices
-//!   and parallelizing across batch items.
+//!   [`GemmRequest`]s per call, parallelizing across batch items (a
+//!   weight matrix many requests share is registered once instead).
 //! * [`dispatch`] — the **serving layer**: register weights once
 //!   (`weights_mut().register(..)` on the backend's [`WeightRegistry`]
 //!   packs B into a persistent panel), then stream request batches through the

@@ -4,9 +4,11 @@
 //! gated mock; these pin what comes out of a real `CampEngine` /
 //! `SimBackend` at the other end.
 
-use crate::backend::{CampBackend, ExecStats, SimBackend};
+use crate::backend::{BatchOutcome, CampBackend, ExecStats, SimBackend};
 use crate::dispatch::{DispatchOptions, DispatchSession, Dispatcher, TicketId};
+use crate::WeightRegistry;
 use crate::{gemm_i32_ref, CampEngine, DType, GemmRequest, RequestError, WeightHandle};
+use camp_gemm::host::KernelInfo;
 
 fn queued<B: CampBackend + Send + 'static>(backend: B) -> (Dispatcher<B>, DispatchSession<B>) {
     let dispatcher = Dispatcher::with_options(backend, DispatchOptions::default());
@@ -236,21 +238,41 @@ fn deep_submission_backlogs_complete_in_order() {
     assert_eq!(session.in_flight(), 0);
 }
 
-#[cfg(debug_assertions)]
+/// A backend that panics on every batch it is handed: a fault on the
+/// driver thread, which no validated request can cause on a real one.
+struct FaultyBackend(WeightRegistry);
+
+impl CampBackend for FaultyBackend {
+    fn name(&self) -> &'static str {
+        "test-faulty"
+    }
+
+    fn kernel_info(&self) -> KernelInfo {
+        unimplemented!("not part of the serving protocol")
+    }
+
+    fn weights(&self) -> &WeightRegistry {
+        &self.0
+    }
+
+    fn weights_mut(&mut self) -> &mut WeightRegistry {
+        &mut self.0
+    }
+
+    fn execute_prepared(&mut self, _: Vec<GemmRequest>) -> BatchOutcome {
+        panic!("the poisoned batch reached the backend")
+    }
+}
+
 #[test]
 #[should_panic(expected = "serving session is dead")]
 fn a_poisoned_request_kills_the_session_loudly_not_silently() {
-    // out-of-range i4 operands trip the kernel's debug assertion in a
-    // worker; the death must surface on wait(), not hang it, and the
-    // dispatcher must still shut down cleanly afterwards (Drop)
-    let (n, k) = (4, 32);
-    let w = fill(k * n, 5); // 4-bit safe
-    let mut eng = CampEngine::new();
-    let h = eng.weights_mut().register(n, k, &w, DType::I4);
-    let (_dispatcher, mut session) = queued(eng);
-    let a = vec![100i8; 2 * k]; // not 4-bit (handle requests defer the range check)
-    let t = session.submit(vec![handle_req(2, a, h)]).unwrap();
-    let _ = session.wait(t);
+    // the backend panics on the driver thread; the death must surface on
+    // wait(), not hang it, and the dispatcher must still shut down
+    // cleanly afterwards (Drop)
+    let (_dispatcher, mut session) = queued(FaultyBackend(WeightRegistry::new()));
+    let t = session.submit(vec![GemmRequest::dense(2, 4, 8, fill(16, 3), fill(32, 5)).unwrap()]);
+    let _ = session.wait(t.unwrap());
 }
 
 #[test]

@@ -4,15 +4,15 @@
 //! (s×dₕ)·(dₕ×s) score and (s×s)·(s×dₕ) context products, 12–20 heads
 //! per layer (§5.2, Fig. 14) — shapes where per-call setup and operand
 //! re-packing swamp compute. On the host engine a batch call amortizes
-//! both: problems sharing one weight matrix reuse a single packed copy
-//! of it, and parallelism moves across batch items instead of inside
-//! each tiny GeMM.
+//! the setup — parallelism moves across batch items instead of inside
+//! each tiny GeMM — and a weight matrix every step shares is registered
+//! once, so no request re-packs it.
 //!
 //! This module owns two pieces. The layout of a *fully pre-packed*
 //! operand (every block of the blocked loops, concatenated in visit
-//! order) lets one packed panel serve any number of batch items and
-//! workers; the host engine and the weight registry index panels
-//! through it. [`GemmProblem`] is the simulated driver's borrowed input:
+//! order) lets one packed panel serve any number of requests and
+//! workers; the host engine's units, which pack a dense B whole, and
+//! the weight registry index panels through it. [`GemmProblem`] is the simulated driver's borrowed input:
 //! requests reach both substrates as `camp_gemm::request::GemmRequest`s,
 //! and `SimBackend` lowers each one to a descriptor for
 //! [`crate::driver::SimSession::simulate`]. The simulator times every

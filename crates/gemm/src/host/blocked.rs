@@ -1,8 +1,8 @@
 //! The blocked route's macro-kernel: one work unit's loop nest over two
 //! whole packed images, A's (the unit's own rows, packed before the
 //! nest by [`super::HostKernel::prepack_a`] into its worker's arena)
-//! and B's (a registered weight panel or a batch panel). Nothing is
-//! packed in here.
+//! and B's (a registered weight panel, or the dense B the unit packed
+//! into its worker's arena). Nothing is packed in here.
 //!
 //! Every tier but `amx` runs the panel nest: the 4-row A panels of the
 //! shared layout against B's 4-column panels, `int_nr/4` panels per

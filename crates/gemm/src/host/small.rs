@@ -33,8 +33,8 @@ use super::HostKernel;
 pub enum SmallB<'a> {
     /// Raw row-major k×n operand.
     Dense(&'a [i8]),
-    /// Fully pre-packed B image (weight-registry handle or a batch's
-    /// shared panel), laid out by [`crate::weights::prepack_b`] /
+    /// Fully pre-packed B image (a weight-registry handle's panel),
+    /// laid out by [`crate::weights::prepack_b`] /
     /// [`packed_b_offset`].
     Panel(&'a [i8]),
 }

@@ -77,4 +77,4 @@ pub use method::{AccKind, ElemKind, KernelGeometry, Method};
 pub use reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};
 pub use request::{GemmRequest, GemmRequestBuilder, Operand, RequestError, ResolvedRequest};
 pub use weights::{DType, WeightHandle, WeightMeta, WeightRegistry, WeightSnapshot};
-pub use workspace::{PackPool, PanelId};
+pub use workspace::PackPool;

@@ -35,9 +35,12 @@
 //! registration surfaces as [`RequestError::StaleHandle`].
 //!
 //! Operands are shared, immutable buffers (`Arc<[i8]>`): cloning a
-//! request is cheap, requests outlive threads (the serving session moves
-//! them across its pipeline), and two requests built from one buffer
-//! keep the pointer identity the batch B-deduplication keys on.
+//! request is cheap and requests outlive threads (a dispatcher's queue
+//! holds them until its driver runs them). A dense B is packed by the
+//! request that reads it, whichever other requests share its buffer; a
+//! weight read by many requests is registered once instead
+//! (`CampBackend::weights_mut`), and every request against its handle
+//! reads the one packed panel.
 
 use std::sync::Arc;
 
@@ -131,8 +134,10 @@ impl std::error::Error for RequestError {}
 /// up front.
 #[derive(Debug, Clone)]
 pub enum Operand {
-    /// Row-major k×n weights, shared and immutable. Requests cloning one
-    /// `Arc` keep pointer identity, so a batch packs the operand once.
+    /// Row-major k×n weights, shared and immutable. The host engine
+    /// packs them for each request that reads them through a panel (the
+    /// skinny-m route reads them in place); register a weight that many
+    /// requests read, so it is packed once.
     Dense(Arc<[i8]>),
     /// Weights registered with the executing backend's registry
     /// (`CampBackend::weights_mut`).
@@ -271,7 +276,10 @@ impl GemmRequest {
     /// dense requests use their pinned shape; handle requests take
     /// n/k/dtype from the registration, cross-checked against any the
     /// builder pinned. This is where [`RequestError::StaleHandle`] (and
-    /// foreign/unknown handles) surface instead of panicking.
+    /// foreign/unknown handles) surface instead of panicking, and where
+    /// an activation is range-checked against an i4 dtype it did not pin
+    /// ([`RequestError::OperandRange`]): the build checked a pinned one,
+    /// and a registration's i4 weights were checked when registered.
     pub fn resolve(&self, weights: &WeightSnapshot) -> Result<ResolvedRequest, RequestError> {
         let resolved = match &self.weights {
             Operand::Dense(_) => {
@@ -309,8 +317,16 @@ impl GemmRequest {
             });
         }
         check_result(resolved.m, resolved.n)?;
+        if resolved.dtype == DType::I4 && self.dtype.is_none() && !fits_i4(&self.a) {
+            return Err(RequestError::OperandRange("A"));
+        }
         Ok(resolved)
     }
+}
+
+/// Whether every value fits the `camp.s4` kernel's 4 bits, [-8, 7].
+pub(crate) fn fits_i4(vals: &[i8]) -> bool {
+    vals.iter().all(|v| (-8..8).contains(v))
 }
 
 /// Elements of the `rows`×`cols` operand `operand`, or
@@ -416,11 +432,11 @@ impl GemmRequestBuilder {
                 });
             }
             check_result(m, n)?;
-            if i4 && !b.iter().all(|v| (-8..8).contains(v)) {
+            if i4 && !fits_i4(b) {
                 return Err(RequestError::OperandRange("B"));
             }
         }
-        if i4 && !a.iter().all(|v| (-8..8).contains(v)) {
+        if i4 && !fits_i4(&a) {
             return Err(RequestError::OperandRange("A"));
         }
         Ok(GemmRequest { m, n: self.n, k: self.k, a, weights, dtype: self.dtype })
@@ -519,6 +535,13 @@ mod tests {
             .unwrap();
         assert_eq!(req.resolve(&snap).unwrap_err(), RequestError::RegistrationMismatch("dtype"));
 
+        // an unpinned dtype resolves to the registration's i4: A is
+        // range-checked here, since the build could not
+        let mut a = fill(3 * 8, 3);
+        a[7] = -9;
+        let req = GemmRequest::with_weights(3, a, h).unwrap();
+        assert_eq!(req.resolve(&snap).unwrap_err(), RequestError::OperandRange("A"));
+
         // activation length is checked against the registered k
         let req = GemmRequest::with_weights(3, fill(5, 3), h).unwrap();
         assert_eq!(
@@ -553,7 +576,7 @@ mod tests {
 
     #[test]
     fn cloned_requests_share_operand_identity() {
-        // batch B-dedup keys on pointer identity: clones must keep it
+        // a clone shares its operands' buffers instead of copying them
         let req = GemmRequest::dense(2, 2, 4, fill(8, 3), fill(8, 5)).unwrap();
         let clone = req.clone();
         let (Operand::Dense(b1), Operand::Dense(b2)) = (req.weights(), clone.weights()) else {

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use crate::batch::packed_b_bytes;
 use crate::host::HostKernel;
 use crate::loops::BlockPlan;
-use crate::request::RequestError;
+use crate::request::{fits_i4, RequestError};
 
 /// The host engine's cache blocking: (mc, nc, kc), multiples of the
 /// 4×4 register tile and both camp k-steps. A constant, not a setting:
@@ -274,9 +274,11 @@ impl WeightRegistry {
     /// a packed panel.
     ///
     /// # Panics
-    /// Panics if `b.len() != k * n`.
+    /// Panics if `b.len() != k * n`, or if `dtype` is [`DType::I4`] and
+    /// a value of `b` is outside [-8, 7].
     pub fn register(&mut self, n: usize, k: usize, b: &[i8], dtype: DType) -> WeightHandle {
         assert_eq!(b.len(), k * n, "weights must be k×n");
+        assert!(dtype != DType::I4 || fits_i4(b), "i4 weights must lie in [-8, 7]");
         let stored = if self.raw_mode {
             Stored::Raw(Arc::from(b))
         } else {
@@ -476,6 +478,14 @@ mod tests {
         let h2 = reg.register(4, 0, &[], DType::I4);
         assert!(reg.panel(h2).1.is_empty());
         assert_eq!(reg.packed_bytes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "i4 weights must lie in [-8, 7]")]
+    fn out_of_range_i4_weights_are_refused_at_registration() {
+        let mut b = vec![1i8; 8 * 4];
+        b[5] = 8;
+        WeightRegistry::new().register(4, 8, &b, DType::I4);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! cargo run --release --example backend_api
 //! ```
 
-use std::sync::Arc;
-
 use camp::core::backend::{CampBackend, ExecStats, SimBackend};
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
 use camp::pipeline::{CoreConfig, SimStats};
@@ -17,28 +15,21 @@ fn tensor(len: usize, seed: i32) -> Vec<i8> {
     (0..len).map(|i| ((i as i32 * seed) % 16 - 8) as i8).collect()
 }
 
-/// A small attention-flavored batch: two activations against one shared
-/// weight matrix (the host packs it once; the simulator counts each
-/// GeMM, B pack included, as the paper times it), plus an i4 problem.
-fn build_requests(m: usize, n: usize, k: usize) -> Vec<GemmRequest> {
-    let shared: Arc<[i8]> = tensor(k * n, 5).into();
+/// A small attention-flavored batch on `backend`: two activations
+/// against one weight matrix, registered once so both requests read the
+/// one packed panel (the simulator still counts each GeMM, B pack
+/// included, as the paper times it), plus a dense i4 problem.
+fn build_requests(
+    backend: &mut impl CampBackend,
+    m: usize,
+    n: usize,
+    k: usize,
+) -> Vec<GemmRequest> {
+    let shared = backend.weights_mut().register(n, k, &tensor(k * n, 5), DType::I8);
     vec![
-        GemmRequest::builder()
-            .m(m)
-            .n(n)
-            .k(k)
-            .activation(tensor(m * k, 3))
-            .weights(Operand::Dense(Arc::clone(&shared)))
-            .build()
-            .expect("well-formed"),
-        GemmRequest::builder()
-            .m(m)
-            .n(n)
-            .k(k)
-            .activation(tensor(m * k, 7))
-            .weights(Operand::Dense(shared)) // same buffer: the host packs B once
-            .build()
-            .expect("well-formed"),
+        GemmRequest::with_weights(m, tensor(m * k, 3), shared).expect("well-formed"),
+        // same handle: the host packed B once, when it was registered
+        GemmRequest::with_weights(m, tensor(m * k, 7), shared).expect("well-formed"),
         GemmRequest::builder()
             .m(m)
             .n(n)
@@ -57,16 +48,16 @@ fn describe<B: CampBackend>(backend: &B) {
 
 fn main() {
     let (m, n, k) = (16, 16, 64);
-    let requests = build_requests(m, n, k);
-
     let mut host = CampEngine::with_threads(2);
     let mut sim = SimBackend::new(CoreConfig::a64fx());
+    let host_requests = build_requests(&mut host, m, n, k);
+    let requests = build_requests(&mut sim, m, n, k);
     println!("one request batch ({} GeMMs), two backends:", requests.len());
     describe(&host);
     describe(&sim);
 
     // --- the same batch, both substrates, bit-identical outputs ---
-    let fast = host.execute_batch(&requests).expect("host execution");
+    let fast = host.execute_batch(&host_requests).expect("host execution");
     let slow = sim.execute_batch(&requests).expect("simulated execution");
     assert_eq!(fast.outputs, slow.outputs, "substrates must agree bit-for-bit");
     println!("outputs identical across substrates: {} matrices", fast.outputs.len());
@@ -75,7 +66,7 @@ fn main() {
     for (who, stats) in [("host", &fast.stats), ("sim", &slow.stats)] {
         match stats {
             ExecStats::Host(s) => println!(
-                "  {who}: {} camp issues, {} B-pack bytes (shared weight packed once)",
+                "  {who}: {} camp issues, {} B-pack bytes (the dense i4 operand's panel)",
                 s.camp_issues, s.packed_b_bytes
             ),
             ExecStats::Sim(s) => println!(
@@ -91,8 +82,10 @@ fn main() {
 
     // --- a simulated batch counts what its requests count alone ---
     let mut alone = SimStats::default();
-    for req in &requests {
-        let solo = SimBackend::new(CoreConfig::a64fx()).execute(req).expect("simulated execution");
+    for i in 0..requests.len() {
+        let mut fresh = SimBackend::new(CoreConfig::a64fx());
+        let req = build_requests(&mut fresh, m, n, k).swap_remove(i);
+        let solo = fresh.execute(&req).expect("simulated execution");
         alone.merge(solo.stats.as_sim().expect("sim stats"));
     }
     assert_eq!(slow.stats, ExecStats::Sim(alone), "a batch must count as its requests alone");

@@ -178,22 +178,23 @@ fn heap_calls_per_decode_token_and_per_prefill_are_pinned() {
     let prefill = prefill_tally(&model, &mut exec);
 
     let per_token = 311;
-    let want = Tally { allocs: per_token * DECODE_TOKENS, bytes: 2_843_520, live: 0, peak: 17_712 };
+    let want = Tally { allocs: per_token * DECODE_TOKENS, bytes: 2_821_632, live: 0, peak: 17_616 };
     assert_eq!(
         decode, want,
         "a steady-state decode token costs a constant number of heap calls and keeps nothing"
     );
     // what stays live is the K/V the prompt left in its cache
-    assert_eq!(prefill, Tally { allocs: 381, bytes: 14_306_424, live: 729_088, peak: 1_957_920 });
+    assert_eq!(prefill, Tally { allocs: 362, bytes: 14_264_000, live: 698_368, peak: 1_927_200 });
     assert!(no_higher(want, PARENT_DECODE) && no_higher(prefill, PARENT_PREFILL));
 }
 
-/// `BackendExec`'s pins before `execute_batch` validated against the
-/// registry in place (it copied a registry snapshot per batch).
+/// `BackendExec`'s pins before each work unit packed the dense B it
+/// reads (a batch packed each distinct dense B into a shared arena,
+/// through a pointer-keyed map).
 const PARENT_DECODE: Tally =
-    Tally { allocs: 336 * DECODE_TOKENS, bytes: 3_163_520, live: 0, peak: 18_512 };
+    Tally { allocs: 311 * DECODE_TOKENS, bytes: 2_843_520, live: 0, peak: 17_712 };
 const PARENT_PREFILL: Tally =
-    Tally { allocs: 406, bytes: 14_326_424, live: 729_088, peak: 1_957_920 };
+    Tally { allocs: 381, bytes: 14_306_424, live: 729_088, peak: 1_957_920 };
 
 /// The same tokens on `chat_decode`'s served path: `DispatchExec` over
 /// one session of an idle dispatcher, so every batch takes the direct
@@ -215,22 +216,21 @@ fn heap_calls_on_the_dispatchers_direct_path_are_pinned() {
     let stats = dispatcher.stats();
     assert_eq!(stats.direct, stats.executed, "an idle dispatcher runs every batch direct");
     let per_token = 286;
-    let want = Tally { allocs: per_token * DECODE_TOKENS, bytes: 2_755_968, live: 0, peak: 17_328 };
+    let want = Tally { allocs: per_token * DECODE_TOKENS, bytes: 2_734_080, live: 0, peak: 17_232 };
     assert_eq!(
         decode, want,
         "a steady-state decode token costs a constant number of heap calls and keeps nothing"
     );
-    assert_eq!(prefill, Tally { allocs: 356, bytes: 14_300_952, live: 729_088, peak: 1_957_920 });
+    assert_eq!(prefill, Tally { allocs: 337, bytes: 14_258_528, live: 698_368, peak: 1_927_200 });
     assert!(no_higher(want, PARENT_DIRECT_DECODE) && no_higher(prefill, PARENT_DIRECT_PREFILL));
 }
 
-/// `DispatchExec`'s pins before a queued batch was checked for
-/// condemned handles through its own operands (admission collected them
-/// into a `Vec` per batch).
+/// `DispatchExec`'s pins before each work unit packed the dense B it
+/// reads (as for [`PARENT_DECODE`]).
 const PARENT_DIRECT_DECODE: Tally =
-    Tally { allocs: 303 * DECODE_TOKENS, bytes: 2_782_080, live: 0, peak: 17_328 };
+    Tally { allocs: 286 * DECODE_TOKENS, bytes: 2_755_968, live: 0, peak: 17_328 };
 const PARENT_DIRECT_PREFILL: Tally =
-    Tally { allocs: 373, bytes: 14_302_584, live: 729_088, peak: 1_957_920 };
+    Tally { allocs: 356, bytes: 14_300_952, live: 729_088, peak: 1_957_920 };
 
 /// `benchmark/`'s `sim_token` model (`benchmark/src/workload.rs`).
 const SIM_CFG: TransformerConfig =
