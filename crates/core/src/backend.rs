@@ -68,7 +68,7 @@ use camp_gemm::driver::{default_blocking, GemmOptions, SimSession};
 use camp_gemm::host::{CpuFeatures, KernelInfo};
 use camp_gemm::request::{GemmRequest, Operand, RequestError};
 use camp_gemm::weights::WeightRegistry;
-use camp_gemm::{CMatrix, GemmProblem, Method};
+use camp_gemm::{CMatrix, Method};
 use camp_pipeline::{CoreConfig, SimStats};
 
 use crate::dispatch::Dispatcher;
@@ -352,7 +352,8 @@ impl CampBackend for CampEngine {
 ///
 /// Every problem is simulated at full size: the MAC-budget clamp is a
 /// figure-harness rule ([`GemmOptions::mac_budget`] of
-/// `camp_gemm::simulate_gemm`), never applied to a served request.
+/// `camp_gemm::simulate_gemm`), which [`SimSession::simulate`] does not
+/// read.
 #[derive(Debug)]
 pub struct SimBackend {
     core: CoreConfig,
@@ -406,7 +407,7 @@ impl CampBackend for SimBackend {
     }
 
     fn execute_prepared(&mut self, reqs: Vec<GemmRequest>) -> BatchOutcome {
-        let opts = GemmOptions { mac_budget: u64::MAX, verify: false, ..Default::default() };
+        let opts = GemmOptions { verify: false, ..Default::default() };
         let core = self.core;
         let session = self.session.get_or_insert_with(|| SimSession::new(core));
         let mut stats = SimStats::default();
@@ -427,8 +428,8 @@ impl CampBackend for SimBackend {
                         &raw
                     }
                 };
-                let problem = GemmProblem::new(r.m, r.n, r.k, req.activation(), b);
-                let result = session.simulate(&problem.with_dtype(r.dtype), &opts);
+                let method = Method::for_dtype(r.dtype);
+                let result = session.simulate(method, (r.m, r.n, r.k), req.activation(), b, &opts);
                 stats.merge(&result.stats);
                 let CMatrix::I32(padded) = result.c else {
                     unreachable!("camp kernels accumulate i32");

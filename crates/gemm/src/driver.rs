@@ -36,11 +36,11 @@
 //! [`HostKernel`] `tile_i8` call per (A panel, B panel) pair of the
 //! packed bytes the machine wrote, over the whole unit depth, added
 //! straight into the result (wrapping adds commute, and the unit's C
-//! block starts at zero). Only the camp kernels can hit: within one
-//! problem every unit key is distinct, and the baselines run only on a
-//! fresh session. The caches and stats a hit leaves stale are read by
-//! timed units only, and a timed unit always starts from a full
-//! [`Simulator::reset`].
+//! block starts at zero). Only the camp kernels' units enter the memo
+//! (the host macro-kernel multiplies camp panels alone), so a baseline
+//! times every unit on any session. The caches and stats a hit leaves
+//! stale are read by timed units only, and a timed unit always starts
+//! from a full [`Simulator::reset`].
 //!
 //! The decomposition defines the result. Partial C blocks merge on the
 //! host in a fixed order (depth-ascending per column strip, the order
@@ -50,13 +50,14 @@
 //! — the paper's frame of reference. See `docs/SIMULATOR.md` for the
 //! full contract.
 //!
-//! [`SimSession::simulate`] runs the same machinery over one
-//! [`GemmProblem`]'s own operands. A batch is that call once per
-//! problem with the stats merged, and every problem packs its own B (as
-//! the paper's kernels do on every call): no problem's counts depend on
-//! what else is in its batch.
+//! [`SimSession::simulate`] is the one entry: any method over the
+//! caller's own row-major operands, which each unit stages straight
+//! from the caller's rows. [`simulate_gemm`] clamps a shape, seeds its
+//! operands and makes that call on a fresh session. A batch is one call
+//! per problem with the stats merged, and every problem packs its own B
+//! (as the paper's kernels do on every call): no problem's counts
+//! depend on what else is in its batch.
 
-use crate::batch::GemmProblem;
 use crate::host::scalar::nibble_byte;
 use crate::host::HostKernel;
 use crate::loops::{for_each_b_block, for_each_row_strip, BlockPlan};
@@ -64,18 +65,18 @@ use crate::method::{
     run_program, AccKind, ElemKind, HostMacroKernel, KernelGeometry, Method, PackBCtx, Programs,
 };
 use crate::reference::{gemm_f32_ref, gemm_i32_ref, gemm_i8_wrapping_ref, SplitMix64};
-use crate::weights::DType;
-use crate::workspace::Workspace;
 use camp_isa::reg::S;
 use camp_pipeline::{CoreConfig, CoreKind, SimStats, Simulator};
 use std::collections::HashMap;
 
-/// Options for [`simulate_gemm`].
+/// Options for [`simulate_gemm`] and [`SimSession::simulate`].
 #[derive(Debug, Clone, Copy)]
 pub struct GemmOptions {
-    /// Maximum m·n·k the simulator will run exactly; larger problems are
+    /// Maximum m·n·k [`simulate_gemm`] runs exactly; larger problems are
     /// clamped, all methods identically, yet ratios move (at 32 M Table
     /// 1's SVE CAMP Int8/Int4 read 3.0×/3.4×, unclamped 4.6×/5.7×).
+    /// [`SimSession::simulate`] reads no budget: it runs the caller's
+    /// operands at full size.
     pub mac_budget: u64,
     /// Cache-blocking override (mc, nc, kc); defaults depend on the core.
     pub blocking: Option<(usize, usize, usize)>,
@@ -181,7 +182,8 @@ pub struct GemmResult {
     pub n: usize,
     /// Simulated k.
     pub k: usize,
-    /// True if the requested problem was clamped to fit the MAC budget.
+    /// True if [`simulate_gemm`] clamped the requested problem to fit the
+    /// MAC budget.
     pub clamped: bool,
     /// Effective GOPS at the core's clock (2 ops per MAC over
     /// `stats.cycles`) — comparable to the paper's single-core numbers.
@@ -220,66 +222,69 @@ struct Buffers {
     total: u64,
 }
 
+/// Lay out a unit's six buffers in simulated memory: bump-allocated in
+/// order, each 64-byte aligned, the first at 256 (so a zero register is
+/// never a valid pointer), with 4 KiB to spare after the last.
 fn layout(geo: &KernelGeometry, plan: &BlockPlan) -> Buffers {
-    let mut w = Workspace::new();
-    let a_base = w.alloc(geo.elem.row_bytes(plan.mp * plan.kp) as u64, 64);
-    let b_base = w.alloc(geo.elem.row_bytes(plan.kp * plan.np) as u64, 64);
-    let c_base = w.alloc((plan.mp * plan.np * geo.acc.c_elem_bytes()) as u64, 64);
-    let apack = w.alloc((plan.mc / geo.mr * geo.a_panel_bytes(plan.kc)) as u64, 64);
-    let bpack = w.alloc((plan.nc / geo.nr * geo.b_panel_bytes(plan.kc)) as u64, 64);
-    let scratch = w.alloc(64, 64);
-    let total = w.total() + 4096;
-    Buffers { a_base, b_base, c_base, apack, bpack, scratch, total }
+    let mut next: u64 = 256;
+    let [a_base, b_base, c_base, apack, bpack, scratch] = [
+        geo.elem.row_bytes(plan.mp * plan.kp),
+        geo.elem.row_bytes(plan.kp * plan.np),
+        plan.mp * plan.np * geo.acc.c_elem_bytes(),
+        plan.mc / geo.mr * geo.a_panel_bytes(plan.kc),
+        plan.nc / geo.nr * geo.b_panel_bytes(plan.kc),
+        64,
+    ]
+    .map(|bytes| {
+        let base = next.next_multiple_of(64);
+        next = base + bytes as u64;
+        base
+    });
+    Buffers { a_base, b_base, c_base, apack, bpack, scratch, total: next + 4096 }
 }
 
 /// Stage only the A elements a (pc, kcb) unit reads — k-columns
-/// `[pc, pc + kcb)` of every row — at the addresses they would occupy
-/// in a fully staged operand, so programs see identical pointers.
-/// Staging writes machine memory directly (it never touches the cache
-/// model), so partial staging is invisible to the simulated stats;
-/// it only removes redundant host-side setup work per unit.
+/// `[pc, pc + kcb)` of each of the caller's rows, one row at a time — at
+/// the addresses they occupy in the padded `mp × kp` operand, so
+/// programs see identical pointers. Staging writes machine memory
+/// directly (it never touches the cache model), so partial staging is
+/// invisible to the simulated stats; padding is never written, because
+/// every unit starts from zeroed memory.
 fn stage_a_unit(
     sim: &mut Simulator,
-    geo: &KernelGeometry,
+    elem: ElemKind,
     bufs: &Buffers,
-    a: &[i8],
-    plan: &BlockPlan,
+    ctx: &ProblemCtx,
     spec: UnitSpec,
 ) {
-    for i in 0..plan.mp {
-        let row = i * plan.kp;
-        stage_range(sim, geo.elem, bufs.a_base, a, row + spec.pc, row + spec.pc + spec.kcb);
+    let cols = spec.pc..(spec.pc + spec.kcb).min(ctx.k);
+    for (i, row) in ctx.a.chunks_exact(ctx.k).enumerate() {
+        stage_run(sim, elem, bufs.a_base, i * ctx.plan.kp + spec.pc, &row[cols.clone()]);
     }
 }
 
-/// Stage only the B rows a (pc, kcb) unit reads — k-rows
-/// `[pc, pc + kcb)`, a contiguous row-major span.
+/// Stage only the B rows a (pc, kcb) unit reads — the caller's k-rows
+/// in `[pc, pc + kcb)`, one at a time — at their addresses in the padded
+/// `kp × np` operand.
 fn stage_b_unit(
     sim: &mut Simulator,
-    geo: &KernelGeometry,
+    elem: ElemKind,
     bufs: &Buffers,
-    b: &[i8],
-    plan: &BlockPlan,
+    ctx: &ProblemCtx,
     spec: UnitSpec,
 ) {
-    stage_range(sim, geo.elem, bufs.b_base, b, spec.pc * plan.np, (spec.pc + spec.kcb) * plan.np);
+    for (l, row) in ctx.b.chunks_exact(ctx.n).enumerate().skip(spec.pc).take(spec.kcb) {
+        stage_run(sim, elem, bufs.b_base, l * ctx.plan.np, row);
+    }
 }
 
-/// Write elements `[start, end)` of a row-major matrix into simulated
-/// memory in the kernel's storage format, at the same addresses a full
-/// staging would have used. For nibble-packed data, `start` must be
-/// even (block boundaries always are: pc is a k-unit multiple and np a
-/// tile multiple, both even for the i4 kernels) so the range begins on
-/// a byte boundary.
-fn stage_range(
-    sim: &mut Simulator,
-    elem: ElemKind,
-    base: u64,
-    vals: &[i8],
-    start: usize,
-    end: usize,
-) {
-    let src = &vals[start..end];
+/// Write `src`, one run of a row-major operand, into simulated memory in
+/// the kernel's storage format, from element `start` of the padded
+/// operand at `base`. For nibble-packed data, `start` must be even (it
+/// is: pc is a k-unit multiple, kp and np tile multiples, all even for
+/// the i4 kernels) so the run begins on a byte boundary; an odd-length
+/// run ends in a byte whose high nibble is zero, the padding after it.
+fn stage_run(sim: &mut Simulator, elem: ElemKind, base: u64, start: usize, src: &[i8]) {
     let mm = sim.machine_mut();
     match elem {
         ElemKind::I4Nibble => {
@@ -445,8 +450,8 @@ struct UnitSpec {
 /// `c`, and the memo's stats are returned. Otherwise the whole simulator
 /// is [`reset`](Simulator::reset) to the freshly built state (cold
 /// caches and zero stats too), the unit is timed, its partial C is read
-/// back into `c` and its stats are inserted: the caches and stats a hit
-/// leaves stale are read by timed units only.
+/// back into `c` and, for a camp kernel, its stats are inserted: the
+/// caches and stats a hit leaves stale are read by timed units only.
 fn simulate_unit(
     sim: &mut Simulator,
     memo: &mut CountMemo,
@@ -465,8 +470,8 @@ fn simulate_unit(
     } else {
         sim.reset(bufs.total as usize);
     }
-    stage_a_unit(sim, &geo, &bufs, ctx.a_host, plan, spec);
-    stage_b_unit(sim, &geo, &bufs, ctx.b_host, plan, spec);
+    stage_a_unit(sim, geo.elem, &bufs, ctx, spec);
+    stage_b_unit(sim, geo.elem, &bufs, ctx, spec);
     let mut backend = BlockSim {
         sim,
         geo,
@@ -500,47 +505,34 @@ fn simulate_unit(
     });
     c.accumulate(backend.sim, backend.bufs.c_base, backend.ldc, plan.np, spec);
     let stats = *backend.sim.stats();
-    if memo.len() == SimSession::MEMO_UNITS {
-        memo.clear();
+    if HostMacroKernel::serves(ctx.method) {
+        if memo.len() == SimSession::MEMO_UNITS {
+            memo.clear();
+        }
+        memo.insert(key, stats);
     }
-    memo.insert(key, stats);
     stats
 }
 
 // ---- problems -------------------------------------------------------------
 
-/// One fully planned problem: padded operands, block plan and the
-/// method's programs (assembled once per session, borrowed by every
-/// unit, like the operands' buffers).
+/// One planned problem: the caller's operands at their own size, the
+/// block plan that pads them, and the method's programs (assembled once
+/// per session, borrowed by every unit).
 struct ProblemCtx<'p> {
     method: Method,
     programs: &'p Programs,
     plan: BlockPlan,
-    /// Padded `mp × kp` A, row-major.
-    a_host: &'p [i8],
-    /// Padded `kp × np` B, row-major.
-    b_host: &'p [i8],
-    clamped: bool,
-}
-
-/// The buffers a session pads its problems' operands into, kept from
-/// GeMM to GeMM so that planning one allocates nothing once they are
-/// large enough.
-#[derive(Default)]
-struct Operands {
-    a: Vec<i8>,
-    b: Vec<i8>,
-}
-
-impl Operands {
-    /// Zeroed `mp × kp` A and `kp × np` B buffers for `plan`.
-    fn zeroed(&mut self, plan: &BlockPlan) -> (&mut [i8], &mut [i8]) {
-        for (buf, len) in [(&mut self.a, plan.mp * plan.kp), (&mut self.b, plan.kp * plan.np)] {
-            buf.clear();
-            buf.resize(len, 0);
-        }
-        (&mut self.a, &mut self.b)
-    }
+    /// Unpadded rows of A / C.
+    m: usize,
+    /// Unpadded columns of B / C.
+    n: usize,
+    /// Unpadded depth.
+    k: usize,
+    /// Row-major `m × k` A.
+    a: &'p [i8],
+    /// Row-major `k × n` B.
+    b: &'p [i8],
 }
 
 /// The (mc, nc, kc) `method` blocks with on `core` when
@@ -567,82 +559,19 @@ fn block_plan_for(
     BlockPlan::new(m, n, k, geo.mr, geo.nr, geo.k_unit, blocking)
 }
 
-/// A zero-dimension problem: an empty plan, so no unit runs and the
-/// result is empty.
-fn degenerate_ctx(method: Method, programs: &Programs) -> ProblemCtx<'_> {
-    let plan = BlockPlan::new(0, 0, 0, 1, 1, 1, (1, 1, 1));
-    ProblemCtx { method, programs, plan, a_host: &[], b_host: &[], clamped: false }
-}
-
 /// Seed of [`simulate_gemm`]'s operands: the figures' pinned output
 /// was recorded over its stream.
 const OPERAND_SEED: u64 = 0xC0FF_EE00;
 
-/// Plan a seeded-random problem (the figure harness workload), padded
-/// into the plan; [`simulate_gemm`] passes [`OPERAND_SEED`].
-fn rng_ctx<'p>(
-    core: CoreConfig,
-    method: Method,
-    programs: &'p Programs,
-    operands: &'p mut Operands,
-    (m, n, k): (usize, usize, usize),
-    seed: u64,
-    opts: &GemmOptions,
-) -> ProblemCtx<'p> {
-    if m == 0 || n == 0 || k == 0 {
-        return degenerate_ctx(method, programs);
-    }
-    let (m, n, k, clamped) = clamp_dims(m, n, k, opts.mac_budget);
-    let plan = block_plan_for(core, method, m, n, k, opts);
-    let (np, kp) = (plan.np, plan.kp);
+/// The seeded-random operands of an m×n×k problem (the figure harness
+/// workload), values in [-8, 7]: row-major A, then row-major B, drawn
+/// in that order from one stream; [`simulate_gemm`] passes
+/// [`OPERAND_SEED`].
+fn seeded_operands(m: usize, n: usize, k: usize, seed: u64) -> (Vec<i8>, Vec<i8>) {
     let mut rng = SplitMix64::new(seed);
-    let (a_host, b_host) = operands.zeroed(&plan);
-    for i in 0..m {
-        for l in 0..k {
-            a_host[i * kp + l] = rng.next_i8(-8, 7);
-        }
-    }
-    for l in 0..k {
-        for j in 0..n {
-            b_host[l * np + j] = rng.next_i8(-8, 7);
-        }
-    }
-    ProblemCtx { method, programs, plan, a_host, b_host, clamped }
-}
-
-/// Plan one problem from its [`GemmProblem`] descriptor: the
-/// problem's own operands (not RNG), the camp kernel its dtype selects,
-/// clamped to the MAC budget like any simulated problem.
-fn problem_ctx<'p>(
-    core: CoreConfig,
-    programs: &'p Programs,
-    operands: &'p mut Operands,
-    p: &GemmProblem<'_>,
-    opts: &GemmOptions,
-) -> ProblemCtx<'p> {
-    let method = Method::for_dtype(p.dtype);
-    if p.is_degenerate() {
-        return degenerate_ctx(method, programs);
-    }
-    assert_eq!(p.a.len(), p.m * p.k, "A must be m×k");
-    assert_eq!(p.b.len(), p.k * p.n, "B must be k×n");
-    if p.dtype == DType::I4 {
-        debug_assert!(
-            p.a.iter().chain(p.b.iter()).all(|v| (-8..8).contains(v)),
-            "i4 problems need operand values in [-8, 7]"
-        );
-    }
-    let (m2, n2, k2, clamped) = clamp_dims(p.m, p.n, p.k, opts.mac_budget);
-    let plan = block_plan_for(core, method, m2, n2, k2, opts);
-    let (np, kp) = (plan.np, plan.kp);
-    let (a_host, b_host) = operands.zeroed(&plan);
-    for i in 0..m2 {
-        a_host[i * kp..i * kp + k2].copy_from_slice(&p.a[i * p.k..i * p.k + k2]);
-    }
-    for l in 0..k2 {
-        b_host[l * np..l * np + n2].copy_from_slice(&p.b[l * p.n..l * p.n + n2]);
-    }
-    ProblemCtx { method, programs, plan, a_host, b_host, clamped }
+    let a = (0..m * k).map(|_| rng.next_i8(-8, 7)).collect();
+    let b = (0..k * n).map(|_| rng.next_i8(-8, 7)).collect();
+    (a, b)
 }
 
 // ---- the count memo ---------------------------------------------------------
@@ -672,8 +601,6 @@ pub struct SimSession {
     /// [`Method::programs`] by `Method as usize`, assembled by the
     /// method's first problem on this session.
     programs: [Option<Programs>; 7],
-    /// The padded operands of the problem being simulated.
-    operands: Operands,
     /// What a hit multiplies its packed panels with.
     host: HostMacroKernel,
 }
@@ -704,40 +631,74 @@ impl SimSession {
             sim,
             memo: CountMemo::new(),
             programs: Default::default(),
-            operands: Operands::default(),
             host: HostMacroKernel::new(tile),
         }
     }
 
-    /// Simulate one GeMM over its **own** operands (not the seeded RNG
-    /// workload of [`simulate_gemm`]) under the camp kernel its
-    /// [`DType`] selects, as the host engine does for a request's. The
-    /// problem packs its own B, and a unit the memo holds counts exactly
-    /// what timing it would. The result is therefore the same on any
-    /// session, whatever ran on it before; a batch is one call per
-    /// problem, its stats their [`SimStats::merge`]. i4 problems need
-    /// operand values in [-8, 7], like the host engine's i4 kernel.
+    /// Simulate one m×n×k GeMM of `method` over the caller's own
+    /// row-major operands (m×k `a`, k×n `b`), at full size: it reads no
+    /// [`GemmOptions::mac_budget`]. The problem packs its own B, and a
+    /// unit the memo holds counts exactly what timing it would, so the
+    /// result is the same on any session, whatever ran on it before; a
+    /// batch is one call per problem, its stats their
+    /// [`SimStats::merge`]. Operand values must fit the method's
+    /// elements ([-8, 7] for `Camp4`, like the host engine's i4 kernel).
+    /// A zero dimension returns an empty result and simulates nothing.
+    ///
+    /// ```
+    /// use camp_gemm::{simulate_gemm, GemmOptions, Method, SimSession};
+    /// use camp_pipeline::CoreConfig;
+    ///
+    /// // the figure harnesses' workload: seeded operands, clamped to
+    /// // opts.mac_budget
+    /// let opts = GemmOptions::default();
+    /// let r = simulate_gemm(CoreConfig::a64fx(), Method::Camp8, 64, 64, 256, &opts);
+    /// assert!(r.correct);
+    ///
+    /// // over your own operands, at full size: a batch is one call per
+    /// // problem, each packing its own B
+    /// let (m, n, k) = (6, 12, 48);
+    /// let a: Vec<i8> = (0..m * k).map(|i| (i % 13) as i8 - 6).collect();
+    /// let w: Vec<i8> = (0..k * n).map(|i| (i % 15) as i8 - 7).collect();
+    /// let mut session = SimSession::new(CoreConfig::a64fx());
+    /// let r0 = session.simulate(Method::Camp8, (m, n, k), &a, &w, &opts);
+    /// let r1 = session.simulate(Method::Camp4, (m, n, k), &a, &w, &opts);
+    /// let again = session.simulate(Method::Camp8, (m, n, k), &a, &w, &opts);
+    /// assert!(r0.correct && r1.correct);
+    /// assert_eq!(again.stats, r0.stats); // same shape: counts from the memo
+    /// let mut batch = r0.stats;
+    /// batch.merge(&r1.stats);
+    /// ```
     ///
     /// # Panics
     /// Panics on mis-sized operands.
-    pub fn simulate(&mut self, problem: &GemmProblem<'_>, opts: &GemmOptions) -> GemmResult {
-        let core = *self.sim.config();
-        self.run(Method::for_dtype(problem.dtype), opts, |programs, operands| {
-            problem_ctx(core, programs, operands, problem, opts)
-        })
-    }
-
-    /// Plan a `method` problem with `plan` — over `method`'s programs
-    /// (assembled on first use) and the session's operand buffers — and
-    /// run its units.
-    fn run(
+    pub fn simulate(
         &mut self,
         method: Method,
+        (m, n, k): (usize, usize, usize),
+        a: &[i8],
+        b: &[i8],
         opts: &GemmOptions,
-        plan: impl for<'p> FnOnce(&'p Programs, &'p mut Operands) -> ProblemCtx<'p>,
     ) -> GemmResult {
-        let programs = self.programs[method as usize].get_or_insert_with(|| method.programs());
-        let ctx = plan(programs, &mut self.operands);
+        assert_eq!(a.len(), m * k, "A must be m×k");
+        assert_eq!(b.len(), k * n, "B must be k×n");
+        debug_assert!(
+            method.geometry().elem != ElemKind::I4Nibble
+                || a.iter().chain(b).all(|v| (-8..8).contains(v)),
+            "i4 problems need operand values in [-8, 7]"
+        );
+        // a zero dimension plans the empty problem: no unit runs
+        let (m, n, k) = if m == 0 || n == 0 || k == 0 { (0, 0, 0) } else { (m, n, k) };
+        let ctx = ProblemCtx {
+            method,
+            programs: self.programs[method as usize].get_or_insert_with(|| method.programs()),
+            plan: block_plan_for(*self.sim.config(), method, m, n, k, opts),
+            m,
+            n,
+            k,
+            a,
+            b,
+        };
         run_units(&mut self.sim, &mut self.memo, &mut self.host, &ctx, opts)
     }
 
@@ -769,29 +730,47 @@ fn run_units(
     });
     GemmResult {
         stats,
-        correct: !opts.verify || verify_host(ctx, &c),
+        // an empty C is the empty problem: nothing to verify
+        correct: !opts.verify || c.is_empty() || verify_host(ctx, &c),
         c,
         m: plan.mp,
         n: plan.np,
         k: plan.kp,
-        clamped: ctx.clamped,
+        clamped: false,
         gops: stats.gops(sim.config().freq_ghz),
     }
 }
 
-/// True when `c` is what the host reference computes from `ctx`'s
-/// padded operands.
+/// True when the m×n corner of the padded `c` is what the host
+/// reference computes from `ctx`'s operands, and every element outside
+/// it is zero.
 fn verify_host(ctx: &ProblemCtx, c: &CMatrix) -> bool {
-    let (mp, np, kp) = (ctx.plan.mp, ctx.plan.np, ctx.plan.kp);
+    let (m, n, k) = (ctx.m, ctx.n, ctx.k);
+    let dims = (m, n, ctx.plan.np);
     match c {
-        CMatrix::I8(c) => *c == gemm_i8_wrapping_ref(mp, np, kp, ctx.a_host, ctx.b_host),
-        CMatrix::I32(c) => *c == gemm_i32_ref(mp, np, kp, ctx.a_host, ctx.b_host),
+        CMatrix::I8(c) => corner_is(c, dims, &gemm_i8_wrapping_ref(m, n, k, ctx.a, ctx.b)),
+        CMatrix::I32(c) => corner_is(c, dims, &gemm_i32_ref(m, n, k, ctx.a, ctx.b)),
         CMatrix::F32(c) => {
-            let af: Vec<f32> = ctx.a_host.iter().map(|&v| v as f32).collect();
-            let bf: Vec<f32> = ctx.b_host.iter().map(|&v| v as f32).collect();
-            *c == gemm_f32_ref(mp, np, kp, &af, &bf)
+            let af: Vec<f32> = ctx.a.iter().map(|&v| v as f32).collect();
+            let bf: Vec<f32> = ctx.b.iter().map(|&v| v as f32).collect();
+            corner_is(c, dims, &gemm_f32_ref(m, n, k, &af, &bf))
         }
     }
+}
+
+/// True when the m×n corner of `c` (row stride `np`) is `reference` and
+/// every element outside it is zero.
+fn corner_is<T: PartialEq + Default>(
+    c: &[T],
+    (m, n, np): (usize, usize, usize),
+    reference: &[T],
+) -> bool {
+    let zero = |v: &T| *v == T::default();
+    let (rows, pad) = c.split_at(m * np);
+    rows.chunks_exact(np)
+        .zip(reference.chunks_exact(n))
+        .all(|(row, want)| row[..n] == *want && row[n..].iter().all(zero))
+        && pad.iter().all(zero)
 }
 
 // ---- public entry points --------------------------------------------------
@@ -819,15 +798,17 @@ pub fn simulate_gemm(
     k: usize,
     opts: &GemmOptions,
 ) -> GemmResult {
-    SimSession::new(core).run(method, opts, |programs, operands| {
-        rng_ctx(core, method, programs, operands, (m, n, k), OPERAND_SEED, opts)
-    })
+    let (m, n, k, clamped) = clamp_dims(m, n, k, opts.mac_budget);
+    let (a, b) = seeded_operands(m, n, k, OPERAND_SEED);
+    let result = SimSession::new(core).simulate(method, (m, n, k), &a, &b, opts);
+    GemmResult { clamped, ..result }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::host::scalar::pack_nibbles;
+    use crate::weights::DType;
 
     fn check(core: CoreConfig, method: Method, m: usize, n: usize, k: usize) -> GemmResult {
         let r = simulate_gemm(core, method, m, n, k, &GemmOptions::default());
@@ -944,6 +925,56 @@ mod tests {
     }
 
     #[test]
+    fn simulate_reads_no_mac_budget() {
+        // the clamp is simulate_gemm's: a session runs the caller's
+        // operands at full size under any budget
+        let (m, n, k) = (64, 64, 256);
+        let (a, b) = (fill(m * k, 3), fill(k * n, 5));
+        let mut session = SimSession::new(CoreConfig::a64fx());
+        let tight = GemmOptions { mac_budget: 1, ..GemmOptions::default() };
+        let r = session.simulate(Method::Camp8, (m, n, k), &a, &b, &tight);
+        assert!(r.correct && !r.clamped);
+        assert_eq!((r.m, r.n, r.k), (m, n, k));
+        let full = SimSession::new(CoreConfig::a64fx()).simulate(
+            Method::Camp8,
+            (m, n, k),
+            &a,
+            &b,
+            &GemmOptions::default(),
+        );
+        assert_eq!((&r.c, r.stats), (&full.c, full.stats));
+    }
+
+    #[test]
+    fn layout_aligns_and_separates_every_buffer() {
+        // every method's six buffers on a ragged multi-block plan: 64-byte
+        // aligned, in order without overlap, clear of the zero page, and
+        // inside the machine memory the unit resets
+        let opts = GemmOptions { blocking: Some((8, 32, 64)), ..GemmOptions::default() };
+        for method in Method::all() {
+            let geo = method.geometry();
+            let plan = block_plan_for(CoreConfig::a64fx(), method, 13, 70, 260, &opts);
+            let bufs = layout(&geo, &plan);
+            let buffers = [
+                (bufs.a_base, geo.elem.row_bytes(plan.mp * plan.kp)),
+                (bufs.b_base, geo.elem.row_bytes(plan.kp * plan.np)),
+                (bufs.c_base, plan.mp * plan.np * geo.acc.c_elem_bytes()),
+                (bufs.apack, plan.mc / geo.mr * geo.a_panel_bytes(plan.kc)),
+                (bufs.bpack, plan.nc / geo.nr * geo.b_panel_bytes(plan.kc)),
+                (bufs.scratch, 64),
+            ];
+            let what = method.name();
+            assert!(buffers[0].0 >= 256, "{what}: the zero page is reserved");
+            assert!(buffers.iter().all(|&(base, _)| base % 64 == 0), "{what}: aligned");
+            for pair in buffers.windows(2) {
+                assert!(pair[1].0 >= pair[0].0 + pair[0].1 as u64, "{what}: disjoint, in order");
+            }
+            let (last, bytes) = buffers[5];
+            assert!(bufs.total >= last + bytes as u64 + 4096, "{what}: total covers the last");
+        }
+    }
+
+    #[test]
     fn clamping_kicks_in() {
         let opts = GemmOptions { mac_budget: 1_000_000, verify: false, ..GemmOptions::default() };
         let r = simulate_gemm(CoreConfig::a64fx(), Method::Camp8, 1024, 1024, 1024, &opts);
@@ -1015,7 +1046,7 @@ mod tests {
 
     #[test]
     fn batch_matches_standalone_per_problem() {
-        // one session runs a mixed-dtype batch in which two problems
+        // one session runs a mixed-method batch in which two problems
         // share one B buffer: each problem answers exactly like a fresh
         // session's solo run of it, its own B pack included
         let (m1, n1, k1) = (9, 11, 40);
@@ -1026,16 +1057,16 @@ mod tests {
         let b2 = fill(k2 * n2, 11);
         let a3 = fill(m1 * k1, 9);
         let problems = [
-            GemmProblem::new(m1, n1, k1, &a1, &b1),
-            GemmProblem::new(m2, n2, k2, &a2, &b2).with_dtype(DType::I4),
-            GemmProblem::new(m1, n1, k1, &a3, &b1),
+            (Method::Camp8, (m1, n1, k1), &a1, &b1),
+            (Method::Camp4, (m2, n2, k2), &a2, &b2),
+            (Method::Camp8, (m1, n1, k1), &a3, &b1),
         ];
         let (core, opts) = (CoreConfig::a64fx(), GemmOptions::default());
         let mut session = SimSession::new(core);
-        for p in &problems {
-            let r = session.simulate(p, &opts);
-            assert!(r.correct, "batch problem {}x{}x{} wrong", p.m, p.n, p.k);
-            let solo = SimSession::new(core).simulate(p, &opts);
+        for (method, shape, a, b) in problems {
+            let r = session.simulate(method, shape, a, b, &opts);
+            assert!(r.correct, "batch problem {shape:?} wrong");
+            let solo = SimSession::new(core).simulate(method, shape, a, b, &opts);
             assert_eq!(solo.c, r.c);
             assert_eq!(solo.stats, r.stats);
         }
@@ -1047,10 +1078,10 @@ mod tests {
         let b = fill(8, 5);
         let opts = GemmOptions::default();
         let mut session = SimSession::new(CoreConfig::a64fx());
-        let empty = session.simulate(&GemmProblem::new(0, 4, 2, &[], &b), &opts);
+        let empty = session.simulate(Method::Camp8, (0, 4, 2), &[], &b, &opts);
         assert!(empty.c.is_empty());
         assert_eq!(empty.stats.cycles, 0);
-        assert!(session.simulate(&GemmProblem::new(2, 4, 2, &a[..4], &b), &opts).correct);
+        assert!(session.simulate(Method::Camp8, (2, 4, 2), &a[..4], &b, &opts).correct);
     }
 
     #[test]
@@ -1061,18 +1092,18 @@ mod tests {
         let opts = GemmOptions::default();
         let (xa, xb) = (fill(13 * 260, 3), fill(260 * 70, 5));
         let (ya, yb) = (fill(9 * 96, 7), fill(96 * 40, 11));
-        let x = GemmProblem::new(13, 70, 260, &xa, &xb);
-        let y = GemmProblem::new(9, 40, 96, &ya, &yb);
+        let x = |s: &mut SimSession| s.simulate(Method::Camp8, (13, 70, 260), &xa, &xb, &opts);
+        let y = |s: &mut SimSession| s.simulate(Method::Camp8, (9, 40, 96), &ya, &yb, &opts);
         let mut session = SimSession::new(core);
-        let timed = session.simulate(&x, &opts);
+        let timed = x(&mut session);
         assert_eq!(session.memoized_units(), 1);
         for _ in 0..2 {
-            assert_eq!(session.simulate(&x, &opts).stats, timed.stats);
+            assert_eq!(x(&mut session).stats, timed.stats);
         }
         assert_eq!(session.memoized_units(), 1, "the repeats of X hit");
-        let warm = session.simulate(&y, &opts);
+        let warm = y(&mut session);
         assert_eq!(session.memoized_units(), 2, "Y is one timed unit");
-        let fresh = SimSession::new(core).simulate(&y, &opts);
+        let fresh = y(&mut SimSession::new(core));
         assert!(warm.correct);
         assert_eq!((&warm.c, warm.stats), (&fresh.c, fresh.stats));
     }
@@ -1084,28 +1115,33 @@ mod tests {
         // (on the host macro-kernel) and counts what a fresh session
         // times. mc = 4 walks several row strips at every m but 1; nc = 8
         // gives three jc blocks (the last half wide), kc = 128 three pc
-        // blocks; the second set holds each dtype's range ends
-        let (n, k) = (18, 300);
+        // blocks; the second set holds each dtype's range ends. At
+        // (17, 301) every A and B row ends in an odd-length run (a
+        // half-filled byte under the i4 kernel)
         let opts = GemmOptions { blocking: Some((4, 8, 128)), ..GemmOptions::default() };
         let ends = |len: usize, (lo, hi): (i8, i8), seed: usize| -> Vec<i8> {
             (0..len).map(|i| if (i * seed + i / 7).is_multiple_of(3) { lo } else { hi }).collect()
         };
-        for core in [CoreConfig::a64fx(), CoreConfig::edge_riscv()] {
-            for (dtype, range) in [(DType::I8, (-128, 127)), (DType::I4, (-8, 7))] {
-                for m in [1, 5, 33] {
-                    let what = format!("{} {dtype:?} m={m}", core.name);
-                    let problem = |a, b| GemmProblem::new(m, n, k, a, b).with_dtype(dtype);
-                    let (a1, b1) = (fill(m * k, 3), fill(k * n, 5));
-                    let (a2, b2) = (ends(m * k, range, 1), ends(k * n, range, 2));
-                    let mut session = SimSession::new(core);
-                    assert!(session.simulate(&problem(&a1, &b1), &opts).correct, "{what}");
-                    let units = session.memoized_units();
-                    assert_eq!(units, 9, "{what}: 3 jc × 3 pc units");
-                    let warm = session.simulate(&problem(&a2, &b2), &opts);
-                    assert_eq!(session.memoized_units(), units, "{what}: every unit hits");
-                    let cold = SimSession::new(core).simulate(&problem(&a2, &b2), &opts);
-                    assert!(warm.correct && cold.correct, "{what}");
-                    assert_eq!((&warm.c, warm.stats), (&cold.c, cold.stats), "{what}");
+        for (n, k) in [(18, 300), (17, 301)] {
+            for core in [CoreConfig::a64fx(), CoreConfig::edge_riscv()] {
+                for (dtype, range) in [(DType::I8, (-128, 127)), (DType::I4, (-8, 7))] {
+                    for m in [1, 5, 33] {
+                        let what = format!("{} {dtype:?} {m}x{n}x{k}", core.name);
+                        let method = Method::for_dtype(dtype);
+                        let (a1, b1) = (fill(m * k, 3), fill(k * n, 5));
+                        let (a2, b2) = (ends(m * k, range, 1), ends(k * n, range, 2));
+                        let mut session = SimSession::new(core);
+                        let first = session.simulate(method, (m, n, k), &a1, &b1, &opts);
+                        assert!(first.correct, "{what}");
+                        let units = session.memoized_units();
+                        assert_eq!(units, 9, "{what}: 3 jc × 3 pc units");
+                        let warm = session.simulate(method, (m, n, k), &a2, &b2, &opts);
+                        assert_eq!(session.memoized_units(), units, "{what}: every unit hits");
+                        let cold =
+                            SimSession::new(core).simulate(method, (m, n, k), &a2, &b2, &opts);
+                        assert!(warm.correct && cold.correct, "{what}");
+                        assert_eq!((&warm.c, warm.stats), (&cold.c, cold.stats), "{what}");
+                    }
                 }
             }
         }
@@ -1113,23 +1149,26 @@ mod tests {
 
     #[test]
     fn only_the_camp_kernels_can_hit() {
-        // within one problem every unit key (jc, ncb, pc, kcb) is
-        // distinct, so a fresh session's GeMM times every unit: the five
-        // baselines, which run only that way, never reach the host
-        // macro-kernel (it panics on them)
+        // every method's multi-unit problem twice on one session: a camp
+        // kernel's repeat hits every unit it timed, while the five
+        // baselines keep no unit (the host macro-kernel panics on them)
+        // and time every repeat, counting the same each time
         let (core, (m, n, k)) = (CoreConfig::a64fx(), (20, 70, 150));
         let opts = GemmOptions { blocking: Some((8, 32, 32)), ..GemmOptions::default() };
+        let (a, b) = seeded_operands(m, n, k, OPERAND_SEED);
         for method in Method::all() {
             let plan = block_plan_for(core, method, m, n, k, &opts);
             let mut units = 0;
             for_each_b_block(&plan, |_, _, _, _| units += 1);
             assert!(units > 1, "{}: {units} units", method.name());
+            let kept = if HostMacroKernel::serves(method) { units } else { 0 };
             let mut session = SimSession::new(core);
-            let r = session.run(method, &opts, |programs, operands| {
-                rng_ctx(core, method, programs, operands, (m, n, k), OPERAND_SEED, &opts)
-            });
-            assert!(r.correct, "{}", method.name());
-            assert_eq!(session.memoized_units(), units, "{}: every unit missed", method.name());
+            let first = session.simulate(method, (m, n, k), &a, &b, &opts);
+            assert_eq!(session.memoized_units(), kept, "{}: every unit missed", method.name());
+            let again = session.simulate(method, (m, n, k), &a, &b, &opts);
+            assert_eq!(session.memoized_units(), kept, "{}", method.name());
+            assert!(first.correct && again.correct, "{}", method.name());
+            assert_eq!((&again.c, again.stats), (&first.c, first.stats), "{}", method.name());
         }
     }
 
@@ -1156,9 +1195,9 @@ mod tests {
             for core in [CoreConfig::a64fx(), CoreConfig::edge_riscv()] {
                 for method in baselines.clone() {
                     let run = |seed| {
-                        SimSession::new(core).run(method, &opts, |programs, operands| {
-                            rng_ctx(core, method, programs, operands, (m, n, k), seed, &opts)
-                        })
+                        let (m, n, k, _) = clamp_dims(m, n, k, opts.mac_budget);
+                        let (a, b) = seeded_operands(m, n, k, seed);
+                        SimSession::new(core).simulate(method, (m, n, k), &a, &b, &opts)
                     };
                     let (one, other) = (run(seed), run(!seed));
                     let what = format!("{} on {} at {m}x{n}x{k}", method.name(), core.name);

@@ -70,7 +70,6 @@ pub mod request;
 pub mod weights;
 pub mod workspace;
 
-pub use batch::GemmProblem;
 pub use driver::{simulate_gemm, CMatrix, GemmOptions, GemmResult, SimSession};
 pub use host::{CpuFeatures, HostKernel, HostTier, KernelInfo};
 pub use method::{AccKind, ElemKind, KernelGeometry, Method};

@@ -285,12 +285,18 @@ impl HostMacroKernel {
         HostMacroKernel { tile, b: Vec::new(), a: Vec::new() }
     }
 
+    /// True for the methods a host macro-kernel multiplies: the camp
+    /// kernels, the only ones whose units the count memo keeps.
+    pub(crate) fn serves(method: Method) -> bool {
+        matches!(method, Method::Camp8 | Method::Camp4)
+    }
+
     /// Read the B panels `method`'s pack B wrote, `packed` in machine
     /// memory.
     ///
     /// # Panics
-    /// Panics unless `method` is a camp kernel: only their units can
-    /// hit the count memo (every baseline runs on a fresh session).
+    /// Panics unless [`HostMacroKernel::serves`] `method`: only its
+    /// units can hit the count memo.
     pub(crate) fn load_b(&mut self, method: Method, packed: &[u8]) {
         widen(method, packed, &mut self.b);
     }
@@ -371,8 +377,9 @@ impl Method {
     }
 
     /// The camp method a host-engine [`crate::weights::DType`] runs
-    /// under — the mapping `CampBackend::execute_batch` applies per
-    /// request, mirrored by the simulated batch driver.
+    /// under: the kernel the host engine picks per request, and the
+    /// `method` `SimBackend` passes to
+    /// [`SimSession::simulate`](crate::driver::SimSession::simulate).
     pub fn for_dtype(dtype: crate::weights::DType) -> Method {
         match dtype {
             crate::weights::DType::I8 => Method::Camp8,

@@ -1,7 +1,5 @@
-//! Buffer management for both GeMM halves: a bump allocator laying out
-//! matrices in *simulated* machine memory ([`Workspace`]), and a
-//! reusable *host-side* pack-buffer pool ([`PackPool`]) for the
-//! host-speed engine's packed A images and B panels.
+//! The host-speed engine's reusable pack-buffer pool ([`PackPool`]) for
+//! its packed A images and B panels.
 //!
 //! The pool's contract is that the steady state allocates nothing:
 //! buffers grow to their high-water mark once and are recycled from
@@ -18,40 +16,6 @@
 //! }
 //! assert_eq!(pool.allocations(), warm, "steady state is allocation-free");
 //! ```
-
-/// Address-space planner for one simulated GeMM.
-#[derive(Debug, Clone)]
-pub struct Workspace {
-    next: u64,
-}
-
-impl Workspace {
-    /// Start allocating at a small offset (address 0 is left unused so a
-    /// zero register is never a valid pointer).
-    pub fn new() -> Self {
-        Workspace { next: 256 }
-    }
-
-    /// Reserve `bytes` aligned to `align` (power of two); returns the base
-    /// address.
-    pub fn alloc(&mut self, bytes: u64, align: u64) -> u64 {
-        debug_assert!(align.is_power_of_two());
-        let base = (self.next + align - 1) & !(align - 1);
-        self.next = base + bytes;
-        base
-    }
-
-    /// Total bytes consumed so far (machine memory must be at least this).
-    pub fn total(&self) -> u64 {
-        self.next
-    }
-}
-
-impl Default for Workspace {
-    fn default() -> Self {
-        Workspace::new()
-    }
-}
 
 /// Reusable host-side pack buffers for one GeMM worker.
 ///
@@ -114,23 +78,6 @@ impl PackPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allocations_are_aligned_and_disjoint() {
-        let mut w = Workspace::new();
-        let a = w.alloc(100, 64);
-        let b = w.alloc(50, 64);
-        assert_eq!(a % 64, 0);
-        assert_eq!(b % 64, 0);
-        assert!(b >= a + 100);
-        assert!(w.total() >= b + 50);
-    }
-
-    #[test]
-    fn zero_page_is_reserved() {
-        let mut w = Workspace::new();
-        assert!(w.alloc(1, 1) >= 256);
-    }
 
     #[test]
     fn pack_pool_reuses_buffers() {

@@ -7,7 +7,7 @@ use camp::core::gemm_i32_ref;
 use camp::core::hybrid::HybridMultiplier;
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
 use camp::gemm::loops::{small_path, SmallPath};
-use camp::gemm::{simulate_gemm, GemmOptions, GemmProblem, Method, SimSession, SplitMix64};
+use camp::gemm::{simulate_gemm, GemmOptions, Method, SimSession, SplitMix64};
 use camp::isa::inst::CampMode;
 use camp::isa::machine::camp_outer_product;
 use camp::pipeline::CoreConfig;
@@ -344,10 +344,10 @@ fn operand_set(class: u32, len: usize, (lo, hi): (i8, i8), rng: &mut SplitMix64)
 /// kernel over uniform operands and one over operands of `class` must
 /// count exactly alike, and each C must equal its reference — also when
 /// the second runs after the first on one session, every unit a memo
-/// hit. `shape` picks the plan: the core's default blocking, two
-/// multi-unit blockings, or a MAC budget that clamps the problem. The
-/// five baselines, which read only `simulate_gemm`'s seeded operands,
-/// are held to the same claim over two seeds inside camp-gemm
+/// hit. `shape` picks the plan: the core's default blocking or one of
+/// three multi-unit blockings (the last walks several row strips). The
+/// five baselines are held to the same claim over two seeds' operands
+/// inside camp-gemm
 /// (`driver::tests::a_baseline_counts_the_same_for_any_seed`).
 fn check_data_independence(
     m: usize,
@@ -361,11 +361,11 @@ fn check_data_independence(
         0 => GemmOptions::default(),
         1 => GemmOptions { blocking: Some((32, 64, 32)), ..GemmOptions::default() },
         2 => GemmOptions { blocking: Some((16, 32, 128)), ..GemmOptions::default() },
-        _ => GemmOptions { mac_budget: 4096, ..GemmOptions::default() },
+        _ => GemmOptions { blocking: Some((4, 8, 128)), ..GemmOptions::default() },
     };
     let mut rng = SplitMix64::new(seed);
     for core in [CoreConfig::a64fx(), CoreConfig::edge_riscv()] {
-        for (dtype, range) in [(DType::I8, (i8::MIN, i8::MAX)), (DType::I4, (-8, 7))] {
+        for (method, range) in [(Method::Camp8, (i8::MIN, i8::MAX)), (Method::Camp4, (-8, 7))] {
             let mut set = |class| {
                 (
                     operand_set(class, m * k, range, &mut rng),
@@ -373,13 +373,11 @@ fn check_data_independence(
                 )
             };
             let ((a0, b0), (a1, b1)) = (set(u32::MAX), set(class));
-            let uniform = GemmProblem::new(m, n, k, &a0, &b0).with_dtype(dtype);
-            let other = GemmProblem::new(m, n, k, &a1, &b1).with_dtype(dtype);
             let mut session = SimSession::new(core);
-            let first = session.simulate(&uniform, &opts);
-            let cold = SimSession::new(core).simulate(&other, &opts);
-            let warm = session.simulate(&other, &opts);
-            let what = format!("{:?} on {}", dtype, core.name);
+            let first = session.simulate(method, (m, n, k), &a0, &b0, &opts);
+            let cold = SimSession::new(core).simulate(method, (m, n, k), &a1, &b1, &opts);
+            let warm = session.simulate(method, (m, n, k), &a1, &b1, &opts);
+            let what = format!("{} on {}", method.name(), core.name);
             prop_assert!(first.correct && cold.correct && warm.correct, "{}: wrong C", what);
             prop_assert_eq!(first.stats, cold.stats, "{}: counts depend on the operands", what);
             prop_assert_eq!(&warm.c, &cold.c, "{}: a memo hit computed another C", what);

@@ -10,7 +10,7 @@
 //! ones.
 
 use camp::core::{CampBackend, GemmRequest, SimBackend};
-use camp::gemm::{simulate_gemm, DType, GemmOptions, GemmProblem, Method, SimSession};
+use camp::gemm::{simulate_gemm, GemmOptions, Method, SimSession};
 use camp::infer::{
     BOperand, GemmExec, InferContext, InferError, InferGemm, Model, ModelHandles, RefExec,
 };
@@ -120,23 +120,23 @@ fn check_batch(n: usize, k: usize, opts: &GemmOptions, pinned: &[[u64; 7]; 5]) {
     let w_other = fill(k * n, 9);
     let acts: Vec<Vec<i8>> = (0..4).map(|i| fill(6 * k, 3 + 2 * i)).collect();
     let problems = [
-        GemmProblem::new(6, n, k, &acts[0], &w_shared),
-        GemmProblem::new(6, n, k, &acts[1], &w_other),
-        GemmProblem::new(6, n, k, &acts[2], &w_shared),
-        GemmProblem::new(6, n, k, &acts[3], &w_shared).with_dtype(DType::I4),
+        (Method::Camp8, &acts[0], &w_shared),
+        (Method::Camp8, &acts[1], &w_other),
+        (Method::Camp8, &acts[2], &w_shared),
+        (Method::Camp4, &acts[3], &w_shared),
     ];
     let core = CoreConfig::a64fx();
     let mut session = SimSession::new(core);
     let mut total = SimStats::default();
-    for (i, p) in problems.iter().enumerate() {
-        let r = session.simulate(p, opts);
+    for (i, (method, a, b)) in problems.into_iter().enumerate() {
+        let r = session.simulate(method, (6, n, k), a, b, opts);
         assert!(r.correct, "problem {i} wrong");
         assert_eq!(counts(&r.stats), pinned[i + 1], "problem {i} moved");
-        let solo = SimSession::new(core).simulate(p, opts);
+        let solo = SimSession::new(core).simulate(method, (6, n, k), a, b, opts);
         assert_eq!((&r.c, r.stats), (&solo.c, solo.stats), "problem {i} vs solo");
         // the i4/i8 problems really ran under different kernels
-        assert_eq!(r.stats.camp_issues_i8 > 0, p.dtype == DType::I8, "problem {i}");
-        assert_eq!(r.stats.camp_issues_i4 > 0, p.dtype == DType::I4, "problem {i}");
+        assert_eq!(r.stats.camp_issues_i8 > 0, method == Method::Camp8, "problem {i}");
+        assert_eq!(r.stats.camp_issues_i4 > 0, method == Method::Camp4, "problem {i}");
         total.merge(&r.stats);
     }
     assert_eq!(counts(&total), pinned[0], "batch total moved");
