@@ -42,6 +42,12 @@
 //!   (one 64-deep chunk per step, so writing C back is the largest
 //!   share of a step), 1 thread — what each tier's tile offers and what
 //!   the nest leaves on the table;
+//! * **A image per tier** — every tier's [`HostKernel::prepack_a`], the
+//!   whole A image a blocked work unit builds (the shared 4-row panels,
+//!   or `amx`'s own strips), in GB/s of image at the served prefill
+//!   shapes 192×256 (Q/K/V, `up`), 192×1024 (`down`) and 192×64 (a
+//!   head's scores). The `pack_a` rows above time `pack_a_block`, which
+//!   `amx` never runs for a blocked request;
 //! * **skinny-m roofline** — `run_small_m` over a packed panel image at
 //!   the served decode shapes, m = 1..8, *resident* (one image, walked
 //!   again and again) and *streamed* (rotating through 4 MB of distinct
@@ -276,6 +282,41 @@ fn print_blocked_per_tier() {
     }
 }
 
+/// GB/s of `hk`'s whole A image of an m×k A, built again and again
+/// into one buffer, about 8 MB per timed repetition.
+fn a_image_gbs(hk: &HostKernel, m: usize, k: usize) -> f64 {
+    let plan = host_block_plan(m, 256, k, DType::I8.k_step());
+    let a = gen_i8(m * k, 0x77AA_77AB, -128, 127);
+    let mut image = vec![0i8; hk.packed_a_len(&plan)];
+    let calls = ((8 << 20) / image.len()).max(1);
+    let secs = time_best(|| {
+        for _ in 0..calls {
+            hk.prepack_a(&mut image, std::hint::black_box(&a), m, k, &plan);
+        }
+    });
+    std::hint::black_box(&image);
+    (calls * image.len()) as f64 / secs / 1e9
+}
+
+/// The A image of every runnable tier (see the module doc).
+fn print_a_image_per_tier() {
+    println!("--------------------------------------------------------------");
+    println!("A image per tier (prepack_a, i8, 1 thread, GB/s of image)");
+    let shapes = [(192, 256), (192, 1024), (192, 64)];
+    print!("{:<11}", "tier");
+    for (m, k) in shapes {
+        print!(" {:>10}", format!("{m}x{k}"));
+    }
+    println!();
+    for hk in HostKernel::available() {
+        print!("{:<11}", hk.tier().name());
+        for (m, k) in shapes {
+            print!(" {:>10.1}", a_image_gbs(hk, m, k));
+        }
+        println!();
+    }
+}
+
 /// The skinny-m roofline of the dispatched tier (see the module doc).
 fn print_small_m_roofline(hk: &HostKernel) {
     println!("--------------------------------------------------------------");
@@ -383,5 +424,6 @@ fn main() {
         );
     }
     print_blocked_per_tier();
+    print_a_image_per_tier();
     print_small_m_roofline(simd);
 }

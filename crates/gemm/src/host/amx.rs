@@ -128,23 +128,42 @@ fn scratch_len(plan: &BlockPlan) -> usize {
 fn pack_a(dst: &mut [i8], a: &[i8], m: usize, k: usize, plan: &BlockPlan) {
     assert_eq!(dst.len(), a_len(plan), "dst must be the whole image");
     assert!(a.len() >= m * k, "A must hold m rows of k");
+    // SAFETY: the AMX gate implies the AVX-512 F+BW gate of the VNNI
+    // table this tier extends; `pack_a_rows` is safe code otherwise.
+    unsafe { pack_a_rows(dst, a, m, k, plan) }
+}
+
+// SAFETY: requires AVX512F+AVX512BW, and nothing else: the body is safe
+// code, compiled at zmm width so that a whole 64-byte row is one load
+// and one store rather than a `memcpy` call.
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn pack_a_rows(dst: &mut [i8], a: &[i8], m: usize, k: usize, plan: &BlockPlan) {
     let mut blocks = &mut dst[..];
     for (pc, kcb, kcbp) in depth_blocks(plan) {
         let (block, rest) = blocks.split_at_mut(round_up(plan.mp, STRIP) * kcbp);
         blocks = rest;
         let end = k.min(pc + kcb);
         for (s, strip) in block.chunks_exact_mut(STRIP * kcbp).enumerate() {
+            let held = m.saturating_sub(s * STRIP).min(STRIP);
             for (ch, chunk) in strip.chunks_exact_mut(STRIP * DEPTH).enumerate() {
                 let l0 = pc + ch * DEPTH;
                 let live = end.saturating_sub(l0).min(DEPTH);
-                for (i, row) in chunk.chunks_exact_mut(DEPTH).enumerate() {
-                    let r = s * STRIP + i;
-                    let live = if r < m { live } else { 0 };
-                    if live > 0 {
-                        row[..live].copy_from_slice(&a[r * k + l0..][..live]);
+                let (rows, pad) = chunk.as_chunks_mut::<DEPTH>().0.split_at_mut(held);
+                for (i, row) in rows.iter_mut().enumerate() {
+                    // (a chunk wholly past `k` reads an empty slice)
+                    let src = &a[(s * STRIP + i) * k + l0.min(k)..][..live];
+                    // a whole row is one 64-byte copy; a partial-depth
+                    // row is zeroed around what it holds
+                    match src.first_chunk::<DEPTH>() {
+                        Some(whole) => *row = *whole,
+                        None => {
+                            *row = [0; DEPTH];
+                            row[..live].copy_from_slice(src);
+                        }
                     }
-                    row[live..].fill(0);
                 }
+                // the strip's rows past `m`
+                pad.fill([0; DEPTH]);
             }
         }
     }
