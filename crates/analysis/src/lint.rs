@@ -371,7 +371,7 @@ fn justified(f: &SourceFile, line_idx: usize) -> bool {
 // ---- pass: target-feature -------------------------------------------------
 
 /// SIMD tier modules only the dispatch table may name.
-const TIER_MODULES: &[&str] = &["avx2::", "avx512::", "amx::", "neon::"];
+const TIER_MODULES: &[&str] = &["avx2::", "avx512::", "amx::"];
 
 /// `#[target_feature(enable = …)]` functions must be declared `unsafe`
 /// (callers acknowledge the CPU-feature precondition), and the tier

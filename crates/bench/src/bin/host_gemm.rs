@@ -5,7 +5,7 @@
 //! This is the harness for the host-silicon half of the codebase (the
 //! serving engine), not the simulated CAMP core: it times the same
 //! blocked GeMM once on the scalar reference tier and once on the tier
-//! `HostKernel::detect()` picked (AVX2 / AVX-512 / NEON when the CPU
+//! `HostKernel::detect()` picked (AVX2 / AVX-512 / AMX when the CPU
 //! has them), and reports GOPS (`2·m·n·k / seconds / 1e9`) plus the
 //! speedup per shape. Results are bit-identical across tiers by
 //! construction (property-tested in `tests/host_kernels.rs`), so only

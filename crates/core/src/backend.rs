@@ -229,7 +229,7 @@ pub trait CampBackend {
 
     /// Which micro-kernel tier this backend computes with: the host
     /// engine reports its dispatched [`camp_gemm::host::HostKernel`]
-    /// (scalar / avx2 / avx512 / avx512vnni / amx / neon plus the probed
+    /// (scalar / avx2 / avx512 / avx512vnni / amx plus the probed
     /// [`CpuFeatures`] and active blocking); the simulator reports its
     /// synthetic camp tier and the blocking of its simulated core (the
     /// simulated VVA kernel is the same regardless of host silicon).
@@ -759,9 +759,7 @@ mod tests {
     fn kernel_info_identifies_each_substrate() {
         let host = CampEngine::new();
         let info = CampBackend::kernel_info(&host);
-        assert!(
-            ["scalar", "avx2", "avx512", "avx512vnni", "amx", "neon"].contains(&info.tier.as_str())
-        );
+        assert!(["scalar", "avx2", "avx512", "avx512vnni", "amx"].contains(&info.tier.as_str()));
         // 4×(multiple of 4) on the panel nest, 32×32 on `amx`
         assert_eq!(info.int_tile.0 % 4, 0);
         assert_eq!(info.int_tile.1 % 4, 0);

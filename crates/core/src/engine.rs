@@ -395,9 +395,9 @@ pub struct CampEngine {
     /// Pre-packed weights (serving steady state packs no B at all).
     pub(crate) weights: WeightRegistry,
     /// Persistent workers; `None` for a serial engine. Behind an `Arc`
-    /// so the pool is sharable outside the engine ([`CampEngine::worker_pool`])
-    /// — the simulated driver schedules its block units on the same
-    /// threads the host path computes on.
+    /// so [`CampEngine::worker_pool`] can hand out a handle that
+    /// outlives the engine's move into a dispatcher: the serving tests
+    /// read the pool's counters through it.
     workers: Option<std::sync::Arc<WorkerPool>>,
 }
 
@@ -462,7 +462,7 @@ impl CampEngine {
     /// ```
     /// let engine = camp_core::CampEngine::new();
     /// let info = engine.kernel_info();
-    /// assert!(["scalar", "avx2", "avx512", "avx512vnni", "amx", "neon"].contains(&info.tier.as_str()));
+    /// assert!(["scalar", "avx2", "avx512", "avx512vnni", "amx"].contains(&info.tier.as_str()));
     /// println!("{info}"); // e.g. "avx2 kernel (features: avx2 fma; ...)"
     /// ```
     pub fn kernel_info(&self) -> KernelInfo {

@@ -4,7 +4,7 @@
 //! the virtual vector ISA, timed by the pipeline model. This module is
 //! what the host engine runs instead: a [`HostKernel`] is a table of
 //! native micro-kernels (portable scalar, AVX2, AVX-512, AVX-512 VNNI,
-//! AMX-INT8, NEON) selected **once** from a [`CpuFeatures`] runtime probe and then
+//! AMX-INT8) selected **once** from a [`CpuFeatures`] runtime probe and then
 //! dispatched through plain function pointers on the hot path. The
 //! pire/BLIS pattern: per-architecture micro-kernel + pack modules
 //! behind a single runtime-dispatched seam.
@@ -37,7 +37,7 @@
 //! [`HOST_BLOCKING`], one set for every tier: the packed-panel layout
 //! depends on it and is shared with the weight registry, so it must
 //! not vary with the dispatched tier (or with the operator's shell).
-//! `CAMP_FORCE_TIER={scalar,avx2,avx512,avx512vnni,amx,neon}` pins dispatch to a
+//! `CAMP_FORCE_TIER={scalar,avx2,avx512,avx512vnni,amx}` pins dispatch to a
 //! specific tier, panicking on an unknown name or a tier the CPU
 //! cannot run — the one environment value in the workspace that fails
 //! loudly (`docs/KNOBS.md`). The integer path keeps
@@ -100,8 +100,6 @@ mod amx;
 pub mod avx2;
 #[cfg(target_arch = "x86_64")]
 pub mod avx512;
-#[cfg(target_arch = "aarch64")]
-pub mod neon;
 
 use std::fmt;
 use std::mem::MaybeUninit;
@@ -121,9 +119,8 @@ use avx512::QUAD_TRANSPOSE;
 /// What the host CPU can do, probed once at engine construction. The
 /// probe is cheap and honest: on x86_64 it asks the OS/CPUID via
 /// `is_x86_feature_detected!` (and, for AMX, CPUID leaf 7 plus the
-/// OS's tile-data grant); on aarch64 NEON is architecturally
-/// guaranteed; everywhere else every flag is false and the scalar tier
-/// serves.
+/// OS's tile-data grant); everywhere else every flag is false and the
+/// scalar tier serves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpuFeatures {
     /// AVX2 256-bit integer/float SIMD (x86_64).
@@ -148,8 +145,6 @@ pub struct CpuFeatures {
     /// process by the probe) — what separates the `amx` tier from
     /// `avx512vnni`.
     pub amx_int8: bool,
-    /// NEON/ASIMD (aarch64, architecturally mandatory).
-    pub neon: bool,
 }
 
 impl CpuFeatures {
@@ -166,14 +161,9 @@ impl CpuFeatures {
                 avx512vnni: is_x86_feature_detected!("avx512vnni"),
                 // `is_x86_feature_detected!("amx-int8")` is unstable
                 amx_int8: amx::tiles_usable(),
-                neon: false,
             }
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            CpuFeatures { neon: true, ..CpuFeatures::default() }
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         {
             CpuFeatures::default()
         }
@@ -223,9 +213,6 @@ impl CpuFeatures {
         if self.amx_int8 {
             out.push("amx_int8");
         }
-        if self.neon {
-            out.push("neon");
-        }
         if out.is_empty() {
             "portable".to_string()
         } else {
@@ -256,8 +243,6 @@ pub enum HostTier {
     /// blocked macro-kernel, 2×2 `tdpbssd` tiles (32×32 of C per step)
     /// over its own A image and the shared B panels.
     Amx,
-    /// aarch64 NEON: `smlal`-lane widening i8 tile.
-    Neon,
 }
 
 impl HostTier {
@@ -270,7 +255,6 @@ impl HostTier {
             HostTier::Avx512 => "avx512",
             HostTier::Avx512Vnni => "avx512vnni",
             HostTier::Amx => "amx",
-            HostTier::Neon => "neon",
         }
     }
 
@@ -464,23 +448,6 @@ static AVX512VNNI: HostKernel =
 static AMX: HostKernel =
     HostKernel { tier: HostTier::Amx, macro_kernel: Some(amx::MACRO_KERNEL), ..AVX512VNNI };
 
-#[cfg(target_arch = "aarch64")]
-static NEON: HostKernel = HostKernel {
-    tier: HostTier::Neon,
-    tile_i8: neon::tile_i8,
-    tile_i8_into: scalar::tile_i8_into,
-    int_nr: 4,
-    small_m_dense: neon::small_m_dense,
-    panel_group: |acc, a, lda, kreal, panels, npanels| {
-        scalar::panel_group_with(neon::panel_mav, 0, acc, a, lda, kreal, panels, npanels)
-    },
-    pack_a: scalar::pack_a_block,
-    pack_b: scalar::pack_b_block,
-    requant_into: requant::requant_into,
-    requant_add_sat: requant::requant_add_sat,
-    macro_kernel: None,
-};
-
 /// Parse a `CAMP_FORCE_TIER` value. Pure so validation is unit-testable
 /// without process-global env mutation; empty/unset means "no pin".
 pub(crate) fn parse_forced_tier(raw: Option<String>) -> Result<Option<HostTier>, String> {
@@ -492,9 +459,8 @@ pub(crate) fn parse_forced_tier(raw: Option<String>) -> Result<Option<HostTier>,
         "avx512" => Ok(Some(HostTier::Avx512)),
         "avx512vnni" => Ok(Some(HostTier::Avx512Vnni)),
         "amx" => Ok(Some(HostTier::Amx)),
-        "neon" => Ok(Some(HostTier::Neon)),
         other => Err(format!(
-            "CAMP_FORCE_TIER must be one of scalar|avx2|avx512|avx512vnni|amx|neon, got {other:?}"
+            "CAMP_FORCE_TIER must be one of scalar|avx2|avx512|avx512vnni|amx, got {other:?}"
         )),
     }
 }
@@ -559,10 +525,6 @@ impl HostKernel {
                 return &AVX2;
             }
         }
-        #[cfg(target_arch = "aarch64")]
-        if features.neon {
-            return &NEON;
-        }
         let _ = features;
         &SCALAR
     }
@@ -588,8 +550,6 @@ impl HostKernel {
             HostTier::Avx512Vnni if f.has_avx512vnni_tier() => Some(&AVX512VNNI),
             #[cfg(target_arch = "x86_64")]
             HostTier::Amx if f.has_amx_tier() => Some(&AMX),
-            #[cfg(target_arch = "aarch64")]
-            HostTier::Neon if f.neon => Some(&NEON),
             _ => None,
         }
     }
@@ -597,7 +557,7 @@ impl HostKernel {
     /// Every tier the running CPU can execute (scalar first).
     pub fn available() -> Vec<&'static HostKernel> {
         use HostTier::*;
-        [Scalar, Avx2, Avx512, Avx512Vnni, Amx, Neon]
+        [Scalar, Avx2, Avx512, Avx512Vnni, Amx]
             .into_iter()
             .filter_map(HostKernel::for_tier)
             .collect()
@@ -836,7 +796,7 @@ impl HostKernel {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelInfo {
     /// Tier name (`"scalar"`, `"avx2"`, `"avx512"`, `"avx512vnni"`,
-    /// `"amx"`, `"neon"`, or the simulated backend's `"sim-camp"`).
+    /// `"amx"`, or the simulated backend's `"sim-camp"`).
     pub tier: String,
     /// True when the tier uses SIMD.
     pub simd: bool,
@@ -918,11 +878,38 @@ mod tests {
             Some(HostTier::Avx512Vnni)
         );
         assert_eq!(parse_forced_tier(Some("amx".into())).unwrap(), Some(HostTier::Amx));
-        assert_eq!(parse_forced_tier(Some("neon".into())).unwrap(), Some(HostTier::Neon));
-        for bad in ["AVX2", "sse", "1", "scalar,avx2", "avx512_vnni", "vnni", "amx_int8", "AMX"] {
+        let refused =
+            ["AVX2", "sse", "1", "scalar,avx2", "avx512_vnni", "vnni", "amx_int8", "AMX", "neon"];
+        for bad in refused {
             let err = parse_forced_tier(Some(bad.to_string())).unwrap_err();
             assert!(err.contains("CAMP_FORCE_TIER"), "{err}");
-            assert!(err.contains("scalar|avx2|avx512|avx512vnni|amx|neon"), "{err}");
+            // the five names, and none after `amx`
+            assert!(err.contains("scalar|avx2|avx512|avx512vnni|amx,"), "{err}");
+        }
+    }
+
+    #[test]
+    fn ci_forces_every_tier() {
+        use HostTier::*;
+        // no wildcard: a new tier does not compile until it is listed
+        // here, and then fails until CI's `forced-tier` job runs it
+        let tiers = [Scalar, Avx2, Avx512, Avx512Vnni, Amx];
+        for t in tiers {
+            match t {
+                Scalar | Avx2 | Avx512 | Avx512Vnni | Amx => {}
+            }
+        }
+        let ci = concat!(env!("CARGO_MANIFEST_DIR"), "/../../.github/workflows/ci.yml");
+        let ci = std::fs::read_to_string(ci).expect("CI workflow is readable");
+        let (_, job) = ci.split_once("\n  forced-tier:\n").expect("CI has a forced-tier job");
+        let matrix = job
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("tier: [")?.strip_suffix(']'))
+            .expect("the forced-tier job has a `tier: [...]` matrix");
+        let legs: Vec<&str> = matrix.split(',').map(str::trim).collect();
+        assert_eq!(legs, tiers.map(HostTier::name), "CI's forced-tier legs vs HostTier");
+        for t in tiers {
+            assert_eq!(parse_forced_tier(Some(t.name().into())), Ok(Some(t)));
         }
     }
 
@@ -933,7 +920,6 @@ mod tests {
         assert_eq!(HostTier::Avx512.name(), "avx512");
         assert_eq!(HostTier::Avx512Vnni.name(), "avx512vnni");
         assert_eq!(HostTier::Amx.name(), "amx");
-        assert_eq!(HostTier::Neon.name(), "neon");
         assert!(HostTier::Amx.is_simd());
         assert!(HostTier::Avx2.is_simd());
         assert!(HostTier::Avx512.is_simd());

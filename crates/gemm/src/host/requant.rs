@@ -4,8 +4,8 @@
 //! next GeMM reads it — Q/K/V, attention scores, contexts, the ReLU'd
 //! feed-forward, two saturating residual adds. Those sweeps are the
 //! host's non-GeMM time, so they are table entries like the kernels:
-//! the body is defined **once**, here, in scalar code; the scalar and
-//! NEON tables call it as it is, and the AVX2 and AVX-512 tables call
+//! the body is defined **once**, here, in scalar code; the scalar
+//! table calls it as it is, and the AVX2 and AVX-512 tables call
 //! it through a `#[target_feature]` wrapper that recompiles the *same*
 //! body at their vector width. Every element sees the same IEEE
 //! operations in the same order on every tier (Rust never contracts a

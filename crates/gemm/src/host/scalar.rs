@@ -13,8 +13,8 @@
 //! for that reason (a body that stops inlining into a tier's copy runs
 //! at baseline SSE2 width there), and written for the vectorizer: fixed
 //! widths, accumulators held in local arrays across the depth loop,
-//! contiguous reads. [`tile_i8`] and [`pack_a_block`] are the scalar and
-//! NEON tiers' own; the x86 tiers keep hand-written code for both
+//! contiguous reads. [`tile_i8`] and [`pack_a_block`] are the scalar
+//! tier's own; the x86 tiers keep hand-written code for both
 //! (`docs/HOST_KERNELS.md`, "Hand-written and recompiled"). The oracles
 //! live elsewhere: `gemm_i32_ref` for the arithmetic and
 //! [`crate::reference::pack_a_ref`] / [`crate::reference::pack_b_ref`]
@@ -29,7 +29,7 @@ fn mul(a: i8, b: i8) -> i32 {
 /// Whole-depth 4×4 widening integer tile: for each of the `kcb`
 /// k-values in the packed panels, `acc[i][j] += pa[l*4+i]·pb[l*4+j]`
 /// (wrapping); `kcb` a multiple of 4 (the table's contract is 8). The
-/// blocked nest's trailing panel group on the scalar and NEON tiers.
+/// blocked nest's trailing panel group on the scalar tier.
 pub fn tile_i8(pa: &[i8], pb: &[i8], acc: &mut [[i32; 4]; 4]) {
     let mut sums = [[0i32; 4]; 4];
     for (av, bv) in pa.chunks_exact(4).zip(pb.chunks_exact(4)) {
@@ -84,8 +84,8 @@ pub(super) fn tile_into_with(
     }
 }
 
-/// The `tile_i8_into` table entry of the tiers with no widened tile
-/// (scalar, NEON): one 4-column panel, through [`tile_into_with`].
+/// The scalar table's `tile_i8_into` entry, which has no widened
+/// tile: one 4-column panel, through [`tile_into_with`].
 pub(super) fn tile_i8_into(pa: &[i8], pb: &[i8], c: &mut [i32], ldc: usize) {
     tile_into_with(tile_i8_wide, 4, pa, pb, c, ldc)
 }
@@ -149,8 +149,8 @@ pub fn small_m_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [
 
 /// Panel matrix-vector primitive: one raw A row against one 4-column
 /// packed B panel, `acc[j] += Σ_l a_row[l]·panel[l*4+j]` (wrapping).
-/// The whole skinny walk on the tiers with no group kernel (scalar,
-/// NEON), and the k tail past the vector loop of those that have one.
+/// The whole skinny walk on the scalar tier, which has no group
+/// kernel, and the k tail past the vector loop of the tiers that do.
 #[inline(always)]
 pub fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
     let mut sums = [0i32; 4];
@@ -165,8 +165,8 @@ pub fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) {
 /// The grouped skinny primitive (see `HostKernel`'s `panel_group`
 /// entry for the argument contract) built from a one-panel `mav`, over
 /// k-values `l0..kreal` of every (row, panel) pair. With `l0 = 0` this
-/// is the whole primitive of a tier that has no register-blocked group
-/// kernel (scalar, NEON); the x86 tiers route the `kreal % 16`
+/// is the scalar tier's whole primitive (it has no register-blocked
+/// group kernel); the x86 tiers route the `kreal % 16`
 /// (`% 8` on AVX2) k-values past their vector loop here.
 pub(super) fn panel_group_with(
     mav: fn(&mut [i32; 4], &[i8], &[i8]),

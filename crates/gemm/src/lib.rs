@@ -41,7 +41,7 @@
 //! nothing inside the loops; the simulated driver packs per block,
 //! because that traffic is what it measures). The engine's native
 //! micro-kernels live in [`host`]: a [`HostKernel`] tier (scalar / AVX2 /
-//! AVX-512 / AVX-512 VNNI / AMX-INT8 / NEON) selected once from a [`CpuFeatures`]
+//! AVX-512 / AVX-512 VNNI / AMX-INT8) selected once from a [`CpuFeatures`]
 //! runtime probe.
 //!
 //! The Fig. 1 address traces in `camp-bench` walk the same [`loops`]

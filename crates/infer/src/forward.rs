@@ -227,9 +227,11 @@ fn run_one(exec: &mut dyn GemmExec, gemm: InferGemm) -> Result<Vec<i32>, InferEr
 /// one-token call — which is what makes the decode-equals-recompute
 /// parity structural rather than aspirational.
 ///
-/// A step that fails leaves `kv` as long as it found it: the rows the
-/// layers before the failing call had appended are truncated away, so
-/// the caller may resubmit the same step.
+/// A step that fails keeps every row of `kv` it found, except the
+/// oldest ones a [`KvPolicy::Window`](crate::KvPolicy::Window) cache
+/// evicted to make room, which the resubmitted step would evict anyway:
+/// the rows the layers before the failing call had appended are
+/// truncated away, so the caller may resubmit the same step.
 pub(crate) fn forward(
     model: &Model,
     exec: &mut dyn GemmExec,

@@ -376,31 +376,49 @@ mod tests {
     fn a_step_refused_at_any_call_can_be_resubmitted() {
         // `Shed` and `Saturated` mean "back off and resubmit": whichever
         // of a step's calls is refused, the retried step must continue
-        // the uninterrupted stream from a cache that is exactly as long
-        // as the position says
+        // the uninterrupted stream from a cache whose rows end where the
+        // position says — with a window evicting at capacity, too
         let cfg = TransformerConfig { hidden: 8, ff_dim: 16, heads: 2, layers: 4, seq_len: 32 };
-        let model = Model::new(cfg, 32, 3);
         let prompt = [5, 9, 2, 30, 17, 1, 8, 11, 4, 23, 6, 19, 3];
-        let calls_per_step = 6 * cfg.layers + 1;
-        assert_eq!(calls_per_step, 25);
-
-        let mut exec = RefExec::new(&model);
-        let mut ctx = InferContext::for_model(&model);
-        let mut expect = vec![ctx.prefill_with(&model, &mut exec, &prompt).unwrap().first];
-        for _ in 0..3 {
-            expect.push(ctx.decode_with(&model, &mut exec).unwrap());
-        }
-
         // refuse call k of the prefill, or (past 25) call k − 25 of the
         // first decode step
-        for fail_at in 1..=2 * calls_per_step {
+        check_resubmission(cfg, cfg.seq_len, KvPolicy::Reject, &prompt, 3, 2);
+        // a capacity-6 window: the last three decode steps each evict
+        // before they run, and any of their calls may be refused
+        let cfg = TransformerConfig { layers: 2, ..tiny() };
+        check_resubmission(cfg, 6, KvPolicy::Window, &[5, 9, 2], 6, 7);
+    }
+
+    /// Serve `prompt` plus `decodes` tokens once uninterrupted, then once
+    /// per call of the first `steps` steps with that call refused.
+    fn check_resubmission(
+        cfg: TransformerConfig,
+        capacity: usize,
+        policy: KvPolicy,
+        prompt: &[u32],
+        decodes: usize,
+        steps: usize,
+    ) {
+        let model = Model::new(cfg, 32, 3);
+        let calls_per_step = 6 * cfg.layers + 1;
+        let context = || InferContext::new(KvCache::new(cfg.layers, cfg.hidden, capacity, policy));
+
+        let mut exec = FailOnce { inner: RefExec::new(&model), calls: 0, fail_at: 0 };
+        let mut ctx = context();
+        let mut expect = vec![ctx.prefill_with(&model, &mut exec, prompt).unwrap().first];
+        for _ in 0..decodes {
+            expect.push(ctx.decode_with(&model, &mut exec).unwrap());
+        }
+        assert_eq!(exec.calls, (1 + decodes) * calls_per_step, "calls per step");
+
+        for fail_at in 1..=steps * calls_per_step {
             let mut exec = FailOnce { inner: RefExec::new(&model), calls: 0, fail_at };
-            let mut ctx = InferContext::for_model(&model);
+            let mut ctx = context();
             let (mut got, mut refused) = (Vec::new(), 0);
             while got.len() < expect.len() {
                 let before = (ctx.position(), ctx.last_token());
                 let step = match got.len() {
-                    0 => ctx.prefill_with(&model, &mut exec, &prompt).map(|t| t.first),
+                    0 => ctx.prefill_with(&model, &mut exec, prompt).map(|t| t.first),
                     _ => ctx.decode_with(&model, &mut exec),
                 };
                 match step {
@@ -411,7 +429,8 @@ mod tests {
                         assert_eq!((ctx.position(), ctx.last_token()), before, "call {fail_at}");
                     }
                 }
-                assert_eq!(ctx.kv().len(), ctx.position(), "call {fail_at}: cache vs position");
+                let rows_end = ctx.kv().base() + ctx.kv().len();
+                assert_eq!(rows_end, ctx.position(), "call {fail_at}: cache vs position");
             }
             assert_eq!(refused, 1, "call {fail_at} exists");
             assert_eq!(got, expect, "call {fail_at} refused once, then resubmitted");

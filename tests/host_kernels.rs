@@ -1,11 +1,11 @@
 //! Property tests for the host SIMD micro-kernel tiers.
 //!
 //! The dispatch contract is **bit-identity**: every tier
-//! ([`HostKernel::available`] — scalar always, plus AVX2, AVX-512
-//! and/or NEON when the CPU has them) must produce byte-for-byte the
-//! same results on every path — blocked tiles (4-wide and widened),
-//! skinny-m (panel and dense B) and skinny-n fast paths, both integer
-//! dtypes, and the packers. The identity is structural: exact products,
+//! ([`HostKernel::available`] — scalar always, plus AVX2, AVX-512,
+//! AVX-512 VNNI and AMX when the CPU has them) must produce
+//! byte-for-byte the same results on every path — blocked tiles (4-wide
+//! and widened), skinny-m (panel and dense B) and skinny-n fast paths,
+//! both integer dtypes, and the packers. The identity is structural: exact products,
 //! wrapping i32 accumulation.
 //!
 //! Most entries of the table are one portable body that each SIMD tier
