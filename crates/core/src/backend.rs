@@ -212,7 +212,7 @@ pub(crate) const VALIDATED: &str = "requests are validated before they run";
 /// [`CampBackend::weights_mut`]) and execution, as one method,
 /// [`CampBackend::execute_prepared`], and every entry point —
 /// [`CampBackend::execute`], [`CampBackend::execute_batch`], a
-/// dispatcher's direct `run` and its queued `submit` → `wait` — hands it
+/// dispatcher's `run` and its `submit` → `wait` — hands it
 /// the batch's requests as they were submitted, once they are validated.
 /// It sees the whole batch and owns the backend's buffers, so
 /// everything that spans requests — packing a dense B once for every
@@ -281,8 +281,7 @@ pub trait CampBackend {
 
     /// Execute one batch of requests already validated against
     /// [`CampBackend::weights`], on whichever thread holds the
-    /// backend (a dispatcher's driver, a
-    /// [`crate::dispatch::DispatchSession::run`] caller, or
+    /// backend (the caller holding a [`Dispatcher`]'s turn, or
     /// [`CampBackend::execute_batch`]'s), so this is infallible. Each
     /// request runs as it would alone, and the batch's stats are the sum
     /// of its requests': the host engine packs a dense B for each
@@ -292,7 +291,7 @@ pub trait CampBackend {
 
     /// Upgrade the backend into a serving [`Dispatcher`] with
     /// [`crate::dispatch::DispatchOptions::default`]: any number of
-    /// submit/poll sessions ([`Dispatcher::session`]) over this one
+    /// sessions ([`Dispatcher::session`]) taking turns on this one
     /// backend, with priorities and per-session admission control.
     /// Register weights first — submissions validate against the
     /// registrations present now.

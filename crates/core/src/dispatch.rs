@@ -1,74 +1,64 @@
 //! The serving front end: N sessions, one engine.
 //!
-//! A serving deployment does not call a blocking GeMM API: it enqueues
-//! request batches and collects results when they are ready, keeping
-//! several batches in flight so the machine never idles between them —
-//! and production serving means many such clients over one warm engine
-//! and one weight registry. [`Dispatcher`] is that layer, generic over
-//! the execution substrate (`Dispatcher<CampEngine>` serves at host
-//! speed, `Dispatcher<SimBackend>` streams batches through the
-//! cycle-accurate simulated CAMP core): it holds the backend behind an
-//! engine lock, spawns one **driver** thread, and hands out any number
-//! of [`DispatchSession`] clients, each with its own FIFO queue, ticket
-//! space and admission bound. One client is simply the N = 1 case.
+//! Production serving means many clients over one warm engine and one
+//! weight registry. [`Dispatcher`] is that layer, generic over the
+//! execution substrate (`Dispatcher<CampEngine>` serves at host speed,
+//! `Dispatcher<SimBackend>` streams batches through the cycle-accurate
+//! simulated CAMP core): it holds the backend behind an engine lock and
+//! hands out any number of [`DispatchSession`] clients, each with its
+//! own ticket space and admission bound. One client is simply the
+//! N = 1 case.
 //!
-//! A queued batch crosses two threads — the caller submits, the engine
-//! holder executes — in two stages:
+//! The dispatcher spawns no thread: **every batch runs on the thread
+//! that submitted it**, during that thread's **turn** on the engine. A
+//! call ([`DispatchSession::submit_with`] or [`DispatchSession::run`])
+//! takes three steps, all on the calling thread:
 //!
-//! 1. **submit** ([`DispatchSession::submit`] /
-//!    [`DispatchSession::submit_with`]) = validate + admit, on the
-//!    calling thread. The batch is validated against the registration
-//!    snapshot under no lock; then, under one state-lock acquisition,
-//!    it is checked against **admission control** (a session with
-//!    [`DispatchOptions::queue_depth`] batches already in flight gets
+//! 1. **admit**: the batch is validated against the registration
+//!    snapshot under no lock. Then, under one state-lock acquisition,
+//!    it is checked against **admission control** (a session already
+//!    holding [`DispatchOptions::queue_depth`] uncollected results gets
 //!    [`RequestError::Saturated`] back instead of unbounded memory
-//!    growth) and against condemned handles, stamped with a
-//!    [`Priority`] and optional deadline, booked and filed in the
-//!    session's queue, and the caller gets its [`TicketId`]. A queued
-//!    batch is its requests as they were submitted: the backend
-//!    resolves their shapes and packs what it packs when it executes
-//!    them;
-//! 2. **compute** — the driver takes the engine lock per batch and
-//!    repeatedly executes the *best* runnable batch. **A session's
-//!    batches execute in submission order; priority, deadline and
-//!    admission order decide between sessions**: only the front of a
-//!    session's queue is runnable, and among those fronts the driver
-//!    takes the highest [`Priority`] first (decode-latency-critical
-//!    beats prefill-throughput), then the earliest deadline, then
-//!    admission order. An aging rule bounds priority inversion the
-//!    other way: after [`DECODE_BURST`] consecutive decode batches the
-//!    driver runs the best waiting prefill batch, so a decode flood
-//!    cannot starve prefill indefinitely (and a prefill flood never
-//!    delays decode by more than the one batch already picked). A
-//!    picked batch whose deadline has **already passed** is shed —
-//!    completed as [`RequestError::Shed`] without touching the engine
-//!    (counted in [`DispatchStats::shed`]) — so an overload spends
-//!    cycles only on batches that can still make their deadlines.
+//!    growth) and against condemned handles, and booked;
+//! 2. **wait for the turn**: a caller that finds the turn free takes it
+//!    at once; otherwise it waits. Whoever ends a turn hands it to the
+//!    *best* waiting caller within the same state-lock acquisition: the
+//!    highest [`Priority`] first (decode-latency-critical beats
+//!    prefill-throughput), then the earliest deadline, then admission
+//!    order. An aging rule bounds priority inversion the other way:
+//!    after [`DECODE_BURST`] consecutive decode turns the best waiting
+//!    prefill caller goes first, so a decode flood cannot starve
+//!    prefill indefinitely. Nobody barges: a caller that arrives while
+//!    anyone waits queues behind them, so a prefill flood never delays
+//!    decode by more than the one batch holding the turn;
+//! 3. **execute**: holding the turn, under the state lock, the caller
+//!    checks its batch again. A handle condemned while it waited fails
+//!    the batch as [`RequestError::StaleHandle`], and a deadline that
+//!    has **already passed** sheds it as [`RequestError::Shed`]
+//!    (counted in [`DispatchStats::shed`]); either way the turn passes
+//!    on without touching the engine, so an overload spends cycles only
+//!    on batches that can still make their deadlines. Otherwise the
+//!    caller takes the engine lock (still under the state lock, with
+//!    the check), runs its batch through
+//!    [`CampBackend::execute_prepared`] and ends its turn.
 //!
-//! A blocking caller has a shorter way through, the **direct** path:
-//! [`DispatchSession::run`] validates and admits its batch exactly as
-//! `submit_with` does, and if that batch is then the only work in the
-//! dispatcher — no session has anything else in flight, no eviction
-//! is queued — the calling thread takes the engine lock and executes
-//! the batch itself, booking what the driver would have booked
-//! ([`DispatchStats::direct`]). That skips the two thread hand-offs of
-//! the queued pipeline (client → driver → client), which cost several
-//! times the engine time of a decode-sized batch. The choice is made
-//! from state the dispatcher already holds, per batch, under the state
-//! lock: the moment there is anybody to be ordered against, `run`
-//! queues like a submission, so priority order, aging, deadlines,
-//! per-session FIFO and admission are always those of the queued
-//! pipeline. With two or more *busy* tenants most batches therefore
-//! still pay the queued path; `submit`/`submit_with` always do (they
-//! return as soon as the batch is filed).
+//! `submit_with` files the outcome in its session and returns the
+//! [`TicketId`] that [`DispatchSession::poll`] / [`DispatchSession::wait`]
+//! redeem; `run` returns the outcome itself. A session's calls take
+//! `&mut self`, so its batches execute in submission order.
 //!
 //! Weight **eviction races** are first-class: [`Dispatcher::evict_weights`]
-//! condemns the handle immediately (new submissions fail with
-//! [`RequestError::StaleHandle`]) and queues a control op the driver
-//! applies under the engine lock, in series with every batch execution
-//! (a direct run takes that lock atomically with its condemned check),
-//! so a stale handle racing a live session errs per batch instead of
+//! condemns the handle (admission and every later turn refuse a batch
+//! carrying it) and then evicts the registration under the engine lock
+//! on its caller's thread, after the batch on the engine, if any. A
+//! stale handle racing a live session errs per batch instead of
 //! panicking the engine.
+//!
+//! A backend that **panics** mid-batch unwinds its caller's call and
+//! kills the dispatcher: the backend may be half-updated, so it never
+//! runs another batch. Callers waiting for the turn, and every later
+//! call, panic with "serving session is dead" instead of hanging;
+//! results already filed stay collectable.
 //!
 //! Every primitive comes from [`crate::sync`], so the whole protocol is
 //! explored by the `camp-loom` model checker (`tests/model/dispatch_model.rs`)
@@ -90,26 +80,23 @@
 //! let mut prefill = dispatcher.session();
 //!
 //! let a: Vec<i8> = (0..2 * k).map(|i| (i % 13) as i8 - 6).collect();
-//! let d = decode
-//!     .submit_with(
-//!         vec![GemmRequest::with_weights(2, a.clone(), weights).unwrap()],
-//!         Priority::Decode,
-//!         None,
-//!     )
+//! let out = decode
+//!     .run(vec![GemmRequest::with_weights(2, a.clone(), weights).unwrap()], Priority::Decode, None)
 //!     .unwrap();
+//! assert_eq!(out.outputs.len(), 1);
+//! // executed on this thread before the ticket came back
 //! let p = prefill.submit(vec![GemmRequest::with_weights(2, a, weights).unwrap()]).unwrap();
-//! assert_eq!(decode.wait(d).unwrap().outputs.len(), 1);
+//! assert_eq!(prefill.in_flight(), 1);
 //! assert_eq!(prefill.wait(p).unwrap().outputs.len(), 1);
-//! drop((decode, prefill));
-//! let _engine = dispatcher.into_backend(); // drains, hands the warm engine back
+//! let _engine = dispatcher.into_backend(); // hands the warm engine back
 //! ```
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
+use std::sync::LockResult;
 use std::time::Instant;
 
 // the sync seam: std primitives normally, the camp-loom model checker
 // under `--cfg loom` (see crate::sync and tests/model/)
-use crate::sync::thread::JoinHandle;
 use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use camp_gemm::request::{GemmRequest, Operand, RequestError};
@@ -117,15 +104,16 @@ use camp_gemm::weights::{WeightHandle, WeightMeta, WeightSnapshot};
 
 use crate::backend::{BatchOutcome, CampBackend};
 
-/// Aging bound: after this many *consecutive* decode batches the driver
-/// runs the best waiting prefill batch, so a decode flood cannot starve
-/// prefill work indefinitely. (The reverse inversion — prefill starving
-/// decode — is bounded at one batch by the priority order itself.)
+/// Aging bound: after this many *consecutive* decode turns the best
+/// waiting prefill caller gets the next one, so a decode flood cannot
+/// starve prefill work indefinitely. (The reverse inversion — prefill
+/// starving decode — is bounded at one batch by the priority order
+/// itself.)
 pub const DECODE_BURST: u32 = 8;
 
 /// Scheduling class of a submitted batch. Decode-latency-critical work
-/// outranks prefill-throughput work whenever the driver picks; `Ord`
-/// encodes that (`Decode > Prefill`).
+/// outranks prefill-throughput work whenever a turn is handed over;
+/// `Ord` encodes that (`Decode > Prefill`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Throughput-oriented work (prompt prefill, bulk scoring). The
@@ -133,7 +121,7 @@ pub enum Priority {
     #[default]
     Prefill,
     /// Latency-critical work (autoregressive decode steps); beats
-    /// prefill whenever both are runnable.
+    /// prefill whenever both wait for the turn.
     Decode,
 }
 
@@ -141,12 +129,12 @@ pub enum Priority {
 /// environment: a caller that wants another bound passes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchOptions {
-    /// Default per-session admission bound: a session with this many
-    /// batches in flight (submitted, not yet completed) has further
-    /// submissions rejected with [`RequestError::Saturated`]. It is
-    /// also the bound on what the session holds queued: every queued
-    /// batch carries its requests' operands.
-    /// [`Dispatcher::session_with_depth`] overrides per session.
+    /// Default per-session admission bound: a session holding this many
+    /// uncollected results (its [`DispatchSession::in_flight`]) has
+    /// further submissions rejected with [`RequestError::Saturated`].
+    /// It bounds what the session holds: every filed result carries its
+    /// outputs. [`Dispatcher::session_with_depth`] overrides per
+    /// session.
     pub queue_depth: usize,
 }
 
@@ -168,7 +156,7 @@ pub struct TicketId {
 }
 
 /// Monotonic + live counters of one dispatcher, snapshotted by
-/// [`Dispatcher::stats`]. The regression suites assert on these: permit
+/// [`Dispatcher::stats`]. The regression suites assert on these: turn
 /// accounting (`staging_live` returns to 0 after a drain), admission
 /// accounting (`rejected` counts every [`RequestError::Saturated`]).
 #[non_exhaustive]
@@ -176,106 +164,45 @@ pub struct TicketId {
 pub struct DispatchStats {
     /// Batches accepted by admission control, ever.
     pub submitted: u64,
-    /// Batches executed to completion (successfully), ever — on the
-    /// driver or on a caller's thread.
+    /// Batches executed to completion (successfully), ever.
     pub executed: u64,
-    /// Of `executed`, the batches a [`DispatchSession::run`] caller
-    /// executed on its own thread because nothing else was in flight,
-    /// ever.
-    pub direct: u64,
-    /// Batches cancelled still queued when their session dropped, ever.
-    pub cancelled: u64,
+    /// Of `submitted`, the batches whose caller found the turn taken
+    /// and waited for it, ever.
+    pub waited: u64,
     /// Submissions rejected with [`RequestError::Saturated`], ever.
     pub rejected: u64,
     /// Always 0: nothing claims work across sessions any more. Kept
     /// only until the benchmark retires the `dispatch.stolen_share` row
     /// that reads it (see ROADMAP.md).
     pub stolen: u64,
-    /// Eviction control ops accepted by [`Dispatcher::evict_weights`],
-    /// ever.
+    /// Evictions accepted by [`Dispatcher::evict_weights`], ever.
     pub evictions: u64,
     /// Batches failed with [`RequestError::StaleHandle`] because a
-    /// handle they carry was condemned before they reached the engine,
+    /// handle they carry was condemned while they waited for the turn,
     /// ever.
     pub stale_failures: u64,
-    /// Batches shed because their deadline had already passed when the
-    /// driver picked them — completed as [`RequestError::Shed`] without
+    /// Batches shed because their deadline had already passed when
+    /// their turn came — failed as [`RequestError::Shed`] without
     /// touching the engine, ever.
     pub shed: u64,
-    /// Batches picked by the driver or a direct caller and not yet
-    /// completed (on the engine, or about to be). 0 when drained. The
-    /// name outlived the staging step; it stays while the benchmark
-    /// reads it (see ROADMAP.md).
+    /// 1 while a caller holds the turn (its batch on the engine, or
+    /// about to be), 0 when idle and after a drain. The name outlived
+    /// the staging step; it stays while the benchmark reads it (see
+    /// ROADMAP.md).
     pub staging_live: usize,
-    /// Batches queued and not yet picked right now.
+    /// Callers waiting for the turn right now.
     pub ready_now: usize,
-    /// Sessions currently open (or closed with work still in flight).
-    pub sessions_live: usize,
 }
 
 // ---- shared state ----------------------------------------------------------
 
-/// One queued batch: admitted, waiting for (or on) the engine.
-struct Pending {
-    seq: u64,
-    batch: Vec<GemmRequest>,
+/// A caller waiting for the turn.
+struct Waiter {
+    /// Global admission order: the waiter's identity and the FIFO
+    /// tie-breaker.
+    admit: u64,
     priority: Priority,
     deadline: Option<Instant>,
-    /// Global admission order, the FIFO tie-breaker across sessions.
-    admit: u64,
-}
-
-/// Per-session queue + ticket state.
-struct SessQueue {
-    /// Admission bound: max batches in flight before `Saturated`.
-    depth: usize,
-    /// Filed and not yet picked, in submission order: only the front
-    /// one may run, and the one driver runs it to completion before it
-    /// picks again — which is what keeps a session's batches in
-    /// submission order.
-    queued: VecDeque<Pending>,
-    /// Batches in flight: admitted and not yet completed/cancelled —
-    /// the queued ones plus the one picked, if any. This is what
-    /// admission control bounds.
-    pending: usize,
-    /// Completed, not yet collected.
-    done: HashMap<u64, Result<BatchOutcome, RequestError>>,
-    /// Collected-ticket compaction: everything below the floor was
-    /// redeemed, plus the sparse set above it.
-    collected_floor: u64,
-    collected: HashSet<u64>,
-    /// The client was dropped; cancel queued work, drop new results,
-    /// reap the slot once in-flight work completes.
-    closed: bool,
-}
-
-impl SessQueue {
-    fn with_depth(depth: usize) -> Self {
-        SessQueue {
-            depth,
-            queued: VecDeque::new(),
-            pending: 0,
-            done: HashMap::new(),
-            collected_floor: 0,
-            collected: HashSet::new(),
-            closed: false,
-        }
-    }
-
-    fn is_collected(&self, ticket: u64) -> bool {
-        ticket < self.collected_floor || self.collected.contains(&ticket)
-    }
-
-    fn mark_collected(&mut self, ticket: u64) {
-        self.collected.insert(ticket);
-        while self.collected.remove(&self.collected_floor) {
-            self.collected_floor += 1;
-        }
-    }
-
-    fn collected_count(&self) -> usize {
-        self.collected_floor as usize + self.collected.len()
-    }
 }
 
 /// Monotonic counters (the gauge fields of [`DispatchStats`] are
@@ -284,127 +211,122 @@ impl SessQueue {
 struct Counters {
     submitted: u64,
     executed: u64,
-    direct: u64,
-    cancelled: u64,
+    waited: u64,
     rejected: u64,
     evictions: u64,
     stale_failures: u64,
     shed: u64,
 }
 
-/// Dispatcher state shared by clients and the driver.
+/// Dispatcher state shared by every caller.
 ///
-/// The scheduling scan (`pick`) walks a `Vec` in slot order on purpose:
+/// The hand-over scan walks a `Vec` in admission order on purpose:
 /// `HashMap`/`HashSet` iteration order must never drive a scheduling
 /// decision or the loom models would explore schedules production
 /// never runs (keyed lookups are fine).
+#[derive(Default)]
 struct DispState {
-    /// Session slots; `None` slots are reaped and reusable.
-    sessions: Vec<Option<SessQueue>>,
-    /// Eviction control ops awaiting the driver (serialized with batch
-    /// execution under the engine lock).
-    controls: VecDeque<WeightHandle>,
-    /// Handles condemned by [`Dispatcher::evict_weights`]: submissions
-    /// and queued batches carrying one fail with `StaleHandle` instead
-    /// of reaching an engine that may already have dropped the panel.
+    /// Handles condemned by [`Dispatcher::evict_weights`]: admissions
+    /// and turns carrying one fail with `StaleHandle` instead of
+    /// reaching an engine that may already have dropped the panel.
     condemned: HashSet<WeightHandle>,
     /// Global admission counter (cross-session FIFO tie-breaker).
     admit_seq: u64,
-    /// Consecutive decode batches the driver has run (the aging rule).
+    /// The turn is held, or handed to a waiter that has not taken it
+    /// yet.
+    busy: bool,
+    /// Callers waiting for the turn.
+    waiting: Vec<Waiter>,
+    /// The admission number of the waiter the last turn was handed to,
+    /// until that waiter wakes and takes it.
+    granted: Option<u64>,
+    /// Consecutive decode turns (the aging rule).
     decode_run: u32,
     shutdown: bool,
-    /// Set when the driver, or a client on the engine, died; clients
-    /// panic instead of hanging.
-    dead: Option<&'static str>,
+    /// A batch panicked on the backend; callers panic instead of
+    /// hanging.
+    dead: bool,
     stats: Counters,
 }
 
 impl DispState {
     /// Whether any request of `batch` carries a handle condemned by
     /// [`Dispatcher::evict_weights`]: the one condemned check, read at
-    /// admission and again when the driver picks a queued batch.
+    /// admission and again when the batch's turn comes.
     fn condemns(&self, batch: &[GemmRequest]) -> bool {
         batch
             .iter()
             .any(|r| matches!(r.weights(), Operand::Handle(h) if self.condemned.contains(h)))
     }
 
-    /// Take the batch the driver should run next out of its session's
-    /// queue, or `None` when nothing is queued. Only the front of a
-    /// session's queue is runnable (per-session FIFO); among those,
-    /// priority desc, deadline asc (`None` = ∞), admission asc — except
-    /// that after [`DECODE_BURST`] consecutive decode batches the best
-    /// *prefill* batch wins (bounded aging).
-    fn pick(&mut self) -> Option<(usize, Pending)> {
+    fn assert_alive(&self) {
+        if self.dead {
+            panic!("serving session is dead: a batch panicked on the backend");
+        }
+    }
+
+    /// Everything that turns a valid batch away, in the order callers
+    /// see it, for a session holding `uncollected` results under bound
+    /// `depth`.
+    fn refuse(
+        &mut self,
+        batch: &[GemmRequest],
+        uncollected: usize,
+        depth: usize,
+    ) -> Result<(), RequestError> {
+        self.assert_alive();
+        if self.shutdown {
+            panic!("dispatcher is shut down");
+        }
+        if self.condemns(batch) {
+            return Err(RequestError::StaleHandle);
+        }
+        if uncollected >= depth {
+            self.stats.rejected += 1;
+            return Err(RequestError::Saturated { depth });
+        }
+        Ok(())
+    }
+
+    /// End the current turn: hand it to the best waiting caller, or
+    /// free it. Returns whether anybody must be woken — the grantee, or
+    /// a drain waiting for the turn to free; a lone caller wakes no one.
+    fn pass_turn(&mut self) -> bool {
+        match self.next() {
+            Some(i) => {
+                self.granted = Some(self.waiting.remove(i).admit);
+                true
+            }
+            None => {
+                self.busy = false;
+                self.shutdown
+            }
+        }
+    }
+
+    /// Index of the waiter the turn goes to next: priority desc,
+    /// deadline asc (`None` = ∞), admission asc — except that after
+    /// [`DECODE_BURST`] consecutive decode turns the best *prefill*
+    /// waiter wins (bounded aging).
+    fn next(&self) -> Option<usize> {
         let best_of = |class: Option<Priority>| {
-            self.sessions
+            self.waiting
                 .iter()
                 .enumerate()
-                .filter_map(|(slot, q)| Some((slot, q.as_ref()?.queued.front()?)))
-                .filter(|(_, front)| class.is_none_or(|c| front.priority == c))
+                .filter(|(_, w)| class.is_none_or(|c| w.priority == c))
                 .reduce(|best, next| if beats(next.1, best.1) { next } else { best })
+                .map(|(i, _)| i)
         };
-        let (mut slot, best) = best_of(None)?;
-        if best.priority == Priority::Decode && self.decode_run >= DECODE_BURST {
-            if let Some((aged, _)) = best_of(Some(Priority::Prefill)) {
-                slot = aged;
-            }
+        let best = best_of(None)?;
+        if self.waiting[best].priority == Priority::Decode && self.decode_run >= DECODE_BURST {
+            return best_of(Some(Priority::Prefill)).or(Some(best));
         }
-        let q = self.sessions[slot].as_mut().expect("picked slot is live");
-        let chosen = q.queued.pop_front().expect("picked queue is non-empty");
-        self.note_picked(chosen.priority);
-        Some((slot, chosen))
-    }
-
-    /// Book one queued batch's completion: files the result (unless the
-    /// client is gone) and [`release`](Self::release)s its permits.
-    fn complete(&mut self, slot: usize, seq: u64, result: Result<BatchOutcome, RequestError>) {
-        let q = self.sessions[slot].as_mut().expect("in-flight batch keeps its slot live");
-        if !q.closed {
-            q.done.insert(seq, result);
-        }
-        self.release(slot);
-    }
-
-    /// Free one picked batch's in-flight permit and reap the slot if
-    /// that was its last obligation.
-    fn release(&mut self, slot: usize) {
-        let q = self.sessions[slot].as_mut().expect("in-flight batch keeps its slot live");
-        q.pending -= 1;
-        self.maybe_reap(slot);
-    }
-
-    /// Book the pick of a batch of `priority`, by the driver or a
-    /// direct caller (the aging rule's run length).
-    fn note_picked(&mut self, priority: Priority) {
-        self.decode_run = match priority {
-            Priority::Decode => self.decode_run + 1,
-            Priority::Prefill => 0,
-        };
-    }
-
-    /// True when the one batch in flight is the only work in the
-    /// system: no control queued, no other session (and no earlier
-    /// batch of the same session) to be ordered against.
-    fn lone_batch(&self) -> bool {
-        // exactly one session has anything in flight, and exactly one
-        // batch; stops at the second busy session it meets
-        let mut busy = self.sessions.iter().flatten().map(|q| q.pending).filter(|&p| p > 0);
-        self.controls.is_empty() && busy.next() == Some(1) && busy.next().is_none()
-    }
-
-    /// Free a closed session's slot once nothing is in flight for it.
-    fn maybe_reap(&mut self, slot: usize) {
-        if let Some(q) = &self.sessions[slot] {
-            if q.closed && q.pending == 0 {
-                self.sessions[slot] = None;
-            }
-        }
+        Some(best)
     }
 }
 
-/// Execute-order comparison: does `a` beat `b`?
-fn beats(a: &Pending, b: &Pending) -> bool {
+/// Hand-over order: does `a` beat `b`?
+fn beats(a: &Waiter, b: &Waiter) -> bool {
     if a.priority != b.priority {
         return a.priority > b.priority;
     }
@@ -422,69 +344,138 @@ type StateGuard<'a> = MutexGuard<'a, DispState>;
 
 struct Shared<B: CampBackend> {
     state: Mutex<DispState>,
-    /// The engine lock: the one backend, taken per batch and per
-    /// eviction by the driver and per direct run by a client;
-    /// [`Dispatcher::into_backend`] empties the slot after the joins.
-    /// Lock order is `state` → `engine` (a direct run takes it under
-    /// the state lock, atomically with its condemned check — the most
-    /// it can wait for there is one eviction, every other holder has a
-    /// batch in flight and so rules the direct path out); the driver
-    /// never holds both.
+    /// The engine lock: the one backend, taken by the turn holder per
+    /// batch and by [`Dispatcher::evict_weights`] per eviction; a drain
+    /// empties the slot. Lock order is `state` → `engine`: the turn
+    /// holder takes it under the state lock, atomically with its
+    /// condemned check (the most it can wait for there is one
+    /// eviction); nobody takes the state lock while holding it.
     engine: Mutex<Option<B>>,
-    /// Wakes the driver, its only waiter: batch filed, control queued,
-    /// shutdown, death.
-    driver_cv: Condvar,
-    /// Wakes waiting clients: batch completed, death. Always
-    /// `notify_all`: every session's `wait` parks here, each for its
-    /// own ticket.
-    done_cv: Condvar,
+    /// Wakes callers waiting for the turn, and a drain waiting for it to
+    /// free: turn handed over, turn freed under shutdown, death. Always
+    /// `notify_all`: each waiter waits for its own grant.
+    turn_cv: Condvar,
     /// Registration snapshot every submission validates against.
     weights: WeightSnapshot,
 }
 
 impl<B: CampBackend> Shared<B> {
     /// Lock the state, ignoring mutex poisoning: every mutation is
-    /// atomic under the lock (queues stay consistent even if a caller
-    /// panicked mid-`wait`), and shutdown must still work after a panic
-    /// so `Drop` can join the driver.
+    /// atomic under the lock, and a drain must still work after a
+    /// caller panicked under it.
     fn lock(&self) -> StateGuard<'_> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Lock the engine slot, ignoring poisoning like [`Shared::lock`]:
     /// whoever panicked on the backend already marked the dispatcher
-    /// dead, and `Drop` must still reach the slot.
+    /// dead, and a drain must still reach the slot.
     fn engine(&self) -> MutexGuard<'_, Option<B>> {
         self.engine.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Wait on `cv`, ignoring poisoning like [`Shared::lock`].
-    fn wait<'a>(&self, cv: &Condvar, st: StateGuard<'a>) -> StateGuard<'a> {
-        cv.wait(st).unwrap_or_else(|e| e.into_inner())
+    /// Wait for the turn to change hands, ignoring poisoning like
+    /// [`Shared::lock`].
+    fn wait<'a>(&self, st: StateGuard<'a>) -> StateGuard<'a> {
+        self.turn_cv.wait(st).unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Mark the dispatcher dead and wake everyone.
-    fn mark_dead(&self, who: &'static str) {
+    /// End the calling thread's turn, waking whoever must see it.
+    fn end_turn(&self, st: &mut DispState) {
+        if st.pass_turn() {
+            self.turn_cv.notify_all();
+        }
+    }
+
+    /// One batch from admission to outcome, on the calling thread, for a
+    /// session holding `uncollected` results under bound `depth`. The
+    /// outer error is a refusal at admission: nothing was booked. The
+    /// inner result is the batch's own: its outcome, or the
+    /// `StaleHandle` / `Shed` its turn decided.
+    ///
+    /// # Panics
+    /// If the dispatcher is dead or dies while the caller waits, or was
+    /// shut down.
+    fn call(
+        &self,
+        uncollected: usize,
+        depth: usize,
+        batch: Vec<GemmRequest>,
+        priority: Priority,
+        deadline: Option<Instant>,
+    ) -> Result<Result<BatchOutcome, RequestError>, RequestError> {
+        for r in &batch {
+            r.resolve(&self.weights)?;
+        }
         let mut st = self.lock();
-        st.dead = Some(who);
-        self.driver_cv.notify_one();
-        self.done_cv.notify_all();
+        st.refuse(&batch, uncollected, depth)?;
+        let admit = st.admit_seq;
+        st.admit_seq += 1;
+        st.stats.submitted += 1;
+        if st.busy {
+            st.stats.waited += 1;
+            st.waiting.push(Waiter { admit, priority, deadline });
+            while st.granted != Some(admit) {
+                st.assert_alive();
+                st = self.wait(st);
+            }
+            st.granted = None;
+        } else {
+            st.busy = true;
+        }
+        st.decode_run = match priority {
+            Priority::Decode => st.decode_run + 1,
+            Priority::Prefill => 0,
+        };
+        let turned_away = if st.condemns(&batch) {
+            // condemned while it waited: fail the batch without
+            // touching the (possibly already evicted) panel
+            st.stats.stale_failures += 1;
+            Some(RequestError::StaleHandle)
+        } else if deadline.is_some_and(|dl| Instant::now() > dl) {
+            // computing it would only delay batches that can still
+            // make their deadlines
+            st.stats.shed += 1;
+            Some(RequestError::Shed)
+        } else {
+            None
+        };
+        if let Some(e) = turned_away {
+            self.end_turn(&mut st);
+            return Ok(Err(e));
+        }
+        // taken under the state lock, so no eviction can reach the
+        // engine between the condemned check and the execute
+        let engine = self.engine();
+        drop(st);
+        let mut watch = DeathWatch { shared: self, armed: true };
+        let outcome = {
+            // moved in, so that an unwind frees the engine before the
+            // watch takes the state lock
+            let mut engine = engine;
+            let backend = engine.as_mut().expect("the engine slot is emptied only after a drain");
+            backend.execute_prepared(batch)
+        };
+        let mut st = self.lock();
+        st.stats.executed += 1;
+        self.end_turn(&mut st);
+        watch.armed = false;
+        Ok(Ok(outcome))
     }
 }
 
-/// Notifies the dispatcher if the driver (or a client running its own
-/// batch on the engine) unwinds, so clients blocked in
-/// [`DispatchSession::wait`] fail fast instead of hanging.
+/// Marks the dispatcher dead if the turn holder unwinds, so callers
+/// waiting for the turn fail fast instead of hanging.
 struct DeathWatch<'a, B: CampBackend> {
     shared: &'a Shared<B>,
-    who: &'static str,
     armed: bool,
 }
 
 impl<B: CampBackend> Drop for DeathWatch<'_, B> {
     fn drop(&mut self) {
         if self.armed {
-            self.shared.mark_dead(self.who);
+            self.shared.lock().dead = true;
+            self.shared.turn_cv.notify_all();
         }
     }
 }
@@ -497,367 +488,124 @@ fn next_session_id() -> u64 {
     NEXT_SESSION_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-// ---- the driver thread ---------------------------------------------------
-
-enum DriverAction {
-    Evict(WeightHandle),
-    Run(usize, Pending),
-    Exit,
-}
-
-/// The engine slot's backend; only [`Dispatcher::into_backend`] empties
-/// the slot, after the driver is joined and new runs are refused.
-fn held<B>(engine: &mut Option<B>) -> &mut B {
-    engine.as_mut().expect("the engine slot is emptied only after shutdown")
-}
-
-fn driver_loop<B: CampBackend>(shared: &Shared<B>) {
-    let mut watch = DeathWatch { shared, who: "driver", armed: true };
-    loop {
-        let action = {
-            let mut st = shared.lock();
-            loop {
-                if st.dead.is_some() {
-                    break DriverAction::Exit;
-                }
-                // controls first: an eviction must not wait behind a
-                // backlog of batches that will each fail against it
-                if let Some(h) = st.controls.pop_front() {
-                    break DriverAction::Evict(h);
-                }
-                if let Some((slot, chosen)) = st.pick() {
-                    if st.condemns(&chosen.batch) {
-                        // condemned while queued: fail the batch without
-                        // touching the (possibly already evicted) panel
-                        st.stats.stale_failures += 1;
-                        st.complete(slot, chosen.seq, Err(RequestError::StaleHandle));
-                        shared.done_cv.notify_all();
-                        continue;
-                    }
-                    if chosen.deadline.is_some_and(|dl| Instant::now() > dl) {
-                        // deadline already missed: computing it would
-                        // only delay batches that can still make theirs
-                        st.stats.shed += 1;
-                        st.complete(slot, chosen.seq, Err(RequestError::Shed));
-                        shared.done_cv.notify_all();
-                        continue;
-                    }
-                    break DriverAction::Run(slot, chosen);
-                }
-                // nothing is filed once `shutdown` is set, so an empty
-                // scan under it is final
-                if st.shutdown {
-                    break DriverAction::Exit;
-                }
-                st = shared.wait(&shared.driver_cv, st);
-            }
-        };
-        // A poisoned engine lock ends the loop like `Exit`: a direct
-        // run panicked on the backend, which may be half-updated and
-        // must not run another batch; that client's watch marks the
-        // dispatcher dead.
-        match action {
-            DriverAction::Exit => break,
-            DriverAction::Evict(h) => {
-                let Ok(mut engine) = shared.engine.lock() else { break };
-                // under the engine lock this cannot race an execute; a
-                // handle evicted behind the snapshot's back is already
-                // an error, ignore it
-                let _ = held(&mut engine).weights_mut().evict(h);
-            }
-            DriverAction::Run(slot, chosen) => {
-                let Ok(mut engine) = shared.engine.lock() else { break };
-                let result = held(&mut engine).execute_prepared(chosen.batch);
-                // lock order: never the state lock under the engine's
-                drop(engine);
-                let mut st = shared.lock();
-                st.stats.executed += 1;
-                st.complete(slot, chosen.seq, Ok(result));
-                shared.done_cv.notify_all();
-            }
-        }
-    }
-    watch.armed = false;
-}
-
 // ---- the client handle -----------------------------------------------------
 
-/// One tenant's handle onto a shared [`Dispatcher`]: its own FIFO
-/// queue, ticket space, admission bound and result map. Dropping the
-/// handle cancels its still-queued batches and releases the slot once
-/// the batch on the engine, if any, completes.
+/// One tenant's handle onto a shared [`Dispatcher`]: its own ticket
+/// space, admission bound and filed results.
 pub struct DispatchSession<B: CampBackend + Send + 'static> {
     shared: Arc<Shared<B>>,
-    slot: usize,
     /// Process-unique identity stamped into this session's tickets.
     id: u64,
+    /// Admission bound on `done`.
+    depth: usize,
     next_seq: u64,
+    /// Outcomes filed by `submit_with`, not yet collected: a ticket not
+    /// in the map was already collected.
+    done: HashMap<u64, Result<BatchOutcome, RequestError>>,
 }
 
 impl<B: CampBackend + Send + 'static> std::fmt::Debug for DispatchSession<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DispatchSession")
             .field("id", &self.id)
-            .field("slot", &self.slot)
+            .field("depth", &self.depth)
             .field("next_seq", &self.next_seq)
+            .field("in_flight", &self.done.len())
             .finish_non_exhaustive()
     }
 }
 
 impl<B: CampBackend + Send + 'static> DispatchSession<B> {
-    /// Enqueue one batch at [`Priority::Prefill`] with no deadline; see
+    /// Submit one batch at [`Priority::Prefill`] with no deadline; see
     /// [`DispatchSession::submit_with`].
     pub fn submit(&mut self, batch: Vec<GemmRequest>) -> Result<TicketId, RequestError> {
         self.submit_with(batch, Priority::Prefill, None)
     }
 
-    /// Validate and enqueue one batch; returns with the ticket that will
-    /// redeem its results as soon as the batch is filed. A session's
-    /// batches execute in submission order; priority, deadline and
-    /// admission order decide between sessions.
+    /// Validate one batch, execute it on this thread in its turn, and
+    /// file its outcome under the returned ticket: the batch has run
+    /// (or failed) when this returns, and [`poll`](Self::poll) /
+    /// [`wait`](Self::wait) hand the outcome out.
     ///
     /// Every request is validated against the registration snapshot
     /// taken when the dispatcher started — stale or foreign handles and
     /// malformed shapes are rejected here as [`RequestError`]s, and a
     /// handle condemned by [`Dispatcher::evict_weights`] rejects as
-    /// [`RequestError::StaleHandle`]. A session already at its
-    /// admission bound rejects with [`RequestError::Saturated`]
-    /// (deterministically: the bound counts batches in flight, not
-    /// queue occupancy, so it does not depend on how far the driver
-    /// happens to have drained the queue). Nothing is enqueued on any
-    /// error. Validation runs under no lock; the refusal checks, the
-    /// booking and the filing run under one state-lock acquisition.
+    /// [`RequestError::StaleHandle`]. A session already holding its
+    /// bound of uncollected results rejects with
+    /// [`RequestError::Saturated`]. Nothing is filed and no ticket is
+    /// issued on any of these errors. A batch condemned while it waited
+    /// for the turn, or whose deadline had passed when the turn came,
+    /// files `StaleHandle` / [`RequestError::Shed`] as its outcome.
     ///
     /// # Panics
-    /// Panics if the driver (or a client on the engine) has already
-    /// died, or the dispatcher was shut down while this handle was kept
-    /// alive.
+    /// Panics if a batch has panicked on the backend (before or while
+    /// this one waited), or the dispatcher was shut down while this
+    /// handle was kept alive.
     pub fn submit_with(
         &mut self,
         batch: Vec<GemmRequest>,
         priority: Priority,
         deadline: Option<Instant>,
     ) -> Result<TicketId, RequestError> {
+        let result = self.shared.call(self.done.len(), self.depth, batch, priority, deadline)?;
         let seq = self.next_seq;
-        let (mut st, pending) = self.shared.admit(self.slot, seq, batch, priority, deadline)?;
         self.next_seq += 1;
-        self.shared.enqueue(&mut st, self.slot, pending);
+        self.done.insert(seq, result);
         Ok(TicketId { session: self.id, seq })
     }
 
-    /// Run one batch to completion and return its outcome: the blocking
-    /// form of [`submit_with`](Self::submit_with) followed by
-    /// [`wait`](Self::wait), with the same validation, admission bound,
-    /// errors and counters.
-    ///
-    /// When the batch is the only work in the dispatcher — no session
-    /// has a batch in flight (this one included) and no eviction is
-    /// queued — the calling thread, which submitted it, also executes it
-    /// on the engine, with no thread hand-off
-    /// ([`DispatchStats::direct`]). Whenever there is anything to be
-    /// ordered against, it queues behind it exactly like a submission,
-    /// so priority order, aging, deadlines, per-session FIFO and
-    /// admission are those of the queued path. A batch whose deadline
-    /// has already passed is [`RequestError::Shed`] on either path.
+    /// Run one batch and return its outcome: the same validation,
+    /// admission bound, turn, errors and counters as
+    /// [`submit_with`](Self::submit_with) followed by
+    /// [`wait`](Self::wait), with nothing filed.
     ///
     /// # Panics
-    /// Panics if the driver (or a client on the engine) has died, or
-    /// dies while this batch is queued, or the dispatcher was shut down
-    /// while this handle was kept alive.
+    /// As for [`submit_with`](Self::submit_with).
     pub fn run(
         &mut self,
         batch: Vec<GemmRequest>,
         priority: Priority,
         deadline: Option<Instant>,
     ) -> Result<BatchOutcome, RequestError> {
-        let seq = self.next_seq;
-        let (mut st, pending) = self.shared.admit(self.slot, seq, batch, priority, deadline)?;
-        if !st.lone_batch() {
-            self.next_seq += 1;
-            self.shared.enqueue(&mut st, self.slot, pending);
-            drop(st);
-            return self.wait(TicketId { session: self.id, seq });
-        }
-        // the caller is the driver for this batch and books what it
-        // would book, in the same order; no ticket is issued
-        let shared = &*self.shared;
-        st.note_picked(priority);
-        if deadline.is_some_and(|dl| Instant::now() > dl) {
-            st.stats.shed += 1;
-            st.release(self.slot);
-            return Err(RequestError::Shed);
-        }
-        // taken under the state lock, so no eviction can reach the
-        // engine between the condemned check in `admit` and the execute
-        let engine = shared.engine();
-        drop(st);
-        let mut watch = DeathWatch { shared, who: "client", armed: true };
-        let outcome = {
-            // moved in, so that an unwind frees the engine before the
-            // watch takes the state lock
-            let mut engine = engine;
-            held(&mut engine).execute_prepared(pending.batch)
-        };
-        let mut st = shared.lock();
-        st.stats.executed += 1;
-        st.stats.direct += 1;
-        st.release(self.slot);
-        watch.armed = false;
-        Ok(outcome)
+        self.shared.call(self.done.len(), self.depth, batch, priority, deadline)?
     }
 
-    /// A ticket's queue key, after verifying it belongs to this
-    /// session.
+    /// A ticket's key, after verifying it belongs to this session.
     fn check_ticket(&self, ticket: TicketId) -> u64 {
         assert_eq!(ticket.session, self.id, "ticket was issued by a different session");
         assert!(ticket.seq < self.next_seq, "ticket was never issued by this session");
         ticket.seq
     }
 
-    /// Non-blocking result check: `None` while the batch is still in
-    /// the pipeline. The result is handed out exactly once — a second
-    /// poll of the same ticket returns `None` again. `Some(Err(_))`
-    /// reports a batch failed in flight: condemned by a racing
-    /// [`Dispatcher::evict_weights`] ([`RequestError::StaleHandle`]) or
-    /// picked after its deadline had passed ([`RequestError::Shed`]).
+    /// Collect a ticket's filed outcome; `None` once it was collected.
+    /// `Some(Err(_))` reports a batch failed in its turn: condemned by a
+    /// racing [`Dispatcher::evict_weights`] ([`RequestError::StaleHandle`])
+    /// or past its deadline ([`RequestError::Shed`]).
     pub fn poll(&mut self, ticket: TicketId) -> Option<Result<BatchOutcome, RequestError>> {
         let seq = self.check_ticket(ticket);
-        let mut st = self.shared.lock();
-        // completed results stay retrievable even after the dispatcher
-        // died — only a still-pending ticket has to fail
-        let q = self.shared.queue(&mut st, self.slot);
-        if let Some(result) = q.done.remove(&seq) {
-            q.mark_collected(seq);
-            return Some(result);
-        }
-        if let Some(who) = st.dead {
-            panic!("serving session is dead: {who} thread panicked");
-        }
-        None
+        self.done.remove(&seq)
     }
 
-    /// Block until the batch completes; `Err` reports a batch failed in
-    /// flight ([`RequestError::StaleHandle`] or [`RequestError::Shed`],
-    /// as for [`poll`](Self::poll)). Each ticket can be waited on
-    /// exactly once.
+    /// Collect a ticket's filed outcome, as for [`poll`](Self::poll).
+    /// Never blocks: the batch ran before its ticket was issued.
     ///
     /// # Panics
-    /// Panics if the dispatcher died, or the ticket's result was
-    /// already collected.
+    /// Panics if the ticket's result was already collected.
     pub fn wait(&mut self, ticket: TicketId) -> Result<BatchOutcome, RequestError> {
-        let seq = self.check_ticket(ticket);
-        let mut st = self.shared.lock();
-        loop {
-            let q = self.shared.queue(&mut st, self.slot);
-            assert!(!q.is_collected(seq), "ticket result was already collected");
-            if let Some(result) = q.done.remove(&seq) {
-                q.mark_collected(seq);
-                return result;
-            }
-            if let Some(who) = st.dead {
-                panic!("serving session is dead: {who} thread panicked");
-            }
-            st = self.shared.wait(&self.shared.done_cv, st);
-        }
+        self.poll(ticket).expect("ticket result was already collected")
     }
 
-    /// Batches submitted whose results have not been collected yet
-    /// (queued, computing, or done-but-unredeemed).
+    /// Results submitted and not collected yet: what the admission
+    /// bound counts.
     pub fn in_flight(&self) -> usize {
-        let mut st = self.shared.lock();
-        let collected = self.shared.queue(&mut st, self.slot).collected_count();
-        self.next_seq as usize - collected
+        self.done.len()
     }
 
     /// This session's process-unique identity (the stamp in its
     /// tickets).
     pub fn id(&self) -> u64 {
         self.id
-    }
-}
-
-impl<B: CampBackend> Shared<B> {
-    /// Validation and admission control shared by every submission
-    /// path. The batch is validated against the registration snapshot
-    /// under no lock; then one state-lock acquisition refuses it or
-    /// books it — an in-flight permit and its place in the global
-    /// admission order — and the guard comes back still held, so the
-    /// caller files (or runs) the batch atomically with its admission.
-    /// Nothing is booked on any error.
-    fn admit(
-        &self,
-        slot: usize,
-        seq: u64,
-        batch: Vec<GemmRequest>,
-        priority: Priority,
-        deadline: Option<Instant>,
-    ) -> Result<(StateGuard<'_>, Pending), RequestError> {
-        for r in &batch {
-            r.resolve(&self.weights)?;
-        }
-        let mut st = self.lock();
-        self.refuse(&mut st, slot, &batch)?;
-        self.queue(&mut st, slot).pending += 1;
-        let admit = st.admit_seq;
-        st.admit_seq += 1;
-        st.stats.submitted += 1;
-        Ok((st, Pending { seq, batch, priority, deadline, admit }))
-    }
-
-    /// Everything that turns a valid batch away, in the order callers
-    /// see it.
-    fn refuse(
-        &self,
-        st: &mut StateGuard<'_>,
-        slot: usize,
-        batch: &[GemmRequest],
-    ) -> Result<(), RequestError> {
-        if let Some(who) = st.dead {
-            panic!("serving session is dead: {who} thread panicked");
-        }
-        if st.shutdown {
-            panic!("dispatcher is shut down");
-        }
-        if st.condemns(batch) {
-            return Err(RequestError::StaleHandle);
-        }
-        let q = self.queue(st, slot);
-        if q.pending >= q.depth {
-            let depth = q.depth;
-            st.stats.rejected += 1;
-            return Err(RequestError::Saturated { depth });
-        }
-        Ok(())
-    }
-
-    /// File an admitted batch in its session's queue and wake the
-    /// driver.
-    fn enqueue(&self, st: &mut StateGuard<'_>, slot: usize, pending: Pending) {
-        self.queue(st, slot).queued.push_back(pending);
-        self.driver_cv.notify_one();
-    }
-
-    /// A live client's queue. The slot cannot be reaped while the
-    /// client exists (reaping requires `closed`, set only on drop).
-    fn queue<'a>(&self, st: &'a mut StateGuard<'_>, slot: usize) -> &'a mut SessQueue {
-        st.sessions[slot].as_mut().expect("live client keeps its slot")
-    }
-}
-
-impl<B: CampBackend + Send + 'static> Drop for DispatchSession<B> {
-    fn drop(&mut self) {
-        let mut st = self.shared.lock();
-        if let Some(q) = st.sessions[self.slot].as_mut() {
-            q.closed = true;
-            // cancel what the driver has not picked yet; a batch on the
-            // engine runs to completion (its result is dropped)
-            let cancelled = q.queued.len();
-            q.pending -= cancelled;
-            q.queued.clear();
-            q.done.clear();
-            st.stats.cancelled += cancelled as u64;
-            st.maybe_reap(self.slot);
-        }
     }
 }
 
@@ -870,7 +618,6 @@ impl<B: CampBackend + Send + 'static> Drop for DispatchSession<B> {
 pub struct Dispatcher<B: CampBackend + Send + 'static> {
     shared: Arc<Shared<B>>,
     options: DispatchOptions,
-    driver: Option<JoinHandle<()>>,
 }
 
 impl<B: CampBackend + Send + 'static> std::fmt::Debug for Dispatcher<B> {
@@ -893,30 +640,13 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
     /// Start dispatching on `backend` with explicit options.
     pub fn with_options(backend: B, options: DispatchOptions) -> Self {
         assert!(options.queue_depth >= 1, "a zero admission bound would reject everything");
-        let shared: Arc<Shared<B>> = Arc::new(Shared {
-            state: Mutex::new(DispState {
-                sessions: Vec::new(),
-                controls: VecDeque::new(),
-                condemned: HashSet::new(),
-                admit_seq: 0,
-                decode_run: 0,
-                shutdown: false,
-                dead: None,
-                stats: Counters::default(),
-            }),
-            driver_cv: Condvar::new(),
-            done_cv: Condvar::new(),
+        let shared = Arc::new(Shared {
+            state: Mutex::new(DispState::default()),
+            turn_cv: Condvar::new(),
             weights: backend.weights().snapshot(),
             engine: Mutex::new(Some(backend)),
         });
-
-        let driver_shared = Arc::clone(&shared);
-        let driver = crate::sync::thread::Builder::new()
-            .name("camp-dispatch-driver".into())
-            .spawn(move || driver_loop(&driver_shared))
-            .expect("failed to spawn dispatch driver");
-
-        Dispatcher { shared, options, driver: Some(driver) }
+        Dispatcher { shared, options }
     }
 
     /// Open a session at the dispatcher's default admission bound
@@ -925,43 +655,42 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
         self.session_with_depth(self.options.queue_depth)
     }
 
-    /// Open a session with its own admission bound: at `depth` batches
-    /// in flight, further submissions return [`RequestError::Saturated`].
+    /// Open a session with its own admission bound: holding `depth`
+    /// uncollected results, further submissions return
+    /// [`RequestError::Saturated`].
     pub fn session_with_depth(&self, depth: usize) -> DispatchSession<B> {
         assert!(depth >= 1, "a zero admission bound would reject everything");
-        let mut st = self.shared.lock();
-        let slot = match st.sessions.iter().position(Option::is_none) {
-            Some(slot) => slot,
-            None => {
-                st.sessions.push(None);
-                st.sessions.len() - 1
-            }
-        };
-        st.sessions[slot] = Some(SessQueue::with_depth(depth));
         DispatchSession {
             shared: Arc::clone(&self.shared),
-            slot,
             id: next_session_id(),
+            depth,
             next_seq: 0,
+            done: HashMap::new(),
         }
     }
 
-    /// Condemn a weight registration: the handle is rejected at every
-    /// later submission, batches already queued against it fail with
-    /// [`RequestError::StaleHandle`] instead of reaching the engine,
-    /// and the driver evicts the backend registration in series with
-    /// batch execution. Returns the registration's metadata, or
+    /// Condemn a weight registration, then evict it from the backend on
+    /// this thread, under the engine lock (after the batch on the
+    /// engine, if any). The handle is rejected at every later
+    /// submission, and batches waiting for the turn with it fail with
+    /// [`RequestError::StaleHandle`] instead of reaching the engine.
+    /// Returns the registration's metadata, or
     /// [`RequestError::StaleHandle`] on a double eviction — a handle
     /// racing a live session errs, it never panics.
     pub fn evict_weights(&self, h: WeightHandle) -> Result<WeightMeta, RequestError> {
         let meta = self.shared.weights.meta(h)?;
-        let mut st = self.shared.lock();
-        if !st.condemned.insert(h) {
-            return Err(RequestError::StaleHandle);
+        {
+            let mut st = self.shared.lock();
+            if !st.condemned.insert(h) {
+                return Err(RequestError::StaleHandle);
+            }
+            st.stats.evictions += 1;
         }
-        st.controls.push_back(h);
-        st.stats.evictions += 1;
-        self.shared.driver_cv.notify_one();
+        // a handle evicted behind the snapshot's back is already an
+        // error, ignore it
+        if let Some(backend) = self.shared.engine().as_mut() {
+            let _ = backend.weights_mut().evict(h);
+        }
         Ok(meta)
     }
 
@@ -971,16 +700,14 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
         DispatchStats {
             submitted: st.stats.submitted,
             executed: st.stats.executed,
-            direct: st.stats.direct,
-            cancelled: st.stats.cancelled,
+            waited: st.stats.waited,
             rejected: st.stats.rejected,
             stolen: 0,
             evictions: st.stats.evictions,
             stale_failures: st.stats.stale_failures,
             shed: st.stats.shed,
-            staging_live: st.sessions.iter().flatten().map(|q| q.pending - q.queued.len()).sum(),
-            ready_now: st.sessions.iter().flatten().map(|q| q.queued.len()).sum(),
-            sessions_live: st.sessions.iter().flatten().count(),
+            staging_live: usize::from(st.busy),
+            ready_now: st.waiting.len(),
         }
     }
 
@@ -989,40 +716,42 @@ impl<B: CampBackend + Send + 'static> Dispatcher<B> {
         self.options
     }
 
-    /// Drain the pipeline (every batch still queued by a live session
-    /// finishes; uncollected results are dropped when their sessions
-    /// drop) and return the backend, weights and warm pools intact.
-    /// Sessions kept alive across this call panic on their next
-    /// submission.
-    ///
-    /// # Panics
-    /// Panics if the backend panicked mid-batch, on the driver or under
-    /// a [`DispatchSession::run`] caller.
-    pub fn into_backend(mut self) -> B {
-        self.join_driver().expect("dispatcher driver panicked");
-        // blocks until a direct run still on the engine has finished;
-        // no new one can start, `shutdown` is set
-        let mut engine = self.shared.engine.lock().expect("a direct run panicked on the backend");
-        engine.take().expect("the engine slot is emptied only here")
+    /// Refuse new calls, let every admitted caller have its turn, and
+    /// lock the engine slot; `Err` if a batch panicked on the backend.
+    fn drain(&self) -> LockResult<MutexGuard<'_, Option<B>>> {
+        let mut st = self.shared.lock();
+        st.shutdown = true;
+        while st.busy && !st.dead {
+            st = self.shared.wait(st);
+        }
+        drop(st);
+        self.shared.engine.lock()
     }
 
-    /// Signal shutdown and join the driver, returning its verdict.
-    fn join_driver(&mut self) -> std::thread::Result<()> {
-        {
-            let mut st = self.shared.lock();
-            st.shutdown = true;
-            self.shared.driver_cv.notify_one();
-        }
-        self.driver.take().map_or(Ok(()), JoinHandle::join)
+    /// Drain (every caller already admitted, waiting ones included,
+    /// finishes its batch) and return the backend, weights and warm
+    /// pools intact. Sessions kept alive across this call panic on
+    /// their next submission; results they filed stay collectable.
+    ///
+    /// # Panics
+    /// Panics if a batch panicked on the backend.
+    pub fn into_backend(self) -> B {
+        let mut engine = self.drain().expect("a batch panicked on the backend");
+        engine.take().expect("the engine slot is emptied only by a drain")
     }
 }
 
 impl<B: CampBackend + Send + 'static> Drop for Dispatcher<B> {
     fn drop(&mut self) {
-        let _ = self.join_driver();
-        // the backend goes with the dispatcher, not with the last
+        // an unwind must not wait for other callers' turns: the backend
+        // then goes with the last session handle
+        if std::thread::panicking() {
+            return;
+        }
+        // otherwise it goes with the dispatcher, not with the last
         // session handle that outlives it
-        drop(self.shared.engine().take());
+        let mut engine = self.drain().unwrap_or_else(|e| e.into_inner());
+        drop(engine.take());
     }
 }
 
@@ -1035,10 +764,12 @@ mod tests {
     use camp_gemm::weights::WeightRegistry;
     use camp_gemm::KernelInfo;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::thread::{Scope, ScopedJoinHandle};
 
-    /// Shared permit counter gating the mock driver: executions block
-    /// until a permit is granted, so tests pin the pipeline in a known
-    /// state and release it deterministically.
+    /// Shared permit counter gating the mock backend: executions block
+    /// until a permit is granted, so tests pin the turn holder on the
+    /// engine, line callers up behind it and release them
+    /// deterministically.
     type Gate = std::sync::Arc<(std::sync::Mutex<usize>, std::sync::Condvar)>;
 
     fn grant(gate: &Gate, n: usize) {
@@ -1056,7 +787,7 @@ mod tests {
         weights: WeightRegistry,
         gate: Gate,
         log: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
-        ran_on: std::sync::Arc<std::sync::Mutex<Vec<std::thread::Thread>>>,
+        ran_on: std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
     }
 
     const POISON_M: usize = 666;
@@ -1103,7 +834,7 @@ mod tests {
             let m = batch.first().map_or(0, |r| r.m());
             assert_ne!(m, POISON_M, "the poisoned batch reached the backend");
             self.log.lock().unwrap().push(m);
-            self.ran_on.lock().unwrap().push(std::thread::current());
+            self.ran_on.lock().unwrap().push(std::thread::current().id());
             let outputs =
                 batch.iter().map(|r| Output::new(vec![0; r.m()], r.m(), 1)).collect::<Vec<_>>();
             BatchOutcome::new(outputs, ExecStats::Host(EngineStats::default()))
@@ -1116,8 +847,9 @@ mod tests {
         GemmRequest::dense(m, 1, 1, vec![1i8; m], vec![1i8]).expect("well-formed request")
     }
 
-    /// Poll the dispatcher until `pred` holds (the driver is
-    /// asynchronous; 5 s cap, far beyond any real hand-off latency).
+    /// Poll the dispatcher until `pred` holds (callers on other threads
+    /// are asynchronous to the test; 5 s cap, far beyond any real
+    /// hand-off latency).
     fn wait_for<B: CampBackend + Send + 'static>(
         d: &Dispatcher<B>,
         pred: impl Fn(&DispatchStats) -> bool,
@@ -1132,127 +864,162 @@ mod tests {
         panic!("dispatcher never reached the expected state: {:?}", d.stats());
     }
 
+    type Call<'scope> = ScopedJoinHandle<'scope, Result<BatchOutcome, RequestError>>;
+
+    /// Run batch `m` from its own thread, then return once the call is
+    /// admitted — holding the turn or waiting for it — which is the
+    /// dispatcher's `admitted`-th admission. Admitting the callers one
+    /// at a time fixes their admission order, the hand-over's last
+    /// tie-breaker.
+    fn enter<'scope, B: CampBackend + Send + 'static>(
+        scope: &'scope Scope<'scope, '_>,
+        dispatcher: &Dispatcher<B>,
+        session: &'scope mut DispatchSession<B>,
+        (m, priority, deadline): (usize, Priority, Option<Instant>),
+        admitted: u64,
+    ) -> Call<'scope> {
+        let call = scope.spawn(move || session.run(vec![req(m)], priority, deadline));
+        wait_for(dispatcher, |s| s.submitted == admitted);
+        call
+    }
+
+    /// The m of a finished call's one output.
+    fn m_of(call: Call<'_>) -> usize {
+        call.join().unwrap().expect("the batch runs").outputs[0].m
+    }
+
     #[test]
     fn saturation_fires_deterministically_at_the_bound_and_recovers() {
-        let (backend, gate, _log) = GateBackend::new(0);
+        let (backend, gate, _log) = GateBackend::new(3);
         let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session_with_depth(3);
 
-        // the bound counts batches in flight, not queue occupancy: with
-        // the driver gated shut, exactly `depth` submissions are
-        // admitted no matter how the driver interleaves
+        // the bound counts uncollected results, not batches running:
+        // each submission has executed when its ticket comes back
         let tickets: Vec<TicketId> =
             (0..3).map(|i| session.submit(vec![req(i + 1)]).expect("below the bound")).collect();
-        // each was filed under the lock acquisition that booked its
-        // permit: every admitted batch is queued or picked the moment
-        // `submit` returns, no waiting for anybody
         let stats = dispatcher.stats();
-        assert_eq!((stats.submitted, stats.staging_live + stats.ready_now), (3, 3));
+        assert_eq!((stats.submitted, stats.executed, stats.staging_live), (3, 3, 0));
         let err = session.submit(vec![req(99)]).unwrap_err();
         assert_eq!(err, RequestError::Saturated { depth: 3 });
         assert!(err.to_string().contains("bounded depth 3"), "{err}");
-        // nothing was enqueued: still exactly 3 in flight
+        // `run` files nothing, but the bound refuses it all the same
+        assert_eq!(session.run(vec![req(99)], Priority::Decode, None).unwrap_err(), err);
+        // nothing was filed: still exactly 3 held
         assert_eq!(session.in_flight(), 3);
         let stats = dispatcher.stats();
-        assert_eq!((stats.submitted, stats.rejected), (3, 1));
+        assert_eq!((stats.submitted, stats.rejected), (3, 2));
 
-        // drain: the session recovers without leaking in-flight permits
-        grant(&gate, 3);
-        for t in tickets {
+        // collecting one result re-admits the session
+        let mut tickets = tickets.into_iter();
+        assert_eq!(session.wait(tickets.next().unwrap()).unwrap().outputs[0].m, 1);
+        grant(&gate, 1);
+        let t = session.submit(vec![req(4)]).expect("a collected result frees its place");
+        for t in tickets.chain([t]) {
             assert_eq!(session.wait(t).expect("gated batches complete").outputs.len(), 1);
         }
-        let stats = wait_for(&dispatcher, |s| s.staging_live == 0);
-        assert_eq!(stats.executed, 3);
-        grant(&gate, 1);
-        let t = session.submit(vec![req(4)]).expect("drained sessions admit again");
-        assert_eq!(session.wait(t).expect("admitted batch completes").outputs[0].m, 4);
+        assert_eq!(session.in_flight(), 0);
+    }
+
+    #[test]
+    fn the_admission_bound_counts_uncollected_results() {
+        let (backend, _gate, _log) = GateBackend::new(4);
+        let dispatcher = Dispatcher::new(backend);
+        let mut session = dispatcher.session_with_depth(2);
+        let first = session.submit(vec![req(1)]).unwrap();
+        let _second = session.submit(vec![req(2)]).unwrap();
+        // both have run: nothing is executing, but the session holds
+        // two results it never collected
+        wait_for(&dispatcher, |s| s.executed == 2);
+        assert_eq!(
+            session.submit(vec![req(3)]).unwrap_err(),
+            RequestError::Saturated { depth: 2 },
+            "a session that never collects must not grow without bound"
+        );
+        assert_eq!(dispatcher.stats().rejected, 1);
+        assert!(session.wait(first).is_ok());
+        assert!(session.submit(vec![req(3)]).is_ok(), "collecting one re-admits");
+        assert_eq!(session.in_flight(), 2);
     }
 
     #[test]
     fn decode_overtakes_queued_prefill() {
         let (backend, gate, log) = GateBackend::new(0);
         let dispatcher = Dispatcher::new(backend);
-        let mut prefill = dispatcher.session();
-        let mut decode = dispatcher.session();
-
-        let p1 = prefill.submit(vec![req(1)]).unwrap();
-        let p2 = prefill.submit(vec![req(2)]).unwrap();
-        let d = decode.submit_with(vec![req(3)], Priority::Decode, None).unwrap();
-        // pin the pipeline: one batch on the (gated) engine, the
-        // other two queued
-        wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 2);
-
-        grant(&gate, 3);
-        assert_eq!(decode.wait(d).unwrap().outputs[0].m, 3);
-        assert_eq!(prefill.wait(p1).unwrap().outputs[0].m, 1);
-        assert_eq!(prefill.wait(p2).unwrap().outputs[0].m, 2);
-        // the decode batch overtook the still-queued prefill batch;
-        // whether prefill batch 1 reached the engine before the
-        // decode one was filed is a benign race, so only the
-        // relative order is asserted
-        let log = log.lock().unwrap();
-        let pos = |m| log.iter().position(|&x| x == m).unwrap();
-        assert!(pos(3) < pos(2), "decode must beat the queued prefill batch: {log:?}");
-        assert!(pos(1) < pos(2), "per-session FIFO must hold: {log:?}");
+        let (mut p1, mut p2, mut d) =
+            (dispatcher.session(), dispatcher.session(), dispatcher.session());
+        std::thread::scope(|scope| {
+            // prefill 1 holds the turn on the gated engine; prefill 2,
+            // then decode, wait for it
+            let calls = [
+                (&mut p1, (1, Priority::Prefill)),
+                (&mut p2, (2, Priority::Prefill)),
+                (&mut d, (3, Priority::Decode)),
+            ];
+            let calls: Vec<_> = (1..)
+                .zip(calls)
+                .map(|(admitted, (session, (m, priority)))| {
+                    let call = scope.spawn(move || {
+                        let t = session.submit_with(vec![req(m)], priority, None)?;
+                        session.wait(t)
+                    });
+                    wait_for(&dispatcher, |s| s.submitted == admitted);
+                    call
+                })
+                .collect();
+            let stats = dispatcher.stats();
+            assert_eq!((stats.staging_live, stats.ready_now, stats.waited), (1, 2, 2));
+            grant(&gate, 3);
+            let ms: Vec<usize> = calls.into_iter().map(m_of).collect();
+            assert_eq!(ms, [1, 2, 3]);
+        });
+        assert_eq!(*log.lock().unwrap(), [1, 3, 2], "decode must beat the waiting prefill");
     }
 
     #[test]
     fn deadlines_order_equal_priority_work() {
         let (backend, gate, log) = GateBackend::new(0);
         let dispatcher = Dispatcher::new(backend);
-        let mut a = dispatcher.session();
-        let mut b = dispatcher.session();
-
+        let (mut a, mut b, mut c) =
+            (dispatcher.session(), dispatcher.session(), dispatcher.session());
         // a deadline that orders but cannot pass: were it missed on a
         // loaded box, the batch would be shed instead of ordered
         let deadline = Some(Instant::now() + std::time::Duration::from_secs(3600));
-        let gate_batch = a.submit(vec![req(9)]).unwrap(); // occupies the engine
-        let relaxed = a.submit_with(vec![req(1)], Priority::Prefill, None).unwrap();
-        let urgent = b.submit_with(vec![req(2)], Priority::Prefill, deadline).unwrap();
-        // pin: one batch on the (gated) engine — the gate batch, or the
-        // deadline one if the driver woke late — and two queued
-        wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 2);
-
-        grant(&gate, 3);
-        assert!(a.wait(gate_batch).is_ok());
-        assert!(a.wait(relaxed).is_ok());
-        assert!(b.wait(urgent).is_ok());
+        std::thread::scope(|scope| {
+            let holder = enter(scope, &dispatcher, &mut a, (9, Priority::Prefill, None), 1);
+            let relaxed = enter(scope, &dispatcher, &mut b, (1, Priority::Prefill, None), 2);
+            let urgent = enter(scope, &dispatcher, &mut c, (2, Priority::Prefill, deadline), 3);
+            grant(&gate, 3);
+            assert_eq!([m_of(holder), m_of(relaxed), m_of(urgent)], [9, 1, 2]);
+        });
         // the deadline batch beat the earlier-admitted no-deadline one
-        let log = log.lock().unwrap();
-        let pos = |m| log.iter().position(|&x| x == m).unwrap();
-        assert!(pos(2) < pos(1), "earliest deadline must run first at equal priority: {log:?}");
+        assert_eq!(*log.lock().unwrap(), [9, 2, 1], "earliest deadline first at equal priority");
     }
 
     #[test]
     fn missed_deadlines_are_shed_not_computed() {
         let (backend, gate, log) = GateBackend::new(0);
         let dispatcher = Dispatcher::new(backend);
-        let mut session = dispatcher.session();
-
-        // occupy the (gated) engine so the doomed batch waits queued;
-        // it is this session's first batch, so it is picked first
-        let blocker = session.submit_with(vec![req(9)], Priority::Decode, None).unwrap();
-        let doomed =
-            session.submit_with(vec![req(1)], Priority::Prefill, Some(Instant::now())).unwrap();
-        let live = session
-            .submit_with(
-                vec![req(2)],
-                Priority::Prefill,
-                Some(Instant::now() + std::time::Duration::from_secs(3600)),
-            )
-            .unwrap();
-        // pin: blocker on the engine, the other two queued behind it
-        wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 2);
-        // let the already-expired deadline pass unambiguously
-        std::thread::sleep(std::time::Duration::from_millis(5));
-
-        // 3 permits offered, but the shed batch must not consume one
-        grant(&gate, 3);
-        assert_eq!(session.wait(doomed).unwrap_err(), RequestError::Shed);
-        assert_eq!(session.wait(blocker).unwrap().outputs[0].m, 9);
-        assert_eq!(session.wait(live).unwrap().outputs[0].m, 2);
-        let stats = wait_for(&dispatcher, |s| s.staging_live == 0);
-        assert_eq!(stats.shed, 1);
+        let (mut a, mut b, mut c) =
+            (dispatcher.session(), dispatcher.session(), dispatcher.session());
+        let late = Some(Instant::now() + std::time::Duration::from_secs(3600));
+        std::thread::scope(|scope| {
+            // the blocker holds the (gated) engine while the doomed
+            // batch waits; its deadline orders it first among the two
+            // waiting prefills
+            let blocker = enter(scope, &dispatcher, &mut a, (9, Priority::Decode, None), 1);
+            let now = Some(Instant::now());
+            let doomed = enter(scope, &dispatcher, &mut b, (1, Priority::Prefill, now), 2);
+            let live = enter(scope, &dispatcher, &mut c, (2, Priority::Prefill, late), 3);
+            // let the already-expired deadline pass unambiguously
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            // 3 permits offered, but the shed batch must not consume one
+            grant(&gate, 3);
+            assert_eq!(doomed.join().unwrap().unwrap_err(), RequestError::Shed);
+            assert_eq!([m_of(blocker), m_of(live)], [9, 2]);
+        });
+        let stats = dispatcher.stats();
+        assert_eq!((stats.shed, stats.staging_live), (1, 0));
         assert_eq!(stats.executed, 2, "only the batches that can make their deadlines run");
         let log = log.lock().unwrap();
         assert_eq!(&*log, &[9, 2], "the shed batch must never reach the engine: {log:?}");
@@ -1263,29 +1030,28 @@ mod tests {
     fn aging_bounds_prefill_starvation_under_a_decode_flood() {
         let (backend, gate, log) = GateBackend::new(0);
         let dispatcher = Dispatcher::new(backend);
-        let mut d1 = dispatcher.session();
-        let mut d2 = dispatcher.session();
-        let mut p = dispatcher.session();
-
-        let mut decode_tickets = Vec::new();
-        for i in 0..6 {
-            decode_tickets
-                .push((0, d1.submit_with(vec![req(100 + i)], Priority::Decode, None).unwrap()));
-            decode_tickets
-                .push((1, d2.submit_with(vec![req(200 + i)], Priority::Decode, None).unwrap()));
+        let (mut d1, mut d2, mut p) =
+            (dispatcher.session(), dispatcher.session(), dispatcher.session());
+        // a decode tenant's six batches, back to back
+        fn flood(session: &mut DispatchSession<GateBackend>, base: usize) {
+            for i in 0..6 {
+                let out = session.run(vec![req(base + i)], Priority::Decode, None);
+                assert_eq!(out.expect("decode batch runs").outputs[0].m, base + i);
+            }
         }
-        // pin: one decode on the gated engine, eleven queued behind it
-        // — the first executed batch is decode
-        wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 11);
-        let pt = p.submit(vec![req(7)]).unwrap();
-
-        grant(&gate, 13);
-        for (who, t) in decode_tickets {
-            let outcome = if who == 0 { d1.wait(t) } else { d2.wait(t) };
-            assert!(outcome.is_ok());
-        }
-        assert!(p.wait(pt).is_ok());
-
+        std::thread::scope(|scope| {
+            let f1 = scope.spawn(|| flood(&mut d1, 100));
+            wait_for(&dispatcher, |s| s.submitted == 1);
+            let f2 = scope.spawn(|| flood(&mut d2, 200));
+            wait_for(&dispatcher, |s| s.submitted == 2);
+            // a decode holds the gated engine, a decode and the prefill
+            // wait behind it
+            let prefill = enter(scope, &dispatcher, &mut p, (7, Priority::Prefill, None), 3);
+            grant(&gate, 13);
+            assert_eq!(m_of(prefill), 7);
+            f1.join().unwrap();
+            f2.join().unwrap();
+        });
         let log = log.lock().unwrap();
         let pos = log.iter().position(|&m| m == 7).expect("prefill batch executed");
         assert!(pos >= 1, "the engine already held a decode batch: {log:?}");
@@ -1297,60 +1063,41 @@ mod tests {
 
     #[test]
     fn eviction_racing_a_live_session_errs_and_never_panics() {
-        let (n, k) = (4, 16);
-        let w1: Vec<i8> = (0..k * n).map(|i| (i % 15) as i8 - 7).collect();
-        let w2: Vec<i8> = (0..k * n).map(|i| (i % 13) as i8 - 6).collect();
-        let a: Vec<i8> = (0..2 * k).map(|i| (i % 11) as i8 - 5).collect();
-        let mut engine = CampEngine::with_threads(1);
-        let h1 = engine.weights_mut().register(n, k, &w1, DType::I8);
-        let h2 = engine.weights_mut().register(n, k, &w2, DType::I8);
-
-        let dispatcher = Dispatcher::new(engine);
-        let mut session = dispatcher.session();
-        let racing: Vec<TicketId> = (0..4)
-            .map(|_| {
-                session
-                    .submit(vec![GemmRequest::with_weights(2, a.clone(), h1).unwrap()])
-                    .expect("live handle admits")
-            })
-            .collect();
-
-        let meta = dispatcher.evict_weights(h1).expect("first eviction succeeds");
-        assert_eq!((meta.n, meta.k), (n, k));
-        assert_eq!(dispatcher.evict_weights(h1).unwrap_err(), RequestError::StaleHandle);
-
+        let (mut backend, gate, log) = GateBackend::new(0);
+        let h1 = backend.weights_mut().register(1, 1, &[1], DType::I8);
+        let h2 = backend.weights_mut().register(1, 1, &[2], DType::I8);
+        let dispatcher = Dispatcher::new(backend);
+        let (mut a, mut b) = (dispatcher.session(), dispatcher.session());
+        let on = |h| vec![GemmRequest::with_weights(3, vec![1i8; 3], h).unwrap()];
+        std::thread::scope(|scope| {
+            // a batch holds the gated engine, one on h1 waits behind it
+            let holder = enter(scope, &dispatcher, &mut a, (1, Priority::Prefill, None), 1);
+            let racing = scope.spawn(|| b.submit(on(h1)).map(|t| b.wait(t)));
+            wait_for(&dispatcher, |s| s.ready_now == 1);
+            // the eviction condemns h1 at once, then waits for the
+            // engine the holder is on
+            let evict = scope.spawn(|| dispatcher.evict_weights(h1));
+            wait_for(&dispatcher, |s| s.evictions == 1);
+            assert_eq!(dispatcher.evict_weights(h1).unwrap_err(), RequestError::StaleHandle);
+            grant(&gate, 2);
+            assert_eq!(m_of(holder), 1);
+            let meta = evict.join().unwrap().expect("first eviction succeeds");
+            assert_eq!((meta.n, meta.k), (1, 1));
+            // admitted before the condemnation, failed at its turn
+            let outcome = racing.join().unwrap().expect("admitted before the eviction");
+            assert_eq!(outcome.unwrap_err(), RequestError::StaleHandle);
+        });
         // post-condemnation submissions reject immediately ...
-        let err =
-            session.submit(vec![GemmRequest::with_weights(2, a.clone(), h1).unwrap()]).unwrap_err();
-        assert_eq!(err, RequestError::StaleHandle);
-
-        // ... and every batch racing the eviction either completed
-        // before it or failed cleanly as stale — never a panic
-        let mut completed = 0;
-        for t in racing {
-            match session.wait(t) {
-                Ok(outcome) => {
-                    completed += 1;
-                    assert_eq!(outcome.outputs[0].c, gemm_i32_ref(2, n, k, &a, &w1));
-                }
-                Err(e) => assert_eq!(e, RequestError::StaleHandle),
-            }
-        }
-
-        // the surviving registration still serves
-        let t = session
-            .submit(vec![GemmRequest::with_weights(2, a.clone(), h2).unwrap()])
-            .expect("uncondemned handle admits");
-        assert_eq!(session.wait(t).unwrap().outputs[0].c, gemm_i32_ref(2, n, k, &a, &w2));
-
+        assert_eq!(b.submit(on(h1)).unwrap_err(), RequestError::StaleHandle);
+        // ... and the surviving registration still serves
+        assert_eq!(b.run(on(h2), Priority::Decode, None).unwrap().outputs[0].m, 3);
+        assert_eq!(*log.lock().unwrap(), [1, 3], "the condemned batch never ran");
         let stats = dispatcher.stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.stale_failures, 4 - completed);
-        drop(session);
-        let mut engine = dispatcher.into_backend();
-        // the driver really evicted the backend registration
-        assert_eq!(engine.weights_mut().evict(h1).unwrap_err(), RequestError::StaleHandle);
-        assert!(engine.weights_mut().evict(h2).is_ok());
+        assert_eq!((stats.evictions, stats.stale_failures, stats.executed), (1, 1, 2));
+        let mut backend = dispatcher.into_backend();
+        // the eviction really reached the backend registration
+        assert_eq!(backend.weights_mut().evict(h1).unwrap_err(), RequestError::StaleHandle);
+        assert!(backend.weights_mut().evict(h2).is_ok());
     }
 
     #[test]
@@ -1379,37 +1126,8 @@ mod tests {
     }
 
     #[test]
-    fn dropped_sessions_cancel_unclaimed_work_and_release_their_slot() {
-        let (backend, gate, _log) = GateBackend::new(0);
-        let dispatcher = Dispatcher::new(backend);
-        let mut session = dispatcher.session_with_depth(64);
-        for i in 0..5 {
-            session.submit(vec![req(i + 1)]).unwrap();
-        }
-        // the driver holds one on the gated engine; 4 stay queued
-        wait_for(&dispatcher, |s| s.staging_live == 1);
-        drop(session);
-        let stats = dispatcher.stats();
-        assert_eq!(stats.cancelled, 4);
-        assert_eq!(stats.sessions_live, 1, "in-flight work pins the slot");
-
-        // the picked batch runs to completion; the slot is reaped after
-        grant(&gate, 1);
-        let stats = wait_for(&dispatcher, |s| s.sessions_live == 0);
-        assert_eq!(stats.executed, 1);
-        assert_eq!(stats.staging_live, 0, "no permits leak past a reap");
-
-        // the freed slot is reused by the next session
-        let mut again = dispatcher.session();
-        grant(&gate, 1);
-        let t = again.submit(vec![req(9)]).unwrap();
-        assert_eq!(again.wait(t).unwrap().outputs[0].m, 9);
-    }
-
-    #[test]
     fn cross_session_tickets_fail_fast() {
-        let (backend, gate, _log) = GateBackend::new(4);
-        grant(&gate, 0);
+        let (backend, _gate, _log) = GateBackend::new(4);
         let dispatcher = Dispatcher::new(backend);
         let mut a = dispatcher.session();
         let mut b = dispatcher.session();
@@ -1424,24 +1142,30 @@ mod tests {
     #[test]
     fn into_backend_drains_every_live_session() {
         let (backend, gate, log) = GateBackend::new(0);
-        grant(&gate, 6);
         let dispatcher = Dispatcher::new(backend);
-        let mut a = dispatcher.session();
-        let mut b = dispatcher.session();
-        for i in 0..3 {
-            a.submit(vec![req(i + 1)]).unwrap();
-            b.submit(vec![req(i + 10)]).unwrap();
-        }
-        // drain without collecting: every submitted batch must execute
-        let _backend = dispatcher.into_backend();
-        assert_eq!(log.lock().unwrap().len(), 6);
-        drop(a);
-        drop(b);
+        let (mut a, mut b) = (dispatcher.session(), dispatcher.session());
+        std::thread::scope(|scope| {
+            let holder = enter(scope, &dispatcher, &mut a, (1, Priority::Prefill, None), 1);
+            let waiter = enter(scope, &dispatcher, &mut b, (2, Priority::Prefill, None), 2);
+            // open the gate once the drain has most likely begun; the
+            // assertions below hold in either order, and the loom model
+            // `into_backend_drains_a_waiting_caller` covers every one
+            scope.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                grant(&gate, 2);
+            });
+            let _backend = dispatcher.into_backend();
+            // the backend came back only after both batches ran
+            assert_eq!(*log.lock().unwrap(), [1, 2]);
+            assert_eq!([m_of(holder), m_of(waiter)], [1, 2]);
+        });
+        let caught = catch_unwind(AssertUnwindSafe(|| a.submit(vec![req(3)])));
+        assert!(panic_message(caught).contains("dispatcher is shut down"));
     }
 
     #[test]
     fn idle_run_executes_on_the_callers_thread() {
-        let (backend, _gate, log) = GateBackend::new(2);
+        let (backend, _gate, log) = GateBackend::new(3);
         let ran_on = backend.ran_on.clone();
         let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session();
@@ -1449,20 +1173,31 @@ mod tests {
 
         let outcome = session.run(vec![req(5)], Priority::Decode, None).expect("idle run");
         assert_eq!(outcome.outputs[0].m, 5);
-        // no hand-off: the stats are final the moment `run` returns
+        // the stats are final the moment `run` returns
         let stats = dispatcher.stats();
-        assert_eq!((stats.submitted, stats.executed, stats.direct), (1, 1, 1));
+        assert_eq!((stats.submitted, stats.executed, stats.waited), (1, 1, 0));
         assert_eq!((stats.stolen, stats.staging_live, stats.ready_now), (0, 0, 0));
         assert_eq!(session.in_flight(), 0);
 
-        // the queued path, for contrast, runs on the driver thread
+        // a submission, too, runs on its caller before the ticket exists
         let t = other.submit(vec![req(6)]).unwrap();
+        assert_eq!(dispatcher.stats().executed, 2);
+        assert_eq!(other.in_flight(), 1);
         assert_eq!(other.wait(t).unwrap().outputs[0].m, 6);
-        assert_eq!(*log.lock().unwrap(), [5, 6]);
-        let ran_on = ran_on.lock().unwrap();
-        assert_eq!(ran_on[0].id(), std::thread::current().id());
-        assert_ne!(ran_on[1].id(), ran_on[0].id());
-        assert_eq!(dispatcher.stats().direct, 1);
+        // and so does a tenant on a thread of its own
+        let tenant = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    other.run(vec![req(7)], Priority::Prefill, None).unwrap();
+                    std::thread::current().id()
+                })
+                .join()
+                .unwrap()
+        });
+        assert_eq!(*log.lock().unwrap(), [5, 6, 7]);
+        let me = std::thread::current().id();
+        assert_eq!(*ran_on.lock().unwrap(), [me, me, tenant]);
+        assert_eq!(dispatcher.stats().waited, 0);
     }
 
     #[test]
@@ -1470,75 +1205,63 @@ mod tests {
         let (backend, gate, log) = GateBackend::new(0);
         let ran_on = backend.ran_on.clone();
         let dispatcher = Dispatcher::new(backend);
-        let mut prefill = dispatcher.session();
-        let mut decode = dispatcher.session();
+        let (mut p1, mut p2, mut d) =
+            (dispatcher.session(), dispatcher.session(), dispatcher.session());
 
-        let p1 = prefill.submit(vec![req(1)]).unwrap();
-        let p2 = prefill.submit(vec![req(2)]).unwrap();
-        // pin: batch 1 held on the (gated) engine, batch 2 queued
-        wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 1);
-
-        std::thread::scope(|scope| {
-            let runner = scope.spawn(|| decode.run(vec![req(3)], Priority::Decode, None));
-            // the run found somebody to be ordered against: it is
-            // queued like any submission, and only then may batches go
-            wait_for(&dispatcher, |s| s.staging_live == 1 && s.ready_now == 2);
+        let threads = std::thread::scope(|scope| {
+            let calls = [
+                enter(scope, &dispatcher, &mut p1, (1, Priority::Prefill, None), 1),
+                enter(scope, &dispatcher, &mut p2, (2, Priority::Prefill, None), 2),
+                // the run found somebody to be ordered against: it waits
+                // like any caller, and only then may batches go
+                enter(scope, &dispatcher, &mut d, (3, Priority::Decode, None), 3),
+            ];
+            let stats = dispatcher.stats();
+            assert_eq!((stats.staging_live, stats.ready_now), (1, 2));
+            let threads: Vec<_> = calls.iter().map(|c| c.thread().id()).collect();
             grant(&gate, 3);
-            let outcome = runner.join().unwrap();
-            assert_eq!(outcome.expect("queued run completes").outputs[0].m, 3);
-            assert!(prefill.wait(p1).is_ok() && prefill.wait(p2).is_ok());
-            assert_eq!(*log.lock().unwrap(), [1, 3, 2], "decode overtakes the queued prefill");
-            let ran_on = ran_on.lock().unwrap();
-            assert!(
-                ran_on.iter().all(|t| t.name() == Some("camp-dispatch-driver")),
-                "every queued batch runs on the one driver: {ran_on:?}"
-            );
-            assert!(ran_on.iter().all(|t| t.id() == ran_on[0].id()), "{ran_on:?}");
+            assert_eq!(calls.map(m_of), [1, 2, 3]);
+            threads
         });
+        assert_eq!(*log.lock().unwrap(), [1, 3, 2], "decode overtakes the waiting prefill");
+        // no batch crossed a thread: each ran on the thread that called
+        assert_eq!(*ran_on.lock().unwrap(), [threads[0], threads[2], threads[1]]);
         let stats = dispatcher.stats();
-        assert_eq!((stats.executed, stats.direct, stats.staging_live), (3, 0, 0));
+        assert_eq!((stats.executed, stats.waited, stats.staging_live), (3, 2, 0));
     }
 
     #[test]
     fn run_never_overtakes_its_own_sessions_earlier_submission() {
-        let (backend, gate, log) = GateBackend::new(0);
+        let (backend, _gate, log) = GateBackend::new(2);
         let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session();
         let first = session.submit(vec![req(1)]).unwrap();
-        std::thread::scope(|scope| {
-            // the gate opens only once the run has been admitted
-            scope.spawn(|| {
-                wait_for(&dispatcher, |s| s.submitted == 2);
-                grant(&gate, 2);
-            });
-            // equal priority: per-session FIFO is what orders the two
-            assert_eq!(session.run(vec![req(2)], Priority::Prefill, None).unwrap().outputs[0].m, 2);
-        });
+        // the earlier submission ran before its ticket came back
+        assert_eq!(*log.lock().unwrap(), [1]);
+        assert_eq!(session.run(vec![req(2)], Priority::Decode, None).unwrap().outputs[0].m, 2);
         assert_eq!(session.wait(first).unwrap().outputs[0].m, 1);
         assert_eq!(*log.lock().unwrap(), [1, 2]);
-        assert_eq!(dispatcher.stats().direct, 0);
+        assert_eq!(dispatcher.stats().waited, 0);
         assert_eq!(session.in_flight(), 0);
     }
 
     #[test]
     fn run_errs_and_counts_like_submit_then_wait() {
-        // Saturated: the bound counts the batch held on the gated engine
-        let (backend, gate, log) = GateBackend::new(0);
+        // Saturated: the bound counts the uncollected result
+        let (backend, _gate, log) = GateBackend::new(1);
         let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session_with_depth(1);
-        let blocker = session.submit(vec![req(1)]).unwrap();
+        let held = session.submit(vec![req(1)]).unwrap();
         let saturated = RequestError::Saturated { depth: 1 };
         assert_eq!(session.run(vec![req(2)], Priority::Decode, None).unwrap_err(), saturated);
         assert_eq!(dispatcher.stats().rejected, 1);
         assert_eq!(session.submit(vec![req(2)]).unwrap_err(), saturated);
         let stats = dispatcher.stats();
         assert_eq!((stats.rejected, stats.submitted), (2, 1));
-        grant(&gate, 1);
-        assert!(session.wait(blocker).is_ok());
+        assert!(session.wait(held).is_ok());
 
         // Shed: a deadline already past never reaches the engine (no
-        // permit is left for it to take), on the caller's thread or the
-        // driver's
+        // permit is left for it to take), through either call
         let past = Some(Instant::now());
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert_eq!(
@@ -1549,8 +1272,8 @@ mod tests {
         assert_eq!((stats.shed, stats.submitted, stats.staging_live), (1, 2, 0));
         let t = session.submit_with(vec![req(3)], Priority::Decode, past).unwrap();
         assert_eq!(session.wait(t).unwrap_err(), RequestError::Shed);
-        let stats = wait_for(&dispatcher, |s| s.staging_live == 0);
-        assert_eq!((stats.shed, stats.submitted, stats.executed, stats.direct), (2, 3, 1, 0));
+        let stats = dispatcher.stats();
+        assert_eq!((stats.shed, stats.submitted, stats.executed, stats.waited), (2, 3, 1, 0));
         assert_eq!(*log.lock().unwrap(), [1]);
         assert_eq!(session.in_flight(), 0);
 
@@ -1579,29 +1302,32 @@ mod tests {
         );
         assert_eq!(session.submit(on(live)).unwrap_err(), RequestError::StaleHandle);
         let stats = dispatcher.stats();
-        assert_eq!((stats.submitted, stats.executed, stats.direct), (1, 1, 1));
+        assert_eq!((stats.submitted, stats.executed, stats.waited), (1, 1, 0));
         assert_eq!((stats.stale_failures, stats.staging_live), (0, 0));
-        drop(session);
-        // the eviction queued behind the direct run still reached the engine
+        // the eviction reached the engine on this thread
         let mut engine = dispatcher.into_backend();
         assert_eq!(engine.weights_mut().evict(live).unwrap_err(), RequestError::StaleHandle);
 
         // the condemned check reads every request of a batch: a pair
         // whose second request carries the handle fails when condemned
-        // while queued behind a gated batch, and is refused at `submit`
-        // and `run`. The gate opens before any check, so a broken one
-        // fails the test instead of parking the driver for good.
+        // while it waits behind a gated batch, and is refused at
+        // `submit` and `run`
         let (mut backend, gate, log) = GateBackend::new(0);
         let h = backend.weights_mut().register(1, 1, &[1], DType::I8);
         let dispatcher = Dispatcher::new(backend);
-        let mut session = dispatcher.session();
+        let (mut blocker, mut session) = (dispatcher.session(), dispatcher.session());
         let pair = || vec![req(2), GemmRequest::with_weights(2, vec![1i8; 2], h).unwrap()];
-        let blocker = session.submit(vec![req(1)]).unwrap();
-        wait_for(&dispatcher, |s| s.staging_live == 1);
-        let queued = session.submit(pair()).expect("a live handle admits");
-        dispatcher.evict_weights(h).unwrap();
-        grant(&gate, 4);
-        assert!(session.wait(blocker).is_ok());
+        let queued = std::thread::scope(|scope| {
+            let held = enter(scope, &dispatcher, &mut blocker, (1, Priority::Prefill, None), 1);
+            let waiting = scope.spawn(|| session.submit(pair()));
+            wait_for(&dispatcher, |s| s.ready_now == 1);
+            let evict = scope.spawn(|| dispatcher.evict_weights(h));
+            wait_for(&dispatcher, |s| s.evictions == 1);
+            grant(&gate, 4);
+            assert_eq!(m_of(held), 1);
+            assert!(evict.join().unwrap().is_ok());
+            waiting.join().unwrap().expect("a live handle admits")
+        });
         assert_eq!(session.wait(queued).unwrap_err(), RequestError::StaleHandle);
         assert_eq!(session.submit(pair()).unwrap_err(), RequestError::StaleHandle);
         let err = session.run(pair(), Priority::Decode, None).unwrap_err();
@@ -1612,9 +1338,9 @@ mod tests {
     }
 
     /// One batch through the three entry points — `execute_batch` on the
-    /// bare backend, a direct `run`, a queued `submit_with` → `wait`:
-    /// the same outputs, equal to the reference, and the same stats
-    /// (on the host engine: no B bytes packed for the dense m = 1 leg).
+    /// bare backend, `run`, `submit_with` → `wait`: the same outputs,
+    /// equal to the reference, and the same stats (on the host engine:
+    /// no B bytes packed for the dense m = 1 leg).
     fn run_matches_submit_then_wait<B: CampBackend + Send + 'static>(mut backend: B) {
         // 4-bit-safe values, so one generator serves the i4 request too
         let gen = |len: usize, mul: usize| -> Vec<i8> {
@@ -1658,9 +1384,9 @@ mod tests {
         let bare = backend.execute_batch(&batch).unwrap();
         let dispatcher = Dispatcher::new(backend);
         let mut session = dispatcher.session();
-        let direct = session.run(batch.clone(), Priority::Decode, None).unwrap();
+        let run = session.run(batch.clone(), Priority::Decode, None).unwrap();
         let ticket = session.submit_with(batch, Priority::Decode, None).unwrap();
-        let queued = session.wait(ticket).unwrap();
+        let submitted = session.wait(ticket).unwrap();
         for (got, want) in bare.outputs.iter().zip(&want) {
             assert_eq!(&got.c, want);
         }
@@ -1669,12 +1395,12 @@ mod tests {
             let panel = (n.div_ceil(4) * 4 * k.div_ceil(16) * 16) as u64;
             assert_eq!(host.packed_b_bytes, 2 * panel, "each of the blocked pair packs its B");
         }
-        for (leg, outcome) in [("direct run", &direct), ("queued batch", &queued)] {
+        for (leg, outcome) in [("run", &run), ("submitted batch", &submitted)] {
             assert!(outcome.outputs == bare.outputs, "a {leg} must match the bare backend");
             assert_eq!(outcome.stats, bare.stats, "a {leg} must report the bare backend's stats");
         }
         let stats = dispatcher.stats();
-        assert_eq!((stats.executed, stats.direct, stats.staging_live), (2, 1, 0));
+        assert_eq!((stats.executed, stats.waited, stats.staging_live), (2, 0, 0));
     }
 
     #[test]
@@ -1693,38 +1419,40 @@ mod tests {
     }
 
     #[test]
-    fn a_backend_panic_under_a_direct_run_kills_the_dispatcher() {
+    fn a_backend_panic_under_a_turn_kills_the_dispatcher_and_wakes_its_waiter() {
         let (backend, gate, log) = GateBackend::new(0);
         let dispatcher = Dispatcher::new(backend);
         let mut doomed = dispatcher.session();
         let mut bystander = dispatcher.session();
         std::thread::scope(|scope| {
-            // the poisoned batch goes direct and parks on the gate with
-            // the engine lock held ...
+            // the poisoned batch holds the turn and parks on the gate
+            // with the engine lock held ...
             let runner = scope.spawn(|| {
                 let batch = vec![req(POISON_M)];
                 catch_unwind(AssertUnwindSafe(|| doomed.run(batch, Priority::Decode, None)))
             });
             wait_for(&dispatcher, |s| s.staging_live == 1);
-            // ... a second tenant's batch queues up behind that lock
-            let t = bystander.submit(vec![req(2)]).unwrap();
-            wait_for(&dispatcher, |s| s.staging_live == 2 && s.ready_now == 0);
-            let bystander = &mut bystander;
-            let waiter = scope.spawn(move || catch_unwind(AssertUnwindSafe(|| bystander.wait(t))));
+            // ... a second tenant waits for the turn behind it
+            let waiter = scope.spawn(|| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    bystander.run(vec![req(2)], Priority::Decode, None)
+                }))
+            });
+            wait_for(&dispatcher, |s| s.ready_now == 1);
             grant(&gate, 1);
             assert!(panic_message(runner.join().unwrap()).contains("poisoned batch"));
-            // fails fast instead of hanging, exactly as on a driver panic
+            // the waiter fails fast instead of hanging
             let msg = panic_message(waiter.join().unwrap());
-            assert!(msg.contains("dead: client thread panicked"), "{msg}");
+            assert!(msg.contains("serving session is dead"), "{msg}");
         });
         // nothing runs on the backend the panic left behind
         assert!(log.lock().unwrap().is_empty());
         let caught =
             catch_unwind(AssertUnwindSafe(|| doomed.run(vec![req(1)], Priority::Decode, None)));
-        assert!(panic_message(caught).contains("dead: client thread panicked"));
-        // Drop for Dispatcher still joins (it runs under this unwind)
+        assert!(panic_message(caught).contains("dead: a batch panicked on the backend"));
+        // the drain does not wait for the dead turn, and reports it
         let caught = catch_unwind(AssertUnwindSafe(|| dispatcher.into_backend()));
-        assert!(panic_message(caught).contains("direct run panicked"));
+        assert!(panic_message(caught).contains("a batch panicked on the backend"));
     }
 
     #[test]

@@ -33,15 +33,16 @@
 //!   weight matrix many requests share is registered once instead).
 //! * [`dispatch`] — the **serving layer**: register weights once
 //!   (`weights_mut().register(..)` on the backend's [`WeightRegistry`]
-//!   packs B into a persistent panel), then stream request batches through the
-//!   submit/poll sessions of one [`dispatch::Dispatcher`], which owns
-//!   the warm engine and validates each batch on the submitting thread
-//!   (the steady state spawns no threads and packs zero B bytes per
-//!   request). Any number of tenants share
-//!   it — one-lock admission, per-session FIFO, decode/prefill
-//!   [`dispatch::Priority`] with deadlines and an aging bound,
-//!   per-session admission control ([`RequestError::Saturated`]), and
-//!   panic-free weight-eviction races.
+//!   packs B into a persistent panel), then serve request batches
+//!   through the sessions of one [`dispatch::Dispatcher`], which owns
+//!   the warm engine and spawns no thread: each batch is validated and
+//!   executed on the thread that submitted it, in that thread's turn on
+//!   the engine (the steady state packs zero B bytes per request). Any
+//!   number of tenants share it — one-lock admission, per-session
+//!   order, the turn handed by decode/prefill [`dispatch::Priority`]
+//!   with deadlines and an aging bound, per-session admission control
+//!   ([`RequestError::Saturated`]), and panic-free weight-eviction
+//!   races.
 //!
 //! * [`backend`] — **one GeMM API** over interchangeable substrates:
 //!   the [`backend::CampBackend`] trait, implemented by the host-speed
@@ -84,8 +85,8 @@ pub use structure::CampStructure;
 pub use camp_gemm::request::{GemmRequest, GemmRequestBuilder, Operand, RequestError};
 pub use camp_gemm::weights::{WeightRegistry, WeightSnapshot};
 
-/// One session on the queued pipeline of real backends, end to end
-/// (public API only; a unit module so the suite keeps its test ids).
+/// One session serving real backends, end to end (public API only; a
+/// unit module so the suite keeps its test ids).
 #[cfg(test)]
 mod session {
     mod tests;

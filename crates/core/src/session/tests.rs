@@ -1,8 +1,7 @@
-//! One session driving real backends through the *queued* pipeline
-//! (submit → driver → wait) at default options, through the
-//! public API only. The `dispatch` unit tests pin scheduling order on a
-//! gated mock; these pin what comes out of a real `CampEngine` /
-//! `SimBackend` at the other end.
+//! One session driving real backends through `submit` → `wait` at
+//! default options, through the public API only. The `dispatch` unit
+//! tests pin the turn order on a gated mock; these pin what comes out
+//! of a real `CampEngine` / `SimBackend` at the other end.
 
 use crate::backend::{BatchOutcome, CampBackend, ExecStats, SimBackend};
 use crate::dispatch::{DispatchOptions, DispatchSession, Dispatcher, TicketId};
@@ -10,7 +9,7 @@ use crate::WeightRegistry;
 use crate::{gemm_i32_ref, CampEngine, DType, GemmRequest, RequestError, WeightHandle};
 use camp_gemm::host::KernelInfo;
 
-fn queued<B: CampBackend + Send + 'static>(backend: B) -> (Dispatcher<B>, DispatchSession<B>) {
+fn served<B: CampBackend + Send + 'static>(backend: B) -> (Dispatcher<B>, DispatchSession<B>) {
     let dispatcher = Dispatcher::with_options(backend, DispatchOptions::default());
     let session = dispatcher.session();
     (dispatcher, session)
@@ -42,7 +41,7 @@ fn submit_wait_matches_the_blocking_backend() {
         let (eng, h, w, n, k) = serving_setup(threads);
         let a1 = fill(7 * k, 3);
         let a2 = fill(4 * k, 11);
-        let (_dispatcher, mut session) = queued(eng);
+        let (_dispatcher, mut session) = served(eng);
         let t = session
             .submit(vec![handle_req(7, a1.clone(), h), handle_req(4, a2.clone(), h)])
             .unwrap();
@@ -58,7 +57,7 @@ fn submit_wait_matches_the_blocking_backend() {
 #[test]
 fn many_batches_in_flight_complete_and_poll_in_any_order() {
     let (eng, h, w, n, k) = serving_setup(2);
-    let (_dispatcher, mut session) = queued(eng);
+    let (_dispatcher, mut session) = served(eng);
     let activations: Vec<Vec<i8>> = (0..6).map(|i| fill(3 * k, 3 + 2 * i)).collect();
     let tickets: Vec<TicketId> = activations
         .iter()
@@ -72,21 +71,13 @@ fn many_batches_in_flight_complete_and_poll_in_any_order() {
 }
 
 #[test]
-fn poll_returns_none_until_ready_and_hands_out_once() {
+fn poll_hands_each_result_out_exactly_once() {
     let (eng, h, w, n, k) = serving_setup(2);
     let a = fill(5 * k, 7);
-    let (_dispatcher, mut session) = queued(eng);
+    let (_dispatcher, mut session) = served(eng);
     let t = session.submit(vec![handle_req(5, a.clone(), h)]).unwrap();
-    // poll until ready (bounded busy loop, the batch is tiny)
-    let mut got = None;
-    for _ in 0..10_000 {
-        if let Some(outcome) = session.poll(t) {
-            got = Some(outcome.unwrap());
-            break;
-        }
-        std::thread::yield_now();
-    }
-    let outcome = got.expect("batch never completed");
+    // the batch ran before its ticket came back: the first poll has it
+    let outcome = session.poll(t).expect("filed before submit returned").unwrap();
     assert_eq!(outcome.outputs[0].c, gemm_i32_ref(5, n, k, &a, &w));
     assert!(session.poll(t).is_none(), "results are handed out exactly once");
 }
@@ -98,7 +89,7 @@ fn i4_weights_serve_under_the_i4_kernel() {
     let mut eng = CampEngine::with_threads(2);
     let h = eng.weights_mut().register(n, k, &w, DType::I4);
     let a = fill(6 * k, 3);
-    let (_dispatcher, mut session) = queued(eng);
+    let (_dispatcher, mut session) = served(eng);
     let t = session.submit(vec![handle_req(6, a.clone(), h)]).unwrap();
     assert_eq!(session.wait(t).unwrap().outputs[0].c, gemm_i32_ref(6, n, k, &a, &w));
 }
@@ -111,7 +102,7 @@ fn dense_requests_serve_with_b_staged_off_the_compute_path() {
     let w = fill(k * n, 5);
     let a = fill(m * k, 3);
     let req = GemmRequest::dense(m, n, k, a.clone(), w.clone()).unwrap();
-    let (_dispatcher, mut session) = queued(CampEngine::with_threads(2));
+    let (_dispatcher, mut session) = served(CampEngine::with_threads(2));
     let t = session.submit(vec![req]).unwrap();
     let outcome = session.wait(t).unwrap();
     assert_eq!(outcome.outputs[0].c, gemm_i32_ref(m, n, k, &a, &w));
@@ -125,7 +116,7 @@ fn degenerate_requests_serve_zero_filled_results() {
     let mut eng = CampEngine::new();
     let h = eng.weights_mut().register(n, k, &w, DType::I8);
     let h0 = eng.weights_mut().register(4, 0, &[], DType::I8);
-    let (_dispatcher, mut session) = queued(eng);
+    let (_dispatcher, mut session) = served(eng);
     let t =
         session.submit(vec![handle_req(0, Vec::new(), h), handle_req(3, Vec::new(), h0)]).unwrap();
     let outcome = session.wait(t).unwrap();
@@ -138,11 +129,11 @@ fn into_backend_drains_and_returns_a_warm_engine() {
     let (eng, h, w, n, k) = serving_setup(2);
     let a = fill(4 * k, 9);
     let req = handle_req(4, a.clone(), h);
-    let (dispatcher, mut session) = queued(eng);
+    let (dispatcher, mut session) = served(eng);
     let t = session.submit(vec![req.clone()]).unwrap();
     let outcome = session.wait(t).unwrap();
-    // drain BEFORE the session handle drops: a dropped session cancels
-    // its unclaimed batches, into_backend finishes every one
+    // the session handle outlives the drain: its filed results stay
+    // collectable, only new submissions are refused
     let mut eng = dispatcher.into_backend();
     // registry and pools survive the round trip
     assert_eq!(eng.execute(&req).unwrap().output, outcome.outputs[0]);
@@ -160,7 +151,7 @@ fn large_requests_take_the_row_split_path() {
     let a = fill(m * k, 3);
     let mut eng = CampEngine::with_threads(4);
     let h = eng.weights_mut().register(n, k, &w, DType::I8);
-    let (_dispatcher, mut session) = queued(eng);
+    let (_dispatcher, mut session) = served(eng);
     let t = session.submit(vec![handle_req(m, a.clone(), h)]).unwrap();
     assert_eq!(session.wait(t).unwrap().outputs[0].c, gemm_i32_ref(m, n, k, &a, &w));
 }
@@ -168,7 +159,7 @@ fn large_requests_take_the_row_split_path() {
 #[test]
 fn submit_rejects_malformed_activations_without_panicking() {
     let (eng, h, _, _, _) = serving_setup(1);
-    let (_dispatcher, mut session) = queued(eng);
+    let (_dispatcher, mut session) = served(eng);
     let err = session.submit(vec![handle_req(3, vec![0; 5], h)]).unwrap_err();
     assert!(matches!(err, RequestError::ShapeMismatch { operand: "A", .. }));
     // the session survives a rejected submission
@@ -180,7 +171,7 @@ fn submit_rejects_malformed_activations_without_panicking() {
 fn submit_rejects_stale_handles() {
     let (mut eng, h, _, _, k) = serving_setup(1);
     eng.weights_mut().evict(h).unwrap();
-    let (_dispatcher, mut session) = queued(eng);
+    let (_dispatcher, mut session) = served(eng);
     let err = session.submit(vec![handle_req(2, fill(2 * k, 3), h)]).unwrap_err();
     assert_eq!(err, RequestError::StaleHandle);
 }
@@ -190,7 +181,7 @@ fn submit_rejects_stale_handles() {
 fn waiting_twice_on_a_ticket_is_an_error() {
     let (eng, h, _, _, k) = serving_setup(1);
     let a = fill(2 * k, 3);
-    let (_dispatcher, mut session) = queued(eng);
+    let (_dispatcher, mut session) = served(eng);
     let t = session.submit(vec![handle_req(2, a, h)]).unwrap();
     let _ = session.wait(t);
     let _ = session.wait(t);
@@ -200,13 +191,13 @@ fn waiting_twice_on_a_ticket_is_an_error() {
 fn session_steady_state_packs_no_b_and_pools_stop_growing() {
     let (eng, h, w, n, k) = serving_setup(3);
     let a = fill(8 * k, 3);
-    let (dispatcher, mut session) = queued(eng);
+    let (dispatcher, mut session) = served(eng);
     // warm-up round, then steady state
     let warm = session.submit(vec![handle_req(8, a.clone(), h)]).unwrap();
     let _ = session.wait(warm);
     let eng = dispatcher.into_backend();
     let warm_allocs = eng.pack_allocations();
-    let (dispatcher, mut session) = queued(eng);
+    let (dispatcher, mut session) = served(eng);
     for _ in 0..4 {
         let t = session.submit(vec![handle_req(8, a.clone(), h)]).unwrap();
         let outcome = session.wait(t).unwrap();
@@ -221,8 +212,8 @@ fn session_steady_state_packs_no_b_and_pools_stop_growing() {
 
 #[test]
 fn deep_submission_backlogs_complete_in_order() {
-    // a backlog deeper than the default admission bound: every batch
-    // sits queued in the session and still completes, in order
+    // more uncollected results than the default admission bound: a
+    // deeper session holds them all and hands each out, in order
     let (eng, h, w, n, k) = serving_setup(2);
     let dispatcher = Dispatcher::with_options(eng, DispatchOptions::default());
     let mut session = dispatcher.session_with_depth(12);
@@ -238,8 +229,8 @@ fn deep_submission_backlogs_complete_in_order() {
     assert_eq!(session.in_flight(), 0);
 }
 
-/// A backend that panics on every batch it is handed: a fault on the
-/// driver thread, which no validated request can cause on a real one.
+/// A backend that panics on every batch it is handed: a fault under the
+/// caller's turn, which no validated request can cause on a real one.
 struct FaultyBackend(WeightRegistry);
 
 impl CampBackend for FaultyBackend {
@@ -267,12 +258,15 @@ impl CampBackend for FaultyBackend {
 #[test]
 #[should_panic(expected = "serving session is dead")]
 fn a_poisoned_request_kills_the_session_loudly_not_silently() {
-    // the backend panics on the driver thread; the death must surface on
-    // wait(), not hang it, and the dispatcher must still shut down
-    // cleanly afterwards (Drop)
-    let (_dispatcher, mut session) = queued(FaultyBackend(WeightRegistry::new()));
-    let t = session.submit(vec![GemmRequest::dense(2, 4, 8, fill(16, 3), fill(32, 5)).unwrap()]);
-    let _ = session.wait(t.unwrap());
+    // the backend panics under the caller's turn: the panic unwinds
+    // that call, every later call panics instead of hanging on the dead
+    // engine, and the dispatcher still shuts down cleanly afterwards
+    // (Drop)
+    let (_dispatcher, mut session) = served(FaultyBackend(WeightRegistry::new()));
+    let batch = || vec![GemmRequest::dense(2, 4, 8, fill(16, 3), fill(32, 5)).unwrap()];
+    let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.submit(batch())));
+    assert!(first.is_err(), "the backend's own panic reaches its caller");
+    let _ = session.submit(batch());
 }
 
 #[test]
@@ -282,7 +276,7 @@ fn handles_from_another_backend_are_rejected_at_submit() {
     let (eng, _, _, n, k) = serving_setup(1);
     let mut other = CampEngine::new();
     let foreign = other.weights_mut().register(n, k, &fill(k * n, 9), DType::I8);
-    let (_dispatcher, mut session) = queued(eng);
+    let (_dispatcher, mut session) = served(eng);
     let err = session.submit(vec![handle_req(2, fill(2 * k, 3), foreign)]).unwrap_err();
     assert_eq!(err, RequestError::ForeignHandle);
 }
@@ -294,7 +288,7 @@ fn simulated_sessions_serve_batches_too() {
     let a = fill(4 * k, 3);
     let mut sim = SimBackend::a64fx();
     let h = sim.weights_mut().register(n, k, &w, DType::I8);
-    let (dispatcher, mut session) = queued(sim);
+    let (dispatcher, mut session) = served(sim);
     let t = session.submit(vec![handle_req(4, a.clone(), h)]).unwrap();
     let outcome = session.wait(t).unwrap();
     assert_eq!(outcome.outputs[0].c, gemm_i32_ref(4, n, k, &a, &w));

@@ -7,7 +7,10 @@
 //! `RUSTFLAGS="--cfg loom"` the same names resolve to the `camp-loom`
 //! exhaustive interleaving model checker, so the models in
 //! `tests/model/` explore every schedule of the *real* `WorkerPool`
-//! latch protocol and `Dispatcher` pipeline, not a re-implementation.
+//! latch protocol and `Dispatcher` turn protocol, not a
+//! re-implementation. Only the pool spawns threads: the dispatcher
+//! runs every batch on the thread that submitted it, so its models
+//! spawn the callers themselves.
 //!
 //! Keep the seam honest: only primitives whose interleavings the
 //! models must explore belong here. Process-global bookkeeping that is
@@ -19,8 +22,8 @@ pub use loom::sync::{Arc, Condvar, Mutex, MutexGuard};
 #[cfg(not(loom))]
 pub use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// Thread spawn/join seam; mirrors the `std::thread` subset the
-/// concurrency core uses.
+/// Thread spawn/join seam; mirrors the `std::thread` subset the worker
+/// pool uses.
 pub mod thread {
     #[cfg(loom)]
     pub use loom::thread::{Builder, JoinHandle};

@@ -79,17 +79,17 @@ pub enum RequestError {
     Oversized(&'static str),
     /// The backend cannot execute this request (capability gap).
     Unsupported(&'static str),
-    /// Admission control: the serving session has its bounded depth
-    /// (the carried value) of batches in flight. Back off and resubmit;
-    /// the session recovers as its work drains — nothing was enqueued.
+    /// Admission control: the serving session holds its bounded depth
+    /// (the carried value) of uncollected results. Collect one and
+    /// resubmit — nothing was enqueued.
     Saturated {
         /// The session's configured admission depth (the documented
         /// bound at which this error fires deterministically).
         depth: usize,
     },
-    /// The batch's deadline had already passed when the dispatcher's
-    /// driver picked it, so it was shed (completed as cancelled)
-    /// instead of computed. Counted in `DispatchStats::shed`.
+    /// The batch's deadline had already passed when its turn on the
+    /// dispatcher's engine came, so it was shed instead of computed.
+    /// Counted in `DispatchStats::shed`.
     Shed,
 }
 

@@ -10,7 +10,8 @@
 //! [`GemmRequest`](camp_core::GemmRequest) batches
 //! submitted to a [`Dispatcher`](camp_core::Dispatcher) tenant —
 //! decode steps tagged [`Priority::Decode`](camp_core::Priority) so
-//! continuous batching across sessions falls out of the scheduler.
+//! that, when sessions contend for the engine, their decode steps get
+//! the turn before waiting prefills.
 //!
 //! # Quantization contract
 //!

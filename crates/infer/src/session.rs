@@ -1,8 +1,8 @@
 //! The serving facade: one [`InferSession`] per user, one dispatcher
 //! tenant each, prefill at [`Priority::Prefill`] and decode steps at
-//! [`Priority::Decode`] — so the PR-9 scheduler interleaves many
-//! sessions' tokens over one engine without any cooperation between
-//! them.
+//! [`Priority::Decode`] — so the dispatcher's turn order interleaves
+//! many sessions' tokens over one engine without any cooperation
+//! between them.
 
 use std::fmt;
 use std::sync::Arc;
@@ -154,9 +154,9 @@ impl InferContext {
 /// One user's inference session: a dispatcher tenant plus the model,
 /// its registered handles, and the per-session KV cache.
 ///
-/// Sessions are independent — create as many as the dispatcher has
-/// queue slots for, from any thread; the scheduler interleaves their
-/// prefill and decode batches over the shared engine by priority.
+/// Sessions are independent — create as many as you need, from any
+/// thread; the dispatcher's turn order interleaves their prefill and
+/// decode batches over the shared engine by priority.
 #[derive(Debug)]
 pub struct InferSession<B: CampBackend + Send + 'static> {
     model: Arc<Model>,
@@ -249,11 +249,11 @@ mod tests {
         for expect in &toks {
             assert_eq!(ctx.decode_with(&model, &mut exec).unwrap(), *expect);
         }
-        // one tenant is never ordered against anybody: every batch ran
-        // on this thread, none on the driver
+        // one tenant is never ordered against anybody: no batch waited
+        // for the turn
         let stats = dispatcher.stats();
         assert!(stats.executed > 0);
-        assert_eq!((stats.direct, stats.stolen), (stats.executed, 0));
+        assert_eq!((stats.waited, stats.stolen), (0, 0));
         assert_eq!((stats.staging_live, stats.ready_now), (0, 0));
     }
 
@@ -285,7 +285,7 @@ mod tests {
         }
         // two tenants taking turns on one thread never overlap either
         let stats = dispatcher.stats();
-        assert_eq!((stats.direct, stats.staging_live), (stats.executed, 0));
+        assert_eq!((stats.waited, stats.staging_live), (0, 0));
     }
 
     #[test]
@@ -295,9 +295,9 @@ mod tests {
         let handles = Arc::new(model.register(&mut engine));
         let dispatcher = engine.dispatch();
         let prompts = [vec![4u32, 5], vec![6, 7, 8]];
-        // each batch runs direct or queued depending on whether the
-        // other tenant had one in flight at that instant; the streams
-        // must not depend on which
+        // each batch waits for the turn or not depending on whether the
+        // other tenant held it at that instant; the streams must not
+        // depend on which
         let streams: Vec<Vec<u32>> = std::thread::scope(|scope| {
             let tenants: Vec<_> = prompts
                 .iter()
@@ -322,7 +322,7 @@ mod tests {
         }
         let stats = dispatcher.stats();
         assert_eq!((stats.executed, stats.staging_live), (stats.submitted, 0));
-        assert!(stats.direct <= stats.executed);
+        assert!(stats.waited <= stats.executed);
     }
 
     #[test]

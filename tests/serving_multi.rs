@@ -2,20 +2,20 @@
 //! one dispatcher-owned engine must be **bit-identical** to the serial
 //! reference, bounded in memory (admission control), bounded in latency
 //! (priority + aging), and clean under weight-eviction races — with no
-//! leaked worker-pool jobs or in-flight permits after a drain.
+//! leaked worker-pool jobs or held turn after a drain.
 //!
-//! The deterministic scheduling-order proofs (decode-overtakes-prefill,
-//! exact saturation bound, where staging runs) live in
+//! The deterministic turn-order proofs (decode-overtakes-prefill,
+//! deadlines, aging, where each batch runs) live in
 //! `camp_core::dispatch`'s unit tests against a gated mock backend; the
 //! exhaustive interleaving proofs live in the `--cfg loom` model suite.
 //! This file drives the *real* `CampEngine` from real OS threads.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use camp::core::backend::{BatchOutcome, CampBackend};
 use camp::core::{
-    gemm_i32_ref, CampEngine, DType, DispatchOptions, Dispatcher, GemmRequest, Priority,
-    RequestError, WeightRegistry,
+    gemm_i32_ref, CampEngine, DType, DispatchOptions, DispatchStats, Dispatcher, GemmRequest,
+    Priority, RequestError, WeightRegistry,
 };
 use camp::gemm::KernelInfo;
 use proptest::prelude::*;
@@ -104,7 +104,7 @@ proptest! {
         let stats = dispatcher.stats();
         prop_assert_eq!(stats.executed, 3 * sessions as u64);
         prop_assert_eq!(stats.rejected, 0);
-        prop_assert_eq!(stats.staging_live, 0, "drained dispatcher leaked in-flight permits");
+        prop_assert_eq!(stats.staging_live, 0, "a drained dispatcher left the turn held");
 
         // drain: the warm engine comes back intact, the pool queue empty
         let mut engine = Arc::into_inner(dispatcher)
@@ -122,11 +122,13 @@ proptest! {
 }
 
 /// The engine, logging the first request's `m` of every batch in
-/// execution order: a batch's *position* among the others, which no
-/// counter read after the fact can give.
+/// execution order, behind a gate the test opens: a batch's *position*
+/// among the others, which no counter read after the fact can give.
 struct OrderLog {
     engine: CampEngine,
     log: Arc<Mutex<Vec<usize>>>,
+    /// Shut until every caller is lined up for the turn.
+    open: Arc<(Mutex<bool>, Condvar)>,
 }
 
 impl CampBackend for OrderLog {
@@ -143,79 +145,103 @@ impl CampBackend for OrderLog {
         self.engine.weights_mut()
     }
     fn execute_prepared(&mut self, batch: Vec<GemmRequest>) -> BatchOutcome {
+        let (open, cv) = &*self.open;
+        drop(cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
         self.log.lock().unwrap().push(batch[0].m());
         self.engine.execute_prepared(batch)
     }
 }
 
-/// A prefill flood from several tenants cannot starve a decode batch
-/// past the documented bound: once the decode batch is filed — which
-/// it is when its submission returns — only the one batch the driver
-/// had already picked can still beat it to the engine.
+/// Poll `dispatcher` until `pred` holds (5 s cap).
+fn wait_for<B: CampBackend + Send + 'static>(
+    dispatcher: &Dispatcher<B>,
+    pred: impl Fn(&DispatchStats) -> bool,
+) {
+    for _ in 0..50_000 {
+        if pred(&dispatcher.stats()) {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(100));
+    }
+    panic!("dispatcher never reached the expected state: {:?}", dispatcher.stats());
+}
+
+/// A prefill flood from several tenants, each on its own thread, cannot
+/// starve a decode batch past the documented bound: once the decode
+/// caller is admitted, only the one batch holding the turn can still
+/// beat it to the engine.
 #[test]
 fn a_prefill_flood_cannot_starve_decode_beyond_the_batch_already_picked() {
     let (n, k) = (32, 256);
     let b = gen(k * n, 0x5eed | 1);
     let log = Arc::new(Mutex::new(Vec::new()));
-    let mut engine = OrderLog { engine: CampEngine::with_threads(1), log: Arc::clone(&log) };
+    let open = Arc::new((Mutex::new(false), Condvar::new()));
+    let engine = CampEngine::with_threads(1);
+    let mut engine = OrderLog { engine, log: Arc::clone(&log), open: Arc::clone(&open) };
     let h = engine.weights_mut().register(n, k, &b, DType::I8);
 
     let flood_sessions = 3;
     let dispatcher = Dispatcher::with_options(engine, DispatchOptions { queue_depth: 64 });
-
-    let mut flood = Vec::new();
-    for s in 0..flood_sessions {
-        let mut session = dispatcher.session();
-        let tickets: Vec<_> = (0..12)
-            .map(|i| {
-                let m = 4 + (s + i) % 5;
-                let a = gen(m * k, (s * 31 + i) as u32 | 1);
-                session
-                    .submit(vec![GemmRequest::with_weights(m, a, h).unwrap()])
-                    .expect("flood batch admits")
+    let a = gen(2 * k, 0x0dec | 1);
+    let mut decode = dispatcher.session();
+    std::thread::scope(|scope| {
+        let flood: Vec<_> = (0..flood_sessions)
+            .map(|s| {
+                let mut session = dispatcher.session();
+                scope.spawn(move || {
+                    let tickets: Vec<_> = (0..12)
+                        .map(|i| {
+                            let m = 4 + (s + i) % 5;
+                            let a = gen(m * k, (s * 31 + i) as u32 | 1);
+                            session
+                                .submit(vec![GemmRequest::with_weights(m, a, h).unwrap()])
+                                .expect("flood batch admits")
+                        })
+                        .collect();
+                    for t in tickets {
+                        assert!(session.wait(t).expect("flood batch completes").outputs[0].m >= 4);
+                    }
+                })
             })
             .collect();
-        flood.push((session, tickets));
-    }
+        // one flood batch holds the turn on the shut engine, the other
+        // tenants' first batches wait behind it
+        wait_for(&dispatcher, |s| s.ready_now == flood_sessions - 1);
+        let decoder = scope.spawn(|| {
+            let batch = vec![GemmRequest::with_weights(2, a.clone(), h).unwrap()];
+            decode.run(batch, Priority::Decode, None).expect("decode batch completes")
+        });
+        wait_for(&dispatcher, |s| s.ready_now == flood_sessions);
+        // everything logged up to here reached the engine before the
+        // decode caller was admitted; what follows, up to the decode
+        // batch's own entry (the only m = 2), overtook it
+        let admitted_at = log.lock().unwrap().len();
+        *open.0.lock().unwrap() = true;
+        open.1.notify_all();
+        let out = decoder.join().expect("decode tenant panicked");
+        assert_eq!(out.outputs[0].c, gemm_i32_ref(2, n, k, &a, &b));
 
-    let mut decode = dispatcher.session();
-    let a = gen(2 * k, 0x0dec | 1);
-    let t = decode
-        .submit_with(
-            vec![GemmRequest::with_weights(2, a.clone(), h).unwrap()],
-            Priority::Decode,
-            None,
-        )
-        .expect("decode batch admits");
-    // everything logged up to here reached the engine before the decode
-    // batch was filed; what follows, up to the decode batch's own entry
-    // (the only m = 2), overtook it
-    let submitted_at = log.lock().unwrap().len();
-    let out = decode.wait(t).expect("decode batch completes");
-    assert_eq!(out.outputs[0].c, gemm_i32_ref(2, n, k, &a, &b));
-
-    let overtaken_by = {
-        let log = log.lock().unwrap();
-        let ran_at = log.iter().position(|&m| m == 2).expect("the decode batch ran");
-        log[submitted_at.min(ran_at)..ran_at].iter().filter(|&&m| m >= 4).count()
-    };
-    assert!(
-        overtaken_by <= 1,
-        "decode waited behind {overtaken_by} prefill batches; only the one already picked may run first"
-    );
-
-    // the flood itself still drains completely and correctly
-    for (mut session, tickets) in flood {
-        for t in tickets {
-            assert!(session.wait(t).expect("flood batch completes").outputs[0].m >= 4);
+        let overtaken_by = {
+            let log = log.lock().unwrap();
+            let ran_at = log.iter().position(|&m| m == 2).expect("the decode batch ran");
+            log[admitted_at.min(ran_at)..ran_at].iter().filter(|&&m| m >= 4).count()
+        };
+        assert!(
+            overtaken_by <= 1,
+            "decode waited behind {overtaken_by} prefill batches; only the turn holder may run first"
+        );
+        // the flood itself still drains completely and correctly
+        for f in flood {
+            f.join().expect("flood tenant panicked");
         }
-    }
+    });
+    assert_eq!(dispatcher.stats().executed, 3 * 12 + 1);
 }
 
 /// Admission control on a live engine: the per-session bound caps
-/// in-flight batches, a saturated session re-admits deterministically
-/// once one batch is collected, and a full drain leaves no in-flight
-/// permits or queued pool jobs behind.
+/// uncollected results exactly, a saturated session re-admits once one
+/// result is collected, and a full drain leaves no turn held or queued
+/// pool jobs behind.
 #[test]
 fn saturation_bounds_in_flight_and_recovers_without_leaks() {
     let (n, k) = (64, 512);
@@ -226,69 +252,32 @@ fn saturation_bounds_in_flight_and_recovers_without_leaks() {
 
     let dispatcher = Dispatcher::with_options(engine, DispatchOptions::default());
     let mut session = dispatcher.session_with_depth(2);
+    let batch =
+        |m: usize, seed: u32| vec![GemmRequest::with_weights(m, gen(m * k, seed), h).unwrap()];
 
-    let mut tickets = std::collections::VecDeque::new();
-    let mut saturated = false;
-    for i in 0..1000 {
-        let m = 8 + i % 4;
-        let a = gen(m * k, i as u32 | 1);
-        match session.submit(vec![GemmRequest::with_weights(m, a, h).unwrap()]) {
-            Ok(t) => tickets.push_back(t),
-            Err(RequestError::Saturated { depth }) => {
-                assert_eq!(depth, 2, "the documented per-session bound");
-                // `in_flight()` counts uncollected tickets, but the
-                // admission bound counts *pending* batches — on a live
-                // engine a completion can race the submit loop and free
-                // a slot for one more admission, so uncollected tickets
-                // can exceed the bound at the instant rejection fires.
-                // The exact-at-the-bound property is pinned
-                // deterministically by the permit-gated mock test in
-                // camp_core::dispatch; here we assert the bound's worth
-                // of work is genuinely outstanding.
-                assert!(
-                    session.in_flight() >= 2,
-                    "rejection fired with fewer uncollected tickets than the bound"
-                );
-                saturated = true;
-                break;
-            }
-            Err(e) => panic!("unexpected admission error: {e}"),
-        }
-    }
-    assert!(saturated, "a depth-2 session outpaced a 512-deep GeMM 1000 times");
+    // each submission has run when it returns: exactly two are held
+    let mut tickets: std::collections::VecDeque<_> = (0..2)
+        .map(|i| session.submit(batch(8 + i, i as u32 | 1)).expect("below the bound"))
+        .collect();
+    assert_eq!(session.submit(batch(8, 3)).unwrap_err(), RequestError::Saturated { depth: 2 });
+    assert_eq!(session.in_flight(), 2, "a refused submission files nothing");
 
-    // waiting out pending batches re-opens admission — saturation is a
-    // state, not a ratchet. On a live engine a completion can race the
-    // submit loop above and slip one extra admission in, so collecting
-    // a single (possibly already-completed) ticket is not guaranteed to
-    // free a pending slot; drain oldest tickets until a submission is
-    // admitted. It must happen before the deque empties: each wait
-    // returns only after its batch completed (freeing that batch's
-    // permit), so at the latest the last wait leaves zero pending. The
-    // exact one-slot recovery is pinned deterministically by the
-    // permit-gated mock test in camp_core::dispatch.
+    // collecting one result re-opens admission — saturation is a
+    // state, not a ratchet
+    assert!(session.wait(tickets.pop_front().unwrap()).is_ok());
     let a = gen(4 * k, 0x7e57 | 1);
-    let mut readmitted = false;
-    while let Some(oldest) = tickets.pop_front() {
-        assert!(session.wait(oldest).is_ok());
-        match session.submit(vec![GemmRequest::with_weights(4, a.clone(), h).unwrap()]) {
-            Ok(t) => {
-                tickets.push_back(t);
-                readmitted = true;
-                break;
-            }
-            Err(RequestError::Saturated { .. }) => continue,
-            Err(e) => panic!("unexpected admission error: {e}"),
-        }
-    }
-    assert!(readmitted, "draining every in-flight batch must re-open admission");
+    tickets.push_back(
+        session
+            .submit(vec![GemmRequest::with_weights(4, a.clone(), h).unwrap()])
+            .expect("a collected result frees its place"),
+    );
     for t in tickets {
         assert!(session.wait(t).is_ok());
     }
 
     let stats = dispatcher.stats();
-    assert!(stats.rejected >= 1);
-    assert_eq!(stats.staging_live, 0, "drained session leaked in-flight permits");
+    assert_eq!(stats.rejected, 1);
+    assert_eq!(stats.staging_live, 0, "a drained session left the turn held");
     assert_eq!(pool.queued_jobs(), 0, "drained dispatcher leaked pool jobs");
     assert_eq!(stats.executed, stats.submitted, "every admitted batch executed");
 
@@ -358,7 +347,7 @@ fn eviction_racing_live_tenants_errs_stale_and_never_panics() {
     assert_eq!(stats.evictions, 1);
     assert!(
         stale_total as u64 >= stats.stale_failures,
-        "every driver-side stale failure surfaced to a tenant"
+        "every stale failure at a turn surfaced to a tenant"
     );
 
     // post-race: the registration is really gone from the engine
