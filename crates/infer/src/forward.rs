@@ -227,6 +227,15 @@ fn run_one(exec: &mut dyn GemmExec, gemm: InferGemm) -> Result<Vec<i32>, InferEr
 /// one-token call — which is what makes the decode-equals-recompute
 /// parity structural rather than aspirational.
 ///
+/// The last layer computes K and V for every row, because the cache
+/// keeps them, and carries only the final row through everything else:
+/// Q, the per-head scores and context, the out-projection, up and down
+/// are 1-row GeMMs there, and so are the logits. Every pass is
+/// row-local (GeMM rows, requant, the causal prefix and `ctx_mult` at
+/// the row's absolute position, the saturating residual, the ReLU), so
+/// the token and every cached K/V byte are what carrying all rows would
+/// give. A one-token step carries its one row in every layer.
+///
 /// A step that fails keeps every row of `kv` it found, except the
 /// oldest ones a [`KvPolicy::Window`](crate::KvPolicy::Window) cache
 /// evicted to make room, which the resubmitted step would evict anyway:
@@ -284,18 +293,37 @@ fn run_layers(
     let mut qkv = vec![0i8; 3 * md];
 
     for l in 0..cfg.layers {
+        // Rows this layer carries past its K/V: every row but in the
+        // last layer, whose only reader is the final row's logits. The
+        // cache still needs that layer's K/V for every row, and every
+        // pass after them is row-local, so dropping the other rows
+        // there changes no byte the step returns or caches.
+        let rows = if l + 1 == cfg.layers { 1 } else { m };
+        // step index of the first carried row: row i of this layer's
+        // Q, scores and context sits at absolute position
+        // `start + first + i`
+        let first = m - rows;
         let ids = model.layer(l);
         let xa: Arc<[i8]> = x.as_slice().into();
+        // Q reads the carried rows: K/V's operand itself unless the
+        // layer carries fewer
+        let mut xq = if rows == m { Arc::clone(&xa) } else { x[first * d..].into() };
+        x.drain(..first * d);
         let qkv_ids = [ids.wq, ids.wk, ids.wv];
+        let qkv_rows = [rows, m, m];
         let proj = run_batch(
             exec,
             qkv_ids
                 .iter()
-                .map(|&id| InferGemm { m, n: d, k: d, a: xa.clone(), b: BOperand::Weight(id) })
+                .zip(qkv_rows)
+                .zip([Arc::clone(&xq), Arc::clone(&xa), xa])
+                .map(|((&id, m), a)| InferGemm { m, n: d, k: d, a, b: BOperand::Weight(id) })
                 .collect(),
         )?;
-        for ((acc, id), dst) in proj.into_iter().zip(qkv_ids).zip(qkv.chunks_exact_mut(md)) {
-            kern.requant_into(&acc, Scale::PerChannel(&model.weight(id).mults), i8::MIN, dst);
+        let outs = proj.into_iter().zip(qkv_ids).zip(qkv_rows).zip(qkv.chunks_exact_mut(md));
+        for (((acc, id), r), dst) in outs {
+            let scale = Scale::PerChannel(&model.weight(id).mults);
+            kern.requant_into(&acc, scale, i8::MIN, &mut dst[..r * d]);
         }
         let (q_act, kv_act) = qkv.split_at(md);
         let (k_act, v_act) = kv_act.split_at(md);
@@ -303,15 +331,15 @@ fn run_layers(
         let t_total = kv.layer_len(l);
         let base = kv.base();
 
-        // per-head attention scores: (m × dₕ) · (dₕ × t)
+        // per-head attention scores: (rows × dₕ) · (dₕ × t)
         let scores = run_batch(
             exec,
             (0..heads)
                 .map(|h| InferGemm {
-                    m,
+                    m: rows,
                     n: t_total,
                     k: dh,
-                    a: head_block(q_act, d, h, dh),
+                    a: head_block(&q_act[..rows * d], d, h, dh),
                     b: BOperand::Dense(kv.k_head_t(l, h, dh)),
                 })
                 .collect(),
@@ -324,23 +352,23 @@ fn run_layers(
         // row, the masked rest keeps the zero `arc_filled` gave it.
         let score_mult = Scale::Scalar(model.score_mult());
         let probs = scores.into_iter().map(|acc| {
-            assert_eq!(acc.len(), m * t_total, "scores: accumulator is not m x t");
-            arc_filled(m * t_total, |p| {
-                let rows = acc.chunks_exact(t_total).zip(p.chunks_exact_mut(t_total));
-                for (i, (acc, p)) in rows.enumerate() {
-                    let live = (start + i + 1 - base).min(t_total);
+            assert_eq!(acc.len(), rows * t_total, "scores: accumulator is not rows x t");
+            arc_filled(rows * t_total, |p| {
+                let lines = acc.chunks_exact(t_total).zip(p.chunks_exact_mut(t_total));
+                for (i, (acc, p)) in lines.enumerate() {
+                    let live = (start + first + i + 1 - base).min(t_total);
                     kern.requant_into(&acc[..live], score_mult, i8::MIN, &mut p[..live]);
                 }
             })
         });
 
-        // per-head context: (m × t) · (t × dₕ)
+        // per-head context: (rows × t) · (t × dₕ)
         let ctxs = run_batch(
             exec,
             probs
                 .enumerate()
                 .map(|(h, a)| InferGemm {
-                    m,
+                    m: rows,
                     n: dh,
                     k: t_total,
                     a,
@@ -348,39 +376,46 @@ fn run_layers(
                 })
                 .collect(),
         )?;
-        // each head's m×dₕ block lands in its columns of the m×d
+        // each head's rows×dₕ block lands in its columns of the rows×d
         // operand the out-projection reads, normalized per row: one
         // sweep per head for every `CTX_ROWS` rows, whose multipliers
         // sit on the stack; the contexts are freed as soon as it is done
         for acc in &ctxs {
-            assert_eq!(acc.len(), m * dh, "context: accumulator is not m x dh");
+            assert_eq!(acc.len(), rows * dh, "context: accumulator is not rows x dh");
         }
-        let ctx = arc_filled(md, move |ctx| {
+        let ctx = arc_filled(rows * d, move |ctx| {
             let mut mults = [0f32; CTX_ROWS];
             for (b, ctx) in ctx.chunks_mut(CTX_ROWS * d).enumerate() {
-                let (r0, rows) = (b * CTX_ROWS, ctx.len() / d);
-                for (i, mult) in mults[..rows].iter_mut().enumerate() {
-                    *mult = model.ctx_mult(start + r0 + i);
+                let (r0, n) = (b * CTX_ROWS, ctx.len() / d);
+                for (i, mult) in mults[..n].iter_mut().enumerate() {
+                    *mult = model.ctx_mult(start + first + r0 + i);
                 }
-                let scale = Scale::PerRow { mults: &mults[..rows], stride: d };
+                let scale = Scale::PerRow { mults: &mults[..n], stride: d };
                 for (h, acc) in ctxs.iter().enumerate() {
-                    let acc = &acc[r0 * dh..][..rows * dh];
+                    let acc = &acc[r0 * dh..][..n * dh];
                     kern.requant_into(acc, scale, i8::MIN, &mut ctx[h * dh..]);
                 }
             }
         });
 
-        let out = InferGemm { m, n: d, k: d, a: ctx, b: BOperand::Weight(ids.wo) };
+        let out = InferGemm { m: rows, n: d, k: d, a: ctx, b: BOperand::Weight(ids.wo) };
         kern.requant_add_sat(&run_one(exec, out)?, &model.weight(ids.wo).mults, &mut x);
 
-        let up = InferGemm { m, n: ff, k: d, a: x.as_slice().into(), b: BOperand::Weight(ids.wup) };
+        // the up-projection reads x through Q's operand buffer: the
+        // same rows × d bytes, which the executor let go of when it
+        // answered
+        match Arc::get_mut(&mut xq) {
+            Some(buf) => buf.copy_from_slice(&x),
+            None => xq = x.as_slice().into(),
+        }
+        let up = InferGemm { m: rows, n: ff, k: d, a: xq, b: BOperand::Weight(ids.wup) };
         let u = {
             let acc = run_one(exec, up)?;
             // ReLU is the sweep's floor
             let mults = Scale::PerChannel(&model.weight(ids.wup).mults);
-            arc_filled(m * ff, |u| kern.requant_into(&acc, mults, 0, u))
+            arc_filled(rows * ff, |u| kern.requant_into(&acc, mults, 0, u))
         };
-        let down = InferGemm { m, n: d, k: ff, a: u, b: BOperand::Weight(ids.wdown) };
+        let down = InferGemm { m: rows, n: d, k: ff, a: u, b: BOperand::Weight(ids.wdown) };
         kern.requant_add_sat(&run_one(exec, down)?, &model.weight(ids.wdown).mults, &mut x);
     }
 
@@ -390,7 +425,7 @@ fn run_layers(
         m: 1,
         n: model.vocab(),
         k: d,
-        a: x[md - d..].into(),
+        a: x[x.len() - d..].into(),
         b: BOperand::Weight(model.unembed_id()),
     };
     Ok(argmax(&run_one(exec, logits)?))
@@ -411,7 +446,7 @@ fn argmax(logits: &[i32]) -> u32 {
 mod tests {
     use super::*;
     use crate::kv::KvPolicy;
-    use camp_core::CampEngine;
+    use camp_core::{CampEngine, SimBackend};
     use camp_models::TransformerConfig;
 
     fn tiny() -> TransformerConfig {
@@ -455,6 +490,148 @@ mod tests {
         }
         let distinct: std::collections::BTreeSet<u32> = stream.iter().copied().collect();
         assert!(distinct.len() > 1, "requant scales collapsed the signal: {stream:?}");
+    }
+
+    /// Prompt lengths on both sides of the skinny-m bound (8) and of 32,
+    /// and the benchmark's 192-token prefill, which crosses K's
+    /// 64-position block seams.
+    const PROMPT_LENS: [usize; 9] = [1, 2, 7, 8, 9, 31, 32, 33, 192];
+
+    /// Every layer's and head's Kᵀ then V view of `kv`.
+    fn kv_views(kv: &KvCache, cfg: TransformerConfig, dh: usize) -> Vec<Arc<[i8]>> {
+        (0..cfg.layers)
+            .flat_map(|l| {
+                (0..cfg.heads).flat_map(move |h| [kv.k_head_t(l, h, dh), kv.v_head(l, h, dh)])
+            })
+            .collect()
+    }
+
+    /// A prompt of `len` tokens, served as one prefill and one token at
+    /// a time: the same first token and byte-identical K/V in every
+    /// layer, though the prefill carries only its final row past the
+    /// last layer's K/V.
+    fn prefill_matches_token_by_token(
+        model: &Model,
+        exec: &mut dyn GemmExec,
+        len: usize,
+        what: &str,
+    ) {
+        let cfg = model.config();
+        let vocab = model.vocab() as u32;
+        let prompt: Vec<u32> = (0..len as u32).map(|i| (i * 37 + 11) % vocab).collect();
+        let fresh = || KvCache::new(cfg.layers, cfg.hidden, len, KvPolicy::Reject);
+        let mut whole = fresh();
+        let first = forward(model, exec, &mut whole, 0, &prompt).unwrap();
+        let mut stepped = fresh();
+        let mut last = None;
+        for (pos, &t) in prompt.iter().enumerate() {
+            last = Some(forward(model, exec, &mut stepped, pos, &[t]).unwrap());
+        }
+        assert_eq!(Some(first), last, "{what}: first token of a {len}-token prompt");
+        assert_eq!(whole.len(), len);
+        let dh = model.head_dim();
+        assert!(
+            kv_views(&whole, cfg, dh) == kv_views(&stepped, cfg, dh),
+            "{what}: K/V of a {len}-token prompt"
+        );
+    }
+
+    /// Three layers, so a prefill has a first, a middle and a last
+    /// layer; room for the longest prompt.
+    fn parity_model() -> Model {
+        let cfg = TransformerConfig { hidden: 32, ff_dim: 64, heads: 4, layers: 3, seq_len: 192 };
+        Model::new(cfg, 48, 23)
+    }
+
+    #[test]
+    fn a_prefill_serves_token_by_token_tokens_and_kv_on_the_reference() {
+        let model = parity_model();
+        for len in PROMPT_LENS {
+            prefill_matches_token_by_token(&model, &mut RefExec::new(&model), len, "RefExec");
+        }
+    }
+
+    #[test]
+    fn a_prefill_serves_token_by_token_tokens_and_kv_on_every_host_tier() {
+        let model = parity_model();
+        for kernel in HostKernel::available() {
+            let mut engine = CampEngine::with_threads_and_kernel(1, kernel);
+            let handles = model.register(&mut engine);
+            let mut exec = BackendExec::new(&mut engine, &handles);
+            for len in PROMPT_LENS {
+                prefill_matches_token_by_token(&model, &mut exec, len, kernel.tier().name());
+            }
+        }
+    }
+
+    #[test]
+    fn a_prefill_serves_token_by_token_tokens_and_kv_on_the_simulator() {
+        let cfg = TransformerConfig { hidden: 8, ff_dim: 16, heads: 2, layers: 2, seq_len: 192 };
+        let model = Model::new(cfg, 24, 31);
+        let mut sim = SimBackend::a64fx();
+        let handles = model.register(&mut sim);
+        let mut exec = BackendExec::new(&mut sim, &handles);
+        for len in PROMPT_LENS {
+            prefill_matches_token_by_token(&model, &mut exec, len, "SimBackend");
+        }
+    }
+
+    /// Runs every batch on the reference and keeps it, so no operand
+    /// the forward pass sent is ever free again.
+    struct Keeper<'m> {
+        inner: RefExec<'m>,
+        batches: Vec<Vec<InferGemm>>,
+    }
+
+    impl GemmExec for Keeper<'_> {
+        fn run(&mut self, batch: Vec<InferGemm>) -> Result<Vec<Vec<i32>>, InferError> {
+            self.batches.push(batch.clone());
+            self.inner.run(batch)
+        }
+    }
+
+    #[test]
+    fn a_prefills_last_layer_carries_one_row_past_its_kv() {
+        // the benchmark model's four layers: 25 exec calls per step
+        let cfg = TransformerConfig { hidden: 16, ff_dim: 32, heads: 2, layers: 4, seq_len: 64 };
+        let (d, ff, dh) = (16, 32, 8);
+        let model = Model::new(cfg, 40, 3);
+        let m = 20;
+        let prompt: Vec<u32> = (0..m as u32).map(|i| i * 7 % 40).collect();
+        let mut tokens = Vec::new();
+        let mut keeper = Keeper { inner: RefExec::new(&model), batches: Vec::new() };
+        for exec in [&mut keeper as &mut dyn GemmExec, &mut RefExec::new(&model)] {
+            let mut kv = KvCache::new(cfg.layers, d, 64, KvPolicy::Reject);
+            let first = forward(&model, exec, &mut kv, 0, &prompt).unwrap();
+            tokens.push([first, forward(&model, exec, &mut kv, m, &[first]).unwrap()]);
+        }
+        // the up-projection cannot reuse an operand the executor kept
+        assert_eq!(tokens[0], tokens[1], "an executor that keeps its operands");
+
+        // one step's calls, layer by layer, when its first layers carry
+        // `m` rows over `t` cached positions
+        let step = |m: usize, t: usize| {
+            let mut want = Vec::new();
+            for l in 0..cfg.layers {
+                let r = if l + 1 == cfg.layers { 1 } else { m };
+                want.extend([
+                    vec![(r, d, d), (m, d, d), (m, d, d)],
+                    vec![(r, t, dh); 2],
+                    vec![(r, dh, t); 2],
+                    vec![(r, d, d)],
+                    vec![(r, ff, d)],
+                    vec![(r, d, ff)],
+                ]);
+            }
+            want.push(vec![(1, model.vocab(), d)]);
+            want
+        };
+        let calls: Vec<Vec<_>> =
+            keeper.batches.iter().map(|b| b.iter().map(|g| (g.m, g.n, g.k)).collect()).collect();
+        let (prefill, decode) = calls.split_at(calls.len() / 2);
+        assert_eq!(prefill.len(), 25, "exec calls per prefill");
+        assert_eq!(prefill, step(m, m), "prefill: K/V at {m} rows, everything else at 1");
+        assert_eq!(decode, step(1, m + 1), "decode: every GeMM at 1 row");
     }
 
     #[test]

@@ -177,24 +177,24 @@ fn heap_calls_per_decode_token_and_per_prefill_are_pinned() {
     let decode = decode_tally(&model, &mut exec);
     let prefill = prefill_tally(&model, &mut exec);
 
-    let per_token = 311;
-    let want = Tally { allocs: per_token * DECODE_TOKENS, bytes: 2_821_632, live: 0, peak: 17_616 };
+    let per_token = 307;
+    let want = Tally { allocs: per_token * DECODE_TOKENS, bytes: 2_804_224, live: 0, peak: 17_616 };
     assert_eq!(
         decode, want,
         "a steady-state decode token costs a constant number of heap calls and keeps nothing"
     );
     // what stays live is the K/V the prompt left in its cache
-    assert_eq!(prefill, Tally { allocs: 362, bytes: 14_264_000, live: 698_368, peak: 1_927_200 });
+    assert_eq!(prefill, Tally { allocs: 359, bytes: 11_476_112, live: 698_368, peak: 1_746_960 });
     assert!(no_higher(want, PARENT_DECODE) && no_higher(prefill, PARENT_PREFILL));
 }
 
-/// `BackendExec`'s pins before each work unit packed the dense B it
-/// reads (a batch packed each distinct dense B into a shared arena,
-/// through a pointer-keyed map).
+/// `BackendExec`'s pins before a prefill's last layer carried only its
+/// final row past K/V, and before the up-projection reused Q's operand
+/// buffer (one fresh copy of x per layer).
 const PARENT_DECODE: Tally =
-    Tally { allocs: 311 * DECODE_TOKENS, bytes: 2_843_520, live: 0, peak: 17_712 };
+    Tally { allocs: 311 * DECODE_TOKENS, bytes: 2_821_632, live: 0, peak: 17_616 };
 const PARENT_PREFILL: Tally =
-    Tally { allocs: 381, bytes: 14_306_424, live: 729_088, peak: 1_957_920 };
+    Tally { allocs: 362, bytes: 14_264_000, live: 698_368, peak: 1_927_200 };
 
 /// The same tokens on `chat_decode`'s served path: `DispatchExec` over
 /// the one session of a dispatcher, so every batch finds the turn free
@@ -216,22 +216,22 @@ fn heap_calls_on_the_dispatchers_uncontended_turn_are_pinned() {
     let stats = dispatcher.stats();
     assert!(stats.executed > 0);
     assert_eq!(stats.waited, 0, "a lone tenant never waits for the turn");
-    let per_token = 286;
-    let want = Tally { allocs: per_token * DECODE_TOKENS, bytes: 2_734_080, live: 0, peak: 17_232 };
+    let per_token = 282;
+    let want = Tally { allocs: per_token * DECODE_TOKENS, bytes: 2_716_672, live: 0, peak: 17_232 };
     assert_eq!(
         decode, want,
         "a steady-state decode token costs a constant number of heap calls and keeps nothing"
     );
-    assert_eq!(prefill, Tally { allocs: 337, bytes: 14_258_528, live: 698_368, peak: 1_927_200 });
+    assert_eq!(prefill, Tally { allocs: 334, bytes: 11_470_640, live: 698_368, peak: 1_746_960 });
     assert!(no_higher(want, PARENT_DISPATCH_DECODE) && no_higher(prefill, PARENT_DISPATCH_PREFILL));
 }
 
-/// `DispatchExec`'s pins before each work unit packed the dense B it
-/// reads (as for [`PARENT_DECODE`]).
+/// `DispatchExec`'s pins before the same change (as for
+/// [`PARENT_DECODE`]).
 const PARENT_DISPATCH_DECODE: Tally =
-    Tally { allocs: 286 * DECODE_TOKENS, bytes: 2_755_968, live: 0, peak: 17_328 };
+    Tally { allocs: 286 * DECODE_TOKENS, bytes: 2_734_080, live: 0, peak: 17_232 };
 const PARENT_DISPATCH_PREFILL: Tally =
-    Tally { allocs: 356, bytes: 14_300_952, live: 729_088, peak: 1_957_920 };
+    Tally { allocs: 337, bytes: 14_258_528, live: 698_368, peak: 1_927_200 };
 
 /// `benchmark/`'s `sim_token` model (`benchmark/src/workload.rs`).
 const SIM_CFG: TransformerConfig =
@@ -240,11 +240,10 @@ const SIM_VOCAB: usize = 64;
 
 /// Heap calls of one warm decode step of [`SIM_CFG`] on `SimBackend`:
 /// the requests' inputs and outputs (the session keeps its programs and
-/// padded operands), and the pin before batches validated against the
-/// registry in place (`execute_batch` and `execute_prepared` each copied
-/// a registry snapshot per batch).
-const SIM_ALLOCS_PER_DECODE_STEP: usize = 164;
-const PARENT_SIM_ALLOCS_PER_DECODE_STEP: usize = 190;
+/// padded operands), and the pin before the up-projection reused Q's
+/// operand buffer (one fresh copy of x per layer).
+const SIM_ALLOCS_PER_DECODE_STEP: usize = 162;
+const PARENT_SIM_ALLOCS_PER_DECODE_STEP: usize = 164;
 
 #[test]
 fn a_warm_simulated_decode_step_is_pinned() {

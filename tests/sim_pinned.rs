@@ -216,10 +216,12 @@ fn served_counts(s: &SimStats) -> [u64; 8] {
 
 /// [`served_counts`] of the prefill, then of the 15 decode steps, of
 /// the request [`a_served_request_matches_its_pinned_counts`] serves.
-/// Recorded at the commit before `SimBackend` kept one simulator and a
-/// memo, which built a fresh simulator per batch and timed every unit.
+/// The decode row was recorded at the commit before `SimBackend` kept
+/// one simulator and a memo, which built a fresh simulator per batch
+/// and timed every unit; the prefill row since a prefill's last layer
+/// carries only its final row past K/V.
 const PINNED_SERVED: [[u64; 8]; 2] = [
-    [297310, 842683, 10528368, 1204857, 662692, 504933, 480544, 1446],
+    [228369, 662881, 6855216, 863358, 470781, 504933, 373584, 1003],
     [1889076, 5946129, 20769648, 5509069, 2754986, 7762307, 3211488, 6324],
 ];
 
