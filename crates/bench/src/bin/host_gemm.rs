@@ -48,6 +48,15 @@
 //!   shapes 192×256 (Q/K/V, `up`), 192×1024 (`down`) and 192×64 (a
 //!   head's scores). The `pack_a` rows above time `pack_a_block`, which
 //!   `amx` never runs for a blocked request;
+//! * **K/V operand path per tier** — what moves attention's K and V
+//!   bytes between the Q/K/V requant and the context GeMM, on every
+//!   tier the CPU can run: [`HostKernel::k_append`] in GB/s of K
+//!   appended — a 192-token prefill's 192×256 onto empty blocks (three
+//!   whole-block calls) and a decode step's 1×256 onto position 100,
+//!   mid-block — then `pack_b` in packed GB/s at a head's Kᵀ (n 192,
+//!   k 64) and V (n 64, k 192), and the dense skinny-m walk in Gop/s
+//!   at `doc_prefill`'s decode context, 1×193×64 (QKᵀ) and 1×64×193
+//!   (PV);
 //! * **skinny-m roofline** — `run_small_m` over a packed panel image at
 //!   the served decode shapes, m = 1..8, *resident* (one image, walked
 //!   again and again) and *streamed* (rotating through 4 MB of distinct
@@ -64,7 +73,7 @@
 use camp_core::backend::CampBackend;
 use camp_core::{CampEngine, DType, GemmRequest};
 use camp_gemm::batch::packed_b_bytes;
-use camp_gemm::host::{forced_tier, HostKernel, SmallB};
+use camp_gemm::host::{forced_tier, HostKernel, SmallB, K_BLOCK};
 use camp_gemm::weights::host_block_plan;
 use std::mem::MaybeUninit;
 
@@ -123,7 +132,7 @@ fn int_secs(
 /// `pack_b` a `k×rows` B image (`rows` = n); the metric is bytes of
 /// packed output per second. Each timed repetition packs the image
 /// again and again, about 8 MB in all.
-fn pack_gbs(kernel: &'static HostKernel, path: &str, rows: usize, k: usize) -> f64 {
+fn pack_gbs(kernel: &HostKernel, path: &str, rows: usize, k: usize) -> f64 {
     let src = gen_i8(rows * k, 0x77AA_77AB, -128, 127);
     let mut buf = vec![0i8; rows * k];
     let calls = ((8 << 20) / (rows * k)).max(1);
@@ -317,6 +326,59 @@ fn print_a_image_per_tier() {
     }
 }
 
+/// GB/s of K appended by `hk`'s [`HostKernel::k_append`]: `rows`
+/// rows of `hidden` bytes written as positions `pos..pos + rows` of a
+/// channel-major K image, one call per block they reach, about 8 MB of
+/// rows per timed repetition.
+fn k_append_gbs(hk: &HostKernel, rows: usize, hidden: usize, pos: usize) -> f64 {
+    let src = gen_i8(rows * hidden, 0x77AA_77AB, -128, 127);
+    let mut image = vec![0i8; (pos + rows).div_ceil(K_BLOCK) * hidden * K_BLOCK];
+    let calls = ((8 << 20) / (rows * hidden)).max(1);
+    let secs = time_best(|| {
+        for _ in 0..calls {
+            let mut done = 0;
+            while done < rows {
+                let (t, src) = (pos + done, std::hint::black_box(&src));
+                let (off, run) = (t % K_BLOCK, (K_BLOCK - t % K_BLOCK).min(rows - done));
+                let block = &mut image[t / K_BLOCK * hidden * K_BLOCK..][..hidden * K_BLOCK];
+                hk.k_append(block, &src[done * hidden..][..run * hidden], hidden, off);
+                done += run;
+            }
+        }
+    });
+    std::hint::black_box(&image);
+    (calls * rows * hidden) as f64 / secs / 1e9
+}
+
+/// The K/V operand path of every runnable tier (see the module doc).
+fn print_kv_path_per_tier() {
+    println!("--------------------------------------------------------------");
+    println!("K/V operand path per tier (1 thread): K append and pack_b in GB/s, dense walk Gop/s");
+    println!(
+        "{:<11} {:>12} {:>12} {:>11} {:>11} {:>11} {:>11}",
+        "tier",
+        "kv 192x256",
+        "kv 1x256@100",
+        "pack 192x64",
+        "pack 64x192",
+        "dense 193x64",
+        "dense 64x193"
+    );
+    for hk in HostKernel::available() {
+        let dense = |n, k| gops(1, n, k, dense_m_secs(hk, 1, n, k));
+        println!(
+            "{:<11} {:>12.1} {:>12.1} {:>11.1} {:>11.1} {:>11.1} {:>11.1}",
+            hk.tier().name(),
+            k_append_gbs(hk, 192, 256, 0),
+            k_append_gbs(hk, 1, 256, 100),
+            pack_gbs(hk, "pack_b", 192, 64),
+            pack_gbs(hk, "pack_b", 64, 192),
+            dense(193, 64),
+            dense(64, 193)
+        );
+    }
+}
+
 /// The skinny-m roofline of the dispatched tier (see the module doc).
 fn print_small_m_roofline(hk: &HostKernel) {
     println!("--------------------------------------------------------------");
@@ -425,5 +487,6 @@ fn main() {
     }
     print_blocked_per_tier();
     print_a_image_per_tier();
+    print_kv_path_per_tier();
     print_small_m_roofline(simd);
 }

@@ -4,16 +4,19 @@
 //! arithmetic — the 4×8 wide tile ([`tile_i8_wide`], the blocked nest's
 //! `tile_i8_into` through `scalar::tile_into_with`; the 4×4 [`tile_i8`]
 //! of the trailing panel group is its one-panel instance) and the
-//! grouped panel kernel (`panel_group`) — plus the A packer's 4×16
-//! byte transposes ([`pack_a_block`], which the AVX-512 tier shares).
+//! grouped panel kernel (`panel_group`) — plus the transposes that move
+//! operand bytes: the A packer's 4×16 byte transposes ([`pack_a_block`],
+//! which the AVX-512 tiers share), the B packer's 8×8 word transposes
+//! ([`pack_b_block`], shared too) and the K append's 16×16 byte transposes
+//! (`k_append_from`, which finishes the AVX-512 tier's append too).
 //! The kernels widen i8→i16 with `vpshufb`-interleaved panels and
 //! accumulate through `vpmaddwd` (exact: every i8×i8 product fits i16
 //! headroom, every pairwise sum fits i32) into wrapping `vpaddd`
 //! accumulators, so the tier is bit-identical to the reference by
-//! construction. Every other entry — `pack_b`, `small_m_dense`,
-//! `panel_mav` and the two requant sweeps — is the portable body of
-//! `scalar.rs` / `requant.rs`, recompiled here with AVX2 enabled by
-//! `recompile!` (`host/mod.rs`).
+//! construction. Every other entry — `small_m_dense`, `panel_mav` and
+//! the two requant sweeps — is the portable body of `scalar.rs` /
+//! `requant.rs`, recompiled here with AVX2 enabled by `recompile!`
+//! (`host/mod.rs`).
 //!
 //! Every `_impl` below is an `unsafe fn` with
 //! `#[target_feature(enable = ...)]` and **no inner unsafe blocks**;
@@ -26,10 +29,9 @@ use std::arch::x86_64::*;
 
 use super::Scale;
 
+use super::{scalar, K_BLOCK};
+
 recompile! { "avx2", is_x86_feature_detected!("avx2");
-    fn pack_b_block(
-        buf: &mut [i8], b: &[i8], n: usize, k: usize, jc: usize, pc: usize, kcb: usize,
-    ) = super::scalar::pack_b_block;
     fn small_m_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32])
         = super::scalar::small_m_dense;
     fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) = super::scalar::panel_mav;
@@ -354,9 +356,162 @@ pub fn pack_a_block(
     unsafe { pack_a_block_impl(buf, a, m, k, ic, pc, kcb) }
 }
 
+// SAFETY: requires AVX2; register-to-register, no memory access.
+/// Transpose an 8×8 matrix of 4-byte words, row `i` in `r[i]`: word `j`
+/// of the result's vector `i` is word `i` of `r[j]`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose_words_8x8(r: [__m256i; 8]) -> [__m256i; 8] {
+    // pairs of rows interleaved word by word, then pairs of pairs: u[x]
+    // holds column x of rows 0..4 in its low lane and column x + 4 in
+    // its high lane, u[x + 4] the same of rows 4..8
+    let mut u = [_mm256_setzero_si256(); 8];
+    for h in 0..2 {
+        let r = &r[4 * h..];
+        let t = [
+            _mm256_unpacklo_epi32(r[0], r[1]),
+            _mm256_unpackhi_epi32(r[0], r[1]),
+            _mm256_unpacklo_epi32(r[2], r[3]),
+            _mm256_unpackhi_epi32(r[2], r[3]),
+        ];
+        u[4 * h] = _mm256_unpacklo_epi64(t[0], t[2]);
+        u[4 * h + 1] = _mm256_unpackhi_epi64(t[0], t[2]);
+        u[4 * h + 2] = _mm256_unpacklo_epi64(t[1], t[3]);
+        u[4 * h + 3] = _mm256_unpackhi_epi64(t[1], t[3]);
+    }
+    let mut out = [_mm256_setzero_si256(); 8];
+    for x in 0..4 {
+        out[x] = _mm256_permute2x128_si256::<0x20>(u[x], u[x + 4]);
+        out[x + 4] = _mm256_permute2x128_si256::<0x31>(u[x], u[x + 4]);
+    }
+    out
+}
+
+// SAFETY: requires AVX2. With `(kreal, whole)` the block's extent, every
+// 32-byte load reads words `q0..q0 + 8` of B row `pc + l0 + i`, inside
+// the row because `l0 + i < k16 <= kreal <= k - pc` and
+// `jc + 4·(q0 + 8) <= jc + 4·w8 <= n`, of a `b` holding `k·n` bytes
+// (asserted by the wrapper); every 32-byte store lands in panel
+// `q0 + q < w8 <= buf.len() / (kcb·4)` at k-values `l0 + 8h .. + 8`,
+// below `k16 <= kcb`. The rest is safe code.
+#[target_feature(enable = "avx2")]
+unsafe fn pack_b_block_impl(
+    buf: &mut [i8],
+    b: &[i8],
+    n: usize,
+    k: usize,
+    jc: usize,
+    pc: usize,
+    kcb: usize,
+) {
+    let panel = kcb * 4;
+    let extent @ (kreal, whole) = scalar::pack_b_extent(buf.len(), n, k, jc, pc, kcb);
+    let (k16, w8) = (kreal & !15, whole & !7);
+    let dst = buf.as_mut_ptr();
+    for l0 in (0..k16).step_by(16) {
+        let src = b.as_ptr().add((pc + l0) * n + jc);
+        for q0 in (0..w8).step_by(8) {
+            // 16 k-rows × 8 panels as two 8×8 word transposes: each
+            // panel gets one 64-byte run
+            for h in 0..2 {
+                let rows: [__m256i; 8] = std::array::from_fn(|i| {
+                    _mm256_loadu_si256(src.add((8 * h + i) * n + q0 * 4) as *const __m256i)
+                });
+                for (q, v) in transpose_words_8x8(rows).into_iter().enumerate() {
+                    let at = (q0 + q) * panel + (l0 + 8 * h) * 4;
+                    _mm256_storeu_si256(dst.add(at) as *mut __m256i, v);
+                }
+            }
+        }
+    }
+    scalar::pack_b_words(buf, b, n, jc, pc, kcb, 0..k16, w8..whole);
+    scalar::pack_b_words(buf, b, n, jc, pc, kcb, k16..kreal, 0..whole);
+    scalar::pack_b_edges(buf, b, n, jc, pc, kcb, extent);
+}
+
+/// The `pack_b` entry of every x86 tier: [`super::scalar::pack_b_block`]'s
+/// image, its whole panels moved 16 k-rows × 8 panels at a time as two
+/// 8×8 transposes of 4-byte words (a panel's k-values are one column of
+/// B's words), the panels and k-rows past the last whole step and the
+/// edge panels by the portable pieces.
+pub fn pack_b_block(
+    buf: &mut [i8],
+    b: &[i8],
+    n: usize,
+    k: usize,
+    jc: usize,
+    pc: usize,
+    kcb: usize,
+) {
+    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 packer dispatched without avx2");
+    assert!(b.len() >= k * n, "B must hold k rows of n bytes");
+    assert!(buf.len().is_multiple_of(kcb * 4), "buf must hold whole panels");
+    // SAFETY: AVX2 detection gates dispatch (debug-asserted above); the
+    // asserts are the impl's bounds preconditions.
+    unsafe { pack_b_block_impl(buf, b, n, k, jc, pc, kcb) }
+}
+
+// SAFETY: requires AVX2. `run` is the wrapper-checked run and `chans`
+// whole 16-channel groups: every 16-byte load reads channels `c0..c0 + 16`
+// (`c0 + 16 <= chans <= hidden`) of row `r + i < run` of `rows`; every
+// store writes positions `off + r ..` of channel `c0 + j`'s run, 32 or 16
+// bytes with `r + 32 <= run` or `r + 16 <= run`, so inside the block
+// (`off + run <= K_BLOCK`). The tails are safe code.
+#[target_feature(enable = "avx2")]
+unsafe fn k_append_impl(block: &mut [i8], rows: &[i8], hidden: usize, off: usize, mut r: usize) {
+    let run = rows.len() / hidden;
+    let chans = hidden & !15;
+    let (src, dst) = (rows.as_ptr(), block.as_mut_ptr());
+    let load =
+        |row: usize, c0: usize| _mm_loadu_si128(src.add(row * hidden + c0) as *const __m128i);
+    // 32 rows: two 16×16 transposes side by side, rows `r..` in the low
+    // lanes and `r + 16..` in the high ones, so each channel's 32
+    // positions leave in one store
+    while r + 32 <= run {
+        for c0 in (0..chans).step_by(16) {
+            let mut x: [__m256i; 16] =
+                std::array::from_fn(|i| _mm256_set_m128i(load(r + 16 + i, c0), load(r + i, c0)));
+            byte_transpose16!(x, _mm256_unpacklo_epi8, _mm256_unpackhi_epi8);
+            for (j, v) in x.into_iter().enumerate() {
+                _mm256_storeu_si256(dst.add((c0 + j) * K_BLOCK + off + r) as *mut __m256i, v);
+            }
+        }
+        r += 32;
+    }
+    if r + 16 <= run {
+        for c0 in (0..chans).step_by(16) {
+            let mut x: [__m128i; 16] = std::array::from_fn(|i| load(r + i, c0));
+            byte_transpose16!(x, _mm_unpacklo_epi8, _mm_unpackhi_epi8);
+            for (j, v) in x.into_iter().enumerate() {
+                _mm_storeu_si128(dst.add((c0 + j) * K_BLOCK + off + r) as *mut __m128i, v);
+            }
+        }
+        r += 16;
+    }
+    // the channels past the last whole group of every row transposed so
+    // far, then the rows past the transposes
+    scalar::k_append_region(block, rows, hidden, off, 0..r, chans..hidden);
+    scalar::k_append_region(block, rows, hidden, off, r..run, 0..hidden);
+}
+
+/// The K append (see [`super::HostKernel::k_append`]) of rows `r..`,
+/// rows `..r` already transposed for every whole group of 16 channels
+/// (the AVX-512 tier's whole-block transposes leave that; the AVX2
+/// table passes `r = 0`): 32 rows at a time, then 16, through 16×16
+/// byte transposes, one store per channel per step; the channels past
+/// the last group of 16 and the rows past the last step one byte at a
+/// time ([`super::scalar::k_append_region`]).
+pub(super) fn k_append_from(block: &mut [i8], rows: &[i8], hidden: usize, off: usize, r: usize) {
+    debug_assert!(is_x86_feature_detected!("avx2"), "avx2 append dispatched without avx2");
+    let run = scalar::assert_k_append_shape(block, rows, hidden, off);
+    assert!(r <= run, "rows done past the run");
+    // SAFETY: AVX2 detection gates dispatch (debug-asserted above); the
+    // shape asserts are the impl's bounds preconditions.
+    unsafe { k_append_impl(block, rows, hidden, off, r) }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::super::scalar;
     use super::*;
     use crate::reference::{pack_a_ref, pack_b_ref, SplitMix64};
 

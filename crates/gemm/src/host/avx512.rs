@@ -10,11 +10,12 @@
 //! vector width: 16 k-values per integer step and a 4×16 widened
 //! integer register tile that amortizes every A-side shuffle over four
 //! B panels. The 32-register zmm file is what makes the 16-accumulator
-//! integer tile hold entirely in registers. The A packer is the AVX2
-//! tier's; every other entry — `pack_b`, `small_m_dense`, `panel_mav`
-//! and the two requant sweeps — is the portable body of `scalar.rs` /
-//! `requant.rs`, recompiled here with AVX-512 enabled by `recompile!`
-//! (`host/mod.rs`).
+//! integer tile hold entirely in registers. The K append's whole-block
+//! byte transposes are hand-written too (`k_append_blocks`, 64 rows
+//! and one 64-byte store per channel). Both packers are the AVX2 tier's;
+//! every other entry — `small_m_dense`, `panel_mav` and the two requant
+//! sweeps — is the portable body of `scalar.rs` / `requant.rs`,
+//! recompiled here with AVX-512 enabled by `recompile!` (`host/mod.rs`).
 //!
 //! The wide tile hands its result back *in C*: its 16 accumulators fold
 //! into four 16-lane rows that are added straight to four rows of the
@@ -23,7 +24,10 @@
 //! [`tile_i8_into_vnni`] is the one kernel of the `avx512vnni` tier that
 //! differs: the same tile with the widening folded into the multiplier's
 //! own issue (`vpdpbusd`, the commodity `camp.s8`) — no i8→i16
-//! conversions, no `vpaddd` — over the same packed panels.
+//! conversions, no `vpaddd` — over the same packed panels. The VNNI
+//! tiers also run their own dense skinny-m walk (`small_m_dense_vnni`):
+//! four raw B rows interleaved into k-quads in registers, then
+//! `vpdpbusd` against A biased to unsigned, less a Σb correction.
 //!
 //! Depth remainders that do not fill a 64-byte chunk take the scalar
 //! reference path — bit-identical by definition, and never hit by the
@@ -40,10 +44,9 @@ use std::arch::x86_64::*;
 
 use super::Scale;
 
+use super::{scalar, K_BLOCK};
+
 recompile! { "avx512f,avx512bw,avx512vl", have_avx512();
-    fn pack_b_block(
-        buf: &mut [i8], b: &[i8], n: usize, k: usize, jc: usize, pc: usize, kcb: usize,
-    ) = super::scalar::pack_b_block;
     fn small_m_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32])
         = super::scalar::small_m_dense;
     fn panel_mav(acc: &mut [i32; 4], a_row: &[i8], panel: &[i8]) = super::scalar::panel_mav;
@@ -455,6 +458,170 @@ pub(super) fn panel_group(
     }
 }
 
+// SAFETY: requires AVX512F+AVX512BW+AVX512VL+AVX2. Runs only when the
+// wrapper-checked run is a whole block (`off == 0`, 64 rows): every
+// 16-byte load reads channels `c0..c0 + 16 <= hidden` of a row below 64,
+// and every 64-byte store is channel `c0 + j`'s whole run.
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx2")]
+unsafe fn k_append_blocks_impl(block: &mut [i8], rows: &[i8], hidden: usize) {
+    let (src, dst) = (rows.as_ptr(), block.as_mut_ptr());
+    let load =
+        |row: usize, c0: usize| _mm_loadu_si128(src.add(row * hidden + c0) as *const __m128i);
+    for c0 in (0..hidden & !15).step_by(16) {
+        // four 16×16 transposes side by side, rows 16g.. in lane g, so
+        // each channel's 64 positions leave in one store
+        let mut x: [__m512i; 16] = std::array::from_fn(|i| {
+            let v = _mm512_castsi128_si512(load(i, c0));
+            let v = _mm512_inserti32x4::<1>(v, load(16 + i, c0));
+            let v = _mm512_inserti32x4::<2>(v, load(32 + i, c0));
+            _mm512_inserti32x4::<3>(v, load(48 + i, c0))
+        });
+        byte_transpose16!(x, _mm512_unpacklo_epi8, _mm512_unpackhi_epi8);
+        for (j, v) in x.into_iter().enumerate() {
+            _mm512_storeu_epi8(dst.add((c0 + j) * K_BLOCK), v);
+        }
+    }
+}
+
+/// The AVX-512 tiers' part of the K append (see
+/// [`super::HostKernel::k_append`]): a run that is a whole block moves as
+/// four 16×16 byte transposes per 16 channels, one 64-byte store per
+/// channel. Returns the rows done — 64 or 0 — for AVX2's
+/// `k_append_from` (`host/mod.rs` chains the two) to finish the rest
+/// and the channels past the last group of 16.
+pub(super) fn k_append_blocks(block: &mut [i8], rows: &[i8], hidden: usize, off: usize) -> usize {
+    debug_assert!(have_avx512(), "avx512 append dispatched without avx512f/bw");
+    if scalar::assert_k_append_shape(block, rows, hidden, off) < K_BLOCK {
+        return 0;
+    }
+    // SAFETY: AVX-512 detection gates dispatch (debug-asserted above); a
+    // run of K_BLOCK rows that fits the block starts at 0: the impl's
+    // precondition.
+    unsafe { k_append_blocks_impl(block, rows, hidden) };
+    K_BLOCK
+}
+
+// SAFETY: requires AVX512F+AVX512BW+AVX512VL+AVX512VNNI. The wrapper
+// checks `a` holds `R` rows of `k`, `b` `k` rows of `n` and `c` `R` rows
+// of `n`. Every B load is one row `l < k` at columns `j0..`, masked to
+// the `live = min(64, n - j0)` columns that exist (a masked-off byte is
+// never read); every A read is 4 bytes at `i·k + l` with `l + 4 <= k`;
+// every C access is row `i`'s columns `j0 + 16g..`, masked to the live
+// ones. The k tail is safe code.
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
+unsafe fn dense_rows_vnni<const R: usize>(n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+    let bias = _mm512_set1_epi8(-128);
+    for j0 in (0..n).step_by(64) {
+        let live = (n - j0).min(64);
+        let cols = u64::MAX >> (64 - live);
+        let bp = b.as_ptr().add(j0);
+        // acc[i][x] lane g, dword d: row i × column j0 + 16g + 4x + d,
+        // against a + 128; bsum[x] the same columns' 128·Σb
+        let mut acc = [[_mm512_setzero_si512(); 4]; R];
+        let mut bsum = [_mm512_setzero_si512(); 4];
+        // one k-quad: four B rows interleaved so each dword holds one
+        // column's four k-values, then `vpdpbusd` — u8 (a ^ 0x80 =
+        // a + 128) by i8 b, four products per dword, wrapping
+        let mut quad = |r: [__m512i; 4], a4: [u32; R]| {
+            let t = [
+                _mm512_unpacklo_epi8(r[0], r[1]),
+                _mm512_unpackhi_epi8(r[0], r[1]),
+                _mm512_unpacklo_epi8(r[2], r[3]),
+                _mm512_unpackhi_epi8(r[2], r[3]),
+            ];
+            let q = [
+                _mm512_unpacklo_epi16(t[0], t[2]),
+                _mm512_unpackhi_epi16(t[0], t[2]),
+                _mm512_unpacklo_epi16(t[1], t[3]),
+                _mm512_unpackhi_epi16(t[1], t[3]),
+            ];
+            for x in 0..4 {
+                bsum[x] = _mm512_dpbusd_epi32(bsum[x], bias, q[x]);
+            }
+            for i in 0..R {
+                let av = _mm512_xor_si512(_mm512_set1_epi32(a4[i] as i32), bias);
+                for x in 0..4 {
+                    acc[i][x] = _mm512_dpbusd_epi32(acc[i][x], av, q[x]);
+                }
+            }
+        };
+        let row = |l: usize| _mm512_maskz_loadu_epi8(cols, bp.add(l * n));
+        let mut l = 0;
+        while l + 4 <= k {
+            let a4 =
+                std::array::from_fn(|i| a.as_ptr().add(i * k + l).cast::<u32>().read_unaligned());
+            quad([row(l), row(l + 1), row(l + 2), row(l + 3)], a4);
+            l += 4;
+        }
+        if l < k {
+            // the last 1..=3 k-values: B's missing rows are zero, so
+            // whatever A byte meets them adds nothing
+            let tail = |i: usize| {
+                let bytes = a[i * k + l..(i + 1) * k].iter().rev();
+                bytes.fold(0u32, |word, &v| word << 8 | u32::from(v as u8))
+            };
+            let r =
+                std::array::from_fn(
+                    |d| {
+                        if l + d < k {
+                            row(l + d)
+                        } else {
+                            _mm512_setzero_si512()
+                        }
+                    },
+                );
+            quad(r, std::array::from_fn(tail));
+        }
+        for i in 0..R {
+            // Σ (a + 128)·b − 128·Σb = Σ a·b in wrapping i32; then
+            // quarter g of sums[x] goes to columns 16g + 4x.., a 4×4
+            // transpose of 128-bit blocks
+            let v: [__m512i; 4] = std::array::from_fn(|x| _mm512_sub_epi32(acc[i][x], bsum[x]));
+            let lo01 = _mm512_shuffle_i32x4::<0x44>(v[0], v[1]);
+            let hi01 = _mm512_shuffle_i32x4::<0xEE>(v[0], v[1]);
+            let lo23 = _mm512_shuffle_i32x4::<0x44>(v[2], v[3]);
+            let hi23 = _mm512_shuffle_i32x4::<0xEE>(v[2], v[3]);
+            let sums = [
+                _mm512_shuffle_i32x4::<0x88>(lo01, lo23),
+                _mm512_shuffle_i32x4::<0xDD>(lo01, lo23),
+                _mm512_shuffle_i32x4::<0x88>(hi01, hi23),
+                _mm512_shuffle_i32x4::<0xDD>(hi01, hi23),
+            ];
+            for (g, s) in sums.into_iter().enumerate().take(live.div_ceil(16)) {
+                let m = (u32::MAX >> (32 - (live - 16 * g).min(16))) as __mmask16;
+                let dst = c.as_mut_ptr().add(i * n + j0 + 16 * g);
+                let sum = _mm512_add_epi32(_mm512_maskz_loadu_epi32(m, dst), s);
+                _mm512_mask_storeu_epi32(dst, m, sum);
+            }
+        }
+    }
+}
+
+/// The VNNI tiers' dense skinny-m walk (the `small_m_dense` table entry
+/// of [`super::HostKernel`]; the contract of
+/// [`super::scalar::small_m_dense`]): per pair of rows and 64 columns,
+/// every four B rows interleaved into k-quads in registers and
+/// multiplied by `vpdpbusd`, A biased to unsigned by `^ 0x80` and the
+/// bias taken back once per column as 128·Σb. A partial last group of
+/// columns runs masked. Bit-identical in wrapping i32.
+pub(super) fn small_m_dense_vnni(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32]) {
+    debug_assert!(have_avx512vnni(), "avx512vnni kernel dispatched without avx512_vnni");
+    assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n, "operands below m, n, k");
+    for i in (0..m).step_by(2) {
+        let (a, c) = (&a[i * k..], &mut c[i * n..]);
+        // SAFETY: AVX512-VNNI detection (on top of the AVX-512 gate)
+        // selects this entry (debug-asserted above); the rows from `i`
+        // hold what the impl reads and writes (asserted above).
+        unsafe {
+            if m - i >= 2 {
+                dense_rows_vnni::<2>(n, k, a, b, c)
+            } else {
+                dense_rows_vnni::<1>(n, k, a, b, c)
+            }
+        }
+    }
+}
+
 /// Runtime gate shared by the wrappers' debug assertions: the features
 /// every kernel in this module may rely on.
 fn have_avx512() -> bool {
@@ -472,7 +639,6 @@ fn have_avx512vnni() -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::super::scalar;
     use super::*;
     use crate::reference::SplitMix64;
 

@@ -9,7 +9,7 @@
 //! pire/BLIS pattern: per-architecture micro-kernel + pack modules
 //! behind a single runtime-dispatched seam.
 //!
-//! Three kernel families live behind the table:
+//! These kernel families live behind the table:
 //!
 //! * **`tile_i8`** — the widening i8→i32 dot-product micro-kernel. It
 //!   consumes one packed 4-row A panel and 4-column B panel across the
@@ -32,6 +32,9 @@
 //!   i32→i8 sweeps between GeMMs ([`Scale`]): one scalar body that the
 //!   SIMD tiers recompile at their own vector width, bit-identical on
 //!   every tier.
+//! * **`k_append`** — the K half of the KV cache's append: row-major K
+//!   rows transposed into a channel-major block of [`K_BLOCK`]
+//!   positions, in register byte transposes on the SIMD tiers.
 //!
 //! Cache blocking (`mc`/`nc`/`kc`) is the constant
 //! [`HOST_BLOCKING`], one set for every tier: the packed-panel layout
@@ -89,6 +92,32 @@ macro_rules! recompile {
     };
 }
 
+/// Transpose the 16×16 byte matrix held in `$x` (16 vectors, row `i` in
+/// vector `i`) inside every 128-bit lane, with `$lo` / `$hi` the
+/// width's `unpacklo_epi8` / `unpackhi_epi8`. One round interleaves
+/// vector `i` with vector `i + 8` into vectors `2i` and `2i + 1`, which
+/// rotates the 8-bit (vector, byte) index left by one bit; four rounds
+/// swap its halves, so vector `j` ends as column `j` of each lane's own
+/// 16×16. Fully unrolled: every index is a constant, and the 16 vectors
+/// stay in registers.
+#[cfg(target_arch = "x86_64")]
+macro_rules! byte_transpose16 {
+    ($x:ident, $lo:ident, $hi:ident) => {
+        for _ in 0..4 {
+            byte_transpose16!(@round $x, $lo, $hi);
+        }
+    };
+    (@round $x:ident, $lo:ident, $hi:ident) => {
+        let y = $x;
+        $x = [
+            $lo(y[0], y[8]), $hi(y[0], y[8]), $lo(y[1], y[9]), $hi(y[1], y[9]),
+            $lo(y[2], y[10]), $hi(y[2], y[10]), $lo(y[3], y[11]), $hi(y[3], y[11]),
+            $lo(y[4], y[12]), $hi(y[4], y[12]), $lo(y[5], y[13]), $hi(y[5], y[13]),
+            $lo(y[6], y[14]), $hi(y[6], y[14]), $lo(y[7], y[15]), $hi(y[7], y[15]),
+        ];
+    };
+}
+
 mod blocked;
 mod requant;
 pub mod scalar;
@@ -113,6 +142,11 @@ pub use small::SmallB;
 
 #[cfg(target_arch = "x86_64")]
 use avx512::QUAD_TRANSPOSE;
+
+/// Positions per block of a channel-major K image
+/// ([`HostKernel::k_append`]): one channel's run inside a block is this
+/// many contiguous bytes (a cache line).
+pub const K_BLOCK: usize = 64;
 
 // ---- runtime feature probe ------------------------------------------------
 
@@ -331,6 +365,11 @@ pub struct HostKernel {
     /// Saturating residual add: `(acc, mults, x)` — see
     /// [`HostKernel::requant_add_sat`]; the same one body.
     pub(crate) requant_add_sat: fn(&[i32], &[f32], &mut [i8]),
+    /// The K append: `(block, rows, hidden, off)` — see
+    /// [`HostKernel::k_append`]. Byte transposes in registers on the
+    /// SIMD tiers, one byte per (channel, row) on the scalar tier and
+    /// for whatever a tier's transposes leave.
+    pub(crate) k_append: fn(&mut [i8], &[i8], usize, usize),
     /// The tier's own blocked macro-kernel and the A image it reads;
     /// `None` runs the shared panel nest over
     /// [`HostKernel::tile_i8_into`] on the shared A panels.
@@ -386,13 +425,15 @@ static SCALAR: HostKernel = HostKernel {
     pack_b: scalar::pack_b_block,
     requant_into: requant::requant_into,
     requant_add_sat: requant::requant_add_sat,
+    k_append: scalar::k_append,
     macro_kernel: None,
 };
 
 // Hand-written for AVX2: the 4×8 tile (the 4×4 tile is its one-panel
-// instance), the grouped panel kernel and the A packer's byte
-// transposes. Every other entry is a portable body recompiled at ymm
-// width (`recompile!`).
+// instance), the grouped panel kernel, the A packer's byte transposes,
+// the B packer's word transposes and the K append's byte transposes.
+// Every other entry is a portable body recompiled at ymm width
+// (`recompile!`).
 #[cfg(target_arch = "x86_64")]
 static AVX2: HostKernel = HostKernel {
     tier: HostTier::Avx2,
@@ -405,15 +446,19 @@ static AVX2: HostKernel = HostKernel {
     pack_b: avx2::pack_b_block,
     requant_into: avx2::requant_into,
     requant_add_sat: avx2::requant_add_sat,
+    k_append: |block, rows, hidden, off| avx2::k_append_from(block, rows, hidden, off, 0),
     macro_kernel: None,
 };
 
-// Only the kernels where vector width buys arithmetic are hand-written
-// for AVX-512: the 4×16 tile (the 4×4 tile is its one-panel instance)
-// and the grouped panel kernel. The A packer is AVX2's: recompiled at
-// zmm width, the portable body lost to its 16-byte transposes once the
-// block leaves L1. Every other entry is a portable body recompiled at
-// zmm width (`recompile!`).
+// Hand-written for AVX-512: the 4×16 tile (the 4×4 tile is its
+// one-panel instance), the grouped panel kernel and the K append's
+// whole-block transposes (64 rows, one 64-byte store per channel),
+// which leave what is not a whole block to AVX2's. Both packers are
+// AVX2's: recompiled at zmm width, the portable A body lost to its
+// 16-byte transposes once the block leaves L1, and a zmm 16×16 word
+// transpose of B (`vpermt2d`, port 5 only) packed slower than its
+// 8×8 ymm ones. Every other entry is a portable body recompiled at zmm
+// width (`recompile!`).
 #[cfg(target_arch = "x86_64")]
 static AVX512: HostKernel = HostKernel {
     tier: HostTier::Avx512,
@@ -423,21 +468,31 @@ static AVX512: HostKernel = HostKernel {
     small_m_dense: avx512::small_m_dense,
     panel_group: avx512::panel_group,
     pack_a: avx2::pack_a_block,
-    pack_b: avx512::pack_b_block,
+    pack_b: avx2::pack_b_block,
     requant_into: avx512::requant_into,
     requant_add_sat: avx512::requant_add_sat,
+    k_append: |block, rows, hidden, off| {
+        let done = avx512::k_append_blocks(block, rows, hidden, off);
+        avx2::k_append_from(block, rows, hidden, off, done)
+    },
     macro_kernel: None,
 };
 
-// The VNNI tier is the AVX-512 table with one entry swapped: the tile
-// that serves every blocked GeMM. The 4×4 tile only sees trailing panel
-// groups. The skinny kernels keep widening: in isolation they are below
-// their roofs and a `vpdpbusd` group kernel reads faster, but the
+// The VNNI tier is the AVX-512 table with two entries swapped: the tile
+// that serves every blocked GeMM, and the dense skinny-m walk over a raw
+// B (decode's attention GEMVs, whose K/V operands sit in cache), which
+// interleaves B rows into k-quads for `vpdpbusd`. The 4×4 tile only sees
+// trailing panel groups. The panel walk keeps widening: in isolation it
+// is below its roof and a `vpdpbusd` group kernel reads faster, but the
 // served m = 1 decode walk is bound by L3 bandwidth in situ, where it
 // buys no end-to-end time (docs/HOST_KERNELS.md, "The grouped panel walk").
 #[cfg(target_arch = "x86_64")]
-static AVX512VNNI: HostKernel =
-    HostKernel { tier: HostTier::Avx512Vnni, tile_i8_into: avx512::tile_i8_into_vnni, ..AVX512 };
+static AVX512VNNI: HostKernel = HostKernel {
+    tier: HostTier::Avx512Vnni,
+    tile_i8_into: avx512::tile_i8_into_vnni,
+    small_m_dense: avx512::small_m_dense_vnni,
+    ..AVX512
+};
 
 // The AMX tier is the VNNI table plus its own blocked macro-kernel:
 // every blocked GeMM runs on `tdpbssd` tiles over the registry's
@@ -783,6 +838,20 @@ impl HostKernel {
     /// `mults.len()` columns.
     pub fn requant_add_sat(&self, acc: &[i32], mults: &[f32], x: &mut [i8]) {
         (self.requant_add_sat)(acc, mults, x)
+    }
+
+    /// Append `run = rows.len() / hidden` row-major rows of `hidden`
+    /// bytes as positions `off..off + run` of a channel-major K block:
+    /// `block` is `hidden × K_BLOCK` bytes, channel `c`'s positions at
+    /// `block[c·K_BLOCK..][..K_BLOCK]`, and the append writes
+    /// `block[c·K_BLOCK + off + r] = rows[r·hidden + c]` and no other
+    /// byte. Byte-identical on every tier.
+    ///
+    /// # Panics
+    /// When `block` is not `hidden × K_BLOCK` bytes, `rows` is not whole
+    /// rows, or the run does not fit the block past `off`.
+    pub fn k_append(&self, block: &mut [i8], rows: &[i8], hidden: usize, off: usize) {
+        (self.k_append)(block, rows, hidden, off)
     }
 }
 

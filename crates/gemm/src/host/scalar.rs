@@ -5,20 +5,27 @@
 //! instruction (wrapping i32 accumulation of exact i8×i8 products)
 //! over the shared 4×4 packed-panel layout.
 //!
-//! [`small_m_dense`], [`panel_mav`] and [`pack_b_block`] are table
-//! entries on every tier: the scalar table calls them as they are, and
-//! the AVX2 and AVX-512 tables call copies that `host/mod.rs`'s
-//! `recompile!` compiles under `#[target_feature]`, so LLVM vectorizes
-//! the same source at each tier's width. They are `#[inline(always)]`
-//! for that reason (a body that stops inlining into a tier's copy runs
-//! at baseline SSE2 width there), and written for the vectorizer: fixed
-//! widths, accumulators held in local arrays across the depth loop,
-//! contiguous reads. [`tile_i8`] and [`pack_a_block`] are the scalar
-//! tier's own; the x86 tiers keep hand-written code for both
-//! (`docs/HOST_KERNELS.md`, "Hand-written and recompiled"). The oracles
-//! live elsewhere: `gemm_i32_ref` for the arithmetic and
+//! [`small_m_dense`] and [`panel_mav`] are table entries on every tier
+//! but `small_m_dense` on the VNNI tiers: the scalar table calls them
+//! as they are, and the AVX2 and AVX-512 tables call copies that
+//! `host/mod.rs`'s `recompile!` compiles under `#[target_feature]`, so
+//! LLVM vectorizes the same source at each tier's width. They are
+//! `#[inline(always)]` for that reason (a body that stops inlining into
+//! a tier's copy runs at baseline SSE2 width there), and written for
+//! the vectorizer: fixed widths, accumulators held in local arrays
+//! across the depth loop, contiguous reads. [`tile_i8`],
+//! [`pack_a_block`], [`pack_b_block`] and [`k_append`] are the scalar
+//! tier's own; the x86 tiers hand-write their transposes and run the
+//! `#[inline(always)]` pieces of the last two (`pack_b_words`,
+//! `pack_b_edges`, `k_append_region`) for whatever the transposes
+//! leave (`docs/HOST_KERNELS.md`, "Hand-written and recompiled"). The
+//! oracles live elsewhere: `gemm_i32_ref` for the arithmetic and
 //! [`crate::reference::pack_a_ref`] / [`crate::reference::pack_b_ref`]
 //! for the packed layout.
+
+use std::ops::Range;
+
+use super::K_BLOCK;
 
 /// One exact i8×i8 product (|p| ≤ 16384: it cannot overflow).
 #[inline(always)]
@@ -203,39 +210,68 @@ fn zero(pad: &mut [i8]) {
     }
 }
 
-/// Pack a block of row-major B starting at column `jc`, depth `pc` into
-/// 4-column panels (row-major within the panel), zero-padded past the
-/// matrix edge. `buf` must hold exactly `ncb * kcb` bytes; its length
-/// determines the block width. Each k-value's 4 source bytes land as
-/// one word in their panel.
+/// Where a B block's image splits, `(kreal, whole)`: the k-values the
+/// matrix has past `pc` (at most `kcb`), and the panels of `buf_len`
+/// bytes' block whose four columns all exist — the rest of the block
+/// is the matrix edge.
 #[inline(always)]
-pub fn pack_b_block(
-    buf: &mut [i8],
-    b: &[i8],
+pub(super) fn pack_b_extent(
+    buf_len: usize,
     n: usize,
     k: usize,
     jc: usize,
     pc: usize,
     kcb: usize,
-) {
-    let panel = kcb * 4;
+) -> (usize, usize) {
     let kreal = kcb.min(k.saturating_sub(pc));
-    // panels whose four columns all exist; the rest are the matrix edge
-    let whole = (buf.len() / panel).min(n.saturating_sub(jc) / 4);
-    // 16 B rows at a time: each panel gets one 64-byte run of words from
-    // rows that stay in L1 while every panel of the block takes its own
-    for l0 in (0..if whole > 0 { kreal } else { 0 }).step_by(16) {
-        let rows = 16.min(kreal - l0);
+    (kreal, (buf_len / (kcb * 4)).min(n.saturating_sub(jc) / 4))
+}
+
+/// The words of [`pack_b_block`]'s whole panels `qs` at k-values `ls`:
+/// each k-value's 4 source bytes land as one word in their panel, 16 B
+/// rows at a time, so each panel gets one 64-byte run of words from rows
+/// that stay in L1 while every panel of the block takes its own.
+#[inline(always)]
+pub(super) fn pack_b_words(
+    buf: &mut [i8],
+    b: &[i8],
+    n: usize,
+    jc: usize,
+    pc: usize,
+    kcb: usize,
+    ls: Range<usize>,
+    qs: Range<usize>,
+) {
+    if qs.is_empty() {
+        return;
+    }
+    for l0 in ls.clone().step_by(16) {
+        let rows = 16.min(ls.end - l0);
         let slab = &b[(pc + l0) * n..][..rows * n];
-        for q in 0..whole {
+        for q in qs.clone() {
             let col = jc + q * 4;
-            let out = &mut buf[q * panel + l0 * 4..][..rows * 4];
+            let out = &mut buf[q * kcb * 4 + l0 * 4..][..rows * 4];
             for (word, row) in out.chunks_exact_mut(4).zip(slab.chunks_exact(n)) {
                 word.copy_from_slice(&row[col..col + 4]);
             }
         }
     }
-    for (q, panel_buf) in buf.chunks_exact_mut(panel).enumerate() {
+}
+
+/// The rest of [`pack_b_block`]'s image once the whole panels' words
+/// are in: every panel's depth padding zeroed, and the edge panels
+/// (`whole..`) filled element by element, zero past the matrix edge.
+#[inline(always)]
+pub(super) fn pack_b_edges(
+    buf: &mut [i8],
+    b: &[i8],
+    n: usize,
+    jc: usize,
+    pc: usize,
+    kcb: usize,
+    (kreal, whole): (usize, usize),
+) {
+    for (q, panel_buf) in buf.chunks_exact_mut(kcb * 4).enumerate() {
         let (body, pad) = panel_buf.split_at_mut(kreal * 4);
         zero(pad);
         if q >= whole {
@@ -247,6 +283,25 @@ pub fn pack_b_block(
             }
         }
     }
+}
+
+/// Pack a block of row-major B starting at column `jc`, depth `pc` into
+/// 4-column panels (row-major within the panel), zero-padded past the
+/// matrix edge. `buf` must hold exactly `ncb * kcb` bytes; its length
+/// determines the block width. The scalar tier's entry: `pack_b_words`
+/// over every whole panel, then `pack_b_edges`.
+pub fn pack_b_block(
+    buf: &mut [i8],
+    b: &[i8],
+    n: usize,
+    k: usize,
+    jc: usize,
+    pc: usize,
+    kcb: usize,
+) {
+    let (kreal, whole) = pack_b_extent(buf.len(), n, k, jc, pc, kcb);
+    pack_b_words(buf, b, n, jc, pc, kcb, 0..kreal, 0..whole);
+    pack_b_edges(buf, b, n, jc, pc, kcb, (kreal, whole));
 }
 
 /// Pack a block of row-major A starting at row `ic`, depth `pc` into
@@ -286,6 +341,47 @@ pub fn pack_a_block(
             }
         }
     }
+}
+
+// ---- the K append ---------------------------------------------------------
+
+/// The K append (see `HostKernel::k_append`) of rows `rs` and channels
+/// `cs` only: `block[c·K_BLOCK + off + r] = rows[r·hidden + c]`, one
+/// byte per (channel, row), a row at a time. A one-row append is one
+/// store per channel.
+#[inline(always)]
+pub(super) fn k_append_region(
+    block: &mut [i8],
+    rows: &[i8],
+    hidden: usize,
+    off: usize,
+    rs: Range<usize>,
+    cs: Range<usize>,
+) {
+    let src = rows[rs.start * hidden..rs.end * hidden].chunks_exact(hidden);
+    for (r, row) in rs.zip(src) {
+        let runs = block.chunks_exact_mut(K_BLOCK).skip(cs.start);
+        for (run, &v) in runs.zip(&row[cs.clone()]) {
+            run[off + r] = v;
+        }
+    }
+}
+
+/// The shape contract of the K append (see `HostKernel::k_append`),
+/// which the SIMD tiers' raw loads and stores rest on; returns the run.
+pub(super) fn assert_k_append_shape(block: &[i8], rows: &[i8], hidden: usize, off: usize) -> usize {
+    assert!(hidden > 0 && block.len() == hidden * K_BLOCK, "block must be hidden x K_BLOCK");
+    assert!(rows.len().is_multiple_of(hidden), "rows must be whole rows of hidden bytes");
+    let run = rows.len() / hidden;
+    assert!(off + run <= K_BLOCK, "the run must fit the block past off");
+    run
+}
+
+/// The scalar tier's K append: `k_append_region` over every row and
+/// channel.
+pub fn k_append(block: &mut [i8], rows: &[i8], hidden: usize, off: usize) {
+    let run = assert_k_append_shape(block, rows, hidden, off);
+    k_append_region(block, rows, hidden, off, 0..run, 0..hidden);
 }
 
 /// Pack 4-bit values two per byte, low nibble first (the layout the

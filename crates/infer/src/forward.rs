@@ -327,7 +327,7 @@ fn run_layers(
         }
         let (q_act, kv_act) = qkv.split_at(md);
         let (k_act, v_act) = kv_act.split_at(md);
-        kv.push(l, k_act, v_act);
+        kv.push(kern, l, k_act, v_act);
         let t_total = kv.layer_len(l);
         let base = kv.base();
 

@@ -9,10 +9,11 @@
 //!
 //! * **K** is *channel-major* in fixed blocks of 64 positions
 //!   (`hidden × 64` bytes per block, appended as positions arrive).
-//!   A step's positions are appended together, each channel's run of
-//!   a block written in one pass, and a head's transposed dₕ×t score
-//!   operand — the crate-internal `k_head_t` — is dₕ rows of
-//!   contiguous runs, one per block.
+//!   A step's positions are appended together, one
+//!   [`HostKernel::k_append`] per block they reach — row-major rows
+//!   transposed into the block in registers at the tier's vector width
+//!   — and a head's transposed dₕ×t score operand — the crate-internal
+//!   `k_head_t` — is dₕ rows of contiguous runs, one per block.
 //! * **V** is row-major `t × hidden`; `v_head`'s t×dₕ context operand
 //!   is t runs of dₕ bytes.
 //!
@@ -23,6 +24,8 @@
 //! positions held, never to the configured capacity.
 
 use std::sync::Arc;
+
+use camp_gemm::host::{HostKernel, K_BLOCK};
 
 use crate::session::InferError;
 
@@ -44,10 +47,6 @@ pub enum KvPolicy {
     Window,
 }
 
-/// Positions per K block: one channel's run inside a block is this many
-/// contiguous bytes (a cache line).
-const KV_BLOCK: usize = 64;
-
 /// One zero-filled `Arc<[i8]>` allocation of `len` bytes, written in
 /// place by `fill` — building a `Vec` first and converting it copies
 /// every byte a second time.
@@ -57,12 +56,27 @@ pub(crate) fn arc_filled(len: usize, fill: impl FnOnce(&mut [i8])) -> Arc<[i8]> 
     out
 }
 
+/// `dst.copy_from_slice(src)` for the short runs the per-head operands
+/// are built from (64 bytes for a whole K block or a dₕ = 64 row): whole
+/// 16-byte pieces as vector moves in line, where a slice copy of a run
+/// whose length is only known at run time is one `memcpy` call per run.
+fn copy_run(dst: &mut [i8], src: &[i8]) {
+    assert_eq!(dst.len(), src.len(), "a run is copied whole");
+    let ((dst, dst_tail), (src, src_tail)) = (dst.as_chunks_mut::<16>(), src.as_chunks::<16>());
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = *s;
+    }
+    if !dst_tail.is_empty() {
+        dst_tail.copy_from_slice(src_tail);
+    }
+}
+
 /// The per-head column block `[head·dₕ, (head+1)·dₕ)` of a row-major
 /// matrix of width `d`, as one operand allocation.
 pub(crate) fn head_block(x: &[i8], d: usize, head: usize, dh: usize) -> Arc<[i8]> {
     arc_filled(x.len() / d * dh, |out| {
         for (dst, row) in out.chunks_exact_mut(dh).zip(x.chunks_exact(d)) {
-            dst.copy_from_slice(&row[head * dh..][..dh]);
+            copy_run(dst, &row[head * dh..][..dh]);
         }
     })
 }
@@ -70,9 +84,9 @@ pub(crate) fn head_block(x: &[i8], d: usize, head: usize, dh: usize) -> Arc<[i8]
 /// Per-layer K/V storage for one inference session.
 #[derive(Debug, Clone)]
 pub struct KvCache {
-    /// Per-layer K, channel-major in blocks of [`KV_BLOCK`] positions:
+    /// Per-layer K, channel-major in blocks of [`K_BLOCK`] positions:
     /// position `j` of channel `c` is byte
-    /// `(j / KV_BLOCK)·hidden·KV_BLOCK + c·KV_BLOCK + j % KV_BLOCK`.
+    /// `(j / K_BLOCK)·hidden·K_BLOCK + c·K_BLOCK + j % K_BLOCK`.
     /// Bytes past the layer's length in the last block are unspecified.
     k: Vec<Vec<i8>>,
     /// Per-layer V, row-major `len × hidden`.
@@ -169,13 +183,12 @@ impl KvCache {
     /// number of row-major `hidden`-wide rows, one per position. Callers
     /// must have reserved space with [`KvCache::ensure_room`] first.
     ///
-    /// K is filled one block at a time: each channel's run of the
-    /// block's new positions (up to 64) is written in one pass, not one
-    /// byte per position. Blocks are allocated one at a time as the
-    /// positions reach them, and V grows row by row, so a multi-row
-    /// append asks the heap for exactly what as many one-row appends
-    /// would.
-    pub(crate) fn push(&mut self, layer: usize, k_rows: &[i8], v_rows: &[i8]) {
+    /// K is filled one block at a time, by `kern`'s
+    /// [`HostKernel::k_append`] of the block's new positions (up to 64).
+    /// Blocks are allocated one at a time as the positions reach them,
+    /// and V grows row by row, so a multi-row append asks the heap for
+    /// exactly what as many one-row appends would.
+    pub(crate) fn push(&mut self, kern: &HostKernel, layer: usize, k_rows: &[i8], v_rows: &[i8]) {
         let hidden = self.hidden;
         assert!(
             k_rows.len() == v_rows.len() && k_rows.len().is_multiple_of(hidden),
@@ -186,17 +199,12 @@ impl KvCache {
         let mut done = 0;
         while done < rows {
             let t = t0 + done;
-            if t.is_multiple_of(KV_BLOCK) {
-                k.resize(k.len() + hidden * KV_BLOCK, 0);
+            if t.is_multiple_of(K_BLOCK) {
+                k.resize(k.len() + hidden * K_BLOCK, 0);
             }
-            let (off, run) = (t % KV_BLOCK, (KV_BLOCK - t % KV_BLOCK).min(rows - done));
-            let block = &mut k[(t / KV_BLOCK) * hidden * KV_BLOCK..][..hidden * KV_BLOCK];
-            let src = &k_rows[done * hidden..][..run * hidden];
-            for (c, dst) in block.chunks_exact_mut(KV_BLOCK).enumerate() {
-                for (d, row) in dst[off..off + run].iter_mut().zip(src.chunks_exact(hidden)) {
-                    *d = row[c];
-                }
-            }
+            let (off, run) = (t % K_BLOCK, (K_BLOCK - t % K_BLOCK).min(rows - done));
+            let block = &mut k[(t / K_BLOCK) * hidden * K_BLOCK..][..hidden * K_BLOCK];
+            kern.k_append(block, &k_rows[done * hidden..][..run * hidden], hidden, off);
             done += run;
         }
         for v_row in v_rows.chunks_exact(hidden) {
@@ -210,7 +218,7 @@ impl KvCache {
     /// bytes past `len` the next [`KvCache::push`] overwrites.
     pub(crate) fn truncate_rows(&mut self, layer: usize, len: usize) {
         debug_assert!(len <= self.layer_len(layer));
-        self.k[layer].truncate(len.div_ceil(KV_BLOCK) * self.hidden * KV_BLOCK);
+        self.k[layer].truncate(len.div_ceil(K_BLOCK) * self.hidden * K_BLOCK);
         self.v[layer].truncate(len * self.hidden);
     }
 
@@ -225,13 +233,13 @@ impl KvCache {
     /// attention score GeMM, as a dense B-side operand.
     pub(crate) fn k_head_t(&self, layer: usize, head: usize, dh: usize) -> Arc<[i8]> {
         let t = self.layer_len(layer);
-        let blocks = self.k[layer].chunks_exact(self.hidden * KV_BLOCK);
+        let blocks = self.k[layer].chunks_exact(self.hidden * K_BLOCK);
         arc_filled(dh * t, |out| {
             for (b, block) in blocks.enumerate() {
-                let run = KV_BLOCK.min(t - b * KV_BLOCK);
-                let channels = block[head * dh * KV_BLOCK..].chunks_exact(KV_BLOCK);
+                let run = K_BLOCK.min(t - b * K_BLOCK);
+                let channels = block[head * dh * K_BLOCK..].chunks_exact(K_BLOCK);
                 for (row, src) in out.chunks_exact_mut(t).zip(channels) {
-                    row[b * KV_BLOCK..][..run].copy_from_slice(&src[..run]);
+                    copy_run(&mut row[b * K_BLOCK..][..run], &src[..run]);
                 }
             }
         })
@@ -246,41 +254,47 @@ impl KvCache {
 
 /// Drop the oldest `evict` of a K layer's `held` positions and re-lay
 /// the survivors from position 0, in place. New block `nb` of a channel
-/// is old positions `nb·KV_BLOCK + evict ..`, which straddle at most two
+/// is old positions `nb·K_BLOCK + evict ..`, which straddle at most two
 /// old blocks, neither of them before `nb` — so walking blocks upwards
 /// only ever reads bytes that have not been overwritten yet.
 fn relay_k(k: &mut Vec<i8>, hidden: usize, held: usize, evict: usize) {
-    let block = hidden * KV_BLOCK;
+    let block = hidden * K_BLOCK;
     let keep = held - evict;
-    for nb in 0..keep.div_ceil(KV_BLOCK) {
-        let old = nb * KV_BLOCK + evict;
-        let (ob, op) = (old / KV_BLOCK, old % KV_BLOCK);
-        let first = (KV_BLOCK - op).min(held - old);
-        let second = (KV_BLOCK - first).min(held - old - first);
+    for nb in 0..keep.div_ceil(K_BLOCK) {
+        let old = nb * K_BLOCK + evict;
+        let (ob, op) = (old / K_BLOCK, old % K_BLOCK);
+        let first = (K_BLOCK - op).min(held - old);
+        let second = (K_BLOCK - first).min(held - old - first);
         for c in 0..hidden {
-            let dst = nb * block + c * KV_BLOCK;
-            let src = ob * block + c * KV_BLOCK + op;
+            let dst = nb * block + c * K_BLOCK;
+            let src = ob * block + c * K_BLOCK + op;
             k.copy_within(src..src + first, dst);
             if second > 0 {
-                let src = (ob + 1) * block + c * KV_BLOCK;
+                let src = (ob + 1) * block + c * K_BLOCK;
                 k.copy_within(src..src + second, dst + first);
             }
         }
     }
-    k.truncate(keep.div_ceil(KV_BLOCK) * block);
+    k.truncate(keep.div_ceil(K_BLOCK) * block);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The scalar tier: the byte-loop append the tier tests below hold
+    /// every other tier's to.
+    fn scalar() -> &'static HostKernel {
+        HostKernel::scalar()
+    }
+
     #[test]
     fn append_and_views() {
         let mut kv = KvCache::new(1, 4, 8, KvPolicy::Reject);
         assert!(kv.is_empty());
         kv.ensure_room(2).unwrap();
-        kv.push(0, &[1, 2, 3, 4], &[5, 6, 7, 8]);
-        kv.push(0, &[9, 10, 11, 12], &[13, 14, 15, 16]);
+        kv.push(scalar(), 0, &[1, 2, 3, 4], &[5, 6, 7, 8]);
+        kv.push(scalar(), 0, &[9, 10, 11, 12], &[13, 14, 15, 16]);
         assert_eq!(kv.len(), 2);
         // two heads of dh = 2: head 1 covers columns 2..4
         let kt = kv.k_head_t(0, 1, 2);
@@ -294,8 +308,8 @@ mod tests {
         let mut kv = KvCache::new(2, 4, 2, KvPolicy::Reject);
         kv.ensure_room(2).unwrap();
         for l in 0..2 {
-            kv.push(l, &[0; 4], &[0; 4]);
-            kv.push(l, &[0; 4], &[0; 4]);
+            kv.push(scalar(), l, &[0; 4], &[0; 4]);
+            kv.push(scalar(), l, &[0; 4], &[0; 4]);
         }
         let err = kv.ensure_room(1).unwrap_err();
         assert!(matches!(err, InferError::KvFull { capacity: 2 }));
@@ -307,10 +321,10 @@ mod tests {
     fn window_policy_evicts_oldest() {
         let mut kv = KvCache::new(1, 2, 2, KvPolicy::Window);
         kv.ensure_room(2).unwrap();
-        kv.push(0, &[1, 1], &[1, 1]);
-        kv.push(0, &[2, 2], &[2, 2]);
+        kv.push(scalar(), 0, &[1, 1], &[1, 1]);
+        kv.push(scalar(), 0, &[2, 2], &[2, 2]);
         kv.ensure_room(1).unwrap();
-        kv.push(0, &[3, 3], &[3, 3]);
+        kv.push(scalar(), 0, &[3, 3], &[3, 3]);
         assert_eq!(kv.len(), 2);
         assert_eq!(kv.base(), 1, "row 0 now holds absolute position 1");
         let kt = kv.k_head_t(0, 0, 2);
@@ -325,13 +339,26 @@ mod tests {
         ((0..hidden).map(|c| byte(c, 0)).collect(), (0..hidden).map(|c| byte(c, 13)).collect())
     }
 
-    /// A one-layer cache fed absolute positions `from..to`.
-    fn fed(hidden: usize, capacity: usize, policy: KvPolicy, from: usize, to: usize) -> KvCache {
+    /// Append absolute positions `from..to` to layer 0 in one step.
+    fn step(kv: &mut KvCache, kern: &HostKernel, from: usize, to: usize) {
+        kv.ensure_room(to - from).unwrap();
+        let (k, v) = block(from, to, kv.hidden);
+        kv.push(kern, 0, &k, &v);
+    }
+
+    /// A one-layer cache fed absolute positions `from..to` in steps of
+    /// `width` positions through `kern`.
+    fn fed(
+        kern: &HostKernel,
+        hidden: usize,
+        capacity: usize,
+        policy: KvPolicy,
+        (from, to): (usize, usize),
+        width: usize,
+    ) -> KvCache {
         let mut kv = KvCache::new(1, hidden, capacity, policy);
-        for pos in from..to {
-            kv.ensure_room(1).unwrap();
-            let (k, v) = rows(pos, hidden);
-            kv.push(0, &k, &v);
+        for pos in (from..to).step_by(width) {
+            step(&mut kv, kern, pos, to.min(pos + width));
         }
         kv
     }
@@ -352,6 +379,23 @@ mod tests {
         (0..heads).flat_map(|h| [kv.k_head_t(0, h, dh), kv.v_head(0, h, dh)]).collect()
     }
 
+    /// Every head's views of `kv` against the row-major definition: the
+    /// cache holds absolute positions `base..base + len`.
+    fn assert_views_are_the_rows(kv: &KvCache, heads: usize, dh: usize, what: &str) {
+        let (t, base) = (kv.len(), kv.base());
+        for h in 0..heads {
+            let (kt, v) = (kv.k_head_t(0, h, dh), kv.v_head(0, h, dh));
+            assert_eq!((kt.len(), v.len()), (dh * t, t * dh));
+            for j in 0..t {
+                let (k_row, v_row) = rows(base + j, kv.hidden);
+                for r in 0..dh {
+                    assert_eq!(kt[r * t + j], k_row[h * dh + r], "{what}: Kt h={h} r={r} j={j}");
+                    assert_eq!(v[j * dh + r], v_row[h * dh + r], "{what}: V h={h} r={r} j={j}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn views_match_the_row_major_definition_across_block_seams() {
         let (hidden, heads, dh) = (12, 3, 4);
@@ -359,32 +403,40 @@ mod tests {
             // fed one position at a time, and as a decode step then a
             // prefill-sized step that starts mid-block
             let mut stepped = KvCache::new(1, hidden, 256, KvPolicy::Reject);
-            for (from, to) in [(0, 1), (1, t)] {
-                stepped.ensure_room(to - from).unwrap();
-                let (k, v) = block(from, to, hidden);
-                stepped.push(0, &k, &v);
-            }
-            for kv in [fed(hidden, 256, KvPolicy::Reject, 0, t), stepped] {
+            step(&mut stepped, scalar(), 0, 1);
+            step(&mut stepped, scalar(), 1, t);
+            for kv in [fed(scalar(), hidden, 256, KvPolicy::Reject, (0, t), 1), stepped] {
                 assert_eq!(kv.len(), t);
-                for h in 0..heads {
-                    let (kt, v) = (kv.k_head_t(0, h, dh), kv.v_head(0, h, dh));
-                    assert_eq!((kt.len(), v.len()), (dh * t, t * dh));
-                    for j in 0..t {
-                        let (k_row, v_row) = rows(j, hidden);
-                        for r in 0..dh {
-                            assert_eq!(
-                                kt[r * t + j],
-                                k_row[h * dh + r],
-                                "Kt t={t} h={h} r={r} j={j}"
-                            );
-                            assert_eq!(
-                                v[j * dh + r],
-                                v_row[h * dh + r],
-                                "V t={t} h={h} r={r} j={j}"
-                            );
-                        }
-                    }
+                assert_views_are_the_rows(&kv, heads, dh, &format!("t={t}"));
+            }
+        }
+    }
+
+    /// Every tier's append, at widths with and without a channel tail
+    /// past the last group of 16: a 5-row step, then a 192-row prefill
+    /// that starts mid-block and crosses three block seams, then decode
+    /// rows landing mid-block — every view the row-major definition, and
+    /// every K byte the scalar tier's.
+    #[test]
+    fn every_tier_appends_prefills_and_decode_rows_across_block_seams() {
+        for (hidden, heads) in [(256, 4), (40, 5)] {
+            let dh = hidden / heads;
+            let mut want = KvCache::new(1, hidden, 256, KvPolicy::Reject);
+            for (from, to) in [(0, 5), (5, 197), (197, 198), (198, 199)] {
+                step(&mut want, scalar(), from, to);
+            }
+            for kern in HostKernel::available() {
+                let mut kv = KvCache::new(1, hidden, 256, KvPolicy::Reject);
+                for (from, to) in [(0, 5), (5, 197), (197, 198), (198, 199)] {
+                    step(&mut kv, kern, from, to);
+                    let what = format!("{} hidden={hidden} t={to}", kern.tier().name());
+                    assert_views_are_the_rows(&kv, heads, dh, &what);
                 }
+                assert_eq!(kv.k, want.k, "{} hidden={hidden}: K bytes", kern.tier().name());
+                // a whole block at once, the AVX-512 tiers' widest step
+                let kv = fed(kern, hidden, 256, KvPolicy::Reject, (0, 192), 64);
+                let what = format!("{} hidden={hidden} whole blocks", kern.tier().name());
+                assert_views_are_the_rows(&kv, heads, dh, &what);
             }
         }
     }
@@ -392,30 +444,39 @@ mod tests {
     #[test]
     fn window_eviction_equals_a_fresh_cache_of_the_survivors() {
         // capacities that make the eviction land mid-block, on a block
-        // seam, and more than one block deep; a prefill-sized step too
-        let (hidden, heads, dh) = (8, 2, 4);
-        for (capacity, fed_to, step) in [(70, 70, 1), (70, 70, 5), (64, 64, 64), (130, 130, 67)] {
-            let mut kv = fed(hidden, capacity, KvPolicy::Window, 0, fed_to);
-            kv.ensure_room(step).unwrap();
-            let (k, v) = block(fed_to, fed_to + step, hidden);
-            kv.push(0, &k, &v);
-            let end = fed_to + step;
-            assert_eq!((kv.len(), kv.base()), (capacity, end - capacity));
-            let fresh = fed(hidden, capacity, KvPolicy::Reject, end - capacity, end);
-            assert_eq!(views(&kv, heads, dh), views(&fresh, heads, dh), "capacity {capacity}");
-            // and the window keeps sliding one position at a time
-            kv.ensure_room(1).unwrap();
-            let (k, v) = rows(end, hidden);
-            kv.push(0, &k, &v);
-            let fresh = fed(hidden, capacity, KvPolicy::Reject, end + 1 - capacity, end + 1);
-            assert_eq!(views(&kv, heads, dh), views(&fresh, heads, dh), "capacity {capacity}");
+        // seam, and more than one block deep; a prefill-sized step too;
+        // fed a whole block per step (vector width on every SIMD tier)
+        // and one position at a time, on every tier
+        let (hidden, heads, dh) = (24, 2, 12);
+        for kern in HostKernel::available() {
+            for (capacity, fed_to, step_rows) in
+                [(70, 70, 1), (70, 70, 5), (64, 64, 64), (130, 130, 67), (192, 192, 40)]
+            {
+                for width in [1, 64] {
+                    let what = format!("{} capacity {capacity} width {width}", kern.tier().name());
+                    let policy = KvPolicy::Window;
+                    let mut kv = fed(kern, hidden, capacity, policy, (0, fed_to), width);
+                    let end = fed_to + step_rows;
+                    step(&mut kv, kern, fed_to, end);
+                    assert_eq!((kv.len(), kv.base()), (capacity, end - capacity), "{what}");
+                    let fresh =
+                        fed(scalar(), hidden, capacity, KvPolicy::Reject, (end - capacity, end), 1);
+                    assert_eq!(views(&kv, heads, dh), views(&fresh, heads, dh), "{what}");
+                    assert_views_are_the_rows(&kv, heads, dh, &what);
+                    // and the window keeps sliding one position at a time
+                    step(&mut kv, kern, end, end + 1);
+                    let survivors = (end + 1 - capacity, end + 1);
+                    let fresh = fed(scalar(), hidden, capacity, KvPolicy::Reject, survivors, 1);
+                    assert_eq!(views(&kv, heads, dh), views(&fresh, heads, dh), "{what}");
+                }
+            }
         }
     }
 
     #[test]
     fn reject_at_capacity_leaves_the_views_byte_identical() {
         let (hidden, heads, dh) = (8, 2, 4);
-        let mut kv = fed(hidden, 65, KvPolicy::Reject, 0, 65);
+        let mut kv = fed(scalar(), hidden, 65, KvPolicy::Reject, (0, 65), 1);
         let before = views(&kv, heads, dh);
         assert!(matches!(kv.ensure_room(1), Err(InferError::KvFull { capacity: 65 })));
         assert!(matches!(kv.ensure_room(66), Err(InferError::KvFull { capacity: 65 })));
@@ -429,8 +490,8 @@ mod tests {
         let mut kv = KvCache::new(4, 256, usize::MAX, KvPolicy::Window);
         assert!(kv.k.iter().chain(&kv.v).all(|l| l.capacity() == 0));
         kv.ensure_room(1).unwrap();
-        kv.push(0, &[1; 256], &[2; 256]);
-        assert_eq!(kv.k[0].len(), 256 * KV_BLOCK, "one block per 64 positions held");
+        kv.push(HostKernel::detect(), 0, &[1; 256], &[2; 256]);
+        assert_eq!(kv.k[0].len(), 256 * K_BLOCK, "one block per 64 positions held");
         assert_eq!(kv.v[0].len(), 256);
     }
 }

@@ -19,7 +19,10 @@
 //! The same holds for the glue between GeMMs: the two requantization
 //! sweeps (`requant_into`, `requant_add_sat`) run one scalar body that
 //! each SIMD tier recompiles at its own width, and must give the same
-//! bytes on every tier.
+//! bytes on every tier. So do the hand-written operand movers of the
+//! attention path — the K append, the word-transpose B packer and the
+//! VNNI tiers' dense walk — against the K append's definition,
+//! `pack_b_ref` and `gemm_i32_ref`.
 //!
 //! These tests run whatever tiers the build machine supports, so the CI
 //! `forced-tier` matrix (`CAMP_FORCE_TIER=scalar|avx2|avx512|avx512vnni`)
@@ -29,7 +32,7 @@ use camp::core::backend::CampBackend;
 use camp::core::{CampEngine, DType, GemmRequest, Operand};
 use camp::gemm::batch::{packed_a_offset, packed_b_bytes};
 use camp::gemm::gemm_i32_ref;
-use camp::gemm::host::{HostKernel, HostTier, Scale, SmallB};
+use camp::gemm::host::{HostKernel, HostTier, Scale, SmallB, K_BLOCK};
 use camp::gemm::loops::for_each_a_block;
 use camp::gemm::reference::{pack_a_amx_ref, pack_a_ref, pack_b_ref};
 use camp::gemm::weights::{host_block_plan, prepack_b};
@@ -446,6 +449,114 @@ fn a_pinned_engine_builds_its_own_tiers_a_image() {
             ] {
                 let out = eng.execute(&req).unwrap();
                 assert_eq!(out.output.c, want, "{} pinned at {m}x{n}x{k}", hk.tier().name());
+            }
+        }
+    }
+}
+
+/// The K append on every available tier against its definition (the
+/// scalar tier's body is that loop): `block[c·K_BLOCK + off + r] =
+/// rows[r·hidden + c]`, and no other byte of a block pre-filled with a
+/// pattern changes — over widths below one group of 16 channels, with a
+/// channel tail (24) and whole (128, 256); offsets at a block's start,
+/// one past it, mid-vector and at its last position; and runs of one
+/// row (a decode step), one short of, on and one past a 16-row
+/// transpose, three of them, and a whole block.
+#[test]
+fn k_append_is_byte_identical_to_its_definition_on_every_tier() {
+    for hidden in [8, 24, 128, 256] {
+        let init: Vec<i8> = (0..hidden * K_BLOCK).map(|x| (x % 251) as i8).collect();
+        for off in [0, 1, 15, 63] {
+            for run in [1, 15, 16, 17, 48, 64].into_iter().filter(|&run| off + run <= K_BLOCK) {
+                let rows =
+                    gen_i8(run * hidden, (hidden * 131 + off * 7 + run) as u32 | 1, -128, 127);
+                let mut want = init.clone();
+                for c in 0..hidden {
+                    for r in 0..run {
+                        want[c * K_BLOCK + off + r] = rows[r * hidden + c];
+                    }
+                }
+                for hk in HostKernel::available() {
+                    let mut got = init.clone();
+                    hk.k_append(&mut got, &rows, hidden, off);
+                    assert_eq!(
+                        got,
+                        want,
+                        "tier {} hidden {hidden} off {off} run {run}",
+                        hk.tier().name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `pack_b` on every available tier against [`pack_b_ref`] where the
+/// SIMD tiers' word transposes run (16 k-rows × 8 or 16 whole panels)
+/// and where they stop: widths that are not a multiple of 4 (a ragged
+/// edge panel) on both sides of 16 and 32 whole panels and past a
+/// 256-column block, depths that are not a multiple of 16 (k-rows past
+/// the last transpose) and blocks deeper than the matrix (depth
+/// padding), at column and depth offsets — including the attention
+/// heads' Kᵀ (n 192, k 64) and V (n 64, k 192). Buffers start as a
+/// pattern, so a pad or an edge panel left unwritten fails.
+#[test]
+fn pack_b_matches_the_reference_at_ragged_n_and_k_on_every_tier() {
+    for (n, k) in [(192, 64), (64, 192), (67, 33), (130, 17), (259, 47), (61, 16), (129, 200)] {
+        let b = gen_i8(k * n, (n * 977 + k) as u32 | 1, -128, 127);
+        for (jc, pc) in [(0, 0), (4, 0), (0, 3), (64, 16)] {
+            if jc >= n || pc >= k {
+                continue;
+            }
+            for kcb in [k - pc, (k - pc).next_multiple_of(16) + 16] {
+                let ncb = (n - jc).min(256).next_multiple_of(4);
+                let mut want = vec![0x55i8; ncb * kcb];
+                pack_b_ref(&mut want, &b, n, k, jc, pc, kcb);
+                for hk in HostKernel::available() {
+                    let mut got = vec![0x55i8; ncb * kcb];
+                    hk.pack_b_block(&mut got, &b, n, k, jc, pc, kcb);
+                    assert_eq!(
+                        got,
+                        want,
+                        "tier {} pack_b n {n} k {k} jc {jc} pc {pc} kcb {kcb}",
+                        hk.tier().name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The dense skinny-m walk on every available tier against
+/// [`gemm_i32_ref`], accumulating into a non-zero C: at operands all
+/// −128 (where the VNNI walk's biased A is 0 and every product is the
+/// Σb correction's), at the other sign corners, and at random bytes;
+/// over row counts that leave a single row past pairs, widths that
+/// leave a partial 64- and 16-column group, depths that leave 1..=3
+/// k-values past the last quad, the served decode-attention shapes
+/// (1×193×64, 1×64×193), and a depth where the corners' sums pass i32
+/// inside the kernel.
+#[test]
+fn dense_walk_matches_the_reference_at_the_operand_extremes_on_every_tier() {
+    let shapes = [(1, 193, 64), (1, 64, 193), (3, 65, 5), (2, 17, 3), (5, 128, 4), (8, 200, 67)];
+    let deep = [(1, 17, 140_000)];
+    for (m, n, k) in shapes.into_iter().chain(deep) {
+        let corners = [(-128, -128), (-128, 127), (127, -128), (127, 127)];
+        let mut cases: Vec<(Vec<i8>, Vec<i8>)> =
+            corners.iter().map(|&(a, b)| (vec![a; m * k], vec![b; k * n])).collect();
+        let seed = (m * 31 + n * 7 + k) as u32;
+        cases.push((
+            gen_i8(m * k, seed | 1, -128, 127),
+            gen_i8(k * n, seed.rotate_left(9) | 1, -128, 127),
+        ));
+        let plan = host_block_plan(m, n, k, 16);
+        for (case, (a, b)) in cases.iter().enumerate() {
+            let want: Vec<i32> =
+                gemm_i32_ref(m, n, k, a, b).iter().map(|v| v.wrapping_add(i32::MIN + 5)).collect();
+            for hk in HostKernel::available() {
+                let mut got = vec![i32::MIN + 5; m * n];
+                hk.run_small_m(m, n, k, &plan, a, SmallB::Dense(b), &mut got);
+                assert_eq!(got, want, "tier {} {m}x{n}x{k} case {case}", hk.tier().name());
             }
         }
     }
