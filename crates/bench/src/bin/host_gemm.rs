@@ -51,8 +51,8 @@
 //! * **K/V operand path per tier** — what moves attention's K and V
 //!   bytes between the Q/K/V requant and the context GeMM, on every
 //!   tier the CPU can run: [`HostKernel::k_append`] in GB/s of K
-//!   appended — a 192-token prefill's 192×256 onto empty blocks (three
-//!   whole-block calls) and a decode step's 1×256 onto position 100,
+//!   appended — a 192-token prefill's 192×256 onto empty blocks (one
+//!   call per 64-position block) and a decode step's 1×256 onto position 100,
 //!   mid-block — then `pack_b` in packed GB/s at a head's Kᵀ (n 192,
 //!   k 64) and V (n 64, k 192), and the dense skinny-m walk in Gop/s
 //!   at `doc_prefill`'s decode context, 1×193×64 (QKᵀ) and 1×64×193

@@ -7,8 +7,8 @@
 //! grouped panel kernel (`panel_group`) — plus the transposes that move
 //! operand bytes: the A packer's 4×16 byte transposes ([`pack_a_block`],
 //! which the AVX-512 tiers share), the B packer's 8×8 word transposes
-//! ([`pack_b_block`], shared too) and the K append's 16×16 byte transposes
-//! (`k_append_from`, which finishes the AVX-512 tier's append too).
+//! ([`pack_b_block`], shared too) and the K append's 16×16 byte
+//! transposes (`k_append`, shared too).
 //! The kernels widen i8→i16 with `vpshufb`-interleaved panels and
 //! accumulate through `vpmaddwd` (exact: every i8×i8 product fits i16
 //! headroom, every pairwise sum fits i32) into wrapping `vpaddd`
@@ -451,6 +451,31 @@ pub fn pack_b_block(
     unsafe { pack_b_block_impl(buf, b, n, k, jc, pc, kcb) }
 }
 
+/// Transpose the 16×16 byte matrix held in `$x` (16 vectors, row `i` in
+/// vector `i`) inside every 128-bit lane, with `$lo` / `$hi` the
+/// width's `unpacklo_epi8` / `unpackhi_epi8`. One round interleaves
+/// vector `i` with vector `i + 8` into vectors `2i` and `2i + 1`, which
+/// rotates the 8-bit (vector, byte) index left by one bit; four rounds
+/// swap its halves, so vector `j` ends as column `j` of each lane's own
+/// 16×16. Fully unrolled: every index is a constant, and the 16 vectors
+/// stay in registers.
+macro_rules! byte_transpose16 {
+    ($x:ident, $lo:ident, $hi:ident) => {
+        for _ in 0..4 {
+            byte_transpose16!(@round $x, $lo, $hi);
+        }
+    };
+    (@round $x:ident, $lo:ident, $hi:ident) => {
+        let y = $x;
+        $x = [
+            $lo(y[0], y[8]), $hi(y[0], y[8]), $lo(y[1], y[9]), $hi(y[1], y[9]),
+            $lo(y[2], y[10]), $hi(y[2], y[10]), $lo(y[3], y[11]), $hi(y[3], y[11]),
+            $lo(y[4], y[12]), $hi(y[4], y[12]), $lo(y[5], y[13]), $hi(y[5], y[13]),
+            $lo(y[6], y[14]), $hi(y[6], y[14]), $lo(y[7], y[15]), $hi(y[7], y[15]),
+        ];
+    };
+}
+
 // SAFETY: requires AVX2. `run` is the wrapper-checked run and `chans`
 // whole 16-channel groups: every 16-byte load reads channels `c0..c0 + 16`
 // (`c0 + 16 <= chans <= hidden`) of row `r + i < run` of `rows`; every
@@ -458,8 +483,8 @@ pub fn pack_b_block(
 // bytes with `r + 32 <= run` or `r + 16 <= run`, so inside the block
 // (`off + run <= K_BLOCK`). The tails are safe code.
 #[target_feature(enable = "avx2")]
-unsafe fn k_append_impl(block: &mut [i8], rows: &[i8], hidden: usize, off: usize, mut r: usize) {
-    let run = rows.len() / hidden;
+unsafe fn k_append_impl(block: &mut [i8], rows: &[i8], hidden: usize, off: usize) {
+    let (run, mut r) = (rows.len() / hidden, 0);
     let chans = hidden & !15;
     let (src, dst) = (rows.as_ptr(), block.as_mut_ptr());
     let load =
@@ -494,20 +519,17 @@ unsafe fn k_append_impl(block: &mut [i8], rows: &[i8], hidden: usize, off: usize
     scalar::k_append_region(block, rows, hidden, off, r..run, 0..hidden);
 }
 
-/// The K append (see [`super::HostKernel::k_append`]) of rows `r..`,
-/// rows `..r` already transposed for every whole group of 16 channels
-/// (the AVX-512 tier's whole-block transposes leave that; the AVX2
-/// table passes `r = 0`): 32 rows at a time, then 16, through 16×16
-/// byte transposes, one store per channel per step; the channels past
-/// the last group of 16 and the rows past the last step one byte at a
-/// time ([`super::scalar::k_append_region`]).
-pub(super) fn k_append_from(block: &mut [i8], rows: &[i8], hidden: usize, off: usize, r: usize) {
+/// The K append (see [`super::HostKernel::k_append`]) of every x86
+/// tier: 32 rows at a time, then 16, through 16×16 byte transposes, one
+/// store per channel per step; the channels past the last group of 16
+/// and the rows past the last step one byte at a time
+/// ([`super::scalar::k_append_region`]).
+pub(super) fn k_append(block: &mut [i8], rows: &[i8], hidden: usize, off: usize) {
     debug_assert!(is_x86_feature_detected!("avx2"), "avx2 append dispatched without avx2");
-    let run = scalar::assert_k_append_shape(block, rows, hidden, off);
-    assert!(r <= run, "rows done past the run");
+    scalar::assert_k_append_shape(block, rows, hidden, off);
     // SAFETY: AVX2 detection gates dispatch (debug-asserted above); the
     // shape asserts are the impl's bounds preconditions.
-    unsafe { k_append_impl(block, rows, hidden, off, r) }
+    unsafe { k_append_impl(block, rows, hidden, off) }
 }
 
 #[cfg(test)]

@@ -10,12 +10,11 @@
 //! vector width: 16 k-values per integer step and a 4×16 widened
 //! integer register tile that amortizes every A-side shuffle over four
 //! B panels. The 32-register zmm file is what makes the 16-accumulator
-//! integer tile hold entirely in registers. The K append's whole-block
-//! byte transposes are hand-written too (`k_append_blocks`, 64 rows
-//! and one 64-byte store per channel). Both packers are the AVX2 tier's;
-//! every other entry — `small_m_dense`, `panel_mav` and the two requant
-//! sweeps — is the portable body of `scalar.rs` / `requant.rs`,
-//! recompiled here with AVX-512 enabled by `recompile!` (`host/mod.rs`).
+//! integer tile hold entirely in registers. Both packers and the K
+//! append are the AVX2 tier's; every other entry — `small_m_dense`,
+//! `panel_mav` and the two requant sweeps — is the portable body of
+//! `scalar.rs` / `requant.rs`, recompiled here with AVX-512 enabled by
+//! `recompile!` (`host/mod.rs`).
 //!
 //! The wide tile hands its result back *in C*: its 16 accumulators fold
 //! into four 16-lane rows that are added straight to four rows of the
@@ -43,8 +42,6 @@
 use std::arch::x86_64::*;
 
 use super::Scale;
-
-use super::{scalar, K_BLOCK};
 
 recompile! { "avx512f,avx512bw,avx512vl", have_avx512();
     fn small_m_dense(m: usize, n: usize, k: usize, a: &[i8], b: &[i8], c: &mut [i32])
@@ -458,49 +455,6 @@ pub(super) fn panel_group(
     }
 }
 
-// SAFETY: requires AVX512F+AVX512BW+AVX512VL+AVX2. Runs only when the
-// wrapper-checked run is a whole block (`off == 0`, 64 rows): every
-// 16-byte load reads channels `c0..c0 + 16 <= hidden` of a row below 64,
-// and every 64-byte store is channel `c0 + j`'s whole run.
-#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx2")]
-unsafe fn k_append_blocks_impl(block: &mut [i8], rows: &[i8], hidden: usize) {
-    let (src, dst) = (rows.as_ptr(), block.as_mut_ptr());
-    let load =
-        |row: usize, c0: usize| _mm_loadu_si128(src.add(row * hidden + c0) as *const __m128i);
-    for c0 in (0..hidden & !15).step_by(16) {
-        // four 16×16 transposes side by side, rows 16g.. in lane g, so
-        // each channel's 64 positions leave in one store
-        let mut x: [__m512i; 16] = std::array::from_fn(|i| {
-            let v = _mm512_castsi128_si512(load(i, c0));
-            let v = _mm512_inserti32x4::<1>(v, load(16 + i, c0));
-            let v = _mm512_inserti32x4::<2>(v, load(32 + i, c0));
-            _mm512_inserti32x4::<3>(v, load(48 + i, c0))
-        });
-        byte_transpose16!(x, _mm512_unpacklo_epi8, _mm512_unpackhi_epi8);
-        for (j, v) in x.into_iter().enumerate() {
-            _mm512_storeu_epi8(dst.add((c0 + j) * K_BLOCK), v);
-        }
-    }
-}
-
-/// The AVX-512 tiers' part of the K append (see
-/// [`super::HostKernel::k_append`]): a run that is a whole block moves as
-/// four 16×16 byte transposes per 16 channels, one 64-byte store per
-/// channel. Returns the rows done — 64 or 0 — for AVX2's
-/// `k_append_from` (`host/mod.rs` chains the two) to finish the rest
-/// and the channels past the last group of 16.
-pub(super) fn k_append_blocks(block: &mut [i8], rows: &[i8], hidden: usize, off: usize) -> usize {
-    debug_assert!(have_avx512(), "avx512 append dispatched without avx512f/bw");
-    if scalar::assert_k_append_shape(block, rows, hidden, off) < K_BLOCK {
-        return 0;
-    }
-    // SAFETY: AVX-512 detection gates dispatch (debug-asserted above); a
-    // run of K_BLOCK rows that fits the block starts at 0: the impl's
-    // precondition.
-    unsafe { k_append_blocks_impl(block, rows, hidden) };
-    K_BLOCK
-}
-
 // SAFETY: requires AVX512F+AVX512BW+AVX512VL+AVX512VNNI. The wrapper
 // checks `a` holds `R` rows of `k`, `b` `k` rows of `n` and `c` `R` rows
 // of `n`. Every B load is one row `l < k` at columns `j0..`, masked to
@@ -639,6 +593,7 @@ fn have_avx512vnni() -> bool {
 
 #[cfg(test)]
 mod tests {
+    use super::super::scalar;
     use super::*;
     use crate::reference::SplitMix64;
 

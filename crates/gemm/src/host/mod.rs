@@ -92,32 +92,6 @@ macro_rules! recompile {
     };
 }
 
-/// Transpose the 16×16 byte matrix held in `$x` (16 vectors, row `i` in
-/// vector `i`) inside every 128-bit lane, with `$lo` / `$hi` the
-/// width's `unpacklo_epi8` / `unpackhi_epi8`. One round interleaves
-/// vector `i` with vector `i + 8` into vectors `2i` and `2i + 1`, which
-/// rotates the 8-bit (vector, byte) index left by one bit; four rounds
-/// swap its halves, so vector `j` ends as column `j` of each lane's own
-/// 16×16. Fully unrolled: every index is a constant, and the 16 vectors
-/// stay in registers.
-#[cfg(target_arch = "x86_64")]
-macro_rules! byte_transpose16 {
-    ($x:ident, $lo:ident, $hi:ident) => {
-        for _ in 0..4 {
-            byte_transpose16!(@round $x, $lo, $hi);
-        }
-    };
-    (@round $x:ident, $lo:ident, $hi:ident) => {
-        let y = $x;
-        $x = [
-            $lo(y[0], y[8]), $hi(y[0], y[8]), $lo(y[1], y[9]), $hi(y[1], y[9]),
-            $lo(y[2], y[10]), $hi(y[2], y[10]), $lo(y[3], y[11]), $hi(y[3], y[11]),
-            $lo(y[4], y[12]), $hi(y[4], y[12]), $lo(y[5], y[13]), $hi(y[5], y[13]),
-            $lo(y[6], y[14]), $hi(y[6], y[14]), $lo(y[7], y[15]), $hi(y[7], y[15]),
-        ];
-    };
-}
-
 mod blocked;
 mod requant;
 pub mod scalar;
@@ -446,19 +420,17 @@ static AVX2: HostKernel = HostKernel {
     pack_b: avx2::pack_b_block,
     requant_into: avx2::requant_into,
     requant_add_sat: avx2::requant_add_sat,
-    k_append: |block, rows, hidden, off| avx2::k_append_from(block, rows, hidden, off, 0),
+    k_append: avx2::k_append,
     macro_kernel: None,
 };
 
 // Hand-written for AVX-512: the 4×16 tile (the 4×4 tile is its
-// one-panel instance), the grouped panel kernel and the K append's
-// whole-block transposes (64 rows, one 64-byte store per channel),
-// which leave what is not a whole block to AVX2's. Both packers are
-// AVX2's: recompiled at zmm width, the portable A body lost to its
-// 16-byte transposes once the block leaves L1, and a zmm 16×16 word
-// transpose of B (`vpermt2d`, port 5 only) packed slower than its
-// 8×8 ymm ones. Every other entry is a portable body recompiled at zmm
-// width (`recompile!`).
+// one-panel instance) and the grouped panel kernel. Both packers and
+// the K append are AVX2's: recompiled at zmm width, the portable A body
+// lost to its 16-byte transposes once the block leaves L1, and a zmm
+// 16×16 word transpose of B (`vpermt2d`, port 5 only) packed slower
+// than its 8×8 ymm ones. Every other entry is a portable body
+// recompiled at zmm width (`recompile!`).
 #[cfg(target_arch = "x86_64")]
 static AVX512: HostKernel = HostKernel {
     tier: HostTier::Avx512,
@@ -471,10 +443,7 @@ static AVX512: HostKernel = HostKernel {
     pack_b: avx2::pack_b_block,
     requant_into: avx512::requant_into,
     requant_add_sat: avx512::requant_add_sat,
-    k_append: |block, rows, hidden, off| {
-        let done = avx512::k_append_blocks(block, rows, hidden, off);
-        avx2::k_append_from(block, rows, hidden, off, done)
-    },
+    k_append: avx2::k_append,
     macro_kernel: None,
 };
 

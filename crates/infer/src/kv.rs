@@ -56,27 +56,12 @@ pub(crate) fn arc_filled(len: usize, fill: impl FnOnce(&mut [i8])) -> Arc<[i8]> 
     out
 }
 
-/// `dst.copy_from_slice(src)` for the short runs the per-head operands
-/// are built from (64 bytes for a whole K block or a dₕ = 64 row): whole
-/// 16-byte pieces as vector moves in line, where a slice copy of a run
-/// whose length is only known at run time is one `memcpy` call per run.
-fn copy_run(dst: &mut [i8], src: &[i8]) {
-    assert_eq!(dst.len(), src.len(), "a run is copied whole");
-    let ((dst, dst_tail), (src, src_tail)) = (dst.as_chunks_mut::<16>(), src.as_chunks::<16>());
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = *s;
-    }
-    if !dst_tail.is_empty() {
-        dst_tail.copy_from_slice(src_tail);
-    }
-}
-
 /// The per-head column block `[head·dₕ, (head+1)·dₕ)` of a row-major
 /// matrix of width `d`, as one operand allocation.
 pub(crate) fn head_block(x: &[i8], d: usize, head: usize, dh: usize) -> Arc<[i8]> {
     arc_filled(x.len() / d * dh, |out| {
         for (dst, row) in out.chunks_exact_mut(dh).zip(x.chunks_exact(d)) {
-            copy_run(dst, &row[head * dh..][..dh]);
+            dst.copy_from_slice(&row[head * dh..][..dh]);
         }
     })
 }
@@ -239,7 +224,7 @@ impl KvCache {
                 let run = K_BLOCK.min(t - b * K_BLOCK);
                 let channels = block[head * dh * K_BLOCK..].chunks_exact(K_BLOCK);
                 for (row, src) in out.chunks_exact_mut(t).zip(channels) {
-                    copy_run(&mut row[b * K_BLOCK..][..run], &src[..run]);
+                    row[b * K_BLOCK..][..run].copy_from_slice(&src[..run]);
                 }
             }
         })
@@ -433,7 +418,7 @@ mod tests {
                     assert_views_are_the_rows(&kv, heads, dh, &what);
                 }
                 assert_eq!(kv.k, want.k, "{} hidden={hidden}: K bytes", kern.tier().name());
-                // a whole block at once, the AVX-512 tiers' widest step
+                // a whole block at once: two 32-row steps per block
                 let kv = fed(kern, hidden, 256, KvPolicy::Reject, (0, 192), 64);
                 let what = format!("{} hidden={hidden} whole blocks", kern.tier().name());
                 assert_views_are_the_rows(&kv, heads, dh, &what);

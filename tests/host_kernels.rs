@@ -492,7 +492,7 @@ fn k_append_is_byte_identical_to_its_definition_on_every_tier() {
 }
 
 /// `pack_b` on every available tier against [`pack_b_ref`] where the
-/// SIMD tiers' word transposes run (16 k-rows × 8 or 16 whole panels)
+/// SIMD tiers' word transposes run (16 k-rows × 8 whole panels)
 /// and where they stop: widths that are not a multiple of 4 (a ragged
 /// edge panel) on both sides of 16 and 32 whole panels and past a
 /// 256-column block, depths that are not a multiple of 16 (k-rows past
